@@ -1,5 +1,5 @@
 //! Criterion benchmarks for the executor data path: a parallel full scan
-//! under the de-contended path vs the seed's global-lock path.
+//! at 1 and 8 workers.
 //!
 //! The relation is smaller than `bench_executor`'s (the Criterion loop runs
 //! each configuration many times); run the `bench_executor` binary for the
@@ -9,20 +9,15 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use xprs_bench::exec_scan;
-use xprs_executor::DataPath;
 
-fn bench_scan_paths(c: &mut Criterion) {
+fn bench_scan(c: &mut Criterion) {
     let cat = exec_scan::catalog(8_192);
-    for (path, tag) in
-        [(DataPath::GlobalLock, "global_lock"), (DataPath::Decontended, "decontended")]
-    {
-        for workers in [1u32, 8] {
-            c.bench_function(&format!("executor_scan/{tag}/{workers}_workers"), |b| {
-                b.iter(|| black_box(exec_scan::run(&cat, workers, path, 8).emitted))
-            });
-        }
+    for workers in [1u32, 8] {
+        c.bench_function(&format!("executor_scan/{workers}_workers"), |b| {
+            b.iter(|| black_box(exec_scan::run(&cat, workers, 8).emitted))
+        });
     }
 }
 
-criterion_group!(benches, bench_scan_paths);
+criterion_group!(benches, bench_scan);
 criterion_main!(benches);

@@ -1,13 +1,10 @@
-//! Emit `BENCH_executor.json`: scan throughput of the de-contended executor
-//! data path against the seed's global-lock path.
+//! Emit `BENCH_executor.json`: scan throughput of the executor data path.
 //!
 //! The workload is a stream of back-to-back parallel selections over one
 //! relation — the paper's mixed-query regime, where the executor starts and
 //! finishes fragments continuously. For each worker count in {1, 2, 4, 8}
-//! and each [`DataPath`], the stream runs several times and the median scan
-//! wall time, tuples/second, buffer-pool hit rate, and thread counters are
-//! recorded. The headline number is the 8-worker throughput ratio of the
-//! de-contended path over the global-lock (seed) path.
+//! the stream runs several times and the median scan wall time,
+//! tuples/second, buffer-pool hit rate, and thread counters are recorded.
 //!
 //! A second, **disk-resident** section runs the larger-than-memory workload
 //! (relations [`xprs_bench::exec_disk::SPILL_FACTOR`]× the pool, skewed
@@ -37,7 +34,7 @@
 use std::sync::Arc;
 
 use xprs_bench::{exec_disk, exec_memory, exec_predict, exec_scan, host_header_json};
-use xprs_executor::{DataPath, ExecConfig, MorselMode};
+use xprs_executor::{ExecConfig, MorselMode};
 use xprs_scheduler::predict::Predictor;
 
 const RELATION_TUPLES: u64 = 8_192;
@@ -56,7 +53,6 @@ const PRED_REPS: usize = 6;
 const PRED_WARMUP: usize = 2;
 
 struct Row {
-    path: DataPath,
     workers: u32,
     wall: f64,
     scan_wall: f64,
@@ -64,13 +60,6 @@ struct Row {
     hit_rate: f64,
     pool_threads: u64,
     pool_jobs: u64,
-}
-
-fn path_name(p: DataPath) -> &'static str {
-    match p {
-        DataPath::Decontended => "decontended",
-        DataPath::GlobalLock => "global_lock",
-    }
 }
 
 fn median(xs: &mut [f64]) -> f64 {
@@ -85,56 +74,46 @@ fn main() {
     let examined = RELATION_TUPLES * QUERIES as u64;
 
     let mut rows: Vec<Row> = Vec::new();
-    for path in [DataPath::GlobalLock, DataPath::Decontended] {
-        for &w in &WORKERS {
-            let mut walls = Vec::with_capacity(TRIALS);
-            let mut scan_walls = Vec::with_capacity(TRIALS);
-            let mut last = None;
-            exec_scan::run(&cat, w, path, QUERIES); // warmup (page cache, allocator)
-            for _ in 0..TRIALS {
-                let r = exec_scan::run(&cat, w, path, QUERIES);
-                assert_eq!(r.tuples, examined, "scan dropped tuples");
-                assert!(r.emitted > 0, "vacuous selection");
-                walls.push(r.wall);
-                scan_walls.push(r.scan_wall);
-                last = Some(r);
-            }
-            let last = last.unwrap();
-            let wall = median(&mut walls);
-            // Throughput is examined tuples over the *scan phase* wall time
-            // (first fragment start to last fragment finish); setup before
-            // the first start is excluded, and the full run wall is also
-            // reported.
-            let scan_wall = median(&mut scan_walls);
-            rows.push(Row {
-                path,
-                workers: w,
-                wall,
-                scan_wall,
-                tuples_per_sec: examined as f64 / scan_wall,
-                hit_rate: last.hit_rate,
-                pool_threads: last.pool_threads,
-                pool_jobs: last.pool_jobs,
-            });
-            eprintln!(
-                "{:<12} w={} scan={:.4}s total={:.4}s  {:>12.0} tuples/s  hit_rate={:.3}  threads={} jobs={}",
-                path_name(path),
-                w,
-                scan_wall,
-                wall,
-                examined as f64 / scan_wall,
-                last.hit_rate,
-                last.pool_threads,
-                last.pool_jobs
-            );
+    for &w in &WORKERS {
+        let mut walls = Vec::with_capacity(TRIALS);
+        let mut scan_walls = Vec::with_capacity(TRIALS);
+        let mut last = None;
+        exec_scan::run(&cat, w, QUERIES); // warmup (page cache, allocator)
+        for _ in 0..TRIALS {
+            let r = exec_scan::run(&cat, w, QUERIES);
+            assert_eq!(r.tuples, examined, "scan dropped tuples");
+            assert!(r.emitted > 0, "vacuous selection");
+            walls.push(r.wall);
+            scan_walls.push(r.scan_wall);
+            last = Some(r);
         }
+        let last = last.unwrap();
+        let wall = median(&mut walls);
+        // Throughput is examined tuples over the *scan phase* wall time
+        // (first fragment start to last fragment finish); setup before
+        // the first start is excluded, and the full run wall is also
+        // reported.
+        let scan_wall = median(&mut scan_walls);
+        rows.push(Row {
+            workers: w,
+            wall,
+            scan_wall,
+            tuples_per_sec: examined as f64 / scan_wall,
+            hit_rate: last.hit_rate,
+            pool_threads: last.pool_threads,
+            pool_jobs: last.pool_jobs,
+        });
+        eprintln!(
+            "w={} scan={:.4}s total={:.4}s  {:>12.0} tuples/s  hit_rate={:.3}  threads={} jobs={}",
+            w,
+            scan_wall,
+            wall,
+            examined as f64 / scan_wall,
+            last.hit_rate,
+            last.pool_threads,
+            last.pool_jobs
+        );
     }
-
-    let tput = |p: DataPath, w: u32| {
-        rows.iter().find(|r| r.path == p && r.workers == w).unwrap().tuples_per_sec
-    };
-    let speedup_at_8 = tput(DataPath::Decontended, 8) / tput(DataPath::GlobalLock, 8);
-    eprintln!("speedup at 8 workers (decontended / global_lock): {speedup_at_8:.2}x");
 
     // ---- Disk-resident scaling: the workload where 8 must beat 1 ----
     let (dr_cat, dr_wl) = exec_disk::catalog(DR_SEED);
@@ -398,7 +377,7 @@ fn main() {
         j.push_str(&format!("    \"overruns_first_rep\": {overruns_first},\n"));
         j.push_str(&format!("    \"overruns_last_rep\": {overruns_last},\n"));
         j.push_str(&format!("    \"decisions_differ\": {decisions_differ}\n"));
-        j.push_str("  },\n");
+        j.push_str("  }\n");
         j
     };
 
@@ -417,11 +396,10 @@ fn main() {
     json.push_str("  \"configs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"data_path\": \"{}\", \"workers\": {}, \"scan_wall_seconds\": {:.6}, \
+            "    {{\"workers\": {}, \"scan_wall_seconds\": {:.6}, \
              \"total_wall_seconds\": {:.6}, \
              \"tuples_per_sec\": {:.1}, \"bufpool_hit_rate\": {:.4}, \
              \"pool_threads\": {}, \"pool_jobs\": {}}}{}\n",
-            path_name(r.path),
             r.workers,
             r.scan_wall,
             r.wall,
@@ -436,9 +414,6 @@ fn main() {
     json.push_str(&dr_json);
     json.push_str(&mem_json);
     json.push_str(&pred_json);
-    json.push_str(&format!(
-        "  \"speedup_decontended_vs_global_lock_at_8_workers\": {speedup_at_8:.3}\n"
-    ));
     json.push_str("}\n");
 
     std::fs::write(&out_path, json).expect("write bench output");

@@ -1,15 +1,12 @@
-//! Emit `BENCH_join.json`: join-materialization throughput of the rebuilt
-//! data path (worker-sorted runs → pool-parallel k-way merge → CSR index,
-//! `DataPath::Decontended`) against the legacy path (per-tuple lock, flat
-//! harvest, full serial re-sort, `HashMap` index, `DataPath::GlobalLock`).
+//! Emit `BENCH_join.json`: join-materialization throughput of the data
+//! path (worker-sorted runs → pool-parallel k-way merge → CSR index).
 //!
 //! The workload is a stream of back-to-back `big ⋈ small` hash joins with
 //! the build side pinned to the large relation, so the span under test is
 //! dominated by fragment materialization — worker output, the sort/merge,
-//! and key-index construction. For each worker count in {1, 2, 4, 8} and
-//! each path, the stream runs several times and the median join wall time
-//! and materialized-tuples/second are recorded. The headline number is the
-//! 8-worker throughput ratio of the new path over the legacy one.
+//! and key-index construction. For each worker count in {1, 2, 4, 8} the
+//! stream runs several times and the median join wall time and
+//! materialized-tuples/second are recorded.
 //!
 //! A second, **disk-resident** section joins a larger-than-memory build
 //! side (spilling the pool several times over, scaled-time machine) against
@@ -27,7 +24,7 @@
 //! Usage: `bench_join [output.json]` (default `BENCH_join.json`).
 
 use xprs_bench::{exec_disk, exec_join, exec_skew, host_header_json};
-use xprs_executor::{DataPath, ExecConfig, MorselMode};
+use xprs_executor::{ExecConfig, MorselMode};
 
 const BUILD_TUPLES: u64 = 200_000;
 const PROBE_TUPLES: u64 = 8_000;
@@ -42,20 +39,12 @@ const SKEW_TRIALS: usize = 3;
 const SKEW_WORKERS: u32 = 8;
 
 struct Row {
-    path: DataPath,
     workers: u32,
     wall: f64,
     join_wall: f64,
     tuples_per_sec: f64,
     pool_threads: u64,
     pool_jobs: u64,
-}
-
-fn path_name(p: DataPath) -> &'static str {
-    match p {
-        DataPath::Decontended => "decontended",
-        DataPath::GlobalLock => "global_lock",
-    }
 }
 
 fn median(xs: &mut [f64]) -> f64 {
@@ -68,53 +57,43 @@ fn main() {
     let cat = exec_join::catalog(BUILD_TUPLES, PROBE_TUPLES, KEY_MOD);
 
     let mut rows: Vec<Row> = Vec::new();
-    for path in [DataPath::GlobalLock, DataPath::Decontended] {
-        for &w in &WORKERS {
-            let mut walls = Vec::with_capacity(TRIALS);
-            let mut join_walls = Vec::with_capacity(TRIALS);
-            let mut last = None;
-            exec_join::run(&cat, w, path, QUERIES); // warmup (page cache, allocator)
-            for _ in 0..TRIALS {
-                let r = exec_join::run(&cat, w, path, QUERIES);
-                assert!(r.emitted > 0, "vacuous join");
-                walls.push(r.wall);
-                join_walls.push(r.join_wall);
-                last = Some(r);
-            }
-            let last = last.unwrap();
-            let wall = median(&mut walls);
-            // Throughput is materialized tuples (build side + joined
-            // output) over the *join phase* wall (first fragment start to
-            // last fragment finish); per-process setup is excluded.
-            let join_wall = median(&mut join_walls);
-            rows.push(Row {
-                path,
-                workers: w,
-                wall,
-                join_wall,
-                tuples_per_sec: last.materialized as f64 / join_wall,
-                pool_threads: last.pool_threads,
-                pool_jobs: last.pool_jobs,
-            });
-            eprintln!(
-                "{:<12} w={} join={:.4}s total={:.4}s  {:>12.0} tuples/s  emitted={}  threads={} jobs={}",
-                path_name(path),
-                w,
-                join_wall,
-                wall,
-                last.materialized as f64 / join_wall,
-                last.emitted,
-                last.pool_threads,
-                last.pool_jobs
-            );
+    for &w in &WORKERS {
+        let mut walls = Vec::with_capacity(TRIALS);
+        let mut join_walls = Vec::with_capacity(TRIALS);
+        let mut last = None;
+        exec_join::run(&cat, w, QUERIES); // warmup (page cache, allocator)
+        for _ in 0..TRIALS {
+            let r = exec_join::run(&cat, w, QUERIES);
+            assert!(r.emitted > 0, "vacuous join");
+            walls.push(r.wall);
+            join_walls.push(r.join_wall);
+            last = Some(r);
         }
+        let last = last.unwrap();
+        let wall = median(&mut walls);
+        // Throughput is materialized tuples (build side + joined output)
+        // over the *join phase* wall (first fragment start to last
+        // fragment finish); per-process setup is excluded.
+        let join_wall = median(&mut join_walls);
+        rows.push(Row {
+            workers: w,
+            wall,
+            join_wall,
+            tuples_per_sec: last.materialized as f64 / join_wall,
+            pool_threads: last.pool_threads,
+            pool_jobs: last.pool_jobs,
+        });
+        eprintln!(
+            "w={} join={:.4}s total={:.4}s  {:>12.0} tuples/s  emitted={}  threads={} jobs={}",
+            w,
+            join_wall,
+            wall,
+            last.materialized as f64 / join_wall,
+            last.emitted,
+            last.pool_threads,
+            last.pool_jobs
+        );
     }
-
-    let tput = |p: DataPath, w: u32| {
-        rows.iter().find(|r| r.path == p && r.workers == w).unwrap().tuples_per_sec
-    };
-    let speedup_at_8 = tput(DataPath::Decontended, 8) / tput(DataPath::GlobalLock, 8);
-    eprintln!("join speedup at 8 workers (decontended / global_lock): {speedup_at_8:.2}x");
 
     // ---- Disk-resident join: the build scan spills the pool ----
     let (dr_cat, dr_wl) = exec_disk::catalog(DR_SEED);
@@ -187,10 +166,9 @@ fn main() {
     json.push_str("  \"configs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"data_path\": \"{}\", \"workers\": {}, \"join_wall_seconds\": {:.6}, \
+            "    {{\"workers\": {}, \"join_wall_seconds\": {:.6}, \
              \"total_wall_seconds\": {:.6}, \"materialized_tuples_per_sec\": {:.1}, \
              \"pool_threads\": {}, \"pool_jobs\": {}}}{}\n",
-            path_name(r.path),
             r.workers,
             r.join_wall,
             r.wall,
@@ -249,10 +227,7 @@ fn main() {
     }
     json.push_str("    ],\n");
     json.push_str(&format!("    \"tput_ratio_theta1_vs_theta0\": {skew_ratio:.3}\n"));
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"speedup_parallel_merge_vs_hash_build_at_8_workers\": {speedup_at_8:.3}\n"
-    ));
+    json.push_str("  }\n");
     json.push_str("}\n");
 
     std::fs::write(&out_path, json).expect("write bench output");

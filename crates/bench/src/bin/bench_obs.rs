@@ -17,7 +17,7 @@
 use std::path::Path;
 
 use xprs_bench::{exec_obs, exec_scan, host_header_json};
-use xprs_executor::{DataPath, ExecConfig};
+use xprs_executor::ExecConfig;
 
 const RELATION_TUPLES: u64 = 8_192;
 // The A/B measures instruction cost, so it runs the scan stream on ONE
@@ -53,8 +53,8 @@ fn main() {
     let mut off = f64::INFINITY;
     let mut on = f64::INFINITY;
     let mut block_ratios = Vec::with_capacity(BLOCKS);
-    exec_scan::run_with_obs(&cat, 1, DataPath::Decontended, QUERIES, false); // warmup
-    exec_scan::run_with_obs(&cat, 1, DataPath::Decontended, QUERIES, true);
+    exec_scan::run_with_obs(&cat, 1, QUERIES, false); // warmup
+    exec_scan::run_with_obs(&cat, 1, QUERIES, true);
     for _ in 0..BLOCKS {
         // Back-to-back pairs so host drift (frequency scaling, co-running
         // load) hits both sides equally, alternating which side goes first
@@ -63,12 +63,12 @@ fn main() {
         let mut bon = f64::INFINITY;
         for trial in 0..TRIALS {
             let (a, b) = if trial % 2 == 0 {
-                let a = exec_scan::run_with_obs(&cat, 1, DataPath::Decontended, QUERIES, false);
-                let b = exec_scan::run_with_obs(&cat, 1, DataPath::Decontended, QUERIES, true);
+                let a = exec_scan::run_with_obs(&cat, 1, QUERIES, false);
+                let b = exec_scan::run_with_obs(&cat, 1, QUERIES, true);
                 (a, b)
             } else {
-                let b = exec_scan::run_with_obs(&cat, 1, DataPath::Decontended, QUERIES, true);
-                let a = exec_scan::run_with_obs(&cat, 1, DataPath::Decontended, QUERIES, false);
+                let b = exec_scan::run_with_obs(&cat, 1, QUERIES, true);
+                let a = exec_scan::run_with_obs(&cat, 1, QUERIES, false);
                 (a, b)
             };
             assert!(a.emitted > 0 && b.emitted > 0, "vacuous scan");

@@ -70,14 +70,13 @@ impl SchedulePolicy for FixedParallelism {
 }
 
 /// Shared scenario for the executor data-path benches: a parallel full scan
-/// of one relation, with the worker count and the [`xprs_executor::DataPath`]
-/// as the independent variables.
+/// of one relation, with the worker count as the independent variable.
 pub mod exec_scan {
     use std::sync::Arc;
     use std::time::Instant;
 
     use xprs_disk::StripedLayout;
-    use xprs_executor::{DataPath, ExecConfig, Executor, QueryRun, RelBinding};
+    use xprs_executor::{ExecConfig, Executor, QueryRun, RelBinding};
     use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
     use xprs_scheduler::MachineConfig;
     use xprs_storage::{Catalog, Datum, Schema, Tuple};
@@ -99,8 +98,7 @@ pub mod exec_scan {
         pub scan_wall: f64,
         /// Buffer-pool hit fraction over the run.
         pub hit_rate: f64,
-        /// OS threads the run created (pool growth, or one per slot on the
-        /// seed path).
+        /// OS threads the run created (pool growth).
         pub pool_threads: u64,
         /// Worker-slot staffing jobs submitted.
         pub pool_jobs: u64,
@@ -126,23 +124,15 @@ pub mod exec_scan {
         Arc::new(cat)
     }
 
-    /// Executor configuration for the scan benches: full speed (no
-    /// throttling sleeps), `path` selecting the hot-path implementation.
-    pub fn config(path: DataPath) -> ExecConfig {
-        ExecConfig::unthrottled().with_data_path(path)
-    }
-
     /// Run `n_queries` back-to-back parallel selections over `scan_src`
-    /// with `workers` workers each, on data path `path`.
+    /// with `workers` workers each, at full speed (no throttling sleeps).
     ///
     /// Every query page-scans the whole relation; the selection predicate
-    /// keeps ~5% of the tuples so the (single-threaded, path-independent)
-    /// result harvest stays negligible next to the scan itself. Sequential
-    /// queries make fragment turnaround part of the measurement — exactly
-    /// where the seed's per-slot thread staffing pays and the persistent
-    /// pool does not.
-    pub fn run(cat: &Arc<Catalog>, workers: u32, path: DataPath, n_queries: usize) -> ScanRun {
-        run_with_obs(cat, workers, path, n_queries, false)
+    /// keeps ~5% of the tuples so the single-threaded result harvest stays
+    /// negligible next to the scan itself. Sequential queries make
+    /// fragment turnaround part of the measurement.
+    pub fn run(cat: &Arc<Catalog>, workers: u32, n_queries: usize) -> ScanRun {
+        run_with_obs(cat, workers, n_queries, false)
     }
 
     /// [`run`], with hot-path metrics collection on or off — the A/B the
@@ -150,7 +140,6 @@ pub mod exec_scan {
     pub fn run_with_obs(
         cat: &Arc<Catalog>,
         workers: u32,
-        path: DataPath,
         n_queries: usize,
         obs: bool,
     ) -> ScanRun {
@@ -163,7 +152,7 @@ pub mod exec_scan {
         let runs: Vec<QueryRun> = (0..n_queries)
             .map(|_| QueryRun { optimized: optimized.clone(), bindings: bindings.clone() })
             .collect();
-        let mut cfg = config(path);
+        let mut cfg = ExecConfig::unthrottled();
         if obs {
             cfg = cfg.with_obs();
         }
@@ -310,17 +299,14 @@ pub mod exec_obs {
 
 /// Shared scenario for the join-materialization benches: a hash join whose
 /// build side is large, so fragment materialization (worker output → sort →
-/// key index) dominates the run. The worker count and the
-/// [`xprs_executor::DataPath`] are the independent variables: `GlobalLock`
-/// is the legacy path (per-tuple lock, flat harvest, full serial re-sort,
-/// `HashMap` index), `Decontended` the rebuilt one (batched sink with
-/// worker-local sorted runs, pool-parallel k-way merge, CSR index).
+/// key index) dominates the run: worker-local sorted runs, pool-parallel
+/// k-way merge, CSR index. The worker count is the independent variable.
 pub mod exec_join {
     use std::sync::Arc;
     use std::time::Instant;
 
     use xprs_disk::StripedLayout;
-    use xprs_executor::{DataPath, ExecConfig, Executor, QueryRun, RelBinding};
+    use xprs_executor::{ExecConfig, Executor, QueryRun, RelBinding};
     use xprs_optimizer::cost::{CostModel, RelInfo};
     use xprs_optimizer::{decompose, OptimizedQuery, Plan};
     use xprs_scheduler::MachineConfig;
@@ -394,8 +380,8 @@ pub mod exec_join {
     }
 
     /// Run `n_queries` back-to-back `big ⋈ small` hash joins with `workers`
-    /// workers each, on data path `path`.
-    pub fn run(cat: &Arc<Catalog>, workers: u32, path: DataPath, n_queries: usize) -> JoinRun {
+    /// workers each.
+    pub fn run(cat: &Arc<Catalog>, workers: u32, n_queries: usize) -> JoinRun {
         let build_tuples = cat.get("big").expect("bench relation").stats().n_tuples;
         let optimized = optimized(cat);
         let bindings = vec![
@@ -405,8 +391,7 @@ pub mod exec_join {
         let runs: Vec<QueryRun> = (0..n_queries)
             .map(|_| QueryRun { optimized: optimized.clone(), bindings: bindings.clone() })
             .collect();
-        let exec =
-            Executor::new(ExecConfig::unthrottled().with_data_path(path), cat.clone());
+        let exec = Executor::new(ExecConfig::unthrottled(), cat.clone());
         let mut policy = FixedParallelism::new(MachineConfig::paper_default(), workers);
         let t0 = Instant::now();
         let report = exec.run(&runs, &mut policy).expect("bench join failed");

@@ -1,0 +1,261 @@
+//! Executor configuration: [`ExecConfig`], its builders, and the
+//! work-distribution mode it carries.
+
+use std::path::PathBuf;
+use std::sync::Arc;
+
+use xprs_disk::FaultPlan;
+use xprs_scheduler::predict::Predictor;
+use xprs_scheduler::MachineConfig;
+// Named only by the intra-doc links below.
+#[cfg(doc)]
+use {crate::obs::ExecMetrics, crate::ExecError, crate::ExecReport};
+#[cfg(doc)]
+use {xprs_scheduler::trace::TraceRecord, xprs_scheduler::TaskProfile};
+
+/// How a fragment's work units reach its workers.
+///
+/// [`MorselMode::Stealing`] is the production path: units are grouped into
+/// fixed-size morsels dealt into per-worker deques, a worker claims its
+/// morsel's units on a private atomic (no lock round per unit), and idle
+/// workers steal whole pending morsels from seeded victims — so a worker
+/// stuck behind a slow disk or a cold page no longer strands its whole
+/// static share. [`MorselMode::StaticShares`] keeps the §2.4
+/// residue-class/interval shares selectable for A/B measurement; it is
+/// also what a fragment of [`MAX_STEAL_UNITS`](crate::steal::MAX_STEAL_UNITS)
+/// units or more falls back to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MorselMode {
+    /// §2.4 static partition shares (one partition-mutex round per unit).
+    StaticShares,
+    /// Morsel-driven work stealing.
+    Stealing {
+        /// Work units (pages or keys) per morsel; clamped to ≥ 1.
+        morsel_units: u64,
+    },
+}
+
+impl MorselMode {
+    /// The production stealing configuration ([`DEFAULT_MORSEL_UNITS`]).
+    pub fn stealing() -> Self {
+        MorselMode::Stealing { morsel_units: DEFAULT_MORSEL_UNITS }
+    }
+}
+
+/// Default units per morsel: big enough to amortize the deque latch and
+/// the completion report, small enough that an 8-worker fragment over a
+/// few hundred pages still has morsels worth stealing.
+pub const DEFAULT_MORSEL_UNITS: u64 = 16;
+
+/// Executor configuration.
+#[derive(Debug, Clone)]
+pub struct ExecConfig {
+    /// Machine model (processors, disks, service rates).
+    pub machine: MachineConfig,
+    /// Wall seconds per simulated second; `0.0` = run at full speed.
+    pub scale: f64,
+    /// CPU seconds charged per tuple examined.
+    pub cpu_tuple: f64,
+    /// Shared buffer-pool frames (0 disables buffering). The paper's
+    /// workloads scan relations far larger than memory, so the default is a
+    /// modest pool that cannot cache a whole scan.
+    pub bufpool_pages: usize,
+    /// Buffer-pool shards (page-hashed, independently latched); clamped
+    /// to ≥ 1.
+    pub bufpool_shards: usize,
+    /// How work units reach workers: morsel-driven stealing (production)
+    /// or the §2.4 static shares (A/B baseline).
+    pub morsel_mode: MorselMode,
+    /// Injected fault schedule (`None` = fault-free operation).
+    pub faults: Option<Arc<FaultPlan>>,
+    /// Heartbeat-patrol interval in wall milliseconds. `0` disables the
+    /// patrol — and with it dead-worker recovery and recalibration.
+    pub patrol_ms: u64,
+    /// Patrol ticks a slot's heartbeat may stay frozen (while the fragment
+    /// still has work and the slot never exited) before it is declared dead
+    /// and its partition share reclaimed.
+    pub patrol_grace: u32,
+    /// Relative drift between observed and modeled I/O service rate
+    /// tolerated before the policy is recalibrated. `0.0` disables
+    /// recalibration.
+    pub recal_band: f64,
+    /// I/O requests that must land in a patrol window before its rate
+    /// estimate is trusted for recalibration.
+    pub recal_min_requests: u64,
+    /// Fragment outputs at least this many rows long have their sorted
+    /// worker runs merged **in parallel** on the worker pool (split into
+    /// disjoint key sub-ranges, one merge task per processor); smaller
+    /// outputs are merged serially on the master.
+    pub parallel_merge_min_rows: usize,
+    /// Parallel-merge fan-out (key sub-ranges merged concurrently). `0` ⇒
+    /// auto: the simulated machine's processor count, capped by the host's
+    /// available parallelism — on a single-core host the merge stays
+    /// serial, since splitting would be pure copy overhead with no
+    /// concurrency to buy. Tests set an explicit fan-out to exercise the
+    /// pool-farmed path deterministically on any host.
+    pub parallel_merge_ways: usize,
+    /// Collect detailed hot-path metrics ([`ExecMetrics`]: gate-wait
+    /// histogram, I/O retry/fault counters, merge shape). Off by default;
+    /// the cold-path profile (pool shards, per-disk class stats, fragment
+    /// profiles, the utilization audit) is collected regardless.
+    pub obs: bool,
+    /// Write [`ExecReport::metrics_json`] to this path after a successful
+    /// run. Implies `obs`.
+    pub metrics_out: Option<PathBuf>,
+    /// Treat buffer-pool capacity as a scheduled resource: before a
+    /// fragment is staffed the master reserves shard capacity for its
+    /// estimated footprint ([`TaskProfile::memory`]), queues the fragment
+    /// FIFO when the pool is over-committed, and releases the grant at
+    /// completion. Off by default — grants change admission order, so the
+    /// throughput benches opt in explicitly.
+    pub memory_grants: bool,
+    /// Under `memory_grants`, let a fragment whose footprint exceeds its
+    /// grant cut sorted spill runs to disk instead of failing admission.
+    /// With spill disabled, a fragment whose demand exceeds the whole pool
+    /// is refused with [`ExecError::MemoryGrantExceeded`].
+    pub spill: bool,
+    /// Attempts a page read is given (initial issue + retries) before it
+    /// escalates to [`ExecError::IoFault`]. The default
+    /// ([`crate::io::READ_ATTEMPTS`]) is tuned for batch runs; a
+    /// latency-bound service trades retries for faster typed failure.
+    pub read_attempts: u32,
+    /// Simulated seconds of backoff before the first read retry, doubling
+    /// per retry ([`crate::io::RETRY_BACKOFF`] default).
+    pub retry_backoff: f64,
+    /// Online profile predictor. When attached, the master substitutes
+    /// predicted `seq_time`/`io_rate`/memory for the optimizer's declared
+    /// values at every fragment announcement (cold keys fall back to the
+    /// declared prior), emits each substitution as
+    /// [`TraceRecord::Predict`], and feeds finished fragments' measured
+    /// profiles back into the model. Share one `Arc` across repeated runs
+    /// so the model warms; `None` (the default) schedules purely on
+    /// declared profiles — the A/B baseline.
+    pub predictor: Option<Arc<Predictor>>,
+}
+
+impl ExecConfig {
+    /// Functional-testing configuration: paper machine, no throttling.
+    pub fn unthrottled() -> Self {
+        ExecConfig {
+            machine: MachineConfig::paper_default(),
+            scale: 0.0,
+            cpu_tuple: 0.25e-3,
+            bufpool_pages: 512,
+            bufpool_shards: 8,
+            morsel_mode: MorselMode::stealing(),
+            faults: None,
+            patrol_ms: 0,
+            patrol_grace: 3,
+            recal_band: 0.2,
+            recal_min_requests: 64,
+            parallel_merge_min_rows: 4096,
+            parallel_merge_ways: 0,
+            obs: false,
+            metrics_out: None,
+            memory_grants: false,
+            spill: true,
+            read_attempts: crate::io::READ_ATTEMPTS,
+            retry_backoff: crate::io::RETRY_BACKOFF,
+            predictor: None,
+        }
+    }
+
+    /// Demonstration configuration running `speedup`× faster than real time.
+    pub fn scaled(speedup: f64) -> Self {
+        assert!(speedup > 0.0);
+        ExecConfig { scale: 1.0 / speedup, ..ExecConfig::unthrottled() }
+    }
+
+    /// This configuration switched to the given work-distribution mode.
+    pub fn with_morsel_mode(mut self, mode: MorselMode) -> Self {
+        self.morsel_mode = mode;
+        self
+    }
+
+    /// Attach an injected fault schedule, enabling the heartbeat patrol
+    /// (at a 5 ms interval unless one is already configured) so dead
+    /// workers are actually recovered.
+    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
+        self.faults = Some(plan);
+        if self.patrol_ms == 0 {
+            self.patrol_ms = 5;
+        }
+        self
+    }
+
+    /// Enable detailed hot-path metrics collection.
+    pub fn with_obs(mut self) -> Self {
+        self.obs = true;
+        self
+    }
+
+    /// Write `metrics.json` to `path` after each successful run (enables
+    /// detailed metrics).
+    pub fn with_metrics_out(mut self, path: impl Into<PathBuf>) -> Self {
+        self.metrics_out = Some(path.into());
+        self.obs = true;
+        self
+    }
+
+    /// Enable memory-grant admission: fragments reserve buffer-pool shard
+    /// capacity for their estimated footprint before staffing, wait FIFO
+    /// when the pool is over-committed, and spill past their grant.
+    pub fn with_memory_grants(mut self) -> Self {
+        self.memory_grants = true;
+        self
+    }
+
+    /// Disable spill-to-disk under memory grants: an over-pool demand then
+    /// surfaces as [`ExecError::MemoryGrantExceeded`] instead of running
+    /// degraded. Exists for the spill-parity A/B and for callers that
+    /// prefer a typed refusal over extra I/O.
+    pub fn without_spill(mut self) -> Self {
+        self.spill = false;
+        self
+    }
+
+    /// Override the bounded-I/O-retry envelope: `attempts` reads per page
+    /// (≥ 1, initial issue included) and `backoff` simulated seconds before
+    /// the first retry (doubling per retry). The defaults reproduce the
+    /// constants batch runs have always used.
+    pub fn with_retry(mut self, attempts: u32, backoff: f64) -> Self {
+        assert!(attempts >= 1, "a read needs at least one attempt");
+        assert!(backoff >= 0.0 && backoff.is_finite(), "invalid retry backoff {backoff}");
+        self.read_attempts = attempts;
+        self.retry_backoff = backoff;
+        self
+    }
+
+    /// Attach an online profile predictor: announcements consume predicted
+    /// rather than declared profiles once the predictor has observations
+    /// for the fragment's (plan-shape, size-bucket) key, and completions
+    /// train it. Pass the same `Arc` to successive executors so repeated
+    /// plan shapes converge.
+    pub fn with_predictor(mut self, predictor: Arc<Predictor>) -> Self {
+        self.predictor = Some(predictor);
+        self
+    }
+
+    /// Configure the heartbeat patrol explicitly: `ms` between patrol
+    /// sweeps (0 disables the patrol) and `grace` consecutive frozen ticks
+    /// before a worker slot is declared dead. A continuous service tightens
+    /// both so a dead worker inflates one tenant's latency for
+    /// milliseconds, not a whole batch run.
+    pub fn with_patrol(mut self, ms: u64, grace: u32) -> Self {
+        self.patrol_ms = ms;
+        self.patrol_grace = grace.max(1);
+        self
+    }
+
+    /// Enable degradation-aware recalibration with tolerance `band`
+    /// (e.g. `0.2` = recalibrate when the observed I/O rate drifts more
+    /// than 20% from the model), turning the patrol on if it is off.
+    pub fn with_recalibration(mut self, band: f64) -> Self {
+        assert!(band > 0.0 && band.is_finite(), "invalid recalibration band {band}");
+        self.recal_band = band;
+        if self.patrol_ms == 0 {
+            self.patrol_ms = 5;
+        }
+        self
+    }
+}

@@ -15,10 +15,9 @@
 //! the issue path.
 //!
 //! The buffer pool is a [`ShardedBufferPool`]: each page hashes to one of
-//! `n` independently latched shards, so concurrent scans no longer
+//! `n` independently latched shards, so concurrent scans do not
 //! serialize on a single pool mutex (§2.2–2.3's balance point assumes the
-//! engine itself adds no shared-resource interference). One shard
-//! reproduces the seed's global-latch behaviour bit-for-bit.
+//! engine itself adds no shared-resource interference).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -185,9 +184,9 @@ impl Machine {
         Self::with_sharded_pool(cfg, scale, 0, 1)
     }
 
-    /// Like [`Machine::new`], with a single-latch buffer pool of
-    /// `pool_pages` frames (0 disables buffering; every read hits a disk).
-    /// This is the seed's global-lock configuration.
+    /// Like [`Machine::new`], with a one-shard buffer pool of `pool_pages`
+    /// frames (0 disables buffering; every read hits a disk): exact global
+    /// LRU behind a single latch.
     pub fn with_pool(cfg: &MachineConfig, scale: f64, pool_pages: usize) -> Self {
         Self::with_sharded_pool(cfg, scale, pool_pages, 1)
     }
@@ -575,7 +574,7 @@ mod tests {
             }));
         }
         for h in handles {
-            crate::master::join_worker(h, 0).expect("gate worker must not panic");
+            h.join().expect("gate worker must not panic");
         }
         assert!(peak.load(Ordering::SeqCst) <= 2, "gate leaked permits");
     }
@@ -601,7 +600,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(40));
         let w = m.new_worker_id();
         m.read(RelId(1), 4, w, false); // only shard is fully pinned → bypass
-        crate::master::join_worker(first, 0).expect("reader must not panic");
+        first.join().expect("reader must not panic");
         let s = m.stats();
         assert_eq!(s.reads, 2);
         assert_eq!(s.pool.bypasses, 1, "the refused fetch must be counted");
@@ -642,7 +641,7 @@ mod tests {
             }));
         }
         for h in handles {
-            crate::master::join_worker(h, 0).expect("reader thread must not panic");
+            h.join().expect("reader thread must not panic");
         }
         assert_eq!(m.stats().reads, 1000);
         assert_eq!(m.stats().disk.total(), 1000);

@@ -26,6 +26,8 @@
 //!   into fixed-size block-range morsels dealt into per-worker deques;
 //!   idle workers steal pending morsels from seeded victims, and the
 //!   heartbeat patrol reclaims only a dead worker's *unclaimed* units.
+//! * [`config`] / [`error`] — [`ExecConfig`] with its builders, and the
+//!   typed [`ExecError`] taxonomy every run failure maps into.
 //! * [`master`] — the driver: executes one or many optimized queries under
 //!   any [`xprs_scheduler::SchedulePolicy`], staffing and re-partitioning
 //!   worker slots on a persistent thread [`pool`] as the policy directs.
@@ -44,6 +46,8 @@
 //!   predictions. Rendered as `metrics.json` by `ExecReport::metrics_json`.
 
 pub mod cancel;
+pub mod config;
+pub mod error;
 pub mod io;
 pub mod master;
 pub mod obs;
@@ -54,14 +58,13 @@ pub mod worker;
 
 pub use cancel::CancelToken;
 pub use io::{CpuGate, IoFault, Machine, MachineStats, READ_ATTEMPTS, RETRY_BACKOFF};
-pub use master::{
-    join_worker, DataPath, ExecConfig, ExecError, ExecReport, ExecSession, Executor, MorselMode,
-    QueryResult, QueryRun, DEFAULT_MORSEL_UNITS,
-};
+pub use config::{ExecConfig, MorselMode, DEFAULT_MORSEL_UNITS};
+pub use error::ExecError;
+pub use master::{ExecReport, ExecSession, Executor, QueryResult, QueryRun};
 pub use obs::{
     ExecMetrics, FragmentProfile, MergeProfile, QueryProfile, UtilSample, UtilizationAudit,
 };
 pub use pool::WorkerPool;
-pub use program::{compile, FragmentProgram, KeyIndex, Matches, Materialized, PipelineOp, ProgramSet};
+pub use program::{compile, FragmentProgram, Materialized, PipelineOp, ProgramSet};
 pub use steal::{NextMorsel, StealPartition, MAX_STEAL_UNITS};
 pub use worker::RelBinding;

@@ -11,18 +11,17 @@
 //! joined per slot.
 
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use xprs_disk::{ClassStats, FaultPlan};
+use xprs_disk::ClassStats;
 use xprs_optimizer::OptimizedQuery;
 use xprs_scheduler::error::SchedError;
 use xprs_scheduler::fluid::FIXPOINT_ROUNDS;
 use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy};
-use xprs_scheduler::predict::{Observation, PredictKey, Predictor};
+use xprs_scheduler::predict::{Observation, PredictKey};
 use xprs_scheduler::trace::{emit, RunningSnap, SharedSink, TraceRecord};
 use xprs_scheduler::{MachineConfig, TaskId, TaskProfile};
 use xprs_storage::partition::{PagePartition, RangePartition};
@@ -30,6 +29,8 @@ use xprs_storage::runs::{merge_runs, split_runs_stats};
 use xprs_storage::{Catalog, Tuple, PAGE_SIZE};
 
 use crate::cancel::CancelToken;
+use crate::config::{ExecConfig, MorselMode};
+use crate::error::ExecError;
 use crate::io::{lock, IoFault, Machine, MachineStats};
 use crate::obs::{ExecMetrics, FragmentProfile, MergeProfile, QueryProfile, RunningInfo, UtilSample};
 use crate::pool::WorkerPool;
@@ -39,489 +40,6 @@ use crate::worker::{run_worker, FragCtx, OutputSink, PartitionState, RelBinding,
 
 /// One pool-merge task: merges a disjoint key sub-range of the runs.
 type MergeTask = Box<dyn FnOnce() -> Vec<(i32, Tuple)> + Send>;
-
-/// Which executor data path to run.
-///
-/// [`DataPath::Decontended`] is the production path: per-worker batched
-/// output, batched CPU-gate accounting, the sharded buffer pool, and
-/// worker slots staffed on the persistent [`WorkerPool`].
-/// [`DataPath::GlobalLock`] reproduces the seed's contended *data path* —
-/// one lock round per result tuple, one gate acquisition per compute call,
-/// one buffer-pool latch, static partition shares — and exists so benches
-/// can measure the difference. Worker slots are staffed on the persistent
-/// pool under both paths, so the A/B measures contention, not the seed's
-/// per-slot thread churn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DataPath {
-    /// Batched per-worker output, batched CPU charging, sharded pool.
-    Decontended,
-    /// The seed's contended hot path (baseline for comparison).
-    GlobalLock,
-}
-
-/// How a fragment's work units reach its workers.
-///
-/// [`MorselMode::Stealing`] is the production path: units are grouped into
-/// fixed-size morsels dealt into per-worker deques, a worker claims its
-/// morsel's units on a private atomic (no lock round per unit), and idle
-/// workers steal whole pending morsels from seeded victims — so a worker
-/// stuck behind a slow disk or a cold page no longer strands its whole
-/// static share. [`MorselMode::StaticShares`] keeps the §2.4
-/// residue-class/interval shares selectable for A/B measurement, mirroring
-/// the [`DataPath::GlobalLock`] precedent. Under `GlobalLock` the static
-/// shares are always used (that path reproduces the seed exactly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MorselMode {
-    /// §2.4 static partition shares (one partition-mutex round per unit).
-    StaticShares,
-    /// Morsel-driven work stealing.
-    Stealing {
-        /// Work units (pages or keys) per morsel; clamped to ≥ 1.
-        morsel_units: u64,
-    },
-}
-
-impl MorselMode {
-    /// The production stealing configuration ([`DEFAULT_MORSEL_UNITS`]).
-    pub fn stealing() -> Self {
-        MorselMode::Stealing { morsel_units: DEFAULT_MORSEL_UNITS }
-    }
-}
-
-/// Default units per morsel: big enough to amortize the deque latch and
-/// the completion report, small enough that an 8-worker fragment over a
-/// few hundred pages still has morsels worth stealing.
-pub const DEFAULT_MORSEL_UNITS: u64 = 16;
-
-/// Executor configuration.
-#[derive(Debug, Clone)]
-pub struct ExecConfig {
-    /// Machine model (processors, disks, service rates).
-    pub machine: MachineConfig,
-    /// Wall seconds per simulated second; `0.0` = run at full speed.
-    pub scale: f64,
-    /// CPU seconds charged per tuple examined.
-    pub cpu_tuple: f64,
-    /// Shared buffer-pool frames (0 disables buffering). The paper's
-    /// workloads scan relations far larger than memory, so the default is a
-    /// modest pool that cannot cache a whole scan.
-    pub bufpool_pages: usize,
-    /// Buffer-pool shards (page-hashed, independently latched). Ignored —
-    /// forced to 1 — under [`DataPath::GlobalLock`].
-    pub bufpool_shards: usize,
-    /// Result tuples a worker buffers locally before one flush into the
-    /// fragment sink.
-    pub out_batch_tuples: usize,
-    /// Simulated CPU seconds a worker accumulates before one CPU-gate
-    /// acquisition.
-    pub cpu_batch_seconds: f64,
-    /// Which data path to run.
-    pub data_path: DataPath,
-    /// How work units reach workers: morsel-driven stealing (production)
-    /// or the §2.4 static shares (A/B baseline). Forced to
-    /// [`MorselMode::StaticShares`] under [`DataPath::GlobalLock`].
-    pub morsel_mode: MorselMode,
-    /// Injected fault schedule (`None` = fault-free operation).
-    pub faults: Option<Arc<FaultPlan>>,
-    /// Heartbeat-patrol interval in wall milliseconds. `0` disables the
-    /// patrol — and with it dead-worker recovery and recalibration.
-    pub patrol_ms: u64,
-    /// Patrol ticks a slot's heartbeat may stay frozen (while the fragment
-    /// still has work and the slot never exited) before it is declared dead
-    /// and its partition share reclaimed.
-    pub patrol_grace: u32,
-    /// Relative drift between observed and modeled I/O service rate
-    /// tolerated before the policy is recalibrated. `0.0` disables
-    /// recalibration.
-    pub recal_band: f64,
-    /// I/O requests that must land in a patrol window before its rate
-    /// estimate is trusted for recalibration.
-    pub recal_min_requests: u64,
-    /// Fragment outputs at least this many rows long have their sorted
-    /// worker runs merged **in parallel** on the worker pool (split into
-    /// disjoint key sub-ranges, one merge task per processor); smaller
-    /// outputs are merged serially on the master. Only meaningful under
-    /// [`DataPath::Decontended`].
-    pub parallel_merge_min_rows: usize,
-    /// Parallel-merge fan-out (key sub-ranges merged concurrently). `0` ⇒
-    /// auto: the simulated machine's processor count, capped by the host's
-    /// available parallelism — on a single-core host the merge stays
-    /// serial, since splitting would be pure copy overhead with no
-    /// concurrency to buy. Tests set an explicit fan-out to exercise the
-    /// pool-farmed path deterministically on any host.
-    pub parallel_merge_ways: usize,
-    /// Collect detailed hot-path metrics ([`ExecMetrics`]: gate-wait
-    /// histogram, I/O retry/fault counters, merge shape). Off by default;
-    /// the cold-path profile (pool shards, per-disk class stats, fragment
-    /// profiles, the utilization audit) is collected regardless.
-    pub obs: bool,
-    /// Write [`ExecReport::metrics_json`] to this path after a successful
-    /// run. Implies `obs`.
-    pub metrics_out: Option<PathBuf>,
-    /// Treat buffer-pool capacity as a scheduled resource: before a
-    /// fragment is staffed the master reserves shard capacity for its
-    /// estimated footprint ([`TaskProfile::memory`]), queues the fragment
-    /// FIFO when the pool is over-committed, and releases the grant at
-    /// completion. Off by default — grants change admission order, so the
-    /// throughput benches opt in explicitly.
-    pub memory_grants: bool,
-    /// Under `memory_grants`, let a fragment whose footprint exceeds its
-    /// grant cut sorted spill runs to disk instead of failing admission.
-    /// With spill disabled, a fragment whose demand exceeds the whole pool
-    /// is refused with [`ExecError::MemoryGrantExceeded`].
-    pub spill: bool,
-    /// Attempts a page read is given (initial issue + retries) before it
-    /// escalates to [`ExecError::IoFault`]. The default
-    /// ([`crate::io::READ_ATTEMPTS`]) is tuned for batch runs; a
-    /// latency-bound service trades retries for faster typed failure.
-    pub read_attempts: u32,
-    /// Simulated seconds of backoff before the first read retry, doubling
-    /// per retry ([`crate::io::RETRY_BACKOFF`] default).
-    pub retry_backoff: f64,
-    /// Online profile predictor. When attached, the master substitutes
-    /// predicted `seq_time`/`io_rate`/memory for the optimizer's declared
-    /// values at every fragment announcement (cold keys fall back to the
-    /// declared prior), emits each substitution as
-    /// [`TraceRecord::Predict`], and feeds finished fragments' measured
-    /// profiles back into the model. Share one `Arc` across repeated runs
-    /// so the model warms; `None` (the default) schedules purely on
-    /// declared profiles — the A/B baseline.
-    pub predictor: Option<Arc<Predictor>>,
-}
-
-impl ExecConfig {
-    /// Functional-testing configuration: paper machine, no throttling,
-    /// de-contended data path.
-    pub fn unthrottled() -> Self {
-        ExecConfig {
-            machine: MachineConfig::paper_default(),
-            scale: 0.0,
-            cpu_tuple: 0.25e-3,
-            bufpool_pages: 512,
-            bufpool_shards: 8,
-            out_batch_tuples: 256,
-            cpu_batch_seconds: 0.01,
-            data_path: DataPath::Decontended,
-            morsel_mode: MorselMode::stealing(),
-            faults: None,
-            patrol_ms: 0,
-            patrol_grace: 3,
-            recal_band: 0.2,
-            recal_min_requests: 64,
-            parallel_merge_min_rows: 4096,
-            parallel_merge_ways: 0,
-            obs: false,
-            metrics_out: None,
-            memory_grants: false,
-            spill: true,
-            read_attempts: crate::io::READ_ATTEMPTS,
-            retry_backoff: crate::io::RETRY_BACKOFF,
-            predictor: None,
-        }
-    }
-
-    /// Demonstration configuration running `speedup`× faster than real time.
-    pub fn scaled(speedup: f64) -> Self {
-        assert!(speedup > 0.0);
-        ExecConfig { scale: 1.0 / speedup, ..ExecConfig::unthrottled() }
-    }
-
-    /// This configuration switched to the seed's global-lock data path.
-    pub fn with_data_path(mut self, path: DataPath) -> Self {
-        self.data_path = path;
-        self
-    }
-
-    /// This configuration switched to the given work-distribution mode.
-    pub fn with_morsel_mode(mut self, mode: MorselMode) -> Self {
-        self.morsel_mode = mode;
-        self
-    }
-
-    /// Attach an injected fault schedule, enabling the heartbeat patrol
-    /// (at a 5 ms interval unless one is already configured) so dead
-    /// workers are actually recovered.
-    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.faults = Some(plan);
-        if self.patrol_ms == 0 {
-            self.patrol_ms = 5;
-        }
-        self
-    }
-
-    /// Enable detailed hot-path metrics collection.
-    pub fn with_obs(mut self) -> Self {
-        self.obs = true;
-        self
-    }
-
-    /// Write `metrics.json` to `path` after each successful run (enables
-    /// detailed metrics).
-    pub fn with_metrics_out(mut self, path: impl Into<PathBuf>) -> Self {
-        self.metrics_out = Some(path.into());
-        self.obs = true;
-        self
-    }
-
-    /// Enable memory-grant admission: fragments reserve buffer-pool shard
-    /// capacity for their estimated footprint before staffing, wait FIFO
-    /// when the pool is over-committed, and spill past their grant.
-    pub fn with_memory_grants(mut self) -> Self {
-        self.memory_grants = true;
-        self
-    }
-
-    /// Disable spill-to-disk under memory grants: an over-pool demand then
-    /// surfaces as [`ExecError::MemoryGrantExceeded`] instead of running
-    /// degraded. Exists for the spill-parity A/B and for callers that
-    /// prefer a typed refusal over extra I/O.
-    pub fn without_spill(mut self) -> Self {
-        self.spill = false;
-        self
-    }
-
-    /// Override the bounded-I/O-retry envelope: `attempts` reads per page
-    /// (≥ 1, initial issue included) and `backoff` simulated seconds before
-    /// the first retry (doubling per retry). The defaults reproduce the
-    /// constants batch runs have always used.
-    pub fn with_retry(mut self, attempts: u32, backoff: f64) -> Self {
-        assert!(attempts >= 1, "a read needs at least one attempt");
-        assert!(backoff >= 0.0 && backoff.is_finite(), "invalid retry backoff {backoff}");
-        self.read_attempts = attempts;
-        self.retry_backoff = backoff;
-        self
-    }
-
-    /// Attach an online profile predictor: announcements consume predicted
-    /// rather than declared profiles once the predictor has observations
-    /// for the fragment's (plan-shape, size-bucket) key, and completions
-    /// train it. Pass the same `Arc` to successive executors so repeated
-    /// plan shapes converge.
-    pub fn with_predictor(mut self, predictor: Arc<Predictor>) -> Self {
-        self.predictor = Some(predictor);
-        self
-    }
-
-    /// Configure the heartbeat patrol explicitly: `ms` between patrol
-    /// sweeps (0 disables the patrol) and `grace` consecutive frozen ticks
-    /// before a worker slot is declared dead. A continuous service tightens
-    /// both so a dead worker inflates one tenant's latency for
-    /// milliseconds, not a whole batch run.
-    pub fn with_patrol(mut self, ms: u64, grace: u32) -> Self {
-        self.patrol_ms = ms;
-        self.patrol_grace = grace.max(1);
-        self
-    }
-
-    /// Enable degradation-aware recalibration with tolerance `band`
-    /// (e.g. `0.2` = recalibrate when the observed I/O rate drifts more
-    /// than 20% from the model), turning the patrol on if it is off.
-    pub fn with_recalibration(mut self, band: f64) -> Self {
-        assert!(band > 0.0 && band.is_finite(), "invalid recalibration band {band}");
-        self.recal_band = band;
-        if self.patrol_ms == 0 {
-            self.patrol_ms = 5;
-        }
-        self
-    }
-
-    fn effective_shards(&self) -> usize {
-        match self.data_path {
-            DataPath::Decontended => self.bufpool_shards.max(1),
-            DataPath::GlobalLock => 1,
-        }
-    }
-
-    fn effective_morsel_mode(&self) -> MorselMode {
-        match self.data_path {
-            DataPath::Decontended => self.morsel_mode,
-            DataPath::GlobalLock => MorselMode::StaticShares,
-        }
-    }
-
-    fn effective_out_batch(&self) -> usize {
-        match self.data_path {
-            DataPath::Decontended => self.out_batch_tuples.max(1),
-            DataPath::GlobalLock => 0, // one lock round per tuple
-        }
-    }
-
-    fn effective_cpu_batch(&self) -> f64 {
-        match self.data_path {
-            DataPath::Decontended => self.cpu_batch_seconds.max(0.0),
-            DataPath::GlobalLock => 0.0, // one gate acquisition per compute
-        }
-    }
-}
-
-/// Why a run could not complete.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExecError {
-    /// A worker thread panicked; the run was drained and abandoned.
-    WorkerPanicked {
-        /// Global fragment index the worker was staffing.
-        fragment: usize,
-        /// Rendered panic payload.
-        message: String,
-    },
-    /// The completion channel closed with fragments still outstanding.
-    ChannelClosed {
-        /// Fragments that had completed when the channel died.
-        completed: usize,
-        /// Total fragments in the run.
-        total: usize,
-    },
-    /// The scheduling policy misbehaved (diverged, wedged, referenced an
-    /// unknown task, double-started or double-completed a fragment). The
-    /// run was drained and abandoned.
-    Sched {
-        /// The typed scheduler error.
-        source: SchedError,
-        /// Fragments that had completed at the failure instant.
-        completed: usize,
-        /// Total fragments in the run.
-        total: usize,
-    },
-    /// A fragment program referenced a relation the catalog does not hold.
-    UnknownRelation {
-        /// Global fragment index.
-        fragment: usize,
-        /// The missing relation's name.
-        name: String,
-    },
-    /// A disk read failed unrecoverably (every bounded retry exhausted);
-    /// the run was drained and abandoned.
-    IoFault {
-        /// Global fragment index whose worker hit the fault.
-        fragment: usize,
-        /// The underlying fault.
-        fault: IoFault,
-    },
-    /// A merge-indexed probe needed an index on `a` that the relation does
-    /// not have (a planning/catalog mismatch); the run was drained and
-    /// abandoned.
-    IndexMissing {
-        /// Global fragment index whose worker hit the probe.
-        fragment: usize,
-        /// The unindexed relation's name.
-        name: String,
-    },
-    /// A query's fragment table holds no root fragment (a compiler
-    /// invariant violation surfaced as a typed error, not a panic).
-    RootMissing {
-        /// Query index in the submitted batch.
-        query: usize,
-    },
-    /// A query's root fragment completed without materializing output.
-    OutputMissing {
-        /// Query index in the submitted batch.
-        query: usize,
-    },
-    /// A fragment was started before one of its producers materialized —
-    /// the readiness protocol was violated.
-    ProducerNotMaterialized {
-        /// The consumer fragment being started.
-        fragment: usize,
-        /// The producer whose output is missing.
-        producer: usize,
-    },
-    /// The compiler's fragment decomposition disagrees with the
-    /// optimizer's — different fragment counts or different dependency
-    /// edges. Formerly a documented panic; now the run refuses to start
-    /// and hands back both sides' per-fragment dependency lists.
-    PlanMismatch {
-        /// Query index in the submitted batch.
-        query: usize,
-        /// Sorted producer indices per compiled fragment program.
-        compiled: Vec<Vec<usize>>,
-        /// Sorted producer indices per optimizer DAG fragment.
-        optimized: Vec<Vec<usize>>,
-    },
-    /// Under [`ExecConfig::memory_grants`] with spill disabled, a fragment
-    /// demanded more buffer-pool capacity than the whole pool holds. The
-    /// demand can never be admitted, so the run refuses it up front — a
-    /// typed, recoverable signal where the seed died later with an
-    /// unrecoverable `PoolExhausted` deep in a worker's read path.
-    MemoryGrantExceeded {
-        /// Global fragment index whose demand cannot fit.
-        fragment: usize,
-        /// Pages the fragment's estimated footprint requires.
-        demand_pages: u64,
-        /// Total pool capacity in pages.
-        capacity_pages: u64,
-    },
-    /// `ExecConfig::metrics_out` was set but `metrics.json` could not be
-    /// written. The run itself completed.
-    MetricsDump {
-        /// Destination path.
-        path: String,
-        /// Rendered I/O error.
-        error: String,
-    },
-}
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecError::WorkerPanicked { fragment, message } => {
-                write!(f, "worker staffing fragment {fragment} panicked: {message}")
-            }
-            ExecError::ChannelClosed { completed, total } => {
-                write!(f, "worker channel closed with {completed}/{total} fragments complete")
-            }
-            ExecError::Sched { source, completed, total } => {
-                write!(f, "scheduling failed with {completed}/{total} fragments complete: {source}")
-            }
-            ExecError::UnknownRelation { fragment, name } => {
-                write!(f, "fragment {fragment} references unknown relation {name:?}")
-            }
-            ExecError::IoFault { fragment, fault } => {
-                write!(f, "fragment {fragment}: {fault}")
-            }
-            ExecError::IndexMissing { fragment, name } => {
-                write!(f, "fragment {fragment}: merge-indexed probe over unindexed {name:?}")
-            }
-            ExecError::RootMissing { query } => {
-                write!(f, "query {query} has no root fragment")
-            }
-            ExecError::OutputMissing { query } => {
-                write!(f, "query {query}'s root fragment finished without output")
-            }
-            ExecError::ProducerNotMaterialized { fragment, producer } => {
-                write!(
-                    f,
-                    "fragment {fragment} started before producer {producer} materialized"
-                )
-            }
-            ExecError::PlanMismatch { query, compiled, optimized } => {
-                write!(
-                    f,
-                    "query {query}: compiled fragment dependencies {compiled:?} disagree with \
-                     the optimizer's decomposition {optimized:?}"
-                )
-            }
-            ExecError::MemoryGrantExceeded { fragment, demand_pages, capacity_pages } => {
-                write!(
-                    f,
-                    "fragment {fragment} demands {demand_pages} pages but the pool holds \
-                     {capacity_pages} and spill is disabled"
-                )
-            }
-            ExecError::MetricsDump { path, error } => {
-                write!(f, "could not write metrics to {path}: {error}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ExecError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ExecError::Sched { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
 
 /// Internal: a control-path failure from the decide path, before it is
 /// annotated with the run's completion progress.
@@ -837,15 +355,17 @@ impl Executor {
         self.run_inner(queries, policy, tokens, Some(session))
     }
 
-    /// Build the simulated machine this executor's config describes:
-    /// sharded buffer pool, fault plan, bounded-retry envelope, metric
-    /// registry.
-    fn build_machine(&self) -> (Machine, Option<Arc<ExecMetrics>>) {
+    /// A long-lived machine + worker pool for [`Executor::run_shared`]
+    /// (private runs build one per run): the simulated machine this
+    /// executor's config describes — sharded buffer pool, fault plan,
+    /// bounded-retry envelope, metric registry — plus a pool of `n_procs`
+    /// worker threads.
+    pub fn session(&self) -> ExecSession {
         let mut machine = Machine::with_sharded_pool(
             &self.cfg.machine,
             self.cfg.scale,
             self.cfg.bufpool_pages,
-            self.cfg.effective_shards(),
+            self.cfg.bufpool_shards.max(1),
         )
         .with_retry(self.cfg.read_attempts, self.cfg.retry_backoff);
         if let Some(plan) = &self.cfg.faults {
@@ -856,18 +376,9 @@ impl Executor {
         if let Some(m) = &metrics {
             machine = machine.with_metrics(m.clone());
         }
-        (machine, metrics)
-    }
-
-    /// A long-lived machine + worker pool for [`Executor::run_shared`].
-    pub fn session(&self) -> ExecSession {
-        let (machine, metrics) = self.build_machine();
         ExecSession {
             machine: Arc::new(machine),
-            pool: WorkerPool::new(match self.cfg.data_path {
-                DataPath::Decontended => self.cfg.machine.n_procs as usize,
-                DataPath::GlobalLock => 0,
-            }),
+            pool: WorkerPool::new(self.cfg.machine.n_procs as usize),
             metrics,
         }
     }
@@ -879,38 +390,26 @@ impl Executor {
         tokens: &[CancelToken],
         session: Option<&ExecSession>,
     ) -> Result<ExecReport, ExecError> {
-        assert!(
-            tokens.is_empty() || tokens.len() == queries.len(),
-            "one cancel token per query (or none at all): {} tokens for {} queries",
-            tokens.len(),
-            queries.len()
-        );
+        if !tokens.is_empty() && tokens.len() != queries.len() {
+            return Err(ExecError::TokenCountMismatch {
+                tokens: tokens.len(),
+                queries: queries.len(),
+            });
+        }
         // Private runs build their own machine and thread pool; shared
         // runs borrow the session's, so one buffer pool arbitrates grants
         // across every concurrent run.
-        let owned: Option<(Arc<Machine>, WorkerPool, Option<Arc<ExecMetrics>>)> = match session {
-            Some(_) => None,
+        let owned;
+        let (session, shared) = match session {
+            Some(s) => (s, true),
             None => {
-                let (machine, metrics) = self.build_machine();
-                Some((
-                    Arc::new(machine),
-                    WorkerPool::new(match self.cfg.data_path {
-                        DataPath::Decontended => self.cfg.machine.n_procs as usize,
-                        // The baseline pool starts empty and grows to peak
-                        // concurrent demand — capped reuse instead of the
-                        // seed's spawn-per-slot.
-                        DataPath::GlobalLock => 0,
-                    }),
-                    metrics,
-                ))
+                owned = self.session();
+                (&owned, false)
             }
         };
-        let (machine, pool, metrics, shared) = match (&owned, session) {
-            (Some((m, p, met)), _) => (m.clone(), p, met.clone(), false),
-            (None, Some(s)) => (s.machine.clone(), &s.pool, s.metrics.clone(), true),
-            (None, None) => unreachable!("owned machine xor session"),
-        };
-        let backends = Backends::new(pool, shared);
+        let machine = session.machine.clone();
+        let metrics = session.metrics.clone();
+        let backends = Backends::new(&session.pool, shared);
         // Count this run against the machine for the patrol's cross-run
         // contention attribution; the guard decrements on *every* exit
         // path (a leak would permanently inflate the shared session's
@@ -1270,7 +769,7 @@ impl Executor {
             // A cancelled fragment's partial output is never observable:
             // the query's contract is all rows or none.
             let (rows, merge) = if was_cancelled {
-                (Materialized::build(Vec::new()), MergeProfile::default())
+                (Materialized::default(), MergeProfile::default())
             } else {
                 self.materialize(&ctx, &backends, &machine)
             };
@@ -1324,7 +823,7 @@ impl Executor {
                 Some(rows) => rows,
                 // A cancelled root retired from Blocked/Ready never
                 // materialized anything; its contracted result is empty.
-                None if was_cancelled => Arc::new(Materialized::build(Vec::new())),
+                None if was_cancelled => Arc::new(Materialized::default()),
                 None => return Err(ExecError::OutputMissing { query: qi }),
             };
             results.push(QueryResult { rows, finished_at: root.finished_at });
@@ -1400,109 +899,86 @@ impl Executor {
 
     /// Fragment-barrier materialization.
     ///
-    /// On [`DataPath::Decontended`] the sink holds the workers' locally
-    /// sorted runs: a stable k-way merge (O(n log k), no re-sort) produces
-    /// the key-ordered rows, and for outputs past
-    /// `parallel_merge_min_rows` the merge itself is farmed to the
-    /// persistent worker pool — the runs are split at key boundaries into
-    /// one disjoint sub-range per processor, merged concurrently, and
-    /// concatenated. A single counting pass then erects the CSR index.
-    /// [`DataPath::GlobalLock`] reproduces the seed: flat harvest, full
-    /// O(n log n) re-sort, and a per-key `HashMap<i32, Vec<usize>>` built
-    /// one entry at a time.
+    /// The sink holds the workers' locally sorted runs: a stable k-way
+    /// merge (O(n log k), no re-sort) produces the key-ordered rows, and
+    /// for outputs past `parallel_merge_min_rows` the merge itself is
+    /// farmed to the persistent worker pool — the runs are split at key
+    /// boundaries into one disjoint sub-range per processor, merged
+    /// concurrently, and concatenated. A single counting pass then erects
+    /// the CSR index.
     fn materialize(
         &self,
         ctx: &FragCtx,
         backends: &Backends<'_>,
         machine: &Machine,
     ) -> (Materialized, MergeProfile) {
-        match self.cfg.data_path {
-            DataPath::GlobalLock => {
-                let rows = ctx.out.harvest();
-                let profile = MergeProfile {
-                    runs: 1,
-                    rows: rows.len() as u64,
-                    ways: 1,
-                    parallel: false,
-                    ..MergeProfile::default()
-                };
-                (Materialized::build(rows), profile)
-            }
-            DataPath::Decontended => {
-                let mut runs = ctx.out.harvest_runs();
-                let ways = self.merge_ways();
-                if !ctx.hot_keys.is_empty() {
-                    // The hot keys' output was withheld from the workers;
-                    // compute it now, fanned across the pool with the
-                    // small side replicated, and inject the ordered
-                    // chunks as extra runs. Only these runs carry hot
-                    // keys, so the stable merge concatenates them in
-                    // chunk order — byte-identical to the single-worker
-                    // emission order on every other path.
-                    runs.extend(hot_key_fanout(ctx, backends, ways));
-                }
-                let total: usize = runs.iter().map(Vec::len).sum();
-                if let Some(m) = machine.metrics() {
-                    m.merge_runs.observe(runs.len() as u64);
-                    for r in &runs {
-                        m.merge_run_rows.observe(r.len() as u64);
-                    }
-                }
-                let mut profile = MergeProfile {
-                    runs: runs.len() as u64,
-                    rows: total as u64,
-                    ways: 1,
-                    parallel: false,
-                    hot_keys: ctx.hot_keys.len() as u64,
-                    way_rows_max: 0,
-                    way_rows_mean: 0,
-                };
-                if ways <= 1
-                    || runs.len() <= 1
-                    || total < self.cfg.parallel_merge_min_rows.max(1)
-                {
-                    // ≤ 1 run needs no merge at all — splitting it across
-                    // the pool would be pure copy overhead.
-                    if let Some(m) = machine.metrics() {
-                        m.merge_fanout.observe(1);
-                        if profile.hot_keys > 0 {
-                            m.hot_keys.add(profile.hot_keys);
-                        }
-                    }
-                    return (Materialized::from_runs(runs), profile);
-                }
-                profile.ways = ways as u64;
-                profile.parallel = true;
-                let (groups, stats) = split_runs_stats(runs, ways);
-                let mut hot = ctx.hot_keys.clone();
-                hot.extend(&stats.hot_keys);
-                hot.sort_unstable();
-                hot.dedup();
-                profile.hot_keys = hot.len() as u64;
-                profile.way_rows_max =
-                    stats.group_rows.iter().copied().max().unwrap_or(0) as u64;
-                profile.way_rows_mean = stats.group_rows.iter().map(|&r| r as u64).sum::<u64>()
-                    / stats.group_rows.len().max(1) as u64;
-                if let Some(m) = machine.metrics() {
-                    m.merge_fanout.observe(ways as u64);
-                    if profile.hot_keys > 0 {
-                        m.hot_keys.add(profile.hot_keys);
-                    }
-                    for &r in &stats.group_rows {
-                        m.merge_way_rows.observe(r as u64);
-                    }
-                }
-                let tasks: Vec<MergeTask> = groups
-                    .into_iter()
-                    .map(|group| Box::new(move || merge_runs(group)) as MergeTask)
-                    .collect();
-                let mut rows = Vec::with_capacity(total);
-                for part in backends.pool.scatter_gather(tasks) {
-                    rows.extend(part);
-                }
-                (Materialized::from_sorted_rows(rows), profile)
+        let mut runs = ctx.out.harvest_runs();
+        let ways = self.merge_ways();
+        if !ctx.hot_keys.is_empty() {
+            // The hot keys' output was withheld from the workers; compute
+            // it now, fanned across the pool with the small side
+            // replicated, and inject the ordered chunks as extra runs.
+            // Only these runs carry hot keys, so the stable merge
+            // concatenates them in chunk order — byte-identical to the
+            // single-worker emission order.
+            runs.extend(hot_key_fanout(ctx, backends, ways));
+        }
+        let total: usize = runs.iter().map(Vec::len).sum();
+        if let Some(m) = machine.metrics() {
+            m.merge_runs.observe(runs.len() as u64);
+            for r in &runs {
+                m.merge_run_rows.observe(r.len() as u64);
             }
         }
+        let mut profile = MergeProfile {
+            runs: runs.len() as u64,
+            rows: total as u64,
+            ways: 1,
+            parallel: false,
+            hot_keys: ctx.hot_keys.len() as u64,
+            way_rows_max: 0,
+            way_rows_mean: 0,
+        };
+        if ways <= 1 || runs.len() <= 1 || total < self.cfg.parallel_merge_min_rows.max(1) {
+            // ≤ 1 run needs no merge at all — splitting it across the
+            // pool would be pure copy overhead.
+            if let Some(m) = machine.metrics() {
+                m.merge_fanout.observe(1);
+                if profile.hot_keys > 0 {
+                    m.hot_keys.add(profile.hot_keys);
+                }
+            }
+            return (Materialized::from_runs(runs), profile);
+        }
+        profile.ways = ways as u64;
+        profile.parallel = true;
+        let (groups, stats) = split_runs_stats(runs, ways);
+        let mut hot = ctx.hot_keys.clone();
+        hot.extend(&stats.hot_keys);
+        hot.sort_unstable();
+        hot.dedup();
+        profile.hot_keys = hot.len() as u64;
+        profile.way_rows_max = stats.group_rows.iter().copied().max().unwrap_or(0) as u64;
+        profile.way_rows_mean = stats.group_rows.iter().map(|&r| r as u64).sum::<u64>()
+            / stats.group_rows.len().max(1) as u64;
+        if let Some(m) = machine.metrics() {
+            m.merge_fanout.observe(ways as u64);
+            if profile.hot_keys > 0 {
+                m.hot_keys.add(profile.hot_keys);
+            }
+            for &r in &stats.group_rows {
+                m.merge_way_rows.observe(r as u64);
+            }
+        }
+        let tasks: Vec<MergeTask> = groups
+            .into_iter()
+            .map(|group| Box::new(move || merge_runs(group)) as MergeTask)
+            .collect();
+        let mut rows = Vec::with_capacity(total);
+        for part in backends.pool.scatter_gather(tasks) {
+            rows.extend(part);
+        }
+        (Materialized::from_sorted_rows(rows), profile)
     }
 
     /// The merge fan-out this configuration targets: the explicit
@@ -1528,8 +1004,7 @@ impl Executor {
     /// are *withheld from the workers* (see `scan_key`) and computed by
     /// the master at materialization, fanned across the pool.
     ///
-    /// Scope: production data path only (the seed path stays bit-for-bit
-    /// the seed), key-domain drivers whose ops are all `MergeWith` (every
+    /// Scope: key-domain drivers whose ops are all `MergeWith` (every
     /// side materialized, so the product is known up front), outputs past
     /// `parallel_merge_min_rows`, and fan-outs worth more than one way.
     fn hot_join_keys(
@@ -1538,8 +1013,7 @@ impl Executor {
         inputs: &HashMap<usize, Arc<Materialized>>,
         units: &UnitSpace,
     ) -> Vec<i32> {
-        if self.cfg.data_path != DataPath::Decontended
-            || program.driver != Driver::KeyDomain
+        if program.driver != Driver::KeyDomain
             || program.ops.is_empty()
             || !program.ops.iter().all(|op| matches!(op, PipelineOp::MergeWith { .. }))
         {
@@ -1555,8 +1029,8 @@ impl Executor {
             .iter()
             .map(|op| &inputs[&op.dep().expect("MergeWith always has a dep")])
             .collect();
-        // Walk the first input's distinct keys (rows are key-sorted on
-        // both index kinds) and take the match-count product per key.
+        // Walk the first input's distinct keys (rows are key-sorted) and
+        // take the match-count product per key.
         let rows = &deps[0].rows;
         let mut products: Vec<(i32, u64)> = Vec::new();
         let mut total = 0u64;
@@ -1830,9 +1304,10 @@ impl Executor {
         // the workers are born knowing which keys to skip, and the master
         // owes their output at materialization.
         let hot_keys = self.hot_join_keys(&frags[gid].program, &inputs, &units);
-        let (partition, total_units) = match self.cfg.effective_morsel_mode() {
+        let (partition, total_units) = match self.cfg.morsel_mode {
             // The packed claim word addresses 31 bits of units; a larger
-            // fragment (never seen in practice) falls back to static shares.
+            // fragment (e.g. an i32 key domain spanning more than half the
+            // key space) falls back to static shares.
             MorselMode::Stealing { morsel_units } if total > 0 && total < MAX_STEAL_UNITS => {
                 let mut part = StealPartition::new(total, morsel_units, x, gid as u64);
                 // Page-scan units are striped blocks (`unit % n_disks` =
@@ -1906,8 +1381,6 @@ impl Executor {
             pages_read: AtomicU64::new(0),
             done_tx: tx.clone(),
             cpu_tuple: self.cfg.cpu_tuple,
-            out_batch_tuples: self.cfg.effective_out_batch(),
-            cpu_batch_seconds: self.cfg.effective_cpu_batch(),
             spill,
             hot_keys,
         });
@@ -2207,15 +1680,9 @@ impl ExecSession {
     }
 }
 
-/// How worker slots become running threads: always the persistent
-/// [`WorkerPool`]. The seed spawned one fresh OS thread per slot under
-/// [`DataPath::GlobalLock`], which at 8 workers × dozens of queries meant
-/// hundreds of thread spawns per bench run — the A/B baseline was
-/// measuring thread churn, not lock contention. Both paths now staff
-/// through the pool (a queue push that unparks a long-lived thread); the
-/// pool grows on demand to the *peak concurrent* slot count and no
-/// further, so GlobalLock keeps its contended data path but sheds the
-/// spawn storm.
+/// How worker slots become running threads: a queue push onto the
+/// persistent [`WorkerPool`] that unparks a long-lived thread. The pool
+/// grows on demand to the *peak concurrent* slot count and no further.
 struct Backends<'a> {
     pool: &'a WorkerPool,
     staffed: AtomicU64,
@@ -2477,21 +1944,6 @@ impl Patrol {
         corrected.random_bw *= step;
         Some(corrected)
     }
-}
-
-/// Join a thread, surfacing a panic as the typed
-/// [`ExecError::WorkerPanicked`] instead of a propagated unwind.
-///
-/// # Errors
-/// Returns the panic payload rendered into `WorkerPanicked` for `fragment`.
-pub fn join_worker(
-    handle: std::thread::JoinHandle<()>,
-    fragment: usize,
-) -> Result<(), ExecError> {
-    handle.join().map_err(|payload| ExecError::WorkerPanicked {
-        fragment,
-        message: panic_message(payload.as_ref()),
-    })
 }
 
 /// Transition a fragment to `Done` and hand back its running context.
@@ -2761,19 +2213,5 @@ mod tests {
         let err = take_running(&mut status, TaskId(4)).err().expect("must surface");
         assert_eq!(err, SchedError::NotRunning { task: TaskId(4) });
         assert!(matches!(status, FragStatus::Ready), "status must be restored");
-    }
-
-    #[test]
-    fn sched_exec_error_exposes_its_source() {
-        use std::error::Error;
-        let e = ExecError::Sched {
-            source: SchedError::DuplicateCompletion { task: TaskId(1) },
-            completed: 2,
-            total: 5,
-        };
-        assert!(e.to_string().contains("2/5"));
-        assert!(e.source().is_some());
-        let e = ExecError::UnknownRelation { fragment: 7, name: "ghost".to_string() };
-        assert!(e.to_string().contains("ghost"));
     }
 }

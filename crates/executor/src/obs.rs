@@ -3,8 +3,8 @@
 //! The paper's §2.2–2.3 claims are quantitative: pairing an IO-bound with a
 //! CPU-bound fragment at the balance point keeps *both* the processors and
 //! the disk array saturated, and two interleaved sequential streams degrade
-//! the array's bandwidth to `B = Br + (1 − ratio)(Bs − Br)`. The executor
-//! previously only *modeled* these effects; this module measures them:
+//! the array's bandwidth to `B = Br + (1 − ratio)(Bs − Br)`. The scheduler
+//! only *models* these effects; this module measures them:
 //!
 //! * [`ExecMetrics`] — the hot-path registry ([`xprs_obs::Counter`] /
 //!   [`xprs_obs::Histogram`]) the [`Machine`](crate::io::Machine) records
@@ -106,7 +106,7 @@ pub struct ExecMetrics {
 /// How one fragment's output was materialized.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeProfile {
-    /// Sorted worker runs harvested (1 flat batch on the legacy path).
+    /// Sorted worker runs harvested.
     pub runs: u64,
     /// Rows materialized.
     pub rows: u64,

@@ -12,100 +12,34 @@
 //! values inside a joined tuple are equal; a pipeline row is therefore a
 //! `(key, tuple)` pair and every join operator matches on `key`.
 
-use std::collections::HashMap;
-
 use xprs_optimizer::Plan;
 use xprs_storage::runs::{merge_runs, CsrIndex};
 use xprs_storage::Tuple;
 
-/// How a [`Materialized`]'s rows are indexed by key.
-///
-/// [`KeyIndex::Csr`] is the production index: sorted unique keys + CSR
-/// offsets + positions, built by one counting pass over the already-sorted
-/// rows; a probe is a binary search (or cursor seek) plus a slice borrow,
-/// with zero heap allocation. [`KeyIndex::Hash`] is the seed's
-/// `HashMap<key, Vec<pos>>`, kept selectable (via
-/// [`DataPath::GlobalLock`](crate::master::DataPath)) for A/B benchmarking.
-#[derive(Debug, Clone)]
-pub enum KeyIndex {
-    /// Seed path: key → indices into `rows`, one heap `Vec` per key.
-    Hash(HashMap<i32, Vec<usize>>),
-    /// Allocation-lean CSR over the sorted rows.
-    Csr(CsrIndex),
-}
-
-impl Default for KeyIndex {
-    fn default() -> Self {
-        KeyIndex::Csr(CsrIndex::default())
-    }
-}
-
-/// A materialized fragment output: rows sorted by key plus a key index.
+/// A materialized fragment output: rows sorted by key plus a CSR key index
+/// (sorted unique keys + offsets + positions, built by one counting pass
+/// over the already-sorted rows). A probe is a binary search (or cursor
+/// seek) plus a slice borrow, with zero heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct Materialized {
     /// `(key, tuple)` rows in ascending key order.
     pub rows: Vec<(i32, Tuple)>,
     /// key → positions into `rows`.
-    index: KeyIndex,
+    index: CsrIndex,
 }
-
-/// Iterator over the rows bearing one key (see [`Materialized::matches`]).
-pub struct Matches<'a> {
-    rows: &'a [(i32, Tuple)],
-    idx: MatchIdx<'a>,
-}
-
-enum MatchIdx<'a> {
-    Hash(std::slice::Iter<'a, usize>),
-    Csr(std::slice::Iter<'a, u32>),
-}
-
-impl<'a> Iterator for Matches<'a> {
-    type Item = &'a Tuple;
-
-    fn next(&mut self) -> Option<&'a Tuple> {
-        let pos = match &mut self.idx {
-            MatchIdx::Hash(it) => it.next().copied()?,
-            MatchIdx::Csr(it) => it.next().copied()? as usize,
-        };
-        Some(&self.rows[pos].1)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.idx {
-            MatchIdx::Hash(it) => it.size_hint(),
-            MatchIdx::Csr(it) => it.size_hint(),
-        }
-    }
-}
-
-const NO_HASH_MATCH: &[usize] = &[];
 
 impl Materialized {
-    /// Build from unordered fragment output with the seed's hash index
-    /// (the legacy path, selected by `DataPath::GlobalLock`): full stable
-    /// re-sort, then one hash-map entry per key with a growing `Vec` of
-    /// positions.
-    pub fn build(mut out: Vec<(i32, Tuple)>) -> Self {
-        out.sort_by_key(|(k, _)| *k);
-        let mut hash: HashMap<i32, Vec<usize>> = HashMap::new();
-        for (i, (k, _)) in out.iter().enumerate() {
-            hash.entry(*k).or_default().push(i);
-        }
-        Materialized { rows: out, index: KeyIndex::Hash(hash) }
-    }
-
     /// Build from rows already sorted by key: one counting pass erects the
     /// CSR index, no re-sort, no per-key allocation.
     pub fn from_sorted_rows(rows: Vec<(i32, Tuple)>) -> Self {
-        let index = KeyIndex::Csr(CsrIndex::from_sorted(&rows));
+        let index = CsrIndex::from_sorted(&rows);
         Materialized { rows, index }
     }
 
     /// Build from locally sorted worker runs by stable k-way merge
     /// (O(n log k)) plus the CSR counting pass. Equal keys keep run order,
     /// so merging consecutive stably-sorted chunks of a vector reproduces
-    /// [`Materialized::build`]'s row order exactly.
+    /// a stable sort of the whole vector exactly.
     pub fn from_runs(runs: Vec<Vec<(i32, Tuple)>>) -> Self {
         Materialized::from_sorted_rows(merge_runs(runs))
     }
@@ -120,36 +54,22 @@ impl Materialized {
         self.rows.last().map(|(k, _)| *k)
     }
 
-    /// Is this backed by the allocation-lean CSR index?
-    pub fn is_csr(&self) -> bool {
-        matches!(self.index, KeyIndex::Csr(_))
+    fn tuples_at<'a>(&'a self, positions: &'a [u32]) -> impl Iterator<Item = &'a Tuple> + 'a {
+        positions.iter().map(move |&p| &self.rows[p as usize].1)
     }
 
-    /// Rows bearing `key`: a hash lookup on the legacy index, a binary
-    /// search + slice borrow (zero allocation) on the CSR index.
-    pub fn matches(&self, key: i32) -> Matches<'_> {
-        let idx = match &self.index {
-            KeyIndex::Hash(h) => {
-                MatchIdx::Hash(h.get(&key).map_or(NO_HASH_MATCH, Vec::as_slice).iter())
-            }
-            KeyIndex::Csr(c) => MatchIdx::Csr(c.lookup(key).iter()),
-        };
-        Matches { rows: &self.rows, idx }
+    /// Rows bearing `key`: a binary search + slice borrow (zero
+    /// allocation).
+    pub fn matches(&self, key: i32) -> impl Iterator<Item = &Tuple> + '_ {
+        self.tuples_at(self.index.lookup(key))
     }
 
     /// Cursor-based variant of [`Materialized::matches`] for merge joins:
-    /// over an ascending probe-key stream the CSR cursor only moves
-    /// forward (amortized O(1) per probe), falling back to a binary
-    /// re-seek when the stream regresses (e.g. after an interval
-    /// re-partitioning). The legacy hash index ignores the cursor.
-    pub fn matches_from(&self, key: i32, cursor: &mut usize) -> Matches<'_> {
-        let idx = match &self.index {
-            KeyIndex::Hash(h) => {
-                MatchIdx::Hash(h.get(&key).map_or(NO_HASH_MATCH, Vec::as_slice).iter())
-            }
-            KeyIndex::Csr(c) => MatchIdx::Csr(c.seek(key, cursor).iter()),
-        };
-        Matches { rows: &self.rows, idx }
+    /// over an ascending probe-key stream the cursor only moves forward
+    /// (amortized O(1) per probe), falling back to a binary re-seek when
+    /// the stream regresses (e.g. after an interval re-partitioning).
+    pub fn matches_from(&self, key: i32, cursor: &mut usize) -> impl Iterator<Item = &Tuple> + '_ {
+        self.tuples_at(self.index.seek(key, cursor))
     }
 }
 
@@ -482,28 +402,21 @@ mod tests {
         assert_aligned(&p, 4);
     }
 
-    #[test]
-    fn materialized_build_and_lookup() {
-        let rows = vec![
-            (5, Tuple::from_values(vec![])),
-            (1, Tuple::from_values(vec![])),
-            (5, Tuple::from_values(vec![])),
-        ];
-        let m = Materialized::build(rows);
-        assert!(!m.is_csr());
-        assert_eq!(m.min_key(), Some(1));
-        assert_eq!(m.max_key(), Some(5));
-        assert_eq!(m.matches(5).count(), 2);
-        assert_eq!(m.matches(2).count(), 0);
-        assert!(m.rows.windows(2).all(|w| w[0].0 <= w[1].0));
-    }
-
     fn tagged(key: i32, tag: i32) -> (i32, Tuple) {
         (key, Tuple::from_values(vec![xprs_storage::Datum::Int(tag)]))
     }
 
     #[test]
-    fn csr_build_from_runs_equals_legacy_build() {
+    fn materialized_from_sorted_rows_and_lookup() {
+        let m = Materialized::from_sorted_rows(vec![tagged(1, 0), tagged(5, 1), tagged(5, 2)]);
+        assert_eq!(m.min_key(), Some(1));
+        assert_eq!(m.max_key(), Some(5));
+        assert_eq!(m.matches(5).count(), 2);
+        assert_eq!(m.matches(2).count(), 0);
+    }
+
+    #[test]
+    fn from_runs_equals_a_stable_sort_of_the_whole_input() {
         let rows = vec![
             tagged(5, 0),
             tagged(-1, 1),
@@ -513,21 +426,22 @@ mod tests {
             tagged(5, 5),
             tagged(7, 6),
         ];
-        let legacy = Materialized::build(rows.clone());
+        let mut sorted = rows.clone();
+        sorted.sort_by_key(|(k, _)| *k);
         // Worker emulation: consecutive chunks, each stably sorted locally.
         let mut runs: Vec<Vec<(i32, Tuple)>> = rows.chunks(3).map(|c| c.to_vec()).collect();
         for r in &mut runs {
             r.sort_by_key(|(k, _)| *k);
         }
-        let csr = Materialized::from_runs(runs);
-        assert!(csr.is_csr());
-        assert_eq!(csr.rows, legacy.rows, "stable merge must reproduce the stable sort");
-        assert_eq!(csr.min_key(), legacy.min_key());
-        assert_eq!(csr.max_key(), legacy.max_key());
+        let m = Materialized::from_runs(runs);
+        assert_eq!(m.rows, sorted, "stable merge must reproduce the stable sort");
+        assert_eq!(m.min_key(), Some(-1));
+        assert_eq!(m.max_key(), Some(7));
         for key in -2..9 {
-            let a: Vec<&Tuple> = legacy.matches(key).collect();
-            let b: Vec<&Tuple> = csr.matches(key).collect();
-            assert_eq!(a, b, "matches({key})");
+            let want: Vec<&Tuple> =
+                sorted.iter().filter(|(k, _)| *k == key).map(|(_, t)| t).collect();
+            let got: Vec<&Tuple> = m.matches(key).collect();
+            assert_eq!(got, want, "matches({key})");
         }
     }
 
@@ -546,8 +460,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_materialized_probes_cleanly_on_both_indexes() {
-        for m in [Materialized::build(Vec::new()), Materialized::from_runs(Vec::new())] {
+    fn empty_materialized_probes_cleanly() {
+        for m in [
+            Materialized::default(),
+            Materialized::from_sorted_rows(Vec::new()),
+            Materialized::from_runs(Vec::new()),
+        ] {
             assert_eq!(m.min_key(), None);
             assert_eq!(m.max_key(), None);
             assert_eq!(m.matches(0).count(), 0);

@@ -7,24 +7,19 @@
 //! the shared-memory, low-communication-cost design the paper credits for
 //! making dynamic parallelism adjustment cheap.
 //!
-//! # De-contended data path
+//! # Data path
 //!
-//! The seed pushed every result tuple through a fragment-global
-//! `Mutex<Vec>` and took the CPU gate once per `compute` call, so at 8
-//! workers the hot path serialized on those locks. Now each worker owns a
-//! local output buffer that accumulates its **entire** share of the
-//! fragment output — zero sink-lock rounds while scanning — and is stably
-//! sorted by key and handed to the sink as **one sorted run** when the
-//! worker exits (or dies, or is retired). The per-worker sorts run in
-//! parallel across the workers, and the master replaces its full
-//! O(n log n) re-sort with a k-way merge of the few worker runs. Simulated
-//! CPU is accumulated locally and charged through the gate per batch. The
-//! fragment completes when every unit is done **and** every worker has
-//! flushed and exited — completion is announced by the last worker out, so
-//! the master never harvests a partially flushed sink. The seed's
-//! per-tuple-lock behaviour remains available as
-//! [`DataPath::GlobalLock`](crate::master::DataPath) and is what the
-//! `bench_executor` baseline measures.
+//! Each worker owns a local output buffer that accumulates its **entire**
+//! share of the fragment output — zero sink-lock rounds while scanning —
+//! and is stably sorted by key and handed to the sink as **one sorted
+//! run** when the worker exits (or dies, or is retired). The per-worker
+//! sorts run in parallel across the workers, and the master k-way merges
+//! the few worker runs instead of sorting the whole output. Simulated CPU
+//! is accumulated locally and charged through the gate once per
+//! `CPU_BATCH_SECONDS`. The fragment completes when every unit is done
+//! **and** every worker has flushed and exited — completion is announced
+//! by the last worker out, so the master never harvests a partially
+//! flushed sink.
 
 use std::collections::HashMap;
 use std::mem;
@@ -80,9 +75,9 @@ pub(crate) enum PartitionState {
 /// The fragment's result sink: one **locally sorted run** per worker
 /// episode, one lock round per run. The worker sorts its accumulated
 /// output *before* taking the sink lock, so the sort work itself runs in
-/// parallel across workers and the master can replace its full O(n log n)
-/// re-sort with an O(n log k) k-way merge of the runs (k ≈ the number of
-/// worker episodes, not the output size).
+/// parallel across workers and the master's materialization is an
+/// O(n log k) k-way merge of the runs (k ≈ the number of worker episodes,
+/// not the output size).
 #[derive(Default)]
 pub(crate) struct OutputSink {
     batches: Mutex<Vec<Vec<(i32, Tuple)>>>,
@@ -115,29 +110,8 @@ impl OutputSink {
         b.extend(runs.into_iter().filter(|r| !r.is_empty()));
     }
 
-    /// Seed-path emulation: one lock round per tuple into a single vector.
-    pub(crate) fn push_contended(&self, key: i32, tuple: Tuple) {
-        let mut b = lock(&self.batches);
-        if b.is_empty() {
-            b.push(Vec::new());
-        }
-        b[0].push((key, tuple));
-    }
-
-    /// Take everything flushed so far as one flat row vector (the legacy
-    /// harvest; the caller re-sorts).
-    pub(crate) fn harvest(&self) -> Vec<(i32, Tuple)> {
-        let mut batches = mem::take(&mut *lock(&self.batches));
-        let total = batches.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(total);
-        for b in &mut batches {
-            out.append(b);
-        }
-        out
-    }
-
-    /// Take everything flushed so far as the locally sorted runs the
-    /// batched path produced, ready for a k-way merge.
+    /// Take everything flushed so far: the workers' locally sorted runs,
+    /// ready for a k-way merge.
     pub(crate) fn harvest_runs(&self) -> Vec<Vec<(i32, Tuple)>> {
         mem::take(&mut *lock(&self.batches))
     }
@@ -236,23 +210,15 @@ pub(crate) struct FragCtx {
     pub done_tx: Sender<MasterMsg>,
     /// CPU seconds charged per tuple examined.
     pub cpu_tuple: f64,
-    /// 0 ⇒ seed path: one sink-lock round per tuple. Non-zero ⇒ batched
-    /// path: workers accumulate their whole output locally (this value
-    /// seeds the buffer capacity) and settle it as one sorted run.
-    pub out_batch_tuples: usize,
-    /// Simulated CPU seconds accumulated before one gate acquisition
-    /// (0.0 ⇒ seed path: one acquisition per compute call).
-    pub cpu_batch_seconds: f64,
     /// When the fragment's memory grant is smaller than its estimated
     /// output, the spill protocol bounds each worker's buffered rows
-    /// (batched path only; `None` ⇒ unbounded in-memory buffering).
+    /// (`None` ⇒ unbounded in-memory buffering).
     pub spill: Option<SpillSpec>,
     /// Heavy-hitter join keys (sorted ascending) a key-domain walk must
     /// *skip*: their output would serialize on whichever worker owns the
     /// key's unit, so the master computes it instead — fanned across the
     /// worker pool at materialization, with the small side replicated (see
-    /// the master's hot-key path). Empty on every other fragment shape and
-    /// on the seed data path.
+    /// the master's hot-key path). Empty on every other fragment shape.
     pub hot_keys: Vec<i32>,
 }
 
@@ -321,6 +287,13 @@ enum Unit {
     Key(i64),
 }
 
+/// Initial capacity of a worker's local output buffer, in tuples.
+const OUT_BATCH_TUPLES: usize = 256;
+
+/// Simulated CPU seconds a worker accumulates before one CPU-gate
+/// acquisition.
+const CPU_BATCH_SECONDS: f64 = 0.01;
+
 /// A worker's private, lock-free tuple buffer plus CPU accumulator; both
 /// settle with the shared structures once per batch.
 struct WorkerState<'m> {
@@ -333,7 +306,7 @@ struct WorkerState<'m> {
     io_fault: Option<IoFault>,
     /// Relation whose index a merge-indexed probe needed and did not find;
     /// set once, the run aborts, and the master surfaces it as
-    /// [`ExecError::IndexMissing`](crate::master::ExecError::IndexMissing).
+    /// [`ExecError::IndexMissing`](crate::ExecError::IndexMissing).
     index_fault: Option<String>,
     /// Per-pipeline-op merge cursors (indexed by op depth): a `MergeWith`
     /// over a CSR-indexed input advances its cursor monotonically with the
@@ -352,7 +325,7 @@ impl<'m> WorkerState<'m> {
         WorkerState {
             machine,
             wid,
-            buf: Vec::with_capacity(ctx.out_batch_tuples.max(1)),
+            buf: Vec::with_capacity(OUT_BATCH_TUPLES),
             cpu_pending: 0.0,
             io_fault: None,
             index_fault: None,
@@ -382,14 +355,10 @@ impl<'m> WorkerState<'m> {
         }
     }
 
-    /// Emit one result tuple. On the batched path this touches no shared
-    /// state at all: the tuple lands in the worker-local run, which reaches
-    /// the sink (sorted) only when the worker settles.
+    /// Emit one result tuple. This touches no shared state at all: the
+    /// tuple lands in the worker-local run, which reaches the sink
+    /// (sorted) only when the worker settles.
     fn emit(&mut self, ctx: &FragCtx, key: i32, tuple: Tuple) {
-        if ctx.out_batch_tuples == 0 {
-            ctx.out.push_contended(key, tuple);
-            return;
-        }
         self.buf.push((key, tuple));
         if let Some(spec) = &ctx.spill {
             if self.buf.len() >= spec.threshold_rows {
@@ -420,9 +389,9 @@ impl<'m> WorkerState<'m> {
 
     /// Charge simulated CPU seconds; acquires the gate only when the local
     /// accumulator crosses the batch threshold.
-    fn charge_cpu(&mut self, ctx: &FragCtx, seconds: f64) {
+    fn charge_cpu(&mut self, seconds: f64) {
         self.cpu_pending += seconds;
-        if self.cpu_pending >= ctx.cpu_batch_seconds {
+        if self.cpu_pending >= CPU_BATCH_SECONDS {
             self.settle_cpu();
         }
     }
@@ -482,7 +451,7 @@ pub(crate) fn run_worker(
     heartbeat.fetch_add(1, Ordering::Relaxed);
     // The partition variant never changes after staffing: discover it once
     // and dispatch. The morsel path takes the fragment mutex exactly this
-    // once; the static paths keep taking it per unit, as the seed did.
+    // once; the static paths keep taking it per unit.
     let stealing = {
         let p = lock(&ctx.partition);
         match &*p {
@@ -685,7 +654,7 @@ fn scan_page(ctx: &FragCtx, catalog: &Catalog, page: u64, ws: &mut WorkerState<'
         return;
     }
     let p = relation.heap.page(page);
-    ws.charge_cpu(ctx, p.n_tuples() as f64 * ctx.cpu_tuple);
+    ws.charge_cpu(p.n_tuples() as f64 * ctx.cpu_tuple);
     for (_, tuple) in p.iter() {
         let Some(key) = tuple.get(0).as_int() else { continue };
         if ctx.rels[rel].admits(key) {
@@ -705,7 +674,7 @@ fn scan_key(ctx: &FragCtx, catalog: &Catalog, key: i64, ws: &mut WorkerState<'_>
                 .as_ref()
                 .unwrap_or_else(|| panic!("index scan over unindexed {}", relation.name));
             let postings = idx.lookup(key);
-            ws.charge_cpu(ctx, postings.len().max(1) as f64 * ctx.cpu_tuple);
+            ws.charge_cpu(postings.len().max(1) as f64 * ctx.cpu_tuple);
             for &tid in postings {
                 // Unclustered posting dereference: a random heap-page read.
                 if !ws.read(ctx, relation.heap.rel(), tid.block, false) {
@@ -720,7 +689,7 @@ fn scan_key(ctx: &FragCtx, catalog: &Catalog, key: i64, ws: &mut WorkerState<'_>
             }
         }
         Driver::KeyDomain => {
-            ws.charge_cpu(ctx, ctx.cpu_tuple);
+            ws.charge_cpu(ctx.cpu_tuple);
             // Heavy hitters are the master's job (replicated, pool-fanned
             // at materialization); emitting one here would pin the key's
             // whole output on this worker. The unit still completes
@@ -769,7 +738,7 @@ fn pipeline(
         PipelineOp::NestInner { dep } => {
             // A genuine nested loop: every inner row is examined.
             let inner = ctx.input(*dep);
-            ws.charge_cpu(ctx, inner.rows.len() as f64 * ctx.cpu_tuple * 0.1);
+            ws.charge_cpu(inner.rows.len() as f64 * ctx.cpu_tuple * 0.1);
             for (k2, row) in &inner.rows {
                 if *k2 == key {
                     pipeline(ctx, catalog, key, tuple.join(row), depth + 1, ws);

@@ -1,19 +1,24 @@
-//! Property-based parity between the two `Materialized` builders: for any
-//! input multiset — duplicate keys, negative keys, empty input — the legacy
-//! hash build (`Materialized::build`: stable full sort + `HashMap` index)
-//! and the sorted-runs/CSR build (`Materialized::from_runs`: stably sorted
-//! chunks → stable k-way merge → counting-pass CSR) must agree on the row
-//! vector itself, the key extrema, and the `matches()` multiset for every
-//! probe key.
+//! Property-based parity between the `Materialized` builder and a
+//! test-local reference: for any input multiset — duplicate keys, negative
+//! keys, empty input — the hash reference (`common/hash_reference.rs`:
+//! stable full sort + `HashMap<i32, Vec<usize>>` index) and the
+//! sorted-runs/CSR build (`Materialized::from_runs`: stably sorted chunks →
+//! stable k-way merge → counting-pass CSR) must agree on the row vector
+//! itself, the key extrema, and the `matches()` multiset for every probe
+//! key.
 //!
 //! Row-for-row equality (not just multiset equality) is the strong form of
 //! the contract: the k-way merge breaks ties by run index then position, so
-//! merging stably-sorted *consecutive* chunks reproduces the legacy stable
-//! sort exactly, payloads included.
+//! merging stably-sorted *consecutive* chunks reproduces the stable sort
+//! exactly, payloads included.
 
 use proptest::prelude::*;
 use xprs_executor::Materialized;
 use xprs_storage::{Datum, Tuple};
+
+#[path = "common/hash_reference.rs"]
+mod hash_reference;
+use hash_reference::HashReference;
 
 /// Rows whose payload records the original input position, so two rows with
 /// equal keys are still distinguishable and stability violations surface.
@@ -39,8 +44,8 @@ fn into_runs(rows: Vec<(i32, Tuple)>, chunk: usize) -> Vec<Vec<(i32, Tuple)>> {
     runs
 }
 
-fn probe_multiset(m: &Materialized, key: i32) -> Vec<Tuple> {
-    let mut hits: Vec<Tuple> = m.matches(key).cloned().collect();
+fn probe_multiset<'a>(hits: impl Iterator<Item = &'a Tuple>) -> Vec<Tuple> {
+    let mut hits: Vec<Tuple> = hits.cloned().collect();
     hits.sort_by_key(|t| format!("{t:?}"));
     hits
 }
@@ -48,7 +53,7 @@ fn probe_multiset(m: &Materialized, key: i32) -> Vec<Tuple> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Legacy hash build and sorted-runs/CSR build agree on rows, extrema,
+    /// Hash reference and sorted-runs/CSR build agree on rows, extrema,
     /// and every probe's match multiset, for arbitrary keyed inputs.
     #[test]
     fn hash_and_csr_builds_agree(
@@ -56,20 +61,18 @@ proptest! {
         chunk in 1usize..48,
     ) {
         let rows = rows_from(&spec);
-        let legacy = Materialized::build(rows.clone());
+        let reference = HashReference::build(rows.clone());
         let csr = Materialized::from_runs(into_runs(rows, chunk));
 
-        prop_assert!(!legacy.is_csr());
-        prop_assert!(csr.is_csr());
-        prop_assert_eq!(&legacy.rows, &csr.rows, "row vectors must match exactly");
-        prop_assert_eq!(legacy.min_key(), csr.min_key());
-        prop_assert_eq!(legacy.max_key(), csr.max_key());
+        prop_assert_eq!(&reference.rows, &csr.rows, "row vectors must match exactly");
+        prop_assert_eq!(reference.min_key(), csr.min_key());
+        prop_assert_eq!(reference.max_key(), csr.max_key());
 
         // Probe every key in the input domain plus strict misses outside it.
         for key in -42i32..42 {
             prop_assert_eq!(
-                probe_multiset(&legacy, key),
-                probe_multiset(&csr, key),
+                probe_multiset(reference.matches(key)),
+                probe_multiset(csr.matches(key)),
                 "matches({}) multisets differ", key
             );
         }

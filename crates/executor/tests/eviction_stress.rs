@@ -3,8 +3,9 @@
 //! through sustained eviction pressure. The run must land below a 50% hit
 //! rate, the pool's accounting ledger (`hits + misses + bypasses`) must
 //! equal the machine's independently-counted page reads — per shard and in
-//! total — no pin may survive the run, and the rows must match a fully
-//! cached baseline under both morsel modes.
+//! total — no pin may survive the run, and the rows must match both a
+//! fully cached baseline and the naive oracle (`common/oracle.rs`) under
+//! both morsel modes.
 
 use std::sync::Arc;
 
@@ -15,6 +16,9 @@ use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::MachineConfig;
 use xprs_storage::Catalog;
 use xprs_workload::{generate_disk_resident, DiskResidentSpec, DiskResidentWorkload};
+
+#[path = "common/oracle.rs"]
+mod oracle;
 
 /// Frames in the stressed pool; the workload spills it 8× per relation.
 const TINY_POOL_PAGES: usize = 8;
@@ -77,6 +81,10 @@ fn canonical(rows: &[(i32, xprs_storage::Tuple)]) -> Vec<(i32, String)> {
 #[test]
 fn tiny_shard_pool_thrashes_with_an_exact_ledger_and_no_pin_leaks() {
     let (cat, workload) = workload();
+    let oracle_rows: Vec<Vec<oracle::Row>> = scan_runs(&cat, &workload)
+        .iter()
+        .map(|r| oracle::eval(&cat, &r.optimized.plan, &r.bindings))
+        .collect();
     let pages_per_scan: u64 = workload.relations.iter().map(|r| r.n_pages()).sum();
     // Baseline: a pool big enough to cache both relations, so the second
     // pass over each is all hits and the rows are the reference output.
@@ -136,6 +144,12 @@ fn tiny_shard_pool_thrashes_with_an_exact_ledger_and_no_pin_leaks() {
                 canonical(&want.rows.rows),
                 "{mode:?}: rows diverged under eviction"
             );
+        }
+        // ...and the same rows the oracle computes without any pool at all.
+        assert_eq!(report.results.len(), oracle_rows.len());
+        for (qi, (got, want)) in report.results.iter().zip(&oracle_rows).enumerate() {
+            assert!(!want.is_empty(), "query {qi}: vacuous oracle comparison");
+            oracle::assert_matches(&format!("{mode:?}, query {qi}"), &got.rows.rows, want);
         }
     }
 }

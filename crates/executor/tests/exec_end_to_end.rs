@@ -1,16 +1,21 @@
 //! End-to-end executor tests: real threads, real data, results checked
-//! against a naive reference evaluator.
+//! against the naive single-threaded oracle (every row) and the per-key
+//! cardinality reference (`oracle::ref_join`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use xprs_disk::StripedLayout;
-use xprs_executor::{DataPath, ExecConfig, ExecError, Executor, QueryRun, RelBinding};
+use xprs_executor::{CancelToken, ExecConfig, ExecError, Executor, QueryRun, RelBinding};
 use xprs_optimizer::{Costing, Plan, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::intra::IntraOnly;
 use xprs_scheduler::{MachineConfig, SchedulePolicy};
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
+
+#[path = "common/oracle.rs"]
+mod oracle;
+use oracle::{ref_join, ref_selection};
 
 /// Deterministic pseudo-random stream.
 fn lcg(seed: &mut u64) -> u64 {
@@ -40,45 +45,8 @@ fn catalog() -> Arc<Catalog> {
     Arc::new(cat)
 }
 
-/// Reference: selection result as a multiset of keys.
-fn ref_selection(cat: &Catalog, name: &str, pred: (i32, i32)) -> HashMap<i32, usize> {
-    let mut out = HashMap::new();
-    for (_, t) in cat.get(name).unwrap().heap.scan() {
-        let a = t.get(0).as_int().unwrap();
-        if a >= pred.0 && a <= pred.1 {
-            *out.entry(a).or_insert(0) += 1;
-        }
-    }
-    out
-}
-
-/// Reference: natural-join-on-`a` cardinality per key across relations.
-fn ref_join(cat: &Catalog, specs: &[(&str, (i32, i32))]) -> HashMap<i32, usize> {
-    let mut acc: Option<HashMap<i32, usize>> = None;
-    for (name, pred) in specs {
-        let h = ref_selection(cat, name, *pred);
-        acc = Some(match acc {
-            None => h,
-            Some(prev) => {
-                let mut next = HashMap::new();
-                for (k, c) in prev {
-                    if let Some(c2) = h.get(&k) {
-                        next.insert(k, c * c2);
-                    }
-                }
-                next
-            }
-        });
-    }
-    acc.unwrap()
-}
-
 fn result_multiset(rows: &xprs_executor::Materialized) -> HashMap<i32, usize> {
-    let mut out = HashMap::new();
-    for (k, _) in &rows.rows {
-        *out.entry(*k).or_insert(0) += 1;
-    }
-    out
+    oracle::key_counts(&rows.rows)
 }
 
 fn optimizer() -> TwoPhaseOptimizer {
@@ -93,8 +61,21 @@ fn run_one(
     policy: &mut dyn SchedulePolicy,
 ) -> xprs_executor::ExecReport {
     let optimized = optimizer().optimize_catalog(cat, q, costing).expect("plan");
+    let want = oracle::eval(cat, &optimized.plan, &bindings);
+    run_planned(cat, QueryRun { optimized, bindings }, policy, &want)
+}
+
+/// Run one planned query and hold its rows against the oracle's `want`.
+fn run_planned(
+    cat: &Arc<Catalog>,
+    run: QueryRun,
+    policy: &mut dyn SchedulePolicy,
+    want: &[oracle::Row],
+) -> xprs_executor::ExecReport {
     let exec = Executor::new(ExecConfig::unthrottled(), cat.clone());
-    exec.run(&[QueryRun { optimized, bindings }], policy).expect("run failed")
+    let report = exec.run(&[run], policy).expect("run failed");
+    oracle::assert_matches(policy.name(), &report.results[0].rows.rows, want);
+    report
 }
 
 fn m() -> MachineConfig {
@@ -153,12 +134,15 @@ fn three_way_join_under_every_policy_agrees() {
         ],
     );
     for costing in [Costing::SeqCost, Costing::ParCost] {
+        let optimized = optimizer().optimize_catalog(&cat, &q, costing).expect("plan");
+        let oracle_rows = oracle::eval(&cat, &optimized.plan, &bindings);
         let mut intra = IntraOnly::new(m(), true);
         let mut with_adj = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(m()));
         let mut no_adj = AdaptiveScheduler::new(AdaptiveConfig::without_adjustment(m()));
         let policies: Vec<&mut dyn SchedulePolicy> = vec![&mut intra, &mut with_adj, &mut no_adj];
         for policy in policies {
-            let report = run_one(&cat, &q, bindings.clone(), costing, policy);
+            let run = QueryRun { optimized: optimized.clone(), bindings: bindings.clone() };
+            let report = run_planned(&cat, run, policy, &oracle_rows);
             let got = result_multiset(&report.results[0].rows);
             assert_eq!(got, want, "policy result mismatch under {costing:?}");
         }
@@ -245,34 +229,48 @@ fn empty_selection_completes() {
     assert!(report.results[0].rows.rows.is_empty());
 }
 
-/// The batched/merged tuple stream must be a **permutation** of the seed
-/// (global-lock) path's stream for the same plan: identical multiset of
-/// rows, merely flushed in batches instead of pushed one tuple at a time.
+/// The merged output must equal the oracle's row for row — payloads
+/// included, not just the per-key cardinalities the tests above count.
 #[test]
-fn decontended_output_is_permutation_of_global_lock_output() {
+fn join_output_equals_the_oracle_row_for_row() {
     let cat = catalog();
     let q = Query::join().rel("mid", 0.5).rel("thin", 0.5).on(0, 1).build();
     let bindings = vec![
         RelBinding { name: "mid".into(), pred: (0, 79) },
         RelBinding { name: "thin".into(), pred: (10, 99) },
     ];
-    let optimized = optimizer().optimize_catalog(&cat, &q, Costing::ParCost).expect("plan");
-    let run = |path: DataPath| {
-        let exec = Executor::new(ExecConfig::unthrottled().with_data_path(path), cat.clone());
-        let mut policy = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(m()));
-        let run = QueryRun { optimized: optimized.clone(), bindings: bindings.clone() };
-        exec.run(&[run], &mut policy).expect("run failed")
+    let mut policy = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(m()));
+    // `run_one` holds the result against the oracle.
+    let report = run_one(&cat, &q, bindings, Costing::ParCost, &mut policy);
+    assert!(!report.results[0].rows.rows.is_empty(), "vacuous comparison");
+}
+
+/// A token slice that is neither empty nor one-per-query is a typed
+/// refusal from every cancellable entry point — formerly an `assert!` in
+/// the master, reachable from the public API.
+#[test]
+fn token_count_mismatch_is_a_typed_error_not_a_panic() {
+    let cat = catalog();
+    let mk = |name: &str| {
+        let q = Query::selection(name, 1.0);
+        let optimized = optimizer().optimize_catalog(&cat, &q, Costing::SeqCost).expect("plan");
+        let pred = (i32::MIN, i32::MAX);
+        QueryRun { optimized, bindings: vec![RelBinding { name: name.into(), pred }] }
     };
-    let contended = run(DataPath::GlobalLock);
-    let decontended = run(DataPath::Decontended);
-    // Materialized output is key-sorted, so full row-by-row equality holds
-    // (not just multiset equality) if and only if the unsorted streams were
-    // permutations of each other.
-    assert_eq!(
-        contended.results[0].rows.rows, decontended.results[0].rows.rows,
-        "data paths disagree on the result stream"
-    );
-    assert!(!decontended.results[0].rows.rows.is_empty(), "vacuous comparison");
+    let runs = vec![mk("fat"), mk("mid")];
+    let tokens = vec![CancelToken::new()];
+    let want = ExecError::TokenCountMismatch { tokens: 1, queries: 2 };
+    let exec = Executor::new(ExecConfig::unthrottled(), cat.clone());
+    let mut policy = IntraOnly::new(m(), true);
+    assert_eq!(exec.run_with_cancel(&runs, &mut policy, &tokens).unwrap_err(), want);
+    let session = exec.session();
+    assert_eq!(exec.run_shared(&session, &runs, &mut policy, &tokens).unwrap_err(), want);
+    assert!(want.to_string().contains("1 tokens for 2 queries"));
+    // The accepted shapes still run: no tokens, or one per query.
+    exec.run_with_cancel(&runs, &mut policy, &[]).expect("empty token slice is accepted");
+    let tokens = vec![CancelToken::new(), CancelToken::new()];
+    let mut policy = IntraOnly::new(m(), true);
+    exec.run_with_cancel(&runs, &mut policy, &tokens).expect("one token per query is accepted");
 }
 
 #[test]

@@ -1,25 +1,27 @@
-//! E2e regression for the join-materialization rebuild: every plan shape
-//! the compiler knows (hash join, deep probe chain, nestloop, key-domain
-//! merge, bushy) must return **byte-identical** results on the legacy
-//! materialization path (flat harvest → full re-sort → hash index,
-//! `DataPath::GlobalLock`) and the new one (locally sorted worker runs →
-//! k-way merge → CSR index, `DataPath::Decontended`) — with the parallel
-//! pool-farmed merge both above and below its engagement threshold, and
-//! under a fault plan that kills a worker mid-build.
+//! E2e regression for join materialization: every plan shape the compiler
+//! knows (hash join, deep probe chain, nestloop, key-domain merge, bushy)
+//! must return exactly the rows the naive single-threaded oracle computes
+//! (`common/oracle.rs`) — with the serial k-way merge, with the parallel
+//! pool-farmed merge forced on, and under a fault plan that kills a worker
+//! mid-build.
 //!
 //! Payloads are a pure function of `(relation, key)`, so rows bearing one
-//! key are indistinguishable and row-for-row equality of the key-sorted
-//! outputs is well-defined across paths.
+//! key are indistinguishable: the oracle's within-key canonical order is a
+//! no-op here, and matching it means the key-sorted outputs are
+//! byte-identical.
 
 use std::sync::Arc;
 
 use xprs_disk::{FaultPlan, StripedLayout};
-use xprs_executor::{DataPath, ExecConfig, ExecError, Executor, QueryRun, RelBinding};
+use xprs_executor::{ExecConfig, ExecError, Executor, QueryRun, RelBinding};
 use xprs_optimizer::cost::{CostModel, RelInfo};
 use xprs_optimizer::{decompose, OptimizedQuery, Plan};
 use xprs_scheduler::intra::IntraOnly;
 use xprs_scheduler::MachineConfig;
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
+
+#[path = "common/oracle.rs"]
+mod oracle;
 
 fn lcg(seed: &mut u64) -> u64 {
     *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -140,56 +142,87 @@ fn shapes() -> Vec<(&'static str, Vec<&'static str>, Plan)> {
     ]
 }
 
+/// Forced pool-farmed parallel merge: engaged even on small outputs and
+/// on single-core hosts (auto fan-out would stay serial there).
+fn forced_pool_merge() -> ExecConfig {
+    let mut cfg = ExecConfig::unthrottled();
+    cfg.parallel_merge_min_rows = 1;
+    cfg.parallel_merge_ways = 4;
+    cfg
+}
+
 #[test]
-fn all_plan_shapes_agree_across_materialization_paths() {
+fn all_plan_shapes_match_the_oracle_on_every_merge_path() {
     let cat = catalog();
     for (label, names, plan) in shapes() {
-        let legacy = run_shape(
-            &cat,
-            &names,
-            &plan,
-            ExecConfig::unthrottled().with_data_path(DataPath::GlobalLock),
-            None,
-        )
-        .expect(label);
+        let want = oracle::eval(&cat, &plan, &bindings(&names));
+        assert!(!want.is_empty(), "{label}: vacuous comparison");
         let serial_merge =
             run_shape(&cat, &names, &plan, ExecConfig::unthrottled(), None).expect(label);
-        // Force the pool-farmed parallel merge even on small outputs and
-        // on single-core hosts (auto fan-out would stay serial there).
-        let mut forced = ExecConfig::unthrottled();
-        forced.parallel_merge_min_rows = 1;
-        forced.parallel_merge_ways = 4;
-        let parallel_merge = run_shape(&cat, &names, &plan, forced, None).expect(label);
-
-        assert!(!legacy.is_empty(), "{label}: vacuous comparison");
-        assert_eq!(legacy, serial_merge, "{label}: serial k-way merge path differs");
-        assert_eq!(legacy, parallel_merge, "{label}: parallel merge path differs");
+        let parallel_merge =
+            run_shape(&cat, &names, &plan, forced_pool_merge(), None).expect(label);
+        oracle::assert_matches(&format!("{label}: serial k-way merge"), &serial_merge, &want);
+        oracle::assert_matches(&format!("{label}: parallel merge"), &parallel_merge, &want);
     }
 }
 
 /// A worker death mid-build (during the build-side fragment) must not
-/// change either path's result: the patrol reclaims the dead slot's share,
-/// a replacement finishes it, and the materialized output stays identical.
+/// change the result on either merge path: the patrol reclaims the dead
+/// slot's share, a replacement finishes it, and the materialized output
+/// still equals the oracle's.
 #[test]
-fn worker_death_mid_build_preserves_results_on_both_paths() {
+fn worker_death_mid_build_preserves_results_on_both_merge_paths() {
     let cat = catalog();
     let (label, names, plan) = &shapes()[1]; // deep probe chain: two build fragments
-    let fault_free =
-        run_shape(&cat, names, plan, ExecConfig::unthrottled(), None).expect(label);
-    for path in [DataPath::GlobalLock, DataPath::Decontended] {
+    let want = oracle::eval(&cat, plan, &bindings(names));
+    for (path, cfg) in [("serial", ExecConfig::unthrottled()), ("pooled", forced_pool_merge())] {
         // Fragment 0 is a build side; kill its slot 0 after one unit.
         let faults = Arc::new(FaultPlan::new().with_worker_death(0, 0, 1));
-        let got = run_shape(
-            &cat,
-            names,
-            plan,
-            ExecConfig::unthrottled().with_data_path(path),
-            Some(faults.clone()),
-        )
-        .unwrap_or_else(|e| panic!("{label} under {path:?}: {e}"));
-        assert_eq!(faults.stats().deaths_fired(), 1, "{path:?}: death must fire");
-        assert_eq!(got, fault_free, "{label} under {path:?}: death changed the result");
+        let got = run_shape(&cat, names, plan, cfg, Some(faults.clone()))
+            .unwrap_or_else(|e| panic!("{label} under {path}: {e}"));
+        assert_eq!(faults.stats().deaths_fired(), 1, "{path}: death must fire");
+        oracle::assert_matches(&format!("{label} under {path} after a death"), &got, &want);
     }
+}
+
+/// The oracle checks itself: the comparison must reject a single flipped
+/// row (and accept a within-key permutation), and on every plan shape its
+/// per-key cardinalities must equal the independent `ref_join` product —
+/// two references that share no code cannot drift apart unnoticed.
+#[test]
+fn oracle_self_check() {
+    let cat = catalog();
+    for (label, names, plan) in shapes() {
+        let want = oracle::eval(&cat, &plan, &bindings(&names));
+        let specs: Vec<(&str, (i32, i32))> =
+            names.iter().map(|n| (*n, (i32::MIN, i32::MAX))).collect();
+        assert_eq!(
+            oracle::key_counts(&want),
+            oracle::ref_join(&cat, &specs),
+            "{label}: oracle and ref_join disagree on per-key cardinalities"
+        );
+
+        assert_eq!(oracle::check(&want, &want), Ok(()), "{label}: oracle rejects itself");
+        // Flip one row's payload: same keys, same counts, one wrong byte.
+        let mut flipped = want.clone();
+        let mid = flipped.len() / 2;
+        let mut values = flipped[mid].1.values().to_vec();
+        *values.last_mut().expect("joined rows have columns") = Datum::Text("flipped".into());
+        flipped[mid].1 = Tuple::from_values(values);
+        assert!(oracle::check(&flipped, &want).is_err(), "{label}: flipped payload accepted");
+        // Flip one row's key (keeping the vector key-sorted).
+        let mut rekeyed = want.clone();
+        let last = rekeyed.len() - 1;
+        rekeyed[last].0 += 1;
+        assert!(oracle::check(&rekeyed, &want).is_err(), "{label}: flipped key accepted");
+        // Drop a row.
+        assert!(oracle::check(&want[1..], &want).is_err(), "{label}: missing row accepted");
+    }
+    // Order within a key is not part of the contract; order across keys is.
+    let row = |k: i32, tag: &str| (k, Tuple::from_values(vec![Datum::Text(tag.into())]));
+    let want = oracle::canonical(vec![row(1, "b"), row(1, "a"), row(2, "c")]);
+    assert_eq!(oracle::check(&[row(1, "b"), row(1, "a"), row(2, "c")], &want), Ok(()));
+    assert!(oracle::check(&[row(2, "c"), row(1, "a"), row(1, "b")], &want).is_err());
 }
 
 /// Satellite: the merge-indexed probe over an unindexed relation is a

@@ -4,7 +4,9 @@
 //! ([`MorselMode::Stealing`]) — at every worker count, at a morsel grain
 //! small enough to force heavy stealing, and with a worker killed
 //! mid-scan so the heartbeat patrol's reclamation path is on the
-//! byte-identity critical path too.
+//! byte-identity critical path too. Both modes are additionally held
+//! against the naive oracle (`common/oracle.rs`), so a bug the two modes
+//! share cannot hide behind their agreement.
 //!
 //! Payloads are a pure function of `(relation, key)` (the
 //! `join_datapath` convention), so the key-sorted outputs admit
@@ -18,6 +20,9 @@ use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::intra::IntraOnly;
 use xprs_scheduler::MachineConfig;
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
+
+#[path = "common/oracle.rs"]
+mod oracle;
 
 fn lcg(seed: &mut u64) -> u64 {
     *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -78,17 +83,32 @@ fn run_mode(
     report.results.iter().map(|r| r.rows.rows.clone()).collect()
 }
 
+/// The oracle's rows for each query of [`runs`].
+fn oracle_rows(cat: &Arc<Catalog>) -> Vec<Vec<(i32, Tuple)>> {
+    runs(cat).iter().map(|r| oracle::eval(cat, &r.optimized.plan, &r.bindings)).collect()
+}
+
+fn assert_matches_oracle(label: &str, got: &[Vec<(i32, Tuple)>], want: &[Vec<(i32, Tuple)>]) {
+    assert_eq!(got.len(), want.len(), "{label}: query count");
+    for (qi, (g, w)) in got.iter().zip(want).enumerate() {
+        oracle::assert_matches(&format!("{label}, query {qi}"), g, w);
+    }
+}
+
 /// Fault-free parity: static shares and stealing — at the default grain
 /// and at a grain of one unit per morsel (maximum steal traffic) — all
 /// return byte-identical rows.
 #[test]
 fn stealing_and_static_shares_return_byte_identical_rows() {
     let cat = catalog();
+    let want = oracle_rows(&cat);
     let reference = run_mode(&cat, MorselMode::StaticShares, None);
     assert!(reference.iter().all(|r| !r.is_empty()), "vacuous parity reference");
+    assert_matches_oracle("StaticShares", &reference, &want);
     for mode in [MorselMode::stealing(), MorselMode::Stealing { morsel_units: 1 }] {
         let got = run_mode(&cat, mode, None);
         assert_eq!(got, reference, "{mode:?} diverged from StaticShares");
+        assert_matches_oracle(&format!("{mode:?}"), &got, &want);
     }
 }
 
@@ -99,6 +119,7 @@ fn stealing_and_static_shares_return_byte_identical_rows() {
 #[test]
 fn worker_death_mid_scan_preserves_byte_identity_in_both_modes() {
     let cat = catalog();
+    let want = oracle_rows(&cat);
     let reference = run_mode(&cat, MorselMode::StaticShares, None);
     for mode in [
         MorselMode::StaticShares,
@@ -109,5 +130,6 @@ fn worker_death_mid_scan_preserves_byte_identity_in_both_modes() {
         let got = run_mode(&cat, mode, Some(faults.clone()));
         assert_eq!(faults.stats().deaths_fired(), 1, "{mode:?}: death must fire");
         assert_eq!(got, reference, "{mode:?}: death changed the output");
+        assert_matches_oracle(&format!("{mode:?} after a death"), &got, &want);
     }
 }

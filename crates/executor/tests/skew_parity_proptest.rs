@@ -1,16 +1,18 @@
 //! Skew parity: the heavy-hitter machinery must never change results.
 //!
 //! Two layers of evidence. The property layer drives seeded Zipfian inputs
-//! (the `xprs_workload::zipf_keys` stream the skew bench uses) through the
-//! three `Materialized` construction paths — legacy hash build, sorted-runs
-//! CSR build, and the hot-key-splitting `split_runs_stats` → per-group
-//! merge → concatenation path — and demands identical row vectors, key
-//! extrema, digests, and probe multisets. The e2e layer runs a genuinely
-//! skewed merge join through the executor on every data path (GlobalLock,
-//! serial merge, forced pool-farmed merge, work-stealing with a worker
-//! death mid-run) and demands identical key-sorted outputs, with the
-//! observability counters proving the heavy-hitter fan-out actually
-//! engaged rather than vacuously passing.
+//! (the `xprs_workload::zipf_keys` stream the skew bench uses) through a
+//! test-local reference (stable full sort + `HashMap<i32, Vec<usize>>`
+//! position index) and the two `Materialized` construction paths —
+//! sorted-runs CSR build, and the hot-key-splitting `split_runs_stats` →
+//! per-group merge → concatenation path — and demands identical row
+//! vectors, key extrema, digests, and probe multisets. The e2e layer runs
+//! a genuinely skewed merge join through the executor on every merge path
+//! (serial merge, forced pool-farmed merge with hot-key fan-out,
+//! work-stealing with a worker death mid-run) and demands the naive
+//! oracle's rows (`common/oracle.rs`), with the observability counters
+//! proving the heavy-hitter fan-out actually engaged rather than
+//! vacuously passing.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -18,15 +20,19 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use xprs_disk::{FaultPlan, StripedLayout};
-use xprs_executor::{
-    DataPath, ExecConfig, ExecError, Executor, Materialized, QueryRun, RelBinding,
-};
+use xprs_executor::{ExecConfig, ExecError, Executor, Materialized, QueryRun, RelBinding};
 use xprs_optimizer::cost::{CostModel, RelInfo};
 use xprs_optimizer::{decompose, OptimizedQuery, Plan};
 use xprs_scheduler::intra::IntraOnly;
 use xprs_scheduler::MachineConfig;
 use xprs_storage::{merge_runs, split_runs_stats, Catalog, Datum, Schema, Tuple};
 use xprs_workload::zipf_keys;
+
+#[path = "common/hash_reference.rs"]
+mod hash_reference;
+#[path = "common/oracle.rs"]
+mod oracle;
+use hash_reference::HashReference;
 
 /// Order-sensitive digest over the whole row vector, payloads included.
 fn digest(rows: &[(i32, Tuple)]) -> u64 {
@@ -62,8 +68,8 @@ fn into_runs(rows: Vec<(i32, Tuple)>, chunk: usize) -> Vec<Vec<(i32, Tuple)>> {
     runs
 }
 
-fn probe_multiset(m: &Materialized, key: i32) -> Vec<String> {
-    let mut hits: Vec<String> = m.matches(key).map(|t| format!("{t:?}")).collect();
+fn probe_multiset<'a>(hits: impl Iterator<Item = &'a Tuple>) -> Vec<String> {
+    let mut hits: Vec<String> = hits.map(|t| format!("{t:?}")).collect();
     hits.sort();
     hits
 }
@@ -73,9 +79,9 @@ const THETAS: [f64; 4] = [0.0, 0.5, 1.0, 1.5];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Hash build, CSR build, and the hot-key-splitting merge agree on
-    /// rows, extrema, digests, and every probe multiset for seeded
-    /// Zipfian key streams across the θ band the bench sweeps.
+    /// The hash reference, the CSR build, and the hot-key-splitting merge
+    /// agree on rows, extrema, digests, and every probe multiset for
+    /// seeded Zipfian key streams across the θ band the bench sweeps.
     #[test]
     fn zipf_inputs_agree_across_all_three_builds(
         seed in 0u64..1u64 << 48,
@@ -88,7 +94,7 @@ proptest! {
         let keys = zipf_keys(seed, THETAS[theta_idx], key_domain, n);
         let rows = rows_from_keys(&keys);
 
-        let legacy = Materialized::build(rows.clone());
+        let reference = HashReference::build(rows.clone());
         let csr = Materialized::from_runs(into_runs(rows.clone(), chunk));
         // The path the pool-farmed merge takes: split (with heavy-hitter
         // carving) into disjoint groups, merge each, concatenate.
@@ -104,23 +110,23 @@ proptest! {
             "SplitStats row accounting must match the groups");
         let split = Materialized::from_sorted_rows(split_rows);
 
-        prop_assert_eq!(&legacy.rows, &csr.rows, "CSR build diverged");
-        prop_assert_eq!(&legacy.rows, &split.rows, "hot-key split diverged");
-        prop_assert_eq!(digest(&legacy.rows), digest(&split.rows));
-        prop_assert_eq!(legacy.min_key(), split.min_key());
-        prop_assert_eq!(legacy.max_key(), split.max_key());
+        prop_assert_eq!(&reference.rows, &csr.rows, "CSR build diverged");
+        prop_assert_eq!(&reference.rows, &split.rows, "hot-key split diverged");
+        prop_assert_eq!(digest(&reference.rows), digest(&split.rows));
+        prop_assert_eq!(reference.min_key(), split.min_key());
+        prop_assert_eq!(reference.max_key(), split.max_key());
         for key in -1i64..=key_domain as i64 {
             let key = key as i32;
             prop_assert_eq!(
-                probe_multiset(&legacy, key),
-                probe_multiset(&split, key),
+                probe_multiset(reference.matches(key)),
+                probe_multiset(split.matches(key)),
                 "matches({}) multisets differ", key
             );
         }
         // Every detected heavy hitter must genuinely exceed an even share.
         let total: usize = stats.group_rows.iter().sum();
         for &hk in &stats.hot_keys {
-            let count = legacy.matches(hk).count();
+            let count = reference.matches(hk).count();
             prop_assert!(count * ways > total / 2,
                 "reported hot key {} holds only {}/{} rows", hk, count, total);
         }
@@ -128,14 +134,14 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// E2e: a skewed merge join through the executor, all data paths.
+// E2e: a skewed merge join through the executor, all merge paths.
 // ---------------------------------------------------------------------------
 
 /// Two relations drawing keys from Zipf(1) over a 50-key domain: the rank-0
 /// key holds ~22% of each side, so its join output (~5% of pairs² mass)
 /// towers over every other key. Payloads are a pure function of
-/// `(relation, key)` so key-sorted outputs compare row-for-row across
-/// paths that emit equal-keyed rows in different worker orders.
+/// `(relation, key)` so key-sorted outputs compare row-for-row against the
+/// oracle however the workers ordered equal-keyed rows.
 fn skewed_catalog() -> Arc<Catalog> {
     let mut cat = Catalog::new(StripedLayout::new(4));
     for (name, seed, n) in [("zb", 0xB01D_u64, 400u64), ("zp", 0x50B3, 2000)] {
@@ -181,6 +187,20 @@ struct SkewRun {
     root_way_rows_max: u64,
 }
 
+const NAMES: [&str; 2] = ["zb", "zp"];
+
+fn skew_bindings() -> Vec<RelBinding> {
+    NAMES
+        .iter()
+        .map(|n| RelBinding { name: (*n).to_string(), pred: (i32::MIN, i32::MAX) })
+        .collect()
+}
+
+/// The naive oracle's answer to the skewed join.
+fn oracle_rows(cat: &Catalog) -> Vec<(i32, Tuple)> {
+    oracle::eval(cat, &optimized_merge_join(cat, &NAMES).plan, &skew_bindings())
+}
+
 fn run_skewed(
     cat: &Arc<Catalog>,
     mut cfg: ExecConfig,
@@ -189,12 +209,8 @@ fn run_skewed(
     if let Some(plan) = faults {
         cfg = cfg.with_faults(plan);
     }
-    let names = ["zb", "zp"];
-    let optimized = optimized_merge_join(cat, &names);
-    let bindings: Vec<RelBinding> = names
-        .iter()
-        .map(|n| RelBinding { name: (*n).to_string(), pred: (i32::MIN, i32::MAX) })
-        .collect();
+    let optimized = optimized_merge_join(cat, &NAMES);
+    let bindings = skew_bindings();
     let exec = Executor::new(cfg, cat.clone());
     let mut policy = IntraOnly::new(MachineConfig::paper_default(), true);
     let report = exec.run(&[QueryRun { optimized, bindings }], &mut policy)?;
@@ -221,20 +237,15 @@ fn forced_cfg() -> ExecConfig {
 }
 
 #[test]
-fn skewed_merge_join_agrees_across_paths_and_the_hot_path_engages() {
+fn skewed_merge_join_matches_the_oracle_and_the_hot_path_engages() {
     let cat = skewed_catalog();
-    let legacy = run_skewed(
-        &cat,
-        ExecConfig::unthrottled().with_data_path(DataPath::GlobalLock),
-        None,
-    )
-    .expect("GlobalLock");
+    let want = oracle_rows(&cat);
     let serial = run_skewed(&cat, ExecConfig::unthrottled().with_obs(), None).expect("serial");
     let pooled = run_skewed(&cat, forced_cfg(), None).expect("pooled");
 
-    assert!(!legacy.rows.is_empty(), "vacuous comparison");
-    assert_eq!(legacy.rows, serial.rows, "serial merge path differs");
-    assert_eq!(legacy.rows, pooled.rows, "pooled hot-key path differs");
+    assert!(!want.is_empty(), "vacuous comparison");
+    oracle::assert_matches("serial merge path", &serial.rows, &want);
+    oracle::assert_matches("pooled hot-key path", &pooled.rows, &want);
 
     // No vacuous pass: Zipf(1) over 50 keys concentrates the join output
     // hard enough that the forced 4-way config must detect heavy hitters
@@ -249,7 +260,7 @@ fn skewed_merge_join_agrees_across_paths_and_the_hot_path_engages() {
     // The hottest way must hold less than the whole output: the hot key
     // was actually split, not parked on one way.
     assert!(
-        (pooled.root_way_rows_max as usize) < legacy.rows.len(),
+        (pooled.root_way_rows_max as usize) < want.len(),
         "one merge way swallowed the entire output"
     );
 }
@@ -257,8 +268,8 @@ fn skewed_merge_join_agrees_across_paths_and_the_hot_path_engages() {
 #[test]
 fn worker_death_mid_run_preserves_skewed_results() {
     let cat = skewed_catalog();
-    let fault_free = run_skewed(&cat, forced_cfg(), None).expect("fault-free");
-    let optimized = optimized_merge_join(&cat, &["zb", "zp"]);
+    let want = oracle_rows(&cat);
+    let optimized = optimized_merge_join(&cat, &NAMES);
     let root_task = optimized.fragments.fragments.len() - 1;
     // Kill a scan worker (fragment 0) and, separately, a worker of the
     // root key-domain fragment — its replacement must keep skipping the
@@ -268,9 +279,10 @@ fn worker_death_mid_run_preserves_skewed_results() {
         let got = run_skewed(&cat, forced_cfg(), Some(faults.clone()))
             .unwrap_or_else(|e| panic!("death in fragment {frag}: {e}"));
         assert_eq!(faults.stats().deaths_fired(), 1, "fragment {frag}: death must fire");
-        assert_eq!(
-            got.rows, fault_free.rows,
-            "fragment {frag}: worker death changed the skewed join output"
+        oracle::assert_matches(
+            &format!("fragment {frag}: skewed join after a worker death"),
+            &got.rows,
+            &want,
         );
         assert!(got.hot_keys_counter > 0, "fragment {frag}: hot path disengaged");
     }

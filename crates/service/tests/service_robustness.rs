@@ -236,9 +236,13 @@ fn service_degrades_gracefully_under_worker_death_and_disk_slowdown() {
     let cat = catalog();
     // A worker death early in every run's fragment 0 plus a sustained 4x
     // slowdown on disk 0: traffic keeps flowing, every job settles, and
-    // the ledgers still balance.
+    // the ledgers still balance. The slowdown starts at disk 0's 5th
+    // request: `fat` alone has about 8 pages there and each is read cold at
+    // least once, so engagement does not depend on how often the
+    // concurrent runs happen to miss the same page (a threshold of 20 did,
+    // and failed "the slowdown must engage" on ~4% of runs).
     let plan = Arc::new(
-        FaultPlan::new().with_worker_death(0, 0, 3).with_slowdown(0, 20, 4.0),
+        FaultPlan::new().with_worker_death(0, 0, 3).with_slowdown(0, 4, 4.0),
     );
     let exec = ExecConfig::unthrottled()
         .with_memory_grants()

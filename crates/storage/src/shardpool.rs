@@ -1,16 +1,16 @@
 //! A page-hashed sharded buffer pool.
 //!
-//! The seed executor kept one [`BufferPool`] behind one global mutex, so at
-//! 8 workers the pool latch — not the disks — set the scan rate. Here the
-//! frames are split into `n_shards` independent shards, each with its own
-//! latch, its own LRU clock, and its own hit/miss/eviction counters. A page
+//! One [`BufferPool`] behind one mutex makes the pool latch — not the
+//! disks — set the scan rate at 8 workers. Here the frames are split into
+//! `n_shards` independent shards, each with its own latch, its own LRU
+//! clock, and its own hit/miss/eviction counters. A page
 //! hashes to exactly one shard, so residency stays unique and per-shard LRU
 //! is exact within its slice of the frames; only the *eviction choice* is
 //! local rather than global, which for the paper's scan-dominated workloads
 //! (no reuse beyond a pass) is indistinguishable from global LRU.
 //!
-//! `n_shards == 1` degenerates to the seed's single-latch pool — the
-//! executor exposes that as the measurable baseline configuration.
+//! `n_shards == 1` degenerates to a single-latch pool with exact global
+//! LRU.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

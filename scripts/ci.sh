@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full local CI: build, tests, lints, and the executor data-path benchmark.
+# Full local CI: build, tests, lints, and the executor benchmarks.
 #
 # The workspace builds offline (rand/proptest/criterion are std-only shims
 # under shims/), so this needs no network. Run from the repo root:
@@ -29,6 +29,16 @@ cargo test -q --doc --workspace --offline
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+# One data path: the retired seed path's names must not creep back into
+# code, examples, tests or the verify skill. `scripts/` is left out so the
+# pattern does not match itself; docs keep the names as history.
+echo "==> retired-name grep"
+if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)' \
+    crates examples src tests .claude; then
+    echo "retired data-path names found (matches above)" >&2
+    exit 1
+fi
 
 echo "==> bench_executor (writes BENCH_executor.json)"
 ./target/release/bench_executor BENCH_executor.json
@@ -157,23 +167,19 @@ EOF
 
 echo "==> bench_join (writes BENCH_join.json)"
 ./target/release/bench_join BENCH_join.json
-# The JSON must parse, and the rebuilt materialization path (sorted worker
-# runs -> k-way merge -> CSR index) must not be slower than the legacy
-# serial-sort/hash-build path at 8 workers.
+# The JSON must parse, every worker count must materialize tuples, and the
+# disk-resident join must scale.
 python3 - <<'EOF'
 import json, sys
 with open("BENCH_join.json") as f:
     r = json.load(f)
-speedup = r["speedup_parallel_merge_vs_hash_build_at_8_workers"]
 configs = r["configs"]
-assert len(configs) == 8, f"expected 8 configs, got {len(configs)}"
+assert len(configs) == 4, f"expected 4 configs, got {len(configs)}"
 assert all(c["materialized_tuples_per_sec"] > 0 for c in configs)
-if speedup < 1.0:
-    sys.exit(f"join data-path regression: speedup at 8 workers {speedup} < 1.0")
 dr = r["disk_resident"]["speedup_8w_over_1w"]
 if dr <= 1.0:
     sys.exit(f"disk-resident join scaling regression: 8w/1w {dr} <= 1.0")
-print(f"bench_join OK: speedup at 8 workers = {speedup}x, disk-resident 8w/1w = {dr}x")
+print(f"bench_join OK: {len(configs)} worker counts, disk-resident 8w/1w = {dr}x")
 EOF
 
 # Skew leg: the Zipf theta-sweep of the key-domain merge join must degrade
