@@ -157,6 +157,14 @@ fn main() {
     let dr_speedup = dr_tput(MorselMode::stealing(), 8) / dr_tput(MorselMode::stealing(), 1);
     let dr8 = &dr_rows.iter().find(|r| r.0 == MorselMode::stealing() && r.1 == 8).unwrap().4;
     let saturated = dr8.audit.paired_in_band;
+    // One relation alone under INTER-WITH-ADJ: a lone IO-bound scan must
+    // keep the array busy on the backends staffed for its `x = B/C_i`.
+    let solo_runs: Vec<_> =
+        (0..DR_TRIALS).map(|_| exec_disk::solo_scan_audit(&dr_cat, &dr_wl)).collect();
+    let solo_requests = solo_runs[0].solo_io_requests;
+    let solo_util =
+        median(&mut solo_runs.iter().map(|a| a.solo_io_disk_util).collect::<Vec<_>>());
+    eprintln!("disk-resident solo scan: disk_util={solo_util:.2} over {solo_requests} requests");
     eprintln!(
         "disk-resident speedup (8w / 1w, stealing): {dr_speedup:.2}x  saturated_at_8={saturated}"
     );
@@ -289,7 +297,9 @@ fn main() {
         }
         j.push_str("    ],\n");
         j.push_str(&format!("    \"speedup_8w_over_1w\": {dr_speedup:.3},\n"));
-        j.push_str(&format!("    \"saturated_at_8_workers\": {saturated}\n"));
+        j.push_str(&format!("    \"saturated_at_8_workers\": {saturated},\n"));
+        j.push_str(&format!("    \"solo_io_disk_util\": {solo_util:.4},\n"));
+        j.push_str(&format!("    \"solo_io_requests\": {solo_requests}\n"));
         j.push_str("  },\n");
         j
     };

@@ -10,7 +10,9 @@
 //!    the §2.2 pairing window's *measured* disk bandwidth must fall inside
 //!    the §2.3 band `[Br, Bs]`, with per-class busy time and CPU/disk
 //!    utilization reported for 2/4/8 total workers. The headline (8-worker)
-//!    run dumps `metrics.json`.
+//!    run dumps `metrics.json`. One scan then runs alone under
+//!    INTER-WITH-ADJ and reports the disk utilization of its solo-IO-bound
+//!    window — the one the paired sweep cannot see.
 //!
 //! Usage: `bench_obs [BENCH_obs.json] [metrics.json]`.
 
@@ -136,7 +138,22 @@ fn main() {
             report.stats.reads,
         );
     }
+    // One scan alone under INTER-WITH-ADJ: the window the paired sweep
+    // cannot see — a lone IO-bound fragment on the backends staffed for the
+    // `x = B/C_i` processors the policy gave it.
+    let solo = exec_obs::run_solo(&audit_cat, "pair_a", exec_obs::config(AUDIT_SCALE));
+    let solo_win = solo.windows.iter().find(|w| w.solo_io);
+    let (solo_x, solo_backends) =
+        solo_win.and_then(|w| w.tasks.first()).map_or((0, 0), |&(_, x, b)| (x, b));
+    eprintln!(
+        "solo scan: x={solo_x} backends={solo_backends} planned={:.1} io/s disk_util={:.2} \
+         requests={}",
+        solo_win.map_or(0.0, |w| w.planned_bw),
+        solo.solo_io_disk_util,
+        solo.solo_io_requests,
+    );
     let headline = rows.last().unwrap();
+    println!("solo_io_disk_util: {:.2}", solo.solo_io_disk_util);
     println!("paired_bw: {:.2}", headline.paired_bw);
     println!("band: [{:.2}, {:.2}]", band.0, band.1);
     println!("paired_in_band: {}", headline.in_band);
@@ -177,7 +194,14 @@ fn main() {
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
-    json.push_str("  ]\n}\n");
+    json.push_str("  ],\n");
+    json.push_str(&format!(
+        "  \"solo_io\": {{\"x\": {solo_x}, \"backends\": {solo_backends}, \
+         \"planned_bw\": {:.2}, \"disk_util\": {:.4}, \"requests\": {}}}\n}}\n",
+        solo_win.map_or(0.0, |w| w.planned_bw),
+        solo.solo_io_disk_util,
+        solo.solo_io_requests
+    ));
     std::fs::write(&out_path, json).expect("write bench output");
     eprintln!("wrote {out_path} and {metrics_path}");
 }

@@ -192,6 +192,7 @@ pub mod exec_obs {
     use xprs_disk::StripedLayout;
     use xprs_executor::{ExecConfig, ExecReport, Executor, QueryRun, RelBinding, UtilizationAudit};
     use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
+    use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
     use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy};
     use xprs_scheduler::{MachineConfig, TaskProfile};
     use xprs_storage::{Catalog, Datum, Schema, Tuple};
@@ -259,6 +260,26 @@ pub mod exec_obs {
         Arc::new(cat)
     }
 
+    /// One full table scan of `name`, planned by the optimizer.
+    pub fn full_scan(cat: &Catalog, name: &str) -> QueryRun {
+        let q = Query::selection(name, 1.0);
+        QueryRun {
+            optimized: TwoPhaseOptimizer::paper_default()
+                .optimize_catalog(cat, &q, Costing::SeqCost)
+                .expect("plan"),
+            bindings: vec![RelBinding { name: name.into(), pred: (i32::MIN, i32::MAX) }],
+        }
+    }
+
+    /// The audit runs' configuration: time scale `scale`, metrics enabled,
+    /// and a pool that cannot cache either scan — every page read is a disk
+    /// request, as in the paper's larger-than-memory workloads.
+    pub fn config(scale: f64) -> ExecConfig {
+        let mut cfg = ExecConfig::scaled(1.0 / scale).with_obs();
+        cfg.bufpool_pages = 64;
+        cfg
+    }
+
     /// Co-run one full scan of each relation with `workers` workers per
     /// scan at time scale `scale`, metrics enabled; optionally dump
     /// `metrics.json`. Returns the report and its utilization audit.
@@ -268,24 +289,8 @@ pub mod exec_obs {
         scale: f64,
         metrics_out: Option<&Path>,
     ) -> (ExecReport, UtilizationAudit) {
-        let optimizer = TwoPhaseOptimizer::paper_default();
-        let runs: Vec<QueryRun> = ["pair_a", "pair_b"]
-            .iter()
-            .map(|name| {
-                let q = Query::selection(name, 1.0);
-                QueryRun {
-                    optimized: optimizer.optimize_catalog(cat, &q, Costing::SeqCost).expect("plan"),
-                    bindings: vec![RelBinding {
-                        name: (*name).into(),
-                        pred: (i32::MIN, i32::MAX),
-                    }],
-                }
-            })
-            .collect();
-        let mut cfg = ExecConfig::scaled(1.0 / scale).with_obs();
-        // A pool that cannot cache either scan: every page read is a disk
-        // request, as in the paper's larger-than-memory workloads.
-        cfg.bufpool_pages = 64;
+        let runs = [full_scan(cat, "pair_a"), full_scan(cat, "pair_b")];
+        let mut cfg = config(scale);
         if let Some(path) = metrics_out {
             cfg = cfg.with_metrics_out(path);
         }
@@ -294,6 +299,20 @@ pub mod exec_obs {
         let report = exec.run(&runs, &mut policy).expect("audit run failed");
         let audit = report.utilization_audit();
         (report, audit)
+    }
+
+    /// One full scan of `name` alone under INTER-WITH-ADJ with
+    /// configuration `cfg`: the policy gives a lone IO-bound scan
+    /// `x = B/C_i` processors so that it saturates the array by itself,
+    /// and the audit's `solo_io_disk_util` says whether the backends
+    /// staffed for that `x` actually did.
+    pub fn run_solo(cat: &Arc<Catalog>, name: &str, cfg: ExecConfig) -> UtilizationAudit {
+        let mut policy =
+            AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(MachineConfig::paper_default()));
+        Executor::new(cfg, cat.clone())
+            .run(&[full_scan(cat, name)], &mut policy)
+            .expect("solo audit run failed")
+            .utilization_audit()
     }
 }
 
@@ -428,12 +447,12 @@ pub mod exec_disk {
         ExecConfig, Executor, MorselMode, QueryRun, RelBinding, UtilizationAudit,
     };
     use xprs_optimizer::cost::{CostModel, RelInfo};
-    use xprs_optimizer::{decompose, Costing, OptimizedQuery, Plan, Query, TwoPhaseOptimizer};
+    use xprs_optimizer::{decompose, OptimizedQuery, Plan};
     use xprs_scheduler::MachineConfig;
     use xprs_storage::{Catalog, Datum, Schema, Tuple};
     use xprs_workload::{generate_disk_resident, DiskResidentSpec, DiskResidentWorkload};
 
-    use super::exec_obs::CoRun;
+    use super::exec_obs::{full_scan, CoRun};
     use super::FixedParallelism;
 
     /// Buffer-pool frames for the disk-resident runs (each relation is
@@ -531,21 +550,8 @@ pub mod exec_disk {
         workers: u32,
         mode: MorselMode,
     ) -> DiskScanRun {
-        let optimizer = TwoPhaseOptimizer::paper_default();
-        let runs: Vec<QueryRun> = workload
-            .relations
-            .iter()
-            .map(|rel| {
-                let q = Query::selection(&rel.name, 1.0);
-                QueryRun {
-                    optimized: optimizer.optimize_catalog(cat, &q, Costing::SeqCost).expect("plan"),
-                    bindings: vec![RelBinding {
-                        name: rel.name.clone(),
-                        pred: (i32::MIN, i32::MAX),
-                    }],
-                }
-            })
-            .collect();
+        let runs: Vec<QueryRun> =
+            workload.relations.iter().map(|rel| full_scan(cat, &rel.name)).collect();
         let exec = Executor::new(config(mode), cat.clone());
         let mut policy = CoRun::new(MachineConfig::paper_default(), workers);
         let t0 = Instant::now();
@@ -572,6 +578,12 @@ pub mod exec_disk {
             pool_threads: report.pool_threads,
             audit,
         }
+    }
+
+    /// The first disk-resident relation scanned alone under INTER-WITH-ADJ
+    /// ([`super::exec_obs::run_solo`]): the solo-IO-bound audit figure.
+    pub fn solo_scan_audit(cat: &Arc<Catalog>, workload: &DiskResidentWorkload) -> UtilizationAudit {
+        super::exec_obs::run_solo(cat, &workload.relations[0].name, config(MorselMode::stealing()))
     }
 
     /// `dr_0 ⋈ dr_probe` with the disk-resident relation pinned as the

@@ -40,6 +40,15 @@ impl MorselMode {
     pub fn stealing() -> Self {
         MorselMode::Stealing { morsel_units: DEFAULT_MORSEL_UNITS }
     }
+
+    /// Units per morsel. Static shares have no morsels; they size their
+    /// staffing by the default grain, so both modes staff a fragment alike.
+    pub(crate) fn morsel_units(self) -> u64 {
+        match self {
+            MorselMode::Stealing { morsel_units } => morsel_units,
+            MorselMode::StaticShares => DEFAULT_MORSEL_UNITS,
+        }
+    }
 }
 
 /// Default units per morsel: big enough to amortize the deque latch and

@@ -19,6 +19,7 @@
 //! serialize on a single pool mutex (§2.2–2.3's balance point assumes the
 //! engine itself adds no shared-resource interference).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -39,38 +40,89 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Most overshoot one thread carries forward as credit against its next
+/// modelled sleeps. Timer slack and wake-up latency sit well under this; a
+/// longer overrun is a host stall, and refunding it would let the thread
+/// run a burst of reads in zero wall time.
+const MAX_PACE_CREDIT: Duration = Duration::from_millis(2);
+
+thread_local! {
+    /// Wall time this thread's modelled sleeps have overshot and not yet
+    /// repaid.
+    static PACE_CREDIT: Cell<Duration> = const { Cell::new(Duration::ZERO) };
+}
+
+/// Sleep `wall` of modelled service time, less what this thread's earlier
+/// modelled sleeps overshot. `thread::sleep` always returns late (timer
+/// slack plus wake-up latency — 17–21 % on the 0.4–0.8 ms sleeps of a 20–40×
+/// run), so unpaced sleeps stretch every modelled second; carrying the
+/// measured overshoot into the next sleep makes the *mean* realized time
+/// equal the modelled time. The credit is capped at [`MAX_PACE_CREDIT`].
+fn paced_sleep(wall: Duration) {
+    let credit = PACE_CREDIT.get();
+    let Some(due) = wall.checked_sub(credit).filter(|d| !d.is_zero()) else {
+        PACE_CREDIT.set(credit - wall);
+        return;
+    };
+    let t0 = Instant::now();
+    std::thread::sleep(due);
+    PACE_CREDIT.set(t0.elapsed().saturating_sub(due).min(MAX_PACE_CREDIT));
+}
+
 /// A counting semaphore: at most `permits` holders at a time.
 #[derive(Debug)]
 pub struct CpuGate {
-    inner: Mutex<u32>,
+    inner: Mutex<GateState>,
     cv: Condvar,
     capacity: u32,
+}
+
+#[derive(Debug)]
+struct GateState {
+    /// Free permits.
+    free: u32,
+    /// Fewest permits ever free at once (the peak-holders low-water mark;
+    /// kept under the gate's own latch, so it costs the hot path nothing
+    /// shared beyond the lock it already takes).
+    min_free: u32,
+}
+
+impl GateState {
+    /// Take one permit (caller checked `free > 0`).
+    fn take(&mut self) {
+        self.free -= 1;
+        self.min_free = self.min_free.min(self.free);
+    }
 }
 
 impl CpuGate {
     /// Gate admitting `permits` concurrent holders.
     pub fn new(permits: u32) -> Self {
         assert!(permits >= 1, "need at least one processor");
-        CpuGate { inner: Mutex::new(permits), cv: Condvar::new(), capacity: permits }
+        CpuGate {
+            inner: Mutex::new(GateState { free: permits, min_free: permits }),
+            cv: Condvar::new(),
+            capacity: permits,
+        }
     }
 
     /// Acquire one processor, parking until one is free.
     pub fn acquire(&self) -> CpuPermit<'_> {
-        let mut free = lock(&self.inner);
-        while *free == 0 {
-            free = self.cv.wait(free).unwrap_or_else(PoisonError::into_inner);
+        let mut st = lock(&self.inner);
+        while st.free == 0 {
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
-        *free -= 1;
+        st.take();
         CpuPermit { gate: self }
     }
 
     /// Acquire one processor only if one is free right now.
     pub fn try_acquire(&self) -> Option<CpuPermit<'_>> {
-        let mut free = lock(&self.inner);
-        if *free == 0 {
+        let mut st = lock(&self.inner);
+        if st.free == 0 {
             return None;
         }
-        *free -= 1;
+        st.take();
         Some(CpuPermit { gate: self })
     }
 
@@ -79,10 +131,16 @@ impl CpuGate {
         self.capacity
     }
 
+    /// Most permits ever held at once — never above [`Self::capacity`],
+    /// however many backends are staffed.
+    pub fn peak_holders(&self) -> u32 {
+        self.capacity - lock(&self.inner).min_free
+    }
+
     fn release(&self) {
-        let mut free = lock(&self.inner);
-        *free += 1;
-        debug_assert!(*free <= self.capacity);
+        let mut st = lock(&self.inner);
+        st.free += 1;
+        debug_assert!(st.free <= self.capacity);
         self.cv.notify_one();
     }
 }
@@ -385,11 +443,9 @@ impl Machine {
                     .as_ref()
                     .map_or(1.0, |f| f.slowdown_multiplier(disk, d.total_count()));
                 let (class, dur) = d.serve_degraded(&req, mult);
-                if self.scale > 0.0 {
-                    // Sleeping while holding the lock serializes the disk —
-                    // that is the model, not a bug.
-                    std::thread::sleep(Duration::from_secs_f64(dur * self.scale));
-                }
+                // Sleeping while holding the lock serializes the disk —
+                // that is the model, not a bug.
+                self.sleep_sim(dur);
                 class
             };
             let faulted =
@@ -402,10 +458,7 @@ impl Machine {
                 if let Some(m) = &self.metrics {
                     m.io_retries.inc();
                 }
-                if self.scale > 0.0 {
-                    let backoff = self.retry_backoff * (1u64 << attempt.min(30)) as f64;
-                    std::thread::sleep(Duration::from_secs_f64(backoff * self.scale));
-                }
+                self.sleep_sim(self.retry_backoff * (1u64 << attempt.min(30)) as f64);
             }
         }
         if outcome.is_err() {
@@ -457,9 +510,7 @@ impl Machine {
             };
             let mut d = lock(&self.disks[disk]);
             let (_class, dur) = d.serve_degraded(&req, 1.0);
-            if self.scale > 0.0 {
-                std::thread::sleep(Duration::from_secs_f64(dur * self.scale));
-            }
+            self.sleep_sim(dur);
         }
     }
 
@@ -487,8 +538,15 @@ impl Machine {
             None => self.cpu.acquire(),
         };
         self.cpu_busy.add_secs(seconds);
+        self.sleep_sim(seconds);
+    }
+
+    /// Occupy the calling thread for `seconds` of simulated time — the one
+    /// place modelled time becomes wall time (disk service, spill I/O,
+    /// retry backoff, CPU bursts all come through here).
+    fn sleep_sim(&self, seconds: f64) {
         if self.scale > 0.0 && seconds > 0.0 {
-            std::thread::sleep(Duration::from_secs_f64(seconds * self.scale));
+            paced_sleep(Duration::from_secs_f64(seconds * self.scale));
         }
     }
 
@@ -645,6 +703,39 @@ mod tests {
         }
         assert_eq!(m.stats().reads, 1000);
         assert_eq!(m.stats().disk.total(), 1000);
+    }
+
+    #[test]
+    fn paced_sleeps_average_to_the_modelled_time() {
+        // 200 × 0.5 ms must take 100 ms: never less than the modelled time
+        // net of the credit the thread arrived with, and — overshoot repaid
+        // — within 5 % above it. A host stall longer than the credit cap is
+        // not refunded, so the upper bound takes the best of three rounds.
+        let step = Duration::from_micros(500);
+        let mut best = f64::INFINITY;
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            for _ in 0..200 {
+                paced_sleep(step);
+                assert!(PACE_CREDIT.get() <= MAX_PACE_CREDIT, "carried credit must stay bounded");
+            }
+            let took = t0.elapsed().as_secs_f64();
+            assert!(took >= 0.100 - MAX_PACE_CREDIT.as_secs_f64(), "ran ahead of the model: {took}");
+            best = best.min(took);
+        }
+        assert!(best <= 0.105, "paced sleeps overshoot the modelled 100 ms: {best}");
+    }
+
+    #[test]
+    fn pace_credit_is_spent_not_refunded_twice() {
+        // A thread holding the full credit skips a shorter sleep outright
+        // and keeps only the difference.
+        PACE_CREDIT.set(MAX_PACE_CREDIT);
+        let t0 = Instant::now();
+        paced_sleep(Duration::from_millis(1));
+        assert!(t0.elapsed() < Duration::from_millis(1));
+        assert_eq!(PACE_CREDIT.get(), MAX_PACE_CREDIT - Duration::from_millis(1));
+        PACE_CREDIT.set(Duration::ZERO);
     }
 
     #[test]

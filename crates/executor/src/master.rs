@@ -11,7 +11,7 @@
 //! joined per slot.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,7 +23,7 @@ use xprs_scheduler::fluid::FIXPOINT_ROUNDS;
 use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy};
 use xprs_scheduler::predict::{Observation, PredictKey};
 use xprs_scheduler::trace::{emit, RunningSnap, SharedSink, TraceRecord};
-use xprs_scheduler::{MachineConfig, TaskId, TaskProfile};
+use xprs_scheduler::{IoKind, MachineConfig, TaskId, TaskProfile};
 use xprs_storage::partition::{PagePartition, RangePartition};
 use xprs_storage::runs::{merge_runs, split_runs_stats};
 use xprs_storage::{Catalog, Tuple, PAGE_SIZE};
@@ -222,6 +222,9 @@ struct FragSlot {
     /// Completion-time captures for the fragment's profile.
     units: u64,
     staffed: u64,
+    /// Last applied policy parallelism and the backends staffed for it.
+    parallelism: u32,
+    backends: u32,
     heartbeats: u64,
     adjusts: u64,
     merge: MergeProfile,
@@ -470,6 +473,8 @@ impl Executor {
                     finished_at: 0.0,
                     units: 0,
                     staffed: 0,
+                    parallelism: 0,
+                    backends: 0,
                     heartbeats: 0,
                     adjusts: 0,
                     merge: MergeProfile::default(),
@@ -706,6 +711,8 @@ impl Executor {
             let was_cancelled = ctx.cancelled.load(Ordering::SeqCst);
             frags[gid].units = ctx.units_done.load(Ordering::SeqCst);
             frags[gid].staffed = ctx.staffed.load(Ordering::Relaxed);
+            frags[gid].parallelism = ctx.target_parallelism.load(Ordering::Relaxed);
+            frags[gid].backends = ctx.backends.load(Ordering::Relaxed);
             frags[gid].heartbeats =
                 lock(&ctx.heartbeats).iter().map(|b| b.load(Ordering::Relaxed)).sum();
             if let Some(spec) = &ctx.spill {
@@ -847,6 +854,8 @@ impl Executor {
                         finished_at: f.finished_at,
                         units: f.units,
                         staffed: f.staffed,
+                        parallelism: f.parallelism,
+                        backends: f.backends,
                         adjusts: f.adjusts,
                         heartbeats: f.heartbeats,
                         merge: f.merge,
@@ -1252,7 +1261,7 @@ impl Executor {
                 return Err(SchedError::AlreadyRunning { task: frags[gid].profile.id }.into());
             }
         }
-        let x = to_workers(parallelism, self.cfg.machine.n_procs);
+        let x = to_processors(parallelism, self.cfg.machine.n_procs);
 
         // Materialized inputs, keyed by query-local fragment index. A
         // missing producer output is a readiness-protocol violation,
@@ -1300,6 +1309,7 @@ impl Executor {
             }
         };
         let total = units.total();
+        let n_backends = self.backends_for(x, &frags[gid].profile, total);
         // Heavy hitters of a key-domain merge are decided before staffing:
         // the workers are born knowing which keys to skip, and the master
         // owes their output at materialization.
@@ -1309,7 +1319,7 @@ impl Executor {
             // fragment (e.g. an i32 key domain spanning more than half the
             // key space) falls back to static shares.
             MorselMode::Stealing { morsel_units } if total > 0 && total < MAX_STEAL_UNITS => {
-                let mut part = StealPartition::new(total, morsel_units, x, gid as u64);
+                let mut part = StealPartition::new(total, morsel_units, n_backends, gid as u64);
                 // Page-scan units are striped blocks (`unit % n_disks` =
                 // home disk): steal disk-affine so a rescue steal doesn't
                 // degrade two disks' service class. Key-space fragments
@@ -1321,8 +1331,8 @@ impl Executor {
                 (PartitionState::Morsel { part, key_base: units.base() }, total)
             }
             _ => match units {
-                UnitSpace::Pages(n) => (PartitionState::Page(PagePartition::new(n, x)), n),
-                UnitSpace::Keys { lo, hi } => range_partition(lo, hi, x),
+                UnitSpace::Pages(n) => (PartitionState::Page(PagePartition::new(n, n_backends)), n),
+                UnitSpace::Keys { lo, hi } => range_partition(lo, hi, n_backends),
             },
         };
 
@@ -1349,10 +1359,13 @@ impl Executor {
                 if self.cfg.spill && demand_pages > 0 {
                     let row_bytes = self.row_bytes_estimate(&frags[gid].bindings);
                     let grant_bytes = demand_pages * PAGE_SIZE as u64;
-                    let threshold_rows =
-                        (grant_bytes / (u64::from(x) * row_bytes as u64)).max(1) as usize;
                     spill = Some(SpillSpec {
-                        threshold_rows,
+                        threshold_rows: AtomicUsize::new(spill_threshold(
+                            grant_bytes,
+                            n_backends,
+                            row_bytes,
+                        )),
+                        grant_bytes,
                         row_bytes,
                         chunks: AtomicU64::new(0),
                         rows: AtomicU64::new(0),
@@ -1375,6 +1388,7 @@ impl Executor {
             staffed: AtomicU64::new(0),
             out: OutputSink::default(),
             target_parallelism: AtomicU32::new(x),
+            backends: AtomicU32::new(n_backends),
             done: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
             cancelled: AtomicBool::new(false),
@@ -1416,7 +1430,7 @@ impl Executor {
                 }
             }
         }
-        for slot in 0..x as usize {
+        for slot in 0..n_backends as usize {
             backends.staff(&ctx, slot, machine, &self.catalog);
         }
         Ok(())
@@ -1454,11 +1468,22 @@ impl Executor {
             // admission latency (counted in `mem_grant_waits`), not run
             // time.
             frags[gid].started_at = t0.elapsed().as_secs_f64();
-            let x = ctx.target_parallelism.load(Ordering::Relaxed);
-            for slot in 0..x as usize {
+            let n_backends = ctx.backends.load(Ordering::Relaxed);
+            for slot in 0..n_backends as usize {
                 backends.staff(&ctx, slot, machine, &self.catalog);
             }
         }
+    }
+
+    /// [`staff_backends`] under this executor's machine and morsel grain.
+    /// Unthrottled (`scale == 0`) a read takes no wall time, so there is
+    /// no disk wait for a surplus backend to cover — it would only contend
+    /// for the host's real cores — and a backend is a processor.
+    fn backends_for(&self, x: u32, profile: &TaskProfile, units: u64) -> u32 {
+        if self.cfg.scale == 0.0 {
+            return x;
+        }
+        staff_backends(x, profile, &self.cfg.machine, units, self.cfg.morsel_mode.morsel_units())
     }
 
     /// Estimated bytes per output row for a fragment's spill accounting:
@@ -1502,14 +1527,21 @@ impl Executor {
         }
         let ctx = &ctx;
         frags[gid].adjusts += 1;
-        let x = to_workers(parallelism, self.cfg.machine.n_procs);
+        let x = to_processors(parallelism, self.cfg.machine.n_procs);
+        let n = self.backends_for(x, &frags[gid].profile, ctx.total_units);
         ctx.target_parallelism.store(x, Ordering::Relaxed);
+        ctx.backends.store(n, Ordering::Relaxed);
+        if let Some(spec) = &ctx.spill {
+            // The grant is shared by however many backends buffer output.
+            let rows = spill_threshold(spec.grant_bytes, n, spec.row_bytes);
+            spec.threshold_rows.store(rows, Ordering::Relaxed);
+        }
         let (info, active) = {
             let mut p = lock(&ctx.partition);
             match &mut *p {
-                PartitionState::Page(pp) => (pp.adjust(x), pp.active_slots()),
-                PartitionState::Range(rp) => (rp.adjust(x), rp.active_slots()),
-                PartitionState::Morsel { part, .. } => (part.adjust(x), part.active_slots()),
+                PartitionState::Page(pp) => (pp.adjust(n), pp.active_slots()),
+                PartitionState::Range(rp) => (rp.adjust(n), rp.active_slots()),
+                PartitionState::Morsel { part, .. } => (part.adjust(n), part.active_slots()),
             }
         };
         for slot in info.new_slots {
@@ -1994,6 +2026,7 @@ fn util_sample(now: f64, frags: &[FragSlot], machine: &Machine) -> UtilSample {
             FragStatus::Running(ctx) => Some(RunningInfo {
                 task: f.profile.id,
                 workers: ctx.target_parallelism.load(Ordering::Relaxed),
+                backends: ctx.backends.load(Ordering::Relaxed),
                 profile: f.profile.clone(),
             }),
             _ => None,
@@ -2085,8 +2118,49 @@ fn range_partition(lo: i64, hi: i64, x: u32) -> (PartitionState, u64) {
     }
 }
 
-fn to_workers(x: f64, n_procs: u32) -> u32 {
+/// The whole processors a policy parallelism stands for.
+fn to_processors(x: f64, n_procs: u32) -> u32 {
     (x.round() as i64).clamp(1, n_procs as i64) as u32
+}
+
+/// Backends that realize the rate the policy planned for `x` processors.
+///
+/// The policy's `C_i·x` arithmetic takes each processor to sustain the
+/// rate `C_i` the fragment was profiled at — one backend, solo reads at
+/// `1/seq_bw`. Every read of a parallel scan is served synchronously at
+/// `1/almost_seq_bw` instead, so a backend's page cycle is `1/C_i + δ` with
+/// `δ = 1/almost_seq_bw − 1/seq_bw`, and by Little's law holding the
+/// planned `λ = C_i·x` takes `λ·(1/C_i + δ) = x·(1 + C_i·δ)` backends in
+/// flight. A backend blocked on a disk holds no processor, and the CPU
+/// gate admits `n_procs` computing backends however many exist, so the
+/// surplus costs threads, not processors.
+///
+/// `x = 1` keeps its solo stream, and `Random` fragments are profiled at
+/// the service time they run at (`δ = 0`). No backend is staffed without a
+/// whole morsel of `morsel_units` to itself — a fragment of a few dozen
+/// pages finishes before extra backends have woken — but never fewer than
+/// `x`. `C_i` is taken at most `seq_bw`: no backend issues faster than a
+/// solo stream.
+fn staff_backends(
+    x: u32,
+    profile: &TaskProfile,
+    machine: &MachineConfig,
+    units: u64,
+    morsel_units: u64,
+) -> u32 {
+    if x < 2 || profile.io_kind != IoKind::Sequential {
+        return x;
+    }
+    let delta = 1.0 / machine.almost_seq_bw - 1.0 / machine.seq_bw;
+    let by_rate = (f64::from(x) * (1.0 + profile.io_rate.min(machine.seq_bw) * delta)).ceil();
+    let whole_morsels = u32::try_from(units.div_ceil(morsel_units.max(1))).unwrap_or(u32::MAX);
+    x.max((by_rate as u32).min(whole_morsels))
+}
+
+/// Rows one backend may buffer before cutting a spill run, so that
+/// `backends` of them together stay inside the fragment's grant.
+fn spill_threshold(grant_bytes: u64, backends: u32, row_bytes: usize) -> usize {
+    (grant_bytes / (u64::from(backends.max(1)) * row_bytes.max(1) as u64)).max(1) as usize
 }
 
 /// Compute the withheld heavy-hitter output of a key-domain merge fragment
@@ -2195,6 +2269,49 @@ mod tests {
         flooder.join().unwrap();
         assert!(patrolled, "patrol deadline starved by a chatty channel");
         assert!(messages >= 1, "flood never actually reached the master");
+    }
+
+    #[test]
+    fn backends_follow_littles_law_within_their_bounds() {
+        let m = MachineConfig::paper_default();
+        let scan = |c: f64| TaskProfile::new(TaskId(1), 10.0, c, IoKind::Sequential);
+        let big = 4_000; // pages: whole morsels for any staffing below
+        // (x, profile, units) → backends.
+        let table = [
+            // δ = 1/60 − 1/97: an IO-bound scan at C = 83 needs 2·1.53 → 4
+            // backends to hold 166 io/s; a CPU-bound one at C = 11, 8·1.07 → 9.
+            (2, scan(83.0), big, 4),
+            (8, scan(11.0), big, 9),
+            (3, scan(70.0), big, 5),
+            // One processor keeps its solo sequential stream.
+            (1, scan(83.0), big, 1),
+            // Random fragments are profiled at the service time they run at.
+            (4, TaskProfile::new(TaskId(1), 10.0, 30.0, IoKind::Random), big, 4),
+            // 24 pages are two 16-page morsels: no third backend.
+            (2, scan(83.0), 24, 2),
+            // The cap never takes a backend away from the policy's x.
+            (8, scan(11.0), 24, 8),
+            (2, scan(83.0), 0, 2),
+            // A rate no solo stream can issue counts as the solo rate.
+            (2, scan(5_000.0), big, 4),
+        ];
+        for (x, profile, units, want) in table {
+            let got = staff_backends(x, &profile, &m, units, 16);
+            assert_eq!(got, want, "x={x} C={} units={units}", profile.io_rate);
+            assert!(got >= x, "never below the policy's processors");
+        }
+        // A machine whose parallel reads cost what solo reads do has δ = 0.
+        let flat = MachineConfig { almost_seq_bw: 97.0, random_bw: 35.0, ..m };
+        assert_eq!(staff_backends(4, &scan(83.0), &flat, big, 16), 4);
+    }
+
+    #[test]
+    fn spill_threshold_keeps_all_backends_inside_the_grant() {
+        for (grant, backends, row) in [(24 * 8192u64, 4u32, 100usize), (8192, 13, 812), (1, 3, 64)] {
+            let rows = spill_threshold(grant, backends, row) as u64;
+            assert!(rows >= 1);
+            assert!(rows == 1 || rows * u64::from(backends) * row as u64 <= grant);
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use xprs_disk::{ClassStats, ServiceClass};
 use xprs_obs::json::{fnum, jstr};
 use xprs_obs::{Counter, Histogram};
 use xprs_scheduler::balance::effective_bandwidth;
-use xprs_scheduler::{MachineConfig, TaskId, TaskProfile};
+use xprs_scheduler::{Boundedness, MachineConfig, TaskId, TaskProfile};
 
 use crate::master::ExecReport;
 
@@ -141,6 +141,10 @@ pub struct FragmentProfile {
     /// Worker jobs staffed over the fragment's life (initial staffing,
     /// adjustment growth, patrol replacements).
     pub staffed: u64,
+    /// Processors the policy last assigned the fragment (its `x`).
+    pub parallelism: u32,
+    /// Backends last staffed to realize that assignment (≥ `parallelism`).
+    pub backends: u32,
     /// Parallelism adjustments applied while running.
     pub adjusts: u64,
     /// Heartbeat ticks its workers recorded (startup + one per unit).
@@ -176,8 +180,11 @@ pub struct QueryProfile {
 pub struct RunningInfo {
     /// The fragment's scheduler task id.
     pub task: TaskId,
-    /// Workers currently assigned.
+    /// Processors the policy assigned (its `x`); the §2.3 demand is
+    /// `C_i · workers`.
     pub workers: u32,
+    /// Backends staffed to realize that assignment (≥ `workers`).
+    pub backends: u32,
     /// The fragment's cost profile (rates feed the §2.3 prediction).
     pub profile: TaskProfile,
 }
@@ -207,15 +214,22 @@ pub struct AuditWindow {
     pub t0: f64,
     /// Window end.
     pub t1: f64,
-    /// `(task, workers)` for each fragment running through the window.
-    pub tasks: Vec<(TaskId, u32)>,
+    /// `(task, x, backends)` for each fragment running through the window:
+    /// the processors the policy assigned and the backends staffed for them.
+    pub tasks: Vec<(TaskId, u32, u32)>,
     /// ≥ 2 fragments co-ran: an inter-operation pairing window.
     pub paired: bool,
+    /// Exactly one fragment ran and it is IO-bound (`C_i > B/N`): the
+    /// window in which that fragment alone must keep the array busy.
+    pub solo_io: bool,
     /// Disk requests served inside the window.
     pub requests: u64,
     /// Measured aggregate disk bandwidth (simulated I/Os per simulated
     /// second) inside the window.
     pub measured_bw: f64,
+    /// The I/O rate the policy planned for the window, `Σ C_i·x` — what
+    /// `measured_bw` falls short of when fragments are under-staffed.
+    pub planned_bw: f64,
     /// Fraction of the window the disks were busy (1.0 = saturated array).
     pub disk_util: f64,
     /// Fraction of the window the processors were busy.
@@ -246,6 +260,12 @@ pub struct UtilizationAudit {
     /// Whether `paired_bw` landed inside `[Br, Bs]` (5% slack per side for
     /// timing jitter). Meaningless — `false` — without paired traffic.
     pub paired_in_band: bool,
+    /// Requests served inside solo-IO-bound windows.
+    pub solo_io_requests: u64,
+    /// Time-weighted mean disk utilization over solo-IO-bound windows
+    /// (`0.0` when none carried traffic). The policy gives such a fragment
+    /// `x = B/C_i` processors precisely so that it saturates the array.
+    pub solo_io_disk_util: f64,
 }
 
 /// Minimum disk requests before a window's bandwidth estimate is trusted in
@@ -272,12 +292,15 @@ pub fn audit_samples(samples: &[UtilSample], machine: &MachineConfig, scale: f64
         paired_disk_util: 0.0,
         paired_cpu_util: 0.0,
         paired_in_band: false,
+        solo_io_requests: 0,
+        solo_io_disk_util: 0.0,
     };
     if scale <= 0.0 {
         return audit;
     }
     let (mut paired_req, mut paired_sim) = (0u64, 0.0f64);
     let (mut paired_busy, mut paired_cpu) = (0.0f64, 0.0f64);
+    let (mut solo_sim, mut solo_busy) = (0.0f64, 0.0f64);
     for pair in samples.windows(2) {
         let (s0, s1) = (&pair[0], &pair[1]);
         let wall_dt = s1.now - s0.now;
@@ -295,10 +318,15 @@ pub fn audit_samples(samples: &[UtilSample], machine: &MachineConfig, scale: f64
         let w = AuditWindow {
             t0: s0.now,
             t1: s1.now,
-            tasks: s0.running.iter().map(|r| (r.task, r.workers)).collect(),
+            tasks: s0.running.iter().map(|r| (r.task, r.workers, r.backends)).collect(),
             paired: s0.running.len() >= 2,
+            solo_io: matches!(
+                s0.running.as_slice(),
+                [r] if r.profile.classify(machine) == Boundedness::IoBound
+            ),
             requests,
             measured_bw: requests as f64 / sim_dt,
+            planned_bw: demands.iter().fold(0.0, |sum, d| sum + d.0),
             disk_util: disk.total_busy() / (f64::from(machine.n_disks) * sim_dt),
             cpu_util: (s1.cpu_busy - s0.cpu_busy).max(0.0) / (f64::from(machine.n_procs) * sim_dt),
             predicted_bw: effective_bandwidth(machine, &demands),
@@ -309,6 +337,11 @@ pub fn audit_samples(samples: &[UtilSample], machine: &MachineConfig, scale: f64
             paired_busy += w.disk_util * sim_dt;
             paired_cpu += w.cpu_util * sim_dt;
         }
+        if w.solo_io && requests >= AUDIT_MIN_REQUESTS {
+            audit.solo_io_requests += requests;
+            solo_sim += sim_dt;
+            solo_busy += w.disk_util * sim_dt;
+        }
         audit.windows.push(w);
     }
     if paired_sim > 0.0 {
@@ -318,6 +351,9 @@ pub fn audit_samples(samples: &[UtilSample], machine: &MachineConfig, scale: f64
         audit.paired_cpu_util = paired_cpu / paired_sim;
         audit.paired_in_band = audit.paired_bw >= band_lo * (1.0 - BAND_SLACK)
             && audit.paired_bw <= band_hi * (1.0 + BAND_SLACK);
+    }
+    if solo_sim > 0.0 {
+        audit.solo_io_disk_util = solo_busy / solo_sim;
     }
     audit
 }
@@ -359,16 +395,19 @@ fn audit_json(a: &UtilizationAudit) -> String {
         .iter()
         .map(|w| {
             let tasks: Vec<String> =
-                w.tasks.iter().map(|(t, x)| format!("[{},{}]", t.0, x)).collect();
+                w.tasks.iter().map(|(t, x, b)| format!("[{},{},{}]", t.0, x, b)).collect();
             format!(
-                "{{\"t0\":{},\"t1\":{},\"tasks\":[{}],\"paired\":{},\"requests\":{},\
-                 \"measured_bw\":{},\"disk_util\":{},\"cpu_util\":{},\"predicted_bw\":{}}}",
+                "{{\"t0\":{},\"t1\":{},\"tasks\":[{}],\"paired\":{},\"solo_io\":{},\
+                 \"requests\":{},\"measured_bw\":{},\"planned_bw\":{},\"disk_util\":{},\
+                 \"cpu_util\":{},\"predicted_bw\":{}}}",
                 fnum(w.t0),
                 fnum(w.t1),
                 tasks.join(","),
                 w.paired,
+                w.solo_io,
                 w.requests,
                 fnum(w.measured_bw),
+                fnum(w.planned_bw),
                 fnum(w.disk_util),
                 fnum(w.cpu_util),
                 fnum(w.predicted_bw)
@@ -377,7 +416,8 @@ fn audit_json(a: &UtilizationAudit) -> String {
         .collect();
     format!(
         "{{\"band\":[{},{}],\"paired_bw\":{},\"paired_requests\":{},\"paired_disk_util\":{},\
-         \"paired_cpu_util\":{},\"paired_in_band\":{},\"windows\":[{}]}}",
+         \"paired_cpu_util\":{},\"paired_in_band\":{},\"solo_io_requests\":{},\
+         \"solo_io_disk_util\":{},\"windows\":[{}]}}",
         fnum(a.band_lo),
         fnum(a.band_hi),
         fnum(a.paired_bw),
@@ -385,6 +425,8 @@ fn audit_json(a: &UtilizationAudit) -> String {
         fnum(a.paired_disk_util),
         fnum(a.paired_cpu_util),
         a.paired_in_band,
+        a.solo_io_requests,
+        fnum(a.solo_io_disk_util),
         windows.join(",")
     )
 }
@@ -426,7 +468,8 @@ impl ExecReport {
                     .map(|f| {
                         format!(
                             "{{\"task\":{},\"is_root\":{},\"started_at\":{},\"finished_at\":{},\
-                             \"units\":{},\"staffed\":{},\"adjusts\":{},\"heartbeats\":{},\
+                             \"units\":{},\"staffed\":{},\"parallelism\":{},\"backends\":{},\
+                             \"adjusts\":{},\"heartbeats\":{},\
                              \"merge\":{},\"observed_pages\":{},\"declared_pages\":{}}}",
                             f.task.0,
                             f.is_root,
@@ -434,6 +477,8 @@ impl ExecReport {
                             fnum(f.finished_at),
                             f.units,
                             f.staffed,
+                            f.parallelism,
+                            f.backends,
                             f.adjusts,
                             f.heartbeats,
                             merge_json(&f.merge),
@@ -574,8 +619,8 @@ mod tests {
         // 1800 requests / 10 s = 180 io/s — inside [140, 240]. Disks busy
         // 38 of the 40 disk-seconds, CPU busy 40 of 80 proc-seconds.
         let running = vec![
-            RunningInfo { task: TaskId(1), workers: 3, profile: prof(1, 60.0) },
-            RunningInfo { task: TaskId(2), workers: 5, profile: prof(2, 10.0) },
+            RunningInfo { task: TaskId(1), workers: 3, backends: 5, profile: prof(1, 60.0) },
+            RunningInfo { task: TaskId(2), workers: 5, backends: 6, profile: prof(2, 10.0) },
         ];
         let s = vec![
             sample(0.0, running, 0, 0.0, 0.0),
@@ -598,7 +643,7 @@ mod tests {
     #[test]
     fn solo_and_empty_windows_stay_out_of_the_paired_aggregate() {
         let m = MachineConfig::paper_default();
-        let solo = vec![RunningInfo { task: TaskId(1), workers: 8, profile: prof(1, 60.0) }];
+        let solo = vec![RunningInfo { task: TaskId(1), workers: 4, backends: 6, profile: prof(1, 60.0) }];
         let s = vec![
             sample(0.0, solo, 0, 0.0, 0.0),
             sample(1.0, vec![], 3000, 39.0, 10.0),
@@ -610,5 +655,25 @@ mod tests {
         assert!(!a.paired_in_band);
         // Solo sequential stream: §2.3 predicts the full band ceiling.
         assert_eq!(a.windows[0].predicted_bw, 240.0);
+        // C = 60 > B/N = 30: a solo IO-bound window. Its planned rate is
+        // C·x — the policy's processors, not the backends — and its disk
+        // utilization (39 of 40 disk-seconds) is the solo figure.
+        assert!(a.windows[0].solo_io);
+        assert_eq!(a.windows[0].tasks, vec![(TaskId(1), 4, 6)]);
+        assert_eq!(a.windows[0].planned_bw, 240.0);
+        assert_eq!(a.solo_io_requests, 3000);
+        assert!((a.solo_io_disk_util - 0.975).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_lone_cpu_bound_fragment_is_not_a_solo_io_window() {
+        let m = MachineConfig::paper_default();
+        let solo = vec![RunningInfo { task: TaskId(1), workers: 8, backends: 9, profile: prof(1, 11.0) }];
+        let s = vec![sample(0.0, solo, 0, 0.0, 0.0), sample(1.0, vec![], 880, 14.0, 70.0)];
+        let a = audit_samples(&s, &m, 0.1);
+        assert!(!a.windows[0].solo_io);
+        assert_eq!(a.windows[0].planned_bw, 88.0);
+        assert_eq!(a.solo_io_requests, 0);
+        assert_eq!(a.solo_io_disk_util, 0.0);
     }
 }

@@ -13,10 +13,11 @@
 //! shared cursor — so the per-unit hot path costs one uncontended RMW where
 //! the static-share path paid one fragment-global mutex round.
 //!
-//! Two rules keep the initial deal meaningful: the grain is clamped so a
-//! fragment with at least `parallelism` units deals at least one morsel to
-//! every slot, and a thief never takes the *last* pending morsel of a slot
-//! that has not begun working. Together they guarantee every staffed slot
+//! Two rules keep the initial deal meaningful: a fragment with at least
+//! `parallelism` units deals at least one morsel to every slot (one
+//! near-equal morsel each when it is too small for whole ones), and a thief
+//! never takes the *last* pending morsel of a slot that has not begun
+//! working. Together they guarantee every staffed slot
 //! processes at least one unit of a large-enough fragment — first-touch
 //! stays local, and per-slot fault-injection points (`kill slot s after
 //! k units`) remain deterministic under stealing.
@@ -118,13 +119,15 @@ pub struct StealPartition {
 
 impl StealPartition {
     /// Deal `[0, total_units)` in morsels of `morsel_units` round-robin
-    /// over `parallelism` slots. The grain is clamped to
-    /// `floor(total / parallelism)` so a fragment with at least
-    /// `parallelism` units deals every slot at least one morsel
-    /// (`ceil` would not: 28 units over 8 slots at grain `ceil = 4` is
-    /// only 7 morsels); fragments smaller than the slot count fall to
-    /// grain 1 to spread what little there is. `seed` fixes the victim
-    /// order for deterministic tests.
+    /// over `parallelism` slots. A fragment too small to give every slot a
+    /// whole morsel (`total / parallelism < morsel_units`) is cut into
+    /// exactly one near-equal morsel per slot instead — sizes differ by at
+    /// most one unit. A fixed grain of `floor(total / parallelism)` would
+    /// leave a remainder morsel (111 units over 8 slots: nine 13-unit
+    /// morsels), and the slot dealt two of them sets the fragment's time
+    /// at two morsel-times while the others idle. Fragments smaller than
+    /// the slot count deal one unit to as many slots as there are units.
+    /// `seed` fixes the victim order for deterministic tests.
     ///
     /// # Panics
     /// Panics if `total_units >= MAX_STEAL_UNITS` (the claim word cannot
@@ -132,10 +135,25 @@ impl StealPartition {
     pub fn new(total_units: u64, morsel_units: u64, parallelism: u32, seed: u64) -> Self {
         assert!(total_units < MAX_STEAL_UNITS, "unit space too large for the claim word");
         let n = parallelism.max(1) as usize;
-        let grain = morsel_units.min(total_units / n as u64).max(1);
+        let share = total_units / n as u64;
+        let morsels = if share >= morsel_units.max(1) {
+            morselize(total_units, morsel_units)
+        } else {
+            // The first `total % n` morsels carry the extra unit.
+            let extra = total_units % n as u64;
+            let mut start = 0;
+            (0..n as u64)
+                .map(|i| {
+                    let m = Morsel { start, end: start + share + u64::from(i < extra) };
+                    start = m.end;
+                    m
+                })
+                .filter(|m| !m.is_empty())
+                .collect()
+        };
         let mut slots: Vec<SlotState> =
             (0..n).map(|_| SlotState::fresh(VecDeque::new())).collect();
-        for (i, m) in morselize(total_units, grain).into_iter().enumerate() {
+        for (i, m) in morsels.into_iter().enumerate() {
             slots[i % n].pending.push_back(m);
         }
         StealPartition { inner: Mutex::new(slots), seed, total_units, n_disks: 0 }
@@ -440,6 +458,20 @@ mod tests {
             seen.sort_unstable();
             assert_eq!(seen, (0..total).collect::<Vec<_>>(), "({total},{grain},{workers})");
         }
+    }
+
+    #[test]
+    fn a_fragment_too_small_for_whole_morsels_deals_one_morsel_per_slot() {
+        // 111 pages over 8 slots at grain 16: a fixed grain of 111/8 = 13
+        // leaves a ninth 7-page morsel on slot 0. Seven 14s and one 13 do not.
+        let p = StealPartition::new(111, 16, 8, 5);
+        let lens: Vec<u64> =
+            (0..8).map(|s| p.next_morsel(s).expect("one morsel each").morsel.len()).collect();
+        assert_eq!(lens, vec![14, 14, 14, 14, 14, 14, 14, 13]);
+        assert_eq!(p.pending_units(), 0, "no remainder morsel");
+        // A whole morsel per slot is dealt at the configured grain as before.
+        let p = StealPartition::new(130, 16, 8, 5);
+        assert_eq!(p.next_morsel(0).expect("first").morsel.len(), 16);
     }
 
     #[test]

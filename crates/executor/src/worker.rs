@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 use std::mem;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -147,8 +147,12 @@ fn sort_run(local: &mut Vec<(i32, Tuple)>) -> Vec<(i32, Tuple)> {
 /// back at settle time for the k-way merge. The counters feed the
 /// [`ExecReport`](crate::master::ExecReport) spill ledger.
 pub(crate) struct SpillSpec {
-    /// Rows a worker may buffer before it must cut a spill run.
-    pub threshold_rows: usize,
+    /// Rows a worker may buffer before it must cut a spill run: the grant
+    /// divided over the fragment's backends, re-divided by the master when
+    /// an adjustment changes their number.
+    pub threshold_rows: AtomicUsize,
+    /// The grant the backends' buffers share, in bytes.
+    pub grant_bytes: u64,
     /// Estimated bytes per output row (from the optimizer's cost model),
     /// for translating rows into striped 8 KB spill blocks.
     pub row_bytes: usize,
@@ -189,8 +193,14 @@ pub(crate) struct FragCtx {
     pub staffed: AtomicU64,
     /// Result rows.
     pub out: OutputSink,
-    /// Current target parallelism (for the solo-stream I/O flag).
+    /// Processors the policy last assigned (its `x`): what `RunningTask`
+    /// snapshots, trace records and the predictor's realized `T_i` speak.
     pub target_parallelism: AtomicU32,
+    /// Backends staffed to realize that assignment (≥ `x`, see the
+    /// master's `staff_backends`): what the partition is dealt over, what
+    /// the spill grant is divided by, and what decides the solo-stream
+    /// I/O flag.
+    pub backends: AtomicU32,
     /// Completion latch (the done message fires exactly once).
     pub done: AtomicBool,
     /// Abort flag: workers drain without scanning further work.
@@ -224,7 +234,7 @@ pub(crate) struct FragCtx {
 
 impl FragCtx {
     fn solo(&self) -> bool {
-        self.target_parallelism.load(Ordering::Relaxed) == 1
+        self.backends.load(Ordering::Relaxed) == 1
     }
 
     /// Whether workers should stop pulling work at the next boundary —
@@ -361,7 +371,7 @@ impl<'m> WorkerState<'m> {
     fn emit(&mut self, ctx: &FragCtx, key: i32, tuple: Tuple) {
         self.buf.push((key, tuple));
         if let Some(spec) = &ctx.spill {
-            if self.buf.len() >= spec.threshold_rows {
+            if self.buf.len() >= spec.threshold_rows.load(Ordering::Relaxed) {
                 self.spill_chunk(ctx, spec);
             }
         }

@@ -265,6 +265,8 @@ fn metrics_json_parses_and_balances() {
         for f in frags {
             assert!(num(f, "units") >= 1.0, "fragment did no units");
             assert!(num(f, "staffed") >= 1.0, "fragment never staffed a worker");
+            assert!(num(f, "parallelism") >= 1.0, "fragment never given a processor");
+            assert!(num(f, "backends") >= num(f, "parallelism"), "fewer backends than x");
         }
     }
 
@@ -273,6 +275,10 @@ fn metrics_json_parses_and_balances() {
     let band = audit.get("band").and_then(JsonValue::arr).expect("band");
     assert_eq!(band[0].num().unwrap(), m().total_random_bandwidth());
     assert_eq!(band[1].num().unwrap(), m().total_bandwidth());
+    // Unthrottled: no simulated clock, so no windows — but the solo figure
+    // is part of the schema either way.
+    assert_eq!(num(audit, "solo_io_disk_util"), 0.0);
+    assert_eq!(num(audit, "solo_io_requests"), 0.0);
 }
 
 /// A hand-tampered decomposition — the optimizer's DAG disagrees with

@@ -54,8 +54,64 @@ fn drive(
     seen
 }
 
+/// Every morsel of a fresh partition, in unit order: each slot's first
+/// draw (which must come from its own deque whenever the fragment has a
+/// unit per slot), then whatever the slots can still draw. Units are never
+/// claimed — re-arming a slot only forfeits units this walk does not count.
+fn dealt_morsels(part: &StealPartition, total: u64, workers: u32) -> Vec<(u64, u64)> {
+    let mut morsels = Vec::new();
+    for slot in 0..workers as usize {
+        match part.next_morsel(slot) {
+            Some(first) => {
+                if total >= u64::from(workers) {
+                    assert_eq!(first.stolen_from, None, "slot {slot} dealt no first morsel");
+                }
+                morsels.push((first.morsel.start, first.morsel.end));
+            }
+            None => assert!(total < u64::from(workers), "slot {slot} left empty-handed"),
+        }
+    }
+    for slot in 0..workers as usize {
+        while let Some(next) = part.next_morsel(slot) {
+            morsels.push((next.morsel.start, next.morsel.end));
+        }
+    }
+    morsels.sort_unstable();
+    morsels
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The initial deal tiles `[0, total)` exactly, hands every slot a
+    /// non-empty first morsel when there is a unit per slot, and — when the
+    /// fragment is too small for a whole morsel per slot — is exactly one
+    /// near-equal morsel per slot, never a remainder morsel that one slot
+    /// would have to run after its own.
+    #[test]
+    fn deal_tiles_and_gives_every_slot_one_near_equal_morsel_when_small(
+        total in 0u64..600,
+        grain in 1u64..40,
+        workers in 1u32..14,
+        seed in 0u64..1_000_000,
+    ) {
+        let part = StealPartition::new(total, grain, workers, seed);
+        let morsels = dealt_morsels(&part, total, workers);
+        let mut next = 0;
+        for &(start, end) in &morsels {
+            prop_assert_eq!(start, next, "gap or overlap in {:?}", &morsels);
+            prop_assert!(end > start, "empty morsel in {:?}", &morsels);
+            next = end;
+        }
+        prop_assert_eq!(next, total);
+        let n = u64::from(workers);
+        if total >= n && total / n < grain {
+            prop_assert_eq!(morsels.len() as u64, n, "{:?}", &morsels);
+            let lens: Vec<u64> = morsels.iter().map(|&(s, e)| e - s).collect();
+            let (lo, hi) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+            prop_assert!(hi - lo <= 1, "uneven deal {:?}", lens);
+        }
+    }
 
     /// Fault-free: any interleaving of owners and thieves claims
     /// `[0, total)` exactly once.

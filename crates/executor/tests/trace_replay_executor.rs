@@ -7,13 +7,14 @@
 use std::sync::{Arc, Mutex};
 
 use xprs_disk::StripedLayout;
-use xprs_executor::{ExecConfig, ExecError, Executor, QueryRun, RelBinding};
+use xprs_executor::{ExecConfig, ExecError, ExecReport, Executor, QueryRun, RelBinding};
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::fluid::FIXPOINT_ROUNDS;
 use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy};
 use xprs_scheduler::trace::{
     action_signature, action_stream, parse_jsonl, replay_through_fluid, JsonlSink, SharedSink,
+    TraceRecord,
 };
 use xprs_scheduler::{MachineConfig, SchedError, TaskId, TaskProfile};
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
@@ -26,12 +27,16 @@ fn lcg(seed: &mut u64) -> u64 {
 /// Two relations with strongly skewed scan costs, so the two fragments'
 /// finish order is unambiguous for both the real machine and the model.
 fn catalog() -> Arc<Catalog> {
+    catalog_of(&[
+        ("wide", 600, 100, 800), // IO-heavy: few tuples per page
+        ("slim", 6000, 150, 16), // CPU-heavy: many tuples per page
+    ])
+}
+
+fn catalog_of(rels: &[(&str, u64, u64, usize)]) -> Arc<Catalog> {
     let mut cat = Catalog::new(StripedLayout::new(4));
     let mut seed = 0xFEED_u64;
-    for (name, n, key_mod, blen) in [
-        ("wide", 600u64, 100u64, 800usize), // IO-heavy: few tuples per page
-        ("slim", 6000, 150, 16),            // CPU-heavy: many tuples per page
-    ] {
+    for &(name, n, key_mod, blen) in rels {
         cat.create(name, Schema::paper_rel());
         let rows: Vec<Tuple> = (0..n)
             .map(|_| {
@@ -60,24 +65,27 @@ fn full_scan_run(cat: &Arc<Catalog>, name: &str) -> QueryRun {
     }
 }
 
-#[test]
-fn executor_trace_replays_through_the_fluid_model() {
-    let cat = catalog();
-    let runs = vec![full_scan_run(&cat, "wide"), full_scan_run(&cat, "slim")];
-
+/// Full scans of `wide` and `slim` under INTER-WITH-ADJ with `cfg`,
+/// traced: the report and the parsed decision trace.
+fn traced_run(cat: &Arc<Catalog>, cfg: ExecConfig) -> (ExecReport, Vec<TraceRecord>) {
+    let runs = vec![full_scan_run(cat, "wide"), full_scan_run(cat, "slim")];
     let sink = Arc::new(Mutex::new(JsonlSink::new(Vec::<u8>::new())));
     let shared: SharedSink = sink.clone();
     let mut policy = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(m()));
-    Executor::new(ExecConfig::unthrottled(), cat.clone())
+    let report = Executor::new(cfg, cat.clone())
         .with_trace(shared)
         .run(&runs, &mut policy)
         .expect("traced run");
-
     let Ok(cell) = Arc::try_unwrap(sink) else { unreachable!("sink still shared") };
     let owned = cell.into_inner().unwrap();
     assert!(owned.io_error().is_none());
     let text = String::from_utf8(owned.into_inner()).unwrap();
-    let records = parse_jsonl(&text).expect("well-formed executor trace");
+    (report, parse_jsonl(&text).expect("well-formed executor trace"))
+}
+
+#[test]
+fn executor_trace_replays_through_the_fluid_model() {
+    let (_, records) = traced_run(&catalog(), ExecConfig::unthrottled());
 
     let recorded = action_stream(&records);
     assert!(!recorded.is_empty(), "executor trace must record decisions");
@@ -92,6 +100,61 @@ fn executor_trace_replays_through_the_fluid_model() {
         "threaded capture and fluid replay disagree"
     );
 }
+
+/// The executor staffs more backends than the policy assigns processors,
+/// but everything the policy and the trace see stays in processors: the
+/// recorded action signature of this pinned workload is the parent
+/// commit's (PR 12, before Little's-law staffing), and every `Decide`
+/// snapshot reports a running task at the parallelism the policy last gave
+/// it — not at its backend count.
+#[test]
+fn trace_speaks_policy_parallelism_not_backends() {
+    // Far enough apart in C_i that INTER-WITH-ADJ pairs the two scans at
+    // their balance point, and so lopsided (1.5 against 50 simulated
+    // seconds, a hundred times the tuples in real work) that `wide` always
+    // finishes first and `slim` is adjusted while running. Throttled —
+    // barely — because an unthrottled run has no disk wait to staff for.
+    let cat = catalog_of(&[("wide", 2_000, 100, 800), ("slim", 200_000, 150, 0)]);
+    let (report, records) = traced_run(&cat, ExecConfig::scaled(2_000.0));
+
+    let (wide, slim) = (TaskId(0), TaskId(1 << 32));
+    assert_eq!(
+        action_signature(&action_stream(&records), m().n_procs),
+        PARENT_SIGNATURE.map(|(q, start, x)| (if q == 0 { wide } else { slim }, start, x)),
+        "staffing must not move a single policy decision"
+    );
+
+    // Replay the applied actions: each snapshot must echo the last one.
+    let mut applied: std::collections::HashMap<TaskId, f64> = std::collections::HashMap::new();
+    let mut snapshots = 0;
+    for rec in &records {
+        match rec {
+            TraceRecord::Decide { running, .. } => {
+                for r in running {
+                    snapshots += 1;
+                    let x = applied[&r.task].round().clamp(1.0, f64::from(m().n_procs));
+                    assert_eq!(r.parallelism, x, "snapshot of {} is not the policy's x", r.task);
+                }
+            }
+            TraceRecord::Applied { action, .. } => {
+                applied.insert(action.task(), action.parallelism());
+            }
+            _ => {}
+        }
+    }
+    assert!(snapshots > 0, "no decide record carried a running task");
+    // Not vacuous: some fragment did run on more backends than processors.
+    let frags: Vec<_> = report.profiles.iter().flat_map(|q| &q.fragments).collect();
+    assert!(
+        frags.iter().any(|f| f.backends > f.parallelism),
+        "{:?}",
+        frags.iter().map(|f| (f.parallelism, f.backends)).collect::<Vec<_>>()
+    );
+}
+
+/// `(query, is_start, whole processors)` of every action the parent commit
+/// recorded for `wide` + `slim` under INTER-WITH-ADJ.
+const PARENT_SIGNATURE: [(u64, bool, u32); 3] = [(0, true, 2), (1, true, 6), (1, false, 8)];
 
 /// A policy that flip-flops an Adjust forever: the executor must detect the
 /// divergence, drain its workers, and return a typed error.

@@ -9,7 +9,9 @@
 # The bench steps write BENCH_executor.json, BENCH_join.json, BENCH_obs.json,
 # BENCH_service.json and metrics.json at the repo root; the recorded numbers
 # live in docs/results/executor_datapath.md, docs/results/join_datapath.md,
-# docs/results/observability.md and docs/results/service.md.
+# docs/results/observability.md and docs/results/service.md. The last leg
+# builds the declared benchmark into benchmark/target and writes
+# benchmark/out/ (both git-ignored).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,7 +73,15 @@ if speedup <= 1.0:
     sys.exit(f"scaling regression: 8-worker/1-worker speedup {speedup} <= 1.0")
 if not dr["saturated_at_8_workers"]:
     sys.exit("8-worker disk-resident run did not saturate the disk band")
-print(f"scaling OK: disk-resident 8w/1w = {speedup}x, disk band saturated")
+# A lone IO-bound scan under INTER-WITH-ADJ must keep the array busy on the
+# backends staffed for its x = B/C processors (loose: staffing backends =
+# processors left it at 0.37 on the paper task sets).
+solo = dr["solo_io_disk_util"]
+if dr["solo_io_requests"] == 0 or solo < 0.5:
+    sys.exit(f"solo IO-bound scan under-staffed: disk utilization {solo} < 0.5 "
+             f"over {dr['solo_io_requests']} requests")
+print(f"scaling OK: disk-resident 8w/1w = {speedup}x, disk band saturated, "
+      f"solo IO-bound disk util {solo}")
 EOF
 
 # Memory leg: concurrent hash joins whose aggregate build demand is 4x the
@@ -255,12 +265,19 @@ lo, hi = a["band"]
 bw = a["paired_bw"]
 if not (lo * 0.9 <= bw <= hi * 1.1):
     sys.exit(f"paired bandwidth {bw} outside band [{lo}, {hi}] (+/-10%)")
+for w in a["windows"]:
+    if "planned_bw" not in w or any(len(t) != 3 or t[2] < t[1] for t in w["tasks"]):
+        sys.exit(f"audit window lacks planned_bw or [task, x, backends >= x]: {w}")
 with open("BENCH_obs.json") as f:
     r = json.load(f)
 ratio = r["overhead_ratio"]
 if ratio > 1.02:
     sys.exit(f"metrics-enabled throughput regression: ratio {ratio} > 1.02")
-print(f"bench_obs OK: paired_bw={bw:.1f} in [{lo},{hi}], overhead={ratio}")
+solo = r["solo_io"]
+if solo["requests"] == 0 or solo["backends"] < solo["x"] or solo["disk_util"] < 0.5:
+    sys.exit(f"solo IO-bound scan under-staffed (disk_util < 0.5): {solo}")
+print(f"bench_obs OK: paired_bw={bw:.1f} in [{lo},{hi}], overhead={ratio}, "
+      f"solo x={solo['x']} backends={solo['backends']} disk_util={solo['disk_util']}")
 EOF
 
 echo "==> bench_service (writes BENCH_service.json)"
@@ -349,5 +366,22 @@ PROPTEST_SEED=7 cargo test -q -p xprs-executor --offline \
     --test chaos_exec --test chaos_proptest
 PROPTEST_SEED=7 cargo test -q -p xprs-executor --release --offline \
     --test chaos_exec --test chaos_proptest
+
+# The declared benchmark is a package of its own outside the workspace, so
+# nothing above compiles it: build it offline against the crates as they are
+# now and run its two driven workloads briefly. A compile error (an API
+# change that breaks benchmark/src/sut.rs), a wrong answer or a failed
+# operation fails the leg.
+echo "==> benchmark (benchmark/run.sh: disk_mix, service_open)"
+for workload in disk_mix service_open; do
+    bash benchmark/run.sh --workload "$workload" --seconds 12 --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+attempted = r["attempted"]
+if r["correct"] is not True or r["failed"] > 0 or attempted == 0:
+    sys.exit(f"benchmark {sys.argv[1]}: {r}")
+print(f"benchmark {sys.argv[1]} OK: {attempted} operations, 0 failed")
+' "$workload"
+done
 
 echo "==> CI OK"
