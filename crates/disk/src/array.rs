@@ -2,9 +2,10 @@
 //!
 //! [`DiskArrayModel`] is the single-owner form used by the discrete-event
 //! simulator, which serializes all accesses itself. The threaded executor
-//! instead wraps each [`DiskState`] in its own mutex (a disk serves one
-//! request at a time, so holding the lock for the scaled service time *is*
-//! the disk model) — see `xprs-executor::io`.
+//! instead keeps each [`DiskState`] in a latched lane with a reservation
+//! timeline (a disk serves one request at a time, so each request is
+//! classified and given the disk's next free interval under the latch, and
+//! waited for outside it) — see `xprs-executor::io`.
 
 use crate::model::{DiskParams, DiskState, IoRequest, RelId, ServiceClass, WorkerId};
 use crate::stripe::StripedLayout;

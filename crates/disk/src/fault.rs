@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] is a fixed schedule of faults decided before the run
 //! starts: transient read errors keyed by `(relation, block)`, sustained
 //! per-disk service-time multipliers keyed by request ordinal, and worker
-//! stalls/deaths keyed by `(fragment, slot, units completed)`. Keying every
+//! stalls/deaths keyed by `(fragment, slot, units claimed)`. Keying every
 //! fault to *logical* progress rather than wall-clock time is what makes a
 //! plan reproducible across thread interleavings: the same plan against the
 //! same query fires the same faults no matter how the OS schedules the
@@ -34,8 +34,13 @@ pub enum WorkerFaultKind {
 }
 
 /// A worker fault scheduled against logical progress: fires once, the first
-/// time worker `slot` of fragment `fragment` has `after_units` or more
-/// completed units behind it.
+/// time worker `slot` of fragment `fragment` is about to claim a unit with
+/// `after_units` or more claimed units behind it. A scan backend overlaps
+/// the read of its latest claimed page with the evaluation of the one
+/// before, so *claimed* — not finished — is the count that is the same at
+/// every claim boundary whatever is still in flight; a claimed unit is
+/// always finished by its claimant, so a worker that dies here has
+/// completed exactly `after_units` units.
 #[derive(Debug)]
 struct WorkerFault {
     fragment: usize,
@@ -137,7 +142,7 @@ impl FaultPlan {
     }
 
     /// Schedule a fail-stop death of worker `slot` on fragment `fragment`
-    /// once it has completed `after_units` units.
+    /// once it has claimed `after_units` units (it finishes those first).
     #[must_use]
     pub fn with_worker_death(mut self, fragment: usize, slot: usize, after_units: u64) -> Self {
         self.worker_faults.push(WorkerFault {
@@ -151,7 +156,7 @@ impl FaultPlan {
     }
 
     /// Schedule a `millis`-long stall of worker `slot` on fragment
-    /// `fragment` once it has completed `after_units` units.
+    /// `fragment` once it has claimed `after_units` units.
     #[must_use]
     pub fn with_worker_stall(
         mut self,
@@ -222,16 +227,16 @@ impl FaultPlan {
     }
 
     /// Fire the pending worker fault for `(fragment, slot)` whose trigger
-    /// point `units_done` has reached, if any. Each scheduled fault fires at
-    /// most once.
+    /// point `units_claimed` has reached, if any. Each scheduled fault fires
+    /// at most once.
     pub fn take_worker_fault(
         &self,
         fragment: usize,
         slot: usize,
-        units_done: u64,
+        units_claimed: u64,
     ) -> Option<WorkerFaultKind> {
         for f in &self.worker_faults {
-            if f.fragment != fragment || f.slot != slot || units_done < f.after_units {
+            if f.fragment != fragment || f.slot != slot || units_claimed < f.after_units {
                 continue;
             }
             if f.taken.swap(true, Ordering::Relaxed) {

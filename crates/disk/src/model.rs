@@ -136,7 +136,7 @@ struct StreamMemo {
 }
 
 /// Mutable head/stream state of one disk. The owner (simulator thread or the
-/// executor's per-disk mutex) must serialize calls to [`DiskState::serve`] —
+/// executor's per-disk lane latch) must serialize calls to [`DiskState::serve`] —
 /// a disk services one request at a time by nature.
 #[derive(Debug, Clone)]
 pub struct DiskState {
@@ -249,7 +249,7 @@ impl DiskState {
     /// and windowed utilization audits (diff two snapshots to isolate what
     /// one pairing window did to this disk).
     pub fn class_stats(&self) -> ClassStats {
-        ClassStats { counts: self.counts, busy: self.busy }
+        ClassStats { counts: self.counts, busy: self.busy, queue_wait: 0.0 }
     }
 
     /// Forget the head position and zero the statistics (fresh run).
@@ -271,7 +271,8 @@ fn class_index(c: ServiceClass) -> usize {
 }
 
 /// Plain-old-data snapshot of one disk's per-class request counts and busy
-/// seconds, indexed `[sequential, almost_sequential, random]`. Supports
+/// seconds, indexed `[sequential, almost_sequential, random]`, plus the
+/// seconds its requests waited to be served. Supports
 /// window diffs: subtract the snapshot taken at a window's start from the
 /// one at its end and the delta is the traffic inside the window.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -280,6 +281,10 @@ pub struct ClassStats {
     pub counts: [u64; 3],
     /// Busy seconds, by service class.
     pub busy: [f64; 3],
+    /// Seconds requests waited between arriving at the disk and starting
+    /// service. Queueing belongs to whoever owns the disk: the threaded
+    /// executor's lanes fill this in, a bare [`DiskState`] reports 0.
+    pub queue_wait: f64,
 }
 
 impl ClassStats {
@@ -311,6 +316,7 @@ impl ClassStats {
             out.counts[i] = self.counts[i].saturating_sub(earlier.counts[i]);
             out.busy[i] = (self.busy[i] - earlier.busy[i]).max(0.0);
         }
+        out.queue_wait = (self.queue_wait - earlier.queue_wait).max(0.0);
         out
     }
 
@@ -321,6 +327,7 @@ impl ClassStats {
             out.counts[i] += other.counts[i];
             out.busy[i] += other.busy[i];
         }
+        out.queue_wait += other.queue_wait;
         out
     }
 }

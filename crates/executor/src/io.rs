@@ -1,12 +1,17 @@
-//! The shared machine throttle: disks behind mutexes, processors behind a
-//! counting semaphore, pages behind a sharded buffer pool.
+//! The shared machine throttle: disks as reservation timelines, processors
+//! behind a counting semaphore, pages behind a sharded buffer pool.
 //!
-//! A disk serves one request at a time, so a mutex per disk *is* the disk:
-//! the holder classifies its request against the head state from
-//! `xprs-disk` and, when a time scale is configured, sleeps the scaled
-//! service time while holding the lock — queueing, head movement and seek
-//! interference then show up in real wall-clock measurements exactly as in
-//! the discrete-event simulator.
+//! A disk serves one request at a time, so each disk is a *timeline*: its
+//! lane keeps the head state from `xprs-disk` plus the instant its last
+//! reserved service ends. [`Machine::begin_read`] classifies a request
+//! against the head state and reserves the next free interval
+//! `[max(free_at, now), + service × scale)` under the lane's latch, and
+//! hands back a [`ReadTicket`]; [`Machine::finish_read`] sleeps to the
+//! ticket's deadline with no latch held. Queueing, head movement and seek
+//! interference show up in wall-clock measurements exactly as in the
+//! discrete-event simulator — and a backend may issue a read, go on
+//! computing, and collect the page later, which is what lets a scan overlap
+//! page `k + 1`'s I/O with page `k`'s CPU.
 //!
 //! The CPU gate bounds the number of workers concurrently evaluating
 //! qualifications to the machine's processor count `N`, modelling the
@@ -41,32 +46,44 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Most overshoot one thread carries forward as credit against its next
-/// modelled sleeps. Timer slack and wake-up latency sit well under this; a
+/// modelled waits. Timer slack and wake-up latency sit well under this; a
 /// longer overrun is a host stall, and refunding it would let the thread
 /// run a burst of reads in zero wall time.
 const MAX_PACE_CREDIT: Duration = Duration::from_millis(2);
 
 thread_local! {
-    /// Wall time this thread's modelled sleeps have overshot and not yet
-    /// repaid.
+    /// How far this thread runs behind the model: wall time its modelled
+    /// waits have overshot and not yet repaid.
     static PACE_CREDIT: Cell<Duration> = const { Cell::new(Duration::ZERO) };
 }
 
-/// Sleep `wall` of modelled service time, less what this thread's earlier
-/// modelled sleeps overshot. `thread::sleep` always returns late (timer
+/// The thread's model clock at wall instant `now`: the wall clock less the
+/// thread's unrepaid overshoot. `thread::sleep` always returns late (timer
 /// slack plus wake-up latency — 17–21 % on the 0.4–0.8 ms sleeps of a 20–40×
-/// run), so unpaced sleeps stretch every modelled second; carrying the
-/// measured overshoot into the next sleep makes the *mean* realized time
-/// equal the modelled time. The credit is capped at [`MAX_PACE_CREDIT`].
-fn paced_sleep(wall: Duration) {
-    let credit = PACE_CREDIT.get();
-    let Some(due) = wall.checked_sub(credit).filter(|d| !d.is_zero()) else {
-        PACE_CREDIT.set(credit - wall);
-        return;
+/// run), so a thread that acted on the wall clock would stretch every
+/// modelled second. Instead every modelled wait is a deadline on this
+/// clock: a disk request *arrives* at `model_clock(now)` (back-dated to
+/// when a punctual thread would have issued it) and a modelled duration
+/// ends at `model_clock(now) + d`.
+fn model_clock(now: Instant) -> Instant {
+    now.checked_sub(PACE_CREDIT.get()).unwrap_or(now)
+}
+
+/// The one pacing rule: block until `target`, then record how late the
+/// thread woke (capped at [`MAX_PACE_CREDIT`]) as the overshoot its next
+/// wait repays, so the *mean* realized time equals the modelled time. A
+/// target already behind the wall clock is not slept for and repays the
+/// overshoot down to `now − target`; one behind the model clock too (a disk
+/// that finished while the thread computed) leaves it as it was.
+fn pace_until(now: Instant, target: Instant) {
+    let late = match target.checked_duration_since(now).filter(|d| !d.is_zero()) {
+        Some(due) => {
+            std::thread::sleep(due);
+            target.elapsed().min(MAX_PACE_CREDIT)
+        }
+        None => now.duration_since(target).min(PACE_CREDIT.get()),
     };
-    let t0 = Instant::now();
-    std::thread::sleep(due);
-    PACE_CREDIT.set(t0.elapsed().saturating_sub(due).min(MAX_PACE_CREDIT));
+    PACE_CREDIT.set(late);
 }
 
 /// A counting semaphore: at most `permits` holders at a time.
@@ -194,17 +211,66 @@ impl std::fmt::Display for IoFault {
 pub struct MachineStats {
     /// Per-class request counts and busy time.
     pub disk: ArrayStats,
+    /// Simulated seconds requests spent queued behind earlier reservations
+    /// on their disk, summed over the array (0 in an unthrottled run).
+    pub queue_wait: f64,
     /// Total page reads issued (buffer hits + disk reads).
     pub reads: u64,
     /// Buffer-pool counters (summed over shards).
     pub pool: PoolStats,
 }
 
+/// One disk of the array: head state plus its reservation timeline. The
+/// latch around a lane is held to classify and reserve, never to sleep.
+#[derive(Debug)]
+struct DiskLane {
+    disk: DiskState,
+    /// Wall instant the last reserved service ends; the disk idles from
+    /// then until the next arrival.
+    free_at: Instant,
+    /// Simulated seconds requests waited between arriving and starting
+    /// service (`start − arrival`, measured where the wait is decided).
+    queue_wait: f64,
+}
+
+impl DiskLane {
+    fn class_stats(&self) -> ClassStats {
+        ClassStats { queue_wait: self.queue_wait, ..self.disk.class_stats() }
+    }
+}
+
+/// One reserved disk service: its class and, in a throttled run, the wall
+/// instant it completes.
+#[derive(Debug, Clone, Copy)]
+struct Service {
+    class: ServiceClass,
+    deadline: Option<Instant>,
+}
+
+/// A page read issued by [`Machine::begin_read`] and not yet collected. On a
+/// pool miss it holds the frame's pin, so it must be handed to
+/// [`Machine::finish_read`] on every path.
+#[must_use = "an issued read keeps its buffer pin until `finish_read`"]
+#[derive(Debug)]
+pub struct ReadTicket(Option<DiskRead>);
+
+/// The disk side of a [`ReadTicket`] (a buffer hit has none).
+#[derive(Debug)]
+struct DiskRead {
+    block: u64,
+    req: IoRequest,
+    /// The pool access was a miss: the frame stays pinned until the read
+    /// finishes.
+    pinned: bool,
+    /// The first attempt's reservation.
+    service: Service,
+}
+
 /// The shared machine: striped disk array + processor gate + time scale.
 #[derive(Debug)]
 pub struct Machine {
     layout: StripedLayout,
-    disks: Vec<Mutex<DiskState>>,
+    lanes: Vec<Mutex<DiskLane>>,
     cpu: CpuGate,
     /// Sharded buffer pool; a hit skips the disk entirely. Not wrapped in a
     /// machine-level mutex — each shard carries its own latch.
@@ -261,7 +327,15 @@ impl Machine {
         let params = DiskParams::from_rates(cfg.seq_bw, cfg.almost_seq_bw, cfg.random_bw);
         Machine {
             layout: StripedLayout::new(cfg.n_disks),
-            disks: (0..cfg.n_disks).map(|_| Mutex::new(DiskState::new(params.clone()))).collect(),
+            lanes: (0..cfg.n_disks)
+                .map(|_| {
+                    Mutex::new(DiskLane {
+                        disk: DiskState::new(params.clone()),
+                        free_at: Instant::now(),
+                        queue_wait: 0.0,
+                    })
+                })
+                .collect(),
             cpu: CpuGate::new(cfg.n_procs),
             pool: (pool_pages > 0).then(|| ShardedBufferPool::new(pool_pages, shards)),
             scale,
@@ -345,9 +419,10 @@ impl Machine {
         self.cpu_busy.secs()
     }
 
-    /// Per-disk per-class request counts and busy time, indexed by disk.
+    /// Per-disk per-class request counts, busy time and queue wait, indexed
+    /// by disk.
     pub fn disk_class_stats(&self) -> Vec<ClassStats> {
-        self.disks.iter().map(|d| lock(d).class_stats()).collect()
+        self.lanes.iter().map(|l| lock(l).class_stats()).collect()
     }
 
     /// [`Machine::disk_class_stats`] merged over the whole array — the
@@ -355,8 +430,8 @@ impl Machine {
     /// edges.
     pub fn disk_class_total(&self) -> ClassStats {
         let mut total = ClassStats::default();
-        for d in &self.disks {
-            total = total.merged(&lock(d).class_stats());
+        for l in &self.lanes {
+            total = total.merged(&lock(l).class_stats());
         }
         total
     }
@@ -400,12 +475,8 @@ impl Machine {
             .unwrap_or_else(|f| panic!("unhandled I/O fault: {f}"))
     }
 
-    /// Fault-tolerant read: like [`Machine::read`], but an injected
-    /// transient read error is retried up to [`READ_ATTEMPTS`] times with
-    /// doubling (scaled) backoff before escalating to an [`IoFault`]. Every
-    /// attempt occupies the disk for its full classified service time —
-    /// a fault costs I/O, it does not refund it. With no fault plan
-    /// attached this never errors.
+    /// Fault-tolerant blocking read: [`Machine::begin_read`] and
+    /// [`Machine::finish_read`] back to back.
     pub fn try_read(
         &self,
         rel: RelId,
@@ -413,45 +484,60 @@ impl Machine {
         worker: WorkerId,
         solo: bool,
     ) -> Result<Option<ServiceClass>, IoFault> {
+        self.finish_read(self.begin_read(rel, global_block, worker, solo))
+    }
+
+    /// Issue a read of `global_block` of `rel` without waiting for it:
+    /// consult the buffer pool and, on a miss, classify the request against
+    /// its disk's head state and reserve the disk's next free service
+    /// interval. The caller collects the page with [`Machine::finish_read`]
+    /// — at once for a blocking read, or after doing other work while the
+    /// disk serves it.
+    pub fn begin_read(
+        &self,
+        rel: RelId,
+        global_block: u64,
+        worker: WorkerId,
+        solo: bool,
+    ) -> ReadTicket {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        let mut pinned_miss = false;
+        let mut pinned = false;
         if let Some(pool) = &self.pool {
             match pool.access(rel, global_block) {
-                Ok(FetchOutcome::Hit) => return Ok(None),
-                Ok(FetchOutcome::Miss) => pinned_miss = true,
+                Ok(FetchOutcome::Hit) => return ReadTicket(None),
+                Ok(FetchOutcome::Miss) => pinned = true,
                 Err(_) => {
                     // Shard exhausted by concurrent pins: bypass the pool.
                 }
             }
         }
-        let disk = self.layout.disk_of(global_block) as usize;
         let req = IoRequest {
             rel,
             local_block: self.layout.local_block(global_block),
             worker,
             solo,
         };
+        let service = self.reserve(&req, global_block, true);
+        ReadTicket(Some(DiskRead { block: global_block, req, pinned, service }))
+    }
+
+    /// Wait for an issued read: sleep to its reservation's deadline, then —
+    /// on an injected transient read error — retry up to
+    /// [`READ_ATTEMPTS`] times with doubling (scaled) backoff before
+    /// escalating to an [`IoFault`]. Every attempt reserves the disk for its
+    /// full classified service time — a fault costs I/O, it does not refund
+    /// it. Returns the service class of the disk read, or `None` on a
+    /// buffer hit; with no fault plan attached this never errors. The pool
+    /// pin of a miss is returned on every path.
+    pub fn finish_read(&self, ticket: ReadTicket) -> Result<Option<ServiceClass>, IoFault> {
+        let Some(DiskRead { block, req, pinned, mut service }) = ticket.0 else { return Ok(None) };
         let attempts = self.read_attempts;
-        let mut outcome = Err(IoFault { rel, block: global_block, attempts });
+        let mut outcome = Err(IoFault { rel: req.rel, block, attempts });
         for attempt in 0..attempts {
-            let class = {
-                let mut d = lock(&self.disks[disk]);
-                // Sustained degradation is keyed to the disk's own request
-                // ordinal, so it fires identically across interleavings.
-                let mult = self
-                    .faults
-                    .as_ref()
-                    .map_or(1.0, |f| f.slowdown_multiplier(disk, d.total_count()));
-                let (class, dur) = d.serve_degraded(&req, mult);
-                // Sleeping while holding the lock serializes the disk —
-                // that is the model, not a bug.
-                self.sleep_sim(dur);
-                class
-            };
-            let faulted =
-                self.faults.as_ref().is_some_and(|f| f.take_read_error(rel, global_block));
+            self.await_service(service);
+            let faulted = self.faults.as_ref().is_some_and(|f| f.take_read_error(req.rel, block));
             if !faulted {
-                outcome = Ok(Some(class));
+                outcome = Ok(Some(service.class));
                 break;
             }
             if attempt + 1 < attempts {
@@ -459,6 +545,7 @@ impl Machine {
                     m.io_retries.inc();
                 }
                 self.sleep_sim(self.retry_backoff * (1u64 << attempt.min(30)) as f64);
+                service = self.reserve(&req, block, true);
             }
         }
         if outcome.is_err() {
@@ -466,7 +553,7 @@ impl Machine {
                 m.io_faults.inc();
             }
         }
-        if pinned_miss {
+        if pinned {
             if let Some(pool) = &self.pool {
                 // Also on the fault path: the frame holds no data in this
                 // model, but the *pin* must always be returned — leaking one
@@ -474,7 +561,7 @@ impl Machine {
                 // livelock under a retry storm. An unpin anomaly (double
                 // release under a retry race) is a typed error now: count it
                 // and keep serving rather than killing the worker.
-                if pool.finish_read(rel, global_block).is_err() {
+                if pool.finish_read(req.rel, block).is_err() {
                     if let Some(m) = &self.metrics {
                         m.unpin_anomalies.inc();
                     }
@@ -482,6 +569,39 @@ impl Machine {
             }
         }
         outcome
+    }
+
+    /// Classify `req` against its disk's head state and reserve the disk's
+    /// next free interval, `[max(free_at, arrival), + service × scale)`. The
+    /// request arrives on the issuing thread's model clock, so a thread that
+    /// woke late from its previous wait does not push that lateness into
+    /// the disk's idle time. This is the only place the I/O path takes a
+    /// lane latch, and it sleeps nowhere. `degradable` requests (heap reads)
+    /// are stretched by an injected slowdown, keyed to the disk's own
+    /// request ordinal so it fires identically across interleavings.
+    fn reserve(&self, req: &IoRequest, global_block: u64, degradable: bool) -> Service {
+        let disk = self.layout.disk_of(global_block) as usize;
+        let arrival = (self.scale > 0.0).then(|| model_clock(Instant::now()));
+        let mut lane = lock(&self.lanes[disk]);
+        let mult = match &self.faults {
+            Some(f) if degradable => f.slowdown_multiplier(disk, lane.disk.total_count()),
+            _ => 1.0,
+        };
+        let (class, dur) = lane.disk.serve_degraded(req, mult);
+        let deadline = arrival.map(|arrival| {
+            let start = lane.free_at.max(arrival);
+            lane.queue_wait += start.duration_since(arrival).as_secs_f64() / self.scale;
+            lane.free_at = start + Duration::from_secs_f64(dur * self.scale);
+            lane.free_at
+        });
+        Service { class, deadline }
+    }
+
+    /// Sleep until a reserved service completes (no-op when unthrottled).
+    fn await_service(&self, service: Service) {
+        if let Some(deadline) = service.deadline {
+            pace_until(Instant::now(), deadline);
+        }
     }
 
     /// The sharded buffer pool, when one is attached. The master's admission
@@ -501,16 +621,14 @@ impl Machine {
     /// `hits + misses + bypasses == reads` must keep holding.
     pub fn spill_io(&self, rel: RelId, start_block: u64, n_blocks: u64, worker: WorkerId) {
         for b in start_block..start_block + n_blocks {
-            let disk = self.layout.disk_of(b) as usize;
             let req = IoRequest {
                 rel,
                 local_block: self.layout.local_block(b),
                 worker,
                 solo: false,
             };
-            let mut d = lock(&self.disks[disk]);
-            let (_class, dur) = d.serve_degraded(&req, 1.0);
-            self.sleep_sim(dur);
+            let service = self.reserve(&req, b, false);
+            self.await_service(service);
         }
     }
 
@@ -541,12 +659,13 @@ impl Machine {
         self.sleep_sim(seconds);
     }
 
-    /// Occupy the calling thread for `seconds` of simulated time — the one
-    /// place modelled time becomes wall time (disk service, spill I/O,
-    /// retry backoff, CPU bursts all come through here).
+    /// Occupy the calling thread for `seconds` of simulated time on its
+    /// model clock (retry backoff and CPU bursts; disk service waits on its
+    /// reservation's deadline instead, see [`Machine::await_service`]).
     fn sleep_sim(&self, seconds: f64) {
         if self.scale > 0.0 && seconds > 0.0 {
-            paced_sleep(Duration::from_secs_f64(seconds * self.scale));
+            let now = Instant::now();
+            pace_until(now, model_clock(now) + Duration::from_secs_f64(seconds * self.scale));
         }
     }
 
@@ -558,16 +677,15 @@ impl Machine {
 
     /// Statistics so far.
     pub fn stats(&self) -> MachineStats {
-        let mut disk = ArrayStats::default();
-        for d in &self.disks {
-            let d = lock(d);
-            disk.sequential += d.count_of(ServiceClass::Sequential);
-            disk.almost_sequential += d.count_of(ServiceClass::AlmostSequential);
-            disk.random += d.count_of(ServiceClass::Random);
-            disk.busy_time += d.busy_time();
-        }
+        let total = self.disk_class_total();
         MachineStats {
-            disk,
+            disk: ArrayStats {
+                sequential: total.count_of(ServiceClass::Sequential),
+                almost_sequential: total.count_of(ServiceClass::AlmostSequential),
+                random: total.count_of(ServiceClass::Random),
+                busy_time: total.total_busy(),
+            },
+            queue_wait: total.queue_wait,
             reads: self.reads.load(Ordering::Relaxed),
             pool: self.pool.as_ref().map(|p| p.stats()).unwrap_or_default(),
         }
@@ -593,11 +711,11 @@ impl Machine {
         let classes =
             [ServiceClass::Sequential, ServiceClass::AlmostSequential, ServiceClass::Random];
         let mut out = [(0u64, 0.0f64); 3];
-        for d in &self.disks {
-            let d = lock(d);
+        for l in &self.lanes {
+            let l = lock(l);
             for (slot, class) in classes.into_iter().enumerate() {
-                out[slot].0 += d.count_of(class);
-                out[slot].1 += d.busy_time_of(class);
+                out[slot].0 += l.disk.count_of(class);
+                out[slot].1 += l.disk.busy_time_of(class);
             }
         }
         out
@@ -716,7 +834,8 @@ mod tests {
         for _ in 0..3 {
             let t0 = Instant::now();
             for _ in 0..200 {
-                paced_sleep(step);
+                let now = Instant::now();
+                pace_until(now, model_clock(now) + step);
                 assert!(PACE_CREDIT.get() <= MAX_PACE_CREDIT, "carried credit must stay bounded");
             }
             let took = t0.elapsed().as_secs_f64();
@@ -728,14 +847,129 @@ mod tests {
 
     #[test]
     fn pace_credit_is_spent_not_refunded_twice() {
-        // A thread holding the full credit skips a shorter sleep outright
+        // A thread holding the full credit skips a shorter wait outright
         // and keeps only the difference.
         PACE_CREDIT.set(MAX_PACE_CREDIT);
         let t0 = Instant::now();
-        paced_sleep(Duration::from_millis(1));
+        pace_until(t0, model_clock(t0) + Duration::from_millis(1));
         assert!(t0.elapsed() < Duration::from_millis(1));
         assert_eq!(PACE_CREDIT.get(), MAX_PACE_CREDIT - Duration::from_millis(1));
+        // A deadline that passed before the thread's model clock (a disk
+        // that finished while the thread computed) repays nothing.
+        pace_until(t0, t0 - Duration::from_millis(5));
+        assert_eq!(PACE_CREDIT.get(), MAX_PACE_CREDIT - Duration::from_millis(1));
         PACE_CREDIT.set(Duration::ZERO);
+    }
+
+    /// Wall seconds from `t0` until each ticket, collected in order, is done.
+    fn collect(m: &Machine, t0: Instant, tickets: Vec<ReadTicket>) -> Vec<f64> {
+        tickets
+            .into_iter()
+            .map(|t| {
+                m.finish_read(t).expect("fault-free read");
+                t0.elapsed().as_secs_f64()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reads_to_one_disk_queue_and_reads_to_two_disks_overlap() {
+        // Scale 1.0, cold random reads: s = 1/35 s ≈ 28.6 ms each. Blocks 0
+        // and 4 share disk 0, so issued back to back they finish ≈ s and
+        // ≈ 2s after the first issue; blocks 1 and 2 sit on disks 1 and 2
+        // and both finish ≈ s after it. The lower bounds are exact (a sleep
+        // never returns early, and a fresh thread carries no credit), the
+        // upper bounds leave a loaded host most of a service time of slack,
+        // and the queue-wait ledger is the timeline's own arithmetic.
+        let s = 1.0 / 35.0;
+        let m = machine(1.0);
+        let w = m.new_worker_id();
+        let t0 = Instant::now();
+        let same = vec![m.begin_read(RelId(1), 0, w, false), m.begin_read(RelId(2), 4, w, false)];
+        let done = collect(&m, t0, same);
+        assert!(done[0] >= s && done[0] < 1.8 * s, "first read took {} s", done[0]);
+        assert!(done[1] >= 2.0 * s && done[1] < 2.8 * s, "queued read took {} s", done[1]);
+        let queued = m.stats().queue_wait;
+        assert!(queued > 0.5 * s && queued <= s, "second read queued {queued} s, not ≈ {s}");
+
+        let t0 = Instant::now();
+        let apart = vec![m.begin_read(RelId(1), 1, w, false), m.begin_read(RelId(1), 2, w, false)];
+        let done = collect(&m, t0, apart);
+        // By now the thread may carry overshoot from the waits above, and
+        // its requests arrive back-dated by that much.
+        let floor = s - MAX_PACE_CREDIT.as_secs_f64();
+        assert!(done[1] >= floor && done[1] < 1.8 * s, "different disks must overlap: {done:?}");
+        assert_eq!(m.stats().queue_wait, queued, "an idle disk queues nothing");
+    }
+
+    #[test]
+    fn solo_stream_with_read_ahead_stays_sequential() {
+        // The scan loop's shape: issue page k+1, then collect page k. Each
+        // disk still sees its blocks in order from one worker.
+        let m = machine(0.0);
+        let w = m.new_worker_id();
+        let mut seq = 0;
+        let mut in_flight = m.begin_read(RelId(1), 0, w, true);
+        for b in 1..=100u64 {
+            let next = (b < 100).then(|| m.begin_read(RelId(1), b, w, true));
+            if m.finish_read(in_flight) == Ok(Some(ServiceClass::Sequential)) {
+                seq += 1;
+            }
+            let Some(next) = next else { break };
+            in_flight = next;
+        }
+        assert_eq!(seq, 96); // 4 cold (one per disk)
+        assert_eq!(m.stats().disk.total(), 100);
+    }
+
+    #[test]
+    fn no_latch_is_held_while_reads_are_in_flight() {
+        // Eight reads at scale 1.0 keep every disk reserved for ≥ 57 ms; a
+        // stats snapshot taken meanwhile must not wait for any of them.
+        let m = Arc::new(machine(1.0));
+        let readers: Vec<_> = (0..8u64)
+            .map(|b| {
+                let m = m.clone();
+                std::thread::spawn(move || {
+                    let w = m.new_worker_id();
+                    m.read(RelId(b + 1), b, w, false);
+                })
+            })
+            .collect();
+        while m.reads() < 8 {
+            std::thread::yield_now();
+        }
+        let mut fastest = Duration::MAX;
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            let _ = m.disk_class_total();
+            fastest = fastest.min(t0.elapsed());
+        }
+        assert!(fastest < Duration::from_millis(1), "snapshot blocked for {fastest:?}");
+        for r in readers {
+            r.join().expect("reader must not panic");
+        }
+        assert_eq!(m.disk_class_total().total_count(), 8);
+    }
+
+    #[test]
+    fn a_faulted_first_attempt_is_retried_from_finish_read() {
+        // The fault is taken when the attempt completes, not when it is
+        // issued: `begin_read` reserves one service, `finish_read` reserves
+        // the retries, and every attempt occupies the disk.
+        let plan = Arc::new(FaultPlan::new().with_read_error(RelId(1), 5, READ_ATTEMPTS - 1));
+        let m = Machine::with_pool(&MachineConfig::paper_default(), 0.0, 8).with_faults(plan.clone());
+        let w = m.new_worker_id();
+        let ticket = m.begin_read(RelId(1), 5, w, true);
+        assert_eq!(plan.stats().read_errors_fired(), 0);
+        assert_eq!(m.stats().disk.total(), 1);
+        assert_eq!(m.pool_pinned(), 1, "an issued miss holds its pin");
+        assert!(m.finish_read(ticket).is_ok(), "retries must absorb the fault");
+        assert_eq!(plan.stats().read_errors_fired(), u64::from(READ_ATTEMPTS - 1));
+        assert_eq!(m.stats().disk.total(), u64::from(READ_ATTEMPTS));
+        assert_eq!(m.pool_pinned(), 0);
+        let s = m.stats();
+        assert_eq!(s.pool.hits + s.pool.misses + s.pool.bypasses, s.reads);
     }
 
     #[test]

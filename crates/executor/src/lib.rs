@@ -5,12 +5,13 @@
 //! hands plan fragments to **slave backend** threads, which communicate
 //! purely through shared memory (locks and channels).
 //!
-//! * [`io`] — the machine throttle: every heap-page read goes through a
-//!   per-disk mutex whose holder "serves" the request under the
-//!   `xprs-disk` service model (optionally sleeping a scaled-down service
-//!   time so wall-clock behaviour mirrors the simulated machine), and a
-//!   counting semaphore limits concurrently-computing workers to the
-//!   machine's `N` processors.
+//! * [`io`] — the machine throttle: every heap-page read is *issued*
+//!   against its disk's reservation timeline — classified under the
+//!   `xprs-disk` service model and given the disk's next free interval —
+//!   and *awaited* by sleeping to that interval's (scaled-down) end, so
+//!   wall-clock behaviour mirrors the simulated machine and a backend can
+//!   compute while its next page is read; a counting semaphore limits
+//!   concurrently-computing workers to the machine's `N` processors.
 //! * [`program`] — fragment compilation: a sequential [`xprs_optimizer::Plan`]
 //!   is cut at its blocking edges (the same rule the optimizer uses) into
 //!   data-parallel pipeline programs: a partitioned *driver* (page-
@@ -18,7 +19,8 @@
 //!   merge) followed by probe/merge/nest operators over materialized inputs.
 //! * [`worker`] — the slave backend loop: claim the next work unit (a
 //!   morsel-claimed page or key on the stealing path, a static §2.4 share
-//!   otherwise), perform the throttled I/O, evaluate the pipeline, emit
+//!   otherwise), issue its throttled read, evaluate the previously read
+//!   page through the pipeline (one page of claim-first read-ahead), emit
 //!   result tuples; workers discover retirement and new assignments
 //!   through the shared partition structures, so dynamic parallelism
 //!   adjustment needs no thread cancellation.
@@ -57,7 +59,7 @@ pub mod steal;
 pub mod worker;
 
 pub use cancel::CancelToken;
-pub use io::{CpuGate, IoFault, Machine, MachineStats, READ_ATTEMPTS, RETRY_BACKOFF};
+pub use io::{CpuGate, IoFault, Machine, MachineStats, ReadTicket, READ_ATTEMPTS, RETRY_BACKOFF};
 pub use config::{ExecConfig, MorselMode, DEFAULT_MORSEL_UNITS};
 pub use error::ExecError;
 pub use master::{ExecReport, ExecSession, Executor, QueryResult, QueryRun};

@@ -2127,13 +2127,22 @@ fn to_processors(x: f64, n_procs: u32) -> u32 {
 ///
 /// The policy's `C_i·x` arithmetic takes each processor to sustain the
 /// rate `C_i` the fragment was profiled at — one backend, solo reads at
-/// `1/seq_bw`. Every read of a parallel scan is served synchronously at
-/// `1/almost_seq_bw` instead, so a backend's page cycle is `1/C_i + δ` with
+/// `1/seq_bw`. A read of a parallel scan is served at `1/almost_seq_bw`
+/// instead, so a page spends `1/C_i + δ` in a backend's hands with
 /// `δ = 1/almost_seq_bw − 1/seq_bw`, and by Little's law holding the
-/// planned `λ = C_i·x` takes `λ·(1/C_i + δ) = x·(1 + C_i·δ)` backends in
-/// flight. A backend blocked on a disk holds no processor, and the CPU
-/// gate admits `n_procs` computing backends however many exist, so the
-/// surplus costs threads, not processors.
+/// planned `λ = C_i·x` takes `λ·(1/C_i + δ) = x·(1 + C_i·δ)` pages in
+/// flight. A backend keeps one page of read-ahead (`worker.rs`), so it
+/// carries up to two requests and the formula is a *lower bound* on the
+/// requests in flight, not their count: the second request only hides the
+/// page's CPU behind its read, it does not shorten the read, and an
+/// IO-bound page is nearly all read. Measured with read-ahead on
+/// (`disk_mix`, seed 104, alternating, `latency_p50_ms`): `backends = x`
+/// for every fragment 2182 / 2196 ms, this staffing 1979 / 1966 ms (the
+/// prototype that sized the change: 2271 / 2181 vs 2107 / 2007) — it still
+/// buys 7–10 %, so it stays (`docs/results/readahead.md` §5). A
+/// backend blocked on a disk holds no processor, and the CPU gate admits
+/// `n_procs` computing backends however many exist, so the surplus costs
+/// threads, not processors.
 ///
 /// `x = 1` keeps its solo stream, and `Random` fragments are profiled at
 /// the service time they run at (`δ = 0`). No backend is staffed without a

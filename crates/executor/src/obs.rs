@@ -234,6 +234,14 @@ pub struct AuditWindow {
     pub disk_util: f64,
     /// Fraction of the window the processors were busy.
     pub cpu_util: f64,
+    /// Simulated seconds the window's requests spent queued for a disk,
+    /// summed over the array — the disk wait reason, measured where each
+    /// request's start is decided.
+    pub queue_wait: f64,
+    /// Mean requests at the array (queued or in service) over the window:
+    /// `(queue_wait + busy) / window`, by Little's law. With one page of
+    /// read-ahead a backend contributes up to two.
+    pub queue_depth: f64,
     /// §2.3's corrected effective bandwidth for the window's demand mix:
     /// `B = Br + (1 − ratio)(Bs − Br)` for two sequential streams.
     pub predicted_bw: f64,
@@ -329,6 +337,8 @@ pub fn audit_samples(samples: &[UtilSample], machine: &MachineConfig, scale: f64
             planned_bw: demands.iter().fold(0.0, |sum, d| sum + d.0),
             disk_util: disk.total_busy() / (f64::from(machine.n_disks) * sim_dt),
             cpu_util: (s1.cpu_busy - s0.cpu_busy).max(0.0) / (f64::from(machine.n_procs) * sim_dt),
+            queue_wait: disk.queue_wait,
+            queue_depth: (disk.queue_wait + disk.total_busy()) / sim_dt,
             predicted_bw: effective_bandwidth(machine, &demands),
         };
         if w.paired && requests >= AUDIT_MIN_REQUESTS {
@@ -374,10 +384,11 @@ fn class_stats_json(c: &ClassStats) -> String {
         format!("{{\"count\":{},\"busy\":{}}}", c.count_of(class), fnum(c.busy_of(class)))
     };
     format!(
-        "{{\"sequential\":{},\"almost_sequential\":{},\"random\":{}}}",
+        "{{\"sequential\":{},\"almost_sequential\":{},\"random\":{},\"queue_wait\":{}}}",
         field(ServiceClass::Sequential),
         field(ServiceClass::AlmostSequential),
-        field(ServiceClass::Random)
+        field(ServiceClass::Random),
+        fnum(c.queue_wait)
     )
 }
 
@@ -399,7 +410,7 @@ fn audit_json(a: &UtilizationAudit) -> String {
             format!(
                 "{{\"t0\":{},\"t1\":{},\"tasks\":[{}],\"paired\":{},\"solo_io\":{},\
                  \"requests\":{},\"measured_bw\":{},\"planned_bw\":{},\"disk_util\":{},\
-                 \"cpu_util\":{},\"predicted_bw\":{}}}",
+                 \"cpu_util\":{},\"queue_wait\":{},\"queue_depth\":{},\"predicted_bw\":{}}}",
                 fnum(w.t0),
                 fnum(w.t1),
                 tasks.join(","),
@@ -410,6 +421,8 @@ fn audit_json(a: &UtilizationAudit) -> String {
                 fnum(w.planned_bw),
                 fnum(w.disk_util),
                 fnum(w.cpu_util),
+                fnum(w.queue_wait),
+                fnum(w.queue_depth),
                 fnum(w.predicted_bw)
             )
         })
@@ -596,7 +609,8 @@ mod tests {
         UtilSample {
             now,
             running,
-            disk: ClassStats { counts: [0, reqs, 0], busy: [0.0, busy, 0.0] },
+            // Every request queued for as long as it was served.
+            disk: ClassStats { counts: [0, reqs, 0], busy: [0.0, busy, 0.0], queue_wait: busy },
             cpu_busy: cpu,
             reads: reqs,
         }
@@ -633,6 +647,10 @@ mod tests {
         assert!((w.measured_bw - 180.0).abs() < 1e-9);
         assert!((w.disk_util - 0.95).abs() < 1e-9);
         assert!((w.cpu_util - 0.5).abs() < 1e-9);
+        // 38 s queued + 38 s in service over a 10 s window: 7.6 requests at
+        // the array on average.
+        assert!((w.queue_wait - 38.0).abs() < 1e-9);
+        assert!((w.queue_depth - 7.6).abs() < 1e-9);
         // Two sequential streams at demands 180 vs 50: §2.3 interpolates
         // strictly inside the band.
         assert!(w.predicted_bw > 140.0 && w.predicted_bw < 240.0);

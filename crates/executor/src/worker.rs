@@ -33,7 +33,7 @@ use xprs_storage::partition::{PagePartition, RangePartition};
 use xprs_storage::runs::is_sorted_run;
 use xprs_storage::{Catalog, Relation, Tuple};
 
-use crate::io::{lock, IoFault, Machine};
+use crate::io::{lock, IoFault, Machine, ReadTicket};
 use crate::master::MasterMsg;
 use crate::obs::ExecMetrics;
 use crate::program::{Driver, FragmentProgram, Materialized, PipelineOp};
@@ -345,24 +345,36 @@ impl<'m> WorkerState<'m> {
         }
     }
 
-    /// Issue one page read through the retrying fault-aware path. Returns
-    /// `false` when the read failed unrecoverably: the caller must stop
-    /// producing from this unit, and the whole fragment is flagged to drain.
-    fn read(&mut self, ctx: &FragCtx, rel: RelId, block: u64, solo: bool) -> bool {
-        if self.io_fault.is_some() {
-            return false;
-        }
-        match self.machine.try_read(rel, block, self.wid, solo) {
-            Ok(_) => {
+    /// Issue one page read without waiting for it (`None` once this worker
+    /// carries an unrecoverable fault: every further read is skipped).
+    fn issue_read(&mut self, rel: RelId, block: u64, solo: bool) -> Option<ReadTicket> {
+        self.io_fault.is_none().then(|| self.machine.begin_read(rel, block, self.wid, solo))
+    }
+
+    /// Collect an issued read through the retrying fault-aware path. Returns
+    /// `false` when the read (or an earlier one) failed unrecoverably: the
+    /// caller must stop producing from this unit, and the whole fragment is
+    /// flagged to drain. The ticket is always finished, so its pin returns.
+    fn await_read(&mut self, ctx: &FragCtx, ticket: Option<ReadTicket>) -> bool {
+        let Some(ticket) = ticket else { return false };
+        match self.machine.finish_read(ticket) {
+            Ok(_) if self.io_fault.is_none() => {
                 ctx.pages_read.fetch_add(1, Ordering::Relaxed);
                 true
             }
+            Ok(_) => false,
             Err(fault) => {
-                self.io_fault = Some(fault);
+                self.io_fault.get_or_insert(fault);
                 ctx.aborted.store(true, Ordering::Relaxed);
                 false
             }
         }
+    }
+
+    /// One blocking page read: issue and collect back to back.
+    fn read(&mut self, ctx: &FragCtx, rel: RelId, block: u64, solo: bool) -> bool {
+        let ticket = self.issue_read(rel, block, solo);
+        self.await_read(ctx, ticket)
     }
 
     /// Emit one result tuple. This touches no shared state at all: the
@@ -471,29 +483,33 @@ pub(crate) fn run_worker(
     };
     if let Some((part, key_base)) = stealing {
         if run_morsel_worker(ctx, slot, machine, catalog, &mut ws, &heartbeat, &part, key_base) {
-            return; // injected death: vanish without registering the exit
+            // Injected death: flush what was finished, then vanish without
+            // registering the exit.
+            ws.settle(ctx);
+            return;
         }
         worker_epilogue(ctx, slot, &mut ws);
         return;
     }
-    let mut my_units = 0u64;
+    // Units this worker has claimed; at most one of them — the page whose
+    // read is in flight — is not yet finished.
+    let mut claimed = 0u64;
+    let mut in_flight: Option<PageRead> = None;
+    let mut died = false;
     loop {
         if ctx.stopped() {
             break;
         }
-        // Injected worker faults fire at unit boundaries: a pulled unit is
-        // always completed before the next pull, so a death here never
-        // leaves a unit half-done — its cursor cleanly separates finished
-        // work from the obligation the master will reclaim.
+        // Injected worker faults fire at claim boundaries, keyed to units
+        // *claimed*: a claimed unit is always completed, so a death here
+        // never leaves a unit half-done — the page in flight is finished
+        // below, and the cursor cleanly separates this worker's work from
+        // the obligation the master will reclaim.
         if let Some(plan) = machine.fault_plan() {
-            match plan.take_worker_fault(ctx.gid, slot, my_units) {
+            match plan.take_worker_fault(ctx.gid, slot, claimed) {
                 Some(WorkerFaultKind::Death) => {
-                    // Completed units live in shared memory and survive the
-                    // worker (flush them), but the slot vanishes without
-                    // registering in `exited_slots`: its heartbeat freezes
-                    // and the patrol declares it dead.
-                    ws.settle(ctx);
-                    return;
+                    died = true;
+                    break;
                 }
                 Some(WorkerFaultKind::Stall { millis }) => {
                     std::thread::sleep(Duration::from_millis(millis));
@@ -510,13 +526,35 @@ pub(crate) fn run_worker(
             }
         };
         let Some(unit) = unit else { break };
-        match unit {
-            Unit::Page(page) => scan_page(ctx, catalog, page, &mut ws),
-            Unit::Key(key) => scan_key(ctx, catalog, key, &mut ws),
+        claimed += 1;
+        let finished = match unit {
+            Unit::Page(page) => {
+                let next = issue_page(ctx, catalog, page, &mut ws);
+                read_ahead(ctx, catalog, &mut in_flight, Some(next), &mut ws)
+            }
+            Unit::Key(key) => {
+                scan_key(ctx, catalog, key, &mut ws);
+                true
+            }
+        };
+        if finished {
+            ctx.finish_unit();
+            heartbeat.fetch_add(1, Ordering::Relaxed);
         }
+    }
+    // However the loop ended — exhaustion, retirement, stop or death — the
+    // claimed page still in flight is this worker's to finish.
+    if read_ahead(ctx, catalog, &mut in_flight, None, &mut ws) {
         ctx.finish_unit();
-        my_units += 1;
         heartbeat.fetch_add(1, Ordering::Relaxed);
+    }
+    if died {
+        // Completed units live in shared memory and survive the worker
+        // (flush them), but the slot vanishes without registering in
+        // `exited_slots`: its heartbeat freezes and the patrol declares it
+        // dead.
+        ws.settle(ctx);
+        return;
     }
     worker_epilogue(ctx, slot, &mut ws);
 }
@@ -536,10 +574,13 @@ fn worker_epilogue(ctx: &Arc<FragCtx>, slot: usize, ws: &mut WorkerState<'_>) {
 
 /// Morsel-driven worker loop: claim a morsel (own deque, else steal),
 /// claim its units one CAS at a time, and settle the completion ledger
-/// **once per morsel** instead of once per unit. Returns `true` when an
-/// injected death fired — the caller vanishes without registering an exit,
-/// so the heartbeat patrol detects the corpse and reclaims the morsel's
-/// unclaimed remainder through [`StealPartition::fail_slot`].
+/// **once per morsel** instead of once per unit. A page scan keeps one page
+/// of read-ahead across unit *and* morsel boundaries: the next unit is
+/// claimed — from the morsel in hand, the own deque or a victim — and its
+/// read issued before the previous page is evaluated. Returns `true` when
+/// an injected death fired — the caller vanishes without registering an
+/// exit, so the heartbeat patrol detects the corpse and reclaims the
+/// morsel's unclaimed remainder through [`StealPartition::fail_slot`].
 #[allow(clippy::too_many_arguments)]
 fn run_morsel_worker(
     ctx: &Arc<FragCtx>,
@@ -553,8 +594,10 @@ fn run_morsel_worker(
 ) -> bool {
     let metrics = machine.metrics().cloned();
     let claim = part.claim_of(slot);
-    let mut my_units = 0u64;
+    let mut claimed = 0u64; // units claimed; at most one is still in flight
     let mut batch = 0u64; // units finished but not yet reported
+    let mut in_flight: Option<PageRead> = None;
+    let mut died = false;
     // Enabled-metrics cost discipline: steal/fail *counts* accumulate in
     // worker-local integers and flush to the shared registry once at exit
     // (they stay exact); the latency histograms are *sampled* — one morsel
@@ -592,17 +635,16 @@ fn run_morsel_worker(
             if ctx.stopped() {
                 break;
             }
-            // Faults fire at unit boundaries, exactly as on the static
+            // Faults fire at claim boundaries, exactly as on the static
             // path: a death leaves no unit half-done, and the units this
-            // incarnation claimed are flushed and reported before it
-            // vanishes — the patrol reclaims only what was never claimed.
+            // incarnation claimed — the page in flight included — are
+            // finished and reported before it vanishes; the patrol reclaims
+            // only what was never claimed.
             if let Some(plan) = machine.fault_plan() {
-                match plan.take_worker_fault(ctx.gid, slot, my_units) {
+                match plan.take_worker_fault(ctx.gid, slot, claimed) {
                     Some(WorkerFaultKind::Death) => {
-                        ctx.report_units(batch);
-                        ws.settle(ctx);
-                        flush_steal_counts(&metrics, loc_steals, loc_fails);
-                        return true;
+                        died = true;
+                        break 'morsels;
                     }
                     Some(WorkerFaultKind::Stall { millis }) => {
                         std::thread::sleep(Duration::from_millis(millis));
@@ -613,15 +655,21 @@ fn run_morsel_worker(
             let Some(unit) = StealPartition::claim_unit(&claim) else {
                 break; // morsel exhausted or slot revoked: back to the deques
             };
-            match ctx.program.driver {
-                Driver::PageScan { .. } => scan_page(ctx, catalog, unit, ws),
+            claimed += 1;
+            let finished = match ctx.program.driver {
+                Driver::PageScan { .. } => {
+                    let next = issue_page(ctx, catalog, unit, ws);
+                    read_ahead(ctx, catalog, &mut in_flight, Some(next), ws)
+                }
                 Driver::KeyScan { .. } | Driver::KeyDomain => {
                     scan_key(ctx, catalog, key_base + unit as i64, ws);
+                    true
                 }
+            };
+            if finished {
+                batch += 1;
+                heartbeat.fetch_add(1, Ordering::Relaxed);
             }
-            my_units += 1;
-            batch += 1;
-            heartbeat.fetch_add(1, Ordering::Relaxed);
         }
         // Amortized handoff: one completion report per morsel episode.
         ctx.report_units(batch);
@@ -633,9 +681,15 @@ fn run_morsel_worker(
             break 'morsels;
         }
     }
+    // However the loops ended — exhaustion, revocation, stop or death — the
+    // claimed page still in flight is this worker's to finish and report.
+    if read_ahead(ctx, catalog, &mut in_flight, None, ws) {
+        batch += 1;
+        heartbeat.fetch_add(1, Ordering::Relaxed);
+    }
     ctx.report_units(batch);
     flush_steal_counts(&metrics, loc_steals, loc_fails);
-    false
+    died
 }
 
 /// Latency-histogram sampling rate on the morsel path: one episode in this
@@ -654,20 +708,58 @@ fn flush_steal_counts(metrics: &Option<Arc<ExecMetrics>>, steals: u64, fails: u6
     }
 }
 
-/// Page-scan driver: read one heap page, filter, run the pipeline.
-fn scan_page(ctx: &FragCtx, catalog: &Catalog, page: u64, ws: &mut WorkerState<'_>) {
+/// A claimed heap page whose read is issued and not yet collected.
+struct PageRead<'c> {
+    /// Index of the scanned relation among the query's bindings.
+    rel: usize,
+    relation: &'c Relation,
+    page: u64,
+    ticket: Option<ReadTicket>,
+}
+
+/// Page-scan driver, first half: issue the read of a claimed heap page.
+fn issue_page<'c>(
+    ctx: &FragCtx,
+    catalog: &'c Catalog,
+    page: u64,
+    ws: &mut WorkerState<'_>,
+) -> PageRead<'c> {
     let Driver::PageScan { rel } = ctx.program.driver else {
         unreachable!("page unit on a non-page driver");
     };
     let relation = ctx.relation(catalog, rel);
-    if !ws.read(ctx, relation.heap.rel(), page, ctx.solo()) {
+    PageRead { rel, relation, page, ticket: ws.issue_read(relation.heap.rel(), page, ctx.solo()) }
+}
+
+/// One page of read-ahead, claim-first: `next` — a page this worker has
+/// already claimed, its read already issued — takes the in-flight seat, and
+/// the page that held it is collected and evaluated, its CPU overlapping
+/// `next`'s disk service. A read is never speculative: only claimed units
+/// are issued, and every claimed unit is finished by its claimant. Returns
+/// whether a page was finished (`next = None` drains the seat).
+fn read_ahead<'c>(
+    ctx: &FragCtx,
+    catalog: &'c Catalog,
+    in_flight: &mut Option<PageRead<'c>>,
+    next: Option<PageRead<'c>>,
+    ws: &mut WorkerState<'_>,
+) -> bool {
+    let Some(prev) = mem::replace(in_flight, next) else { return false };
+    finish_page(ctx, catalog, prev, ws);
+    true
+}
+
+/// Page-scan driver, second half: collect the page, filter, run the
+/// pipeline.
+fn finish_page(ctx: &FragCtx, catalog: &Catalog, read: PageRead<'_>, ws: &mut WorkerState<'_>) {
+    if !ws.await_read(ctx, read.ticket) {
         return;
     }
-    let p = relation.heap.page(page);
+    let p = read.relation.heap.page(read.page);
     ws.charge_cpu(p.n_tuples() as f64 * ctx.cpu_tuple);
     for (_, tuple) in p.iter() {
         let Some(key) = tuple.get(0).as_int() else { continue };
-        if ctx.rels[rel].admits(key) {
+        if ctx.rels[read.rel].admits(key) {
             pipeline(ctx, catalog, key, tuple.clone(), 0, ws);
         }
     }

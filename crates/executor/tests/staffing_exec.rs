@@ -4,13 +4,18 @@
 //! hold there too — answers identical to the single-threaded oracle, at
 //! most `N` backends computing at once, a balanced grant ledger and zero
 //! pinned pages — fault-free, with a backend beyond slot `N` dying
-//! mid-fragment, and with a query cancelled mid-fragment.
+//! mid-fragment, and with a query cancelled mid-fragment. Every scanning
+//! backend keeps one page of read-ahead, so a death or a cancel always lands
+//! on backends with a claimed page's read in flight: that page is collected,
+//! its pin returned and its unit reported before the backend leaves.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use xprs_disk::{FaultPlan, StripedLayout};
-use xprs_executor::{CancelToken, ExecConfig, ExecReport, Executor, QueryRun, RelBinding};
+use xprs_executor::{
+    CancelToken, ExecConfig, ExecReport, Executor, MorselMode, QueryRun, RelBinding,
+};
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy};
 use xprs_scheduler::{MachineConfig, TaskId, TaskProfile};
@@ -180,11 +185,38 @@ fn a_backend_beyond_slot_n_dies_and_the_answer_stands() {
 }
 
 #[test]
+fn a_backend_dying_with_a_read_in_flight_finishes_that_page_and_returns_its_pin() {
+    // The death is keyed to units *claimed*: slot 0 has claimed two pages
+    // and evaluated one when it fires, so the second page's read — issued at
+    // 20×, ≈ 0.8 ms of disk — is still in flight. Dropping that page would
+    // lose its rows (and leak its pin); re-running it would duplicate them.
+    let cat = catalog();
+    let runs = vec![scan_run(&cat, "fat")];
+    for mode in [MorselMode::StaticShares, MorselMode::stealing()] {
+        let plan = Arc::new(FaultPlan::new().with_worker_death(0, 0, 2));
+        let exec = Executor::new(cfg().with_morsel_mode(mode).with_faults(plan.clone()), cat.clone());
+        let session = exec.session();
+        let report = exec
+            .run_shared(&session, &runs, &mut AllProcessors::new(), &[])
+            .expect("run failed");
+        assert_eq!(plan.stats().deaths_fired(), 1, "{mode:?}: the death must fire");
+        assert!(report.worker_recoveries >= 1, "{mode:?}: patrol must replace the dead backend");
+        assert_matches_oracle(&format!("{mode:?} after death"), &cat, &runs[0], &report, 0);
+        assert_clean(&report);
+        assert_eq!(session.machine().pool_pinned(), 0, "{mode:?}: a pin outlived its read");
+        assert_eq!(session.reserved_pages(), 0);
+        session.shutdown();
+    }
+}
+
+#[test]
 fn a_query_cancelled_mid_fragment_releases_everything() {
     let cat = catalog();
     let runs = vec![scan_run(&cat, "fat"), scan_run(&cat, "thin")];
     // Slow enough (~0.9 simulated s of disk at 20× ≈ 45 ms) that the
-    // cancel lands while thirteen backends are mid-morsel.
+    // cancel lands while thirteen backends are mid-morsel, each with a
+    // claimed page's read in flight — collected, unpinned and reported on
+    // the way out (`assert_clean`: no pin, balanced ledger).
     let tokens = vec![CancelToken::new(), CancelToken::new()];
     let firer = {
         let tok = tokens[0].clone();

@@ -3,9 +3,11 @@
 //! broken down by pairing window — which fragments ran, on how many
 //! processors the policy put them (`x`) and how many backends the executor
 //! staffed for that, the I/O rate the policy planned against the rate the
-//! disks delivered, and disk and CPU utilization. A window whose measured
-//! rate sits far under its planned rate is under-staffed; this is the table
-//! that found the executor running IO-bound scans at a third of the array.
+//! disks delivered, disk and CPU utilization, and the mean number of
+//! requests at the array, queued or in service (`queue` = (queue wait +
+//! busy) / window). A window whose measured rate sits far under its planned
+//! rate is under-staffed; this is the table that found the executor running
+//! IO-bound scans at a third of the array.
 //!
 //! ```sh
 //! cargo run --release --example utilization_timeline [extreme|random] [seed] [speedup]
@@ -57,12 +59,15 @@ fn main() {
     );
 
     println!("executor pairing windows (query×x/backends; io/s planned = Σ C·x):");
-    println!("  {:>15}  {:<22} {:>7} {:>8} {:>5} {:>5}", "sim-s", "running", "planned", "measured", "disk", "cpu");
+    println!(
+        "  {:>15}  {:<22} {:>7} {:>8} {:>5} {:>5} {:>5}",
+        "sim-s", "running", "planned", "measured", "disk", "cpu", "queue"
+    );
     for w in &audit.windows {
         let running: Vec<String> =
             w.tasks.iter().map(|(t, x, b)| format!("q{}×{x}/{b}", t.0 >> 32)).collect();
         println!(
-            "  {:6.2} → {:6.2}  {:<22} {:7.0} {:8.0} {:5.2} {:5.2}{}",
+            "  {:6.2} → {:6.2}  {:<22} {:7.0} {:8.0} {:5.2} {:5.2} {:5.1}{}",
             w.t0 * speedup,
             w.t1 * speedup,
             running.join(" "),
@@ -70,6 +75,7 @@ fn main() {
             w.measured_bw,
             w.disk_util,
             w.cpu_util,
+            w.queue_depth,
             if w.solo_io { "  solo IO-bound" } else { "" },
         );
     }

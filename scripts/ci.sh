@@ -42,6 +42,20 @@ if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|mors
     exit 1
 fi
 
+# A disk is a reservation timeline, not a mutex held through a sleep: no
+# function of io.rs that touches a disk lane may also sleep or pace. The
+# check is function-granular (a grep cannot see guard scopes); the unit test
+# `no_latch_is_held_while_reads_are_in_flight` is the behavioural guard.
+echo "==> no sleep under a disk-lane latch (io.rs)"
+awk '
+    function check() { if (lanes && sleeps) { print "sleeps while touching a disk lane:" name; bad = 1 } }
+    /^#\[cfg\(test\)\]/ { exit }
+    /^ *(pub(\([a-z]+\))? )?fn / { check(); name = $0; lanes = 0; sleeps = 0 }
+    /self\.lanes/ { lanes = 1 }
+    /sleep|pace_until|await_service/ && !/^ *\/\// { sleeps = 1 }
+    END { check(); exit bad }
+' crates/executor/src/io.rs
+
 echo "==> bench_executor (writes BENCH_executor.json)"
 ./target/release/bench_executor BENCH_executor.json
 
@@ -74,11 +88,13 @@ if speedup <= 1.0:
 if not dr["saturated_at_8_workers"]:
     sys.exit("8-worker disk-resident run did not saturate the disk band")
 # A lone IO-bound scan under INTER-WITH-ADJ must keep the array busy on the
-# backends staffed for its x = B/C processors (loose: staffing backends =
-# processors left it at 0.37 on the paper task sets).
+# backends staffed for its x = B/C processors, each overlapping its next
+# read with its current page (staffing backends = processors left it at
+# 0.37 on the paper task sets, blocking reads at 0.70 on this leg;
+# read-ahead measures 0.91).
 solo = dr["solo_io_disk_util"]
-if dr["solo_io_requests"] == 0 or solo < 0.5:
-    sys.exit(f"solo IO-bound scan under-staffed: disk utilization {solo} < 0.5 "
+if dr["solo_io_requests"] == 0 or solo < 0.7:
+    sys.exit(f"solo IO-bound scan under-staffed: disk utilization {solo} < 0.7 "
              f"over {dr['solo_io_requests']} requests")
 print(f"scaling OK: disk-resident 8w/1w = {speedup}x, disk band saturated, "
       f"solo IO-bound disk util {solo}")
@@ -260,6 +276,8 @@ for d in m["disks"]:
     for cls in ("sequential", "almost_sequential", "random"):
         if cls not in d:
             sys.exit(f"disk missing service class {cls}: {d}")
+    if d.get("queue_wait", -1) < 0:
+        sys.exit(f"disk missing its queue wait: {d}")
 a = m["utilization_audit"]
 lo, hi = a["band"]
 bw = a["paired_bw"]
@@ -268,14 +286,16 @@ if not (lo * 0.9 <= bw <= hi * 1.1):
 for w in a["windows"]:
     if "planned_bw" not in w or any(len(t) != 3 or t[2] < t[1] for t in w["tasks"]):
         sys.exit(f"audit window lacks planned_bw or [task, x, backends >= x]: {w}")
+    if "queue_wait" not in w or "queue_depth" not in w:
+        sys.exit(f"audit window lacks the disk queue wait / depth: {w}")
 with open("BENCH_obs.json") as f:
     r = json.load(f)
 ratio = r["overhead_ratio"]
 if ratio > 1.02:
     sys.exit(f"metrics-enabled throughput regression: ratio {ratio} > 1.02")
 solo = r["solo_io"]
-if solo["requests"] == 0 or solo["backends"] < solo["x"] or solo["disk_util"] < 0.5:
-    sys.exit(f"solo IO-bound scan under-staffed (disk_util < 0.5): {solo}")
+if solo["requests"] == 0 or solo["backends"] < solo["x"] or solo["disk_util"] < 0.7:
+    sys.exit(f"solo IO-bound scan under-staffed (disk_util < 0.7): {solo}")
 print(f"bench_obs OK: paired_bw={bw:.1f} in [{lo},{hi}], overhead={ratio}, "
       f"solo x={solo['x']} backends={solo['backends']} disk_util={solo['disk_util']}")
 EOF
