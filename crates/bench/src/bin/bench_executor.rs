@@ -9,7 +9,7 @@
 //! A second, **disk-resident** section runs the larger-than-memory workload
 //! (relations [`xprs_bench::exec_disk::SPILL_FACTOR`]× the pool, skewed
 //! block costs, scaled-time machine): two co-run scans per config, the
-//! worker count and [`MorselMode`] as the independent variables. Its
+//! worker count as the independent variable. Its
 //! headline gate is the paper's central claim — 8-worker throughput must
 //! strictly exceed 1-worker throughput — with the §2.3 utilization audit
 //! confirming the disk band is saturated rather than under-staffed.
@@ -34,7 +34,7 @@
 use std::sync::Arc;
 
 use xprs_bench::{exec_disk, exec_memory, exec_predict, exec_scan, host_header_json};
-use xprs_executor::{ExecConfig, MorselMode};
+use xprs_executor::ExecConfig;
 use xprs_scheduler::predict::Predictor;
 
 const RELATION_TUPLES: u64 = 8_192;
@@ -117,17 +117,12 @@ fn main() {
 
     // ---- Disk-resident scaling: the workload where 8 must beat 1 ----
     let (dr_cat, dr_wl) = exec_disk::catalog(DR_SEED);
-    let dr_configs: Vec<(MorselMode, u32)> = WORKERS
-        .iter()
-        .map(|&w| (MorselMode::stealing(), w))
-        .chain([(MorselMode::StaticShares, 8u32)])
-        .collect();
     let mut dr_rows = Vec::new();
-    for &(mode, w) in &dr_configs {
+    for w in WORKERS {
         let mut scan_walls = Vec::with_capacity(DR_TRIALS);
         let mut last = None;
         for _ in 0..DR_TRIALS {
-            let r = exec_disk::scan_run(&dr_cat, &dr_wl, w, mode);
+            let r = exec_disk::scan_run(&dr_cat, &dr_wl, w);
             assert!(r.emitted > 0, "vacuous disk-resident scan");
             scan_walls.push(r.scan_wall);
             last = Some(r);
@@ -136,9 +131,8 @@ fn main() {
         let scan_wall = median(&mut scan_walls);
         let pages_per_sec = last.pages as f64 / scan_wall;
         eprintln!(
-            "disk_resident {:<13} w={} scan={:.3}s  {:>8.1} pages/s  hit_rate={:.3}  \
+            "disk_resident w={} scan={:.3}s  {:>8.1} pages/s  hit_rate={:.3}  \
              steals={}  paired_bw={:.1} band=[{:.0},{:.0}] in_band={}",
-            exec_disk::mode_name(mode),
             w,
             scan_wall,
             pages_per_sec,
@@ -149,14 +143,11 @@ fn main() {
             last.audit.band_hi,
             last.audit.paired_in_band,
         );
-        dr_rows.push((mode, w, scan_wall, pages_per_sec, last));
+        dr_rows.push((w, scan_wall, pages_per_sec, last));
     }
-    let dr_tput = |mode: MorselMode, w: u32| {
-        dr_rows.iter().find(|r| r.0 == mode && r.1 == w).map(|r| r.3).unwrap()
-    };
-    let dr_speedup = dr_tput(MorselMode::stealing(), 8) / dr_tput(MorselMode::stealing(), 1);
-    let dr8 = &dr_rows.iter().find(|r| r.0 == MorselMode::stealing() && r.1 == 8).unwrap().4;
-    let saturated = dr8.audit.paired_in_band;
+    let dr_row = |w: u32| dr_rows.iter().find(|r| r.0 == w).unwrap();
+    let dr_speedup = dr_row(8).2 / dr_row(1).2;
+    let saturated = dr_row(8).3.audit.paired_in_band;
     // One relation alone under INTER-WITH-ADJ: a lone IO-bound scan must
     // keep the array busy on the backends staffed for its `x = B/C_i`.
     let solo_runs: Vec<_> =
@@ -271,14 +262,13 @@ fn main() {
         j.push_str(&format!("    \"time_speedup\": {},\n", exec_disk::TIME_SPEEDUP));
         j.push_str(&format!("    \"trials_per_config\": {DR_TRIALS},\n"));
         j.push_str("    \"configs\": [\n");
-        for (i, (mode, w, scan_wall, pages_per_sec, r)) in dr_rows.iter().enumerate() {
+        for (i, (w, scan_wall, pages_per_sec, r)) in dr_rows.iter().enumerate() {
             j.push_str(&format!(
-                "      {{\"mode\": \"{}\", \"workers\": {}, \"scan_wall_seconds\": {:.6}, \
+                "      {{\"mode\": \"stealing\", \"workers\": {}, \"scan_wall_seconds\": {:.6}, \
                  \"pages_per_sec\": {:.2}, \"tuples_per_sec\": {:.1}, \
                  \"bufpool_hit_rate\": {:.4}, \"steals\": {}, \"steal_fails\": {}, \
                  \"pool_threads\": {}, \"paired_bw\": {:.2}, \"band_lo\": {:.2}, \
                  \"band_hi\": {:.2}, \"paired_in_band\": {}, \"paired_disk_util\": {:.4}}}{}\n",
-                exec_disk::mode_name(*mode),
                 w,
                 scan_wall,
                 pages_per_sec,

@@ -24,7 +24,7 @@
 //! Usage: `bench_join [output.json]` (default `BENCH_join.json`).
 
 use xprs_bench::{exec_disk, exec_join, exec_skew, host_header_json};
-use xprs_executor::{ExecConfig, MorselMode};
+use xprs_executor::ExecConfig;
 
 const BUILD_TUPLES: u64 = 200_000;
 const PROBE_TUPLES: u64 = 8_000;
@@ -102,7 +102,7 @@ fn main() {
         let mut join_walls = Vec::with_capacity(DR_TRIALS);
         let mut last = None;
         for _ in 0..DR_TRIALS {
-            let r = exec_disk::join_run(&dr_cat, &dr_wl, w, MorselMode::stealing());
+            let r = exec_disk::join_run(&dr_cat, &dr_wl, w);
             assert!(r.emitted > 0, "vacuous disk-resident join");
             join_walls.push(r.join_wall);
             last = Some(r);

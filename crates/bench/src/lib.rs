@@ -443,9 +443,7 @@ pub mod exec_disk {
     use std::time::Instant;
 
     use xprs_disk::StripedLayout;
-    use xprs_executor::{
-        ExecConfig, Executor, MorselMode, QueryRun, RelBinding, UtilizationAudit,
-    };
+    use xprs_executor::{ExecConfig, Executor, QueryRun, RelBinding, UtilizationAudit};
     use xprs_optimizer::cost::{CostModel, RelInfo};
     use xprs_optimizer::{decompose, OptimizedQuery, Plan};
     use xprs_scheduler::MachineConfig;
@@ -533,26 +531,25 @@ pub mod exec_disk {
     }
 
     /// The scaled-time, spill-sized configuration every disk-resident run
-    /// uses; only the morsel mode varies.
-    fn config(mode: MorselMode) -> ExecConfig {
-        let mut cfg = ExecConfig::scaled(TIME_SPEEDUP).with_morsel_mode(mode).with_obs();
+    /// uses.
+    fn config() -> ExecConfig {
+        let mut cfg = ExecConfig::scaled(TIME_SPEEDUP).with_obs();
         cfg.bufpool_pages = BUFPOOL_PAGES;
         cfg
     }
 
     /// Co-run one full scan of each disk-resident relation with `workers`
-    /// workers per scan under `mode`. Two concurrent IO-heavy scans give
-    /// the audit its paired windows, so the run reports whether the disk
-    /// band was actually saturated.
+    /// workers per scan. Two concurrent IO-heavy scans give the audit its
+    /// paired windows, so the run reports whether the disk band was
+    /// actually saturated.
     pub fn scan_run(
         cat: &Arc<Catalog>,
         workload: &DiskResidentWorkload,
         workers: u32,
-        mode: MorselMode,
     ) -> DiskScanRun {
         let runs: Vec<QueryRun> =
             workload.relations.iter().map(|rel| full_scan(cat, &rel.name)).collect();
-        let exec = Executor::new(config(mode), cat.clone());
+        let exec = Executor::new(config(), cat.clone());
         let mut policy = CoRun::new(MachineConfig::paper_default(), workers);
         let t0 = Instant::now();
         let report = exec.run(&runs, &mut policy).expect("disk-resident scan failed");
@@ -583,7 +580,7 @@ pub mod exec_disk {
     /// The first disk-resident relation scanned alone under INTER-WITH-ADJ
     /// ([`super::exec_obs::run_solo`]): the solo-IO-bound audit figure.
     pub fn solo_scan_audit(cat: &Arc<Catalog>, workload: &DiskResidentWorkload) -> UtilizationAudit {
-        super::exec_obs::run_solo(cat, &workload.relations[0].name, config(MorselMode::stealing()))
+        super::exec_obs::run_solo(cat, &workload.relations[0].name, config())
     }
 
     /// `dr_0 ⋈ dr_probe` with the disk-resident relation pinned as the
@@ -612,12 +609,11 @@ pub mod exec_disk {
         OptimizedQuery { seqcost: costed.cost.total_cost, parcost: 0.0, plan, fragments }
     }
 
-    /// Run the disk-resident hash join with `workers` workers under `mode`.
+    /// Run the disk-resident hash join with `workers` workers.
     pub fn join_run(
         cat: &Arc<Catalog>,
         workload: &DiskResidentWorkload,
         workers: u32,
-        mode: MorselMode,
     ) -> DiskJoinRun {
         let build = &workload.relations[0];
         let optimized = optimized_join(cat, &build.name);
@@ -626,7 +622,7 @@ pub mod exec_disk {
             RelBinding { name: "dr_probe".into(), pred: (i32::MIN, i32::MAX) },
         ];
         let runs = vec![QueryRun { optimized, bindings }];
-        let exec = Executor::new(config(mode), cat.clone());
+        let exec = Executor::new(config(), cat.clone());
         let mut policy = FixedParallelism::new(MachineConfig::paper_default(), workers);
         let t0 = Instant::now();
         let report = exec.run(&runs, &mut policy).expect("disk-resident join failed");
@@ -644,14 +640,6 @@ pub mod exec_disk {
             hit_rate: report.stats.pool.hit_rate(),
             steals: report.metrics.as_ref().map_or(0, |m| m.steals.get()),
             pool_threads: report.pool_threads,
-        }
-    }
-
-    /// JSON name of a morsel mode.
-    pub fn mode_name(mode: MorselMode) -> &'static str {
-        match mode {
-            MorselMode::StaticShares => "static_shares",
-            MorselMode::Stealing { .. } => "stealing",
         }
     }
 }

@@ -1,5 +1,4 @@
-//! Executor configuration: [`ExecConfig`], its builders, and the
-//! work-distribution mode it carries.
+//! Executor configuration: [`ExecConfig`] and its builders.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -9,47 +8,9 @@ use xprs_scheduler::predict::Predictor;
 use xprs_scheduler::MachineConfig;
 // Named only by the intra-doc links below.
 #[cfg(doc)]
-use {crate::obs::ExecMetrics, crate::ExecError, crate::ExecReport};
+use {crate::obs::ExecMetrics, crate::ExecReport, crate::StealPartition};
 #[cfg(doc)]
 use {xprs_scheduler::trace::TraceRecord, xprs_scheduler::TaskProfile};
-
-/// How a fragment's work units reach its workers.
-///
-/// [`MorselMode::Stealing`] is the production path: units are grouped into
-/// fixed-size morsels dealt into per-worker deques, a worker claims its
-/// morsel's units on a private atomic (no lock round per unit), and idle
-/// workers steal whole pending morsels from seeded victims — so a worker
-/// stuck behind a slow disk or a cold page no longer strands its whole
-/// static share. [`MorselMode::StaticShares`] keeps the §2.4
-/// residue-class/interval shares selectable for A/B measurement; it is
-/// also what a fragment of [`MAX_STEAL_UNITS`](crate::steal::MAX_STEAL_UNITS)
-/// units or more falls back to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MorselMode {
-    /// §2.4 static partition shares (one partition-mutex round per unit).
-    StaticShares,
-    /// Morsel-driven work stealing.
-    Stealing {
-        /// Work units (pages or keys) per morsel; clamped to ≥ 1.
-        morsel_units: u64,
-    },
-}
-
-impl MorselMode {
-    /// The production stealing configuration ([`DEFAULT_MORSEL_UNITS`]).
-    pub fn stealing() -> Self {
-        MorselMode::Stealing { morsel_units: DEFAULT_MORSEL_UNITS }
-    }
-
-    /// Units per morsel. Static shares have no morsels; they size their
-    /// staffing by the default grain, so both modes staff a fragment alike.
-    pub(crate) fn morsel_units(self) -> u64 {
-        match self {
-            MorselMode::Stealing { morsel_units } => morsel_units,
-            MorselMode::StaticShares => DEFAULT_MORSEL_UNITS,
-        }
-    }
-}
 
 /// Default units per morsel: big enough to amortize the deque latch and
 /// the completion report, small enough that an 8-worker fragment over a
@@ -72,9 +33,11 @@ pub struct ExecConfig {
     /// Buffer-pool shards (page-hashed, independently latched); clamped
     /// to ≥ 1.
     pub bufpool_shards: usize,
-    /// How work units reach workers: morsel-driven stealing (production)
-    /// or the §2.4 static shares (A/B baseline).
-    pub morsel_mode: MorselMode,
+    /// Work units (pages or keys) per morsel of the stealing deal; clamped
+    /// to ≥ 1. Fragments too small for a whole morsel per backend, or too
+    /// large for a bounded deal, are cut at a derived grain (see
+    /// [`StealPartition::new`]).
+    pub morsel_units: u64,
     /// Injected fault schedule (`None` = fault-free operation).
     pub faults: Option<Arc<FaultPlan>>,
     /// Heartbeat-patrol interval in wall milliseconds. `0` disables the
@@ -115,22 +78,10 @@ pub struct ExecConfig {
     /// fragment is staffed the master reserves shard capacity for its
     /// estimated footprint ([`TaskProfile::memory`]), queues the fragment
     /// FIFO when the pool is over-committed, and releases the grant at
-    /// completion. Off by default — grants change admission order, so the
-    /// throughput benches opt in explicitly.
+    /// completion; a fragment whose footprint exceeds its grant cuts sorted
+    /// spill runs to disk. Off by default — grants change admission order,
+    /// so the throughput benches opt in explicitly.
     pub memory_grants: bool,
-    /// Under `memory_grants`, let a fragment whose footprint exceeds its
-    /// grant cut sorted spill runs to disk instead of failing admission.
-    /// With spill disabled, a fragment whose demand exceeds the whole pool
-    /// is refused with [`ExecError::MemoryGrantExceeded`].
-    pub spill: bool,
-    /// Attempts a page read is given (initial issue + retries) before it
-    /// escalates to [`ExecError::IoFault`]. The default
-    /// ([`crate::io::READ_ATTEMPTS`]) is tuned for batch runs; a
-    /// latency-bound service trades retries for faster typed failure.
-    pub read_attempts: u32,
-    /// Simulated seconds of backoff before the first read retry, doubling
-    /// per retry ([`crate::io::RETRY_BACKOFF`] default).
-    pub retry_backoff: f64,
     /// Online profile predictor. When attached, the master substitutes
     /// predicted `seq_time`/`io_rate`/memory for the optimizer's declared
     /// values at every fragment announcement (cold keys fall back to the
@@ -151,7 +102,7 @@ impl ExecConfig {
             cpu_tuple: 0.25e-3,
             bufpool_pages: 512,
             bufpool_shards: 8,
-            morsel_mode: MorselMode::stealing(),
+            morsel_units: DEFAULT_MORSEL_UNITS,
             faults: None,
             patrol_ms: 0,
             patrol_grace: 3,
@@ -162,9 +113,6 @@ impl ExecConfig {
             obs: false,
             metrics_out: None,
             memory_grants: false,
-            spill: true,
-            read_attempts: crate::io::READ_ATTEMPTS,
-            retry_backoff: crate::io::RETRY_BACKOFF,
             predictor: None,
         }
     }
@@ -173,12 +121,6 @@ impl ExecConfig {
     pub fn scaled(speedup: f64) -> Self {
         assert!(speedup > 0.0);
         ExecConfig { scale: 1.0 / speedup, ..ExecConfig::unthrottled() }
-    }
-
-    /// This configuration switched to the given work-distribution mode.
-    pub fn with_morsel_mode(mut self, mode: MorselMode) -> Self {
-        self.morsel_mode = mode;
-        self
     }
 
     /// Attach an injected fault schedule, enabling the heartbeat patrol
@@ -211,27 +153,6 @@ impl ExecConfig {
     /// when the pool is over-committed, and spill past their grant.
     pub fn with_memory_grants(mut self) -> Self {
         self.memory_grants = true;
-        self
-    }
-
-    /// Disable spill-to-disk under memory grants: an over-pool demand then
-    /// surfaces as [`ExecError::MemoryGrantExceeded`] instead of running
-    /// degraded. Exists for the spill-parity A/B and for callers that
-    /// prefer a typed refusal over extra I/O.
-    pub fn without_spill(mut self) -> Self {
-        self.spill = false;
-        self
-    }
-
-    /// Override the bounded-I/O-retry envelope: `attempts` reads per page
-    /// (≥ 1, initial issue included) and `backoff` simulated seconds before
-    /// the first retry (doubling per retry). The defaults reproduce the
-    /// constants batch runs have always used.
-    pub fn with_retry(mut self, attempts: u32, backoff: f64) -> Self {
-        assert!(attempts >= 1, "a read needs at least one attempt");
-        assert!(backoff >= 0.0 && backoff.is_finite(), "invalid retry backoff {backoff}");
-        self.read_attempts = attempts;
-        self.retry_backoff = backoff;
         self
     }
 

@@ -87,20 +87,6 @@ pub enum ExecError {
         /// Sorted producer indices per optimizer DAG fragment.
         optimized: Vec<Vec<usize>>,
     },
-    /// Under [`ExecConfig::memory_grants`](crate::ExecConfig::memory_grants)
-    /// with spill disabled, a fragment
-    /// demanded more buffer-pool capacity than the whole pool holds. The
-    /// demand can never be admitted, so the run refuses it up front — a
-    /// typed, recoverable signal where the seed died later with an
-    /// unrecoverable `PoolExhausted` deep in a worker's read path.
-    MemoryGrantExceeded {
-        /// Global fragment index whose demand cannot fit.
-        fragment: usize,
-        /// Pages the fragment's estimated footprint requires.
-        demand_pages: u64,
-        /// Total pool capacity in pages.
-        capacity_pages: u64,
-    },
     /// A run was handed cancel tokens, but not exactly one per query (an
     /// empty token slice means "nothing is cancellable" and is accepted).
     /// Refused before any machine or pool is built.
@@ -158,13 +144,6 @@ impl std::fmt::Display for ExecError {
                     f,
                     "query {query}: compiled fragment dependencies {compiled:?} disagree with \
                      the optimizer's decomposition {optimized:?}"
-                )
-            }
-            ExecError::MemoryGrantExceeded { fragment, demand_pages, capacity_pages } => {
-                write!(
-                    f,
-                    "fragment {fragment} demands {demand_pages} pages but the pool holds \
-                     {capacity_pages} and spill is disabled"
                 )
             }
             ExecError::TokenCountMismatch { tokens, queries } => {

@@ -174,14 +174,11 @@ impl Drop for CpuPermit<'_> {
     }
 }
 
-/// Default attempts a read is given before an unrecoverable [`IoFault`] is
-/// raised: the initial issue plus two retries. Overridable per machine via
-/// [`Machine::with_retry`] (a latency-bound service wants fewer attempts
-/// and a tighter backoff than a batch run).
+/// Attempts a read is given before an unrecoverable [`IoFault`] is raised:
+/// the initial issue plus two retries.
 pub const READ_ATTEMPTS: u32 = 3;
 
-/// Default simulated seconds of backoff before the first retry; doubles per
-/// retry. Overridable via [`Machine::with_retry`].
+/// Simulated seconds of backoff before the first retry; doubles per retry.
 pub const RETRY_BACKOFF: f64 = 0.002;
 
 /// An unrecoverable I/O fault: a disk read kept failing after every
@@ -294,10 +291,6 @@ pub struct Machine {
     /// observed service-rate loss to cross-run disk contention before
     /// treating the residue as machine-model drift.
     active_runs: AtomicU64,
-    /// Attempts per read before escalating ([`READ_ATTEMPTS`] by default).
-    read_attempts: u32,
-    /// First-retry backoff in simulated seconds ([`RETRY_BACKOFF`] default).
-    retry_backoff: f64,
 }
 
 impl Machine {
@@ -345,8 +338,6 @@ impl Machine {
             reads: AtomicU64::new(0),
             worker_ids: AtomicU64::new(0),
             active_runs: AtomicU64::new(0),
-            read_attempts: READ_ATTEMPTS,
-            retry_backoff: RETRY_BACKOFF,
         }
     }
 
@@ -365,28 +356,6 @@ impl Machine {
     /// Executor runs currently sharing this machine's disks.
     pub fn active_runs(&self) -> u64 {
         self.active_runs.load(Ordering::SeqCst)
-    }
-
-    /// Override the bounded-retry envelope: `attempts` reads total per page
-    /// (≥ 1) and `backoff` simulated seconds before the first retry
-    /// (doubling per retry). Defaults are [`READ_ATTEMPTS`] /
-    /// [`RETRY_BACKOFF`].
-    pub fn with_retry(mut self, attempts: u32, backoff: f64) -> Self {
-        assert!(attempts >= 1, "a read needs at least one attempt");
-        assert!(backoff >= 0.0 && backoff.is_finite(), "invalid retry backoff {backoff}");
-        self.read_attempts = attempts;
-        self.retry_backoff = backoff;
-        self
-    }
-
-    /// Attempts a read is given before escalating to an [`IoFault`].
-    pub fn read_attempts(&self) -> u32 {
-        self.read_attempts
-    }
-
-    /// Simulated seconds of backoff before the first retry.
-    pub fn retry_backoff(&self) -> f64 {
-        self.retry_backoff
     }
 
     /// Attach an injected fault schedule: transient read errors, sustained
@@ -531,20 +500,19 @@ impl Machine {
     /// pin of a miss is returned on every path.
     pub fn finish_read(&self, ticket: ReadTicket) -> Result<Option<ServiceClass>, IoFault> {
         let Some(DiskRead { block, req, pinned, mut service }) = ticket.0 else { return Ok(None) };
-        let attempts = self.read_attempts;
-        let mut outcome = Err(IoFault { rel: req.rel, block, attempts });
-        for attempt in 0..attempts {
+        let mut outcome = Err(IoFault { rel: req.rel, block, attempts: READ_ATTEMPTS });
+        for attempt in 0..READ_ATTEMPTS {
             self.await_service(service);
             let faulted = self.faults.as_ref().is_some_and(|f| f.take_read_error(req.rel, block));
             if !faulted {
                 outcome = Ok(Some(service.class));
                 break;
             }
-            if attempt + 1 < attempts {
+            if attempt + 1 < READ_ATTEMPTS {
                 if let Some(m) = &self.metrics {
                     m.io_retries.inc();
                 }
-                self.sleep_sim(self.retry_backoff * (1u64 << attempt.min(30)) as f64);
+                self.sleep_sim(RETRY_BACKOFF * (1u64 << attempt.min(30)) as f64);
                 service = self.reserve(&req, block, true);
             }
         }
@@ -1078,26 +1046,6 @@ mod tests {
         // pool as a genuine miss rather than a bypass.
         assert!(m.try_read(RelId(1), 100, w, true).is_ok());
         assert_eq!(m.stats().pool.misses, 65, "fault path must keep using the pool");
-    }
-
-    #[test]
-    fn retry_envelope_is_configurable_with_defaults_preserved() {
-        // Defaults untouched: a machine built without `with_retry` carries
-        // the batch-tuned constants.
-        let m = machine(0.0);
-        assert_eq!(m.read_attempts(), READ_ATTEMPTS);
-        assert!((m.retry_backoff() - RETRY_BACKOFF).abs() < 1e-12);
-        // A single transient error is absorbed by the default envelope…
-        let plan = Arc::new(FaultPlan::new().with_read_error(RelId(1), 5, 1));
-        let lax = machine(0.0).with_faults(plan);
-        let w = lax.new_worker_id();
-        assert!(lax.try_read(RelId(1), 5, w, true).is_ok());
-        // …but escalates immediately under a one-attempt service envelope.
-        let plan = Arc::new(FaultPlan::new().with_read_error(RelId(1), 5, 1));
-        let strict = machine(0.0).with_faults(plan).with_retry(1, 0.0);
-        let w = strict.new_worker_id();
-        let err = strict.try_read(RelId(1), 5, w, true).expect_err("no retries left");
-        assert_eq!(err, IoFault { rel: RelId(1), block: 5, attempts: 1 });
     }
 
     #[test]

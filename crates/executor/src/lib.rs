@@ -18,16 +18,15 @@
 //!   partitioned heap scan, range-partitioned index scan, or a key-domain
 //!   merge) followed by probe/merge/nest operators over materialized inputs.
 //! * [`worker`] — the slave backend loop: claim the next work unit (a
-//!   morsel-claimed page or key on the stealing path, a static §2.4 share
-//!   otherwise), issue its throttled read, evaluate the previously read
-//!   page through the pipeline (one page of claim-first read-ahead), emit
-//!   result tuples; workers discover retirement and new assignments
-//!   through the shared partition structures, so dynamic parallelism
-//!   adjustment needs no thread cancellation.
-//! * [`steal`] — the morsel-driven work-stealing layer: fragments decompose
-//!   into fixed-size block-range morsels dealt into per-worker deques;
-//!   idle workers steal pending morsels from seeded victims, and the
-//!   heartbeat patrol reclaims only a dead worker's *unclaimed* units.
+//!   page or key of the morsel in hand), issue its throttled read,
+//!   evaluate the previously read page through the pipeline (one page of
+//!   claim-first read-ahead), emit result tuples; workers discover
+//!   retirement and new assignments through the shared partition, so
+//!   dynamic parallelism adjustment needs no thread cancellation.
+//! * [`steal`] — the morsel-driven work-stealing partition every fragment
+//!   runs on: the unit space decomposes into morsels dealt into per-worker
+//!   deques; idle workers steal pending morsels from seeded victims, and
+//!   the heartbeat patrol reclaims only a dead worker's *unclaimed* units.
 //! * [`config`] / [`error`] — [`ExecConfig`] with its builders, and the
 //!   typed [`ExecError`] taxonomy every run failure maps into.
 //! * [`master`] — the driver: executes one or many optimized queries under
@@ -60,7 +59,7 @@ pub mod worker;
 
 pub use cancel::CancelToken;
 pub use io::{CpuGate, IoFault, Machine, MachineStats, ReadTicket, READ_ATTEMPTS, RETRY_BACKOFF};
-pub use config::{ExecConfig, MorselMode, DEFAULT_MORSEL_UNITS};
+pub use config::{ExecConfig, DEFAULT_MORSEL_UNITS};
 pub use error::ExecError;
 pub use master::{ExecReport, ExecSession, Executor, QueryResult, QueryRun};
 pub use obs::{
@@ -68,5 +67,5 @@ pub use obs::{
 };
 pub use pool::WorkerPool;
 pub use program::{compile, FragmentProgram, Materialized, PipelineOp, ProgramSet};
-pub use steal::{NextMorsel, StealPartition, MAX_STEAL_UNITS};
+pub use steal::{NextMorsel, StealPartition, MAX_DEAL_MORSELS};
 pub use worker::RelBinding;

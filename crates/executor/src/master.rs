@@ -5,8 +5,9 @@
 //! the policy as they become ready (roots first, consumers as their
 //! producers finish), applies `Start` actions by staffing slave-backend
 //! worker slots on the persistent [`WorkerPool`], and applies `Adjust`
-//! actions by running the Section 2.4 protocols on the shared partition
-//! state and staffing any newly created worker slots. Staffing is a queue
+//! actions by adjusting the fragment's shared [`StealPartition`] (the
+//! Section 2.4 protocols' contract) and staffing any newly created worker
+//! slots. Staffing is a queue
 //! push that unparks a long-lived pool thread — no OS thread is spawned or
 //! joined per slot.
 
@@ -19,24 +20,24 @@ use std::time::{Duration, Instant};
 use xprs_disk::ClassStats;
 use xprs_optimizer::OptimizedQuery;
 use xprs_scheduler::error::SchedError;
-use xprs_scheduler::fluid::FIXPOINT_ROUNDS;
-use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy};
+use xprs_scheduler::policy::{
+    decide_fixpoint, round_parallelism, Action, RunningTask, SchedulePolicy,
+};
 use xprs_scheduler::predict::{Observation, PredictKey};
-use xprs_scheduler::trace::{emit, RunningSnap, SharedSink, TraceRecord};
+use xprs_scheduler::trace::{emit, SharedSink, TraceRecord};
 use xprs_scheduler::{IoKind, MachineConfig, TaskId, TaskProfile};
-use xprs_storage::partition::{PagePartition, RangePartition};
 use xprs_storage::runs::{merge_runs, split_runs_stats};
 use xprs_storage::{Catalog, Tuple, PAGE_SIZE};
 
 use crate::cancel::CancelToken;
-use crate::config::{ExecConfig, MorselMode};
+use crate::config::ExecConfig;
 use crate::error::ExecError;
 use crate::io::{lock, IoFault, Machine, MachineStats};
 use crate::obs::{ExecMetrics, FragmentProfile, MergeProfile, QueryProfile, RunningInfo, UtilSample};
 use crate::pool::WorkerPool;
 use crate::program::{compile, Driver, FragmentProgram, Materialized, PipelineOp};
-use crate::steal::{StealPartition, MAX_STEAL_UNITS};
-use crate::worker::{run_worker, FragCtx, OutputSink, PartitionState, RelBinding, SpillSpec};
+use crate::steal::StealPartition;
+use crate::worker::{run_worker, FragCtx, OutputSink, RelBinding, SpillSpec};
 
 /// One pool-merge task: merges a disjoint key sub-range of the runs.
 type MergeTask = Box<dyn FnOnce() -> Vec<(i32, Tuple)> + Send>;
@@ -47,7 +48,6 @@ enum ControlFail {
     Sched(SchedError),
     Relation { fragment: usize, name: String },
     Producer { fragment: usize, producer: usize },
-    Memory { fragment: usize, demand_pages: u64, capacity_pages: u64 },
 }
 
 impl From<SchedError> for ControlFail {
@@ -65,9 +65,6 @@ impl ControlFail {
             }
             ControlFail::Producer { fragment, producer } => {
                 ExecError::ProducerNotMaterialized { fragment, producer }
-            }
-            ControlFail::Memory { fragment, demand_pages, capacity_pages } => {
-                ExecError::MemoryGrantExceeded { fragment, demand_pages, capacity_pages }
             }
         }
     }
@@ -361,16 +358,14 @@ impl Executor {
     /// A long-lived machine + worker pool for [`Executor::run_shared`]
     /// (private runs build one per run): the simulated machine this
     /// executor's config describes — sharded buffer pool, fault plan,
-    /// bounded-retry envelope, metric registry — plus a pool of `n_procs`
-    /// worker threads.
+    /// metric registry — plus a pool of `n_procs` worker threads.
     pub fn session(&self) -> ExecSession {
         let mut machine = Machine::with_sharded_pool(
             &self.cfg.machine,
             self.cfg.scale,
             self.cfg.bufpool_pages,
             self.cfg.bufpool_shards.max(1),
-        )
-        .with_retry(self.cfg.read_attempts, self.cfg.retry_backoff);
+        );
         if let Some(plan) = &self.cfg.faults {
             machine = machine.with_faults(plan.clone());
         }
@@ -1085,36 +1080,31 @@ impl Executor {
         t0: Instant,
     ) -> Result<(), ControlFail> {
         let now = t0.elapsed().as_secs_f64();
-        for _round in 0..FIXPOINT_ROUNDS {
-            let snapshot: Vec<RunningTask> = frags
-                .iter()
-                .filter_map(|f| match &f.status {
-                    FragStatus::Running(ctx) => {
-                        let total = ctx.total_units.max(1) as f64;
-                        let done = ctx.units_done.load(Ordering::Relaxed) as f64;
-                        Some(RunningTask {
-                            profile: f.profile.clone(),
-                            parallelism: ctx.target_parallelism.load(Ordering::Relaxed) as f64,
-                            remaining_seq_time: f.profile.seq_time * (1.0 - done / total).max(0.0),
-                        })
-                    }
-                    _ => None,
-                })
-                .collect();
-            let actions = policy.decide(now, &snapshot);
-            if actions.is_empty() {
-                return Ok(());
-            }
-            emit(&self.sink, || TraceRecord::Decide {
-                now,
-                running: snapshot.iter().map(RunningSnap::of).collect(),
-                actions: actions.clone(),
-            });
-            for a in actions {
+        decide_fixpoint(
+            policy,
+            &self.sink,
+            now,
+            frags,
+            |frags| {
+                frags
+                    .iter()
+                    .filter_map(|f| match &f.status {
+                        FragStatus::Running(ctx) => {
+                            let total = ctx.total_units.max(1) as f64;
+                            let done = ctx.units_done.load(Ordering::Relaxed) as f64;
+                            Some(RunningTask {
+                                profile: f.profile.clone(),
+                                parallelism: ctx.target_parallelism.load(Ordering::Relaxed) as f64,
+                                remaining_seq_time: f.profile.seq_time
+                                    * (1.0 - done / total).max(0.0),
+                            })
+                        }
+                        _ => None,
+                    })
+                    .collect()
+            },
+            |frags, a| {
                 let (id, parallelism) = (a.task(), a.parallelism());
-                if !(parallelism > 0.0 && parallelism.is_finite()) {
-                    return Err(SchedError::InvalidParallelism { task: id, parallelism }.into());
-                }
                 let gid = frags
                     .iter()
                     .position(|f| f.profile.id == id)
@@ -1123,7 +1113,7 @@ impl Executor {
                 // construction — the policy decided before digesting its
                 // finish events — so they are dropped, not indicted.
                 if cancelled_q[frags[gid].query] {
-                    continue;
+                    return Ok(false);
                 }
                 match a {
                     Action::Start { .. } => self.start_fragment(
@@ -1140,10 +1130,9 @@ impl Executor {
                         self.adjust_fragment(frags, gid, parallelism, machine, backends)
                     }
                 }
-                emit(&self.sink, || TraceRecord::Applied { now, action: a });
-            }
-        }
-        Err(SchedError::FixpointDiverged { policy: policy.name(), rounds: FIXPOINT_ROUNDS }.into())
+                Ok(true)
+            },
+        )
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1261,7 +1250,7 @@ impl Executor {
                 return Err(SchedError::AlreadyRunning { task: frags[gid].profile.id }.into());
             }
         }
-        let x = to_processors(parallelism, self.cfg.machine.n_procs);
+        let x = round_parallelism(parallelism, self.cfg.machine.n_procs) as u32;
 
         // Materialized inputs, keyed by query-local fragment index. A
         // missing producer output is a readiness-protocol violation,
@@ -1308,55 +1297,33 @@ impl Executor {
                 UnitSpace::Keys { lo, hi }
             }
         };
-        let total = units.total();
-        let n_backends = self.backends_for(x, &frags[gid].profile, total);
+        let total_units = units.total();
+        let n_backends = self.backends_for(x, &frags[gid].profile, total_units);
         // Heavy hitters of a key-domain merge are decided before staffing:
         // the workers are born knowing which keys to skip, and the master
         // owes their output at materialization.
         let hot_keys = self.hot_join_keys(&frags[gid].program, &inputs, &units);
-        let (partition, total_units) = match self.cfg.morsel_mode {
-            // The packed claim word addresses 31 bits of units; a larger
-            // fragment (e.g. an i32 key domain spanning more than half the
-            // key space) falls back to static shares.
-            MorselMode::Stealing { morsel_units } if total > 0 && total < MAX_STEAL_UNITS => {
-                let mut part = StealPartition::new(total, morsel_units, n_backends, gid as u64);
-                // Page-scan units are striped blocks (`unit % n_disks` =
-                // home disk): steal disk-affine so a rescue steal doesn't
-                // degrade two disks' service class. Key-space fragments
-                // have no unit→disk mapping, so they steal blind.
-                if matches!(frags[gid].program.driver, Driver::PageScan { .. }) {
-                    part = part.with_disks(self.cfg.machine.n_disks);
-                }
-                let part = Arc::new(part);
-                (PartitionState::Morsel { part, key_base: units.base() }, total)
-            }
-            _ => match units {
-                UnitSpace::Pages(n) => (PartitionState::Page(PagePartition::new(n, n_backends)), n),
-                UnitSpace::Keys { lo, hi } => range_partition(lo, hi, n_backends),
-            },
-        };
+        let mut part =
+            StealPartition::new(total_units, self.cfg.morsel_units, n_backends, gid as u64);
+        // Page-scan units are striped blocks (`unit % n_disks` = home
+        // disk): steal disk-affine so a rescue steal doesn't degrade two
+        // disks' service class. Key-space fragments have no unit→disk
+        // mapping, so they steal blind.
+        if matches!(frags[gid].program.driver, Driver::PageScan { .. }) {
+            part = part.with_disks(self.cfg.machine.n_disks);
+        }
 
         // Memory admission: the fragment's estimated footprint, clamped to
         // the whole pool, becomes its page demand; the clamp also fixes the
         // spill bound, so the budget is decided before the context exists
-        // and the workers are born knowing it. A demand no clamp can fit
-        // (spill disabled) is refused up front with a typed error — the
-        // seed admitted it and died later on `PoolExhausted`.
+        // and the workers are born knowing it.
         let mut demand_pages = 0u64;
         let mut spill = None;
-        if self.cfg.memory_grants && total > 0 {
+        if self.cfg.memory_grants && total_units > 0 {
             if let Some(pool) = machine.pool() {
-                let capacity = pool.capacity() as u64;
                 let raw = (frags[gid].profile.memory / PAGE_SIZE as f64).ceil() as u64;
-                if raw > capacity && !self.cfg.spill {
-                    return Err(ControlFail::Memory {
-                        fragment: gid,
-                        demand_pages: raw,
-                        capacity_pages: capacity,
-                    });
-                }
-                demand_pages = raw.min(capacity);
-                if self.cfg.spill && demand_pages > 0 {
+                demand_pages = raw.min(pool.capacity() as u64);
+                if demand_pages > 0 {
                     let row_bytes = self.row_bytes_estimate(&frags[gid].bindings);
                     let grant_bytes = demand_pages * PAGE_SIZE as u64;
                     spill = Some(SpillSpec {
@@ -1379,7 +1346,8 @@ impl Executor {
             program: frags[gid].program.clone(),
             rels: frags[gid].bindings.clone(),
             inputs,
-            partition: std::sync::Mutex::new(partition),
+            part: Arc::new(part),
+            key_base: units.base(),
             exited_slots: std::sync::Mutex::new(Vec::new()),
             heartbeats: std::sync::Mutex::new(Vec::new()),
             units_done: AtomicU64::new(0),
@@ -1483,7 +1451,7 @@ impl Executor {
         if self.cfg.scale == 0.0 {
             return x;
         }
-        staff_backends(x, profile, &self.cfg.machine, units, self.cfg.morsel_mode.morsel_units())
+        staff_backends(x, profile, &self.cfg.machine, units, self.cfg.morsel_units)
     }
 
     /// Estimated bytes per output row for a fragment's spill accounting:
@@ -1527,7 +1495,7 @@ impl Executor {
         }
         let ctx = &ctx;
         frags[gid].adjusts += 1;
-        let x = to_processors(parallelism, self.cfg.machine.n_procs);
+        let x = round_parallelism(parallelism, self.cfg.machine.n_procs) as u32;
         let n = self.backends_for(x, &frags[gid].profile, ctx.total_units);
         ctx.target_parallelism.store(x, Ordering::Relaxed);
         ctx.backends.store(n, Ordering::Relaxed);
@@ -1536,14 +1504,8 @@ impl Executor {
             let rows = spill_threshold(spec.grant_bytes, n, spec.row_bytes);
             spec.threshold_rows.store(rows, Ordering::Relaxed);
         }
-        let (info, active) = {
-            let mut p = lock(&ctx.partition);
-            match &mut *p {
-                PartitionState::Page(pp) => (pp.adjust(n), pp.active_slots()),
-                PartitionState::Range(rp) => (rp.adjust(n), rp.active_slots()),
-                PartitionState::Morsel { part, .. } => (part.adjust(n), part.active_slots()),
-            }
-        };
+        let info = ctx.part.adjust(n);
+        let active = ctx.part.active_slots();
         for slot in info.new_slots {
             backends.staff(ctx, slot, machine, &self.catalog);
         }
@@ -1638,12 +1600,7 @@ impl Executor {
                     // redealt). Finalization then arrives through the
                     // ordinary FragmentDone.
                     ctx.cancelled.store(true, Ordering::SeqCst);
-                    {
-                        let p = lock(&ctx.partition);
-                        if let PartitionState::Morsel { part, .. } = &*p {
-                            part.revoke_all();
-                        }
-                    }
+                    ctx.part.revoke_all();
                     // The death window: between a worker death and the
                     // patrol's replacement, `outstanding` can be 0 with
                     // units unfinished — no worker is left to fire the
@@ -1861,8 +1818,8 @@ impl Patrol {
     /// Declare dead every slot whose heartbeat has been frozen for `grace`
     /// consecutive ticks while its fragment still has unfinished units and
     /// the slot never registered a voluntary exit. Each dead slot's
-    /// remaining share is revoked under the partition mutex (the §2.4
-    /// protocols' failure analogue) and a replacement slot is staffed.
+    /// remaining share is reclaimed by [`StealPartition::fail_slot`] and a
+    /// replacement slot is staffed.
     ///
     /// A false positive — a live worker stalled mid-unit — is safe: its
     /// revoked slot hands out no further units, so it completes the one
@@ -1904,15 +1861,7 @@ impl Patrol {
                 }
                 if entry.1 >= self.grace {
                     self.dead.insert(key);
-                    let replacement = {
-                        let mut p = lock(&ctx.partition);
-                        match &mut *p {
-                            PartitionState::Page(pp) => pp.fail_slot(slot),
-                            PartitionState::Range(rp) => rp.fail_slot(slot),
-                            PartitionState::Morsel { part, .. } => part.fail_slot(slot),
-                        }
-                    };
-                    backends.staff(ctx, replacement, machine, catalog);
+                    backends.staff(ctx, ctx.part.fail_slot(slot), machine, catalog);
                     self.recoveries += 1;
                 }
             }
@@ -2106,21 +2055,6 @@ impl UnitSpace {
             UnitSpace::Keys { lo, .. } => lo,
         }
     }
-}
-
-fn range_partition(lo: i64, hi: i64, x: u32) -> (PartitionState, u64) {
-    if lo > hi {
-        // Empty domain; a trivial partition that yields nothing.
-        (PartitionState::Range(RangePartition::new(0, 0, 1)), 0)
-    } else {
-        let total = (hi - lo + 1) as u64;
-        (PartitionState::Range(RangePartition::new(lo, hi, x)), total)
-    }
-}
-
-/// The whole processors a policy parallelism stands for.
-fn to_processors(x: f64, n_procs: u32) -> u32 {
-    (x.round() as i64).clamp(1, n_procs as i64) as u32
 }
 
 /// Backends that realize the rate the policy planned for `x` processors.

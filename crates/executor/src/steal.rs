@@ -1,17 +1,17 @@
-//! Morsel-driven work stealing (the lock-light successor to the §2.4
-//! static shares).
+//! Morsel-driven work stealing: the one way a fragment's work units reach
+//! its workers.
 //!
 //! The fragment's unit space `[0, total_units)` is cut into fixed-size
 //! [`Morsel`]s which are dealt round-robin into per-worker deques — the
 //! morsel-granular analogue of the §2.4 residue-class shares, which keeps
-//! the deal's per-disk access pattern close to the static path's (a
-//! contiguous block deal measurably degrades the striped disks' service
-//! classification). A worker takes its next morsel from the front of its
-//! own deque; when that runs dry it steals the back half of a victim's
-//! *pending* morsels, visiting victims in a seeded deterministic order. Within a claimed morsel the
-//! worker claims units one at a time on a **private atomic** — no lock, no
-//! shared cursor — so the per-unit hot path costs one uncontended RMW where
-//! the static-share path paid one fragment-global mutex round.
+//! the deal's per-disk access pattern close to theirs (a contiguous block
+//! deal measurably degrades the striped disks' service classification). A
+//! worker takes its next morsel from the front of its own deque; when that
+//! runs dry it steals the back half of a victim's *pending* morsels,
+//! visiting victims in a seeded deterministic order. Within a claimed
+//! morsel the worker claims units one at a time on a **private atomic** —
+//! no lock, no shared cursor — so the per-unit hot path costs one
+//! uncontended RMW.
 //!
 //! Two rules keep the initial deal meaningful: a fragment with at least
 //! `parallelism` units deals at least one morsel to every slot (one
@@ -22,23 +22,31 @@
 //! stays local, and per-slot fault-injection points (`kill slot s after
 //! k units`) remain deterministic under stealing.
 //!
+//! # Any unit count
+//!
+//! The deal is bounded: at most [`MAX_DEAL_MORSELS`] morsels are ever
+//! materialized, the grain growing past `morsel_units` for fragments too
+//! large to be cut that finely. The claim word addresses the *armed
+//! morsel*, not the fragment — it packs `(revoked, len, offset)` relative to
+//! the morsel's start — so a key domain spanning the whole `i32` space (2³²
+//! units) is served like any other fragment.
+//!
 //! # Exactly-once under revocation
 //!
 //! All deque traffic (take, steal, [`StealPartition::fail_slot`],
 //! [`StealPartition::adjust`]) serializes on one coordinator latch taken
-//! once per *morsel*, not per unit — lock-light by amortization. The
-//! per-slot claim word packs `(revoked, end, cursor)` into one `AtomicU64`;
-//! the owner advances `cursor` with a CAS loop and revocation sets the
-//! `REVOKED` bit with `fetch_or` while holding the latch. Because both are
-//! RMWs on the same word, the hardware totally orders them: every unit
-//! index is observed exactly once, either by the owner (cursor advanced
-//! before revocation landed) or by the reclaimer (the remainder
-//! `[cursor, end)` read back from the `fetch_or`). A falsely-declared-dead
-//! worker — stalled, not dead — therefore finishes the units it already
-//! claimed and retires at its next claim; the replacement starts exactly
-//! where the revocation cursor stood, and no unit is processed twice or
-//! dropped. This is the morsel-granular analogue of the static path's
-//! "cursor advances at claim time" argument.
+//! once per *morsel*, not per unit — lock-light by amortization. The owner
+//! advances the claim word's `offset` with a CAS loop and revocation sets
+//! the `REVOKED` bit with `fetch_or` while holding the latch. Because both
+//! are RMWs on the same word, the hardware totally orders them: every unit
+//! is observed exactly once, either by the owner (offset advanced before
+//! revocation landed) or by the reclaimer (the remainder `[offset, len)`
+//! read back from the `fetch_or`, made absolute with the armed morsel's
+//! start, which the slot records under the same latch). A
+//! falsely-declared-dead worker — stalled, not dead — therefore finishes
+//! the units it already claimed and retires at its next claim; the
+//! replacement starts exactly where the revocation cursor stood, and no
+//! unit is processed twice or dropped.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,21 +56,28 @@ use xprs_storage::partition::{morselize, AdjustInfo, Morsel};
 
 use crate::io::lock;
 
-/// Claim-word revocation bit. The low 32 bits hold the cursor, the next 31
-/// the in-flight morsel's end, so `total_units` must fit in 31 bits (the
-/// master falls back to static shares otherwise).
+/// Claim-word revocation bit. The low 32 bits hold the offset of the next
+/// unclaimed unit within the armed morsel, the next 31 the morsel's length.
 const REVOKED: u64 = 1 << 63;
 
-/// Largest unit count the packed claim word can address.
-pub const MAX_STEAL_UNITS: u64 = 1 << 31;
+/// Longest morsel the claim word's 31-bit length field can hold.
+const MAX_MORSEL_UNITS: u64 = (1 << 31) - 1;
 
-fn pack(cursor: u64, end: u64) -> u64 {
-    debug_assert!(cursor <= end && end < MAX_STEAL_UNITS);
-    (end << 32) | cursor
+/// Most morsels a deal materializes (16 MB of [`Morsel`]s). A fragment of
+/// more than `MAX_DEAL_MORSELS · morsel_units` units is cut at the coarser
+/// grain `ceil(total / MAX_DEAL_MORSELS)` instead: at the default grain of
+/// 16 that is every fragment past 2²⁴ units, so no deal below it changes.
+/// Past 2⁵¹ units the 31-bit morsel length binds first and the deal grows
+/// beyond this bound rather than overflow the claim word.
+pub const MAX_DEAL_MORSELS: u64 = 1 << 20;
+
+fn pack(offset: u64, len: u64) -> u64 {
+    debug_assert!(offset <= len && len <= MAX_MORSEL_UNITS);
+    (len << 32) | offset
 }
 
 fn unpack(word: u64) -> (u64, u64) {
-    (word & 0xFFFF_FFFF, (word >> 32) & (MAX_STEAL_UNITS - 1))
+    (word & 0xFFFF_FFFF, (word >> 32) & MAX_MORSEL_UNITS)
 }
 
 /// One worker slot's share of the deque layer.
@@ -70,7 +85,7 @@ struct SlotState {
     /// Morsels dealt or stolen to this slot but not yet begun. Owned from
     /// the front, stolen from the back.
     pending: VecDeque<Morsel>,
-    /// The packed `(revoked, end, cursor)` claim word; shared with the
+    /// The packed `(revoked, len, offset)` claim word; shared with the
     /// owning worker's unit fast path.
     claim: Arc<AtomicU64>,
     /// A revoked slot hands out no further morsels (its pending work has
@@ -79,9 +94,9 @@ struct SlotState {
     /// Set once the slot's owner takes its first morsel. Until then thieves
     /// leave the slot its last pending morsel (the first-morsel guarantee).
     started: bool,
-    /// Start unit of the last morsel this slot armed; the disk-affinity
-    /// steal pass prefers victims whose stealable work begins on the same
-    /// disk residue (`unit % n_disks`).
+    /// Start unit of the last morsel this slot armed: the base the claim
+    /// word's offsets are relative to, and what the disk-affinity steal
+    /// pass matches victims against (`unit % n_disks`).
     last_unit: Option<u64>,
 }
 
@@ -95,12 +110,35 @@ impl SlotState {
             last_unit: None,
         }
     }
+
+    /// Arm the claim word for a freshly taken morsel. Caller holds the
+    /// latch and has checked `revoked == false`, and revocation only
+    /// happens under the same latch, so a plain store cannot clobber a
+    /// REVOKED bit.
+    fn arm(&mut self, m: Morsel) {
+        self.started = true;
+        self.last_unit = Some(m.start);
+        self.claim.store(pack(0, m.len()), Ordering::SeqCst);
+    }
+
+    /// Revoke the slot (caller holds the latch) and hand back the unclaimed
+    /// remainder of its armed morsel in absolute units — `None` when
+    /// nothing was in flight or an earlier revocation already took it.
+    fn revoke(&mut self) -> Option<Morsel> {
+        self.revoked = true;
+        let prev = self.claim.fetch_or(REVOKED, Ordering::SeqCst);
+        let (offset, len) = unpack(prev);
+        let base = self.last_unit?;
+        (prev & REVOKED == 0 && offset < len)
+            .then(|| Morsel { start: base + offset, end: base + len })
+    }
 }
 
 /// A morsel handed to a worker, with its provenance (for steal counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NextMorsel {
-    /// The claimed morsel; its units are now claimable on the slot's word.
+    /// The claimed morsel; its units are now claimable on the slot's word,
+    /// as offsets from `morsel.start`.
     pub morsel: Morsel,
     /// Victim slot the morsel was stolen from (`None` = own deque).
     pub stolen_from: Option<usize>,
@@ -127,17 +165,17 @@ impl StealPartition {
     /// morsels), and the slot dealt two of them sets the fragment's time
     /// at two morsel-times while the others idle. Fragments smaller than
     /// the slot count deal one unit to as many slots as there are units.
+    /// A fragment too large for [`MAX_DEAL_MORSELS`] morsels of
+    /// `morsel_units` is cut at the coarser grain that fits.
     /// `seed` fixes the victim order for deterministic tests.
-    ///
-    /// # Panics
-    /// Panics if `total_units >= MAX_STEAL_UNITS` (the claim word cannot
-    /// address it; callers fall back to static shares first).
     pub fn new(total_units: u64, morsel_units: u64, parallelism: u32, seed: u64) -> Self {
-        assert!(total_units < MAX_STEAL_UNITS, "unit space too large for the claim word");
         let n = parallelism.max(1) as usize;
+        let grain = morsel_units
+            .max(total_units.div_ceil(MAX_DEAL_MORSELS))
+            .clamp(1, MAX_MORSEL_UNITS);
         let share = total_units / n as u64;
-        let morsels = if share >= morsel_units.max(1) {
-            morselize(total_units, morsel_units)
+        let morsels = if share >= grain {
+            morselize(total_units, grain)
         } else {
             // The first `total % n` morsels carry the extra unit.
             let extra = total_units % n as u64;
@@ -151,8 +189,9 @@ impl StealPartition {
                 .filter(|m| !m.is_empty())
                 .collect()
         };
+        let per_slot = morsels.len().div_ceil(n);
         let mut slots: Vec<SlotState> =
-            (0..n).map(|_| SlotState::fresh(VecDeque::new())).collect();
+            (0..n).map(|_| SlotState::fresh(VecDeque::with_capacity(per_slot))).collect();
         for (i, m) in morsels.into_iter().enumerate() {
             slots[i % n].pending.push_back(m);
         }
@@ -169,10 +208,10 @@ impl StealPartition {
     ///
     /// A blind steal teleports the thief to an arbitrary victim's tail:
     /// the jump degrades the stripe's sequential service class on both the
-    /// abandoned and the invaded disk — the measured ~13% uniform-scan
-    /// regression vs the static shares. Affine selection keeps the steal's
-    /// rescue property (work still moves to idle workers) while paying the
-    /// smallest available seek penalty for it.
+    /// abandoned and the invaded disk — a measured ~13% loss on uniform
+    /// scans. Affine selection keeps the steal's rescue property (work
+    /// still moves to idle workers) while paying the smallest available
+    /// seek penalty for it.
     pub fn with_disks(mut self, n_disks: u32) -> Self {
         self.n_disks = n_disks;
         self
@@ -190,7 +229,7 @@ impl StealPartition {
 
     /// Begin the slot's next morsel: own deque first, then steal the back
     /// half of the first victim (in seeded order) with pending work. On
-    /// success the slot's claim word is armed with the morsel's range.
+    /// success the slot's claim word is armed with the morsel's length.
     /// `None` means the slot is revoked or no pending morsel exists
     /// anywhere — the worker retires.
     pub fn next_morsel(&self, slot: usize) -> Option<NextMorsel> {
@@ -199,9 +238,7 @@ impl StealPartition {
             return None;
         }
         if let Some(m) = slots[slot].pending.pop_front() {
-            slots[slot].started = true;
-            slots[slot].last_unit = Some(m.start);
-            arm(&slots[slot], m);
+            slots[slot].arm(m);
             return Some(NextMorsel { morsel: m, stolen_from: None });
         }
         let n = slots.len();
@@ -210,58 +247,37 @@ impl StealPartition {
         // and take the minimum — stay on the disk the thief was streaming
         // when possible, and jump as short a seek as possible otherwise.
         // Ties resolve to the seeded rotation's first, keeping replay
-        // determinism.
-        if self.n_disks > 1 {
-            if let Some(last) = slots[slot].last_unit {
-                let want = last % u64::from(self.n_disks);
-                let mut best: Option<((u64, u64), usize)> = None;
-                for victim in victim_order(self.seed, slot, n) {
-                    let Some(c) = steal_candidate(&slots, victim) else { continue };
-                    let off_disk = u64::from(c.start % u64::from(self.n_disks) != want);
-                    let key = (off_disk, c.start.abs_diff(last));
-                    if best.is_none_or(|(k, _)| key < k) {
-                        best = Some((key, victim));
-                    }
-                }
-                if let Some((_, victim)) = best {
-                    let m = steal_from(&mut slots, slot, victim).expect("candidate verified");
-                    slots[slot].last_unit = Some(m.start);
-                    arm(&slots[slot], m);
-                    return Some(NextMorsel { morsel: m, stolen_from: Some(victim) });
-                }
-                return None;
+        // determinism. Without a disk mapping, or for a thief that never
+        // armed a morsel, every candidate ties and the first victim in the
+        // rotation with stealable work is taken.
+        let affinity = (self.n_disks > 1).then_some(slots[slot].last_unit).flatten();
+        let mut best: Option<((u64, u64), usize)> = None;
+        for victim in victim_order(self.seed, slot, n) {
+            let Some(c) = steal_candidate(&slots, victim) else { continue };
+            let key = affinity.map_or((0, 0), |last| {
+                let n_disks = u64::from(self.n_disks);
+                (u64::from(c.start % n_disks != last % n_disks), c.start.abs_diff(last))
+            });
+            if best.is_none_or(|(k, _)| key < k) {
+                best = Some((key, victim));
             }
         }
-        // Blind fallback — no disk mapping, or the thief never armed a
-        // morsel: first victim in the seeded rotation with stealable work.
-        for victim in victim_order(self.seed, slot, n) {
-            let Some(m) = steal_from(&mut slots, slot, victim) else { continue };
-            slots[slot].last_unit = Some(m.start);
-            arm(&slots[slot], m);
-            return Some(NextMorsel { morsel: m, stolen_from: Some(victim) });
-        }
-        None
+        let (_, victim) = best?;
+        let m = steal_from(&mut slots, slot, victim);
+        slots[slot].arm(m);
+        Some(NextMorsel { morsel: m, stolen_from: Some(victim) })
     }
 
     /// Revoke `slot` (presumed dead), reclaim its *unclaimed* work — the
-    /// in-flight remainder `[cursor, end)` plus every pending morsel — into
-    /// a fresh replacement slot, and return the replacement's index.
+    /// in-flight remainder plus every pending morsel — into a fresh
+    /// replacement slot, and return the replacement's index.
     ///
     /// Units the owner claimed before the revocation landed stay its
     /// responsibility: a stalled false positive finishes them and reports
     /// them itself, which is exactly what keeps the ledger exactly-once.
     pub fn fail_slot(&self, dead: usize) -> usize {
         let mut slots = lock(&self.inner);
-        let mut reclaimed = VecDeque::new();
-        let already = slots[dead].revoked;
-        slots[dead].revoked = true;
-        let prev = slots[dead].claim.fetch_or(REVOKED, Ordering::SeqCst);
-        if !already && prev & REVOKED == 0 {
-            let (cursor, end) = unpack(prev);
-            if cursor < end {
-                reclaimed.push_back(Morsel { start: cursor, end });
-            }
-        }
+        let mut reclaimed: VecDeque<Morsel> = slots[dead].revoke().into_iter().collect();
         reclaimed.append(&mut slots[dead].pending);
         slots.push(SlotState::fresh(reclaimed));
         slots.len() - 1
@@ -278,8 +294,7 @@ impl StealPartition {
     pub fn revoke_all(&self) {
         let mut slots = lock(&self.inner);
         for s in slots.iter_mut() {
-            s.revoked = true;
-            s.claim.fetch_or(REVOKED, Ordering::SeqCst);
+            s.revoke();
             s.pending.clear();
         }
     }
@@ -287,7 +302,7 @@ impl StealPartition {
     /// Adjust to `new_parallelism` active slots. Growing adds empty slots
     /// (they immediately steal); shrinking revokes the highest-numbered
     /// active slots and redistributes their unclaimed work round-robin
-    /// over the survivors. Mirrors the §2.4 protocols' contract: the
+    /// over the survivors. Keeps the §2.4 protocols' contract: the
     /// returned `new_slots` need staffing, `retiring_slots` drain at their
     /// next claim.
     pub fn adjust(&self, new_parallelism: u32) -> AdjustInfo {
@@ -309,16 +324,8 @@ impl StealPartition {
         let (survivors, retiring) = active.split_at(want);
         let mut orphaned = VecDeque::new();
         for &slot in retiring {
-            slots[slot].revoked = true;
-            let prev = slots[slot].claim.fetch_or(REVOKED, Ordering::SeqCst);
-            if prev & REVOKED == 0 {
-                let (cursor, end) = unpack(prev);
-                if cursor < end {
-                    orphaned.push_back(Morsel { start: cursor, end });
-                }
-            }
-            let mut pending = std::mem::take(&mut slots[slot].pending);
-            orphaned.append(&mut pending);
+            orphaned.extend(slots[slot].revoke());
+            orphaned.append(&mut slots[slot].pending);
             info.retiring_slots.push(slot);
         }
         for (i, m) in orphaned.into_iter().enumerate() {
@@ -354,59 +361,49 @@ impl StealPartition {
             .sum()
     }
 
-    /// Claim the next unit of the slot's in-flight morsel. Lock-free: one
-    /// CAS on the slot's private word. `None` means the morsel is
-    /// exhausted *or* the slot was revoked — either way the worker goes
-    /// back to [`StealPartition::next_morsel`], which settles the question
-    /// under the latch.
+    /// Claim the next unit of the slot's in-flight morsel and return its
+    /// **offset within that morsel**: the unit is `morsel.start + offset`
+    /// for the [`NextMorsel`] the slot's last [`StealPartition::next_morsel`]
+    /// returned (only that call re-arms the word, so the owner always
+    /// knows the base). Lock-free: one CAS on the slot's private word.
+    /// `None` means the morsel is exhausted *or* the slot was revoked —
+    /// either way the worker goes back to `next_morsel`, which settles the
+    /// question under the latch.
     pub fn claim_unit(claim: &AtomicU64) -> Option<u64> {
         claim
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |word| {
-                if word & REVOKED != 0 {
-                    return None;
-                }
-                let (cursor, end) = unpack(word);
-                (cursor < end).then(|| pack(cursor + 1, end))
+                let (offset, len) = unpack(word);
+                (word & REVOKED == 0 && offset < len).then_some(word + 1)
             })
             .ok()
             .map(|prev| prev & 0xFFFF_FFFF)
     }
 }
 
-/// Arm the slot's claim word for a freshly taken morsel. Caller holds the
-/// latch and has checked `revoked == false`, and revocation only happens
-/// under the same latch, so a plain store cannot clobber a REVOKED bit.
-fn arm(slot: &SlotState, m: Morsel) {
-    slot.claim.store(pack(m.start, m.end), Ordering::SeqCst);
+/// Pending morsels of `victim` a thief may take: everything once the owner
+/// has begun, all but the last before that (the first-morsel guarantee).
+fn stealable(slots: &[SlotState], victim: usize) -> usize {
+    let len = slots[victim].pending.len();
+    if slots[victim].started { len } else { len.saturating_sub(1) }
 }
 
 /// The morsel a thief *would* receive from `victim` — the front of the
 /// stolen back half — without committing the steal. `None` when nothing is
-/// stealable (empty, or an unstarted owner's guaranteed first morsel).
+/// stealable.
 fn steal_candidate(slots: &[SlotState], victim: usize) -> Option<Morsel> {
-    let len = slots[victim].pending.len();
-    let stealable = if slots[victim].started { len } else { len.saturating_sub(1) };
-    if stealable == 0 {
-        return None;
-    }
-    Some(slots[victim].pending[len - stealable.div_ceil(2)])
+    let n = stealable(slots, victim);
+    (n > 0).then(|| slots[victim].pending[slots[victim].pending.len() - n.div_ceil(2)])
 }
 
-/// Steal the back half of `victim`'s pending morsels (round up, so a lone
-/// stealable morsel moves) into `thief`'s deque and hand back the first of
-/// them. A victim that hasn't begun keeps its last pending morsel (the
-/// first-morsel guarantee); otherwise everything pending is fair game.
-fn steal_from(slots: &mut [SlotState], thief: usize, victim: usize) -> Option<Morsel> {
+/// Steal the back half of `victim`'s stealable morsels (round up, so a lone
+/// one moves) into `thief`'s deque and hand back the first of them — the
+/// morsel [`steal_candidate`] announced, which the caller has checked
+/// exists.
+fn steal_from(slots: &mut [SlotState], thief: usize, victim: usize) -> Morsel {
+    let n = stealable(slots, victim);
     let len = slots[victim].pending.len();
-    let stealable = if slots[victim].started { len } else { len.saturating_sub(1) };
-    if stealable == 0 {
-        return None;
-    }
-    let tail = slots[victim].pending.split_off(len - stealable.div_ceil(2));
-    slots[thief].pending = tail;
-    let m = slots[thief].pending.pop_front().expect("stole at least one");
-    slots[thief].started = true;
-    Some(m)
+    slots[thief].pending = slots[victim].pending.split_off(len - n.div_ceil(2));
+    slots[thief].pending.pop_front().expect("candidate verified")
 }
 
 /// The victim visit order for `slot` among `n` slots: every other slot
@@ -428,19 +425,21 @@ mod tests {
     use std::collections::HashSet;
 
     /// Drain every slot round-robin (claim a unit, else take a morsel) and
-    /// record who processed what.
+    /// record the units claimed. No slot may be mid-morsel on entry: the
+    /// base of an armed morsel is known only to whoever armed it.
     fn drain(p: &StealPartition) -> Vec<u64> {
         let mut seen = Vec::new();
-        let mut claims: Vec<_> = (0..p.n_slots()).map(|s| Some(p.claim_of(s))).collect();
+        let mut claims: Vec<_> = (0..p.n_slots()).map(|s| Some((p.claim_of(s), 0))).collect();
         let mut progressed = true;
         while progressed {
             progressed = false;
             for (slot, entry) in claims.iter_mut().enumerate() {
-                let Some(claim) = entry else { continue };
-                if let Some(u) = StealPartition::claim_unit(claim) {
-                    seen.push(u);
+                let Some((claim, base)) = entry else { continue };
+                if let Some(offset) = StealPartition::claim_unit(claim) {
+                    seen.push(*base + offset);
                     progressed = true;
-                } else if p.next_morsel(slot).is_some() {
+                } else if let Some(next) = p.next_morsel(slot) {
+                    *base = next.morsel.start;
                     progressed = true;
                 } else {
                     *entry = None;
@@ -516,17 +515,10 @@ mod tests {
         // The owner's next claim refuses (revoked).
         assert_eq!(StealPartition::claim_unit(&claim), None);
         assert!(p.next_morsel(0).is_none(), "revoked slot draws no morsel");
-        // The replacement sees exactly the remainder plus the pending tail.
-        let p2 = replacement;
-        let mut seen = Vec::new();
-        let claim2 = p.claim_of(p2);
-        loop {
-            if let Some(u) = StealPartition::claim_unit(&claim2) {
-                seen.push(u);
-            } else if p.next_morsel(p2).is_none() {
-                break;
-            }
-        }
+        // The replacement — the only slot left to draw — sees exactly the
+        // remainder plus the pending tail.
+        assert_eq!(p.active_slots(), vec![replacement]);
+        let mut seen = drain(&p);
         seen.sort_unstable();
         assert_eq!(seen, (3..32).collect::<Vec<_>>());
     }
@@ -561,17 +553,7 @@ mod tests {
         let r1 = p.fail_slot(0);
         let r2 = p.fail_slot(0);
         assert_ne!(r1, r2);
-        let mut seen = Vec::new();
-        for slot in [r1, r2] {
-            let c = p.claim_of(slot);
-            loop {
-                if let Some(u) = StealPartition::claim_unit(&c) {
-                    seen.push(u);
-                } else if p.next_morsel(slot).is_none() {
-                    break;
-                }
-            }
-        }
+        let mut seen = drain(&p);
         seen.sort_unstable();
         assert_eq!(seen, (1..16).collect::<Vec<_>>(), "remainder reclaimed exactly once");
     }
@@ -633,9 +615,11 @@ mod tests {
         let stolen = p.next_morsel(0).expect("steal must still rescue work");
         assert_eq!(stolen.stolen_from, Some(3));
         assert_eq!(stolen.morsel.start, 19, "nearest stealable unit to 28");
-        // And exactly-once still holds: drain claims the armed steal and
-        // everything pending; slot 0's own residue class was claimed above.
+        // And exactly-once still holds: the armed steal, everything still
+        // pending, and slot 0's own residue class claimed above.
+        assert_eq!(StealPartition::claim_unit(&claim), Some(0));
         let mut seen = drain(&p);
+        seen.push(19);
         seen.extend((0..32).step_by(4));
         seen.sort_unstable();
         assert_eq!(seen, (0..32).collect::<Vec<_>>(), "no unit lost under affine stealing");

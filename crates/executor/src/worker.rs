@@ -1,10 +1,11 @@
 //! The slave backend: one worker thread executing its share of a fragment.
 //!
 //! Workers never receive control messages. All coordination happens through
-//! the shared partition state (Section 2.4): a worker asks for its next page
-//! or key under the partition mutex, and the answer reflects any adjustment
-//! the master has applied — including "you are retired" (`None`). This is
-//! the shared-memory, low-communication-cost design the paper credits for
+//! the fragment's shared [`StealPartition`] (the Section 2.4 contract): a
+//! worker asks it for its next morsel and claims that morsel's units on a
+//! private atomic, and the answer reflects any adjustment the master has
+//! applied — including "you are retired" (`None`). This is the
+//! shared-memory, low-communication-cost design the paper credits for
 //! making dynamic parallelism adjustment cheap.
 //!
 //! # Data path
@@ -29,7 +30,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use xprs_disk::{RelId, SpillFile, WorkerFaultKind};
-use xprs_storage::partition::{PagePartition, RangePartition};
 use xprs_storage::runs::is_sorted_run;
 use xprs_storage::{Catalog, Relation, Tuple};
 
@@ -53,23 +53,6 @@ impl RelBinding {
     fn admits(&self, key: i32) -> bool {
         key >= self.pred.0 && key <= self.pred.1
     }
-}
-
-/// The shared partition behind the fragment's mutex.
-pub(crate) enum PartitionState {
-    /// Page-partitioned scan.
-    Page(PagePartition),
-    /// Range-partitioned scan / key-domain walk.
-    Range(RangePartition),
-    /// Morsel-driven work stealing over unit indices `[0, total_units)`.
-    /// The fragment mutex is taken once, to discover the variant; all
-    /// further coordination lives inside the [`StealPartition`].
-    Morsel {
-        /// The stealing deque layer.
-        part: Arc<StealPartition>,
-        /// Key a unit offset of 0 maps to (0 for page scans).
-        key_base: i64,
-    },
 }
 
 /// The fragment's result sink: one **locally sorted run** per worker
@@ -172,8 +155,11 @@ pub(crate) struct FragCtx {
     pub rels: Vec<RelBinding>,
     /// Materialized inputs, keyed by per-query fragment index.
     pub inputs: HashMap<usize, Arc<Materialized>>,
-    /// The Section 2.4 partition state.
-    pub partition: Mutex<PartitionState>,
+    /// The unit space `[0, total_units)`, dealt in morsels; read with no
+    /// latch (all coordination lives inside the [`StealPartition`]).
+    pub part: Arc<StealPartition>,
+    /// Key a unit index of 0 maps to (0 for page scans).
+    pub key_base: i64,
     /// Slots whose worker has exited (may be re-staffed on adjust).
     pub exited_slots: Mutex<Vec<usize>>,
     /// Per-slot liveness counters, bumped once at startup and once per
@@ -257,16 +243,10 @@ impl FragCtx {
             .unwrap_or_else(|| panic!("relation {name} vanished from the catalog"))
     }
 
-    /// Record one finished unit. Completion itself is announced by the last
-    /// exiting worker (see [`FragCtx::worker_exit`]), after all flushes.
-    fn finish_unit(&self) {
-        let done = self.units_done.fetch_add(1, Ordering::SeqCst) + 1;
-        debug_assert!(done <= self.total_units);
-    }
-
-    /// Record `n` finished units in one report — the morsel path's
-    /// amortized master/worker handoff (one fetch-add per morsel episode
-    /// instead of one per unit).
+    /// Record `n` finished units in one report — the amortized
+    /// master/worker handoff (one fetch-add per morsel episode, not one per
+    /// unit). Completion itself is announced by the last exiting worker
+    /// (see [`FragCtx::worker_exit`]), after all flushes.
     fn report_units(&self, n: u64) {
         if n == 0 {
             return;
@@ -290,11 +270,6 @@ impl FragCtx {
             let _ = self.done_tx.send(MasterMsg::FragmentDone(self.gid));
         }
     }
-}
-
-enum Unit {
-    Page(u64),
-    Key(i64),
 }
 
 /// Initial capacity of a worker's local output buffer, in tuples.
@@ -450,7 +425,12 @@ impl<'m> WorkerState<'m> {
     }
 }
 
-/// Worker main loop for slot `slot` of the fragment.
+/// Worker main loop for slot `slot` of the fragment: claim a morsel (own
+/// deque, else steal), claim its units one CAS at a time, and settle the
+/// completion ledger **once per morsel** instead of once per unit. A page
+/// scan keeps one page of read-ahead across unit *and* morsel boundaries:
+/// the next unit is claimed — from the morsel in hand, the own deque or a
+/// victim — and its read issued before the previous page is evaluated.
 ///
 /// The caller (the pool job wrapper in `master.rs`) is responsible for
 /// calling [`FragCtx::worker_exit`] afterwards — also on panic — so the
@@ -462,7 +442,7 @@ pub(crate) fn run_worker(
     catalog: &Catalog,
 ) {
     let wid = machine.new_worker_id();
-    let mut ws = WorkerState::new(machine, wid, ctx);
+    let ws = &mut WorkerState::new(machine, wid, ctx);
     let heartbeat = {
         let mut beats = lock(&ctx.heartbeats);
         while beats.len() <= slot {
@@ -471,129 +451,8 @@ pub(crate) fn run_worker(
         beats[slot].clone()
     };
     heartbeat.fetch_add(1, Ordering::Relaxed);
-    // The partition variant never changes after staffing: discover it once
-    // and dispatch. The morsel path takes the fragment mutex exactly this
-    // once; the static paths keep taking it per unit.
-    let stealing = {
-        let p = lock(&ctx.partition);
-        match &*p {
-            PartitionState::Morsel { part, key_base } => Some((part.clone(), *key_base)),
-            _ => None,
-        }
-    };
-    if let Some((part, key_base)) = stealing {
-        if run_morsel_worker(ctx, slot, machine, catalog, &mut ws, &heartbeat, &part, key_base) {
-            // Injected death: flush what was finished, then vanish without
-            // registering the exit.
-            ws.settle(ctx);
-            return;
-        }
-        worker_epilogue(ctx, slot, &mut ws);
-        return;
-    }
-    // Units this worker has claimed; at most one of them — the page whose
-    // read is in flight — is not yet finished.
-    let mut claimed = 0u64;
-    let mut in_flight: Option<PageRead> = None;
-    let mut died = false;
-    loop {
-        if ctx.stopped() {
-            break;
-        }
-        // Injected worker faults fire at claim boundaries, keyed to units
-        // *claimed*: a claimed unit is always completed, so a death here
-        // never leaves a unit half-done — the page in flight is finished
-        // below, and the cursor cleanly separates this worker's work from
-        // the obligation the master will reclaim.
-        if let Some(plan) = machine.fault_plan() {
-            match plan.take_worker_fault(ctx.gid, slot, claimed) {
-                Some(WorkerFaultKind::Death) => {
-                    died = true;
-                    break;
-                }
-                Some(WorkerFaultKind::Stall { millis }) => {
-                    std::thread::sleep(Duration::from_millis(millis));
-                }
-                None => {}
-            }
-        }
-        let unit = {
-            let mut p = lock(&ctx.partition);
-            match &mut *p {
-                PartitionState::Page(pp) => pp.next_page(slot).map(Unit::Page),
-                PartitionState::Range(rp) => rp.next_key(slot).map(Unit::Key),
-                PartitionState::Morsel { .. } => unreachable!("dispatched above"),
-            }
-        };
-        let Some(unit) = unit else { break };
-        claimed += 1;
-        let finished = match unit {
-            Unit::Page(page) => {
-                let next = issue_page(ctx, catalog, page, &mut ws);
-                read_ahead(ctx, catalog, &mut in_flight, Some(next), &mut ws)
-            }
-            Unit::Key(key) => {
-                scan_key(ctx, catalog, key, &mut ws);
-                true
-            }
-        };
-        if finished {
-            ctx.finish_unit();
-            heartbeat.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    // However the loop ended — exhaustion, retirement, stop or death — the
-    // claimed page still in flight is this worker's to finish.
-    if read_ahead(ctx, catalog, &mut in_flight, None, &mut ws) {
-        ctx.finish_unit();
-        heartbeat.fetch_add(1, Ordering::Relaxed);
-    }
-    if died {
-        // Completed units live in shared memory and survive the worker
-        // (flush them), but the slot vanishes without registering in
-        // `exited_slots`: its heartbeat freezes and the patrol declares it
-        // dead.
-        ws.settle(ctx);
-        return;
-    }
-    worker_epilogue(ctx, slot, &mut ws);
-}
-
-/// Shared worker exit path: flush the local run, surface any recorded
-/// faults, and register the voluntary exit (so the patrol never reaps it).
-fn worker_epilogue(ctx: &Arc<FragCtx>, slot: usize, ws: &mut WorkerState<'_>) {
-    ws.settle(ctx);
-    if let Some(fault) = ws.io_fault.take() {
-        let _ = ctx.done_tx.send(MasterMsg::IoFault { gid: ctx.gid, fault });
-    }
-    if let Some(name) = ws.index_fault.take() {
-        let _ = ctx.done_tx.send(MasterMsg::IndexMissing { gid: ctx.gid, name });
-    }
-    lock(&ctx.exited_slots).push(slot);
-}
-
-/// Morsel-driven worker loop: claim a morsel (own deque, else steal),
-/// claim its units one CAS at a time, and settle the completion ledger
-/// **once per morsel** instead of once per unit. A page scan keeps one page
-/// of read-ahead across unit *and* morsel boundaries: the next unit is
-/// claimed — from the morsel in hand, the own deque or a victim — and its
-/// read issued before the previous page is evaluated. Returns `true` when
-/// an injected death fired — the caller vanishes without registering an
-/// exit, so the heartbeat patrol detects the corpse and reclaims the
-/// morsel's unclaimed remainder through [`StealPartition::fail_slot`].
-#[allow(clippy::too_many_arguments)]
-fn run_morsel_worker(
-    ctx: &Arc<FragCtx>,
-    slot: usize,
-    machine: &Machine,
-    catalog: &Catalog,
-    ws: &mut WorkerState<'_>,
-    heartbeat: &Arc<AtomicU64>,
-    part: &StealPartition,
-    key_base: i64,
-) -> bool {
     let metrics = machine.metrics().cloned();
-    let claim = part.claim_of(slot);
+    let claim = ctx.part.claim_of(slot);
     let mut claimed = 0u64; // units claimed; at most one is still in flight
     let mut batch = 0u64; // units finished but not yet reported
     let mut in_flight: Option<PageRead> = None;
@@ -615,7 +474,7 @@ fn run_morsel_worker(
         let sampled = metrics.is_some() && episodes.is_multiple_of(MORSEL_SAMPLE);
         episodes += 1;
         let t_search = if sampled { Some(Instant::now()) } else { None };
-        let Some(next) = part.next_morsel(slot) else {
+        let Some(next) = ctx.part.next_morsel(slot) else {
             loc_fails += 1;
             if let (Some(m), Some(t0)) = (&metrics, t_search) {
                 m.steal_idle_ns.observe(t0.elapsed().as_nanos() as u64);
@@ -635,11 +494,12 @@ fn run_morsel_worker(
             if ctx.stopped() {
                 break;
             }
-            // Faults fire at claim boundaries, exactly as on the static
-            // path: a death leaves no unit half-done, and the units this
-            // incarnation claimed — the page in flight included — are
-            // finished and reported before it vanishes; the patrol reclaims
-            // only what was never claimed.
+            // Injected worker faults fire at claim boundaries, keyed to
+            // units *claimed*: a claimed unit is always completed, so a
+            // death leaves no unit half-done — the units this incarnation
+            // claimed, the page in flight included, are finished and
+            // reported before it vanishes, and the patrol reclaims only
+            // what was never claimed.
             if let Some(plan) = machine.fault_plan() {
                 match plan.take_worker_fault(ctx.gid, slot, claimed) {
                     Some(WorkerFaultKind::Death) => {
@@ -652,17 +512,18 @@ fn run_morsel_worker(
                     None => {}
                 }
             }
-            let Some(unit) = StealPartition::claim_unit(&claim) else {
+            let Some(offset) = StealPartition::claim_unit(&claim) else {
                 break; // morsel exhausted or slot revoked: back to the deques
             };
+            let unit = next.morsel.start + offset;
             claimed += 1;
             let finished = match ctx.program.driver {
                 Driver::PageScan { .. } => {
-                    let next = issue_page(ctx, catalog, unit, ws);
-                    read_ahead(ctx, catalog, &mut in_flight, Some(next), ws)
+                    let page = issue_page(ctx, catalog, unit, ws);
+                    read_ahead(ctx, catalog, &mut in_flight, Some(page), ws)
                 }
                 Driver::KeyScan { .. } | Driver::KeyDomain => {
-                    scan_key(ctx, catalog, key_base + unit as i64, ws);
+                    scan_key(ctx, catalog, ctx.key_base + unit as i64, ws);
                     true
                 }
             };
@@ -677,9 +538,6 @@ fn run_morsel_worker(
         if let (Some(m), Some(t0)) = (&metrics, morsel_t0) {
             m.morsel_ns.observe(t0.elapsed().as_nanos() as u64);
         }
-        if ctx.stopped() {
-            break 'morsels;
-        }
     }
     // However the loops ended — exhaustion, revocation, stop or death — the
     // claimed page still in flight is this worker's to finish and report.
@@ -689,10 +547,26 @@ fn run_morsel_worker(
     }
     ctx.report_units(batch);
     flush_steal_counts(&metrics, loc_steals, loc_fails);
-    died
+    // Flush the local run and surface any recorded faults.
+    ws.settle(ctx);
+    if died {
+        // Completed units live in shared memory and survive the worker, but
+        // the slot vanishes without registering in `exited_slots`: its
+        // heartbeat freezes, the patrol declares it dead and reclaims the
+        // morsel's unclaimed remainder through `StealPartition::fail_slot`.
+        return;
+    }
+    if let Some(fault) = ws.io_fault.take() {
+        let _ = ctx.done_tx.send(MasterMsg::IoFault { gid: ctx.gid, fault });
+    }
+    if let Some(name) = ws.index_fault.take() {
+        let _ = ctx.done_tx.send(MasterMsg::IndexMissing { gid: ctx.gid, name });
+    }
+    // Register the voluntary exit, so the patrol never reaps it.
+    lock(&ctx.exited_slots).push(slot);
 }
 
-/// Latency-histogram sampling rate on the morsel path: one episode in this
+/// Latency-histogram sampling rate of the worker loop: one episode in this
 /// many reads the clock and touches the shared histograms. The steal/fail
 /// counters are exact regardless — they accumulate locally and flush here.
 const MORSEL_SAMPLE: u64 = 8;
@@ -765,7 +639,7 @@ fn finish_page(ctx: &FragCtx, catalog: &Catalog, read: PageRead<'_>, ws: &mut Wo
     }
 }
 
-/// Key driver: one key of a range-partitioned index scan or key-domain walk.
+/// Key driver: one key of an index scan or key-domain walk.
 fn scan_key(ctx: &FragCtx, catalog: &Catalog, key: i64, ws: &mut WorkerState<'_>) {
     let key = key as i32;
     match ctx.program.driver {

@@ -3,8 +3,8 @@
 //! admission — queueing and spilling as needed — with rows **byte-identical**
 //! to an uncontended run, a balanced grant ledger (every granted page
 //! released), and an empty pin table at exit. `PoolExhausted` may never
-//! surface; the only memory error a caller can see is the typed
-//! [`ExecError::MemoryGrantExceeded`], and only when spill is disabled.
+//! surface: a demand past the whole pool runs under a clamped grant and
+//! spills.
 
 use std::sync::Arc;
 
@@ -124,27 +124,6 @@ fn oversized_builds_complete_with_grants_and_spill() {
     // The reference run had grants off: its ledger must be empty.
     assert_eq!(reference.mem_granted_pages, 0);
     assert_eq!(reference.spill_chunks, 0);
-}
-
-/// With spill disabled, a demand exceeding the whole pool is refused with
-/// the typed error — not `PoolExhausted`, not a panic, not a hang.
-#[test]
-fn over_pool_demand_without_spill_is_refused_typed() {
-    let wl = generate_oversized_build(&spec(0xBAD, 4, 1));
-    let cat = catalog_for(&wl);
-    let runs = runs_for(&cat, &wl);
-
-    let err = run_with(granted_cfg().without_spill(), &cat, &runs)
-        .expect_err("a 4x-pool build must be refused when spill is off");
-    match err {
-        ExecError::MemoryGrantExceeded { demand_pages, capacity_pages, .. } => {
-            assert!(
-                demand_pages > capacity_pages,
-                "refusal with demand {demand_pages} <= capacity {capacity_pages}"
-            );
-        }
-        other => panic!("expected MemoryGrantExceeded, got: {other}"),
-    }
 }
 
 /// Admission queueing is observable: with several oversized builds racing

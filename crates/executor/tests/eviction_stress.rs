@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use xprs_disk::StripedLayout;
-use xprs_executor::{ExecConfig, ExecReport, Executor, MorselMode, QueryRun, RelBinding};
+use xprs_executor::{ExecConfig, ExecReport, Executor, QueryRun, RelBinding};
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::MachineConfig;
@@ -59,9 +59,8 @@ fn run_with_pool(
     cat: &Arc<Catalog>,
     workload: &DiskResidentWorkload,
     pool_pages: usize,
-    mode: MorselMode,
 ) -> ExecReport {
-    let mut cfg = ExecConfig::unthrottled().with_morsel_mode(mode);
+    let mut cfg = ExecConfig::unthrottled();
     cfg.bufpool_pages = pool_pages;
     cfg.bufpool_shards = TINY_POOL_PAGES;
     let exec = Executor::new(cfg, cat.clone());
@@ -88,68 +87,65 @@ fn tiny_shard_pool_thrashes_with_an_exact_ledger_and_no_pin_leaks() {
     let pages_per_scan: u64 = workload.relations.iter().map(|r| r.n_pages()).sum();
     // Baseline: a pool big enough to cache both relations, so the second
     // pass over each is all hits and the rows are the reference output.
-    let baseline =
-        run_with_pool(&cat, &workload, (pages_per_scan * 2) as usize, MorselMode::stealing());
+    let baseline = run_with_pool(&cat, &workload, (pages_per_scan * 2) as usize);
     assert!(
         baseline.stats.pool.hit_rate() > 0.45,
         "cacheable baseline should hit on its second pass, got {:.3}",
         baseline.stats.pool.hit_rate()
     );
 
-    for mode in [MorselMode::stealing(), MorselMode::StaticShares] {
-        let report = run_with_pool(&cat, &workload, TINY_POOL_PAGES, mode);
-        let pool = &report.stats.pool;
+    let report = run_with_pool(&cat, &workload, TINY_POOL_PAGES);
+    let pool = &report.stats.pool;
 
-        // The generator's spill sizing must actually defeat the pool.
-        assert!(
-            pool.hit_rate() < 0.5,
-            "{mode:?}: tiny pool should thrash, hit_rate={:.3}",
-            pool.hit_rate()
-        );
+    // The generator's spill sizing must actually defeat the pool.
+    assert!(
+        pool.hit_rate() < 0.5,
+        "tiny pool should thrash, hit_rate={:.3}",
+        pool.hit_rate()
+    );
 
-        // Ledger: every page read the machine counted is accounted to
-        // exactly one of hit / miss / bypass — in aggregate...
+    // Ledger: every page read the machine counted is accounted to
+    // exactly one of hit / miss / bypass — in aggregate...
+    assert_eq!(
+        pool.hits + pool.misses + pool.bypasses,
+        report.stats.reads,
+        "pool ledger out of balance"
+    );
+    // ...and the machine's read count is itself grounded: two full
+    // scans of each relation, page for page.
+    assert_eq!(report.stats.reads, pages_per_scan * 2, "unexpected read count");
+    // Per-shard counters sum to the aggregate (no shard double-counts).
+    let shard_sum: u64 =
+        report.pool_shards.iter().map(|s| s.hits + s.misses + s.bypasses).sum();
+    assert_eq!(shard_sum, report.stats.reads, "shard ledgers out of balance");
+
+    // Pin-leak freedom: one-frame shards make even a single leaked pin
+    // permanent, and eviction requires an unpinned victim.
+    assert_eq!(report.pool_pinned_at_exit, 0, "leaked buffer-pool pins");
+
+    // Eviction pressure was real, not all bypasses.
+    assert!(
+        pool.evictions > 0,
+        "a thrashing pool must evict, stats={pool:?}"
+    );
+
+    // Same rows as the cacheable baseline, query for query. Output is
+    // key-sorted but tie order among equal keys follows run arrival,
+    // which is timing-dependent — compare canonical multisets here;
+    // the stable-order guarantee is covered by the parity test, whose
+    // payloads are key-determined.
+    assert_eq!(report.results.len(), baseline.results.len());
+    for (got, want) in report.results.iter().zip(&baseline.results) {
         assert_eq!(
-            pool.hits + pool.misses + pool.bypasses,
-            report.stats.reads,
-            "{mode:?}: pool ledger out of balance"
+            canonical(&got.rows.rows),
+            canonical(&want.rows.rows),
+            "rows diverged under eviction"
         );
-        // ...and the machine's read count is itself grounded: two full
-        // scans of each relation, page for page.
-        assert_eq!(report.stats.reads, pages_per_scan * 2, "{mode:?}: unexpected read count");
-        // Per-shard counters sum to the aggregate (no shard double-counts).
-        let shard_sum: u64 =
-            report.pool_shards.iter().map(|s| s.hits + s.misses + s.bypasses).sum();
-        assert_eq!(shard_sum, report.stats.reads, "{mode:?}: shard ledgers out of balance");
-
-        // Pin-leak freedom: one-frame shards make even a single leaked pin
-        // permanent, and eviction requires an unpinned victim.
-        assert_eq!(report.pool_pinned_at_exit, 0, "{mode:?}: leaked buffer-pool pins");
-
-        // Eviction pressure was real, not all bypasses.
-        assert!(
-            pool.evictions > 0,
-            "{mode:?}: a thrashing pool must evict, stats={pool:?}"
-        );
-
-        // Same rows as the cacheable baseline, query for query. Output is
-        // key-sorted but tie order among equal keys follows run arrival,
-        // which is timing-dependent — compare canonical multisets here;
-        // the stable-order guarantee is covered by the parity test, whose
-        // payloads are key-determined.
-        assert_eq!(report.results.len(), baseline.results.len());
-        for (got, want) in report.results.iter().zip(&baseline.results) {
-            assert_eq!(
-                canonical(&got.rows.rows),
-                canonical(&want.rows.rows),
-                "{mode:?}: rows diverged under eviction"
-            );
-        }
-        // ...and the same rows the oracle computes without any pool at all.
-        assert_eq!(report.results.len(), oracle_rows.len());
-        for (qi, (got, want)) in report.results.iter().zip(&oracle_rows).enumerate() {
-            assert!(!want.is_empty(), "query {qi}: vacuous oracle comparison");
-            oracle::assert_matches(&format!("{mode:?}, query {qi}"), &got.rows.rows, want);
-        }
+    }
+    // ...and the same rows the oracle computes without any pool at all.
+    assert_eq!(report.results.len(), oracle_rows.len());
+    for (qi, (got, want)) in report.results.iter().zip(&oracle_rows).enumerate() {
+        assert!(!want.is_empty(), "query {qi}: vacuous oracle comparison");
+        oracle::assert_matches(&format!("query {qi}"), &got.rows.rows, want);
     }
 }

@@ -1,12 +1,11 @@
-//! Output parity across morsel modes: the same query must return
-//! **byte-identical** rows under §2.4 static partition shares
-//! ([`MorselMode::StaticShares`]) and morsel-driven work stealing
-//! ([`MorselMode::Stealing`]) — at every worker count, at a morsel grain
-//! small enough to force heavy stealing, and with a worker killed
-//! mid-scan so the heartbeat patrol's reclamation path is on the
-//! byte-identity critical path too. Both modes are additionally held
-//! against the naive oracle (`common/oracle.rs`), so a bug the two modes
-//! share cannot hide behind their agreement.
+//! Output parity across morsel grains: the same query must return
+//! **byte-identical** rows at the default grain and at a grain of one unit
+//! per morsel (maximum steal traffic) — fault-free, and with a worker
+//! killed mid-scan so the heartbeat patrol's reclamation path is on the
+//! byte-identity critical path too. Every run is additionally held against
+//! the naive oracle (`common/oracle.rs`), so a bug the grains share cannot
+//! hide behind their agreement. (The §2.4 static shares these tests once
+//! compared against are retired; see `docs/results/scaling.md`.)
 //!
 //! Payloads are a pure function of `(relation, key)` (the
 //! `join_datapath` convention), so the key-sorted outputs admit
@@ -15,7 +14,7 @@
 use std::sync::Arc;
 
 use xprs_disk::{FaultPlan, StripedLayout};
-use xprs_executor::{ExecConfig, Executor, MorselMode, QueryRun, RelBinding};
+use xprs_executor::{ExecConfig, Executor, QueryRun, RelBinding, DEFAULT_MORSEL_UNITS};
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::intra::IntraOnly;
 use xprs_scheduler::MachineConfig;
@@ -68,12 +67,16 @@ fn runs(cat: &Arc<Catalog>) -> Vec<QueryRun> {
     ]
 }
 
-fn run_mode(
+/// Morsel grains under test: the production default, and one unit per
+/// morsel.
+const GRAINS: [u64; 2] = [DEFAULT_MORSEL_UNITS, 1];
+
+fn run_grain(
     cat: &Arc<Catalog>,
-    mode: MorselMode,
+    morsel_units: u64,
     faults: Option<Arc<FaultPlan>>,
 ) -> Vec<Vec<(i32, Tuple)>> {
-    let mut cfg = ExecConfig::unthrottled().with_morsel_mode(mode);
+    let mut cfg = ExecConfig { morsel_units, ..ExecConfig::unthrottled() };
     if let Some(plan) = faults {
         cfg = cfg.with_faults(plan);
     }
@@ -95,41 +98,34 @@ fn assert_matches_oracle(label: &str, got: &[Vec<(i32, Tuple)>], want: &[Vec<(i3
     }
 }
 
-/// Fault-free parity: static shares and stealing — at the default grain
-/// and at a grain of one unit per morsel (maximum steal traffic) — all
-/// return byte-identical rows.
+/// Fault-free parity: both grains return the oracle's rows, and each
+/// other's, byte for byte.
 #[test]
 fn stealing_and_static_shares_return_byte_identical_rows() {
     let cat = catalog();
     let want = oracle_rows(&cat);
-    let reference = run_mode(&cat, MorselMode::StaticShares, None);
-    assert!(reference.iter().all(|r| !r.is_empty()), "vacuous parity reference");
-    assert_matches_oracle("StaticShares", &reference, &want);
-    for mode in [MorselMode::stealing(), MorselMode::Stealing { morsel_units: 1 }] {
-        let got = run_mode(&cat, mode, None);
-        assert_eq!(got, reference, "{mode:?} diverged from StaticShares");
-        assert_matches_oracle(&format!("{mode:?}"), &got, &want);
+    let got = GRAINS.map(|grain| run_grain(&cat, grain, None));
+    assert!(got[0].iter().all(|r| !r.is_empty()), "vacuous parity run");
+    assert_eq!(got[1], got[0], "grain {} diverged from grain {}", GRAINS[1], GRAINS[0]);
+    for (grain, rows) in GRAINS.iter().zip(&got) {
+        assert_matches_oracle(&format!("grain {grain}"), rows, &want);
     }
 }
 
 /// A worker killed mid-scan (fragment 0, slot 0, after one unit) must not
-/// change a single byte of either mode's output: the heartbeat patrol
+/// change a single byte of the output at either grain: the heartbeat patrol
 /// reclaims exactly the units the dead slot never claimed, and a
 /// replacement finishes them.
 #[test]
 fn worker_death_mid_scan_preserves_byte_identity_in_both_modes() {
     let cat = catalog();
     let want = oracle_rows(&cat);
-    let reference = run_mode(&cat, MorselMode::StaticShares, None);
-    for mode in [
-        MorselMode::StaticShares,
-        MorselMode::stealing(),
-        MorselMode::Stealing { morsel_units: 1 },
-    ] {
+    let reference = run_grain(&cat, GRAINS[0], None);
+    for grain in GRAINS {
         let faults = Arc::new(FaultPlan::new().with_worker_death(0, 0, 1));
-        let got = run_mode(&cat, mode, Some(faults.clone()));
-        assert_eq!(faults.stats().deaths_fired(), 1, "{mode:?}: death must fire");
-        assert_eq!(got, reference, "{mode:?}: death changed the output");
-        assert_matches_oracle(&format!("{mode:?} after a death"), &got, &want);
+        let got = run_grain(&cat, grain, Some(faults.clone()));
+        assert_eq!(faults.stats().deaths_fired(), 1, "grain {grain}: death must fire");
+        assert_eq!(got, reference, "grain {grain}: death changed the output");
+        assert_matches_oracle(&format!("grain {grain} after a death"), &got, &want);
     }
 }

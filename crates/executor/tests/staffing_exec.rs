@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use xprs_disk::{FaultPlan, StripedLayout};
 use xprs_executor::{
-    CancelToken, ExecConfig, ExecReport, Executor, MorselMode, QueryRun, RelBinding,
+    CancelToken, ExecConfig, ExecReport, Executor, QueryRun, RelBinding,
 };
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy};
@@ -192,21 +192,19 @@ fn a_backend_dying_with_a_read_in_flight_finishes_that_page_and_returns_its_pin(
     // lose its rows (and leak its pin); re-running it would duplicate them.
     let cat = catalog();
     let runs = vec![scan_run(&cat, "fat")];
-    for mode in [MorselMode::StaticShares, MorselMode::stealing()] {
-        let plan = Arc::new(FaultPlan::new().with_worker_death(0, 0, 2));
-        let exec = Executor::new(cfg().with_morsel_mode(mode).with_faults(plan.clone()), cat.clone());
-        let session = exec.session();
-        let report = exec
-            .run_shared(&session, &runs, &mut AllProcessors::new(), &[])
-            .expect("run failed");
-        assert_eq!(plan.stats().deaths_fired(), 1, "{mode:?}: the death must fire");
-        assert!(report.worker_recoveries >= 1, "{mode:?}: patrol must replace the dead backend");
-        assert_matches_oracle(&format!("{mode:?} after death"), &cat, &runs[0], &report, 0);
-        assert_clean(&report);
-        assert_eq!(session.machine().pool_pinned(), 0, "{mode:?}: a pin outlived its read");
-        assert_eq!(session.reserved_pages(), 0);
-        session.shutdown();
-    }
+    let plan = Arc::new(FaultPlan::new().with_worker_death(0, 0, 2));
+    let exec = Executor::new(cfg().with_faults(plan.clone()), cat.clone());
+    let session = exec.session();
+    let report = exec
+        .run_shared(&session, &runs, &mut AllProcessors::new(), &[])
+        .expect("run failed");
+    assert_eq!(plan.stats().deaths_fired(), 1, "the death must fire");
+    assert!(report.worker_recoveries >= 1, "patrol must replace the dead backend");
+    assert_matches_oracle("after death", &cat, &runs[0], &report, 0);
+    assert_clean(&report);
+    assert_eq!(session.machine().pool_pinned(), 0, "a pin outlived its read");
+    assert_eq!(session.reserved_pages(), 0);
+    session.shutdown();
 }
 
 #[test]

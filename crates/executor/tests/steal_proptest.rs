@@ -2,17 +2,67 @@
 //! unit counts, grains, worker counts, and seeded interleavings — with and
 //! without a mid-run `fail_slot` from the PR 3 fault machinery — every unit
 //! is claimed **exactly once** across owners, thieves, and the replacement
-//! slot that inherits a dead worker's unclaimed remainder.
+//! slot that inherits a dead worker's unclaimed remainder. Plain tests at
+//! the end hold the same contract on a 2³²-unit fragment, where the deal is
+//! bounded and the claim word addresses units past 2³¹.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use xprs_executor::StealPartition;
+use xprs_executor::{StealPartition, MAX_DEAL_MORSELS};
+use xprs_storage::partition::Morsel;
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
     *state >> 33
+}
+
+/// One slot's owner as the worker loop runs it: the claim word, plus the
+/// start of the morsel it is armed with — the base that turns the word's
+/// offsets into unit indices.
+struct Owner {
+    slot: usize,
+    claim: Arc<AtomicU64>,
+    base: u64,
+}
+
+enum Step {
+    Unit(u64),
+    Armed,
+    Retired,
+}
+
+impl Owner {
+    fn new(part: &StealPartition, slot: usize) -> Self {
+        Owner { slot, claim: part.claim_of(slot), base: 0 }
+    }
+
+    /// Claim a unit of the armed morsel, else arm the next one, else retire.
+    fn step(&mut self, part: &StealPartition) -> Step {
+        if let Some(offset) = StealPartition::claim_unit(&self.claim) {
+            return Step::Unit(self.base + offset);
+        }
+        match part.next_morsel(self.slot) {
+            Some(next) => {
+                self.base = next.morsel.start;
+                Step::Armed
+            }
+            None => Step::Retired,
+        }
+    }
+
+    /// Every unit the slot can still claim, until it retires.
+    fn drain(&mut self, part: &StealPartition, mut each: impl FnMut(u64)) {
+        loop {
+            match self.step(part) {
+                Step::Unit(u) => each(u),
+                Step::Armed => {}
+                Step::Retired => return,
+            }
+        }
+    }
 }
 
 /// Drive the partition to exhaustion under a seeded interleaving: each step
@@ -28,9 +78,8 @@ fn drive(
     mut fail_at: Option<u64>,
 ) -> Vec<u64> {
     let mut rng = seed ^ 0x5EED_0BEE;
-    let mut claims: Vec<Arc<AtomicU64>> =
-        (0..part.n_slots()).map(|s| part.claim_of(s)).collect();
-    let mut live: Vec<usize> = (0..claims.len()).collect();
+    let mut owners: Vec<Owner> = (0..part.n_slots()).map(|s| Owner::new(part, s)).collect();
+    let mut live: Vec<usize> = (0..owners.len()).collect();
     let mut seen = Vec::new();
     let mut step = 0u64;
     while !live.is_empty() {
@@ -38,17 +87,19 @@ fn drive(
             fail_at = None;
             let victim = live[(lcg(&mut rng) % live.len() as u64) as usize];
             let replacement = part.fail_slot(victim);
-            claims.push(part.claim_of(replacement));
-            assert_eq!(claims.len() - 1, replacement, "slots grow by one per failure");
+            owners.push(Owner::new(part, replacement));
+            assert_eq!(owners.len() - 1, replacement, "slots grow by one per failure");
             live.push(replacement);
         }
         step += 1;
         let pick = (lcg(&mut rng) % live.len() as u64) as usize;
         let slot = live[pick];
-        if let Some(u) = StealPartition::claim_unit(&claims[slot]) {
-            seen.push(u);
-        } else if part.next_morsel(slot).is_none() {
-            live.swap_remove(pick);
+        match owners[slot].step(part) {
+            Step::Unit(u) => seen.push(u),
+            Step::Armed => {}
+            Step::Retired => {
+                live.swap_remove(pick);
+            }
         }
     }
     seen
@@ -87,7 +138,9 @@ proptest! {
     /// non-empty first morsel when there is a unit per slot, and — when the
     /// fragment is too small for a whole morsel per slot — is exactly one
     /// near-equal morsel per slot, never a remainder morsel that one slot
-    /// would have to run after its own.
+    /// would have to run after its own. A fragment with a whole morsel per
+    /// slot is cut at exactly the configured grain: the bounded deal leaves
+    /// every fragment this small as it was.
     #[test]
     fn deal_tiles_and_gives_every_slot_one_near_equal_morsel_when_small(
         total in 0u64..600,
@@ -110,6 +163,9 @@ proptest! {
             let lens: Vec<u64> = morsels.iter().map(|&(s, e)| e - s).collect();
             let (lo, hi) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
             prop_assert!(hi - lo <= 1, "uneven deal {:?}", lens);
+        } else if let (true, Some((&(start, end), whole))) = (total >= n, morsels.split_last()) {
+            prop_assert!(whole.iter().all(|&(s, e)| e - s == grain), "{:?}", &morsels);
+            prop_assert!(end - start <= grain);
         }
     }
 
@@ -162,16 +218,12 @@ proptest! {
             .map(|slot| {
                 let part = Arc::clone(&part);
                 std::thread::spawn(move || {
-                    let claim = part.claim_of(slot);
                     let mut mine = Vec::new();
-                    loop {
-                        if let Some(u) = StealPartition::claim_unit(&claim) {
-                            mine.push(u);
-                            std::thread::yield_now();
-                        } else if part.next_morsel(slot).is_none() {
-                            return mine;
-                        }
-                    }
+                    Owner::new(&part, slot).drain(&part, |u| {
+                        mine.push(u);
+                        std::thread::yield_now();
+                    });
+                    mine
                 })
             })
             .collect();
@@ -180,15 +232,91 @@ proptest! {
         let mut seen: Vec<u64> =
             handles.into_iter().flat_map(|h| h.join().expect("worker thread")).collect();
         // The replacement inherits whatever the dead slot never claimed.
-        let claim = part.claim_of(replacement);
-        loop {
-            if let Some(u) = StealPartition::claim_unit(&claim) {
-                seen.push(u);
-            } else if part.next_morsel(replacement).is_none() {
-                break;
-            }
-        }
+        Owner::new(&part, replacement).drain(&part, |u| seen.push(u));
         seen.sort_unstable();
         prop_assert_eq!(seen, (0..total).collect::<Vec<_>>());
     }
+}
+
+/// An `i32` key domain spanning the whole key space.
+const HUGE: u64 = 1 << 32;
+
+/// A 2³²-unit fragment at the default grain is dealt in bounded time and
+/// memory: at most `MAX_DEAL_MORSELS` morsels, which still tile the space
+/// (checked morsel by morsel — nobody drains four billion units).
+#[test]
+fn a_two_to_the_32_unit_deal_is_bounded_and_tiles_the_space() {
+    let t0 = Instant::now();
+    let part = StealPartition::new(HUGE, 16, 8, 7);
+    assert!(t0.elapsed() < Duration::from_secs(1), "deal took {:?}", t0.elapsed());
+    let morsels = dealt_morsels(&part, HUGE, 8);
+    assert!(morsels.len() as u64 <= MAX_DEAL_MORSELS, "{} morsels dealt", morsels.len());
+    let mut next = 0;
+    for &(start, end) in &morsels {
+        assert_eq!(start, next, "gap or overlap at {next}");
+        assert!(end > start);
+        next = end;
+    }
+    assert_eq!(next, HUGE);
+}
+
+/// Four 2³⁰-unit morsels over two slots; slot 1 is dealt `[2³⁰, 2³¹)` and
+/// then `[3·2³⁰, 2³²)`, which lies wholly above what a 31-bit absolute
+/// cursor could address. Returns the partition with slot 1 armed on that
+/// morsel (re-arming forfeits the low one, which is not under test) and
+/// `claimed` of its units claimed — each checked to be the absolute unit
+/// index.
+fn armed_above_two_to_the_31(claimed: u64) -> (StealPartition, Owner, Morsel) {
+    let part = StealPartition::new(HUGE, 1 << 30, 2, 3);
+    let high = Morsel { start: 3 << 30, end: HUGE };
+    assert_eq!(part.next_morsel(1).map(|n| n.morsel), Some(Morsel { start: 1 << 30, end: 1 << 31 }));
+    assert_eq!(part.next_morsel(1).map(|n| n.morsel), Some(high));
+    let mut owner = Owner { slot: 1, claim: part.claim_of(1), base: high.start };
+    for i in 0..claimed {
+        assert!(matches!(owner.step(&part), Step::Unit(u) if u == high.start + i));
+    }
+    (part, owner, high)
+}
+
+#[test]
+fn fail_slot_above_two_to_the_31_reclaims_the_absolute_remainder_once() {
+    let (part, mut owner, high) = armed_above_two_to_the_31(3);
+    let replacement = part.fail_slot(1);
+    assert!(matches!(owner.step(&part), Step::Retired), "the revoked owner claims no more");
+    let want = Morsel { start: high.start + 3, end: high.end };
+    assert_eq!(part.next_morsel(replacement).map(|n| n.morsel), Some(want));
+    // A second declaration of the same death finds nothing left to reclaim:
+    // its replacement can only steal.
+    let pending = part.pending_units();
+    let again = part.fail_slot(1);
+    assert_eq!(part.pending_units(), pending);
+    assert!(matches!(part.next_morsel(again), Some(n) if n.stolen_from == Some(0)));
+}
+
+#[test]
+fn adjust_above_two_to_the_31_hands_the_absolute_remainder_to_a_survivor() {
+    let (part, mut owner, high) = armed_above_two_to_the_31(2);
+    let info = part.adjust(1);
+    assert_eq!(info.retiring_slots, vec![1]);
+    assert!(matches!(owner.step(&part), Step::Retired));
+    // Slot 0 holds its own two morsels, then the orphaned remainder.
+    let drawn: Vec<Morsel> =
+        std::iter::from_fn(|| part.next_morsel(0).map(|n| n.morsel)).collect();
+    assert_eq!(
+        drawn,
+        vec![
+            Morsel { start: 0, end: 1 << 30 },
+            Morsel { start: 1 << 31, end: 3 << 30 },
+            Morsel { start: high.start + 2, end: high.end },
+        ]
+    );
+}
+
+#[test]
+fn revoke_all_above_two_to_the_31_forfeits_the_remainder() {
+    let (part, mut owner, _) = armed_above_two_to_the_31(1);
+    part.revoke_all();
+    assert!(matches!(owner.step(&part), Step::Retired));
+    assert_eq!(part.pending_units(), 0, "unclaimed work is forfeited, not redealt");
+    assert!((0..part.n_slots()).all(|s| part.next_morsel(s).is_none()));
 }

@@ -10,8 +10,7 @@ use xprs_disk::StripedLayout;
 use xprs_executor::{ExecConfig, ExecError, ExecReport, Executor, QueryRun, RelBinding};
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
-use xprs_scheduler::fluid::FIXPOINT_ROUNDS;
-use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy};
+use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy, FIXPOINT_ROUNDS};
 use xprs_scheduler::trace::{
     action_signature, action_stream, parse_jsonl, replay_through_fluid, JsonlSink, SharedSink,
     TraceRecord,

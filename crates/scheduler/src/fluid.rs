@@ -29,9 +29,9 @@ use crate::balance::effective_bandwidth;
 use crate::deps::FragmentDag;
 use crate::error::SchedError;
 use crate::machine::MachineConfig;
-use crate::policy::{Action, RunningTask, SchedulePolicy};
+use crate::policy::{decide_fixpoint, Action, RunningTask, SchedulePolicy};
 use crate::task::{TaskId, TaskProfile};
-use crate::trace::{emit, RunningSnap, SharedSink, TraceRecord};
+use crate::trace::{emit, SharedSink, TraceRecord};
 
 /// One interval of the schedule during which the running set was constant.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,10 +121,6 @@ struct RunState {
     remaining: f64,
     started_at: f64,
 }
-
-/// Rounds of `decide()` the driver allows at one instant before declaring
-/// [`SchedError::FixpointDiverged`]. Shared by all three drivers.
-pub const FIXPOINT_ROUNDS: u32 = 32;
 
 /// Fluid-model driver: replays any [`SchedulePolicy`] over a task set (with
 /// optional arrival times and dependencies) in virtual time.
@@ -278,85 +274,46 @@ impl FluidSim {
             }
 
             // Let the policy reach a fixpoint of starts/adjusts.
-            let mut settled = false;
-            for _round in 0..FIXPOINT_ROUNDS {
-                let snapshot: Vec<RunningTask> = running
-                    .iter()
-                    .map(|r| RunningTask {
-                        profile: r.profile.clone(),
-                        parallelism: r.parallelism,
-                        remaining_seq_time: r.remaining,
-                    })
-                    .collect();
-                let actions = policy.decide(now, &snapshot);
-                if actions.is_empty() {
-                    settled = true;
-                    break;
-                }
-                emit(&self.sink, || TraceRecord::Decide {
-                    now,
-                    running: snapshot.iter().map(RunningSnap::of).collect(),
-                    actions: actions.clone(),
-                });
-                for a in actions {
+            decide_fixpoint(
+                policy,
+                &self.sink,
+                now,
+                &mut running,
+                |running| {
+                    running
+                        .iter()
+                        .map(|r| RunningTask {
+                            profile: r.profile.clone(),
+                            parallelism: r.parallelism,
+                            remaining_seq_time: r.remaining,
+                        })
+                        .collect()
+                },
+                |running, a| {
                     let (id, parallelism) = (a.task(), a.parallelism());
-                    if !(parallelism > 0.0 && parallelism.is_finite()) {
-                        return Err(self
-                            .fail(now, SchedError::InvalidParallelism { task: id, parallelism }));
-                    }
-                    match a {
-                        Action::Start { .. } => {
-                            let profile = match known.iter().find(|t| t.id == id) {
-                                Some(p) => p.clone(),
-                                None => {
-                                    return Err(
-                                        self.fail(now, SchedError::UnknownTask { task: id })
-                                    )
-                                }
-                            };
-                            if running.iter().any(|r| r.profile.id == id) {
-                                return Err(
-                                    self.fail(now, SchedError::AlreadyRunning { task: id })
-                                );
-                            }
+                    let at = running.iter().position(|r| r.profile.id == id);
+                    match (a, at) {
+                        (Action::Start { .. }, Some(_)) => {
+                            return Err(SchedError::AlreadyRunning { task: id })
+                        }
+                        (Action::Start { .. }, None) => {
+                            let profile = known
+                                .iter()
+                                .find(|t| t.id == id)
+                                .ok_or(SchedError::UnknownTask { task: id })?
+                                .clone();
                             let remaining = profile.seq_time;
                             running.push(RunState { profile, parallelism, remaining, started_at: now });
                         }
-                        Action::Adjust { .. } => {
-                            let r = match running.iter_mut().find(|r| r.profile.id == id) {
-                                Some(r) => r,
-                                None => {
-                                    return Err(self.fail(now, SchedError::NotRunning { task: id }))
-                                }
-                            };
-                            r.parallelism = parallelism;
+                        (Action::Adjust { .. }, Some(i)) => running[i].parallelism = parallelism,
+                        (Action::Adjust { .. }, None) => {
+                            return Err(SchedError::NotRunning { task: id })
                         }
                     }
-                    emit(&self.sink, || TraceRecord::Applied { now, action: a });
-                }
-            }
-            if !settled {
-                // One more non-empty round would make FIXPOINT_ROUNDS + 1
-                // consecutive action batches at a single instant: the
-                // policy's start/adjust stream is not converging.
-                let snapshot: Vec<RunningTask> = running
-                    .iter()
-                    .map(|r| RunningTask {
-                        profile: r.profile.clone(),
-                        parallelism: r.parallelism,
-                        remaining_seq_time: r.remaining,
-                    })
-                    .collect();
-                if !policy.decide(now, &snapshot).is_empty() {
-                    return Err(self.fail(
-                        now,
-                        SchedError::FixpointDiverged {
-                            policy: policy.name(),
-                            rounds: FIXPOINT_ROUNDS,
-                        },
-                    ));
-                }
-            }
+                    Ok(true)
+                },
+            )
+            .map_err(|e| self.fail(now, e))?;
 
             let all_arrived = pending_idx == pending.len() && blocked.is_empty();
             if running.is_empty() {
@@ -515,6 +472,7 @@ mod tests {
     use crate::adaptive::{AdaptiveConfig, AdaptiveScheduler};
     use crate::estimate::t_intra;
     use crate::intra::IntraOnly;
+    use crate::policy::FIXPOINT_ROUNDS;
     use crate::task::IoKind;
 
     fn m() -> MachineConfig {

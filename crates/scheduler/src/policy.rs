@@ -16,8 +16,10 @@
 //!   is what the policy feeds back into the balance equations when it
 //!   re-pairs a running task.
 
+use crate::error::SchedError;
 use crate::machine::MachineConfig;
 use crate::task::{TaskId, TaskProfile};
+use crate::trace::{emit, RunningSnap, SharedSink, TraceRecord};
 
 /// Snapshot of one currently-running task, supplied by the driver.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,7 +108,68 @@ pub trait SchedulePolicy {
     }
 }
 
-/// Clamp a fractional allocation to whole workers in `1..=limit`.
+/// Rounds of `decide()` a driver allows at one instant before declaring
+/// [`SchedError::FixpointDiverged`].
+pub const FIXPOINT_ROUNDS: u32 = 32;
+
+/// Let `policy` reach a fixpoint of starts/adjusts at instant `now` — the
+/// one decide loop all three drivers run.
+///
+/// Each round snapshots the driver's running tasks, asks the policy to
+/// decide, records the batch as [`TraceRecord::Decide`], then validates and
+/// applies each action in order, recording [`TraceRecord::Applied`] for
+/// those `apply` reports applied (`Ok(false)` drops an action silently —
+/// the executor's stale action aimed at a cancelled query). The loop
+/// settles on the first empty batch. After [`FIXPOINT_ROUNDS`] non-empty
+/// rounds the policy is probed once more: an empty answer still settles,
+/// anything else is [`SchedError::FixpointDiverged`].
+///
+/// # Errors
+/// [`SchedError::InvalidParallelism`] for a non-positive or non-finite
+/// action, `FixpointDiverged` as above, and whatever `apply` returns.
+pub fn decide_fixpoint<P, S, E>(
+    policy: &mut P,
+    sink: &Option<SharedSink>,
+    now: f64,
+    state: &mut S,
+    snapshot: impl Fn(&S) -> Vec<RunningTask>,
+    mut apply: impl FnMut(&mut S, &Action) -> Result<bool, E>,
+) -> Result<(), E>
+where
+    P: SchedulePolicy + ?Sized,
+    S: ?Sized,
+    E: From<SchedError>,
+{
+    for round in 0..=FIXPOINT_ROUNDS {
+        let running = snapshot(state);
+        let actions = policy.decide(now, &running);
+        if actions.is_empty() {
+            return Ok(());
+        }
+        if round == FIXPOINT_ROUNDS {
+            break;
+        }
+        emit(sink, || TraceRecord::Decide {
+            now,
+            running: running.iter().map(RunningSnap::of).collect(),
+            actions: actions.clone(),
+        });
+        for a in actions {
+            let (task, parallelism) = (a.task(), a.parallelism());
+            if !(parallelism > 0.0 && parallelism.is_finite()) {
+                return Err(SchedError::InvalidParallelism { task, parallelism }.into());
+            }
+            if apply(state, &a)? {
+                emit(sink, || TraceRecord::Applied { now, action: a });
+            }
+        }
+    }
+    Err(SchedError::FixpointDiverged { policy: policy.name(), rounds: FIXPOINT_ROUNDS }.into())
+}
+
+/// Clamp a fractional allocation to whole workers in `1..=limit` — the one
+/// rounding rule of the policies and of both drivers that run whole
+/// backends.
 ///
 /// Policies that feed real execution engines (the DES and the threaded
 /// executor) must hand out whole backends; the analytic fluid estimator

@@ -17,9 +17,10 @@
 
 use xprs_disk::{ArrayStats, DiskState, IoRequest, ServiceClass, StripedLayout, WorkerId};
 use xprs_scheduler::error::SchedError;
-use xprs_scheduler::fluid::FIXPOINT_ROUNDS;
-use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy};
-use xprs_scheduler::trace::{emit, RunningSnap, SharedSink, TraceRecord};
+use xprs_scheduler::policy::{
+    decide_fixpoint, round_parallelism, Action, RunningTask, SchedulePolicy,
+};
+use xprs_scheduler::trace::{emit, SharedSink, TraceRecord};
 use xprs_scheduler::{MachineConfig, TaskId};
 use xprs_storage::partition::{PagePartition, RangePartition};
 
@@ -130,10 +131,9 @@ pub struct Simulator {
     sink: Option<SharedSink>,
 }
 
-struct Run<'p> {
+struct Run {
     cfg: SimConfig,
     layout: StripedLayout,
-    policy: &'p mut dyn SchedulePolicy,
     queue: EventQueue,
     tasks: Vec<TaskRt>,
     workers: Vec<WorkerRt>,
@@ -180,7 +180,6 @@ impl Simulator {
         let mut run = Run {
             layout: StripedLayout::new(machine.n_disks),
             cfg: self.cfg.clone(),
-            policy,
             queue: EventQueue::new(),
             tasks: arrivals
                 .iter()
@@ -212,13 +211,13 @@ impl Simulator {
         };
         emit(&run.sink, || TraceRecord::RunStart {
             driver: "des".to_string(),
-            policy: run.policy.name().to_string(),
+            policy: policy.name().to_string(),
             machine: machine.clone(),
         });
         for (i, (_, at)) in arrivals.iter().enumerate() {
             run.queue.push(*at, EventKind::Arrival(i));
         }
-        match run.main_loop() {
+        match run.main_loop(policy) {
             Ok(()) => Ok(run.report()),
             Err(e) => {
                 emit(&run.sink, || TraceRecord::Error {
@@ -231,20 +230,20 @@ impl Simulator {
     }
 }
 
-impl<'p> Run<'p> {
-    fn main_loop(&mut self) -> Result<(), SchedError> {
+impl Run {
+    fn main_loop(&mut self, policy: &mut dyn SchedulePolicy) -> Result<(), SchedError> {
         while let Some((t, ev)) = self.queue.pop() {
             self.now = t;
-            self.handle(ev);
+            self.handle(policy, ev);
             // Drain every event at this exact instant before consulting the
             // policy, so simultaneous arrivals are seen as one batch.
             while self.queue.peek_time() == Some(self.now) {
                 let (_, ev) = self.queue.pop().expect("peeked");
-                self.handle(ev);
+                self.handle(policy, ev);
             }
             if self.need_decide {
                 self.need_decide = false;
-                self.decide()?;
+                self.decide(policy)?;
             }
         }
         let unfinished = self
@@ -253,23 +252,23 @@ impl<'p> Run<'p> {
             .filter(|t| !matches!(t.state, TaskState::Done))
             .count();
         if unfinished > 0 {
-            return Err(SchedError::Wedged { policy: self.policy.name(), unfinished });
+            return Err(SchedError::Wedged { policy: policy.name(), unfinished });
         }
         Ok(())
     }
 
-    fn handle(&mut self, ev: EventKind) {
+    fn handle(&mut self, policy: &mut dyn SchedulePolicy, ev: EventKind) {
         self.n_events += 1;
         match ev {
             EventKind::Arrival(i) => {
                 let profile = self.tasks[i].spec.profile.clone();
                 let now = self.now;
                 emit(&self.sink, || TraceRecord::Arrival { now, profile: profile.clone() });
-                self.policy.on_arrival(now, profile);
+                policy.on_arrival(now, profile);
                 self.need_decide = true;
             }
             EventKind::DiskDone(d) => self.disk_done(d),
-            EventKind::CpuDone(w) => self.cpu_done(w),
+            EventKind::CpuDone(w) => self.cpu_done(policy, w),
             EventKind::ApplyAdjust(task, x) => self.apply_adjust(task, x),
         }
     }
@@ -335,16 +334,16 @@ impl<'p> Run<'p> {
         self.queue.push(self.now + burst, EventKind::CpuDone(w));
     }
 
-    fn cpu_done(&mut self, w: usize) {
+    fn cpu_done(&mut self, policy: &mut dyn SchedulePolicy, w: usize) {
         match self.cpu_ready.pop_front() {
             Some(next) => self.schedule_cpu(next),
             None => self.cpu_free += 1,
         }
         self.workers[w].processing = false;
-        self.complete_io(w);
+        self.complete_io(policy, w);
     }
 
-    fn complete_io(&mut self, w: usize) {
+    fn complete_io(&mut self, policy: &mut dyn SchedulePolicy, w: usize) {
         let ti = self.workers[w].task;
         self.tasks[ti].ios_done += 1;
         if self.tasks[ti].ios_done == self.tasks[ti].spec.n_ios {
@@ -354,7 +353,7 @@ impl<'p> Run<'p> {
             let id = self.tasks[ti].spec.profile.id;
             let now = self.now;
             emit(&self.sink, || TraceRecord::Finish { now, task: id });
-            self.policy.on_finish(now, id);
+            policy.on_finish(now, id);
             self.need_decide = true;
         } else if self.workers[w].buffered {
             // The read-ahead already landed: process it and keep the
@@ -400,52 +399,42 @@ impl<'p> Run<'p> {
 
     // -- policy integration --------------------------------------------------
 
-    fn decide(&mut self) -> Result<(), SchedError> {
-        for _round in 0..FIXPOINT_ROUNDS {
-            let snapshot: Vec<RunningTask> = self
-                .tasks
-                .iter()
-                .filter(|t| matches!(t.state, TaskState::Running))
-                .map(|t| RunningTask {
-                    profile: t.spec.profile.clone(),
-                    parallelism: t.target_parallelism as f64,
-                    remaining_seq_time: t.spec.profile.seq_time
-                        * (1.0 - t.ios_done as f64 / t.spec.n_ios as f64),
-                })
-                .collect();
-            let actions = self.policy.decide(self.now, &snapshot);
-            if actions.is_empty() {
-                return Ok(());
-            }
-            let now = self.now;
-            emit(&self.sink, || TraceRecord::Decide {
-                now,
-                running: snapshot.iter().map(RunningSnap::of).collect(),
-                actions: actions.clone(),
-            });
-            for a in actions {
+    fn decide(&mut self, policy: &mut dyn SchedulePolicy) -> Result<(), SchedError> {
+        let (sink, now) = (self.sink.clone(), self.now);
+        decide_fixpoint(
+            policy,
+            &sink,
+            now,
+            self,
+            |run| {
+                run.tasks
+                    .iter()
+                    .filter(|t| matches!(t.state, TaskState::Running))
+                    .map(|t| RunningTask {
+                        profile: t.spec.profile.clone(),
+                        parallelism: t.target_parallelism as f64,
+                        remaining_seq_time: t.spec.profile.seq_time
+                            * (1.0 - t.ios_done as f64 / t.spec.n_ios as f64),
+                    })
+                    .collect()
+            },
+            |run, a| {
                 let (id, parallelism) = (a.task(), a.parallelism());
-                if !(parallelism > 0.0 && parallelism.is_finite()) {
-                    return Err(SchedError::InvalidParallelism { task: id, parallelism });
-                }
                 match a {
-                    Action::Start { .. } => self.start_task(id, parallelism)?,
+                    Action::Start { .. } => run.start_task(id, parallelism)?,
                     Action::Adjust { .. } => {
-                        let ti = self.task_index(id)?;
-                        let x = to_workers(parallelism, self.cfg.machine.n_procs);
+                        let ti = run.task_index(id)?;
+                        let x = round_parallelism(parallelism, run.cfg.machine.n_procs) as u32;
                         // The policy sees its target immediately; the slaves
                         // converge after the protocol round-trip.
-                        self.tasks[ti].target_parallelism = x;
-                        self.queue.push(
-                            self.now + self.cfg.adjust_latency,
-                            EventKind::ApplyAdjust(ti, x),
-                        );
+                        run.tasks[ti].target_parallelism = x;
+                        run.queue
+                            .push(now + run.cfg.adjust_latency, EventKind::ApplyAdjust(ti, x));
                     }
                 }
-                emit(&self.sink, || TraceRecord::Applied { now, action: a });
-            }
-        }
-        Err(SchedError::FixpointDiverged { policy: self.policy.name(), rounds: FIXPOINT_ROUNDS })
+                Ok(true)
+            },
+        )
     }
 
     fn task_index(&self, id: TaskId) -> Result<usize, SchedError> {
@@ -460,7 +449,7 @@ impl<'p> Run<'p> {
         if !matches!(self.tasks[ti].state, TaskState::Pending) {
             return Err(SchedError::AlreadyRunning { task: id });
         }
-        let x = to_workers(parallelism, self.cfg.machine.n_procs);
+        let x = round_parallelism(parallelism, self.cfg.machine.n_procs) as u32;
         let n_ios = self.tasks[ti].spec.n_ios;
         let partition = match self.tasks[ti].spec.access {
             AccessPattern::SeqScan => Partition::Page(PagePartition::new(n_ios, x)),
@@ -544,17 +533,13 @@ impl<'p> Run<'p> {
     }
 }
 
-/// Convert a policy's (possibly fractional) parallelism to whole workers.
-fn to_workers(x: f64, n_procs: u32) -> u32 {
-    (x.round() as i64).clamp(1, n_procs as i64) as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use xprs_disk::RelId;
     use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
     use xprs_scheduler::intra::IntraOnly;
+    use xprs_scheduler::policy::FIXPOINT_ROUNDS;
     use xprs_scheduler::{IoKind, TaskProfile};
 
     fn cfg() -> SimConfig {

@@ -195,35 +195,6 @@ impl PagePartition {
 
         AdjustInfo { new_slots, retiring_slots }
     }
-
-    /// Worker-failure recovery: revoke slot `dead`'s unfinished share and
-    /// create a replacement slot that inherits it — the dead worker's cursor
-    /// and its phase assignment in *every* era. Returns the replacement slot
-    /// to staff.
-    ///
-    /// Workers fail-stop at unit boundaries (a pulled page is always
-    /// completed before the next pull), so the cursor cleanly separates the
-    /// dead worker's finished pages from its obligation. A falsely-declared
-    /// slot that wakes up later finds its phases revoked, draws `None`, and
-    /// exits; the one page it may still have in flight was handed out before
-    /// revocation and is completed by it — not by the replacement, whose
-    /// cursor already sits past it. Either way every page is scanned exactly
-    /// once.
-    pub fn fail_slot(&mut self, dead: usize) -> usize {
-        let slot = self.workers.len();
-        // `current` carries over so a later adjust()'s max-page boundary
-        // still covers the last page handed to the dead worker.
-        self.workers.push(self.workers[dead].clone());
-        for era in &mut self.eras {
-            let inherited = era.phases.get(dead).copied().flatten();
-            if era.phases.len() <= slot {
-                era.phases.resize(slot + 1, None);
-            }
-            era.phases[slot] = inherited;
-            era.phases[dead] = None;
-        }
-        slot
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -346,20 +317,6 @@ impl RangePartition {
         }
 
         AdjustInfo { new_slots, retiring_slots: retiring }
-    }
-
-    /// Worker-failure recovery: deactivate slot `dead` and hand its
-    /// remaining intervals to a fresh replacement slot, which is returned
-    /// for staffing. The key the dead worker may have had in flight was
-    /// already popped from its intervals, so the replacement never re-scans
-    /// it (see [`PagePartition::fail_slot`] for the exactly-once argument).
-    pub fn fail_slot(&mut self, dead: usize) -> usize {
-        let slot = self.workers.len();
-        let intervals = std::mem::take(&mut self.workers[dead].intervals);
-        let active = self.workers[dead].active;
-        self.workers[dead].active = false;
-        self.workers.push(RangeWorkerState { intervals, active });
-        slot
     }
 }
 
@@ -580,61 +537,6 @@ mod tests {
         }
         assert_eq!(seen.len(), 500, "every page exactly once across adjustments");
         assert_eq!(plan_idx, plan.len(), "all adjustments exercised");
-    }
-
-    #[test]
-    fn failed_page_slot_hands_its_share_to_the_replacement() {
-        let mut p = PagePartition::new(100, 4);
-        // Each worker scans two pages, then worker 1 dies.
-        for slot in 0..4 {
-            p.next_page(slot);
-            p.next_page(slot);
-        }
-        let replacement = p.fail_slot(1);
-        assert_eq!(replacement, 4);
-        assert_eq!(p.next_page(1), None, "dead slot's share is revoked");
-        // The replacement resumes exactly where the dead worker stood.
-        assert_eq!(p.next_page(replacement), Some(9));
-        assert!(p.active_slots().contains(&replacement));
-        assert!(!p.active_slots().contains(&1));
-        // Coverage: 8 pre-scanned + 1 probe + the drain = every page once.
-        let seen = drain(&mut p);
-        assert_eq!(seen.len() + 8 + 1, 100);
-    }
-
-    #[test]
-    fn failure_composes_with_later_adjustment() {
-        let mut p = PagePartition::new(300, 3);
-        for slot in 0..3 {
-            p.next_page(slot);
-        }
-        let replacement = p.fail_slot(0);
-        p.next_page(replacement);
-        let info = p.adjust(5);
-        assert_eq!(info.new_slots.len(), 2);
-        let seen = drain(&mut p);
-        assert_eq!(seen.len() + 3 + 1, 300, "exactly-once across failure + adjustment");
-    }
-
-    #[test]
-    fn failed_range_slot_hands_its_intervals_to_the_replacement() {
-        let mut p = RangePartition::new(0, 99, 2);
-        for _ in 0..10 {
-            p.next_key(0);
-        }
-        let replacement = p.fail_slot(0);
-        assert_eq!(p.next_key(0), None, "dead slot is empty");
-        assert!(!p.active_slots().contains(&0));
-        let total: u64 = p.remaining(replacement).iter().map(KeyRange::len).sum();
-        assert_eq!(total, 40, "replacement owns the dead worker's remainder");
-        let mut seen = std::collections::HashSet::new();
-        for slot in 0..p.n_slots() {
-            while let Some(k) = p.next_key(slot) {
-                assert!(seen.insert(k), "key {k} scanned twice");
-            }
-        }
-        assert_eq!(seen.len(), 90);
-        assert!(seen.contains(&10) && !seen.contains(&9));
     }
 
     #[test]

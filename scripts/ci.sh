@@ -32,11 +32,13 @@ cargo test -q --doc --workspace --offline
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# One data path: the retired seed path's names must not creep back into
-# code, examples, tests or the verify skill. `scripts/` is left out so the
-# pattern does not match itself; docs keep the names as history.
+# One data path: the retired paths' names (the seed's global-lock path, the
+# static-share partition mode, the no-spill switch, the per-driver rounding
+# copies) must not creep back into code, examples, tests or the verify
+# skill. `scripts/` is left out so the pattern does not match itself; docs
+# keep the names as history.
 echo "==> retired-name grep"
-if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)' \
+if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors' \
     crates examples src tests .claude; then
     echo "retired data-path names found (matches above)" >&2
     exit 1
@@ -77,10 +79,9 @@ try:
     configs = dr["configs"]
 except KeyError as e:
     sys.exit(f"BENCH_executor.json missing disk_resident field: {e}")
-modes = {(c["mode"], c["workers"]) for c in configs}
-for want in [("stealing", 1), ("stealing", 8), ("static_shares", 8)]:
-    if want not in modes:
-        sys.exit(f"disk_resident sweep missing config {want}: {sorted(modes)}")
+modes = sorted((c["mode"], c["workers"]) for c in configs)
+if modes != [("stealing", w) for w in (1, 2, 4, 8)]:
+    sys.exit(f"disk_resident sweep is not exactly the four stealing rows: {modes}")
 if any(c["pages_per_sec"] <= 0 for c in configs):
     sys.exit("disk_resident config with non-positive throughput")
 if speedup <= 1.0:
