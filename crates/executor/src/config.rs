@@ -6,6 +6,8 @@ use std::sync::Arc;
 use xprs_disk::FaultPlan;
 use xprs_scheduler::predict::Predictor;
 use xprs_scheduler::MachineConfig;
+
+use crate::error::ExecError;
 // Named only by the intra-doc links below.
 #[cfg(doc)]
 use {crate::obs::ExecMetrics, crate::ExecReport, crate::StealPartition};
@@ -118,8 +120,9 @@ impl ExecConfig {
     }
 
     /// Demonstration configuration running `speedup`× faster than real time.
+    /// A `speedup` that is not a positive finite number is refused when the
+    /// configuration is run ([`ExecError::InvalidConfig`], field `scale`).
     pub fn scaled(speedup: f64) -> Self {
-        assert!(speedup > 0.0);
         ExecConfig { scale: 1.0 / speedup, ..ExecConfig::unthrottled() }
     }
 
@@ -179,13 +182,83 @@ impl ExecConfig {
 
     /// Enable degradation-aware recalibration with tolerance `band`
     /// (e.g. `0.2` = recalibrate when the observed I/O rate drifts more
-    /// than 20% from the model), turning the patrol on if it is off.
+    /// than 20% from the model), turning the patrol on if it is off. A
+    /// negative or non-finite `band` is refused when the configuration is
+    /// run ([`ExecError::InvalidConfig`]); `0.0` turns recalibration off.
     pub fn with_recalibration(mut self, band: f64) -> Self {
-        assert!(band > 0.0 && band.is_finite(), "invalid recalibration band {band}");
         self.recal_band = band;
         if self.patrol_ms == 0 {
             self.patrol_ms = 5;
         }
         self
+    }
+
+    /// Every field is `pub`, so the builders cannot vouch for a value: the
+    /// configuration is checked once, where a run or a session consumes it.
+    pub(crate) fn validate(&self) -> Result<(), ExecError> {
+        let finite_non_negative = |x: f64| x.is_finite() && x >= 0.0;
+        let refused = [
+            ("scale", self.scale, finite_non_negative(self.scale)),
+            ("recal_band", self.recal_band, finite_non_negative(self.recal_band)),
+            ("machine.n_procs", f64::from(self.machine.n_procs), self.machine.n_procs > 0),
+            ("machine.n_disks", f64::from(self.machine.n_disks), self.machine.n_disks > 0),
+        ]
+        .into_iter()
+        .find(|&(_, _, ok)| !ok);
+        match refused {
+            Some((field, value, _)) => Err(ExecError::InvalidConfig { field, value }),
+            None => Ok(()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn refusal(cfg: &ExecConfig) -> Option<&'static str> {
+        match cfg.validate() {
+            Ok(()) => None,
+            Err(ExecError::InvalidConfig { field, .. }) => Some(field),
+            Err(other) => panic!("unexpected refusal: {other}"),
+        }
+    }
+
+    #[test]
+    fn the_stock_configurations_are_accepted() {
+        assert_eq!(refusal(&ExecConfig::unthrottled()), None);
+        assert_eq!(refusal(&ExecConfig::scaled(20.0).with_recalibration(0.3)), None);
+        let off = ExecConfig { recal_band: 0.0, ..ExecConfig::unthrottled() };
+        assert_eq!(refusal(&off), None, "a zero band is recalibration off");
+    }
+
+    #[test]
+    fn a_bad_scale_is_refused_however_it_got_there() {
+        for speedup in [0.0, -4.0, f64::NAN, f64::INFINITY] {
+            let cfg = ExecConfig::scaled(speedup);
+            // 1/inf is a legal scale of zero; everything else is nonsense.
+            let want = (speedup != f64::INFINITY).then_some("scale");
+            assert_eq!(refusal(&cfg), want, "speedup {speedup}");
+        }
+        let direct = ExecConfig { scale: -1.0, ..ExecConfig::unthrottled() };
+        assert_eq!(refusal(&direct), Some("scale"), "a pub field bypasses every builder");
+    }
+
+    #[test]
+    fn a_bad_recalibration_band_is_refused() {
+        for band in [-0.2, f64::NAN, f64::INFINITY] {
+            let cfg = ExecConfig::unthrottled().with_recalibration(band);
+            assert_eq!(refusal(&cfg), Some("recal_band"), "band {band}");
+        }
+    }
+
+    #[test]
+    fn a_machine_without_processors_or_disks_is_refused() {
+        let mut cfg = ExecConfig::unthrottled();
+        cfg.machine.n_procs = 0;
+        assert_eq!(refusal(&cfg), Some("machine.n_procs"));
+        let mut cfg = ExecConfig::unthrottled();
+        cfg.machine.n_disks = 0;
+        assert_eq!(refusal(&cfg), Some("machine.n_disks"));
     }
 }

@@ -96,6 +96,15 @@ pub enum ExecError {
         /// Queries submitted.
         queries: usize,
     },
+    /// The configuration cannot describe a machine to run on: a negative or
+    /// non-finite `scale` or `recal_band`, no processors, no disks. Refused
+    /// before any machine or pool is built.
+    InvalidConfig {
+        /// The offending `ExecConfig` field.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
     /// `ExecConfig::metrics_out` was set but `metrics.json` could not be
     /// written. The run itself completed.
     MetricsDump {
@@ -152,6 +161,9 @@ impl std::fmt::Display for ExecError {
                     "one cancel token per query (or none at all): {tokens} tokens for \
                      {queries} queries"
                 )
+            }
+            ExecError::InvalidConfig { field, value } => {
+                write!(f, "invalid executor configuration: {field} = {value}")
             }
             ExecError::MetricsDump { path, error } => {
                 write!(f, "could not write metrics to {path}: {error}")

@@ -51,9 +51,15 @@ pub mod config;
 pub mod error;
 pub mod io;
 pub mod master;
+mod materialize;
 pub mod obs;
+mod patrol;
 pub mod pool;
+mod predict_wiring;
 pub mod program;
+mod report;
+mod session;
+mod staffing;
 pub mod steal;
 pub mod worker;
 

@@ -124,7 +124,7 @@ pub struct MergeProfile {
 }
 
 /// What one fragment did, captured at its completion.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FragmentProfile {
     /// The fragment's scheduler task id.
     pub task: TaskId,

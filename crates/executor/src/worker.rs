@@ -34,6 +34,7 @@ use xprs_storage::runs::is_sorted_run;
 use xprs_storage::{Catalog, Relation, Tuple};
 
 use crate::io::{lock, IoFault, Machine, ReadTicket};
+use crate::error::ExecError;
 use crate::master::MasterMsg;
 use crate::obs::ExecMetrics;
 use crate::program::{Driver, FragmentProgram, Materialized, PipelineOp};
@@ -557,10 +558,11 @@ pub(crate) fn run_worker(
         return;
     }
     if let Some(fault) = ws.io_fault.take() {
-        let _ = ctx.done_tx.send(MasterMsg::IoFault { gid: ctx.gid, fault });
+        let _ = ctx.done_tx.send(MasterMsg::Fatal(ExecError::IoFault { fragment: ctx.gid, fault }));
     }
     if let Some(name) = ws.index_fault.take() {
-        let _ = ctx.done_tx.send(MasterMsg::IndexMissing { gid: ctx.gid, name });
+        let fatal = ExecError::IndexMissing { fragment: ctx.gid, name };
+        let _ = ctx.done_tx.send(MasterMsg::Fatal(fatal));
     }
     // Register the voluntary exit, so the patrol never reaps it.
     lock(&ctx.exited_slots).push(slot);

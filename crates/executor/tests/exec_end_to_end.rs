@@ -293,3 +293,42 @@ fn throttled_run_still_produces_correct_results() {
     assert!(report.wall > 0.0);
     assert!(report.stats.disk.total() > 0);
 }
+
+/// Every `ExecConfig` field is `pub`, so no builder can vouch for a value:
+/// a configuration that describes no machine is refused with a typed error
+/// by every entry point that consumes it — `run`, and `run_shared` on a
+/// session built from it (`session()` itself cannot fail, and must not
+/// panic).
+#[test]
+fn a_nonsense_config_is_a_typed_refusal_from_every_entry_point() {
+    let cat = catalog();
+    let q = Query::selection("thin", 1.0);
+    let optimized = optimizer().optimize_catalog(&cat, &q, Costing::SeqCost).expect("plan");
+    let pred = (i32::MIN, i32::MAX);
+    let runs = [QueryRun { optimized, bindings: vec![RelBinding { name: "thin".into(), pred }] }];
+    type Break = fn(&mut ExecConfig);
+    let broken: [(&str, Break); 5] = [
+        ("scale", |c| c.scale = -1.0),
+        ("scale", |c| c.scale = f64::NAN),
+        ("recal_band", |c| c.recal_band = f64::NEG_INFINITY),
+        ("machine.n_procs", |c| c.machine.n_procs = 0),
+        ("machine.n_disks", |c| c.machine.n_disks = 0),
+    ];
+    for (field, break_it) in broken {
+        let mut cfg = ExecConfig::unthrottled();
+        break_it(&mut cfg);
+        let exec = Executor::new(cfg, cat.clone());
+        let mut policy = IntraOnly::new(m(), true);
+        let refused = |e: ExecError| match e {
+            ExecError::InvalidConfig { field, .. } => field,
+            other => panic!("expected InvalidConfig, got {other}"),
+        };
+        assert_eq!(refused(exec.run(&runs, &mut policy).unwrap_err()), field);
+        // A sound executor on the refused config's session is refused too:
+        // the session has no machine that config described.
+        let session = exec.session();
+        let sound = Executor::new(ExecConfig::unthrottled(), cat.clone());
+        assert_eq!(refused(sound.run_shared(&session, &runs, &mut policy, &[]).unwrap_err()), field);
+    }
+    assert!(ExecConfig::scaled(0.0).scale.is_infinite(), "the builder no longer panics");
+}

@@ -98,16 +98,22 @@ impl JsonValue {
     }
 }
 
+/// Deepest nesting of arrays and objects the parser follows. The parser
+/// recurses once per level, so an unbounded `[[[[…` from a hostile file
+/// would overflow the stack; nothing this workspace writes nests past five.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON value from `s` (leading whitespace allowed; trailing
 /// garbage after the value is rejected).
 ///
 /// # Errors
-/// A human-readable description with the byte offset of the first problem.
+/// A human-readable description with the byte offset of the first problem;
+/// nesting deeper than [`MAX_DEPTH`] is one.
 pub fn parse(s: &str) -> Result<JsonValue, String> {
     let mut p = Parser::new(s);
     let v = p.value()?;
     p.skip_ws();
-    if p.pos < p.bytes.len() {
+    if p.pos < p.src.len() {
         return Err(p.err("trailing characters after JSON value"));
     }
     Ok(v)
@@ -120,13 +126,19 @@ pub fn parse_prefix(s: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
+        Parser { src: s, pos: 0, depth: 0 }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
     }
 
     fn err(&self, what: &str) -> String {
@@ -134,13 +146,13 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
+        while self.pos < self.bytes().len() && self.bytes()[self.pos].is_ascii_whitespace() {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -155,8 +167,15 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -167,7 +186,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -184,7 +203,8 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let tok = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| self.err("utf8"))?;
+        // Only ASCII was consumed, so both ends are char boundaries.
+        let tok = &self.src[start..self.pos];
         tok.parse::<f64>().map(JsonValue::Num).map_err(|_| self.err("malformed number"))
     }
 
@@ -208,14 +228,17 @@ impl<'a> Parser<'a> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
+                            if self.pos + 4 >= self.bytes().len() {
                                 return Err(self.err("truncated \\u escape"));
                             }
                             let hex =
-                                std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
+                                std::str::from_utf8(&self.bytes()[self.pos + 1..self.pos + 5])
                                     .map_err(|_| self.err("utf8 in \\u escape"))?;
+                            // `from_str_radix` alone would take a sign.
                             let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                                .ok()
+                                .filter(|_| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
                             self.pos += 4;
                         }
@@ -225,10 +248,9 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unmodified).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("utf8"))?;
-                    let c = rest.chars().next().unwrap();
+                    // through unmodified). `pos` only ever advances by whole
+                    // scalars or ASCII bytes, so it is a char boundary.
+                    let c = self.src[self.pos..].chars().next().expect("peeked a byte");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -318,6 +340,70 @@ mod tests {
         assert!(v.get("a").unwrap().arr().unwrap()[2].num().unwrap().is_nan());
         assert_eq!(v.get("b").and_then(|b| b.get("c")).and_then(|c| c.boolean()), Some(true));
         assert_eq!(v.get("s").and_then(|s| s.str()), Some("x\ny"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("{\"k\":", "}", MAX_DEPTH - 1).replace(":}", ":0}")).is_ok());
+        for hostile in [
+            nested("[", "]", MAX_DEPTH + 1),
+            "[".repeat(10_000),
+            "{\"k\":".repeat(10_000),
+            nested("[{\"k\":", "}]", 5_000),
+        ] {
+            let err = parse(&hostile).expect_err("too deep");
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+            assert!(parse_prefix(&hostile).is_err());
+        }
+        // Depth is nesting, not count: siblings do not accumulate.
+        assert!(parse(&format!("[{}[]]", "[],".repeat(10_000))).is_ok());
+    }
+
+    #[test]
+    fn every_truncation_of_a_document_is_an_error_not_a_panic() {
+        let doc = "{\"a\": [1, -2.5e3, null, true], \"s\": \"x\\ny\\u00e9\u{e9}\", \"o\": {\"k\": false}}";
+        assert!(parse(doc).is_ok());
+        for cut in (0..doc.len()).filter(|&i| doc.is_char_boundary(i)) {
+            assert!(parse(&doc[..cut]).is_err(), "prefix {:?} parsed", &doc[..cut]);
+            assert!(parse_prefix(&doc[..cut]).is_err(), "prefix {:?} parsed", &doc[..cut]);
+        }
+    }
+
+    #[test]
+    fn hostile_numbers_saturate_or_fail_cleanly() {
+        assert_eq!(parse("1e999999"), Ok(JsonValue::Num(f64::INFINITY)));
+        assert_eq!(parse("-1e999999"), Ok(JsonValue::Num(f64::NEG_INFINITY)));
+        assert_eq!(parse("1e-999999"), Ok(JsonValue::Num(0.0)));
+        assert_eq!(parse(&"9".repeat(100_000)), Ok(JsonValue::Num(f64::INFINITY)));
+        let long_fraction = format!("0.{}1", "0".repeat(100_000));
+        assert_eq!(parse(&long_fraction), Ok(JsonValue::Num(0.0)));
+        for junk in ["-", "+1", "1e", "1.2.3", "--1", "1e+-2", ".", "0x10", "1eE2"] {
+            assert!(parse(junk).is_err(), "{junk:?} parsed");
+        }
+    }
+
+    #[test]
+    fn hostile_strings_fail_cleanly_or_pass_through() {
+        // A lone (or paired) surrogate escape is not a scalar value: each
+        // reads as U+FFFD, the encoder never writes one.
+        assert_eq!(parse("\"\\ud800\""), Ok(JsonValue::Str("\u{fffd}".into())));
+        assert_eq!(parse("\"\\udc00x\""), Ok(JsonValue::Str("\u{fffd}x".into())));
+        assert_eq!(parse("\"\\ud83d\\ude00\""), Ok(JsonValue::Str("\u{fffd}\u{fffd}".into())));
+        for bad in [
+            "\"\\x41\"", "\"\\\"", "\"\\u12\"", "\"\\u12", "\"\\uZZZZ\"", "\"\\u+123\"",
+            "\"\\u00\u{e9}9\"", "\"\\", "\"open",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
+        // An embedded NUL is data inside a string and garbage outside one.
+        assert_eq!(parse("\"a\u{0}b\""), Ok(JsonValue::Str("a\u{0}b".into())));
+        assert!(parse("{\"a\":\u{0}1}").is_err());
+        assert!(parse("\u{0}{}").is_err());
+        // Length is linear work: a megabyte of string parses promptly.
+        let big = format!("\"{}\"", "\u{e9}".repeat(500_000));
+        assert_eq!(parse(&big).unwrap().str().map(str::len), Some(1_000_000));
     }
 
     #[test]

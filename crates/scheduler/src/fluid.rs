@@ -28,6 +28,7 @@
 use crate::balance::effective_bandwidth;
 use crate::deps::FragmentDag;
 use crate::error::SchedError;
+use crate::frag_table::FragTable;
 use crate::machine::MachineConfig;
 use crate::policy::{decide_fixpoint, Action, RunningTask, SchedulePolicy};
 use crate::task::{TaskId, TaskProfile};
@@ -115,11 +116,26 @@ impl FluidResult {
     }
 }
 
+/// What the fluid model holds for a running fragment.
 struct RunState {
-    profile: TaskProfile,
     parallelism: f64,
     remaining: f64,
     started_at: f64,
+}
+
+/// The lifecycle table plus the running fragments in *start* order — the
+/// order the policy's snapshot and the rate sums have always used.
+struct Frags {
+    table: FragTable<RunState>,
+    order: Vec<usize>,
+}
+
+impl Frags {
+    fn running(&self) -> impl Iterator<Item = (usize, &RunState)> {
+        self.order.iter().map(|&i| {
+            (i, self.table.running(i).expect("`order` lists exactly the running fragments"))
+        })
+    }
 }
 
 /// Fluid-model driver: replays any [`SchedulePolicy`] over a task set (with
@@ -159,15 +175,16 @@ impl FluidSim {
     /// Replay `policy` over tasks that are all runnable at time zero.
     ///
     /// # Errors
-    /// Any control-path [`SchedError`] the policy provokes; see
-    /// [`FluidSim::run_inner` invariants](SchedError) for the taxonomy.
+    /// Any control-path [`SchedError`] the policy provokes; the lifecycle
+    /// half of the taxonomy is [`FragTable`]'s.
     pub fn run<P: SchedulePolicy + ?Sized>(
         &self,
         policy: &mut P,
         tasks: &[TaskProfile],
     ) -> Result<FluidResult, SchedError> {
-        let arrivals: Vec<(TaskProfile, f64)> = tasks.iter().map(|t| (t.clone(), 0.0)).collect();
-        self.run_with_arrivals(policy, &arrivals)
+        let mut table = FragTable::new();
+        let due: Vec<(usize, f64)> = tasks.iter().map(|t| (table.add(t.id, &[]), 0.0)).collect();
+        self.run_inner(policy, tasks, table, &due)
     }
 
     /// Replay `policy` over a stream of `(task, arrival time)` pairs.
@@ -179,8 +196,13 @@ impl FluidSim {
         policy: &mut P,
         arrivals: &[(TaskProfile, f64)],
     ) -> Result<FluidResult, SchedError> {
-        let dag = FragmentDag::new();
-        self.run_inner(policy, arrivals, &dag, &[])
+        let mut table = FragTable::new();
+        let (tasks, mut due): (Vec<TaskProfile>, Vec<(usize, f64)>) = arrivals
+            .iter()
+            .map(|(t, at)| (t.clone(), (table.add(t.id, &[]), *at)))
+            .unzip();
+        due.sort_by(|a, b| a.1.total_cmp(&b.1));
+        self.run_inner(policy, &tasks, table, &due)
     }
 
     /// Replay `policy` over a fragment DAG: a fragment is released when all
@@ -193,13 +215,8 @@ impl FluidSim {
         policy: &mut P,
         dag: &FragmentDag,
     ) -> Result<FluidResult, SchedError> {
-        let arrivals: Vec<(TaskProfile, f64)> = dag
-            .roots()
-            .into_iter()
-            .map(|i| (dag.tasks()[i].clone(), 0.0))
-            .collect();
-        let blocked: Vec<usize> = (0..dag.len()).filter(|&i| !dag.deps_of(i).is_empty()).collect();
-        self.run_inner(policy, &arrivals, dag, &blocked)
+        let due: Vec<(usize, f64)> = dag.roots().into_iter().map(|i| (i, 0.0)).collect();
+        self.run_inner(policy, dag.tasks(), FragTable::from_dag(dag), &due)
     }
 
     /// Emit an [`TraceRecord::Error`] and return the error — every `Err`
@@ -210,12 +227,14 @@ impl FluidSim {
         err
     }
 
+    /// `tasks[i]` is the profile of the table's fragment `i`; `due` lists the
+    /// root fragments with their arrival times, earliest first.
     fn run_inner<P: SchedulePolicy + ?Sized>(
         &self,
         policy: &mut P,
-        arrivals: &[(TaskProfile, f64)],
-        dag: &FragmentDag,
-        blocked: &[usize],
+        tasks: &[TaskProfile],
+        table: FragTable<RunState>,
+        due: &[(usize, f64)],
     ) -> Result<FluidResult, SchedError> {
         // The machine may be re-based mid-run by a scheduled recalibration.
         let mut machine = self.machine.clone();
@@ -228,24 +247,18 @@ impl FluidSim {
             machine: machine.clone(),
         });
 
-        let mut pending: Vec<(TaskProfile, f64)> = arrivals.to_vec();
-        pending.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let mut pending_idx = 0;
-
-        let mut blocked: Vec<usize> = blocked.to_vec();
-        let mut finished_ids: Vec<TaskId> = Vec::new();
-
-        let mut known: Vec<TaskProfile> = pending.iter().map(|(t, _)| t.clone()).collect();
-        known.extend(blocked.iter().map(|&i| dag.tasks()[i].clone()));
-
-        let total_tasks = pending.len() + blocked.len();
-        let mut running: Vec<RunState> = Vec::new();
+        let mut due_idx = 0;
+        let mut frags = Frags { table, order: Vec::new() };
         let mut task_times: Vec<(TaskId, f64, f64)> = Vec::new();
         let mut trace = ScheduleTrace::default();
         let mut now = 0.0_f64;
+        let announce = |policy: &mut P, now: f64, idx: usize| {
+            emit(&self.sink, || TraceRecord::Arrival { now, profile: tasks[idx].clone() });
+            policy.on_arrival(now, tasks[idx].clone());
+        };
 
         // Generous bound: each task contributes at most a handful of events.
-        let max_steps = 64 * (total_tasks + 1);
+        let max_steps = 64 * (tasks.len() + 1);
         for _step in 0..max_steps {
             // Apply machine corrections whose causal position (number of
             // completed tasks) has been reached, before the next decide.
@@ -265,12 +278,11 @@ impl FluidSim {
             }
 
             // Deliver arrivals due now.
-            while pending_idx < pending.len() && pending[pending_idx].1 <= now + eps {
-                let (t, at) = pending[pending_idx].clone();
-                let when = at.max(now);
-                emit(&self.sink, || TraceRecord::Arrival { now: when, profile: t.clone() });
-                policy.on_arrival(when, t);
-                pending_idx += 1;
+            while let Some(&(idx, at)) = due.get(due_idx).filter(|d| d.1 <= now + eps) {
+                if frags.table.release(idx) {
+                    announce(policy, at.max(now), idx);
+                }
+                due_idx += 1;
             }
 
             // Let the policy reach a fixpoint of starts/adjusts.
@@ -278,36 +290,30 @@ impl FluidSim {
                 policy,
                 &self.sink,
                 now,
-                &mut running,
-                |running| {
-                    running
-                        .iter()
-                        .map(|r| RunningTask {
-                            profile: r.profile.clone(),
+                &mut frags,
+                |frags| {
+                    frags
+                        .running()
+                        .map(|(i, r)| RunningTask {
+                            profile: tasks[i].clone(),
                             parallelism: r.parallelism,
                             remaining_seq_time: r.remaining,
                         })
                         .collect()
                 },
-                |running, a| {
-                    let (id, parallelism) = (a.task(), a.parallelism());
-                    let at = running.iter().position(|r| r.profile.id == id);
-                    match (a, at) {
-                        (Action::Start { .. }, Some(_)) => {
-                            return Err(SchedError::AlreadyRunning { task: id })
+                |frags, a| {
+                    let idx = frags.table.lookup(a.task())?;
+                    let parallelism = a.parallelism();
+                    match a {
+                        Action::Start { .. } => {
+                            let remaining = tasks[idx].seq_time;
+                            frags.table.start(idx, || {
+                                Ok::<_, SchedError>(RunState { parallelism, remaining, started_at: now })
+                            })?;
+                            frags.order.push(idx);
                         }
-                        (Action::Start { .. }, None) => {
-                            let profile = known
-                                .iter()
-                                .find(|t| t.id == id)
-                                .ok_or(SchedError::UnknownTask { task: id })?
-                                .clone();
-                            let remaining = profile.seq_time;
-                            running.push(RunState { profile, parallelism, remaining, started_at: now });
-                        }
-                        (Action::Adjust { .. }, Some(i)) => running[i].parallelism = parallelism,
-                        (Action::Adjust { .. }, None) => {
-                            return Err(SchedError::NotRunning { task: id })
+                        Action::Adjust { .. } => {
+                            frags.table.running_mut(idx)?.parallelism = parallelism;
                         }
                     }
                     Ok(true)
@@ -315,105 +321,89 @@ impl FluidSim {
             )
             .map_err(|e| self.fail(now, e))?;
 
-            let all_arrived = pending_idx == pending.len() && blocked.is_empty();
-            if running.is_empty() {
-                if all_arrived {
-                    break; // done
+            if frags.order.is_empty() {
+                if frags.table.all_done() {
+                    break;
                 }
-                // Idle until the next timed arrival. (Blocked fragments only
-                // unblock on completions, so if nothing runs and nothing can
-                // arrive the policy has wedged.)
-                if pending_idx >= pending.len() {
-                    return Err(self.fail(
-                        now,
-                        SchedError::Wedged {
-                            policy: policy.name(),
-                            unfinished: total_tasks - task_times.len(),
-                        },
-                    ));
-                }
-                now = pending[pending_idx].1;
+                // Idle until the next timed arrival; with none left, nothing
+                // can ever run again.
+                let Some(&(_, at)) = due.get(due_idx) else {
+                    frags.table.wedge_check(policy.name()).map_err(|e| self.fail(now, e))?;
+                    break;
+                };
+                now = at;
                 continue;
             }
 
             // Progress rates under resource throttling.
             let n = machine.n_procs as f64;
-            let total_x: f64 = running.iter().map(|r| r.parallelism).sum();
+            let total_x: f64 = frags.running().map(|(_, r)| r.parallelism).sum();
             let cpu_scale = (n / total_x).min(1.0);
-            let streams: Vec<(f64, crate::task::IoKind)> = running
-                .iter()
-                .map(|r| (r.profile.io_rate * r.parallelism * cpu_scale, r.profile.io_kind))
+            let streams: Vec<(f64, crate::task::IoKind)> = frags
+                .running()
+                .map(|(i, r)| (tasks[i].io_rate * r.parallelism * cpu_scale, tasks[i].io_kind))
                 .collect();
             let bw = effective_bandwidth(&machine, &streams);
             let demand: f64 = streams.iter().map(|(d, _)| d).sum();
             let io_scale = if demand > bw { bw / demand } else { 1.0 };
             let scale = cpu_scale * io_scale;
-            let rates: Vec<f64> = running.iter().map(|r| r.parallelism * scale).collect();
+            let rates: Vec<f64> = frags.running().map(|(_, r)| r.parallelism * scale).collect();
 
             // Next event: earliest completion or next arrival.
             let mut dt = f64::INFINITY;
-            for (r, &rate) in running.iter().zip(&rates) {
+            for ((_, r), &rate) in frags.running().zip(&rates) {
                 debug_assert!(rate > 0.0);
                 dt = dt.min(r.remaining / rate);
             }
-            if pending_idx < pending.len() {
-                dt = dt.min(pending[pending_idx].1 - now);
+            if let Some(&(_, at)) = due.get(due_idx) {
+                dt = dt.min(at - now);
             }
             debug_assert!(dt.is_finite() && dt >= 0.0);
 
             trace.segments.push(TraceSegment {
                 start: now,
                 end: now + dt,
-                running: running
-                    .iter()
+                running: frags
+                    .running()
                     .zip(&rates)
-                    .map(|(r, &rate)| (r.profile.id, r.parallelism, rate))
+                    .map(|((i, r), &rate)| (tasks[i].id, r.parallelism, rate))
                     .collect(),
             });
 
             now += dt;
-            for (r, &rate) in running.iter_mut().zip(&rates) {
-                r.remaining -= rate * dt;
-            }
 
-            // Retire finished tasks and release fragments they unblock.
-            let mut i = 0;
-            while i < running.len() {
-                if running[i].remaining <= eps * running[i].profile.seq_time.max(1.0) {
-                    let r = running.remove(i);
-                    task_times.push((r.profile.id, r.started_at, now));
-                    finished_ids.push(r.profile.id);
-                    emit(&self.sink, || TraceRecord::Finish { now, task: r.profile.id });
-                    policy.on_finish(now, r.profile.id);
-                } else {
-                    i += 1;
+            // Retire finished tasks — every `on_finish` of the instant first
+            // — then announce the fragments they unblocked, in index order.
+            let mut released = Vec::new();
+            let mut still_running = Vec::with_capacity(frags.order.len());
+            for (idx, rate) in std::mem::take(&mut frags.order).into_iter().zip(rates) {
+                let r = frags.table.running_mut(idx).map_err(|e| self.fail(now, e))?;
+                r.remaining -= rate * dt;
+                if r.remaining > eps * tasks[idx].seq_time.max(1.0) {
+                    still_running.push(idx);
+                    continue;
                 }
+                let (r, ready) = frags.table.finish(idx).map_err(|e| self.fail(now, e))?;
+                let id = tasks[idx].id;
+                task_times.push((id, r.started_at, now));
+                emit(&self.sink, || TraceRecord::Finish { now, task: id });
+                policy.on_finish(now, id);
+                released.extend(ready);
             }
-            let mut b = 0;
-            while b < blocked.len() {
-                let idx = blocked[b];
-                let ready = dag
-                    .deps_of(idx)
-                    .iter()
-                    .all(|&d| finished_ids.contains(&dag.tasks()[d].id));
-                if ready {
-                    blocked.remove(b);
-                    let t = dag.tasks()[idx].clone();
-                    emit(&self.sink, || TraceRecord::Arrival { now, profile: t.clone() });
-                    policy.on_arrival(now, t);
-                } else {
-                    b += 1;
-                }
+            frags.order = still_running;
+            released.sort_unstable();
+            for idx in released {
+                announce(policy, now, idx);
             }
         }
 
-        if task_times.len() != total_tasks {
+        if task_times.len() != tasks.len() {
             return Err(self.fail(
                 now,
                 SchedError::Incomplete {
                     policy: policy.name(),
                     completed: task_times.len(),
-                    total: total_tasks,
+                    total: tasks.len(),
                 },
             ));
         }

@@ -57,6 +57,7 @@ pub mod deps;
 pub mod error;
 pub mod estimate;
 pub mod fluid;
+pub mod frag_table;
 pub mod intra;
 pub mod machine;
 pub mod pairing;
@@ -70,6 +71,7 @@ pub use balance::{balance_point, BalancePoint};
 pub use deps::FragmentDag;
 pub use error::SchedError;
 pub use fluid::{FluidSim, ScheduleTrace};
+pub use frag_table::{FragTable, Phase};
 pub use intra::IntraOnly;
 pub use machine::MachineConfig;
 pub use pairing::Pairing;

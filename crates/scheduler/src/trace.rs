@@ -705,6 +705,11 @@ impl TraceRecord {
 }
 
 /// Parse a whole JSONL capture (blank lines ignored).
+///
+/// # Errors
+/// [`SchedError::MalformedTrace`] naming the first line that is not a
+/// record: truncated, of an unknown type, missing a field, or nested deeper
+/// than [`xprs_obs::json::MAX_DEPTH`].
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, SchedError> {
     text.lines()
         .enumerate()
@@ -1030,6 +1035,52 @@ mod tests {
             SchedError::MalformedTrace { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    /// The line number `parse_jsonl` blames for a capture it must refuse.
+    fn malformed_line(text: &str) -> usize {
+        match parse_jsonl(text) {
+            Err(SchedError::MalformedTrace { line, .. }) => line,
+            other => panic!("expected MalformedTrace, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_every_record_kind_is_malformed_not_a_panic() {
+        let good = TraceRecord::Finish { now: 1.5, task: TaskId(0) }.to_json();
+        for rec in sample_records() {
+            let line = rec.to_json();
+            for cut in (1..line.len()).filter(|&i| line.is_char_boundary(i)) {
+                assert_eq!(malformed_line(&format!("{good}\n{}\n", &line[..cut])), 2);
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_lines_are_refused_or_read_without_a_panic() {
+        // Nesting past the parser's bound is an error on its line, not a
+        // stack overflow.
+        let deep = format!("{{\"type\":\"queues\",\"now\":0,\"cpu\":[],\"io\":{}", "[".repeat(10_000));
+        assert_eq!(malformed_line(&format!("\n{deep}\n")), 2);
+        let detail = parse_jsonl(&deep).unwrap_err().to_string();
+        assert!(detail.contains("nesting deeper than"), "{detail}");
+        // An embedded NUL is garbage between tokens…
+        assert_eq!(malformed_line("{\"type\":\"finish\",\"now\":0,\u{0}\"task\":1}"), 1);
+        // …and data inside a string, like a surrogate escape (read as U+FFFD).
+        let odd = parse_jsonl("{\"type\":\"error\",\"now\":0,\"message\":\"a\u{0}b\\ud800\"}");
+        let want = TraceRecord::Error { now: 0.0, message: "a\u{0}b\u{fffd}".into() };
+        assert_eq!(odd, Ok(vec![want]));
+        for bad_escape in ["\\x", "\\u12", "\\uZZZZ", "\\"] {
+            let line = format!("{{\"type\":\"error\",\"now\":0,\"message\":\"{bad_escape}\"}}");
+            assert_eq!(malformed_line(&line), 1, "{line}");
+        }
+        // Numbers no f64 or u64 holds saturate; they do not wrap or panic.
+        let huge = format!("{{\"type\":\"finish\",\"now\":1e999999,\"task\":{}}}", "9".repeat(5_000));
+        let want = TraceRecord::Finish { now: f64::INFINITY, task: TaskId(u64::MAX) };
+        assert_eq!(parse_jsonl(&huge), Ok(vec![want]));
+        let negative = "{\"type\":\"finish\",\"now\":-1e999999,\"task\":-7}";
+        let want = TraceRecord::Finish { now: f64::NEG_INFINITY, task: TaskId(0) };
+        assert_eq!(parse_jsonl(negative), Ok(vec![want]));
     }
 
     #[test]

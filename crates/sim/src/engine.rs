@@ -21,7 +21,7 @@ use xprs_scheduler::policy::{
     decide_fixpoint, round_parallelism, Action, RunningTask, SchedulePolicy,
 };
 use xprs_scheduler::trace::{emit, SharedSink, TraceRecord};
-use xprs_scheduler::{MachineConfig, TaskId};
+use xprs_scheduler::{FragTable, MachineConfig, Phase};
 use xprs_storage::partition::{PagePartition, RangePartition};
 
 use crate::event::{EventKind, EventQueue};
@@ -89,16 +89,8 @@ enum Partition {
     Range(RangePartition),
 }
 
-enum TaskState {
-    Pending,
-    Running,
-    Done,
-}
-
 struct TaskRt {
     spec: SimTask,
-    state: TaskState,
-    partition: Option<Partition>,
     target_parallelism: u32,
     ios_done: u64,
     started_at: f64,
@@ -136,6 +128,9 @@ struct Run {
     layout: StripedLayout,
     queue: EventQueue,
     tasks: Vec<TaskRt>,
+    /// The tasks' lifecycle, index for index with `tasks`: `Blocked` until
+    /// the `Arrival` event, holding the partition while `Running`.
+    table: FragTable<Partition>,
     workers: Vec<WorkerRt>,
     disks: Vec<DiskRt>,
     cpu_free: u32,
@@ -177,7 +172,12 @@ impl Simulator {
             machine.almost_seq_bw,
             machine.random_bw,
         );
+        let mut table = FragTable::new();
+        for (spec, _) in arrivals {
+            table.add(spec.profile.id, &[]);
+        }
         let mut run = Run {
+            table,
             layout: StripedLayout::new(machine.n_disks),
             cfg: self.cfg.clone(),
             queue: EventQueue::new(),
@@ -185,8 +185,6 @@ impl Simulator {
                 .iter()
                 .map(|(spec, _)| TaskRt {
                     spec: spec.clone(),
-                    state: TaskState::Pending,
-                    partition: None,
                     target_parallelism: 0,
                     ios_done: 0,
                     started_at: 0.0,
@@ -234,43 +232,51 @@ impl Run {
     fn main_loop(&mut self, policy: &mut dyn SchedulePolicy) -> Result<(), SchedError> {
         while let Some((t, ev)) = self.queue.pop() {
             self.now = t;
-            self.handle(policy, ev);
+            self.handle(policy, ev)?;
             // Drain every event at this exact instant before consulting the
             // policy, so simultaneous arrivals are seen as one batch.
             while self.queue.peek_time() == Some(self.now) {
                 let (_, ev) = self.queue.pop().expect("peeked");
-                self.handle(policy, ev);
+                self.handle(policy, ev)?;
             }
             if self.need_decide {
                 self.need_decide = false;
                 self.decide(policy)?;
             }
         }
-        let unfinished = self
-            .tasks
-            .iter()
-            .filter(|t| !matches!(t.state, TaskState::Done))
-            .count();
-        if unfinished > 0 {
-            return Err(SchedError::Wedged { policy: policy.name(), unfinished });
+        // The event queue is dry: nothing more will arrive or complete.
+        self.table.wedge_check(policy.name())?;
+        if !self.table.all_done() {
+            return Err(SchedError::Incomplete {
+                policy: policy.name(),
+                completed: self.table.count(Phase::Done),
+                total: self.table.len(),
+            });
         }
         Ok(())
     }
 
-    fn handle(&mut self, policy: &mut dyn SchedulePolicy, ev: EventKind) {
+    fn handle(
+        &mut self,
+        policy: &mut dyn SchedulePolicy,
+        ev: EventKind,
+    ) -> Result<(), SchedError> {
         self.n_events += 1;
         match ev {
             EventKind::Arrival(i) => {
-                let profile = self.tasks[i].spec.profile.clone();
-                let now = self.now;
-                emit(&self.sink, || TraceRecord::Arrival { now, profile: profile.clone() });
-                policy.on_arrival(now, profile);
+                if self.table.release(i) {
+                    let profile = self.tasks[i].spec.profile.clone();
+                    let now = self.now;
+                    emit(&self.sink, || TraceRecord::Arrival { now, profile: profile.clone() });
+                    policy.on_arrival(now, profile);
+                }
                 self.need_decide = true;
             }
             EventKind::DiskDone(d) => self.disk_done(d),
-            EventKind::CpuDone(w) => self.cpu_done(policy, w),
+            EventKind::CpuDone(w) => self.cpu_done(policy, w)?,
             EventKind::ApplyAdjust(task, x) => self.apply_adjust(task, x),
         }
+        Ok(())
     }
 
     // -- disk stage --------------------------------------------------------
@@ -334,22 +340,30 @@ impl Run {
         self.queue.push(self.now + burst, EventKind::CpuDone(w));
     }
 
-    fn cpu_done(&mut self, policy: &mut dyn SchedulePolicy, w: usize) {
+    fn cpu_done(
+        &mut self,
+        policy: &mut dyn SchedulePolicy,
+        w: usize,
+    ) -> Result<(), SchedError> {
         match self.cpu_ready.pop_front() {
             Some(next) => self.schedule_cpu(next),
             None => self.cpu_free += 1,
         }
         self.workers[w].processing = false;
-        self.complete_io(policy, w);
+        self.complete_io(policy, w)
     }
 
-    fn complete_io(&mut self, policy: &mut dyn SchedulePolicy, w: usize) {
+    fn complete_io(
+        &mut self,
+        policy: &mut dyn SchedulePolicy,
+        w: usize,
+    ) -> Result<(), SchedError> {
         let ti = self.workers[w].task;
         self.tasks[ti].ios_done += 1;
         if self.tasks[ti].ios_done == self.tasks[ti].spec.n_ios {
-            self.tasks[ti].state = TaskState::Done;
+            // Tasks have no producers here, so a completion releases nobody.
+            self.table.finish(ti)?;
             self.tasks[ti].finished_at = self.now;
-            self.tasks[ti].partition = None;
             let id = self.tasks[ti].spec.profile.id;
             let now = self.now;
             emit(&self.sink, || TraceRecord::Finish { now, task: id });
@@ -367,6 +381,7 @@ impl Run {
             self.worker_fetch_next(w);
         }
         // Otherwise the prefetch is still in flight; DiskDone continues.
+        Ok(())
     }
 
     // -- worker loop ---------------------------------------------------------
@@ -374,13 +389,11 @@ impl Run {
     fn worker_fetch_next(&mut self, w: usize) {
         let ti = self.workers[w].task;
         let slot = self.workers[w].slot;
-        let task = &mut self.tasks[ti];
-        let next_block = match &mut task.partition {
-            Some(Partition::Page(p)) => p.next_page(slot),
-            Some(Partition::Range(r)) => {
-                r.next_key(slot).map(|k| task.spec.block_of_key(k as u64))
-            }
-            None => None, // task already completed
+        let spec = &self.tasks[ti].spec;
+        let next_block = match self.table.running_mut(ti) {
+            Ok(Partition::Page(p)) => p.next_page(slot),
+            Ok(Partition::Range(r)) => r.next_key(slot).map(|k| spec.block_of_key(k as u64)),
+            Err(_) => None, // task already completed
         };
         match next_block {
             Some(b) => {
@@ -407,23 +420,26 @@ impl Run {
             now,
             self,
             |run| {
-                run.tasks
-                    .iter()
-                    .filter(|t| matches!(t.state, TaskState::Running))
-                    .map(|t| RunningTask {
-                        profile: t.spec.profile.clone(),
-                        parallelism: t.target_parallelism as f64,
-                        remaining_seq_time: t.spec.profile.seq_time
-                            * (1.0 - t.ios_done as f64 / t.spec.n_ios as f64),
+                run.table
+                    .iter_running()
+                    .map(|(ti, _)| {
+                        let t = &run.tasks[ti];
+                        RunningTask {
+                            profile: t.spec.profile.clone(),
+                            parallelism: t.target_parallelism as f64,
+                            remaining_seq_time: t.spec.profile.seq_time
+                                * (1.0 - t.ios_done as f64 / t.spec.n_ios as f64),
+                        }
                     })
                     .collect()
             },
             |run, a| {
-                let (id, parallelism) = (a.task(), a.parallelism());
+                let ti = run.table.lookup(a.task())?;
+                let parallelism = a.parallelism();
                 match a {
-                    Action::Start { .. } => run.start_task(id, parallelism)?,
+                    Action::Start { .. } => run.start_task(ti, parallelism)?,
                     Action::Adjust { .. } => {
-                        let ti = run.task_index(id)?;
+                        run.table.running(ti)?;
                         let x = round_parallelism(parallelism, run.cfg.machine.n_procs) as u32;
                         // The policy sees its target immediately; the slaves
                         // converge after the protocol round-trip.
@@ -437,18 +453,7 @@ impl Run {
         )
     }
 
-    fn task_index(&self, id: TaskId) -> Result<usize, SchedError> {
-        self.tasks
-            .iter()
-            .position(|t| t.spec.profile.id == id)
-            .ok_or(SchedError::UnknownTask { task: id })
-    }
-
-    fn start_task(&mut self, id: TaskId, parallelism: f64) -> Result<(), SchedError> {
-        let ti = self.task_index(id)?;
-        if !matches!(self.tasks[ti].state, TaskState::Pending) {
-            return Err(SchedError::AlreadyRunning { task: id });
-        }
+    fn start_task(&mut self, ti: usize, parallelism: f64) -> Result<(), SchedError> {
         let x = round_parallelism(parallelism, self.cfg.machine.n_procs) as u32;
         let n_ios = self.tasks[ti].spec.n_ios;
         let partition = match self.tasks[ti].spec.access {
@@ -457,8 +462,7 @@ impl Run {
                 Partition::Range(RangePartition::new(0, n_ios as i64 - 1, x))
             }
         };
-        self.tasks[ti].partition = Some(partition);
-        self.tasks[ti].state = TaskState::Running;
+        self.table.start(ti, || Ok::<_, SchedError>(partition))?;
         self.tasks[ti].target_parallelism = x;
         self.tasks[ti].started_at = self.now;
         for slot in 0..x as usize {
@@ -468,13 +472,10 @@ impl Run {
     }
 
     fn apply_adjust(&mut self, ti: usize, x: u32) {
-        if matches!(self.tasks[ti].state, TaskState::Done) {
-            return; // the task beat the protocol to the finish line
-        }
-        let info = match &mut self.tasks[ti].partition {
-            Some(Partition::Page(p)) => p.adjust(x),
-            Some(Partition::Range(r)) => r.adjust(x),
-            None => return,
+        let info = match self.table.running_mut(ti) {
+            Ok(Partition::Page(p)) => p.adjust(x),
+            Ok(Partition::Range(r)) => r.adjust(x),
+            Err(_) => return, // the task beat the protocol to the finish line
         };
         for slot in info.new_slots {
             self.spawn_worker(ti, slot);
@@ -540,7 +541,7 @@ mod tests {
     use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
     use xprs_scheduler::intra::IntraOnly;
     use xprs_scheduler::policy::FIXPOINT_ROUNDS;
-    use xprs_scheduler::{IoKind, TaskProfile};
+    use xprs_scheduler::{IoKind, TaskId, TaskProfile};
 
     fn cfg() -> SimConfig {
         SimConfig::paper_default()

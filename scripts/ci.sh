@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full local CI: build, tests, lints, and the executor benchmarks.
 #
-# The workspace builds offline (rand/proptest/criterion are std-only shims
-# under shims/), so this needs no network. Run from the repo root:
+# The workspace builds offline (rand/proptest are std-only shims under
+# shims/), so this needs no network. Run from the repo root:
 #
 #   ./scripts/ci.sh
 #
@@ -32,15 +32,24 @@ cargo test -q --doc --workspace --offline
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# One data path: the retired paths' names (the seed's global-lock path, the
-# static-share partition mode, the no-spill switch, the per-driver rounding
-# copies) must not creep back into code, examples, tests or the verify
-# skill. `scripts/` is left out so the pattern does not match itself; docs
-# keep the names as history.
+# One data path, one fragment lifecycle: the retired paths' names (the
+# seed's global-lock path, the static-share partition mode, the no-spill
+# switch, the per-driver rounding copies, the drivers' private status enums
+# and id scans that `xprs_scheduler::FragTable` replaced) must not creep back
+# into code, examples, tests or the verify skill. `scripts/` is left out so
+# the pattern does not match itself; docs keep the names as history.
 echo "==> retired-name grep"
-if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors' \
+if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index' \
     crates examples src tests .claude; then
     echo "retired data-path names found (matches above)" >&2
+    exit 1
+fi
+
+# The master's run state lives in one struct; a helper that needs eight
+# arguments is threading that state by hand again.
+echo "==> no too_many_arguments allowance in the executor"
+if grep -rnE 'allow\(clippy::too_many_arguments\)' crates/executor/src; then
+    echo "thread the run state through MasterRun, not through arguments" >&2
     exit 1
 fi
 
