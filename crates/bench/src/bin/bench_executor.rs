@@ -162,12 +162,15 @@ fn main() {
 
     // ---- Memory admission: oversized builds must queue, spill, and agree ----
     let (mem_cat, mem_wl) = exec_memory::catalog(MEM_SEED);
-    let mut mem_rows: Vec<(bool, f64, exec_memory::MemoryRun)> = Vec::new();
-    for grants in [false, true] {
+    let mut mem_rows: Vec<(&str, f64, exec_memory::MemoryRun)> = Vec::new();
+    for (mode, pool_pages) in [
+        ("reference", exec_memory::REFERENCE_POOL_PAGES),
+        ("grants", exec_memory::BUFPOOL_PAGES),
+    ] {
         let mut walls = Vec::with_capacity(MEM_TRIALS);
         let mut last = None;
         for _ in 0..MEM_TRIALS {
-            let r = exec_memory::run(&mem_cat, &mem_wl, MEM_WORKERS, grants);
+            let r = exec_memory::run(&mem_cat, &mem_wl, MEM_WORKERS, pool_pages);
             assert!(r.emitted > 0, "vacuous memory-admission join");
             walls.push(r.wall);
             last = Some(r);
@@ -176,8 +179,7 @@ fn main() {
         assert_eq!(last.granted_pages, last.released_pages, "grant ledger out of balance");
         assert_eq!(last.pinned_at_exit, 0, "pages pinned at exit");
         eprintln!(
-            "memory {:<10} wall={:.4}s emitted={} granted={} waits={} spill_chunks={} spill_rows={}",
-            if grants { "grants" } else { "reference" },
+            "memory {mode:<10} wall={:.4}s emitted={} granted={} waits={} spill_chunks={} spill_rows={}",
             median(&mut walls),
             last.emitted,
             last.granted_pages,
@@ -185,10 +187,9 @@ fn main() {
             last.spill_chunks,
             last.spill_rows,
         );
-        mem_rows.push((grants, median(&mut walls), last));
+        mem_rows.push((mode, median(&mut walls), last));
     }
-    let mem_ref = mem_rows.iter().find(|r| !r.0).unwrap();
-    let mem_grant = mem_rows.iter().find(|r| r.0).unwrap();
+    let (mem_ref, mem_grant) = (&mem_rows[0], &mem_rows[1]);
     let mem_parity = mem_ref.2.rows_digest == mem_grant.2.rows_digest;
     let mem_overhead = mem_grant.1 / mem_ref.1;
     assert!(mem_parity, "admission changed a join answer");
@@ -308,13 +309,13 @@ fn main() {
         j.push_str(&format!("    \"workers\": {MEM_WORKERS},\n"));
         j.push_str(&format!("    \"trials_per_config\": {MEM_TRIALS},\n"));
         j.push_str("    \"configs\": [\n");
-        for (i, (grants, wall, r)) in mem_rows.iter().enumerate() {
+        for (i, (mode, wall, r)) in mem_rows.iter().enumerate() {
             j.push_str(&format!(
                 "      {{\"mode\": \"{}\", \"wall_seconds\": {:.6}, \"emitted\": {}, \
                  \"granted_pages\": {}, \"released_pages\": {}, \"grant_waits\": {}, \
                  \"spill_chunks\": {}, \"spill_rows\": {}, \"pinned_at_exit\": {}, \
                  \"rows_digest\": {}}}{}\n",
-                if *grants { "grants" } else { "reference" },
+                mode,
                 wall,
                 r.emitted,
                 r.granted_pages,

@@ -95,7 +95,8 @@ fn main() {
         );
     }
 
-    // ---- Disk-resident join: the build scan spills the pool ----
+    // ---- Disk-resident join: the build scan cannot be cached, the hash
+    // table it builds is held in memory ----
     let (dr_cat, dr_wl) = exec_disk::catalog(DR_SEED);
     let mut dr_rows = Vec::new();
     for &w in &WORKERS {
@@ -181,6 +182,7 @@ fn main() {
     json.push_str("  ],\n");
     json.push_str("  \"disk_resident\": {\n");
     json.push_str(&format!("    \"bufpool_pages\": {},\n", exec_disk::BUFPOOL_PAGES));
+    json.push_str(&format!("    \"join_pool_pages\": {},\n", dr_rows[0].3.pool_pages));
     json.push_str(&format!("    \"spill_factor\": {},\n", exec_disk::SPILL_FACTOR));
     json.push_str(&format!("    \"trials_per_config\": {DR_TRIALS},\n"));
     json.push_str("    \"configs\": [\n");

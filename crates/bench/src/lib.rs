@@ -447,7 +447,7 @@ pub mod exec_disk {
     use xprs_optimizer::cost::{CostModel, RelInfo};
     use xprs_optimizer::{decompose, OptimizedQuery, Plan};
     use xprs_scheduler::MachineConfig;
-    use xprs_storage::{Catalog, Datum, Schema, Tuple};
+    use xprs_storage::{Catalog, Datum, Schema, Tuple, PAGE_SIZE};
     use xprs_workload::{generate_disk_resident, DiskResidentSpec, DiskResidentWorkload};
 
     use super::exec_obs::{full_scan, CoRun};
@@ -507,6 +507,8 @@ pub mod exec_disk {
         pub steals: u64,
         /// OS threads created over the run.
         pub pool_threads: u64,
+        /// Pool frames the join ran with (`join_pool_pages`).
+        pub pool_pages: usize,
     }
 
     /// The benchmark catalog: two disk-resident relations (for the co-run
@@ -609,6 +611,18 @@ pub mod exec_disk {
         OptimizedQuery { seqcost: costed.cost.total_cost, parcost: 0.0, plan, fragments }
     }
 
+    /// Pool frames the join runs with: the [`BUFPOOL_PAGES`] the scans read
+    /// through, beside room for the hash table the join declares it holds.
+    /// Memory is a scheduled resource, so a [`BUFPOOL_PAGES`]-frame machine
+    /// would spill a table [`SPILL_FACTOR`]× its size — [`super::exec_memory`]
+    /// measures that; this leg measures how the build scan's disk waits
+    /// overlap. The hit rate is 0 either way: one pass revisits nothing.
+    fn join_pool_pages(optimized: &OptimizedQuery) -> usize {
+        let held =
+            optimized.fragments.fragments.iter().map(|f| f.profile.memory).fold(0.0, f64::max);
+        BUFPOOL_PAGES + (held / PAGE_SIZE as f64).ceil() as usize
+    }
+
     /// Run the disk-resident hash join with `workers` workers.
     pub fn join_run(
         cat: &Arc<Catalog>,
@@ -621,11 +635,15 @@ pub mod exec_disk {
             RelBinding { name: build.name.clone(), pred: (i32::MIN, i32::MAX) },
             RelBinding { name: "dr_probe".into(), pred: (i32::MIN, i32::MAX) },
         ];
+        let pool_pages = join_pool_pages(&optimized);
+        let mut cfg = config();
+        cfg.bufpool_pages = pool_pages;
         let runs = vec![QueryRun { optimized, bindings }];
-        let exec = Executor::new(config(), cat.clone());
+        let exec = Executor::new(cfg, cat.clone());
         let mut policy = FixedParallelism::new(MachineConfig::paper_default(), workers);
         let t0 = Instant::now();
         let report = exec.run(&runs, &mut policy).expect("disk-resident join failed");
+        assert_eq!(report.spill_chunks, 0, "the scaling join must run in memory");
         let wall = t0.elapsed().as_secs_f64();
         let first_start =
             report.fragment_times.iter().map(|&(_, s, _)| s).fold(f64::INFINITY, f64::min);
@@ -640,6 +658,7 @@ pub mod exec_disk {
             hit_rate: report.stats.pool.hit_rate(),
             steals: report.metrics.as_ref().map_or(0, |m| m.steals.get()),
             pool_threads: report.pool_threads,
+            pool_pages,
         }
     }
 }
@@ -647,10 +666,10 @@ pub mod exec_disk {
 /// Memory-grant admission scenario: concurrent hash joins whose aggregate
 /// build demand is [`exec_memory::DEMAND_FACTOR`]× the buffer pool, every
 /// query arriving at once ([`exec_obs::CoRun`]) so the builds race for
-/// admission. The A/B is grants-on (tiny pool, queue + spill) against the
-/// uncontended reference (grants off, pool big enough to hold any build);
-/// the parity digest must match between the two — admission may reorder and
-/// spill, never change an answer.
+/// admission. The A/B is the tiny pool (queue + spill) against the
+/// uncontended reference (the same admission over a pool every build fits
+/// in at once); the parity digest must match between the two — admission
+/// may reorder and spill, never change an answer.
 pub mod exec_memory {
     use std::hash::{Hash, Hasher};
     use std::sync::Arc;
@@ -665,13 +684,15 @@ pub mod exec_memory {
 
     use super::exec_obs::CoRun;
 
-    /// Pool frames the grants-on side runs with.
+    /// Pool frames the contended side runs with.
     pub const BUFPOOL_PAGES: u64 = 64;
     /// Aggregate build demand as a multiple of the pool (the acceptance
     /// regime is ≥ 4×).
     pub const DEMAND_FACTOR: u64 = 4;
-    /// Concurrent join queries.
-    pub const N_QUERIES: usize = 4;
+    /// Concurrent join queries: fewer than [`DEMAND_FACTOR`], so each build
+    /// alone exceeds the pool — it is granted the whole pool and spills the
+    /// rest, where a build the pool can hold would only queue.
+    pub const N_QUERIES: usize = 3;
     /// Pool frames for the uncontended reference run: comfortably above the
     /// whole aggregate demand, so no admission pressure exists.
     pub const REFERENCE_POOL_PAGES: u64 = BUFPOOL_PAGES * (DEMAND_FACTOR + 1);
@@ -696,7 +717,7 @@ pub mod exec_memory {
         /// Pages still pinned when the run exited (must be 0).
         pub pinned_at_exit: u64,
         /// Order-sensitive FNV digest over every result row, for the
-        /// byte-parity check between the grants-on and reference runs.
+        /// byte-parity check between the contended and reference runs.
         pub rows_digest: u64,
     }
 
@@ -731,13 +752,14 @@ pub mod exec_memory {
     }
 
     /// Run every generated join at once with `workers` workers per
-    /// fragment; `grants` picks the side of the A/B (tiny pool + admission
-    /// vs big uncontended pool).
+    /// fragment over a pool of `pool_pages` frames: [`BUFPOOL_PAGES`] is the
+    /// contended side of the A/B (queue + spill), [`REFERENCE_POOL_PAGES`]
+    /// the side where every build fits at once.
     pub fn run(
         cat: &Arc<Catalog>,
         workload: &OversizedBuildWorkload,
         workers: u32,
-        grants: bool,
+        pool_pages: u64,
     ) -> MemoryRun {
         let optimizer = TwoPhaseOptimizer::paper_default();
         let runs: Vec<QueryRun> = workload
@@ -756,10 +778,7 @@ pub mod exec_memory {
             })
             .collect();
         let mut cfg = ExecConfig::unthrottled();
-        cfg.bufpool_pages = if grants { BUFPOOL_PAGES } else { REFERENCE_POOL_PAGES } as usize;
-        if grants {
-            cfg = cfg.with_memory_grants();
-        }
+        cfg.bufpool_pages = pool_pages as usize;
         let exec = Executor::new(cfg, cat.clone());
         let mut policy = CoRun::new(MachineConfig::paper_default(), workers);
         let t0 = Instant::now();
@@ -887,7 +906,7 @@ pub mod exec_skew {
             RelBinding { name: workload.probe.clone(), pred: (i32::MIN, i32::MAX) },
         ];
         let runs = vec![QueryRun { optimized, bindings }];
-        let mut cfg = ExecConfig::scaled(TIME_SPEEDUP).with_obs().with_memory_grants();
+        let mut cfg = ExecConfig::scaled(TIME_SPEEDUP).with_obs();
         cfg.bufpool_pages = BUFPOOL_PAGES as usize;
         cfg.parallel_merge_ways = MERGE_WAYS;
         let exec = Executor::new(cfg, cat.clone());
@@ -1058,7 +1077,7 @@ pub mod exec_predict {
     /// baseline; passing the same `Arc` across repetitions warms the model.
     pub fn run(cat: &Arc<Catalog>, runs: &[QueryRun], predictor: Option<&Arc<Predictor>>) -> PredictRun {
         let machine = MachineConfig::paper_default();
-        let mut cfg = ExecConfig::scaled(TIME_SPEEDUP).with_memory_grants().with_obs();
+        let mut cfg = ExecConfig::scaled(TIME_SPEEDUP).with_obs();
         cfg.bufpool_pages = BUFPOOL_PAGES;
         if let Some(p) = predictor {
             cfg = cfg.with_predictor(p.clone());

@@ -300,6 +300,11 @@ mod tests {
         for (i, r) in report.results.iter().enumerate() {
             assert_eq!(r.rows.rows.len() as u64, w.tasks[i].n_tuples);
         }
+        // A selection streams its result and holds nothing: the paper's
+        // task sets run through admission without reserving, waiting or
+        // spilling, whatever their size against the pool.
+        let ledger = (report.mem_granted_pages, report.mem_grant_waits, report.spill_chunks);
+        assert_eq!(ledger, (0, 0, 0), "(granted, waits, spill chunks)");
     }
 
     #[test]

@@ -26,11 +26,13 @@ pub struct ExecConfig {
     pub machine: MachineConfig,
     /// Wall seconds per simulated second; `0.0` = run at full speed.
     pub scale: f64,
-    /// CPU seconds charged per tuple examined.
-    pub cpu_tuple: f64,
     /// Shared buffer-pool frames (0 disables buffering). The paper's
     /// workloads scan relations far larger than memory, so the default is a
-    /// modest pool that cannot cache a whole scan.
+    /// modest pool that cannot cache a whole scan. Its capacity is a
+    /// scheduled resource on every run: a fragment reserves the pages it
+    /// declared it holds ([`TaskProfile::memory`]) before it is staffed,
+    /// waits FIFO while the pool is over-committed, releases them at
+    /// completion, and cuts sorted spill runs past its grant.
     pub bufpool_pages: usize,
     /// Buffer-pool shards (page-hashed, independently latched); clamped
     /// to ≥ 1.
@@ -76,14 +78,6 @@ pub struct ExecConfig {
     /// Write [`ExecReport::metrics_json`] to this path after a successful
     /// run. Implies `obs`.
     pub metrics_out: Option<PathBuf>,
-    /// Treat buffer-pool capacity as a scheduled resource: before a
-    /// fragment is staffed the master reserves shard capacity for its
-    /// estimated footprint ([`TaskProfile::memory`]), queues the fragment
-    /// FIFO when the pool is over-committed, and releases the grant at
-    /// completion; a fragment whose footprint exceeds its grant cuts sorted
-    /// spill runs to disk. Off by default — grants change admission order,
-    /// so the throughput benches opt in explicitly.
-    pub memory_grants: bool,
     /// Online profile predictor. When attached, the master substitutes
     /// predicted `seq_time`/`io_rate`/memory for the optimizer's declared
     /// values at every fragment announcement (cold keys fall back to the
@@ -101,7 +95,6 @@ impl ExecConfig {
         ExecConfig {
             machine: MachineConfig::paper_default(),
             scale: 0.0,
-            cpu_tuple: 0.25e-3,
             bufpool_pages: 512,
             bufpool_shards: 8,
             morsel_units: DEFAULT_MORSEL_UNITS,
@@ -114,7 +107,6 @@ impl ExecConfig {
             parallel_merge_ways: 0,
             obs: false,
             metrics_out: None,
-            memory_grants: false,
             predictor: None,
         }
     }
@@ -148,14 +140,6 @@ impl ExecConfig {
     pub fn with_metrics_out(mut self, path: impl Into<PathBuf>) -> Self {
         self.metrics_out = Some(path.into());
         self.obs = true;
-        self
-    }
-
-    /// Enable memory-grant admission: fragments reserve buffer-pool shard
-    /// capacity for their estimated footprint before staffing, wait FIFO
-    /// when the pool is over-committed, and spill past their grant.
-    pub fn with_memory_grants(mut self) -> Self {
-        self.memory_grants = true;
         self
     }
 

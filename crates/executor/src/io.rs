@@ -301,14 +301,8 @@ impl Machine {
         Self::with_sharded_pool(cfg, scale, 0, 1)
     }
 
-    /// Like [`Machine::new`], with a one-shard buffer pool of `pool_pages`
-    /// frames (0 disables buffering; every read hits a disk): exact global
-    /// LRU behind a single latch.
-    pub fn with_pool(cfg: &MachineConfig, scale: f64, pool_pages: usize) -> Self {
-        Self::with_sharded_pool(cfg, scale, pool_pages, 1)
-    }
-
-    /// Like [`Machine::with_pool`], with the frames split over `shards`
+    /// Like [`Machine::new`], with a buffer pool of `pool_pages` frames (0
+    /// disables buffering; every read hits a disk) split over `shards`
     /// page-hashed shards, each independently latched.
     pub fn with_sharded_pool(
         cfg: &MachineConfig,
@@ -425,27 +419,12 @@ impl Machine {
         WorkerId(self.worker_ids.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Read `global_block` of `rel`: consult the buffer pool; on a miss wait
-    /// for the disk and charge the classified service time (sleeping
-    /// `scale ×` it). Returns the service class of the disk read, or `None`
-    /// on a buffer hit. The caller then accesses the in-memory page image.
-    ///
-    /// # Panics
-    /// Panics on an unrecoverable injected read error; fault-tolerant
-    /// callers use [`Machine::try_read`].
-    pub fn read(
-        &self,
-        rel: RelId,
-        global_block: u64,
-        worker: WorkerId,
-        solo: bool,
-    ) -> Option<ServiceClass> {
-        self.try_read(rel, global_block, worker, solo)
-            .unwrap_or_else(|f| panic!("unhandled I/O fault: {f}"))
-    }
-
-    /// Fault-tolerant blocking read: [`Machine::begin_read`] and
-    /// [`Machine::finish_read`] back to back.
+    /// Blocking read of `global_block` of `rel`: [`Machine::begin_read`]
+    /// and [`Machine::finish_read`] back to back. Consults the buffer pool;
+    /// on a miss waits for the disk and charges the classified service time
+    /// (sleeping `scale ×` it). Returns the service class of the disk read,
+    /// or `None` on a buffer hit. The caller then accesses the in-memory
+    /// page image.
     pub fn try_read(
         &self,
         rel: RelId,
@@ -699,6 +678,11 @@ mod tests {
         Machine::new(&MachineConfig::paper_default(), scale)
     }
 
+    /// A read no injected fault may fail.
+    fn read(m: &Machine, rel: RelId, block: u64, w: WorkerId, solo: bool) -> Option<ServiceClass> {
+        m.try_read(rel, block, w, solo).expect("unhandled I/O fault")
+    }
+
     #[test]
     fn cpu_gate_bounds_concurrency() {
         let gate = Arc::new(CpuGate::new(2));
@@ -738,12 +722,12 @@ mod tests {
                 let w = m.new_worker_id();
                 // Cold random read ≈ 28.6 ms simulated → ≈ 170 ms wall: the
                 // frame stays pinned for the whole service.
-                m.read(RelId(1), 0, w, false);
+                read(&m, RelId(1), 0, w, false);
             })
         };
         std::thread::sleep(Duration::from_millis(40));
         let w = m.new_worker_id();
-        m.read(RelId(1), 4, w, false); // only shard is fully pinned → bypass
+        read(&m, RelId(1), 4, w, false); // only shard is fully pinned → bypass
         first.join().expect("reader must not panic");
         let s = m.stats();
         assert_eq!(s.reads, 2);
@@ -759,7 +743,7 @@ mod tests {
         // Solo sequential scan: all but the cold seeks run sequential.
         let mut seq = 0;
         for b in 0..100u64 {
-            if m.read(RelId(1), b, w, true) == Some(ServiceClass::Sequential) {
+            if read(&m, RelId(1), b, w, true) == Some(ServiceClass::Sequential) {
                 seq += 1;
             }
         }
@@ -780,7 +764,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let w = m.new_worker_id();
                 for b in 0..250u64 {
-                    m.read(RelId(t + 1), b, w, false);
+                    read(&m, RelId(t + 1), b, w, false);
                 }
             }));
         }
@@ -900,7 +884,7 @@ mod tests {
                 let m = m.clone();
                 std::thread::spawn(move || {
                     let w = m.new_worker_id();
-                    m.read(RelId(b + 1), b, w, false);
+                    read(&m, RelId(b + 1), b, w, false);
                 })
             })
             .collect();
@@ -926,7 +910,7 @@ mod tests {
         // issued: `begin_read` reserves one service, `finish_read` reserves
         // the retries, and every attempt occupies the disk.
         let plan = Arc::new(FaultPlan::new().with_read_error(RelId(1), 5, READ_ATTEMPTS - 1));
-        let m = Machine::with_pool(&MachineConfig::paper_default(), 0.0, 8).with_faults(plan.clone());
+        let m = Machine::with_sharded_pool(&MachineConfig::paper_default(), 0.0, 8, 1).with_faults(plan.clone());
         let w = m.new_worker_id();
         let ticket = m.begin_read(RelId(1), 5, w, true);
         assert_eq!(plan.stats().read_errors_fired(), 0);
@@ -946,7 +930,7 @@ mod tests {
         let w = m.new_worker_id();
         let t0 = std::time::Instant::now();
         for b in 0..20u64 {
-            m.read(RelId(1), b, w, true);
+            read(&m, RelId(1), b, w, true);
         }
         // ≈ 20 ios ≈ 0.2 s simulated ≈ 10 ms wall.
         assert!(t0.elapsed() >= Duration::from_millis(5));
@@ -955,13 +939,13 @@ mod tests {
     #[test]
     fn buffer_pool_hits_skip_the_disks() {
         let cfg = MachineConfig::paper_default();
-        let m = Machine::with_pool(&cfg, 0.0, 64);
+        let m = Machine::with_sharded_pool(&cfg, 0.0, 64, 1);
         let w = m.new_worker_id();
         for b in 0..32u64 {
-            assert!(m.read(RelId(1), b, w, true).is_some(), "cold read must hit a disk");
+            assert!(read(&m, RelId(1), b, w, true).is_some(), "cold read must hit a disk");
         }
         for b in 0..32u64 {
-            assert!(m.read(RelId(1), b, w, true).is_none(), "warm read must hit the pool");
+            assert!(read(&m, RelId(1), b, w, true).is_none(), "warm read must hit the pool");
         }
         let s = m.stats();
         assert_eq!(s.reads, 64);
@@ -980,7 +964,7 @@ mod tests {
             let w = m.new_worker_id();
             for pass in 0..2 {
                 for b in 0..64u64 {
-                    let hit = m.read(RelId(1), b, w, true).is_none();
+                    let hit = read(&m, RelId(1), b, w, true).is_none();
                     assert_eq!(hit, pass == 1, "shards={shards} pass={pass} block={b}");
                 }
             }
@@ -993,12 +977,12 @@ mod tests {
     #[test]
     fn scan_larger_than_pool_misses_throughout() {
         let cfg = MachineConfig::paper_default();
-        let m = Machine::with_pool(&cfg, 0.0, 16);
+        let m = Machine::with_sharded_pool(&cfg, 0.0, 16, 1);
         let w = m.new_worker_id();
         for pass in 0..2 {
             for b in 0..200u64 {
                 assert!(
-                    m.read(RelId(1), b, w, true).is_some(),
+                    read(&m, RelId(1), b, w, true).is_some(),
                     "pass {pass}: LRU cannot help a scan 12× the pool"
                 );
             }
@@ -1037,7 +1021,7 @@ mod tests {
         for b in 0..64u64 {
             plan = plan.with_read_error(RelId(1), b, READ_ATTEMPTS);
         }
-        let m = Machine::with_pool(&cfg, 0.0, 4).with_faults(Arc::new(plan));
+        let m = Machine::with_sharded_pool(&cfg, 0.0, 4, 1).with_faults(Arc::new(plan));
         let w = m.new_worker_id();
         for b in 0..64u64 {
             assert!(m.try_read(RelId(1), b, w, true).is_err());
@@ -1055,12 +1039,12 @@ mod tests {
         let w = m.new_worker_id();
         // Blocks 0,4,8,... live on disk 0 under 4-way striping.
         for b in (0..40u64).step_by(4) {
-            m.read(RelId(1), b, w, true);
+            read(&m, RelId(1), b, w, true);
         }
         let healthy = machine(0.0);
         let w2 = healthy.new_worker_id();
         for b in (0..40u64).step_by(4) {
-            healthy.read(RelId(1), b, w2, true);
+            read(&healthy, RelId(1), b, w2, true);
         }
         let busy = |m: &Machine| m.observed_service().iter().map(|(_, b)| b).sum::<f64>();
         assert!(

@@ -46,6 +46,7 @@
 //!   window audit that checks the measured disk bandwidth against §2.2–2.3's
 //!   predictions. Rendered as `metrics.json` by `ExecReport::metrics_json`.
 
+mod admission;
 pub mod cancel;
 pub mod config;
 pub mod error;

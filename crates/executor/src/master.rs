@@ -25,6 +25,7 @@ use xprs_scheduler::trace::{emit, SharedSink, TraceRecord};
 use xprs_scheduler::{FragTable, Phase, TaskId, TaskProfile};
 use xprs_storage::{Catalog, PAGE_SIZE};
 
+use crate::admission::Admission;
 use crate::cancel::CancelToken;
 use crate::config::ExecConfig;
 use crate::error::ExecError;
@@ -95,14 +96,6 @@ pub(crate) struct FragSlot {
     /// in as the fragment goes (`declared_pages` at the very end: a
     /// prediction may still replace `profile`).
     pub prof: FragmentProfile,
-    /// The admission grant held while the fragment runs (memory-grant mode
-    /// only); released — returning exactly the pages it took — at
-    /// completion.
-    grant: Option<xprs_storage::ShardReservation>,
-    /// Running but parked in the admission FIFO: no slots are staffed yet,
-    /// so parallelism adjustments must not staff any either — the fragment
-    /// is staffed exactly once, by [`MasterRun::retry_admission`].
-    queued: bool,
     /// Completion-time spill captures.
     spill_chunks: u64,
     spill_rows: u64,
@@ -123,23 +116,10 @@ pub(crate) struct FragSlot {
 }
 
 impl FragSlot {
-    fn declared_pages(&self) -> u64 {
+    /// Pages the fragment holds while it runs, as the policy saw them.
+    pub fn declared_pages(&self) -> u64 {
         (self.profile.memory / PAGE_SIZE as f64).ceil() as u64
     }
-}
-
-/// The master's admission ledger: the FIFO of fragments decided-but-waiting
-/// for pool capacity, plus the cumulative grant counters the report and the
-/// CI memory gate audit (`granted == released` on every successful run).
-#[derive(Default)]
-struct Admission {
-    /// `(gid, demand_pages)` of fragments whose reservation failed; retried
-    /// strictly FIFO as completions release capacity, so a large demand is
-    /// never starved by a stream of small ones.
-    queue: std::collections::VecDeque<(usize, u64)>,
-    granted_pages: u64,
-    released_pages: u64,
-    waits: u64,
 }
 
 /// The multi-threaded XPRS executor.
@@ -346,7 +326,9 @@ struct MasterRun<'a> {
     slots: Vec<FragSlot>,
     /// The lifecycle of every fragment; a running one holds its context.
     table: FragTable<Arc<FragCtx>>,
-    admission: Admission,
+    /// Which running fragments hold a memory grant and which are parked
+    /// waiting for one (Running in the table, unstaffed).
+    admission: Admission<'a>,
     cancelled_q: Vec<bool>,
     /// A token is "spent" once observed fired; it is polled no further.
     token_spent: Vec<bool>,
@@ -380,7 +362,7 @@ impl<'a> MasterRun<'a> {
             t0: Instant::now(),
             slots: Vec::new(),
             table: FragTable::new(),
-            admission: Admission::default(),
+            admission: Admission::new(session.machine.pool()),
             cancelled_q: vec![false; n_queries],
             token_spent: vec![false; tokens.len()],
             samples: Vec::new(),
@@ -443,8 +425,6 @@ impl<'a> MasterRun<'a> {
                     program,
                     bindings: q.bindings.clone(),
                     output: None,
-                    grant: None,
-                    queued: false,
                     spill_chunks: 0,
                     spill_rows: 0,
                     co_runners: 0,
@@ -487,28 +467,12 @@ impl<'a> MasterRun<'a> {
     /// Stop the run: tell every running fragment's workers to drain,
     /// release every grant still held, then run the backends down so no
     /// thread outlives the error.
-    ///
-    /// Grant release here is load-bearing: a
-    /// [`xprs_storage::ShardReservation`] has no `Drop`, so an error path
-    /// that abandoned the slot would shrink the — possibly shared, possibly
-    /// service-lifetime — pool forever.
     fn drain(&mut self) {
         for (_, ctx) in self.table.iter_running() {
             ctx.aborted.store(true, Ordering::Relaxed);
         }
-        for gid in 0..self.slots.len() {
-            self.release_grant(gid);
-        }
+        self.admission.release_all();
         self.backends.shutdown(&self.table);
-    }
-
-    fn release_grant(&mut self, gid: usize) {
-        if let Some(grant) = self.slots[gid].grant.take() {
-            self.admission.released_pages += grant.pages();
-            if let Some(pool) = self.machine.pool() {
-                pool.release(grant);
-            }
-        }
     }
 
     /// Let the policy decide to a fixpoint, make sure something still runs,
@@ -566,6 +530,13 @@ impl<'a> MasterRun<'a> {
         self.backends.staff(ctx, slot, &self.machine, &self.exec.catalog);
     }
 
+    /// Staff every backend of a fragment that was just admitted.
+    fn staff_all(&self, ctx: &Arc<FragCtx>) {
+        for slot in 0..ctx.backends.load(Ordering::Relaxed) as usize {
+            self.staff(ctx, slot);
+        }
+    }
+
     fn start_fragment(&mut self, gid: usize, parallelism: f64) -> Result<(), ControlFail> {
         let x = round_parallelism(parallelism, self.exec.cfg.machine.n_procs) as u32;
         let (exec, slots, machine, tx) = (self.exec, &self.slots, &self.machine, &self.tx);
@@ -581,61 +552,28 @@ impl<'a> MasterRun<'a> {
             }
             return Ok(());
         }
-        // Memory admission: the spill budget fixed with the context is the
-        // page demand the fragment must be granted before it is staffed.
-        let demand_pages = ctx.spill.as_ref().map_or(0, |s| s.grant_bytes / PAGE_SIZE as u64);
-        if demand_pages > 0 {
-            let pool = self.machine.pool().expect("demand computed only with a pool");
-            match pool.try_reserve(demand_pages) {
-                Some(grant) => {
-                    self.admission.granted_pages += grant.pages();
-                    self.slots[gid].grant = Some(grant);
-                }
-                None => {
-                    // Over-committed: the fragment is admitted to the
-                    // schedule (Running, so the policy and the wedge
-                    // detector account for it) but staffing waits in the
-                    // FIFO until a completion releases capacity. A lone
-                    // fragment always fits (demand is clamped to the pool),
-                    // so the queue can never deadlock.
-                    self.admission.waits += 1;
-                    self.admission.queue.push_back((gid, demand_pages));
-                    self.slots[gid].queued = true;
-                    return Ok(());
-                }
-            }
-        }
-        for slot in 0..ctx.backends.load(Ordering::Relaxed) as usize {
-            self.staff(&ctx, slot);
+        // Memory admission: the fragment must be granted the pages it
+        // holds before it is staffed. Over-committed, it stays Running (so
+        // the policy and the wedge detector account for it) and unstaffed
+        // until `retry_admission`.
+        if self.admission.admit(gid, ctx.demand_pages) {
+            self.staff_all(&ctx);
         }
         Ok(())
     }
 
-    /// Retry the admission FIFO after a grant release: staff every queued
-    /// fragment whose reservation now fits, stopping at the first that
-    /// still does not. Strict FIFO — later small demands never overtake an
-    /// earlier large one, so a big build cannot be starved.
+    /// Capacity may have been released: staff every parked fragment the
+    /// ledger can now admit — the one place a parked fragment is staffed.
     fn retry_admission(&mut self) {
-        let Some(pool) = self.machine.pool() else { return };
-        while let Some(&(gid, demand)) = self.admission.queue.front() {
-            // Finalized while waiting (abort paths only): nothing to staff,
-            // and no grant was ever held.
-            let Ok(ctx) = self.table.running(gid).cloned() else {
-                self.admission.queue.pop_front();
-                continue;
-            };
-            let Some(grant) = pool.try_reserve(demand) else { return };
-            self.admission.queue.pop_front();
-            self.admission.granted_pages += grant.pages();
-            self.slots[gid].grant = Some(grant);
-            self.slots[gid].queued = false;
+        for gid in self.admission.retry() {
+            // Parked means Running: a cancel `forget`s the fragment, a drain
+            // empties the queue, and no worker exists to report it done.
+            let ctx = self.table.running(gid).expect("a parked fragment is Running").clone();
             // The profile clock starts at staffing: the queue wait is
             // admission latency (counted in `mem_grant_waits`), not run
             // time.
             self.slots[gid].prof.started_at = self.now();
-            for slot in 0..ctx.backends.load(Ordering::Relaxed) as usize {
-                self.staff(&ctx, slot);
-            }
+            self.staff_all(&ctx);
         }
     }
 
@@ -645,7 +583,7 @@ impl<'a> MasterRun<'a> {
         // `new_slots` here would run the fragment without a grant (and then
         // a second time when its reservation lands). Drop the adjustment;
         // the policy re-decides once the fragment actually runs.
-        if self.slots[gid].queued {
+        if self.admission.is_parked(gid) {
             return Ok(());
         }
         self.slots[gid].prof.adjusts += 1;
@@ -704,8 +642,8 @@ impl<'a> MasterRun<'a> {
     ///
     /// Fragments retire according to how far they got: `Blocked` ones were
     /// never announced to the policy and disappear silently; `Ready` and
-    /// admission-queued ones retire through the policy's finish protocol
-    /// (so it never waits on them); staffed ones have their workers
+    /// parked ones retire through the policy's finish protocol (so it
+    /// never waits on them); staffed ones have their workers
     /// stopped cooperatively — the flag is observed at unit and morsel
     /// boundaries, every steal slot is revoked so mid-morsel remainders
     /// are never redealt, and the ordinary completion protocol then
@@ -720,7 +658,7 @@ impl<'a> MasterRun<'a> {
             if self.slots[gid].prof.query != qi {
                 continue;
             }
-            if let (Ok(ctx), false) = (self.table.running(gid), self.slots[gid].queued) {
+            if let (Ok(ctx), false) = (self.table.running(gid), self.admission.is_parked(gid)) {
                 affected = true;
                 // Workers observe the flag at the next unit or morsel
                 // boundary; revoking every steal slot stops mid-morsel
@@ -746,11 +684,8 @@ impl<'a> MasterRun<'a> {
             // but no worker and no grant): retire it here and now.
             let Some(announce) = self.table.retire(gid) else { continue };
             affected = true;
+            self.admission.forget(gid);
             let slot = &mut self.slots[gid];
-            if slot.queued {
-                self.admission.queue.retain(|&(g, _)| g != gid);
-                slot.queued = false;
-            }
             slot.prof.finished_at = t;
             if announce {
                 let finished = slot.profile.id;
@@ -790,7 +725,7 @@ impl<'a> MasterRun<'a> {
         self.patrol.reap(&self.table, &self.backends, &self.machine, &self.exec.catalog);
         // With a shared session, capacity freed by *other* runs sends this
         // run no completion message: retry the admission FIFO on every tick
-        // so a queued fragment is never stranded.
+        // so a parked fragment is never stranded.
         self.retry_admission();
         let Some(corrected) = self.patrol.recalibrate(&self.machine) else { return Ok(()) };
         let t = self.now();
@@ -852,7 +787,7 @@ impl<'a> MasterRun<'a> {
         // Release the completed fragment's grant, then hand the freed
         // capacity to the admission queue — the deferred fragments are
         // already Running in the policy's eyes, they only lack workers.
-        self.release_grant(gid);
+        self.admission.release(gid);
         self.retry_admission();
         // A cancelled fragment's partial output is never observable: the
         // query's contract is all rows or none.
@@ -938,7 +873,7 @@ impl<'a> MasterRun<'a> {
                     .collect(),
             })
             .collect();
-        let machine = &self.machine;
+        let (machine, grants) = (&self.machine, self.admission.totals());
         let report = ExecReport {
             results,
             stats: machine.stats(),
@@ -960,9 +895,9 @@ impl<'a> MasterRun<'a> {
             adjusts: frags.iter().map(|f| f.prof.adjusts).sum(),
             heartbeats: frags.iter().map(|f| f.prof.heartbeats).sum(),
             patrol_ticks: self.patrol.ticks,
-            mem_granted_pages: self.admission.granted_pages,
-            mem_released_pages: self.admission.released_pages,
-            mem_grant_waits: self.admission.waits,
+            mem_granted_pages: grants.granted_pages,
+            mem_released_pages: grants.released_pages,
+            mem_grant_waits: grants.waits,
             spill_chunks: frags.iter().map(|f| f.spill_chunks).sum(),
             spill_rows: frags.iter().map(|f| f.spill_rows).sum(),
             profiles,

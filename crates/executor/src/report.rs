@@ -9,8 +9,6 @@ use xprs_scheduler::{MachineConfig, TaskId};
 #[cfg(doc)]
 use xprs_scheduler::TaskProfile;
 
-#[cfg(doc)]
-use crate::config::ExecConfig;
 use crate::io::MachineStats;
 use crate::obs::{ExecMetrics, QueryProfile, UtilSample};
 use crate::program::Materialized;
@@ -83,7 +81,8 @@ pub struct ExecReport {
     /// Quiet patrol ticks the master ran (dead-worker sweep + drift check).
     pub patrol_ticks: u64,
     /// Buffer-pool pages granted to fragments at admission, summed over the
-    /// run. Zero unless [`ExecConfig::memory_grants`] is on.
+    /// run. Zero when no fragment declared it holds anything — every
+    /// single-fragment query ([`TaskProfile::memory`]).
     pub mem_granted_pages: u64,
     /// Pages released back as fragments completed. Equal to
     /// `mem_granted_pages` on any successful run — a gap is a grant leak.

@@ -19,9 +19,9 @@ use crate::worker::{FragCtx, OutputSink, RelBinding, SpillSpec};
 impl Executor {
     /// The shared context of fragment `gid` started at `x` processors:
     /// inputs bound, unit space dealt over the backends that realize `x`,
-    /// heavy hitters withheld, spill budget fixed. Nothing is staffed and no
-    /// memory is reserved here; the budget a reservation must cover is
-    /// [`SpillSpec::grant_bytes`].
+    /// heavy hitters withheld, page demand and spill budget fixed. Nothing
+    /// is staffed and no memory is reserved here; what a reservation must
+    /// cover is [`FragCtx::demand_pages`].
     pub(crate) fn fragment_ctx(
         &self,
         frags: &[FragSlot],
@@ -91,30 +91,32 @@ impl Executor {
             part = part.with_disks(self.cfg.machine.n_disks);
         }
 
-        // Memory admission: the fragment's estimated footprint, clamped to
-        // the whole pool, becomes its page demand; the clamp also fixes the
-        // spill bound, so the budget is decided before the context exists
-        // and the workers are born knowing it.
+        // Memory admission: what the fragment declared it holds, clamped to
+        // the whole pool, is the page demand it must be granted before it is
+        // staffed. A grant that covers the declaration leaves nothing to
+        // bound; only a clamped one — the pool cannot hold what the fragment
+        // does — fixes a spill budget, before the context exists, so the
+        // workers are born knowing it. A fragment that holds nothing (every
+        // single-fragment query) reserves nothing.
+        let mut demand_pages = 0;
         let mut spill = None;
-        if self.cfg.memory_grants && total_units > 0 {
-            if let Some(pool) = machine.pool() {
-                let raw = (frags[gid].profile.memory / PAGE_SIZE as f64).ceil() as u64;
-                let demand_pages = raw.min(pool.capacity() as u64);
-                if demand_pages > 0 {
-                    let row_bytes = self.row_bytes_estimate(&frags[gid].bindings);
-                    let grant_bytes = demand_pages * PAGE_SIZE as u64;
-                    spill = Some(SpillSpec {
-                        threshold_rows: AtomicUsize::new(spill_threshold(
-                            grant_bytes,
-                            n_backends,
-                            row_bytes,
-                        )),
+        if let (true, Some(pool)) = (total_units > 0, machine.pool()) {
+            let declared = frags[gid].declared_pages();
+            demand_pages = declared.min(pool.capacity() as u64);
+            if declared > demand_pages {
+                let row_bytes = self.row_bytes_estimate(&frags[gid].bindings);
+                let grant_bytes = demand_pages * PAGE_SIZE as u64;
+                spill = Some(SpillSpec {
+                    threshold_rows: AtomicUsize::new(spill_threshold(
                         grant_bytes,
+                        n_backends,
                         row_bytes,
-                        chunks: AtomicU64::new(0),
-                        rows: AtomicU64::new(0),
-                    });
-                }
+                    )),
+                    grant_bytes,
+                    row_bytes,
+                    chunks: AtomicU64::new(0),
+                    rows: AtomicU64::new(0),
+                });
             }
         }
 
@@ -139,7 +141,7 @@ impl Executor {
             cancelled: AtomicBool::new(false),
             pages_read: AtomicU64::new(0),
             done_tx: tx.clone(),
-            cpu_tuple: self.cfg.cpu_tuple,
+            demand_pages,
             spill,
             hot_keys,
         }))

@@ -30,6 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use xprs_disk::{RelId, SpillFile, WorkerFaultKind};
+use xprs_optimizer::cost::CPU_TUPLE;
 use xprs_storage::runs::is_sorted_run;
 use xprs_storage::{Catalog, Relation, Tuple};
 
@@ -125,7 +126,7 @@ fn sort_run(local: &mut Vec<(i32, Tuple)>) -> Vec<(i32, Tuple)> {
 }
 
 /// Spill protocol parameters for a fragment running under a memory grant
-/// smaller than its working set: when a worker's output buffer reaches
+/// smaller than what it declared it holds: when a worker's output buffer reaches
 /// `threshold_rows`, the buffer is sorted **now** and written out as one
 /// spill run (charged to the disk array at `row_bytes` per row), then read
 /// back at settle time for the k-way merge. The counters feed the
@@ -205,10 +206,11 @@ pub(crate) struct FragCtx {
     pub pages_read: AtomicU64,
     /// Master notification channel.
     pub done_tx: Sender<MasterMsg>,
-    /// CPU seconds charged per tuple examined.
-    pub cpu_tuple: f64,
-    /// When the fragment's memory grant is smaller than its estimated
-    /// output, the spill protocol bounds each worker's buffered rows
+    /// Pool pages the fragment must be granted before it is staffed: what
+    /// it declared it holds, clamped to the whole pool.
+    pub demand_pages: u64,
+    /// When the pool cannot hold what the fragment declared (the demand
+    /// was clamped), the spill protocol bounds each worker's buffered rows
     /// (`None` ⇒ unbounded in-memory buffering).
     pub spill: Option<SpillSpec>,
     /// Heavy-hitter join keys (sorted ascending) a key-domain walk must
@@ -632,7 +634,7 @@ fn finish_page(ctx: &FragCtx, catalog: &Catalog, read: PageRead<'_>, ws: &mut Wo
         return;
     }
     let p = read.relation.heap.page(read.page);
-    ws.charge_cpu(p.n_tuples() as f64 * ctx.cpu_tuple);
+    ws.charge_cpu(p.n_tuples() as f64 * CPU_TUPLE);
     for (_, tuple) in p.iter() {
         let Some(key) = tuple.get(0).as_int() else { continue };
         if ctx.rels[read.rel].admits(key) {
@@ -652,7 +654,7 @@ fn scan_key(ctx: &FragCtx, catalog: &Catalog, key: i64, ws: &mut WorkerState<'_>
                 .as_ref()
                 .unwrap_or_else(|| panic!("index scan over unindexed {}", relation.name));
             let postings = idx.lookup(key);
-            ws.charge_cpu(postings.len().max(1) as f64 * ctx.cpu_tuple);
+            ws.charge_cpu(postings.len().max(1) as f64 * CPU_TUPLE);
             for &tid in postings {
                 // Unclustered posting dereference: a random heap-page read.
                 if !ws.read(ctx, relation.heap.rel(), tid.block, false) {
@@ -667,7 +669,7 @@ fn scan_key(ctx: &FragCtx, catalog: &Catalog, key: i64, ws: &mut WorkerState<'_>
             }
         }
         Driver::KeyDomain => {
-            ws.charge_cpu(ctx.cpu_tuple);
+            ws.charge_cpu(CPU_TUPLE);
             // Heavy hitters are the master's job (replicated, pool-fanned
             // at materialization); emitting one here would pin the key's
             // whole output on this worker. The unit still completes
@@ -716,7 +718,7 @@ fn pipeline(
         PipelineOp::NestInner { dep } => {
             // A genuine nested loop: every inner row is examined.
             let inner = ctx.input(*dep);
-            ws.charge_cpu(inner.rows.len() as f64 * ctx.cpu_tuple * 0.1);
+            ws.charge_cpu(inner.rows.len() as f64 * CPU_TUPLE * 0.1);
             for (k2, row) in &inner.rows {
                 if *k2 == key {
                     pipeline(ctx, catalog, key, tuple.join(row), depth + 1, ws);

@@ -66,16 +66,17 @@ fn run_with(
     Executor::new(cfg, cat.clone()).run(runs, &mut policy)
 }
 
-/// The grants-on configuration under test: a pool the workload overwhelms.
+/// The configuration under test: a pool the workload overwhelms.
 fn granted_cfg() -> ExecConfig {
-    let mut cfg = ExecConfig::unthrottled().with_memory_grants();
+    let mut cfg = ExecConfig::unthrottled();
     cfg.bufpool_pages = POOL_PAGES as usize;
     cfg
 }
 
-/// Check every admission invariant of a grants-on report against the
-/// uncontended reference, returning an error description on the first
-/// violation (proptest-friendly).
+/// Check every admission invariant of a contended report against the
+/// uncontended reference (the same workload over a pool it fits in),
+/// returning an error description on the first violation
+/// (proptest-friendly).
 fn check_invariants(granted: &ExecReport, reference: &ExecReport) -> Result<(), String> {
     if granted.results.len() != reference.results.len() {
         return Err("result count mismatch".into());
@@ -114,16 +115,39 @@ fn oversized_builds_complete_with_grants_and_spill() {
     let cat = catalog_for(&wl);
     let runs = runs_for(&cat, &wl);
 
-    let granted = run_with(granted_cfg(), &cat, &runs).expect("grants-on run failed");
+    let granted = run_with(granted_cfg(), &cat, &runs).expect("contended run failed");
     let reference = run_with(ExecConfig::unthrottled(), &cat, &runs).expect("reference run failed");
 
     check_invariants(&granted, &reference).unwrap();
     // Builds several times the grant must actually have cut spill runs.
     assert!(granted.spill_chunks > 0, "oversized builds never spilled");
     assert!(granted.spill_rows > 0);
-    // The reference run had grants off: its ledger must be empty.
-    assert_eq!(reference.mem_granted_pages, 0);
+    // The reference is a pool the whole workload fits in: nothing waits
+    // and nothing spills.
+    assert_eq!(reference.mem_grant_waits, 0);
     assert_eq!(reference.spill_chunks, 0);
+    assert_eq!(reference.mem_granted_pages, reference.mem_released_pages);
+}
+
+/// Memory is scheduled on every run, not behind an option: the stock
+/// configuration, untouched by any builder, over builds totalling 4× *its*
+/// pool grants them, spills them and balances its ledger.
+#[test]
+fn the_default_configuration_schedules_memory() {
+    let cfg = ExecConfig::unthrottled();
+    let mut spec = OversizedBuildSpec::paper(cfg.bufpool_pages as u64, 4, 3, 0xDEFA);
+    // Sparse keys keep the join outputs (rows² / key_mod) test-sized over
+    // builds this large.
+    (spec.blen, spec.key_mod) = (200, 50_000);
+    let wl = generate_oversized_build(&spec);
+    assert!(wl.total_build_pages() >= 4 * cfg.bufpool_pages as u64);
+    let cat = catalog_for(&wl);
+    let report = run_with(cfg, &cat, &runs_for(&cat, &wl)).expect("default-config run failed");
+    assert!(report.results.iter().all(|r| !r.rows.rows.is_empty()), "vacuous join");
+    assert!(report.mem_granted_pages > 0, "no pages were ever granted");
+    assert_eq!(report.mem_granted_pages, report.mem_released_pages, "ledger out of balance");
+    assert!(report.spill_chunks > 0, "over-pool builds never spilled");
+    assert_eq!(report.pool_pinned_at_exit, 0);
 }
 
 /// Admission queueing is observable: with several oversized builds racing
@@ -141,15 +165,30 @@ fn concurrent_oversized_builds_wait_in_the_admission_queue() {
     );
 }
 
+/// Spill is for a build the pool cannot hold, not for builds that cannot run
+/// side by side: six builds of two thirds of the pool each queue for it and
+/// run in memory, byte-identical to the uncontended run.
+#[test]
+fn builds_that_each_fit_the_pool_wait_and_never_spill() {
+    let wl = generate_oversized_build(&spec(0xF175, 4, 6));
+    let cat = catalog_for(&wl);
+    let runs = runs_for(&cat, &wl);
+    let granted = run_with(granted_cfg(), &cat, &runs).expect("contended run failed");
+    let reference = run_with(ExecConfig::unthrottled(), &cat, &runs).expect("reference run failed");
+    check_invariants(&granted, &reference).unwrap();
+    assert!(granted.mem_grant_waits > 0, "4× the pool in six builds never queued");
+    assert_eq!(granted.spill_chunks, 0, "a build its grant covers cut spill runs");
+}
+
 proptest! {
     // Each case is two full executor runs over a generated catalog; keep
     // the count modest.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For any seed and workload shape in the ≥4× regime: the grants-on run
+    /// For any seed and workload shape in the ≥4× regime: the contended run
     /// completes (zero `PoolExhausted` surfaced), returns byte-identical
-    /// rows to the uncontended grants-off run, balances its grant ledger,
-    /// and leaves no page pinned.
+    /// rows to the uncontended run, balances its grant ledger, and leaves
+    /// no page pinned.
     #[test]
     fn concurrent_admission_is_safe_and_answer_preserving(
         seed in 0u64..1_000_000,
@@ -160,7 +199,7 @@ proptest! {
         let cat = catalog_for(&wl);
         let runs = runs_for(&cat, &wl);
         let granted = run_with(granted_cfg(), &cat, &runs);
-        prop_assert!(granted.is_ok(), "grants-on run died: {}", granted.unwrap_err());
+        prop_assert!(granted.is_ok(), "contended run died: {}", granted.unwrap_err());
         let granted = granted.unwrap();
         let reference = run_with(ExecConfig::unthrottled(), &cat, &runs);
         prop_assert!(reference.is_ok(), "reference run died: {}", reference.unwrap_err());

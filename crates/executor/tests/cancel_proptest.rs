@@ -50,7 +50,7 @@ fn runs_for(cat: &Arc<Catalog>, wl: &OversizedBuildWorkload) -> Vec<QueryRun> {
 }
 
 fn granted_cfg() -> ExecConfig {
-    let mut cfg = ExecConfig::unthrottled().with_memory_grants().with_patrol(2, 3);
+    let mut cfg = ExecConfig::unthrottled().with_patrol(2, 3);
     cfg.bufpool_pages = POOL_PAGES as usize;
     cfg
 }

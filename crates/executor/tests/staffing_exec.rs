@@ -112,10 +112,12 @@ impl SchedulePolicy for AllProcessors {
     }
 }
 
-/// Scaled time (so compute bursts really hold their permit and the gate is
-/// contended), grants on (so there is a ledger to balance).
+/// Scaled time, so compute bursts really hold their permit and the gate is
+/// contended. A selection holds nothing in shared memory, so every run
+/// below carries a join too: its build and probe give the grant ledger
+/// something to balance.
 fn cfg() -> ExecConfig {
-    ExecConfig::scaled(20.0).with_memory_grants()
+    ExecConfig::scaled(20.0)
 }
 
 fn assert_clean(report: &ExecReport) {
@@ -172,7 +174,7 @@ fn more_backends_than_processors_keep_answers_gate_and_ledgers() {
 #[test]
 fn a_backend_beyond_slot_n_dies_and_the_answer_stands() {
     let cat = catalog();
-    let runs = vec![scan_run(&cat, "fat")];
+    let runs = vec![scan_run(&cat, "fat"), join_run(&cat)];
     // Slot 10 exists only because backends exceed the 8 processors.
     let plan = Arc::new(FaultPlan::new().with_worker_death(0, 10, 3));
     let report = Executor::new(cfg().with_faults(plan.clone()), cat.clone())
@@ -191,7 +193,7 @@ fn a_backend_dying_with_a_read_in_flight_finishes_that_page_and_returns_its_pin(
     // 20×, ≈ 0.8 ms of disk — is still in flight. Dropping that page would
     // lose its rows (and leak its pin); re-running it would duplicate them.
     let cat = catalog();
-    let runs = vec![scan_run(&cat, "fat")];
+    let runs = vec![scan_run(&cat, "fat"), join_run(&cat)];
     let plan = Arc::new(FaultPlan::new().with_worker_death(0, 0, 2));
     let exec = Executor::new(cfg().with_faults(plan.clone()), cat.clone());
     let session = exec.session();
@@ -210,12 +212,12 @@ fn a_backend_dying_with_a_read_in_flight_finishes_that_page_and_returns_its_pin(
 #[test]
 fn a_query_cancelled_mid_fragment_releases_everything() {
     let cat = catalog();
-    let runs = vec![scan_run(&cat, "fat"), scan_run(&cat, "thin")];
+    let runs = vec![scan_run(&cat, "fat"), scan_run(&cat, "thin"), join_run(&cat)];
     // Slow enough (~0.9 simulated s of disk at 20× ≈ 45 ms) that the
     // cancel lands while thirteen backends are mid-morsel, each with a
     // claimed page's read in flight — collected, unpinned and reported on
     // the way out (`assert_clean`: no pin, balanced ledger).
-    let tokens = vec![CancelToken::new(), CancelToken::new()];
+    let tokens = vec![CancelToken::new(), CancelToken::new(), CancelToken::new()];
     let firer = {
         let tok = tokens[0].clone();
         std::thread::spawn(move || {

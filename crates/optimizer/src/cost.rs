@@ -59,6 +59,10 @@ pub struct Costed {
     pub children: Vec<Costed>,
 }
 
+/// Seconds to evaluate one tuple's qualifications on the paper's machine:
+/// what the cost model declares with and what the executor's workers charge.
+pub const CPU_TUPLE: f64 = 0.25e-3;
+
 /// The cost model: machine service times plus CPU constants.
 #[derive(Debug, Clone)]
 pub struct CostModel {
@@ -80,7 +84,7 @@ impl CostModel {
     pub fn paper_default() -> Self {
         CostModel {
             machine: MachineConfig::paper_default(),
-            cpu_tuple: 0.25e-3,
+            cpu_tuple: CPU_TUPLE,
             cpu_hash: 0.1e-3,
             cpu_cmp: 0.05e-3,
         }

@@ -12,10 +12,12 @@
 //! of parallel execution ("task"). A fragment's sequential time `T_i` is the
 //! sum of its member nodes' own costs, its I/O count `D_i` the sum of their
 //! I/Os, and its I/O rate `C_i = D_i / T_i`, which is exactly what the
-//! scheduler's balance-point machinery consumes. Each fragment also carries
-//! a shared-memory footprint estimate — its own materialized output plus the
-//! hash tables / sorted inputs it holds while running — feeding the memory-
-//! constrained scheduling of the paper's Section 5 future work.
+//! scheduler's balance-point machinery consumes. Each fragment also declares
+//! what it **holds in shared memory while it runs** — the materialized
+//! inputs it probes or merges, plus its own output iff a consumer fragment
+//! will read it. The root of a query streams its result to the client and
+//! holds none of it, so a single-fragment query declares 0. This is the
+//! demand the paper's Section 5 memory-constrained scheduling reserves.
 
 use xprs_scheduler::{FragmentDag, IoKind, TaskId, TaskProfile};
 
@@ -165,10 +167,11 @@ pub fn decompose(plan: &Plan, costed: &Costed, base_id: u64) -> FragmentSet {
         let ios = b.ios[old_i];
         let rate = (ios / time).max(1e-3);
         let kind = if b.random[old_i] { IoKind::Random } else { IoKind::Sequential };
-        // Memory held while running: this fragment's own materialized output
-        // plus every input table it probes or merges with.
-        let memory = b.out_bytes[old_i]
-            + b.deps[old_i].iter().map(|&d| b.out_bytes[d]).sum::<f64>();
+        // Memory held while running: every input table it probes or merges
+        // with, plus its own output when a consumer will read it — every
+        // fragment but the query root (a plan is a tree: one consumer each).
+        let own = if old_i == root { 0.0 } else { b.out_bytes[old_i] };
+        let memory = own + b.deps[old_i].iter().map(|&d| b.out_bytes[d]).sum::<f64>();
         let profile = TaskProfile::new(TaskId(base_id + fragments.len() as u64), time, rate, kind)
             .with_memory(memory);
         let deps: Vec<usize> = b.deps[old_i].iter().map(|&d| new_index[d]).collect();
@@ -284,20 +287,29 @@ mod tests {
 
     #[test]
     fn fragment_memory_accounts_for_held_tables() {
-        // HJ(build = scan 0, probe = scan 1): the probe fragment holds the
-        // build table plus its own output; the build fragment holds only its
-        // own output.
+        let memory = |fs: &FragmentSet| -> Vec<f64> {
+            fs.fragments.iter().map(|f| f.profile.memory).collect()
+        };
+        // A lone selection streams its result: it holds nothing.
+        assert_eq!(memory(&decompose_plan(&Plan::SeqScan { rel: 0 }, 1)), [0.0]);
+
+        // HJ(build = scan 0, probe = scan 1): the build holds its output (a
+        // consumer reads it); the probe root holds exactly the build table.
         let p = Plan::HashJoin { build: scan(0), probe: scan(1) };
-        let fs = decompose_plan(&p, 2);
-        let build = &fs.fragments[0];
-        let probe = &fs.fragments[1];
-        assert!(build.profile.memory > 0.0);
-        assert!(
-            probe.profile.memory > build.profile.memory,
-            "probe ({}) must hold the build table ({}) on top of its own output",
-            probe.profile.memory,
-            build.profile.memory
-        );
+        let m = memory(&decompose_plan(&p, 2));
+        assert!(m[0] > 0.0);
+        assert_eq!(m[1], m[0], "the root declares the build table and none of its own output");
+
+        // HJ(build = HJ(0, 1), probe = scan 2): the inner join is not the
+        // root, so it declares the table it probes *and* the output it
+        // materializes for the top join, which in turn holds only that.
+        let p = Plan::HashJoin {
+            build: Box::new(Plan::HashJoin { build: scan(0), probe: scan(1) }),
+            probe: scan(2),
+        };
+        let m = memory(&decompose_plan(&p, 3));
+        assert!(m[1] > m[0], "inner join holds scan 0's table ({}) plus its own output", m[0]);
+        assert_eq!(m[2], m[1] - m[0], "the root holds the inner join's output only");
     }
 
     #[test]

@@ -232,14 +232,12 @@ impl Predictor {
         let seq_time = declared.seq_time * clamp_ratio(r_t);
         let io_rate = declared.io_rate * clamp_ratio(r_c);
         // Footprint: predicted pages, clamped non-negative and bounded by
-        // the same ratio band around the declared footprint when one was
-        // declared (an undeclared footprint takes the observed value as-is).
+        // the same ratio band around the declared footprint. The band around
+        // a declared 0 is 0: the observation is pages *read*, not memory
+        // held, so it may scale a demand but never invent one.
         let pages = if pages.is_finite() { pages.max(0.0) } else { 0.0 };
-        let mut memory = pages * self.page_size;
-        if declared.memory > 0.0 {
-            memory = memory
-                .clamp(declared.memory / RATIO_CLAMP, declared.memory * RATIO_CLAMP);
-        }
+        let memory = (pages * self.page_size)
+            .clamp(declared.memory / RATIO_CLAMP, declared.memory * RATIO_CLAMP);
         let profile = TaskProfile {
             id: declared.id,
             seq_time,
@@ -357,6 +355,19 @@ mod tests {
         let d = declared();
         assert!((pred.profile.memory - d.memory / RATIO_CLAMP).abs() < 1e-6);
         pred.profile.validate().unwrap();
+    }
+
+    #[test]
+    fn a_declared_footprint_of_zero_predicts_zero() {
+        let p = Predictor::new(8192);
+        for _ in 0..4 {
+            p.observe(key(), &obs(2.0, 5_000.0, 0));
+        }
+        let holds_nothing = TaskProfile { memory: 0.0, ..declared() };
+        let pred = p.predict(key(), &holds_nothing, 0);
+        assert!(pred.from_model, "time and rate are still corrected");
+        assert!((pred.profile.seq_time - 20.0).abs() < 1e-9);
+        assert_eq!(pred.profile.memory, 0.0, "5000 pages read are not 5000 pages held");
     }
 
     #[test]

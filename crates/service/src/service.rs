@@ -51,17 +51,17 @@ pub struct ServiceConfig {
     /// Deadline for [`QueryClass::Batch`] requests, measured from submit.
     pub batch_deadline: Duration,
     /// Executor configuration shared by every run (machine model, faults,
-    /// grants, patrol cadence).
+    /// patrol cadence).
     pub exec: ExecConfig,
 }
 
 impl ServiceConfig {
     /// A service tuned for functional tests: small queue, two runners,
-    /// generous deadlines, unthrottled executor with memory grants and a
-    /// tight patrol (the service always wants cross-run admission retries
-    /// and dead-worker recovery).
+    /// generous deadlines, unthrottled executor with a tight patrol (the
+    /// service always wants cross-run admission retries and dead-worker
+    /// recovery).
     pub fn quick() -> Self {
-        let mut exec = ExecConfig::unthrottled().with_memory_grants().with_patrol(2, 3);
+        let mut exec = ExecConfig::unthrottled().with_patrol(2, 3);
         // Recalibration is safe under a shared machine now that the patrol
         // attributes cross-run contention (the interference factor scales
         // the observed rate by the number of active runs before the drift

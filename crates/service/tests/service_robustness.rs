@@ -117,7 +117,7 @@ fn full_queue_sheds_typed_overload_with_backoff_hint() {
         max_concurrent: 1,
         interactive_deadline: Duration::from_secs(30),
         batch_deadline: Duration::from_secs(30),
-        exec: ExecConfig::scaled(25.0).with_memory_grants().with_patrol(2, 3),
+        exec: ExecConfig::scaled(25.0).with_patrol(2, 3),
     };
     let svc = QueryService::start(cfg, cat.clone());
 
@@ -166,7 +166,7 @@ fn deadlines_cancel_queued_and_running_without_leaking() {
         max_concurrent: 2,
         interactive_deadline: Duration::from_millis(40),
         batch_deadline: Duration::from_secs(30),
-        exec: ExecConfig::scaled(25.0).with_memory_grants().with_patrol(2, 3),
+        exec: ExecConfig::scaled(25.0).with_patrol(2, 3),
     };
     let svc = QueryService::start(cfg, cat.clone());
 
@@ -245,7 +245,6 @@ fn service_degrades_gracefully_under_worker_death_and_disk_slowdown() {
         FaultPlan::new().with_worker_death(0, 0, 3).with_slowdown(0, 4, 4.0),
     );
     let exec = ExecConfig::unthrottled()
-        .with_memory_grants()
         .with_faults(plan.clone())
         .with_patrol(2, 3)
         // Recalibration stays ON under the shared session: the patrol now
