@@ -1,12 +1,8 @@
-//! Emit `BENCH_executor.json`: scan throughput of the executor data path.
+//! Emit and gate `BENCH_executor.json`: the executor on workloads the
+//! buffer pool cannot absorb. (The cached 1/2/4/8-worker scan sweep is
+//! `benchmark/`'s `cached_scan`: `worker.scaling_eff`.)
 //!
-//! The workload is a stream of back-to-back parallel selections over one
-//! relation — the paper's mixed-query regime, where the executor starts and
-//! finishes fragments continuously. For each worker count in {1, 2, 4, 8}
-//! the stream runs several times and the median scan wall time,
-//! tuples/second, buffer-pool hit rate, and thread counters are recorded.
-//!
-//! A second, **disk-resident** section runs the larger-than-memory workload
+//! The **disk-resident** section runs the larger-than-memory workload
 //! (relations [`xprs_bench::exec_disk::SPILL_FACTOR`]× the pool, skewed
 //! block costs, scaled-time machine): two co-run scans per config, the
 //! worker count as the independent variable. Its
@@ -14,14 +10,14 @@
 //! strictly exceed 1-worker throughput — with the §2.3 utilization audit
 //! confirming the disk band is saturated rather than under-staffed.
 //!
-//! A third, **memory-admission** section runs concurrent hash joins whose
+//! The **memory-admission** section runs concurrent hash joins whose
 //! aggregate build demand is 4× the buffer pool under memory grants
 //! (admission queue + spill) against an uncontended big-pool reference. Its
 //! gates: the result digests match (admission never changes an answer), the
 //! grant ledger balances, no page stays pinned, and the builds actually
 //! queued and spilled.
 //!
-//! A fourth, **predictive** section is the declared-vs-predicted A/B:
+//! The **predictive** section is the declared-vs-predicted A/B:
 //! identical concurrent joins whose declared profiles are seeded wrong by
 //! 2–8×, run cold (trusting declarations) and with a shared online
 //! predictor warmed across repetitions. Its gates: the warm predicted mode
@@ -30,16 +26,15 @@
 //! modes' final-rep schedules provably differ.
 //!
 //! Usage: `bench_executor [output.json]` (default `BENCH_executor.json`).
+//! Exit status 1 if a gate fails, 2 if the output cannot be written.
 
+use std::process::ExitCode;
 use std::sync::Arc;
 
-use xprs_bench::{exec_disk, exec_memory, exec_predict, exec_scan, host_header_json};
+use xprs_bench::{exec_disk, exec_memory, exec_predict, finish, host_header_json, median, Gates};
 use xprs_executor::ExecConfig;
 use xprs_scheduler::predict::Predictor;
 
-const RELATION_TUPLES: u64 = 8_192;
-const QUERIES: usize = 48;
-const TRIALS: usize = 9;
 const WORKERS: [u32; 4] = [1, 2, 4, 8];
 const DR_TRIALS: usize = 3;
 const DR_SEED: u64 = 0xD15C;
@@ -52,68 +47,10 @@ const PRED_SEED: u64 = 0x9D1C;
 const PRED_REPS: usize = 6;
 const PRED_WARMUP: usize = 2;
 
-struct Row {
-    workers: u32,
-    wall: f64,
-    scan_wall: f64,
-    tuples_per_sec: f64,
-    hit_rate: f64,
-    pool_threads: u64,
-    pool_jobs: u64,
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
-}
-
-fn main() {
+fn main() -> ExitCode {
     let out_path =
         std::env::args().nth(1).unwrap_or_else(|| "BENCH_executor.json".to_string());
-    let cat = exec_scan::catalog(RELATION_TUPLES);
-    let examined = RELATION_TUPLES * QUERIES as u64;
-
-    let mut rows: Vec<Row> = Vec::new();
-    for &w in &WORKERS {
-        let mut walls = Vec::with_capacity(TRIALS);
-        let mut scan_walls = Vec::with_capacity(TRIALS);
-        let mut last = None;
-        exec_scan::run(&cat, w, QUERIES); // warmup (page cache, allocator)
-        for _ in 0..TRIALS {
-            let r = exec_scan::run(&cat, w, QUERIES);
-            assert_eq!(r.tuples, examined, "scan dropped tuples");
-            assert!(r.emitted > 0, "vacuous selection");
-            walls.push(r.wall);
-            scan_walls.push(r.scan_wall);
-            last = Some(r);
-        }
-        let last = last.unwrap();
-        let wall = median(&mut walls);
-        // Throughput is examined tuples over the *scan phase* wall time
-        // (first fragment start to last fragment finish); setup before
-        // the first start is excluded, and the full run wall is also
-        // reported.
-        let scan_wall = median(&mut scan_walls);
-        rows.push(Row {
-            workers: w,
-            wall,
-            scan_wall,
-            tuples_per_sec: examined as f64 / scan_wall,
-            hit_rate: last.hit_rate,
-            pool_threads: last.pool_threads,
-            pool_jobs: last.pool_jobs,
-        });
-        eprintln!(
-            "w={} scan={:.4}s total={:.4}s  {:>12.0} tuples/s  hit_rate={:.3}  threads={} jobs={}",
-            w,
-            scan_wall,
-            wall,
-            examined as f64 / scan_wall,
-            last.hit_rate,
-            last.pool_threads,
-            last.pool_jobs
-        );
-    }
+    let mut gates = Gates::default();
 
     // ---- Disk-resident scaling: the workload where 8 must beat 1 ----
     let (dr_cat, dr_wl) = exec_disk::catalog(DR_SEED);
@@ -123,7 +60,7 @@ fn main() {
         let mut last = None;
         for _ in 0..DR_TRIALS {
             let r = exec_disk::scan_run(&dr_cat, &dr_wl, w);
-            assert!(r.emitted > 0, "vacuous disk-resident scan");
+            gates.check(r.emitted > 0, format_args!("vacuous disk-resident scan at {w} workers"));
             scan_walls.push(r.scan_wall);
             last = Some(r);
         }
@@ -148,8 +85,6 @@ fn main() {
     let dr_row = |w: u32| dr_rows.iter().find(|r| r.0 == w).unwrap();
     let dr_speedup = dr_row(8).2 / dr_row(1).2;
     let saturated = dr_row(8).3.audit.paired_in_band;
-    // One relation alone under INTER-WITH-ADJ: a lone IO-bound scan must
-    // keep the array busy on the backends staffed for its `x = B/C_i`.
     let solo_runs: Vec<_> =
         (0..DR_TRIALS).map(|_| exec_disk::solo_scan_audit(&dr_cat, &dr_wl)).collect();
     let solo_requests = solo_runs[0].solo_io_requests;
@@ -158,6 +93,26 @@ fn main() {
     eprintln!("disk-resident solo scan: disk_util={solo_util:.2} over {solo_requests} requests");
     eprintln!(
         "disk-resident speedup (8w / 1w, stealing): {dr_speedup:.2}x  saturated_at_8={saturated}"
+    );
+    // The paper's central claim: 8 workers strictly beat 1 on a workload
+    // the buffer pool cannot absorb, with the utilization audit confirming
+    // the disk band is saturated rather than under-staffed.
+    gates.check(
+        dr_speedup > 1.0,
+        format_args!("scaling regression: 8-worker/1-worker speedup {dr_speedup:.3} <= 1.0"),
+    );
+    gates.check(saturated, "8-worker disk-resident run did not saturate the disk band");
+    // A lone IO-bound scan under INTER-WITH-ADJ must keep the array busy on
+    // the backends staffed for its x = B/C processors, each overlapping its
+    // next read with its current page (staffing backends = processors left
+    // it at 0.37 on the paper task sets, blocking reads at 0.70 on this leg;
+    // read-ahead measures 0.91).
+    gates.check(
+        solo_requests > 0 && solo_util >= 0.7,
+        format_args!(
+            "solo IO-bound scan under-staffed: disk utilization {solo_util:.4} < 0.7 \
+             over {solo_requests} requests"
+        ),
     );
 
     // ---- Memory admission: oversized builds must queue, spill, and agree ----
@@ -171,13 +126,11 @@ fn main() {
         let mut last = None;
         for _ in 0..MEM_TRIALS {
             let r = exec_memory::run(&mem_cat, &mem_wl, MEM_WORKERS, pool_pages);
-            assert!(r.emitted > 0, "vacuous memory-admission join");
+            gates.check(r.emitted > 0, format_args!("vacuous memory-admission join ({mode})"));
             walls.push(r.wall);
             last = Some(r);
         }
         let last = last.unwrap();
-        assert_eq!(last.granted_pages, last.released_pages, "grant ledger out of balance");
-        assert_eq!(last.pinned_at_exit, 0, "pages pinned at exit");
         eprintln!(
             "memory {mode:<10} wall={:.4}s emitted={} granted={} waits={} spill_chunks={} spill_rows={}",
             median(&mut walls),
@@ -192,38 +145,51 @@ fn main() {
     let (mem_ref, mem_grant) = (&mem_rows[0], &mem_rows[1]);
     let mem_parity = mem_ref.2.rows_digest == mem_grant.2.rows_digest;
     let mem_overhead = mem_grant.1 / mem_ref.1;
-    assert!(mem_parity, "admission changed a join answer");
-    assert!(mem_grant.2.spill_chunks > 0, "4x-pool builds never spilled");
     eprintln!(
         "memory admission: parity={mem_parity} overhead={mem_overhead:.2}x \
          waits={} spill_rows={}",
         mem_grant.2.grant_waits, mem_grant.2.spill_rows
     );
+    // Concurrent builds whose aggregate demand is 4x the pool must complete
+    // under admission with (a) the reference's answers, over a pool they
+    // all fit in, (b) a balanced grant ledger on both sides, (c) no page
+    // pinned at exit, and (d) the builds actually queueing and spilling —
+    // the admission machinery engaged rather than the demand quietly
+    // fitting — while the reference neither waits nor spills.
+    let demand = mem_wl.total_build_pages();
+    let regime = exec_memory::DEMAND_FACTOR * exec_memory::BUFPOOL_PAGES;
+    gates.check(
+        demand >= regime,
+        format_args!("build demand {demand} pages below the {regime}-page regime"),
+    );
+    gates.check(mem_parity, "memory admission changed a join answer (digest mismatch)");
+    for (mode, _, r) in &mem_rows {
+        gates.ledgers_closed(mode, r.granted_pages, r.released_pages, r.pinned_at_exit);
+    }
+    let (grants, reference) = (&mem_grant.2, &mem_ref.2);
+    gates.check(grants.granted_pages > 0, "grants run never granted a page");
+    gates.check(grants.grant_waits > 0, "oversized builds never waited for admission");
+    gates.check(
+        grants.spill_chunks > 0 && grants.spill_rows > 0,
+        "oversized builds never spilled",
+    );
+    gates.check(
+        reference.grant_waits == 0 && reference.spill_chunks == 0,
+        format_args!(
+            "reference run waited ({}) or spilled ({} chunks) in a pool it should fit",
+            reference.grant_waits, reference.spill_chunks
+        ),
+    );
 
     // ---- Predictive scheduling: corrected profiles must beat wrong ones ----
     let pred_cat = exec_predict::catalog(PRED_SEED);
     let pred_runs = exec_predict::wrong_runs(&pred_cat, PRED_SEED);
-    let mut declared_reps = Vec::with_capacity(PRED_REPS);
-    for _ in 0..PRED_REPS {
-        let r = exec_predict::run(&pred_cat, &pred_runs, None);
-        assert!(r.emitted > 0, "vacuous predictive-A/B join");
-        assert_eq!(r.granted_pages, r.released_pages, "declared-mode grant leak");
-        assert_eq!(r.pinned_at_exit, 0, "declared-mode pin leak");
-        declared_reps.push(r);
-    }
+    let declared_reps: Vec<_> =
+        (0..PRED_REPS).map(|_| exec_predict::run(&pred_cat, &pred_runs, None)).collect();
     let predictor = Arc::new(Predictor::new(exec_predict::PAGE_BYTES));
-    let mut predicted_reps = Vec::with_capacity(PRED_REPS);
-    for _ in 0..PRED_REPS {
-        let r = exec_predict::run(&pred_cat, &pred_runs, Some(&predictor));
-        assert!(r.emitted > 0, "vacuous predictive-A/B join");
-        assert_eq!(r.granted_pages, r.released_pages, "predicted-mode grant leak");
-        assert_eq!(r.pinned_at_exit, 0, "predicted-mode pin leak");
-        predicted_reps.push(r);
-    }
-    assert_eq!(
-        declared_reps[0].emitted, predicted_reps[0].emitted,
-        "prediction changed a join answer"
-    );
+    let predicted_reps: Vec<_> = (0..PRED_REPS)
+        .map(|_| exec_predict::run(&pred_cat, &pred_runs, Some(&predictor)))
+        .collect();
     let mut declared_walls: Vec<f64> = declared_reps.iter().map(|r| r.wall).collect();
     let mut warm_walls: Vec<f64> =
         predicted_reps[PRED_WARMUP..].iter().map(|r| r.wall).collect();
@@ -242,12 +208,50 @@ fn main() {
                  predictions={}",
                 r.wall, r.footprint_overruns, r.grant_waits, r.predictions
             );
+            let run = format!("{mode} rep {i}");
+            gates.check(r.emitted > 0, format_args!("vacuous predictive rep: {run}"));
+            gates.ledgers_closed(&run, r.granted_pages, r.released_pages, r.pinned_at_exit);
+            gates.check(
+                r.emitted == declared_reps[0].emitted,
+                format_args!(
+                    "prediction changed a join answer: {run} emitted {} rows, not {}",
+                    r.emitted, declared_reps[0].emitted
+                ),
+            );
         }
     }
     eprintln!(
         "predictive A/B: declared={declared_wall:.4}s predicted={predicted_wall:.4}s \
          speedup={pred_speedup:.2}x decisions_differ={decisions_differ} \
          overruns {overruns_first}->{overruns_last}"
+    );
+    // With declarations seeded wrong by 2-8x, the warm predicted mode must
+    // beat declared mode on wall time, the predictor must actually
+    // substitute profiles, footprint overruns must decrease as the model
+    // warms (the measured pages feed back into admission demand), and the
+    // two modes' final-rep schedules must provably differ — a bench where
+    // prediction changed nothing passes no gate.
+    gates.check(
+        predicted_beats_declared,
+        format_args!(
+            "predicted mode lost to declared: {predicted_wall:.4}s vs {declared_wall:.4}s"
+        ),
+    );
+    gates.check(
+        predicted_reps[PRED_REPS - 1].predictions > 0,
+        "warm predictor never substituted a profile",
+    );
+    gates.check(
+        overruns_first > overruns_last || overruns_last == 0,
+        format_args!(
+            "footprint overruns did not decrease as the model warmed: \
+             {overruns_first} -> {overruns_last}"
+        ),
+    );
+    gates.check(
+        decisions_differ,
+        "declared and predicted modes made identical decisions: \
+         the prediction layer changed nothing",
     );
 
     // Hand-rolled JSON: the workspace builds offline with no serde.
@@ -330,9 +334,6 @@ fn main() {
         }
         j.push_str("    ],\n");
         j.push_str(&format!("    \"parity\": {mem_parity},\n"));
-        j.push_str(&format!("    \"ledger_balanced\": {},\n", {
-            mem_grant.2.granted_pages == mem_grant.2.released_pages
-        }));
         j.push_str(&format!("    \"overhead_vs_reference\": {mem_overhead:.3}\n"));
         j.push_str("  },\n");
         j
@@ -384,39 +385,15 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"bench\": \"executor_scan\",\n");
+    json.push_str("  \"bench\": \"executor\",\n");
     json.push_str(&host_header_json(
         ExecConfig::unthrottled().machine.n_procs,
         ExecConfig::unthrottled().bufpool_pages,
     ));
-    json.push_str(&format!("  \"relation_tuples\": {RELATION_TUPLES},\n"));
-    json.push_str(&format!("  \"queries_per_run\": {QUERIES},\n"));
-    json.push_str(&format!("  \"tuples_examined_per_run\": {examined},\n"));
-    json.push_str(&format!("  \"trials_per_config\": {TRIALS},\n"));
     json.push_str("  \"wall_stat\": \"median\",\n");
-    json.push_str("  \"configs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workers\": {}, \"scan_wall_seconds\": {:.6}, \
-             \"total_wall_seconds\": {:.6}, \
-             \"tuples_per_sec\": {:.1}, \"bufpool_hit_rate\": {:.4}, \
-             \"pool_threads\": {}, \"pool_jobs\": {}}}{}\n",
-            r.workers,
-            r.scan_wall,
-            r.wall,
-            r.tuples_per_sec,
-            r.hit_rate,
-            r.pool_threads,
-            r.pool_jobs,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
     json.push_str(&dr_json);
     json.push_str(&mem_json);
     json.push_str(&pred_json);
     json.push_str("}\n");
-
-    std::fs::write(&out_path, json).expect("write bench output");
-    eprintln!("wrote {out_path}");
+    finish(&out_path, &json, gates)
 }

@@ -15,12 +15,14 @@
 //! p50/p99/p999 end-to-end latency; per tenant, completion counts and
 //! worst-case latency (the graceful-degradation bound under faults).
 //!
-//! Usage: `bench_service [BENCH_service.json]`.
+//! Usage: `bench_service [BENCH_service.json]`. Exit status 1 if a gate
+//! fails, 2 if the output cannot be written.
 
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use xprs_bench::host_header_json;
+use xprs_bench::{finish, host_header_json, Gates};
 use xprs_disk::{FaultPlan, StripedLayout};
 use xprs_executor::{ExecConfig, QueryRun, RelBinding};
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
@@ -141,6 +143,53 @@ struct PhaseResult {
     reserved_pages: u64,
     pinned_pages: u64,
     retry_after_hints_us: Vec<u64>,
+}
+
+impl PhaseResult {
+    fn mean_retry_after_us(&self) -> u64 {
+        let hints = &self.retry_after_hints_us;
+        hints.iter().sum::<u64>() / (hints.len() as u64).max(1)
+    }
+
+    /// The gates every phase holds: no admitted query may leak — both
+    /// ledgers zero once idle, every admitted query settled (typed failure
+    /// included) — and faults must degrade, never fail, a query.
+    fn check(&self, scenario: &str, gates: &mut Gates) {
+        let at = format!("{scenario}/{}", self.phase);
+        gates.check(
+            self.reserved_pages == 0 && self.pinned_pages == 0,
+            format_args!(
+                "{at}: leaked {} reserved / {} pinned pages at idle",
+                self.reserved_pages, self.pinned_pages
+            ),
+        );
+        for c in &self.classes {
+            let (class, settled) = (c.class.label(), c.completed + c.deadline_cancelled + c.failed);
+            gates.check(
+                settled == c.submitted,
+                format_args!("{at}/{class}: {} admitted, {settled} settled", c.submitted),
+            );
+            gates.check(c.failed == 0, format_args!("{at}/{class}: {} queries failed", c.failed));
+        }
+        // Interactive latency must stay distribution-shaped, not collapse
+        // into a hung tail: p99 within a fixed multiple of p50. The multiple
+        // is generous (an interactive lookup can queue behind a few
+        // throttled batch joins); the gate exists to catch a p99 in whole
+        // seconds against a p50 in milliseconds — a stuck queue, not noise.
+        let inter = self
+            .classes
+            .iter()
+            .find(|c| c.class == QueryClass::Interactive)
+            .expect("both classes recorded");
+        gates.check(inter.completed > 0, format_args!("{at}: no interactive query completed"));
+        gates.check(
+            inter.p99_us <= 96 * inter.p50_us.max(1),
+            format_args!(
+                "{at}: interactive p99 {}us over 96x p50 {}us",
+                inter.p99_us, inter.p50_us
+            ),
+        );
+    }
 }
 
 /// Replay `spec` against a fresh service and collect per-class and
@@ -312,11 +361,6 @@ fn phase_json(p: &PhaseResult) -> String {
             )
         })
         .collect();
-    let hint = if p.retry_after_hints_us.is_empty() {
-        0
-    } else {
-        p.retry_after_hints_us.iter().sum::<u64>() / p.retry_after_hints_us.len() as u64
-    };
     format!(
         "{{\"phase\": \"{}\", \"wall\": {:.3}, \"reserved_pages_at_idle\": {}, \
          \"pinned_pages_at_idle\": {}, \"mean_retry_after_us\": {},\n        \
@@ -325,14 +369,15 @@ fn phase_json(p: &PhaseResult) -> String {
         p.wall,
         p.reserved_pages,
         p.pinned_pages,
-        hint,
+        p.mean_retry_after_us(),
         classes.join(", "),
         tenants.join(", "),
     )
 }
 
-fn main() {
+fn main() -> ExitCode {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_service.json".to_string());
+    let mut gates = Gates::default();
     let cat = catalog();
     let mut scenario_blocks = Vec::new();
 
@@ -382,6 +427,28 @@ fn main() {
             }
         }
         eprintln!("{}: deaths_fired={} slow_requests={}", fault.name(), deaths, slow);
+        un.check(fault.name(), &mut gates);
+        over.check(fault.name(), &mut gates);
+        // Uncontended load must never shed; overload must shed typed errors
+        // with a sane retry hint, never buffer without bound.
+        let shed = |p: &PhaseResult| p.classes.iter().map(|c| c.shed).sum::<u64>();
+        gates.check(
+            shed(&un) == 0,
+            format_args!("{}: {} shed in the uncontended phase", fault.name(), shed(&un)),
+        );
+        gates.check(shed(&over) > 0, format_args!("{}: overload phase never shed", fault.name()));
+        gates.check(
+            over.mean_retry_after_us() > 0,
+            format_args!("{}: shed responses carried no retry_after hint", fault.name()),
+        );
+        // The fault scenarios must actually engage their faults.
+        match fault {
+            Fault::None => {}
+            Fault::WorkerDeath => gates.check(deaths >= 1, "worker_death: the death never fired"),
+            Fault::DiskSlowdown => {
+                gates.check(slow > 0, "disk_slowdown: the slowdown never engaged")
+            }
+        }
         scenario_blocks.push(format!(
             "    {{\"scenario\": \"{}\", \"deaths_fired\": {}, \"slow_requests\": {},\n      \
              \"phases\": [\n        {},\n        {}\n      ]}}",
@@ -406,6 +473,5 @@ fn main() {
     json.push_str("  \"scenarios\": [\n");
     json.push_str(&scenario_blocks.join(",\n"));
     json.push_str("\n  ]\n}\n");
-    std::fs::write(&out_path, json).expect("write bench output");
-    eprintln!("wrote {out_path}");
+    finish(&out_path, &json, gates)
 }

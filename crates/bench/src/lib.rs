@@ -1,8 +1,11 @@
 //! # xprs-bench
 //!
-//! Harness utilities shared by the experiment binaries that regenerate the
-//! paper's tables and figures (see `src/bin/`), plus Criterion microbenches
-//! under `benches/`.
+//! Harness utilities shared by the binaries under `src/bin/`: the paper-figure
+//! and ablation bins below, and three gated legs of `scripts/ci.sh` —
+//! `bench_executor` (disk-resident scaling, memory admission, prediction),
+//! `bench_join` (disk-resident join, Zipf skew) and `bench_service` (the
+//! query-service soak). Each leg checks its own gates ([`Gates`]) and
+//! [`finish`] turns the verdict into its exit status.
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -17,9 +20,16 @@
 //! | `ablation_adjust_latency` | sensitivity to the adjustment-protocol latency |
 //! | `ablation_two_tasks` | the "two tasks suffice" claim vs k-way co-scheduling |
 
+use std::fmt::Display;
+use std::process::ExitCode;
+
 use xprs::{PolicyKind, XprsSystem};
+use xprs_executor::{ExecReport, QueryRun, RelBinding};
+use xprs_optimizer::cost::{CostModel, RelInfo};
+use xprs_optimizer::{decompose, Costing, OptimizedQuery, Plan, Query, TwoPhaseOptimizer};
 use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy};
 use xprs_scheduler::{MachineConfig, TaskProfile};
+use xprs_storage::Catalog;
 use xprs_workload::{WorkloadConfig, WorkloadGenerator, WorkloadKind};
 
 /// A policy that runs fragments **one at a time**, each with a fixed worker
@@ -69,366 +79,96 @@ impl SchedulePolicy for FixedParallelism {
     }
 }
 
-/// Shared scenario for the executor data-path benches: a parallel full scan
-/// of one relation, with the worker count as the independent variable.
-pub mod exec_scan {
-    use std::sync::Arc;
-    use std::time::Instant;
+/// A policy that starts **every** arrived task immediately with a fixed
+/// worker count and never adjusts: with two single-fragment queries it
+/// manufactures exactly one long §2.2 pairing window, which is what the
+/// utilization audit needs, and with many it makes them all race for
+/// admission. ([`FixedParallelism`] runs fragments one at a time and can
+/// never produce a paired window.)
+pub struct CoRun {
+    machine: MachineConfig,
+    workers: u32,
+    pending: Vec<TaskProfile>,
+}
 
-    use xprs_disk::StripedLayout;
-    use xprs_executor::{ExecConfig, Executor, QueryRun, RelBinding};
-    use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
-    use xprs_scheduler::MachineConfig;
-    use xprs_storage::{Catalog, Datum, Schema, Tuple};
+impl CoRun {
+    /// A policy for `machine` starting every fragment with `workers`
+    /// workers the moment it becomes runnable.
+    pub fn new(machine: MachineConfig, workers: u32) -> Self {
+        assert!(workers >= 1);
+        CoRun { machine, workers, pending: Vec::new() }
+    }
+}
 
-    use super::FixedParallelism;
-
-    /// One timed scan workload: wall times plus the counters the bench
-    /// reports.
-    #[derive(Debug, Clone, Copy)]
-    pub struct ScanRun {
-        /// Tuples the workload examined (relation cardinality × queries).
-        pub tuples: u64,
-        /// Tuples the selections emitted (sanity check, > 0).
-        pub emitted: u64,
-        /// Wall-clock seconds for the whole run.
-        pub wall: f64,
-        /// Wall-clock seconds of the scan phase — first fragment start to
-        /// last fragment finish, the span the data path determines.
-        pub scan_wall: f64,
-        /// Buffer-pool hit fraction over the run.
-        pub hit_rate: f64,
-        /// OS threads the run created (pool growth).
-        pub pool_threads: u64,
-        /// Worker-slot staffing jobs submitted.
-        pub pool_jobs: u64,
+impl SchedulePolicy for CoRun {
+    fn name(&self) -> &'static str {
+        "co-run"
     }
 
-    /// A catalog holding one `scan_src(a, b)` relation of `n_tuples`
-    /// minimum-size tuples (the paper's `r_min` shape: hundreds of tuples
-    /// per page, so the scan is emit-rate-bound — the regime where data-path
-    /// contention shows, per §2.3's CPU-bound end of the balance spectrum).
-    pub fn catalog(n_tuples: u64) -> Arc<Catalog> {
-        let mut cat = Catalog::new(StripedLayout::new(4));
-        cat.create("scan_src", Schema::paper_rel());
-        let mut seed = 0xBEEF_u64;
-        let rows: Vec<Tuple> = (0..n_tuples)
-            .map(|_| {
-                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let a = ((seed >> 33) % 1000) as i32;
-                Tuple::from_values(vec![Datum::Int(a), Datum::Text(String::new())])
-            })
-            .collect();
-        cat.load("scan_src", rows);
-        cat.build_index("scan_src", false);
-        Arc::new(cat)
+    fn machine(&self) -> &MachineConfig {
+        &self.machine
     }
 
-    /// Run `n_queries` back-to-back parallel selections over `scan_src`
-    /// with `workers` workers each, at full speed (no throttling sleeps).
-    ///
-    /// Every query page-scans the whole relation; the selection predicate
-    /// keeps ~5% of the tuples so the single-threaded result harvest stays
-    /// negligible next to the scan itself. Sequential queries make
-    /// fragment turnaround part of the measurement.
-    pub fn run(cat: &Arc<Catalog>, workers: u32, n_queries: usize) -> ScanRun {
-        run_with_obs(cat, workers, n_queries, false)
+    fn on_arrival(&mut self, _now: f64, task: TaskProfile) {
+        self.pending.push(task);
     }
 
-    /// [`run`], with hot-path metrics collection on or off — the A/B the
-    /// observability overhead gate (`bench_obs`, CI `obs` leg) measures.
-    pub fn run_with_obs(
-        cat: &Arc<Catalog>,
-        workers: u32,
-        n_queries: usize,
-        obs: bool,
-    ) -> ScanRun {
-        let relation_tuples = cat.get("scan_src").expect("bench relation").stats().n_tuples;
-        let q = Query::selection("scan_src", 1.0);
-        let optimized = TwoPhaseOptimizer::paper_default()
+    fn on_finish(&mut self, _now: f64, _id: xprs_scheduler::TaskId) {}
+
+    fn decide(&mut self, _now: f64, _running: &[RunningTask]) -> Vec<Action> {
+        self.pending
+            .drain(..)
+            .map(|t| Action::Start { id: t.id, parallelism: self.workers as f64 })
+            .collect()
+    }
+}
+
+/// One full table scan of `name`, planned by the optimizer.
+pub fn full_scan(cat: &Catalog, name: &str) -> QueryRun {
+    let q = Query::selection(name, 1.0);
+    QueryRun {
+        optimized: TwoPhaseOptimizer::paper_default()
             .optimize_catalog(cat, &q, Costing::SeqCost)
-            .expect("plan");
-        let bindings = vec![RelBinding { name: "scan_src".into(), pred: (0, 49) }];
-        let runs: Vec<QueryRun> = (0..n_queries)
-            .map(|_| QueryRun { optimized: optimized.clone(), bindings: bindings.clone() })
-            .collect();
-        let mut cfg = ExecConfig::unthrottled();
-        if obs {
-            cfg = cfg.with_obs();
-        }
-        let exec = Executor::new(cfg, cat.clone());
-        let mut policy = FixedParallelism::new(MachineConfig::paper_default(), workers);
-        let t0 = Instant::now();
-        let report = exec.run(&runs, &mut policy).expect("bench scan failed");
-        let wall = t0.elapsed().as_secs_f64();
-        let first_start =
-            report.fragment_times.iter().map(|&(_, s, _)| s).fold(f64::INFINITY, f64::min);
-        let last_finish =
-            report.fragment_times.iter().map(|&(_, _, f)| f).fold(0.0f64, f64::max);
-        ScanRun {
-            tuples: relation_tuples * n_queries as u64,
-            emitted: report.results.iter().map(|r| r.rows.rows.len() as u64).sum(),
-            wall,
-            scan_wall: last_finish - first_start,
-            // Bypass-aware: a fetch refused under pin pressure is a real
-            // page read the pool failed to serve, not a non-event.
-            hit_rate: report.stats.pool.hit_rate(),
-            pool_threads: report.pool_threads,
-            pool_jobs: report.pool_jobs,
-        }
+            .expect("plan"),
+        bindings: vec![RelBinding { name: name.into(), pred: (i32::MIN, i32::MAX) }],
     }
 }
 
-/// Shared scenario for the utilization audit: two IO-heavy scans co-run
-/// under a throttled (scaled-time) machine, so the §2.2–2.3 predictions
-/// about paired disk bandwidth are *measurable* — the audit compares the
-/// request rate the disks actually served inside the pairing window
-/// against the `[Br, Bs]` band and the seek-corrected
-/// `B = Br + (1 − ratio)(Bs − Br)`.
-pub mod exec_obs {
-    use std::path::Path;
-    use std::sync::Arc;
-
-    use xprs_disk::StripedLayout;
-    use xprs_executor::{ExecConfig, ExecReport, Executor, QueryRun, RelBinding, UtilizationAudit};
-    use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
-    use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
-    use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy};
-    use xprs_scheduler::{MachineConfig, TaskProfile};
-    use xprs_storage::{Catalog, Datum, Schema, Tuple};
-
-    /// A policy that starts **every** arrived task immediately with a fixed
-    /// worker count and never adjusts: with two single-fragment queries it
-    /// manufactures exactly one long §2.2 pairing window, which is what the
-    /// audit needs. ([`super::FixedParallelism`] runs fragments one at a
-    /// time and can never produce a paired window.)
-    pub struct CoRun {
-        machine: MachineConfig,
-        workers: u32,
-        pending: Vec<TaskProfile>,
-    }
-
-    impl CoRun {
-        /// A policy for `machine` starting every fragment with `workers`
-        /// workers the moment it becomes runnable.
-        pub fn new(machine: MachineConfig, workers: u32) -> Self {
-            assert!(workers >= 1);
-            CoRun { machine, workers, pending: Vec::new() }
-        }
-    }
-
-    impl SchedulePolicy for CoRun {
-        fn name(&self) -> &'static str {
-            "co-run"
-        }
-
-        fn machine(&self) -> &MachineConfig {
-            &self.machine
-        }
-
-        fn on_arrival(&mut self, _now: f64, task: TaskProfile) {
-            self.pending.push(task);
-        }
-
-        fn on_finish(&mut self, _now: f64, _id: xprs_scheduler::TaskId) {}
-
-        fn decide(&mut self, _now: f64, _running: &[RunningTask]) -> Vec<Action> {
-            self.pending
-                .drain(..)
-                .map(|t| Action::Start { id: t.id, parallelism: self.workers as f64 })
-                .collect()
-        }
-    }
-
-    /// Two relations of `tuples_each` fat (800-byte) rows — ~10 tuples per
-    /// page, both striped over all four disks, so two concurrent scans
-    /// interleave on every spindle and the §2.3 seek interference is real.
-    pub fn catalog(tuples_each: u64) -> Arc<Catalog> {
-        let mut cat = Catalog::new(StripedLayout::new(4));
-        let mut seed = 0x0BDA_u64;
-        for name in ["pair_a", "pair_b"] {
-            cat.create(name, Schema::paper_rel());
-            let rows: Vec<Tuple> = (0..tuples_each)
-                .map(|_| {
-                    seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    let a = ((seed >> 33) % 1000) as i32;
-                    Tuple::from_values(vec![Datum::Int(a), Datum::Text("x".repeat(800))])
-                })
-                .collect();
-            cat.load(name, rows);
-        }
-        Arc::new(cat)
-    }
-
-    /// One full table scan of `name`, planned by the optimizer.
-    pub fn full_scan(cat: &Catalog, name: &str) -> QueryRun {
-        let q = Query::selection(name, 1.0);
-        QueryRun {
-            optimized: TwoPhaseOptimizer::paper_default()
-                .optimize_catalog(cat, &q, Costing::SeqCost)
-                .expect("plan"),
-            bindings: vec![RelBinding { name: name.into(), pred: (i32::MIN, i32::MAX) }],
-        }
-    }
-
-    /// The audit runs' configuration: time scale `scale`, metrics enabled,
-    /// and a pool that cannot cache either scan — every page read is a disk
-    /// request, as in the paper's larger-than-memory workloads.
-    pub fn config(scale: f64) -> ExecConfig {
-        let mut cfg = ExecConfig::scaled(1.0 / scale).with_obs();
-        cfg.bufpool_pages = 64;
-        cfg
-    }
-
-    /// Co-run one full scan of each relation with `workers` workers per
-    /// scan at time scale `scale`, metrics enabled; optionally dump
-    /// `metrics.json`. Returns the report and its utilization audit.
-    pub fn run(
-        cat: &Arc<Catalog>,
-        workers: u32,
-        scale: f64,
-        metrics_out: Option<&Path>,
-    ) -> (ExecReport, UtilizationAudit) {
-        let runs = [full_scan(cat, "pair_a"), full_scan(cat, "pair_b")];
-        let mut cfg = config(scale);
-        if let Some(path) = metrics_out {
-            cfg = cfg.with_metrics_out(path);
-        }
-        let exec = Executor::new(cfg, cat.clone());
-        let mut policy = CoRun::new(MachineConfig::paper_default(), workers);
-        let report = exec.run(&runs, &mut policy).expect("audit run failed");
-        let audit = report.utilization_audit();
-        (report, audit)
-    }
-
-    /// One full scan of `name` alone under INTER-WITH-ADJ with
-    /// configuration `cfg`: the policy gives a lone IO-bound scan
-    /// `x = B/C_i` processors so that it saturates the array by itself,
-    /// and the audit's `solo_io_disk_util` says whether the backends
-    /// staffed for that `x` actually did.
-    pub fn run_solo(cat: &Arc<Catalog>, name: &str, cfg: ExecConfig) -> UtilizationAudit {
-        let mut policy =
-            AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(MachineConfig::paper_default()));
-        Executor::new(cfg, cat.clone())
-            .run(&[full_scan(cat, name)], &mut policy)
-            .expect("solo audit run failed")
-            .utilization_audit()
-    }
+/// `plan` over the relations `names` (its `rel` 0 and 1), costed and
+/// decomposed as given: hand-pinned so the optimizer cannot reshape the
+/// plan a leg measures.
+fn pinned_plan(cat: &Catalog, plan: Plan, names: [&str; 2]) -> OptimizedQuery {
+    let rels: Vec<RelInfo> = names
+        .iter()
+        .map(|n| {
+            let s = cat.get(n).expect("bench relation").stats();
+            RelInfo {
+                n_tuples: s.n_tuples as f64,
+                n_blocks: s.n_blocks as f64,
+                n_distinct: s.n_distinct_a as f64,
+                selectivity: 1.0,
+                has_index: false,
+                clustered: false,
+            }
+        })
+        .collect();
+    let costed = CostModel::paper_default().cost_plan(&plan, &rels);
+    let fragments = decompose(&plan, &costed, 0);
+    OptimizedQuery { seqcost: costed.cost.total_cost, parcost: 0.0, plan, fragments }
 }
 
-/// Shared scenario for the join-materialization benches: a hash join whose
-/// build side is large, so fragment materialization (worker output → sort →
-/// key index) dominates the run: worker-local sorted runs, pool-parallel
-/// k-way merge, CSR index. The worker count is the independent variable.
-pub mod exec_join {
-    use std::sync::Arc;
-    use std::time::Instant;
+/// First fragment start → last fragment finish: the span the data path
+/// determines, without the run's set-up.
+fn phase_wall(report: &ExecReport) -> f64 {
+    let first = report.fragment_times.iter().map(|&(_, s, _)| s).fold(f64::INFINITY, f64::min);
+    let last = report.fragment_times.iter().map(|&(_, _, f)| f).fold(0.0f64, f64::max);
+    last - first
+}
 
-    use xprs_disk::StripedLayout;
-    use xprs_executor::{ExecConfig, Executor, QueryRun, RelBinding};
-    use xprs_optimizer::cost::{CostModel, RelInfo};
-    use xprs_optimizer::{decompose, OptimizedQuery, Plan};
-    use xprs_scheduler::MachineConfig;
-    use xprs_storage::{Catalog, Datum, Schema, Tuple};
-
-    use super::FixedParallelism;
-
-    /// One timed join workload.
-    #[derive(Debug, Clone, Copy)]
-    pub struct JoinRun {
-        /// Tuples materialized per query (build side + joined output) ×
-        /// queries — the work the data path is responsible for.
-        pub materialized: u64,
-        /// Joined tuples the run emitted (sanity check, > 0).
-        pub emitted: u64,
-        /// Wall-clock seconds for the whole run.
-        pub wall: f64,
-        /// Wall-clock seconds first fragment start → last fragment finish.
-        pub join_wall: f64,
-        /// OS threads the run created.
-        pub pool_threads: u64,
-        /// Worker-slot staffing and merge jobs submitted to the pool.
-        pub pool_jobs: u64,
-    }
-
-    /// A catalog with a large `big(a, b)` build side and a small `small(a,
-    /// b)` probe side, keys uniform in `0..key_mod`, minimum-size tuples so
-    /// the run is materialization-bound rather than IO-bound.
-    pub fn catalog(build_tuples: u64, probe_tuples: u64, key_mod: u64) -> Arc<Catalog> {
-        let mut cat = Catalog::new(StripedLayout::new(4));
-        let mut seed = 0x10_1A_u64;
-        for (name, n) in [("big", build_tuples), ("small", probe_tuples)] {
-            cat.create(name, Schema::paper_rel());
-            let rows: Vec<Tuple> = (0..n)
-                .map(|_| {
-                    seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    let a = ((seed >> 33) % key_mod) as i32;
-                    Tuple::from_values(vec![Datum::Int(a), Datum::Text(String::new())])
-                })
-                .collect();
-            cat.load(name, rows);
-        }
-        Arc::new(cat)
-    }
-
-    /// `big ⋈ small` with the big side as the hash-build input — pinned by
-    /// hand so the optimizer cannot flip the sides and move the
-    /// materialization load off the path under test.
-    fn optimized(cat: &Catalog) -> OptimizedQuery {
-        let plan = Plan::HashJoin {
-            build: Box::new(Plan::SeqScan { rel: 0 }),
-            probe: Box::new(Plan::SeqScan { rel: 1 }),
-        };
-        let rels: Vec<RelInfo> = ["big", "small"]
-            .iter()
-            .map(|n| {
-                let s = cat.get(n).expect("bench relation").stats();
-                RelInfo {
-                    n_tuples: s.n_tuples as f64,
-                    n_blocks: s.n_blocks as f64,
-                    n_distinct: s.n_distinct_a as f64,
-                    selectivity: 1.0,
-                    has_index: false,
-                    clustered: false,
-                }
-            })
-            .collect();
-        let costed = CostModel::paper_default().cost_plan(&plan, &rels);
-        let fragments = decompose(&plan, &costed, 0);
-        OptimizedQuery { seqcost: costed.cost.total_cost, parcost: 0.0, plan, fragments }
-    }
-
-    /// Run `n_queries` back-to-back `big ⋈ small` hash joins with `workers`
-    /// workers each.
-    pub fn run(cat: &Arc<Catalog>, workers: u32, n_queries: usize) -> JoinRun {
-        let build_tuples = cat.get("big").expect("bench relation").stats().n_tuples;
-        let optimized = optimized(cat);
-        let bindings = vec![
-            RelBinding { name: "big".into(), pred: (i32::MIN, i32::MAX) },
-            RelBinding { name: "small".into(), pred: (i32::MIN, i32::MAX) },
-        ];
-        let runs: Vec<QueryRun> = (0..n_queries)
-            .map(|_| QueryRun { optimized: optimized.clone(), bindings: bindings.clone() })
-            .collect();
-        let exec = Executor::new(ExecConfig::unthrottled(), cat.clone());
-        let mut policy = FixedParallelism::new(MachineConfig::paper_default(), workers);
-        let t0 = Instant::now();
-        let report = exec.run(&runs, &mut policy).expect("bench join failed");
-        let wall = t0.elapsed().as_secs_f64();
-        let first_start =
-            report.fragment_times.iter().map(|&(_, s, _)| s).fold(f64::INFINITY, f64::min);
-        let last_finish =
-            report.fragment_times.iter().map(|&(_, _, f)| f).fold(0.0f64, f64::max);
-        let emitted: u64 = report.results.iter().map(|r| r.rows.rows.len() as u64).sum();
-        JoinRun {
-            materialized: build_tuples * n_queries as u64 + emitted,
-            emitted,
-            wall,
-            join_wall: last_finish - first_start,
-            pool_threads: report.pool_threads,
-            pool_jobs: report.pool_jobs,
-        }
-    }
+/// Median of `xs` (the upper one for an even count); sorts in place.
+pub fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    xs[xs.len() / 2]
 }
 
 /// Shared scenario for the **disk-resident** scaling benches: relations
@@ -436,22 +176,20 @@ pub mod exec_join {
 /// eviction pressure) with skewed per-page costs, run under the scaled-time
 /// machine so I/O waits are wall-clock real. This is the regime of the
 /// paper's §3 evaluation — and the one where 8 workers must finally beat 1:
-/// the in-memory benches measure coordination overhead, this one measures
-/// whether stealing converts disk-wait idleness into overlap.
+/// `benchmark/`'s cached workloads measure coordination overhead, this one
+/// measures whether stealing converts disk-wait idleness into overlap.
 pub mod exec_disk {
     use std::sync::Arc;
-    use std::time::Instant;
 
     use xprs_disk::StripedLayout;
     use xprs_executor::{ExecConfig, Executor, QueryRun, RelBinding, UtilizationAudit};
-    use xprs_optimizer::cost::{CostModel, RelInfo};
-    use xprs_optimizer::{decompose, OptimizedQuery, Plan};
+    use xprs_optimizer::{OptimizedQuery, Plan};
+    use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
     use xprs_scheduler::MachineConfig;
     use xprs_storage::{Catalog, Datum, Schema, Tuple, PAGE_SIZE};
     use xprs_workload::{generate_disk_resident, DiskResidentSpec, DiskResidentWorkload};
 
-    use super::exec_obs::{full_scan, CoRun};
-    use super::FixedParallelism;
+    use super::{full_scan, phase_wall, pinned_plan, CoRun, FixedParallelism};
 
     /// Buffer-pool frames for the disk-resident runs (each relation is
     /// [`SPILL_FACTOR`]× this, so the pool cannot cache a scan).
@@ -474,8 +212,6 @@ pub mod exec_disk {
         pub tuples: u64,
         /// Tuples emitted (sanity check, > 0).
         pub emitted: u64,
-        /// Wall seconds for the whole run.
-        pub wall: f64,
         /// First fragment start → last fragment finish.
         pub scan_wall: f64,
         /// Buffer-pool hit fraction (bypass-aware).
@@ -497,8 +233,6 @@ pub mod exec_disk {
         pub materialized: u64,
         /// Joined tuples emitted (sanity check, > 0).
         pub emitted: u64,
-        /// Wall seconds for the whole run.
-        pub wall: f64,
         /// First fragment start → last fragment finish.
         pub join_wall: f64,
         /// Buffer-pool hit fraction.
@@ -553,13 +287,7 @@ pub mod exec_disk {
             workload.relations.iter().map(|rel| full_scan(cat, &rel.name)).collect();
         let exec = Executor::new(config(), cat.clone());
         let mut policy = CoRun::new(MachineConfig::paper_default(), workers);
-        let t0 = Instant::now();
         let report = exec.run(&runs, &mut policy).expect("disk-resident scan failed");
-        let wall = t0.elapsed().as_secs_f64();
-        let first_start =
-            report.fragment_times.iter().map(|&(_, s, _)| s).fold(f64::INFINITY, f64::min);
-        let last_finish =
-            report.fragment_times.iter().map(|&(_, _, f)| f).fold(0.0f64, f64::max);
         let audit = report.utilization_audit();
         let (steals, steal_fails) = report
             .metrics
@@ -569,8 +297,7 @@ pub mod exec_disk {
             pages: workload.relations.iter().map(|r| r.n_pages()).sum(),
             tuples: workload.relations.iter().map(|r| r.n_tuples).sum(),
             emitted: report.results.iter().map(|r| r.rows.rows.len() as u64).sum(),
-            wall,
-            scan_wall: last_finish - first_start,
+            scan_wall: phase_wall(&report),
             hit_rate: report.stats.pool.hit_rate(),
             steals,
             steal_fails,
@@ -579,36 +306,18 @@ pub mod exec_disk {
         }
     }
 
-    /// The first disk-resident relation scanned alone under INTER-WITH-ADJ
-    /// ([`super::exec_obs::run_solo`]): the solo-IO-bound audit figure.
+    /// The first disk-resident relation scanned alone under INTER-WITH-ADJ:
+    /// the policy gives a lone IO-bound scan `x = B/C_i` processors so that
+    /// it saturates the array by itself, and the audit's
+    /// `solo_io_disk_util` says whether the backends staffed for that `x`
+    /// actually did.
     pub fn solo_scan_audit(cat: &Arc<Catalog>, workload: &DiskResidentWorkload) -> UtilizationAudit {
-        super::exec_obs::run_solo(cat, &workload.relations[0].name, config())
-    }
-
-    /// `dr_0 ⋈ dr_probe` with the disk-resident relation pinned as the
-    /// hash-build side, so the materialization scan is the spilling one.
-    fn optimized_join(cat: &Catalog, build: &str) -> OptimizedQuery {
-        let plan = Plan::HashJoin {
-            build: Box::new(Plan::SeqScan { rel: 0 }),
-            probe: Box::new(Plan::SeqScan { rel: 1 }),
-        };
-        let rels: Vec<RelInfo> = [build, "dr_probe"]
-            .iter()
-            .map(|n| {
-                let s = cat.get(n).expect("bench relation").stats();
-                RelInfo {
-                    n_tuples: s.n_tuples as f64,
-                    n_blocks: s.n_blocks as f64,
-                    n_distinct: s.n_distinct_a as f64,
-                    selectivity: 1.0,
-                    has_index: false,
-                    clustered: false,
-                }
-            })
-            .collect();
-        let costed = CostModel::paper_default().cost_plan(&plan, &rels);
-        let fragments = decompose(&plan, &costed, 0);
-        OptimizedQuery { seqcost: costed.cost.total_cost, parcost: 0.0, plan, fragments }
+        let mut policy =
+            AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(MachineConfig::paper_default()));
+        Executor::new(config(), cat.clone())
+            .run(&[full_scan(cat, &workload.relations[0].name)], &mut policy)
+            .expect("solo audit run failed")
+            .utilization_audit()
     }
 
     /// Pool frames the join runs with: the [`BUFPOOL_PAGES`] the scans read
@@ -630,7 +339,13 @@ pub mod exec_disk {
         workers: u32,
     ) -> DiskJoinRun {
         let build = &workload.relations[0];
-        let optimized = optimized_join(cat, &build.name);
+        // `dr_0 ⋈ dr_probe` with the disk-resident relation as the hash-build
+        // side, so the materialization scan is the spilling one.
+        let plan = Plan::HashJoin {
+            build: Box::new(Plan::SeqScan { rel: 0 }),
+            probe: Box::new(Plan::SeqScan { rel: 1 }),
+        };
+        let optimized = pinned_plan(cat, plan, [&build.name, "dr_probe"]);
         let bindings = vec![
             RelBinding { name: build.name.clone(), pred: (i32::MIN, i32::MAX) },
             RelBinding { name: "dr_probe".into(), pred: (i32::MIN, i32::MAX) },
@@ -641,20 +356,13 @@ pub mod exec_disk {
         let runs = vec![QueryRun { optimized, bindings }];
         let exec = Executor::new(cfg, cat.clone());
         let mut policy = FixedParallelism::new(MachineConfig::paper_default(), workers);
-        let t0 = Instant::now();
         let report = exec.run(&runs, &mut policy).expect("disk-resident join failed");
         assert_eq!(report.spill_chunks, 0, "the scaling join must run in memory");
-        let wall = t0.elapsed().as_secs_f64();
-        let first_start =
-            report.fragment_times.iter().map(|&(_, s, _)| s).fold(f64::INFINITY, f64::min);
-        let last_finish =
-            report.fragment_times.iter().map(|&(_, _, f)| f).fold(0.0f64, f64::max);
         let emitted: u64 = report.results.iter().map(|r| r.rows.rows.len() as u64).sum();
         DiskJoinRun {
             materialized: build.n_tuples + emitted,
             emitted,
-            wall,
-            join_wall: last_finish - first_start,
+            join_wall: phase_wall(&report),
             hit_rate: report.stats.pool.hit_rate(),
             steals: report.metrics.as_ref().map_or(0, |m| m.steals.get()),
             pool_threads: report.pool_threads,
@@ -665,7 +373,7 @@ pub mod exec_disk {
 
 /// Memory-grant admission scenario: concurrent hash joins whose aggregate
 /// build demand is [`exec_memory::DEMAND_FACTOR`]× the buffer pool, every
-/// query arriving at once ([`exec_obs::CoRun`]) so the builds race for
+/// query arriving at once ([`CoRun`]) so the builds race for
 /// admission. The A/B is the tiny pool (queue + spill) against the
 /// uncontended reference (the same admission over a pool every build fits
 /// in at once); the parity digest must match between the two — admission
@@ -682,7 +390,7 @@ pub mod exec_memory {
     use xprs_storage::{Catalog, Datum};
     use xprs_workload::{generate_oversized_build, OversizedBuildSpec, OversizedBuildWorkload};
 
-    use super::exec_obs::CoRun;
+    use super::CoRun;
 
     /// Pool frames the contended side runs with.
     pub const BUFPOOL_PAGES: u64 = 64;
@@ -806,21 +514,19 @@ pub mod exec_memory {
 /// master, replicated-build fan-out over `scatter_gather`, hot-key carving
 /// in `split_runs_stats` — keeps the merge from serializing behind it.
 /// The bench reports throughput plus the skew counters (hot keys, per-way
-/// row balance) so CI can prove the fan-out engaged rather than pass
-/// vacuously.
+/// row balance) so `bench_join`'s gates can prove the fan-out engaged
+/// rather than pass vacuously.
 pub mod exec_skew {
     use std::sync::Arc;
-    use std::time::Instant;
 
     use xprs_disk::StripedLayout;
     use xprs_executor::{ExecConfig, Executor, QueryRun, RelBinding};
-    use xprs_optimizer::cost::{CostModel, RelInfo};
-    use xprs_optimizer::{decompose, OptimizedQuery, Plan};
+    use xprs_optimizer::Plan;
     use xprs_scheduler::MachineConfig;
     use xprs_storage::Catalog;
     use xprs_workload::{generate_zipf_join, ZipfJoinSpec, ZipfJoinWorkload};
 
-    use super::FixedParallelism;
+    use super::{phase_wall, pinned_plan, FixedParallelism};
 
     /// Buffer-pool frames (the probe side is [`SPILL_FACTOR`]× this).
     pub const BUFPOOL_PAGES: u64 = 64;
@@ -840,8 +546,6 @@ pub mod exec_skew {
         /// Joined tuples emitted (the quantity that concentrates under
         /// skew — throughput is emitted rows over the join wall).
         pub emitted: u64,
-        /// Wall seconds for the whole run.
-        pub wall: f64,
         /// First fragment start → last fragment finish.
         pub join_wall: f64,
         /// Heavy-hitter keys the run detected (registry counter: master
@@ -870,37 +574,17 @@ pub mod exec_skew {
         (Arc::new(cat), workload)
     }
 
-    /// `build ⋈ probe` as a key-domain merge join — the plan shape whose
-    /// root materializes both sides and walks the key domain, i.e. the
-    /// shape the master's heavy-hitter detection and replicated fan-out
-    /// serve. Hand-pinned so the optimizer cannot reshape it.
-    fn optimized(cat: &Catalog, workload: &ZipfJoinWorkload) -> OptimizedQuery {
+    /// Run the skewed merge join once with `workers` workers.
+    pub fn run(cat: &Arc<Catalog>, workload: &ZipfJoinWorkload, workers: u32) -> SkewRun {
+        // `build ⋈ probe` as a key-domain merge join — the plan shape whose
+        // root materializes both sides and walks the key domain, i.e. the
+        // shape the master's heavy-hitter detection and replicated fan-out
+        // serve.
         let plan = Plan::MergeJoin {
             left: Box::new(Plan::SeqScan { rel: 0 }),
             right: Box::new(Plan::SeqScan { rel: 1 }),
         };
-        let rels: Vec<RelInfo> = [&workload.build, &workload.probe]
-            .iter()
-            .map(|n| {
-                let s = cat.get(n).expect("bench relation").stats();
-                RelInfo {
-                    n_tuples: s.n_tuples as f64,
-                    n_blocks: s.n_blocks as f64,
-                    n_distinct: s.n_distinct_a as f64,
-                    selectivity: 1.0,
-                    has_index: false,
-                    clustered: false,
-                }
-            })
-            .collect();
-        let costed = CostModel::paper_default().cost_plan(&plan, &rels);
-        let fragments = decompose(&plan, &costed, 0);
-        OptimizedQuery { seqcost: costed.cost.total_cost, parcost: 0.0, plan, fragments }
-    }
-
-    /// Run the skewed merge join once with `workers` workers.
-    pub fn run(cat: &Arc<Catalog>, workload: &ZipfJoinWorkload, workers: u32) -> SkewRun {
-        let optimized = optimized(cat, workload);
+        let optimized = pinned_plan(cat, plan, [&workload.build, &workload.probe]);
         let bindings = vec![
             RelBinding { name: workload.build.clone(), pred: (i32::MIN, i32::MAX) },
             RelBinding { name: workload.probe.clone(), pred: (i32::MIN, i32::MAX) },
@@ -911,13 +595,7 @@ pub mod exec_skew {
         cfg.parallel_merge_ways = MERGE_WAYS;
         let exec = Executor::new(cfg, cat.clone());
         let mut policy = FixedParallelism::new(MachineConfig::paper_default(), workers);
-        let t0 = Instant::now();
         let report = exec.run(&runs, &mut policy).expect("skewed join failed");
-        let wall = t0.elapsed().as_secs_f64();
-        let first_start =
-            report.fragment_times.iter().map(|&(_, s, _)| s).fold(f64::INFINITY, f64::min);
-        let last_finish =
-            report.fragment_times.iter().map(|&(_, _, f)| f).fold(0.0f64, f64::max);
         let root = report.profiles[0]
             .fragments
             .iter()
@@ -925,8 +603,7 @@ pub mod exec_skew {
             .expect("root fragment profiled");
         SkewRun {
             emitted: report.results[0].rows.rows.len() as u64,
-            wall,
-            join_wall: last_finish - first_start,
+            join_wall: phase_wall(&report),
             hot_keys: report.metrics.as_ref().map_or(0, |m| m.hot_keys.get()),
             way_rows_max: root.merge.way_rows_max,
             way_rows_mean: root.merge.way_rows_mean,
@@ -947,8 +624,8 @@ pub mod exec_skew {
 /// footprints from observed pages and restores admission concurrency.
 /// Under-declared footprints show up as `footprint_overruns` that must
 /// *decrease* across repetitions as the model warms. The final-rep traces
-/// of both modes are captured so CI can prove at least one scheduling
-/// decision actually differed (no vacuous pass).
+/// of both modes are captured so `bench_executor`'s gates can prove at
+/// least one scheduling decision actually differed (no vacuous pass).
 pub mod exec_predict {
     use std::sync::{Arc, Mutex};
     use std::time::Instant;
@@ -1116,6 +793,60 @@ pub mod exec_predict {
     pub const PAGE_BYTES: u64 = PAGE_SIZE as u64;
 }
 
+/// The gates of one bench leg. The bin that computes a value checks it
+/// here, once, and [`finish`] turns the verdict into the exit status, so
+/// CI runs the bin and re-reads nothing.
+#[derive(Default)]
+pub struct Gates {
+    checked: usize,
+    failed: Vec<String>,
+}
+
+impl Gates {
+    /// One gate: passes when `ok`, otherwise fails saying `why`.
+    pub fn check(&mut self, ok: bool, why: impl Display) {
+        self.checked += 1;
+        if !ok {
+            self.failed.push(why.to_string());
+        }
+    }
+
+    /// The two ledgers every executor run must close: admission pages
+    /// granted equal pages released, and no buffer page pinned at exit.
+    pub fn ledgers_closed(&mut self, run: impl Display, granted: u64, released: u64, pinned: u64) {
+        self.check(
+            granted == released,
+            format_args!("{run}: grant ledger out of balance: {granted} granted, {released} released"),
+        );
+        self.check(pinned == 0, format_args!("{run}: {pinned} pages pinned at exit"));
+    }
+}
+
+/// End a gated leg: check that `json` parses (malformed output fails the
+/// leg), write it to `path`, then print every failed gate. The artefact is
+/// written before the verdict so a failing run leaves it for diagnosis.
+/// Exit status 2 if `path` cannot be written, 1 if any gate failed.
+pub fn finish(path: &str, json: &str, mut gates: Gates) -> ExitCode {
+    let malformed = xprs_obs::json::parse(json).err();
+    gates.check(
+        malformed.is_none(),
+        format_args!("{path}: malformed JSON: {}", malformed.unwrap_or_default()),
+    );
+    if let Err(e) = std::fs::write(path, json) {
+        eprintln!("cannot write {path}: {e}");
+        return ExitCode::from(2);
+    }
+    for why in &gates.failed {
+        eprintln!("GATE FAILED: {why}");
+    }
+    eprintln!("wrote {path}: {} of {} gates failed", gates.failed.len(), gates.checked);
+    if gates.failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
 /// The host facts every `BENCH_*.json` header records so scaling numbers
 /// are interpretable across machines: the host's available parallelism,
 /// the simulated machine's processor count (= persistent-pool staffing
@@ -1199,6 +930,24 @@ mod tests {
         assert!((stddev(&[1.0, 2.0, 3.0]) - 1.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(stddev(&[5.0]), 0.0);
+    }
+
+    #[test]
+    fn finish_exits_on_failed_gates_malformed_json_and_unwritable_paths() {
+        let path = std::env::temp_dir().join(format!("xprs-gates-{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path");
+        let gates = |ok: bool| {
+            let mut g = Gates::default();
+            g.check(ok, "the gate");
+            g
+        };
+        assert_eq!(finish(path, "{\"a\": 1}", gates(true)), ExitCode::SUCCESS);
+        assert_eq!(finish(path, "{\"a\": 1}", gates(false)), ExitCode::FAILURE);
+        assert_eq!(finish(path, "{\"a\": 1", gates(true)), ExitCode::FAILURE);
+        assert_eq!(std::fs::read_to_string(path).unwrap(), "{\"a\": 1", "written for diagnosis");
+        std::fs::remove_file(path).ok();
+        let unwritable = "/nonexistent-xprs-dir/out.json";
+        assert_eq!(finish(unwritable, "{}", gates(true)), ExitCode::from(2));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   serves reads *around* the pool; those must be counted, so that
 //!   `hits + misses + bypasses == reads` holds even under exhaustion.
 //! * `metrics.json` — the dumped document must parse with the crate's own
-//!   parser and its counters must balance.
+//!   parser and its counters must balance; a scaled-time co-run must also
+//!   carry the utilization audit's windows.
 //! * Plan mismatch — a hand-tampered decomposition is a typed refusal,
 //!   not a master panic.
 
@@ -279,6 +280,82 @@ fn metrics_json_parses_and_balances() {
     // is part of the schema either way.
     assert_eq!(num(audit, "solo_io_disk_util"), 0.0);
     assert_eq!(num(audit, "solo_io_requests"), 0.0);
+}
+
+/// Starts every arrived task at once on two processors and never adjusts,
+/// so two single-fragment queries share one §2.2 pairing window.
+struct StartAll {
+    machine: MachineConfig,
+    pending: Vec<TaskId>,
+}
+
+impl SchedulePolicy for StartAll {
+    fn name(&self) -> &'static str {
+        "start-all"
+    }
+    fn machine(&self) -> &MachineConfig {
+        &self.machine
+    }
+    fn on_arrival(&mut self, _now: f64, task: TaskProfile) {
+        self.pending.push(task.id);
+    }
+    fn on_finish(&mut self, _now: f64, _id: TaskId) {}
+    fn decide(&mut self, _now: f64, _running: &[RunningTask]) -> Vec<Action> {
+        self.pending.drain(..).map(|id| Action::Start { id, parallelism: 2.0 }).collect()
+    }
+}
+
+/// The parts of `metrics.json` only a scaled-time run fills: two co-running
+/// scans leave audit windows, each carrying the planned bandwidth, the disk
+/// queue and `[task, x, backends]` per running fragment; every disk reports
+/// its queue wait, and the per-shard pool ledgers sum to the read count. The
+/// band itself is a timing figure and is gated by `bench_executor`'s
+/// disk-resident leg, not here.
+#[test]
+fn scaled_co_run_dump_carries_the_audit_windows() {
+    let cat = catalog();
+    let path =
+        std::env::temp_dir().join(format!("xprs-metrics-scaled-{}.json", std::process::id()));
+    let exec = Executor::new(ExecConfig::scaled(50.0).with_metrics_out(&path), cat.clone());
+    let mut policy = StartAll { machine: m(), pending: Vec::new() };
+    let runs = [
+        selection_run(&cat, "fat", (i32::MIN, i32::MAX)),
+        selection_run(&cat, "thin", (i32::MIN, i32::MAX)),
+    ];
+    exec.run(&runs, &mut policy).expect("run failed");
+    let text = std::fs::read_to_string(&path).expect("metrics.json must be written");
+    std::fs::remove_file(&path).ok();
+
+    let doc = parse(&text).expect("metrics.json must parse");
+    let num = |v: &JsonValue, key: &str| {
+        v.get(key).and_then(JsonValue::num).unwrap_or_else(|| panic!("missing {key}"))
+    };
+    let shards = doc.get("pool").and_then(|p| p.get("shards")).and_then(JsonValue::arr);
+    let shard_reads: f64 = shards
+        .expect("per-shard pool ledgers")
+        .iter()
+        .map(|s| num(s, "hits") + num(s, "misses") + num(s, "bypasses"))
+        .sum();
+    assert_eq!(shard_reads, num(&doc, "reads"), "per-shard ledgers must sum to the reads");
+
+    for d in doc.get("disks").and_then(JsonValue::arr).expect("disks array") {
+        assert!(num(d, "queue_wait") >= 0.0, "disk without a queue wait: {d:?}");
+    }
+
+    let audit = doc.get("utilization_audit").expect("audit section");
+    let windows = audit.get("windows").and_then(JsonValue::arr).expect("windows array");
+    assert!(!windows.is_empty(), "a scaled co-run must leave audit windows");
+    for w in windows {
+        for key in ["planned_bw", "queue_wait", "queue_depth"] {
+            num(w, key);
+        }
+        for t in w.get("tasks").and_then(JsonValue::arr).expect("tasks") {
+            let t = t.arr().expect("[task, x, backends]");
+            assert_eq!(t.len(), 3, "tasks entry is not [task, x, backends]: {t:?}");
+            let (x, backends) = (t[1].num().expect("x"), t[2].num().expect("backends"));
+            assert!(backends >= x, "fewer backends than x: {t:?}");
+        }
+    }
 }
 
 /// A hand-tampered decomposition — the optimizer's DAG disagrees with
