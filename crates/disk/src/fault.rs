@@ -31,6 +31,9 @@ pub enum WorkerFaultKind {
         /// Stall duration in milliseconds.
         millis: u64,
     },
+    /// The worker panics at a unit boundary — a bug, which the worker pool
+    /// must catch and surface as a typed error while the others drain.
+    Panic,
 }
 
 /// A worker fault scheduled against logical progress: fires once, the first
@@ -144,34 +147,39 @@ impl FaultPlan {
     /// Schedule a fail-stop death of worker `slot` on fragment `fragment`
     /// once it has claimed `after_units` units (it finishes those first).
     #[must_use]
-    pub fn with_worker_death(mut self, fragment: usize, slot: usize, after_units: u64) -> Self {
-        self.worker_faults.push(WorkerFault {
-            fragment,
-            slot,
-            after_units,
-            kind: WorkerFaultKind::Death,
-            taken: AtomicBool::new(false),
-        });
-        self
+    pub fn with_worker_death(self, fragment: usize, slot: usize, after_units: u64) -> Self {
+        self.with_worker_fault(fragment, slot, after_units, WorkerFaultKind::Death)
+    }
+
+    /// Schedule a panic of worker `slot` on fragment `fragment` once it has
+    /// claimed `after_units` units (it finishes those first).
+    #[must_use]
+    pub fn with_worker_panic(self, fragment: usize, slot: usize, after_units: u64) -> Self {
+        self.with_worker_fault(fragment, slot, after_units, WorkerFaultKind::Panic)
     }
 
     /// Schedule a `millis`-long stall of worker `slot` on fragment
     /// `fragment` once it has claimed `after_units` units.
     #[must_use]
     pub fn with_worker_stall(
-        mut self,
+        self,
         fragment: usize,
         slot: usize,
         after_units: u64,
         millis: u64,
     ) -> Self {
-        self.worker_faults.push(WorkerFault {
-            fragment,
-            slot,
-            after_units,
-            kind: WorkerFaultKind::Stall { millis },
-            taken: AtomicBool::new(false),
-        });
+        self.with_worker_fault(fragment, slot, after_units, WorkerFaultKind::Stall { millis })
+    }
+
+    fn with_worker_fault(
+        mut self,
+        fragment: usize,
+        slot: usize,
+        after_units: u64,
+        kind: WorkerFaultKind,
+    ) -> Self {
+        let taken = AtomicBool::new(false);
+        self.worker_faults.push(WorkerFault { fragment, slot, after_units, kind, taken });
         self
     }
 
@@ -242,10 +250,13 @@ impl FaultPlan {
             if f.taken.swap(true, Ordering::Relaxed) {
                 continue;
             }
-            match f.kind {
-                WorkerFaultKind::Death => self.stats.deaths.fetch_add(1, Ordering::Relaxed),
-                WorkerFaultKind::Stall { .. } => self.stats.stalls.fetch_add(1, Ordering::Relaxed),
+            let fired = match f.kind {
+                WorkerFaultKind::Death => &self.stats.deaths,
+                WorkerFaultKind::Stall { .. } => &self.stats.stalls,
+                // A panic is counted where it surfaces, as a typed error.
+                WorkerFaultKind::Panic => return Some(f.kind),
             };
+            fired.fetch_add(1, Ordering::Relaxed);
             return Some(f.kind);
         }
         None
@@ -390,11 +401,16 @@ mod tests {
 
     #[test]
     fn worker_fault_fires_once_at_its_trigger_point() {
-        let p = FaultPlan::new().with_worker_death(2, 1, 3).with_worker_stall(2, 0, 0, 50);
+        let p = FaultPlan::new()
+            .with_worker_death(2, 1, 3)
+            .with_worker_stall(2, 0, 0, 50)
+            .with_worker_panic(2, 2, 1);
         assert_eq!(p.take_worker_fault(2, 1, 2), None, "not yet due");
         assert_eq!(p.take_worker_fault(2, 1, 3), Some(WorkerFaultKind::Death));
         assert_eq!(p.take_worker_fault(2, 1, 4), None, "already taken");
         assert_eq!(p.take_worker_fault(2, 0, 0), Some(WorkerFaultKind::Stall { millis: 50 }));
+        assert_eq!(p.take_worker_fault(2, 2, 1), Some(WorkerFaultKind::Panic));
+        assert_eq!(p.take_worker_fault(2, 2, 1), None, "already taken");
         assert_eq!(p.stats().deaths_fired(), 1);
         assert_eq!(p.stats().stalls_fired(), 1);
     }

@@ -37,10 +37,10 @@ pub struct ExecConfig {
     /// Buffer-pool shards (page-hashed, independently latched); clamped
     /// to ≥ 1.
     pub bufpool_shards: usize,
-    /// Work units (pages or keys) per morsel of the stealing deal; clamped
-    /// to ≥ 1. Fragments too small for a whole morsel per backend, or too
-    /// large for a bounded deal, are cut at a derived grain (see
-    /// [`StealPartition::new`]).
+    /// Work units (pages, page slices or keys) per morsel of the stealing
+    /// deal; clamped to ≥ 1. Fragments too small for a whole morsel per
+    /// backend, or too large for a bounded deal, are cut at a derived grain
+    /// (see [`StealPartition::new`]).
     pub morsel_units: u64,
     /// Injected fault schedule (`None` = fault-free operation).
     pub faults: Option<Arc<FaultPlan>>,

@@ -22,9 +22,14 @@
 //! The buffer pool is a [`ShardedBufferPool`]: each page hashes to one of
 //! `n` independently latched shards, so concurrent scans do not
 //! serialize on a single pool mutex (§2.2–2.3's balance point assumes the
-//! engine itself adds no shared-resource interference).
+//! engine itself adds no shared-resource interference). A page is resident
+//! from the moment its miss is *issued*, so in a throttled run each shard
+//! has an in-flight table beside it: the deadline of every frame whose read
+//! has not yet been collected. A hit on such a frame waits for that
+//! deadline, as the miss does — the page has not arrived.
 
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -32,7 +37,7 @@ use std::time::{Duration, Instant};
 use xprs_disk::{ArrayStats, ClassStats, DiskParams, DiskState, FaultPlan, IoRequest, RelId, ServiceClass, StripedLayout, WorkerId};
 use xprs_obs::TimeSum;
 use xprs_scheduler::MachineConfig;
-use xprs_storage::bufpool::FetchOutcome;
+use xprs_storage::bufpool::{FetchOutcome, UnpinError};
 use xprs_storage::{PoolStats, ShardedBufferPool};
 
 use crate::obs::ExecMetrics;
@@ -84,6 +89,13 @@ fn pace_until(now: Instant, target: Instant) {
         None => now.duration_since(target).min(PACE_CREDIT.get()),
     };
     PACE_CREDIT.set(late);
+}
+
+/// Sleep until a reserved service completes (no-op when unthrottled).
+fn await_deadline(deadline: Option<Instant>) {
+    if let Some(deadline) = deadline {
+        pace_until(Instant::now(), deadline);
+    }
 }
 
 /// A counting semaphore: at most `permits` holders at a time.
@@ -249,9 +261,17 @@ struct Service {
 /// [`Machine::finish_read`] on every path.
 #[must_use = "an issued read keeps its buffer pin until `finish_read`"]
 #[derive(Debug)]
-pub struct ReadTicket(Option<DiskRead>);
+pub struct ReadTicket(Pending);
 
-/// The disk side of a [`ReadTicket`] (a buffer hit has none).
+#[derive(Debug)]
+enum Pending {
+    /// A buffer hit; on a frame whose read is still in flight, that read's
+    /// deadline.
+    Hit(Option<Instant>),
+    Disk(DiskRead),
+}
+
+/// The disk side of a [`ReadTicket`].
 #[derive(Debug)]
 struct DiskRead {
     block: u64,
@@ -272,6 +292,12 @@ pub struct Machine {
     /// Sharded buffer pool; a hit skips the disk entirely. Not wrapped in a
     /// machine-level mutex — each shard carries its own latch.
     pool: Option<ShardedBufferPool>,
+    /// Per pool shard, the deadline of each frame whose miss is issued and
+    /// not yet collected. A miss is accessed, reserved and entered under its
+    /// shard's latch, so no hit sees the frame resident before its deadline
+    /// is known. Empty when unthrottled (no read is ever in flight) or
+    /// unbuffered: the hit path then takes no latch beyond the pool's.
+    in_flight: Vec<Mutex<HashMap<(RelId, u64), Instant>>>,
     /// Wall-clock seconds per simulated second (0 disables sleeping).
     scale: f64,
     /// Injected fault schedule (`None` in fault-free operation).
@@ -312,6 +338,8 @@ impl Machine {
     ) -> Self {
         assert!(scale >= 0.0 && scale.is_finite(), "invalid time scale {scale}");
         let params = DiskParams::from_rates(cfg.seq_bw, cfg.almost_seq_bw, cfg.random_bw);
+        let pool = (pool_pages > 0).then(|| ShardedBufferPool::new(pool_pages, shards));
+        let in_flight_shards = pool.as_ref().filter(|_| scale > 0.0).map_or(0, |p| p.n_shards());
         Machine {
             layout: StripedLayout::new(cfg.n_disks),
             lanes: (0..cfg.n_disks)
@@ -324,7 +352,8 @@ impl Machine {
                 })
                 .collect(),
             cpu: CpuGate::new(cfg.n_procs),
-            pool: (pool_pages > 0).then(|| ShardedBufferPool::new(pool_pages, shards)),
+            pool,
+            in_flight: (0..in_flight_shards).map(|_| Mutex::default()).collect(),
             scale,
             faults: None,
             metrics: None,
@@ -438,9 +467,10 @@ impl Machine {
     /// Issue a read of `global_block` of `rel` without waiting for it:
     /// consult the buffer pool and, on a miss, classify the request against
     /// its disk's head state and reserve the disk's next free service
-    /// interval. The caller collects the page with [`Machine::finish_read`]
-    /// — at once for a blocking read, or after doing other work while the
-    /// disk serves it.
+    /// interval. A hit on a frame whose read is still in flight carries that
+    /// read's deadline. The caller collects the page with
+    /// [`Machine::finish_read`] — at once for a blocking read, or after doing
+    /// other work while the disk serves it.
     pub fn begin_read(
         &self,
         rel: RelId,
@@ -449,16 +479,23 @@ impl Machine {
         solo: bool,
     ) -> ReadTicket {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        let mut pinned = false;
-        if let Some(pool) = &self.pool {
-            match pool.access(rel, global_block) {
-                Ok(FetchOutcome::Hit) => return ReadTicket(None),
-                Ok(FetchOutcome::Miss) => pinned = true,
-                Err(_) => {
-                    // Shard exhausted by concurrent pins: bypass the pool.
-                }
+        let pool = self.pool.as_ref();
+        // Lock order: in-flight table → pool shard → disk lane.
+        let mut in_flight = pool
+            .filter(|_| self.scale > 0.0)
+            .map(|p| lock(&self.in_flight[p.shard_of(rel, global_block)]));
+        let pinned = match pool.map(|p| p.access(rel, global_block)) {
+            Some(Ok(FetchOutcome::Hit)) => {
+                let arrives = in_flight
+                    .and_then(|table| table.get(&(rel, global_block)).copied())
+                    .filter(|&deadline| deadline > Instant::now());
+                return ReadTicket(Pending::Hit(arrives));
             }
-        }
+            Some(Ok(FetchOutcome::Miss)) => true,
+            // No pool, or its shard is exhausted by concurrent pins: read
+            // around it.
+            Some(Err(_)) | None => false,
+        };
         let req = IoRequest {
             rel,
             local_block: self.layout.local_block(global_block),
@@ -466,7 +503,10 @@ impl Machine {
             solo,
         };
         let service = self.reserve(&req, global_block, true);
-        ReadTicket(Some(DiskRead { block: global_block, req, pinned, service }))
+        if let (true, Some(table), Some(deadline)) = (pinned, &mut in_flight, service.deadline) {
+            table.insert((rel, global_block), deadline);
+        }
+        ReadTicket(Pending::Disk(DiskRead { block: global_block, req, pinned, service }))
     }
 
     /// Wait for an issued read: sleep to its reservation's deadline, then —
@@ -476,12 +516,20 @@ impl Machine {
     /// full classified service time — a fault costs I/O, it does not refund
     /// it. Returns the service class of the disk read, or `None` on a
     /// buffer hit; with no fault plan attached this never errors. The pool
-    /// pin of a miss is returned on every path.
+    /// pin of a miss is returned on every path. A hit on a frame that was
+    /// in flight sleeps to the first attempt's deadline; a retry does not
+    /// move it.
     pub fn finish_read(&self, ticket: ReadTicket) -> Result<Option<ServiceClass>, IoFault> {
-        let Some(DiskRead { block, req, pinned, mut service }) = ticket.0 else { return Ok(None) };
+        let DiskRead { block, req, pinned, mut service } = match ticket.0 {
+            Pending::Hit(arrives) => {
+                await_deadline(arrives);
+                return Ok(None);
+            }
+            Pending::Disk(read) => read,
+        };
         let mut outcome = Err(IoFault { rel: req.rel, block, attempts: READ_ATTEMPTS });
         for attempt in 0..READ_ATTEMPTS {
-            self.await_service(service);
+            await_deadline(service.deadline);
             let faulted = self.faults.as_ref().is_some_and(|f| f.take_read_error(req.rel, block));
             if !faulted {
                 outcome = Ok(Some(service.class));
@@ -508,7 +556,7 @@ impl Machine {
                 // livelock under a retry storm. An unpin anomaly (double
                 // release under a retry race) is a typed error now: count it
                 // and keep serving rather than killing the worker.
-                if pool.finish_read(req.rel, block).is_err() {
+                if self.release_frame(pool, req.rel, block).is_err() {
                     if let Some(m) = &self.metrics {
                         m.unpin_anomalies.inc();
                     }
@@ -544,11 +592,19 @@ impl Machine {
         Service { class, deadline }
     }
 
-    /// Sleep until a reserved service completes (no-op when unthrottled).
-    fn await_service(&self, service: Service) {
-        if let Some(deadline) = service.deadline {
-            pace_until(Instant::now(), deadline);
+    /// A miss's read is collected: forget its deadline, then return its pin.
+    /// In that order: the page can miss again only once its frame is
+    /// unpinned, so the entry removed here is always this read's.
+    fn release_frame(
+        &self,
+        pool: &ShardedBufferPool,
+        rel: RelId,
+        block: u64,
+    ) -> Result<(), UnpinError> {
+        if self.scale > 0.0 {
+            lock(&self.in_flight[pool.shard_of(rel, block)]).remove(&(rel, block));
         }
+        pool.finish_read(rel, block)
     }
 
     /// The sharded buffer pool, when one is attached. The master's admission
@@ -574,8 +630,7 @@ impl Machine {
                 worker,
                 solo: false,
             };
-            let service = self.reserve(&req, b, false);
-            self.await_service(service);
+            await_deadline(self.reserve(&req, b, false).deadline);
         }
     }
 
@@ -608,7 +663,7 @@ impl Machine {
 
     /// Occupy the calling thread for `seconds` of simulated time on its
     /// model clock (retry backoff and CPU bursts; disk service waits on its
-    /// reservation's deadline instead, see [`Machine::await_service`]).
+    /// reservation's deadline instead, see [`await_deadline`]).
     fn sleep_sim(&self, seconds: f64) {
         if self.scale > 0.0 && seconds > 0.0 {
             let now = Instant::now();
@@ -876,32 +931,91 @@ mod tests {
 
     #[test]
     fn no_latch_is_held_while_reads_are_in_flight() {
-        // Eight reads at scale 1.0 keep every disk reserved for ≥ 57 ms; a
-        // stats snapshot taken meanwhile must not wait for any of them.
-        let m = Arc::new(machine(1.0));
-        let readers: Vec<_> = (0..8u64)
-            .map(|b| {
-                let m = m.clone();
-                std::thread::spawn(move || {
-                    let w = m.new_worker_id();
-                    read(&m, RelId(b + 1), b, w, false);
-                })
-            })
-            .collect();
-        while m.reads() < 8 {
-            std::thread::yield_now();
-        }
-        let mut fastest = Duration::MAX;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let _ = m.disk_class_total();
-            fastest = fastest.min(t0.elapsed());
-        }
-        assert!(fastest < Duration::from_millis(1), "snapshot blocked for {fastest:?}");
-        for r in readers {
-            r.join().expect("reader must not panic");
-        }
+        // Eight reads at scale 1.0 keep every disk reserved for ≥ 57 ms, and
+        // a sibling reader of each page hits its frame mid-read and waits
+        // for it; a snapshot of every lane and in-flight table taken
+        // meanwhile must not wait for any of them.
+        let m = Machine::with_sharded_pool(&MachineConfig::paper_default(), 1.0, 64, 4);
+        std::thread::scope(|s| {
+            for b in (0..8u64).chain(0..8) {
+                let m = &m;
+                s.spawn(move || read(m, RelId(b + 1), b, m.new_worker_id(), false));
+            }
+            while m.reads() < 16 {
+                std::thread::yield_now();
+            }
+            let mut fastest = Duration::MAX;
+            for _ in 0..3 {
+                let t0 = Instant::now();
+                let _ = m.disk_class_total();
+                for table in &m.in_flight {
+                    drop(lock(table));
+                }
+                fastest = fastest.min(t0.elapsed());
+            }
+            assert!(fastest < Duration::from_millis(1), "snapshot blocked for {fastest:?}");
+        });
         assert_eq!(m.disk_class_total().total_count(), 8);
+        let s = m.stats();
+        assert_eq!((s.pool.hits, s.pool.misses), (8, 8), "one read and one sibling hit a page");
+        assert_eq!(m.pool_pinned(), 0);
+        assert!(m.in_flight.iter().all(|t| lock(t).is_empty()), "a collected read left its entry");
+    }
+
+    /// The deadline a throttled miss reserved.
+    fn deadline_of(ticket: &ReadTicket) -> Instant {
+        match &ticket.0 {
+            Pending::Disk(read) => read.service.deadline.expect("a throttled read has a deadline"),
+            Pending::Hit(_) => panic!("expected a miss"),
+        }
+    }
+
+    #[test]
+    fn a_hit_on_a_page_still_being_read_waits_for_that_read() {
+        // Scale 1.0: the cold read is ≈ 28.6 ms of wall. Another worker's
+        // hit on the frame, taken while the read is in flight, carries the
+        // read's deadline and is not collected before it.
+        let m = Machine::with_sharded_pool(&MachineConfig::paper_default(), 1.0, 8, 1);
+        let miss = m.begin_read(RelId(1), 0, m.new_worker_id(), false);
+        let deadline = deadline_of(&miss);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let hit = m.begin_read(RelId(1), 0, m.new_worker_id(), false);
+                assert!(matches!(hit.0, Pending::Hit(Some(d)) if d == deadline));
+                assert_eq!(m.finish_read(hit), Ok(None), "a hit reads no disk");
+                assert!(Instant::now() >= deadline, "the hit computed on a page not yet read");
+            });
+        });
+        assert!(m.finish_read(miss).expect("fault-free read").is_some());
+        assert_eq!(m.stats().disk.total(), 1, "the sibling's wait reserved no disk");
+    }
+
+    #[test]
+    fn a_hit_on_a_settled_frame_is_an_empty_ticket() {
+        let m = Machine::with_sharded_pool(&MachineConfig::paper_default(), 1.0, 8, 1);
+        let w = m.new_worker_id();
+        // Past its deadline but not yet collected (a read-ahead seat), and
+        // then collected: neither leaves anything to wait for.
+        let miss = m.begin_read(RelId(1), 0, w, false);
+        std::thread::sleep(deadline_of(&miss).saturating_duration_since(Instant::now()));
+        assert!(matches!(m.begin_read(RelId(1), 0, w, false).0, Pending::Hit(None)));
+        assert!(m.finish_read(miss).expect("fault-free read").is_some());
+        assert!(matches!(m.begin_read(RelId(1), 0, w, false).0, Pending::Hit(None)));
+        assert!(lock(&m.in_flight[0]).is_empty());
+    }
+
+    #[test]
+    fn an_unthrottled_hit_touches_no_new_latch() {
+        // Unthrottled, nothing is ever in flight and the machine has no
+        // in-flight table at all: a read path that touched one would index
+        // an empty table and panic.
+        let m = Machine::with_sharded_pool(&MachineConfig::paper_default(), 0.0, 8, 2);
+        assert!(m.in_flight.is_empty());
+        let w = m.new_worker_id();
+        assert!(read(&m, RelId(1), 3, w, true).is_some());
+        let hit = m.begin_read(RelId(1), 3, w, true);
+        assert!(matches!(hit.0, Pending::Hit(None)));
+        assert_eq!(m.finish_read(hit), Ok(None));
     }
 
     #[test]

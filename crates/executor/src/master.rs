@@ -759,8 +759,10 @@ impl<'a> MasterRun<'a> {
         slot.prof.staffed = ctx.staffed.load(Ordering::Relaxed);
         slot.prof.parallelism = ctx.target_parallelism.load(Ordering::Relaxed);
         slot.prof.backends = ctx.backends.load(Ordering::Relaxed);
-        slot.prof.heartbeats =
-            lock(&ctx.heartbeats).iter().map(|b| b.load(Ordering::Relaxed)).sum();
+        let beats: Vec<u64> =
+            lock(&ctx.heartbeats).iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        slot.prof.heartbeats = beats.iter().sum();
+        slot.prof.idle_slots = beats.iter().filter(|&&b| b <= 1).count() as u64;
         if let Some(spec) = &ctx.spill {
             slot.spill_chunks = spec.chunks.load(Ordering::Relaxed);
             slot.spill_rows = spec.rows.load(Ordering::Relaxed);

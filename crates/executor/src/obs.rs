@@ -136,7 +136,10 @@ pub struct FragmentProfile {
     pub started_at: f64,
     /// Wall seconds from run start to fragment finish.
     pub finished_at: f64,
-    /// Work units (pages or keys) the fragment completed.
+    /// Work units the fragment completed: pages or keys — or, on a page
+    /// scan with fewer pages than backends, page slices (`pages ×
+    /// backends` of them; each page still counts once in
+    /// `observed_pages`).
     pub units: u64,
     /// Worker jobs staffed over the fragment's life (initial staffing,
     /// adjustment growth, patrol replacements).
@@ -149,6 +152,9 @@ pub struct FragmentProfile {
     pub adjusts: u64,
     /// Heartbeat ticks its workers recorded (startup + one per unit).
     pub heartbeats: u64,
+    /// Worker slots whose heartbeat never moved past startup: staffed
+    /// backends that finished no unit.
+    pub idle_slots: u64,
     /// How its output was materialized.
     pub merge: MergeProfile,
     /// Pages its workers actually read — buffer-pool hits and re-reads

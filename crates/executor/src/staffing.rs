@@ -43,7 +43,8 @@ impl Executor {
         }
 
         // The fragment's unit space per driver: pages for a sequential
-        // scan, a key interval for index scans and key-domain walks.
+        // scan (cut into tuple slices when there are fewer pages than
+        // backends), a key interval for index scans and key-domain walks.
         let missing = |name: &str| ControlFail::Relation { fragment: gid, name: name.to_string() };
         let units = match frags[gid].program.driver {
             Driver::PageScan { rel } => {
@@ -75,19 +76,23 @@ impl Executor {
                 UnitSpace::Keys { lo, hi }
             }
         };
-        let total_units = units.total();
-        let n_backends = self.backends_for(x, &frags[gid].profile, total_units);
+        let n_backends = self.backends_for(x, &frags[gid].profile, units.total());
+        let page_slices = match units {
+            UnitSpace::Pages(pages) => page_slices(pages, n_backends),
+            UnitSpace::Keys { .. } => 1,
+        };
+        let total_units = units.total() * page_slices;
         // Heavy hitters of a key-domain merge are decided before staffing:
         // the workers are born knowing which keys to skip, and the master
         // owes their output at materialization.
         let hot_keys = self.hot_join_keys(&frags[gid].program, &inputs, &units);
         let mut part =
             StealPartition::new(total_units, self.cfg.morsel_units, n_backends, gid as u64);
-        // Page-scan units are striped blocks (`unit % n_disks` = home
+        // Whole-page units are striped blocks (`unit % n_disks` = home
         // disk): steal disk-affine so a rescue steal doesn't degrade two
-        // disks' service class. Key-space fragments have no unit→disk
-        // mapping, so they steal blind.
-        if matches!(frags[gid].program.driver, Driver::PageScan { .. }) {
+        // disks' service class. Key-space and sliced fragments have no
+        // unit→disk mapping, so they steal blind.
+        if matches!(frags[gid].program.driver, Driver::PageScan { .. }) && page_slices == 1 {
             part = part.with_disks(self.cfg.machine.n_disks);
         }
 
@@ -127,6 +132,7 @@ impl Executor {
             inputs,
             part: Arc::new(part),
             key_base: units.base(),
+            page_slices,
             exited_slots: std::sync::Mutex::new(Vec::new()),
             heartbeats: std::sync::Mutex::new(Vec::new()),
             units_done: AtomicU64::new(0),
@@ -250,6 +256,22 @@ fn staff_backends(
     x.max((by_rate as u32).min(whole_morsels))
 }
 
+/// Tuple slices each page of a `pages`-page scan is cut into when it is
+/// dealt over `backends`: one per backend when the pages alone cannot staff
+/// them all, else 1. A page is otherwise the smallest unit of work, so a
+/// 6-page scan at 8 backends would leave two idle and take a whole page's
+/// CPU instead of `T/8`; sliced, every backend evaluates an equal share of
+/// the tuples. Sibling slices read their page through the buffer pool, and
+/// a hit on the page while its read is in flight waits for that read
+/// (`io.rs`).
+pub(crate) fn page_slices(pages: u64, backends: u32) -> u64 {
+    if pages < u64::from(backends) {
+        u64::from(backends)
+    } else {
+        1
+    }
+}
+
 /// Rows one backend may buffer before cutting a spill run, so that
 /// `backends` of them together stay inside the fragment's grant.
 pub(crate) fn spill_threshold(grant_bytes: u64, backends: u32, row_bytes: usize) -> usize {
@@ -293,6 +315,15 @@ mod tests {
         // A machine whose parallel reads cost what solo reads do has δ = 0.
         let flat = MachineConfig { almost_seq_bw: 97.0, random_bw: 35.0, ..m };
         assert_eq!(staff_backends(4, &scan(83.0), &flat, big, 16), 4);
+    }
+
+    #[test]
+    fn pages_are_sliced_only_when_fewer_than_backends() {
+        // (pages, backends) → slices per page.
+        let table = [(6, 8, 8), (7, 8, 8), (8, 8, 1), (9, 8, 1), (1, 1, 1), (400, 9, 1)];
+        for (pages, backends, want) in table {
+            assert_eq!(page_slices(pages, backends), want, "{pages} pages over {backends}");
+        }
     }
 
     #[test]

@@ -162,6 +162,10 @@ pub(crate) struct FragCtx {
     pub part: Arc<StealPartition>,
     /// Key a unit index of 0 maps to (0 for page scans).
     pub key_base: i64,
+    /// Tuple slices each heap page of a page scan is cut into (1 on every
+    /// other driver): unit `u` is slice `u % page_slices` of page
+    /// `u / page_slices`. See `staffing::page_slices`.
+    pub page_slices: u64,
     /// Slots whose worker has exited (may be re-staffed on adjust).
     pub exited_slots: Mutex<Vec<usize>>,
     /// Per-slot liveness counters, bumped once at startup and once per
@@ -169,7 +173,7 @@ pub(crate) struct FragCtx {
     /// still has work — and which never registered in `exited_slots` — is
     /// presumed dead by the master's patrol and its share reclaimed.
     pub heartbeats: Mutex<Vec<Arc<AtomicU64>>>,
-    /// Completed work units (pages or keys).
+    /// Completed work units (pages, page slices or keys).
     pub units_done: AtomicU64,
     /// Total work units.
     pub total_units: u64,
@@ -202,7 +206,8 @@ pub(crate) struct FragCtx {
     /// Heap pages this fragment actually read (observed footprint), for the
     /// declared-vs-observed memory audit. Counts every page read issued,
     /// including re-reads after eviction — an upper bound on the working
-    /// set, compared against the declared grant pages at completion.
+    /// set, compared against the declared grant pages at completion. A
+    /// sliced page counts once, at its slice 0.
     pub pages_read: AtomicU64,
     /// Master notification channel.
     pub done_tx: Sender<MasterMsg>,
@@ -336,11 +341,7 @@ impl<'m> WorkerState<'m> {
     fn await_read(&mut self, ctx: &FragCtx, ticket: Option<ReadTicket>) -> bool {
         let Some(ticket) = ticket else { return false };
         match self.machine.finish_read(ticket) {
-            Ok(_) if self.io_fault.is_none() => {
-                ctx.pages_read.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Ok(_) => false,
+            Ok(_) => self.io_fault.is_none(),
             Err(fault) => {
                 self.io_fault.get_or_insert(fault);
                 ctx.aborted.store(true, Ordering::Relaxed);
@@ -352,7 +353,22 @@ impl<'m> WorkerState<'m> {
     /// One blocking page read: issue and collect back to back.
     fn read(&mut self, ctx: &FragCtx, rel: RelId, block: u64, solo: bool) -> bool {
         let ticket = self.issue_read(rel, block, solo);
-        self.await_read(ctx, ticket)
+        let ok = self.await_read(ctx, ticket);
+        if ok {
+            ctx.pages_read.fetch_add(1, Ordering::Relaxed);
+        }
+        ok
+    }
+
+    /// An index-driven unit found no index on `relation`: a planning /
+    /// catalog mismatch, not a worker bug. Record it once and flag the
+    /// fragment to drain; the master surfaces it as
+    /// [`ExecError::IndexMissing`](crate::ExecError::IndexMissing).
+    fn index_missing(&mut self, ctx: &FragCtx, relation: &Relation) {
+        if self.index_fault.is_none() {
+            self.index_fault = Some(relation.name.clone());
+        }
+        ctx.aborted.store(true, Ordering::Relaxed);
     }
 
     /// Emit one result tuple. This touches no shared state at all: the
@@ -512,6 +528,7 @@ pub(crate) fn run_worker(
                     Some(WorkerFaultKind::Stall { millis }) => {
                         std::thread::sleep(Duration::from_millis(millis));
                     }
+                    Some(WorkerFaultKind::Panic) => panic!("injected worker panic"),
                     None => {}
                 }
             }
@@ -586,27 +603,32 @@ fn flush_steal_counts(metrics: &Option<Arc<ExecMetrics>>, steals: u64, fails: u6
     }
 }
 
-/// A claimed heap page whose read is issued and not yet collected.
+/// A claimed heap page (or slice of one) whose read is issued and not yet
+/// collected.
 struct PageRead<'c> {
     /// Index of the scanned relation among the query's bindings.
     rel: usize,
     relation: &'c Relation,
     page: u64,
+    /// Which of the page's `ctx.page_slices` tuple slices this unit is.
+    slice: u64,
     ticket: Option<ReadTicket>,
 }
 
-/// Page-scan driver, first half: issue the read of a claimed heap page.
+/// Page-scan driver, first half: issue the read of a claimed unit's page.
 fn issue_page<'c>(
     ctx: &FragCtx,
     catalog: &'c Catalog,
-    page: u64,
+    unit: u64,
     ws: &mut WorkerState<'_>,
 ) -> PageRead<'c> {
     let Driver::PageScan { rel } = ctx.program.driver else {
         unreachable!("page unit on a non-page driver");
     };
     let relation = ctx.relation(catalog, rel);
-    PageRead { rel, relation, page, ticket: ws.issue_read(relation.heap.rel(), page, ctx.solo()) }
+    let (page, slice) = (unit / ctx.page_slices, unit % ctx.page_slices);
+    let ticket = ws.issue_read(relation.heap.rel(), page, ctx.solo());
+    PageRead { rel, relation, page, slice, ticket }
 }
 
 /// One page of read-ahead, claim-first: `next` — a page this worker has
@@ -627,15 +649,22 @@ fn read_ahead<'c>(
     true
 }
 
-/// Page-scan driver, second half: collect the page, filter, run the
-/// pipeline.
+/// Page-scan driver, second half: collect the page, then filter and run
+/// the pipeline over the tuples of this unit's slice — and charge only
+/// those.
 fn finish_page(ctx: &FragCtx, catalog: &Catalog, read: PageRead<'_>, ws: &mut WorkerState<'_>) {
     if !ws.await_read(ctx, read.ticket) {
         return;
     }
+    if read.slice == 0 {
+        ctx.pages_read.fetch_add(1, Ordering::Relaxed);
+    }
     let p = read.relation.heap.page(read.page);
-    ws.charge_cpu(p.n_tuples() as f64 * CPU_TUPLE);
-    for (_, tuple) in p.iter() {
+    let n = p.n_tuples() as u64;
+    let lo = (n * read.slice / ctx.page_slices) as usize;
+    let hi = (n * (read.slice + 1) / ctx.page_slices) as usize;
+    ws.charge_cpu((hi - lo) as f64 * CPU_TUPLE);
+    for (_, tuple) in p.iter().skip(lo).take(hi - lo) {
         let Some(key) = tuple.get(0).as_int() else { continue };
         if ctx.rels[read.rel].admits(key) {
             pipeline(ctx, catalog, key, tuple.clone(), 0, ws);
@@ -649,10 +678,10 @@ fn scan_key(ctx: &FragCtx, catalog: &Catalog, key: i64, ws: &mut WorkerState<'_>
     match ctx.program.driver {
         Driver::KeyScan { rel } => {
             let relation = ctx.relation(catalog, rel);
-            let idx = relation
-                .index_on_a
-                .as_ref()
-                .unwrap_or_else(|| panic!("index scan over unindexed {}", relation.name));
+            let Some(idx) = relation.index_on_a.as_ref() else {
+                ws.index_missing(ctx, relation);
+                return;
+            };
             let postings = idx.lookup(key);
             ws.charge_cpu(postings.len().max(1) as f64 * CPU_TUPLE);
             for &tid in postings {
@@ -731,14 +760,7 @@ fn pipeline(
             }
             let relation = ctx.relation(catalog, *rel);
             let Some(idx) = relation.index_on_a.as_ref() else {
-                // A merge-indexed probe over an unindexed relation is a
-                // planning/catalog mismatch, not a worker bug: record it
-                // once, flag the fragment to drain, and let the master
-                // surface the typed error.
-                if ws.index_fault.is_none() {
-                    ws.index_fault = Some(relation.name.clone());
-                }
-                ctx.aborted.store(true, Ordering::Relaxed);
+                ws.index_missing(ctx, relation);
                 return;
             };
             for &tid in idx.lookup(key) {

@@ -1,8 +1,9 @@
 //! Cancellation safety under arbitrary timing: queries cancelled at random
 //! unit boundaries — including mid-spill (oversized builds under a tiny
-//! granted pool) and mid-steal (morsel mode is the stealing default) — must
-//! leave a balanced grant ledger, zero pinned pages at exit, and
-//! byte-identical rows for every query that survived.
+//! granted pool), mid-steal (morsel mode is the stealing default) and
+//! mid-slice (a page scan with fewer pages than backends) — must leave a
+//! balanced grant ledger, zero pinned pages at exit, and byte-identical rows
+//! for every query that survived.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,9 +13,14 @@ use xprs_disk::StripedLayout;
 use xprs_executor::{CancelToken, ExecConfig, ExecReport, Executor, QueryRun, RelBinding};
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
+use xprs_scheduler::intra::IntraOnly;
+use xprs_scheduler::policy::SchedulePolicy;
 use xprs_scheduler::MachineConfig;
-use xprs_storage::Catalog;
+use xprs_storage::{Catalog, Datum, Schema, Tuple};
 use xprs_workload::{generate_oversized_build, OversizedBuildSpec, OversizedBuildWorkload};
+
+#[path = "common/oracle.rs"]
+mod oracle;
 
 /// Tiny pool so the oversized builds must spill under grants — a cancel
 /// landing mid-run has a good chance of landing mid-spill.
@@ -68,6 +74,7 @@ fn run_with_cancels(
     cat: &Arc<Catalog>,
     runs: &[QueryRun],
     delays: &[Option<Option<u64>>],
+    policy: &mut dyn SchedulePolicy,
 ) -> ExecReport {
     assert_eq!(runs.len(), delays.len());
     let tokens: Vec<CancelToken> = delays.iter().map(|_| CancelToken::new()).collect();
@@ -87,7 +94,7 @@ fn run_with_cancels(
         }
     }
     let report = Executor::new(cfg, cat.clone())
-        .run_with_cancel(runs, &mut policy(), &tokens)
+        .run_with_cancel(runs, policy, &tokens)
         .expect("cancelled run must still return a report");
     for f in firers {
         f.join().expect("cancel firer panicked");
@@ -95,9 +102,9 @@ fn run_with_cancels(
     report
 }
 
-/// The invariants every cancelled run must satisfy, against an
-/// uncancelled reference.
-fn check(report: &ExecReport, reference: &ExecReport) -> Result<(), String> {
+/// The invariants every cancelled run must satisfy, against the rows each
+/// query returns uncancelled.
+fn check(report: &ExecReport, want: &[Vec<(i32, Tuple)>]) -> Result<(), String> {
     if report.mem_granted_pages != report.mem_released_pages {
         return Err(format!(
             "grant ledger out of balance: granted {} released {}",
@@ -112,11 +119,11 @@ fn check(report: &ExecReport, reference: &ExecReport) -> Result<(), String> {
             if !report.results[qi].rows.rows.is_empty() {
                 return Err(format!("cancelled query {qi} still produced rows"));
             }
-        } else if report.results[qi].rows.rows != reference.results[qi].rows.rows {
+        } else if report.results[qi].rows.rows != want[qi] {
             return Err(format!(
                 "surviving query {qi} diverged from the reference ({} vs {} tuples)",
                 report.results[qi].rows.rows.len(),
-                reference.results[qi].rows.rows.len()
+                want[qi].len()
             ));
         }
     }
@@ -132,7 +139,7 @@ fn mass_prefired_cancellation_releases_everything() {
     let cat = catalog_for(&wl);
     let runs = runs_for(&cat, &wl);
     let delays = vec![Some(None); runs.len()];
-    let report = run_with_cancels(granted_cfg(), &cat, &runs, &delays);
+    let report = run_with_cancels(granted_cfg(), &cat, &runs, &delays, &mut policy());
     assert!(report.cancelled.iter().all(|&c| c), "pre-fired tokens must cancel every query");
     assert!(report.results.iter().all(|r| r.rows.rows.is_empty()));
     assert_eq!(report.mem_granted_pages, report.mem_released_pages);
@@ -188,11 +195,12 @@ proptest! {
             })
             .collect();
 
-        let report = run_with_cancels(granted_cfg(), &cat, &runs, &delays);
+        let report = run_with_cancels(granted_cfg(), &cat, &runs, &delays, &mut policy());
         let reference = Executor::new(ExecConfig::unthrottled(), cat.clone())
             .run(&runs, &mut policy());
         prop_assert!(reference.is_ok(), "reference run died: {}", reference.unwrap_err());
-        let reference = reference.unwrap();
+        let reference: Vec<_> =
+            reference.unwrap().results.iter().map(|r| r.rows.rows.clone()).collect();
 
         // A query whose token never fired must not be reported cancelled.
         for (qi, d) in delays.iter().enumerate() {
@@ -203,6 +211,78 @@ proptest! {
         let verdict = check(&report, &reference);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
+
+    /// The sliced shape: a six-page CPU-bound scan at all eight processors
+    /// is dealt as 48 tuple slices, alone and as the probe of a join, at
+    /// 10× so a cancel lands mid-slice with sibling slices waiting on a page
+    /// still being read. Survivors match the oracle.
+    #[test]
+    fn cancellation_mid_slice_is_leak_free_and_answer_preserving(
+        cancel_mask in 1u8..4,           // at least one of 2 queries cancelled
+        delay_us in 0u64..10_000,        // mid-run window: 0–10 ms
+    ) {
+        let cat = sliced_catalog();
+        let runs = sliced_runs(&cat);
+        let delays: Vec<Option<Option<u64>>> = (0..runs.len())
+            .map(|qi| (cancel_mask & (1 << qi) != 0).then_some(Some(delay_us + 500 * qi as u64)))
+            .collect();
+        let cfg = ExecConfig::scaled(10.0).with_patrol(2, 3);
+        let mut intra = IntraOnly::new(MachineConfig::paper_default(), true);
+        let report = run_with_cancels(cfg, &cat, &runs, &delays, &mut intra);
+        let want: Vec<_> =
+            runs.iter().map(|r| oracle::eval(&cat, &r.optimized.plan, &r.bindings)).collect();
+        if !report.cancelled[0] {
+            let scan = &report.profiles[0].fragments[0];
+            prop_assert_eq!(scan.units, SLICED_PAGES * 8, "the scan was not sliced");
+        }
+        let verdict = check(&report, &want);
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+    }
+}
+
+/// Pages of the sliced relation `tiny`.
+const SLICED_PAGES: u64 = 6;
+
+/// `tiny`: 1 600 short tuples, 272 to a page — six pages, a CPU-bound
+/// scan. `wide`: 240 tuples of ~800 bytes, the 24-page build side of a join
+/// that probes `tiny`. Rows of one key are identical, so the oracle's
+/// canonical order is the executor's key order.
+fn sliced_catalog() -> Arc<Catalog> {
+    let mut cat = Catalog::new(StripedLayout::new(4));
+    let mut seed = 0x511C_u64;
+    for (name, n, blen) in [("tiny", 1_600u64, 16usize), ("wide", 240, 800)] {
+        cat.create(name, Schema::paper_rel());
+        let rows: Vec<Tuple> = (0..n)
+            .map(|_| {
+                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let a = ((seed >> 33) % 60) as i32;
+                Tuple::from_values(vec![Datum::Int(a), Datum::Text("x".repeat(blen))])
+            })
+            .collect();
+        cat.load(name, rows);
+    }
+    assert_eq!(cat.get("tiny").expect("loaded").heap.n_blocks(), SLICED_PAGES);
+    Arc::new(cat)
+}
+
+/// A selection over `tiny`, and a join of `wide` (build) with `tiny`
+/// (probe).
+fn sliced_runs(cat: &Catalog) -> Vec<QueryRun> {
+    let opt = TwoPhaseOptimizer::paper_default();
+    let all = |name: &str| RelBinding { name: name.into(), pred: (i32::MIN, i32::MAX) };
+    let join = Query::join().rel("wide", 1.0).rel("tiny", 1.0).on(0, 1).build();
+    vec![
+        QueryRun {
+            optimized: opt
+                .optimize_catalog(cat, &Query::selection("tiny", 1.0), Costing::SeqCost)
+                .expect("plan"),
+            bindings: vec![all("tiny")],
+        },
+        QueryRun {
+            optimized: opt.optimize_catalog(cat, &join, Costing::SeqCost).expect("plan"),
+            bindings: vec![all("wide"), all("tiny")],
+        },
+    ]
 }
 
 /// Regression: a token that fires *after* its query already completed is
@@ -217,7 +297,7 @@ fn late_token_never_marks_a_completed_query_cancelled() {
     for _ in 0..10 {
         // One pre-fired, one racing completion, one never fired.
         let delays = vec![Some(None), Some(Some(9_107)), None];
-        let report = run_with_cancels(granted_cfg(), &cat, &runs, &delays);
+        let report = run_with_cancels(granted_cfg(), &cat, &runs, &delays, &mut policy());
         for (qi, &c) in report.cancelled.iter().enumerate() {
             assert!(
                 !c || report.results[qi].rows.rows.is_empty(),

@@ -4,7 +4,9 @@
 //! degradation patrol, which recalibrates the policy), and a worker death
 //! (detected by the heartbeat patrol, which reclaims the dead slot's
 //! partition share and staffs a replacement) — and still returns results
-//! identical to a fault-free run.
+//! identical to a fault-free run, also when the dead worker was mid-way
+//! through the tuple slices of a page scan too small to give every backend
+//! a page.
 
 use std::sync::{Arc, Mutex};
 
@@ -31,6 +33,7 @@ fn catalog() -> Arc<Catalog> {
     for (name, n, key_mod, blen) in [
         ("fat", 400u64, 100u64, 800usize), // IO-heavy: ~10 tuples per page
         ("thin", 3000, 150, 16),           // CPU-heavy: many tuples per page
+        ("tiny", 1600, 60, 16),            // CPU-heavy, six pages: sliced at x = 8
     ] {
         cat.create(name, Schema::paper_rel());
         let rows: Vec<Tuple> = (0..n)
@@ -65,13 +68,32 @@ fn join_run(cat: &Arc<Catalog>) -> QueryRun {
     }
 }
 
+/// A selection over all of `name`.
+fn scan_run(cat: &Arc<Catalog>, name: &str) -> QueryRun {
+    QueryRun {
+        optimized: TwoPhaseOptimizer::paper_default()
+            .optimize_catalog(cat, &Query::selection(name, 1.0), Costing::SeqCost)
+            .expect("plan"),
+        bindings: vec![RelBinding { name: name.into(), pred: (i32::MIN, i32::MAX) }],
+    }
+}
+
 fn run_with(cat: &Arc<Catalog>, cfg: ExecConfig, sink: Option<SharedSink>) -> ExecReport {
+    run_query(cat, join_run(cat), cfg, sink)
+}
+
+fn run_query(
+    cat: &Arc<Catalog>,
+    run: QueryRun,
+    cfg: ExecConfig,
+    sink: Option<SharedSink>,
+) -> ExecReport {
     let mut exec = Executor::new(cfg, cat.clone());
     if let Some(sink) = sink {
         exec = exec.with_trace(sink);
     }
     let mut policy = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(m()));
-    exec.run(&[join_run(cat)], &mut policy).expect("run failed")
+    exec.run(&[run], &mut policy).expect("run failed")
 }
 
 /// The issue's acceptance scenario: two transient read errors + one
@@ -218,4 +240,26 @@ fn retry_storm_under_tiny_pool_completes_without_pin_leaks() {
         baseline.results[0].rows.rows, report.results[0].rows.rows,
         "retry storm must not change the result"
     );
+}
+
+/// A worker death mid-slice: `tiny`'s six pages at all eight processors are
+/// dealt as 48 tuple slices, six per backend, and slot 3 dies after claiming
+/// two of them. The patrol hands the four it never claimed to a replacement;
+/// every slice is finished exactly once and the rows are the fault-free
+/// run's.
+#[test]
+fn worker_death_mid_slice_matches_fault_free_run() {
+    let cat = catalog();
+    let baseline = run_query(&cat, scan_run(&cat, "tiny"), ExecConfig::unthrottled(), None);
+    let plan = Arc::new(FaultPlan::new().with_worker_death(0, 3, 2));
+    let cfg = ExecConfig::unthrottled().with_faults(plan.clone());
+    let report = run_query(&cat, scan_run(&cat, "tiny"), cfg, None);
+
+    assert_eq!(plan.stats().deaths_fired(), 1, "the death must fire");
+    assert!(report.worker_recoveries >= 1, "patrol must replace the dead worker");
+    let scan = &report.profiles[0].fragments[0];
+    assert_eq!(scan.units, 6 * 8, "every slice of the six pages finished exactly once");
+    assert_eq!(report.pool_pinned_at_exit, 0);
+    assert_eq!(baseline.results[0].rows.rows, report.results[0].rows.rows);
+    assert!(!report.results[0].rows.rows.is_empty(), "vacuous comparison");
 }

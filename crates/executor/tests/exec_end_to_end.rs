@@ -5,9 +5,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use xprs_disk::StripedLayout;
+use xprs_disk::{FaultPlan, StripedLayout};
 use xprs_executor::{CancelToken, ExecConfig, ExecError, Executor, QueryRun, RelBinding};
-use xprs_optimizer::{Costing, Plan, Query, TwoPhaseOptimizer};
+use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::intra::IntraOnly;
 use xprs_scheduler::{MachineConfig, SchedulePolicy};
@@ -186,33 +186,22 @@ fn multi_query_run_returns_each_querys_rows() {
 
 /// A worker panic must come back as [`ExecError::WorkerPanicked`] with the
 /// remaining workers drained — not take the process down or hang the
-/// master. Forced by optimizing an index-scan plan against an indexed
-/// catalog, then executing it on a catalog whose relation has no index.
+/// master. Forced by an injected panic in slot 0 before its first unit.
 #[test]
 fn worker_panic_surfaces_as_exec_error() {
-    let indexed = catalog();
+    let cat = catalog();
     let q = Query::selection("thin", 0.05);
     let bindings = vec![RelBinding { name: "thin".into(), pred: (0, 7) }];
-    let mut optimized = optimizer().optimize_catalog(&indexed, &q, Costing::SeqCost).expect("plan");
-    // Force the index-access path; a selection decomposes into one fragment
-    // either way, so only the worker's driver changes.
-    optimized.plan = Plan::IndexScan { rel: 0 };
-
-    // Same relation, same rows, no index.
-    let mut bare = Catalog::new(xprs_disk::StripedLayout::new(4));
-    bare.create("thin", Schema::paper_rel());
-    let rows: Vec<Tuple> =
-        indexed.get("thin").unwrap().heap.scan().map(|(_, t)| t.clone()).collect();
-    bare.load("thin", rows);
-
-    let exec = Executor::new(ExecConfig::unthrottled(), Arc::new(bare));
+    let optimized = optimizer().optimize_catalog(&cat, &q, Costing::SeqCost).expect("plan");
+    let faults = Arc::new(FaultPlan::new().with_worker_panic(0, 0, 0));
+    let exec = Executor::new(ExecConfig::unthrottled().with_faults(faults), cat);
     let mut policy = IntraOnly::new(m(), true);
     let err = exec
         .run(&[QueryRun { optimized, bindings }], &mut policy)
-        .expect_err("run over a missing index must fail");
+        .expect_err("a panicking worker must fail the run");
     match err {
         ExecError::WorkerPanicked { message, .. } => {
-            assert!(message.contains("index"), "unexpected panic payload: {message}");
+            assert!(message.contains("injected"), "unexpected panic payload: {message}");
         }
         other => panic!("expected WorkerPanicked, got {other:?}"),
     }

@@ -225,15 +225,13 @@ fn oracle_self_check() {
     assert!(oracle::check(&[row(2, "c"), row(1, "a"), row(1, "b")], &want).is_err());
 }
 
-/// Satellite: the merge-indexed probe over an unindexed relation is a
-/// typed [`ExecError::IndexMissing`], not a worker panic.
-#[test]
-fn merge_indexed_over_unindexed_is_a_typed_error() {
-    // `left` is indexed (the KeyScan driver needs it); `right` is not, so
-    // the MergeIndexed pipeline op hits the missing-index path.
+/// A merge join of index scans over `left` (driving the key scan) and
+/// `right` (probed merge-indexed), planned as if both were indexed;
+/// `indexed` says which really are — the runtime catalog disagrees.
+fn merge_of_index_scans(indexed: [bool; 2]) -> (Arc<Catalog>, QueryRun) {
     let mut cat = Catalog::new(StripedLayout::new(4));
     let mut seed = 0x5EED_u64;
-    for (name, indexed) in [("left", true), ("right", false)] {
+    for (name, indexed) in [("left", indexed[0]), ("right", indexed[1])] {
         cat.create(name, Schema::paper_rel());
         let rows: Vec<Tuple> = (0..200)
             .map(|_| {
@@ -269,13 +267,40 @@ fn merge_indexed_over_unindexed_is_a_typed_error() {
     let fragments = decompose(&plan, &costed, 0);
     let optimized =
         OptimizedQuery { seqcost: costed.cost.total_cost, parcost: 0.0, plan, fragments };
-    let exec = Executor::new(ExecConfig::unthrottled(), cat.clone());
+    (cat, QueryRun { optimized, bindings: bindings(&["left", "right"]) })
+}
+
+/// Run `run` to its error; no page may stay pinned behind it.
+fn run_to_error(cat: Arc<Catalog>, run: QueryRun) -> ExecError {
+    let exec = Executor::new(ExecConfig::unthrottled(), cat);
+    let session = exec.session();
     let mut policy = IntraOnly::new(MachineConfig::paper_default(), true);
     let err = exec
-        .run(&[QueryRun { optimized, bindings: bindings(&["left", "right"]) }], &mut policy)
-        .expect_err("probe over unindexed relation must fail");
-    match err {
+        .run_shared(&session, &[run], &mut policy, &[])
+        .expect_err("a scan over an unindexed relation must fail");
+    assert_eq!(session.pinned_pages(), 0, "the failed run left a page pinned");
+    session.shutdown();
+    err
+}
+
+/// The merge-indexed probe over an unindexed relation is a
+/// typed [`ExecError::IndexMissing`], not a worker panic.
+#[test]
+fn merge_indexed_over_unindexed_is_a_typed_error() {
+    let (cat, run) = merge_of_index_scans([true, false]);
+    match run_to_error(cat, run) {
         ExecError::IndexMissing { name, .. } => assert_eq!(name, "right"),
+        other => panic!("expected IndexMissing, got {other:?}"),
+    }
+}
+
+/// The key scan that drives the merge finds no index on `left`: the same
+/// typed error, not a worker panic surfacing as `WorkerPanicked`.
+#[test]
+fn index_scan_over_unindexed_is_a_typed_error() {
+    let (cat, run) = merge_of_index_scans([false, true]);
+    match run_to_error(cat, run) {
+        ExecError::IndexMissing { name, .. } => assert_eq!(name, "left"),
         other => panic!("expected IndexMissing, got {other:?}"),
     }
 }

@@ -80,11 +80,14 @@ impl TimeSum {
         self.0.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Add `secs` seconds (saturating at ~584 years; negative/NaN ignored).
+    /// Add `secs` seconds, to the nearest nanosecond (saturating at ~584
+    /// years; negative/NaN ignored). Rounding, not truncation: a whole
+    /// number of nanoseconds computed in floating point may land just below
+    /// itself, and truncating would drop a nanosecond from the sum.
     #[inline]
     pub fn add_secs(&self, secs: f64) {
         if secs > 0.0 {
-            self.add_ns((secs * 1e9) as u64);
+            self.add_ns((secs * 1e9).round() as u64);
         }
     }
 

@@ -62,16 +62,18 @@ if grep -rnE 'allow\(clippy::too_many_arguments\)' crates/executor/src; then
 fi
 
 # A disk is a reservation timeline, not a mutex held through a sleep: no
-# function of io.rs that touches a disk lane may also sleep or pace. The
-# check is function-granular (a grep cannot see guard scopes); the unit test
-# `no_latch_is_held_while_reads_are_in_flight` is the behavioural guard.
-echo "==> no sleep under a disk-lane latch (io.rs)"
+# function of io.rs that touches a disk lane or the in-flight table (the
+# deadlines a hit on a page still being read waits for) may also sleep, pace
+# or await a deadline. The check is function-granular (a grep cannot see
+# guard scopes); the unit test `no_latch_is_held_while_reads_are_in_flight`
+# is the behavioural guard.
+echo "==> no sleep under a disk-lane or in-flight latch (io.rs)"
 awk '
-    function check() { if (lanes && sleeps) { print "sleeps while touching a disk lane:" name; bad = 1 } }
+    function check() { if (latched && sleeps) { print "sleeps while touching a disk lane or the in-flight table:" name; bad = 1 } }
     /^#\[cfg\(test\)\]/ { exit }
-    /^ *(pub(\([a-z]+\))? )?fn / { check(); name = $0; lanes = 0; sleeps = 0 }
-    /self\.lanes/ { lanes = 1 }
-    /sleep|pace_until|await_service/ && !/^ *\/\// { sleeps = 1 }
+    /^ *(pub(\([a-z]+\))? )?fn / { check(); name = $0; latched = 0; sleeps = 0 }
+    /self\.(lanes|in_flight)/ { latched = 1 }
+    /sleep|pace_until|await_deadline/ && !/^ *\/\// { sleeps = 1 }
     END { check(); exit bad }
 ' crates/executor/src/io.rs
 
