@@ -50,45 +50,49 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Most overshoot one thread carries forward as credit against its next
-/// modelled waits. Timer slack and wake-up latency sit well under this; a
-/// longer overrun is a host stall, and refunding it would let the thread
-/// run a burst of reads in zero wall time.
-const MAX_PACE_CREDIT: Duration = Duration::from_millis(2);
+/// Most a thread's model clock may lag its wall clock. Timer slack, wake-up
+/// latency and the host time between two modelled waits sit well under
+/// this; a longer lag is a host stall, and absorbing it would let the
+/// thread run a burst of reads in zero wall time.
+const MAX_CLOCK_LAG: Duration = Duration::from_millis(2);
 
 thread_local! {
-    /// How far this thread runs behind the model: wall time its modelled
-    /// waits have overshot and not yet repaid.
-    static PACE_CREDIT: Cell<Duration> = const { Cell::new(Duration::ZERO) };
+    /// This thread's model clock: the modelled instant its last modelled
+    /// wait ended, or the instant the master staffed its current job.
+    /// `None` on a thread that has done neither.
+    static MODEL_CLOCK: Cell<Option<Instant>> = const { Cell::new(None) };
 }
 
-/// The thread's model clock at wall instant `now`: the wall clock less the
-/// thread's unrepaid overshoot. `thread::sleep` always returns late (timer
-/// slack plus wake-up latency — 17–21 % on the 0.4–0.8 ms sleeps of a 20–40×
-/// run), so a thread that acted on the wall clock would stretch every
-/// modelled second. Instead every modelled wait is a deadline on this
-/// clock: a disk request *arrives* at `model_clock(now)` (back-dated to
-/// when a punctual thread would have issued it) and a modelled duration
-/// ends at `model_clock(now) + d`.
+/// The thread's model clock at wall instant `now`, clamped to
+/// `[now − MAX_CLOCK_LAG, now]`. A thread acting on the wall clock would
+/// stretch every modelled second: `thread::sleep` returns late (17–21 % on
+/// the 0.4–0.8 ms sleeps of a 20–40× run), and evaluating tuples or claiming
+/// units takes host time the model does not price. So every modelled wait
+/// is a deadline on this clock — a disk request *arrives* at
+/// `model_clock(now)`, a modelled duration ends at `model_clock(now) + d` —
+/// and the host time between two waits falls inside the next one.
 fn model_clock(now: Instant) -> Instant {
-    now.checked_sub(PACE_CREDIT.get()).unwrap_or(now)
+    let floor = now.checked_sub(MAX_CLOCK_LAG).unwrap_or(now);
+    MODEL_CLOCK.get().map_or(now, |clock| clock.clamp(floor, now))
 }
 
-/// The one pacing rule: block until `target`, then record how late the
-/// thread woke (capped at [`MAX_PACE_CREDIT`]) as the overshoot its next
-/// wait repays, so the *mean* realized time equals the modelled time. A
-/// target already behind the wall clock is not slept for and repays the
-/// overshoot down to `now − target`; one behind the model clock too (a disk
-/// that finished while the thread computed) leaves it as it was.
+/// Start this thread's model clock at `at`: the instant the master staffed
+/// the job it is about to run, or a contended CPU permit was granted.
+/// Nothing the thread carried from before `at` moves its next waits.
+pub(crate) fn start_model_clock(at: Instant) {
+    MODEL_CLOCK.set(Some(at));
+}
+
+/// The one pacing rule: block until `target`, then advance the model clock
+/// to it. A target already behind the model clock (a disk that finished
+/// while the thread computed) is not slept for and leaves the clock where
+/// it is; the clock only moves forward, and a sleep never returns early,
+/// so a thread never finishes ahead of its model.
 fn pace_until(now: Instant, target: Instant) {
-    let late = match target.checked_duration_since(now).filter(|d| !d.is_zero()) {
-        Some(due) => {
-            std::thread::sleep(due);
-            target.elapsed().min(MAX_PACE_CREDIT)
-        }
-        None => now.duration_since(target).min(PACE_CREDIT.get()),
-    };
-    PACE_CREDIT.set(late);
+    if let Some(due) = target.checked_duration_since(now).filter(|d| !d.is_zero()) {
+        std::thread::sleep(due);
+    }
+    MODEL_CLOCK.set(Some(model_clock(now).max(target)));
 }
 
 /// Sleep until a reserved service completes (no-op when unthrottled).
@@ -644,19 +648,23 @@ impl Machine {
     /// the 8-worker A/B, which is more than the obs gate's whole 2%
     /// budget. The histogram's `count` is therefore "acquisitions that
     /// waited", not "acquisitions".
+    ///
+    /// A contended wait is modelled processor contention, so in a
+    /// throttled run the burst starts when the permit is granted: the
+    /// thread's model clock restarts there.
     pub fn compute(&self, seconds: f64) {
-        let _permit = match &self.metrics {
-            Some(m) => match self.cpu.try_acquire() {
-                Some(permit) => permit,
-                None => {
-                    let waited = Instant::now();
-                    let permit = self.cpu.acquire();
-                    m.gate_wait_ns.observe(waited.elapsed().as_nanos() as u64);
-                    permit
-                }
-            },
-            None => self.cpu.acquire(),
-        };
+        let _permit = self.cpu.try_acquire().unwrap_or_else(|| {
+            let waited = Instant::now();
+            let permit = self.cpu.acquire();
+            let granted = Instant::now();
+            if let Some(m) = &self.metrics {
+                m.gate_wait_ns.observe(granted.duration_since(waited).as_nanos() as u64);
+            }
+            if self.scale > 0.0 {
+                start_model_clock(granted);
+            }
+            permit
+        });
         self.cpu_busy.add_secs(seconds);
         self.sleep_sim(seconds);
     }
@@ -832,40 +840,98 @@ mod tests {
 
     #[test]
     fn paced_sleeps_average_to_the_modelled_time() {
-        // 200 × 0.5 ms must take 100 ms: never less than the modelled time
-        // net of the credit the thread arrived with, and — overshoot repaid
-        // — within 5 % above it. A host stall longer than the credit cap is
-        // not refunded, so the upper bound takes the best of three rounds.
+        // 200 paced 0.5 ms waits from a clock started at t0: the model clock
+        // ends no earlier than t0 + 100 ms, and neither does the wall clock.
+        // Lower bounds only — how late the host wakes the thread is not the
+        // model's to assert.
         let step = Duration::from_micros(500);
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            for _ in 0..200 {
-                let now = Instant::now();
-                pace_until(now, model_clock(now) + step);
-                assert!(PACE_CREDIT.get() <= MAX_PACE_CREDIT, "carried credit must stay bounded");
-            }
-            let took = t0.elapsed().as_secs_f64();
-            assert!(took >= 0.100 - MAX_PACE_CREDIT.as_secs_f64(), "ran ahead of the model: {took}");
-            best = best.min(took);
+        let t0 = Instant::now();
+        start_model_clock(t0);
+        for _ in 0..200 {
+            let now = Instant::now();
+            pace_until(now, model_clock(now) + step);
         }
-        assert!(best <= 0.105, "paced sleeps overshoot the modelled 100 ms: {best}");
+        let modelled = t0 + 200 * step;
+        assert!(model_clock(Instant::now()) >= modelled, "the model clock lost a wait");
+        assert!(t0.elapsed() >= 200 * step, "ran ahead of the model: {:?}", t0.elapsed());
     }
 
     #[test]
-    fn pace_credit_is_spent_not_refunded_twice() {
-        // A thread holding the full credit skips a shorter wait outright
-        // and keeps only the difference.
-        PACE_CREDIT.set(MAX_PACE_CREDIT);
+    fn a_target_ahead_of_the_clock_moves_the_clock_to_it() {
         let t0 = Instant::now();
-        pace_until(t0, model_clock(t0) + Duration::from_millis(1));
-        assert!(t0.elapsed() < Duration::from_millis(1));
-        assert_eq!(PACE_CREDIT.get(), MAX_PACE_CREDIT - Duration::from_millis(1));
-        // A deadline that passed before the thread's model clock (a disk
-        // that finished while the thread computed) repays nothing.
-        pace_until(t0, t0 - Duration::from_millis(5));
-        assert_eq!(PACE_CREDIT.get(), MAX_PACE_CREDIT - Duration::from_millis(1));
-        PACE_CREDIT.set(Duration::ZERO);
+        start_model_clock(t0);
+        let target = t0 + Duration::from_micros(300);
+        pace_until(t0, target);
+        assert!(Instant::now() >= target, "a sleep returned early");
+        assert_eq!(MODEL_CLOCK.get(), Some(target));
+    }
+
+    #[test]
+    fn a_deadline_behind_the_clock_leaves_it_unchanged() {
+        // A disk that finished while the thread computed: nothing to wait
+        // for, and nothing to move.
+        let now = Instant::now();
+        let clock = now - Duration::from_micros(500);
+        start_model_clock(clock);
+        pace_until(now, clock - Duration::from_millis(1));
+        assert_eq!(MODEL_CLOCK.get(), Some(clock));
+    }
+
+    #[test]
+    fn an_unpaced_stall_drags_the_clock_to_the_lag_bound() {
+        // 10 ms of host time with no modelled wait is a stall: the clock
+        // keeps at most MAX_CLOCK_LAG of it.
+        let now = Instant::now();
+        start_model_clock(now - Duration::from_millis(10));
+        assert_eq!(model_clock(now), now - MAX_CLOCK_LAG);
+        pace_until(now, now - Duration::from_millis(10));
+        assert_eq!(MODEL_CLOCK.get(), Some(now - MAX_CLOCK_LAG));
+    }
+
+    #[test]
+    fn a_contended_permit_restarts_the_clock_at_the_grant() {
+        // One processor held by the test thread: a second thread's compute
+        // parks on the gate while its clock lags by the full bound. Its
+        // burst must start when the permit is granted, not on the stale
+        // clock, so it ends no earlier than the grant plus the burst.
+        let cfg = MachineConfig { n_procs: 1, ..MachineConfig::paper_default() };
+        let metrics = Arc::new(crate::obs::ExecMetrics::default());
+        let m = Machine::new(&cfg, 1.0).with_metrics(metrics.clone());
+        let held = m.cpu().acquire();
+        let burst = Duration::from_millis(1);
+        let computing = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                start_model_clock(Instant::now() - MAX_CLOCK_LAG);
+                computing.store(1, Ordering::SeqCst);
+                m.compute(burst.as_secs_f64());
+                (MODEL_CLOCK.get().expect("compute paced"), Instant::now())
+            });
+            while computing.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            let released = Instant::now();
+            drop(held);
+            let (clock, done) = waiter.join().expect("compute must not panic");
+            assert_eq!(metrics.gate_wait_ns.snapshot().count, 1, "the acquisition never waited");
+            assert!(clock >= released + burst, "the burst started before its permit");
+            assert!(done >= released + burst, "the burst ended before the model allows");
+        });
+    }
+
+    #[test]
+    fn no_pacing_state_crosses_a_job_boundary() {
+        // A thread left at the full lag by its previous job, then staffed
+        // anew at t1: its first 1 ms wait must end no earlier than t1 + 1 ms.
+        let m = machine(1.0);
+        let now = Instant::now();
+        start_model_clock(now - Duration::from_millis(5));
+        assert_eq!(model_clock(now), now - MAX_CLOCK_LAG, "the thread carries the full lag");
+        let t1 = Instant::now();
+        start_model_clock(t1);
+        m.sleep_sim(0.001);
+        assert!(Instant::now() >= t1 + Duration::from_millis(1), "the lag leaked into the job");
     }
 
     /// Wall seconds from `t0` until each ticket, collected in order, is done.
@@ -885,7 +951,7 @@ mod tests {
         // and 4 share disk 0, so issued back to back they finish ≈ s and
         // ≈ 2s after the first issue; blocks 1 and 2 sit on disks 1 and 2
         // and both finish ≈ s after it. The lower bounds are exact (a sleep
-        // never returns early, and a fresh thread carries no credit), the
+        // never returns early, and a fresh thread's clock has no lag), the
         // upper bounds leave a loaded host most of a service time of slack,
         // and the queue-wait ledger is the timeline's own arithmetic.
         let s = 1.0 / 35.0;
@@ -902,9 +968,9 @@ mod tests {
         let t0 = Instant::now();
         let apart = vec![m.begin_read(RelId(1), 1, w, false), m.begin_read(RelId(1), 2, w, false)];
         let done = collect(&m, t0, apart);
-        // By now the thread may carry overshoot from the waits above, and
-        // its requests arrive back-dated by that much.
-        let floor = s - MAX_PACE_CREDIT.as_secs_f64();
+        // By now the thread's model clock may lag from the waits above, and
+        // its requests arrive on that clock.
+        let floor = s - MAX_CLOCK_LAG.as_secs_f64();
         assert!(done[1] >= floor && done[1] < 1.8 * s, "different disks must overlap: {done:?}");
         assert_eq!(m.stats().queue_wait, queued, "an idle disk queues nothing");
     }

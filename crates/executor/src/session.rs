@@ -10,7 +10,7 @@ use xprs_scheduler::FragTable;
 use xprs_storage::Catalog;
 
 use crate::error::ExecError;
-use crate::io::{lock, Machine};
+use crate::io::{lock, start_model_clock, Machine};
 use crate::master::MasterMsg;
 use crate::obs::ExecMetrics;
 use crate::pool::WorkerPool;
@@ -90,10 +90,16 @@ impl<'a> Backends<'a> {
     /// Staff worker slot `slot` of `ctx`: accounts the worker in the
     /// fragment's completion protocol **before** it can run, wraps the run
     /// in a panic report, and always balances with [`FragCtx::worker_exit`].
+    ///
+    /// `at` is the instant of the staffing decision, shared by every slot it
+    /// staffs. The pool thread starts its model clock there before the
+    /// worker runs (`io.rs`), so however late it wakes its first wait counts
+    /// from `at`, and no pacing state crosses a job boundary.
     pub fn staff(
         &self,
         ctx: &Arc<FragCtx>,
         slot: usize,
+        at: Instant,
         machine: &Arc<Machine>,
         catalog: &Arc<Catalog>,
     ) {
@@ -114,6 +120,7 @@ impl<'a> Backends<'a> {
         let machine = machine.clone();
         let catalog = catalog.clone();
         let job = move || {
+            start_model_clock(at);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_worker(&ctx, slot, &machine, &catalog);
             }));

@@ -127,6 +127,34 @@ fn a_six_page_scan_at_eight_processors_puts_every_backend_to_work() {
 }
 
 #[test]
+fn a_sliced_lookup_never_finishes_ahead_of_its_modelled_cpu() {
+    // The service lookup's shape at 40×, on a shared session whose pool
+    // already holds the six pages (as the service's does), so no disk wait
+    // hides the CPU: from the fragment's start, its wall time is at least
+    // one backend's even share of the modelled CPU. A lower bound only: it
+    // fails if a backend's model clock ever lets it run ahead of the CPU it
+    // was charged.
+    let cat = catalog();
+    let runs = vec![scan_thin(&cat)];
+    let cfg = ExecConfig::scaled(40.0);
+    let scale = cfg.scale;
+    let exec = Executor::new(cfg, cat.clone());
+    let session = exec.session();
+    let run = || exec.run_shared(&session, &runs, &mut policy(), &[]).expect("run failed");
+    let mut before = run().cpu_busy;
+    for _ in 0..3 {
+        let warm = run();
+        assert_matches_oracle("warm lookup", &cat, &runs[0], &warm, 0);
+        let frag = sliced(&warm, 0);
+        let floor = (warm.cpu_busy - before) / frag.backends as f64 * scale;
+        let took = frag.finished_at - frag.started_at;
+        assert!(took >= floor, "finished {took} s after its start, its modelled CPU is {floor} s");
+        before = warm.cpu_busy;
+    }
+    session.shutdown();
+}
+
+#[test]
 fn a_sliced_probe_counts_each_page_once_in_its_footprint() {
     // The probe declares the 24-page build table it holds; counting every
     // sibling slice's read would report 48 pages and flag an overrun.

@@ -77,6 +77,37 @@ awk '
     END { check(); exit bad }
 ' crates/executor/src/io.rs
 
+# One pacing rule: every modelled wait is a deadline on the thread's model
+# clock, slept for in io.rs's `pace_until` (DESIGN.md §19.4); a raw sleep
+# anywhere else would bypass that clock. Outside test modules the executor
+# may sleep only there and in two named exceptions, each holding one sleep:
+# the injected `Stall` fault in worker.rs's `run_worker` (a wall-clock fault
+# by design) and the shared-session quiesce poll in session.rs's `shutdown`.
+# The host's parallelism is read once, in materialize.rs's
+# `host_parallelism`. Function-granular, like the leg above.
+echo "==> one pacing rule (raw sleeps and host CPU reads in the executor)"
+awk '
+    function hit(what, allowed,   key) {
+        key = file ":" name
+        if (index(" " allowed " ", " " key " ") == 0 || ++seen[what, key] > 1) {
+            print FILENAME ":" FNR ": " what " outside the one pacing rule: " $0
+            bad = 1
+        }
+    }
+    FNR == 1 { file = FILENAME; sub(/.*\//, "", file); name = ""; in_tests = 0 }
+    in_tests { next }
+    /^#\[cfg\(test\)\]/ { in_tests = 1; next }
+    /^ *\/\// { next }
+    /^ *(pub(\([a-z]+\))? )?fn / {
+        name = $0
+        sub(/^ *(pub(\([a-z]+\))? )?fn /, "", name)
+        sub(/[(<].*/, "", name)
+    }
+    /(^|[^A-Za-z0-9_])sleep\(/ { hit("sleep", "io.rs:pace_until worker.rs:run_worker session.rs:shutdown") }
+    /available_parallelism/ { hit("available_parallelism", "materialize.rs:host_parallelism") }
+    END { exit bad }
+' crates/executor/src/*.rs
+
 echo "==> bench_executor (gates: scaling, memory, predict)"
 ./target/release/bench_executor BENCH_executor.json
 
