@@ -31,8 +31,8 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use xprs_bench::{exec_disk, exec_memory, exec_predict, finish, host_header_json, median, Gates};
-use xprs_executor::ExecConfig;
+use xprs_bench::{bench_doc, exec_disk, exec_memory, exec_predict, finish, median, Gates};
+use xprs_obs::json::JsonValue;
 use xprs_scheduler::predict::Predictor;
 
 const WORKERS: [u32; 4] = [1, 2, 4, 8];
@@ -54,7 +54,7 @@ fn main() -> ExitCode {
 
     // ---- Disk-resident scaling: the workload where 8 must beat 1 ----
     let (dr_cat, dr_wl) = exec_disk::catalog(DR_SEED);
-    let mut dr_rows = Vec::new();
+    let (mut dr_rows, mut dr_configs) = (Vec::new(), Vec::new());
     for w in WORKERS {
         let mut scan_walls = Vec::with_capacity(DR_TRIALS);
         let mut last = None;
@@ -67,24 +67,28 @@ fn main() -> ExitCode {
         let last = last.unwrap();
         let scan_wall = median(&mut scan_walls);
         let pages_per_sec = last.pages as f64 / scan_wall;
-        eprintln!(
-            "disk_resident w={} scan={:.3}s  {:>8.1} pages/s  hit_rate={:.3}  \
-             steals={}  paired_bw={:.1} band=[{:.0},{:.0}] in_band={}",
-            w,
-            scan_wall,
-            pages_per_sec,
-            last.hit_rate,
-            last.steals,
-            last.audit.paired_bw,
-            last.audit.band_lo,
-            last.audit.band_hi,
-            last.audit.paired_in_band,
-        );
-        dr_rows.push((w, scan_wall, pages_per_sec, last));
+        let config = JsonValue::obj()
+            .with("mode", "stealing")
+            .with("workers", w)
+            .with("scan_wall_seconds", scan_wall)
+            .with("pages_per_sec", pages_per_sec)
+            .with("tuples_per_sec", last.tuples as f64 / scan_wall)
+            .with("bufpool_hit_rate", last.hit_rate)
+            .with("steals", last.steals)
+            .with("steal_fails", last.steal_fails)
+            .with("pool_threads", last.pool_threads)
+            .with("paired_bw", last.audit.paired_bw)
+            .with("band_lo", last.audit.band_lo)
+            .with("band_hi", last.audit.band_hi)
+            .with("paired_in_band", last.audit.paired_in_band)
+            .with("paired_disk_util", last.audit.paired_disk_util);
+        eprintln!("disk_resident {config}");
+        dr_configs.push(config);
+        dr_rows.push((w, pages_per_sec, last.audit.paired_in_band));
     }
     let dr_row = |w: u32| dr_rows.iter().find(|r| r.0 == w).unwrap();
-    let dr_speedup = dr_row(8).2 / dr_row(1).2;
-    let saturated = dr_row(8).3.audit.paired_in_band;
+    let dr_speedup = dr_row(8).1 / dr_row(1).1;
+    let saturated = dr_row(8).2;
     let solo_runs: Vec<_> =
         (0..DR_TRIALS).map(|_| exec_disk::solo_scan_audit(&dr_cat, &dr_wl)).collect();
     let solo_requests = solo_runs[0].solo_io_requests;
@@ -117,7 +121,7 @@ fn main() -> ExitCode {
 
     // ---- Memory admission: oversized builds must queue, spill, and agree ----
     let (mem_cat, mem_wl) = exec_memory::catalog(MEM_SEED);
-    let mut mem_rows: Vec<(&str, f64, exec_memory::MemoryRun)> = Vec::new();
+    let (mut mem_rows, mut mem_configs) = (Vec::new(), Vec::new());
     for (mode, pool_pages) in [
         ("reference", exec_memory::REFERENCE_POOL_PAGES),
         ("grants", exec_memory::BUFPOOL_PAGES),
@@ -130,26 +134,16 @@ fn main() -> ExitCode {
             walls.push(r.wall);
             last = Some(r);
         }
-        let last = last.unwrap();
-        eprintln!(
-            "memory {mode:<10} wall={:.4}s emitted={} granted={} waits={} spill_chunks={} spill_rows={}",
-            median(&mut walls),
-            last.emitted,
-            last.granted_pages,
-            last.grant_waits,
-            last.spill_chunks,
-            last.spill_rows,
-        );
-        mem_rows.push((mode, median(&mut walls), last));
+        let (last, wall) = (last.unwrap(), median(&mut walls));
+        let config = memory_row(mode, wall, &last);
+        eprintln!("memory {config}");
+        mem_configs.push(config);
+        mem_rows.push((mode, wall, last));
     }
     let (mem_ref, mem_grant) = (&mem_rows[0], &mem_rows[1]);
     let mem_parity = mem_ref.2.rows_digest == mem_grant.2.rows_digest;
     let mem_overhead = mem_grant.1 / mem_ref.1;
-    eprintln!(
-        "memory admission: parity={mem_parity} overhead={mem_overhead:.2}x \
-         waits={} spill_rows={}",
-        mem_grant.2.grant_waits, mem_grant.2.spill_rows
-    );
+    eprintln!("memory admission: parity={mem_parity} overhead={mem_overhead:.2}x");
     // Concurrent builds whose aggregate demand is 4x the pool must complete
     // under admission with (a) the reference's answers, over a pool they
     // all fit in, (b) a balanced grant ledger on both sides, (c) no page
@@ -201,13 +195,21 @@ fn main() -> ExitCode {
     let overruns_last = predicted_reps[PRED_REPS - 1].footprint_overruns;
     let decisions_differ = declared_reps[PRED_REPS - 1].signature
         != predicted_reps[PRED_REPS - 1].signature;
-    for (mode, reps) in [("declared", &declared_reps), ("predicted", &predicted_reps)] {
-        for (i, r) in reps.iter().enumerate() {
-            eprintln!(
-                "predictive {mode:<9} rep={i} wall={:.4}s overruns={} waits={} \
-                 predictions={}",
-                r.wall, r.footprint_overruns, r.grant_waits, r.predictions
-            );
+    let mut reps = Vec::new();
+    for (mode, runs) in [("declared", &declared_reps), ("predicted", &predicted_reps)] {
+        for (i, r) in runs.iter().enumerate() {
+            let rep = JsonValue::obj()
+                .with("mode", mode)
+                .with("wall_seconds", r.wall)
+                .with("emitted", r.emitted)
+                .with("footprint_overruns", r.footprint_overruns)
+                .with("granted_pages", r.granted_pages)
+                .with("released_pages", r.released_pages)
+                .with("grant_waits", r.grant_waits)
+                .with("pinned_at_exit", r.pinned_at_exit)
+                .with("predictions", r.predictions);
+            eprintln!("predictive rep={i} {rep}");
+            reps.push(rep);
             let run = format!("{mode} rep {i}");
             gates.check(r.emitted > 0, format_args!("vacuous predictive rep: {run}"));
             gates.ledgers_closed(&run, r.granted_pages, r.released_pages, r.pinned_at_exit);
@@ -222,8 +224,7 @@ fn main() -> ExitCode {
     }
     eprintln!(
         "predictive A/B: declared={declared_wall:.4}s predicted={predicted_wall:.4}s \
-         speedup={pred_speedup:.2}x decisions_differ={decisions_differ} \
-         overruns {overruns_first}->{overruns_last}"
+         speedup={pred_speedup:.2}x decisions_differ={decisions_differ}"
     );
     // With declarations seeded wrong by 2-8x, the warm predicted mode must
     // beat declared mode on wall time, the predictor must actually
@@ -254,146 +255,103 @@ fn main() -> ExitCode {
          the prediction layer changed nothing",
     );
 
-    // Hand-rolled JSON: the workspace builds offline with no serde.
-    let dr_json = {
-        let mut j = String::new();
-        j.push_str("  \"disk_resident\": {\n");
-        j.push_str(&format!("    \"bufpool_pages\": {},\n", exec_disk::BUFPOOL_PAGES));
-        j.push_str(&format!("    \"spill_factor\": {},\n", exec_disk::SPILL_FACTOR));
-        j.push_str(&format!(
-            "    \"pages_per_relation\": {},\n",
-            dr_wl.relations[0].n_pages()
-        ));
-        j.push_str(&format!("    \"time_speedup\": {},\n", exec_disk::TIME_SPEEDUP));
-        j.push_str(&format!("    \"trials_per_config\": {DR_TRIALS},\n"));
-        j.push_str("    \"configs\": [\n");
-        for (i, (w, scan_wall, pages_per_sec, r)) in dr_rows.iter().enumerate() {
-            j.push_str(&format!(
-                "      {{\"mode\": \"stealing\", \"workers\": {}, \"scan_wall_seconds\": {:.6}, \
-                 \"pages_per_sec\": {:.2}, \"tuples_per_sec\": {:.1}, \
-                 \"bufpool_hit_rate\": {:.4}, \"steals\": {}, \"steal_fails\": {}, \
-                 \"pool_threads\": {}, \"paired_bw\": {:.2}, \"band_lo\": {:.2}, \
-                 \"band_hi\": {:.2}, \"paired_in_band\": {}, \"paired_disk_util\": {:.4}}}{}\n",
-                w,
-                scan_wall,
-                pages_per_sec,
-                r.tuples as f64 / scan_wall,
-                r.hit_rate,
-                r.steals,
-                r.steal_fails,
-                r.pool_threads,
-                r.audit.paired_bw,
-                r.audit.band_lo,
-                r.audit.band_hi,
-                r.audit.paired_in_band,
-                r.audit.paired_disk_util,
-                if i + 1 == dr_rows.len() { "" } else { "," }
-            ));
-        }
-        j.push_str("    ],\n");
-        j.push_str(&format!("    \"speedup_8w_over_1w\": {dr_speedup:.3},\n"));
-        j.push_str(&format!("    \"saturated_at_8_workers\": {saturated},\n"));
-        j.push_str(&format!("    \"solo_io_disk_util\": {solo_util:.4},\n"));
-        j.push_str(&format!("    \"solo_io_requests\": {solo_requests}\n"));
-        j.push_str("  },\n");
-        j
-    };
+    let disk_resident = JsonValue::obj()
+        .with("bufpool_pages", exec_disk::BUFPOOL_PAGES)
+        .with("spill_factor", exec_disk::SPILL_FACTOR)
+        .with("pages_per_relation", dr_wl.relations[0].n_pages())
+        .with("time_speedup", exec_disk::TIME_SPEEDUP)
+        .with("trials_per_config", DR_TRIALS)
+        .with("configs", dr_configs)
+        .with("speedup_8w_over_1w", dr_speedup)
+        .with("saturated_at_8_workers", saturated)
+        .with("solo_io_disk_util", solo_util)
+        .with("solo_io_requests", solo_requests);
+    let memory_admission = JsonValue::obj()
+        .with("bufpool_pages", exec_memory::BUFPOOL_PAGES)
+        .with("reference_pool_pages", exec_memory::REFERENCE_POOL_PAGES)
+        .with("demand_factor", exec_memory::DEMAND_FACTOR)
+        .with("n_queries", exec_memory::N_QUERIES)
+        .with("total_build_pages", mem_wl.total_build_pages())
+        .with("workers", MEM_WORKERS)
+        .with("trials_per_config", MEM_TRIALS)
+        .with("configs", mem_configs)
+        .with("parity", mem_parity)
+        .with("overhead_vs_reference", mem_overhead);
+    let predictive = JsonValue::obj()
+        .with("bufpool_pages", exec_predict::BUFPOOL_PAGES)
+        .with("n_queries", exec_predict::N_QUERIES)
+        .with("time_speedup", exec_predict::TIME_SPEEDUP)
+        .with("reps_per_mode", PRED_REPS)
+        .with("warmup_reps", PRED_WARMUP)
+        .with("reps", reps)
+        .with("declared_wall_seconds", declared_wall)
+        .with("predicted_wall_seconds", predicted_wall)
+        .with("speedup_predicted_over_declared", pred_speedup)
+        .with("predicted_beats_declared", predicted_beats_declared)
+        .with("overruns_first_rep", overruns_first)
+        .with("overruns_last_rep", overruns_last)
+        .with("decisions_differ", decisions_differ);
+    let doc = bench_doc("executor")
+        .with("wall_stat", "median")
+        .with("disk_resident", disk_resident)
+        .with("memory_admission", memory_admission)
+        .with("predictive", predictive);
+    finish(&out_path, &doc, gates)
+}
 
-    let mem_json = {
-        let mut j = String::new();
-        j.push_str("  \"memory_admission\": {\n");
-        j.push_str(&format!("    \"bufpool_pages\": {},\n", exec_memory::BUFPOOL_PAGES));
-        j.push_str(&format!(
-            "    \"reference_pool_pages\": {},\n",
-            exec_memory::REFERENCE_POOL_PAGES
-        ));
-        j.push_str(&format!("    \"demand_factor\": {},\n", exec_memory::DEMAND_FACTOR));
-        j.push_str(&format!("    \"n_queries\": {},\n", exec_memory::N_QUERIES));
-        j.push_str(&format!("    \"total_build_pages\": {},\n", mem_wl.total_build_pages()));
-        j.push_str(&format!("    \"workers\": {MEM_WORKERS},\n"));
-        j.push_str(&format!("    \"trials_per_config\": {MEM_TRIALS},\n"));
-        j.push_str("    \"configs\": [\n");
-        for (i, (mode, wall, r)) in mem_rows.iter().enumerate() {
-            j.push_str(&format!(
-                "      {{\"mode\": \"{}\", \"wall_seconds\": {:.6}, \"emitted\": {}, \
-                 \"granted_pages\": {}, \"released_pages\": {}, \"grant_waits\": {}, \
-                 \"spill_chunks\": {}, \"spill_rows\": {}, \"pinned_at_exit\": {}, \
-                 \"rows_digest\": {}}}{}\n",
-                mode,
-                wall,
-                r.emitted,
-                r.granted_pages,
-                r.released_pages,
-                r.grant_waits,
-                r.spill_chunks,
-                r.spill_rows,
-                r.pinned_at_exit,
-                r.rows_digest,
-                if i + 1 == mem_rows.len() { "" } else { "," }
-            ));
-        }
-        j.push_str("    ],\n");
-        j.push_str(&format!("    \"parity\": {mem_parity},\n"));
-        j.push_str(&format!("    \"overhead_vs_reference\": {mem_overhead:.3}\n"));
-        j.push_str("  },\n");
-        j
-    };
+/// One `memory_admission` config: `mode`'s median wall and its last run.
+fn memory_row(mode: &str, wall: f64, r: &exec_memory::MemoryRun) -> JsonValue {
+    JsonValue::obj()
+        .with("mode", mode)
+        .with("wall_seconds", wall)
+        .with("emitted", r.emitted)
+        .with("granted_pages", r.granted_pages)
+        .with("released_pages", r.released_pages)
+        .with("grant_waits", r.grant_waits)
+        .with("spill_chunks", r.spill_chunks)
+        .with("spill_rows", r.spill_rows)
+        .with("pinned_at_exit", r.pinned_at_exit)
+        .with("rows_digest", r.rows_digest)
+}
 
-    let pred_json = {
-        let mut j = String::new();
-        j.push_str("  \"predictive\": {\n");
-        j.push_str(&format!("    \"bufpool_pages\": {},\n", exec_predict::BUFPOOL_PAGES));
-        j.push_str(&format!("    \"n_queries\": {},\n", exec_predict::N_QUERIES));
-        j.push_str(&format!("    \"time_speedup\": {},\n", exec_predict::TIME_SPEEDUP));
-        j.push_str(&format!("    \"reps_per_mode\": {PRED_REPS},\n"));
-        j.push_str(&format!("    \"warmup_reps\": {PRED_WARMUP},\n"));
-        j.push_str("    \"reps\": [\n");
-        let all: Vec<(&str, &exec_predict::PredictRun)> = declared_reps
-            .iter()
-            .map(|r| ("declared", r))
-            .chain(predicted_reps.iter().map(|r| ("predicted", r)))
-            .collect();
-        for (i, (mode, r)) in all.iter().enumerate() {
-            j.push_str(&format!(
-                "      {{\"mode\": \"{}\", \"wall_seconds\": {:.6}, \"emitted\": {}, \
-                 \"footprint_overruns\": {}, \"granted_pages\": {}, \
-                 \"released_pages\": {}, \"grant_waits\": {}, \"pinned_at_exit\": {}, \
-                 \"predictions\": {}}}{}\n",
-                mode,
-                r.wall,
-                r.emitted,
-                r.footprint_overruns,
-                r.granted_pages,
-                r.released_pages,
-                r.grant_waits,
-                r.pinned_at_exit,
-                r.predictions,
-                if i + 1 == all.len() { "" } else { "," }
-            ));
-        }
-        j.push_str("    ],\n");
-        j.push_str(&format!("    \"declared_wall_seconds\": {declared_wall:.6},\n"));
-        j.push_str(&format!("    \"predicted_wall_seconds\": {predicted_wall:.6},\n"));
-        j.push_str(&format!("    \"speedup_predicted_over_declared\": {pred_speedup:.3},\n"));
-        j.push_str(&format!("    \"predicted_beats_declared\": {predicted_beats_declared},\n"));
-        j.push_str(&format!("    \"overruns_first_rep\": {overruns_first},\n"));
-        j.push_str(&format!("    \"overruns_last_rep\": {overruns_last},\n"));
-        j.push_str(&format!("    \"decisions_differ\": {decisions_differ}\n"));
-        j.push_str("  }\n");
-        j
-    };
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xprs_obs::json::parse;
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"executor\",\n");
-    json.push_str(&host_header_json(
-        ExecConfig::unthrottled().machine.n_procs,
-        ExecConfig::unthrottled().bufpool_pages,
-    ));
-    json.push_str("  \"wall_stat\": \"median\",\n");
-    json.push_str(&dr_json);
-    json.push_str(&mem_json);
-    json.push_str(&pred_json);
-    json.push_str("}\n");
-    finish(&out_path, &json, gates)
+    /// The key paths of `v`, objects descended and arrays not.
+    fn keys(v: &JsonValue, prefix: &str) -> Vec<String> {
+        let JsonValue::Obj(fields) = v else { return Vec::new() };
+        let key_and_below = |(k, x): &(String, JsonValue)| {
+            std::iter::once(format!("{prefix}{k}")).chain(keys(x, &format!("{prefix}{k}.")))
+        };
+        fields.iter().flat_map(key_and_below).collect()
+    }
+
+    #[test]
+    fn the_host_header_and_a_memory_row_parse_back_with_the_exact_digest() {
+        let run = exec_memory::MemoryRun {
+            wall: 0.5,
+            emitted: 3,
+            granted_pages: 4,
+            released_pages: 4,
+            grant_waits: 1,
+            spill_chunks: 2,
+            spill_rows: 3,
+            pinned_at_exit: 0,
+            rows_digest: u64::MAX,
+        };
+        let doc = bench_doc("executor").with("row", memory_row("grants", 0.25, &run));
+        let text = format!("{doc:#}");
+        let back = parse(&text).expect("a rendered tree parses");
+        assert_eq!(keys(&back, ""), keys(&doc, ""));
+        assert_eq!(
+            keys(&back, "")[..5],
+            ["bench", "host", "host.available_parallelism", "host.machine_procs", "host.bufpool_pages"]
+        );
+        assert!(text.contains("\"rows_digest\": 18446744073709551615\n"), "{text}");
+        assert_eq!(back.get("row").unwrap().field::<u64>("rows_digest"), Ok(u64::MAX));
+        let digest = JsonValue::obj().with("rows_digest", 16601571100867327612u64);
+        assert_eq!(digest.to_string(), "{\"rows_digest\":16601571100867327612}");
+    }
 }

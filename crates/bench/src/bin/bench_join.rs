@@ -20,8 +20,8 @@
 
 use std::process::ExitCode;
 
-use xprs_bench::{exec_disk, exec_skew, finish, host_header_json, median, Gates};
-use xprs_executor::ExecConfig;
+use xprs_bench::{bench_doc, exec_disk, exec_skew, finish, median, Gates};
+use xprs_obs::json::JsonValue;
 
 const WORKERS: [u32; 4] = [1, 2, 4, 8];
 const DR_TRIALS: usize = 3;
@@ -40,7 +40,7 @@ fn main() -> ExitCode {
     // ---- Disk-resident join: the build scan cannot be cached, the hash
     // table it builds is held in memory ----
     let (dr_cat, dr_wl) = exec_disk::catalog(DR_SEED);
-    let mut dr_rows = Vec::new();
+    let (mut dr_rows, mut dr_configs) = (Vec::new(), Vec::new());
     for &w in &WORKERS {
         let mut join_walls = Vec::with_capacity(DR_TRIALS);
         let mut last = None;
@@ -53,15 +53,20 @@ fn main() -> ExitCode {
         let last = last.unwrap();
         let join_wall = median(&mut join_walls);
         let tput = last.materialized as f64 / join_wall;
-        eprintln!(
-            "disk_resident join w={w} join={join_wall:.3}s  {tput:>10.1} tuples/s  \
-             hit_rate={:.3}  steals={}",
-            last.hit_rate, last.steals
-        );
-        dr_rows.push((w, join_wall, tput, last));
+        let config = JsonValue::obj()
+            .with("mode", "stealing")
+            .with("workers", w)
+            .with("join_wall_seconds", join_wall)
+            .with("materialized_tuples_per_sec", tput)
+            .with("bufpool_hit_rate", last.hit_rate)
+            .with("steals", last.steals)
+            .with("pool_threads", last.pool_threads);
+        eprintln!("disk_resident join {config}");
+        dr_configs.push(config);
+        dr_rows.push((w, tput, last.pool_pages));
     }
-    let dr_speedup = dr_rows.iter().find(|r| r.0 == 8).unwrap().2
-        / dr_rows.iter().find(|r| r.0 == 1).unwrap().2;
+    let dr_speedup = dr_rows.iter().find(|r| r.0 == 8).unwrap().1
+        / dr_rows.iter().find(|r| r.0 == 1).unwrap().1;
     eprintln!("disk-resident join speedup (8w / 1w, stealing): {dr_speedup:.2}x");
     gates.check(
         dr_speedup > 1.0,
@@ -69,7 +74,7 @@ fn main() -> ExitCode {
     );
 
     // ---- Skewed key-domain merge join: Zipf θ sweep at 8 workers ----
-    let mut skew_rows = Vec::new();
+    let (mut skew_rows, mut skew_configs) = (Vec::new(), Vec::new());
     for theta in SKEW_THETAS {
         let (sk_cat, sk_wl) = exec_skew::catalog(theta);
         let mut join_walls = Vec::with_capacity(SKEW_TRIALS);
@@ -82,11 +87,20 @@ fn main() -> ExitCode {
         let last = last.unwrap();
         let join_wall = median(&mut join_walls);
         let tput = last.emitted as f64 / join_wall;
-        eprintln!(
-            "skew theta={theta:.1} w={SKEW_WORKERS} join={join_wall:.3}s  {tput:>10.1} rows/s  \
-             emitted={}  hot_keys={}  way_max={}  way_mean={}",
-            last.emitted, last.hot_keys, last.way_rows_max, last.way_rows_mean
-        );
+        let config = JsonValue::obj()
+            .with("theta", theta)
+            .with("join_wall_seconds", join_wall)
+            .with("emitted_rows", last.emitted)
+            .with("rows_per_sec", tput)
+            .with("hot_keys", last.hot_keys)
+            .with("way_rows_max", last.way_rows_max)
+            .with("way_rows_mean", last.way_rows_mean)
+            .with("bufpool_hit_rate", last.hit_rate)
+            .with("pinned_at_exit", last.pinned_at_exit)
+            .with("granted_pages", last.granted_pages)
+            .with("released_pages", last.released_pages);
+        eprintln!("skew {config}");
+        skew_configs.push(config);
         gates.check(
             last.emitted > 0 && tput > 0.0,
             format_args!("vacuous skew config at theta={theta}: {} rows", last.emitted),
@@ -97,16 +111,16 @@ fn main() -> ExitCode {
             last.released_pages,
             last.pinned_at_exit,
         );
-        skew_rows.push((theta, join_wall, tput, last));
+        skew_rows.push((theta, tput, last));
     }
     let skew_row = |theta: f64| skew_rows.iter().find(|r| (r.0 - theta).abs() < 1e-9).unwrap();
-    let skew_ratio = skew_row(1.0).2 / skew_row(0.0).2;
+    let skew_ratio = skew_row(1.0).1 / skew_row(0.0).1;
     eprintln!("skew throughput ratio (theta 1.0 / theta 0.0, 8 workers): {skew_ratio:.3}x");
     // The Zipf sweep must degrade gracefully AND the heavy-hitter machinery
     // must provably engage at theta=1 — hot-key counters non-zero, ways
     // actually carved — so the gate cannot pass vacuously on a config
     // where detection never ran.
-    let hot = &skew_row(1.0).3;
+    let hot = &skew_row(1.0).2;
     gates.check(hot.hot_keys > 0, "theta=1.0 detected no heavy hitter: the fan-out never engaged");
     gates.check(
         hot.way_rows_max > 0 && hot.way_rows_mean > 0,
@@ -124,65 +138,24 @@ fn main() -> ExitCode {
         format_args!("skew collapse: theta=1 throughput {skew_ratio:.3} < 0.5x theta=0"),
     );
 
-    // Hand-rolled JSON: the workspace builds offline with no serde.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"executor_join\",\n");
-    json.push_str(&host_header_json(
-        ExecConfig::unthrottled().machine.n_procs,
-        ExecConfig::unthrottled().bufpool_pages,
-    ));
-    json.push_str("  \"wall_stat\": \"median\",\n");
-    json.push_str("  \"disk_resident\": {\n");
-    json.push_str(&format!("    \"bufpool_pages\": {},\n", exec_disk::BUFPOOL_PAGES));
-    json.push_str(&format!("    \"join_pool_pages\": {},\n", dr_rows[0].3.pool_pages));
-    json.push_str(&format!("    \"spill_factor\": {},\n", exec_disk::SPILL_FACTOR));
-    json.push_str(&format!("    \"trials_per_config\": {DR_TRIALS},\n"));
-    json.push_str("    \"configs\": [\n");
-    for (i, (w, join_wall, tput, r)) in dr_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"mode\": \"stealing\", \"workers\": {}, \"join_wall_seconds\": {:.6}, \
-             \"materialized_tuples_per_sec\": {:.1}, \"bufpool_hit_rate\": {:.4}, \
-             \"steals\": {}, \"pool_threads\": {}}}{}\n",
-            w,
-            join_wall,
-            tput,
-            r.hit_rate,
-            r.steals,
-            r.pool_threads,
-            if i + 1 == dr_rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str(&format!("    \"speedup_8w_over_1w\": {dr_speedup:.3}\n"));
-    json.push_str("  },\n");
-    json.push_str("  \"skew\": {\n");
-    json.push_str(&format!("    \"bufpool_pages\": {},\n", exec_skew::BUFPOOL_PAGES));
-    json.push_str(&format!("    \"spill_factor\": {},\n", exec_skew::SPILL_FACTOR));
-    json.push_str(&format!("    \"merge_ways\": {},\n", exec_skew::MERGE_WAYS));
-    json.push_str(&format!("    \"workers\": {SKEW_WORKERS},\n"));
-    json.push_str(&format!("    \"trials_per_config\": {SKEW_TRIALS},\n"));
-    json.push_str("    \"configs\": [\n");
-    for (i, (theta, join_wall, tput, r)) in skew_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"theta\": {theta:.1}, \"join_wall_seconds\": {join_wall:.6}, \
-             \"emitted_rows\": {}, \"rows_per_sec\": {tput:.1}, \"hot_keys\": {}, \
-             \"way_rows_max\": {}, \"way_rows_mean\": {}, \"bufpool_hit_rate\": {:.4}, \
-             \"pinned_at_exit\": {}, \"granted_pages\": {}, \"released_pages\": {}}}{}\n",
-            r.emitted,
-            r.hot_keys,
-            r.way_rows_max,
-            r.way_rows_mean,
-            r.hit_rate,
-            r.pinned_at_exit,
-            r.granted_pages,
-            r.released_pages,
-            if i + 1 == skew_rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("    ],\n");
-    json.push_str(&format!("    \"tput_ratio_theta1_vs_theta0\": {skew_ratio:.3}\n"));
-    json.push_str("  }\n");
-    json.push_str("}\n");
-    finish(&out_path, &json, gates)
+    let disk_resident = JsonValue::obj()
+        .with("bufpool_pages", exec_disk::BUFPOOL_PAGES)
+        .with("join_pool_pages", dr_rows[0].2)
+        .with("spill_factor", exec_disk::SPILL_FACTOR)
+        .with("trials_per_config", DR_TRIALS)
+        .with("configs", dr_configs)
+        .with("speedup_8w_over_1w", dr_speedup);
+    let skew = JsonValue::obj()
+        .with("bufpool_pages", exec_skew::BUFPOOL_PAGES)
+        .with("spill_factor", exec_skew::SPILL_FACTOR)
+        .with("merge_ways", exec_skew::MERGE_WAYS)
+        .with("workers", SKEW_WORKERS)
+        .with("trials_per_config", SKEW_TRIALS)
+        .with("configs", skew_configs)
+        .with("tput_ratio_theta1_vs_theta0", skew_ratio);
+    let doc = bench_doc("executor_join")
+        .with("wall_stat", "median")
+        .with("disk_resident", disk_resident)
+        .with("skew", skew);
+    finish(&out_path, &doc, gates)
 }

@@ -22,9 +22,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use xprs_bench::{finish, host_header_json, Gates};
+use xprs_bench::{bench_doc, finish, Gates};
 use xprs_disk::{FaultPlan, StripedLayout};
 use xprs_executor::{ExecConfig, QueryRun, RelBinding};
+use xprs_obs::json::JsonValue;
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_service::{
     QueryOutcome, QueryRequest, QueryService, QueryStatus, ServiceConfig, ServiceError,
@@ -128,18 +129,12 @@ struct ClassPhase {
     mean_us: f64,
 }
 
-struct TenantPhase {
-    tenant: u32,
-    settled: u64,
-    completed: u64,
-    max_latency_us: u64,
-}
-
 struct PhaseResult {
     phase: &'static str,
     wall: f64,
     classes: Vec<ClassPhase>,
-    tenants: Vec<TenantPhase>,
+    /// Per tenant: settled and completed queries, worst latency.
+    tenants: Vec<JsonValue>,
     reserved_pages: u64,
     pinned_pages: u64,
     retry_after_hints_us: Vec<u64>,
@@ -256,19 +251,14 @@ fn run_phase(
         .map(|tenant| {
             let mine: Vec<&QueryOutcome> =
                 outcomes.iter().filter(|o| o.tenant == tenant).collect();
-            TenantPhase {
-                tenant,
-                settled: mine.len() as u64,
-                completed: mine
-                    .iter()
-                    .filter(|o| matches!(o.status, QueryStatus::Completed { .. }))
-                    .count() as u64,
-                max_latency_us: mine
-                    .iter()
-                    .map(|o| o.latency.as_micros() as u64)
-                    .max()
-                    .unwrap_or(0),
-            }
+            let completed =
+                mine.iter().filter(|o| matches!(o.status, QueryStatus::Completed { .. }));
+            let max_latency_us = mine.iter().map(|o| o.latency.as_micros() as u64).max();
+            JsonValue::obj()
+                .with("tenant", tenant)
+                .with("settled", mine.len())
+                .with("completed", completed.count())
+                .with("max_latency_us", max_latency_us.unwrap_or(0))
         })
         .collect();
     let result = PhaseResult {
@@ -330,56 +320,37 @@ fn overload_spec() -> ArrivalSpec {
     }
 }
 
-fn class_json(c: &ClassPhase) -> String {
-    format!(
-        "{{\"class\": \"{}\", \"submitted\": {}, \"completed\": {}, \"shed\": {}, \
-         \"deadline_cancelled\": {}, \"failed\": {}, \"qps\": {:.2}, \
-         \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \"mean_us\": {:.1}}}",
-        c.class.label(),
-        c.submitted,
-        c.completed,
-        c.shed,
-        c.deadline_cancelled,
-        c.failed,
-        c.qps,
-        c.p50_us,
-        c.p99_us,
-        c.p999_us,
-        c.mean_us,
-    )
+fn class_json(c: &ClassPhase) -> JsonValue {
+    JsonValue::obj()
+        .with("class", c.class.label())
+        .with("submitted", c.submitted)
+        .with("completed", c.completed)
+        .with("shed", c.shed)
+        .with("deadline_cancelled", c.deadline_cancelled)
+        .with("failed", c.failed)
+        .with("qps", c.qps)
+        .with("p50_us", c.p50_us)
+        .with("p99_us", c.p99_us)
+        .with("p999_us", c.p999_us)
+        .with("mean_us", c.mean_us)
 }
 
-fn phase_json(p: &PhaseResult) -> String {
-    let classes: Vec<String> = p.classes.iter().map(class_json).collect();
-    let tenants: Vec<String> = p
-        .tenants
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"tenant\": {}, \"settled\": {}, \"completed\": {}, \"max_latency_us\": {}}}",
-                t.tenant, t.settled, t.completed, t.max_latency_us
-            )
-        })
-        .collect();
-    format!(
-        "{{\"phase\": \"{}\", \"wall\": {:.3}, \"reserved_pages_at_idle\": {}, \
-         \"pinned_pages_at_idle\": {}, \"mean_retry_after_us\": {},\n        \
-         \"classes\": [{}],\n        \"tenants\": [{}]}}",
-        p.phase,
-        p.wall,
-        p.reserved_pages,
-        p.pinned_pages,
-        p.mean_retry_after_us(),
-        classes.join(", "),
-        tenants.join(", "),
-    )
+fn phase_json(p: &PhaseResult) -> JsonValue {
+    JsonValue::obj()
+        .with("phase", p.phase)
+        .with("wall", p.wall)
+        .with("reserved_pages_at_idle", p.reserved_pages)
+        .with("pinned_pages_at_idle", p.pinned_pages)
+        .with("mean_retry_after_us", p.mean_retry_after_us())
+        .with("classes", p.classes.iter().map(class_json).collect::<Vec<_>>())
+        .with("tenants", p.tenants.clone())
 }
 
 fn main() -> ExitCode {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_service.json".to_string());
     let mut gates = Gates::default();
     let cat = catalog();
-    let mut scenario_blocks = Vec::new();
+    let mut scenarios = Vec::new();
 
     for fault in [Fault::None, Fault::WorkerDeath, Fault::DiskSlowdown] {
         let plan = fault.plan();
@@ -407,24 +378,7 @@ fn main() -> ExitCode {
         let (deaths, slow) =
             plan.as_ref().map_or((0, 0), |p| (p.stats().deaths_fired(), p.stats().slow_requests()));
         for p in [&un, &over] {
-            for c in &p.classes {
-                eprintln!(
-                    "{} {} {}: submitted={} completed={} shed={} cancelled={} failed={} \
-                     qps={:.1} p50={}us p99={}us p999={}us",
-                    fault.name(),
-                    p.phase,
-                    c.class.label(),
-                    c.submitted,
-                    c.completed,
-                    c.shed,
-                    c.deadline_cancelled,
-                    c.failed,
-                    c.qps,
-                    c.p50_us,
-                    c.p99_us,
-                    c.p999_us,
-                );
-            }
+            eprintln!("{} {}", fault.name(), phase_json(p));
         }
         eprintln!("{}: deaths_fired={} slow_requests={}", fault.name(), deaths, slow);
         un.check(fault.name(), &mut gates);
@@ -449,29 +403,19 @@ fn main() -> ExitCode {
                 gates.check(slow > 0, "disk_slowdown: the slowdown never engaged")
             }
         }
-        scenario_blocks.push(format!(
-            "    {{\"scenario\": \"{}\", \"deaths_fired\": {}, \"slow_requests\": {},\n      \
-             \"phases\": [\n        {},\n        {}\n      ]}}",
-            fault.name(),
-            deaths,
-            slow,
-            phase_json(&un),
-            phase_json(&over),
-        ));
+        scenarios.push(
+            JsonValue::obj()
+                .with("scenario", fault.name())
+                .with("deaths_fired", deaths)
+                .with("slow_requests", slow)
+                .with("phases", vec![phase_json(&un), phase_json(&over)]),
+        );
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"service\",\n");
-    json.push_str(&host_header_json(
-        ExecConfig::unthrottled().machine.n_procs,
-        ExecConfig::unthrottled().bufpool_pages,
-    ));
-    json.push_str(&format!("  \"scale\": {SCALE},\n"));
-    json.push_str(&format!("  \"tenants\": {N_TENANTS},\n"));
-    json.push_str(&format!("  \"seed\": {SEED},\n"));
-    json.push_str("  \"scenarios\": [\n");
-    json.push_str(&scenario_blocks.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    finish(&out_path, &json, gates)
+    let doc = bench_doc("service")
+        .with("scale", SCALE)
+        .with("tenants", N_TENANTS)
+        .with("seed", SEED)
+        .with("scenarios", scenarios);
+    finish(&out_path, &doc, gates)
 }

@@ -24,7 +24,8 @@ use std::fmt::Display;
 use std::process::ExitCode;
 
 use xprs::{PolicyKind, XprsSystem};
-use xprs_executor::{ExecReport, QueryRun, RelBinding};
+use xprs_executor::{ExecConfig, ExecReport, QueryRun, RelBinding};
+use xprs_obs::json::JsonValue;
 use xprs_optimizer::cost::{CostModel, RelInfo};
 use xprs_optimizer::{decompose, Costing, OptimizedQuery, Plan, Query, TwoPhaseOptimizer};
 use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy};
@@ -635,10 +636,8 @@ pub mod exec_predict {
     use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
     use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
     use xprs_scheduler::predict::Predictor;
-    use xprs_scheduler::trace::{
-        action_signature, action_stream, parse_jsonl, JsonlSink, SharedSink, TraceRecord,
-    };
-    use xprs_scheduler::{Action, MachineConfig, TaskId};
+    use xprs_scheduler::trace::{action_signature, action_stream, RingSink, TraceRecord};
+    use xprs_scheduler::{MachineConfig, TaskId};
     use xprs_storage::{Catalog, Datum, Schema, Tuple, PAGE_SIZE};
 
     /// Pool frames both modes run with.
@@ -759,19 +758,16 @@ pub mod exec_predict {
         if let Some(p) = predictor {
             cfg = cfg.with_predictor(p.clone());
         }
-        let sink = Arc::new(Mutex::new(JsonlSink::new(Vec::<u8>::new())));
-        let shared: SharedSink = sink.clone();
+        let ring = Arc::new(Mutex::new(RingSink::unbounded()));
         let mut policy = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(machine.clone()));
         let t0 = Instant::now();
         let report = Executor::new(cfg, cat.clone())
-            .with_trace(shared)
+            .with_trace(ring.clone())
             .run(runs, &mut policy)
             .expect("predictive A/B run failed");
         let wall = t0.elapsed().as_secs_f64();
-        let Ok(cell) = Arc::try_unwrap(sink) else { unreachable!("sink still shared") };
-        let text = String::from_utf8(cell.into_inner().unwrap().into_inner()).unwrap();
-        let records = parse_jsonl(&text).expect("well-formed trace");
-        let actions: Vec<(f64, Action)> = action_stream(&records);
+        let records = ring.lock().expect("trace sink").records();
+        let actions = action_stream(&records);
         PredictRun {
             wall,
             emitted: report.results.iter().map(|r| r.rows.rows.len() as u64).sum(),
@@ -822,17 +818,12 @@ impl Gates {
     }
 }
 
-/// End a gated leg: check that `json` parses (malformed output fails the
-/// leg), write it to `path`, then print every failed gate. The artefact is
-/// written before the verdict so a failing run leaves it for diagnosis.
-/// Exit status 2 if `path` cannot be written, 1 if any gate failed.
-pub fn finish(path: &str, json: &str, mut gates: Gates) -> ExitCode {
-    let malformed = xprs_obs::json::parse(json).err();
-    gates.check(
-        malformed.is_none(),
-        format_args!("{path}: malformed JSON: {}", malformed.unwrap_or_default()),
-    );
-    if let Err(e) = std::fs::write(path, json) {
+/// End a gated leg: write `doc` to `path` (indented), then print every
+/// failed gate. The artefact is written before the verdict so a failing run
+/// leaves it for diagnosis. Exit status 2 if `path` cannot be written, 1 if
+/// any gate failed.
+pub fn finish(path: &str, doc: &JsonValue, gates: Gates) -> ExitCode {
+    if let Err(e) = std::fs::write(path, format!("{doc:#}\n")) {
         eprintln!("cannot write {path}: {e}");
         return ExitCode::from(2);
     }
@@ -847,16 +838,18 @@ pub fn finish(path: &str, json: &str, mut gates: Gates) -> ExitCode {
     }
 }
 
-/// The host facts every `BENCH_*.json` header records so scaling numbers
-/// are interpretable across machines: the host's available parallelism,
-/// the simulated machine's processor count (= persistent-pool staffing
-/// width), and the buffer-pool size the run used.
-pub fn host_header_json(n_procs: u32, bufpool_pages: usize) -> String {
+/// The head of every `BENCH_*.json`: the bench's name and the host facts
+/// that make scaling numbers interpretable across machines — the host's
+/// available parallelism, the simulated machine's processor count (the
+/// persistent pool's staffing width) and the default buffer-pool size.
+pub fn bench_doc(bench: &str) -> JsonValue {
+    let cfg = ExecConfig::unthrottled();
     let avail = std::thread::available_parallelism().map_or(0, |n| n.get());
-    format!(
-        "  \"host\": {{\"available_parallelism\": {avail}, \"machine_procs\": {n_procs}, \
-         \"bufpool_pages\": {bufpool_pages}}},\n"
-    )
+    let host = JsonValue::obj()
+        .with("available_parallelism", avail)
+        .with("machine_procs", cfg.machine.n_procs)
+        .with("bufpool_pages", cfg.bufpool_pages);
+    JsonValue::obj().with("bench", bench).with("host", host)
 }
 
 /// Mean of a slice.
@@ -933,7 +926,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_exits_on_failed_gates_malformed_json_and_unwritable_paths() {
+    fn finish_exits_on_failed_gates_and_unwritable_paths() {
         let path = std::env::temp_dir().join(format!("xprs-gates-{}.json", std::process::id()));
         let path = path.to_str().expect("utf-8 temp path");
         let gates = |ok: bool| {
@@ -941,13 +934,14 @@ mod tests {
             g.check(ok, "the gate");
             g
         };
-        assert_eq!(finish(path, "{\"a\": 1}", gates(true)), ExitCode::SUCCESS);
-        assert_eq!(finish(path, "{\"a\": 1}", gates(false)), ExitCode::FAILURE);
-        assert_eq!(finish(path, "{\"a\": 1", gates(true)), ExitCode::FAILURE);
-        assert_eq!(std::fs::read_to_string(path).unwrap(), "{\"a\": 1", "written for diagnosis");
+        let doc = JsonValue::obj().with("a", 1u64);
+        assert_eq!(finish(path, &doc, gates(true)), ExitCode::SUCCESS);
+        assert_eq!(finish(path, &doc, gates(false)), ExitCode::FAILURE);
+        let written = std::fs::read_to_string(path).unwrap();
+        assert_eq!(written, "{\n  \"a\": 1\n}\n", "written, indented, for diagnosis");
         std::fs::remove_file(path).ok();
         let unwritable = "/nonexistent-xprs-dir/out.json";
-        assert_eq!(finish(unwritable, "{}", gates(true)), ExitCode::from(2));
+        assert_eq!(finish(unwritable, &doc, gates(true)), ExitCode::from(2));
     }
 
     #[test]

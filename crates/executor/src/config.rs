@@ -1,6 +1,5 @@
 //! Executor configuration: [`ExecConfig`] and its builders.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use xprs_disk::FaultPlan;
@@ -10,7 +9,7 @@ use xprs_scheduler::MachineConfig;
 use crate::error::ExecError;
 // Named only by the intra-doc links below.
 #[cfg(doc)]
-use {crate::obs::ExecMetrics, crate::ExecReport, crate::StealPartition};
+use {crate::obs::ExecMetrics, crate::StealPartition};
 #[cfg(doc)]
 use {xprs_scheduler::trace::TraceRecord, xprs_scheduler::TaskProfile};
 
@@ -75,9 +74,6 @@ pub struct ExecConfig {
     /// the cold-path profile (pool shards, per-disk class stats, fragment
     /// profiles, the utilization audit) is collected regardless.
     pub obs: bool,
-    /// Write [`ExecReport::metrics_json`] to this path after a successful
-    /// run. Implies `obs`.
-    pub metrics_out: Option<PathBuf>,
     /// Online profile predictor. When attached, the master substitutes
     /// predicted `seq_time`/`io_rate`/memory for the optimizer's declared
     /// values at every fragment announcement (cold keys fall back to the
@@ -106,7 +102,6 @@ impl ExecConfig {
             parallel_merge_min_rows: 4096,
             parallel_merge_ways: 0,
             obs: false,
-            metrics_out: None,
             predictor: None,
         }
     }
@@ -131,14 +126,6 @@ impl ExecConfig {
 
     /// Enable detailed hot-path metrics collection.
     pub fn with_obs(mut self) -> Self {
-        self.obs = true;
-        self
-    }
-
-    /// Write `metrics.json` to `path` after each successful run (enables
-    /// detailed metrics).
-    pub fn with_metrics_out(mut self, path: impl Into<PathBuf>) -> Self {
-        self.metrics_out = Some(path.into());
         self.obs = true;
         self
     }

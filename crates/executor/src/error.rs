@@ -105,14 +105,6 @@ pub enum ExecError {
         /// Its value.
         value: f64,
     },
-    /// `ExecConfig::metrics_out` was set but `metrics.json` could not be
-    /// written. The run itself completed.
-    MetricsDump {
-        /// Destination path.
-        path: String,
-        /// Rendered I/O error.
-        error: String,
-    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -164,9 +156,6 @@ impl std::fmt::Display for ExecError {
             }
             ExecError::InvalidConfig { field, value } => {
                 write!(f, "invalid executor configuration: {field} = {value}")
-            }
-            ExecError::MetricsDump { path, error } => {
-                write!(f, "could not write metrics to {path}: {error}")
             }
         }
     }

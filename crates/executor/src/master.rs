@@ -219,8 +219,7 @@ impl Executor {
         if let Some(plan) = &cfg.faults {
             machine = machine.with_faults(plan.clone());
         }
-        let metrics =
-            (cfg.obs || cfg.metrics_out.is_some()).then(|| Arc::new(ExecMetrics::default()));
+        let metrics = cfg.obs.then(|| Arc::new(ExecMetrics::default()));
         if let Some(m) = &metrics {
             machine = machine.with_metrics(m.clone());
         }
@@ -879,7 +878,7 @@ impl<'a> MasterRun<'a> {
             })
             .collect();
         let (machine, grants) = (&self.machine, self.admission.totals());
-        let report = ExecReport {
+        Ok(ExecReport {
             results,
             stats: machine.stats(),
             pool_shards: machine.pool_shard_stats(),
@@ -911,12 +910,6 @@ impl<'a> MasterRun<'a> {
             cancelled: self.cancelled_q,
             footprint_overruns: self.footprint_overruns,
             footprint_warnings: self.footprint_warnings,
-        };
-        if let Some(path) = &self.exec.cfg.metrics_out {
-            std::fs::write(path, report.metrics_json()).map_err(|e| {
-                ExecError::MetricsDump { path: path.display().to_string(), error: e.to_string() }
-            })?;
-        }
-        Ok(report)
+        })
     }
 }

@@ -20,11 +20,10 @@
 //!   is saturated by a paired window.
 //! * `ExecReport::metrics_json` — the whole report (pool shards, per-disk
 //!   per-class service time, event counters, merge shape, per-query
-//!   fragment profiles, the audit) rendered as one JSON document, validated
-//!   by `scripts/ci.sh`'s `obs` leg.
+//!   fragment profiles, the audit) built as one [`JsonValue`] tree.
 
 use xprs_disk::{ClassStats, ServiceClass};
-use xprs_obs::json::{fnum, jstr};
+use xprs_obs::json::JsonValue;
 use xprs_obs::{Counter, Histogram};
 use xprs_scheduler::balance::effective_bandwidth;
 use xprs_scheduler::{Boundedness, MachineConfig, TaskId, TaskProfile};
@@ -374,80 +373,74 @@ pub fn audit_samples(samples: &[UtilSample], machine: &MachineConfig, scale: f64
     audit
 }
 
-fn machine_json(m: &MachineConfig) -> String {
-    format!(
-        "{{\"n_procs\":{},\"n_disks\":{},\"seq_bw\":{},\"almost_seq_bw\":{},\"random_bw\":{}}}",
-        m.n_procs,
-        m.n_disks,
-        fnum(m.seq_bw),
-        fnum(m.almost_seq_bw),
-        fnum(m.random_bw)
-    )
-}
-
-fn class_stats_json(c: &ClassStats) -> String {
-    let field = |class: ServiceClass| {
-        format!("{{\"count\":{},\"busy\":{}}}", c.count_of(class), fnum(c.busy_of(class)))
+fn class_stats_json(c: &ClassStats) -> JsonValue {
+    let class = |class: ServiceClass| {
+        JsonValue::obj().with("count", c.count_of(class)).with("busy", c.busy_of(class))
     };
-    format!(
-        "{{\"sequential\":{},\"almost_sequential\":{},\"random\":{},\"queue_wait\":{}}}",
-        field(ServiceClass::Sequential),
-        field(ServiceClass::AlmostSequential),
-        field(ServiceClass::Random),
-        fnum(c.queue_wait)
-    )
+    JsonValue::obj()
+        .with("sequential", class(ServiceClass::Sequential))
+        .with("almost_sequential", class(ServiceClass::AlmostSequential))
+        .with("random", class(ServiceClass::Random))
+        .with("queue_wait", c.queue_wait)
 }
 
-fn merge_json(m: &MergeProfile) -> String {
-    format!(
-        "{{\"runs\":{},\"rows\":{},\"ways\":{},\"parallel\":{},\"hot_keys\":{},\
-         \"way_rows_max\":{},\"way_rows_mean\":{}}}",
-        m.runs, m.rows, m.ways, m.parallel, m.hot_keys, m.way_rows_max, m.way_rows_mean
-    )
+fn fragment_json(f: &FragmentProfile) -> JsonValue {
+    let m = &f.merge;
+    JsonValue::obj()
+        .with("task", f.task)
+        .with("is_root", f.is_root)
+        .with("started_at", f.started_at)
+        .with("finished_at", f.finished_at)
+        .with("units", f.units)
+        .with("staffed", f.staffed)
+        .with("parallelism", f.parallelism)
+        .with("backends", f.backends)
+        .with("adjusts", f.adjusts)
+        .with("heartbeats", f.heartbeats)
+        .with(
+            "merge",
+            JsonValue::obj()
+                .with("runs", m.runs)
+                .with("rows", m.rows)
+                .with("ways", m.ways)
+                .with("parallel", m.parallel)
+                .with("hot_keys", m.hot_keys)
+                .with("way_rows_max", m.way_rows_max)
+                .with("way_rows_mean", m.way_rows_mean),
+        )
+        .with("observed_pages", f.observed_pages)
+        .with("declared_pages", f.declared_pages)
 }
 
-fn audit_json(a: &UtilizationAudit) -> String {
-    let windows: Vec<String> = a
-        .windows
-        .iter()
-        .map(|w| {
-            let tasks: Vec<String> =
-                w.tasks.iter().map(|(t, x, b)| format!("[{},{},{}]", t.0, x, b)).collect();
-            format!(
-                "{{\"t0\":{},\"t1\":{},\"tasks\":[{}],\"paired\":{},\"solo_io\":{},\
-                 \"requests\":{},\"measured_bw\":{},\"planned_bw\":{},\"disk_util\":{},\
-                 \"cpu_util\":{},\"queue_wait\":{},\"queue_depth\":{},\"predicted_bw\":{}}}",
-                fnum(w.t0),
-                fnum(w.t1),
-                tasks.join(","),
-                w.paired,
-                w.solo_io,
-                w.requests,
-                fnum(w.measured_bw),
-                fnum(w.planned_bw),
-                fnum(w.disk_util),
-                fnum(w.cpu_util),
-                fnum(w.queue_wait),
-                fnum(w.queue_depth),
-                fnum(w.predicted_bw)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"band\":[{},{}],\"paired_bw\":{},\"paired_requests\":{},\"paired_disk_util\":{},\
-         \"paired_cpu_util\":{},\"paired_in_band\":{},\"solo_io_requests\":{},\
-         \"solo_io_disk_util\":{},\"windows\":[{}]}}",
-        fnum(a.band_lo),
-        fnum(a.band_hi),
-        fnum(a.paired_bw),
-        a.paired_requests,
-        fnum(a.paired_disk_util),
-        fnum(a.paired_cpu_util),
-        a.paired_in_band,
-        a.solo_io_requests,
-        fnum(a.solo_io_disk_util),
-        windows.join(",")
-    )
+fn window_json(w: &AuditWindow) -> JsonValue {
+    let tasks = w.tasks.iter().map(|&(t, x, b)| vec![t.0, u64::from(x), u64::from(b)]);
+    JsonValue::obj()
+        .with("t0", w.t0)
+        .with("t1", w.t1)
+        .with("tasks", tasks.collect::<Vec<_>>())
+        .with("paired", w.paired)
+        .with("solo_io", w.solo_io)
+        .with("requests", w.requests)
+        .with("measured_bw", w.measured_bw)
+        .with("planned_bw", w.planned_bw)
+        .with("disk_util", w.disk_util)
+        .with("cpu_util", w.cpu_util)
+        .with("queue_wait", w.queue_wait)
+        .with("queue_depth", w.queue_depth)
+        .with("predicted_bw", w.predicted_bw)
+}
+
+fn audit_json(a: &UtilizationAudit) -> JsonValue {
+    JsonValue::obj()
+        .with("band", vec![a.band_lo, a.band_hi])
+        .with("paired_bw", a.paired_bw)
+        .with("paired_requests", a.paired_requests)
+        .with("paired_disk_util", a.paired_disk_util)
+        .with("paired_cpu_util", a.paired_cpu_util)
+        .with("paired_in_band", a.paired_in_band)
+        .with("solo_io_requests", a.solo_io_requests)
+        .with("solo_io_disk_util", a.solo_io_disk_util)
+        .with("windows", a.windows.iter().map(window_json).collect::<Vec<_>>())
 }
 
 impl ExecReport {
@@ -462,143 +455,112 @@ impl ExecReport {
     /// Always available — the structural counters (pool shards, per-disk
     /// class stats, fragment profiles, the audit) are collected on cold
     /// paths regardless of `ExecConfig::obs`; the hot-path sections
-    /// (`gate_wait_ns`, `io`, `merge_hist`) are `null` when metrics were
-    /// disabled.
+    /// (`gate_wait_ns`, `io`, `merge`, `morsel`) are `null` when metrics
+    /// were disabled.
     pub fn metrics_json(&self) -> String {
-        let pool_total = self.stats.pool;
-        let shards: Vec<String> = self
-            .pool_shards
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"bypasses\":{}}}",
-                    s.hits, s.misses, s.evictions, s.bypasses
-                )
-            })
-            .collect();
-        let disks: Vec<String> = self.disk_classes.iter().map(class_stats_json).collect();
-        let queries: Vec<String> = self
-            .profiles
-            .iter()
-            .map(|q| {
-                let frags: Vec<String> = q
-                    .fragments
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "{{\"task\":{},\"is_root\":{},\"started_at\":{},\"finished_at\":{},\
-                             \"units\":{},\"staffed\":{},\"parallelism\":{},\"backends\":{},\
-                             \"adjusts\":{},\"heartbeats\":{},\
-                             \"merge\":{},\"observed_pages\":{},\"declared_pages\":{}}}",
-                            f.task.0,
-                            f.is_root,
-                            fnum(f.started_at),
-                            fnum(f.finished_at),
-                            f.units,
-                            f.staffed,
-                            f.parallelism,
-                            f.backends,
-                            f.adjusts,
-                            f.heartbeats,
-                            merge_json(&f.merge),
-                            f.observed_pages,
-                            f.declared_pages
-                        )
-                    })
-                    .collect();
-                format!(
-                    "{{\"query\":{},\"finished_at\":{},\"rows\":{},\"cancelled\":{},\
-                     \"fragments\":[{}]}}",
-                    q.query,
-                    fnum(q.finished_at),
-                    q.rows,
-                    q.cancelled,
-                    frags.join(",")
-                )
-            })
-            .collect();
-        let (gate, io, merge_hist, morsel) = match &self.metrics {
-            Some(m) => (
-                m.gate_wait_ns.snapshot().to_json(),
-                format!(
-                    "{{\"retries\":{},\"faults\":{},\"unpin_anomalies\":{}}}",
-                    m.io_retries.get(),
-                    m.io_faults.get(),
-                    m.unpin_anomalies.get()
-                ),
-                format!(
-                    "{{\"fanout\":{},\"runs\":{},\"run_rows\":{},\"hot_keys\":{},\
-                     \"way_rows\":{}}}",
-                    m.merge_fanout.snapshot().to_json(),
-                    m.merge_runs.snapshot().to_json(),
-                    m.merge_run_rows.snapshot().to_json(),
-                    m.hot_keys.get(),
-                    m.merge_way_rows.snapshot().to_json()
-                ),
-                format!(
-                    "{{\"steals\":{},\"steal_fails\":{},\"morsel_ns\":{},\"steal_idle_ns\":{}}}",
-                    m.steals.get(),
-                    m.steal_fails.get(),
-                    m.morsel_ns.snapshot().to_json(),
-                    m.steal_idle_ns.snapshot().to_json()
-                ),
-            ),
-            None => {
-                let null = || "null".to_string();
-                (null(), null(), null(), null())
-            }
+        let (pool, m, metrics) = (&self.stats.pool, &self.machine, self.metrics.as_deref());
+        let shard = |s: &xprs_storage::PoolStats| {
+            JsonValue::obj()
+                .with("hits", s.hits)
+                .with("misses", s.misses)
+                .with("evictions", s.evictions)
+                .with("bypasses", s.bypasses)
         };
-        format!(
-            "{{\"schema\":{},\"machine\":{},\"scale\":{},\"wall\":{},\"reads\":{},\
-             \"cpu_busy\":{},\
-             \"pool\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"bypasses\":{},\
-             \"fetches\":{},\"hit_rate\":{},\"shards\":[{}]}},\
-             \"disks\":[{}],\
-             \"events\":{{\"staffed\":{},\"adjusts\":{},\"heartbeats\":{},\"patrol_ticks\":{},\
-             \"recoveries\":{},\"recalibrations\":{},\"pool_threads\":{}}},\
-             \"memory\":{{\"granted_pages\":{},\"released_pages\":{},\"grant_waits\":{},\
-             \"spill_chunks\":{},\"spill_rows\":{},\"pinned_at_exit\":{},\
-             \"footprint_overruns\":{}}},\
-             \"predict\":{{\"substitutions\":{},\"fallbacks\":{}}},\
-             \"gate_wait_ns\":{},\"io\":{},\"merge\":{},\"morsel\":{},\
-             \"queries\":[{}],\"utilization_audit\":{}}}",
-            jstr("xprs-metrics/1"),
-            machine_json(&self.machine),
-            fnum(self.scale),
-            fnum(self.wall),
-            self.stats.reads,
-            fnum(self.cpu_busy),
-            pool_total.hits,
-            pool_total.misses,
-            pool_total.evictions,
-            pool_total.bypasses,
-            pool_total.fetches(),
-            fnum(pool_total.hit_rate()),
-            shards.join(","),
-            disks.join(","),
-            self.pool_jobs,
-            self.adjusts,
-            self.heartbeats,
-            self.patrol_ticks,
-            self.worker_recoveries,
-            self.recalibrations,
-            self.pool_threads,
-            self.mem_granted_pages,
-            self.mem_released_pages,
-            self.mem_grant_waits,
-            self.spill_chunks,
-            self.spill_rows,
-            self.pool_pinned_at_exit,
-            self.footprint_overruns,
-            self.metrics.as_ref().map_or(0, |m| m.predictions.get()),
-            self.metrics.as_ref().map_or(0, |m| m.prediction_fallbacks.get()),
-            gate,
-            io,
-            merge_hist,
-            morsel,
-            queries.join(","),
-            audit_json(&self.utilization_audit())
-        )
+        let query = |q: &QueryProfile| {
+            JsonValue::obj()
+                .with("query", q.query)
+                .with("finished_at", q.finished_at)
+                .with("rows", q.rows)
+                .with("cancelled", q.cancelled)
+                .with("fragments", q.fragments.iter().map(fragment_json).collect::<Vec<_>>())
+        };
+        // The hot-path sections, `null` when metrics were off.
+        let hot = |section: fn(&ExecMetrics) -> JsonValue| metrics.map_or(JsonValue::Null, section);
+        JsonValue::obj()
+            .with("schema", "xprs-metrics/1")
+            .with(
+                "machine",
+                JsonValue::obj()
+                    .with("n_procs", m.n_procs)
+                    .with("n_disks", m.n_disks)
+                    .with("seq_bw", m.seq_bw)
+                    .with("almost_seq_bw", m.almost_seq_bw)
+                    .with("random_bw", m.random_bw),
+            )
+            .with("scale", self.scale)
+            .with("wall", self.wall)
+            .with("reads", self.stats.reads)
+            .with("cpu_busy", self.cpu_busy)
+            .with(
+                "pool",
+                shard(pool)
+                    .with("fetches", pool.fetches())
+                    .with("hit_rate", pool.hit_rate())
+                    .with("shards", self.pool_shards.iter().map(shard).collect::<Vec<_>>()),
+            )
+            .with("disks", self.disk_classes.iter().map(class_stats_json).collect::<Vec<_>>())
+            .with(
+                "events",
+                JsonValue::obj()
+                    .with("staffed", self.pool_jobs)
+                    .with("adjusts", self.adjusts)
+                    .with("heartbeats", self.heartbeats)
+                    .with("patrol_ticks", self.patrol_ticks)
+                    .with("recoveries", self.worker_recoveries)
+                    .with("recalibrations", self.recalibrations)
+                    .with("pool_threads", self.pool_threads),
+            )
+            .with(
+                "memory",
+                JsonValue::obj()
+                    .with("granted_pages", self.mem_granted_pages)
+                    .with("released_pages", self.mem_released_pages)
+                    .with("grant_waits", self.mem_grant_waits)
+                    .with("spill_chunks", self.spill_chunks)
+                    .with("spill_rows", self.spill_rows)
+                    .with("pinned_at_exit", self.pool_pinned_at_exit)
+                    .with("footprint_overruns", self.footprint_overruns),
+            )
+            .with(
+                "predict",
+                JsonValue::obj()
+                    .with("substitutions", metrics.map_or(0, |m| m.predictions.get()))
+                    .with("fallbacks", metrics.map_or(0, |m| m.prediction_fallbacks.get())),
+            )
+            .with("gate_wait_ns", hot(|m| m.gate_wait_ns.snapshot().to_json()))
+            .with(
+                "io",
+                hot(|m| {
+                    JsonValue::obj()
+                        .with("retries", m.io_retries.get())
+                        .with("faults", m.io_faults.get())
+                        .with("unpin_anomalies", m.unpin_anomalies.get())
+                }),
+            )
+            .with(
+                "merge",
+                hot(|m| {
+                    JsonValue::obj()
+                        .with("fanout", m.merge_fanout.snapshot().to_json())
+                        .with("runs", m.merge_runs.snapshot().to_json())
+                        .with("run_rows", m.merge_run_rows.snapshot().to_json())
+                        .with("hot_keys", m.hot_keys.get())
+                        .with("way_rows", m.merge_way_rows.snapshot().to_json())
+                }),
+            )
+            .with(
+                "morsel",
+                hot(|m| {
+                    JsonValue::obj()
+                        .with("steals", m.steals.get())
+                        .with("steal_fails", m.steal_fails.get())
+                        .with("morsel_ns", m.morsel_ns.snapshot().to_json())
+                        .with("steal_idle_ns", m.steal_idle_ns.snapshot().to_json())
+                }),
+            )
+            .with("queries", self.profiles.iter().map(query).collect::<Vec<_>>())
+            .with("utilization_audit", audit_json(&self.utilization_audit()))
+            .to_string()
     }
 }
 

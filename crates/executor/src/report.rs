@@ -100,8 +100,8 @@ pub struct ExecReport {
     /// Per-query cancellation outcome, in submission order: `true` means
     /// the query's token fired before its root completed, and its result
     /// is an empty [`Materialized`]. A query whose token fired *after* the
-    /// root finished keeps its real rows and stays `true` here — the
-    /// caller learns the work was not wasted.
+    /// root finished keeps its real rows and is reported `false` here: the
+    /// late token changed nothing.
     pub cancelled: Vec<bool>,
     /// Fragments whose observed page footprint exceeded the pages their
     /// [`TaskProfile::memory`] declared (detection only — the run is never

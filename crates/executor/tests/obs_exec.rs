@@ -7,9 +7,9 @@
 //! * Bypass accounting — a pool too small for the scan's pin pressure
 //!   serves reads *around* the pool; those must be counted, so that
 //!   `hits + misses + bypasses == reads` holds even under exhaustion.
-//! * `metrics.json` — the dumped document must parse with the crate's own
+//! * `metrics.json` — the rendered document must parse with the crate's own
 //!   parser and its counters must balance; a scaled-time co-run must also
-//!   carry the utilization audit's windows.
+//!   carry the utilization audit's windows; its key paths are pinned.
 //! * Plan mismatch — a hand-tampered decomposition is a typed refusal,
 //!   not a master panic.
 
@@ -212,17 +212,13 @@ fn exhausted_shards_account_every_read() {
 #[test]
 fn metrics_json_parses_and_balances() {
     let cat = catalog();
-    let path = std::env::temp_dir().join(format!("xprs-metrics-{}.json", std::process::id()));
-    let cfg = ExecConfig::unthrottled().with_metrics_out(&path);
-    let exec = Executor::new(cfg, cat.clone());
+    let exec = Executor::new(ExecConfig::unthrottled().with_obs(), cat.clone());
     let mut policy = IntraOnly::new(m(), true);
     let runs =
         vec![join_run(&cat), selection_run(&cat, "thin", (0, 49)), selection_run(&cat, "fat", (0, 9))];
     let report = exec.run(&runs, &mut policy).expect("run failed");
-    let text = std::fs::read_to_string(&path).expect("metrics.json must be written");
-    std::fs::remove_file(&path).ok();
 
-    let doc = parse(&text).expect("metrics.json must parse");
+    let doc = parse(&report.metrics_json()).expect("metrics.json must parse");
     let num = |v: &JsonValue, key: &str| {
         v.get(key).and_then(JsonValue::num).unwrap_or_else(|| panic!("missing {key}"))
     };
@@ -282,6 +278,113 @@ fn metrics_json_parses_and_balances() {
     assert_eq!(num(audit, "solo_io_requests"), 0.0);
 }
 
+/// Every key path of an unthrottled run's `metrics.json` with obs on, with
+/// the type of its value, as rendered before the document was built as one
+/// `JsonValue` tree. `[]` is an array of objects (its first element's keys
+/// stand for all); other arrays are not descended.
+const METRICS_KEY_PATHS: &str = "\
+    :obj schema:str machine:obj machine.n_procs:num machine.n_disks:num machine.seq_bw:num \
+    machine.almost_seq_bw:num machine.random_bw:num scale:num wall:num reads:num cpu_busy:num \
+    pool:obj pool.hits:num pool.misses:num pool.evictions:num pool.bypasses:num pool.fetches:num \
+    pool.hit_rate:num pool.shards:arr pool.shards[]:obj pool.shards[].hits:num \
+    pool.shards[].misses:num pool.shards[].evictions:num pool.shards[].bypasses:num disks:arr \
+    disks[]:obj disks[].sequential:obj disks[].sequential.count:num disks[].sequential.busy:num \
+    disks[].almost_sequential:obj disks[].almost_sequential.count:num \
+    disks[].almost_sequential.busy:num disks[].random:obj disks[].random.count:num \
+    disks[].random.busy:num disks[].queue_wait:num events:obj events.staffed:num \
+    events.adjusts:num events.heartbeats:num events.patrol_ticks:num events.recoveries:num \
+    events.recalibrations:num events.pool_threads:num memory:obj memory.granted_pages:num \
+    memory.released_pages:num memory.grant_waits:num memory.spill_chunks:num \
+    memory.spill_rows:num memory.pinned_at_exit:num memory.footprint_overruns:num predict:obj \
+    predict.substitutions:num predict.fallbacks:num gate_wait_ns:obj gate_wait_ns.count:num \
+    gate_wait_ns.sum:num gate_wait_ns.mean:num gate_wait_ns.max:num gate_wait_ns.p50:num \
+    gate_wait_ns.p99:num gate_wait_ns.buckets:arr io:obj io.retries:num io.faults:num \
+    io.unpin_anomalies:num merge:obj merge.fanout:obj merge.fanout.count:num \
+    merge.fanout.sum:num merge.fanout.mean:num merge.fanout.max:num merge.fanout.p50:num \
+    merge.fanout.p99:num merge.fanout.buckets:arr merge.runs:obj merge.runs.count:num \
+    merge.runs.sum:num merge.runs.mean:num merge.runs.max:num merge.runs.p50:num \
+    merge.runs.p99:num merge.runs.buckets:arr merge.run_rows:obj merge.run_rows.count:num \
+    merge.run_rows.sum:num merge.run_rows.mean:num merge.run_rows.max:num merge.run_rows.p50:num \
+    merge.run_rows.p99:num merge.run_rows.buckets:arr merge.hot_keys:num merge.way_rows:obj \
+    merge.way_rows.count:num merge.way_rows.sum:num merge.way_rows.mean:num \
+    merge.way_rows.max:num merge.way_rows.p50:num merge.way_rows.p99:num \
+    merge.way_rows.buckets:arr morsel:obj morsel.steals:num morsel.steal_fails:num \
+    morsel.morsel_ns:obj morsel.morsel_ns.count:num morsel.morsel_ns.sum:num \
+    morsel.morsel_ns.mean:num morsel.morsel_ns.max:num morsel.morsel_ns.p50:num \
+    morsel.morsel_ns.p99:num morsel.morsel_ns.buckets:arr morsel.steal_idle_ns:obj \
+    morsel.steal_idle_ns.count:num morsel.steal_idle_ns.sum:num morsel.steal_idle_ns.mean:num \
+    morsel.steal_idle_ns.max:num morsel.steal_idle_ns.p50:num morsel.steal_idle_ns.p99:num \
+    morsel.steal_idle_ns.buckets:arr queries:arr queries[]:obj queries[].query:num \
+    queries[].finished_at:num queries[].rows:num queries[].cancelled:bool \
+    queries[].fragments:arr queries[].fragments[]:obj queries[].fragments[].task:num \
+    queries[].fragments[].is_root:bool queries[].fragments[].started_at:num \
+    queries[].fragments[].finished_at:num queries[].fragments[].units:num \
+    queries[].fragments[].staffed:num queries[].fragments[].parallelism:num \
+    queries[].fragments[].backends:num queries[].fragments[].adjusts:num \
+    queries[].fragments[].heartbeats:num queries[].fragments[].merge:obj \
+    queries[].fragments[].merge.runs:num queries[].fragments[].merge.rows:num \
+    queries[].fragments[].merge.ways:num queries[].fragments[].merge.parallel:bool \
+    queries[].fragments[].merge.hot_keys:num queries[].fragments[].merge.way_rows_max:num \
+    queries[].fragments[].merge.way_rows_mean:num queries[].fragments[].observed_pages:num \
+    queries[].fragments[].declared_pages:num utilization_audit:obj utilization_audit.band:arr \
+    utilization_audit.paired_bw:num utilization_audit.paired_requests:num \
+    utilization_audit.paired_disk_util:num utilization_audit.paired_cpu_util:num \
+    utilization_audit.paired_in_band:bool utilization_audit.solo_io_requests:num \
+    utilization_audit.solo_io_disk_util:num utilization_audit.windows:arr";
+
+/// `path:type` for `v` and everything under it, in document order.
+fn key_paths(v: &JsonValue, path: &str, out: &mut Vec<String>) {
+    let kind = match v {
+        JsonValue::Null => "null",
+        JsonValue::Bool(_) => "bool",
+        JsonValue::Num(_) | JsonValue::UInt(_) => "num",
+        JsonValue::Str(_) => "str",
+        JsonValue::Arr(_) => "arr",
+        JsonValue::Obj(_) => "obj",
+    };
+    out.push(format!("{path}:{kind}"));
+    match v {
+        JsonValue::Obj(fields) => {
+            for (k, x) in fields {
+                key_paths(x, &if path.is_empty() { k.clone() } else { format!("{path}.{k}") }, out);
+            }
+        }
+        JsonValue::Arr(items) => {
+            if let Some(first @ JsonValue::Obj(_)) = items.first() {
+                key_paths(first, &format!("{path}[]"), out);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// `metrics.json` keeps its key paths, their order and their value types,
+/// with obs on and off; off, the four hot-path sections are `null`.
+#[test]
+fn metrics_json_key_paths_are_pinned() {
+    let cat = catalog();
+    let pinned: Vec<String> = METRICS_KEY_PATHS.split_whitespace().map(str::to_string).collect();
+    let hot = ["gate_wait_ns", "io", "merge", "morsel"];
+    let off: Vec<String> = pinned
+        .iter()
+        .filter(|p| !hot.iter().any(|h| p.starts_with(&format!("{h}."))))
+        .map(|p| match p.split_once(':') {
+            Some((h, "obj")) if hot.contains(&h) => format!("{h}:null"),
+            _ => p.clone(),
+        })
+        .collect();
+    for (obs, want) in [(true, &pinned), (false, &off)] {
+        let cfg = ExecConfig { obs, ..ExecConfig::unthrottled() };
+        let runs = [join_run(&cat), selection_run(&cat, "thin", (0, 49))];
+        let report = Executor::new(cfg, cat.clone())
+            .run(&runs, &mut IntraOnly::new(m(), true))
+            .expect("run failed");
+        let mut got = Vec::new();
+        key_paths(&parse(&report.metrics_json()).expect("metrics.json must parse"), "", &mut got);
+        assert_eq!(&got, want, "obs = {obs}");
+    }
+}
+
 /// Starts every arrived task at once on two processors and never adjusts,
 /// so two single-fragment queries share one §2.2 pairing window.
 struct StartAll {
@@ -314,19 +417,15 @@ impl SchedulePolicy for StartAll {
 #[test]
 fn scaled_co_run_dump_carries_the_audit_windows() {
     let cat = catalog();
-    let path =
-        std::env::temp_dir().join(format!("xprs-metrics-scaled-{}.json", std::process::id()));
-    let exec = Executor::new(ExecConfig::scaled(50.0).with_metrics_out(&path), cat.clone());
+    let exec = Executor::new(ExecConfig::scaled(50.0).with_obs(), cat.clone());
     let mut policy = StartAll { machine: m(), pending: Vec::new() };
     let runs = [
         selection_run(&cat, "fat", (i32::MIN, i32::MAX)),
         selection_run(&cat, "thin", (i32::MIN, i32::MAX)),
     ];
-    exec.run(&runs, &mut policy).expect("run failed");
-    let text = std::fs::read_to_string(&path).expect("metrics.json must be written");
-    std::fs::remove_file(&path).ok();
+    let report = exec.run(&runs, &mut policy).expect("run failed");
 
-    let doc = parse(&text).expect("metrics.json must parse");
+    let doc = parse(&report.metrics_json()).expect("metrics.json must parse");
     let num = |v: &JsonValue, key: &str| {
         v.get(key).and_then(JsonValue::num).unwrap_or_else(|| panic!("missing {key}"))
     };

@@ -1,9 +1,13 @@
-//! The workspace's hand-rolled JSON: one encoder convention and one minimal
-//! parser, shared by the scheduler's trace layer, the executor's
-//! `metrics.json`, and the bench/CI validation paths. The build is offline
-//! (no serde), so keeping a single implementation here is what makes every
-//! producer and consumer agree on the corner cases (float round-trips,
-//! infinities, NaN).
+//! The workspace's JSON, in one module: producers build a [`JsonValue`]
+//! from their fields and render it with `Display` (the one writer),
+//! [`parse`] reads text back (the one parser), and [`JsonValue::field`]
+//! reads a typed field out of a parsed value (the one reader). The scheduler's
+//! trace, the executor's `metrics.json` and the bench artefacts all go
+//! through here; the build is offline (no serde), so this is what makes
+//! every producer and consumer agree on the corner cases (exact integers,
+//! float round-trips, infinities, NaN). No other file writes JSON syntax.
+
+use std::fmt;
 
 /// Render a float as a JSON token that round-trips through [`str::parse`]:
 /// finite values use Rust's shortest-exact `Display`, infinities saturate
@@ -37,16 +41,22 @@ pub fn jstr(s: &str) -> String {
     out
 }
 
-/// A parsed JSON value. Numbers are `f64` (matching the encoder, which only
-/// ever emits values that round-trip); object fields keep source order.
+/// A JSON value; object fields keep their order.
+///
+/// `Display` is the writer: `{}` renders compactly (JSONL trace lines,
+/// `metrics.json`), `{:#}` indents two spaces per level (`BENCH_*.json`).
+/// Floats follow [`fnum`], strings and keys [`jstr`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number.
+    /// A number; [`parse`] reads every number as one.
     Num(f64),
+    /// An unsigned integer a producer built, rendered digit for digit
+    /// (an `f64` holds only 53 bits of one).
+    UInt(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -56,6 +66,20 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
+    /// An empty object, to fill with [`JsonValue::with`].
+    pub fn obj() -> Self {
+        JsonValue::Obj(Vec::new())
+    }
+
+    /// This object with `key: value` appended; any other value comes back
+    /// unchanged.
+    pub fn with(mut self, key: &str, value: impl Into<JsonValue>) -> Self {
+        if let JsonValue::Obj(fields) = &mut self {
+            fields.push((key.to_string(), value.into()));
+        }
+        self
+    }
+
     /// Field `key` of an object (None for other variants or missing keys).
     pub fn get<'a>(&'a self, key: &str) -> Option<&'a JsonValue> {
         match self {
@@ -64,10 +88,21 @@ impl JsonValue {
         }
     }
 
+    /// Field `key` of an object, read as a `T`.
+    ///
+    /// # Errors
+    /// Names the key, and the type expected when the field is there but is
+    /// not a `T`.
+    pub fn field<T: FromJson>(&self, key: &str) -> Result<T, String> {
+        let v = self.get(key).ok_or_else(|| format!("missing field {key:?}"))?;
+        T::from_json(v).map_err(|e| format!("field {key:?}: {e}"))
+    }
+
     /// Numeric value; `null` reads as NaN (the encoder writes NaN as null).
     pub fn num(&self) -> Option<f64> {
         match self {
             JsonValue::Num(x) => Some(*x),
+            JsonValue::UInt(n) => Some(*n as f64),
             JsonValue::Null => Some(f64::NAN),
             _ => None,
         }
@@ -98,6 +133,138 @@ impl JsonValue {
     }
 }
 
+impl fmt::Display for JsonValue {
+    /// `{}` is compact; `{:#}` puts each member on its own line, indented
+    /// two spaces per level. The level rides down the recursion as the
+    /// format width (`{:#3}` is a value nested three deep).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (members, open, close): (Vec<(Option<&str>, &JsonValue)>, _, _) = match self {
+            JsonValue::Null => return f.write_str("null"),
+            JsonValue::Bool(b) => return write!(f, "{b}"),
+            JsonValue::Num(x) => return f.write_str(&fnum(*x)),
+            JsonValue::UInt(n) => return write!(f, "{n}"),
+            JsonValue::Str(s) => return f.write_str(&jstr(s)),
+            JsonValue::Arr(items) => (items.iter().map(|v| (None, v)).collect(), '[', ']'),
+            JsonValue::Obj(fields) => {
+                (fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(), '{', '}')
+            }
+        };
+        let (pretty, level) = (f.alternate(), f.width().unwrap_or(0));
+        // Compact output has no line breaks and no indent.
+        let (newline, step, colon) = if pretty { ("\n", 2, ": ") } else { ("", 0, ":") };
+        write!(f, "{open}")?;
+        for (i, (key, v)) in members.iter().enumerate() {
+            let comma = if i == 0 { "" } else { "," };
+            write!(f, "{comma}{newline}{:1$}", "", step * (level + 1))?;
+            if let Some(key) = key {
+                write!(f, "{}{colon}", jstr(key))?;
+            }
+            if pretty {
+                write!(f, "{v:#0$}", level + 1)?;
+            } else {
+                write!(f, "{v}")?;
+            }
+        }
+        if !members.is_empty() {
+            write!(f, "{newline}{:1$}", "", step * level)?;
+        }
+        write!(f, "{close}")
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(x: f64) -> Self {
+        JsonValue::Num(x)
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(n: u64) -> Self {
+        JsonValue::UInt(n)
+    }
+}
+
+impl From<u32> for JsonValue {
+    fn from(n: u32) -> Self {
+        JsonValue::UInt(n.into())
+    }
+}
+
+impl From<usize> for JsonValue {
+    fn from(n: usize) -> Self {
+        JsonValue::UInt(n as u64)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::Str(s.to_string())
+    }
+}
+
+impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
+    fn from(items: Vec<T>) -> Self {
+        JsonValue::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// A type [`JsonValue::field`] reads.
+pub trait FromJson: Sized {
+    /// `v` as a `Self`, or what was expected instead.
+    fn from_json(v: &JsonValue) -> Result<Self, String>;
+}
+
+impl FromJson for f64 {
+    /// `null` reads as NaN, the way [`fnum`] writes it.
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        v.num().ok_or_else(|| "expected a number".to_string())
+    }
+}
+
+impl FromJson for u64 {
+    /// Exact from [`JsonValue::UInt`]; a parsed number saturates (negative
+    /// and NaN read as 0), it never wraps.
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        match v {
+            JsonValue::UInt(n) => Ok(*n),
+            _ => f64::from_json(v).map(|x| x as u64),
+        }
+    }
+}
+
+impl FromJson for u32 {
+    /// Saturating, like `u64`.
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        u64::from_json(v).map(|n| u32::try_from(n).unwrap_or(u32::MAX))
+    }
+}
+
+impl FromJson for bool {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        v.boolean().ok_or_else(|| "expected a bool".to_string())
+    }
+}
+
+impl FromJson for String {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        v.str().map(str::to_string).ok_or_else(|| "expected a string".to_string())
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        let items = v.arr().ok_or_else(|| "expected an array".to_string())?;
+        let item = |(i, x): (usize, &JsonValue)| T::from_json(x).map_err(|e| format!("[{i}]: {e}"));
+        items.iter().enumerate().map(item).collect()
+    }
+}
+
 /// Deepest nesting of arrays and objects the parser follows. The parser
 /// recurses once per level, so an unbounded `[[[[…` from a hostile file
 /// would overflow the stack; nothing this workspace writes nests past five.
@@ -110,19 +277,13 @@ pub const MAX_DEPTH: usize = 128;
 /// A human-readable description with the byte offset of the first problem;
 /// nesting deeper than [`MAX_DEPTH`] is one.
 pub fn parse(s: &str) -> Result<JsonValue, String> {
-    let mut p = Parser::new(s);
+    let mut p = Parser { src: s, pos: 0, depth: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.pos < p.src.len() {
         return Err(p.err("trailing characters after JSON value"));
     }
     Ok(v)
-}
-
-/// Parse a prefix of `s` as one JSON value, ignoring anything after it —
-/// the lenient variant trace-replay uses for JSONL lines.
-pub fn parse_prefix(s: &str) -> Result<JsonValue, String> {
-    Parser::new(s).value()
 }
 
 struct Parser<'a> {
@@ -133,10 +294,6 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { src: s, pos: 0, depth: 0 }
-    }
-
     fn bytes(&self) -> &'a [u8] {
         self.src.as_bytes()
     }
@@ -172,7 +329,12 @@ impl<'a> Parser<'a> {
                     return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
                 }
                 self.depth += 1;
-                let v = if open == b'{' { self.object() } else { self.array() };
+                let v = if open == b'{' {
+                    self.members(b'}', true).map(JsonValue::Obj)
+                } else {
+                    let items = self.members(b']', false)?.into_iter().map(|(_, v)| v);
+                    Ok(JsonValue::Arr(items.collect()))
+                };
                 self.depth -= 1;
                 v
             }
@@ -258,55 +420,33 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// The members of an array or an object, from its opening bracket
+    /// (which [`Parser::value`] peeked) through `close`. An object's members
+    /// are keyed; an array's carry an empty key.
+    fn members(&mut self, close: u8, keyed: bool) -> Result<Vec<(String, JsonValue)>, String> {
+        self.pos += 1;
+        let mut members = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(JsonValue::Arr(items));
+            return Ok(members);
         }
         loop {
-            items.push(self.value()?);
             self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
+            let key = if keyed { self.string()? } else { String::new() };
+            if keyed {
+                self.skip_ws();
+                self.expect(b':')?;
             }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
+            members.push((key, self.value()?));
             self.skip_ws();
             match self.peek() {
-                Some(b',') => {
+                Some(b',') => self.pos += 1,
+                Some(c) if c == close => {
                     self.pos += 1;
+                    return Ok(members);
                 }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
+                _ => return Err(self.err(&format!("expected ',' or '{}'", close as char))),
             }
         }
     }
@@ -355,7 +495,6 @@ mod tests {
         ] {
             let err = parse(&hostile).expect_err("too deep");
             assert!(err.contains("nesting deeper than 128"), "{err}");
-            assert!(parse_prefix(&hostile).is_err());
         }
         // Depth is nesting, not count: siblings do not accumulate.
         assert!(parse(&format!("[{}[]]", "[],".repeat(10_000))).is_ok());
@@ -367,7 +506,6 @@ mod tests {
         assert!(parse(doc).is_ok());
         for cut in (0..doc.len()).filter(|&i| doc.is_char_boundary(i)) {
             assert!(parse(&doc[..cut]).is_err(), "prefix {:?} parsed", &doc[..cut]);
-            assert!(parse_prefix(&doc[..cut]).is_err(), "prefix {:?} parsed", &doc[..cut]);
         }
     }
 
@@ -407,10 +545,63 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_trailing_garbage_but_prefix_allows_it() {
+    fn parse_rejects_trailing_garbage_but_not_trailing_whitespace() {
         assert!(parse("{} tail").is_err());
-        assert_eq!(parse_prefix("{} tail").unwrap(), JsonValue::Obj(vec![]));
+        assert!(parse("{}{}").is_err());
+        assert_eq!(parse("{} \t\r\n").unwrap(), JsonValue::Obj(vec![]));
         assert!(parse("{oops}").is_err());
         assert!(parse("").is_err());
+    }
+
+    fn sample() -> JsonValue {
+        JsonValue::obj()
+            .with("s", "a\"b")
+            .with("n", u64::MAX)
+            .with("x", 0.1)
+            .with("inf", f64::INFINITY)
+            .with("none", JsonValue::Null)
+            .with("arr", vec![1u32, 2])
+            .with("empty", Vec::<u32>::new())
+            .with("o", JsonValue::obj().with("t", true))
+    }
+
+    #[test]
+    fn the_writer_applies_fnum_and_jstr_and_renders_integers_exactly() {
+        assert_eq!(
+            sample().to_string(),
+            concat!(
+                r#"{"s":"a\"b","n":18446744073709551615,"x":0.1,"inf":1e400,"none":null,"#,
+                r#""arr":[1,2],"empty":[],"o":{"t":true}}"#
+            )
+        );
+        assert_eq!(JsonValue::from(f64::NAN).to_string(), "null");
+        assert_eq!(JsonValue::obj().to_string(), "{}");
+    }
+
+    #[test]
+    fn the_indented_form_is_the_same_document() {
+        let pretty = format!("{:#}", sample());
+        assert!(pretty.starts_with("{\n  \"s\": \"a\\\"b\",\n"), "{pretty}");
+        let arrays = "\n  \"arr\": [\n    1,\n    2\n  ],\n  \"empty\": [],";
+        assert!(pretty.contains(arrays), "{pretty}");
+        assert!(pretty.ends_with("\n  \"o\": {\n    \"t\": true\n  }\n}"), "{pretty}");
+        assert_eq!(parse(&pretty), parse(&sample().to_string()));
+    }
+
+    #[test]
+    fn field_reads_typed_values_and_names_what_is_wrong() {
+        let v = parse(&sample().to_string()).unwrap();
+        assert_eq!(v.field::<u64>("n"), Ok(u64::MAX), "saturates to the exact maximum");
+        assert_eq!(sample().field::<u64>("n"), Ok(u64::MAX));
+        assert_eq!(v.field::<f64>("x"), Ok(0.1));
+        assert_eq!(v.field::<String>("s"), Ok("a\"b".to_string()));
+        assert_eq!(v.field::<Vec<u32>>("arr"), Ok(vec![1, 2]));
+        assert!(v.field::<f64>("none").unwrap().is_nan(), "null reads as NaN");
+        assert_eq!(v.field::<u32>("n"), Ok(u32::MAX));
+        assert_eq!(v.field::<bool>("gone"), Err("missing field \"gone\"".to_string()));
+        assert_eq!(v.field::<bool>("s"), Err("field \"s\": expected a bool".to_string()));
+        let bad = parse("{\"a\":[1,\"x\"]}").unwrap();
+        let want = "field \"a\": [1]: expected a number";
+        assert_eq!(bad.field::<Vec<u64>>("a"), Err(want.to_string()));
     }
 }

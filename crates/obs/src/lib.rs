@@ -12,12 +12,12 @@
 //!   [`HistSnapshot`]) that supports window diffs: sample at a window edge,
 //!   diff against the previous edge, and the delta is what happened inside
 //!   the window.
-//! * **JSON** — the workspace builds offline with no serde, so every crate
-//!   that speaks JSON (scheduler traces, executor `metrics.json`, bench
-//!   artifacts) hand-rolls it. The [`json`] module is the single shared
-//!   implementation: [`json::fnum`] / [`json::jstr`] for encoding with exact
-//!   float round-trips, and [`json::parse`] for the minimal parser the
-//!   replay and CI validation paths need.
+//! * **JSON** — the workspace builds offline with no serde, and JSON syntax
+//!   is owned by one module, [`json`]: every producer (scheduler traces,
+//!   executor `metrics.json`, bench artefacts) builds a [`json::JsonValue`]
+//!   from its fields and renders it with `Display`; every consumer parses
+//!   with [`json::parse`] and reads typed fields with
+//!   [`json::JsonValue::field`].
 //!
 //! Disabled collection must cost ~zero: instrumented code holds an
 //! `Option<Arc<...>>` of metrics and branches on `is_some()`; this crate
@@ -237,27 +237,19 @@ impl HistSnapshot {
         }
     }
 
-    /// Compact JSON object: count, sum, mean, max, p50/p99, and the
-    /// non-empty buckets as `[bucket_upper_bound, count]` pairs.
-    pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| format!("[{},{}]", Histogram::bucket_bound(i), c))
-            .collect();
-        format!(
-            "{{\"count\":{},\"sum\":{},\"mean\":{},\"max\":{},\"p50\":{},\"p99\":{},\
-             \"buckets\":[{}]}}",
-            self.count,
-            self.sum,
-            json::fnum(self.mean()),
-            self.max,
-            self.quantile(0.5),
-            self.quantile(0.99),
-            buckets.join(",")
-        )
+    /// JSON object: count, sum, mean, max, p50/p99, and the non-empty
+    /// buckets as `[bucket_upper_bound, count]` pairs.
+    pub fn to_json(&self) -> json::JsonValue {
+        let buckets = self.buckets.iter().enumerate().filter(|(_, &c)| c > 0);
+        let pairs = buckets.map(|(i, &c)| vec![Histogram::bucket_bound(i), c]);
+        json::JsonValue::obj()
+            .with("count", self.count)
+            .with("sum", self.sum)
+            .with("mean", self.mean())
+            .with("max", self.max)
+            .with("p50", self.quantile(0.5))
+            .with("p99", self.quantile(0.99))
+            .with("buckets", pairs.collect::<Vec<_>>())
     }
 }
 
@@ -345,7 +337,7 @@ mod tests {
         for v in 0..100u64 {
             h.observe(v);
         }
-        let text = h.snapshot().to_json();
+        let text = h.snapshot().to_json().to_string();
         let v = json::parse(&text).expect("valid json");
         assert_eq!(v.get("count").and_then(|x| x.num()), Some(100.0));
         let buckets = v.get("buckets").and_then(|x| x.arr()).expect("buckets");

@@ -708,7 +708,7 @@ mod tests {
 
     #[test]
     fn error_paths_record_a_trace_error_record() {
-        use crate::trace::{shared, RingSink};
+        use crate::trace::RingSink;
         use std::sync::{Arc, Mutex};
         let ring = Arc::new(Mutex::new(RingSink::unbounded()));
         let sink: crate::trace::SharedSink = ring.clone();
@@ -723,7 +723,6 @@ mod tests {
             TraceRecord::Error { message, .. } => assert_eq!(message, &err.to_string()),
             other => panic!("expected a trailing Error record, got {other:?}"),
         }
-        let _ = shared(RingSink::new(1)); // exercise the helper
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! [`TraceRecord`]s into a [`TraceSink`]: arrivals with full task profiles,
 //! queue snapshots, the candidate pair with its balance point and effective
 //! bandwidth, the `T_inter` vs `T_intra` verdict, and every `Start`/`Adjust`
-//! the driver applied, all timestamped with the driver's clock. The default
-//! sink is [`NullSink`] (zero overhead when tracing is off); [`RingSink`]
-//! keeps the last `N` records in memory for post-mortems and [`JsonlSink`]
-//! streams hand-rolled JSON lines (this workspace builds offline, with no
-//! serde) to any `Write`.
+//! the driver applied, all timestamped with the driver's clock. A driver
+//! with no sink (`None`) traces nothing and builds no record; [`RingSink`]
+//! keeps every record in memory and [`JsonlSink`] streams JSON lines to any
+//! `Write`. Each record maps to a [`JsonValue`] and back, one conversion per
+//! direction; `xprs_obs::json` owns the syntax.
 //!
 //! Because [`crate::adaptive::AdaptiveScheduler`] is deterministic given its
 //! input events, a captured trace is a *replayable artifact*:
@@ -24,8 +24,9 @@
 //!
 //! See `DESIGN.md` §9 for the record schema and a capture/replay walkthrough.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
+
+use xprs_obs::json::{FromJson, JsonValue};
 
 use crate::error::SchedError;
 use crate::machine::MachineConfig;
@@ -201,89 +202,43 @@ pub trait TraceSink: Send {
     fn record(&mut self, rec: &TraceRecord);
 }
 
-/// The default sink: discards everything.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _rec: &TraceRecord) {}
-}
-
-/// In-memory ring buffer keeping the most recent records — cheap enough to
-/// leave on in production and harvest after an anomaly.
-#[derive(Debug)]
+/// In-memory record buffer, for tests and replay capture.
+#[derive(Debug, Default)]
 pub struct RingSink {
-    cap: usize,
-    buf: VecDeque<TraceRecord>,
-    dropped: u64,
+    buf: Vec<TraceRecord>,
 }
 
 impl RingSink {
-    /// A ring keeping at most `cap` records (`cap == 0` keeps none).
-    pub fn new(cap: usize) -> Self {
-        RingSink { cap, buf: VecDeque::new(), dropped: 0 }
-    }
-
-    /// A ring that never evicts (for tests and replay capture).
+    /// An empty buffer that keeps every record.
     pub fn unbounded() -> Self {
-        Self::new(usize::MAX)
+        Self::default()
     }
 
-    /// The retained records, oldest first.
+    /// The records, oldest first.
     pub fn records(&self) -> Vec<TraceRecord> {
-        self.buf.iter().cloned().collect()
-    }
-
-    /// Records evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.buf.clone()
     }
 }
 
 impl TraceSink for RingSink {
     fn record(&mut self, rec: &TraceRecord) {
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(rec.clone());
+        self.buf.push(rec.clone());
     }
 }
 
-/// Streams each record as one JSON object per line (JSONL) into any writer.
-/// The JSON is hand-rolled — the workspace builds offline without serde —
-/// and floats round-trip exactly (Rust's shortest-representation `Display`).
-///
-/// A continuous service must cap this sink ([`JsonlSink::bounded`]): an
-/// open-loop arrival stream emits trace records forever, and an unbounded
-/// JSONL file is unbounded growth on the service host. Past the cap the
-/// sink stops writing and counts what it dropped instead.
+/// Streams each record as one compact JSON object per line (JSONL) into
+/// any writer. Floats round-trip exactly (see [`xprs_obs::json::fnum`]).
 #[derive(Debug)]
 pub struct JsonlSink<W: std::io::Write + Send> {
     out: W,
     /// First I/O error encountered, if any (the sink goes quiet after).
     error: Option<std::io::ErrorKind>,
-    /// Records this sink will still write; `None` = unbounded.
-    remaining: Option<u64>,
-    /// Records not written because the cap was reached or the sink had
-    /// already gone quiet on an I/O error.
-    dropped: u64,
 }
 
 impl<W: std::io::Write + Send> JsonlSink<W> {
-    /// An unbounded sink writing to `out` (batch runs, tests).
+    /// A sink writing to `out`.
     pub fn new(out: W) -> Self {
-        JsonlSink { out, error: None, remaining: None, dropped: 0 }
-    }
-
-    /// A sink that writes at most `max_records` records to `out`, then
-    /// drops (and counts) the rest.
-    pub fn bounded(out: W, max_records: u64) -> Self {
-        JsonlSink { out, error: None, remaining: Some(max_records), dropped: 0 }
+        JsonlSink { out, error: None }
     }
 
     /// Unwrap the writer (e.g. to recover a `Vec<u8>` buffer).
@@ -295,44 +250,25 @@ impl<W: std::io::Write + Send> JsonlSink<W> {
     pub fn io_error(&self) -> Option<std::io::ErrorKind> {
         self.error
     }
-
-    /// Records dropped at the cap or after an I/O error.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 impl<W: std::io::Write + Send> TraceSink for JsonlSink<W> {
     fn record(&mut self, rec: &TraceRecord) {
         if self.error.is_some() {
-            self.dropped += 1;
             return; // tracing must never take the run down
         }
-        if let Some(remaining) = &mut self.remaining {
-            if *remaining == 0 {
-                self.dropped += 1;
-                return;
-            }
-            *remaining -= 1;
-        }
-        let mut line = rec.to_json();
-        line.push('\n');
-        if let Err(e) = self.out.write_all(line.as_bytes()) {
+        // One write per line, not one per token: `out` may be unbuffered.
+        if let Err(e) = self.out.write_all(format!("{}\n", JsonValue::from(rec)).as_bytes()) {
             self.error = Some(e.kind());
         }
     }
 }
 
-/// A sharable, dynamically-typed sink handle. Drivers and the policy can
-/// hold clones of the same handle so their records interleave in event
-/// order. Created by [`shared`], or by coercing an
-/// `Arc<Mutex<S>>` (keep the typed clone to read the sink back afterwards).
+/// A sharable, dynamically-typed sink handle: drivers and the policy hold
+/// clones of the same handle so their records interleave in event order.
+/// Made by coercing an `Arc<Mutex<S>>` (keep the typed clone to read the
+/// sink back afterwards).
 pub type SharedSink = Arc<Mutex<dyn TraceSink>>;
-
-/// Wrap a sink for sharing between a driver and a policy.
-pub fn shared<S: TraceSink + 'static>(sink: S) -> SharedSink {
-    Arc::new(Mutex::new(sink))
-}
 
 /// Emit a lazily-built record into an optional sink. The closure only runs
 /// when a sink is attached, so a disabled trace costs one branch. A
@@ -347,80 +283,128 @@ pub fn emit<F: FnOnce() -> TraceRecord>(sink: &Option<SharedSink>, f: F) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON encoding
+// JSON mapping: one conversion per type in each direction, through
+// `xprs_obs::json` (which owns the syntax).
 // ---------------------------------------------------------------------------
 
-// The encoder and parser used to live here; they are now the shared
-// `xprs_obs::json` module so the executor's `metrics.json` and the bench/CI
-// validators speak the exact same dialect (float round-trips, `±1e400`
-// infinities, NaN-as-null).
-use xprs_obs::json::{fnum, jstr, JsonValue};
-
-fn ids_json(ids: &[TaskId]) -> String {
-    let items: Vec<String> = ids.iter().map(|t| t.0.to_string()).collect();
-    format!("[{}]", items.join(","))
+impl From<TaskId> for JsonValue {
+    fn from(t: TaskId) -> Self {
+        t.0.into()
+    }
 }
 
-fn action_json(a: &Action) -> String {
-    match a {
-        Action::Start { id, parallelism } => {
-            format!("{{\"kind\":\"start\",\"task\":{},\"x\":{}}}", id.0, fnum(*parallelism))
-        }
-        Action::Adjust { id, parallelism } => {
-            format!("{{\"kind\":\"adjust\",\"task\":{},\"x\":{}}}", id.0, fnum(*parallelism))
+impl FromJson for TaskId {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        u64::from_json(v).map(TaskId)
+    }
+}
+
+impl From<IoKind> for JsonValue {
+    fn from(k: IoKind) -> Self {
+        JsonValue::from(if k == IoKind::Sequential { "seq" } else { "random" })
+    }
+}
+
+impl FromJson for IoKind {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        match v.str() {
+            Some("seq") => Ok(IoKind::Sequential),
+            Some("random") => Ok(IoKind::Random),
+            _ => Err("expected \"seq\" or \"random\"".to_string()),
         }
     }
 }
 
-fn kind_str(k: IoKind) -> &'static str {
-    match k {
-        IoKind::Sequential => "seq",
-        IoKind::Random => "random",
+impl From<&MachineConfig> for JsonValue {
+    fn from(m: &MachineConfig) -> Self {
+        JsonValue::obj()
+            .with("n_procs", m.n_procs)
+            .with("n_disks", m.n_disks)
+            .with("seq_bw", m.seq_bw)
+            .with("almost_seq_bw", m.almost_seq_bw)
+            .with("random_bw", m.random_bw)
+            .with("memory", m.memory)
     }
 }
 
-fn machine_json(m: &MachineConfig) -> String {
-    format!(
-        "{{\"n_procs\":{},\"n_disks\":{},\"seq_bw\":{},\"almost_seq_bw\":{},\
-         \"random_bw\":{},\"memory\":{}}}",
-        m.n_procs,
-        m.n_disks,
-        fnum(m.seq_bw),
-        fnum(m.almost_seq_bw),
-        fnum(m.random_bw),
-        fnum(m.memory),
-    )
+impl FromJson for MachineConfig {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        Ok(MachineConfig {
+            n_procs: v.field("n_procs")?,
+            n_disks: v.field("n_disks")?,
+            seq_bw: v.field("seq_bw")?,
+            almost_seq_bw: v.field("almost_seq_bw")?,
+            random_bw: v.field("random_bw")?,
+            memory: v.field("memory")?,
+        })
+    }
 }
 
-impl TraceRecord {
-    /// One-line JSON rendering of the record (no trailing newline).
-    pub fn to_json(&self) -> String {
-        match self {
-            TraceRecord::RunStart { driver, policy, machine } => format!(
-                "{{\"type\":\"run_start\",\"driver\":{},\"policy\":{},\"machine\":{}}}",
-                jstr(driver),
-                jstr(policy),
-                machine_json(machine),
-            ),
-            TraceRecord::Arrival { now, profile } => format!(
-                "{{\"type\":\"arrival\",\"now\":{},\"task\":{},\"seq_time\":{},\
-                 \"io_rate\":{},\"io_kind\":{},\"memory\":{}}}",
-                fnum(*now),
-                profile.id.0,
-                fnum(profile.seq_time),
-                fnum(profile.io_rate),
-                jstr(kind_str(profile.io_kind)),
-                fnum(profile.memory),
-            ),
+impl From<&Action> for JsonValue {
+    fn from(a: &Action) -> Self {
+        JsonValue::obj()
+            .with("kind", if matches!(a, Action::Start { .. }) { "start" } else { "adjust" })
+            .with("task", a.task())
+            .with("x", a.parallelism())
+    }
+}
+
+impl FromJson for Action {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        let (id, parallelism) = (v.field("task")?, v.field("x")?);
+        match v.field::<String>("kind")?.as_str() {
+            "start" => Ok(Action::Start { id, parallelism }),
+            "adjust" => Ok(Action::Adjust { id, parallelism }),
+            other => Err(format!("unknown action kind {other:?}")),
+        }
+    }
+}
+
+impl From<&RunningSnap> for JsonValue {
+    fn from(r: &RunningSnap) -> Self {
+        JsonValue::obj()
+            .with("task", r.task)
+            .with("x", r.parallelism)
+            .with("remaining", r.remaining)
+    }
+}
+
+impl FromJson for RunningSnap {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        Ok(RunningSnap {
+            task: v.field("task")?,
+            parallelism: v.field("x")?,
+            remaining: v.field("remaining")?,
+        })
+    }
+}
+
+impl From<&TraceRecord> for JsonValue {
+    /// The record's `type` tag, then its fields in declaration order.
+    fn from(rec: &TraceRecord) -> Self {
+        let o = JsonValue::obj();
+        match rec {
+            TraceRecord::RunStart { driver, policy, machine } => o
+                .with("type", "run_start")
+                .with("driver", driver.as_str())
+                .with("policy", policy.as_str())
+                .with("machine", machine),
+            TraceRecord::Arrival { now, profile } => o
+                .with("type", "arrival")
+                .with("now", *now)
+                .with("task", profile.id)
+                .with("seq_time", profile.seq_time)
+                .with("io_rate", profile.io_rate)
+                .with("io_kind", profile.io_kind)
+                .with("memory", profile.memory),
             TraceRecord::Finish { now, task } => {
-                format!("{{\"type\":\"finish\",\"now\":{},\"task\":{}}}", fnum(*now), task.0)
+                o.with("type", "finish").with("now", *now).with("task", *task)
             }
-            TraceRecord::Queues { now, io, cpu } => format!(
-                "{{\"type\":\"queues\",\"now\":{},\"io\":{},\"cpu\":{}}}",
-                fnum(*now),
-                ids_json(io),
-                ids_json(cpu),
-            ),
+            TraceRecord::Queues { now, io, cpu } => o
+                .with("type", "queues")
+                .with("now", *now)
+                .with("io", io.clone())
+                .with("cpu", cpu.clone()),
             TraceRecord::Candidate {
                 now,
                 io,
@@ -431,64 +415,39 @@ impl TraceRecord {
                 t_inter,
                 t_intra,
                 worthwhile,
-            } => format!(
-                "{{\"type\":\"candidate\",\"now\":{},\"io\":{},\"cpu\":{},\"x_io\":{},\
-                 \"x_cpu\":{},\"effective_bw\":{},\"t_inter\":{},\"t_intra\":{},\
-                 \"worthwhile\":{}}}",
-                fnum(*now),
-                io.0,
-                cpu.0,
-                fnum(*x_io),
-                fnum(*x_cpu),
-                fnum(*effective_bw),
-                fnum(*t_inter),
-                fnum(*t_intra),
-                worthwhile,
-            ),
-            TraceRecord::Decide { now, running, actions } => {
-                let runs: Vec<String> = running
-                    .iter()
-                    .map(|r| {
-                        format!(
-                            "{{\"task\":{},\"x\":{},\"remaining\":{}}}",
-                            r.task.0,
-                            fnum(r.parallelism),
-                            fnum(r.remaining)
-                        )
-                    })
-                    .collect();
-                let acts: Vec<String> = actions.iter().map(action_json).collect();
-                format!(
-                    "{{\"type\":\"decide\",\"now\":{},\"running\":[{}],\"actions\":[{}]}}",
-                    fnum(*now),
-                    runs.join(","),
-                    acts.join(",")
-                )
+            } => o
+                .with("type", "candidate")
+                .with("now", *now)
+                .with("io", *io)
+                .with("cpu", *cpu)
+                .with("x_io", *x_io)
+                .with("x_cpu", *x_cpu)
+                .with("effective_bw", *effective_bw)
+                .with("t_inter", *t_inter)
+                .with("t_intra", *t_intra)
+                .with("worthwhile", *worthwhile),
+            TraceRecord::Decide { now, running, actions } => o
+                .with("type", "decide")
+                .with("now", *now)
+                .with("running", running.iter().collect::<Vec<_>>())
+                .with("actions", actions.iter().collect::<Vec<_>>()),
+            TraceRecord::Applied { now, action } => {
+                o.with("type", "applied").with("now", *now).with("action", action)
             }
-            TraceRecord::Applied { now, action } => format!(
-                "{{\"type\":\"applied\",\"now\":{},\"action\":{}}}",
-                fnum(*now),
-                action_json(action)
-            ),
-            TraceRecord::Rejected { now, task, reason } => format!(
-                "{{\"type\":\"rejected\",\"now\":{},\"task\":{},\"reason\":{}}}",
-                fnum(*now),
-                task.0,
-                jstr(reason)
-            ),
-            TraceRecord::Error { now, message } => format!(
-                "{{\"type\":\"error\",\"now\":{},\"message\":{}}}",
-                fnum(*now),
-                jstr(message)
-            ),
-            TraceRecord::Recalibrate { now, observed_b, modeled_b, machine } => format!(
-                "{{\"type\":\"recalibrate\",\"now\":{},\"observed_b\":{},\
-                 \"modeled_b\":{},\"machine\":{}}}",
-                fnum(*now),
-                fnum(*observed_b),
-                fnum(*modeled_b),
-                machine_json(machine),
-            ),
+            TraceRecord::Rejected { now, task, reason } => o
+                .with("type", "rejected")
+                .with("now", *now)
+                .with("task", *task)
+                .with("reason", reason.as_str()),
+            TraceRecord::Error { now, message } => {
+                o.with("type", "error").with("now", *now).with("message", message.as_str())
+            }
+            TraceRecord::Recalibrate { now, observed_b, modeled_b, machine } => o
+                .with("type", "recalibrate")
+                .with("now", *now)
+                .with("observed_b", *observed_b)
+                .with("modeled_b", *modeled_b)
+                .with("machine", machine),
             TraceRecord::Predict {
                 now,
                 task,
@@ -500,216 +459,115 @@ impl TraceRecord {
                 predicted_memory,
                 co_runners,
                 observations,
-            } => format!(
-                "{{\"type\":\"predict\",\"now\":{},\"task\":{},\
-                 \"declared_seq_time\":{},\"declared_io_rate\":{},\
-                 \"declared_memory\":{},\"predicted_seq_time\":{},\
-                 \"predicted_io_rate\":{},\"predicted_memory\":{},\
-                 \"co_runners\":{},\"observations\":{}}}",
-                fnum(*now),
-                task.0,
-                fnum(*declared_seq_time),
-                fnum(*declared_io_rate),
-                fnum(*declared_memory),
-                fnum(*predicted_seq_time),
-                fnum(*predicted_io_rate),
-                fnum(*predicted_memory),
-                co_runners,
-                observations,
-            ),
+            } => o
+                .with("type", "predict")
+                .with("now", *now)
+                .with("task", *task)
+                .with("declared_seq_time", *declared_seq_time)
+                .with("declared_io_rate", *declared_io_rate)
+                .with("declared_memory", *declared_memory)
+                .with("predicted_seq_time", *predicted_seq_time)
+                .with("predicted_io_rate", *predicted_io_rate)
+                .with("predicted_memory", *predicted_memory)
+                .with("co_runners", *co_runners)
+                .with("observations", *observations),
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// JSON parsing (via the shared `xprs_obs::json` parser)
-// ---------------------------------------------------------------------------
-
-fn malformed(line: usize, detail: impl Into<String>) -> SchedError {
-    SchedError::MalformedTrace { line, detail: detail.into() }
-}
-
-fn field<'a>(v: &'a JsonValue, key: &str, line: usize) -> Result<&'a JsonValue, SchedError> {
-    v.get(key).ok_or_else(|| malformed(line, format!("missing field {key:?}")))
-}
-
-fn fnum_of(v: &JsonValue, key: &str, line: usize) -> Result<f64, SchedError> {
-    field(v, key, line)?
-        .num()
-        .ok_or_else(|| malformed(line, format!("field {key:?} is not a number")))
-}
-
-fn id_of(v: &JsonValue, key: &str, line: usize) -> Result<TaskId, SchedError> {
-    Ok(TaskId(fnum_of(v, key, line)? as u64))
-}
-
-fn ids_of(v: &JsonValue, key: &str, line: usize) -> Result<Vec<TaskId>, SchedError> {
-    field(v, key, line)?
-        .arr()
-        .ok_or_else(|| malformed(line, format!("field {key:?} is not an array")))?
-        .iter()
-        .map(|j| {
-            j.num()
-                .map(|x| TaskId(x as u64))
-                .ok_or_else(|| malformed(line, "task id is not a number"))
+impl FromJson for TraceRecord {
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
+        Ok(match v.field::<String>("type")?.as_str() {
+            "run_start" => TraceRecord::RunStart {
+                driver: v.field("driver")?,
+                policy: v.field("policy")?,
+                machine: v.field("machine")?,
+            },
+            "arrival" => TraceRecord::Arrival {
+                now: v.field("now")?,
+                profile: TaskProfile {
+                    id: v.field("task")?,
+                    seq_time: v.field("seq_time")?,
+                    io_rate: v.field("io_rate")?,
+                    io_kind: v.field("io_kind")?,
+                    memory: v.field("memory")?,
+                },
+            },
+            "finish" => TraceRecord::Finish { now: v.field("now")?, task: v.field("task")? },
+            "queues" => TraceRecord::Queues {
+                now: v.field("now")?,
+                io: v.field("io")?,
+                cpu: v.field("cpu")?,
+            },
+            "candidate" => TraceRecord::Candidate {
+                now: v.field("now")?,
+                io: v.field("io")?,
+                cpu: v.field("cpu")?,
+                x_io: v.field("x_io")?,
+                x_cpu: v.field("x_cpu")?,
+                effective_bw: v.field("effective_bw")?,
+                t_inter: v.field("t_inter")?,
+                t_intra: v.field("t_intra")?,
+                worthwhile: v.field("worthwhile")?,
+            },
+            "decide" => TraceRecord::Decide {
+                now: v.field("now")?,
+                running: v.field("running")?,
+                actions: v.field("actions")?,
+            },
+            "applied" => TraceRecord::Applied { now: v.field("now")?, action: v.field("action")? },
+            "rejected" => TraceRecord::Rejected {
+                now: v.field("now")?,
+                task: v.field("task")?,
+                reason: v.field("reason")?,
+            },
+            "error" => TraceRecord::Error { now: v.field("now")?, message: v.field("message")? },
+            "recalibrate" => TraceRecord::Recalibrate {
+                now: v.field("now")?,
+                observed_b: v.field("observed_b")?,
+                modeled_b: v.field("modeled_b")?,
+                machine: v.field("machine")?,
+            },
+            "predict" => TraceRecord::Predict {
+                now: v.field("now")?,
+                task: v.field("task")?,
+                declared_seq_time: v.field("declared_seq_time")?,
+                declared_io_rate: v.field("declared_io_rate")?,
+                declared_memory: v.field("declared_memory")?,
+                predicted_seq_time: v.field("predicted_seq_time")?,
+                predicted_io_rate: v.field("predicted_io_rate")?,
+                predicted_memory: v.field("predicted_memory")?,
+                co_runners: v.field("co_runners")?,
+                observations: v.field("observations")?,
+            },
+            other => return Err(format!("unknown record type {other:?}")),
         })
-        .collect()
-}
-
-fn machine_of(v: &JsonValue, key: &str, line: usize) -> Result<MachineConfig, SchedError> {
-    let m = field(v, key, line)?;
-    Ok(MachineConfig {
-        n_procs: fnum_of(m, "n_procs", line)? as u32,
-        n_disks: fnum_of(m, "n_disks", line)? as u32,
-        seq_bw: fnum_of(m, "seq_bw", line)?,
-        almost_seq_bw: fnum_of(m, "almost_seq_bw", line)?,
-        random_bw: fnum_of(m, "random_bw", line)?,
-        memory: fnum_of(m, "memory", line)?,
-    })
-}
-
-fn action_of(v: &JsonValue, line: usize) -> Result<Action, SchedError> {
-    let kind = field(v, "kind", line)?
-        .str()
-        .ok_or_else(|| malformed(line, "action kind is not a string"))?;
-    let id = id_of(v, "task", line)?;
-    let parallelism = fnum_of(v, "x", line)?;
-    match kind {
-        "start" => Ok(Action::Start { id, parallelism }),
-        "adjust" => Ok(Action::Adjust { id, parallelism }),
-        other => Err(malformed(line, format!("unknown action kind {other:?}"))),
     }
 }
 
 impl TraceRecord {
-    /// Parse one record from its [`TraceRecord::to_json`] line. `line` is
-    /// the 1-based line number used in error reports.
+    /// One-line JSON rendering of the record (no trailing newline).
+    pub fn to_json(&self) -> String {
+        JsonValue::from(self).to_string()
+    }
+
+    /// Parse one record from its [`TraceRecord::to_json`] line; anything
+    /// but whitespace after the record is refused. `line` is the 1-based
+    /// line number used in error reports.
     pub fn from_json(s: &str, line: usize) -> Result<TraceRecord, SchedError> {
-        let v = xprs_obs::json::parse_prefix(s).map_err(|e| malformed(line, e))?;
-        let ty = field(&v, "type", line)?
-            .str()
-            .ok_or_else(|| malformed(line, "record type is not a string"))?
-            .to_string();
-        match ty.as_str() {
-            "run_start" => Ok(TraceRecord::RunStart {
-                driver: field(&v, "driver", line)?
-                    .str()
-                    .ok_or_else(|| malformed(line, "driver is not a string"))?
-                    .to_string(),
-                policy: field(&v, "policy", line)?
-                    .str()
-                    .ok_or_else(|| malformed(line, "policy is not a string"))?
-                    .to_string(),
-                machine: machine_of(&v, "machine", line)?,
-            }),
-            "arrival" => {
-                let kind = match field(&v, "io_kind", line)?.str() {
-                    Some("seq") => IoKind::Sequential,
-                    Some("random") => IoKind::Random,
-                    _ => return Err(malformed(line, "unknown io_kind")),
-                };
-                Ok(TraceRecord::Arrival {
-                    now: fnum_of(&v, "now", line)?,
-                    profile: TaskProfile {
-                        id: id_of(&v, "task", line)?,
-                        seq_time: fnum_of(&v, "seq_time", line)?,
-                        io_rate: fnum_of(&v, "io_rate", line)?,
-                        io_kind: kind,
-                        memory: fnum_of(&v, "memory", line)?,
-                    },
-                })
-            }
-            "finish" => Ok(TraceRecord::Finish {
-                now: fnum_of(&v, "now", line)?,
-                task: id_of(&v, "task", line)?,
-            }),
-            "queues" => Ok(TraceRecord::Queues {
-                now: fnum_of(&v, "now", line)?,
-                io: ids_of(&v, "io", line)?,
-                cpu: ids_of(&v, "cpu", line)?,
-            }),
-            "candidate" => Ok(TraceRecord::Candidate {
-                now: fnum_of(&v, "now", line)?,
-                io: id_of(&v, "io", line)?,
-                cpu: id_of(&v, "cpu", line)?,
-                x_io: fnum_of(&v, "x_io", line)?,
-                x_cpu: fnum_of(&v, "x_cpu", line)?,
-                effective_bw: fnum_of(&v, "effective_bw", line)?,
-                t_inter: fnum_of(&v, "t_inter", line)?,
-                t_intra: fnum_of(&v, "t_intra", line)?,
-                worthwhile: field(&v, "worthwhile", line)?
-                    .boolean()
-                    .ok_or_else(|| malformed(line, "worthwhile is not a bool"))?,
-            }),
-            "decide" => {
-                let running = field(&v, "running", line)?
-                    .arr()
-                    .ok_or_else(|| malformed(line, "running is not an array"))?
-                    .iter()
-                    .map(|j| {
-                        Ok(RunningSnap {
-                            task: id_of(j, "task", line)?,
-                            parallelism: fnum_of(j, "x", line)?,
-                            remaining: fnum_of(j, "remaining", line)?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, SchedError>>()?;
-                let actions = field(&v, "actions", line)?
-                    .arr()
-                    .ok_or_else(|| malformed(line, "actions is not an array"))?
-                    .iter()
-                    .map(|j| action_of(j, line))
-                    .collect::<Result<Vec<_>, SchedError>>()?;
-                Ok(TraceRecord::Decide { now: fnum_of(&v, "now", line)?, running, actions })
-            }
-            "applied" => Ok(TraceRecord::Applied {
-                now: fnum_of(&v, "now", line)?,
-                action: action_of(field(&v, "action", line)?, line)?,
-            }),
-            "rejected" => Ok(TraceRecord::Rejected {
-                now: fnum_of(&v, "now", line)?,
-                task: id_of(&v, "task", line)?,
-                reason: field(&v, "reason", line)?
-                    .str()
-                    .ok_or_else(|| malformed(line, "reason is not a string"))?
-                    .to_string(),
-            }),
-            "error" => Ok(TraceRecord::Error {
-                now: fnum_of(&v, "now", line)?,
-                message: field(&v, "message", line)?
-                    .str()
-                    .ok_or_else(|| malformed(line, "message is not a string"))?
-                    .to_string(),
-            }),
-            "recalibrate" => Ok(TraceRecord::Recalibrate {
-                now: fnum_of(&v, "now", line)?,
-                observed_b: fnum_of(&v, "observed_b", line)?,
-                modeled_b: fnum_of(&v, "modeled_b", line)?,
-                machine: machine_of(&v, "machine", line)?,
-            }),
-            "predict" => Ok(TraceRecord::Predict {
-                now: fnum_of(&v, "now", line)?,
-                task: id_of(&v, "task", line)?,
-                declared_seq_time: fnum_of(&v, "declared_seq_time", line)?,
-                declared_io_rate: fnum_of(&v, "declared_io_rate", line)?,
-                declared_memory: fnum_of(&v, "declared_memory", line)?,
-                predicted_seq_time: fnum_of(&v, "predicted_seq_time", line)?,
-                predicted_io_rate: fnum_of(&v, "predicted_io_rate", line)?,
-                predicted_memory: fnum_of(&v, "predicted_memory", line)?,
-                co_runners: fnum_of(&v, "co_runners", line)? as u32,
-                observations: fnum_of(&v, "observations", line)? as u64,
-            }),
-            other => Err(malformed(line, format!("unknown record type {other:?}"))),
-        }
+        xprs_obs::json::parse(s)
+            .and_then(|v| <TraceRecord as FromJson>::from_json(&v))
+            .map_err(|detail| SchedError::MalformedTrace { line, detail })
     }
 }
 
 /// Parse a whole JSONL capture (blank lines ignored).
 ///
 /// # Errors
-/// [`SchedError::MalformedTrace`] naming the first line that is not a
-/// record: truncated, of an unknown type, missing a field, or nested deeper
-/// than [`xprs_obs::json::MAX_DEPTH`].
+/// [`SchedError::MalformedTrace`] naming the first line that is not one
+/// record: truncated, of an unknown type, missing a field, followed by
+/// more than whitespace, or nested deeper than
+/// [`xprs_obs::json::MAX_DEPTH`].
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceRecord>, SchedError> {
     text.lines()
         .enumerate()
@@ -827,6 +685,8 @@ pub fn replay_through_fluid(records: &[TraceRecord]) -> Result<Vec<(f64, Action)
     use crate::fluid::FluidSim;
     use crate::intra::IntraOnly;
 
+    let malformed_header =
+        |detail: &str| SchedError::MalformedTrace { line: 0, detail: detail.into() };
     let (machine, policy_name) = records
         .iter()
         .find_map(|r| match r {
@@ -835,7 +695,7 @@ pub fn replay_through_fluid(records: &[TraceRecord]) -> Result<Vec<(f64, Action)
             }
             _ => None,
         })
-        .ok_or_else(|| malformed(0, "trace has no run_start record"))?;
+        .ok_or_else(|| malformed_header("trace has no run_start record"))?;
 
     // Rebuild the dependency structure from arrival/finish causality, and
     // collect recalibrations keyed by the same causal coordinate (how many
@@ -868,7 +728,7 @@ pub fn replay_through_fluid(records: &[TraceRecord]) -> Result<Vec<(f64, Action)
         }
     }
     if dag.is_empty() {
-        return Err(malformed(0, "trace has no arrival records"));
+        return Err(malformed_header("trace has no arrival records"));
     }
 
     let mut policy: Box<dyn SchedulePolicy> = match policy_name.as_str() {
@@ -883,10 +743,9 @@ pub fn replay_through_fluid(records: &[TraceRecord]) -> Result<Vec<(f64, Action)
     };
 
     let ring = Arc::new(Mutex::new(RingSink::unbounded()));
-    let sink: SharedSink = ring.clone();
     FluidSim::new(machine)
         .with_recalibrations(recals)
-        .with_sink(sink)
+        .with_sink(ring.clone())
         .run_dag(policy.as_mut(), &dag)?;
     let replayed = ring.lock().map(|r| r.records()).unwrap_or_default();
     Ok(action_stream(&replayed))
@@ -955,6 +814,38 @@ mod tests {
         ]
     }
 
+    /// `sample_records()` as rendered before the records were built as
+    /// `JsonValue`s: captures taken then must still replay, byte for byte.
+    const SAMPLE_JSONL: &str = r#"{"type":"run_start","driver":"fluid","policy":"INTER-WITH-ADJ","machine":{"n_procs":8,"n_disks":4,"seq_bw":97,"almost_seq_bw":60,"random_bw":35,"memory":1e400}}
+{"type":"arrival","now":0,"task":0,"seq_time":20,"io_rate":60,"io_kind":"seq","memory":0}
+{"type":"queues","now":0,"io":[0],"cpu":[]}
+{"type":"candidate","now":0,"io":0,"cpu":1,"x_io":3.2,"x_cpu":4.8,"effective_bw":213.25,"t_inter":7.5,"t_intra":10,"worthwhile":true}
+{"type":"decide","now":0.125,"running":[{"task":0,"x":3,"remaining":8.5}],"actions":[{"kind":"start","task":1,"x":5},{"kind":"adjust","task":0,"x":3}]}
+{"type":"applied","now":0.125,"action":{"kind":"start","task":1,"x":5}}
+{"type":"finish","now":1.5,"task":0}
+{"type":"rejected","now":2,"task":9,"reason":"io_rate = 0"}
+{"type":"error","now":3,"message":"policy \"x\" diverged\n"}
+{"type":"recalibrate","now":4,"observed_b":150.5,"modeled_b":240,"machine":{"n_procs":8,"n_disks":4,"seq_bw":97,"almost_seq_bw":60,"random_bw":35,"memory":1e400}}
+{"type":"predict","now":5,"task":3,"declared_seq_time":10,"declared_io_rate":20,"declared_memory":524288,"predicted_seq_time":41.5,"predicted_io_rate":9.75,"predicted_memory":3276800,"co_runners":3,"observations":6}
+"#;
+
+    #[test]
+    fn the_rendering_is_pinned_byte_for_byte() {
+        let text: String = sample_records().iter().map(|r| r.to_json() + "\n").collect();
+        assert_eq!(text, SAMPLE_JSONL);
+        assert_eq!(parse_jsonl(SAMPLE_JSONL).unwrap(), sample_records());
+    }
+
+    #[test]
+    fn bytes_after_a_record_are_refused_not_half_read() {
+        let two = r#"{"type":"finish","now":0,"task":1}{"type":"finish","now":1,"task":2}"#;
+        assert_eq!(malformed_line(two), 1);
+        // Trailing whitespace and CRLF line ends are still one record each.
+        let want = vec![TraceRecord::Finish { now: 0.0, task: TaskId(1) }; 2];
+        let crlf = "{\"type\":\"finish\",\"now\":0,\"task\":1} \t\r\n";
+        assert_eq!(parse_jsonl(&crlf.repeat(2)), Ok(want));
+    }
+
     #[test]
     fn jsonl_round_trips_exactly() {
         let records = sample_records();
@@ -981,24 +872,10 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_keeps_the_tail() {
-        let mut ring = RingSink::new(2);
-        for rec in sample_records() {
-            ring.record(&rec);
-        }
-        let kept = ring.records();
-        assert_eq!(kept.len(), 2);
-        assert_eq!(ring.dropped(), sample_records().len() as u64 - 2);
-        assert_eq!(kept[1], sample_records()[sample_records().len() - 1]);
-    }
-
-    #[test]
     fn null_sink_is_silent_and_emit_is_lazy() {
         let sink: Option<SharedSink> = None;
         // The closure must not run when no sink is attached.
         emit(&sink, || unreachable!("emit must be lazy"));
-        let shared_null = shared(NullSink);
-        emit(&Some(shared_null), || sample_records()[0].clone());
     }
 
     #[test]
@@ -1011,20 +888,6 @@ mod tests {
         let text = String::from_utf8(sink.into_inner()).unwrap();
         assert_eq!(text.lines().count(), sample_records().len());
         assert_eq!(parse_jsonl(&text).unwrap(), sample_records());
-    }
-
-    #[test]
-    fn bounded_jsonl_sink_stops_at_the_cap_and_counts_drops() {
-        let n = sample_records().len() as u64;
-        let mut sink = JsonlSink::bounded(Vec::<u8>::new(), 2);
-        for rec in sample_records() {
-            sink.record(&rec);
-        }
-        assert!(sink.io_error().is_none());
-        assert_eq!(sink.dropped(), n - 2);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(text.lines().count(), 2, "nothing past the cap is written");
-        assert_eq!(parse_jsonl(&text).unwrap(), sample_records()[..2]);
     }
 
     #[test]

@@ -43,11 +43,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # switch, the per-driver rounding copies, the drivers' private status enums
 # and id scans that `xprs_scheduler::FragTable` replaced, the switch that
 # left memory unscheduled by default, the bench legs `benchmark/` already
-# measures) must not creep back into code, examples, tests or the verify
-# skill. `scripts/` is left out so the pattern does not match itself; docs
-# keep the names as history.
+# measures, the trace sinks and the metrics dump option nobody used, the
+# lenient JSON prefix parser, the hand-written bench header) must not creep
+# back into code, examples, tests or the verify skill. `scripts/` is left
+# out so the pattern does not match itself; docs keep the names as history.
 echo "==> retired-name grep"
-if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs' \
+if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json' \
     crates examples src tests .claude; then
     echo "retired data-path names found (matches above)" >&2
     exit 1
@@ -107,6 +108,23 @@ awk '
     /available_parallelism/ { hit("available_parallelism", "materialize.rs:host_parallelism") }
     END { exit bad }
 ' crates/executor/src/*.rs
+
+# One JSON writer: every trace record, `metrics.json` and `BENCH_*.json` is
+# a `JsonValue` rendered by `xprs_obs::json`, so outside test modules no
+# crate source spells JSON syntax as a `{{\"` format string, and only that
+# module calls its token encoders `fnum(` / `jstr(`.
+echo "==> one JSON writer (JSON syntax only in crates/obs/src/json.rs)"
+awk '
+    FNR == 1 { in_tests = 0 }
+    in_tests { next }
+    /^#\[cfg\(test\)\]/ { in_tests = 1; next }
+    /^ *\/\// { next }
+    /\{\{\\"/ || (FILENAME != "crates/obs/src/json.rs" && /(^|[^A-Za-z0-9_])(fnum|jstr)\(/) {
+        print FILENAME ":" FNR ": JSON written outside xprs_obs::json: " $0
+        bad = 1
+    }
+    END { exit bad }
+' $(find crates -path '*/src/*' -name '*.rs' | sort)
 
 echo "==> bench_executor (gates: scaling, memory, predict)"
 ./target/release/bench_executor BENCH_executor.json
