@@ -274,8 +274,8 @@ fn run_phase(
     result
 }
 
-fn exec_cfg(fault: Fault) -> ExecConfig {
-    let mut cfg = ExecConfig::scaled(1.0 / SCALE).with_patrol(2, 3);
+fn exec_cfg() -> ExecConfig {
+    let mut cfg = ExecConfig::scaled(1.0 / SCALE);
     // Far smaller than the relations' footprint: the scans stay
     // disk-resident, so the disks actually see sustained traffic (a pool
     // that caches the working set would make the slowdown scenario
@@ -288,9 +288,6 @@ fn exec_cfg(fault: Fault) -> ExecConfig {
     // slowdown). The service handles degradation with deadlines and
     // shedding instead.
     cfg.recal_band = 0.0;
-    if let Some(plan) = fault.plan() {
-        cfg = cfg.with_faults(plan);
-    }
     cfg
 }
 
@@ -355,7 +352,7 @@ fn main() -> ExitCode {
     for fault in [Fault::None, Fault::WorkerDeath, Fault::DiskSlowdown] {
         let plan = fault.plan();
         let mk_cfg = |queue_cap: usize| {
-            let mut exec = exec_cfg(fault);
+            let mut exec = exec_cfg();
             // One shared plan instance per scenario so engagement counters
             // aggregate across both phases.
             if let Some(p) = &plan {

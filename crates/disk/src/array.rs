@@ -1,14 +1,15 @@
-//! The whole array: one [`DiskState`] per spindle plus aggregate statistics.
+//! Aggregate statistics over the whole array.
 //!
-//! [`DiskArrayModel`] is the single-owner form used by the discrete-event
-//! simulator, which serializes all accesses itself. The threaded executor
-//! instead keeps each [`DiskState`] in a latched lane with a reservation
+//! Each engine owns its disks: the discrete-event simulator keeps one
+//! [`DiskState`] per spindle and serializes all accesses itself; the
+//! threaded executor keeps each in a latched lane with a reservation
 //! timeline (a disk serves one request at a time, so each request is
 //! classified and given the disk's next free interval under the latch, and
-//! waited for outside it) — see `xprs-executor::io`.
+//! waited for outside it) — see `xprs-executor::io`. Both report the array
+//! as one [`ArrayStats`].
 
-use crate::model::{DiskParams, DiskState, IoRequest, RelId, ServiceClass, WorkerId};
-use crate::stripe::StripedLayout;
+#[cfg(doc)]
+use crate::model::DiskState;
 
 /// Aggregate counters across the array.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -48,99 +49,53 @@ impl ArrayStats {
     }
 }
 
-/// A single-owner disk array: striping plus one head state per disk.
-#[derive(Debug, Clone)]
-pub struct DiskArrayModel {
-    layout: StripedLayout,
-    disks: Vec<DiskState>,
-}
-
-impl DiskArrayModel {
-    /// `n_disks` identical disks with parameters `params`.
-    pub fn new(n_disks: u32, params: DiskParams) -> Self {
-        DiskArrayModel {
-            layout: StripedLayout::new(n_disks),
-            disks: (0..n_disks).map(|_| DiskState::new(params.clone())).collect(),
-        }
-    }
-
-    /// The paper's array: 4 disks at 97/60/35 I/Os per second.
-    pub fn paper_default() -> Self {
-        Self::new(4, DiskParams::paper_default())
-    }
-
-    /// The striping layout.
-    pub fn layout(&self) -> StripedLayout {
-        self.layout
-    }
-
-    /// Number of disks.
-    pub fn n_disks(&self) -> u32 {
-        self.layout.n_disks()
-    }
-
-    /// Which disk a request for `(rel, global_block)` is routed to.
-    pub fn route(&self, global_block: u64) -> u32 {
-        self.layout.disk_of(global_block)
-    }
-
-    /// Serve a read of `global_block` of `rel` issued by `worker` (`solo`
-    /// marks a parallelism-1 stream — see [`IoRequest::solo`]); returns
-    /// `(disk, class, service seconds)`. The caller is responsible for
-    /// modelling queueing — this advances head state and statistics only.
-    pub fn serve(
-        &mut self,
-        rel: RelId,
-        global_block: u64,
-        worker: WorkerId,
-        solo: bool,
-    ) -> (u32, ServiceClass, f64) {
-        let disk = self.layout.disk_of(global_block);
-        let req =
-            IoRequest { rel, local_block: self.layout.local_block(global_block), worker, solo };
-        let (class, dur) = self.disks[disk as usize].serve(&req);
-        (disk, class, dur)
-    }
-
-    /// Immutable view of one disk's state.
-    pub fn disk(&self, disk: u32) -> &DiskState {
-        &self.disks[disk as usize]
-    }
-
-    /// Mutable view of one disk's state (for owners that route themselves).
-    pub fn disk_mut(&mut self, disk: u32) -> &mut DiskState {
-        &mut self.disks[disk as usize]
-    }
-
-    /// Aggregate statistics over all disks.
-    pub fn stats(&self) -> ArrayStats {
-        let mut s = ArrayStats::default();
-        for d in &self.disks {
-            s.sequential += d.count_of(ServiceClass::Sequential);
-            s.almost_sequential += d.count_of(ServiceClass::AlmostSequential);
-            s.random += d.count_of(ServiceClass::Random);
-            s.busy_time += d.busy_time();
-        }
-        s
-    }
-
-    /// Reset all disks to cold state and zero statistics.
-    pub fn reset(&mut self) {
-        for d in &mut self.disks {
-            d.reset();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{DiskParams, DiskState, IoRequest, RelId, ServiceClass, WorkerId};
+    use crate::stripe::StripedLayout;
+
+    /// The paper's array as the engines hold it: four disks at 97/60/35
+    /// I/Os per second behind a round-robin stripe.
+    struct Array {
+        layout: StripedLayout,
+        disks: Vec<DiskState>,
+    }
+
+    impl Array {
+        fn paper_default() -> Self {
+            Array {
+                layout: StripedLayout::new(4),
+                disks: (0..4).map(|_| DiskState::new(DiskParams::paper_default())).collect(),
+            }
+        }
+
+        /// Serve a read of `global_block` on the disk it is striped to;
+        /// returns that disk.
+        fn serve(&mut self, rel: RelId, global_block: u64, worker: WorkerId, solo: bool) -> u32 {
+            let disk = self.layout.disk_of(global_block);
+            let local_block = self.layout.local_block(global_block);
+            self.disks[disk as usize].serve(&IoRequest { rel, local_block, worker, solo });
+            disk
+        }
+
+        fn stats(&self) -> ArrayStats {
+            let mut s = ArrayStats::default();
+            for d in &self.disks {
+                s.sequential += d.count_of(ServiceClass::Sequential);
+                s.almost_sequential += d.count_of(ServiceClass::AlmostSequential);
+                s.random += d.count_of(ServiceClass::Random);
+                s.busy_time += d.busy_time();
+            }
+            s
+        }
+    }
 
     #[test]
     fn requests_route_round_robin() {
-        let mut a = DiskArrayModel::paper_default();
+        let mut a = Array::paper_default();
         for b in 0..8u64 {
-            let (disk, _, _) = a.serve(RelId(1), b, WorkerId(0), true);
+            let disk = a.serve(RelId(1), b, WorkerId(0), true);
             assert_eq!(disk, (b % 4) as u32);
         }
         assert_eq!(a.stats().total(), 8);
@@ -151,7 +106,7 @@ mod tests {
         // One worker scanning 400 blocks round-robin: each disk sees local
         // blocks 0..100 in order from the same worker → after its cold first
         // request everything is sequential.
-        let mut a = DiskArrayModel::paper_default();
+        let mut a = Array::paper_default();
         for b in 0..400u64 {
             a.serve(RelId(1), b, WorkerId(0), true);
         }
@@ -165,7 +120,7 @@ mod tests {
         // Two 2-worker tasks alternate worker-sized bursts on each disk —
         // the pattern parallel scans actually produce — so every burst's
         // requests find their stream's read-ahead evicted.
-        let mut a = DiskArrayModel::paper_default();
+        let mut a = Array::paper_default();
         for chunk in 0..25u64 {
             for b in 0..8 {
                 a.serve(RelId(1), chunk * 8 + b, WorkerId(b % 2), false);
@@ -187,7 +142,7 @@ mod tests {
 
     #[test]
     fn stats_rates_and_utilization() {
-        let mut a = DiskArrayModel::paper_default();
+        let mut a = Array::paper_default();
         for b in 0..400u64 {
             a.serve(RelId(1), b, WorkerId(0), true);
         }
@@ -202,11 +157,11 @@ mod tests {
 
     #[test]
     fn reset_clears_all_disks() {
-        let mut a = DiskArrayModel::paper_default();
+        let mut a = Array::paper_default();
         for b in 0..40u64 {
             a.serve(RelId(1), b, WorkerId(0), true);
         }
-        a.reset();
+        a.disks.iter_mut().for_each(DiskState::reset);
         assert_eq!(a.stats().total(), 0);
         assert_eq!(a.stats().busy_time, 0.0);
     }

@@ -27,7 +27,7 @@ pub mod model;
 pub mod spill;
 pub mod stripe;
 
-pub use array::{ArrayStats, DiskArrayModel};
+pub use array::ArrayStats;
 pub use fault::{FaultDomain, FaultPlan, FaultStats, WorkerFaultKind};
 pub use model::{ClassStats, DiskParams, DiskState, IoRequest, RelId, ServiceClass, WorkerId};
 pub use spill::{SpillFile, SpillRun, SPILL_BLOCK_BYTES, SPILL_REL_BASE};

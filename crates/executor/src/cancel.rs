@@ -3,12 +3,14 @@
 //! A [`CancelToken`] travels with one query through
 //! [`Executor::run_with_cancel`](crate::master::Executor::run_with_cancel):
 //! the client (or a service front-end) fires it, or it fires itself when
-//! its deadline passes. The master polls tokens on every message and every
-//! patrol tick; workers observe the resulting per-fragment flag at unit
-//! and morsel boundaries — the same checkpoints the PR 3 fail-stop
-//! machinery uses — so cancellation never tears a unit in half, and a
-//! cancelled query's grant, pins, and partition shares are released through
-//! the ordinary completion protocol exactly once.
+//! its deadline passes. A run that carries tokens ticks its master's patrol,
+//! and the master polls the tokens on every message and every tick, so a
+//! token fired while no worker reports is still seen. Workers observe the
+//! resulting per-fragment flag at unit and morsel boundaries — the same
+//! checkpoints the fail-stop fault machinery uses — so cancellation never
+//! tears a unit in half, and a cancelled query's grant, pins, and partition
+//! shares are released through the ordinary completion protocol exactly
+//! once.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -9,13 +9,16 @@ use xprs_scheduler::MachineConfig;
 use crate::error::ExecError;
 // Named only by the intra-doc links below.
 #[cfg(doc)]
-use {crate::obs::ExecMetrics, crate::StealPartition};
+use {crate::obs::ExecMetrics, crate::ExecSession, crate::StealPartition};
 #[cfg(doc)]
 use {xprs_scheduler::trace::TraceRecord, xprs_scheduler::TaskProfile};
 
-/// Default units per morsel: big enough to amortize the deque latch and
-/// the completion report, small enough that an 8-worker fragment over a
-/// few hundred pages still has morsels worth stealing.
+/// Work units (pages, page slices or keys) per morsel of the stealing deal:
+/// big enough to amortize the deque latch and the completion report, small
+/// enough that an 8-worker fragment over a few hundred pages still has
+/// morsels worth stealing. Fragments too small for a whole morsel per
+/// backend, or too large for a bounded deal, are cut at a derived grain
+/// (see [`StealPartition::new`]).
 pub const DEFAULT_MORSEL_UNITS: u64 = 16;
 
 /// Executor configuration.
@@ -36,27 +39,13 @@ pub struct ExecConfig {
     /// Buffer-pool shards (page-hashed, independently latched); clamped
     /// to ≥ 1.
     pub bufpool_shards: usize,
-    /// Work units (pages, page slices or keys) per morsel of the stealing
-    /// deal; clamped to ≥ 1. Fragments too small for a whole morsel per
-    /// backend, or too large for a bounded deal, are cut at a derived grain
-    /// (see [`StealPartition::new`]).
-    pub morsel_units: u64,
     /// Injected fault schedule (`None` = fault-free operation).
     pub faults: Option<Arc<FaultPlan>>,
-    /// Heartbeat-patrol interval in wall milliseconds. `0` disables the
-    /// patrol — and with it dead-worker recovery and recalibration.
-    pub patrol_ms: u64,
-    /// Patrol ticks a slot's heartbeat may stay frozen (while the fragment
-    /// still has work and the slot never exited) before it is declared dead
-    /// and its partition share reclaimed.
-    pub patrol_grace: u32,
     /// Relative drift between observed and modeled I/O service rate
     /// tolerated before the policy is recalibrated. `0.0` disables
-    /// recalibration.
+    /// recalibration. The drift is measured on the master's patrol tick, so
+    /// only a run that ticks (see [`ExecConfig::with_faults`]) recalibrates.
     pub recal_band: f64,
-    /// I/O requests that must land in a patrol window before its rate
-    /// estimate is trusted for recalibration.
-    pub recal_min_requests: u64,
     /// Fragment outputs at least this many rows long have their sorted
     /// worker runs merged **in parallel** on the worker pool (split into
     /// disjoint key sub-ranges, one merge task per processor); smaller
@@ -93,12 +82,8 @@ impl ExecConfig {
             scale: 0.0,
             bufpool_pages: 512,
             bufpool_shards: 8,
-            morsel_units: DEFAULT_MORSEL_UNITS,
             faults: None,
-            patrol_ms: 0,
-            patrol_grace: 3,
             recal_band: 0.2,
-            recal_min_requests: 64,
             parallel_merge_min_rows: 4096,
             parallel_merge_ways: 0,
             obs: false,
@@ -113,14 +98,12 @@ impl ExecConfig {
         ExecConfig { scale: 1.0 / speedup, ..ExecConfig::unthrottled() }
     }
 
-    /// Attach an injected fault schedule, enabling the heartbeat patrol
-    /// (at a 5 ms interval unless one is already configured) so dead
-    /// workers are actually recovered.
+    /// Attach an injected fault schedule. However the plan is set, a run
+    /// that carries one ticks its master's patrol — as do a run on a shared
+    /// [`ExecSession`] and a run with cancel tokens — so a worker that dies
+    /// without a word is still reaped and replaced.
     pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
         self.faults = Some(plan);
-        if self.patrol_ms == 0 {
-            self.patrol_ms = 5;
-        }
         self
     }
 
@@ -140,27 +123,14 @@ impl ExecConfig {
         self
     }
 
-    /// Configure the heartbeat patrol explicitly: `ms` between patrol
-    /// sweeps (0 disables the patrol) and `grace` consecutive frozen ticks
-    /// before a worker slot is declared dead. A continuous service tightens
-    /// both so a dead worker inflates one tenant's latency for
-    /// milliseconds, not a whole batch run.
-    pub fn with_patrol(mut self, ms: u64, grace: u32) -> Self {
-        self.patrol_ms = ms;
-        self.patrol_grace = grace.max(1);
-        self
-    }
-
-    /// Enable degradation-aware recalibration with tolerance `band`
-    /// (e.g. `0.2` = recalibrate when the observed I/O rate drifts more
-    /// than 20% from the model), turning the patrol on if it is off. A
-    /// negative or non-finite `band` is refused when the configuration is
-    /// run ([`ExecError::InvalidConfig`]); `0.0` turns recalibration off.
+    /// Set the recalibration tolerance `band` (e.g. `0.2` = recalibrate
+    /// when the observed I/O rate drifts more than 20% from the model). The
+    /// band is tested on the patrol tick, which a run has when it carries a
+    /// fault plan or cancel tokens or shares a session. A negative or
+    /// non-finite `band` is refused when the configuration is run
+    /// ([`ExecError::InvalidConfig`]); `0.0` turns recalibration off.
     pub fn with_recalibration(mut self, band: f64) -> Self {
         self.recal_band = band;
-        if self.patrol_ms == 0 {
-            self.patrol_ms = 5;
-        }
         self
     }
 

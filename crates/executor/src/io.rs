@@ -159,13 +159,8 @@ impl CpuGate {
         Some(CpuPermit { gate: self })
     }
 
-    /// Total permits.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
-    }
-
-    /// Most permits ever held at once — never above [`Self::capacity`],
-    /// however many backends are staffed.
+    /// Most permits ever held at once — never above the permits the gate
+    /// was built with, however many backends are staffed.
     pub fn peak_holders(&self) -> u32 {
         self.capacity - lock(&self.inner).min_free
     }
@@ -326,14 +321,10 @@ pub struct Machine {
 impl Machine {
     /// Build from a machine configuration. `scale` maps simulated service
     /// seconds to wall-clock sleeps: `0.0` runs at full speed (functional
-    /// testing), `1.0` runs in real time, `0.01` runs 100× fast.
-    pub fn new(cfg: &MachineConfig, scale: f64) -> Self {
-        Self::with_sharded_pool(cfg, scale, 0, 1)
-    }
-
-    /// Like [`Machine::new`], with a buffer pool of `pool_pages` frames (0
-    /// disables buffering; every read hits a disk) split over `shards`
-    /// page-hashed shards, each independently latched.
+    /// testing), `1.0` runs in real time, `0.01` runs 100× fast. The buffer
+    /// pool has `pool_pages` frames (0 disables buffering; every read hits a
+    /// disk) split over `shards` page-hashed shards, each independently
+    /// latched.
     pub fn with_sharded_pool(
         cfg: &MachineConfig,
         scale: f64,
@@ -430,11 +421,6 @@ impl Machine {
             total = total.merged(&lock(l).class_stats());
         }
         total
-    }
-
-    /// The striping layout.
-    pub fn layout(&self) -> StripedLayout {
-        self.layout
     }
 
     /// The processor gate.
@@ -738,7 +724,7 @@ mod tests {
     use std::sync::Arc;
 
     fn machine(scale: f64) -> Machine {
-        Machine::new(&MachineConfig::paper_default(), scale)
+        Machine::with_sharded_pool(&MachineConfig::paper_default(), scale, 0, 1)
     }
 
     /// A read no injected fault may fail.
@@ -896,7 +882,7 @@ mod tests {
         // clock, so it ends no earlier than the grant plus the burst.
         let cfg = MachineConfig { n_procs: 1, ..MachineConfig::paper_default() };
         let metrics = Arc::new(crate::obs::ExecMetrics::default());
-        let m = Machine::new(&cfg, 1.0).with_metrics(metrics.clone());
+        let m = Machine::with_sharded_pool(&cfg, 1.0, 0, 1).with_metrics(metrics.clone());
         let held = m.cpu().acquire();
         let burst = Duration::from_millis(1);
         let computing = AtomicU64::new(0);
@@ -1275,7 +1261,7 @@ mod tests {
         // must wait and must land in the histogram.
         let cfg = MachineConfig { n_procs: 1, ..MachineConfig::paper_default() };
         let metrics = Arc::new(crate::obs::ExecMetrics::default());
-        let m = Arc::new(Machine::new(&cfg, 1.0).with_metrics(metrics.clone()));
+        let m = Arc::new(Machine::with_sharded_pool(&cfg, 1.0, 0, 1).with_metrics(metrics.clone()));
         let handles: Vec<_> = (0..2)
             .map(|_| {
                 let m = m.clone();

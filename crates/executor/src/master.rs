@@ -162,12 +162,13 @@ impl Executor {
     }
 
     /// [`Executor::run`] with per-query cancellation: `tokens[i]` governs
-    /// `queries[i]` (an empty slice means no query is cancellable). The
-    /// master polls the tokens between messages and folds pending
-    /// deadlines into its wakeup deadline; a fired token's fragments stop
-    /// at the next unit boundary, release their grant, pins and partition
-    /// shares exactly once through the ordinary completion protocol, and
-    /// the query reports an empty result with `report.cancelled[i]` set.
+    /// `queries[i]` (an empty slice means no query is cancellable). A run
+    /// with tokens ticks its patrol, so the master polls them on every tick
+    /// as well as between messages, and folds pending deadlines into its
+    /// wakeup deadline; a fired token's fragments stop at the next unit
+    /// boundary, release their grant, pins and partition shares exactly
+    /// once through the ordinary completion protocol, and the query reports
+    /// an empty result with `report.cancelled[i]` set.
     ///
     /// # Errors
     /// As [`Executor::run`] — cancellation itself is never an error.
@@ -351,6 +352,11 @@ impl<'a> MasterRun<'a> {
     ) -> Self {
         let machine = session.machine.clone();
         let (tx, rx) = channel::<MasterMsg>();
+        // The one tick rule: the master wakes on a timer only when the run
+        // can change without a message reaching it — a worker may die
+        // silently (a fault plan), another run may free the shared pool (a
+        // session), or a client may fire a token.
+        let ticking = exec.cfg.faults.is_some() || shared || !tokens.is_empty();
         MasterRun {
             exec,
             tokens,
@@ -365,7 +371,7 @@ impl<'a> MasterRun<'a> {
             cancelled_q: vec![false; n_queries],
             token_spent: vec![false; tokens.len()],
             samples: Vec::new(),
-            patrol: Patrol::new(&exec.cfg, machine.observed_service()),
+            patrol: Patrol::new(&exec.cfg, ticking, machine.observed_service()),
             footprint_overruns: 0,
             footprint_warnings: Vec::new(),
             _guard: RunGuard::new(machine.clone()),

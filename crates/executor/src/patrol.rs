@@ -1,6 +1,12 @@
 //! The master's self-healing patrol — dead-worker detection and
 //! degradation-aware recalibration — and the deadline-based receive the
 //! master loop sleeps in between patrol ticks.
+//!
+//! A run ticks, every [`PATROL_INTERVAL`], only when it can change without
+//! any message reaching its master: a worker may die silently (a fault
+//! plan), another run may free the shared pool (a shared session), or a
+//! client may fire a cancel token. The master decides this once per run;
+//! every other run blocks on its workers' messages.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
@@ -21,7 +27,7 @@ use crate::worker::FragCtx;
 /// passed; with no deadline this simply blocks.
 ///
 /// The deadline is an absolute instant, not a quiet-time timeout: it comes
-/// due even while messages keep arriving. (A `recv_timeout(patrol_ms)`
+/// due even while messages keep arriving. (A `recv_timeout(interval)`
 /// restarts its timer on every message, so a chatty fragment flooding the
 /// channel would starve the patrol and a dead sibling's worker would never
 /// be reaped.)
@@ -43,6 +49,18 @@ pub(crate) fn next_msg(
     }
 }
 
+/// Time between patrol ticks, for a run that ticks at all.
+pub(crate) const PATROL_INTERVAL: Duration = Duration::from_millis(2);
+
+/// Ticks a slot's heartbeat may stay frozen — while its fragment still has
+/// work and the slot never exited — before it is declared dead and its
+/// partition share reclaimed.
+pub(crate) const PATROL_GRACE: u32 = 3;
+
+/// I/O requests that must land in a patrol window before its rate estimate
+/// is trusted for recalibration.
+pub(crate) const RECAL_MIN_REQUESTS: u64 = 64;
+
 /// Largest fractional change one recalibration window may apply to the
 /// machine model's bandwidths. A real sustained slowdown converges over a
 /// few windows; a single noisy window cannot slam the model far enough to
@@ -52,15 +70,12 @@ const MAX_RECAL_STEP: f64 = 0.3;
 /// The master's self-healing patrol: dead-worker detection plus
 /// degradation-aware recalibration, run when its deadline passes.
 pub(crate) struct Patrol {
-    /// Time between sweeps; `None` when the patrol is off.
-    interval: Option<Duration>,
-    /// When the next sweep is due (see [`next_msg`]).
+    /// When the next sweep is due (see [`next_msg`]); `None` for a run that
+    /// does not tick.
     deadline: Option<Instant>,
     /// Sweeps run so far.
     pub ticks: u64,
-    grace: u32,
     band: f64,
-    min_requests: u64,
     /// The machine model the policy currently believes; rebased on every
     /// recalibration (the configured model is only the starting point).
     pub model: MachineConfig,
@@ -76,15 +91,11 @@ pub(crate) struct Patrol {
 }
 
 impl Patrol {
-    pub fn new(cfg: &ExecConfig, io_baseline: [(u64, f64); 3]) -> Self {
-        let interval = (cfg.patrol_ms > 0).then(|| Duration::from_millis(cfg.patrol_ms));
+    pub fn new(cfg: &ExecConfig, ticking: bool, io_baseline: [(u64, f64); 3]) -> Self {
         Patrol {
-            interval,
-            deadline: interval.map(|d| Instant::now() + d),
+            deadline: ticking.then(|| Instant::now() + PATROL_INTERVAL),
             ticks: 0,
-            grace: cfg.patrol_grace.max(1),
             band: cfg.recal_band,
-            min_requests: cfg.recal_min_requests.max(1),
             model: cfg.machine.clone(),
             beats: HashMap::new(),
             dead: HashSet::new(),
@@ -94,7 +105,7 @@ impl Patrol {
         }
     }
 
-    /// When the next sweep is due, if the patrol is on.
+    /// When the next sweep is due, if the run ticks.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
     }
@@ -105,15 +116,15 @@ impl Patrol {
     pub fn tick_due(&mut self) -> bool {
         let due = self.deadline.is_some_and(|d| Instant::now() >= d);
         if due {
-            self.deadline = self.interval.map(|d| Instant::now() + d);
+            self.deadline = Some(Instant::now() + PATROL_INTERVAL);
             self.ticks += 1;
         }
         due
     }
 
-    /// Declare dead every slot whose heartbeat has been frozen for `grace`
-    /// consecutive ticks while its fragment still has unfinished units and
-    /// the slot never registered a voluntary exit. Each dead slot's
+    /// Declare dead every slot whose heartbeat has been frozen for
+    /// [`PATROL_GRACE`] consecutive ticks while its fragment still has
+    /// unfinished units and the slot never registered a voluntary exit. Each dead slot's
     /// remaining share is reclaimed by [`StealPartition::fail_slot`] and a
     /// replacement slot is staffed.
     ///
@@ -154,7 +165,7 @@ impl Patrol {
                 } else {
                     *entry = (beat, 0);
                 }
-                if entry.1 >= self.grace {
+                if entry.1 >= PATROL_GRACE {
                     self.dead.insert(key);
                     let replacement = ctx.part.fail_slot(slot);
                     backends.staff(ctx, replacement, Instant::now(), machine, catalog);
@@ -176,7 +187,7 @@ impl Patrol {
         let window: Vec<(u64, f64)> = (0..3)
             .map(|i| (obs[i].0 - self.io_baseline[i].0, obs[i].1 - self.io_baseline[i].1))
             .collect();
-        if window.iter().map(|w| w.0).sum::<u64>() < self.min_requests {
+        if window.iter().map(|w| w.0).sum::<u64>() < RECAL_MIN_REQUESTS {
             return None; // too little traffic to trust; keep accumulating
         }
         self.io_baseline = obs;
@@ -231,7 +242,7 @@ mod tests {
 
     /// The patrol-starvation regression: a sender flooding the channel
     /// faster than the patrol interval must NOT postpone the patrol tick.
-    /// The old `recv_timeout(patrol_ms)` restarted its timer on every
+    /// The old `recv_timeout(interval)` restarted its timer on every
     /// message, so `Ok(None)` never surfaced under continuous load; the
     /// deadline form returns it as soon as the deadline passes.
     #[test]

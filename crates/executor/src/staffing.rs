@@ -10,6 +10,7 @@ use std::sync::Arc;
 use xprs_scheduler::{IoKind, MachineConfig, TaskProfile};
 use xprs_storage::PAGE_SIZE;
 
+use crate::config::DEFAULT_MORSEL_UNITS;
 use crate::io::Machine;
 use crate::master::{ControlFail, Executor, FragSlot, MasterMsg};
 use crate::program::{Driver, Materialized};
@@ -87,7 +88,7 @@ impl Executor {
         // owes their output at materialization.
         let hot_keys = self.hot_join_keys(&frags[gid].program, &inputs, &units);
         let mut part =
-            StealPartition::new(total_units, self.cfg.morsel_units, n_backends, gid as u64);
+            StealPartition::new(total_units, DEFAULT_MORSEL_UNITS, n_backends, gid as u64);
         // Whole-page units are striped blocks (`unit % n_disks` = home
         // disk): steal disk-affine so a rescue steal doesn't degrade two
         // disks' service class. Key-space and sliced fragments have no
@@ -153,7 +154,7 @@ impl Executor {
         }))
     }
 
-    /// [`staff_backends`] under this executor's machine and morsel grain.
+    /// [`staff_backends`] under this executor's machine.
     /// Unthrottled (`scale == 0`) a read takes no wall time, so there is
     /// no disk wait for a surplus backend to cover — it would only contend
     /// for the host's real cores — and a backend is a processor.
@@ -161,7 +162,7 @@ impl Executor {
         if self.cfg.scale == 0.0 {
             return x;
         }
-        staff_backends(x, profile, &self.cfg.machine, units, self.cfg.morsel_units)
+        staff_backends(x, profile, &self.cfg.machine, units)
     }
 
     /// Estimated bytes per output row for a fragment's spill accounting:
@@ -236,23 +237,17 @@ impl UnitSpace {
 ///
 /// `x = 1` keeps its solo stream, and `Random` fragments are profiled at
 /// the service time they run at (`δ = 0`). No backend is staffed without a
-/// whole morsel of `morsel_units` to itself — a fragment of a few dozen
-/// pages finishes before extra backends have woken — but never fewer than
-/// `x`. `C_i` is taken at most `seq_bw`: no backend issues faster than a
+/// whole morsel of [`DEFAULT_MORSEL_UNITS`] to itself — a fragment of a few
+/// dozen pages finishes before extra backends have woken — but never fewer
+/// than `x`. `C_i` is taken at most `seq_bw`: no backend issues faster than a
 /// solo stream.
-fn staff_backends(
-    x: u32,
-    profile: &TaskProfile,
-    machine: &MachineConfig,
-    units: u64,
-    morsel_units: u64,
-) -> u32 {
+fn staff_backends(x: u32, profile: &TaskProfile, machine: &MachineConfig, units: u64) -> u32 {
     if x < 2 || profile.io_kind != IoKind::Sequential {
         return x;
     }
     let delta = 1.0 / machine.almost_seq_bw - 1.0 / machine.seq_bw;
     let by_rate = (f64::from(x) * (1.0 + profile.io_rate.min(machine.seq_bw) * delta)).ceil();
-    let whole_morsels = u32::try_from(units.div_ceil(morsel_units.max(1))).unwrap_or(u32::MAX);
+    let whole_morsels = u32::try_from(units.div_ceil(DEFAULT_MORSEL_UNITS)).unwrap_or(u32::MAX);
     x.max((by_rate as u32).min(whole_morsels))
 }
 
@@ -308,13 +303,13 @@ mod tests {
             (2, scan(5_000.0), big, 4),
         ];
         for (x, profile, units, want) in table {
-            let got = staff_backends(x, &profile, &m, units, 16);
+            let got = staff_backends(x, &profile, &m, units);
             assert_eq!(got, want, "x={x} C={} units={units}", profile.io_rate);
             assert!(got >= x, "never below the policy's processors");
         }
         // A machine whose parallel reads cost what solo reads do has δ = 0.
         let flat = MachineConfig { almost_seq_bw: 97.0, random_bw: 35.0, ..m };
-        assert_eq!(staff_backends(4, &scan(83.0), &flat, big, 16), 4);
+        assert_eq!(staff_backends(4, &scan(83.0), &flat, big), 4);
     }
 
     #[test]

@@ -56,9 +56,7 @@ fn runs_for(cat: &Arc<Catalog>, wl: &OversizedBuildWorkload) -> Vec<QueryRun> {
 }
 
 fn granted_cfg() -> ExecConfig {
-    let mut cfg = ExecConfig::unthrottled().with_patrol(2, 3);
-    cfg.bufpool_pages = POOL_PAGES as usize;
-    cfg
+    ExecConfig { bufpool_pages: POOL_PAGES as usize, ..ExecConfig::unthrottled() }
 }
 
 fn policy() -> AdaptiveScheduler {
@@ -226,7 +224,7 @@ proptest! {
         let delays: Vec<Option<Option<u64>>> = (0..runs.len())
             .map(|qi| (cancel_mask & (1 << qi) != 0).then_some(Some(delay_us + 500 * qi as u64)))
             .collect();
-        let cfg = ExecConfig::scaled(10.0).with_patrol(2, 3);
+        let cfg = ExecConfig::scaled(10.0);
         let mut intra = IntraOnly::new(MachineConfig::paper_default(), true);
         let report = run_with_cancels(cfg, &cat, &runs, &delays, &mut intra);
         let want: Vec<_> =

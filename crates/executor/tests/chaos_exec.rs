@@ -31,9 +31,9 @@ fn catalog() -> Arc<Catalog> {
     let mut cat = Catalog::new(StripedLayout::new(4));
     let mut seed = 0xC4A0_u64;
     for (name, n, key_mod, blen) in [
-        ("fat", 400u64, 100u64, 800usize), // IO-heavy: ~10 tuples per page
-        ("thin", 3000, 150, 16),           // CPU-heavy: many tuples per page
-        ("tiny", 1600, 60, 16),            // CPU-heavy, six pages: sliced at x = 8
+        ("fat", 1000u64, 100u64, 800usize), // IO-heavy: ~10 tuples per page
+        ("thin", 3000, 150, 16),            // CPU-heavy: many tuples per page
+        ("tiny", 1600, 60, 16),             // CPU-heavy, six pages: sliced at x = 8
     ] {
         cat.create(name, Schema::paper_rel());
         let rows: Vec<Tuple> = (0..n)
@@ -120,8 +120,9 @@ fn chaos_run_matches_fault_free_run_and_records_recalibration() {
     );
     let sink = Arc::new(Mutex::new(JsonlSink::new(Vec::<u8>::new())));
     let shared: SharedSink = sink.clone();
-    let mut cfg = ExecConfig::unthrottled().with_faults(plan.clone()).with_recalibration(0.2);
-    cfg.recal_min_requests = 16; // the test workload is small; trust short windows
+    // The build scan's hundred pages put more requests than a trusted
+    // window needs in front of the dead worker's reap.
+    let cfg = ExecConfig::unthrottled().with_faults(plan.clone()).with_recalibration(0.2);
     let report = run_with(&cat, cfg, Some(shared));
 
     // Every scheduled fault actually fired.
@@ -194,10 +195,7 @@ fn stalled_worker_false_positive_is_harmless() {
     let baseline = run_with(&cat, ExecConfig::unthrottled(), None);
 
     let plan = Arc::new(FaultPlan::new().with_worker_stall(0, 0, 1, 60));
-    let mut cfg = ExecConfig::unthrottled().with_faults(plan.clone());
-    cfg.patrol_ms = 5;
-    cfg.patrol_grace = 2;
-    let report = run_with(&cat, cfg, None);
+    let report = run_with(&cat, ExecConfig::unthrottled().with_faults(plan.clone()), None);
 
     assert_eq!(plan.stats().stalls_fired(), 1, "the stall must fire");
     assert_eq!(

@@ -1,11 +1,12 @@
-//! Output parity across morsel grains: the same query must return
-//! **byte-identical** rows at the default grain and at a grain of one unit
-//! per morsel (maximum steal traffic) — fault-free, and with a worker
-//! killed mid-scan so the heartbeat patrol's reclamation path is on the
+//! Output parity across deals: the same query must return
+//! **byte-identical** rows at the default morsel grain whether its units are
+//! dealt over eight backends or two — fault-free, and with a worker killed
+//! mid-scan so the heartbeat patrol's reclamation path is on the
 //! byte-identity critical path too. Every run is additionally held against
-//! the naive oracle (`common/oracle.rs`), so a bug the grains share cannot
+//! the naive oracle (`common/oracle.rs`), so a bug the deals share cannot
 //! hide behind their agreement. (The §2.4 static shares these tests once
-//! compared against are retired; see `docs/results/scaling.md`.)
+//! compared against are retired; see `docs/results/scaling.md`. One-unit
+//! morsels, the maximum steal traffic, are `steal_proptest`'s.)
 //!
 //! Payloads are a pure function of `(relation, key)` (the
 //! `join_datapath` convention), so the key-sorted outputs admit
@@ -14,7 +15,7 @@
 use std::sync::Arc;
 
 use xprs_disk::{FaultPlan, StripedLayout};
-use xprs_executor::{ExecConfig, Executor, QueryRun, RelBinding, DEFAULT_MORSEL_UNITS};
+use xprs_executor::{ExecConfig, Executor, QueryRun, RelBinding};
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::intra::IntraOnly;
 use xprs_scheduler::MachineConfig;
@@ -67,21 +68,21 @@ fn runs(cat: &Arc<Catalog>) -> Vec<QueryRun> {
     ]
 }
 
-/// Morsel grains under test: the production default, and one unit per
-/// morsel.
-const GRAINS: [u64; 2] = [DEFAULT_MORSEL_UNITS, 1];
+/// Processor counts under test: the paper machine's eight, and two.
+const PROCS: [u32; 2] = [8, 2];
 
-fn run_grain(
+fn run_procs(
     cat: &Arc<Catalog>,
-    morsel_units: u64,
+    n_procs: u32,
     faults: Option<Arc<FaultPlan>>,
 ) -> Vec<Vec<(i32, Tuple)>> {
-    let mut cfg = ExecConfig { morsel_units, ..ExecConfig::unthrottled() };
+    let machine = MachineConfig { n_procs, ..MachineConfig::paper_default() };
+    let mut cfg = ExecConfig { machine: machine.clone(), ..ExecConfig::unthrottled() };
     if let Some(plan) = faults {
         cfg = cfg.with_faults(plan);
     }
     let exec = Executor::new(cfg, cat.clone());
-    let mut policy = IntraOnly::new(MachineConfig::paper_default(), true);
+    let mut policy = IntraOnly::new(machine, true);
     let report = exec.run(&runs(cat), &mut policy).expect("parity run failed");
     report.results.iter().map(|r| r.rows.rows.clone()).collect()
 }
@@ -98,34 +99,34 @@ fn assert_matches_oracle(label: &str, got: &[Vec<(i32, Tuple)>], want: &[Vec<(i3
     }
 }
 
-/// Fault-free parity: both grains return the oracle's rows, and each
+/// Fault-free parity: both deals return the oracle's rows, and each
 /// other's, byte for byte.
 #[test]
 fn stealing_and_static_shares_return_byte_identical_rows() {
     let cat = catalog();
     let want = oracle_rows(&cat);
-    let got = GRAINS.map(|grain| run_grain(&cat, grain, None));
+    let got = PROCS.map(|n| run_procs(&cat, n, None));
     assert!(got[0].iter().all(|r| !r.is_empty()), "vacuous parity run");
-    assert_eq!(got[1], got[0], "grain {} diverged from grain {}", GRAINS[1], GRAINS[0]);
-    for (grain, rows) in GRAINS.iter().zip(&got) {
-        assert_matches_oracle(&format!("grain {grain}"), rows, &want);
+    assert_eq!(got[1], got[0], "{} processors diverged from {}", PROCS[1], PROCS[0]);
+    for (n, rows) in PROCS.iter().zip(&got) {
+        assert_matches_oracle(&format!("{n} processors"), rows, &want);
     }
 }
 
 /// A worker killed mid-scan (fragment 0, slot 0, after one unit) must not
-/// change a single byte of the output at either grain: the heartbeat patrol
-/// reclaims exactly the units the dead slot never claimed, and a
+/// change a single byte of the output under either deal: the heartbeat
+/// patrol reclaims exactly the units the dead slot never claimed, and a
 /// replacement finishes them.
 #[test]
 fn worker_death_mid_scan_preserves_byte_identity_in_both_modes() {
     let cat = catalog();
     let want = oracle_rows(&cat);
-    let reference = run_grain(&cat, GRAINS[0], None);
-    for grain in GRAINS {
+    let reference = run_procs(&cat, PROCS[0], None);
+    for n in PROCS {
         let faults = Arc::new(FaultPlan::new().with_worker_death(0, 0, 1));
-        let got = run_grain(&cat, grain, Some(faults.clone()));
-        assert_eq!(faults.stats().deaths_fired(), 1, "grain {grain}: death must fire");
-        assert_eq!(got, reference, "grain {grain}: death changed the output");
-        assert_matches_oracle(&format!("grain {grain} after a death"), &got, &want);
+        let got = run_procs(&cat, n, Some(faults.clone()));
+        assert_eq!(faults.stats().deaths_fired(), 1, "{n} processors: death must fire");
+        assert_eq!(got, reference, "{n} processors: death changed the output");
+        assert_matches_oracle(&format!("{n} processors after a death"), &got, &want);
     }
 }

@@ -148,10 +148,7 @@ fn dead_worker_is_reclaimed_while_siblings_flood_the_master() {
         runs.push(selection_run(&cat, "thin", (0, 9)));
     }
     let plan = Arc::new(FaultPlan::new().with_worker_death(0, 0, 2));
-    let mut cfg = ExecConfig::unthrottled().with_faults(plan.clone());
-    cfg.patrol_ms = 3;
-    cfg.patrol_grace = 2;
-    let exec = Executor::new(cfg, cat.clone());
+    let exec = Executor::new(ExecConfig::unthrottled().with_faults(plan.clone()), cat.clone());
     let mut policy = FloodPolicy { machine: m(), pending: Vec::new() };
     let report = exec.run(&runs, &mut policy).expect("flooded run must complete");
 
@@ -164,7 +161,7 @@ fn dead_worker_is_reclaimed_while_siblings_flood_the_master() {
         "recovered scan must still return every row exactly once"
     );
     // Detection within the patrol deadlines, not after the flood: the
-    // victim (death at ~0, reaped after `grace + 1` ticks of 3 ms, then a
+    // victim (death at ~0, reaped after four ticks of 2 ms, then a
     // few ms of rescanning) finishes while chatty queries are still
     // completing behind it.
     let victim_done = report.results[0].finished_at;

@@ -175,8 +175,12 @@ fn more_backends_than_processors_keep_answers_gate_and_ledgers() {
 fn a_backend_beyond_slot_n_dies_and_the_answer_stands() {
     let cat = catalog();
     let runs = vec![scan_run(&cat, "fat"), join_run(&cat)];
-    // Slot 10 exists only because backends exceed the 8 processors.
-    let plan = Arc::new(FaultPlan::new().with_worker_death(0, 10, 3));
+    // Slot 10 exists only because backends exceed the 8 processors. It dies
+    // with its first claimed page in flight: at 20× its first read can queue
+    // behind every other backend's for longer than the patrol's grace, so a
+    // later death could be pre-empted by a false-positive reap of the live
+    // slot.
+    let plan = Arc::new(FaultPlan::new().with_worker_death(0, 10, 1));
     let report = Executor::new(cfg().with_faults(plan.clone()), cat.clone())
         .run(&runs, &mut AllProcessors::new())
         .expect("run failed");

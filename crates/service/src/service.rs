@@ -51,17 +51,18 @@ pub struct ServiceConfig {
     /// Deadline for [`QueryClass::Batch`] requests, measured from submit.
     pub batch_deadline: Duration,
     /// Executor configuration shared by every run (machine model, faults,
-    /// patrol cadence).
+    /// recalibration band). Every run shares the session and carries a
+    /// token, so every run ticks its master's patrol.
     pub exec: ExecConfig,
 }
 
 impl ServiceConfig {
     /// A service tuned for functional tests: small queue, two runners,
-    /// generous deadlines, unthrottled executor with a tight patrol (the
-    /// service always wants cross-run admission retries and dead-worker
-    /// recovery).
+    /// generous deadlines, unthrottled executor. Its runs share the session,
+    /// so each master ticks its patrol: cross-run admission retries and
+    /// dead-worker recovery come with the sharing.
     pub fn quick() -> Self {
-        let mut exec = ExecConfig::unthrottled().with_patrol(2, 3);
+        let mut exec = ExecConfig::unthrottled();
         // Recalibration is safe under a shared machine now that the patrol
         // attributes cross-run contention (the interference factor scales
         // the observed rate by the number of active runs before the drift

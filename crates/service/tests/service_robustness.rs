@@ -117,7 +117,7 @@ fn full_queue_sheds_typed_overload_with_backoff_hint() {
         max_concurrent: 1,
         interactive_deadline: Duration::from_secs(30),
         batch_deadline: Duration::from_secs(30),
-        exec: ExecConfig::scaled(25.0).with_patrol(2, 3),
+        exec: ExecConfig::scaled(25.0),
     };
     let svc = QueryService::start(cfg, cat.clone());
 
@@ -166,7 +166,7 @@ fn deadlines_cancel_queued_and_running_without_leaking() {
         max_concurrent: 2,
         interactive_deadline: Duration::from_millis(40),
         batch_deadline: Duration::from_secs(30),
-        exec: ExecConfig::scaled(25.0).with_patrol(2, 3),
+        exec: ExecConfig::scaled(25.0),
     };
     let svc = QueryService::start(cfg, cat.clone());
 
@@ -246,7 +246,6 @@ fn service_degrades_gracefully_under_worker_death_and_disk_slowdown() {
     );
     let exec = ExecConfig::unthrottled()
         .with_faults(plan.clone())
-        .with_patrol(2, 3)
         // Recalibration stays ON under the shared session: the patrol now
         // divides the observed slowdown by the cross-run interference
         // factor and clamps each correction step, so concurrent runs must

@@ -216,11 +216,6 @@ impl ShardedBufferPool {
         self.shards.iter().map(|s| latch(s).pinned()).sum()
     }
 
-    /// Resident page count per shard, indexed by shard.
-    pub fn shard_resident(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| latch(s).resident()).collect()
-    }
-
     /// Resident page keys per shard, indexed by shard. For invariant checks
     /// (residency uniqueness across shards), not the hot path.
     pub fn shard_resident_keys(&self) -> Vec<Vec<(RelId, u64)>> {
