@@ -161,8 +161,8 @@ fn pinned_plan(cat: &Catalog, plan: Plan, names: [&str; 2]) -> OptimizedQuery {
 /// First fragment start → last fragment finish: the span the data path
 /// determines, without the run's set-up.
 fn phase_wall(report: &ExecReport) -> f64 {
-    let first = report.fragment_times.iter().map(|&(_, s, _)| s).fold(f64::INFINITY, f64::min);
-    let last = report.fragment_times.iter().map(|&(_, _, f)| f).fold(0.0f64, f64::max);
+    let first = report.fragments().map(|f| f.started_at).fold(f64::INFINITY, f64::min);
+    let last = report.fragments().map(|f| f.finished_at).fold(0.0f64, f64::max);
     last - first
 }
 
@@ -605,7 +605,7 @@ pub mod exec_skew {
         SkewRun {
             emitted: report.results[0].rows.rows.len() as u64,
             join_wall: phase_wall(&report),
-            hot_keys: report.metrics.as_ref().map_or(0, |m| m.hot_keys.get()),
+            hot_keys: report.fragments().map(|f| f.merge.hot_keys).sum(),
             way_rows_max: root.merge.way_rows_max,
             way_rows_mean: root.merge.way_rows_mean,
             hit_rate: report.stats.pool.hit_rate(),
@@ -771,7 +771,7 @@ pub mod exec_predict {
         PredictRun {
             wall,
             emitted: report.results.iter().map(|r| r.rows.rows.len() as u64).sum(),
-            footprint_overruns: report.footprint_overruns,
+            footprint_overruns: report.footprint_overruns(),
             granted_pages: report.mem_granted_pages,
             released_pages: report.mem_released_pages,
             grant_waits: report.mem_grant_waits,

@@ -25,7 +25,7 @@
 
 pub mod system;
 
-pub use system::{Engine, PolicyKind, XprsSystem};
+pub use system::{PolicyKind, XprsSystem};
 
 pub use xprs_disk as disk;
 pub use xprs_executor as executor;

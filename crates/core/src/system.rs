@@ -57,21 +57,6 @@ impl PolicyKind {
     }
 }
 
-/// Which engine executes a workload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Engine {
-    /// The analytic fluid model (the paper's own cost arithmetic).
-    Fluid,
-    /// The discrete-event simulator (queues, heads, integer workers).
-    Des,
-    /// Real threads over real data, optionally throttled to `speedup`×
-    /// faster than real time (`None` = unthrottled).
-    Threaded {
-        /// Time compression factor; `None` runs at full speed.
-        speedup: Option<f64>,
-    },
-}
-
 /// The assembled system: machine + catalog + optimizer.
 pub struct XprsSystem {
     machine: MachineConfig,

@@ -29,7 +29,7 @@ use crate::admission::Admission;
 use crate::cancel::CancelToken;
 use crate::config::ExecConfig;
 use crate::error::ExecError;
-use crate::io::{lock, Machine};
+use crate::io::Machine;
 use crate::obs::{ExecMetrics, FragmentProfile, MergeProfile, QueryProfile, RunningInfo, UtilSample};
 use crate::patrol::{next_msg, Patrol};
 use crate::pool::WorkerPool;
@@ -96,9 +96,6 @@ pub(crate) struct FragSlot {
     /// in as the fragment goes (`declared_pages` at the very end: a
     /// prediction may still replace `profile`).
     pub prof: FragmentProfile,
-    /// Completion-time spill captures.
-    spill_chunks: u64,
-    spill_rows: u64,
     /// The optimizer's profile as declared, before any predictor
     /// substitution — the cold-start prior and the baseline every
     /// observation is normalized against. `profile` above is what the
@@ -168,7 +165,7 @@ impl Executor {
     /// wakeup deadline; a fired token's fragments stop at the next unit
     /// boundary, release their grant, pins and partition shares exactly
     /// once through the ordinary completion protocol, and the query reports
-    /// an empty result with `report.cancelled[i]` set.
+    /// an empty result with `report.profiles[i].cancelled` set.
     ///
     /// # Errors
     /// As [`Executor::run`] — cancellation itself is never an error.
@@ -337,8 +334,6 @@ struct MasterRun<'a> {
     /// each applied decision, one at run end.
     samples: Vec<UtilSample>,
     patrol: Patrol,
-    footprint_overruns: u64,
-    footprint_warnings: Vec<String>,
     _guard: RunGuard,
 }
 
@@ -372,8 +367,6 @@ impl<'a> MasterRun<'a> {
             token_spent: vec![false; tokens.len()],
             samples: Vec::new(),
             patrol: Patrol::new(&exec.cfg, ticking, machine.observed_service()),
-            footprint_overruns: 0,
-            footprint_warnings: Vec::new(),
             _guard: RunGuard::new(machine.clone()),
             machine,
         }
@@ -430,8 +423,6 @@ impl<'a> MasterRun<'a> {
                     program,
                     bindings: q.bindings.clone(),
                     output: None,
-                    spill_chunks: 0,
-                    spill_rows: 0,
                     co_runners: 0,
                     recoveries_at_start: 0,
                 });
@@ -446,7 +437,7 @@ impl<'a> MasterRun<'a> {
         let t = self.now();
         let slot = &mut self.slots[gid];
         slot.recoveries_at_start = self.patrol.recoveries;
-        self.exec.apply_prediction(slot, t, co_runners, &self.metrics);
+        self.exec.apply_prediction(slot, t, co_runners);
         let profile = slot.profile.clone();
         emit(&self.exec.sink, || TraceRecord::Arrival { now: t, profile: profile.clone() });
         policy.on_arrival(t, profile);
@@ -603,22 +594,8 @@ impl<'a> MasterRun<'a> {
             let rows = spill_threshold(spec.grant_bytes, n, spec.row_bytes);
             spec.threshold_rows.store(rows, Ordering::Relaxed);
         }
-        let info = ctx.part.adjust(n);
-        let active = ctx.part.active_slots();
         let at = Instant::now();
-        for slot in info.new_slots {
-            self.staff(&ctx, slot, at);
-        }
-        // Re-staff previously drained slots that the new assignment handed
-        // fresh work (the idle-worker hazard).
-        let respawn: Vec<usize> = {
-            let mut exited = lock(&ctx.exited_slots);
-            let respawn: Vec<usize> =
-                exited.iter().copied().filter(|s| active.contains(s)).collect();
-            exited.retain(|s| !respawn.contains(s));
-            respawn
-        };
-        for slot in respawn {
+        for slot in ctx.part.adjust(n).new_slots {
             self.staff(&ctx, slot, at);
         }
         Ok(())
@@ -767,33 +744,17 @@ impl<'a> MasterRun<'a> {
         slot.prof.staffed = ctx.staffed.load(Ordering::Relaxed);
         slot.prof.parallelism = ctx.target_parallelism.load(Ordering::Relaxed);
         slot.prof.backends = ctx.backends.load(Ordering::Relaxed);
-        let beats: Vec<u64> =
-            lock(&ctx.heartbeats).iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        // A fragment with nothing to scan staffed no backend to count.
+        let beats = if slot.prof.staffed > 0 { ctx.part.heartbeats() } else { Vec::new() };
         slot.prof.heartbeats = beats.iter().sum();
         slot.prof.idle_slots = beats.iter().filter(|&&b| b <= 1).count() as u64;
         if let Some(spec) = &ctx.spill {
-            slot.spill_chunks = spec.chunks.load(Ordering::Relaxed);
-            slot.spill_rows = spec.rows.load(Ordering::Relaxed);
+            slot.prof.spill_chunks = spec.chunks.load(Ordering::Relaxed);
+            slot.prof.spill_rows = spec.rows.load(Ordering::Relaxed);
         }
         slot.prof.observed_pages = ctx.pages_read.load(Ordering::Relaxed);
         let truncated = was_cancelled || self.patrol.recoveries > slot.recoveries_at_start;
         self.exec.observe_completion(slot, &ctx, t_done, truncated);
-        // Observed-vs-declared footprint: detection only. The observed
-        // count includes pool hits and re-reads after eviction, so it is an
-        // upper bound that disk-resident scans overrun routinely; the
-        // counter and warning make the drift visible without failing
-        // anyone's run.
-        let declared = slot.declared_pages();
-        if declared > 0 && slot.prof.observed_pages > declared {
-            self.footprint_overruns += 1;
-            if let Some(m) = &self.metrics {
-                m.mem_overruns.inc();
-            }
-            self.footprint_warnings.push(format!(
-                "fragment {}: observed {} pages exceeds declared {} pages",
-                slot.profile.id.0, slot.prof.observed_pages, declared
-            ));
-        }
         // Release the completed fragment's grant, then hand the freed
         // capacity to the admission queue — the deferred fragments are
         // already Running in the policy's eyes, they only lack workers.
@@ -868,14 +829,11 @@ impl<'a> MasterRun<'a> {
             };
             results.push(QueryResult { rows, finished_at: root.prof.finished_at });
         }
-        let profiles: Vec<QueryProfile> = results
+        let profiles: Vec<QueryProfile> = cancelled_q
             .iter()
             .enumerate()
-            .map(|(qi, r)| QueryProfile {
-                query: qi,
-                finished_at: r.finished_at,
-                rows: r.rows.rows.len() as u64,
-                cancelled: cancelled_q[qi],
+            .map(|(qi, &cancelled)| QueryProfile {
+                cancelled,
                 fragments: frags
                     .iter()
                     .filter(|f| f.prof.query == qi)
@@ -890,12 +848,8 @@ impl<'a> MasterRun<'a> {
             pool_shards: machine.pool_shard_stats(),
             pool_pinned_at_exit: machine.pool_pinned(),
             wall,
-            fragment_times: frags
-                .iter()
-                .map(|f| (f.profile.id, f.prof.started_at, f.prof.finished_at))
-                .collect(),
             pool_threads: self.backends.pool.threads_spawned(),
-            pool_jobs: self.backends.staffed.load(Ordering::Relaxed),
+            pool_jobs: frags.iter().map(|f| f.prof.staffed).sum(),
             worker_recoveries: self.patrol.recoveries,
             recalibrations: self.patrol.recalibrations,
             machine: self.exec.cfg.machine.clone(),
@@ -908,14 +862,11 @@ impl<'a> MasterRun<'a> {
             mem_granted_pages: grants.granted_pages,
             mem_released_pages: grants.released_pages,
             mem_grant_waits: grants.waits,
-            spill_chunks: frags.iter().map(|f| f.spill_chunks).sum(),
-            spill_rows: frags.iter().map(|f| f.spill_rows).sum(),
+            spill_chunks: frags.iter().map(|f| f.prof.spill_chunks).sum(),
+            spill_rows: frags.iter().map(|f| f.prof.spill_rows).sum(),
             profiles,
             samples: self.samples,
             metrics: self.metrics,
-            cancelled: self.cancelled_q,
-            footprint_overruns: self.footprint_overruns,
-            footprint_warnings: self.footprint_warnings,
         })
     }
 }

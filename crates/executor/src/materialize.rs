@@ -50,7 +50,6 @@ impl Executor {
         }
         let total: usize = runs.iter().map(Vec::len).sum();
         if let Some(m) = machine.metrics() {
-            m.merge_runs.observe(runs.len() as u64);
             for r in &runs {
                 m.merge_run_rows.observe(r.len() as u64);
             }
@@ -67,12 +66,6 @@ impl Executor {
         if ways <= 1 || runs.len() <= 1 || total < self.cfg.parallel_merge_min_rows.max(1) {
             // ≤ 1 run needs no merge at all — splitting it across the
             // pool would be pure copy overhead.
-            if let Some(m) = machine.metrics() {
-                m.merge_fanout.observe(1);
-                if profile.hot_keys > 0 {
-                    m.hot_keys.add(profile.hot_keys);
-                }
-            }
             return (Materialized::from_runs(runs), profile);
         }
         profile.ways = ways as u64;
@@ -87,10 +80,6 @@ impl Executor {
         profile.way_rows_mean = stats.group_rows.iter().map(|&r| r as u64).sum::<u64>()
             / stats.group_rows.len().max(1) as u64;
         if let Some(m) = machine.metrics() {
-            m.merge_fanout.observe(ways as u64);
-            if profile.hot_keys > 0 {
-                m.hot_keys.add(profile.hot_keys);
-            }
             for &r in &stats.group_rows {
                 m.merge_way_rows.observe(r as u64);
             }

@@ -48,18 +48,9 @@ pub struct ExecMetrics {
     /// Reads that exhausted every retry and escalated to a typed
     /// [`IoFault`](crate::io::IoFault).
     pub io_faults: Counter,
-    /// Fan-out (concurrent key sub-ranges) of each pool-parallel merge; a
-    /// sample of 1 is a serial merge on the master.
-    pub merge_fanout: Histogram,
-    /// Sorted worker runs entering each fragment materialization.
-    pub merge_runs: Histogram,
-    /// Rows per sorted worker run (the shape `split_runs` has to balance).
+    /// Rows per sorted worker run (the shape `split_runs_stats` has to
+    /// balance).
     pub merge_run_rows: Histogram,
-    /// Heavy-hitter keys detected per run: keys carved across merge ways by
-    /// `split_runs_stats` plus keys fanned out by the master's KeyDomain
-    /// replication path. Zero on benign key distributions — the skew bench
-    /// gates on this being non-zero at Zipf θ = 1.
-    pub hot_keys: Counter,
     /// Rows each way of a pool-parallel merge received (the post-split
     /// balance `split_runs_stats` achieved); max/mean of the snapshot are
     /// the way-imbalance figures the skew bench reports.
@@ -88,18 +79,6 @@ pub struct ExecMetrics {
     /// double release under a spill/retry race. Debug builds still assert;
     /// in release this counter is the only trace the anomaly leaves.
     pub unpin_anomalies: Counter,
-    /// Fragments whose observed page footprint (reads, pool hits included)
-    /// exceeded the pages their declared `TaskProfile::memory` implied.
-    /// Detection only — nothing is throttled or failed; the counter makes
-    /// estimate drift visible to the service operator.
-    pub mem_overruns: Counter,
-    /// Fragment announcements whose declared profile was replaced by a
-    /// warm predictor model ([`xprs_scheduler::predict`]) before the
-    /// policy saw it — the prediction layer provably driving decisions.
-    pub predictions: Counter,
-    /// Announcements a predictor was attached for but fell back to the
-    /// declared prior (cold key, too few observations, degenerate model).
-    pub prediction_fallbacks: Counter,
 }
 
 /// How one fragment's output was materialized.
@@ -163,18 +142,23 @@ pub struct FragmentProfile {
     /// `observed_pages > declared_pages` marks an estimate overrun; see
     /// `ExecReport::footprint_overruns`.
     pub declared_pages: u64,
+    /// Sorted spill runs its workers cut on crossing the fragment's grant.
+    pub spill_chunks: u64,
+    /// Rows written to (and read back from) those spill runs.
+    pub spill_rows: u64,
+    /// At announcement: `None` with no predictor attached, `Some(true)` if
+    /// a warm model's profile replaced the declared one, `Some(false)` if
+    /// the declared prior stood (cold key, degenerate model).
+    pub prediction: Option<bool>,
 }
 
-/// Per-query rollup of [`FragmentProfile`]s, in submission order.
+/// Per-query rollup of [`FragmentProfile`]s, in submission order: entry
+/// `q` is query `q`, whose root finish time and rows are `results[q]`'s.
 #[derive(Debug, Clone)]
 pub struct QueryProfile {
-    /// Query index in the submitted batch.
-    pub query: usize,
-    /// Wall seconds from run start to the root fragment's completion.
-    pub finished_at: f64,
-    /// Rows the root fragment materialized.
-    pub rows: u64,
-    /// Whether the query's cancel token fired before its root completed.
+    /// Whether the query's cancel token fired before its root completed:
+    /// its result is then an empty `Materialized`. A token that fires
+    /// *after* the root finished changes nothing and leaves this `false`.
     pub cancelled: bool,
     /// The query's fragments, in fragment order.
     pub fragments: Vec<FragmentProfile>,
@@ -384,6 +368,13 @@ fn class_stats_json(c: &ClassStats) -> JsonValue {
         .with("queue_wait", c.queue_wait)
 }
 
+/// `values` as a histogram, rendered like the registry's.
+fn hist_json(values: impl Iterator<Item = u64>) -> JsonValue {
+    let h = Histogram::new();
+    values.for_each(|v| h.observe(v));
+    h.snapshot().to_json()
+}
+
 fn fragment_json(f: &FragmentProfile) -> JsonValue {
     let m = &f.merge;
     JsonValue::obj()
@@ -456,7 +447,9 @@ impl ExecReport {
     /// class stats, fragment profiles, the audit) are collected on cold
     /// paths regardless of `ExecConfig::obs`; the hot-path sections
     /// (`gate_wait_ns`, `io`, `merge`, `morsel`) are `null` when metrics
-    /// were disabled.
+    /// were disabled. Every per-fragment count — merge fan-out, runs and
+    /// hot keys, footprint overruns, prediction outcomes — is a fold over
+    /// the fragment profiles.
     pub fn metrics_json(&self) -> String {
         let (pool, m, metrics) = (&self.stats.pool, &self.machine, self.metrics.as_deref());
         let shard = |s: &xprs_storage::PoolStats| {
@@ -466,16 +459,22 @@ impl ExecReport {
                 .with("evictions", s.evictions)
                 .with("bypasses", s.bypasses)
         };
-        let query = |q: &QueryProfile| {
+        let query = |(qi, q): (usize, &QueryProfile)| {
             JsonValue::obj()
-                .with("query", q.query)
-                .with("finished_at", q.finished_at)
-                .with("rows", q.rows)
+                .with("query", qi)
+                .with("finished_at", self.results[qi].finished_at)
+                .with("rows", self.results[qi].rows.rows.len())
                 .with("cancelled", q.cancelled)
                 .with("fragments", q.fragments.iter().map(fragment_json).collect::<Vec<_>>())
         };
+        // A materialized fragment merged at least one way; a cancelled one
+        // merged nothing.
+        let merges = || self.fragments().map(|f| &f.merge).filter(|g| g.ways > 0);
+        let predicted =
+            |outcome| self.fragments().filter(|f| f.prediction == Some(outcome)).count();
         // The hot-path sections, `null` when metrics were off.
-        let hot = |section: fn(&ExecMetrics) -> JsonValue| metrics.map_or(JsonValue::Null, section);
+        let hot =
+            |section: &dyn Fn(&ExecMetrics) -> JsonValue| metrics.map_or(JsonValue::Null, section);
         JsonValue::obj()
             .with("schema", "xprs-metrics/1")
             .with(
@@ -519,18 +518,18 @@ impl ExecReport {
                     .with("spill_chunks", self.spill_chunks)
                     .with("spill_rows", self.spill_rows)
                     .with("pinned_at_exit", self.pool_pinned_at_exit)
-                    .with("footprint_overruns", self.footprint_overruns),
+                    .with("footprint_overruns", self.footprint_overruns()),
             )
             .with(
                 "predict",
                 JsonValue::obj()
-                    .with("substitutions", metrics.map_or(0, |m| m.predictions.get()))
-                    .with("fallbacks", metrics.map_or(0, |m| m.prediction_fallbacks.get())),
+                    .with("substitutions", predicted(true))
+                    .with("fallbacks", predicted(false)),
             )
-            .with("gate_wait_ns", hot(|m| m.gate_wait_ns.snapshot().to_json()))
+            .with("gate_wait_ns", hot(&|m| m.gate_wait_ns.snapshot().to_json()))
             .with(
                 "io",
-                hot(|m| {
+                hot(&|m| {
                     JsonValue::obj()
                         .with("retries", m.io_retries.get())
                         .with("faults", m.io_faults.get())
@@ -539,18 +538,18 @@ impl ExecReport {
             )
             .with(
                 "merge",
-                hot(|m| {
+                hot(&|m| {
                     JsonValue::obj()
-                        .with("fanout", m.merge_fanout.snapshot().to_json())
-                        .with("runs", m.merge_runs.snapshot().to_json())
+                        .with("fanout", hist_json(merges().map(|g| g.ways)))
+                        .with("runs", hist_json(merges().map(|g| g.runs)))
                         .with("run_rows", m.merge_run_rows.snapshot().to_json())
-                        .with("hot_keys", m.hot_keys.get())
+                        .with("hot_keys", merges().map(|g| g.hot_keys).sum::<u64>())
                         .with("way_rows", m.merge_way_rows.snapshot().to_json())
                 }),
             )
             .with(
                 "morsel",
-                hot(|m| {
+                hot(&|m| {
                     JsonValue::obj()
                         .with("steals", m.steals.get())
                         .with("steal_fails", m.steal_fails.get())
@@ -558,7 +557,7 @@ impl ExecReport {
                         .with("steal_idle_ns", m.steal_idle_ns.snapshot().to_json())
                 }),
             )
-            .with("queries", self.profiles.iter().map(query).collect::<Vec<_>>())
+            .with("queries", self.profiles.iter().enumerate().map(query).collect::<Vec<_>>())
             .with("utilization_audit", audit_json(&self.utilization_audit()))
             .to_string()
     }

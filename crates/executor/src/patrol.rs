@@ -8,7 +8,7 @@
 //! client may fire a cancel token. The master decides this once per run;
 //! every other run blocks on its workers' messages.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
@@ -18,9 +18,10 @@ use xprs_scheduler::{FragTable, MachineConfig};
 use xprs_storage::Catalog;
 
 use crate::config::ExecConfig;
-use crate::io::{lock, Machine};
+use crate::io::Machine;
 use crate::master::MasterMsg;
 use crate::session::Backends;
+use crate::steal::StealPartition;
 use crate::worker::FragCtx;
 
 /// Receive the next worker message, or `Ok(None)` once `deadline` has
@@ -82,8 +83,6 @@ pub(crate) struct Patrol {
     /// Last seen heartbeat and consecutive-stale tick count per
     /// `(fragment, slot)`.
     beats: HashMap<(usize, usize), (u64, u32)>,
-    /// Slots already declared dead (never declared twice).
-    dead: HashSet<(usize, usize)>,
     /// Per-class `(requests, busy)` at the start of the current window.
     io_baseline: [(u64, f64); 3],
     pub recoveries: u64,
@@ -98,7 +97,6 @@ impl Patrol {
             band: cfg.recal_band,
             model: cfg.machine.clone(),
             beats: HashMap::new(),
-            dead: HashSet::new(),
             io_baseline,
             recoveries: 0,
             recalibrations: 0,
@@ -122,16 +120,18 @@ impl Patrol {
         due
     }
 
-    /// Declare dead every slot whose heartbeat has been frozen for
-    /// [`PATROL_GRACE`] consecutive ticks while its fragment still has
-    /// unfinished units and the slot never registered a voluntary exit. Each dead slot's
-    /// remaining share is reclaimed by [`StealPartition::fail_slot`] and a
+    /// Declare dead every watched slot (see
+    /// [`StealPartition::watched_heartbeats`]) whose heartbeat has been
+    /// frozen for [`PATROL_GRACE`] consecutive ticks while its fragment
+    /// still has unfinished units. Each dead slot is revoked and its
+    /// remaining share reclaimed by [`StealPartition::fail_slot`], and the
     /// replacement slot is staffed.
     ///
-    /// A false positive — a live worker stalled mid-unit — is safe: its
-    /// revoked slot hands out no further units, so it completes the one
-    /// unit it holds and retires; the replacement's cursor already sits
-    /// past that unit, keeping every unit exactly-once.
+    /// A false positive — a live worker stalled mid-unit, or a job still
+    /// queued in the pool — is safe: its revoked slot hands out no further
+    /// units, so it completes the one unit it holds and retires; the
+    /// replacement's cursor already sits past that unit, keeping every
+    /// unit exactly-once.
     pub fn reap(
         &mut self,
         table: &FragTable<Arc<FragCtx>>,
@@ -147,32 +147,40 @@ impl Patrol {
                 // deaths (a "replacement" would immediately exit, but the
                 // staffing churn would distort the recovery counters).
                 || ctx.cancelled.load(Ordering::Relaxed)
+                // Parked in the admission FIFO: no backend to watch yet.
+                || ctx.staffed.load(Ordering::Relaxed) == 0
             {
                 continue;
             }
-            let snapshot: Vec<u64> =
-                lock(&ctx.heartbeats).iter().map(|b| b.load(Ordering::Relaxed)).collect();
-            let exited: Vec<usize> = lock(&ctx.exited_slots).clone();
-            for (slot, &beat) in snapshot.iter().enumerate() {
-                let key = (gid, slot);
-                if self.dead.contains(&key) || exited.contains(&slot) {
-                    self.beats.remove(&key);
-                    continue;
-                }
-                let entry = self.beats.entry(key).or_insert((beat, 0));
-                if entry.0 == beat {
-                    entry.1 += 1;
-                } else {
-                    *entry = (beat, 0);
-                }
-                if entry.1 >= PATROL_GRACE {
-                    self.dead.insert(key);
-                    let replacement = ctx.part.fail_slot(slot);
-                    backends.staff(ctx, replacement, Instant::now(), machine, catalog);
-                    self.recoveries += 1;
-                }
+            for replacement in self.sweep(gid, &ctx.part) {
+                backends.staff(ctx, replacement, Instant::now(), machine, catalog);
             }
         }
+    }
+
+    /// Count each watched slot of fragment `gid` one more frozen tick, or
+    /// reset it on a moved beat, and fail the slots frozen for
+    /// [`PATROL_GRACE`] ticks. Returns their replacements, to be staffed.
+    fn sweep(&mut self, gid: usize, part: &StealPartition) -> Vec<usize> {
+        let mut replacements = Vec::new();
+        for (slot, beat) in part.watched_heartbeats().into_iter().enumerate() {
+            let key = (gid, slot);
+            let Some(beat) = beat else {
+                self.beats.remove(&key);
+                continue;
+            };
+            let entry = self.beats.entry(key).or_insert((beat, 0));
+            if entry.0 == beat {
+                entry.1 += 1;
+            } else {
+                *entry = (beat, 0);
+            }
+            if entry.1 >= PATROL_GRACE {
+                replacements.push(part.fail_slot(slot));
+                self.recoveries += 1;
+            }
+        }
+        replacements
     }
 
     /// Compare the window's observed I/O service rate against the current
@@ -279,5 +287,35 @@ mod tests {
         flooder.join().unwrap();
         assert!(patrolled, "patrol deadline starved by a chatty channel");
         assert!(messages >= 1, "flood never actually reached the master");
+    }
+
+    /// A slot an adjustment retired is still finishing the unit it last
+    /// claimed, and its beat stays frozen meanwhile. Retired is not dead: no
+    /// sweep may fail it, or the "replacement" would steal from the survivor
+    /// and run the fragment one backend above the policy's `x`. A frozen
+    /// slot that was never retired is still reaped.
+    #[test]
+    fn a_slot_retired_by_an_adjustment_is_never_reaped() {
+        let part = StealPartition::new(64, 4, 2, 0);
+        let beats: Vec<_> = (0..2).map(|s| part.heartbeat_of(s)).collect();
+        for (slot, beat) in beats.iter().enumerate() {
+            beat.fetch_add(1, Ordering::Relaxed);
+            part.next_morsel(slot).expect("a morsel each");
+        }
+        assert_eq!(StealPartition::claim_unit(&part.claim_of(1)), Some(0));
+        assert_eq!(part.adjust(1).retiring_slots, vec![1]);
+
+        let mut patrol = Patrol::new(&ExecConfig::unthrottled(), true, [(0, 0.0); 3]);
+        for _ in 0..=PATROL_GRACE {
+            beats[0].fetch_add(1, Ordering::Relaxed); // the survivor works on
+            assert!(patrol.sweep(0, &part).is_empty(), "a retired slot was reaped");
+        }
+        assert_eq!(part.n_slots(), 2);
+        assert_eq!(patrol.recoveries, 0);
+
+        // The survivor's beat freezes too: it, and only it, is replaced.
+        let replaced: Vec<usize> = (0..PATROL_GRACE).flat_map(|_| patrol.sweep(0, &part)).collect();
+        assert_eq!(replaced, vec![2]);
+        assert_eq!(patrol.recoveries, 1);
     }
 }

@@ -4,13 +4,11 @@
 //! completion-time observation that trains the model.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use xprs_scheduler::predict::{Observation, PredictKey};
 use xprs_scheduler::trace::{emit, TraceRecord};
 
 use crate::master::{Executor, FragSlot};
-use crate::obs::ExecMetrics;
 use crate::program::{Driver, PipelineOp};
 use crate::worker::FragCtx;
 
@@ -66,24 +64,13 @@ impl Executor {
     /// model for the fragment's key is warm. `co_runners` — the fragments
     /// running at announcement — is the interference covariate, and is
     /// remembered on the slot so the completion-time observation trains the
-    /// regression at the same point it was queried.
-    pub(crate) fn apply_prediction(
-        &self,
-        slot: &mut FragSlot,
-        now: f64,
-        co_runners: u32,
-        metrics: &Option<Arc<ExecMetrics>>,
-    ) {
+    /// regression at the same point it was queried. The outcome lands in the
+    /// fragment's profile, `FragmentProfile::prediction`.
+    pub(crate) fn apply_prediction(&self, slot: &mut FragSlot, now: f64, co_runners: u32) {
         slot.co_runners = co_runners;
         let Some(pred) = &self.cfg.predictor else { return };
         let p = pred.predict(self.predict_key(slot), &slot.declared, co_runners);
-        if let Some(m) = metrics {
-            if p.from_model {
-                m.predictions.inc();
-            } else {
-                m.prediction_fallbacks.inc();
-            }
-        }
+        slot.prof.prediction = Some(p.from_model);
         if !p.from_model {
             return; // cold start / degenerate model: declared prior stands
         }

@@ -5,12 +5,12 @@ use std::sync::Arc;
 
 use xprs_disk::ClassStats;
 use xprs_optimizer::OptimizedQuery;
-use xprs_scheduler::{MachineConfig, TaskId};
+use xprs_scheduler::MachineConfig;
 #[cfg(doc)]
 use xprs_scheduler::TaskProfile;
 
 use crate::io::MachineStats;
-use crate::obs::{ExecMetrics, QueryProfile, UtilSample};
+use crate::obs::{ExecMetrics, FragmentProfile, QueryProfile, UtilSample};
 use crate::program::Materialized;
 use crate::worker::RelBinding;
 
@@ -49,8 +49,6 @@ pub struct ExecReport {
     pub pool_pinned_at_exit: u64,
     /// Total wall-clock seconds.
     pub wall: f64,
-    /// Per-fragment `(task, start, finish)` wall times.
-    pub fragment_times: Vec<(TaskId, f64, f64)>,
     /// OS threads the worker pool created over the whole run.
     pub pool_threads: u64,
     /// Worker-slot staffing jobs submitted over the whole run.
@@ -90,24 +88,27 @@ pub struct ExecReport {
     /// Fragments that had to wait in the admission queue because the pool
     /// was over-committed when their start was decided.
     pub mem_grant_waits: u64,
-    /// Sorted spill runs cut by workers whose buffered output crossed the
-    /// fragment's grant.
+    /// Spill runs cut, summed over the fragment profiles.
     pub spill_chunks: u64,
-    /// Rows written to (and read back from) spill runs.
+    /// Rows spilled, summed over the fragment profiles.
     pub spill_rows: u64,
     /// The hot-path metric registry, when `ExecConfig::obs` was on.
     pub metrics: Option<Arc<ExecMetrics>>,
-    /// Per-query cancellation outcome, in submission order: `true` means
-    /// the query's token fired before its root completed, and its result
-    /// is an empty [`Materialized`]. A query whose token fired *after* the
-    /// root finished keeps its real rows and is reported `false` here: the
-    /// late token changed nothing.
-    pub cancelled: Vec<bool>,
+}
+
+impl ExecReport {
+    /// Every fragment's profile, query by query.
+    pub fn fragments(&self) -> impl Iterator<Item = &FragmentProfile> {
+        self.profiles.iter().flat_map(|q| &q.fragments)
+    }
+
     /// Fragments whose observed page footprint exceeded the pages their
     /// [`TaskProfile::memory`] declared (detection only — the run is never
     /// failed for it; disk-resident scans re-reading evicted pages land
     /// here routinely).
-    pub footprint_overruns: u64,
-    /// One human-readable line per footprint overrun.
-    pub footprint_warnings: Vec<String>,
+    pub fn footprint_overruns(&self) -> u64 {
+        let overran =
+            |f: &&FragmentProfile| f.declared_pages > 0 && f.observed_pages > f.declared_pages;
+        self.fragments().filter(overran).count() as u64
+    }
 }

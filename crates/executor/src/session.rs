@@ -2,7 +2,7 @@
 //! ([`ExecSession`]) and the staffing of worker slots onto that pool
 //! ([`Backends`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -10,7 +10,7 @@ use xprs_scheduler::FragTable;
 use xprs_storage::Catalog;
 
 use crate::error::ExecError;
-use crate::io::{lock, start_model_clock, Machine};
+use crate::io::{start_model_clock, Machine};
 use crate::master::MasterMsg;
 use crate::obs::ExecMetrics;
 use crate::pool::WorkerPool;
@@ -76,7 +76,6 @@ impl ExecSession {
 /// grows on demand to the *peak concurrent* slot count and no further.
 pub(crate) struct Backends<'a> {
     pub pool: &'a WorkerPool,
-    pub staffed: AtomicU64,
     /// The pool is borrowed from a long-lived [`ExecSession`]: shutdown
     /// quiesces this run's workers instead of running the threads down.
     shared: bool,
@@ -84,7 +83,7 @@ pub(crate) struct Backends<'a> {
 
 impl<'a> Backends<'a> {
     pub fn new(pool: &'a WorkerPool, shared: bool) -> Self {
-        Backends { pool, staffed: AtomicU64::new(0), shared }
+        Backends { pool, shared }
     }
 
     /// Staff worker slot `slot` of `ctx`: accounts the worker in the
@@ -103,18 +102,7 @@ impl<'a> Backends<'a> {
         machine: &Arc<Machine>,
         catalog: &Arc<Catalog>,
     ) {
-        self.staffed.fetch_add(1, Ordering::Relaxed);
         ctx.staffed.fetch_add(1, Ordering::Relaxed);
-        // Register the slot's heartbeat before the worker can run, so the
-        // patrol tracks it from staffing time (a job stuck in the pool
-        // queue is indistinguishable from a dead worker — reclaiming it is
-        // a safe false positive).
-        {
-            let mut beats = lock(&ctx.heartbeats);
-            while beats.len() <= slot {
-                beats.push(Arc::new(AtomicU64::new(0)));
-            }
-        }
         ctx.outstanding.fetch_add(1, Ordering::SeqCst);
         let ctx = ctx.clone();
         let machine = machine.clone();

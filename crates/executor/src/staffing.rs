@@ -134,8 +134,6 @@ impl Executor {
             part: Arc::new(part),
             key_base: units.base(),
             page_slices,
-            exited_slots: std::sync::Mutex::new(Vec::new()),
-            heartbeats: std::sync::Mutex::new(Vec::new()),
             units_done: AtomicU64::new(0),
             total_units,
             outstanding: AtomicU32::new(0),

@@ -98,6 +98,11 @@ struct SlotState {
     /// word's offsets are relative to, and what the disk-affinity steal
     /// pass matches victims against (`unit % n_disks`).
     last_unit: Option<u64>,
+    /// The owner's heartbeat, shared with it like `claim`: it exists from
+    /// the slot's creation, so the patrol watches a slot from its staffing.
+    beat: Arc<AtomicU64>,
+    /// The owner exited voluntarily; a dead worker never sets it.
+    exited: bool,
 }
 
 impl SlotState {
@@ -108,6 +113,8 @@ impl SlotState {
             revoked: false,
             started: false,
             last_unit: None,
+            beat: Arc::new(AtomicU64::new(0)),
+            exited: false,
         }
     }
 
@@ -148,7 +155,6 @@ pub struct NextMorsel {
 pub struct StealPartition {
     inner: Mutex<Vec<SlotState>>,
     seed: u64,
-    total_units: u64,
     /// Disks under the unit space (`unit % n_disks` = home disk, matching
     /// [`xprs_disk::StripedLayout::disk_of`]). `0` or `1` disables the
     /// affinity steal pass.
@@ -195,7 +201,7 @@ impl StealPartition {
         for (i, m) in morsels.into_iter().enumerate() {
             slots[i % n].pending.push_back(m);
         }
-        StealPartition { inner: Mutex::new(slots), seed, total_units, n_disks: 0 }
+        StealPartition { inner: Mutex::new(slots), seed, n_disks: 0 }
     }
 
     /// Enable disk-affine victim selection for a page-scan fragment over a
@@ -217,14 +223,34 @@ impl StealPartition {
         self
     }
 
-    /// Total units in the fragment.
-    pub fn total_units(&self) -> u64 {
-        self.total_units
-    }
-
     /// The claim word `slot`'s owner uses for its per-unit fast path.
     pub fn claim_of(&self, slot: usize) -> Arc<AtomicU64> {
         lock(&self.inner)[slot].claim.clone()
+    }
+
+    /// The heartbeat `slot`'s owner bumps at startup and per finished unit.
+    pub fn heartbeat_of(&self, slot: usize) -> Arc<AtomicU64> {
+        lock(&self.inner)[slot].beat.clone()
+    }
+
+    /// `slot`'s owner exited voluntarily.
+    pub fn exit(&self, slot: usize) {
+        lock(&self.inner)[slot].exited = true;
+    }
+
+    /// Every slot's heartbeat, in slot order.
+    pub fn heartbeats(&self) -> Vec<u64> {
+        lock(&self.inner).iter().map(|s| s.beat.load(Ordering::Relaxed)).collect()
+    }
+
+    /// Every slot's heartbeat, `None` for one whose worker exited or that
+    /// was revoked — retired by an adjustment (retired is not dead: it
+    /// finishes its claimed unit and stops) or replaced by `fail_slot`.
+    pub fn watched_heartbeats(&self) -> Vec<Option<u64>> {
+        lock(&self.inner)
+            .iter()
+            .map(|s| (!s.exited && !s.revoked).then(|| s.beat.load(Ordering::Relaxed)))
+            .collect()
     }
 
     /// Begin the slot's next morsel: own deque first, then steal the back
@@ -304,7 +330,8 @@ impl StealPartition {
     /// active slots and redistributes their unclaimed work round-robin
     /// over the survivors. Keeps the §2.4 protocols' contract: the
     /// returned `new_slots` need staffing, `retiring_slots` drain at their
-    /// next claim.
+    /// next claim. `new_slots` also lists every exited slot that stays
+    /// active: the new assignment may hand it work, so it is re-staffed.
     pub fn adjust(&self, new_parallelism: u32) -> AdjustInfo {
         let mut slots = lock(&self.inner);
         let want = new_parallelism.max(1) as usize;
@@ -316,26 +343,28 @@ impl StealPartition {
                 slots.push(SlotState::fresh(VecDeque::new()));
                 info.new_slots.push(slots.len() - 1);
             }
-            return info;
+        } else if active.len() > want {
+            let (survivors, retiring) = active.split_at(want);
+            let mut orphaned = VecDeque::new();
+            for &slot in retiring {
+                orphaned.extend(slots[slot].revoke());
+                orphaned.append(&mut slots[slot].pending);
+                info.retiring_slots.push(slot);
+            }
+            for (i, m) in orphaned.into_iter().enumerate() {
+                slots[survivors[i % survivors.len()]].pending.push_back(m);
+            }
         }
-        if active.len() == want {
-            return info;
-        }
-        let (survivors, retiring) = active.split_at(want);
-        let mut orphaned = VecDeque::new();
-        for &slot in retiring {
-            orphaned.extend(slots[slot].revoke());
-            orphaned.append(&mut slots[slot].pending);
-            info.retiring_slots.push(slot);
-        }
-        for (i, m) in orphaned.into_iter().enumerate() {
-            slots[survivors[i % survivors.len()]].pending.push_back(m);
+        for (slot, s) in slots.iter_mut().enumerate() {
+            if s.exited && !s.revoked {
+                s.exited = false;
+                info.new_slots.push(slot);
+            }
         }
         info
     }
 
-    /// Slots not yet revoked (the master re-staffs exited slots that are
-    /// still active after an adjustment).
+    /// Slots not yet revoked.
     pub fn active_slots(&self) -> Vec<usize> {
         let slots = lock(&self.inner);
         (0..slots.len()).filter(|&s| !slots[s].revoked).collect()
@@ -572,6 +601,22 @@ mod tests {
         let mut seen = drain(&p);
         seen.sort_unstable();
         assert_eq!(seen, (0..64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn adjust_hands_back_the_slots_that_exited_and_stay_active() {
+        let p = StealPartition::new(64, 4, 3, 3);
+        p.exit(0);
+        p.exit(2);
+        // Shrinking to two retires slot 2; only slot 0 is handed back.
+        let info = p.adjust(2);
+        assert_eq!((info.new_slots, info.retiring_slots), (vec![0], vec![2]));
+        assert!(p.adjust(2).new_slots.is_empty(), "a handed-back slot is live again");
+        // The patrol watches neither an exited nor a retired slot.
+        p.exit(1);
+        assert_eq!(p.watched_heartbeats(), vec![Some(0), None, None]);
+        // Growing hands back the fresh slot first, then the exited one.
+        assert_eq!(p.adjust(3).new_slots, vec![3, 1]);
     }
 
     #[test]

@@ -166,13 +166,6 @@ pub(crate) struct FragCtx {
     /// other driver): unit `u` is slice `u % page_slices` of page
     /// `u / page_slices`. See `staffing::page_slices`.
     pub page_slices: u64,
-    /// Slots whose worker has exited (may be re-staffed on adjust).
-    pub exited_slots: Mutex<Vec<usize>>,
-    /// Per-slot liveness counters, bumped once at startup and once per
-    /// completed unit. A slot whose counter freezes while the fragment
-    /// still has work — and which never registered in `exited_slots` — is
-    /// presumed dead by the master's patrol and its share reclaimed.
-    pub heartbeats: Mutex<Vec<Arc<AtomicU64>>>,
     /// Completed work units (pages, page slices or keys).
     pub units_done: AtomicU64,
     /// Total work units.
@@ -462,13 +455,7 @@ pub(crate) fn run_worker(
 ) {
     let wid = machine.new_worker_id();
     let ws = &mut WorkerState::new(machine, wid, ctx);
-    let heartbeat = {
-        let mut beats = lock(&ctx.heartbeats);
-        while beats.len() <= slot {
-            beats.push(Arc::new(AtomicU64::new(0)));
-        }
-        beats[slot].clone()
-    };
+    let heartbeat = ctx.part.heartbeat_of(slot);
     heartbeat.fetch_add(1, Ordering::Relaxed);
     let metrics = machine.metrics().cloned();
     let claim = ctx.part.claim_of(slot);
@@ -571,9 +558,9 @@ pub(crate) fn run_worker(
     ws.settle(ctx);
     if died {
         // Completed units live in shared memory and survive the worker, but
-        // the slot vanishes without registering in `exited_slots`: its
-        // heartbeat freezes, the patrol declares it dead and reclaims the
-        // morsel's unclaimed remainder through `StealPartition::fail_slot`.
+        // the slot vanishes without marking its exit: its heartbeat
+        // freezes, the patrol declares it dead and reclaims the morsel's
+        // unclaimed remainder through `StealPartition::fail_slot`.
         return;
     }
     if let Some(fault) = ws.io_fault.take() {
@@ -583,8 +570,8 @@ pub(crate) fn run_worker(
         let fatal = ExecError::IndexMissing { fragment: ctx.gid, name };
         let _ = ctx.done_tx.send(MasterMsg::Fatal(fatal));
     }
-    // Register the voluntary exit, so the patrol never reaps it.
-    lock(&ctx.exited_slots).push(slot);
+    // Mark the voluntary exit, so the patrol never reaps the slot.
+    ctx.part.exit(slot);
 }
 
 /// Latency-histogram sampling rate of the worker loop: one episode in this

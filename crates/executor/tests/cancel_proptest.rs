@@ -112,8 +112,8 @@ fn check(report: &ExecReport, want: &[Vec<(i32, Tuple)>]) -> Result<(), String> 
     if report.pool_pinned_at_exit != 0 {
         return Err(format!("{} pages still pinned at exit", report.pool_pinned_at_exit));
     }
-    for (qi, cancelled) in report.cancelled.iter().enumerate() {
-        if *cancelled {
+    for (qi, q) in report.profiles.iter().enumerate() {
+        if q.cancelled {
             if !report.results[qi].rows.rows.is_empty() {
                 return Err(format!("cancelled query {qi} still produced rows"));
             }
@@ -138,7 +138,10 @@ fn mass_prefired_cancellation_releases_everything() {
     let runs = runs_for(&cat, &wl);
     let delays = vec![Some(None); runs.len()];
     let report = run_with_cancels(granted_cfg(), &cat, &runs, &delays, &mut policy());
-    assert!(report.cancelled.iter().all(|&c| c), "pre-fired tokens must cancel every query");
+    assert!(
+        report.profiles.iter().all(|q| q.cancelled),
+        "pre-fired tokens must cancel every query"
+    );
     assert!(report.results.iter().all(|r| r.rows.rows.is_empty()));
     assert_eq!(report.mem_granted_pages, report.mem_released_pages);
     assert_eq!(report.pool_pinned_at_exit, 0);
@@ -160,7 +163,7 @@ fn deadline_tokens_cancel_like_manual_tokens() {
     assert_eq!(report.pool_pinned_at_exit, 0);
     // A 200 µs deadline against multi-page spilling joins: at least one
     // query must actually have been cut short.
-    assert!(report.cancelled.iter().any(|&c| c), "no deadline ever fired");
+    assert!(report.profiles.iter().any(|q| q.cancelled), "no deadline ever fired");
 }
 
 proptest! {
@@ -203,7 +206,7 @@ proptest! {
         // A query whose token never fired must not be reported cancelled.
         for (qi, d) in delays.iter().enumerate() {
             if d.is_none() {
-                prop_assert!(!report.cancelled[qi], "uncancelled query {qi} marked cancelled");
+                prop_assert!(!report.profiles[qi].cancelled, "uncancelled query {qi} marked cancelled");
             }
         }
         let verdict = check(&report, &reference);
@@ -229,7 +232,7 @@ proptest! {
         let report = run_with_cancels(cfg, &cat, &runs, &delays, &mut intra);
         let want: Vec<_> =
             runs.iter().map(|r| oracle::eval(&cat, &r.optimized.plan, &r.bindings)).collect();
-        if !report.cancelled[0] {
+        if !report.profiles[0].cancelled {
             let scan = &report.profiles[0].fragments[0];
             prop_assert_eq!(scan.units, SLICED_PAGES * 8, "the scan was not sliced");
         }
@@ -296,14 +299,14 @@ fn late_token_never_marks_a_completed_query_cancelled() {
         // One pre-fired, one racing completion, one never fired.
         let delays = vec![Some(None), Some(Some(9_107)), None];
         let report = run_with_cancels(granted_cfg(), &cat, &runs, &delays, &mut policy());
-        for (qi, &c) in report.cancelled.iter().enumerate() {
+        for (qi, c) in report.profiles.iter().map(|q| q.cancelled).enumerate() {
             assert!(
                 !c || report.results[qi].rows.rows.is_empty(),
                 "query {qi} reported cancelled but kept {} rows",
                 report.results[qi].rows.rows.len()
             );
         }
-        assert!(!report.cancelled[2], "unfired token must never cancel");
+        assert!(!report.profiles[2].cancelled, "unfired token must never cancel");
         assert_eq!(report.mem_granted_pages, report.mem_released_pages);
         assert_eq!(report.pool_pinned_at_exit, 0);
     }

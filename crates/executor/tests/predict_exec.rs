@@ -9,12 +9,13 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 use xprs_disk::StripedLayout;
 use xprs_executor::{ExecConfig, ExecReport, Executor, QueryRun, RelBinding};
+use xprs_obs::json::{parse, JsonValue};
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::predict::{Observation, PredictKey, Predictor};
 use xprs_scheduler::trace::{
-    action_signature, action_stream, parse_jsonl, replay_through_fluid, JsonlSink, SharedSink,
-    TraceRecord,
+    action_signature, action_stream, parse_jsonl, replay_through_fluid, JsonlSink, RingSink,
+    SharedSink, TraceRecord,
 };
 use xprs_scheduler::{IoKind, MachineConfig, TaskId, TaskProfile};
 use xprs_storage::{Catalog, Datum, Schema, Tuple, PAGE_SIZE};
@@ -194,6 +195,33 @@ fn traces_with_predict_records_replay_through_the_fluid_model() {
         action_signature(&replayed, machine().n_procs),
         "threaded capture and fluid replay disagree on a predicted trace"
     );
+}
+
+/// A run's prediction outcomes are its fragments' facts, not hot-path
+/// metrics: with obs off, `metrics.json` still counts every substitution a
+/// warm predictor made — one per `predict` trace record.
+#[test]
+fn substitutions_are_counted_with_obs_off() {
+    let cat = catalog();
+    let run = wrong_by_4x_run(&cat);
+    let predictor = Arc::new(Predictor::new(PAGE_SIZE as u64));
+    for _ in 0..3 {
+        run_once(scaled_cfg(&predictor), &cat, &run, None);
+    }
+    let ring = Arc::new(Mutex::new(RingSink::unbounded()));
+    let cfg = ExecConfig { obs: false, ..scaled_cfg(&predictor) };
+    let report = run_once(cfg, &cat, &run, Some(ring.clone()));
+
+    let records = ring.lock().unwrap().records();
+    let predicts = records.iter().filter(|r| matches!(r, TraceRecord::Predict { .. })).count();
+    let doc = parse(&report.metrics_json()).expect("metrics.json must parse");
+    let substitutions = doc
+        .get("predict")
+        .and_then(|p| p.get("substitutions"))
+        .and_then(JsonValue::num)
+        .expect("predict.substitutions");
+    assert!(substitutions > 0.0, "a warm predictor substituted nothing");
+    assert_eq!(substitutions as usize, predicts);
 }
 
 /// Strategy for one (possibly degenerate) observation: finite-positive

@@ -182,7 +182,7 @@ fn optimized_merge_join(cat: &Catalog, names: &[&str]) -> OptimizedQuery {
 
 struct SkewRun {
     rows: Vec<(i32, Tuple)>,
-    hot_keys_counter: u64,
+    hot_keys_total: u64,
     root_hot_keys: u64,
     root_way_rows_max: u64,
 }
@@ -221,7 +221,7 @@ fn run_skewed(
         .expect("root fragment profiled");
     Ok(SkewRun {
         rows: report.results[0].rows.rows.clone(),
-        hot_keys_counter: report.metrics.as_ref().map_or(0, |m| m.hot_keys.get()),
+        hot_keys_total: report.fragments().map(|f| f.merge.hot_keys).sum(),
         root_hot_keys: root.merge.hot_keys,
         root_way_rows_max: root.merge.way_rows_max,
     })
@@ -252,7 +252,7 @@ fn skewed_merge_join_matches_the_oracle_and_the_hot_path_engages() {
     // and fan them out — both the registry counter and the root
     // fragment's merge profile must say so.
     assert!(
-        pooled.hot_keys_counter > 0,
+        pooled.hot_keys_total > 0,
         "hot-key counter stayed zero on a Zipf(1) join"
     );
     assert!(pooled.root_hot_keys > 0, "root merge profile saw no hot keys");
@@ -284,6 +284,6 @@ fn worker_death_mid_run_preserves_skewed_results() {
             &got.rows,
             &want,
         );
-        assert!(got.hot_keys_counter > 0, "fragment {frag}: hot path disengaged");
+        assert!(got.hot_keys_total > 0, "fragment {frag}: hot path disengaged");
     }
 }

@@ -168,7 +168,7 @@ fn a_sliced_probe_counts_each_page_once_in_its_footprint() {
     assert_eq!(probe.units, PAGES * 8);
     assert_eq!(probe.observed_pages, PAGES);
     assert!(probe.declared_pages >= probe.observed_pages, "{probe:?}");
-    assert_eq!(report.footprint_overruns, 0, "{:?}", report.footprint_warnings);
+    assert_eq!(report.footprint_overruns(), 0);
 }
 
 #[test]
@@ -204,7 +204,7 @@ fn a_cancel_mid_fragment_returns_no_rows_and_leaves_the_ledgers_at_zero() {
     let report = exec
         .run_shared(&session, &runs, &mut policy(), &tokens)
         .expect("a cancelled run still reports");
-    assert!(report.cancelled[0], "the cancel landed after the scan finished");
+    assert!(report.profiles[0].cancelled, "the cancel landed after the scan finished");
     assert!(report.results[0].rows.rows.is_empty(), "a cancelled query returns no rows");
     assert_matches_oracle("survivor", &cat, &runs[1], &report, 1);
     assert_eq!(report.mem_granted_pages, report.mem_released_pages, "grant ledger out of balance");

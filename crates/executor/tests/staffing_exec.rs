@@ -233,9 +233,9 @@ fn a_query_cancelled_mid_fragment_releases_everything() {
         .run_with_cancel(&runs, &mut AllProcessors::new(), &tokens)
         .expect("a cancelled run still reports");
     firer.join().expect("cancel firer panicked");
-    assert!(report.cancelled[0], "the cancel landed after the scan finished");
+    assert!(report.profiles[0].cancelled, "the cancel landed after the scan finished");
     assert!(report.results[0].rows.rows.is_empty(), "a cancelled query returns no rows");
-    assert!(!report.cancelled[1]);
+    assert!(!report.profiles[1].cancelled);
     assert_matches_oracle("survivor", &cat, &runs[1], &report, 1);
     assert_clean(&report);
 }

@@ -395,7 +395,7 @@ fn settle(shared: &Shared, job: Job) {
         {
             Ok(report) => {
                 shared.note_service_time(run_start.elapsed());
-                if report.cancelled.first().copied().unwrap_or(false) {
+                if report.profiles.first().is_some_and(|q| q.cancelled) {
                     QueryStatus::DeadlineCancelled
                 } else {
                     let rows =

@@ -4,7 +4,7 @@
 //! the submission path can record outcomes without serializing on a stats
 //! mutex, and an observer can snapshot mid-flight without stopping traffic.
 
-use xprs_obs::{Counter, HistSnapshot, Histogram};
+use xprs_obs::{Counter, Histogram};
 use xprs_workload::QueryClass;
 
 /// Counters and latency distributions for one service class.
@@ -66,11 +66,6 @@ impl ServiceStats {
     /// Total requests shed across classes.
     pub fn total_shed(&self) -> u64 {
         self.interactive.shed.get() + self.batch.shed.get()
-    }
-
-    /// Latency snapshot for `class` (microsecond buckets).
-    pub fn latency_snapshot(&self, class: QueryClass) -> HistSnapshot {
-        self.class(class).latency_us.snapshot()
     }
 }
 

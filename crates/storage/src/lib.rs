@@ -34,7 +34,7 @@ pub use datum::Datum;
 pub use heap::HeapFile;
 pub use page::{Page, PAGE_HEADER, PAGE_SIZE};
 pub use partition::{PagePartition, RangePartition};
-pub use runs::{merge_runs, split_runs, split_runs_stats, CsrIndex, RunGroup, SplitStats};
+pub use runs::{merge_runs, split_runs_stats, CsrIndex, RunGroup, SplitStats};
 pub use schema::{ColumnType, Schema};
 pub use shardpool::{ShardReservation, ShardedBufferPool};
 pub use tuple::{Tuple, TupleId};

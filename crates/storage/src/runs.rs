@@ -5,7 +5,7 @@
 //! never has to re-sort the whole fragment output: it performs a **stable
 //! k-way merge** of the runs — O(n log k) instead of O(n log n), and the
 //! merge itself can be farmed out to the worker pool by first splitting the
-//! runs at key boundaries ([`split_runs`]) into disjoint, independently
+//! runs at key boundaries ([`split_runs_stats`]) into disjoint, independently
 //! mergeable key sub-ranges.
 //!
 //! On top of the merged (key-sorted) rows sits a [`CsrIndex`]: sorted unique
@@ -93,17 +93,8 @@ pub struct SplitStats {
     pub group_rows: Vec<usize>,
 }
 
-/// Split key-sorted runs into independently mergeable groups covering
-/// non-decreasing key ranges, so each group can be merged concurrently and
-/// the merged groups concatenated in order. See [`split_runs_stats`] for
-/// the boundary-selection and heavy-hitter rules; this wrapper discards the
-/// statistics.
-pub fn split_runs<T>(runs: Vec<Vec<(i32, T)>>, ways: usize) -> Vec<RunGroup<T>> {
-    split_runs_stats(runs, ways).0
-}
-
 /// One independently mergeable group of key-sorted runs, as produced by
-/// [`split_runs`] / [`split_runs_stats`].
+/// [`split_runs_stats`].
 pub type RunGroup<T> = Vec<Vec<(i32, T)>>;
 
 /// Split key-sorted runs into independently mergeable groups, returning the

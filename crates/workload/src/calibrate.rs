@@ -109,16 +109,6 @@ impl Default for Calibration {
     }
 }
 
-/// Convenience: rate of a `b`-length under the paper calibration.
-pub fn rate_for_tuple_size(blen: usize) -> f64 {
-    Calibration::paper_default().rate(blen)
-}
-
-/// Convenience: `b`-length for a target rate under the paper calibration.
-pub fn tuple_size_for_rate(rate: f64) -> usize {
-    Calibration::paper_default().blen_for_rate(rate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

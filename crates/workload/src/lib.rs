@@ -25,7 +25,7 @@ pub mod skew;
 pub mod spec;
 
 pub use arrivals::{generate_arrivals, Arrival, ArrivalSpec, QueryClass, TenantLoad};
-pub use calibrate::{rate_for_tuple_size, tuple_size_for_rate, Calibration};
+pub use calibrate::Calibration;
 pub use gen::{
     generate_disk_resident, generate_oversized_build, DiskResidentRelation, DiskResidentSpec,
     DiskResidentWorkload, GeneratedTask, GeneratedWorkload, OversizedBuildPair,

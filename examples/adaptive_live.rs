@@ -39,7 +39,8 @@ fn main() {
     for policy in [PolicyKind::IntraOnly, PolicyKind::InterWithAdj] {
         let report = sys.execute(&runs, policy, Some(400.0)).expect("exec");
         println!("{}:", policy.label());
-        let mut times = report.fragment_times.clone();
+        let mut times: Vec<_> =
+            report.fragments().map(|f| (f.task, f.started_at, f.finished_at)).collect();
         times.sort_by(|a, b| a.1.total_cmp(&b.1));
         for (id, start, finish) in &times {
             let bar_start = (start * 400.0 / 0.2) as usize;

@@ -46,11 +46,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # measures, the trace sinks and the metrics dump option nobody used, the
 # lenient JSON prefix parser, the hand-written bench header, the patrol and
 # recalibration knobs that a run's own shape now decides, the array model no
-# engine used) must not creep back into code, examples, tests or the verify
+# engine used, the report and registry copies of what a fragment profile or a
+# partition slot already holds, the statistics-free run splitter) must not
+# creep back into code, examples, tests or the verify
 # skill. `scripts/` is left out so the pattern does not match itself; docs
 # keep the names as history.
 echo "==> retired-name grep"
-if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel' \
+if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel|\bfragment_times\b|footprint_warnings|mem_overruns|merge_fanout|prediction_fallbacks|exited_slots|\bsplit_runs\b' \
     crates examples src tests .claude; then
     echo "retired data-path names found (matches above)" >&2
     exit 1
