@@ -281,13 +281,6 @@ fn exec_cfg() -> ExecConfig {
     // that caches the working set would make the slowdown scenario
     // vacuous).
     cfg.bufpool_pages = 24;
-    // Per-run recalibration is off in the shared-session regime: each run
-    // observes only its slice of the shared disks, so the "observed" rate
-    // is dominated by cross-run contention, and recalibrating on it hands
-    // the policy a skewed machine (seen as FixpointDiverged under the
-    // slowdown). The service handles degradation with deadlines and
-    // shedding instead.
-    cfg.recal_band = 0.0;
     cfg
 }
 

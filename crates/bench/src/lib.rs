@@ -535,9 +535,6 @@ pub mod exec_skew {
     pub const SPILL_FACTOR: u64 = 4;
     /// Scaled-time speedup, as in the other disk-resident benches.
     pub const TIME_SPEEDUP: f64 = 20.0;
-    /// Merge fan-out, pinned explicitly: the auto fan-out collapses to 1
-    /// on a single-core CI host and the skew machinery would never engage.
-    pub const MERGE_WAYS: usize = 8;
     /// Workload seed.
     pub const SEED: u64 = 0x5E3D;
 
@@ -552,6 +549,9 @@ pub mod exec_skew {
         /// Heavy-hitter keys the run detected (registry counter: master
         /// fan-out plus `split_runs_stats` carving, summed over merges).
         pub hot_keys: u64,
+        /// Ways the root fragment's merge fanned out to: the machine's
+        /// processors once the output is past the parallel-merge threshold.
+        pub merge_ways: u64,
         /// Rows in the heaviest way of the root fragment's merge.
         pub way_rows_max: u64,
         /// Mean rows per way of the root fragment's merge.
@@ -593,7 +593,6 @@ pub mod exec_skew {
         let runs = vec![QueryRun { optimized, bindings }];
         let mut cfg = ExecConfig::scaled(TIME_SPEEDUP).with_obs();
         cfg.bufpool_pages = BUFPOOL_PAGES as usize;
-        cfg.parallel_merge_ways = MERGE_WAYS;
         let exec = Executor::new(cfg, cat.clone());
         let mut policy = FixedParallelism::new(MachineConfig::paper_default(), workers);
         let report = exec.run(&runs, &mut policy).expect("skewed join failed");
@@ -606,6 +605,7 @@ pub mod exec_skew {
             emitted: report.results[0].rows.rows.len() as u64,
             join_wall: phase_wall(&report),
             hot_keys: report.fragments().map(|f| f.merge.hot_keys).sum(),
+            merge_ways: root.merge.ways,
             way_rows_max: root.merge.way_rows_max,
             way_rows_mean: root.merge.way_rows_mean,
             hit_rate: report.stats.pool.hit_rate(),

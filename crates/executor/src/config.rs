@@ -41,23 +41,6 @@ pub struct ExecConfig {
     pub bufpool_shards: usize,
     /// Injected fault schedule (`None` = fault-free operation).
     pub faults: Option<Arc<FaultPlan>>,
-    /// Relative drift between observed and modeled I/O service rate
-    /// tolerated before the policy is recalibrated. `0.0` disables
-    /// recalibration. The drift is measured on the master's patrol tick, so
-    /// only a run that ticks (see [`ExecConfig::with_faults`]) recalibrates.
-    pub recal_band: f64,
-    /// Fragment outputs at least this many rows long have their sorted
-    /// worker runs merged **in parallel** on the worker pool (split into
-    /// disjoint key sub-ranges, one merge task per processor); smaller
-    /// outputs are merged serially on the master.
-    pub parallel_merge_min_rows: usize,
-    /// Parallel-merge fan-out (key sub-ranges merged concurrently). `0` ⇒
-    /// auto: the simulated machine's processor count, capped by the host's
-    /// available parallelism — on a single-core host the merge stays
-    /// serial, since splitting would be pure copy overhead with no
-    /// concurrency to buy. Tests set an explicit fan-out to exercise the
-    /// pool-farmed path deterministically on any host.
-    pub parallel_merge_ways: usize,
     /// Collect detailed hot-path metrics ([`ExecMetrics`]: gate-wait
     /// histogram, I/O retry/fault counters, merge shape). Off by default;
     /// the cold-path profile (pool shards, per-disk class stats, fragment
@@ -83,9 +66,6 @@ impl ExecConfig {
             bufpool_pages: 512,
             bufpool_shards: 8,
             faults: None,
-            recal_band: 0.2,
-            parallel_merge_min_rows: 4096,
-            parallel_merge_ways: 0,
             obs: false,
             predictor: None,
         }
@@ -123,24 +103,11 @@ impl ExecConfig {
         self
     }
 
-    /// Set the recalibration tolerance `band` (e.g. `0.2` = recalibrate
-    /// when the observed I/O rate drifts more than 20% from the model). The
-    /// band is tested on the patrol tick, which a run has when it carries a
-    /// fault plan or cancel tokens or shares a session. A negative or
-    /// non-finite `band` is refused when the configuration is run
-    /// ([`ExecError::InvalidConfig`]); `0.0` turns recalibration off.
-    pub fn with_recalibration(mut self, band: f64) -> Self {
-        self.recal_band = band;
-        self
-    }
-
     /// Every field is `pub`, so the builders cannot vouch for a value: the
     /// configuration is checked once, where a run or a session consumes it.
     pub(crate) fn validate(&self) -> Result<(), ExecError> {
-        let finite_non_negative = |x: f64| x.is_finite() && x >= 0.0;
         let refused = [
-            ("scale", self.scale, finite_non_negative(self.scale)),
-            ("recal_band", self.recal_band, finite_non_negative(self.recal_band)),
+            ("scale", self.scale, self.scale.is_finite() && self.scale >= 0.0),
             ("machine.n_procs", f64::from(self.machine.n_procs), self.machine.n_procs > 0),
             ("machine.n_disks", f64::from(self.machine.n_disks), self.machine.n_disks > 0),
         ]
@@ -168,9 +135,7 @@ mod tests {
     #[test]
     fn the_stock_configurations_are_accepted() {
         assert_eq!(refusal(&ExecConfig::unthrottled()), None);
-        assert_eq!(refusal(&ExecConfig::scaled(20.0).with_recalibration(0.3)), None);
-        let off = ExecConfig { recal_band: 0.0, ..ExecConfig::unthrottled() };
-        assert_eq!(refusal(&off), None, "a zero band is recalibration off");
+        assert_eq!(refusal(&ExecConfig::scaled(20.0)), None);
     }
 
     #[test]
@@ -185,11 +150,22 @@ mod tests {
         assert_eq!(refusal(&direct), Some("scale"), "a pub field bypasses every builder");
     }
 
+    /// No configuration carries a band to get wrong: every run tests the
+    /// fixed [`RECAL_BAND`](crate::patrol::RECAL_BAND), pinned here at its
+    /// boundary. A window inside it is no drift, one outside it moves the
+    /// model by at most one clamped step, and a nonsense ratio moves
+    /// nothing.
     #[test]
     fn a_bad_recalibration_band_is_refused() {
-        for band in [-0.2, f64::NAN, f64::INFINITY] {
-            let cfg = ExecConfig::unthrottled().with_recalibration(band);
-            assert_eq!(refusal(&cfg), Some("recal_band"), "band {band}");
+        use crate::patrol::{recal_step, MAX_RECAL_STEP, RECAL_BAND};
+        for inside in [1.0, 1.0 - RECAL_BAND, 1.0 + RECAL_BAND, 0.8] {
+            assert_eq!(recal_step(inside), None, "ratio {inside} is inside the band");
+        }
+        assert_eq!(recal_step(1.0 - RECAL_BAND - 1e-9), Some(1.0 - MAX_RECAL_STEP));
+        assert_eq!(recal_step(1.0 + RECAL_BAND + 1e-9), Some(1.0 + MAX_RECAL_STEP));
+        assert_eq!(recal_step(0.36), Some(1.0 - MAX_RECAL_STEP), "one step, not the whole drop");
+        for nonsense in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(recal_step(nonsense), None, "ratio {nonsense}");
         }
     }
 

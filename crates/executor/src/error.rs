@@ -97,7 +97,7 @@ pub enum ExecError {
         queries: usize,
     },
     /// The configuration cannot describe a machine to run on: a negative or
-    /// non-finite `scale` or `recal_band`, no processors, no disks. Refused
+    /// non-finite `scale`, no processors, no disks. Refused
     /// before any machine or pool is built.
     InvalidConfig {
         /// The offending `ExecConfig` field.

@@ -366,7 +366,7 @@ impl<'a> MasterRun<'a> {
             cancelled_q: vec![false; n_queries],
             token_spent: vec![false; tokens.len()],
             samples: Vec::new(),
-            patrol: Patrol::new(&exec.cfg, ticking, machine.observed_service()),
+            patrol: Patrol::new(&exec.cfg.machine, ticking, machine.observed_service()),
             _guard: RunGuard::new(machine.clone()),
             machine,
         }

@@ -5,7 +5,7 @@
 //! across the pool.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use xprs_storage::runs::{merge_runs, split_runs_stats};
 use xprs_storage::Tuple;
@@ -21,16 +21,22 @@ use crate::worker::FragCtx;
 /// One pool-merge task: merges a disjoint key sub-range of the runs.
 type MergeTask = Box<dyn FnOnce() -> Vec<(i32, Tuple)> + Send>;
 
+/// Fragment outputs at least this many rows long have their sorted worker
+/// runs merged in parallel on the worker pool; smaller outputs are merged
+/// serially on the master, where splitting would cost more than it buys.
+const PARALLEL_MERGE_MIN_ROWS: usize = 4096;
+
 impl Executor {
     /// Fragment-barrier materialization.
     ///
     /// The sink holds the workers' locally sorted runs: a stable k-way
     /// merge (O(n log k), no re-sort) produces the key-ordered rows, and
-    /// for outputs past `parallel_merge_min_rows` the merge itself is
+    /// for outputs past [`PARALLEL_MERGE_MIN_ROWS`] the merge itself is
     /// farmed to the persistent worker pool — the runs are split at key
-    /// boundaries into one disjoint sub-range per processor, merged
-    /// concurrently, and concatenated. A single counting pass then erects
-    /// the CSR index.
+    /// boundaries into one disjoint sub-range per modelled processor,
+    /// merged concurrently, and concatenated. The fan-out is the machine's,
+    /// not the host's: a one-processor machine merges serially. A single
+    /// counting pass then erects the CSR index.
     pub(crate) fn materialize(
         &self,
         ctx: &FragCtx,
@@ -38,7 +44,7 @@ impl Executor {
         machine: &Machine,
     ) -> (Materialized, MergeProfile) {
         let mut runs = ctx.out.harvest_runs();
-        let ways = self.merge_ways();
+        let ways = self.cfg.machine.n_procs as usize;
         if !ctx.hot_keys.is_empty() {
             // The hot keys' output was withheld from the workers; compute
             // it now, fanned across the pool with the small side
@@ -63,7 +69,7 @@ impl Executor {
             way_rows_max: 0,
             way_rows_mean: 0,
         };
-        if ways <= 1 || runs.len() <= 1 || total < self.cfg.parallel_merge_min_rows.max(1) {
+        if ways <= 1 || runs.len() <= 1 || total < PARALLEL_MERGE_MIN_ROWS {
             // ≤ 1 run needs no merge at all — splitting it across the
             // pool would be pure copy overhead.
             return (Materialized::from_runs(runs), profile);
@@ -95,17 +101,6 @@ impl Executor {
         (Materialized::from_sorted_rows(rows), profile)
     }
 
-    /// The merge fan-out this configuration targets: the explicit
-    /// `parallel_merge_ways`, or (auto) the machine's processor count
-    /// clamped to the host's real parallelism.
-    fn merge_ways(&self) -> usize {
-        if self.cfg.parallel_merge_ways == 0 {
-            (self.cfg.machine.n_procs as usize).min(host_parallelism())
-        } else {
-            self.cfg.parallel_merge_ways
-        }
-    }
-
     /// Heavy-hitter detection for a key-domain merge fragment, run before
     /// its workers are staffed (the Afrati et al. playbook: detect, then
     /// replicate the small side and split the hot key's *output*).
@@ -119,7 +114,7 @@ impl Executor {
     ///
     /// Scope: key-domain drivers whose ops are all `MergeWith` (every
     /// side materialized, so the product is known up front), outputs past
-    /// `parallel_merge_min_rows`, and fan-outs worth more than one way.
+    /// [`PARALLEL_MERGE_MIN_ROWS`], and machines of more than one processor.
     pub(crate) fn hot_join_keys(
         &self,
         program: &FragmentProgram,
@@ -132,7 +127,7 @@ impl Executor {
         {
             return Vec::new();
         }
-        let ways = self.merge_ways() as u64;
+        let ways = u64::from(self.cfg.machine.n_procs);
         let UnitSpace::Keys { lo, hi } = *units else { return Vec::new() };
         if ways <= 1 || lo > hi {
             return Vec::new();
@@ -169,20 +164,12 @@ impl Executor {
             }
             i = j;
         }
-        if total < self.cfg.parallel_merge_min_rows.max(1) as u64 {
+        if total < PARALLEL_MERGE_MIN_ROWS as u64 {
             return Vec::new();
         }
         products.retain(|&(_, p)| p > 1 && p.saturating_mul(ways) > total);
         products.into_iter().map(|(k, _)| k).collect()
     }
-}
-
-/// The host's parallelism, read once per process: on Linux each read parses
-/// the cgroup CPU quota (12–89 µs on a 2-vCPU container), and `merge_ways`
-/// runs on the master's path between a fragment's completion and its reply.
-fn host_parallelism() -> usize {
-    static HOST: OnceLock<usize> = OnceLock::new();
-    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Compute the withheld heavy-hitter output of a key-domain merge fragment

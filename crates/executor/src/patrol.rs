@@ -17,7 +17,6 @@ use std::time::{Duration, Instant};
 use xprs_scheduler::{FragTable, MachineConfig};
 use xprs_storage::Catalog;
 
-use crate::config::ExecConfig;
 use crate::io::Machine;
 use crate::master::MasterMsg;
 use crate::session::Backends;
@@ -62,11 +61,30 @@ pub(crate) const PATROL_GRACE: u32 = 3;
 /// is trusted for recalibration.
 pub(crate) const RECAL_MIN_REQUESTS: u64 = 64;
 
+/// Relative drift between a window's observed and modelled I/O rate that
+/// is still read as noise rather than degradation. Wide on purpose: a run
+/// sharing its disks sees its own rate swing with its co-runners, so only a
+/// drift of more than half the modelled bandwidth rebases the policy;
+/// deadlines and shedding absorb ordinary load (DESIGN.md §15.4).
+pub(crate) const RECAL_BAND: f64 = 0.5;
+
 /// Largest fractional change one recalibration window may apply to the
 /// machine model's bandwidths. A real sustained slowdown converges over a
 /// few windows; a single noisy window cannot slam the model far enough to
 /// destabilise the balance-point fixpoint.
-const MAX_RECAL_STEP: f64 = 0.3;
+pub(crate) const MAX_RECAL_STEP: f64 = 0.3;
+
+/// The factor a window whose observed/nominal rate ratio is `ratio` scales
+/// the model's bandwidths by: `None` inside [`RECAL_BAND`] or for a ratio
+/// that is not finite, otherwise the ratio clamped to one
+/// [`MAX_RECAL_STEP`]. Unclamped, consecutive windows that disagreed drove
+/// the balance-point fixpoint into `SchedError::FixpointDiverged`.
+pub(crate) fn recal_step(ratio: f64) -> Option<f64> {
+    if !ratio.is_finite() || (ratio - 1.0).abs() <= RECAL_BAND {
+        return None;
+    }
+    Some(ratio.clamp(1.0 - MAX_RECAL_STEP, 1.0 + MAX_RECAL_STEP))
+}
 
 /// The master's self-healing patrol: dead-worker detection plus
 /// degradation-aware recalibration, run when its deadline passes.
@@ -76,7 +94,6 @@ pub(crate) struct Patrol {
     deadline: Option<Instant>,
     /// Sweeps run so far.
     pub ticks: u64,
-    band: f64,
     /// The machine model the policy currently believes; rebased on every
     /// recalibration (the configured model is only the starting point).
     pub model: MachineConfig,
@@ -90,12 +107,11 @@ pub(crate) struct Patrol {
 }
 
 impl Patrol {
-    pub fn new(cfg: &ExecConfig, ticking: bool, io_baseline: [(u64, f64); 3]) -> Self {
+    pub fn new(machine: &MachineConfig, ticking: bool, io_baseline: [(u64, f64); 3]) -> Self {
         Patrol {
             deadline: ticking.then(|| Instant::now() + PATROL_INTERVAL),
             ticks: 0,
-            band: cfg.recal_band,
-            model: cfg.machine.clone(),
+            model: machine.clone(),
             beats: HashMap::new(),
             io_baseline,
             recoveries: 0,
@@ -184,13 +200,10 @@ impl Patrol {
     }
 
     /// Compare the window's observed I/O service rate against the current
-    /// model. When the dominant class has drifted outside the tolerance
-    /// band, return a corrected machine model with every rate rescaled by
-    /// the observed ratio; the caller rebases the policy on it.
+    /// model. When the dominant class has drifted outside [`RECAL_BAND`],
+    /// return a corrected machine model with every rate rescaled by one
+    /// [`recal_step`]; the caller rebases the policy on it.
     pub fn recalibrate(&mut self, machine: &Machine) -> Option<MachineConfig> {
-        if self.band <= 0.0 {
-            return None;
-        }
         let obs = machine.observed_service();
         let window: Vec<(u64, f64)> = (0..3)
             .map(|i| (obs[i].0 - self.io_baseline[i].0, obs[i].1 - self.io_baseline[i].1))
@@ -207,9 +220,6 @@ impl Patrol {
         let observed = count as f64 / busy;
         let nominal = [self.model.seq_bw, self.model.almost_seq_bw, self.model.random_bw][class];
         let raw = observed / nominal;
-        if !raw.is_finite() {
-            return None;
-        }
         // Attribute cross-run contention before testing for drift: with k
         // runs interleaving their streams on the shared disks, each
         // request's busy time can stretch by up to the interference
@@ -224,16 +234,7 @@ impl Patrol {
         let runs = machine.active_runs().min(u32::MAX as u64) as u32;
         let factor = xprs_scheduler::estimate::interference_factor(runs.max(1));
         let ratio = if raw < 1.0 { (raw * factor).min(1.0) } else { raw };
-        if (ratio - 1.0).abs() <= self.band {
-            return None;
-        }
-        // Clamp the per-step correction: a sustained real slowdown still
-        // converges (each window moves the model up to MAX_RECAL_STEP
-        // closer), but one noisy window can no longer slam the rates by an
-        // order of magnitude — which is what drove the balance-point
-        // fixpoint into `SchedError::FixpointDiverged` when consecutive
-        // windows disagreed.
-        let step = ratio.clamp(1.0 - MAX_RECAL_STEP, 1.0 + MAX_RECAL_STEP);
+        let step = recal_step(ratio)?;
         let mut corrected = self.model.clone();
         corrected.seq_bw *= step;
         corrected.almost_seq_bw *= step;
@@ -305,7 +306,7 @@ mod tests {
         assert_eq!(StealPartition::claim_unit(&part.claim_of(1)), Some(0));
         assert_eq!(part.adjust(1).retiring_slots, vec![1]);
 
-        let mut patrol = Patrol::new(&ExecConfig::unthrottled(), true, [(0, 0.0); 3]);
+        let mut patrol = Patrol::new(&MachineConfig::paper_default(), true, [(0, 0.0); 3]);
         for _ in 0..=PATROL_GRACE {
             beats[0].fetch_add(1, Ordering::Relaxed); // the survivor works on
             assert!(patrol.sweep(0, &part).is_empty(), "a retired slot was reaped");

@@ -122,7 +122,7 @@ fn chaos_run_matches_fault_free_run_and_records_recalibration() {
     let shared: SharedSink = sink.clone();
     // The build scan's hundred pages put more requests than a trusted
     // window needs in front of the dead worker's reap.
-    let cfg = ExecConfig::unthrottled().with_faults(plan.clone()).with_recalibration(0.2);
+    let cfg = ExecConfig::unthrottled().with_faults(plan.clone());
     let report = run_with(&cat, cfg, Some(shared));
 
     // Every scheduled fault actually fired.

@@ -1,9 +1,9 @@
 //! E2e regression for join materialization: every plan shape the compiler
 //! knows (hash join, deep probe chain, nestloop, key-domain merge, bushy)
 //! must return exactly the rows the naive single-threaded oracle computes
-//! (`common/oracle.rs`) — with the serial k-way merge, with the parallel
-//! pool-farmed merge forced on, and under a fault plan that kills a worker
-//! mid-build.
+//! (`common/oracle.rs`) — with the serial k-way merge a one-processor
+//! machine takes, with the pool-farmed merge the paper machine takes, and
+//! under a fault plan that kills a worker mid-build.
 //!
 //! Payloads are a pure function of `(relation, key)`, so rows bearing one
 //! key are indistinguishable: the oracle's within-key canonical order is a
@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use xprs_disk::{FaultPlan, StripedLayout};
-use xprs_executor::{ExecConfig, ExecError, Executor, QueryRun, RelBinding};
+use xprs_executor::{ExecConfig, ExecError, Executor, MergeProfile, QueryRun, RelBinding};
 use xprs_optimizer::cost::{CostModel, RelInfo};
 use xprs_optimizer::{decompose, OptimizedQuery, Plan};
 use xprs_scheduler::intra::IntraOnly;
@@ -29,11 +29,13 @@ fn lcg(seed: &mut u64) -> u64 {
 }
 
 /// Four indexed relations; payload `b` depends only on `(relation, a)`.
+/// Sized so every shape's output (about 6 000 rows for `r0 ⋈ r1`) is past
+/// the parallel-merge threshold of 4 096 rows.
 fn catalog() -> Arc<Catalog> {
     let mut cat = Catalog::new(StripedLayout::new(4));
     let mut seed = 0x1013_u64;
     for (name, n, key_mod) in
-        [("r0", 300u64, 40u64), ("r1", 500, 50), ("r2", 400, 45), ("r3", 350, 35)]
+        [("r0", 600u64, 40u64), ("r1", 500, 50), ("r2", 400, 45), ("r3", 175, 35)]
     {
         cat.create(name, Schema::paper_rel());
         let rows: Vec<Tuple> = (0..n)
@@ -80,29 +82,43 @@ fn optimized_from_plan(cat: &Catalog, names: &[&str], plan: Plan) -> OptimizedQu
     OptimizedQuery { seqcost: costed.cost.total_cost, parcost: 0.0, plan, fragments }
 }
 
-fn bindings(names: &[&str]) -> Vec<RelBinding> {
-    names
-        .iter()
-        .map(|n| RelBinding { name: (*n).to_string(), pred: (i32::MIN, i32::MAX) })
-        .collect()
+/// Every key of every relation.
+const ALL: (i32, i32) = (i32::MIN, i32::MAX);
+
+fn bindings(names: &[&str], pred: (i32, i32)) -> Vec<RelBinding> {
+    names.iter().map(|n| RelBinding { name: (*n).to_string(), pred }).collect()
 }
 
+/// Run `plan` over the keys in `pred` on `cfg`'s machine: the rows, and how
+/// the root fragment merged them.
 fn run_shape(
     cat: &Arc<Catalog>,
     names: &[&str],
     plan: &Plan,
-    mut cfg: ExecConfig,
-    faults: Option<Arc<FaultPlan>>,
-) -> Result<Vec<(i32, Tuple)>, ExecError> {
-    if let Some(plan) = faults {
-        cfg = cfg.with_faults(plan);
-    }
+    cfg: ExecConfig,
+    pred: (i32, i32),
+) -> Result<(Vec<(i32, Tuple)>, MergeProfile), ExecError> {
     let optimized = optimized_from_plan(cat, names, plan.clone());
+    let mut policy = IntraOnly::new(cfg.machine.clone(), true);
     let exec = Executor::new(cfg, cat.clone());
-    let mut policy = IntraOnly::new(MachineConfig::paper_default(), true);
     let report =
-        exec.run(&[QueryRun { optimized, bindings: bindings(names) }], &mut policy)?;
-    Ok(report.results[0].rows.rows.clone())
+        exec.run(&[QueryRun { optimized, bindings: bindings(names, pred) }], &mut policy)?;
+    let root = report.fragments().find(|f| f.is_root).expect("root fragment profiled");
+    Ok((report.results[0].rows.rows.clone(), root.merge))
+}
+
+fn one_processor() -> ExecConfig {
+    let mut cfg = ExecConfig::unthrottled();
+    cfg.machine.n_procs = 1;
+    cfg
+}
+
+/// Both merge paths, each where the engine itself takes it: serial on a
+/// one-processor machine, pooled on the paper machine (every shape's output
+/// on [`catalog`] is past the threshold). The flag is the root's
+/// `merge.parallel` the path must show.
+fn merge_paths() -> [(&'static str, ExecConfig, bool); 2] {
+    [("serial", one_processor(), false), ("pooled", ExecConfig::unthrottled(), true)]
 }
 
 /// Every compiler plan shape, with the relations it touches.
@@ -142,27 +158,17 @@ fn shapes() -> Vec<(&'static str, Vec<&'static str>, Plan)> {
     ]
 }
 
-/// Forced pool-farmed parallel merge: engaged even on small outputs and
-/// on single-core hosts (auto fan-out would stay serial there).
-fn forced_pool_merge() -> ExecConfig {
-    let mut cfg = ExecConfig::unthrottled();
-    cfg.parallel_merge_min_rows = 1;
-    cfg.parallel_merge_ways = 4;
-    cfg
-}
-
 #[test]
 fn all_plan_shapes_match_the_oracle_on_every_merge_path() {
     let cat = catalog();
     for (label, names, plan) in shapes() {
-        let want = oracle::eval(&cat, &plan, &bindings(&names));
+        let want = oracle::eval(&cat, &plan, &bindings(&names, ALL));
         assert!(!want.is_empty(), "{label}: vacuous comparison");
-        let serial_merge =
-            run_shape(&cat, &names, &plan, ExecConfig::unthrottled(), None).expect(label);
-        let parallel_merge =
-            run_shape(&cat, &names, &plan, forced_pool_merge(), None).expect(label);
-        oracle::assert_matches(&format!("{label}: serial k-way merge"), &serial_merge, &want);
-        oracle::assert_matches(&format!("{label}: parallel merge"), &parallel_merge, &want);
+        for (path, cfg, pooled) in merge_paths() {
+            let (got, merge) = run_shape(&cat, &names, &plan, cfg, ALL).expect(label);
+            assert_eq!(merge.parallel, pooled, "{label}: the {path} merge was not taken");
+            oracle::assert_matches(&format!("{label}: {path} merge"), &got, &want);
+        }
     }
 }
 
@@ -174,15 +180,38 @@ fn all_plan_shapes_match_the_oracle_on_every_merge_path() {
 fn worker_death_mid_build_preserves_results_on_both_merge_paths() {
     let cat = catalog();
     let (label, names, plan) = &shapes()[1]; // deep probe chain: two build fragments
-    let want = oracle::eval(&cat, plan, &bindings(names));
-    for (path, cfg) in [("serial", ExecConfig::unthrottled()), ("pooled", forced_pool_merge())] {
+    let want = oracle::eval(&cat, plan, &bindings(names, ALL));
+    for (path, cfg, pooled) in merge_paths() {
         // Fragment 0 is a build side; kill its slot 0 after one unit.
         let faults = Arc::new(FaultPlan::new().with_worker_death(0, 0, 1));
-        let got = run_shape(&cat, names, plan, cfg, Some(faults.clone()))
+        let (got, merge) = run_shape(&cat, names, plan, cfg.with_faults(faults.clone()), ALL)
             .unwrap_or_else(|e| panic!("{label} under {path}: {e}"));
         assert_eq!(faults.stats().deaths_fired(), 1, "{path}: death must fire");
+        assert_eq!(merge.parallel, pooled, "{label}: the {path} merge was not taken");
         oracle::assert_matches(&format!("{label} under {path} after a death"), &got, &want);
     }
+}
+
+/// A run's merge shape is the modelled machine's, whatever host runs it:
+/// an output past the threshold merges one way per processor — 8 on the
+/// paper machine, serially on a one-processor machine — and one below the
+/// threshold merges serially even on the paper machine.
+#[test]
+fn a_runs_merge_shape_does_not_depend_on_the_host() {
+    let cat = catalog();
+    let (_, names, plan) = &shapes()[0]; // r0 ⋈ r1
+    let shape = |cfg, pred| {
+        let (rows, merge) = run_shape(&cat, names, plan, cfg, pred).expect("hash join");
+        (rows.len(), merge.ways, merge.parallel)
+    };
+    let (rows, ways, parallel) = shape(ExecConfig::unthrottled(), ALL);
+    assert!(rows >= 4096, "{rows} rows do not reach the parallel-merge threshold");
+    assert_eq!((ways, parallel), (8, true), "the paper machine merges 8 ways");
+    let (_, ways, parallel) = shape(one_processor(), ALL);
+    assert_eq!((ways, parallel), (1, false), "one processor merges serially");
+    let (rows, ways, parallel) = shape(ExecConfig::unthrottled(), (0, 9));
+    assert!(rows < 4096, "{rows} rows are not below the threshold");
+    assert_eq!((ways, parallel), (1, false), "a small output merges serially");
 }
 
 /// The oracle checks itself: the comparison must reject a single flipped
@@ -193,7 +222,7 @@ fn worker_death_mid_build_preserves_results_on_both_merge_paths() {
 fn oracle_self_check() {
     let cat = catalog();
     for (label, names, plan) in shapes() {
-        let want = oracle::eval(&cat, &plan, &bindings(&names));
+        let want = oracle::eval(&cat, &plan, &bindings(&names, ALL));
         let specs: Vec<(&str, (i32, i32))> =
             names.iter().map(|n| (*n, (i32::MIN, i32::MAX))).collect();
         assert_eq!(
@@ -267,7 +296,7 @@ fn merge_of_index_scans(indexed: [bool; 2]) -> (Arc<Catalog>, QueryRun) {
     let fragments = decompose(&plan, &costed, 0);
     let optimized =
         OptimizedQuery { seqcost: costed.cost.total_cost, parcost: 0.0, plan, fragments };
-    (cat, QueryRun { optimized, bindings: bindings(&["left", "right"]) })
+    (cat, QueryRun { optimized, bindings: bindings(&["left", "right"], ALL) })
 }
 
 /// Run `run` to its error; no page may stay pinned behind it.

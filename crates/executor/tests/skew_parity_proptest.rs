@@ -8,8 +8,9 @@
 //! per-group merge → concatenation path — and demands identical row
 //! vectors, key extrema, digests, and probe multisets. The e2e layer runs
 //! a genuinely skewed merge join through the executor on every merge path
-//! (serial merge, forced pool-farmed merge with hot-key fan-out,
-//! work-stealing with a worker death mid-run) and demands the naive
+//! (serial merge on a one-processor machine, the paper machine's
+//! pool-farmed merge with hot-key fan-out, work-stealing with a worker
+//! death mid-run) and demands the naive
 //! oracle's rows (`common/oracle.rs`), with the observability counters
 //! proving the heavy-hitter fan-out actually engaged rather than
 //! vacuously passing.
@@ -24,7 +25,6 @@ use xprs_executor::{ExecConfig, ExecError, Executor, Materialized, QueryRun, Rel
 use xprs_optimizer::cost::{CostModel, RelInfo};
 use xprs_optimizer::{decompose, OptimizedQuery, Plan};
 use xprs_scheduler::intra::IntraOnly;
-use xprs_scheduler::MachineConfig;
 use xprs_storage::{merge_runs, split_runs_stats, Catalog, Datum, Schema, Tuple};
 use xprs_workload::zipf_keys;
 
@@ -201,18 +201,11 @@ fn oracle_rows(cat: &Catalog) -> Vec<(i32, Tuple)> {
     oracle::eval(cat, &optimized_merge_join(cat, &NAMES).plan, &skew_bindings())
 }
 
-fn run_skewed(
-    cat: &Arc<Catalog>,
-    mut cfg: ExecConfig,
-    faults: Option<Arc<FaultPlan>>,
-) -> Result<SkewRun, ExecError> {
-    if let Some(plan) = faults {
-        cfg = cfg.with_faults(plan);
-    }
+fn run_skewed(cat: &Arc<Catalog>, cfg: ExecConfig) -> Result<SkewRun, ExecError> {
     let optimized = optimized_merge_join(cat, &NAMES);
     let bindings = skew_bindings();
+    let mut policy = IntraOnly::new(cfg.machine.clone(), true);
     let exec = Executor::new(cfg, cat.clone());
-    let mut policy = IntraOnly::new(MachineConfig::paper_default(), true);
     let report = exec.run(&[QueryRun { optimized, bindings }], &mut policy)?;
     let root = report.profiles[0]
         .fragments
@@ -227,12 +220,16 @@ fn run_skewed(
     })
 }
 
-/// Forced pool-farmed merge: engage the parallel merge (and the hot-key
-/// detection gate) regardless of output size or host core count.
-fn forced_cfg() -> ExecConfig {
-    let mut cfg = ExecConfig::unthrottled().with_obs();
-    cfg.parallel_merge_min_rows = 1;
-    cfg.parallel_merge_ways = 4;
+/// The paper machine: the skewed join's output is far past the
+/// parallel-merge threshold, so it merges (and detects hot keys) 8 ways.
+fn pooled_cfg() -> ExecConfig {
+    ExecConfig::unthrottled().with_obs()
+}
+
+/// A one-processor machine: every merge is serial.
+fn serial_cfg() -> ExecConfig {
+    let mut cfg = pooled_cfg();
+    cfg.machine.n_procs = 1;
     cfg
 }
 
@@ -240,15 +237,15 @@ fn forced_cfg() -> ExecConfig {
 fn skewed_merge_join_matches_the_oracle_and_the_hot_path_engages() {
     let cat = skewed_catalog();
     let want = oracle_rows(&cat);
-    let serial = run_skewed(&cat, ExecConfig::unthrottled().with_obs(), None).expect("serial");
-    let pooled = run_skewed(&cat, forced_cfg(), None).expect("pooled");
+    let serial = run_skewed(&cat, serial_cfg()).expect("serial");
+    let pooled = run_skewed(&cat, pooled_cfg()).expect("pooled");
 
     assert!(!want.is_empty(), "vacuous comparison");
     oracle::assert_matches("serial merge path", &serial.rows, &want);
     oracle::assert_matches("pooled hot-key path", &pooled.rows, &want);
 
     // No vacuous pass: Zipf(1) over 50 keys concentrates the join output
-    // hard enough that the forced 4-way config must detect heavy hitters
+    // hard enough that the 8-way paper machine must detect heavy hitters
     // and fan them out — both the registry counter and the root
     // fragment's merge profile must say so.
     assert!(
@@ -276,7 +273,7 @@ fn worker_death_mid_run_preserves_skewed_results() {
     // withheld hot keys or they would be double-emitted.
     for frag in [0, root_task] {
         let faults = Arc::new(FaultPlan::new().with_worker_death(frag, 0, 1));
-        let got = run_skewed(&cat, forced_cfg(), Some(faults.clone()))
+        let got = run_skewed(&cat, pooled_cfg().with_faults(faults.clone()))
             .unwrap_or_else(|e| panic!("death in fragment {frag}: {e}"));
         assert_eq!(faults.stats().deaths_fired(), 1, "fragment {frag}: death must fire");
         oracle::assert_matches(

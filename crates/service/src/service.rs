@@ -50,9 +50,9 @@ pub struct ServiceConfig {
     pub interactive_deadline: Duration,
     /// Deadline for [`QueryClass::Batch`] requests, measured from submit.
     pub batch_deadline: Duration,
-    /// Executor configuration shared by every run (machine model, faults,
-    /// recalibration band). Every run shares the session and carries a
-    /// token, so every run ticks its master's patrol.
+    /// Executor configuration shared by every run (machine model, faults).
+    /// Every run shares the session and carries a token, so every run ticks
+    /// its master's patrol.
     pub exec: ExecConfig,
 }
 
@@ -62,22 +62,12 @@ impl ServiceConfig {
     /// so each master ticks its patrol: cross-run admission retries and
     /// dead-worker recovery come with the sharing.
     pub fn quick() -> Self {
-        let mut exec = ExecConfig::unthrottled();
-        // Recalibration is safe under a shared machine now that the patrol
-        // attributes cross-run contention (the interference factor scales
-        // the observed rate by the number of active runs before the drift
-        // test) and clamps each correction step, so one noisy per-run
-        // window can no longer destabilize the balance-point fixpoint
-        // (DESIGN.md §15.4). The wide band keeps recalibration reserved
-        // for genuine sustained degradation; deadlines and shedding still
-        // handle ordinary load.
-        exec.recal_band = 0.5;
         ServiceConfig {
             queue_cap: 16,
             max_concurrent: 2,
             interactive_deadline: Duration::from_secs(10),
             batch_deadline: Duration::from_secs(30),
-            exec,
+            exec: ExecConfig::unthrottled(),
         }
     }
 
@@ -175,11 +165,6 @@ impl Ticket {
     /// Block until the request settles.
     pub fn wait(self) -> QueryOutcome {
         self.rx.recv().expect("runner settles every admitted job before exiting")
-    }
-
-    /// Poll for the outcome without blocking.
-    pub fn try_wait(&self) -> Option<QueryOutcome> {
-        self.rx.try_recv().ok()
     }
 
     /// Cancel the request from the client side (same path as the
@@ -327,21 +312,15 @@ impl QueryService {
 
     /// Stop accepting work, drain the queue (queued jobs still run, or are
     /// retired by their deadlines), join every runner, and shut the shared
-    /// worker pool down. Idempotent via the runners' own exit protocol.
-    pub fn shutdown(mut self) {
-        self.shared.stopping.store(true, Ordering::Release);
-        self.shared.work.notify_all();
-        for r in self.runners.drain(..) {
-            let _ = r.join();
-        }
-        self.shared.session.shutdown();
+    /// worker pool down — exactly what dropping the service does.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for QueryService {
     fn drop(&mut self) {
-        // A dropped service behaves like shutdown(): no hung runner
-        // threads, no leaked worker pool.
+        // No hung runner threads, no leaked worker pool.
         self.shared.stopping.store(true, Ordering::Release);
         self.shared.work.notify_all();
         for r in self.runners.drain(..) {

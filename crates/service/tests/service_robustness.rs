@@ -244,14 +244,12 @@ fn service_degrades_gracefully_under_worker_death_and_disk_slowdown() {
     let plan = Arc::new(
         FaultPlan::new().with_worker_death(0, 0, 3).with_slowdown(0, 4, 4.0),
     );
-    let exec = ExecConfig::unthrottled()
-        .with_faults(plan.clone())
-        // Recalibration stays ON under the shared session: the patrol now
-        // divides the observed slowdown by the cross-run interference
-        // factor and clamps each correction step, so concurrent runs must
-        // not wedge the policy into FixpointDiverged (every Failed
-        // outcome below is a regression of that fix).
-        .with_recalibration(0.5);
+    // Recalibration is live under the shared session: the patrol divides
+    // the observed slowdown by the cross-run interference factor and clamps
+    // each correction step, so concurrent runs must not wedge the policy
+    // into FixpointDiverged (every Failed outcome below is a regression of
+    // that fix).
+    let exec = ExecConfig::unthrottled().with_faults(plan.clone());
     let cfg = ServiceConfig {
         queue_cap: 32,
         max_concurrent: 2,

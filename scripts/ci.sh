@@ -8,16 +8,17 @@
 #   ./scripts/ci.sh
 #
 # Three bench bins each own their gates: the bin that computes a value
-# checks it, writes its JSON at the repo root and exits non-zero on a failed
+# checks it, writes its JSON under target/ci/ and exits non-zero on a failed
 # gate (1) or an unwritable output path (2), so each leg below is one
 # command whose exit status is the verdict.
 #   bench_executor  BENCH_executor.json  disk-resident scaling, memory
 #                                        admission, predictive A/B
 #   bench_join      BENCH_join.json      disk-resident join, Zipf skew
 #   bench_service   BENCH_service.json   query-service soak under faults
-# The recorded numbers live in docs/results/. The last leg builds the
-# declared benchmark into benchmark/target and writes benchmark/out/ (both
-# git-ignored).
+# A CI run leaves the committed BENCH_*.json at the repo root untouched;
+# refresh one by running its bin with no argument. The recorded numbers live
+# in docs/results/. The last leg builds the declared benchmark into
+# benchmark/target and writes benchmark/out/ (both git-ignored).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,12 +48,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # lenient JSON prefix parser, the hand-written bench header, the patrol and
 # recalibration knobs that a run's own shape now decides, the array model no
 # engine used, the report and registry copies of what a fragment profile or a
-# partition slot already holds, the statistics-free run splitter) must not
-# creep back into code, examples, tests or the verify
-# skill. `scripts/` is left out so the pattern does not match itself; docs
-# keep the names as history.
+# partition slot already holds, the statistics-free run splitter, the merge
+# and band knobs and the host CPU read that the modelled machine and two
+# constants replaced) must not creep back into code, examples, tests or the
+# verify skill. `scripts/` is left out so the pattern does not match itself;
+# docs keep the names as history.
 echo "==> retired-name grep"
-if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel|\bfragment_times\b|footprint_warnings|mem_overruns|merge_fanout|prediction_fallbacks|exited_slots|\bsplit_runs\b' \
+if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel|\bfragment_times\b|footprint_warnings|mem_overruns|merge_fanout|prediction_fallbacks|exited_slots|\bsplit_runs\b|parallel_merge_min_rows|parallel_merge_ways|recal_band|with_recalibration\b|host_parallelism' \
     crates examples src tests .claude; then
     echo "retired data-path names found (matches above)" >&2
     exit 1
@@ -88,8 +90,8 @@ awk '
 # may sleep only there and in two named exceptions, each holding one sleep:
 # the injected `Stall` fault in worker.rs's `run_worker` (a wall-clock fault
 # by design) and the shared-session quiesce poll in session.rs's `shutdown`.
-# The host's parallelism is read once, in materialize.rs's
-# `host_parallelism`. Function-granular, like the leg above.
+# No executor source reads the host's CPU count: every fan-out is the
+# modelled machine's. Function-granular, like the leg above.
 echo "==> one pacing rule (raw sleeps and host CPU reads in the executor)"
 awk '
     function hit(what, allowed,   key) {
@@ -109,7 +111,7 @@ awk '
         sub(/[(<].*/, "", name)
     }
     /(^|[^A-Za-z0-9_])sleep\(/ { hit("sleep", "io.rs:pace_until worker.rs:run_worker session.rs:shutdown") }
-    /available_parallelism/ { hit("available_parallelism", "materialize.rs:host_parallelism") }
+    /available_parallelism/ { hit("available_parallelism", "") }
     END { exit bad }
 ' crates/executor/src/*.rs
 
@@ -130,14 +132,15 @@ awk '
     END { exit bad }
 ' $(find crates -path '*/src/*' -name '*.rs' | sort)
 
+mkdir -p target/ci
 echo "==> bench_executor (gates: scaling, memory, predict)"
-./target/release/bench_executor BENCH_executor.json
+./target/release/bench_executor target/ci/BENCH_executor.json
 
 echo "==> bench_join (gates: disk-resident join scaling, skew)"
-./target/release/bench_join BENCH_join.json
+./target/release/bench_join target/ci/BENCH_join.json
 
 echo "==> bench_service (gates: shedding, ledgers, tails, faults)"
-./target/release/bench_service BENCH_service.json
+./target/release/bench_service target/ci/BENCH_service.json
 
 echo "==> cancel (cancellation suite, fixed seeds, debug + release)"
 PROPTEST_SEED=7 cargo test -q -p xprs-executor --offline --test cancel_proptest
