@@ -85,7 +85,7 @@ fn main() {
     };
     let independent = tn_estimate_dags(
         sys.machine(),
-        &[&solo1.fragments.dag, &solo2.fragments.dag],
+        &[&solo1.fragments.dag(), &solo2.fragments.dag()],
     );
 
     let (joint_plans, joint) = sys.optimize_joint(&[&q1, &q2]).expect("plans");

@@ -30,15 +30,6 @@ impl ArrayStats {
         self.sequential + self.almost_sequential + self.random
     }
 
-    /// Average delivered bandwidth over `elapsed` seconds, I/Os per second.
-    pub fn delivered_rate(&self, elapsed: f64) -> f64 {
-        if elapsed > 0.0 {
-            self.total() as f64 / elapsed
-        } else {
-            0.0
-        }
-    }
-
     /// Fraction of elapsed disk-seconds spent busy (`n_disks × elapsed`).
     pub fn utilization(&self, n_disks: u32, elapsed: f64) -> f64 {
         if elapsed > 0.0 {
@@ -152,7 +143,7 @@ mod tests {
         assert!((s.busy_time - expect).abs() < 1e-9);
         // If that work happened over 2 s of wall time on 4 disks:
         assert!((s.utilization(4, 2.0) - expect / 8.0).abs() < 1e-12);
-        assert!((s.delivered_rate(2.0) - 200.0).abs() < 1e-12);
+        assert_eq!(s.total(), 400);
     }
 
     #[test]

@@ -56,8 +56,7 @@ pub enum ExecError {
         /// The unindexed relation's name.
         name: String,
     },
-    /// A query's fragment table holds no root fragment (a compiler
-    /// invariant violation surfaced as a typed error, not a panic).
+    /// A query brought no fragments, so none is its root.
     RootMissing {
         /// Query index in the submitted batch.
         query: usize,
@@ -75,17 +74,15 @@ pub enum ExecError {
         /// The producer whose output is missing.
         producer: usize,
     },
-    /// The compiler's fragment decomposition disagrees with the
-    /// optimizer's — different fragment counts or different dependency
-    /// edges. Formerly a documented panic; now the run refuses to start
-    /// and hands back both sides' per-fragment dependency lists.
-    PlanMismatch {
+    /// A fragment program reads a fragment not emitted before it, names a
+    /// relation the query does not bind, or walks a key domain without
+    /// reading any fragment — a hand-built fragment set the optimizer never
+    /// cut. The run refuses to start.
+    MalformedFragment {
         /// Query index in the submitted batch.
         query: usize,
-        /// Sorted producer indices per compiled fragment program.
-        compiled: Vec<Vec<usize>>,
-        /// Sorted producer indices per optimizer DAG fragment.
-        optimized: Vec<Vec<usize>>,
+        /// The offending fragment's index within the query.
+        fragment: usize,
     },
     /// A run was handed cancel tokens, but not exactly one per query (an
     /// empty token slice means "nothing is cancellable" and is accepted).
@@ -140,11 +137,11 @@ impl std::fmt::Display for ExecError {
                     "fragment {fragment} started before producer {producer} materialized"
                 )
             }
-            ExecError::PlanMismatch { query, compiled, optimized } => {
+            ExecError::MalformedFragment { query, fragment } => {
                 write!(
                     f,
-                    "query {query}: compiled fragment dependencies {compiled:?} disagree with \
-                     the optimizer's decomposition {optimized:?}"
+                    "query {query}: malformed fragment {fragment} (it reads a later fragment, \
+                     an unbound relation, or a key domain with no input)"
                 )
             }
             ExecError::TokenCountMismatch { tokens, queries } => {

@@ -310,12 +310,6 @@ pub struct Machine {
     cpu_busy: TimeSum,
     reads: AtomicU64,
     worker_ids: AtomicU64,
-    /// Executor runs currently driving this machine. Always 1 for a
-    /// private machine; a shared [`ExecSession`](crate::session) carries
-    /// every concurrent tenant here. The patrol reads it to attribute
-    /// observed service-rate loss to cross-run disk contention before
-    /// treating the residue as machine-model drift.
-    active_runs: AtomicU64,
 }
 
 impl Machine {
@@ -355,25 +349,7 @@ impl Machine {
             cpu_busy: TimeSum::new(),
             reads: AtomicU64::new(0),
             worker_ids: AtomicU64::new(0),
-            active_runs: AtomicU64::new(0),
         }
-    }
-
-    /// Note one executor run starting on this machine (paired with
-    /// [`Machine::run_finished`]; the master holds the pair as a guard so
-    /// every exit path decrements).
-    pub fn run_started(&self) {
-        self.active_runs.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Note one executor run leaving this machine.
-    pub fn run_finished(&self) {
-        self.active_runs.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Executor runs currently sharing this machine's disks.
-    pub fn active_runs(&self) -> u64 {
-        self.active_runs.load(Ordering::SeqCst)
     }
 
     /// Attach an injected fault schedule: transient read errors, sustained

@@ -12,11 +12,12 @@
 //!   wall-clock behaviour mirrors the simulated machine and a backend can
 //!   compute while its next page is read; a counting semaphore limits
 //!   concurrently-computing workers to the machine's `N` processors.
-//! * [`program`] — fragment compilation: a sequential [`xprs_optimizer::Plan`]
-//!   is cut at its blocking edges (the same rule the optimizer uses) into
-//!   data-parallel pipeline programs: a partitioned *driver* (page-
-//!   partitioned heap scan, range-partitioned index scan, or a key-domain
-//!   merge) followed by probe/merge/nest operators over materialized inputs.
+//! * [`program`] — materialized fragment outputs (sorted rows plus a CSR
+//!   key index) that later fragments probe and merge. The pipeline programs
+//!   themselves — a partitioned *driver* (page-partitioned heap scan,
+//!   range-partitioned index scan, or a key-domain merge) followed by
+//!   probe/merge/nest operators — are cut from the plan by
+//!   [`xprs_optimizer::fragment::decompose`] and run as given.
 //! * [`worker`] — the slave backend loop: claim the next work unit (a
 //!   page or key of the morsel in hand), issue its throttled read,
 //!   evaluate the previously read page through the pipeline (one page of
@@ -73,6 +74,6 @@ pub use obs::{
     ExecMetrics, FragmentProfile, MergeProfile, QueryProfile, UtilSample, UtilizationAudit,
 };
 pub use pool::WorkerPool;
-pub use program::{compile, FragmentProgram, Materialized, PipelineOp, ProgramSet};
+pub use program::Materialized;
 pub use steal::{NextMorsel, StealPartition, MAX_DEAL_MORSELS};
 pub use worker::RelBinding;

@@ -1,9 +1,9 @@
 //! The master backend: runs queries under a scheduling policy.
 //!
 //! The master owns the clock and the policy. For every optimized query it
-//! compiles the plan into fragment programs, announces runnable fragments to
-//! the policy as they become ready (roots first, consumers as their
-//! producers finish), applies `Start` actions by staffing slave-backend
+//! takes the fragment programs the optimizer cut, announces runnable
+//! fragments to the policy as they become ready (roots first, consumers as
+//! their producers finish), applies `Start` actions by staffing slave-backend
 //! worker slots on the persistent [`WorkerPool`], and applies `Adjust`
 //! actions by adjusting the fragment's shared [`StealPartition`] (the
 //! Section 2.4 protocols' contract) and staffing any newly created worker
@@ -17,6 +17,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
+use xprs_optimizer::program::{Driver, FragmentProgram, PipelineOp};
 use xprs_scheduler::error::SchedError;
 use xprs_scheduler::policy::{
     decide_fixpoint, round_parallelism, Action, RunningTask, SchedulePolicy,
@@ -33,7 +34,7 @@ use crate::io::Machine;
 use crate::obs::{ExecMetrics, FragmentProfile, MergeProfile, QueryProfile, RunningInfo, UtilSample};
 use crate::patrol::{next_msg, Patrol};
 use crate::pool::WorkerPool;
-use crate::program::{compile, FragmentProgram, Materialized};
+use crate::program::Materialized;
 pub use crate::report::{ExecReport, QueryResult, QueryRun};
 pub use crate::session::ExecSession;
 use crate::session::Backends;
@@ -80,16 +81,15 @@ pub(crate) enum MasterMsg {
 }
 
 /// What the master keeps per fragment beside its lifecycle state (which is
-/// the [`FragTable`]'s): the compiled program, the profiles, and the
+/// the [`FragTable`]'s): the optimizer's program, the profiles, and the
 /// completion-time captures for the report.
 pub(crate) struct FragSlot {
     pub profile: TaskProfile,
     pub program: FragmentProgram,
     pub bindings: Vec<RelBinding>,
-    /// Global indices of producer fragments.
+    /// Global indices of producer fragments, in the order the program's
+    /// ops read them (the ops name their query-local indices).
     pub deps: Vec<usize>,
-    /// Per-query-local index of each producer (pipeline ops refer to these).
-    pub local_deps: Vec<usize>,
     pub output: Option<Arc<Materialized>>,
     /// Which query's fragment this is, its start and finish times, and the
     /// completion-time captures — the report's per-fragment profile, filled
@@ -119,6 +119,24 @@ impl FragSlot {
     }
 }
 
+/// Whether fragment `fi` of a query that binds `n_rels` relations reads
+/// only fragments emitted before it and only relations the query binds. A
+/// key-domain walk must read at least one fragment: its domain is their key
+/// ranges' intersection.
+fn well_formed(program: &FragmentProgram, fi: usize, n_rels: usize) -> bool {
+    let driver = match program.driver {
+        Driver::PageScan { rel } | Driver::KeyScan { rel } => rel < n_rels,
+        Driver::KeyDomain => program.deps().next().is_some(),
+    };
+    driver
+        && program.ops.iter().all(|op| match *op {
+            PipelineOp::MergeIndexed { rel } => rel < n_rels,
+            PipelineOp::ProbeHash { dep }
+            | PipelineOp::MergeWith { dep }
+            | PipelineOp::NestInner { dep } => dep < fi,
+        })
+}
+
 /// The multi-threaded XPRS executor.
 pub struct Executor {
     pub(crate) cfg: ExecConfig,
@@ -143,11 +161,11 @@ impl Executor {
     /// # Errors
     /// Returns [`ExecError`] if the configuration is refused
     /// ([`ExecError::InvalidConfig`]), a worker panics, the completion
-    /// channel dies, a fragment references an unknown relation, a compiled
-    /// program disagrees with the optimizer's fragment decomposition
-    /// ([`ExecError::PlanMismatch`] — the run refuses to start), or the
-    /// policy misbehaves (wedges, diverges, double-starts or
-    /// double-completes a fragment, references an unknown task). Remaining
+    /// channel dies, a fragment references an unknown relation, a fragment
+    /// program is malformed ([`ExecError::MalformedFragment`] — the run
+    /// refuses to start), or the policy misbehaves (wedges, diverges,
+    /// double-starts or double-completes a fragment, references an unknown
+    /// task). Remaining
     /// workers are drained (not abandoned) first, and the report fields
     /// that survive — the completion counts — ride along on the error.
     pub fn run(
@@ -289,24 +307,6 @@ impl Executor {
     }
 }
 
-/// Counts a run against the machine for the patrol's cross-run contention
-/// attribution; the decrement happens on *every* exit path (a leak would
-/// permanently inflate a shared session's interference factor).
-struct RunGuard(Arc<Machine>);
-
-impl RunGuard {
-    fn new(machine: Arc<Machine>) -> Self {
-        machine.run_started();
-        RunGuard(machine)
-    }
-}
-
-impl Drop for RunGuard {
-    fn drop(&mut self) {
-        self.0.run_finished();
-    }
-}
-
 /// One run of the master loop: everything `run_inner` used to thread
 /// through its helpers. The policy alone stays outside — the decide
 /// fixpoint borrows it beside this state.
@@ -334,7 +334,6 @@ struct MasterRun<'a> {
     /// each applied decision, one at run end.
     samples: Vec<UtilSample>,
     patrol: Patrol,
-    _guard: RunGuard,
 }
 
 impl<'a> MasterRun<'a> {
@@ -367,7 +366,6 @@ impl<'a> MasterRun<'a> {
             token_spent: vec![false; tokens.len()],
             samples: Vec::new(),
             patrol: Patrol::new(&exec.cfg.machine, ticking, machine.observed_service()),
-            _guard: RunGuard::new(machine.clone()),
             machine,
         }
     }
@@ -376,51 +374,39 @@ impl<'a> MasterRun<'a> {
         self.t0.elapsed().as_secs_f64()
     }
 
-    /// Build the global fragment table: every query's compiled programs,
-    /// with dependencies re-based onto the run-wide index space.
+    /// Build the global fragment table: every query's fragment programs as
+    /// the optimizer cut them, with dependencies re-based onto the run-wide
+    /// index space.
     fn build(&mut self, queries: &[QueryRun]) -> Result<(), ExecError> {
         for (qi, q) in queries.iter().enumerate() {
-            let ps = compile(&q.optimized.plan);
-            let fs = &q.optimized.fragments;
-            // Compiler/optimizer agreement is checked up front: the same
-            // sorted per-fragment dependency lists on both sides. A
-            // mismatched plan arrives from outside this crate (hand-built
-            // OptimizedQuery, version skew), so it is a typed refusal, not
-            // a master panic.
-            let sorted = |mut d: Vec<usize>| {
-                d.sort_unstable();
-                d
-            };
-            let compiled: Vec<Vec<usize>> =
-                ps.programs.iter().map(|p| sorted(p.deps.clone())).collect();
-            let optimized: Vec<Vec<usize>> = (0..fs.fragments.len())
-                .map(|fi| sorted(fs.dag.deps_of(fi).to_vec()))
-                .collect();
-            if compiled != optimized {
-                let err = ExecError::PlanMismatch { query: qi, compiled, optimized };
+            let fragments = &q.optimized.fragments.fragments;
+            // A hand-built `OptimizedQuery` arrives from outside this crate:
+            // refuse it before anything runs, not with a master panic.
+            if let Some(fragment) = (0..fragments.len())
+                .find(|&fi| !well_formed(&fragments[fi].program, fi, q.bindings.len()))
+            {
+                let err = ExecError::MalformedFragment { query: qi, fragment };
                 emit(&self.exec.sink, || TraceRecord::Error { now: 0.0, message: err.to_string() });
                 self.backends.shutdown(&self.table);
                 return Err(err);
             }
             let base = self.slots.len();
-            let n = ps.programs.len();
-            for (fi, program) in ps.programs.into_iter().enumerate() {
-                let mut profile = fs.fragments[fi].profile.clone();
+            for (fi, fragment) in fragments.iter().enumerate() {
+                let mut profile = fragment.profile.clone();
                 profile.id = TaskId((qi as u64) << 32 | fi as u64);
-                let deps: Vec<usize> = program.deps.iter().map(|d| base + d).collect();
+                let deps: Vec<usize> = fragment.program.deps().map(|d| base + d).collect();
                 self.table.add(profile.id, &deps);
                 self.slots.push(FragSlot {
                     prof: FragmentProfile {
                         task: profile.id,
                         query: qi,
-                        is_root: fi == n - 1,
+                        is_root: fi == fragments.len() - 1,
                         ..FragmentProfile::default()
                     },
                     declared: profile.clone(),
                     profile,
-                    local_deps: program.deps.clone(),
                     deps,
-                    program,
+                    program: fragment.program.clone(),
                     bindings: q.bindings.clone(),
                     output: None,
                     co_runners: 0,

@@ -7,6 +7,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use xprs_optimizer::program::{Driver, FragmentProgram, PipelineOp};
 use xprs_storage::runs::{merge_runs, split_runs_stats};
 use xprs_storage::Tuple;
 
@@ -14,7 +15,7 @@ use crate::io::Machine;
 use crate::master::Executor;
 use crate::obs::MergeProfile;
 use crate::pool::WorkerPool;
-use crate::program::{Driver, FragmentProgram, Materialized, PipelineOp};
+use crate::program::Materialized;
 use crate::staffing::UnitSpace;
 use crate::worker::FragCtx;
 

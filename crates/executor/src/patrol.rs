@@ -62,10 +62,9 @@ pub(crate) const PATROL_GRACE: u32 = 3;
 pub(crate) const RECAL_MIN_REQUESTS: u64 = 64;
 
 /// Relative drift between a window's observed and modelled I/O rate that
-/// is still read as noise rather than degradation. Wide on purpose: a run
-/// sharing its disks sees its own rate swing with its co-runners, so only a
-/// drift of more than half the modelled bandwidth rebases the policy;
-/// deadlines and shedding absorb ordinary load (DESIGN.md §15.4).
+/// is still read as noise rather than degradation: only a drift of more
+/// than half the modelled bandwidth rebases the policy; deadlines and
+/// shedding absorb ordinary load (DESIGN.md §15.4).
 pub(crate) const RECAL_BAND: f64 = 0.5;
 
 /// Largest fractional change one recalibration window may apply to the
@@ -203,6 +202,10 @@ impl Patrol {
     /// model. When the dominant class has drifted outside [`RECAL_BAND`],
     /// return a corrected machine model with every rate rescaled by one
     /// [`recal_step`]; the caller rebases the policy on it.
+    ///
+    /// Co-running streams need no discount: a class's rate is its requests
+    /// over their busy time, summed machine-wide, and contention moves
+    /// requests between classes without changing any class's service time.
     pub fn recalibrate(&mut self, machine: &Machine) -> Option<MachineConfig> {
         let obs = machine.observed_service();
         let window: Vec<(u64, f64)> = (0..3)
@@ -219,22 +222,7 @@ impl Patrol {
         }
         let observed = count as f64 / busy;
         let nominal = [self.model.seq_bw, self.model.almost_seq_bw, self.model.random_bw][class];
-        let raw = observed / nominal;
-        // Attribute cross-run contention before testing for drift: with k
-        // runs interleaving their streams on the shared disks, each
-        // request's busy time can stretch by up to the interference
-        // factor, so the true machine rate lies in `[raw, raw·k]`.
-        // Contention only ever *slows* a run, so the attribution is
-        // one-sided: blame co-runners for as much of a shortfall as the
-        // factor can explain (never pushing past nominal, and never
-        // inflating a healthy reading) and treat only the unexplained
-        // remainder as drift. Without this, every tenant of a shared
-        // session "measures" a slow machine, rescales the model downward,
-        // and the next window swings it back — the §15.4 wedge.
-        let runs = machine.active_runs().min(u32::MAX as u64) as u32;
-        let factor = xprs_scheduler::estimate::interference_factor(runs.max(1));
-        let ratio = if raw < 1.0 { (raw * factor).min(1.0) } else { raw };
-        let step = recal_step(ratio)?;
+        let step = recal_step(observed / nominal)?;
         let mut corrected = self.model.clone();
         corrected.seq_bw *= step;
         corrected.almost_seq_bw *= step;
@@ -318,5 +306,36 @@ mod tests {
         let replaced: Vec<usize> = (0..PATROL_GRACE).flat_map(|_| patrol.sweep(0, &part)).collect();
         assert_eq!(replaced, vec![2]);
         assert_eq!(patrol.recoveries, 1);
+    }
+
+    /// An 8× slowdown on one disk under two interleaved streams is drift:
+    /// one clamped step. Four streams on a healthy machine contend for the
+    /// same disks and read exactly nominal: no step.
+    #[test]
+    fn drift_is_one_clamped_step_and_contention_alone_is_none() {
+        use xprs_disk::{FaultPlan, RelId, WorkerId};
+        let m = MachineConfig::paper_default();
+        let read_interleaved = |machine: &Machine, streams: u64| {
+            for block in 0..400 / streams {
+                for s in 0..streams {
+                    machine.try_read(RelId(s + 1), block, WorkerId(s), false).unwrap();
+                }
+            }
+        };
+        let slowed = Machine::with_sharded_pool(&m, 0.0, 0, 1)
+            .with_faults(Arc::new(FaultPlan::new().with_slowdown(0, 0, 8.0)));
+        read_interleaved(&slowed, 2);
+        let corrected = Patrol::new(&m, true, [(0, 0.0); 3])
+            .recalibrate(&slowed)
+            .expect("an 8x slowdown is drift");
+        let step = 1.0 - MAX_RECAL_STEP;
+        assert_eq!(
+            [corrected.seq_bw, corrected.almost_seq_bw, corrected.random_bw],
+            [m.seq_bw * step, m.almost_seq_bw * step, m.random_bw * step]
+        );
+
+        let contended = Machine::with_sharded_pool(&m, 0.0, 0, 1);
+        read_interleaved(&contended, 4);
+        assert_eq!(Patrol::new(&m, true, [(0, 0.0); 3]).recalibrate(&contended), None);
     }
 }

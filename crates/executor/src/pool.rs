@@ -39,11 +39,6 @@ struct Shared {
     cv: Condvar,
     /// Threads ever created (for observability / benches).
     spawned: AtomicU64,
-    /// Jobs ever submitted.
-    submitted: AtomicU64,
-    /// Jobs run to completion (submitted − completed = in flight or queued;
-    /// the gap is what a liveness patrol compares against its grace window).
-    completed: AtomicU64,
 }
 
 /// Pool of persistent worker threads; jobs are `FnOnce` staffing closures.
@@ -75,7 +70,6 @@ impl WorkerPool {
     /// # Panics
     /// Panics if called after [`WorkerPool::shutdown`].
     pub fn submit(&self, job: Job) {
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
         let must_spawn = {
             let mut q = lock(&self.shared.q);
             assert!(!q.shutdown, "submit after shutdown");
@@ -94,18 +88,6 @@ impl WorkerPool {
     /// Threads ever created.
     pub fn threads_spawned(&self) -> u64 {
         self.shared.spawned.load(Ordering::Relaxed)
-    }
-
-    /// Jobs ever submitted.
-    pub fn jobs_submitted(&self) -> u64 {
-        self.shared.submitted.load(Ordering::Relaxed)
-    }
-
-    /// Jobs run to completion. Staffing jobs catch worker panics
-    /// internally, so for them completed always catches up with submitted;
-    /// a lasting gap means jobs are stuck or queued.
-    pub fn jobs_completed(&self) -> u64 {
-        self.shared.completed.load(Ordering::Relaxed)
     }
 
     /// Fan `tasks` out to the pool and block until every result is in,
@@ -181,10 +163,7 @@ fn worker_loop(shared: &Shared) {
             }
         };
         match job {
-            Some(job) => {
-                job();
-                shared.completed.fetch_add(1, Ordering::Relaxed);
-            }
+            Some(job) => job(),
             None => return,
         }
     }
@@ -223,8 +202,6 @@ mod tests {
         }
         pool.shutdown();
         assert!(pool.threads_spawned() >= 4);
-        assert_eq!(pool.jobs_submitted(), 4);
-        assert_eq!(pool.jobs_completed(), 4);
     }
 
     #[test]

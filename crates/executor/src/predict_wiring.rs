@@ -5,11 +5,11 @@
 
 use std::sync::atomic::Ordering;
 
+use xprs_optimizer::program::{Driver, PipelineOp};
 use xprs_scheduler::predict::{Observation, PredictKey};
 use xprs_scheduler::trace::{emit, TraceRecord};
 
 use crate::master::{Executor, FragSlot};
-use crate::program::{Driver, PipelineOp};
 use crate::worker::FragCtx;
 
 impl Executor {

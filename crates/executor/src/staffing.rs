@@ -7,13 +7,14 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
+use xprs_optimizer::program::Driver;
 use xprs_scheduler::{IoKind, MachineConfig, TaskProfile};
 use xprs_storage::PAGE_SIZE;
 
 use crate::config::DEFAULT_MORSEL_UNITS;
 use crate::io::Machine;
 use crate::master::{ControlFail, Executor, FragSlot, MasterMsg};
-use crate::program::{Driver, Materialized};
+use crate::program::Materialized;
 use crate::steal::StealPartition;
 use crate::worker::{FragCtx, OutputSink, RelBinding, SpillSpec};
 
@@ -35,7 +36,7 @@ impl Executor {
         // missing producer output is a readiness-protocol violation,
         // surfaced as a typed error rather than a panic.
         let mut inputs: HashMap<usize, Arc<Materialized>> = HashMap::new();
-        for (&local, &dep) in frags[gid].local_deps.iter().zip(frags[gid].deps.iter()) {
+        for (local, &dep) in frags[gid].program.deps().zip(&frags[gid].deps) {
             let out = frags[dep]
                 .output
                 .clone()

@@ -31,6 +31,7 @@ use std::time::{Duration, Instant};
 
 use xprs_disk::{RelId, SpillFile, WorkerFaultKind};
 use xprs_optimizer::cost::CPU_TUPLE;
+use xprs_optimizer::program::{Driver, FragmentProgram, PipelineOp};
 use xprs_storage::runs::is_sorted_run;
 use xprs_storage::{Catalog, Relation, Tuple};
 
@@ -38,7 +39,7 @@ use crate::io::{lock, IoFault, Machine, ReadTicket};
 use crate::error::ExecError;
 use crate::master::MasterMsg;
 use crate::obs::ExecMetrics;
-use crate::program::{Driver, FragmentProgram, Materialized, PipelineOp};
+use crate::program::Materialized;
 use crate::steal::StealPartition;
 
 /// Per-query-relation execution binding: catalog name plus the concrete

@@ -10,8 +10,8 @@
 //! * `metrics.json` — the rendered document must parse with the crate's own
 //!   parser and its counters must balance; a scaled-time co-run must also
 //!   carry the utilization audit's windows; its key paths are pinned.
-//! * Plan mismatch — a hand-tampered decomposition is a typed refusal,
-//!   not a master panic.
+//! * Malformed fragments — a hand-tampered fragment set (a forward edge,
+//!   a relation without a binding) is a typed refusal, not a master panic.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,10 +19,11 @@ use std::sync::Arc;
 use xprs_disk::{FaultPlan, StripedLayout};
 use xprs_executor::{ExecConfig, ExecError, Executor, QueryRun, RelBinding};
 use xprs_obs::json::{parse, JsonValue};
+use xprs_optimizer::program::PipelineOp;
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::intra::IntraOnly;
 use xprs_scheduler::{
-    Action, FragmentDag, MachineConfig, RunningTask, SchedulePolicy, TaskId, TaskProfile,
+    Action, MachineConfig, RunningTask, SchedulePolicy, TaskId, TaskProfile,
 };
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
 
@@ -454,31 +455,35 @@ fn scaled_co_run_dump_carries_the_audit_windows() {
     }
 }
 
-/// A hand-tampered decomposition — the optimizer's DAG disagrees with
-/// what the compiler derives from the plan — is refused up front with
-/// [`ExecError::PlanMismatch`] carrying both sides, instead of the
-/// former master panic.
+/// A hand-tampered decomposition — a fragment whose program reads a
+/// fragment emitted after it — is refused up front with
+/// [`ExecError::MalformedFragment`], instead of a master panic.
 #[test]
 fn mismatched_decomposition_is_a_typed_refusal() {
     let cat = catalog();
     let mut run = join_run(&cat);
-    // Same fragments, but every dependency edge dropped: both fragments
-    // now claim to be roots, which the compiled plan contradicts.
-    let mut dag = FragmentDag::new();
-    for t in run.optimized.fragments.dag.tasks() {
-        dag.add(t.clone(), &[]);
-    }
-    run.optimized.fragments.dag = dag;
+    let fragments = &mut run.optimized.fragments.fragments;
+    assert!(fragments.len() >= 2, "the join cuts into a build and a probe fragment");
+    // The first fragment now probes the root: a forward edge.
+    let root = fragments.len() - 1;
+    fragments[0].program.ops.push(PipelineOp::ProbeHash { dep: root });
 
     let exec = Executor::new(ExecConfig::unthrottled(), cat.clone());
     let mut policy = IntraOnly::new(m(), true);
-    let err = exec.run(&[run], &mut policy).expect_err("mismatch must be refused");
-    match err {
-        ExecError::PlanMismatch { query, compiled, optimized } => {
-            assert_eq!(query, 0);
-            assert_ne!(compiled, optimized, "both decompositions ride on the error");
-            assert!(optimized.iter().all(Vec::is_empty), "tampered side must be dep-free");
-        }
-        other => panic!("expected PlanMismatch, got {other:?}"),
-    }
+    let err = exec.run(&[run], &mut policy).expect_err("a forward edge must be refused");
+    assert_eq!(err, ExecError::MalformedFragment { query: 0, fragment: 0 });
+}
+
+/// A query whose bindings do not cover its plan's relations is refused up
+/// front with [`ExecError::MalformedFragment`]; it used to index past the
+/// bindings and panic the master.
+#[test]
+fn unbound_relation_is_a_typed_refusal() {
+    let cat = catalog();
+    let mut run = join_run(&cat);
+    run.bindings.truncate(1);
+    let exec = Executor::new(ExecConfig::unthrottled(), cat.clone());
+    let mut policy = IntraOnly::new(m(), true);
+    let err = exec.run(&[run], &mut policy).expect_err("an unbound relation must be refused");
+    assert!(matches!(err, ExecError::MalformedFragment { query: 0, .. }), "got {err:?}");
 }

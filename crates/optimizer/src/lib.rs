@@ -12,7 +12,9 @@
 //! at its **blocking edges** into plan fragments — maximal pipelineable
 //! subtrees — each of which becomes a schedulable task with an estimated
 //! sequential time `T_i`, I/O count `D_i`, and I/O rate `C_i = D_i / T_i`
-//! ([`fragment`]).
+//! ([`fragment`]). The same cut gives each fragment the pipeline program
+//! ([`program`]) the executor runs, so the fragments the optimizer costs are
+//! the ones that execute.
 //!
 //! The paper's contribution is the cost function that ties the phases
 //! together: `parcost(p, n) = T_n(F(p))` — the elapsed time of running the
@@ -26,6 +28,7 @@ pub mod cost;
 pub mod enumerate;
 pub mod fragment;
 pub mod plan;
+pub mod program;
 pub mod query;
 pub mod twophase;
 

@@ -143,7 +143,7 @@ impl TwoPhaseOptimizer {
         let mut best: Option<OptimizedQuery> = None;
         for cand in candidates {
             let fragments = decompose(&cand.plan, &cand.costed, 0);
-            let parcost = tn_estimate_dag(&self.machine, &fragments.dag);
+            let parcost = tn_estimate_dag(&self.machine, &fragments.dag());
             let seqcost = cand.costed.cost.total_cost;
             let score = match costing {
                 Costing::SeqCost => seqcost,
@@ -202,8 +202,9 @@ impl TwoPhaseOptimizer {
         for (q, _) in queries {
             q.validate().map_err(OptError::InvalidQuery)?;
         }
-        // Candidate beams per query, each candidate pre-decomposed.
-        let beams: Vec<Vec<OptimizedQuery>> = queries
+        // Candidate beams per query, each candidate pre-decomposed, beside
+        // its fragment DAG.
+        let beams: Vec<Vec<(OptimizedQuery, FragmentDag)>> = queries
             .iter()
             .enumerate()
             .map(|(qi, (q, rels))| {
@@ -211,13 +212,10 @@ impl TwoPhaseOptimizer {
                     .into_iter()
                     .map(|cand| {
                         let fragments = decompose(&cand.plan, &cand.costed, qi as u64 * 10_000);
-                        let parcost = tn_estimate_dag(&self.machine, &fragments.dag);
-                        OptimizedQuery {
-                            seqcost: cand.costed.cost.total_cost,
-                            plan: cand.plan,
-                            parcost,
-                            fragments,
-                        }
+                        let dag = fragments.dag();
+                        let parcost = tn_estimate_dag(&self.machine, &dag);
+                        let seqcost = cand.costed.cost.total_cost;
+                        (OptimizedQuery { seqcost, plan: cand.plan, parcost, fragments }, dag)
                     })
                     .collect()
             })
@@ -229,7 +227,7 @@ impl TwoPhaseOptimizer {
             let best = beam
                 .iter()
                 .enumerate()
-                .min_by(|(_, a), (_, b)| a.parcost.total_cmp(&b.parcost))
+                .min_by(|(_, (a, _)), (_, (b, _))| a.parcost.total_cmp(&b.parcost))
                 .map(|(i, _)| i)
                 .ok_or(OptError::NoPlan)?;
             chosen.push(best);
@@ -239,7 +237,7 @@ impl TwoPhaseOptimizer {
             let dags: Vec<&FragmentDag> = chosen
                 .iter()
                 .enumerate()
-                .map(|(qi, &ci)| &beams[qi][ci].fragments.dag)
+                .map(|(qi, &ci)| &beams[qi][ci].1)
                 .collect();
             tn_estimate_dags(&self.machine, &dags)
         };
@@ -272,7 +270,7 @@ impl TwoPhaseOptimizer {
         let picked = chosen
             .into_iter()
             .enumerate()
-            .map(|(qi, ci)| beams[qi][ci].clone())
+            .map(|(qi, ci)| beams[qi][ci].0.clone())
             .collect();
         Ok((picked, best_joint))
     }
@@ -400,7 +398,7 @@ mod tests {
         };
         let independent = xprs_scheduler::fluid::tn_estimate_dags(
             &o.machine,
-            &[&solo1.fragments.dag, &solo2.fragments.dag],
+            &[&solo1.fragments.dag(), &solo2.fragments.dag()],
         );
         assert!(
             joint <= independent + 1e-9,

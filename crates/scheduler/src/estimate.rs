@@ -64,20 +64,6 @@ pub fn t_inter(
     }
 }
 
-/// First-order service-time dilation seen by one run when `active_runs`
-/// independent runs share the disk array. Each run's per-request slice of a
-/// shared spindle stretches roughly in proportion to the number of runs
-/// competing for it, so a patrol that measures per-run busy-seconds in a
-/// multi-run service regime must divide the observed slowdown by this
-/// factor before treating the remainder as machine-model drift — otherwise
-/// cross-run contention is misread as a slow disk (DESIGN.md §15.4). The
-/// predictor learns a sharper, per-plan-shape version of the same term by
-/// regression ([`crate::predict`]); this closed form is the prior used
-/// where no model exists.
-pub fn interference_factor(active_runs: u32) -> f64 {
-    active_runs.max(1) as f64
-}
-
 /// Step-4 test of the scheduling algorithm: is running the pair at its
 /// balance point faster than running the two tasks back-to-back with
 /// intra-operation parallelism only?

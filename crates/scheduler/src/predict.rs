@@ -43,7 +43,8 @@ pub const RATIO_CLAMP: f64 = 16.0;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PredictKey {
     /// Hash of the fragment's operator shape (driver + pipeline ops + root
-    /// flag). Computed by the executor from its `FragmentProgram`.
+    /// flag). Computed by the executor from the fragment's program, as the
+    /// optimizer cut it.
     pub shape: u64,
     /// `log2` bucket of the total heap pages the fragment reads, so a model
     /// trained on a 100-page scan is not applied to a 100k-page one.

@@ -244,8 +244,7 @@ fn service_degrades_gracefully_under_worker_death_and_disk_slowdown() {
     let plan = Arc::new(
         FaultPlan::new().with_worker_death(0, 0, 3).with_slowdown(0, 4, 4.0),
     );
-    // Recalibration is live under the shared session: the patrol divides
-    // the observed slowdown by the cross-run interference factor and clamps
+    // Recalibration is live under the shared session: the patrol clamps
     // each correction step, so concurrent runs must not wedge the policy
     // into FixpointDiverged (every Failed outcome below is a regression of
     // that fix).
@@ -282,5 +281,24 @@ fn service_degrades_gracefully_under_worker_death_and_disk_slowdown() {
     assert!(plan.stats().slow_requests() > 0, "the slowdown must engage");
     assert_eq!(svc.reserved_pages(), 0, "fault recovery leaked a grant");
     assert_eq!(svc.pinned_pages(), 0, "fault recovery leaked a pin");
+    svc.shutdown();
+}
+
+/// A request whose bindings do not cover its plan's relations fails with a
+/// typed error. It used to panic a runner thread, and the client's `wait`
+/// with it.
+#[test]
+fn unbound_relation_fails_the_request_not_the_runner() {
+    let cat = catalog();
+    let svc = QueryService::start(ServiceConfig::quick(), cat.clone());
+    let mut bad = req(&cat, 0, QueryClass::Batch);
+    bad.run.bindings.truncate(1);
+    let out = svc.submit(bad).expect("admit").wait();
+    assert!(matches!(out.status, QueryStatus::Failed { .. }), "got {:?}", out.status);
+    // The runner survives: the next request completes.
+    let out = svc.submit(req(&cat, 0, QueryClass::Interactive)).expect("admit").wait();
+    assert!(matches!(out.status, QueryStatus::Completed { .. }), "got {:?}", out.status);
+    assert_eq!(svc.reserved_pages(), 0);
+    assert_eq!(svc.pinned_pages(), 0);
     svc.shutdown();
 }

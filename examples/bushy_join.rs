@@ -59,7 +59,7 @@ fn main() {
             o.seqcost,
             o.parcost,
             o.fragments.fragments.len(),
-            o.fragments.dag.roots().len() > 1
+            o.fragments.dag().roots().len() > 1
         );
         plans.push(o);
     }

@@ -50,15 +50,34 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # engine used, the report and registry copies of what a fragment profile or a
 # partition slot already holds, the statistics-free run splitter, the merge
 # and band knobs and the host CPU read that the modelled machine and two
-# constants replaced) must not creep back into code, examples, tests or the
-# verify skill. `scripts/` is left out so the pattern does not match itself;
+# constants replaced, the executor's second plan cut and the check that
+# compared it with the optimizer's, the run counting that discounted
+# recalibration drift, and the counters only their own unit tests read) must
+# not creep back into code, examples, tests or the verify skill. `scripts/` is left out so the pattern does not match itself;
 # docs keep the names as history.
 echo "==> retired-name grep"
-if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel|\bfragment_times\b|footprint_warnings|mem_overruns|merge_fanout|prediction_fallbacks|exited_slots|\bsplit_runs\b|parallel_merge_min_rows|parallel_merge_ways|recal_band|with_recalibration\b|host_parallelism' \
+if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel|\bfragment_times\b|footprint_warnings|mem_overruns|merge_fanout|prediction_fallbacks|exited_slots|\bsplit_runs\b|parallel_merge_min_rows|parallel_merge_ways|recal_band|with_recalibration\b|host_parallelism|PlanMismatch|ProgramSet|RunGuard|active_runs|run_started|run_finished|interference_factor|jobs_submitted|jobs_completed|delivered_rate' \
     crates examples src tests .claude; then
     echo "retired data-path names found (matches above)" >&2
     exit 1
 fi
+
+# One plan cut: `xprs_optimizer::fragment::decompose` is the only walk that
+# cuts a plan into fragments, and each fragment carries its pipeline program.
+# The executor runs those programs as given, so outside test modules no
+# executor source matches on a plan node (`FaultPlan::` is not one).
+echo "==> one plan cut (no Plan:: match in the executor)"
+awk '
+    FNR == 1 { in_tests = 0 }
+    in_tests { next }
+    /^#\[cfg\(test\)\]/ { in_tests = 1; next }
+    /^ *\/\// { next }
+    /(^|[^A-Za-z0-9_])Plan::/ {
+        print FILENAME ":" FNR ": plan walked outside the optimizer: " $0
+        bad = 1
+    }
+    END { exit bad }
+' crates/executor/src/*.rs
 
 # The master's run state lives in one struct; a helper that needs eight
 # arguments is threading that state by hand again.

@@ -101,7 +101,7 @@ fn query(cat: &Catalog, shape: Shape) -> (QueryRun, Option<TaskId>) {
     let optimized = TwoPhaseOptimizer::paper_default()
         .optimize_catalog(cat, &q, Costing::SeqCost)
         .expect("plan");
-    let dag = &optimized.fragments.dag;
+    let dag = optimized.fragments.dag();
     let blocked = (0..dag.len()).find(|&i| !dag.deps_of(i).is_empty()).map(|i| TaskId(i as u64));
     (QueryRun { optimized, bindings }, blocked)
 }
