@@ -21,7 +21,10 @@ fn tasks_for(seed: u64) -> Vec<(SimTask, f64)> {
         .profiles()
         .into_iter()
         .enumerate()
-        .map(|(i, p)| (SimTask::from_profile(p, RelId(i as u64 + 1), &params), 0.0))
+        .map(|(i, p)| {
+            let task = SimTask::from_profile(p, RelId(i as u64 + 1), &params);
+            (task.expect("paper profiles are realizable"), 0.0)
+        })
         .collect()
 }
 

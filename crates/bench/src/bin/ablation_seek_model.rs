@@ -30,7 +30,10 @@ fn run_des(kind: WorkloadKind, naive: bool, seeds: &[u64]) -> Vec<f64> {
                 .profiles()
                 .into_iter()
                 .enumerate()
-                .map(|(i, p)| (SimTask::from_profile(p, RelId(i as u64 + 1), &params), 0.0))
+                .map(|(i, p)| {
+                    let task = SimTask::from_profile(p, RelId(i as u64 + 1), &params);
+                    (task.expect("paper profiles are realizable"), 0.0)
+                })
                 .collect();
             let mut p = policy(naive, true);
             Simulator::new(SimConfig::paper_default()).run(&mut p, &tasks).expect("sim").elapsed

@@ -34,7 +34,8 @@ fn stream(seed: u64, inter_arrival: f64) -> Stream {
         .enumerate()
         .map(|(i, t)| {
             (
-                SimTask::from_profile(t.clone(), RelId(i as u64 + 1), &params),
+                SimTask::from_profile(t.clone(), RelId(i as u64 + 1), &params)
+                    .expect("paper profiles are realizable"),
                 inter_arrival * i as f64,
             )
         })

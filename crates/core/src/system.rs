@@ -174,7 +174,9 @@ impl XprsSystem {
     ///
     /// # Errors
     /// Propagates [`SimError`] — the typed scheduler failure plus the
-    /// partial statistics up to the failure instant.
+    /// partial statistics up to the failure instant. A profile no disk
+    /// stream can realize is refused before anything runs, with an empty
+    /// partial report.
     pub fn simulate(
         &self,
         tasks: &[TaskProfile],
@@ -185,13 +187,15 @@ impl XprsSystem {
             self.machine.almost_seq_bw,
             self.machine.random_bw,
         );
-        let sim_tasks: Vec<(SimTask, f64)> = tasks
+        let sim_tasks = tasks
             .iter()
             .enumerate()
             .map(|(i, t)| {
-                (SimTask::from_profile(t.clone(), xprs_disk::RelId(i as u64 + 1), &params), 0.0)
+                let rel = xprs_disk::RelId(i as u64 + 1);
+                Ok((SimTask::from_profile(t.clone(), rel, &params)?, 0.0))
             })
-            .collect();
+            .collect::<Result<Vec<_>, SchedError>>()
+            .map_err(|source| SimError { source, partial: Box::default() })?;
         let mut p = policy.build(&self.machine, true);
         Simulator::new(SimConfig { machine: self.machine.clone(), adjust_latency: 0.005 })
             .run(p.as_mut(), &sim_tasks)
@@ -258,6 +262,19 @@ mod tests {
         let sim_intra = sys.simulate(&profiles(), PolicyKind::IntraOnly).expect("sim").elapsed;
         let sim_adj = sys.simulate(&profiles(), PolicyKind::InterWithAdj).expect("sim").elapsed;
         assert!(sim_adj < sim_intra);
+    }
+
+    #[test]
+    fn simulating_an_unrealizable_profile_is_a_typed_error() {
+        let sys = XprsSystem::paper_default();
+        let mut tasks = profiles();
+        tasks[1].io_rate = 500.0; // no disk stream delivers 500 io/s
+        let err = sys.simulate(&tasks, PolicyKind::InterWithAdj).expect_err("refused");
+        assert!(
+            matches!(err.source, SchedError::InvalidProfile { task: TaskId(1), field: "io_rate", .. }),
+            "{err}"
+        );
+        assert!(err.partial.task_times.is_empty(), "nothing ran");
     }
 
     #[test]

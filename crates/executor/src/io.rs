@@ -390,7 +390,9 @@ impl Machine {
 
     /// [`Machine::disk_class_stats`] merged over the whole array — the
     /// cumulative counters the utilization audit samples at pairing-window
-    /// edges.
+    /// edges. Busy time includes any degradation stretch, so a window's
+    /// `requests / busy` per class is the *observed* service rate the
+    /// patrol's recalibration compares with the model.
     pub fn disk_class_total(&self) -> ClassStats {
         let mut total = ClassStats::default();
         for l in &self.lanes {
@@ -672,25 +674,6 @@ impl Machine {
     /// disabled). Non-zero after a run means a reader leaked a pin.
     pub fn pool_pinned(&self) -> u64 {
         self.pool.as_ref().map_or(0, |p| p.pinned())
-    }
-
-    /// Per-class `(requests, busy seconds)` served so far across all disks,
-    /// indexed `[Sequential, AlmostSequential, Random]`. Busy time includes
-    /// any degradation stretch, so `requests / busy` is the *observed*
-    /// service rate — the master's patrol diffs successive snapshots to
-    /// detect drift from the modeled rate and recalibrate the policy.
-    pub fn observed_service(&self) -> [(u64, f64); 3] {
-        let classes =
-            [ServiceClass::Sequential, ServiceClass::AlmostSequential, ServiceClass::Random];
-        let mut out = [(0u64, 0.0f64); 3];
-        for l in &self.lanes {
-            let l = lock(l);
-            for (slot, class) in classes.into_iter().enumerate() {
-                out[slot].0 += l.disk.count_of(class);
-                out[slot].1 += l.disk.busy_time_of(class);
-            }
-        }
-        out
     }
 }
 
@@ -1175,7 +1158,7 @@ mod tests {
     }
 
     #[test]
-    fn slowdown_stretches_observed_service() {
+    fn slowdown_stretches_disk_busy_time() {
         let plan = Arc::new(FaultPlan::new().with_slowdown(0, 0, 4.0));
         let m = machine(0.0).with_faults(plan.clone());
         let w = m.new_worker_id();
@@ -1188,7 +1171,7 @@ mod tests {
         for b in (0..40u64).step_by(4) {
             read(&healthy, RelId(1), b, w2, true);
         }
-        let busy = |m: &Machine| m.observed_service().iter().map(|(_, b)| b).sum::<f64>();
+        let busy = |m: &Machine| m.disk_class_total().total_busy();
         assert!(
             busy(&m) > 3.9 * busy(&healthy),
             "degraded busy {} vs healthy {}",

@@ -32,7 +32,7 @@ use crate::config::ExecConfig;
 use crate::error::ExecError;
 use crate::io::Machine;
 use crate::obs::{ExecMetrics, FragmentProfile, MergeProfile, QueryProfile, RunningInfo, UtilSample};
-use crate::patrol::{next_msg, Patrol};
+use crate::patrol::{next_msg, reap, Patrol};
 use crate::pool::WorkerPool;
 use crate::program::Materialized;
 pub use crate::report::{ExecReport, QueryResult, QueryRun};
@@ -106,10 +106,6 @@ pub(crate) struct FragSlot {
     /// regressor, captured at the same point the prediction was queried so
     /// training and inference see the same covariate.
     pub co_runners: u32,
-    /// Patrol recovery count when the fragment was announced; a delta at
-    /// completion means a worker died mid-run and the measured profile is
-    /// truncated/distorted — it must not train the predictor.
-    recoveries_at_start: u64,
 }
 
 impl FragSlot {
@@ -365,7 +361,7 @@ impl<'a> MasterRun<'a> {
             cancelled_q: vec![false; n_queries],
             token_spent: vec![false; tokens.len()],
             samples: Vec::new(),
-            patrol: Patrol::new(&exec.cfg.machine, ticking, machine.observed_service()),
+            patrol: Patrol::new(&exec.cfg.machine, ticking, machine.disk_class_total()),
             machine,
         }
     }
@@ -410,7 +406,6 @@ impl<'a> MasterRun<'a> {
                     bindings: q.bindings.clone(),
                     output: None,
                     co_runners: 0,
-                    recoveries_at_start: 0,
                 });
             }
         }
@@ -422,7 +417,6 @@ impl<'a> MasterRun<'a> {
     fn announce(&mut self, policy: &mut dyn SchedulePolicy, gid: usize, co_runners: u32) {
         let t = self.now();
         let slot = &mut self.slots[gid];
-        slot.recoveries_at_start = self.patrol.recoveries;
         self.exec.apply_prediction(slot, t, co_runners);
         let profile = slot.profile.clone();
         emit(&self.exec.sink, || TraceRecord::Arrival { now: t, profile: profile.clone() });
@@ -451,7 +445,7 @@ impl<'a> MasterRun<'a> {
     /// thread outlives the error.
     fn drain(&mut self) {
         for (_, ctx) in self.table.iter_running() {
-            ctx.aborted.store(true, Ordering::Relaxed);
+            ctx.stop.store(true, Ordering::Relaxed);
         }
         self.admission.release_all();
         self.backends.shutdown(&self.table);
@@ -483,7 +477,7 @@ impl<'a> MasterRun<'a> {
             .map(|(gid, ctx)| {
                 let profile = self.slots[gid].profile.clone();
                 let total = ctx.total_units.max(1) as f64;
-                let done = ctx.units_done.load(Ordering::Relaxed) as f64;
+                let done = ctx.part.claimed() as f64;
                 RunningTask {
                     parallelism: ctx.target_parallelism.load(Ordering::Relaxed) as f64,
                     remaining_seq_time: profile.seq_time * (1.0 - done / total).max(0.0),
@@ -531,9 +525,7 @@ impl<'a> MasterRun<'a> {
         if ctx.total_units == 0 {
             // Nothing to scan (empty relation or empty key intersection):
             // complete immediately through the normal channel.
-            if !ctx.done.swap(true, Ordering::SeqCst) {
-                let _ = self.tx.send(MasterMsg::FragmentDone(gid));
-            }
+            ctx.complete();
             return Ok(());
         }
         // Memory admission: the fragment must be granted the pages it
@@ -636,17 +628,14 @@ impl<'a> MasterRun<'a> {
                 // claims too (the forfeited remainder is never redealt).
                 // Finalization then arrives through the ordinary
                 // FragmentDone.
-                ctx.cancelled.store(true, Ordering::SeqCst);
+                ctx.stop.store(true, Ordering::SeqCst);
                 ctx.part.revoke_all();
                 // The death window: between a worker death and the patrol's
-                // replacement, `outstanding` can be 0 with units unfinished
-                // — no worker is left to fire the completion. Fire it from
-                // here through the same `done` latch; whichever side swaps
-                // first sends, so it is exactly-once.
-                if ctx.outstanding.load(Ordering::SeqCst) == 0
-                    && !ctx.done.swap(true, Ordering::SeqCst)
-                {
-                    let _ = self.tx.send(MasterMsg::FragmentDone(gid));
+                // replacement, `outstanding` can be 0 with units unclaimed —
+                // no worker is left to complete the fragment, so the cancel
+                // does, through the same latch.
+                if ctx.outstanding.load(Ordering::SeqCst) == 0 {
+                    ctx.complete();
                 }
                 continue;
             }
@@ -693,7 +682,7 @@ impl<'a> MasterRun<'a> {
         if !self.patrol.tick_due() {
             return Ok(());
         }
-        self.patrol.reap(&self.table, &self.backends, &self.machine, &self.exec.catalog);
+        reap(&self.table, &self.backends, &self.machine, &self.exec.catalog);
         // With a shared session, capacity freed by *other* runs sends this
         // run no completion message: retry the admission FIFO on every tick
         // so a parked fragment is never stranded.
@@ -724,22 +713,22 @@ impl<'a> MasterRun<'a> {
             Ok(done) => done,
             Err(e) => return Err(self.fail(e.into())),
         };
-        let was_cancelled = ctx.cancelled.load(Ordering::SeqCst);
         let slot = &mut self.slots[gid];
-        slot.prof.units = ctx.units_done.load(Ordering::SeqCst);
+        let was_cancelled = self.cancelled_q[slot.prof.query];
+        slot.prof.units = ctx.part.claimed();
         slot.prof.staffed = ctx.staffed.load(Ordering::Relaxed);
         slot.prof.parallelism = ctx.target_parallelism.load(Ordering::Relaxed);
         slot.prof.backends = ctx.backends.load(Ordering::Relaxed);
+        slot.prof.heartbeats = slot.prof.staffed + slot.prof.units;
         // A fragment with nothing to scan staffed no backend to count.
-        let beats = if slot.prof.staffed > 0 { ctx.part.heartbeats() } else { Vec::new() };
-        slot.prof.heartbeats = beats.iter().sum();
-        slot.prof.idle_slots = beats.iter().filter(|&&b| b <= 1).count() as u64;
+        slot.prof.idle_slots = if slot.prof.staffed > 0 { ctx.part.idle_slots() } else { 0 };
+        slot.prof.recoveries = ctx.part.recoveries();
         if let Some(spec) = &ctx.spill {
             slot.prof.spill_chunks = spec.chunks.load(Ordering::Relaxed);
             slot.prof.spill_rows = spec.rows.load(Ordering::Relaxed);
         }
         slot.prof.observed_pages = ctx.pages_read.load(Ordering::Relaxed);
-        let truncated = was_cancelled || self.patrol.recoveries > slot.recoveries_at_start;
+        let truncated = was_cancelled || slot.prof.recoveries > 0;
         self.exec.observe_completion(slot, &ctx, t_done, truncated);
         // Release the completed fragment's grant, then hand the freed
         // capacity to the admission queue — the deferred fragments are
@@ -836,7 +825,7 @@ impl<'a> MasterRun<'a> {
             wall,
             pool_threads: self.backends.pool.threads_spawned(),
             pool_jobs: frags.iter().map(|f| f.prof.staffed).sum(),
-            worker_recoveries: self.patrol.recoveries,
+            worker_recoveries: frags.iter().map(|f| f.prof.recoveries).sum(),
             recalibrations: self.patrol.recalibrations,
             machine: self.exec.cfg.machine.clone(),
             scale: self.exec.cfg.scale,

@@ -114,10 +114,10 @@ pub struct FragmentProfile {
     pub started_at: f64,
     /// Wall seconds from run start to fragment finish.
     pub finished_at: f64,
-    /// Work units the fragment completed: pages or keys — or, on a page
-    /// scan with fewer pages than backends, page slices (`pages ×
-    /// backends` of them; each page still counts once in
-    /// `observed_pages`).
+    /// Work units the fragment completed — the units its workers claimed:
+    /// pages or keys, or, on a page scan with fewer pages than backends,
+    /// page slices (`pages × backends` of them; each page still counts
+    /// once in `observed_pages`).
     pub units: u64,
     /// Worker jobs staffed over the fragment's life (initial staffing,
     /// adjustment growth, patrol replacements).
@@ -128,11 +128,15 @@ pub struct FragmentProfile {
     pub backends: u32,
     /// Parallelism adjustments applied while running.
     pub adjusts: u64,
-    /// Heartbeat ticks its workers recorded (startup + one per unit).
+    /// Signs of life its workers gave: one per staffed job and one per
+    /// unit, `staffed + units`.
     pub heartbeats: u64,
-    /// Worker slots whose heartbeat never moved past startup: staffed
-    /// backends that finished no unit.
+    /// Worker slots that never claimed a unit.
     pub idle_slots: u64,
+    /// Worker slots the patrol declared dead and replaced. Any makes the
+    /// fragment's measured profile truncated, so it never trains the
+    /// predictor.
+    pub recoveries: u64,
     /// How its output was materialized.
     pub merge: MergeProfile,
     /// Pages its workers actually read — buffer-pool hits and re-reads

@@ -8,18 +8,19 @@
 //! client may fire a cancel token. The master decides this once per run;
 //! every other run blocks on its workers' messages.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use xprs_disk::ClassStats;
 use xprs_scheduler::{FragTable, MachineConfig};
 use xprs_storage::Catalog;
 
 use crate::io::Machine;
 use crate::master::MasterMsg;
 use crate::session::Backends;
+#[cfg(doc)]
 use crate::steal::StealPartition;
 use crate::worker::FragCtx;
 
@@ -52,9 +53,9 @@ pub(crate) fn next_msg(
 /// Time between patrol ticks, for a run that ticks at all.
 pub(crate) const PATROL_INTERVAL: Duration = Duration::from_millis(2);
 
-/// Ticks a slot's heartbeat may stay frozen — while its fragment still has
-/// work and the slot never exited — before it is declared dead and its
-/// partition share reclaimed.
+/// Ticks a slot's claims may stay frozen — while its fragment still has
+/// unclaimed work and the slot never exited — before it is declared dead
+/// and its partition share reclaimed.
 pub(crate) const PATROL_GRACE: u32 = 3;
 
 /// I/O requests that must land in a patrol window before its rate estimate
@@ -85,8 +86,9 @@ pub(crate) fn recal_step(ratio: f64) -> Option<f64> {
     Some(ratio.clamp(1.0 - MAX_RECAL_STEP, 1.0 + MAX_RECAL_STEP))
 }
 
-/// The master's self-healing patrol: dead-worker detection plus
-/// degradation-aware recalibration, run when its deadline passes.
+/// The master's self-healing patrol: when it ticks, and what recalibration
+/// compares against. Which slots are dead is each partition's to decide
+/// (see [`reap`]).
 pub(crate) struct Patrol {
     /// When the next sweep is due (see [`next_msg`]); `None` for a run that
     /// does not tick.
@@ -96,24 +98,19 @@ pub(crate) struct Patrol {
     /// The machine model the policy currently believes; rebased on every
     /// recalibration (the configured model is only the starting point).
     pub model: MachineConfig,
-    /// Last seen heartbeat and consecutive-stale tick count per
-    /// `(fragment, slot)`.
-    beats: HashMap<(usize, usize), (u64, u32)>,
-    /// Per-class `(requests, busy)` at the start of the current window.
-    io_baseline: [(u64, f64); 3],
-    pub recoveries: u64,
+    /// The array's cumulative per-class counters at the start of the
+    /// current recalibration window.
+    io_baseline: ClassStats,
     pub recalibrations: u64,
 }
 
 impl Patrol {
-    pub fn new(machine: &MachineConfig, ticking: bool, io_baseline: [(u64, f64); 3]) -> Self {
+    pub fn new(machine: &MachineConfig, ticking: bool, io_baseline: ClassStats) -> Self {
         Patrol {
             deadline: ticking.then(|| Instant::now() + PATROL_INTERVAL),
             ticks: 0,
             model: machine.clone(),
-            beats: HashMap::new(),
             io_baseline,
-            recoveries: 0,
             recalibrations: 0,
         }
     }
@@ -135,69 +132,6 @@ impl Patrol {
         due
     }
 
-    /// Declare dead every watched slot (see
-    /// [`StealPartition::watched_heartbeats`]) whose heartbeat has been
-    /// frozen for [`PATROL_GRACE`] consecutive ticks while its fragment
-    /// still has unfinished units. Each dead slot is revoked and its
-    /// remaining share reclaimed by [`StealPartition::fail_slot`], and the
-    /// replacement slot is staffed.
-    ///
-    /// A false positive — a live worker stalled mid-unit, or a job still
-    /// queued in the pool — is safe: its revoked slot hands out no further
-    /// units, so it completes the one unit it holds and retires; the
-    /// replacement's cursor already sits past that unit, keeping every
-    /// unit exactly-once.
-    pub fn reap(
-        &mut self,
-        table: &FragTable<Arc<FragCtx>>,
-        backends: &Backends<'_>,
-        machine: &Arc<Machine>,
-        catalog: &Arc<Catalog>,
-    ) {
-        for (gid, ctx) in table.iter_running() {
-            if ctx.units_done.load(Ordering::SeqCst) >= ctx.total_units
-                || ctx.aborted.load(Ordering::Relaxed)
-                // Cancelled workers exit voluntarily at the next unit
-                // boundary; their frozen heartbeats must not read as
-                // deaths (a "replacement" would immediately exit, but the
-                // staffing churn would distort the recovery counters).
-                || ctx.cancelled.load(Ordering::Relaxed)
-                // Parked in the admission FIFO: no backend to watch yet.
-                || ctx.staffed.load(Ordering::Relaxed) == 0
-            {
-                continue;
-            }
-            for replacement in self.sweep(gid, &ctx.part) {
-                backends.staff(ctx, replacement, Instant::now(), machine, catalog);
-            }
-        }
-    }
-
-    /// Count each watched slot of fragment `gid` one more frozen tick, or
-    /// reset it on a moved beat, and fail the slots frozen for
-    /// [`PATROL_GRACE`] ticks. Returns their replacements, to be staffed.
-    fn sweep(&mut self, gid: usize, part: &StealPartition) -> Vec<usize> {
-        let mut replacements = Vec::new();
-        for (slot, beat) in part.watched_heartbeats().into_iter().enumerate() {
-            let key = (gid, slot);
-            let Some(beat) = beat else {
-                self.beats.remove(&key);
-                continue;
-            };
-            let entry = self.beats.entry(key).or_insert((beat, 0));
-            if entry.0 == beat {
-                entry.1 += 1;
-            } else {
-                *entry = (beat, 0);
-            }
-            if entry.1 >= PATROL_GRACE {
-                replacements.push(part.fail_slot(slot));
-                self.recoveries += 1;
-            }
-        }
-        replacements
-    }
-
     /// Compare the window's observed I/O service rate against the current
     /// model. When the dominant class has drifted outside [`RECAL_BAND`],
     /// return a corrected machine model with every rate rescaled by one
@@ -207,16 +141,14 @@ impl Patrol {
     /// over their busy time, summed machine-wide, and contention moves
     /// requests between classes without changing any class's service time.
     pub fn recalibrate(&mut self, machine: &Machine) -> Option<MachineConfig> {
-        let obs = machine.observed_service();
-        let window: Vec<(u64, f64)> = (0..3)
-            .map(|i| (obs[i].0 - self.io_baseline[i].0, obs[i].1 - self.io_baseline[i].1))
-            .collect();
-        if window.iter().map(|w| w.0).sum::<u64>() < RECAL_MIN_REQUESTS {
+        let now = machine.disk_class_total();
+        let window = now.diff(&self.io_baseline);
+        if window.total_count() < RECAL_MIN_REQUESTS {
             return None; // too little traffic to trust; keep accumulating
         }
-        self.io_baseline = obs;
-        let (class, (count, busy)) =
-            window.into_iter().enumerate().max_by_key(|(_, (c, _))| *c)?;
+        self.io_baseline = now;
+        let (class, count) = window.counts.into_iter().enumerate().max_by_key(|&(_, c)| c)?;
+        let busy = window.busy[class];
         if count == 0 || busy <= 0.0 {
             return None;
         }
@@ -228,6 +160,31 @@ impl Patrol {
         corrected.almost_seq_bw *= step;
         corrected.random_bw *= step;
         Some(corrected)
+    }
+}
+
+/// Reap dead workers: every running fragment that can hold one — staffed,
+/// not stopped, with units still unclaimed — takes one
+/// [`StealPartition::reap`] sweep, and each replacement it returns is
+/// staffed.
+pub(crate) fn reap(
+    table: &FragTable<Arc<FragCtx>>,
+    backends: &Backends<'_>,
+    machine: &Arc<Machine>,
+    catalog: &Arc<Catalog>,
+) {
+    for (_, ctx) in table.iter_running() {
+        // A stopped fragment's workers exit at the next boundary, so a
+        // frozen slot there is no death; a parked one has no backend yet.
+        if ctx.stop.load(Ordering::Relaxed)
+            || ctx.staffed.load(Ordering::Relaxed) == 0
+            || ctx.part.claimed() >= ctx.total_units
+        {
+            continue;
+        }
+        for replacement in ctx.part.reap(PATROL_GRACE) {
+            backends.staff(ctx, replacement, Instant::now(), machine, catalog);
+        }
     }
 }
 
@@ -279,33 +236,32 @@ mod tests {
     }
 
     /// A slot an adjustment retired is still finishing the unit it last
-    /// claimed, and its beat stays frozen meanwhile. Retired is not dead: no
+    /// claimed, and its claims stay frozen meanwhile. Retired is not dead: no
     /// sweep may fail it, or the "replacement" would steal from the survivor
     /// and run the fragment one backend above the policy's `x`. A frozen
     /// slot that was never retired is still reaped.
     #[test]
     fn a_slot_retired_by_an_adjustment_is_never_reaped() {
+        use crate::steal::StealPartition;
         let part = StealPartition::new(64, 4, 2, 0);
-        let beats: Vec<_> = (0..2).map(|s| part.heartbeat_of(s)).collect();
-        for (slot, beat) in beats.iter().enumerate() {
-            beat.fetch_add(1, Ordering::Relaxed);
+        let claims: Vec<_> = (0..2).map(|s| part.claim_of(s)).collect();
+        for slot in 0..2 {
             part.next_morsel(slot).expect("a morsel each");
         }
-        assert_eq!(StealPartition::claim_unit(&part.claim_of(1)), Some(0));
+        assert_eq!(StealPartition::claim_unit(&claims[1]), Some(0));
         assert_eq!(part.adjust(1).retiring_slots, vec![1]);
 
-        let mut patrol = Patrol::new(&MachineConfig::paper_default(), true, [(0, 0.0); 3]);
-        for _ in 0..=PATROL_GRACE {
-            beats[0].fetch_add(1, Ordering::Relaxed); // the survivor works on
-            assert!(patrol.sweep(0, &part).is_empty(), "a retired slot was reaped");
+        for want in 0..=u64::from(PATROL_GRACE) {
+            // The survivor works on, through its first 4-unit morsel.
+            assert_eq!(StealPartition::claim_unit(&claims[0]), Some(want));
+            assert!(part.reap(PATROL_GRACE).is_empty(), "a retired slot was reaped");
         }
-        assert_eq!(part.n_slots(), 2);
-        assert_eq!(patrol.recoveries, 0);
+        assert_eq!((part.n_slots(), part.recoveries()), (2, 0));
 
-        // The survivor's beat freezes too: it, and only it, is replaced.
-        let replaced: Vec<usize> = (0..PATROL_GRACE).flat_map(|_| patrol.sweep(0, &part)).collect();
+        // The survivor's claims freeze too: it, and only it, is replaced.
+        let replaced: Vec<usize> = (0..PATROL_GRACE).flat_map(|_| part.reap(PATROL_GRACE)).collect();
         assert_eq!(replaced, vec![2]);
-        assert_eq!(patrol.recoveries, 1);
+        assert_eq!(part.recoveries(), 1);
     }
 
     /// An 8× slowdown on one disk under two interleaved streams is drift:
@@ -325,7 +281,7 @@ mod tests {
         let slowed = Machine::with_sharded_pool(&m, 0.0, 0, 1)
             .with_faults(Arc::new(FaultPlan::new().with_slowdown(0, 0, 8.0)));
         read_interleaved(&slowed, 2);
-        let corrected = Patrol::new(&m, true, [(0, 0.0); 3])
+        let corrected = Patrol::new(&m, true, ClassStats::default())
             .recalibrate(&slowed)
             .expect("an 8x slowdown is drift");
         let step = 1.0 - MAX_RECAL_STEP;
@@ -336,6 +292,6 @@ mod tests {
 
         let contended = Machine::with_sharded_pool(&m, 0.0, 0, 1);
         read_interleaved(&contended, 4);
-        assert_eq!(Patrol::new(&m, true, [(0, 0.0); 3]).recalibrate(&contended), None);
+        assert_eq!(Patrol::new(&m, true, ClassStats::default()).recalibrate(&contended), None);
     }
 }

@@ -95,8 +95,8 @@ impl Executor {
     /// seconds convert to simulated seconds through the time scale, so
     /// realized quantities are in the same units the optimizer declares;
     /// unthrottled runs (`scale == 0`) carry no timing signal and are
-    /// skipped. A cancelled or worker-death-truncated run is reported
-    /// `truncated` so it never trains the model.
+    /// skipped. A fragment that was cancelled or lost one of its own workers
+    /// is reported `truncated` so it never trains the model.
     pub(crate) fn observe_completion(
         &self,
         slot: &FragSlot,

@@ -53,7 +53,8 @@ pub struct ExecReport {
     pub pool_threads: u64,
     /// Worker-slot staffing jobs submitted over the whole run.
     pub pool_jobs: u64,
-    /// Worker slots declared dead by the heartbeat patrol and replaced.
+    /// Worker slots declared dead by the patrol and replaced, summed over
+    /// the fragment profiles.
     pub worker_recoveries: u64,
     /// Times the observed I/O rate drifted outside the tolerance band and
     /// the policy was re-entered with a corrected machine model.
@@ -74,7 +75,7 @@ pub struct ExecReport {
     pub samples: Vec<UtilSample>,
     /// Parallelism adjustments applied across all fragments.
     pub adjusts: u64,
-    /// Heartbeat ticks recorded across all fragments.
+    /// Fragment heartbeats (`staffed + units`), summed over the profiles.
     pub heartbeats: u64,
     /// Quiet patrol ticks the master ran (dead-worker sweep + drift check).
     pub patrol_ticks: u64,

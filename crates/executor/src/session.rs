@@ -125,8 +125,8 @@ impl<'a> Backends<'a> {
     /// Run this run's workers down. A private pool is shut down outright
     /// (every thread joined); a shared session's pool stays alive for
     /// concurrent runs, so instead this waits for the run's own
-    /// outstanding workers to drain — they observe `aborted`/`cancelled`
-    /// at the next unit boundary. The hard cap turns a wedged worker into
+    /// outstanding workers to drain — they observe `stop` at the next unit
+    /// boundary. The hard cap turns a wedged worker into
     /// a leaked thread instead of a hung service.
     pub fn shutdown(&self, table: &FragTable<Arc<FragCtx>>) {
         if !self.shared {

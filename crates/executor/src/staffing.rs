@@ -135,7 +135,6 @@ impl Executor {
             part: Arc::new(part),
             key_base: units.base(),
             page_slices,
-            units_done: AtomicU64::new(0),
             total_units,
             outstanding: AtomicU32::new(0),
             staffed: AtomicU64::new(0),
@@ -143,8 +142,7 @@ impl Executor {
             target_parallelism: AtomicU32::new(x),
             backends: AtomicU32::new(n_backends),
             done: AtomicBool::new(false),
-            aborted: AtomicBool::new(false),
-            cancelled: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
             pages_read: AtomicU64::new(0),
             done_tx: tx.clone(),
             demand_pages,

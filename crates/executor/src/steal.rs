@@ -47,6 +47,13 @@
 //! the units it already claimed and retires at its next claim; the
 //! replacement starts exactly where the revocation cursor stood, and no
 //! unit is processed twice or dropped.
+//!
+//! # The claim word is the slot's account
+//!
+//! A slot shares no other atomic with its worker. Its claims are the
+//! fragment's progress ([`StealPartition::claimed`]), the slot's liveness
+//! ([`StealPartition::reap`]) and, once the last worker is out, the
+//! fragment's completion; the worker reports nothing else.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,13 +87,13 @@ fn unpack(word: u64) -> (u64, u64) {
     (word & 0xFFFF_FFFF, (word >> 32) & MAX_MORSEL_UNITS)
 }
 
-/// One worker slot's share of the deque layer.
+/// One worker slot's share of the deque layer, and its whole account.
 struct SlotState {
     /// Morsels dealt or stolen to this slot but not yet begun. Owned from
     /// the front, stolen from the back.
     pending: VecDeque<Morsel>,
-    /// The packed `(revoked, len, offset)` claim word; shared with the
-    /// owning worker's unit fast path.
+    /// The packed `(revoked, len, offset)` claim word: the one atomic the
+    /// slot shares with its owning worker (the per-unit fast path).
     claim: Arc<AtomicU64>,
     /// A revoked slot hands out no further morsels (its pending work has
     /// moved elsewhere) and its owner retires at the next claim.
@@ -98,11 +105,17 @@ struct SlotState {
     /// word's offsets are relative to, and what the disk-affinity steal
     /// pass matches victims against (`unit % n_disks`).
     last_unit: Option<u64>,
-    /// The owner's heartbeat, shared with it like `claim`: it exists from
-    /// the slot's creation, so the patrol watches a slot from its staffing.
-    beat: Arc<AtomicU64>,
+    /// Units claimed from the morsels armed before the current one; the
+    /// claim word's offset counts the current one's.
+    claimed: u64,
     /// The owner exited voluntarily; a dead worker never sets it.
     exited: bool,
+    /// [`StealPartition::fail_slot`] declared the owner dead.
+    failed: bool,
+    /// The slot's progress at the last [`StealPartition::reap`], and the
+    /// sweeps in a row it has not moved since.
+    seen: u64,
+    stale: u32,
 }
 
 impl SlotState {
@@ -113,19 +126,36 @@ impl SlotState {
             revoked: false,
             started: false,
             last_unit: None,
-            beat: Arc::new(AtomicU64::new(0)),
+            claimed: 0,
             exited: false,
+            failed: false,
+            seen: 0,
+            stale: 0,
         }
     }
 
-    /// Arm the claim word for a freshly taken morsel. Caller holds the
-    /// latch and has checked `revoked == false`, and revocation only
-    /// happens under the same latch, so a plain store cannot clobber a
-    /// REVOKED bit.
+    /// Units this slot has claimed over its life.
+    fn progress(&self) -> u64 {
+        self.claimed + unpack(self.claim.load(Ordering::SeqCst)).0
+    }
+
+    /// Whether the slot still holds unclaimed work: a pending morsel, or an
+    /// armed one that is neither exhausted nor taken by a revocation.
+    fn holds_work(&self) -> bool {
+        let word = self.claim.load(Ordering::SeqCst);
+        let (offset, len) = unpack(word);
+        !self.pending.is_empty() || (word & REVOKED == 0 && offset < len)
+    }
+
+    /// Arm the claim word for a freshly taken morsel, folding the last
+    /// morsel's claims into `claimed`. Caller holds the latch and has
+    /// checked `revoked == false`, and revocation only happens under the
+    /// same latch, so the swap cannot clobber a REVOKED bit.
     fn arm(&mut self, m: Morsel) {
         self.started = true;
         self.last_unit = Some(m.start);
-        self.claim.store(pack(0, m.len()), Ordering::SeqCst);
+        let prev = self.claim.swap(pack(0, m.len()), Ordering::SeqCst);
+        self.claimed += unpack(prev).0;
     }
 
     /// Revoke the slot (caller holds the latch) and hand back the unclaimed
@@ -228,29 +258,54 @@ impl StealPartition {
         lock(&self.inner)[slot].claim.clone()
     }
 
-    /// The heartbeat `slot`'s owner bumps at startup and per finished unit.
-    pub fn heartbeat_of(&self, slot: usize) -> Arc<AtomicU64> {
-        lock(&self.inner)[slot].beat.clone()
-    }
-
     /// `slot`'s owner exited voluntarily.
     pub fn exit(&self, slot: usize) {
         lock(&self.inner)[slot].exited = true;
     }
 
-    /// Every slot's heartbeat, in slot order.
-    pub fn heartbeats(&self) -> Vec<u64> {
-        lock(&self.inner).iter().map(|s| s.beat.load(Ordering::Relaxed)).collect()
+    /// Units claimed across every slot, revoked ones included. Every
+    /// claimed unit is finished by its claimant before that worker exits,
+    /// so once a fragment's last worker is out this is its finished count.
+    pub fn claimed(&self) -> u64 {
+        lock(&self.inner).iter().map(SlotState::progress).sum()
     }
 
-    /// Every slot's heartbeat, `None` for one whose worker exited or that
-    /// was revoked — retired by an adjustment (retired is not dead: it
-    /// finishes its claimed unit and stops) or replaced by `fail_slot`.
-    pub fn watched_heartbeats(&self) -> Vec<Option<u64>> {
-        lock(&self.inner)
-            .iter()
-            .map(|s| (!s.exited && !s.revoked).then(|| s.beat.load(Ordering::Relaxed)))
-            .collect()
+    /// Slots declared dead by [`StealPartition::fail_slot`].
+    pub fn recoveries(&self) -> u64 {
+        lock(&self.inner).iter().filter(|s| s.failed).count() as u64
+    }
+
+    /// Slots that never claimed a unit.
+    pub fn idle_slots(&self) -> u64 {
+        lock(&self.inner).iter().filter(|s| s.progress() == 0).count() as u64
+    }
+
+    /// One patrol sweep. Every *watched* slot — neither exited nor revoked
+    /// (a slot an adjustment retired finishes its claimed unit and stops on
+    /// its own: retired is not dead) — whose progress has not moved since
+    /// the last sweep counts one more frozen sweep. A slot frozen for
+    /// `grace` sweeps in a row is declared dead and failed, and the
+    /// replacements are returned, to be staffed. A false positive (a
+    /// stalled worker, a job still queued) is safe, as with
+    /// [`StealPartition::fail_slot`].
+    pub fn reap(&self, grace: u32) -> Vec<usize> {
+        let mut slots = lock(&self.inner);
+        let mut dead = Vec::new();
+        for (slot, s) in slots.iter_mut().enumerate() {
+            if s.exited || s.revoked {
+                continue;
+            }
+            let progress = s.progress();
+            if progress == s.seen {
+                s.stale += 1;
+            } else {
+                (s.seen, s.stale) = (progress, 0);
+            }
+            if s.stale >= grace {
+                dead.push(slot);
+            }
+        }
+        dead.into_iter().map(|slot| fail(&mut slots, slot)).collect()
     }
 
     /// Begin the slot's next morsel: own deque first, then steal the back
@@ -299,24 +354,19 @@ impl StealPartition {
     /// replacement slot, and return the replacement's index.
     ///
     /// Units the owner claimed before the revocation landed stay its
-    /// responsibility: a stalled false positive finishes them and reports
-    /// them itself, which is exactly what keeps the ledger exactly-once.
+    /// responsibility: a stalled false positive finishes them itself, which
+    /// is exactly what keeps every unit exactly-once.
     pub fn fail_slot(&self, dead: usize) -> usize {
-        let mut slots = lock(&self.inner);
-        let mut reclaimed: VecDeque<Morsel> = slots[dead].revoke().into_iter().collect();
-        reclaimed.append(&mut slots[dead].pending);
-        slots.push(SlotState::fresh(reclaimed));
-        slots.len() - 1
+        fail(&mut lock(&self.inner), dead)
     }
 
     /// Revoke **every** slot and discard all unclaimed work — per-query
     /// cancellation. Each claim word takes the `REVOKED` bit, so a worker
     /// mid-steal (or mid-morsel) loses its next `claim_unit` CAS and drains
     /// at the very next unit boundary; units already claimed before the bit
-    /// landed stay the claimant's responsibility and are finished and
-    /// reported, exactly as with [`StealPartition::fail_slot`] — the
-    /// completion ledger never double-counts or loses a unit, the forfeited
-    /// remainder is simply never handed out again.
+    /// landed stay the claimant's responsibility and are finished, exactly
+    /// as with [`StealPartition::fail_slot`] — no unit is counted twice or
+    /// lost, the forfeited remainder is simply never handed out again.
     pub fn revoke_all(&self) {
         let mut slots = lock(&self.inner);
         for s in slots.iter_mut() {
@@ -331,13 +381,19 @@ impl StealPartition {
     /// over the survivors. Keeps the §2.4 protocols' contract: the
     /// returned `new_slots` need staffing, `retiring_slots` drain at their
     /// next claim. `new_slots` also lists every exited slot that stays
-    /// active: the new assignment may hand it work, so it is re-staffed.
+    /// active: the new assignment may hand it work, so it is re-staffed
+    /// (and the patrol's count for it starts afresh). Once every unit is
+    /// claimed nothing changes: a slot staffed then would find no work, and
+    /// its job could start after the fragment's completion was recorded.
     pub fn adjust(&self, new_parallelism: u32) -> AdjustInfo {
         let mut slots = lock(&self.inner);
+        let mut info = AdjustInfo { new_slots: Vec::new(), retiring_slots: Vec::new() };
+        if !slots.iter().any(SlotState::holds_work) {
+            return info;
+        }
         let want = new_parallelism.max(1) as usize;
         let active: Vec<usize> =
             (0..slots.len()).filter(|&s| !slots[s].revoked).collect();
-        let mut info = AdjustInfo { new_slots: Vec::new(), retiring_slots: Vec::new() };
         if active.len() < want {
             for _ in active.len()..want {
                 slots.push(SlotState::fresh(VecDeque::new()));
@@ -357,7 +413,7 @@ impl StealPartition {
         }
         for (slot, s) in slots.iter_mut().enumerate() {
             if s.exited && !s.revoked {
-                s.exited = false;
+                (s.exited, s.stale) = (false, 0);
                 info.new_slots.push(slot);
             }
         }
@@ -407,6 +463,15 @@ impl StealPartition {
             .ok()
             .map(|prev| prev & 0xFFFF_FFFF)
     }
+}
+
+/// [`StealPartition::fail_slot`] under the latch the caller holds.
+fn fail(slots: &mut Vec<SlotState>, dead: usize) -> usize {
+    slots[dead].failed = true;
+    let mut reclaimed: VecDeque<Morsel> = slots[dead].revoke().into_iter().collect();
+    reclaimed.append(&mut slots[dead].pending);
+    slots.push(SlotState::fresh(reclaimed));
+    slots.len() - 1
 }
 
 /// Pending morsels of `victim` a thief may take: everything once the owner
@@ -550,6 +615,8 @@ mod tests {
         let mut seen = drain(&p);
         seen.sort_unstable();
         assert_eq!(seen, (3..32).collect::<Vec<_>>());
+        // The dead slot's three claims count, across morsels and revocation.
+        assert_eq!((p.claimed(), p.recoveries()), (32, 1));
     }
 
     #[test]
@@ -612,11 +679,22 @@ mod tests {
         let info = p.adjust(2);
         assert_eq!((info.new_slots, info.retiring_slots), (vec![0], vec![2]));
         assert!(p.adjust(2).new_slots.is_empty(), "a handed-back slot is live again");
-        // The patrol watches neither an exited nor a retired slot.
+        // The patrol watches neither an exited nor a retired slot: only
+        // slot 0 is reaped, and replaced by slot 3.
         p.exit(1);
-        assert_eq!(p.watched_heartbeats(), vec![Some(0), None, None]);
+        assert_eq!(p.reap(1), vec![3]);
         // Growing hands back the fresh slot first, then the exited one.
-        assert_eq!(p.adjust(3).new_slots, vec![3, 1]);
+        assert_eq!(p.adjust(3).new_slots, vec![4, 1]);
+    }
+
+    #[test]
+    fn adjust_staffs_nothing_once_every_unit_is_claimed() {
+        let p = StealPartition::new(64, 4, 2, 3);
+        drain(&p);
+        p.exit(0);
+        let info = p.adjust(4);
+        assert!(info.new_slots.is_empty() && info.retiring_slots.is_empty(), "{info:?}");
+        assert_eq!((p.n_slots(), p.claimed()), (2, 64));
     }
 
     #[test]

@@ -167,9 +167,7 @@ pub(crate) struct FragCtx {
     /// other driver): unit `u` is slice `u % page_slices` of page
     /// `u / page_slices`. See `staffing::page_slices`.
     pub page_slices: u64,
-    /// Completed work units (pages, page slices or keys).
-    pub units_done: AtomicU64,
-    /// Total work units.
+    /// Total work units (pages, page slices or keys).
     pub total_units: u64,
     /// Worker jobs staffed but not yet exited (incremented by the master at
     /// submit time, decremented by each worker after its final flush).
@@ -187,16 +185,15 @@ pub(crate) struct FragCtx {
     /// the spill grant is divided by, and what decides the solo-stream
     /// I/O flag.
     pub backends: AtomicU32,
-    /// Completion latch (the done message fires exactly once).
+    /// Completion latch (the done message fires exactly once, see
+    /// [`FragCtx::complete`]).
     pub done: AtomicBool,
-    /// Abort flag: workers drain without scanning further work.
-    pub aborted: AtomicBool,
-    /// Cooperative per-query cancellation: like `aborted`, workers stop at
-    /// the next unit/morsel boundary — but the completion protocol keeps
-    /// running (the last exiting worker still fires the done message, see
-    /// [`FragCtx::worker_exit`]), so the master releases the fragment's
-    /// grant and harvests its partial state through the ordinary path.
-    pub cancelled: AtomicBool,
+    /// Workers stop at the next unit or morsel boundary: the run is
+    /// aborting (a fault or a control-path failure) or the query was
+    /// cancelled. The completion protocol keeps running — the last worker
+    /// out still completes the fragment (see [`FragCtx::worker_exit`]) — so
+    /// a cancelled fragment's grant is released through the ordinary path.
+    pub stop: AtomicBool,
     /// Heap pages this fragment actually read (observed footprint), for the
     /// declared-vs-observed memory audit. Counts every page read issued,
     /// including re-reads after eviction — an upper bound on the working
@@ -225,13 +222,6 @@ impl FragCtx {
         self.backends.load(Ordering::Relaxed) == 1
     }
 
-    /// Whether workers should stop pulling work at the next boundary —
-    /// whole-run abort or per-query cancellation, checked together at every
-    /// existing checkpoint.
-    pub(crate) fn stopped(&self) -> bool {
-        self.aborted.load(Ordering::Relaxed) || self.cancelled.load(Ordering::Relaxed)
-    }
-
     fn input(&self, dep: usize) -> &Materialized {
         self.inputs
             .get(&dep)
@@ -245,31 +235,26 @@ impl FragCtx {
             .unwrap_or_else(|| panic!("relation {name} vanished from the catalog"))
     }
 
-    /// Record `n` finished units in one report — the amortized
-    /// master/worker handoff (one fetch-add per morsel episode, not one per
-    /// unit). Completion itself is announced by the last exiting worker
-    /// (see [`FragCtx::worker_exit`]), after all flushes.
-    fn report_units(&self, n: u64) {
-        if n == 0 {
-            return;
+    /// Tell the master the fragment is done — once, whoever calls first:
+    /// the last worker out, the master for a fragment with no units, or a
+    /// cancel that found no worker left to do it.
+    pub(crate) fn complete(&self) {
+        if !self.done.swap(true, Ordering::SeqCst) {
+            let _ = self.done_tx.send(MasterMsg::FragmentDone(self.gid));
         }
-        let done = self.units_done.fetch_add(n, Ordering::SeqCst) + n;
-        debug_assert!(done <= self.total_units);
     }
 
-    /// One worker job has fully exited (buffers flushed). Fires the done
-    /// message when it was the last live worker and all units are finished
-    /// — or the fragment was cancelled, in which case the remaining units
-    /// are forfeited and the last worker out still announces completion so
-    /// the master can release the grant through the ordinary path.
+    /// One worker job has fully exited (buffers flushed). The last one out
+    /// completes the fragment when every unit is claimed — each claimed
+    /// unit is finished by its claimant before that worker exits, so with
+    /// no worker left the claims are finished — or when the fragment was
+    /// stopped, forfeiting its unclaimed units.
     pub(crate) fn worker_exit(&self) {
         let remaining = self.outstanding.fetch_sub(1, Ordering::SeqCst) - 1;
         if remaining == 0
-            && (self.units_done.load(Ordering::SeqCst) == self.total_units
-                || self.cancelled.load(Ordering::SeqCst))
-            && !self.done.swap(true, Ordering::SeqCst)
+            && (self.stop.load(Ordering::SeqCst) || self.part.claimed() == self.total_units)
         {
-            let _ = self.done_tx.send(MasterMsg::FragmentDone(self.gid));
+            self.complete();
         }
     }
 }
@@ -338,7 +323,7 @@ impl<'m> WorkerState<'m> {
             Ok(_) => self.io_fault.is_none(),
             Err(fault) => {
                 self.io_fault.get_or_insert(fault);
-                ctx.aborted.store(true, Ordering::Relaxed);
+                ctx.stop.store(true, Ordering::Relaxed);
                 false
             }
         }
@@ -362,7 +347,7 @@ impl<'m> WorkerState<'m> {
         if self.index_fault.is_none() {
             self.index_fault = Some(relation.name.clone());
         }
-        ctx.aborted.store(true, Ordering::Relaxed);
+        ctx.stop.store(true, Ordering::Relaxed);
     }
 
     /// Emit one result tuple. This touches no shared state at all: the
@@ -439,13 +424,15 @@ impl<'m> WorkerState<'m> {
 }
 
 /// Worker main loop for slot `slot` of the fragment: claim a morsel (own
-/// deque, else steal), claim its units one CAS at a time, and settle the
-/// completion ledger **once per morsel** instead of once per unit. A page
-/// scan keeps one page of read-ahead across unit *and* morsel boundaries:
-/// the next unit is claimed — from the morsel in hand, the own deque or a
-/// victim — and its read issued before the previous page is evaluated.
+/// deque, else steal) and claim its units one CAS at a time. The claims are
+/// the worker's whole report — the master reads progress, liveness and
+/// completion from the claim words — so nothing shared is touched per
+/// finished unit or morsel. A page scan keeps one page of read-ahead across
+/// unit *and* morsel boundaries: the next unit is claimed — from the morsel
+/// in hand, the own deque or a victim — and its read issued before the
+/// previous page is evaluated.
 ///
-/// The caller (the pool job wrapper in `master.rs`) is responsible for
+/// The caller (the pool job wrapper in `session.rs`) is responsible for
 /// calling [`FragCtx::worker_exit`] afterwards — also on panic — so the
 /// completion protocol stays balanced.
 pub(crate) fn run_worker(
@@ -456,12 +443,9 @@ pub(crate) fn run_worker(
 ) {
     let wid = machine.new_worker_id();
     let ws = &mut WorkerState::new(machine, wid, ctx);
-    let heartbeat = ctx.part.heartbeat_of(slot);
-    heartbeat.fetch_add(1, Ordering::Relaxed);
     let metrics = machine.metrics().cloned();
     let claim = ctx.part.claim_of(slot);
-    let mut claimed = 0u64; // units claimed; at most one is still in flight
-    let mut batch = 0u64; // units finished but not yet reported
+    let mut claimed = 0u64; // this job's claims, the fault plan's key
     let mut in_flight: Option<PageRead> = None;
     let mut died = false;
     // Enabled-metrics cost discipline: steal/fail *counts* accumulate in
@@ -475,7 +459,7 @@ pub(crate) fn run_worker(
     let mut loc_steals = 0u64;
     let mut loc_fails = 0u64;
     'morsels: loop {
-        if ctx.stopped() {
+        if ctx.stop.load(Ordering::Relaxed) {
             break;
         }
         let sampled = metrics.is_some() && episodes.is_multiple_of(MORSEL_SAMPLE);
@@ -498,15 +482,15 @@ pub(crate) fn run_worker(
             }
         }
         loop {
-            if ctx.stopped() {
+            if ctx.stop.load(Ordering::Relaxed) {
                 break;
             }
             // Injected worker faults fire at claim boundaries, keyed to
             // units *claimed*: a claimed unit is always completed, so a
             // death leaves no unit half-done — the units this incarnation
-            // claimed, the page in flight included, are finished and
-            // reported before it vanishes, and the patrol reclaims only
-            // what was never claimed.
+            // claimed, the page in flight included, are finished before it
+            // vanishes, and the patrol reclaims only what was never
+            // claimed.
             if let Some(plan) = machine.fault_plan() {
                 match plan.take_worker_fault(ctx.gid, slot, claimed) {
                     Some(WorkerFaultKind::Death) => {
@@ -525,43 +509,31 @@ pub(crate) fn run_worker(
             };
             let unit = next.morsel.start + offset;
             claimed += 1;
-            let finished = match ctx.program.driver {
+            match ctx.program.driver {
                 Driver::PageScan { .. } => {
                     let page = issue_page(ctx, catalog, unit, ws);
-                    read_ahead(ctx, catalog, &mut in_flight, Some(page), ws)
+                    read_ahead(ctx, catalog, &mut in_flight, Some(page), ws);
                 }
                 Driver::KeyScan { .. } | Driver::KeyDomain => {
                     scan_key(ctx, catalog, ctx.key_base + unit as i64, ws);
-                    true
                 }
-            };
-            if finished {
-                batch += 1;
-                heartbeat.fetch_add(1, Ordering::Relaxed);
             }
         }
-        // Amortized handoff: one completion report per morsel episode.
-        ctx.report_units(batch);
-        batch = 0;
         if let (Some(m), Some(t0)) = (&metrics, morsel_t0) {
             m.morsel_ns.observe(t0.elapsed().as_nanos() as u64);
         }
     }
     // However the loops ended — exhaustion, revocation, stop or death — the
-    // claimed page still in flight is this worker's to finish and report.
-    if read_ahead(ctx, catalog, &mut in_flight, None, ws) {
-        batch += 1;
-        heartbeat.fetch_add(1, Ordering::Relaxed);
-    }
-    ctx.report_units(batch);
+    // claimed page still in flight is this worker's to finish.
+    read_ahead(ctx, catalog, &mut in_flight, None, ws);
     flush_steal_counts(&metrics, loc_steals, loc_fails);
     // Flush the local run and surface any recorded faults.
     ws.settle(ctx);
     if died {
         // Completed units live in shared memory and survive the worker, but
-        // the slot vanishes without marking its exit: its heartbeat
-        // freezes, the patrol declares it dead and reclaims the morsel's
-        // unclaimed remainder through `StealPartition::fail_slot`.
+        // the slot vanishes without marking its exit: its claims freeze,
+        // the patrol declares it dead and reclaims the morsel's unclaimed
+        // remainder through `StealPartition::fail_slot`.
         return;
     }
     if let Some(fault) = ws.io_fault.take() {
@@ -623,18 +595,18 @@ fn issue_page<'c>(
 /// already claimed, its read already issued — takes the in-flight seat, and
 /// the page that held it is collected and evaluated, its CPU overlapping
 /// `next`'s disk service. A read is never speculative: only claimed units
-/// are issued, and every claimed unit is finished by its claimant. Returns
-/// whether a page was finished (`next = None` drains the seat).
+/// are issued, and every claimed unit is finished by its claimant
+/// (`next = None` drains the seat).
 fn read_ahead<'c>(
     ctx: &FragCtx,
     catalog: &'c Catalog,
     in_flight: &mut Option<PageRead<'c>>,
     next: Option<PageRead<'c>>,
     ws: &mut WorkerState<'_>,
-) -> bool {
-    let Some(prev) = mem::replace(in_flight, next) else { return false };
-    finish_page(ctx, catalog, prev, ws);
-    true
+) {
+    if let Some(prev) = mem::replace(in_flight, next) {
+        finish_page(ctx, catalog, prev, ws);
+    }
 }
 
 /// Page-scan driver, second half: collect the page, then filter and run
@@ -690,8 +662,8 @@ fn scan_key(ctx: &FragCtx, catalog: &Catalog, key: i64, ws: &mut WorkerState<'_>
             // Heavy hitters are the master's job (replicated, pool-fanned
             // at materialization); emitting one here would pin the key's
             // whole output on this worker. The unit still completes
-            // normally, so heartbeats, stealing, and cancellation see
-            // nothing unusual.
+            // normally, so claims, stealing, and cancellation see nothing
+            // unusual.
             if ctx.hot_keys.binary_search(&key).is_ok() {
                 return;
             }

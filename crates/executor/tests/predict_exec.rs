@@ -7,7 +7,7 @@
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use xprs_disk::StripedLayout;
+use xprs_disk::{FaultPlan, StripedLayout};
 use xprs_executor::{ExecConfig, ExecReport, Executor, QueryRun, RelBinding};
 use xprs_obs::json::{parse, JsonValue};
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
@@ -222,6 +222,57 @@ fn substitutions_are_counted_with_obs_off() {
         .expect("predict.substitutions");
     assert!(substitutions > 0.0, "a warm predictor substituted nothing");
     assert_eq!(substitutions as usize, predicts);
+}
+
+/// A worker death truncates only its own fragment's observation. Scan A
+/// (20 pages, fragment 0) loses slot 0 after its first unit while scan B
+/// (400 pages) runs beside it, twice: A's observations are discarded, B's
+/// two are clean, so B run alone is announced with a warm model.
+#[test]
+fn a_worker_death_truncates_only_its_own_fragments_observation() {
+    let mut cat = Catalog::new(StripedLayout::new(4));
+    let mut seed = 0xD1E5_u64;
+    for (name, n) in [("short", 200u64), ("long", 4_000)] {
+        cat.create(name, Schema::paper_rel());
+        let rows: Vec<Tuple> = (0..n)
+            .map(|_| {
+                let a = (lcg(&mut seed) % 100) as i32;
+                Tuple::from_values(vec![Datum::Int(a), Datum::Text("x".repeat(800))])
+            })
+            .collect();
+        cat.load(name, rows);
+    }
+    let cat = Arc::new(cat);
+    let scan = |name: &str| QueryRun {
+        optimized: TwoPhaseOptimizer::paper_default()
+            .optimize_catalog(&cat, &Query::selection(name, 1.0), Costing::SeqCost)
+            .expect("plan"),
+        bindings: vec![RelBinding { name: name.into(), pred: (i32::MIN, i32::MAX) }],
+    };
+    let (a, b) = (scan("short"), scan("long"));
+    let predictor = Arc::new(Predictor::new(PAGE_SIZE as u64));
+    let run = |cfg: ExecConfig, queries: &[QueryRun]| {
+        let mut policy =
+            AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(MachineConfig::paper_default()));
+        Executor::new(cfg, cat.clone()).run(queries, &mut policy).expect("run")
+    };
+    let cfg = || ExecConfig::scaled(SPEEDUP).with_predictor(predictor.clone());
+
+    for _ in 0..2 {
+        let plan = Arc::new(FaultPlan::new().with_worker_death(0, 0, 1));
+        let report = run(cfg().with_faults(plan.clone()), &[a.clone(), b.clone()]);
+        assert_eq!(plan.stats().deaths_fired(), 1, "the worker death must fire");
+        let (fa, fb) = (&report.profiles[0].fragments[0], &report.profiles[1].fragments[0]);
+        assert!(fa.recoveries >= 1, "A's dead slot was never replaced");
+        assert_eq!(fb.recoveries, 0, "B lost no worker");
+        assert!(fb.finished_at > fa.finished_at, "the premise: B outlasts A's recovery");
+    }
+    let alone = run(cfg(), &[b]);
+    assert_eq!(
+        alone.profiles[0].fragments[0].prediction,
+        Some(true),
+        "B's two clean observations must warm its model"
+    );
 }
 
 /// Strategy for one (possibly degenerate) observation: finite-positive

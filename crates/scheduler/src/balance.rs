@@ -194,23 +194,6 @@ pub fn balance_point(io: &TaskProfile, cpu: &TaskProfile, m: &MachineConfig) -> 
     Some(BalancePoint { x_io, x_cpu, effective_bw })
 }
 
-/// Round a fractional balance point to whole workers that still sum to `N`.
-///
-/// Execution engines allocate whole backends; the fractional optimum is
-/// rounded to the nearest integer split with at least one worker per task.
-/// Returns `None` on machines with fewer than two processors — there is no
-/// split that gives both tasks a worker, and the old `clamp(1.0, 0.0)`
-/// would panic in release builds (debug builds masked it behind a
-/// `debug_assert!`).
-pub fn integral_split(bp: &BalancePoint, m: &MachineConfig) -> Option<(u32, u32)> {
-    let n = m.n_procs;
-    if n < 2 {
-        return None;
-    }
-    let x_io = bp.x_io.round().clamp(1.0, (n - 1) as f64) as u32;
-    Some((x_io, n - x_io))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,26 +322,6 @@ mod tests {
         assert!(balance_point(&seq(0, 20.0), &seq(1, 10.0), &m()).is_none());
         // Arguments swapped (cpu passed as io).
         assert!(balance_point(&seq(0, 10.0), &seq(1, 60.0), &m()).is_none());
-    }
-
-    #[test]
-    fn integral_split_conserves_processors() {
-        let io = seq(0, 55.0);
-        let cpu = seq(1, 12.0);
-        let bp = balance_point(&io, &cpu, &m()).unwrap();
-        let (a, b) = integral_split(&bp, &m()).unwrap();
-        assert_eq!(a + b, 8);
-        assert!(a >= 1 && b >= 1);
-    }
-
-    #[test]
-    fn integral_split_on_a_uniprocessor_is_none_not_a_panic() {
-        let mut machine = m();
-        machine.n_procs = 1;
-        let bp = BalancePoint { x_io: 0.6, x_cpu: 0.4, effective_bw: 240.0 };
-        assert_eq!(integral_split(&bp, &machine), None);
-        machine.n_procs = 2;
-        assert_eq!(integral_split(&bp, &machine), Some((1, 1)));
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl FragmentDag {
         (0..self.tasks.len()).filter(|&i| self.deps[i].is_empty()).collect()
     }
 
-    /// Sum of sequential times — the sequential-execution lower bound `ΣT_i`.
-    pub fn total_seq_time(&self) -> f64 {
-        self.tasks.iter().map(|t| t.seq_time).sum()
-    }
-
     /// Splice another DAG into this one (for scheduling the fragments of
     /// several queries together). Task ids must already be globally unique;
     /// dependencies of `other` are re-based onto this DAG's index space.
@@ -90,21 +85,6 @@ impl FragmentDag {
             self.deps.push(deps);
         }
         offset
-    }
-
-    /// Length (in sequential time) of the longest dependency chain: no
-    /// schedule can finish faster than the critical path run at parallelism
-    /// `maxp` per fragment.
-    pub fn critical_path(&self) -> f64 {
-        let mut memo = vec![f64::NAN; self.tasks.len()];
-        for i in 0..self.tasks.len() {
-            let longest_dep = self.deps[i]
-                .iter()
-                .map(|&d| memo[d])
-                .fold(0.0_f64, f64::max);
-            memo[i] = longest_dep + self.tasks[i].seq_time;
-        }
-        memo.into_iter().fold(0.0, f64::max)
     }
 }
 
@@ -136,18 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_follows_the_longest_chain() {
-        let mut dag = FragmentDag::new();
-        let a = dag.add(t(0, 5.0), &[]);
-        let b = dag.add(t(1, 1.0), &[]);
-        let c = dag.add(t(2, 2.0), &[a]);
-        let _d = dag.add(t(3, 1.0), &[b, c]);
-        // a → c → d: 5 + 2 + 1 = 8.
-        assert_eq!(dag.critical_path(), 8.0);
-        assert_eq!(dag.total_seq_time(), 9.0);
-    }
-
-    #[test]
     fn append_rebases_dependencies() {
         let mut a = FragmentDag::new();
         let a0 = a.add(t(0, 1.0), &[]);
@@ -176,7 +144,6 @@ mod tests {
     fn empty_dag_reports_sensibly() {
         let dag = FragmentDag::new();
         assert!(dag.is_empty());
-        assert_eq!(dag.critical_path(), 0.0);
         assert!(dag.roots().is_empty());
     }
 }

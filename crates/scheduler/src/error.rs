@@ -61,8 +61,9 @@ pub enum SchedError {
         parallelism: f64,
     },
     /// A task profile failed validation at the policy boundary (zero or
-    /// non-finite `seq_time`/`io_rate`, negative memory). Profiles built by
-    /// [`crate::task::TaskProfile::new`] cannot trip this; struct-literal
+    /// non-finite `seq_time`/`io_rate`, negative memory), or asks the DES for
+    /// an `io_rate` no disk stream can deliver. Profiles built by
+    /// [`crate::task::TaskProfile::new`] cannot trip the first; struct-literal
     /// snapshots (as [`crate::policy::RunningTask`] allows) can.
     InvalidProfile {
         /// The invalid task.

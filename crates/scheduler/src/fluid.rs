@@ -69,27 +69,6 @@ impl ScheduleTrace {
             .sum();
         busy / (total * m.n_procs as f64)
     }
-
-    /// Time-averaged fraction of the reference bandwidth `B` in use.
-    pub fn io_utilization(&self, m: &MachineConfig, tasks: &[TaskProfile]) -> f64 {
-        let rate_of = |id: TaskId| tasks.iter().find(|t| t.id == id).map(|t| t.io_rate).unwrap_or(0.0);
-        let total: f64 = self.segments.iter().map(|s| s.end - s.start).sum();
-        if total == 0.0 {
-            return 0.0;
-        }
-        let b = m.total_bandwidth();
-        let busy: f64 = self
-            .segments
-            .iter()
-            .map(|s| {
-                // Delivered I/O = progress rate × C_i (progress already
-                // includes any disk-saturation throttling).
-                let io: f64 = s.running.iter().map(|(id, _, rate)| rate * rate_of(*id)).sum();
-                (s.end - s.start) * io.min(b)
-            })
-            .sum();
-        busy / (total * b)
-    }
 }
 
 /// Outcome of one fluid replay.
@@ -411,23 +390,6 @@ impl FluidSim {
     }
 }
 
-/// The paper's `T_n(S)`: estimated elapsed time of executing the task set
-/// `S` on `m.n_procs` processors under the adaptive scheduling algorithm
-/// (fractional allocations, dynamic adjustment enabled).
-///
-/// Returns `f64::INFINITY` if the replay fails — a plan whose schedule
-/// cannot even be replayed must never win a cost comparison.
-pub fn tn_estimate(m: &MachineConfig, tasks: &[TaskProfile]) -> f64 {
-    use crate::adaptive::{AdaptiveConfig, AdaptiveScheduler};
-    let mut cfg = AdaptiveConfig::with_adjustment(m.clone());
-    cfg.integral = false;
-    let mut policy = AdaptiveScheduler::new(cfg);
-    FluidSim::new(m.clone())
-        .run(&mut policy, tasks)
-        .map(|r| r.elapsed)
-        .unwrap_or(f64::INFINITY)
-}
-
 /// Joint `T_n` over the fragments of several queries scheduled together —
 /// the multi-query parallel optimization the paper's Section 5 plans as
 /// future work. Task ids must be globally unique across the DAGs.
@@ -440,8 +402,11 @@ pub fn tn_estimate_dags(m: &MachineConfig, dags: &[&FragmentDag]) -> f64 {
 }
 
 /// `T_n(F(p))` over a fragment DAG with order dependencies — the quantity
-/// the optimizer calls `parcost(p, n)`. Returns `f64::INFINITY` if the
-/// replay fails (see [`tn_estimate`]).
+/// the optimizer calls `parcost(p, n)`: the paper's `T_n(S)`, the elapsed
+/// time of the fragments on `m.n_procs` processors under the adaptive
+/// scheduling algorithm (fractional allocations, dynamic adjustment
+/// enabled). Returns `f64::INFINITY` if the replay fails — a plan whose
+/// schedule cannot even be replayed must never win a cost comparison.
 pub fn tn_estimate_dag(m: &MachineConfig, dag: &FragmentDag) -> f64 {
     use crate::adaptive::{AdaptiveConfig, AdaptiveScheduler};
     if dag.is_empty() {
@@ -550,8 +515,6 @@ mod tests {
         // average dips only during the survivor's maxp-limited tail. For
         // this pair the exact value is (8·t_pair + 4·t_tail)/(8·total) ≈ 0.78.
         assert!(res.trace.cpu_utilization(&m()) > 0.75, "{}", res.trace.cpu_utilization(&m()));
-        // And the IO side is saturated while the pair runs together.
-        assert!(res.trace.io_utilization(&m(), &tasks) > 0.5);
     }
 
     #[test]
@@ -603,7 +566,11 @@ mod tests {
             let mut p = AdaptiveScheduler::new(cfg);
             FluidSim::new(m()).run(&mut p, &tasks).expect("replay").elapsed
         };
-        assert!((tn_estimate(&m(), &tasks) - direct).abs() < 1e-9);
+        let mut dag = FragmentDag::new();
+        for t in tasks {
+            dag.add(t, &[]);
+        }
+        assert!((tn_estimate_dag(&m(), &dag) - direct).abs() < 1e-9);
     }
 
     #[test]

@@ -38,12 +38,13 @@ use crate::stats::ServiceStats;
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Admission-queue capacity. A submit that finds the queue full is
-    /// shed with [`ServiceError::Overloaded`]. This is the service's only
-    /// buffer: nothing else in the pipeline grows with offered load.
+    /// shed with [`ServiceError::Overloaded`], so at 0 every submit is. This
+    /// is the service's only buffer: nothing else in the pipeline grows
+    /// with offered load.
     pub queue_cap: usize,
     /// Runner threads — queries executing concurrently against the shared
-    /// session. The executor's memory grants arbitrate the buffer pool
-    /// among them.
+    /// session; 0 runs one. The executor's memory grants arbitrate the
+    /// buffer pool among them.
     pub max_concurrent: usize,
     /// Deadline for [`QueryClass::Interactive`] requests, measured from
     /// submit (queue wait included).
@@ -159,12 +160,25 @@ pub struct QueryRequest {
 pub struct Ticket {
     rx: mpsc::Receiver<QueryOutcome>,
     token: CancelToken,
+    tenant: u32,
+    class: QueryClass,
+    submitted_at: Instant,
 }
 
 impl Ticket {
-    /// Block until the request settles.
+    /// Block until the request settles. A runner that vanished without
+    /// settling it (it panicked) leaves a [`QueryStatus::Failed`] outcome,
+    /// its queue wait unknown and reported as zero.
     pub fn wait(self) -> QueryOutcome {
-        self.rx.recv().expect("runner settles every admitted job before exiting")
+        self.rx.recv().unwrap_or_else(|_| QueryOutcome {
+            tenant: self.tenant,
+            class: self.class,
+            latency: self.submitted_at.elapsed(),
+            queue_wait: Duration::ZERO,
+            status: QueryStatus::Failed {
+                error: "the runner exited without settling the request".to_string(),
+            },
+        })
     }
 
     /// Cancel the request from the client side (same path as the
@@ -227,10 +241,8 @@ pub struct QueryService {
 impl QueryService {
     /// Start the service: build the shared executor session (one machine,
     /// one buffer pool, one worker pool) and spawn `max_concurrent` runner
-    /// threads.
+    /// threads (at least one).
     pub fn start(cfg: ServiceConfig, catalog: Arc<Catalog>) -> Self {
-        assert!(cfg.queue_cap > 0, "a service needs a queue");
-        assert!(cfg.max_concurrent > 0, "a service needs at least one runner");
         let session = Executor::new(cfg.exec.clone(), catalog.clone()).session();
         let shared = Arc::new(Shared {
             cfg,
@@ -242,7 +254,7 @@ impl QueryService {
             stats: ServiceStats::new(),
             ema_service_nanos: AtomicU64::new(0),
         });
-        let runners = (0..shared.cfg.max_concurrent)
+        let runners = (0..shared.cfg.max_concurrent.max(1))
             .map(|i| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
@@ -262,9 +274,10 @@ impl QueryService {
         if self.shared.stopping.load(Ordering::Acquire) {
             return Err(ServiceError::ShuttingDown);
         }
-        let class = req.class;
+        let (tenant, class) = (req.tenant, req.class);
         let token = CancelToken::with_deadline(self.shared.cfg.deadline_for(class));
         let (tx, rx) = mpsc::channel();
+        let submitted_at = Instant::now();
         {
             let mut q = self.shared.queue.lock().expect("service queue poisoned");
             if q.len() >= self.shared.cfg.queue_cap {
@@ -275,16 +288,11 @@ impl QueryService {
                     retry_after: self.shared.retry_after(depth),
                 });
             }
-            q.push_back(Job {
-                req,
-                token: token.clone(),
-                submitted_at: Instant::now(),
-                resp: tx,
-            });
+            q.push_back(Job { req, token: token.clone(), submitted_at, resp: tx });
         }
         self.shared.stats.class(class).submitted.inc();
         self.shared.work.notify_one();
-        Ok(Ticket { rx, token })
+        Ok(Ticket { rx, token, tenant, class, submitted_at })
     }
 
     /// Requests currently waiting in the admission queue.
@@ -402,4 +410,20 @@ fn settle(shared: &Shared, job: Job) {
         queue_wait,
         status,
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_ticket_whose_runner_vanished_settles_as_failed() {
+        let (tx, rx) = mpsc::channel();
+        drop(tx); // the runner unwound with the job's sender
+        let (tenant, class, submitted_at) = (3, QueryClass::Batch, Instant::now());
+        let ticket = Ticket { rx, token: CancelToken::new(), tenant, class, submitted_at };
+        let out = ticket.wait();
+        assert_eq!((out.tenant, out.class), (3, QueryClass::Batch));
+        assert!(matches!(out.status, QueryStatus::Failed { .. }), "{:?}", out.status);
+    }
 }

@@ -107,6 +107,27 @@ fn uncontended_traffic_completes_with_zero_shed_and_clean_ledgers() {
     svc.shutdown();
 }
 
+/// Zero sizes start a service rather than panic: no queue sheds every
+/// submit, and no runners still runs one.
+#[test]
+fn zero_queue_sheds_and_zero_runners_still_run_one() {
+    let cat = catalog();
+    let sized = |queue_cap, max_concurrent| {
+        let cfg = ServiceConfig { queue_cap, max_concurrent, ..ServiceConfig::quick() };
+        QueryService::start(cfg, cat.clone())
+    };
+    let no_queue = sized(0, 2);
+    for tenant in 0..3 {
+        let refused = no_queue.submit(req(&cat, tenant, QueryClass::Interactive));
+        assert!(matches!(refused, Err(ServiceError::Overloaded { .. })), "{refused:?}");
+    }
+    assert_eq!(no_queue.stats().interactive.shed.get(), 3);
+
+    let no_runners = sized(16, 0);
+    let out = no_runners.submit(req(&cat, 0, QueryClass::Interactive)).expect("admitted").wait();
+    assert!(matches!(out.status, QueryStatus::Completed { .. }), "{:?}", out.status);
+}
+
 #[test]
 fn full_queue_sheds_typed_overload_with_backoff_hint() {
     let cat = catalog();

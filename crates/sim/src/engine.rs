@@ -550,11 +550,13 @@ mod tests {
     fn seq_task(id: u64, seq_time: f64, rate: f64) -> SimTask {
         let p = TaskProfile::new(TaskId(id), seq_time, rate, IoKind::Sequential);
         SimTask::from_profile(p, RelId(id + 1), &xprs_disk::DiskParams::paper_default())
+            .expect("realizable rate")
     }
 
     fn rnd_task(id: u64, seq_time: f64, rate: f64) -> SimTask {
         let p = TaskProfile::new(TaskId(id), seq_time, rate, IoKind::Random);
         SimTask::from_profile(p, RelId(id + 1), &xprs_disk::DiskParams::paper_default())
+            .expect("realizable rate")
     }
 
     #[test]

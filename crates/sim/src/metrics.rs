@@ -4,7 +4,7 @@ use xprs_disk::ArrayStats;
 use xprs_scheduler::TaskId;
 
 /// What one simulation run measured.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Completion time of the last task (the workload's turnaround time —
     /// the quantity Figure 7 plots).

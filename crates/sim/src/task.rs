@@ -2,7 +2,7 @@
 //! task profiles.
 
 use xprs_disk::{DiskParams, RelId};
-use xprs_scheduler::{IoKind, TaskProfile};
+use xprs_scheduler::{IoKind, SchedError, TaskProfile};
 
 /// How a task touches its relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,12 +43,17 @@ impl SimTask {
     /// `IO_i(x) = C_i · x` model — while disk queueing and seek
     /// interference still emerge from the simulated array.
     ///
-    /// # Panics
-    /// Panics if `C_i` exceeds what one disk stream can deliver (97 I/Os
-    /// per second for sequential scans, 35 for index scans on the paper's
-    /// disks) — such a profile is physically unrealizable, and silently
-    /// clamping it would skew the calibration the experiments depend on.
-    pub fn from_profile(profile: TaskProfile, rel: RelId, params: &DiskParams) -> Self {
+    /// # Errors
+    /// [`SchedError::InvalidProfile`] on `io_rate` when `C_i` exceeds what
+    /// one disk stream can deliver (97 I/Os per second for sequential scans,
+    /// 35 for index scans on the paper's disks) — such a profile is
+    /// physically unrealizable, and silently clamping it would skew the
+    /// calibration the experiments depend on.
+    pub fn from_profile(
+        profile: TaskProfile,
+        rel: RelId,
+        params: &DiskParams,
+    ) -> Result<Self, SchedError> {
         let (service, access) = match profile.io_kind {
             IoKind::Sequential => (params.seq_service, AccessPattern::SeqScan),
             IoKind::Random => {
@@ -56,16 +61,13 @@ impl SimTask {
             }
         };
         let cycle = 1.0 / profile.io_rate;
-        assert!(
-            cycle >= service - 1e-12,
-            "io_rate {} exceeds the solo disk rate {} for {:?} access",
-            profile.io_rate,
-            1.0 / service,
-            profile.io_kind
-        );
+        if cycle.is_nan() || cycle < service - 1e-12 {
+            let (task, value) = (profile.id, profile.io_rate);
+            return Err(SchedError::InvalidProfile { task, field: "io_rate", value });
+        }
         let cpu_per_io = cycle;
         let n_ios = profile.total_ios().round().max(1.0) as u64;
-        SimTask { profile, rel, n_ios, cpu_per_io, access }
+        Ok(SimTask { profile, rel, n_ios, cpu_per_io, access })
     }
 
     /// The heap block an index key dereferences to: a multiplicative-hash
@@ -86,14 +88,14 @@ mod tests {
     use super::*;
     use xprs_scheduler::TaskId;
 
-    fn params() -> DiskParams {
-        DiskParams::paper_default()
+    fn task(rate: f64, kind: IoKind) -> SimTask {
+        let p = TaskProfile::new(TaskId(0), 10.0, rate, kind);
+        SimTask::from_profile(p, RelId(1), &DiskParams::paper_default()).expect("realizable rate")
     }
 
     #[test]
     fn seq_scan_calibration_inverts_the_rate() {
-        let p = TaskProfile::new(TaskId(0), 10.0, 70.0, IoKind::Sequential);
-        let t = SimTask::from_profile(p, RelId(1), &params());
+        let t = task(70.0, IoKind::Sequential);
         // Double-buffered pipeline: the CPU side of the cycle is 1/C.
         assert!((t.cpu_per_io - 1.0 / 70.0).abs() < 1e-12);
         assert_eq!(t.n_ios, 700);
@@ -102,31 +104,37 @@ mod tests {
 
     #[test]
     fn cpu_bound_scan_has_large_cpu_share() {
-        let p = TaskProfile::new(TaskId(0), 10.0, 5.0, IoKind::Sequential);
-        let t = SimTask::from_profile(p, RelId(1), &params());
+        let t = task(5.0, IoKind::Sequential);
         // 1/5 s of CPU per page dwarfs any service time.
         assert!((t.cpu_per_io - 0.2).abs() < 1e-12);
     }
 
     #[test]
     fn index_scan_uses_random_service() {
-        let p = TaskProfile::new(TaskId(0), 10.0, 30.0, IoKind::Random);
-        let t = SimTask::from_profile(p, RelId(1), &params());
+        let t = task(30.0, IoKind::Random);
         assert!((t.cpu_per_io - 1.0 / 30.0).abs() < 1e-12);
         assert!(matches!(t.access, AccessPattern::IndexScan { .. }));
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the solo disk rate")]
     fn unrealizable_rate_is_rejected() {
-        let p = TaskProfile::new(TaskId(0), 10.0, 120.0, IoKind::Sequential);
-        SimTask::from_profile(p, RelId(1), &params());
+        for (rate, kind) in [(120.0, IoKind::Sequential), (40.0, IoKind::Random)] {
+            let p = TaskProfile::new(TaskId(7), 10.0, rate, kind);
+            let refused = SimTask::from_profile(p, RelId(1), &DiskParams::paper_default());
+            assert!(
+                matches!(
+                    refused,
+                    Err(SchedError::InvalidProfile { task: TaskId(7), field: "io_rate", value })
+                        if value == rate
+                ),
+                "{rate} io/s {kind:?}: {refused:?}"
+            );
+        }
     }
 
     #[test]
     fn key_scatter_covers_the_heap() {
-        let p = TaskProfile::new(TaskId(0), 10.0, 30.0, IoKind::Random);
-        let t = SimTask::from_profile(p, RelId(1), &params());
+        let t = task(30.0, IoKind::Random);
         let mut seen = std::collections::HashSet::new();
         for k in 0..300u64 {
             let b = t.block_of_key(k);

@@ -42,11 +42,6 @@ impl Datum {
         }
     }
 
-    /// True for `Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Datum::Null)
-    }
-
     /// SQL-style comparison: NULL compares as unknown (`None`), and values
     /// of different types do not compare.
     pub fn sql_cmp(&self, other: &Datum) -> Option<Ordering> {
@@ -95,7 +90,6 @@ mod tests {
     fn accessors() {
         assert_eq!(Datum::Int(5).as_int(), Some(5));
         assert_eq!(Datum::Text("x".into()).as_text(), Some("x"));
-        assert!(Datum::Null.is_null());
         assert_eq!(Datum::Null.as_int(), None);
     }
 

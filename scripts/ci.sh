@@ -52,11 +52,14 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # and band knobs and the host CPU read that the modelled machine and two
 # constants replaced, the executor's second plan cut and the check that
 # compared it with the optimizer's, the run counting that discounted
-# recalibration drift, and the counters only their own unit tests read) must
-# not creep back into code, examples, tests or the verify skill. `scripts/` is left out so the pattern does not match itself;
-# docs keep the names as history.
+# recalibration drift, the counters only their own unit tests read, and the
+# heartbeat, per-morsel report, recovery counter and I/O window copies of what
+# a slot's claim word and the disks' class counters already hold) must not
+# creep back into code, examples, tests or the verify skill. `scripts/` is
+# left out so the pattern does not match itself; docs keep the names as
+# history.
 echo "==> retired-name grep"
-if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel|\bfragment_times\b|footprint_warnings|mem_overruns|merge_fanout|prediction_fallbacks|exited_slots|\bsplit_runs\b|parallel_merge_min_rows|parallel_merge_ways|recal_band|with_recalibration\b|host_parallelism|PlanMismatch|ProgramSet|RunGuard|active_runs|run_started|run_finished|interference_factor|jobs_submitted|jobs_completed|delivered_rate' \
+if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel|\bfragment_times\b|footprint_warnings|mem_overruns|merge_fanout|prediction_fallbacks|exited_slots|\bsplit_runs\b|parallel_merge_min_rows|parallel_merge_ways|recal_band|with_recalibration\b|host_parallelism|PlanMismatch|ProgramSet|RunGuard|active_runs|run_started|run_finished|interference_factor|jobs_submitted|jobs_completed|delivered_rate|heartbeat_of|watched_heartbeats|recoveries_at_start|observed_service|report_units|units_done|integral_split|io_utilization|critical_path|\btn_estimate\b' \
     crates examples src tests .claude; then
     echo "retired data-path names found (matches above)" >&2
     exit 1
@@ -184,17 +187,10 @@ PROPTEST_SEED=7 cargo test -q -p xprs-executor --release --offline \
 # nothing above compiles it: build it offline against the crates as they are
 # now and run its two driven workloads briefly. A compile error (an API
 # change that breaks benchmark/src/sut.rs), a wrong answer or a failed
-# operation fails the leg.
+# operation fails the leg: the benchmark exits 1 on either.
 echo "==> benchmark (benchmark/run.sh: disk_mix, service_open)"
 for workload in disk_mix service_open; do
-    bash benchmark/run.sh --workload "$workload" --seconds 12 --trace 0 | tail -n 1 | python3 -c '
-import json, sys
-r = json.loads(sys.stdin.read())
-attempted = r["attempted"]
-if r["correct"] is not True or r["failed"] > 0 or attempted == 0:
-    sys.exit(f"benchmark {sys.argv[1]}: {r}")
-print(f"benchmark {sys.argv[1]} OK: {attempted} operations, 0 failed")
-' "$workload"
+    bash benchmark/run.sh --workload "$workload" --seconds 12 --trace 0 | tail -n 1
 done
 
 echo "==> CI OK"

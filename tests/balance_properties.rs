@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use xprs_scheduler::balance::{balance_point, balance_point_constant_b, effective_bandwidth};
 use xprs_scheduler::estimate::{t_inter, t_intra};
-use xprs_scheduler::fluid::tn_estimate;
-use xprs_scheduler::{IoKind, MachineConfig, TaskId, TaskProfile};
+use xprs_scheduler::fluid::tn_estimate_dag;
+use xprs_scheduler::{FragmentDag, IoKind, MachineConfig, TaskId, TaskProfile};
 
 fn machine() -> MachineConfig {
     MachineConfig::paper_default()
@@ -103,7 +103,11 @@ proptest! {
             .enumerate()
             .map(|(i, (c, t))| TaskProfile::new(TaskId(i as u64), t, c, IoKind::Sequential))
             .collect();
-        let tn = tn_estimate(&m, &tasks);
+        let mut dag = FragmentDag::new();
+        for t in &tasks {
+            dag.add(t.clone(), &[]);
+        }
+        let tn = tn_estimate_dag(&m, &dag);
         let cpu_bound: f64 = tasks.iter().map(|t| t.seq_time).sum::<f64>() / m.n_procs as f64;
         let io_bound: f64 = tasks.iter().map(|t| t.total_ios()).sum::<f64>() / m.total_bandwidth();
         prop_assert!(tn >= cpu_bound - 1e-6, "beats the CPU floor: {tn} < {cpu_bound}");
@@ -116,10 +120,9 @@ proptest! {
 proptest! {
     /// Sweep degenerate 1- and 2-processor machines: every balance point the
     /// solver produces still satisfies the paper's invariants
-    /// (`x_io + x_cpu = N`, effective bandwidth inside `[B_r, B_s]`), the
-    /// uniprocessor integral split declines cleanly instead of panicking
-    /// (the seed's `clamp(1.0, 0.0)` inversion), and the fluid model runs
-    /// every task set to completion under all three policies.
+    /// (`x_io + x_cpu = N`, effective bandwidth inside `[B_r, B_s]`), and
+    /// the fluid model runs every task set to completion under all three
+    /// policies.
     #[test]
     fn tiny_machine_sweep(
         n_procs in 1u32..=2,
@@ -127,7 +130,6 @@ proptest! {
         c_cpu in 1.0f64..400.0,
         t in 0.5f64..20.0,
     ) {
-        use xprs_scheduler::balance::integral_split;
         use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
         use xprs_scheduler::intra::IntraOnly;
         use xprs_scheduler::fluid::FluidSim;
@@ -145,13 +147,6 @@ proptest! {
             prop_assert!(bp.x_io > 0.0 && bp.x_cpu > 0.0);
             prop_assert!(bp.effective_bw >= m.total_random_bandwidth() - 1e-9);
             prop_assert!(bp.effective_bw <= m.total_bandwidth() + 1e-9);
-            match integral_split(&bp, &m) {
-                None => prop_assert!(n_procs < 2, "split refused on a splittable machine"),
-                Some((xi, xc)) => {
-                    prop_assert!(xi >= 1 && xc >= 1);
-                    prop_assert_eq!(xi + xc, n_procs);
-                }
-            }
         }
 
         let tasks = vec![io, cpu];

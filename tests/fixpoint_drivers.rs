@@ -62,7 +62,9 @@ fn fluid(policy: &mut dyn SchedulePolicy, shape: Shape) -> Result<(), SchedError
 fn des(policy: &mut dyn SchedulePolicy, shape: Shape) -> Result<(), SchedError> {
     let m = MachineConfig::paper_default();
     let params = DiskParams::from_rates(m.seq_bw, m.almost_seq_bw, m.random_bw);
-    let sim_task = |id: u64| SimTask::from_profile(task(id), RelId(id + 1), &params);
+    let sim_task = |id: u64| {
+        SimTask::from_profile(task(id), RelId(id + 1), &params).expect("realizable rate")
+    };
     let arrivals = match shape {
         Shape::One => vec![(sim_task(0), 0.0)],
         Shape::Late => vec![(sim_task(0), 0.0), (sim_task(1), 5.0)],
