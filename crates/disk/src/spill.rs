@@ -72,16 +72,6 @@ impl SpillFile {
     pub fn runs(&self) -> &[SpillRun] {
         &self.runs
     }
-
-    /// Total blocks written to this file.
-    pub fn total_blocks(&self) -> u64 {
-        self.next_block
-    }
-
-    /// Total rows across all runs.
-    pub fn total_rows(&self) -> u64 {
-        self.runs.iter().map(|r| r.rows).sum()
-    }
 }
 
 #[cfg(test)]
@@ -97,8 +87,8 @@ mod tests {
         assert_eq!(a, SpillRun { start: 0, blocks: 1, rows: 100 });
         assert_eq!(b, SpillRun { start: 1, blocks: 2, rows: 50 });
         assert_eq!(c, SpillRun { start: 3, blocks: 1, rows: 1 });
-        assert_eq!(f.total_blocks(), 4);
-        assert_eq!(f.total_rows(), 151);
+        assert_eq!(f.runs().iter().map(|r| r.blocks).sum::<u64>(), 4);
+        assert_eq!(f.runs().iter().map(|r| r.rows).sum::<u64>(), 151);
         assert_eq!(f.runs().len(), 3);
     }
 
@@ -114,8 +104,6 @@ mod tests {
     #[test]
     fn empty_file_accounts_to_zero() {
         let f = SpillFile::new(1, 2);
-        assert_eq!(f.total_blocks(), 0);
-        assert_eq!(f.total_rows(), 0);
         assert!(f.runs().is_empty());
     }
 }

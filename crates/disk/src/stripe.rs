@@ -37,15 +37,6 @@ impl StripedLayout {
     pub fn global_block(&self, disk: u32, local: u64) -> u64 {
         local * self.n_disks as u64 + disk as u64
     }
-
-    /// How many of a relation's first `n_blocks` blocks land on `disk`.
-    pub fn blocks_on_disk(&self, n_blocks: u64, disk: u32) -> u64 {
-        debug_assert!(disk < self.n_disks);
-        let d = self.n_disks as u64;
-        let full = n_blocks / d;
-        let extra = if (n_blocks % d) > disk as u64 { 1 } else { 0 };
-        full + extra
-    }
 }
 
 #[cfg(test)]
@@ -68,20 +59,6 @@ mod tests {
         let s = StripedLayout::new(4);
         for b in 0..1000u64 {
             assert_eq!(s.global_block(s.disk_of(b), s.local_block(b)), b);
-        }
-    }
-
-    #[test]
-    fn block_counts_per_disk_partition_the_relation() {
-        let s = StripedLayout::new(4);
-        for n in [0u64, 1, 3, 4, 7, 100, 101, 102, 103] {
-            let sum: u64 = (0..4).map(|d| s.blocks_on_disk(n, d)).sum();
-            assert_eq!(sum, n);
-            // Balanced to within one block.
-            let counts: Vec<u64> = (0..4).map(|d| s.blocks_on_disk(n, d)).collect();
-            let min = counts.iter().min().unwrap();
-            let max = counts.iter().max().unwrap();
-            assert!(max - min <= 1);
         }
     }
 

@@ -5,12 +5,12 @@
 //! the client (or a service front-end) fires it, or it fires itself when
 //! its deadline passes. A run that carries tokens ticks its master's patrol,
 //! and the master polls the tokens on every message and every tick, so a
-//! token fired while no worker reports is still seen. Workers observe the
-//! resulting per-fragment flag at unit and morsel boundaries — the same
-//! checkpoints the fail-stop fault machinery uses — so cancellation never
-//! tears a unit in half, and a cancelled query's grant, pins, and partition
-//! shares are released through the ordinary completion protocol exactly
-//! once.
+//! fired or expired token is seen at the next message or patrol tick, even
+//! while no worker reports. Workers observe the resulting per-fragment flag
+//! at unit and morsel boundaries — the same checkpoints the fail-stop fault
+//! machinery uses — so cancellation never tears a unit in half, and a
+//! cancelled query's grant, pins, and partition shares are released through
+//! the ordinary completion protocol exactly once.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -77,16 +77,6 @@ impl CancelToken {
             _ => false,
         }
     }
-
-    /// The absolute deadline instant, when one was set and the token has
-    /// not fired yet — the master folds it into its wakeup deadline so a
-    /// deadline expiring on an idle channel still cancels promptly.
-    pub fn deadline_instant(&self) -> Option<Instant> {
-        if self.inner.flag.load(Ordering::Acquire) {
-            return None;
-        }
-        self.inner.deadline
-    }
 }
 
 #[cfg(test)]
@@ -100,7 +90,6 @@ mod tests {
         assert!(!c.is_cancelled());
         t.cancel();
         assert!(c.is_cancelled());
-        assert_eq!(c.deadline_instant(), None);
     }
 
     #[test]
@@ -109,6 +98,5 @@ mod tests {
         assert!(t.is_cancelled(), "zero deadline is already past");
         let far = CancelToken::with_deadline(Duration::from_secs(3600));
         assert!(!far.is_cancelled());
-        assert!(far.deadline_instant().is_some());
     }
 }

@@ -14,13 +14,6 @@ pub enum ExecError {
         /// Rendered panic payload.
         message: String,
     },
-    /// The completion channel closed with fragments still outstanding.
-    ChannelClosed {
-        /// Fragments that had completed when the channel died.
-        completed: usize,
-        /// Total fragments in the run.
-        total: usize,
-    },
     /// The scheduling policy misbehaved (diverged, wedged, referenced an
     /// unknown task, double-started or double-completed a fragment). The
     /// run was drained and abandoned.
@@ -109,9 +102,6 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::WorkerPanicked { fragment, message } => {
                 write!(f, "worker staffing fragment {fragment} panicked: {message}")
-            }
-            ExecError::ChannelClosed { completed, total } => {
-                write!(f, "worker channel closed with {completed}/{total} fragments complete")
             }
             ExecError::Sched { source, completed, total } => {
                 write!(f, "scheduling failed with {completed}/{total} fragments complete: {source}")

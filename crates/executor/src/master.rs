@@ -15,7 +15,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use xprs_optimizer::program::{Driver, FragmentProgram, PipelineOp};
 use xprs_scheduler::error::SchedError;
@@ -37,9 +37,13 @@ use crate::pool::WorkerPool;
 use crate::program::Materialized;
 pub use crate::report::{ExecReport, QueryResult, QueryRun};
 pub use crate::session::ExecSession;
-use crate::session::Backends;
+use crate::session::staff;
 use crate::staffing::spill_threshold;
 use crate::worker::{FragCtx, RelBinding};
+
+/// How long a run's quiesce waits for its last job to leave the pool
+/// before it gives up on a wedged worker.
+const QUIESCE_CAP: Duration = Duration::from_secs(30);
 
 /// A control-path failure from the decide path, before it is annotated
 /// with the run's completion progress.
@@ -156,8 +160,8 @@ impl Executor {
     ///
     /// # Errors
     /// Returns [`ExecError`] if the configuration is refused
-    /// ([`ExecError::InvalidConfig`]), a worker panics, the completion
-    /// channel dies, a fragment references an unknown relation, a fragment
+    /// ([`ExecError::InvalidConfig`]), a worker panics, a fragment
+    /// references a relation the catalog lacks, a fragment
     /// program is malformed ([`ExecError::MalformedFragment`] — the run
     /// refuses to start), or the policy misbehaves (wedges, diverges,
     /// double-starts or double-completes a fragment, references an unknown
@@ -175,8 +179,8 @@ impl Executor {
     /// [`Executor::run`] with per-query cancellation: `tokens[i]` governs
     /// `queries[i]` (an empty slice means no query is cancellable). A run
     /// with tokens ticks its patrol, so the master polls them on every tick
-    /// as well as between messages, and folds pending deadlines into its
-    /// wakeup deadline; a fired token's fragments stop at the next unit
+    /// as well as between messages: a fired or expired token is seen at the
+    /// next message or patrol tick. Its fragments stop at the next unit
     /// boundary, release their grant, pins and partition shares exactly
     /// once through the ordinary completion protocol, and the query reports
     /// an empty result with `report.profiles[i].cancelled` set.
@@ -289,14 +293,16 @@ impl Executor {
             if run.table.all_done() {
                 break;
             }
-            match run.next_msg() {
-                Ok(Some(MasterMsg::FragmentDone(gid))) => run.on_done(policy, gid)?,
-                Ok(Some(MasterMsg::Fatal(e))) => return Err(run.abort(e)),
-                Ok(None) => run.on_tick(policy)?,
-                Err(()) => {
-                    let (completed, total) = (run.table.count(Phase::Done), run.table.len());
-                    return Err(run.abort(ExecError::ChannelClosed { completed, total }));
+            // The master wakes for one of two reasons: a worker message,
+            // or its patrol tick.
+            match next_msg(&run.rx, run.patrol.deadline()) {
+                Some(MasterMsg::FragmentDone(gid)) => run.on_done(policy, gid)?,
+                Some(MasterMsg::Fatal(e)) => {
+                    // A failure the policy had no part in.
+                    run.drain();
+                    return Err(e);
                 }
+                None => run.on_tick(policy)?,
             }
         }
         run.report()
@@ -311,7 +317,12 @@ struct MasterRun<'a> {
     tokens: &'a [CancelToken],
     machine: Arc<Machine>,
     metrics: Option<Arc<ExecMetrics>>,
-    backends: Backends<'a>,
+    /// The worker pool slots are staffed onto: the run's own, or a shared
+    /// session's.
+    pool: &'a WorkerPool,
+    /// The master's own sender: it keeps the channel open for the whole
+    /// loop, so a receive never disconnects. [`MasterRun::quiesce`] drops
+    /// it.
     tx: Sender<MasterMsg>,
     rx: Receiver<MasterMsg>,
     t0: Instant,
@@ -351,7 +362,7 @@ impl<'a> MasterRun<'a> {
             exec,
             tokens,
             metrics: session.metrics.clone(),
-            backends: Backends::new(&session.pool, shared),
+            pool: &session.pool,
             tx,
             rx,
             t0: Instant::now(),
@@ -383,7 +394,6 @@ impl<'a> MasterRun<'a> {
             {
                 let err = ExecError::MalformedFragment { query: qi, fragment };
                 emit(&self.exec.sink, || TraceRecord::Error { now: 0.0, message: err.to_string() });
-                self.backends.shutdown(&self.table);
                 return Err(err);
             }
             let base = self.slots.len();
@@ -434,21 +444,31 @@ impl<'a> MasterRun<'a> {
         exec
     }
 
-    /// Stop the run on a failure the policy had no part in.
-    fn abort(&mut self, fatal: ExecError) -> ExecError {
-        self.drain();
-        fatal
-    }
-
     /// Stop the run: tell every running fragment's workers to drain,
-    /// release every grant still held, then run the backends down so no
-    /// thread outlives the error.
+    /// release every grant still held, then quiesce so no job of this run
+    /// outlives the error.
     fn drain(&mut self) {
         for (_, ctx) in self.table.iter_running() {
             ctx.stop.store(true, Ordering::Relaxed);
         }
         self.admission.release_all();
-        self.backends.shutdown(&self.table);
+        self.quiesce();
+    }
+
+    /// End the run, private or shared, on success and on every error: drop
+    /// the master's own sender and every running fragment's context, then
+    /// receive until the channel closes. Every pool job holds its
+    /// fragment's context and every context a sender, so the channel closes
+    /// exactly when this run's last job has left the pool; a shared
+    /// session's threads and other runs' jobs are left alone. The cap turns
+    /// a wedged worker on a shared session into a leaked thread instead of
+    /// a hung caller (a private run's pool still joins it on drop).
+    fn quiesce(&mut self) {
+        // Swapping in a sender whose receiver is already gone drops ours.
+        self.tx = channel().0;
+        self.table = FragTable::new();
+        let cap = Instant::now() + QUIESCE_CAP;
+        while self.rx.recv_timeout(cap.saturating_duration_since(Instant::now())).is_ok() {}
     }
 
     /// Let the policy decide to a fixpoint, make sure something still runs,
@@ -503,7 +523,7 @@ impl<'a> MasterRun<'a> {
     }
 
     fn staff(&self, ctx: &Arc<FragCtx>, slot: usize, at: Instant) {
-        self.backends.staff(ctx, slot, at, &self.machine, &self.exec.catalog);
+        staff(self.pool, ctx, slot, at, &self.machine, &self.exec.catalog);
     }
 
     /// Staff every backend of a fragment that was just admitted, all from
@@ -656,33 +676,12 @@ impl<'a> MasterRun<'a> {
         affected
     }
 
-    /// Sleep until the next message, the patrol deadline, or the earliest
-    /// pending per-query deadline — whichever comes first. `Ok(None)` is a
-    /// deadline wake-up.
-    fn next_msg(&self) -> Result<Option<MasterMsg>, ()> {
-        let token_deadline = self
-            .tokens
-            .iter()
-            .zip(&self.token_spent)
-            .filter(|&(_, &spent)| !spent)
-            .filter_map(|(t, _)| t.deadline_instant())
-            .min();
-        let wake = match (self.patrol.deadline(), token_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        next_msg(&self.rx, wake)
-    }
-
-    /// Woken by a deadline. Fired tokens are picked up by `poll_cancels`;
-    /// the patrol sweeps only when its own deadline has actually passed:
-    /// reap dead workers, then check whether the observed I/O rate has
-    /// drifted out of the model's band.
+    /// The patrol's deadline passed: reap dead workers, then check whether
+    /// the observed I/O rate has drifted out of the model's band. Fired
+    /// tokens are picked up by `poll_cancels` on the loop's next turn.
     fn on_tick(&mut self, policy: &mut dyn SchedulePolicy) -> Result<(), ExecError> {
-        if !self.patrol.tick_due() {
-            return Ok(());
-        }
-        reap(&self.table, &self.backends, &self.machine, &self.exec.catalog);
+        self.patrol.tick();
+        reap(&self.table, self.pool, &self.machine, &self.exec.catalog);
         // With a shared session, capacity freed by *other* runs sends this
         // run no completion message: retry the admission FIFO on every tick
         // so a parked fragment is never stranded.
@@ -704,15 +703,33 @@ impl<'a> MasterRun<'a> {
         self.settle(policy)
     }
 
-    /// Fragment `gid` completed: harvest its context, release its grant,
-    /// materialize its output, tell the policy, announce the consumers it
-    /// unblocked and re-decide.
+    /// Fragment `gid` completed: harvest its context, tell the policy,
+    /// announce the consumers it unblocked and re-decide.
     fn on_done(&mut self, policy: &mut dyn SchedulePolicy, gid: usize) -> Result<(), ExecError> {
         let t_done = self.now();
-        let (ctx, ready) = match self.table.finish(gid) {
-            Ok(done) => done,
+        let ready = match self.table.finish(gid) {
+            Ok((ctx, ready)) => {
+                self.harvest(gid, ctx, t_done);
+                ready
+            }
             Err(e) => return Err(self.fail(e.into())),
         };
+        let finished = self.slots[gid].profile.id;
+        emit(&self.exec.sink, || TraceRecord::Finish { now: t_done, task: finished });
+        policy.on_finish(t_done, finished);
+
+        let running_now = self.table.count(Phase::Running) as u32;
+        for consumer in ready {
+            self.announce(policy, consumer, running_now);
+        }
+        self.settle(policy)
+    }
+
+    /// Capture a completed fragment's profile, release its grant and
+    /// materialize its output. Takes the context by value: it holds a
+    /// sender on the run's channel, so it must be gone before the master
+    /// re-decides — a failure there quiesces until every sender is.
+    fn harvest(&mut self, gid: usize, ctx: Arc<FragCtx>, t_done: f64) {
         let slot = &mut self.slots[gid];
         let was_cancelled = self.cancelled_q[slot.prof.query];
         slot.prof.units = ctx.part.claimed();
@@ -740,21 +757,12 @@ impl<'a> MasterRun<'a> {
         let (rows, merge) = if was_cancelled {
             (Materialized::default(), MergeProfile::default())
         } else {
-            self.exec.materialize(&ctx, self.backends.pool, &self.machine)
+            self.exec.materialize(&ctx, self.pool, &self.machine)
         };
         let slot = &mut self.slots[gid];
         slot.prof.merge = merge;
         slot.output = Some(Arc::new(rows));
         slot.prof.finished_at = t_done;
-        let finished = slot.profile.id;
-        emit(&self.exec.sink, || TraceRecord::Finish { now: t_done, task: finished });
-        policy.on_finish(t_done, finished);
-
-        let running_now = self.table.count(Phase::Running) as u32;
-        for consumer in ready {
-            self.announce(policy, consumer, running_now);
-        }
-        self.settle(policy)
     }
 
     /// Snapshot the machine's cumulative counters plus the set of running
@@ -782,10 +790,9 @@ impl<'a> MasterRun<'a> {
         }
     }
 
-    /// Every fragment is done: run the backends down and assemble the
-    /// report.
+    /// Every fragment is done: quiesce and assemble the report.
     fn report(mut self) -> Result<ExecReport, ExecError> {
-        self.backends.shutdown(&self.table);
+        self.quiesce();
         let wall = self.now();
         self.samples.push(self.util_sample());
         let (frags, cancelled_q) = (&self.slots, &self.cancelled_q);
@@ -823,7 +830,7 @@ impl<'a> MasterRun<'a> {
             pool_shards: machine.pool_shard_stats(),
             pool_pinned_at_exit: machine.pool_pinned(),
             wall,
-            pool_threads: self.backends.pool.threads_spawned(),
+            pool_threads: self.pool.threads_spawned(),
             pool_jobs: frags.iter().map(|f| f.prof.staffed).sum(),
             worker_recoveries: frags.iter().map(|f| f.prof.recoveries).sum(),
             recalibrations: self.patrol.recalibrations,

@@ -9,7 +9,7 @@
 //! every other run blocks on its workers' messages.
 
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,35 +19,33 @@ use xprs_storage::Catalog;
 
 use crate::io::Machine;
 use crate::master::MasterMsg;
-use crate::session::Backends;
+use crate::pool::WorkerPool;
+use crate::session::staff;
 #[cfg(doc)]
 use crate::steal::StealPartition;
 use crate::worker::FragCtx;
 
-/// Receive the next worker message, or `Ok(None)` once `deadline` has
-/// passed; with no deadline this simply blocks.
+/// Receive the next worker message, or `None` once `deadline` has passed;
+/// with no deadline this simply blocks.
+///
+/// The master's own sender keeps the channel open for its whole loop, so
+/// the channel never disconnects here: `None` is always the deadline.
 ///
 /// The deadline is an absolute instant, not a quiet-time timeout: it comes
 /// due even while messages keep arriving. (A `recv_timeout(interval)`
 /// restarts its timer on every message, so a chatty fragment flooding the
 /// channel would starve the patrol and a dead sibling's worker would never
-/// be reaped.)
-pub(crate) fn next_msg(
-    rx: &Receiver<MasterMsg>,
-    deadline: Option<Instant>,
-) -> Result<Option<MasterMsg>, ()> {
+/// be reaped.) It is checked before receiving, because a zero-length
+/// `recv_timeout` still hands back a queued message.
+pub(crate) fn next_msg(rx: &Receiver<MasterMsg>, deadline: Option<Instant>) -> Option<MasterMsg> {
     let Some(deadline) = deadline else {
-        return rx.recv().map(Some).map_err(|_| ());
+        return rx.recv().ok();
     };
     let now = Instant::now();
     if now >= deadline {
-        return Ok(None);
+        return None;
     }
-    match rx.recv_timeout(deadline - now) {
-        Ok(msg) => Ok(Some(msg)),
-        Err(RecvTimeoutError::Timeout) => Ok(None),
-        Err(RecvTimeoutError::Disconnected) => Err(()),
-    }
+    rx.recv_timeout(deadline - now).ok()
 }
 
 /// Time between patrol ticks, for a run that ticks at all.
@@ -120,16 +118,10 @@ impl Patrol {
         self.deadline
     }
 
-    /// Whether a sweep is due; if so it is counted and the next one
-    /// scheduled. A master woken early — by a token's deadline, not the
-    /// patrol's — finds nothing due.
-    pub fn tick_due(&mut self) -> bool {
-        let due = self.deadline.is_some_and(|d| Instant::now() >= d);
-        if due {
-            self.deadline = Some(Instant::now() + PATROL_INTERVAL);
-            self.ticks += 1;
-        }
-        due
+    /// The deadline passed: count the sweep and schedule the next one.
+    pub fn tick(&mut self) {
+        self.deadline = Some(Instant::now() + PATROL_INTERVAL);
+        self.ticks += 1;
     }
 
     /// Compare the window's observed I/O service rate against the current
@@ -169,7 +161,7 @@ impl Patrol {
 /// staffed.
 pub(crate) fn reap(
     table: &FragTable<Arc<FragCtx>>,
-    backends: &Backends<'_>,
+    pool: &WorkerPool,
     machine: &Arc<Machine>,
     catalog: &Arc<Catalog>,
 ) {
@@ -183,7 +175,7 @@ pub(crate) fn reap(
             continue;
         }
         for replacement in ctx.part.reap(PATROL_GRACE) {
-            backends.staff(ctx, replacement, Instant::now(), machine, catalog);
+            staff(pool, ctx, replacement, Instant::now(), machine, catalog);
         }
     }
 }
@@ -197,7 +189,7 @@ mod tests {
     /// The patrol-starvation regression: a sender flooding the channel
     /// faster than the patrol interval must NOT postpone the patrol tick.
     /// The old `recv_timeout(interval)` restarted its timer on every
-    /// message, so `Ok(None)` never surfaced under continuous load; the
+    /// message, so `None` never surfaced under continuous load; the
     /// deadline form returns it as soon as the deadline passes.
     #[test]
     fn patrol_deadline_fires_under_a_continuous_message_flood() {
@@ -221,12 +213,11 @@ mod tests {
         // exits via the deadline, not by draining the flood.
         for _ in 0..200_000 {
             match next_msg(&rx, deadline) {
-                Ok(Some(_)) => messages += 1,
-                Ok(None) => {
+                Some(_) => messages += 1,
+                None => {
                     patrolled = true;
                     break;
                 }
-                Err(()) => panic!("flooder hung up early"),
             }
         }
         stop.store(1, Ordering::Relaxed);

@@ -1,12 +1,11 @@
 //! The substrate a run executes on: the long-lived machine + worker pool
 //! ([`ExecSession`]) and the staffing of worker slots onto that pool
-//! ([`Backends`]).
+//! ([`staff`]).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use xprs_scheduler::FragTable;
 use xprs_storage::Catalog;
 
 use crate::error::ExecError;
@@ -71,78 +70,45 @@ impl ExecSession {
     }
 }
 
-/// How worker slots become running threads: a queue push onto the
-/// persistent [`WorkerPool`] that unparks a long-lived thread. The pool
-/// grows on demand to the *peak concurrent* slot count and no further.
-pub(crate) struct Backends<'a> {
-    pub pool: &'a WorkerPool,
-    /// The pool is borrowed from a long-lived [`ExecSession`]: shutdown
-    /// quiesces this run's workers instead of running the threads down.
-    shared: bool,
-}
-
-impl<'a> Backends<'a> {
-    pub fn new(pool: &'a WorkerPool, shared: bool) -> Self {
-        Backends { pool, shared }
-    }
-
-    /// Staff worker slot `slot` of `ctx`: accounts the worker in the
-    /// fragment's completion protocol **before** it can run, wraps the run
-    /// in a panic report, and always balances with [`FragCtx::worker_exit`].
-    ///
-    /// `at` is the instant of the staffing decision, shared by every slot it
-    /// staffs. The pool thread starts its model clock there before the
-    /// worker runs (`io.rs`), so however late it wakes its first wait counts
-    /// from `at`, and no pacing state crosses a job boundary.
-    pub fn staff(
-        &self,
-        ctx: &Arc<FragCtx>,
-        slot: usize,
-        at: Instant,
-        machine: &Arc<Machine>,
-        catalog: &Arc<Catalog>,
-    ) {
-        ctx.staffed.fetch_add(1, Ordering::Relaxed);
-        ctx.outstanding.fetch_add(1, Ordering::SeqCst);
-        let ctx = ctx.clone();
-        let machine = machine.clone();
-        let catalog = catalog.clone();
-        let job = move || {
-            start_model_clock(at);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_worker(&ctx, slot, &machine, &catalog);
-            }));
-            if let Err(payload) = outcome {
-                let message = panic_message(payload.as_ref());
-                let fatal = ExecError::WorkerPanicked { fragment: ctx.gid, message };
-                let _ = ctx.done_tx.send(MasterMsg::Fatal(fatal));
-            }
-            ctx.worker_exit();
-        };
-        self.pool.submit(Box::new(job));
-    }
-
-    /// Run this run's workers down. A private pool is shut down outright
-    /// (every thread joined); a shared session's pool stays alive for
-    /// concurrent runs, so instead this waits for the run's own
-    /// outstanding workers to drain — they observe `stop` at the next unit
-    /// boundary. The hard cap turns a wedged worker into
-    /// a leaked thread instead of a hung service.
-    pub fn shutdown(&self, table: &FragTable<Arc<FragCtx>>) {
-        if !self.shared {
-            self.pool.shutdown();
-            return;
+/// Staff worker slot `slot` of `ctx` onto `pool` — a queue push that
+/// unparks a long-lived thread; the pool grows on demand to the *peak
+/// concurrent* slot count and no further. Accounts the worker in the
+/// fragment's completion protocol **before** it can run, wraps the run in a
+/// panic report, and always balances with [`FragCtx::worker_exit`]. The job
+/// holds `ctx`, and with it a sender on the run's channel, until it leaves
+/// the pool: that is what lets the master's quiesce wait for the channel to
+/// close.
+///
+/// `at` is the instant of the staffing decision, shared by every slot it
+/// staffs. The pool thread starts its model clock there before the worker
+/// runs (`io.rs`), so however late it wakes its first wait counts from
+/// `at`, and no pacing state crosses a job boundary.
+pub(crate) fn staff(
+    pool: &WorkerPool,
+    ctx: &Arc<FragCtx>,
+    slot: usize,
+    at: Instant,
+    machine: &Arc<Machine>,
+    catalog: &Arc<Catalog>,
+) {
+    ctx.staffed.fetch_add(1, Ordering::Relaxed);
+    ctx.outstanding.fetch_add(1, Ordering::SeqCst);
+    let ctx = ctx.clone();
+    let machine = machine.clone();
+    let catalog = catalog.clone();
+    let job = move || {
+        start_model_clock(at);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_worker(&ctx, slot, &machine, &catalog);
+        }));
+        if let Err(payload) = outcome {
+            let message = panic_message(payload.as_ref());
+            let fatal = ExecError::WorkerPanicked { fragment: ctx.gid, message };
+            let _ = ctx.done_tx.send(MasterMsg::Fatal(fatal));
         }
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            let busy =
-                table.iter_running().any(|(_, ctx)| ctx.outstanding.load(Ordering::SeqCst) > 0);
-            if !busy || Instant::now() >= deadline {
-                return;
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
+        ctx.worker_exit();
+    };
+    pool.submit(Box::new(job));
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

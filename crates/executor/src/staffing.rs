@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
-use xprs_optimizer::program::Driver;
+use xprs_optimizer::program::{Driver, PipelineOp};
 use xprs_scheduler::{IoKind, MachineConfig, TaskProfile};
 use xprs_storage::PAGE_SIZE;
 
@@ -44,25 +44,23 @@ impl Executor {
             inputs.insert(local, out);
         }
 
+        // Every relation the program reads must be in the catalog before
+        // anything is staffed: the driver's is resolved here, and a
+        // merge-indexed probe's inside the worker, which relies on it.
+        let relation = |rel: usize| {
+            let name = &frags[gid].bindings[rel].name;
+            let fail = || ControlFail::Relation { fragment: gid, name: name.clone() };
+            self.catalog.get(name).ok_or_else(fail)
+        };
         // The fragment's unit space per driver: pages for a sequential
         // scan (cut into tuple slices when there are fewer pages than
         // backends), a key interval for index scans and key-domain walks.
-        let missing = |name: &str| ControlFail::Relation { fragment: gid, name: name.to_string() };
         let units = match frags[gid].program.driver {
-            Driver::PageScan { rel } => {
-                let name = &frags[gid].bindings[rel].name;
-                let relation = self.catalog.get(name).ok_or_else(|| missing(name))?;
-                UnitSpace::Pages(relation.heap.n_blocks())
-            }
+            Driver::PageScan { rel } => UnitSpace::Pages(relation(rel)?.heap.n_blocks()),
             Driver::KeyScan { rel } => {
-                let binding = &frags[gid].bindings[rel];
-                let relation =
-                    self.catalog.get(&binding.name).ok_or_else(|| missing(&binding.name))?;
-                let s = relation.stats();
-                UnitSpace::Keys {
-                    lo: binding.pred.0.max(s.min_a) as i64,
-                    hi: binding.pred.1.min(s.max_a) as i64,
-                }
+                let s = relation(rel)?.stats();
+                let (lo, hi) = frags[gid].bindings[rel].pred;
+                UnitSpace::Keys { lo: lo.max(s.min_a) as i64, hi: hi.min(s.max_a) as i64 }
             }
             Driver::KeyDomain => {
                 // Intersection of the materialized inputs' key ranges.
@@ -78,6 +76,11 @@ impl Executor {
                 UnitSpace::Keys { lo, hi }
             }
         };
+        for op in &frags[gid].program.ops {
+            if let PipelineOp::MergeIndexed { rel } = *op {
+                relation(rel)?;
+            }
+        }
         let n_backends = self.backends_for(x, &frags[gid].profile, units.total());
         let page_slices = match units {
             UnitSpace::Pages(pages) => page_slices(pages, n_backends),

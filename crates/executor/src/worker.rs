@@ -228,6 +228,10 @@ impl FragCtx {
             .unwrap_or_else(|| panic!("fragment {} missing materialized input {dep}", self.gid))
     }
 
+    /// Relation `rel` of the owning query. The master resolved every
+    /// relation the program reads before it staffed anything, and a
+    /// catalog is never altered under a run, so a miss here is a broken
+    /// invariant, not an input error.
     fn relation<'c>(&self, catalog: &'c Catalog, rel: usize) -> &'c Relation {
         let name = &self.rels[rel].name;
         catalog

@@ -4,6 +4,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use xprs_disk::{FaultPlan, StripedLayout};
 use xprs_executor::{CancelToken, ExecConfig, ExecError, Executor, QueryRun, RelBinding};
@@ -205,6 +206,57 @@ fn worker_panic_surfaces_as_exec_error() {
         }
         other => panic!("expected WorkerPanicked, got {other:?}"),
     }
+}
+
+/// A shared-session run that aborts returns only after its own jobs have
+/// left the pool: the session outlives the run, so nothing else would wait
+/// for them. One backend of the join's probe stalls for 150 ms after its
+/// first unit, holding that page's buffer pin; another panics. The run
+/// comes back `WorkerPanicked` with every pin returned and no grant held —
+/// no sleep in between — and the session then answers the next query.
+#[test]
+fn a_failing_shared_run_returns_after_its_jobs_leave_the_pool() {
+    let cat = catalog();
+    let q = Query::join().rel("fat", 1.0).rel("thin", 1.0).on(0, 1).build();
+    let all = (i32::MIN, i32::MAX);
+    let bindings = vec![
+        RelBinding { name: "fat".into(), pred: all },
+        RelBinding { name: "thin".into(), pred: all },
+    ];
+    let optimized = optimizer().optimize_catalog(&cat, &q, Costing::SeqCost).expect("plan");
+    let probe = optimized.fragments.fragments.len() - 1;
+    let stall = Duration::from_millis(150);
+    let faults = Arc::new(
+        FaultPlan::new()
+            .with_worker_stall(probe, 0, 1, stall.as_millis() as u64)
+            // Before its first claim: a panic with a read in flight would
+            // strand that read's pin whatever the quiesce does.
+            .with_worker_panic(probe, 1, 0),
+    );
+    let exec = Executor::new(ExecConfig::unthrottled().with_faults(faults.clone()), cat.clone());
+    let session = exec.session();
+    let run = QueryRun { optimized, bindings };
+    let mut policy = IntraOnly::new(m(), true);
+
+    let t0 = Instant::now();
+    let err = exec
+        .run_shared(&session, std::slice::from_ref(&run), &mut policy, &[])
+        .expect_err("a panicking worker must fail the run");
+    let elapsed = t0.elapsed();
+    assert!(matches!(err, ExecError::WorkerPanicked { .. }), "got {err:?}");
+    assert_eq!((session.pinned_pages(), session.reserved_pages()), (0, 0));
+    // Whether the stall landed before the panic stopped the fragment is the
+    // threads' race; when it did, the run waited it out.
+    if faults.stats().stalls_fired() > 0 {
+        assert!(elapsed >= stall, "returned after {elapsed:?}, inside the stall");
+    }
+
+    // Every fault is spent: the same session answers the query again.
+    let mut policy = IntraOnly::new(m(), true);
+    let report = exec.run_shared(&session, &[run], &mut policy, &[]).expect("a clean rerun");
+    let want = ref_join(&cat, &[("fat", all), ("thin", all)]);
+    assert_eq!(result_multiset(&report.results[0].rows), want);
+    assert_eq!((session.pinned_pages(), session.reserved_pages()), (0, 0));
 }
 
 #[test]

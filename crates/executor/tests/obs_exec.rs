@@ -11,10 +11,12 @@
 //!   parser and its counters must balance; a scaled-time co-run must also
 //!   carry the utilization audit's windows; its key paths are pinned.
 //! * Malformed fragments — a hand-tampered fragment set (a forward edge,
-//!   a relation without a binding) is a typed refusal, not a master panic.
+//!   a relation without a binding) is a typed refusal, not a master panic,
+//!   and so is a relation the catalog lacks, not a worker panic.
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use xprs_disk::{FaultPlan, StripedLayout};
 use xprs_executor::{ExecConfig, ExecError, Executor, QueryRun, RelBinding};
@@ -486,4 +488,34 @@ fn unbound_relation_is_a_typed_refusal() {
     let mut policy = IntraOnly::new(m(), true);
     let err = exec.run(&[run], &mut policy).expect_err("an unbound relation must be refused");
     assert!(matches!(err, ExecError::MalformedFragment { query: 0, .. }), "got {err:?}");
+}
+
+/// A bound relation the catalog lacks is [`ExecError::UnknownRelation`],
+/// found before the fragment that reads it is staffed — whether its driver
+/// scans it or a merge-indexed probe reads it. The probe used to resolve it
+/// inside every worker and panic them all.
+///
+/// The probe's refusal comes as the master re-decides after the build
+/// fragment completed. The run ends by waiting for its channel to close, so
+/// it must not still hold that fragment's context (and its sender) there:
+/// if it did, the run would return only at the 30 s quiesce cap.
+#[test]
+fn unknown_relation_is_a_typed_refusal() {
+    let cat = catalog();
+    let exec = Executor::new(ExecConfig::unthrottled(), cat.clone());
+    let ghost = |fragment| ExecError::UnknownRelation { fragment, name: "ghost".into() };
+
+    let mut run = join_run(&cat);
+    run.bindings.push(RelBinding { name: "ghost".into(), pred: (i32::MIN, i32::MAX) });
+    let root = run.optimized.fragments.fragments.len() - 1;
+    run.optimized.fragments.fragments[root].program.ops.push(PipelineOp::MergeIndexed { rel: 2 });
+    let mut policy = IntraOnly::new(m(), true);
+    let t0 = Instant::now();
+    assert_eq!(exec.run(&[run], &mut policy).unwrap_err(), ghost(root));
+    assert!(t0.elapsed() < Duration::from_secs(10), "the refused run waited out the quiesce cap");
+
+    let mut run = selection_run(&cat, "thin", (i32::MIN, i32::MAX));
+    run.bindings[0].name = "ghost".into();
+    let mut policy = IntraOnly::new(m(), true);
+    assert_eq!(exec.run(&[run], &mut policy).unwrap_err(), ghost(0));
 }

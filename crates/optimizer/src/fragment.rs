@@ -53,11 +53,6 @@ pub struct FragmentSet {
 }
 
 impl FragmentSet {
-    /// Total estimated sequential work across fragments.
-    pub fn total_seq_time(&self) -> f64 {
-        self.fragments.iter().map(|f| f.profile.seq_time).sum()
-    }
-
     /// The producer→consumer DAG the scheduler consumes, index-aligned with
     /// the fragments: each profile with the producers its program reads.
     pub fn dag(&self) -> FragmentDag {
@@ -329,7 +324,8 @@ mod tests {
         let m = CostModel::paper_default();
         let costed = m.cost_plan(&p, &rels(3));
         let fs = decompose(&p, &costed, 100);
-        assert!((fs.total_seq_time() - costed.cost.total_cost).abs() < 1e-6);
+        let seq_time: f64 = fs.fragments.iter().map(|f| f.profile.seq_time).sum();
+        assert!((seq_time - costed.cost.total_cost).abs() < 1e-6);
         // Base ids respected.
         assert!(fs.fragments.iter().all(|f| f.profile.id.0 >= 100));
     }

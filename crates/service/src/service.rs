@@ -23,7 +23,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -328,8 +328,14 @@ impl QueryService {
 
 impl Drop for QueryService {
     fn drop(&mut self) {
-        // No hung runner threads, no leaked worker pool.
-        self.shared.stopping.store(true, Ordering::Release);
+        // No hung runner threads, no leaked worker pool. `stopping` is
+        // stored under the queue lock, so a runner checks it either before
+        // the store (and is then waiting when the notification comes) or
+        // after it: no wakeup is lost, and the runners wait untimed.
+        {
+            let _q = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            self.shared.stopping.store(true, Ordering::Release);
+        }
         self.shared.work.notify_all();
         for r in self.runners.drain(..) {
             let _ = r.join();
@@ -351,11 +357,7 @@ fn runner_loop(shared: &Shared) {
                 if shared.stopping.load(Ordering::Acquire) {
                     return;
                 }
-                q = shared
-                    .work
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .expect("service queue poisoned")
-                    .0;
+                q = shared.work.wait(q).expect("service queue poisoned");
             }
         };
         settle(shared, job);

@@ -49,11 +49,6 @@ impl SimReport {
         let sum: f64 = self.task_times.iter().map(|(id, _, fin)| fin - rel(*id)).sum();
         sum / self.task_times.len() as f64
     }
-
-    /// Finish time of a specific task.
-    pub fn finish_of(&self, id: TaskId) -> Option<f64> {
-        self.task_times.iter().find(|(t, _, _)| *t == id).map(|(_, _, f)| *f)
-    }
 }
 
 #[cfg(test)]
@@ -82,12 +77,5 @@ mod tests {
         let r = report();
         let rel = vec![(TaskId(0), 0.0), (TaskId(1), 2.0)];
         assert!((r.mean_response_time(&rel) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn finish_lookup() {
-        let r = report();
-        assert_eq!(r.finish_of(TaskId(1)), Some(10.0));
-        assert_eq!(r.finish_of(TaskId(9)), None);
     }
 }

@@ -1,8 +1,6 @@
 //! Field values. The paper's experiments only need `int4` and `text`, which
 //! is exactly what Postgres circa 1992 would have put in `r1(a, b)`.
 
-use std::cmp::Ordering;
-
 /// A single field value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Datum {
@@ -41,16 +39,6 @@ impl Datum {
             _ => None,
         }
     }
-
-    /// SQL-style comparison: NULL compares as unknown (`None`), and values
-    /// of different types do not compare.
-    pub fn sql_cmp(&self, other: &Datum) -> Option<Ordering> {
-        match (self, other) {
-            (Datum::Int(a), Datum::Int(b)) => Some(a.cmp(b)),
-            (Datum::Text(a), Datum::Text(b)) => Some(a.cmp(b)),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for Datum {
@@ -72,18 +60,6 @@ mod tests {
         assert_eq!(Datum::Int(7).stored_size(), 4);
         assert_eq!(Datum::Text("abc".into()).stored_size(), 7);
         assert_eq!(Datum::Null.stored_size(), 0);
-    }
-
-    #[test]
-    fn sql_comparison_semantics() {
-        assert_eq!(Datum::Int(1).sql_cmp(&Datum::Int(2)), Some(Ordering::Less));
-        assert_eq!(
-            Datum::Text("a".into()).sql_cmp(&Datum::Text("a".into())),
-            Some(Ordering::Equal)
-        );
-        // NULLs and type mismatches are unknown.
-        assert_eq!(Datum::Null.sql_cmp(&Datum::Int(1)), None);
-        assert_eq!(Datum::Int(1).sql_cmp(&Datum::Text("1".into())), None);
     }
 
     #[test]

@@ -274,11 +274,6 @@ impl CsrIndex {
         CsrIndex { keys, offsets, positions }
     }
 
-    /// Number of distinct keys.
-    pub fn n_keys(&self) -> usize {
-        self.keys.len()
-    }
-
     /// The sorted unique keys.
     pub fn keys(&self) -> &[i32] {
         &self.keys
@@ -487,7 +482,7 @@ mod tests {
     fn csr_build_and_lookup() {
         let rows = vec![(-4, 'a'), (-4, 'b'), (0, 'c'), (3, 'd'), (3, 'e'), (3, 'f'), (9, 'g')];
         let idx = CsrIndex::from_sorted(&rows);
-        assert_eq!(idx.n_keys(), 4);
+        assert_eq!(idx.keys().len(), 4);
         assert_eq!(idx.keys(), &[-4, 0, 3, 9]);
         assert_eq!(idx.lookup(-4), &[0, 1]);
         assert_eq!(idx.lookup(0), &[2]);
@@ -501,7 +496,7 @@ mod tests {
     #[test]
     fn csr_empty() {
         let idx = CsrIndex::from_sorted::<u8>(&[]);
-        assert_eq!(idx.n_keys(), 0);
+        assert!(idx.keys().is_empty());
         assert!(idx.lookup(0).is_empty());
         let mut cur = 0;
         assert!(idx.seek(0, &mut cur).is_empty());

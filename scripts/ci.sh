@@ -54,12 +54,15 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # compared it with the optimizer's, the run counting that discounted
 # recalibration drift, the counters only their own unit tests read, and the
 # heartbeat, per-morsel report, recovery counter and I/O window copies of what
-# a slot's claim word and the disks' class counters already hold) must not
+# a slot's claim word and the disks' class counters already hold, the pool
+# wrapper and the second way to end a run, the channel error the master's own
+# sender rules out, the token and patrol deadline checks that one wake rule
+# replaced, and the public functions only their own unit tests called) must not
 # creep back into code, examples, tests or the verify skill. `scripts/` is
 # left out so the pattern does not match itself; docs keep the names as
 # history.
 echo "==> retired-name grep"
-if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel|\bfragment_times\b|footprint_warnings|mem_overruns|merge_fanout|prediction_fallbacks|exited_slots|\bsplit_runs\b|parallel_merge_min_rows|parallel_merge_ways|recal_band|with_recalibration\b|host_parallelism|PlanMismatch|ProgramSet|RunGuard|active_runs|run_started|run_finished|interference_factor|jobs_submitted|jobs_completed|delivered_rate|heartbeat_of|watched_heartbeats|recoveries_at_start|observed_service|report_units|units_done|integral_split|io_utilization|critical_path|\btn_estimate\b' \
+if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel|\bfragment_times\b|footprint_warnings|mem_overruns|merge_fanout|prediction_fallbacks|exited_slots|\bsplit_runs\b|parallel_merge_min_rows|parallel_merge_ways|recal_band|with_recalibration\b|host_parallelism|PlanMismatch|ProgramSet|RunGuard|active_runs|run_started|run_finished|interference_factor|jobs_submitted|jobs_completed|delivered_rate|heartbeat_of|watched_heartbeats|recoveries_at_start|observed_service|report_units|units_done|integral_split|io_utilization|critical_path|\btn_estimate\b|Backends<|Backends::|ChannelClosed|deadline_instant|tick_due|sql_cmp|blocks_on_disk|finish_of|\bn_keys\b|total_seq_time' \
     crates examples src tests .claude; then
     echo "retired data-path names found (matches above)" >&2
     exit 1
@@ -109,9 +112,9 @@ awk '
 # One pacing rule: every modelled wait is a deadline on the thread's model
 # clock, slept for in io.rs's `pace_until` (DESIGN.md §19.4); a raw sleep
 # anywhere else would bypass that clock. Outside test modules the executor
-# may sleep only there and in two named exceptions, each holding one sleep:
-# the injected `Stall` fault in worker.rs's `run_worker` (a wall-clock fault
-# by design) and the shared-session quiesce poll in session.rs's `shutdown`.
+# may sleep only there and in one named exception holding one sleep: the
+# injected `Stall` fault in worker.rs's `run_worker` (a wall-clock fault by
+# design). A run quiesces by waiting for its channel to close, not by polling.
 # No executor source reads the host's CPU count: every fan-out is the
 # modelled machine's. Function-granular, like the leg above.
 echo "==> one pacing rule (raw sleeps and host CPU reads in the executor)"
@@ -132,7 +135,7 @@ awk '
         sub(/^ *(pub(\([a-z]+\))? )?fn /, "", name)
         sub(/[(<].*/, "", name)
     }
-    /(^|[^A-Za-z0-9_])sleep\(/ { hit("sleep", "io.rs:pace_until worker.rs:run_worker session.rs:shutdown") }
+    /(^|[^A-Za-z0-9_])sleep\(/ { hit("sleep", "io.rs:pace_until worker.rs:run_worker") }
     /available_parallelism/ { hit("available_parallelism", "") }
     END { exit bad }
 ' crates/executor/src/*.rs
