@@ -30,7 +30,7 @@ use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_service::{
     QueryOutcome, QueryRequest, QueryService, QueryStatus, ServiceConfig, ServiceError,
 };
-use xprs_storage::{Catalog, Datum, Schema, Tuple};
+use xprs_storage::{Catalog, Schema, Tuple};
 use xprs_workload::{generate_arrivals, ArrivalSpec, QueryClass, TenantLoad};
 
 /// Wall seconds per simulated second: runs are throttle-dominated, so the
@@ -54,10 +54,7 @@ fn catalog() -> Arc<Catalog> {
     ] {
         cat.create(name, Schema::paper_rel());
         let rows: Vec<Tuple> = (0..n)
-            .map(|_| {
-                let a = (lcg(&mut seed) % key_mod) as i32;
-                Tuple::from_values(vec![Datum::Int(a), Datum::Text("x".repeat(blen))])
-            })
+            .map(|_| Tuple::paper((lcg(&mut seed) % key_mod) as i32, blen))
             .collect();
         cat.load(name, rows);
         cat.build_index(name, false);

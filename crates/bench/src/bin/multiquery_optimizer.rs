@@ -9,7 +9,7 @@
 use xprs::{Costing, Query, XprsSystem};
 use xprs::scheduler::fluid::tn_estimate_dags;
 use xprs_bench::{header, row};
-use xprs_storage::{Datum, Schema, Tuple};
+use xprs_storage::{Schema, Tuple};
 use xprs_workload::Calibration;
 
 fn main() {
@@ -26,10 +26,7 @@ fn main() {
         let blen = cal.blen_for_rate(rate);
         let cat = sys.catalog_mut();
         cat.create(name, Schema::paper_rel());
-        cat.load(
-            name,
-            (0..n).map(|i| Tuple::from_values(vec![Datum::Int(i as i32), Datum::Text("x".repeat(blen))])),
-        );
+        cat.load(name, (0..n).map(|i| Tuple::paper(i as i32, blen)));
         cat.build_index(name, false);
     }
 

@@ -13,7 +13,7 @@
 
 use xprs::{Costing, PlanShape, Query, XprsSystem};
 use xprs_bench::{header, row};
-use xprs_storage::{Datum, Schema, Tuple};
+use xprs_storage::{Schema, Tuple};
 use xprs_workload::Calibration;
 
 fn main() {
@@ -33,12 +33,7 @@ fn main() {
         let blen = cal.blen_for_rate(rate);
         let cat = sys.catalog_mut();
         cat.create(name, Schema::paper_rel());
-        cat.load(
-            name,
-            (0..n_tuples).map(|i| {
-                Tuple::from_values(vec![Datum::Int(i as i32), Datum::Text("x".repeat(blen))])
-            }),
-        );
+        cat.load(name, (0..n_tuples).map(|i| Tuple::paper(i as i32, blen)));
         cat.build_index(name, false);
     }
 

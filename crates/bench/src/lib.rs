@@ -187,7 +187,7 @@ pub mod exec_disk {
     use xprs_optimizer::{OptimizedQuery, Plan};
     use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
     use xprs_scheduler::MachineConfig;
-    use xprs_storage::{Catalog, Datum, Schema, Tuple, PAGE_SIZE};
+    use xprs_storage::{Catalog, Schema, Tuple, PAGE_SIZE};
     use xprs_workload::{generate_disk_resident, DiskResidentSpec, DiskResidentWorkload};
 
     use super::{full_scan, phase_wall, pinned_plan, CoRun, FixedParallelism};
@@ -260,7 +260,7 @@ pub mod exec_disk {
             .map(|_| {
                 s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 let a = ((s >> 33) % spec.key_mod) as i32;
-                Tuple::from_values(vec![Datum::Int(a), Datum::Text(String::new())])
+                Tuple::paper(a, 0)
             })
             .collect();
         cat.load("dr_probe", rows);
@@ -638,7 +638,7 @@ pub mod exec_predict {
     use xprs_scheduler::predict::Predictor;
     use xprs_scheduler::trace::{action_signature, action_stream, RingSink, TraceRecord};
     use xprs_scheduler::{MachineConfig, TaskId};
-    use xprs_storage::{Catalog, Datum, Schema, Tuple, PAGE_SIZE};
+    use xprs_storage::{Catalog, Schema, Tuple, PAGE_SIZE};
 
     /// Pool frames both modes run with.
     pub const BUFPOOL_PAGES: usize = 64;
@@ -669,7 +669,7 @@ pub mod exec_predict {
                 let rows: Vec<Tuple> = (0..n)
                     .map(|_| {
                         let a = (lcg(&mut s) % 50) as i32;
-                        Tuple::from_values(vec![Datum::Int(a), Datum::Text("x".repeat(800))])
+                        Tuple::paper(a, 800)
                     })
                     .collect();
                 cat.load(&name, rows);

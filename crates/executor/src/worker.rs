@@ -275,6 +275,10 @@ const CPU_BATCH_SECONDS: f64 = 0.01;
 struct WorkerState<'m> {
     machine: &'m Machine,
     wid: xprs_disk::WorkerId,
+    /// The read-ahead seat: a claimed page whose read is issued and not yet
+    /// collected. A worker that unwinds with the seat taken still collects
+    /// it on drop, so the read's buffer pin comes back.
+    ahead: Option<PageRead<'m>>,
     buf: Vec<(i32, Tuple)>,
     cpu_pending: f64,
     /// First unrecoverable I/O fault this worker hit, if any; set once,
@@ -301,6 +305,7 @@ impl<'m> WorkerState<'m> {
         WorkerState {
             machine,
             wid,
+            ahead: None,
             buf: Vec::with_capacity(OUT_BATCH_TUPLES),
             cpu_pending: 0.0,
             io_fault: None,
@@ -427,6 +432,14 @@ impl<'m> WorkerState<'m> {
     }
 }
 
+impl Drop for WorkerState<'_> {
+    fn drop(&mut self) {
+        if let Some(ticket) = self.ahead.take().and_then(|read| read.ticket) {
+            let _ = self.machine.finish_read(ticket);
+        }
+    }
+}
+
 /// Worker main loop for slot `slot` of the fragment: claim a morsel (own
 /// deque, else steal) and claim its units one CAS at a time. The claims are
 /// the worker's whole report — the master reads progress, liveness and
@@ -450,7 +463,6 @@ pub(crate) fn run_worker(
     let metrics = machine.metrics().cloned();
     let claim = ctx.part.claim_of(slot);
     let mut claimed = 0u64; // this job's claims, the fault plan's key
-    let mut in_flight: Option<PageRead> = None;
     let mut died = false;
     // Enabled-metrics cost discipline: steal/fail *counts* accumulate in
     // worker-local integers and flush to the shared registry once at exit
@@ -516,7 +528,7 @@ pub(crate) fn run_worker(
             match ctx.program.driver {
                 Driver::PageScan { .. } => {
                     let page = issue_page(ctx, catalog, unit, ws);
-                    read_ahead(ctx, catalog, &mut in_flight, Some(page), ws);
+                    read_ahead(ctx, catalog, Some(page), ws);
                 }
                 Driver::KeyScan { .. } | Driver::KeyDomain => {
                     scan_key(ctx, catalog, ctx.key_base + unit as i64, ws);
@@ -529,7 +541,7 @@ pub(crate) fn run_worker(
     }
     // However the loops ended — exhaustion, revocation, stop or death — the
     // claimed page still in flight is this worker's to finish.
-    read_ahead(ctx, catalog, &mut in_flight, None, ws);
+    read_ahead(ctx, catalog, None, ws);
     flush_steal_counts(&metrics, loc_steals, loc_fails);
     // Flush the local run and surface any recorded faults.
     ws.settle(ctx);
@@ -596,19 +608,18 @@ fn issue_page<'c>(
 }
 
 /// One page of read-ahead, claim-first: `next` — a page this worker has
-/// already claimed, its read already issued — takes the in-flight seat, and
-/// the page that held it is collected and evaluated, its CPU overlapping
-/// `next`'s disk service. A read is never speculative: only claimed units
-/// are issued, and every claimed unit is finished by its claimant
-/// (`next = None` drains the seat).
+/// already claimed, its read already issued — takes the in-flight seat
+/// (`WorkerState::ahead`), and the page that held it is collected and
+/// evaluated, its CPU overlapping `next`'s disk service. A read is never
+/// speculative: only claimed units are issued, and every claimed unit is
+/// finished by its claimant (`next = None` drains the seat).
 fn read_ahead<'c>(
     ctx: &FragCtx,
     catalog: &'c Catalog,
-    in_flight: &mut Option<PageRead<'c>>,
     next: Option<PageRead<'c>>,
-    ws: &mut WorkerState<'_>,
+    ws: &mut WorkerState<'c>,
 ) {
-    if let Some(prev) = mem::replace(in_flight, next) {
+    if let Some(prev) = mem::replace(&mut ws.ahead, next) {
         finish_page(ctx, catalog, prev, ws);
     }
 }

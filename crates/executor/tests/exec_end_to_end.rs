@@ -211,9 +211,11 @@ fn worker_panic_surfaces_as_exec_error() {
 /// A shared-session run that aborts returns only after its own jobs have
 /// left the pool: the session outlives the run, so nothing else would wait
 /// for them. One backend of the join's probe stalls for 150 ms after its
-/// first unit, holding that page's buffer pin; another panics. The run
-/// comes back `WorkerPanicked` with every pin returned and no grant held —
-/// no sleep in between — and the session then answers the next query.
+/// first unit, holding that page's buffer pin; another panics after its
+/// first claim, with that page's read in flight. The run comes back
+/// `WorkerPanicked` with every pin returned — the unwinding worker releases
+/// its in-flight read — and no grant held, no sleep in between, and the
+/// session then answers the next query.
 #[test]
 fn a_failing_shared_run_returns_after_its_jobs_leave_the_pool() {
     let cat = catalog();
@@ -229,9 +231,9 @@ fn a_failing_shared_run_returns_after_its_jobs_leave_the_pool() {
     let faults = Arc::new(
         FaultPlan::new()
             .with_worker_stall(probe, 0, 1, stall.as_millis() as u64)
-            // Before its first claim: a panic with a read in flight would
-            // strand that read's pin whatever the quiesce does.
-            .with_worker_panic(probe, 1, 0),
+            // After its first claim: the panic unwinds with that page's
+            // read in flight, and the read's pin must still come back.
+            .with_worker_panic(probe, 1, 1),
     );
     let exec = Executor::new(ExecConfig::unthrottled().with_faults(faults.clone()), cat.clone());
     let session = exec.session();

@@ -49,24 +49,17 @@ impl HeapFile {
         self.n_tuples
     }
 
-    /// Append a tuple (validated against the schema), extending the heap by
-    /// a page when the last page is full. Returns the tuple's address.
+    /// Append a tuple (validated against the schema where it is, since
+    /// tuples can also arrive via `from_values`), extending the heap by a
+    /// page when the last page cannot hold it. The tuple is moved into its
+    /// page once; nothing is copied. Returns the tuple's address.
     pub fn insert(&mut self, t: Tuple) -> TupleId {
-        // Re-validate: `Tuple::new` validates, but tuples can also arrive via
-        // `from_values`.
-        let t = Tuple::new(&self.schema, t.values().to_vec());
-        if self.pages.is_empty() {
+        t.validate(&self.schema);
+        if !self.pages.last().is_some_and(|p| p.fits(&t)) {
             self.pages.push(Page::new());
         }
-        let mut block = self.pages.len() - 1;
-        let slot = match self.pages[block].insert(t.clone()) {
-            Some(s) => s,
-            None => {
-                self.pages.push(Page::new());
-                block += 1;
-                self.pages[block].insert(t).expect("tuple must fit in an empty page")
-            }
-        };
+        let block = self.pages.len() - 1;
+        let slot = self.pages[block].insert(t).expect("tuple must fit in an empty page");
         self.n_tuples += 1;
         TupleId { block: block as u64, slot }
     }
@@ -103,13 +96,15 @@ impl HeapFile {
 mod tests {
     use super::*;
     use crate::datum::Datum;
+    use crate::page::{PAGE_HEADER, PAGE_SIZE};
+    use proptest::prelude::*;
 
     fn heap() -> HeapFile {
         HeapFile::new(RelId(1), Schema::paper_rel(), StripedLayout::new(4))
     }
 
     fn row(a: i32, blen: usize) -> Tuple {
-        Tuple::from_values(vec![Datum::Int(a), Datum::Text("b".repeat(blen))])
+        Tuple::paper(a, blen)
     }
 
     #[test]
@@ -159,5 +154,66 @@ mod tests {
     #[should_panic(expected = "does not fit column")]
     fn schema_violations_are_caught_on_insert() {
         heap().insert(Tuple::from_values(vec![Datum::Text("no".into()), Datum::Null]));
+    }
+
+    /// The largest tuple a page holds, and the smallest `r(a, b)` row.
+    const WHOLE_PAGE: usize = PAGE_SIZE - PAGE_HEADER;
+    const MIN_ROW: usize = 14;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The packing contract: every tuple lands where a naive "last page
+        /// if it fits, else a new page" loader puts it, no page holds more
+        /// than `PAGE_SIZE`, and a scan returns the inputs in order. A size
+        /// of 0 asks for a tuple that exactly fills the last page's
+        /// remaining space (or a whole page when none is left to fill).
+        #[test]
+        fn packing_matches_the_naive_reference(sizes in proptest::collection::vec(
+            prop_oneof![
+                MIN_ROW..200,
+                200usize..3000,
+                3000usize..=WHOLE_PAGE,
+                Just(WHOLE_PAGE),
+                Just(0usize),
+            ],
+            1..300,
+        )) {
+            let mut h = heap();
+            let mut reference: Vec<(usize, u16)> = Vec::new(); // (free bytes, tuples) per page
+            let mut inputs = Vec::new();
+            for (i, &s) in sizes.iter().enumerate() {
+                let size = match (s, reference.last()) {
+                    (0, Some(&(free, _))) if free >= MIN_ROW => free,
+                    (0, _) => WHOLE_PAGE,
+                    (s, _) => s,
+                };
+                let last = reference.len() as u64;
+                let want = match reference.last_mut() {
+                    Some((free, n)) if *free >= size => {
+                        *free -= size;
+                        *n += 1;
+                        TupleId { block: last - 1, slot: *n - 1 }
+                    }
+                    _ => {
+                        reference.push((WHOLE_PAGE - size, 1));
+                        TupleId { block: last, slot: 0 }
+                    }
+                };
+                let t = row(i as i32, size - MIN_ROW);
+                prop_assert_eq!(t.stored_size(), size);
+                inputs.push(t.clone());
+                prop_assert_eq!(h.insert(t), want, "tuple {} of {} bytes", i, size);
+            }
+            prop_assert_eq!(h.n_blocks(), reference.len() as u64);
+            for b in 0..h.n_blocks() {
+                let page = h.page(b);
+                let used: usize = page.iter().map(|(_, t)| t.stored_size()).sum();
+                prop_assert!(PAGE_HEADER + used <= PAGE_SIZE, "block {} holds {} bytes", b, used);
+                prop_assert_eq!(page.free_space(), reference[b as usize].0);
+            }
+            let scanned: Vec<&Tuple> = h.scan().map(|(_, t)| t).collect();
+            prop_assert_eq!(scanned, inputs.iter().collect::<Vec<_>>());
+        }
     }
 }

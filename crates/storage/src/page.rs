@@ -42,15 +42,12 @@ impl Page {
     /// this storage layer has no TOAST/overflow mechanism, and silently
     /// dropping it would corrupt scans.
     pub fn insert(&mut self, t: Tuple) -> Option<u16> {
-        assert!(
-            t.stored_size() <= PAGE_SIZE - PAGE_HEADER,
-            "tuple of {} bytes exceeds page capacity",
-            t.stored_size()
-        );
-        if !self.fits(&t) {
+        let size = t.stored_size();
+        assert!(size <= PAGE_SIZE - PAGE_HEADER, "tuple of {size} bytes exceeds page capacity");
+        if size > self.free_space() {
             return None;
         }
-        self.used += t.stored_size();
+        self.used += size;
         self.tuples.push(t);
         Some((self.tuples.len() - 1) as u16)
     }

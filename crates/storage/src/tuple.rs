@@ -15,18 +15,33 @@ impl Tuple {
     /// # Panics
     /// Panics on arity or type mismatch.
     pub fn new(schema: &Schema, values: Vec<Datum>) -> Self {
-        assert_eq!(values.len(), schema.arity(), "tuple arity mismatch");
-        for (i, v) in values.iter().enumerate() {
+        let t = Tuple { values };
+        t.validate(schema);
+        t
+    }
+
+    /// Check arity and types against `schema` in place, copying nothing.
+    ///
+    /// # Panics
+    /// Panics on arity or type mismatch.
+    pub fn validate(&self, schema: &Schema) {
+        assert_eq!(self.values.len(), schema.arity(), "tuple arity mismatch");
+        for (i, v) in self.values.iter().enumerate() {
             let (name, ty) = schema.column(i);
             assert!(ty.admits(v), "value {v} does not fit column {name}");
         }
-        Tuple { values }
     }
 
     /// Build without validation (join outputs whose combined schema is known
     /// correct by construction).
     pub fn from_values(values: Vec<Datum>) -> Self {
         Tuple { values }
+    }
+
+    /// A row of the paper's `r(a int4, b text)`: key `a` and a `b` of
+    /// `blen` bytes, the length that dials tuples per page.
+    pub fn paper(a: i32, blen: usize) -> Self {
+        Tuple { values: vec![Datum::Int(a), Datum::Text("x".repeat(blen))] }
     }
 
     /// Field `i`.

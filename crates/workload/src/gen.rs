@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xprs_scheduler::{IoKind, TaskId, TaskProfile};
-use xprs_storage::{Catalog, Datum, Tuple};
+use xprs_storage::{Catalog, Tuple};
 
 use crate::calibrate::Calibration;
 use crate::spec::{LengthModel, WorkloadConfig};
@@ -49,12 +49,7 @@ impl GeneratedWorkload {
     pub fn load_into(&self, catalog: &mut Catalog) {
         for t in &self.tasks {
             catalog.create(&t.relation, xprs_storage::Schema::paper_rel());
-            let rows = (0..t.n_tuples).map(|i| {
-                Tuple::from_values(vec![
-                    Datum::Int((i % 1000) as i32),
-                    Datum::Text("x".repeat(t.blen)),
-                ])
-            });
+            let rows = (0..t.n_tuples).map(|i| Tuple::paper((i % 1000) as i32, t.blen));
             catalog.load(&t.relation, rows);
         }
     }
@@ -229,10 +224,7 @@ impl DiskResidentWorkload {
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
                     let a = ((key_seed >> 33) % self.spec.key_mod) as i32;
-                    rows.push(Tuple::from_values(vec![
-                        Datum::Int(a),
-                        Datum::Text("x".repeat(blen)),
-                    ]));
+                    rows.push(Tuple::paper(a, blen));
                 }
             }
             catalog.load(&rel.name, rows);
@@ -320,10 +312,7 @@ impl OversizedBuildWorkload {
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(1442695040888963407);
                     let a = ((key_seed >> 33) % self.spec.key_mod) as i32;
-                    Tuple::from_values(vec![
-                        Datum::Int(a),
-                        Datum::Text("x".repeat(self.spec.blen)),
-                    ])
+                    Tuple::paper(a, self.spec.blen)
                 });
                 catalog.load(name, rows.collect::<Vec<_>>());
             }
@@ -464,20 +453,22 @@ mod tests {
         }
     }
 
+    /// Loading one paper Extreme set and one RandomMix set gives each
+    /// relation exactly its task's tuples and `n_pages` blocks.
     #[test]
     fn loaded_relations_realize_the_profiles() {
-        let w = generate(WorkloadKind::Extreme, 5);
-        let mut cat = Catalog::new(StripedLayout::new(4));
-        w.load_into(&mut cat);
-        for t in &w.tasks {
-            let rel = cat.get(&t.relation).expect("relation loaded");
-            let stats = rel.stats();
-            assert_eq!(stats.n_tuples, t.n_tuples);
-            assert_eq!(
-                stats.n_blocks, t.n_pages,
-                "page count mismatch for {} (blen {})",
-                t.relation, t.blen
-            );
+        for w in [generate(WorkloadKind::Extreme, 5), generate(WorkloadKind::RandomMix, 6)] {
+            let mut cat = Catalog::new(StripedLayout::new(4));
+            w.load_into(&mut cat);
+            for t in &w.tasks {
+                let stats = cat.get(&t.relation).expect("relation loaded").stats();
+                assert_eq!(stats.n_tuples, t.n_tuples);
+                assert_eq!(
+                    stats.n_blocks, t.n_pages,
+                    "page count mismatch for {} (blen {})",
+                    t.relation, t.blen
+                );
+            }
         }
     }
 

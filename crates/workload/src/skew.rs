@@ -18,7 +18,7 @@
 //! θ = 0 degenerates to the uniform draw; θ = 1 is the classic Zipf where
 //! the hottest of `K` keys holds `1 / H_K ≈ 1 / ln K` of the mass.
 
-use xprs_storage::{Catalog, Datum, Tuple};
+use xprs_storage::{Catalog, Tuple};
 
 use crate::arrivals::{lcg_next, uniform};
 use crate::gen::dense_tuples_per_page;
@@ -95,9 +95,7 @@ impl ZipfJoinWorkload {
             catalog.create(name, xprs_storage::Schema::paper_rel());
             let rows: Vec<Tuple> = zipf_keys(s.seed ^ salt, s.theta, s.key_domain, n)
                 .into_iter()
-                .map(|a| {
-                    Tuple::from_values(vec![Datum::Int(a), Datum::Text("x".repeat(blen))])
-                })
+                .map(|a| Tuple::paper(a, blen))
                 .collect();
             catalog.load(name, rows);
         }
