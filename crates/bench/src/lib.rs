@@ -270,7 +270,7 @@ pub mod exec_disk {
     /// The scaled-time, spill-sized configuration every disk-resident run
     /// uses.
     fn config() -> ExecConfig {
-        let mut cfg = ExecConfig::scaled(TIME_SPEEDUP).with_obs();
+        let mut cfg = ExecConfig::scaled(TIME_SPEEDUP);
         cfg.bufpool_pages = BUFPOOL_PAGES;
         cfg
     }
@@ -591,7 +591,7 @@ pub mod exec_skew {
             RelBinding { name: workload.probe.clone(), pred: (i32::MIN, i32::MAX) },
         ];
         let runs = vec![QueryRun { optimized, bindings }];
-        let mut cfg = ExecConfig::scaled(TIME_SPEEDUP).with_obs();
+        let mut cfg = ExecConfig::scaled(TIME_SPEEDUP);
         cfg.bufpool_pages = BUFPOOL_PAGES as usize;
         let exec = Executor::new(cfg, cat.clone());
         let mut policy = FixedParallelism::new(MachineConfig::paper_default(), workers);
@@ -753,7 +753,7 @@ pub mod exec_predict {
     /// baseline; passing the same `Arc` across repetitions warms the model.
     pub fn run(cat: &Arc<Catalog>, runs: &[QueryRun], predictor: Option<&Arc<Predictor>>) -> PredictRun {
         let machine = MachineConfig::paper_default();
-        let mut cfg = ExecConfig::scaled(TIME_SPEEDUP).with_obs();
+        let mut cfg = ExecConfig::scaled(TIME_SPEEDUP);
         cfg.bufpool_pages = BUFPOOL_PAGES;
         if let Some(p) = predictor {
             cfg = cfg.with_predictor(p.clone());

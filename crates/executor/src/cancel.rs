@@ -48,12 +48,14 @@ impl CancelToken {
     }
 
     /// A token that also fires itself once `deadline` (measured from now)
-    /// has elapsed — the per-query deadline of a latency-bound service.
+    /// has elapsed — the per-query deadline of a latency-bound service. A
+    /// deadline past what an `Instant` can hold (`Duration::MAX`, say)
+    /// never fires by itself.
     pub fn with_deadline(deadline: Duration) -> Self {
         CancelToken {
             inner: Arc::new(CancelInner {
                 flag: AtomicBool::new(false),
-                deadline: Some(Instant::now() + deadline),
+                deadline: Instant::now().checked_add(deadline),
             }),
         }
     }
@@ -98,5 +100,13 @@ mod tests {
         assert!(t.is_cancelled(), "zero deadline is already past");
         let far = CancelToken::with_deadline(Duration::from_secs(3600));
         assert!(!far.is_cancelled());
+    }
+
+    #[test]
+    fn an_unrepresentable_deadline_never_fires_by_itself() {
+        let never = CancelToken::with_deadline(Duration::MAX);
+        assert!(!never.is_cancelled());
+        never.cancel();
+        assert!(never.is_cancelled(), "a manual cancel still fires it");
     }
 }

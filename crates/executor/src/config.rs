@@ -9,7 +9,7 @@ use xprs_scheduler::MachineConfig;
 use crate::error::ExecError;
 // Named only by the intra-doc links below.
 #[cfg(doc)]
-use {crate::obs::ExecMetrics, crate::ExecSession, crate::StealPartition};
+use {crate::ExecSession, crate::StealPartition};
 #[cfg(doc)]
 use {xprs_scheduler::trace::TraceRecord, xprs_scheduler::TaskProfile};
 
@@ -41,11 +41,6 @@ pub struct ExecConfig {
     pub bufpool_shards: usize,
     /// Injected fault schedule (`None` = fault-free operation).
     pub faults: Option<Arc<FaultPlan>>,
-    /// Collect detailed hot-path metrics ([`ExecMetrics`]: gate-wait
-    /// histogram, I/O retry/fault counters, merge shape). Off by default;
-    /// the cold-path profile (pool shards, per-disk class stats, fragment
-    /// profiles, the utilization audit) is collected regardless.
-    pub obs: bool,
     /// Online profile predictor. When attached, the master substitutes
     /// predicted `seq_time`/`io_rate`/memory for the optimizer's declared
     /// values at every fragment announcement (cold keys fall back to the
@@ -66,7 +61,6 @@ impl ExecConfig {
             bufpool_pages: 512,
             bufpool_shards: 8,
             faults: None,
-            obs: false,
             predictor: None,
         }
     }
@@ -87,9 +81,10 @@ impl ExecConfig {
         self
     }
 
-    /// Enable detailed hot-path metrics collection.
-    pub fn with_obs(mut self) -> Self {
-        self.obs = true;
+    /// The identity: every run collects its hot-path metrics. Kept only
+    /// because `benchmark/` still calls it; a later change to `benchmark/`
+    /// removes it.
+    pub fn with_obs(self) -> Self {
         self
     }
 

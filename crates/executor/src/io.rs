@@ -301,12 +301,11 @@ pub struct Machine {
     scale: f64,
     /// Injected fault schedule (`None` in fault-free operation).
     faults: Option<Arc<FaultPlan>>,
-    /// Hot-path metric registry; `None` (the default) keeps the
-    /// instrumented sites down to one branch each.
-    metrics: Option<Arc<ExecMetrics>>,
-    /// Simulated CPU seconds consumed through [`Machine::compute`]. Always
-    /// on — one relaxed add per (already batched) compute call — so the
-    /// utilization audit works even with detailed metrics disabled.
+    /// Hot-path metric registry: gate waits, retries, faults and unpin
+    /// anomalies, recorded on every run.
+    metrics: Arc<ExecMetrics>,
+    /// Simulated CPU seconds consumed through [`Machine::compute`] — one
+    /// relaxed add per (already batched) compute call.
     cpu_busy: TimeSum,
     reads: AtomicU64,
     worker_ids: AtomicU64,
@@ -345,7 +344,7 @@ impl Machine {
             in_flight: (0..in_flight_shards).map(|_| Mutex::default()).collect(),
             scale,
             faults: None,
-            metrics: None,
+            metrics: Arc::default(),
             cpu_busy: TimeSum::new(),
             reads: AtomicU64::new(0),
             worker_ids: AtomicU64::new(0),
@@ -365,16 +364,9 @@ impl Machine {
         self.faults.as_ref()
     }
 
-    /// Attach a hot-path metric registry; the machine then records gate
-    /// waits, retries and faults into it.
-    pub fn with_metrics(mut self, metrics: Arc<ExecMetrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// The attached metric registry, if any.
-    pub fn metrics(&self) -> Option<&Arc<ExecMetrics>> {
-        self.metrics.as_ref()
+    /// The machine's hot-path metric registry.
+    pub fn metrics(&self) -> &Arc<ExecMetrics> {
+        &self.metrics
     }
 
     /// Simulated CPU seconds consumed so far.
@@ -504,17 +496,13 @@ impl Machine {
                 break;
             }
             if attempt + 1 < READ_ATTEMPTS {
-                if let Some(m) = &self.metrics {
-                    m.io_retries.inc();
-                }
+                self.metrics.io_retries.inc();
                 self.sleep_sim(RETRY_BACKOFF * (1u64 << attempt.min(30)) as f64);
                 service = self.reserve(&req, block, true);
             }
         }
         if outcome.is_err() {
-            if let Some(m) = &self.metrics {
-                m.io_faults.inc();
-            }
+            self.metrics.io_faults.inc();
         }
         if pinned {
             if let Some(pool) = &self.pool {
@@ -525,9 +513,7 @@ impl Machine {
                 // release under a retry race) is a typed error now: count it
                 // and keep serving rather than killing the worker.
                 if self.release_frame(pool, req.rel, block).is_err() {
-                    if let Some(m) = &self.metrics {
-                        m.unpin_anomalies.inc();
-                    }
+                    self.metrics.unpin_anomalies.inc();
                 }
             }
         }
@@ -603,13 +589,13 @@ impl Machine {
     }
 
     /// Burn `seconds` of simulated CPU while holding a processor permit.
-    /// With metrics attached, the time spent *waiting* for the permit is
-    /// recorded — the measured cost of staffing more workers than `N`.
+    /// The time spent *waiting* for the permit is recorded — the measured
+    /// cost of staffing more workers than `N`.
     ///
     /// Only *contended* acquisitions reach the histogram. An uncontended
     /// grant is a zero wait, and recording that zero costs four shared
     /// cache-line RMWs per compute call — measured at ~3% of scan wall on
-    /// the 8-worker A/B, which is more than the obs gate's whole 2%
+    /// the 8-worker A/B, which is more than the instruments' whole 2%
     /// budget. The histogram's `count` is therefore "acquisitions that
     /// waited", not "acquisitions".
     ///
@@ -621,9 +607,7 @@ impl Machine {
             let waited = Instant::now();
             let permit = self.cpu.acquire();
             let granted = Instant::now();
-            if let Some(m) = &self.metrics {
-                m.gate_wait_ns.observe(granted.duration_since(waited).as_nanos() as u64);
-            }
+            self.metrics.gate_wait_ns.observe(granted.duration_since(waited).as_nanos() as u64);
             if self.scale > 0.0 {
                 start_model_clock(granted);
             }
@@ -840,8 +824,7 @@ mod tests {
         // burst must start when the permit is granted, not on the stale
         // clock, so it ends no earlier than the grant plus the burst.
         let cfg = MachineConfig { n_procs: 1, ..MachineConfig::paper_default() };
-        let metrics = Arc::new(crate::obs::ExecMetrics::default());
-        let m = Machine::with_sharded_pool(&cfg, 1.0, 0, 1).with_metrics(metrics.clone());
+        let m = Machine::with_sharded_pool(&cfg, 1.0, 0, 1);
         let held = m.cpu().acquire();
         let burst = Duration::from_millis(1);
         let computing = AtomicU64::new(0);
@@ -859,7 +842,7 @@ mod tests {
             let released = Instant::now();
             drop(held);
             let (clock, done) = waiter.join().expect("compute must not panic");
-            assert_eq!(metrics.gate_wait_ns.snapshot().count, 1, "the acquisition never waited");
+            assert_eq!(m.metrics().gate_wait_ns.snapshot().count, 1, "the acquisition never waited");
             assert!(clock >= released + burst, "the burst started before its permit");
             assert!(done >= released + burst, "the burst ended before the model allows");
         });
@@ -1188,8 +1171,8 @@ mod tests {
                 .with_read_error(RelId(1), 0, READ_ATTEMPTS - 1) // absorbed
                 .with_read_error(RelId(1), 1, READ_ATTEMPTS), // escalates
         );
-        let metrics = Arc::new(crate::obs::ExecMetrics::default());
-        let m = machine(0.0).with_faults(plan).with_metrics(metrics.clone());
+        let m = machine(0.0).with_faults(plan);
+        let metrics = m.metrics().clone();
         let w = m.new_worker_id();
         assert!(m.try_read(RelId(1), 0, w, true).is_ok());
         assert!(m.try_read(RelId(1), 1, w, true).is_err());
@@ -1219,8 +1202,7 @@ mod tests {
         // through a real 10ms sleep, so the second thread's acquisition
         // must wait and must land in the histogram.
         let cfg = MachineConfig { n_procs: 1, ..MachineConfig::paper_default() };
-        let metrics = Arc::new(crate::obs::ExecMetrics::default());
-        let m = Arc::new(Machine::with_sharded_pool(&cfg, 1.0, 0, 1).with_metrics(metrics.clone()));
+        let m = Arc::new(Machine::with_sharded_pool(&cfg, 1.0, 0, 1));
         let handles: Vec<_> = (0..2)
             .map(|_| {
                 let m = m.clone();
@@ -1230,7 +1212,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let gate = metrics.gate_wait_ns.snapshot();
+        let gate = m.metrics().gate_wait_ns.snapshot();
         assert!(gate.count >= 1, "the losing thread's wait must be recorded");
         assert!(gate.sum > 0, "a contended wait is not a zero wait");
     }

@@ -31,7 +31,7 @@ use crate::cancel::CancelToken;
 use crate::config::ExecConfig;
 use crate::error::ExecError;
 use crate::io::Machine;
-use crate::obs::{ExecMetrics, FragmentProfile, MergeProfile, QueryProfile, RunningInfo, UtilSample};
+use crate::obs::{FragmentProfile, MergeProfile, QueryProfile, RunningInfo, UtilSample};
 use crate::patrol::{next_msg, reap, Patrol};
 use crate::pool::WorkerPool;
 use crate::program::Materialized;
@@ -235,14 +235,9 @@ impl Executor {
         if let Some(plan) = &cfg.faults {
             machine = machine.with_faults(plan.clone());
         }
-        let metrics = cfg.obs.then(|| Arc::new(ExecMetrics::default()));
-        if let Some(m) = &metrics {
-            machine = machine.with_metrics(m.clone());
-        }
         ExecSession {
             machine: Arc::new(machine),
             pool: WorkerPool::new(cfg.machine.n_procs as usize),
-            metrics,
             invalid,
         }
     }
@@ -316,7 +311,6 @@ struct MasterRun<'a> {
     exec: &'a Executor,
     tokens: &'a [CancelToken],
     machine: Arc<Machine>,
-    metrics: Option<Arc<ExecMetrics>>,
     /// The worker pool slots are staffed onto: the run's own, or a shared
     /// session's.
     pool: &'a WorkerPool,
@@ -361,7 +355,6 @@ impl<'a> MasterRun<'a> {
         MasterRun {
             exec,
             tokens,
-            metrics: session.metrics.clone(),
             pool: &session.pool,
             tx,
             rx,
@@ -848,7 +841,7 @@ impl<'a> MasterRun<'a> {
             spill_rows: frags.iter().map(|f| f.prof.spill_rows).sum(),
             profiles,
             samples: self.samples,
-            metrics: self.metrics,
+            metrics: Some(machine.metrics().clone()),
         })
     }
 }

@@ -56,10 +56,8 @@ impl Executor {
             runs.extend(hot_key_fanout(ctx, pool, ways));
         }
         let total: usize = runs.iter().map(Vec::len).sum();
-        if let Some(m) = machine.metrics() {
-            for r in &runs {
-                m.merge_run_rows.observe(r.len() as u64);
-            }
+        for r in &runs {
+            machine.metrics().merge_run_rows.observe(r.len() as u64);
         }
         let mut profile = MergeProfile {
             runs: runs.len() as u64,
@@ -86,10 +84,8 @@ impl Executor {
         profile.way_rows_max = stats.group_rows.iter().copied().max().unwrap_or(0) as u64;
         profile.way_rows_mean = stats.group_rows.iter().map(|&r| r as u64).sum::<u64>()
             / stats.group_rows.len().max(1) as u64;
-        if let Some(m) = machine.metrics() {
-            for &r in &stats.group_rows {
-                m.merge_way_rows.observe(r as u64);
-            }
+        for &r in &stats.group_rows {
+            machine.metrics().merge_way_rows.observe(r as u64);
         }
         let tasks: Vec<MergeTask> = groups
             .into_iter()

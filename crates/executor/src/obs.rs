@@ -8,8 +8,8 @@
 //!
 //! * [`ExecMetrics`] — the hot-path registry ([`xprs_obs::Counter`] /
 //!   [`xprs_obs::Histogram`]) the [`Machine`](crate::io::Machine) records
-//!   into when metrics are enabled (`ExecConfig::obs`). Disabled collection
-//!   is an `Option` branch — ~zero cost.
+//!   into on every run; its sites are sampled or contended-only, so the
+//!   cost stays within host noise.
 //! * [`UtilSample`] — cumulative machine counters captured by the master at
 //!   every scheduling decision; consecutive samples bracket *pairing
 //!   windows* during which the set of running fragments was constant.
@@ -30,16 +30,15 @@ use xprs_scheduler::{Boundedness, MachineConfig, TaskId, TaskProfile};
 
 use crate::master::ExecReport;
 
-/// Hot-path metric registry, shared as `Option<Arc<ExecMetrics>>` by the
-/// machine and every worker. All members are lock-free; `None` (the
-/// default) costs one branch per instrumented site.
+/// Hot-path metric registry, owned by the machine and shared by every
+/// worker. All members are lock-free.
 #[derive(Debug, Default)]
 pub struct ExecMetrics {
     /// Wall nanoseconds each *contended* CPU-gate acquisition waited before
     /// getting a processor permit — the measured cost of over-staffing the
     /// machine. Uncontended grants are zero waits and are not recorded:
     /// `count` is "acquisitions that waited", kept off the hot path so the
-    /// obs overhead gate's 2% budget survives (see
+    /// instruments' 2% budget survives (see
     /// [`Machine::compute`](crate::io::Machine::compute)).
     pub gate_wait_ns: Histogram,
     /// Read attempts that failed on an injected transient error and were
@@ -66,7 +65,7 @@ pub struct ExecMetrics {
     /// *Sampled*: one morsel episode in `MORSEL_SAMPLE` (8) reads the
     /// clock and lands here, so `count` is ~1/8 of the morsels run —
     /// per-morsel clock reads and histogram RMWs on every episode would
-    /// blow the obs overhead gate's 2% budget on a single-core host.
+    /// blow the instruments' 2% budget on a single-core host.
     pub morsel_ns: Histogram,
     /// Wall nanoseconds a worker spent in morsel searches that left its
     /// own deque — successful steal sweeps and terminal empty-handed
@@ -447,15 +446,18 @@ impl ExecReport {
 
     /// Render the whole report as one JSON document (`metrics.json`).
     ///
-    /// Always available — the structural counters (pool shards, per-disk
-    /// class stats, fragment profiles, the audit) are collected on cold
-    /// paths regardless of `ExecConfig::obs`; the hot-path sections
-    /// (`gate_wait_ns`, `io`, `merge`, `morsel`) are `null` when metrics
-    /// were disabled. Every per-fragment count — merge fan-out, runs and
+    /// The structural counters (pool shards, per-disk class stats,
+    /// fragment profiles, the audit) come from cold paths, the hot-path
+    /// sections (`gate_wait_ns`, `io`, `merge`, `morsel`) from the run's
+    /// metric registry. Every per-fragment count — merge fan-out, runs and
     /// hot keys, footprint overruns, prediction outcomes — is a fold over
     /// the fragment profiles.
     pub fn metrics_json(&self) -> String {
-        let (pool, m, metrics) = (&self.stats.pool, &self.machine, self.metrics.as_deref());
+        // A report built by hand may carry no registry: its hot-path
+        // sections then render as an empty one's.
+        let empty = ExecMetrics::default();
+        let (pool, m) = (&self.stats.pool, &self.machine);
+        let hot = self.metrics.as_deref().unwrap_or(&empty);
         let shard = |s: &xprs_storage::PoolStats| {
             JsonValue::obj()
                 .with("hits", s.hits)
@@ -476,9 +478,6 @@ impl ExecReport {
         let merges = || self.fragments().map(|f| &f.merge).filter(|g| g.ways > 0);
         let predicted =
             |outcome| self.fragments().filter(|f| f.prediction == Some(outcome)).count();
-        // The hot-path sections, `null` when metrics were off.
-        let hot =
-            |section: &dyn Fn(&ExecMetrics) -> JsonValue| metrics.map_or(JsonValue::Null, section);
         JsonValue::obj()
             .with("schema", "xprs-metrics/1")
             .with(
@@ -530,36 +529,30 @@ impl ExecReport {
                     .with("substitutions", predicted(true))
                     .with("fallbacks", predicted(false)),
             )
-            .with("gate_wait_ns", hot(&|m| m.gate_wait_ns.snapshot().to_json()))
+            .with("gate_wait_ns", hot.gate_wait_ns.snapshot().to_json())
             .with(
                 "io",
-                hot(&|m| {
-                    JsonValue::obj()
-                        .with("retries", m.io_retries.get())
-                        .with("faults", m.io_faults.get())
-                        .with("unpin_anomalies", m.unpin_anomalies.get())
-                }),
+                JsonValue::obj()
+                    .with("retries", hot.io_retries.get())
+                    .with("faults", hot.io_faults.get())
+                    .with("unpin_anomalies", hot.unpin_anomalies.get()),
             )
             .with(
                 "merge",
-                hot(&|m| {
-                    JsonValue::obj()
-                        .with("fanout", hist_json(merges().map(|g| g.ways)))
-                        .with("runs", hist_json(merges().map(|g| g.runs)))
-                        .with("run_rows", m.merge_run_rows.snapshot().to_json())
-                        .with("hot_keys", merges().map(|g| g.hot_keys).sum::<u64>())
-                        .with("way_rows", m.merge_way_rows.snapshot().to_json())
-                }),
+                JsonValue::obj()
+                    .with("fanout", hist_json(merges().map(|g| g.ways)))
+                    .with("runs", hist_json(merges().map(|g| g.runs)))
+                    .with("run_rows", hot.merge_run_rows.snapshot().to_json())
+                    .with("hot_keys", merges().map(|g| g.hot_keys).sum::<u64>())
+                    .with("way_rows", hot.merge_way_rows.snapshot().to_json()),
             )
             .with(
                 "morsel",
-                hot(&|m| {
-                    JsonValue::obj()
-                        .with("steals", m.steals.get())
-                        .with("steal_fails", m.steal_fails.get())
-                        .with("morsel_ns", m.morsel_ns.snapshot().to_json())
-                        .with("steal_idle_ns", m.steal_idle_ns.snapshot().to_json())
-                }),
+                JsonValue::obj()
+                    .with("steals", hot.steals.get())
+                    .with("steal_fails", hot.steal_fails.get())
+                    .with("morsel_ns", hot.morsel_ns.snapshot().to_json())
+                    .with("steal_idle_ns", hot.steal_idle_ns.snapshot().to_json()),
             )
             .with("queries", self.profiles.iter().enumerate().map(query).collect::<Vec<_>>())
             .with("utilization_audit", audit_json(&self.utilization_audit()))

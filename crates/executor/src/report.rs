@@ -93,7 +93,10 @@ pub struct ExecReport {
     pub spill_chunks: u64,
     /// Rows spilled, summed over the fragment profiles.
     pub spill_rows: u64,
-    /// The hot-path metric registry, when `ExecConfig::obs` was on.
+    /// The machine's hot-path metric registry (cumulative over a shared
+    /// session's runs). `Some` on every run: the `Option` is kept only
+    /// because `benchmark/` still reads it as one; a later change to
+    /// `benchmark/` makes it the registry itself.
     pub metrics: Option<Arc<ExecMetrics>>,
 }
 

@@ -28,7 +28,6 @@ use crate::Executor;
 pub struct ExecSession {
     pub(crate) machine: Arc<Machine>,
     pub(crate) pool: WorkerPool,
-    pub(crate) metrics: Option<Arc<ExecMetrics>>,
     /// Why the config the session was built from is refused, if it is:
     /// [`Executor::session`] cannot fail, so every run on the session does.
     pub(crate) invalid: Option<ExecError>,
@@ -40,9 +39,10 @@ impl ExecSession {
         &self.machine
     }
 
-    /// The shared metric registry, when the config enabled one.
-    pub fn metrics(&self) -> Option<&Arc<ExecMetrics>> {
-        self.metrics.as_ref()
+    /// The shared machine's hot-path metric registry, cumulative over
+    /// every run on the session.
+    pub fn metrics(&self) -> &Arc<ExecMetrics> {
+        self.machine.metrics()
     }
 
     /// Buffer-pool pages currently reserved by admission grants across

@@ -38,7 +38,6 @@ use xprs_storage::{Catalog, Relation, Tuple};
 use crate::io::{lock, IoFault, Machine, ReadTicket};
 use crate::error::ExecError;
 use crate::master::MasterMsg;
-use crate::obs::ExecMetrics;
 use crate::program::Materialized;
 use crate::steal::StealPartition;
 
@@ -460,17 +459,17 @@ pub(crate) fn run_worker(
 ) {
     let wid = machine.new_worker_id();
     let ws = &mut WorkerState::new(machine, wid, ctx);
-    let metrics = machine.metrics().cloned();
+    let metrics = machine.metrics();
     let claim = ctx.part.claim_of(slot);
     let mut claimed = 0u64; // this job's claims, the fault plan's key
     let mut died = false;
-    // Enabled-metrics cost discipline: steal/fail *counts* accumulate in
+    // Metrics cost discipline: steal/fail *counts* accumulate in
     // worker-local integers and flush to the shared registry once at exit
     // (they stay exact); the latency histograms are *sampled* — one morsel
     // episode in `MORSEL_SAMPLE` pays the clock reads and shared-histogram
     // RMWs, the rest touch nothing shared. On a single-core host every
-    // vdso clock read and cache-line RMW is serial wall time, and the obs
-    // overhead gate holds the whole enabled path to ~2% of scan wall.
+    // vdso clock read and cache-line RMW is serial wall time, and the
+    // whole instrumented path is held to ~2% of scan wall.
     let mut episodes = 0u64;
     let mut loc_steals = 0u64;
     let mut loc_fails = 0u64;
@@ -478,22 +477,22 @@ pub(crate) fn run_worker(
         if ctx.stop.load(Ordering::Relaxed) {
             break;
         }
-        let sampled = metrics.is_some() && episodes.is_multiple_of(MORSEL_SAMPLE);
+        let sampled = episodes.is_multiple_of(MORSEL_SAMPLE);
         episodes += 1;
         let t_search = if sampled { Some(Instant::now()) } else { None };
         let Some(next) = ctx.part.next_morsel(slot) else {
             loc_fails += 1;
-            if let (Some(m), Some(t0)) = (&metrics, t_search) {
-                m.steal_idle_ns.observe(t0.elapsed().as_nanos() as u64);
+            if let Some(t0) = t_search {
+                metrics.steal_idle_ns.observe(t0.elapsed().as_nanos() as u64);
             }
             break;
         };
         let mut morsel_t0 = t_search;
         if next.stolen_from.is_some() {
             loc_steals += 1;
-            if let (Some(m), Some(t0)) = (&metrics, t_search) {
+            if let Some(t0) = t_search {
                 let t1 = Instant::now();
-                m.steal_idle_ns.observe(t1.duration_since(t0).as_nanos() as u64);
+                metrics.steal_idle_ns.observe(t1.duration_since(t0).as_nanos() as u64);
                 morsel_t0 = Some(t1);
             }
         }
@@ -535,14 +534,15 @@ pub(crate) fn run_worker(
                 }
             }
         }
-        if let (Some(m), Some(t0)) = (&metrics, morsel_t0) {
-            m.morsel_ns.observe(t0.elapsed().as_nanos() as u64);
+        if let Some(t0) = morsel_t0 {
+            metrics.morsel_ns.observe(t0.elapsed().as_nanos() as u64);
         }
     }
     // However the loops ended — exhaustion, revocation, stop or death — the
     // claimed page still in flight is this worker's to finish.
     read_ahead(ctx, catalog, None, ws);
-    flush_steal_counts(&metrics, loc_steals, loc_fails);
+    metrics.steals.add(loc_steals);
+    metrics.steal_fails.add(loc_fails);
     // Flush the local run and surface any recorded faults.
     ws.settle(ctx);
     if died {
@@ -565,19 +565,9 @@ pub(crate) fn run_worker(
 
 /// Latency-histogram sampling rate of the worker loop: one episode in this
 /// many reads the clock and touches the shared histograms. The steal/fail
-/// counters are exact regardless — they accumulate locally and flush here.
+/// counters are exact regardless — they accumulate locally and flush at
+/// worker exit.
 const MORSEL_SAMPLE: u64 = 8;
-
-fn flush_steal_counts(metrics: &Option<Arc<ExecMetrics>>, steals: u64, fails: u64) {
-    if let Some(m) = metrics {
-        if steals > 0 {
-            m.steals.add(steals);
-        }
-        if fails > 0 {
-            m.steal_fails.add(fails);
-        }
-    }
-}
 
 /// A claimed heap page (or slice of one) whose read is issued and not yet
 /// collected.

@@ -17,7 +17,7 @@ use xprs_executor::{
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::trace::{
-    action_stream, parse_jsonl, replay_through_fluid, JsonlSink, SharedSink, TraceRecord,
+    action_stream, parse_jsonl, replay_through_fluid, to_jsonl, RingSink, SharedSink, TraceRecord,
 };
 use xprs_scheduler::MachineConfig;
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
@@ -118,12 +118,11 @@ fn chaos_run_matches_fault_free_run_and_records_recalibration() {
             // Slot 0 of the build fragment dies after two pages.
             .with_worker_death(0, 0, 2),
     );
-    let sink = Arc::new(Mutex::new(JsonlSink::new(Vec::<u8>::new())));
-    let shared: SharedSink = sink.clone();
+    let ring = Arc::new(Mutex::new(RingSink::unbounded()));
     // The build scan's hundred pages put more requests than a trusted
     // window needs in front of the dead worker's reap.
     let cfg = ExecConfig::unthrottled().with_faults(plan.clone());
-    let report = run_with(&cat, cfg, Some(shared));
+    let report = run_with(&cat, cfg, Some(ring.clone()));
 
     // Every scheduled fault actually fired.
     assert_eq!(plan.stats().read_errors_fired(), 2, "both transient errors must fire");
@@ -151,10 +150,7 @@ fn chaos_run_matches_fault_free_run_and_records_recalibration() {
     assert!(!report.results[0].rows.rows.is_empty(), "vacuous comparison");
 
     // The captured trace carries the recalibration and replays.
-    let Ok(cell) = Arc::try_unwrap(sink) else { unreachable!("sink still shared") };
-    let owned = cell.into_inner().unwrap();
-    assert!(owned.io_error().is_none());
-    let text = String::from_utf8(owned.into_inner()).unwrap();
+    let text = to_jsonl(&ring.lock().unwrap().records());
     let records = parse_jsonl(&text).expect("well-formed chaos trace");
     let recals = records
         .iter()

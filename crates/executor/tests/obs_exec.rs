@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use xprs_disk::{FaultPlan, StripedLayout};
-use xprs_executor::{ExecConfig, ExecError, Executor, QueryRun, RelBinding};
+use xprs_executor::{ExecConfig, ExecError, Executor, QueryRun, RelBinding, READ_ATTEMPTS};
 use xprs_obs::json::{parse, JsonValue};
 use xprs_optimizer::program::PipelineOp;
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
@@ -212,7 +212,7 @@ fn exhausted_shards_account_every_read() {
 #[test]
 fn metrics_json_parses_and_balances() {
     let cat = catalog();
-    let exec = Executor::new(ExecConfig::unthrottled().with_obs(), cat.clone());
+    let exec = Executor::new(ExecConfig::unthrottled(), cat.clone());
     let mut policy = IntraOnly::new(m(), true);
     let runs =
         vec![join_run(&cat), selection_run(&cat, "thin", (0, 49)), selection_run(&cat, "fat", (0, 9))];
@@ -244,10 +244,10 @@ fn metrics_json_parses_and_balances() {
     assert_eq!(count as u64, report.stats.disk.total());
     assert!(busy > 0.0, "busy time must be attributed to classes");
 
-    // Metrics were enabled, so the hot-path sections are real histograms.
-    // The gate histogram records only contended acquisitions — an
-    // unthrottled run may legitimately never wait, so presence (not a
-    // sample count) is what metrics-on guarantees.
+    // Every run collects its hot-path metrics, so the sections are real
+    // histograms. The gate histogram records only contended acquisitions —
+    // an unthrottled run may legitimately never wait, so presence (not a
+    // sample count) is what is guaranteed.
     let gate = doc.get("gate_wait_ns").expect("gate_wait_ns");
     assert!(!matches!(gate, JsonValue::Null), "gate histogram must be present");
     assert!(num(gate, "count") >= 0.0);
@@ -278,8 +278,7 @@ fn metrics_json_parses_and_balances() {
     assert_eq!(num(audit, "solo_io_requests"), 0.0);
 }
 
-/// Every key path of an unthrottled run's `metrics.json` with obs on, with
-/// the type of its value, as rendered before the document was built as one
+/// Every key path of an unthrottled run's `metrics.json`, with the type of its value, as rendered before the document was built as one
 /// `JsonValue` tree. `[]` is an array of objects (its first element's keys
 /// stand for all); other arrays are not descended.
 const METRICS_KEY_PATHS: &str = "\
@@ -358,31 +357,41 @@ fn key_paths(v: &JsonValue, path: &str, out: &mut Vec<String>) {
     }
 }
 
-/// `metrics.json` keeps its key paths, their order and their value types,
-/// with obs on and off; off, the four hot-path sections are `null`.
+/// `metrics.json` keeps its key paths, their order and their value types.
 #[test]
 fn metrics_json_key_paths_are_pinned() {
     let cat = catalog();
     let pinned: Vec<String> = METRICS_KEY_PATHS.split_whitespace().map(str::to_string).collect();
-    let hot = ["gate_wait_ns", "io", "merge", "morsel"];
-    let off: Vec<String> = pinned
-        .iter()
-        .filter(|p| !hot.iter().any(|h| p.starts_with(&format!("{h}."))))
-        .map(|p| match p.split_once(':') {
-            Some((h, "obj")) if hot.contains(&h) => format!("{h}:null"),
-            _ => p.clone(),
-        })
-        .collect();
-    for (obs, want) in [(true, &pinned), (false, &off)] {
-        let cfg = ExecConfig { obs, ..ExecConfig::unthrottled() };
-        let runs = [join_run(&cat), selection_run(&cat, "thin", (0, 49))];
-        let report = Executor::new(cfg, cat.clone())
-            .run(&runs, &mut IntraOnly::new(m(), true))
-            .expect("run failed");
-        let mut got = Vec::new();
-        key_paths(&parse(&report.metrics_json()).expect("metrics.json must parse"), "", &mut got);
-        assert_eq!(&got, want, "obs = {obs}");
-    }
+    let runs = [join_run(&cat), selection_run(&cat, "thin", (0, 49))];
+    let report = Executor::new(ExecConfig::unthrottled(), cat.clone())
+        .run(&runs, &mut IntraOnly::new(m(), true))
+        .expect("run failed");
+    let mut got = Vec::new();
+    key_paths(&parse(&report.metrics_json()).expect("metrics.json must parse"), "", &mut got);
+    assert_eq!(got, pinned);
+}
+
+/// A default-configuration run records its hot-path metrics: every
+/// injected transient read error that a retry absorbed shows up as one
+/// `io.retries` in `metrics.json`, and nothing escalated to a fault.
+#[test]
+fn a_default_run_counts_its_read_retries() {
+    let cat = catalog();
+    let fat = cat.get("fat").expect("fat").heap.rel();
+    let plan = Arc::new(FaultPlan::new().with_read_error(fat, 3, READ_ATTEMPTS - 1));
+    let cfg = ExecConfig::unthrottled().with_faults(plan.clone());
+    let report = Executor::new(cfg, cat.clone())
+        .run(&[selection_run(&cat, "fat", (0, 9))], &mut IntraOnly::new(m(), true))
+        .expect("a retried read must not fail the run");
+    assert!(report.metrics.is_some(), "every run carries its registry");
+
+    let doc = parse(&report.metrics_json()).expect("metrics.json must parse");
+    let io = doc.get("io").expect("io section");
+    let field = |k: &str| io.get(k).and_then(JsonValue::num).unwrap_or_else(|| panic!("io.{k}"));
+    let fired = plan.stats().read_errors_fired();
+    assert_eq!(fired, u64::from(READ_ATTEMPTS - 1), "every scheduled error must fire");
+    assert_eq!(field("retries") as u64, fired);
+    assert_eq!(field("faults"), 0.0);
 }
 
 /// Starts every arrived task at once on two processors and never adjusts,
@@ -417,7 +426,7 @@ impl SchedulePolicy for StartAll {
 #[test]
 fn scaled_co_run_dump_carries_the_audit_windows() {
     let cat = catalog();
-    let exec = Executor::new(ExecConfig::scaled(50.0).with_obs(), cat.clone());
+    let exec = Executor::new(ExecConfig::scaled(50.0), cat.clone());
     let mut policy = StartAll { machine: m(), pending: Vec::new() };
     let runs = [
         selection_run(&cat, "fat", (i32::MIN, i32::MAX)),

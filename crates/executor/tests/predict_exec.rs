@@ -14,7 +14,7 @@ use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::predict::{Observation, PredictKey, Predictor};
 use xprs_scheduler::trace::{
-    action_signature, action_stream, parse_jsonl, replay_through_fluid, JsonlSink, RingSink,
+    action_signature, action_stream, parse_jsonl, replay_through_fluid, to_jsonl, RingSink,
     SharedSink, TraceRecord,
 };
 use xprs_scheduler::{IoKind, MachineConfig, TaskId, TaskProfile};
@@ -82,7 +82,7 @@ fn wrong_by_4x_run(cat: &Arc<Catalog>) -> QueryRun {
 }
 
 fn scaled_cfg(predictor: &Arc<Predictor>) -> ExecConfig {
-    let mut cfg = ExecConfig::scaled(SPEEDUP).with_obs().with_predictor(predictor.clone());
+    let mut cfg = ExecConfig::scaled(SPEEDUP).with_predictor(predictor.clone());
     cfg.machine = machine();
     cfg
 }
@@ -113,13 +113,12 @@ fn wrong_by_4x_declarations_converge_onto_realized_rates() {
     let mut pages = 0.0;
     let mut last_trace = String::new();
     for _ in 0..MEASURED {
-        let sink = Arc::new(Mutex::new(JsonlSink::new(Vec::<u8>::new())));
-        let report = run_once(scaled_cfg(&predictor), &cat, &run, Some(sink.clone()));
+        let ring = Arc::new(Mutex::new(RingSink::unbounded()));
+        let report = run_once(scaled_cfg(&predictor), &cat, &run, Some(ring.clone()));
         let frag = &report.profiles[0].fragments[0];
         realized_t_sum += (frag.finished_at - frag.started_at) / report.scale;
         pages = frag.observed_pages as f64;
-        let Ok(cell) = Arc::try_unwrap(sink) else { unreachable!("sink still shared") };
-        last_trace = String::from_utf8(cell.into_inner().unwrap().into_inner()).unwrap();
+        last_trace = to_jsonl(&ring.lock().unwrap().records());
     }
     let realized_t = realized_t_sum / MEASURED as f64;
     let realized_c = pages / realized_t;
@@ -171,13 +170,10 @@ fn traces_with_predict_records_replay_through_the_fluid_model() {
     for _ in 0..3 {
         run_once(scaled_cfg(&predictor), &cat, &run, None);
     }
-    let sink = Arc::new(Mutex::new(JsonlSink::new(Vec::<u8>::new())));
-    run_once(scaled_cfg(&predictor), &cat, &run, Some(sink.clone()));
+    let ring = Arc::new(Mutex::new(RingSink::unbounded()));
+    run_once(scaled_cfg(&predictor), &cat, &run, Some(ring.clone()));
 
-    let text = {
-        let Ok(cell) = Arc::try_unwrap(sink) else { unreachable!("sink still shared") };
-        String::from_utf8(cell.into_inner().unwrap().into_inner()).unwrap()
-    };
+    let text = to_jsonl(&ring.lock().unwrap().records());
     let records = parse_jsonl(&text).expect("well-formed trace");
     assert!(
         records.iter().any(|r| matches!(r, TraceRecord::Predict { .. })),
@@ -197,11 +193,11 @@ fn traces_with_predict_records_replay_through_the_fluid_model() {
     );
 }
 
-/// A run's prediction outcomes are its fragments' facts, not hot-path
-/// metrics: with obs off, `metrics.json` still counts every substitution a
-/// warm predictor made — one per `predict` trace record.
+/// A run's prediction outcomes are its fragments' facts: `metrics.json`
+/// counts every substitution a warm predictor made — one per `predict`
+/// trace record.
 #[test]
-fn substitutions_are_counted_with_obs_off() {
+fn substitutions_are_counted_once_per_predict_record() {
     let cat = catalog();
     let run = wrong_by_4x_run(&cat);
     let predictor = Arc::new(Predictor::new(PAGE_SIZE as u64));
@@ -209,8 +205,7 @@ fn substitutions_are_counted_with_obs_off() {
         run_once(scaled_cfg(&predictor), &cat, &run, None);
     }
     let ring = Arc::new(Mutex::new(RingSink::unbounded()));
-    let cfg = ExecConfig { obs: false, ..scaled_cfg(&predictor) };
-    let report = run_once(cfg, &cat, &run, Some(ring.clone()));
+    let report = run_once(scaled_cfg(&predictor), &cat, &run, Some(ring.clone()));
 
     let records = ring.lock().unwrap().records();
     let predicts = records.iter().filter(|r| matches!(r, TraceRecord::Predict { .. })).count();

@@ -223,7 +223,7 @@ fn run_skewed(cat: &Arc<Catalog>, cfg: ExecConfig) -> Result<SkewRun, ExecError>
 /// The paper machine: the skewed join's output is far past the
 /// parallel-merge threshold, so it merges (and detects hot keys) 8 ways.
 fn pooled_cfg() -> ExecConfig {
-    ExecConfig::unthrottled().with_obs()
+    ExecConfig::unthrottled()
 }
 
 /// A one-processor machine: every merge is serial.

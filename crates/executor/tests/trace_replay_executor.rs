@@ -12,7 +12,7 @@ use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy, FIXPOINT_ROUNDS};
 use xprs_scheduler::trace::{
-    action_signature, action_stream, parse_jsonl, replay_through_fluid, JsonlSink, SharedSink,
+    action_signature, action_stream, parse_jsonl, replay_through_fluid, to_jsonl, RingSink,
     TraceRecord,
 };
 use xprs_scheduler::{MachineConfig, SchedError, TaskId, TaskProfile};
@@ -68,17 +68,13 @@ fn full_scan_run(cat: &Arc<Catalog>, name: &str) -> QueryRun {
 /// traced: the report and the parsed decision trace.
 fn traced_run(cat: &Arc<Catalog>, cfg: ExecConfig) -> (ExecReport, Vec<TraceRecord>) {
     let runs = vec![full_scan_run(cat, "wide"), full_scan_run(cat, "slim")];
-    let sink = Arc::new(Mutex::new(JsonlSink::new(Vec::<u8>::new())));
-    let shared: SharedSink = sink.clone();
+    let ring = Arc::new(Mutex::new(RingSink::unbounded()));
     let mut policy = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(m()));
     let report = Executor::new(cfg, cat.clone())
-        .with_trace(shared)
+        .with_trace(ring.clone())
         .run(&runs, &mut policy)
         .expect("traced run");
-    let Ok(cell) = Arc::try_unwrap(sink) else { unreachable!("sink still shared") };
-    let owned = cell.into_inner().unwrap();
-    assert!(owned.io_error().is_none());
-    let text = String::from_utf8(owned.into_inner()).unwrap();
+    let text = to_jsonl(&ring.lock().unwrap().records());
     (report, parse_jsonl(&text).expect("well-formed executor trace"))
 }
 

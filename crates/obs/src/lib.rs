@@ -19,9 +19,8 @@
 //!   with [`json::parse`] and reads typed fields with
 //!   [`json::JsonValue::field`].
 //!
-//! Disabled collection must cost ~zero: instrumented code holds an
-//! `Option<Arc<...>>` of metrics and branches on `is_some()`; this crate
-//! keeps the enabled path cheap (relaxed atomics only).
+//! Collection is always on, so it must be cheap: this crate uses relaxed
+//! atomics only, and instrumented hot paths sample or count locally.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

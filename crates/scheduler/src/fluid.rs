@@ -22,7 +22,7 @@
 //! Control-path anomalies — a policy that never reaches a fixpoint, an
 //! action naming an unknown or non-running task, a wedged schedule — are
 //! returned as [`SchedError`]s, not panics, and every decision is optionally
-//! recorded into a [`crate::trace::TraceSink`] attached with
+//! recorded into a [`crate::trace::RingSink`] attached with
 //! [`FluidSim::with_sink`].
 
 use crate::balance::effective_bandwidth;
@@ -694,22 +694,18 @@ mod tests {
 
     #[test]
     fn sinked_run_replays_identically() {
-        use crate::trace::{action_stream, parse_jsonl, JsonlSink};
+        use crate::trace::{action_stream, parse_jsonl, to_jsonl, RingSink};
         use std::sync::{Arc, Mutex};
 
         let tasks = vec![seq(0, 30.0, 65.0), seq(1, 30.0, 8.0), seq(2, 10.0, 40.0)];
-        let sink = Arc::new(Mutex::new(JsonlSink::new(Vec::<u8>::new())));
-        let shared_sink: crate::trace::SharedSink = sink.clone();
+        let ring = Arc::new(Mutex::new(RingSink::unbounded()));
         let mut cfg = AdaptiveConfig::with_adjustment(m());
         cfg.integral = false;
         let mut p = AdaptiveScheduler::new(cfg);
-        FluidSim::new(m()).with_sink(shared_sink).run(&mut p, &tasks).expect("replay");
+        FluidSim::new(m()).with_sink(ring.clone()).run(&mut p, &tasks).expect("replay");
 
-        // The driver was dropped after `run`, so this is the sole owner.
-        let Ok(cell) = Arc::try_unwrap(sink) else { unreachable!("sink still shared") };
-        let owned = cell.into_inner().unwrap();
-        assert!(owned.io_error().is_none());
-        let text = String::from_utf8(owned.into_inner()).unwrap();
+        // Replay reads the capture back from its JSONL rendering.
+        let text = to_jsonl(&ring.lock().unwrap().records());
         let records = parse_jsonl(&text).expect("well-formed trace");
         let recorded = action_stream(&records);
         assert!(!recorded.is_empty());

@@ -78,4 +78,4 @@ pub use pairing::Pairing;
 pub use policy::{Action, RunningTask, SchedulePolicy};
 pub use predict::{Observation, PredictKey, Prediction, Predictor};
 pub use task::{Boundedness, IoKind, TaskId, TaskProfile};
-pub use trace::{JsonlSink, RingSink, RunningSnap, SharedSink, TraceRecord, TraceSink};
+pub use trace::{RingSink, RunningSnap, SharedSink, TraceRecord};

@@ -2,14 +2,14 @@
 //!
 //! Every driver (the fluid estimator, the discrete-event simulator, the
 //! threaded executor) and the adaptive policy itself can emit
-//! [`TraceRecord`]s into a [`TraceSink`]: arrivals with full task profiles,
+//! [`TraceRecord`]s into a [`RingSink`]: arrivals with full task profiles,
 //! queue snapshots, the candidate pair with its balance point and effective
 //! bandwidth, the `T_inter` vs `T_intra` verdict, and every `Start`/`Adjust`
 //! the driver applied, all timestamped with the driver's clock. A driver
-//! with no sink (`None`) traces nothing and builds no record; [`RingSink`]
-//! keeps every record in memory and [`JsonlSink`] streams JSON lines to any
-//! `Write`. Each record maps to a [`JsonValue`] and back, one conversion per
-//! direction; `xprs_obs::json` owns the syntax.
+//! with no sink (`None`) traces nothing and builds no record; the sink keeps
+//! every record in memory, and [`to_jsonl`] / [`parse_jsonl`] write and read
+//! the records as JSON lines. Each record maps to a [`JsonValue`] and back,
+//! one conversion per direction; `xprs_obs::json` owns the syntax.
 //!
 //! Because [`crate::adaptive::AdaptiveScheduler`] is deterministic given its
 //! input events, a captured trace is a *replayable artifact*:
@@ -192,17 +192,12 @@ pub enum TraceRecord {
 }
 
 // ---------------------------------------------------------------------------
-// Sinks
+// The sink
 // ---------------------------------------------------------------------------
 
-/// Receiver of trace records. Implementations must tolerate being called
-/// from whichever thread drives the policy (always exactly one at a time).
-pub trait TraceSink: Send {
-    /// Consume one record.
-    fn record(&mut self, rec: &TraceRecord);
-}
-
-/// In-memory record buffer, for tests and replay capture.
+/// The trace: every record, in memory, oldest first. Drivers and the policy
+/// append to it from whichever thread drives the policy (always exactly one
+/// at a time); [`to_jsonl`] renders the records as JSON lines.
 #[derive(Debug, Default)]
 pub struct RingSink {
     buf: Vec<TraceRecord>,
@@ -214,61 +209,20 @@ impl RingSink {
         Self::default()
     }
 
+    /// Append one record.
+    pub fn record(&mut self, rec: TraceRecord) {
+        self.buf.push(rec);
+    }
+
     /// The records, oldest first.
     pub fn records(&self) -> Vec<TraceRecord> {
         self.buf.clone()
     }
 }
 
-impl TraceSink for RingSink {
-    fn record(&mut self, rec: &TraceRecord) {
-        self.buf.push(rec.clone());
-    }
-}
-
-/// Streams each record as one compact JSON object per line (JSONL) into
-/// any writer. Floats round-trip exactly (see [`xprs_obs::json::fnum`]).
-#[derive(Debug)]
-pub struct JsonlSink<W: std::io::Write + Send> {
-    out: W,
-    /// First I/O error encountered, if any (the sink goes quiet after).
-    error: Option<std::io::ErrorKind>,
-}
-
-impl<W: std::io::Write + Send> JsonlSink<W> {
-    /// A sink writing to `out`.
-    pub fn new(out: W) -> Self {
-        JsonlSink { out, error: None }
-    }
-
-    /// Unwrap the writer (e.g. to recover a `Vec<u8>` buffer).
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-
-    /// The first write error, if the sink went quiet.
-    pub fn io_error(&self) -> Option<std::io::ErrorKind> {
-        self.error
-    }
-}
-
-impl<W: std::io::Write + Send> TraceSink for JsonlSink<W> {
-    fn record(&mut self, rec: &TraceRecord) {
-        if self.error.is_some() {
-            return; // tracing must never take the run down
-        }
-        // One write per line, not one per token: `out` may be unbuffered.
-        if let Err(e) = self.out.write_all(format!("{}\n", JsonValue::from(rec)).as_bytes()) {
-            self.error = Some(e.kind());
-        }
-    }
-}
-
-/// A sharable, dynamically-typed sink handle: drivers and the policy hold
-/// clones of the same handle so their records interleave in event order.
-/// Made by coercing an `Arc<Mutex<S>>` (keep the typed clone to read the
-/// sink back afterwards).
-pub type SharedSink = Arc<Mutex<dyn TraceSink>>;
+/// A shared sink handle: drivers and the policy hold clones of the same
+/// handle so their records interleave in event order.
+pub type SharedSink = Arc<Mutex<RingSink>>;
 
 /// Emit a lazily-built record into an optional sink. The closure only runs
 /// when a sink is attached, so a disabled trace costs one branch. A
@@ -276,8 +230,7 @@ pub type SharedSink = Arc<Mutex<dyn TraceSink>>;
 pub fn emit<F: FnOnce() -> TraceRecord>(sink: &Option<SharedSink>, f: F) {
     if let Some(s) = sink {
         if let Ok(mut guard) = s.lock() {
-            let rec = f();
-            guard.record(&rec);
+            guard.record(f());
         }
     }
 }
@@ -559,6 +512,13 @@ impl TraceRecord {
             .and_then(|v| <TraceRecord as FromJson>::from_json(&v))
             .map_err(|detail| SchedError::MalformedTrace { line, detail })
     }
+}
+
+/// Render records as JSONL: one [`TraceRecord::to_json`] line each, every
+/// line newline-terminated. Floats round-trip exactly (see
+/// [`xprs_obs::json::fnum`]); [`parse_jsonl`] reads it back.
+pub fn to_jsonl(records: &[TraceRecord]) -> String {
+    records.iter().map(|r| r.to_json() + "\n").collect()
 }
 
 /// Parse a whole JSONL capture (blank lines ignored).
@@ -849,9 +809,7 @@ mod tests {
     #[test]
     fn jsonl_round_trips_exactly() {
         let records = sample_records();
-        let text: String =
-            records.iter().map(|r| r.to_json() + "\n").collect::<Vec<_>>().join("");
-        let back = parse_jsonl(&text).expect("parse");
+        let back = parse_jsonl(&to_jsonl(&records)).expect("parse");
         assert_eq!(records, back);
     }
 
@@ -879,15 +837,13 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_streams_lines() {
-        let mut sink = JsonlSink::new(Vec::<u8>::new());
+    fn to_jsonl_writes_the_pinned_lines() {
+        let mut sink = RingSink::unbounded();
         for rec in sample_records() {
-            sink.record(&rec);
+            sink.record(rec);
         }
-        assert!(sink.io_error().is_none());
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        assert_eq!(text.lines().count(), sample_records().len());
-        assert_eq!(parse_jsonl(&text).unwrap(), sample_records());
+        assert_eq!(to_jsonl(&sink.records()), SAMPLE_JSONL);
+        assert_eq!(to_jsonl(&[]), "");
     }
 
     #[test]

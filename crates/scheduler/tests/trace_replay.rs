@@ -8,7 +8,7 @@ use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::fluid::FluidSim;
 use xprs_scheduler::trace::{
     action_signature, action_stream, parse_jsonl, replay_decisions, replay_through_fluid,
-    JsonlSink, SharedSink, TraceRecord,
+    to_jsonl, RingSink, TraceRecord,
 };
 use xprs_scheduler::{IoKind, MachineConfig, SchedError, TaskId, TaskProfile};
 
@@ -22,14 +22,11 @@ fn seq(id: u64, seq_time: f64, rate: f64) -> TaskProfile {
 
 /// Capture a fluid run of `tasks` under INTER-WITH-ADJ as JSONL text.
 fn capture(tasks: &[TaskProfile]) -> String {
-    let sink = Arc::new(Mutex::new(JsonlSink::new(Vec::<u8>::new())));
-    let shared: SharedSink = sink.clone();
+    let ring = Arc::new(Mutex::new(RingSink::unbounded()));
     let mut p = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(m()));
-    FluidSim::new(m()).with_sink(shared).run(&mut p, tasks).expect("capture run");
-    let Ok(cell) = Arc::try_unwrap(sink) else { unreachable!("sink still shared") };
-    let owned = cell.into_inner().unwrap();
-    assert!(owned.io_error().is_none());
-    String::from_utf8(owned.into_inner()).unwrap()
+    FluidSim::new(m()).with_sink(ring.clone()).run(&mut p, tasks).expect("capture run");
+    let records = ring.lock().unwrap().records();
+    to_jsonl(&records)
 }
 
 #[test]

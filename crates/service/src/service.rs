@@ -288,9 +288,11 @@ impl QueryService {
                     retry_after: self.shared.retry_after(depth),
                 });
             }
+            // Counted under the queue lock, before a runner can pop and
+            // settle the job, so no observer sees it settled unsubmitted.
+            self.shared.stats.class(class).submitted.inc();
             q.push_back(Job { req, token: token.clone(), submitted_at, resp: tx });
         }
-        self.shared.stats.class(class).submitted.inc();
         self.shared.work.notify_one();
         Ok(Ticket { rx, token, tenant, class, submitted_at })
     }

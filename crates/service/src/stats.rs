@@ -33,11 +33,14 @@ impl ClassStats {
     }
 
     /// Admitted requests whose outcome has not yet been recorded.
+    ///
+    /// Read while traffic flows, the counters are not one snapshot. The
+    /// settled ones are read first: every request they count was submitted
+    /// before it settled, so `submitted`, read last, counts it too. The
+    /// subtraction still saturates, so no interleaving reads below zero.
     pub fn in_flight(&self) -> u64 {
-        self.submitted.get()
-            - self.completed.get()
-            - self.deadline_cancelled.get()
-            - self.failed.get()
+        let settled = self.completed.get() + self.deadline_cancelled.get() + self.failed.get();
+        self.submitted.get().saturating_sub(settled)
     }
 }
 
@@ -85,6 +88,17 @@ mod tests {
         s.interactive.shed.add(10);
         assert_eq!(s.interactive.in_flight(), 1);
         assert_eq!(s.total_shed(), 10);
+    }
+
+    /// A runner can settle a request before an observer sees its submit
+    /// counted: in-flight is then zero, not an underflow.
+    #[test]
+    fn a_settle_seen_before_its_submit_is_not_negative_in_flight() {
+        let s = ServiceStats::new();
+        s.batch.completed.inc();
+        assert_eq!(s.batch.in_flight(), 0);
+        s.batch.submitted.inc();
+        assert_eq!(s.batch.in_flight(), 0);
     }
 
     #[test]

@@ -305,6 +305,19 @@ fn service_degrades_gracefully_under_worker_death_and_disk_slowdown() {
     svc.shutdown();
 }
 
+/// `Duration::MAX` is a natural "no deadline": a service configured with it
+/// admits and completes work instead of panicking at submit.
+#[test]
+fn an_unbounded_deadline_completes_a_join() {
+    let cat = catalog();
+    let cfg = ServiceConfig { batch_deadline: Duration::MAX, ..ServiceConfig::quick() };
+    let svc = QueryService::start(cfg, cat.clone());
+    let out = svc.submit(req(&cat, 0, QueryClass::Batch)).expect("admit").wait();
+    assert!(matches!(out.status, QueryStatus::Completed { .. }), "got {:?}", out.status);
+    assert_eq!(svc.stats().batch.in_flight(), 0);
+    svc.shutdown();
+}
+
 /// A request whose bindings do not cover its plan's relations fails with a
 /// typed error. It used to panic a runner thread, and the client's `wait`
 /// with it.

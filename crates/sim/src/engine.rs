@@ -801,25 +801,23 @@ mod tests {
     #[test]
     fn traced_des_run_replays_through_the_recorded_policy() {
         use std::sync::{Arc, Mutex};
-        use xprs_scheduler::trace::{action_stream, parse_jsonl, replay_decisions, JsonlSink};
+        use xprs_scheduler::trace::{
+            action_stream, parse_jsonl, replay_decisions, to_jsonl, RingSink,
+        };
 
         let tasks = vec![
             (seq_task(0, 20.0, 65.0), 0.0),
             (seq_task(1, 20.0, 6.0), 0.0),
         ];
-        let sink = Arc::new(Mutex::new(JsonlSink::new(Vec::<u8>::new())));
-        let shared: xprs_scheduler::trace::SharedSink = sink.clone();
+        let ring = Arc::new(Mutex::new(RingSink::unbounded()));
         let mut adj = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(cfg().machine));
         Simulator::new(cfg())
-            .with_trace(shared)
+            .with_trace(ring.clone())
             .run(&mut adj, &tasks)
             .expect("sim");
 
-        // The simulator temporary was dropped, so this is the sole owner.
-        let Ok(cell) = Arc::try_unwrap(sink) else { unreachable!("sink still shared") };
-        let owned = cell.into_inner().unwrap();
-        assert!(owned.io_error().is_none());
-        let text = String::from_utf8(owned.into_inner()).unwrap();
+        // Replay reads the capture back from its JSONL rendering.
+        let text = to_jsonl(&ring.lock().unwrap().records());
         let records = parse_jsonl(&text).expect("well-formed trace");
         let recorded = action_stream(&records);
         assert!(!recorded.is_empty(), "DES trace should record applied actions");
