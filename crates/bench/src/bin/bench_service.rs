@@ -103,8 +103,8 @@ impl Fault {
     fn plan(self) -> Option<Arc<FaultPlan>> {
         match self {
             Fault::None => None,
-            // A worker dies three units into fragment 0 of a run — the
-            // heartbeat patrol must reclaim its share and staff a spare.
+            // A worker dies three units into fragment 0 of a run — its
+            // master must reclaim its share and staff a spare.
             Fault::WorkerDeath => Some(Arc::new(FaultPlan::new().with_worker_death(0, 0, 3))),
             // Disk 0 serves 4x slower from its 30th request on, sustained.
             Fault::DiskSlowdown => Some(Arc::new(FaultPlan::new().with_slowdown(0, 30, 4.0))),

@@ -20,13 +20,13 @@ use crate::model::RelId;
 /// What happens to a worker slot when its scheduled fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerFaultKind {
-    /// Fail-stop at a unit boundary: the worker stops pulling units and
-    /// never reports a clean exit. Its unfinished partition share must be
-    /// reclaimed by the master.
+    /// Fail-stop at a unit boundary: the worker stops pulling units, and
+    /// its exit is reported as a death, not a clean one. The master
+    /// reclaims its unfinished partition share.
     Death,
     /// The worker freezes for this many wall-clock milliseconds, then
-    /// resumes. Long stalls are indistinguishable from death to the
-    /// heartbeat monitor — by design.
+    /// resumes. A stall is not a death, however long: nothing reports one,
+    /// so the worker is never replaced and finishes its own share.
     Stall {
         /// Stall duration in milliseconds.
         millis: u64,

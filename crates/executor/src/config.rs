@@ -74,8 +74,8 @@ impl ExecConfig {
 
     /// Attach an injected fault schedule. However the plan is set, a run
     /// that carries one ticks its master's patrol — as do a run on a shared
-    /// [`ExecSession`] and a run with cancel tokens — so a worker that dies
-    /// without a word is still reaped and replaced.
+    /// [`ExecSession`] and a run with cancel tokens — so a slowed disk is
+    /// still recalibrated.
     pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
         self.faults = Some(plan);
         self

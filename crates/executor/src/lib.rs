@@ -27,8 +27,8 @@
 //! * [`steal`] — the morsel-driven work-stealing partition every fragment
 //!   runs on: the unit space decomposes into morsels dealt into per-worker
 //!   deques; idle workers steal pending morsels from seeded victims, and
-//!   the patrol reclaims only a dead worker's *unclaimed* units. A slot's
-//!   claim word is its whole account: progress, liveness and completion.
+//!   a dead worker's replacement inherits only its *unclaimed* units. A
+//!   slot's claim word is its whole account: progress and completion.
 //! * [`config`] / [`error`] — [`ExecConfig`] with its builders, and the
 //!   typed [`ExecError`] taxonomy every run failure maps into.
 //! * [`master`] — the driver: executes one or many optimized queries under

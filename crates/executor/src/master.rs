@@ -32,7 +32,7 @@ use crate::config::ExecConfig;
 use crate::error::ExecError;
 use crate::io::Machine;
 use crate::obs::{FragmentProfile, MergeProfile, QueryProfile, RunningInfo, UtilSample};
-use crate::patrol::{next_msg, reap, Patrol};
+use crate::patrol::{next_msg, Patrol};
 use crate::pool::WorkerPool;
 use crate::program::Materialized;
 pub use crate::report::{ExecReport, QueryResult, QueryRun};
@@ -82,6 +82,10 @@ pub(crate) enum MasterMsg {
     /// A worker hit something no run survives: it panicked, a read failed
     /// after every bounded retry, or a merge-indexed probe found no index.
     Fatal(ExecError),
+    /// The worker staffed on slot `slot` of fragment `gid` died. Its job
+    /// left the fragment's completion count to the master (see
+    /// `MasterRun::on_lost`).
+    WorkerLost { gid: usize, slot: usize },
 }
 
 /// What the master keeps per fragment beside its lifecycle state (which is
@@ -292,6 +296,7 @@ impl Executor {
             // or its patrol tick.
             match next_msg(&run.rx, run.patrol.deadline()) {
                 Some(MasterMsg::FragmentDone(gid)) => run.on_done(policy, gid)?,
+                Some(MasterMsg::WorkerLost { gid, slot }) => run.on_lost(gid, slot)?,
                 Some(MasterMsg::Fatal(e)) => {
                     // A failure the policy had no part in.
                     run.drain();
@@ -348,8 +353,8 @@ impl<'a> MasterRun<'a> {
         let machine = session.machine.clone();
         let (tx, rx) = channel::<MasterMsg>();
         // The one tick rule: the master wakes on a timer only when the run
-        // can change without a message reaching it — a worker may die
-        // silently (a fault plan), another run may free the shared pool (a
+        // can change without a message reaching it — a fault plan may slow
+        // the disks (recalibration), another run may free the shared pool (a
         // session), or a client may fire a token.
         let ticking = exec.cfg.faults.is_some() || shared || !tokens.is_empty();
         MasterRun {
@@ -643,13 +648,6 @@ impl<'a> MasterRun<'a> {
                 // FragmentDone.
                 ctx.stop.store(true, Ordering::SeqCst);
                 ctx.part.revoke_all();
-                // The death window: between a worker death and the patrol's
-                // replacement, `outstanding` can be 0 with units unclaimed —
-                // no worker is left to complete the fragment, so the cancel
-                // does, through the same latch.
-                if ctx.outstanding.load(Ordering::SeqCst) == 0 {
-                    ctx.complete();
-                }
                 continue;
             }
             // Not staffed — still blocked, announced but unstarted, or
@@ -669,12 +667,11 @@ impl<'a> MasterRun<'a> {
         affected
     }
 
-    /// The patrol's deadline passed: reap dead workers, then check whether
+    /// The patrol's deadline passed: retry admission, then check whether
     /// the observed I/O rate has drifted out of the model's band. Fired
     /// tokens are picked up by `poll_cancels` on the loop's next turn.
     fn on_tick(&mut self, policy: &mut dyn SchedulePolicy) -> Result<(), ExecError> {
         self.patrol.tick();
-        reap(&self.table, self.pool, &self.machine, &self.exec.catalog);
         // With a shared session, capacity freed by *other* runs sends this
         // run no completion message: retry the admission FIFO on every tick
         // so a parked fragment is never stranded.
@@ -694,6 +691,25 @@ impl<'a> MasterRun<'a> {
         // policy so running fragments can be adjusted and queued work
         // re-planned.
         self.settle(policy)
+    }
+
+    /// The worker on slot `slot` of fragment `gid` died. Unless the fragment
+    /// is stopping, its unclaimed work moves to a replacement, staffed now;
+    /// then the lost job's exit is counted. In that order, a fragment with
+    /// unclaimed units never sees its last worker out while a loss is
+    /// unhandled.
+    fn on_lost(&mut self, gid: usize, slot: usize) -> Result<(), ExecError> {
+        let ctx = match self.table.running(gid) {
+            Ok(ctx) => ctx.clone(),
+            Err(e) => return Err(self.fail(e.into())),
+        };
+        if !ctx.stop.load(Ordering::SeqCst) {
+            if let Some(replacement) = ctx.part.fail_slot(slot) {
+                self.staff(&ctx, replacement, Instant::now());
+            }
+        }
+        ctx.worker_exit();
+        Ok(())
     }
 
     /// Fragment `gid` completed: harvest its context, tell the policy,

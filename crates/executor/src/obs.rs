@@ -119,7 +119,7 @@ pub struct FragmentProfile {
     /// once in `observed_pages`).
     pub units: u64,
     /// Worker jobs staffed over the fragment's life (initial staffing,
-    /// adjustment growth, patrol replacements).
+    /// adjustment growth, dead workers' replacements).
     pub staffed: u64,
     /// Processors the policy last assigned the fragment (its `x`).
     pub parallelism: u32,
@@ -132,7 +132,7 @@ pub struct FragmentProfile {
     pub heartbeats: u64,
     /// Worker slots that never claimed a unit.
     pub idle_slots: u64,
-    /// Worker slots the patrol declared dead and replaced. Any makes the
+    /// Worker slots whose worker died and was replaced. Any makes the
     /// fragment's measured profile truncated, so it never trains the
     /// predictor.
     pub recoveries: u64,

@@ -1,29 +1,23 @@
-//! The master's self-healing patrol — dead-worker detection and
-//! degradation-aware recalibration — and the deadline-based receive the
-//! master loop sleeps in between patrol ticks.
+//! The master's patrol — degradation-aware recalibration, the cross-run
+//! admission retry and the cancel-token polls — and the deadline-based
+//! receive the master loop sleeps in between patrol ticks.
 //!
 //! A run ticks, every [`PATROL_INTERVAL`], only when it can change without
-//! any message reaching its master: a worker may die silently (a fault
-//! plan), another run may free the shared pool (a shared session), or a
-//! client may fire a cancel token. The master decides this once per run;
-//! every other run blocks on its workers' messages.
+//! any message reaching its master: a fault plan may slow the disks
+//! (recalibration), another run may free the shared pool (a shared
+//! session), or a client may fire a cancel token. The master decides this
+//! once per run; every other run blocks on its workers' messages. A worker
+//! death is never a tick's to find: the dead worker's pool job reports it
+//! (`MasterMsg::WorkerLost`).
 
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::Receiver;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use xprs_disk::ClassStats;
-use xprs_scheduler::{FragTable, MachineConfig};
-use xprs_storage::Catalog;
+use xprs_scheduler::MachineConfig;
 
 use crate::io::Machine;
 use crate::master::MasterMsg;
-use crate::pool::WorkerPool;
-use crate::session::staff;
-#[cfg(doc)]
-use crate::steal::StealPartition;
-use crate::worker::FragCtx;
 
 /// Receive the next worker message, or `None` once `deadline` has passed;
 /// with no deadline this simply blocks.
@@ -34,8 +28,8 @@ use crate::worker::FragCtx;
 /// The deadline is an absolute instant, not a quiet-time timeout: it comes
 /// due even while messages keep arriving. (A `recv_timeout(interval)`
 /// restarts its timer on every message, so a chatty fragment flooding the
-/// channel would starve the patrol and a dead sibling's worker would never
-/// be reaped.) It is checked before receiving, because a zero-length
+/// channel would starve the patrol and a slowed disk would never be
+/// recalibrated.) It is checked before receiving, because a zero-length
 /// `recv_timeout` still hands back a queued message.
 pub(crate) fn next_msg(rx: &Receiver<MasterMsg>, deadline: Option<Instant>) -> Option<MasterMsg> {
     let Some(deadline) = deadline else {
@@ -50,11 +44,6 @@ pub(crate) fn next_msg(rx: &Receiver<MasterMsg>, deadline: Option<Instant>) -> O
 
 /// Time between patrol ticks, for a run that ticks at all.
 pub(crate) const PATROL_INTERVAL: Duration = Duration::from_millis(2);
-
-/// Ticks a slot's claims may stay frozen — while its fragment still has
-/// unclaimed work and the slot never exited — before it is declared dead
-/// and its partition share reclaimed.
-pub(crate) const PATROL_GRACE: u32 = 3;
 
 /// I/O requests that must land in a patrol window before its rate estimate
 /// is trusted for recalibration.
@@ -84,9 +73,8 @@ pub(crate) fn recal_step(ratio: f64) -> Option<f64> {
     Some(ratio.clamp(1.0 - MAX_RECAL_STEP, 1.0 + MAX_RECAL_STEP))
 }
 
-/// The master's self-healing patrol: when it ticks, and what recalibration
-/// compares against. Which slots are dead is each partition's to decide
-/// (see [`reap`]).
+/// The master's patrol: when it ticks, and what recalibration compares
+/// against.
 pub(crate) struct Patrol {
     /// When the next sweep is due (see [`next_msg`]); `None` for a run that
     /// does not tick.
@@ -155,35 +143,11 @@ impl Patrol {
     }
 }
 
-/// Reap dead workers: every running fragment that can hold one — staffed,
-/// not stopped, with units still unclaimed — takes one
-/// [`StealPartition::reap`] sweep, and each replacement it returns is
-/// staffed.
-pub(crate) fn reap(
-    table: &FragTable<Arc<FragCtx>>,
-    pool: &WorkerPool,
-    machine: &Arc<Machine>,
-    catalog: &Arc<Catalog>,
-) {
-    for (_, ctx) in table.iter_running() {
-        // A stopped fragment's workers exit at the next boundary, so a
-        // frozen slot there is no death; a parked one has no backend yet.
-        if ctx.stop.load(Ordering::Relaxed)
-            || ctx.staffed.load(Ordering::Relaxed) == 0
-            || ctx.part.claimed() >= ctx.total_units
-        {
-            continue;
-        }
-        for replacement in ctx.part.reap(PATROL_GRACE) {
-            staff(pool, ctx, replacement, Instant::now(), machine, catalog);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
     use std::sync::mpsc::channel;
 
     /// The patrol-starvation regression: a sender flooding the channel
@@ -224,35 +188,6 @@ mod tests {
         flooder.join().unwrap();
         assert!(patrolled, "patrol deadline starved by a chatty channel");
         assert!(messages >= 1, "flood never actually reached the master");
-    }
-
-    /// A slot an adjustment retired is still finishing the unit it last
-    /// claimed, and its claims stay frozen meanwhile. Retired is not dead: no
-    /// sweep may fail it, or the "replacement" would steal from the survivor
-    /// and run the fragment one backend above the policy's `x`. A frozen
-    /// slot that was never retired is still reaped.
-    #[test]
-    fn a_slot_retired_by_an_adjustment_is_never_reaped() {
-        use crate::steal::StealPartition;
-        let part = StealPartition::new(64, 4, 2, 0);
-        let claims: Vec<_> = (0..2).map(|s| part.claim_of(s)).collect();
-        for slot in 0..2 {
-            part.next_morsel(slot).expect("a morsel each");
-        }
-        assert_eq!(StealPartition::claim_unit(&claims[1]), Some(0));
-        assert_eq!(part.adjust(1).retiring_slots, vec![1]);
-
-        for want in 0..=u64::from(PATROL_GRACE) {
-            // The survivor works on, through its first 4-unit morsel.
-            assert_eq!(StealPartition::claim_unit(&claims[0]), Some(want));
-            assert!(part.reap(PATROL_GRACE).is_empty(), "a retired slot was reaped");
-        }
-        assert_eq!((part.n_slots(), part.recoveries()), (2, 0));
-
-        // The survivor's claims freeze too: it, and only it, is replaced.
-        let replaced: Vec<usize> = (0..PATROL_GRACE).flat_map(|_| part.reap(PATROL_GRACE)).collect();
-        assert_eq!(replaced, vec![2]);
-        assert_eq!(part.recoveries(), 1);
     }
 
     /// An 8× slowdown on one disk under two interleaved streams is drift:

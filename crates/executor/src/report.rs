@@ -53,8 +53,8 @@ pub struct ExecReport {
     pub pool_threads: u64,
     /// Worker-slot staffing jobs submitted over the whole run.
     pub pool_jobs: u64,
-    /// Worker slots declared dead by the patrol and replaced, summed over
-    /// the fragment profiles.
+    /// Worker slots whose worker died and was replaced, summed over the
+    /// fragment profiles.
     pub worker_recoveries: u64,
     /// Times the observed I/O rate drifted outside the tolerance band and
     /// the policy was re-entered with a corrected machine model.
@@ -77,7 +77,7 @@ pub struct ExecReport {
     pub adjusts: u64,
     /// Fragment heartbeats (`staffed + units`), summed over the profiles.
     pub heartbeats: u64,
-    /// Quiet patrol ticks the master ran (dead-worker sweep + drift check).
+    /// Quiet patrol ticks the master ran (admission retry + drift check).
     pub patrol_ticks: u64,
     /// Buffer-pool pages granted to fragments at admission, summed over the
     /// run. Zero when no fragment declared it holds anything — every

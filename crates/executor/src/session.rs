@@ -13,7 +13,7 @@ use crate::io::{start_model_clock, Machine};
 use crate::master::MasterMsg;
 use crate::obs::ExecMetrics;
 use crate::pool::WorkerPool;
-use crate::worker::{run_worker, FragCtx};
+use crate::worker::{run_worker, FragCtx, WorkerExit};
 #[cfg(doc)]
 use crate::Executor;
 
@@ -73,8 +73,13 @@ impl ExecSession {
 /// Staff worker slot `slot` of `ctx` onto `pool` — a queue push that
 /// unparks a long-lived thread; the pool grows on demand to the *peak
 /// concurrent* slot count and no further. Accounts the worker in the
-/// fragment's completion protocol **before** it can run, wraps the run in a
-/// panic report, and always balances with [`FragCtx::worker_exit`]. The job
+/// fragment's completion protocol **before** it can run. The job is the one
+/// place a worker's exit becomes a report: a worker that is done marks its
+/// slot exited and balances with [`FragCtx::worker_exit`]; a panic or a
+/// failure is [`MasterMsg::Fatal`], which ends the run, so its fragment
+/// never completes; a worker that died is [`MasterMsg::WorkerLost`], and the
+/// master balances it once it has staffed the replacement, so the fragment
+/// cannot complete in between. The job
 /// holds `ctx`, and with it a sender on the run's channel, until it leaves
 /// the pool: that is what lets the master's quiesce wait for the channel to
 /// close.
@@ -98,15 +103,25 @@ pub(crate) fn staff(
     let catalog = catalog.clone();
     let job = move || {
         start_model_clock(at);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_worker(&ctx, slot, &machine, &catalog);
-        }));
-        if let Err(payload) = outcome {
+        let exit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_worker(&ctx, slot, &machine, &catalog)
+        }))
+        .unwrap_or_else(|payload| {
             let message = panic_message(payload.as_ref());
-            let fatal = ExecError::WorkerPanicked { fragment: ctx.gid, message };
-            let _ = ctx.done_tx.send(MasterMsg::Fatal(fatal));
+            WorkerExit::Failed(ExecError::WorkerPanicked { fragment: ctx.gid, message })
+        });
+        match exit {
+            WorkerExit::Done => {
+                ctx.part.exit(slot);
+                ctx.worker_exit();
+            }
+            WorkerExit::Died => {
+                let _ = ctx.done_tx.send(MasterMsg::WorkerLost { gid: ctx.gid, slot });
+            }
+            WorkerExit::Failed(fatal) => {
+                let _ = ctx.done_tx.send(MasterMsg::Fatal(fatal));
+            }
         }
-        ctx.worker_exit();
     };
     pool.submit(Box::new(job));
 }

@@ -42,18 +42,17 @@
 //! is observed exactly once, either by the owner (offset advanced before
 //! revocation landed) or by the reclaimer (the remainder `[offset, len)`
 //! read back from the `fetch_or`, made absolute with the armed morsel's
-//! start, which the slot records under the same latch). A
-//! falsely-declared-dead worker — stalled, not dead — therefore finishes
-//! the units it already claimed and retires at its next claim; the
-//! replacement starts exactly where the revocation cursor stood, and no
-//! unit is processed twice or dropped.
+//! start, which the slot records under the same latch). A worker an
+//! adjustment retires therefore finishes the units it already claimed and
+//! retires at its next claim; a replacement starts exactly where the
+//! revocation cursor stood, and no unit is processed twice or dropped.
 //!
 //! # The claim word is the slot's account
 //!
 //! A slot shares no other atomic with its worker. Its claims are the
-//! fragment's progress ([`StealPartition::claimed`]), the slot's liveness
-//! ([`StealPartition::reap`]) and, once the last worker is out, the
-//! fragment's completion; the worker reports nothing else.
+//! fragment's progress ([`StealPartition::claimed`]) and, once the last
+//! worker is out, the fragment's completion. How a worker left — done or
+//! dead — is its pool job's report, never read off the claims.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,12 +109,8 @@ struct SlotState {
     claimed: u64,
     /// The owner exited voluntarily; a dead worker never sets it.
     exited: bool,
-    /// [`StealPartition::fail_slot`] declared the owner dead.
+    /// [`StealPartition::fail_slot`] replaced the owner.
     failed: bool,
-    /// The slot's progress at the last [`StealPartition::reap`], and the
-    /// sweeps in a row it has not moved since.
-    seen: u64,
-    stale: u32,
 }
 
 impl SlotState {
@@ -129,8 +124,6 @@ impl SlotState {
             claimed: 0,
             exited: false,
             failed: false,
-            seen: 0,
-            stale: 0,
         }
     }
 
@@ -270,7 +263,7 @@ impl StealPartition {
         lock(&self.inner).iter().map(SlotState::progress).sum()
     }
 
-    /// Slots declared dead by [`StealPartition::fail_slot`].
+    /// Slots [`StealPartition::fail_slot`] replaced.
     pub fn recoveries(&self) -> u64 {
         lock(&self.inner).iter().filter(|s| s.failed).count() as u64
     }
@@ -278,34 +271,6 @@ impl StealPartition {
     /// Slots that never claimed a unit.
     pub fn idle_slots(&self) -> u64 {
         lock(&self.inner).iter().filter(|s| s.progress() == 0).count() as u64
-    }
-
-    /// One patrol sweep. Every *watched* slot — neither exited nor revoked
-    /// (a slot an adjustment retired finishes its claimed unit and stops on
-    /// its own: retired is not dead) — whose progress has not moved since
-    /// the last sweep counts one more frozen sweep. A slot frozen for
-    /// `grace` sweeps in a row is declared dead and failed, and the
-    /// replacements are returned, to be staffed. A false positive (a
-    /// stalled worker, a job still queued) is safe, as with
-    /// [`StealPartition::fail_slot`].
-    pub fn reap(&self, grace: u32) -> Vec<usize> {
-        let mut slots = lock(&self.inner);
-        let mut dead = Vec::new();
-        for (slot, s) in slots.iter_mut().enumerate() {
-            if s.exited || s.revoked {
-                continue;
-            }
-            let progress = s.progress();
-            if progress == s.seen {
-                s.stale += 1;
-            } else {
-                (s.seen, s.stale) = (progress, 0);
-            }
-            if s.stale >= grace {
-                dead.push(slot);
-            }
-        }
-        dead.into_iter().map(|slot| fail(&mut slots, slot)).collect()
     }
 
     /// Begin the slot's next morsel: own deque first, then steal the back
@@ -349,15 +314,26 @@ impl StealPartition {
         Some(NextMorsel { morsel: m, stolen_from: Some(victim) })
     }
 
-    /// Revoke `slot` (presumed dead), reclaim its *unclaimed* work — the
-    /// in-flight remainder plus every pending morsel — into a fresh
-    /// replacement slot, and return the replacement's index.
+    /// The owner of `dead` is gone: revoke the slot, reclaim its
+    /// *unclaimed* work — the in-flight remainder plus every pending morsel
+    /// — into a fresh replacement slot, count one recovery, and return the
+    /// replacement's index, to be staffed.
     ///
-    /// Units the owner claimed before the revocation landed stay its
-    /// responsibility: a stalled false positive finishes them itself, which
-    /// is exactly what keeps every unit exactly-once.
-    pub fn fail_slot(&self, dead: usize) -> usize {
-        fail(&mut lock(&self.inner), dead)
+    /// `None`, counting nothing, when there is nothing to replace: the slot
+    /// was already revoked (an adjustment retired it, or a cancel revoked
+    /// every slot, and its work has gone elsewhere), or no slot holds an
+    /// unclaimed unit. A worker dies only at a claim boundary, having
+    /// finished every unit it claimed, so no unit is lost or run twice.
+    pub fn fail_slot(&self, dead: usize) -> Option<usize> {
+        let mut slots = lock(&self.inner);
+        if slots[dead].revoked || !slots.iter().any(SlotState::holds_work) {
+            return None;
+        }
+        slots[dead].failed = true;
+        let mut reclaimed: VecDeque<Morsel> = slots[dead].revoke().into_iter().collect();
+        reclaimed.append(&mut slots[dead].pending);
+        slots.push(SlotState::fresh(reclaimed));
+        Some(slots.len() - 1)
     }
 
     /// Revoke **every** slot and discard all unclaimed work — per-query
@@ -381,8 +357,8 @@ impl StealPartition {
     /// over the survivors. Keeps the §2.4 protocols' contract: the
     /// returned `new_slots` need staffing, `retiring_slots` drain at their
     /// next claim. `new_slots` also lists every exited slot that stays
-    /// active: the new assignment may hand it work, so it is re-staffed
-    /// (and the patrol's count for it starts afresh). Once every unit is
+    /// active: the new assignment may hand it work, so it is re-staffed.
+    /// Once every unit is
     /// claimed nothing changes: a slot staffed then would find no work, and
     /// its job could start after the fragment's completion was recorded.
     pub fn adjust(&self, new_parallelism: u32) -> AdjustInfo {
@@ -413,7 +389,7 @@ impl StealPartition {
         }
         for (slot, s) in slots.iter_mut().enumerate() {
             if s.exited && !s.revoked {
-                (s.exited, s.stale) = (false, 0);
+                s.exited = false;
                 info.new_slots.push(slot);
             }
         }
@@ -463,15 +439,6 @@ impl StealPartition {
             .ok()
             .map(|prev| prev & 0xFFFF_FFFF)
     }
-}
-
-/// [`StealPartition::fail_slot`] under the latch the caller holds.
-fn fail(slots: &mut Vec<SlotState>, dead: usize) -> usize {
-    slots[dead].failed = true;
-    let mut reclaimed: VecDeque<Morsel> = slots[dead].revoke().into_iter().collect();
-    reclaimed.append(&mut slots[dead].pending);
-    slots.push(SlotState::fresh(reclaimed));
-    slots.len() - 1
 }
 
 /// Pending morsels of `victim` a thief may take: everything once the owner
@@ -601,11 +568,11 @@ mod tests {
         let p = StealPartition::new(32, 8, 1, 0);
         let claim = p.claim_of(0);
         p.next_morsel(0).expect("first morsel");
-        // Owner claims 3 of the 8 in-flight units, then is declared dead.
+        // Owner claims 3 of the 8 in-flight units, then dies.
         for want in 0..3 {
             assert_eq!(StealPartition::claim_unit(&claim), Some(want));
         }
-        let replacement = p.fail_slot(0);
+        let replacement = p.fail_slot(0).expect("unclaimed work to hand over");
         // The owner's next claim refuses (revoked).
         assert_eq!(StealPartition::claim_unit(&claim), None);
         assert!(p.next_morsel(0).is_none(), "revoked slot draws no morsel");
@@ -646,9 +613,9 @@ mod tests {
         let claim = p.claim_of(0);
         p.next_morsel(0).expect("morsel");
         assert_eq!(StealPartition::claim_unit(&claim), Some(0));
-        let r1 = p.fail_slot(0);
-        let r2 = p.fail_slot(0);
-        assert_ne!(r1, r2);
+        assert_eq!(p.fail_slot(0), Some(1));
+        assert_eq!(p.fail_slot(0), None, "a revoked slot is not replaced twice");
+        assert_eq!(p.recoveries(), 1);
         let mut seen = drain(&p);
         seen.sort_unstable();
         assert_eq!(seen, (1..16).collect::<Vec<_>>(), "remainder reclaimed exactly once");
@@ -679,12 +646,36 @@ mod tests {
         let info = p.adjust(2);
         assert_eq!((info.new_slots, info.retiring_slots), (vec![0], vec![2]));
         assert!(p.adjust(2).new_slots.is_empty(), "a handed-back slot is live again");
-        // The patrol watches neither an exited nor a retired slot: only
-        // slot 0 is reaped, and replaced by slot 3.
+        // Slot 0's owner is lost: it, not the retired slot 2, is replaced
+        // by slot 3.
         p.exit(1);
-        assert_eq!(p.reap(1), vec![3]);
+        assert_eq!(p.fail_slot(2), None, "a retired slot is not replaced");
+        assert_eq!(p.fail_slot(0), Some(3));
         // Growing hands back the fresh slot first, then the exited one.
         assert_eq!(p.adjust(3).new_slots, vec![4, 1]);
+    }
+
+    /// A slot an adjustment retired is still finishing the unit it last
+    /// claimed, and its work has moved to the survivors: losing its owner
+    /// replaces nothing, or the "replacement" would run the fragment one
+    /// backend above the policy's `x`. Once every unit is claimed no loss
+    /// replaces anything either: a replacement would find no work.
+    #[test]
+    fn fail_slot_replaces_neither_a_retired_slot_nor_a_fully_claimed_one() {
+        let p = StealPartition::new(64, 4, 2, 0);
+        let claims: Vec<_> = (0..2).map(|s| p.claim_of(s)).collect();
+        for slot in 0..2 {
+            p.next_morsel(slot).expect("a morsel each");
+        }
+        assert_eq!(StealPartition::claim_unit(&claims[1]), Some(0));
+        assert_eq!(p.adjust(1).retiring_slots, vec![1]);
+        assert_eq!(p.fail_slot(1), None);
+        assert_eq!((p.n_slots(), p.recoveries()), (2, 0));
+
+        let p = StealPartition::new(64, 4, 2, 0);
+        drain(&p);
+        assert_eq!(p.fail_slot(0), None);
+        assert_eq!((p.n_slots(), p.recoveries()), (2, 0));
     }
 
     #[test]

@@ -35,7 +35,7 @@ use xprs_optimizer::program::{Driver, FragmentProgram, PipelineOp};
 use xprs_storage::runs::is_sorted_run;
 use xprs_storage::{Catalog, Relation, Tuple};
 
-use crate::io::{lock, IoFault, Machine, ReadTicket};
+use crate::io::{lock, Machine, ReadTicket};
 use crate::error::ExecError;
 use crate::master::MasterMsg;
 use crate::program::Materialized;
@@ -169,7 +169,7 @@ pub(crate) struct FragCtx {
     /// Total work units (pages, page slices or keys).
     pub total_units: u64,
     /// Worker jobs staffed but not yet exited (incremented by the master at
-    /// submit time, decremented by each worker after its final flush).
+    /// submit time, decremented by [`FragCtx::worker_exit`]).
     pub outstanding: AtomicU32,
     /// Worker jobs staffed over the fragment's whole life (never
     /// decremented); feeds the per-fragment staffing profile.
@@ -247,11 +247,12 @@ impl FragCtx {
         }
     }
 
-    /// One worker job has fully exited (buffers flushed). The last one out
-    /// completes the fragment when every unit is claimed — each claimed
-    /// unit is finished by its claimant before that worker exits, so with
-    /// no worker left the claims are finished — or when the fragment was
-    /// stopped, forfeiting its unclaimed units.
+    /// One worker job has fully exited (buffers flushed) — called by the
+    /// job itself, or by the master once it has replaced a lost one. The
+    /// last one out completes the fragment when every unit is claimed —
+    /// each claimed unit is finished by its claimant before that worker
+    /// exits, so with no worker left the claims are finished — or when the
+    /// fragment was stopped, forfeiting its unclaimed units.
     pub(crate) fn worker_exit(&self) {
         let remaining = self.outstanding.fetch_sub(1, Ordering::SeqCst) - 1;
         if remaining == 0
@@ -280,13 +281,10 @@ struct WorkerState<'m> {
     ahead: Option<PageRead<'m>>,
     buf: Vec<(i32, Tuple)>,
     cpu_pending: f64,
-    /// First unrecoverable I/O fault this worker hit, if any; set once,
-    /// then every further read is skipped and the run aborts.
-    io_fault: Option<IoFault>,
-    /// Relation whose index a merge-indexed probe needed and did not find;
-    /// set once, the run aborts, and the master surfaces it as
-    /// [`ExecError::IndexMissing`](crate::ExecError::IndexMissing).
-    index_fault: Option<String>,
+    /// The first failure this worker hit — a read that failed after every
+    /// retry, or a missing index — if any; set once, then every further
+    /// read is skipped and the run aborts with it.
+    fault: Option<ExecError>,
     /// Per-pipeline-op merge cursors (indexed by op depth): a `MergeWith`
     /// over a CSR-indexed input advances its cursor monotonically with the
     /// worker's ascending key stream instead of re-probing from scratch.
@@ -307,8 +305,7 @@ impl<'m> WorkerState<'m> {
             ahead: None,
             buf: Vec::with_capacity(OUT_BATCH_TUPLES),
             cpu_pending: 0.0,
-            io_fault: None,
-            index_fault: None,
+            fault: None,
             cursors: vec![0; ctx.program.ops.len()],
             spilled: Vec::new(),
             spill_file: None,
@@ -316,9 +313,16 @@ impl<'m> WorkerState<'m> {
     }
 
     /// Issue one page read without waiting for it (`None` once this worker
-    /// carries an unrecoverable fault: every further read is skipped).
+    /// carries a failure: every further read is skipped).
     fn issue_read(&mut self, rel: RelId, block: u64, solo: bool) -> Option<ReadTicket> {
-        self.io_fault.is_none().then(|| self.machine.begin_read(rel, block, self.wid, solo))
+        self.fault.is_none().then(|| self.machine.begin_read(rel, block, self.wid, solo))
+    }
+
+    /// Record the worker's failure (the first one wins) and flag the
+    /// fragment to drain.
+    fn record(&mut self, ctx: &FragCtx, fault: ExecError) {
+        self.fault.get_or_insert(fault);
+        ctx.stop.store(true, Ordering::Relaxed);
     }
 
     /// Collect an issued read through the retrying fault-aware path. Returns
@@ -328,10 +332,9 @@ impl<'m> WorkerState<'m> {
     fn await_read(&mut self, ctx: &FragCtx, ticket: Option<ReadTicket>) -> bool {
         let Some(ticket) = ticket else { return false };
         match self.machine.finish_read(ticket) {
-            Ok(_) => self.io_fault.is_none(),
+            Ok(_) => self.fault.is_none(),
             Err(fault) => {
-                self.io_fault.get_or_insert(fault);
-                ctx.stop.store(true, Ordering::Relaxed);
+                self.record(ctx, ExecError::IoFault { fragment: ctx.gid, fault });
                 false
             }
         }
@@ -348,14 +351,11 @@ impl<'m> WorkerState<'m> {
     }
 
     /// An index-driven unit found no index on `relation`: a planning /
-    /// catalog mismatch, not a worker bug. Record it once and flag the
-    /// fragment to drain; the master surfaces it as
+    /// catalog mismatch, not a worker bug, surfaced as
     /// [`ExecError::IndexMissing`](crate::ExecError::IndexMissing).
     fn index_missing(&mut self, ctx: &FragCtx, relation: &Relation) {
-        if self.index_fault.is_none() {
-            self.index_fault = Some(relation.name.clone());
-        }
-        ctx.stop.store(true, Ordering::Relaxed);
+        let name = relation.name.clone();
+        self.record(ctx, ExecError::IndexMissing { fragment: ctx.gid, name });
     }
 
     /// Emit one result tuple. This touches no shared state at all: the
@@ -439,30 +439,39 @@ impl Drop for WorkerState<'_> {
     }
 }
 
+/// How a worker left its slot: the one thing it reports, through its pool
+/// job (`session::staff`), which turns it into the master's message.
+pub(crate) enum WorkerExit {
+    /// It ran out of work, was retired, or its fragment stopped.
+    Done,
+    /// It vanished at a claim boundary (an injected `Death`), every unit
+    /// it claimed finished.
+    Died,
+    /// It hit something no run survives. A failure wins over a death: a
+    /// dying worker still finishes its claimed page, and that read may
+    /// fail.
+    Failed(ExecError),
+}
+
 /// Worker main loop for slot `slot` of the fragment: claim a morsel (own
 /// deque, else steal) and claim its units one CAS at a time. The claims are
-/// the worker's whole report — the master reads progress, liveness and
-/// completion from the claim words — so nothing shared is touched per
-/// finished unit or morsel. A page scan keeps one page of read-ahead across
+/// the fragment's progress and completion, so nothing shared is touched per
+/// finished unit or morsel; the worker's one report is how it left, its
+/// return value. A page scan keeps one page of read-ahead across
 /// unit *and* morsel boundaries: the next unit is claimed — from the morsel
 /// in hand, the own deque or a victim — and its read issued before the
 /// previous page is evaluated.
-///
-/// The caller (the pool job wrapper in `session.rs`) is responsible for
-/// calling [`FragCtx::worker_exit`] afterwards — also on panic — so the
-/// completion protocol stays balanced.
 pub(crate) fn run_worker(
     ctx: &Arc<FragCtx>,
     slot: usize,
     machine: &Machine,
     catalog: &Catalog,
-) {
+) -> WorkerExit {
     let wid = machine.new_worker_id();
     let ws = &mut WorkerState::new(machine, wid, ctx);
     let metrics = machine.metrics();
     let claim = ctx.part.claim_of(slot);
     let mut claimed = 0u64; // this job's claims, the fault plan's key
-    let mut died = false;
     // Metrics cost discipline: steal/fail *counts* accumulate in
     // worker-local integers and flush to the shared registry once at exit
     // (they stay exact); the latency histograms are *sampled* — one morsel
@@ -473,9 +482,9 @@ pub(crate) fn run_worker(
     let mut episodes = 0u64;
     let mut loc_steals = 0u64;
     let mut loc_fails = 0u64;
-    'morsels: loop {
+    let exit = 'morsels: loop {
         if ctx.stop.load(Ordering::Relaxed) {
-            break;
+            break WorkerExit::Done;
         }
         let sampled = episodes.is_multiple_of(MORSEL_SAMPLE);
         episodes += 1;
@@ -485,7 +494,7 @@ pub(crate) fn run_worker(
             if let Some(t0) = t_search {
                 metrics.steal_idle_ns.observe(t0.elapsed().as_nanos() as u64);
             }
-            break;
+            break WorkerExit::Done;
         };
         let mut morsel_t0 = t_search;
         if next.stolen_from.is_some() {
@@ -504,14 +513,11 @@ pub(crate) fn run_worker(
             // units *claimed*: a claimed unit is always completed, so a
             // death leaves no unit half-done — the units this incarnation
             // claimed, the page in flight included, are finished before it
-            // vanishes, and the patrol reclaims only what was never
+            // vanishes, and its replacement inherits only what was never
             // claimed.
             if let Some(plan) = machine.fault_plan() {
                 match plan.take_worker_fault(ctx.gid, slot, claimed) {
-                    Some(WorkerFaultKind::Death) => {
-                        died = true;
-                        break 'morsels;
-                    }
+                    Some(WorkerFaultKind::Death) => break 'morsels WorkerExit::Died,
                     Some(WorkerFaultKind::Stall { millis }) => {
                         std::thread::sleep(Duration::from_millis(millis));
                     }
@@ -537,30 +543,15 @@ pub(crate) fn run_worker(
         if let Some(t0) = morsel_t0 {
             metrics.morsel_ns.observe(t0.elapsed().as_nanos() as u64);
         }
-    }
+    };
     // However the loops ended — exhaustion, revocation, stop or death — the
     // claimed page still in flight is this worker's to finish.
     read_ahead(ctx, catalog, None, ws);
     metrics.steals.add(loc_steals);
     metrics.steal_fails.add(loc_fails);
-    // Flush the local run and surface any recorded faults.
+    // Flush the local run: completed units survive a death too.
     ws.settle(ctx);
-    if died {
-        // Completed units live in shared memory and survive the worker, but
-        // the slot vanishes without marking its exit: its claims freeze,
-        // the patrol declares it dead and reclaims the morsel's unclaimed
-        // remainder through `StealPartition::fail_slot`.
-        return;
-    }
-    if let Some(fault) = ws.io_fault.take() {
-        let _ = ctx.done_tx.send(MasterMsg::Fatal(ExecError::IoFault { fragment: ctx.gid, fault }));
-    }
-    if let Some(name) = ws.index_fault.take() {
-        let fatal = ExecError::IndexMissing { fragment: ctx.gid, name };
-        let _ = ctx.done_tx.send(MasterMsg::Fatal(fatal));
-    }
-    // Mark the voluntary exit, so the patrol never reaps the slot.
-    ctx.part.exit(slot);
+    ws.fault.take().map_or(exit, WorkerExit::Failed)
 }
 
 /// Latency-histogram sampling rate of the worker loop: one episode in this

@@ -2,11 +2,12 @@
 //! faults. A multi-fragment query survives transient read errors (absorbed
 //! by bounded retries), a sustained disk slowdown (detected by the
 //! degradation patrol, which recalibrates the policy), and a worker death
-//! (detected by the heartbeat patrol, which reclaims the dead slot's
-//! partition share and staffs a replacement) — and still returns results
-//! identical to a fault-free run, also when the dead worker was mid-way
-//! through the tuple slices of a page scan too small to give every backend
-//! a page.
+//! (reported by the dead worker's pool job; the master reclaims the dead
+//! slot's partition share and staffs a replacement) — and still returns
+//! results identical to a fault-free run, also when the dead worker was
+//! mid-way through the tuple slices of a page scan too small to give every
+//! backend a page. A stalled worker is never replaced, and a dying worker
+//! whose last page cannot be read fails the run.
 
 use std::sync::{Arc, Mutex};
 
@@ -16,6 +17,7 @@ use xprs_executor::{
 };
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
+use xprs_scheduler::intra::IntraOnly;
 use xprs_scheduler::trace::{
     action_stream, parse_jsonl, replay_through_fluid, to_jsonl, RingSink, SharedSink, TraceRecord,
 };
@@ -99,7 +101,7 @@ fn run_query(
 /// The issue's acceptance scenario: two transient read errors + one
 /// sustained disk slowdown + one worker death, on a multi-fragment query.
 /// The run completes with results identical to the fault-free run, the
-/// patrol recovers the dead worker, the captured trace records at least one
+/// master replaces the dead worker, the captured trace records at least one
 /// recalibration, and the trace replays through the fluid model.
 #[test]
 fn chaos_run_matches_fault_free_run_and_records_recalibration() {
@@ -119,8 +121,6 @@ fn chaos_run_matches_fault_free_run_and_records_recalibration() {
             .with_worker_death(0, 0, 2),
     );
     let ring = Arc::new(Mutex::new(RingSink::unbounded()));
-    // The build scan's hundred pages put more requests than a trusted
-    // window needs in front of the dead worker's reap.
     let cfg = ExecConfig::unthrottled().with_faults(plan.clone());
     let report = run_with(&cat, cfg, Some(ring.clone()));
 
@@ -130,7 +130,7 @@ fn chaos_run_matches_fault_free_run_and_records_recalibration() {
     assert!(plan.stats().slow_requests() > 0, "the slowdown must degrade requests");
 
     // Self-healing: the dead slot was reclaimed and the drift recalibrated.
-    assert!(report.worker_recoveries >= 1, "patrol must replace the dead worker");
+    assert_eq!(report.worker_recoveries, plan.stats().deaths_fired(), "one replacement per death");
     assert!(report.recalibrations >= 1, "observed-rate drift must trigger recalibration");
     eprintln!(
         "chaos e2e: recoveries={} recalibrations={} slow_requests={} reads={} rows={}",
@@ -181,12 +181,11 @@ fn unrecoverable_read_error_surfaces_as_typed_fault() {
     }
 }
 
-/// A stalled (not dead) worker that outlives the patrol's grace window is a
-/// *false positive*: its share is reclaimed and a replacement staffed, yet
-/// when it wakes it completes its in-flight unit and retires cleanly — the
-/// result must still be exactly-once correct.
+/// A stalled worker is live: it stays silent for 60 ms — thirty patrol
+/// ticks — and nothing reports it dead, so it is never replaced. It wakes,
+/// finishes its share, and the result is the fault-free run's.
 #[test]
-fn stalled_worker_false_positive_is_harmless() {
+fn a_stalled_worker_is_never_replaced() {
     let cat = catalog();
     let baseline = run_with(&cat, ExecConfig::unthrottled(), None);
 
@@ -194,10 +193,48 @@ fn stalled_worker_false_positive_is_harmless() {
     let report = run_with(&cat, ExecConfig::unthrottled().with_faults(plan.clone()), None);
 
     assert_eq!(plan.stats().stalls_fired(), 1, "the stall must fire");
+    assert_eq!(report.worker_recoveries, 0, "a live worker was replaced");
     assert_eq!(
         baseline.results[0].rows.rows, report.results[0].rows.rows,
-        "a falsely-reaped stalled worker must not corrupt the result"
+        "a stalled worker must not change the result"
     );
+}
+
+/// A dying worker still finishes the page it claimed, and that read can
+/// fail: slot 0 claims block 0 of a 200-page scan, dies at its next claim,
+/// and block 0's read fails on every attempt. The failure wins over the
+/// death: the run fails with the fault rather than return the rows read so
+/// far as the answer, and it leaves no pin or grant behind.
+#[test]
+fn a_dying_workers_unreadable_page_fails_the_run() {
+    let mut cat = Catalog::new(StripedLayout::new(4));
+    cat.create("wide", Schema::paper_rel());
+    let rows: Vec<Tuple> = (0..2_000)
+        .map(|i| Tuple::from_values(vec![Datum::Int(i % 100), Datum::Text("x".repeat(800))]))
+        .collect();
+    cat.load("wide", rows);
+    let cat = Arc::new(cat);
+    let wide = cat.get("wide").unwrap().heap.rel();
+    assert_eq!(cat.get("wide").unwrap().heap.n_blocks(), 200);
+
+    let plan = Arc::new(
+        FaultPlan::new()
+            .with_worker_death(0, 0, 1)
+            .with_read_error(wide, 0, READ_ATTEMPTS),
+    );
+    let exec = Executor::new(ExecConfig::unthrottled().with_faults(plan.clone()), cat.clone());
+    let session = exec.session();
+    let mut policy = IntraOnly::new(m(), true);
+    let err = exec
+        .run_shared(&session, &[scan_run(&cat, "wide")], &mut policy, &[])
+        .expect_err("a lost page must fail the run");
+    assert_eq!(plan.stats().deaths_fired(), 1, "the death must fire");
+    match err {
+        ExecError::IoFault { fault, .. } => assert_eq!(fault.block, 0),
+        other => panic!("expected IoFault, got {other}"),
+    }
+    assert_eq!((session.pinned_pages(), session.reserved_pages()), (0, 0));
+    session.shutdown();
 }
 
 /// Satellite audit: a retry storm against a pool too small for the scan's
@@ -238,7 +275,7 @@ fn retry_storm_under_tiny_pool_completes_without_pin_leaks() {
 
 /// A worker death mid-slice: `tiny`'s six pages at all eight processors are
 /// dealt as 48 tuple slices, six per backend, and slot 3 dies after claiming
-/// two of them. The patrol hands the four it never claimed to a replacement;
+/// two of them. The master hands the four it never claimed to a replacement;
 /// every slice is finished exactly once and the rows are the fault-free
 /// run's.
 #[test]
@@ -250,7 +287,7 @@ fn worker_death_mid_slice_matches_fault_free_run() {
     let report = run_query(&cat, scan_run(&cat, "tiny"), cfg, None);
 
     assert_eq!(plan.stats().deaths_fired(), 1, "the death must fire");
-    assert!(report.worker_recoveries >= 1, "patrol must replace the dead worker");
+    assert_eq!(report.worker_recoveries, plan.stats().deaths_fired(), "one replacement per death");
     let scan = &report.profiles[0].fragments[0];
     assert_eq!(scan.units, 6 * 8, "every slice of the six pages finished exactly once");
     assert_eq!(report.pool_pinned_at_exit, 0);

@@ -173,7 +173,7 @@ fn all_plan_shapes_match_the_oracle_on_every_merge_path() {
 }
 
 /// A worker death mid-build (during the build-side fragment) must not
-/// change the result on either merge path: the patrol reclaims the dead
+/// change the result on either merge path: the master reclaims the dead
 /// slot's share, a replacement finishes it, and the materialized output
 /// still equals the oracle's.
 #[test]

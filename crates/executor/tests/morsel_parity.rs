@@ -1,7 +1,7 @@
 //! Output parity across deals: the same query must return
 //! **byte-identical** rows at the default morsel grain whether its units are
 //! dealt over eight backends or two — fault-free, and with a worker killed
-//! mid-scan so the heartbeat patrol's reclamation path is on the
+//! mid-scan so the dead worker's reclamation path is on the
 //! byte-identity critical path too. Every run is additionally held against
 //! the naive oracle (`common/oracle.rs`), so a bug the deals share cannot
 //! hide behind their agreement. (The §2.4 static shares these tests once
@@ -114,8 +114,8 @@ fn stealing_and_static_shares_return_byte_identical_rows() {
 }
 
 /// A worker killed mid-scan (fragment 0, slot 0, after one unit) must not
-/// change a single byte of the output under either deal: the heartbeat
-/// patrol reclaims exactly the units the dead slot never claimed, and a
+/// change a single byte of the output under either deal: the master
+/// reclaims exactly the units the dead slot never claimed, and a
 /// replacement finishes them.
 #[test]
 fn worker_death_mid_scan_preserves_byte_identity_in_both_modes() {

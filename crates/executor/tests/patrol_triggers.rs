@@ -1,11 +1,11 @@
 //! The master ticks exactly when a run can change without any message
-//! reaching it, and these are the three ways that happens. A worker dies
-//! silently under a fault plan, however the plan was set. Another run on a
-//! shared session frees the pool a parked fragment waits for. A client fires
-//! a cancel token while the only fragment is still scanning. None of these
-//! runs opts into a patrol, yet each must finish, or cancel, without a
-//! message from its own workers to wake the master. The two that would hang
-//! run behind a watchdog.
+//! reaching it, and these are the three ways that happens. A fault plan may
+//! slow the disks, however the plan was set (a worker it kills is reported,
+//! and replaced). Another run on a shared session frees the pool a parked
+//! fragment waits for. A client fires a cancel token while the only fragment
+//! is still scanning. None of these runs opts into a patrol, yet each must
+//! tick, finish, or cancel without a message from its own workers to wake
+//! the master. The runs that would hang run behind a watchdog.
 
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Arc, Barrier};
@@ -83,16 +83,18 @@ fn within_30s<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'sta
 }
 
 /// A fault plan written straight into the field, with no builder call, still
-/// makes the master tick: the dead slot's claimed morsel is reclaimed and
-/// the scan returns the fault-free rows.
+/// makes the master tick, and a worker it kills is replaced: the dead slot's
+/// unclaimed work is reclaimed and the scan returns the fault-free rows. At
+/// 20× the 800-page scan outlasts a 2 ms tick many times over; unthrottled
+/// it can finish before the first.
 #[test]
-fn a_fault_plan_set_through_the_field_still_reaps_a_dead_worker() {
+fn a_fault_plan_set_through_the_field_still_replaces_a_dead_worker() {
     let cat = catalog();
     let baseline = Executor::new(ExecConfig::unthrottled(), cat.clone())
         .run(&[scan(&cat, "big")], &mut policy())
         .expect("fault-free run");
     let plan = Arc::new(FaultPlan::new().with_worker_death(0, 0, 2));
-    let mut cfg = ExecConfig::unthrottled();
+    let mut cfg = ExecConfig::scaled(20.0);
     cfg.faults = Some(plan.clone());
     let run_cat = cat.clone();
     let report = within_30s("a run whose worker died", move || {
@@ -101,7 +103,8 @@ fn a_fault_plan_set_through_the_field_still_reaps_a_dead_worker() {
     .expect("the run must complete");
 
     assert_eq!(plan.stats().deaths_fired(), 1, "the worker death must fire");
-    assert!(report.worker_recoveries >= 1, "the patrol must replace the dead worker");
+    assert!(report.patrol_ticks > 0, "a run with a fault plan must tick");
+    assert_eq!(report.worker_recoveries, plan.stats().deaths_fired(), "one replacement per death");
     assert_eq!(report.results[0].rows.rows, baseline.results[0].rows.rows);
     assert!(!report.results[0].rows.rows.is_empty(), "vacuous comparison");
 }

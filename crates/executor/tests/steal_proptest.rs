@@ -86,10 +86,12 @@ fn drive(
         if fail_at == Some(step) {
             fail_at = None;
             let victim = live[(lcg(&mut rng) % live.len() as u64) as usize];
-            let replacement = part.fail_slot(victim);
-            owners.push(Owner::new(part, replacement));
-            assert_eq!(owners.len() - 1, replacement, "slots grow by one per failure");
-            live.push(replacement);
+            // Nothing to replace once every unit is claimed.
+            if let Some(replacement) = part.fail_slot(victim) {
+                owners.push(Owner::new(part, replacement));
+                assert_eq!(owners.len() - 1, replacement, "slots grow by one per failure");
+                live.push(replacement);
+            }
         }
         step += 1;
         let pick = (lcg(&mut rng) % live.len() as u64) as usize;
@@ -231,8 +233,11 @@ proptest! {
         let replacement = part.fail_slot(victim);
         let mut seen: Vec<u64> =
             handles.into_iter().flat_map(|h| h.join().expect("worker thread")).collect();
-        // The replacement inherits whatever the dead slot never claimed.
-        Owner::new(&part, replacement).drain(&part, |u| seen.push(u));
+        // The replacement inherits whatever the dead slot never claimed;
+        // with every unit already claimed there is none.
+        if let Some(replacement) = replacement {
+            Owner::new(&part, replacement).drain(&part, |u| seen.push(u));
+        }
         seen.sort_unstable();
         prop_assert_eq!(seen, (0..total).collect::<Vec<_>>());
     }
@@ -281,16 +286,15 @@ fn armed_above_two_to_the_31(claimed: u64) -> (StealPartition, Owner, Morsel) {
 #[test]
 fn fail_slot_above_two_to_the_31_reclaims_the_absolute_remainder_once() {
     let (part, mut owner, high) = armed_above_two_to_the_31(3);
-    let replacement = part.fail_slot(1);
+    let replacement = part.fail_slot(1).expect("unclaimed units remain");
     assert!(matches!(owner.step(&part), Step::Retired), "the revoked owner claims no more");
     let want = Morsel { start: high.start + 3, end: high.end };
     assert_eq!(part.next_morsel(replacement).map(|n| n.morsel), Some(want));
-    // A second declaration of the same death finds nothing left to reclaim:
-    // its replacement can only steal.
+    // A second report of the same death finds the slot revoked: nothing is
+    // reclaimed and nobody is staffed.
     let pending = part.pending_units();
-    let again = part.fail_slot(1);
-    assert_eq!(part.pending_units(), pending);
-    assert!(matches!(part.next_morsel(again), Some(n) if n.stolen_from == Some(0)));
+    assert_eq!(part.fail_slot(1), None);
+    assert_eq!((part.pending_units(), part.recoveries()), (pending, 1));
 }
 
 #[test]

@@ -22,7 +22,8 @@
 //!   [`QueryService::reserved_pages`]/[`QueryService::pinned_pages`]
 //!   ledgers so tests and CI can prove it).
 //! * **Graceful degradation** — injected worker deaths and disk
-//!   slowdowns (via the executor's fault plan and heartbeat patrol) show
+//!   slowdowns (via the executor's fault plan, death reports and
+//!   recalibrating patrol) show
 //!   up as bounded per-tenant latency inflation and shed counters in
 //!   [`ServiceStats`], never a hung service or a leaked grant.
 

@@ -13,6 +13,9 @@ use xprs_service::{QueryRequest, QueryService, QueryStatus, ServiceConfig, Servi
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
 use xprs_workload::QueryClass;
 
+#[path = "../../executor/tests/common/oracle.rs"]
+mod oracle;
+
 fn lcg(seed: &mut u64) -> u64 {
     *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
     *seed >> 33
@@ -38,6 +41,10 @@ fn catalog() -> Arc<Catalog> {
     Arc::new(cat)
 }
 
+/// The interactive lookup's range on `a`.
+const LOOKUP_PRED: (i32, i32) = (0, 20);
+const ALL: (i32, i32) = (i32::MIN, i32::MAX);
+
 /// Interactive template: narrow-predicate lookup on the CPU-light relation.
 fn lookup(cat: &Arc<Catalog>) -> QueryRun {
     let q = Query::selection("thin", 1.0);
@@ -45,7 +52,7 @@ fn lookup(cat: &Arc<Catalog>) -> QueryRun {
         optimized: TwoPhaseOptimizer::paper_default()
             .optimize_catalog(cat, &q, Costing::SeqCost)
             .expect("plan"),
-        bindings: vec![RelBinding { name: "thin".into(), pred: (0, 20) }],
+        bindings: vec![RelBinding { name: "thin".into(), pred: LOOKUP_PRED }],
     }
 }
 
@@ -57,10 +64,19 @@ fn scan_join(cat: &Arc<Catalog>) -> QueryRun {
             .optimize_catalog(cat, &q, Costing::SeqCost)
             .expect("plan"),
         bindings: vec![
-            RelBinding { name: "fat".into(), pred: (i32::MIN, i32::MAX) },
-            RelBinding { name: "thin".into(), pred: (i32::MIN, i32::MAX) },
+            RelBinding { name: "fat".into(), pred: ALL },
+            RelBinding { name: "thin".into(), pred: ALL },
         ],
     }
+}
+
+/// The oracle's row count for a request of `class`.
+fn oracle_rows(cat: &Catalog, class: QueryClass) -> usize {
+    let per_key = match class {
+        QueryClass::Interactive => oracle::ref_selection(cat, "thin", LOOKUP_PRED),
+        QueryClass::Batch => oracle::ref_join(cat, &[("fat", ALL), ("thin", ALL)]),
+    };
+    per_key.values().sum()
 }
 
 fn req(cat: &Arc<Catalog>, tenant: u32, class: QueryClass) -> QueryRequest {
@@ -283,14 +299,16 @@ fn service_degrades_gracefully_under_worker_death_and_disk_slowdown() {
         .map(|i| {
             let class =
                 if i % 2 == 0 { QueryClass::Batch } else { QueryClass::Interactive };
-            svc.submit(req(&cat, i % 4, class)).expect("queue has room")
+            (class, svc.submit(req(&cat, i % 4, class)).expect("queue has room"))
         })
         .collect();
     let mut completed = 0;
-    for t in tickets {
+    for (class, t) in tickets {
         match t.wait().status {
             QueryStatus::Completed { rows } => {
-                assert!(rows > 0);
+                let want = oracle_rows(&cat, class);
+                assert!(want > 0, "vacuous {class:?} request");
+                assert_eq!(rows as usize, want, "{class:?} answer under faults");
                 completed += 1;
             }
             QueryStatus::DeadlineCancelled => panic!("30 s deadline must not fire here"),
