@@ -50,10 +50,11 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Most a thread's model clock may lag its wall clock. Timer slack, wake-up
-/// latency and the host time between two modelled waits sit well under
-/// this; a longer lag is a host stall, and absorbing it would let the
-/// thread run a burst of reads in zero wall time.
+/// Most a thread's model clock may lag its wall clock. Wake-up latency
+/// (a few µs on a pool thread, whose timer slack is 1 µs) and the host time
+/// between two modelled waits sit well under this; a longer lag is a host
+/// stall, and absorbing it would let the thread run a burst of reads in zero
+/// wall time.
 const MAX_CLOCK_LAG: Duration = Duration::from_millis(2);
 
 thread_local! {
@@ -65,12 +66,14 @@ thread_local! {
 
 /// The thread's model clock at wall instant `now`, clamped to
 /// `[now − MAX_CLOCK_LAG, now]`. A thread acting on the wall clock would
-/// stretch every modelled second: `thread::sleep` returns late (17–21 % on
-/// the 0.4–0.8 ms sleeps of a 20–40× run), and evaluating tuples or claiming
-/// units takes host time the model does not price. So every modelled wait
-/// is a deadline on this clock — a disk request *arrives* at
-/// `model_clock(now)`, a modelled duration ends at `model_clock(now) + d` —
-/// and the host time between two waits falls inside the next one.
+/// stretch every modelled second: `thread::sleep` returns late (≈ 55 µs at
+/// Linux's default 50 µs timer slack, 17–21 % of the 0.4–0.8 ms sleeps of a
+/// 20–40× run; ≈ 5 µs on a pool thread, see [`tighten_timer_slack`]), and
+/// evaluating tuples or claiming units takes host time the model does not
+/// price. So every modelled wait is a deadline on this clock — a disk
+/// request *arrives* at `model_clock(now)`, a modelled duration ends at
+/// `model_clock(now) + d` — and the host time between two waits falls
+/// inside the next one.
 fn model_clock(now: Instant) -> Instant {
     let floor = now.checked_sub(MAX_CLOCK_LAG).unwrap_or(now);
     MODEL_CLOCK.get().map_or(now, |clock| clock.clamp(floor, now))
@@ -94,6 +97,25 @@ fn pace_until(now: Instant, target: Instant) {
     }
     MODEL_CLOCK.set(Some(model_clock(now).max(target)));
 }
+
+/// Let this thread's sleeps end within 1 µs of their deadline instead of
+/// Linux's default 50 µs timer slack, which a pacing sleep would otherwise
+/// pay on every wake. Called once by each executor pool thread as it starts;
+/// a caller's own thread keeps its slack. A refused call keeps the default.
+#[cfg(target_os = "linux")]
+pub(crate) fn tighten_timer_slack() {
+    use std::os::raw::{c_int, c_ulong};
+    extern "C" {
+        fn prctl(option: c_int, ...) -> c_int;
+    }
+    const PR_SET_TIMERSLACK: c_int = 29;
+    // SAFETY: PR_SET_TIMERSLACK reads one integer argument and changes only
+    // the calling thread's timer slack; no memory is passed or touched.
+    unsafe { prctl(PR_SET_TIMERSLACK, 1_000 as c_ulong) };
+}
+
+#[cfg(not(target_os = "linux"))]
+pub(crate) fn tighten_timer_slack() {}
 
 /// Sleep until a reserved service completes (no-op when unthrottled).
 fn await_deadline(deadline: Option<Instant>) {

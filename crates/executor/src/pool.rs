@@ -147,6 +147,8 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(shared: &Shared) {
+    // Every modelled wait of a run is slept on a pool thread.
+    crate::io::tighten_timer_slack();
     loop {
         let job = {
             let mut q = lock(&shared.q);
@@ -255,6 +257,29 @@ mod tests {
         let out = pool.scatter_gather(tasks);
         assert_eq!(out, vec![1, 2, 3, 4]);
         release.store(1, Ordering::SeqCst);
+        pool.shutdown();
+    }
+
+    #[cfg(target_os = "linux")]
+    fn timer_slack_ns() -> i32 {
+        extern "C" {
+            fn prctl(option: std::os::raw::c_int, ...) -> std::os::raw::c_int;
+        }
+        const PR_GET_TIMERSLACK: std::os::raw::c_int = 30;
+        // SAFETY: PR_GET_TIMERSLACK takes no argument and only returns the
+        // calling thread's timer slack.
+        unsafe { prctl(PR_GET_TIMERSLACK) }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn pool_threads_run_with_1us_timer_slack_and_the_caller_keeps_its_own() {
+        let before = timer_slack_ns();
+        let pool = WorkerPool::new(1);
+        let tasks: Vec<Box<dyn FnOnce() -> i32 + Send>> =
+            (0..3).map(|_| Box::new(timer_slack_ns) as _).collect();
+        assert_eq!(pool.scatter_gather(tasks), vec![1_000; 3]);
+        assert_eq!(timer_slack_ns(), before, "the caller's thread changed");
         pool.shutdown();
     }
 

@@ -27,6 +27,8 @@
 //!   up as bounded per-tenant latency inflation and shed counters in
 //!   [`ServiceStats`], never a hung service or a leaked grant.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+
 pub mod service;
 pub mod stats;
 

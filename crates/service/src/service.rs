@@ -23,7 +23,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -232,6 +232,13 @@ impl Shared {
     }
 }
 
+/// Lock acquisition that shrugs off poisoning: the queue is a plain
+/// `VecDeque` that no panic can leave half-updated, so a runner or client
+/// that panicked while holding it must not take the service down with it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The long-running query service. See the module docs for the pipeline.
 pub struct QueryService {
     shared: Arc<Shared>,
@@ -254,6 +261,9 @@ impl QueryService {
             stats: ServiceStats::new(),
             ema_service_nanos: AtomicU64::new(0),
         });
+        // The OS refusing a runner thread at startup leaves no service to
+        // degrade to; `std::thread::spawn` panics the same way.
+        #[allow(clippy::expect_used)]
         let runners = (0..shared.cfg.max_concurrent.max(1))
             .map(|i| {
                 let shared = shared.clone();
@@ -279,7 +289,7 @@ impl QueryService {
         let (tx, rx) = mpsc::channel();
         let submitted_at = Instant::now();
         {
-            let mut q = self.shared.queue.lock().expect("service queue poisoned");
+            let mut q = lock(&self.shared.queue);
             if q.len() >= self.shared.cfg.queue_cap {
                 drop(q);
                 self.shared.stats.class(class).shed.inc();
@@ -299,7 +309,7 @@ impl QueryService {
 
     /// Requests currently waiting in the admission queue.
     pub fn queue_depth(&self) -> usize {
-        self.shared.queue.lock().expect("service queue poisoned").len()
+        lock(&self.shared.queue).len()
     }
 
     /// Live service counters and latency histograms.
@@ -335,7 +345,7 @@ impl Drop for QueryService {
         // the store (and is then waiting when the notification comes) or
         // after it: no wakeup is lost, and the runners wait untimed.
         {
-            let _q = self.shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let _q = lock(&self.shared.queue);
             self.shared.stopping.store(true, Ordering::Release);
         }
         self.shared.work.notify_all();
@@ -351,7 +361,7 @@ impl Drop for QueryService {
 fn runner_loop(shared: &Shared) {
     loop {
         let job = {
-            let mut q = shared.queue.lock().expect("service queue poisoned");
+            let mut q = lock(&shared.queue);
             loop {
                 if let Some(job) = q.pop_front() {
                     break job;
@@ -359,31 +369,38 @@ fn runner_loop(shared: &Shared) {
                 if shared.stopping.load(Ordering::Acquire) {
                     return;
                 }
-                q = shared.work.wait(q).expect("service queue poisoned");
+                q = shared.work.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
         };
         settle(shared, job);
     }
 }
 
-/// Execute (or retire) one admitted job and record its outcome.
+/// Execute (or retire) one admitted job, record its outcome and answer the
+/// client. What the run leaves behind — its plan, executor, policy and
+/// report — is dropped only after the answer is sent: freeing it is not on
+/// the client's path. The grant, pins and partition shares are released
+/// inside the run, so the ledgers read zero before the answer is sent.
 fn settle(shared: &Shared, job: Job) {
     let Job { req, token, submitted_at, resp } = job;
+    let QueryRequest { tenant, class, run } = req;
     let queue_wait = submitted_at.elapsed();
-    let class_stats = shared.stats.class(req.class);
+    let class_stats = shared.stats.class(class);
     class_stats.queue_wait_us.observe(queue_wait.as_micros().min(u64::MAX as u128) as u64);
 
     // Deadline (or client cancel) fired while the job sat in the queue:
     // retire it without staffing anything.
-    let status = if token.is_cancelled() {
-        QueryStatus::DeadlineCancelled
+    let (status, spent) = if token.is_cancelled() {
+        (QueryStatus::DeadlineCancelled, None)
     } else {
         let exec = Executor::new(shared.cfg.exec.clone(), shared.catalog.clone());
         let mut policy =
             AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(shared.cfg.exec.machine.clone()));
+        let runs = [run];
         let run_start = Instant::now();
-        match exec.run_shared(&shared.session, &[req.run], &mut policy, std::slice::from_ref(&token))
-        {
+        let tokens = std::slice::from_ref(&token);
+        let result = exec.run_shared(&shared.session, &runs, &mut policy, tokens);
+        let status = match &result {
             Ok(report) => {
                 shared.note_service_time(run_start.elapsed());
                 if report.profiles.first().is_some_and(|q| q.cancelled) {
@@ -395,7 +412,8 @@ fn settle(shared: &Shared, job: Job) {
                 }
             }
             Err(e) => QueryStatus::Failed { error: e.to_string() },
-        }
+        };
+        (status, Some((runs, exec, policy, result)))
     };
 
     let latency = submitted_at.elapsed();
@@ -407,18 +425,69 @@ fn settle(shared: &Shared, job: Job) {
     }
     // The client may have dropped its ticket; the outcome is already in
     // the stats, so a dead receiver is not an error.
-    let _ = resp.send(QueryOutcome {
-        tenant: req.tenant,
-        class: req.class,
-        latency,
-        queue_wait,
-        status,
-    });
+    let _ = resp.send(QueryOutcome { tenant, class, latency, queue_wait, status });
+    drop(spent);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xprs_disk::StripedLayout;
+    use xprs_executor::RelBinding;
+    use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
+    use xprs_storage::{Datum, Schema, Tuple};
+
+    /// A service over one small indexed relation, and a lookup on it.
+    fn lookup_service() -> (QueryService, impl Fn() -> QueryRequest) {
+        let mut cat = Catalog::new(StripedLayout::new(4));
+        cat.create("t", Schema::paper_rel());
+        let row = |i| Tuple::from_values(vec![Datum::Int(i % 50), Datum::Text("x".into())]);
+        cat.load("t", (0..500).map(row));
+        cat.build_index("t", false);
+        let cat = Arc::new(cat);
+        let optimized = TwoPhaseOptimizer::paper_default()
+            .optimize_catalog(&cat, &Query::selection("t", 1.0), Costing::SeqCost)
+            .expect("plan");
+        let request = move || QueryRequest {
+            tenant: 0,
+            class: QueryClass::Interactive,
+            run: QueryRun {
+                optimized: optimized.clone(),
+                bindings: vec![RelBinding { name: "t".into(), pred: (0, 9) }],
+            },
+        };
+        (QueryService::start(ServiceConfig::quick(), cat), request)
+    }
+
+    #[test]
+    fn a_poisoned_queue_still_admits_and_serves() {
+        let (svc, request) = lookup_service();
+        let shared = svc.shared.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _q = shared.queue.lock();
+            panic!("a thread dies holding the service queue");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(svc.shared.queue.is_poisoned());
+        let ticket = svc.submit(request()).expect("a poisoned queue still admits");
+        assert!(svc.queue_depth() <= 1);
+        let out = ticket.wait();
+        assert_eq!(out.status, QueryStatus::Completed { rows: 100 });
+    }
+
+    /// The client is answered after the stats are recorded and the run has
+    /// released what it held, so nothing needs polling once `wait` returns.
+    #[test]
+    fn an_answered_request_is_already_settled_and_released() {
+        let (svc, request) = lookup_service();
+        for _ in 0..5 {
+            let out = svc.submit(request()).expect("admit").wait();
+            assert_eq!(out.status, QueryStatus::Completed { rows: 100 });
+            assert_eq!(svc.stats().interactive.in_flight(), 0);
+            assert_eq!(svc.reserved_pages(), 0);
+            assert_eq!(svc.pinned_pages(), 0);
+        }
+    }
 
     #[test]
     fn a_ticket_whose_runner_vanished_settles_as_failed() {

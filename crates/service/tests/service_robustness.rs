@@ -195,36 +195,48 @@ fn full_queue_sheds_typed_overload_with_backoff_hint() {
 #[test]
 fn deadlines_cancel_queued_and_running_without_leaking() {
     let cat = catalog();
-    // Throttled runs with a deadline far shorter than a join's runtime:
-    // the head-of-line jobs are cancelled mid-run, the tail is cancelled
-    // while still queued (queue wait counts against the deadline).
+    // The deadline sits below a join's modelled time, and a run never ends
+    // ahead of its model, so every job is cancelled. A join charges
+    // 2 300 tuples × CPU_TUPLE (0.25 sim-ms) of CPU. Its build over `fat`
+    // (300 tuples, 3 backends) leaves its fullest backend ≥ 25 sim-ms, and
+    // the probe over `thin` that follows (2 000 tuples, ≤ 8 backends) ≥ 62.5
+    // sim-ms: ≥ 87.5 sim-ms in all, 3.5 ms of wall at 25×. A 2 ms deadline
+    // fires mid-run on the two head-of-line jobs. A queued job is popped
+    // only after a run ahead of it is cancelled and ends; the eight submits
+    // land together, so by then its own deadline has passed too.
+    let deadline = Duration::from_millis(2);
     let cfg = ServiceConfig {
         queue_cap: 16,
         max_concurrent: 2,
-        interactive_deadline: Duration::from_millis(40),
+        interactive_deadline: deadline,
         batch_deadline: Duration::from_secs(30),
         exec: ExecConfig::scaled(25.0),
     };
     let svc = QueryService::start(cfg, cat.clone());
 
-    let tickets: Vec<_> = (0..8)
+    // Batch-weight work under the interactive deadline, planned before the
+    // first submit so the eight submits land together.
+    let reqs: Vec<_> = (0..8)
         .map(|i| {
-            // Batch-weight work submitted under the interactive deadline.
-            let mut r = req(&cat, i % 4, QueryClass::Batch);
-            r.class = QueryClass::Interactive;
-            svc.submit(r).expect("queue has room")
+            let batch = req(&cat, i % 4, QueryClass::Batch);
+            QueryRequest { class: QueryClass::Interactive, ..batch }
         })
         .collect();
-    let mut cancelled = 0;
+    let tickets: Vec<_> =
+        reqs.into_iter().map(|r| svc.submit(r).expect("queue has room")).collect();
+    let (mut mid_run, mut in_queue) = (0, 0);
     for t in tickets {
-        match t.wait().status {
-            QueryStatus::DeadlineCancelled => cancelled += 1,
-            QueryStatus::Completed { .. } => {}
-            QueryStatus::Failed { error } => panic!("deadline must cancel, not fail: {error}"),
+        let out = t.wait();
+        assert_eq!(out.status, QueryStatus::DeadlineCancelled, "a join beat a 2 ms deadline");
+        if out.queue_wait < deadline {
+            mid_run += 1;
+        } else {
+            in_queue += 1;
         }
     }
-    assert!(cancelled > 0, "a 40 ms deadline on throttled joins must fire");
-    assert_eq!(svc.stats().interactive.deadline_cancelled.get(), cancelled);
+    assert!(mid_run >= 1, "no job was cancelled mid-run");
+    assert!(in_queue >= 1, "no job was retired in the queue");
+    assert_eq!(svc.stats().interactive.deadline_cancelled.get(), 8);
 
     // Mass cancellation must leave the ledgers balanced and the service
     // alive: a fresh, generously-deadlined query still completes.
