@@ -134,6 +134,9 @@ impl FaultPlan {
     /// # Panics
     /// Panics if `multiplier` is not finite and ≥ 1 — a "slowdown" that
     /// speeds the disk up would let a degraded run beat the clean model.
+    /// An invariant of the plan's author, not a runtime condition: a plan
+    /// is written by a test or drawn by [`FaultPlan::seeded`] (always ≥ 1)
+    /// before any run starts, never built from a request.
     #[must_use]
     pub fn with_slowdown(mut self, disk: usize, after_requests: u64, multiplier: f64) -> Self {
         assert!(

@@ -20,6 +20,13 @@
 //! on the same physics, so the interference effect the paper's Section 2.3
 //! models — two interleaved sequential scans degrading the array toward its
 //! random bandwidth — *emerges* in both engines rather than being assumed.
+//!
+//! Outside tests the crate neither unwraps nor panics. Its three `assert!`s
+//! are documented caller invariants checked at construction, before any
+//! I/O: [`DiskParams::from_rates`]'s rate order, [`StripedLayout::new`]'s
+//! non-empty array and [`FaultPlan::with_slowdown`]'s multiplier ≥ 1.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod array;
 pub mod fault;

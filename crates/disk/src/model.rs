@@ -93,10 +93,17 @@ impl DiskParams {
         }
     }
 
-    /// Build from the three rates in I/Os per second.
+    /// The paper's disk with its three rates, in I/Os per second, replaced:
+    /// the reorder window and the absorb limit stay
+    /// [`DiskParams::paper_default`]'s, so every disk a machine builds has
+    /// the one window the executor's deal sizes its read front by.
     ///
     /// # Panics
-    /// Panics unless `seq_rate >= almost_seq_rate >= random_rate > 0`.
+    /// Panics unless `seq_rate >= almost_seq_rate >= random_rate > 0` — an
+    /// invariant of the caller's machine description, not a runtime
+    /// condition: the executor refuses such a configuration before it
+    /// builds a machine (`ExecError::InvalidConfig`), and a machine whose
+    /// random reads outrun its sequential ones has no meaningful model.
     pub fn from_rates(seq_rate: f64, almost_seq_rate: f64, random_rate: f64) -> Self {
         assert!(
             seq_rate >= almost_seq_rate && almost_seq_rate >= random_rate && random_rate > 0.0,
@@ -106,8 +113,7 @@ impl DiskParams {
             seq_service: 1.0 / seq_rate,
             almost_seq_service: 1.0 / almost_seq_rate,
             random_service: 1.0 / random_rate,
-            reorder_window: 16,
-            absorb_limit: 4,
+            ..DiskParams::paper_default()
         }
     }
 
@@ -526,6 +532,9 @@ mod tests {
         let p = DiskParams::from_rates(100.0, 50.0, 25.0);
         assert!((p.service_time(ServiceClass::Sequential) - 0.01).abs() < 1e-12);
         assert!((p.service_time(ServiceClass::Random) - 0.04).abs() < 1e-12);
+        // The window and absorb limit are the paper disk's, not re-typed.
+        let paper = DiskParams::paper_default();
+        assert_eq!((p.reorder_window, p.absorb_limit), (paper.reorder_window, paper.absorb_limit));
     }
 
     #[test]

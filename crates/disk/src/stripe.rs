@@ -12,7 +12,13 @@ pub struct StripedLayout {
 }
 
 impl StripedLayout {
-    /// A layout over `n_disks` disks (must be at least 1).
+    /// A layout over `n_disks` disks.
+    ///
+    /// # Panics
+    /// Panics if `n_disks` is 0 — an invariant, not a runtime condition:
+    /// every block maps to `block % n_disks`, and the executor refuses a
+    /// machine with no disks before it builds a layout
+    /// (`ExecError::InvalidConfig`, field `machine.n_disks`).
     pub fn new(n_disks: u32) -> Self {
         assert!(n_disks >= 1, "a disk array needs at least one disk");
         StripedLayout { n_disks }

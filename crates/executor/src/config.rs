@@ -101,10 +101,15 @@ impl ExecConfig {
     /// Every field is `pub`, so the builders cannot vouch for a value: the
     /// configuration is checked once, where a run or a session consumes it.
     pub(crate) fn validate(&self) -> Result<(), ExecError> {
+        let m = &self.machine;
         let refused = [
             ("scale", self.scale, self.scale.is_finite() && self.scale >= 0.0),
             ("machine.n_procs", f64::from(self.machine.n_procs), self.machine.n_procs > 0),
             ("machine.n_disks", f64::from(self.machine.n_disks), self.machine.n_disks > 0),
+            // The disk model's rate order (`DiskParams::from_rates`).
+            ("machine.random_bw", m.random_bw, m.random_bw > 0.0),
+            ("machine.almost_seq_bw", m.almost_seq_bw, m.almost_seq_bw >= m.random_bw),
+            ("machine.seq_bw", m.seq_bw, m.seq_bw >= m.almost_seq_bw),
         ]
         .into_iter()
         .find(|&(_, _, ok)| !ok);
@@ -172,5 +177,26 @@ mod tests {
         let mut cfg = ExecConfig::unthrottled();
         cfg.machine.n_disks = 0;
         assert_eq!(refusal(&cfg), Some("machine.n_disks"));
+    }
+
+    /// Rates out of the disk model's order are refused before a machine is
+    /// built, not asserted on inside it.
+    #[test]
+    fn disk_rates_out_of_order_are_refused() {
+        let m = MachineConfig::paper_default();
+        let cat = Arc::new(xprs_storage::Catalog::new(xprs_disk::StripedLayout::new(4)));
+        let slow = m.random_bw / 2.0;
+        let cases = [
+            (MachineConfig { random_bw: 0.0, ..m.clone() }, "machine.random_bw"),
+            (MachineConfig { random_bw: f64::NAN, ..m.clone() }, "machine.random_bw"),
+            (MachineConfig { almost_seq_bw: slow, ..m.clone() }, "machine.almost_seq_bw"),
+            (MachineConfig { seq_bw: m.almost_seq_bw / 2.0, ..m.clone() }, "machine.seq_bw"),
+        ];
+        for (machine, field) in cases {
+            let cfg = ExecConfig { machine, ..ExecConfig::unthrottled() };
+            assert_eq!(refusal(&cfg), Some(field));
+            // The session over a refused configuration is a stand-in: no panic.
+            assert!(crate::Executor::new(cfg, cat.clone()).session().invalid.is_some());
+        }
     }
 }

@@ -1,17 +1,42 @@
 //! Morsel-driven work stealing: the one way a fragment's work units reach
 //! its workers.
 //!
-//! The fragment's unit space `[0, total_units)` is cut into fixed-size
-//! [`Morsel`]s which are dealt round-robin into per-worker deques — the
-//! morsel-granular analogue of the §2.4 residue-class shares, which keeps
-//! the deal's per-disk access pattern close to theirs (a contiguous block
-//! deal measurably degrades the striped disks' service classification). A
-//! worker takes its next morsel from the front of its own deque; when that
-//! runs dry it steals the back half of a victim's *pending* morsels,
-//! visiting victims in a seeded deterministic order. Within a claimed
-//! morsel the worker claims units one at a time on a **private atomic** —
-//! no lock, no shared cursor — so the per-unit hot path costs one
-//! uncontended RMW.
+//! The fragment's unit space `[0, total_units)` is cut into [`Morsel`]s
+//! which are dealt round-robin, in unit order, into per-worker deques — the
+//! morsel-granular analogue of the §2.4 residue-class shares. Every backend
+//! therefore reads at one *read front*: at any moment the backends hold
+//! neighbouring morsels, so each disk of a striped relation sees requests
+//! that land within a few blocks of each other (a contiguous block deal
+//! measurably degrades the striped disks' service classification). A worker
+//! takes its next morsel from the front of its own deque (on a disk-mapped
+//! scan, of the started deques, below); when that runs dry it steals the
+//! back half of a victim's *pending* morsels, visiting victims in a seeded
+//! deterministic order. Within a claimed morsel the worker
+//! claims units one at a time on a **private atomic** — no lock, no shared
+//! cursor — so the per-unit hot path costs one uncontended RMW.
+//!
+//! # One read front
+//!
+//! A page scan over striped disks ([`StealPartition::with_disks`]) keeps
+//! its front narrower than the disks' reorder window: the grain is cut so
+//! that `backends × grain` fills half of `n_disks × reorder_window` (the
+//! window is the disk model's [`DiskParams`]), capped at the configured
+//! `morsel_units`; the other half is slack for a backend running late.
+//! Wider, the round-robin deal spreads the backends over more blocks than
+//! a disk serves almost-sequentially, and every request past the window
+//! pays a full seek. A disk-mapped slot takes the lowest morsel at the
+//! head of its own or any started slot's deque, so morsels leave the deal
+//! in unit order and a backend that ran late rejoins the front instead of
+//! trailing it ([`StealPartition::next_morsel`]). A plain partition takes
+//! from its own deque first. [`StealPartition::adjust`] keeps the front
+//! across a resize — the morsel analogue of the §2.4 max-page protocol,
+//! which re-partitions a resized scan's remaining pages from one frontier: on
+//! grow and on shrink it gathers every active slot's pending morsels (and a
+//! retiring slot's remainder), re-cuts them to the grain for the new slot
+//! count, and deals them again in unit order, round-robin over the active
+//! slots. Armed morsels and claim words are untouched. Key-space and
+//! sliced fragments have no unit→disk mapping: they keep `morsel_units`
+//! and are re-dealt, not re-cut.
 //!
 //! Two rules keep the initial deal meaningful: a fragment with at least
 //! `parallelism` units deals at least one morsel to every slot (one
@@ -20,13 +45,16 @@
 //! working. Together they guarantee every staffed slot
 //! processes at least one unit of a large-enough fragment — first-touch
 //! stays local, and per-slot fault-injection points (`kill slot s after
-//! k units`) remain deterministic under stealing.
+//! k units`) remain deterministic under stealing. Stealing itself is the
+//! rescue path: it moves work to a backend whose own deque ran dry, at the
+//! end of a scan or after a death, not the way a resized scan is staffed.
 //!
 //! # Any unit count
 //!
 //! The deal is bounded: at most [`MAX_DEAL_MORSELS`] morsels are ever
 //! materialized, the grain growing past `morsel_units` for fragments too
-//! large to be cut that finely. The claim word addresses the *armed
+//! large to be cut that finely, and an adjustment's re-cut never exceeds
+//! the bound either. The claim word addresses the *armed
 //! morsel*, not the fragment — it packs `(revoked, len, offset)` relative to
 //! the morsel's start — so a key domain spanning the whole `i32` space (2³²
 //! units) is served like any other fragment.
@@ -56,8 +84,9 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
+use xprs_disk::DiskParams;
 use xprs_storage::partition::{morselize, AdjustInfo, Morsel};
 
 use crate::io::lock;
@@ -170,7 +199,9 @@ pub struct NextMorsel {
     /// The claimed morsel; its units are now claimable on the slot's word,
     /// as offsets from `morsel.start`.
     pub morsel: Morsel,
-    /// Victim slot the morsel was stolen from (`None` = own deque).
+    /// Victim slot the morsel was stolen from (`None` = taken from the
+    /// read front: the own deque's head, or on a disk-mapped scan the
+    /// lowest head of a started slot).
     pub stolen_from: Option<usize>,
 }
 
@@ -178,9 +209,11 @@ pub struct NextMorsel {
 pub struct StealPartition {
     inner: Mutex<Vec<SlotState>>,
     seed: u64,
+    /// The grain a deal cuts at when nothing forces it coarser or finer.
+    morsel_units: u64,
     /// Disks under the unit space (`unit % n_disks` = home disk, matching
-    /// [`xprs_disk::StripedLayout::disk_of`]). `0` or `1` disables the
-    /// affinity steal pass.
+    /// [`xprs_disk::StripedLayout::disk_of`]). `0` means no disk mapping;
+    /// `0` or `1` disables the affinity steal pass.
     n_disks: u32,
 }
 
@@ -199,9 +232,73 @@ impl StealPartition {
     /// `seed` fixes the victim order for deterministic tests.
     pub fn new(total_units: u64, morsel_units: u64, parallelism: u32, seed: u64) -> Self {
         let n = parallelism.max(1) as usize;
-        let grain = morsel_units
-            .max(total_units.div_ceil(MAX_DEAL_MORSELS))
-            .clamp(1, MAX_MORSEL_UNITS);
+        let mut part = StealPartition {
+            inner: Mutex::new(Vec::new()),
+            seed,
+            morsel_units,
+            n_disks: 0,
+        };
+        part.deal(total_units, n);
+        part
+    }
+
+    /// Map the unit space onto a striped array of `n_disks` disks — a
+    /// page-scan fragment, one unit per block — and re-deal the fresh
+    /// partition for it. Two things follow.
+    ///
+    /// **One read front.** The grain shrinks until `2 × backends × grain ≤
+    /// n_disks × reorder_window`, the window being the disk model's
+    /// ([`DiskParams`]; every machine's disks are built on
+    /// [`DiskParams::paper_default`]), so the round-robin deal keeps every
+    /// backend's next request within the window of the disk it lands on,
+    /// with half the window to spare for a backend running late.
+    /// [`StealPartition::adjust`] re-cuts to the grain for the new slot
+    /// count, and [`StealPartition::next_morsel`] hands morsels out in unit
+    /// order across the started slots' deques.
+    ///
+    /// **Disk-affine stealing.** Instead of taking the first victim in the
+    /// seeded rotation, an idle worker scores every victim's would-be
+    /// morsel by *(lands off the thief's current disk?, block distance from
+    /// the thief's last unit)* and steals the minimum — a same-disk
+    /// continuation when one exists, the shortest seek jump otherwise. A
+    /// blind steal teleports the thief to an arbitrary victim's tail: the
+    /// jump degrades the stripe's sequential service class on both the
+    /// abandoned and the invaded disk — a measured ~13% loss on uniform
+    /// scans. Affine selection keeps the steal's rescue property (work
+    /// still moves to idle workers) while paying the smallest available
+    /// seek penalty for it.
+    pub fn with_disks(mut self, n_disks: u32) -> Self {
+        self.n_disks = n_disks;
+        let slots = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let total = slots.iter().flat_map(|s| &s.pending).map(Morsel::len).sum();
+        let n = slots.len();
+        self.deal(total, n);
+        self
+    }
+
+    /// The grain a deal of `units` over `slots` slots cuts at:
+    /// `morsel_units`, narrowed on a disk-mapped unit space until the slots'
+    /// morsels fill half the read front, and coarsened past both when
+    /// `units` would otherwise take more than [`MAX_DEAL_MORSELS`] morsels.
+    ///
+    /// The other half of the front is slack: a backend woken late — a
+    /// paced thread on a busy host — reads the rest of its morsel behind
+    /// the others before it rejoins the front, and with the whole window
+    /// dealt each of those reads would be a seek.
+    fn grain(&self, units: u64, slots: usize) -> u64 {
+        let mut grain = self.morsel_units;
+        if self.n_disks > 0 {
+            // The read front: the widest span of units every disk still
+            // serves inside its reorder window.
+            let front = u64::from(self.n_disks) * DiskParams::paper_default().reorder_window;
+            grain = grain.min(front / (2 * slots.max(1) as u64));
+        }
+        grain.max(units.div_ceil(MAX_DEAL_MORSELS)).clamp(1, MAX_MORSEL_UNITS)
+    }
+
+    /// Replace the slots with `n` fresh ones dealt `[0, total_units)`.
+    fn deal(&mut self, total_units: u64, n: usize) {
+        let grain = self.grain(total_units, n);
         let share = total_units / n as u64;
         let morsels = if share >= grain {
             morselize(total_units, grain)
@@ -224,26 +321,7 @@ impl StealPartition {
         for (i, m) in morsels.into_iter().enumerate() {
             slots[i % n].pending.push_back(m);
         }
-        StealPartition { inner: Mutex::new(slots), seed, n_disks: 0 }
-    }
-
-    /// Enable disk-affine victim selection for a page-scan fragment over a
-    /// striped array of `n_disks` disks: instead of taking the first
-    /// victim in the seeded rotation, an idle worker scores every victim's
-    /// would-be morsel by *(lands off the thief's current disk?, block
-    /// distance from the thief's last unit)* and steals the minimum — a
-    /// same-disk continuation when one exists, the shortest seek jump
-    /// otherwise.
-    ///
-    /// A blind steal teleports the thief to an arbitrary victim's tail:
-    /// the jump degrades the stripe's sequential service class on both the
-    /// abandoned and the invaded disk — a measured ~13% loss on uniform
-    /// scans. Affine selection keeps the steal's rescue property (work
-    /// still moves to idle workers) while paying the smallest available
-    /// seek penalty for it.
-    pub fn with_disks(mut self, n_disks: u32) -> Self {
-        self.n_disks = n_disks;
-        self
+        *self.inner.get_mut().unwrap_or_else(PoisonError::into_inner) = slots;
     }
 
     /// The claim word `slot`'s owner uses for its per-unit fast path.
@@ -273,17 +351,32 @@ impl StealPartition {
         lock(&self.inner).iter().filter(|s| s.progress() == 0).count() as u64
     }
 
-    /// Begin the slot's next morsel: own deque first, then steal the back
-    /// half of the first victim (in seeded order) with pending work. On
-    /// success the slot's claim word is armed with the morsel's length.
-    /// `None` means the slot is revoked or no pending morsel exists
-    /// anywhere — the worker retires.
+    /// Begin the slot's next morsel: take it from the read front — the
+    /// own deque's head, or on a disk-mapped scan the lowest head among the
+    /// own deque and every started slot's — then steal the back half of
+    /// the first victim (in seeded order) with pending work. On success the
+    /// slot's claim word is armed with the morsel's length. `None` means
+    /// the slot is revoked or no pending morsel exists anywhere — the
+    /// worker retires.
+    ///
+    /// A disk-mapped scan's slots take the lowest head because a slot's
+    /// later morsels are fixed in its deque: a backend that falls behind —
+    /// a paced thread woken late on a busy host — would otherwise read
+    /// behind the others for the rest of the scan, out of the disks'
+    /// window. Its next morsels go to whoever is free when they come due,
+    /// and once it is back it rejoins the front. Unstarted slots' queues
+    /// are left alone (the first-morsel guarantee).
     pub fn next_morsel(&self, slot: usize) -> Option<NextMorsel> {
         let mut slots = lock(&self.inner);
         if slots[slot].revoked {
             return None;
         }
-        if let Some(m) = slots[slot].pending.pop_front() {
+        let front = (0..slots.len())
+            .filter(|&s| s == slot || (self.n_disks > 0 && slots[s].started))
+            .filter_map(|s| Some((slots[s].pending.front()?.start, s)))
+            .min();
+        if let Some((_, owner)) = front {
+            let m = slots[owner].pending.pop_front()?;
             slots[slot].arm(m);
             return Some(NextMorsel { morsel: m, stolen_from: None });
         }
@@ -351,16 +444,23 @@ impl StealPartition {
         }
     }
 
-    /// Adjust to `new_parallelism` active slots. Growing adds empty slots
-    /// (they immediately steal); shrinking revokes the highest-numbered
-    /// active slots and redistributes their unclaimed work round-robin
-    /// over the survivors. Keeps the §2.4 protocols' contract: the
-    /// returned `new_slots` need staffing, `retiring_slots` drain at their
-    /// next claim. `new_slots` also lists every exited slot that stays
-    /// active: the new assignment may hand it work, so it is re-staffed.
-    /// Once every unit is
-    /// claimed nothing changes: a slot staffed then would find no work, and
-    /// its job could start after the fragment's completion was recorded.
+    /// Adjust to `new_parallelism` active slots: grow by adding fresh
+    /// slots, shrink by revoking the highest-numbered active ones. Either
+    /// way the read front is re-dealt: every pending morsel — the active
+    /// slots' and the retiring slots', with their armed remainders — is
+    /// gathered, re-cut to the grain for the new slot count when the unit
+    /// space is disk-mapped, and dealt in unit order, round-robin over the
+    /// active slots. A grown scan's new slots so start on the lowest
+    /// pending units beside the running ones instead of stealing the tail
+    /// of a victim's deque. Armed morsels and claim words of the surviving
+    /// slots are untouched.
+    ///
+    /// Keeps the §2.4 protocols' contract: the returned `new_slots` need
+    /// staffing, `retiring_slots` drain at their next claim. `new_slots`
+    /// also lists every exited slot that stays active: the new deal may
+    /// hand it work, so it is re-staffed. Once every unit is claimed
+    /// nothing changes: a slot staffed then would find no work, and its job
+    /// could start after the fragment's completion was recorded.
     pub fn adjust(&self, new_parallelism: u32) -> AdjustInfo {
         let mut slots = lock(&self.inner);
         let mut info = AdjustInfo { new_slots: Vec::new(), retiring_slots: Vec::new() };
@@ -370,20 +470,30 @@ impl StealPartition {
         let want = new_parallelism.max(1) as usize;
         let active: Vec<usize> =
             (0..slots.len()).filter(|&s| !slots[s].revoked).collect();
-        if active.len() < want {
+        if active.len() != want {
+            let mut pending = Vec::new();
+            for &slot in active.iter().skip(want) {
+                pending.extend(slots[slot].revoke());
+                info.retiring_slots.push(slot);
+            }
             for _ in active.len()..want {
                 slots.push(SlotState::fresh(VecDeque::new()));
                 info.new_slots.push(slots.len() - 1);
             }
-        } else if active.len() > want {
-            let (survivors, retiring) = active.split_at(want);
-            let mut orphaned = VecDeque::new();
-            for &slot in retiring {
-                orphaned.extend(slots[slot].revoke());
-                orphaned.append(&mut slots[slot].pending);
-                info.retiring_slots.push(slot);
+            for s in slots.iter_mut() {
+                pending.extend(s.pending.drain(..));
             }
-            for (i, m) in orphaned.into_iter().enumerate() {
+            pending.sort_unstable_by_key(|m| m.start);
+            if self.n_disks > 0 {
+                let units = pending.iter().map(Morsel::len).sum();
+                let cut = recut(&pending, self.grain(units, want));
+                if cut.len() as u64 <= MAX_DEAL_MORSELS {
+                    pending = cut;
+                }
+            }
+            let survivors: Vec<usize> =
+                (0..slots.len()).filter(|&s| !slots[s].revoked).collect();
+            for (i, m) in pending.into_iter().enumerate() {
                 slots[survivors[i % survivors.len()]].pending.push_back(m);
             }
         }
@@ -441,6 +551,27 @@ impl StealPartition {
     }
 }
 
+/// `sorted` (ascending, disjoint) re-cut at `grain`: each run of adjacent
+/// morsels is merged and cut again from its start, so the pieces tile the
+/// same units.
+fn recut(sorted: &[Morsel], grain: u64) -> Vec<Morsel> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < sorted.len() {
+        let (start, mut end) = (sorted[i].start, sorted[i].end);
+        i += 1;
+        while i < sorted.len() && sorted[i].start == end {
+            end = sorted[i].end;
+            i += 1;
+        }
+        out.extend(morselize(end - start, grain).into_iter().map(|m| Morsel {
+            start: start + m.start,
+            end: start + m.end,
+        }));
+    }
+    out
+}
+
 /// Pending morsels of `victim` a thief may take: everything once the owner
 /// has begun, all but the last before that (the first-morsel guarantee).
 fn stealable(slots: &[SlotState], victim: usize) -> usize {
@@ -489,25 +620,9 @@ mod tests {
     /// record the units claimed. No slot may be mid-morsel on entry: the
     /// base of an armed morsel is known only to whoever armed it.
     fn drain(p: &StealPartition) -> Vec<u64> {
-        let mut seen = Vec::new();
-        let mut claims: Vec<_> = (0..p.n_slots()).map(|s| Some((p.claim_of(s), 0))).collect();
-        let mut progressed = true;
-        while progressed {
-            progressed = false;
-            for (slot, entry) in claims.iter_mut().enumerate() {
-                let Some((claim, base)) = entry else { continue };
-                if let Some(offset) = StealPartition::claim_unit(claim) {
-                    seen.push(*base + offset);
-                    progressed = true;
-                } else if let Some(next) = p.next_morsel(slot) {
-                    *base = next.morsel.start;
-                    progressed = true;
-                } else {
-                    *entry = None;
-                }
-            }
-        }
-        seen
+        let mut walk = Walk::default();
+        walk.run(p, usize::MAX);
+        walk.seen
     }
 
     #[test]
@@ -686,6 +801,169 @@ mod tests {
         let info = p.adjust(4);
         assert!(info.new_slots.is_empty() && info.retiring_slots.is_empty(), "{info:?}");
         assert_eq!((p.n_slots(), p.claimed()), (2, 64));
+    }
+
+    /// Every slot's claim word and the base of the morsel it last armed,
+    /// walked the way workers run them — across adjustments, which add
+    /// slots and hand exited ones back.
+    #[derive(Default)]
+    struct Walk {
+        owners: Vec<(Arc<AtomicU64>, u64)>,
+        seen: Vec<u64>,
+        steals: u64,
+    }
+
+    impl Walk {
+        /// Up to `rounds` rounds of claim-a-unit-else-take-a-morsel on every
+        /// slot; stops early once no slot can progress.
+        fn run(&mut self, p: &StealPartition, rounds: usize) {
+            for _ in 0..rounds {
+                while self.owners.len() < p.n_slots() {
+                    self.owners.push((p.claim_of(self.owners.len()), 0));
+                }
+                let mut progressed = false;
+                for (slot, (claim, base)) in self.owners.iter_mut().enumerate() {
+                    if let Some(offset) = StealPartition::claim_unit(claim) {
+                        self.seen.push(*base + offset);
+                        progressed = true;
+                    } else if let Some(next) = p.next_morsel(slot) {
+                        *base = next.morsel.start;
+                        self.steals += u64::from(next.stolen_from.is_some());
+                        progressed = true;
+                    }
+                }
+                if !progressed {
+                    return;
+                }
+            }
+        }
+    }
+
+    fn pending_of(p: &StealPartition, slot: usize) -> Vec<Morsel> {
+        lock(&p.inner)[slot].pending.iter().copied().collect()
+    }
+
+    #[test]
+    fn a_grown_scan_deals_its_lowest_pending_morsels_to_the_deque_heads() {
+        // One slot has armed three of sixteen 16-unit morsels; growing to
+        // six re-deals the thirteen pending ones in unit order, so the six
+        // deque heads are the six lowest, in slot order — nobody starts by
+        // stealing.
+        let p = StealPartition::new(256, 16, 1, 9);
+        let mut walk = Walk::default();
+        walk.run(&p, 40);
+        let info = p.adjust(6);
+        assert_eq!(info.new_slots, vec![1, 2, 3, 4, 5]);
+        let heads: Vec<u64> = (0..6).map(|s| pending_of(&p, s)[0].start).collect();
+        assert_eq!(heads, vec![48, 64, 80, 96, 112, 128]);
+        for slot in 0..6 {
+            let starts: Vec<u64> = pending_of(&p, slot).iter().map(|m| m.start).collect();
+            assert!(starts.windows(2).all(|w| w[0] < w[1]), "slot {slot}: {starts:?}");
+        }
+        for slot in 1..6 {
+            assert_eq!(p.next_morsel(slot).map(|n| n.stolen_from), Some(None), "slot {slot}");
+        }
+    }
+
+    #[test]
+    fn a_late_slot_on_a_disk_mapped_scan_rejoins_the_front() {
+        // Four disks, four slots: grain 8, slot s dealt every fourth
+        // morsel. Slot 0 stalls in its first morsel while the others go
+        // on; its queued morsels go to whoever asks when they are the
+        // lowest, so every morsel is handed out in unit order, and slot 0
+        // comes back to the front, not to its own queue's stale head.
+        let p = StealPartition::new(256, 16, 4, 1).with_disks(4);
+        let mut handed: Vec<u64> =
+            (0..4).map(|s| p.next_morsel(s).expect("first").morsel.start).collect();
+        assert_eq!(handed, vec![0, 8, 16, 24]);
+        for slot in [1, 2, 3].into_iter().cycle().take(12) {
+            let next = p.next_morsel(slot).expect("work left");
+            assert_eq!(next.stolen_from, None, "a front take is not a rescue steal");
+            handed.push(next.morsel.start);
+        }
+        let back = p.next_morsel(0).expect("work left").morsel.start;
+        handed.push(back);
+        assert!(handed.windows(2).all(|w| w[0] < w[1]), "{handed:?}");
+        assert_eq!(back, 128, "the late slot takes the front's next morsel");
+        // A plain partition keeps its own queue order: slot 2 takes its own
+        // 48, not slot 0's lower 32.
+        let p = StealPartition::new(256, 8, 4, 1);
+        for slot in 0..4 {
+            p.next_morsel(slot).expect("own morsel");
+        }
+        assert_eq!(p.next_morsel(2).expect("own morsel").morsel.start, 48);
+    }
+
+    #[test]
+    fn a_shrunk_scan_leaves_every_survivor_ascending() {
+        // Four started slots; shrinking to two hands the retiring slots'
+        // remainders and queues to the survivors in unit order, not at the
+        // back of their queues.
+        let p = StealPartition::new(256, 8, 4, 2);
+        let mut walk = Walk::default();
+        walk.run(&p, 6);
+        let info = p.adjust(2);
+        assert_eq!(info.retiring_slots, vec![2, 3]);
+        for slot in 0..2 {
+            let starts: Vec<u64> = pending_of(&p, slot).iter().map(|m| m.start).collect();
+            assert!(starts.windows(2).all(|w| w[0] < w[1]), "slot {slot}: {starts:?}");
+        }
+        walk.run(&p, usize::MAX);
+        walk.seen.sort_unstable();
+        assert_eq!(walk.seen, (0..256).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_disk_mapped_deal_and_its_recut_keep_one_read_front() {
+        let window = DiskParams::paper_default().reorder_window;
+        let widest = |p: &StealPartition, slots: usize| {
+            (0..slots).flat_map(|s| pending_of(p, s)).map(|m| m.len()).max().unwrap_or(0)
+        };
+        for disks in [1u32, 2, 4, 8] {
+            for backends in 1u32..=16 {
+                let p = StealPartition::new(2_000, 16, backends, 3).with_disks(disks);
+                let grain = widest(&p, backends as usize);
+                assert!((1..=16).contains(&grain), "grain {grain}");
+                let front = u64::from(disks) * window;
+                assert!(u64::from(backends) * grain <= front, "{backends} × {grain} over {disks}");
+                // Mid-scan resizes re-cut to the new slot count's grain.
+                Walk::default().run(&p, 30);
+                for resize in [backends + 5, 1, backends.max(2) * 2] {
+                    p.adjust(resize);
+                    let grain = widest(&p, p.n_slots());
+                    assert!(grain <= 16);
+                    // More slots than the window has blocks: one unit each.
+                    let bound = front.max(u64::from(resize));
+                    assert!(u64::from(resize) * grain <= bound, "{resize} × {grain} over {disks}");
+                }
+            }
+        }
+        // Four disks at six backends: a fixed grain of 16 spreads the
+        // backends over 96 pages, past the 64 the window covers; the deal
+        // fills half of it.
+        let p = StealPartition::new(800, 16, 6, 0).with_disks(4);
+        assert_eq!(widest(&p, 6), 5);
+    }
+
+    /// Resizes re-deal instead of leaving new slots to steal, and the
+    /// re-deals, re-cuts and a death together still claim every unit once.
+    #[test]
+    fn draining_across_resizes_and_a_death_claims_every_unit_once() {
+        let p = StealPartition::new(777, 16, 3, 5).with_disks(4);
+        let mut walk = Walk::default();
+        for resize in [8, 2, 5, 1, 6] {
+            walk.run(&p, 25);
+            p.adjust(resize);
+        }
+        walk.run(&p, 10);
+        assert_eq!(walk.steals, 0, "every resized slot started from its own deque");
+        if let Some(replacement) = p.fail_slot(p.active_slots()[0]) {
+            assert_eq!(replacement, p.n_slots() - 1);
+        }
+        walk.run(&p, usize::MAX);
+        walk.seen.sort_unstable();
+        assert_eq!(walk.seen, (0..777).collect::<Vec<_>>());
+        assert_eq!(p.claimed(), 777);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests for the morsel work-stealing deque layer: for arbitrary
 //! unit counts, grains, worker counts, and seeded interleavings — with and
-//! without a mid-run `fail_slot` from the PR 3 fault machinery — every unit
+//! without a mid-run `fail_slot` from the fault machinery, and with
+//! mid-run grow and shrink `adjust`s re-dealing the read front — every unit
 //! is claimed **exactly once** across owners, thieves, and the replacement
 //! slot that inherits a dead worker's unclaimed remainder. Plain tests at
 //! the end hold the same contract on a 2³²-unit fragment, where the deal is
@@ -68,14 +69,17 @@ impl Owner {
 /// Drive the partition to exhaustion under a seeded interleaving: each step
 /// one pseudo-randomly chosen live slot either claims a unit of its
 /// in-flight morsel or takes/steals its next morsel; a slot with neither
-/// retires. At step `fail_at` (if given) a pseudo-random live slot is
-/// declared dead — its unclaimed remainder moves to a fresh replacement
-/// slot, which joins the interleaving. Returns every unit claimed, in
-/// claim order.
+/// exits, as a worker does. At step `fail_at` (if given) a pseudo-random
+/// live slot is declared dead — its unclaimed remainder moves to a fresh
+/// replacement slot, which joins the interleaving. At each `(step, n)` of
+/// `resizes` the partition is adjusted to `n` slots and every slot the
+/// adjustment hands back joins (or rejoins) the interleaving, as the master
+/// staffs them. Returns every unit claimed, in claim order.
 fn drive(
     part: &StealPartition,
     seed: u64,
     mut fail_at: Option<u64>,
+    resizes: &[(u64, u32)],
 ) -> Vec<u64> {
     let mut rng = seed ^ 0x5EED_0BEE;
     let mut owners: Vec<Owner> = (0..part.n_slots()).map(|s| Owner::new(part, s)).collect();
@@ -83,6 +87,17 @@ fn drive(
     let mut seen = Vec::new();
     let mut step = 0u64;
     while !live.is_empty() {
+        for &(_, n) in resizes.iter().filter(|&&(at, _)| at == step) {
+            for slot in part.adjust(n).new_slots {
+                if slot == owners.len() {
+                    owners.push(Owner::new(part, slot));
+                }
+                assert!(slot < owners.len(), "slots grow in order");
+                if !live.contains(&slot) {
+                    live.push(slot);
+                }
+            }
+        }
         if fail_at == Some(step) {
             fail_at = None;
             let victim = live[(lcg(&mut rng) % live.len() as u64) as usize];
@@ -100,6 +115,7 @@ fn drive(
             Step::Unit(u) => seen.push(u),
             Step::Armed => {}
             Step::Retired => {
+                part.exit(slot);
                 live.swap_remove(pick);
             }
         }
@@ -181,7 +197,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let part = StealPartition::new(total, grain, workers, seed);
-        let mut seen = drive(&part, seed, None);
+        let mut seen = drive(&part, seed, None, &[]);
         seen.sort_unstable();
         prop_assert_eq!(seen, (0..total).collect::<Vec<_>>());
     }
@@ -198,9 +214,33 @@ proptest! {
         fail_at in 0u64..500,
     ) {
         let part = StealPartition::new(total, grain, workers, seed);
-        let mut seen = drive(&part, seed, Some(fail_at));
+        let mut seen = drive(&part, seed, Some(fail_at), &[]);
         seen.sort_unstable();
         prop_assert_eq!(seen, (0..total).collect::<Vec<_>>());
+    }
+
+    /// Mid-run grow and shrink adjustments — each re-dealing every pending
+    /// morsel in unit order, re-cut to the new read front on a disk-mapped
+    /// scan — interleaved with a slot failure: exactly-once survives any
+    /// resize points, in any order with the death.
+    #[test]
+    fn mid_run_resizes_and_fail_slot_preserve_exactly_once(
+        total in 1u64..500,
+        grain in 1u64..32,
+        workers in 1u32..7,
+        disks in 0u32..5,
+        seed in 0u64..1_000_000,
+        fail_at in 0u64..600,
+        resizes in proptest::collection::vec((0u64..600, 1u32..10), 1..5),
+    ) {
+        let mut part = StealPartition::new(total, grain, workers, seed);
+        if disks > 0 {
+            part = part.with_disks(disks);
+        }
+        let mut seen = drive(&part, seed, Some(fail_at), &resizes);
+        seen.sort_unstable();
+        prop_assert_eq!(seen, (0..total).collect::<Vec<_>>());
+        prop_assert_eq!(part.claimed(), total);
     }
 
     /// Real threads, real races: every worker loops claim-or-steal on its

@@ -5,8 +5,11 @@
 //! staffed for that, the I/O rate the policy planned against the rate the
 //! disks delivered, disk and CPU utilization, and the mean number of
 //! requests at the array, queued or in service (`queue` = (queue wait +
-//! busy) / window). A window whose measured rate sits far under its planned
-//! rate is under-staffed; this is the table that found the executor running
+//! busy) / window), and the mean disk service time per request (`ms/io` =
+//! busy / requests), which shows the window's class mix directly: 10.3 ms
+//! is all sequential, 16.7 ms all almost-sequential, 28.6 ms all random. A
+//! window whose measured rate sits far under its planned rate is
+//! under-staffed; this is the table that found the executor running
 //! IO-bound scans at a third of the array.
 //!
 //! ```sh
@@ -60,14 +63,17 @@ fn main() {
 
     println!("executor pairing windows (query×x/backends; io/s planned = Σ C·x):");
     println!(
-        "  {:>15}  {:<22} {:>7} {:>8} {:>5} {:>5} {:>5}",
-        "sim-s", "running", "planned", "measured", "disk", "cpu", "queue"
+        "  {:>15}  {:<22} {:>7} {:>8} {:>5} {:>5} {:>5} {:>5}",
+        "sim-s", "running", "planned", "measured", "disk", "cpu", "queue", "ms/io"
     );
     for w in &audit.windows {
         let running: Vec<String> =
             w.tasks.iter().map(|(t, x, b)| format!("q{}×{x}/{b}", t.0 >> 32)).collect();
+        // Busy disk-seconds over requests served, both inside the window.
+        let busy = w.disk_util * f64::from(m.n_disks) * (w.t1 - w.t0) * speedup;
+        let ms_per_io = if w.requests > 0 { 1e3 * busy / w.requests as f64 } else { 0.0 };
         println!(
-            "  {:6.2} → {:6.2}  {:<22} {:7.0} {:8.0} {:5.2} {:5.2} {:5.1}{}",
+            "  {:6.2} → {:6.2}  {:<22} {:7.0} {:8.0} {:5.2} {:5.2} {:5.1} {:5.1}{}",
             w.t0 * speedup,
             w.t1 * speedup,
             running.join(" "),
@@ -76,6 +82,7 @@ fn main() {
             w.disk_util,
             w.cpu_util,
             w.queue_depth,
+            ms_per_io,
             if w.solo_io { "  solo IO-bound" } else { "" },
         );
     }
