@@ -17,7 +17,9 @@
 //! qualifications to the machine's processor count `N`, modelling the
 //! paper's processor allocation on hosts with arbitrarily many cores.
 //! Waiters **park on a condvar** — there is no spin/yield loop anywhere on
-//! the issue path.
+//! the issue path. A processor may also be *held until* a modelled instant
+//! with no thread holding it: a backend that leaves reserves its last burst
+//! this way instead of sleeping it (`Machine::reserve_compute`).
 //!
 //! The buffer pool is a [`ShardedBufferPool`]: each page hashes to one of
 //! `n` independently latched shards, so concurrent scans do not
@@ -99,11 +101,13 @@ fn pace_until(now: Instant, target: Instant) {
 }
 
 /// Let this thread's sleeps end within 1 µs of their deadline instead of
-/// Linux's default 50 µs timer slack, which a pacing sleep would otherwise
-/// pay on every wake. Called once by each executor pool thread as it starts;
-/// a caller's own thread keeps its slack. A refused call keeps the default.
+/// Linux's default 50 µs timer slack, which a pacing sleep or a wait for a
+/// modelled deadline would otherwise pay on every wake. Called once, as it
+/// starts, by each executor pool thread and by each thread a service runs
+/// its masters on; a caller's own thread keeps its slack. A refused call
+/// keeps the default.
 #[cfg(target_os = "linux")]
-pub(crate) fn tighten_timer_slack() {
+pub fn tighten_timer_slack() {
     use std::os::raw::{c_int, c_ulong};
     extern "C" {
         fn prctl(option: c_int, ...) -> c_int;
@@ -114,8 +118,9 @@ pub(crate) fn tighten_timer_slack() {
     unsafe { prctl(PR_SET_TIMERSLACK, 1_000 as c_ulong) };
 }
 
+/// Not Linux: every thread keeps its platform's timer behaviour.
 #[cfg(not(target_os = "linux"))]
-pub(crate) fn tighten_timer_slack() {}
+pub fn tighten_timer_slack() {}
 
 /// Sleep until a reserved service completes (no-op when unthrottled).
 fn await_deadline(deadline: Option<Instant>) {
@@ -124,7 +129,10 @@ fn await_deadline(deadline: Option<Instant>) {
     }
 }
 
-/// A counting semaphore: at most `permits` holders at a time.
+/// A counting semaphore: at most `permits` holders at a time. A holder is
+/// a thread with a [`CpuPermit`] or a *timed hold*
+/// ([`CpuPermit::hold_until`]): a permit kept until a modelled instant with
+/// no thread holding it.
 #[derive(Debug)]
 pub struct CpuGate {
     inner: Mutex<GateState>,
@@ -140,6 +148,9 @@ struct GateState {
     /// kept under the gate's own latch, so it costs the hot path nothing
     /// shared beyond the lock it already takes).
     min_free: u32,
+    /// The end of every timed hold, each of which took one permit. A hold
+    /// whose end has passed is returned by the next acquisition.
+    holds: Vec<Instant>,
 }
 
 impl GateState {
@@ -148,6 +159,16 @@ impl GateState {
         self.free -= 1;
         self.min_free = self.min_free.min(self.free);
     }
+
+    /// Return the permit of every timed hold whose end has passed.
+    fn expire_holds(&mut self) {
+        if self.holds.is_empty() {
+            return;
+        }
+        let (now, held) = (Instant::now(), self.holds.len());
+        self.holds.retain(|&end| end > now);
+        self.free += (held - self.holds.len()) as u32;
+    }
 }
 
 impl CpuGate {
@@ -155,17 +176,29 @@ impl CpuGate {
     pub fn new(permits: u32) -> Self {
         assert!(permits >= 1, "need at least one processor");
         CpuGate {
-            inner: Mutex::new(GateState { free: permits, min_free: permits }),
+            inner: Mutex::new(GateState { free: permits, min_free: permits, holds: Vec::new() }),
             cv: Condvar::new(),
             capacity: permits,
         }
     }
 
-    /// Acquire one processor, parking until one is free.
+    /// Acquire one processor, parking until one is free. While timed holds
+    /// are out, the park lasts at most until the earliest of them ends: no
+    /// thread releases a hold, so its end is the waiter's to notice.
     pub fn acquire(&self) -> CpuPermit<'_> {
         let mut st = lock(&self.inner);
-        while st.free == 0 {
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+        loop {
+            st.expire_holds();
+            if st.free > 0 {
+                break;
+            }
+            st = match st.holds.iter().min() {
+                Some(&end) => {
+                    let due = end.saturating_duration_since(Instant::now());
+                    self.cv.wait_timeout(st, due).unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => self.cv.wait(st).unwrap_or_else(PoisonError::into_inner),
+            };
         }
         st.take();
         CpuPermit { gate: self }
@@ -174,6 +207,7 @@ impl CpuGate {
     /// Acquire one processor only if one is free right now.
     pub fn try_acquire(&self) -> Option<CpuPermit<'_>> {
         let mut st = lock(&self.inner);
+        st.expire_holds();
         if st.free == 0 {
             return None;
         }
@@ -181,8 +215,9 @@ impl CpuGate {
         Some(CpuPermit { gate: self })
     }
 
-    /// Most permits ever held at once — never above the permits the gate
-    /// was built with, however many backends are staffed.
+    /// Most permits ever held at once, timed holds included — never above
+    /// the permits the gate was built with, however many backends are
+    /// staffed.
     pub fn peak_holders(&self) -> u32 {
         self.capacity - lock(&self.inner).min_free
     }
@@ -190,7 +225,7 @@ impl CpuGate {
     fn release(&self) {
         let mut st = lock(&self.inner);
         st.free += 1;
-        debug_assert!(st.free <= self.capacity);
+        debug_assert!(st.free as usize + st.holds.len() <= self.capacity as usize);
         self.cv.notify_one();
     }
 }
@@ -199,6 +234,22 @@ impl CpuGate {
 #[derive(Debug)]
 pub struct CpuPermit<'a> {
     gate: &'a CpuGate,
+}
+
+impl CpuPermit<'_> {
+    /// Keep this processor until `end` with no thread holding it: the
+    /// permit stays taken, and the first acquisition after `end` returns it.
+    /// An `end` already past releases it now. Every parked waiter wakes to
+    /// bound its park by the new hold's end.
+    pub fn hold_until(self, end: Instant) {
+        if end <= Instant::now() {
+            return; // dropping the permit releases it
+        }
+        let gate = self.gate;
+        std::mem::forget(self);
+        lock(&gate.inner).holds.push(end);
+        gate.cv.notify_all();
+    }
 }
 
 impl Drop for CpuPermit<'_> {
@@ -625,7 +676,32 @@ impl Machine {
     /// throttled run the burst starts when the permit is granted: the
     /// thread's model clock restarts there.
     pub fn compute(&self, seconds: f64) {
-        let _permit = self.cpu.try_acquire().unwrap_or_else(|| {
+        let _permit = self.acquire_cpu();
+        self.cpu_busy.add_secs(seconds);
+        self.sleep_sim(seconds);
+    }
+
+    /// A leaving backend's last burst: take a processor and charge
+    /// `seconds` as [`Machine::compute`] does, but instead of sleeping the
+    /// burst, hold the processor until it ends on this thread's model
+    /// clock, so the thread is free at once. Returns that end, the modelled
+    /// instant the backend's work is done. Nothing to charge takes no
+    /// processor and ends at the model clock.
+    pub(crate) fn reserve_compute(&self, seconds: f64) -> Instant {
+        if seconds <= 0.0 {
+            return model_clock(Instant::now());
+        }
+        let permit = self.acquire_cpu();
+        self.cpu_busy.add_secs(seconds);
+        let end = model_clock(Instant::now()) + Duration::from_secs_f64(seconds * self.scale);
+        permit.hold_until(end);
+        end
+    }
+
+    /// One processor permit, by the one acquisition path: `try_acquire`,
+    /// else a recorded, clock-restarting `acquire`.
+    fn acquire_cpu(&self) -> CpuPermit<'_> {
+        self.cpu.try_acquire().unwrap_or_else(|| {
             let waited = Instant::now();
             let permit = self.cpu.acquire();
             let granted = Instant::now();
@@ -634,9 +710,7 @@ impl Machine {
                 start_model_clock(granted);
             }
             permit
-        });
-        self.cpu_busy.add_secs(seconds);
-        self.sleep_sim(seconds);
+        })
     }
 
     /// Occupy the calling thread for `seconds` of simulated time on its
@@ -719,6 +793,65 @@ mod tests {
             h.join().expect("gate worker must not panic");
         }
         assert!(peak.load(Ordering::SeqCst) <= 2, "gate leaked permits");
+    }
+
+    #[test]
+    fn a_timed_hold_keeps_its_permit_until_its_end_with_no_thread_holding_it() {
+        let gate = CpuGate::new(1);
+        let end = Instant::now() + Duration::from_millis(2);
+        gate.acquire().hold_until(end);
+        // A grant is wrong only if it came before the end.
+        let refused = gate.try_acquire().is_none();
+        assert!(refused || Instant::now() >= end, "granted a processor held until {end:?}");
+        std::thread::sleep(end.saturating_duration_since(Instant::now()));
+        assert!(gate.try_acquire().is_some(), "the hold outlived its end");
+        // A hold whose end has already passed is a release.
+        gate.acquire().hold_until(Instant::now() - Duration::from_millis(1));
+        assert!(gate.try_acquire().is_some(), "a past hold kept its permit");
+    }
+
+    #[test]
+    fn a_blocked_acquire_returns_no_earlier_than_the_hold_ends() {
+        // Nothing releases the only permit: the parked acquire must notice
+        // the hold's end by itself.
+        let gate = CpuGate::new(1);
+        let end = Instant::now() + Duration::from_millis(5);
+        gate.acquire().hold_until(end);
+        let _permit = gate.acquire();
+        assert!(Instant::now() >= end, "acquired a processor still held");
+    }
+
+    #[test]
+    fn peak_holders_counts_timed_holds() {
+        let gate = CpuGate::new(2);
+        gate.acquire().hold_until(Instant::now() + Duration::from_secs(5));
+        assert_eq!(gate.peak_holders(), 1);
+        let held = gate.acquire();
+        assert_eq!(gate.peak_holders(), 2);
+        assert!(gate.try_acquire().is_none(), "a timed hold and a permit fill two processors");
+        drop(held);
+        assert_eq!(gate.peak_holders(), 2);
+    }
+
+    #[test]
+    fn a_reserved_burst_holds_its_processor_until_it_ends() {
+        // One processor at real time: the reserved 2 ms burst returns at
+        // once, charged, and the next compute waits for its end, then runs
+        // its own burst from the grant.
+        let cfg = MachineConfig { n_procs: 1, ..MachineConfig::paper_default() };
+        let m = Machine::with_sharded_pool(&cfg, 1.0, 0, 1);
+        let t0 = Instant::now();
+        start_model_clock(t0);
+        let end = m.reserve_compute(0.002);
+        assert!(end >= t0 + Duration::from_millis(2), "the burst ended early");
+        assert!((m.cpu_busy_secs() - 0.002).abs() < 1e-12, "the reserved burst was not charged");
+        m.compute(0.001);
+        assert!(Instant::now() >= end + Duration::from_millis(1), "ran on a reserved processor");
+        assert_eq!(m.metrics().gate_wait_ns.snapshot().count, 1, "the compute never waited");
+        assert_eq!(m.cpu().peak_holders(), 1);
+        // Nothing to charge reserves nothing and ends at the model clock.
+        assert!(m.reserve_compute(0.0) <= Instant::now());
+        assert!((m.cpu_busy_secs() - 0.003).abs() < 1e-12);
     }
 
     /// Deterministic shard exhaustion: a one-frame, one-shard pool and a

@@ -10,6 +10,14 @@
 //! slots. Staffing is a queue
 //! push that unparks a long-lived pool thread — no OS thread is spawned or
 //! joined per slot.
+//!
+//! A fragment ends in two steps. When its last worker is out, the master
+//! materializes its output at once. It marks the fragment done — finish
+//! time, predictor observation, grant release, lifecycle transition, the
+//! policy's finish event and the re-decide — only once the modelled end the
+//! leaving backends reserved has passed. Until then the fragment waits in
+//! the master loop's deadline, beside the patrol tick, so the master still
+//! serves other fragments, deaths and cancels.
 
 
 use std::sync::atomic::Ordering;
@@ -30,7 +38,7 @@ use crate::admission::Admission;
 use crate::cancel::CancelToken;
 use crate::config::ExecConfig;
 use crate::error::ExecError;
-use crate::io::Machine;
+use crate::io::{lock, Machine};
 use crate::obs::{FragmentProfile, MergeProfile, QueryProfile, RunningInfo, UtilSample};
 use crate::patrol::{next_msg, Patrol};
 use crate::pool::WorkerPool;
@@ -77,7 +85,7 @@ impl ControlFail {
 #[derive(Debug)]
 pub(crate) enum MasterMsg {
     /// All units of the fragment (by global index) are done and every
-    /// worker has flushed.
+    /// worker has flushed; its modelled end may still lie ahead.
     FragmentDone(usize),
     /// A worker hit something no run survives: it panicked, a read failed
     /// after every bounded retry, or a merge-indexed probe found no index.
@@ -293,8 +301,8 @@ impl Executor {
                 break;
             }
             // The master wakes for one of two reasons: a worker message,
-            // or its patrol tick.
-            match next_msg(&run.rx, run.patrol.deadline()) {
+            // or a deadline — its patrol tick or a fragment's modelled end.
+            match next_msg(&run.rx, run.deadline()) {
                 Some(MasterMsg::FragmentDone(gid)) => run.on_done(policy, gid)?,
                 Some(MasterMsg::WorkerLost { gid, slot }) => run.on_lost(gid, slot)?,
                 Some(MasterMsg::Fatal(e)) => {
@@ -302,7 +310,7 @@ impl Executor {
                     run.drain();
                     return Err(e);
                 }
-                None => run.on_tick(policy)?,
+                None => run.on_deadline(policy)?,
             }
         }
         run.report()
@@ -340,6 +348,10 @@ struct MasterRun<'a> {
     /// each applied decision, one at run end.
     samples: Vec<UtilSample>,
     patrol: Patrol,
+    /// Fragments whose last worker is out and whose output is
+    /// materialized, each with the modelled end it waits for: still
+    /// Running, holding their grants, until the end has passed.
+    ending: Vec<(Instant, usize)>,
 }
 
 impl<'a> MasterRun<'a> {
@@ -371,8 +383,15 @@ impl<'a> MasterRun<'a> {
             token_spent: vec![false; tokens.len()],
             samples: Vec::new(),
             patrol: Patrol::new(&exec.cfg.machine, ticking, machine.disk_class_total()),
+            ending: Vec::new(),
             machine,
         }
+    }
+
+    /// When the master must wake with no message: the earlier of the patrol
+    /// tick and the earliest modelled end a fragment waits for.
+    fn deadline(&self) -> Option<Instant> {
+        self.patrol.deadline().into_iter().chain(self.ending.iter().map(|&(end, _)| end)).min()
     }
 
     fn now(&self) -> f64 {
@@ -465,8 +484,8 @@ impl<'a> MasterRun<'a> {
         // Swapping in a sender whose receiver is already gone drops ours.
         self.tx = channel().0;
         self.table = FragTable::new();
-        let cap = Instant::now() + QUIESCE_CAP;
-        while self.rx.recv_timeout(cap.saturating_duration_since(Instant::now())).is_ok() {}
+        let cap = Some(Instant::now() + QUIESCE_CAP);
+        while next_msg(&self.rx, cap).is_some() {}
     }
 
     /// Let the policy decide to a fixpoint, make sure something still runs,
@@ -576,7 +595,9 @@ impl<'a> MasterRun<'a> {
         // Parked in the admission FIFO: nothing is staffed, and staffing
         // `new_slots` here would run the fragment without a grant (and then
         // a second time when its reservation lands). Drop the adjustment;
-        // the policy re-decides once the fragment actually runs.
+        // the policy re-decides once the fragment actually runs. A fragment
+        // waiting for its modelled end has every unit claimed (a cancelled
+        // one gets no actions), so `adjust` below re-staffs nothing.
         if self.admission.is_parked(gid) {
             return Ok(());
         }
@@ -667,6 +688,20 @@ impl<'a> MasterRun<'a> {
         affected
     }
 
+    /// A deadline passed: finish every fragment whose modelled end is
+    /// behind us, then run the patrol if its tick is due.
+    fn on_deadline(&mut self, policy: &mut dyn SchedulePolicy) -> Result<(), ExecError> {
+        let now = Instant::now();
+        while let Some(i) = self.ending.iter().position(|&(end, _)| end <= now) {
+            let (_, gid) = self.ending.swap_remove(i);
+            self.finish(policy, gid)?;
+        }
+        if self.patrol.deadline().is_some_and(|tick| tick <= now) {
+            self.on_tick(policy)?;
+        }
+        Ok(())
+    }
+
     /// The patrol's deadline passed: retry admission, then check whether
     /// the observed I/O rate has drifted out of the model's band. Fired
     /// tokens are picked up by `poll_cancels` on the loop's next turn.
@@ -712,35 +747,36 @@ impl<'a> MasterRun<'a> {
         Ok(())
     }
 
-    /// Fragment `gid` completed: harvest its context, tell the policy,
-    /// announce the consumers it unblocked and re-decide.
+    /// Fragment `gid`'s last worker is out: capture its profile and
+    /// materialize its output now, then finish it — at once if its modelled
+    /// end has passed, else once the loop's deadline reaches that end.
     fn on_done(&mut self, policy: &mut dyn SchedulePolicy, gid: usize) -> Result<(), ExecError> {
-        let t_done = self.now();
-        let ready = match self.table.finish(gid) {
-            Ok((ctx, ready)) => {
-                self.harvest(gid, ctx, t_done);
-                ready
-            }
+        let ctx = match self.table.running(gid) {
+            Ok(ctx) => ctx.clone(),
             Err(e) => return Err(self.fail(e.into())),
         };
-        let finished = self.slots[gid].profile.id;
-        emit(&self.exec.sink, || TraceRecord::Finish { now: t_done, task: finished });
-        policy.on_finish(t_done, finished);
-
-        let running_now = self.table.count(Phase::Running) as u32;
-        for consumer in ready {
-            self.announce(policy, consumer, running_now);
+        let end = self.harvest(gid, &ctx);
+        // The clone holds a sender on the run's channel; `finish` re-decides.
+        drop(ctx);
+        match end.filter(|&end| end > Instant::now()) {
+            Some(end) => {
+                self.ending.push((end, gid));
+                Ok(())
+            }
+            None => self.finish(policy, gid),
         }
-        self.settle(policy)
     }
 
-    /// Capture a completed fragment's profile, release its grant and
-    /// materialize its output. Takes the context by value: it holds a
-    /// sender on the run's channel, so it must be gone before the master
-    /// re-decides — a failure there quiesces until every sender is.
-    fn harvest(&mut self, gid: usize, ctx: Arc<FragCtx>, t_done: f64) {
+    /// Capture a fragment's profile once its last worker is out, and
+    /// materialize its output — unless its query is cancelled: a cancelled
+    /// fragment's partial output is never observable, the query's contract
+    /// is all rows or none. Returns the modelled end its backends reserved.
+    fn harvest(&mut self, gid: usize, ctx: &FragCtx) -> Option<Instant> {
+        let end = *lock(&ctx.model_end);
         let slot = &mut self.slots[gid];
         let was_cancelled = self.cancelled_q[slot.prof.query];
+        slot.prof.model_end =
+            end.map_or(0.0, |end| end.saturating_duration_since(self.t0).as_secs_f64());
         slot.prof.units = ctx.part.claimed();
         slot.prof.staffed = ctx.staffed.load(Ordering::Relaxed);
         slot.prof.parallelism = ctx.target_parallelism.load(Ordering::Relaxed);
@@ -754,24 +790,52 @@ impl<'a> MasterRun<'a> {
             slot.prof.spill_rows = spec.rows.load(Ordering::Relaxed);
         }
         slot.prof.observed_pages = ctx.pages_read.load(Ordering::Relaxed);
+        let (rows, merge) = if was_cancelled {
+            (Materialized::default(), MergeProfile::default())
+        } else {
+            self.exec.materialize(ctx, self.pool, &self.machine)
+        };
+        let slot = &mut self.slots[gid];
+        slot.prof.merge = merge;
+        slot.output = Some(Arc::new(rows));
+        end
+    }
+
+    /// Fragment `gid`'s modelled end has passed: mark it done, release its
+    /// grant, tell the policy, announce the consumers it unblocked and
+    /// re-decide. The context leaves the table here, and with it a sender
+    /// on the run's channel: it must be gone before the master re-decides —
+    /// a failure there quiesces until every sender is.
+    fn finish(&mut self, policy: &mut dyn SchedulePolicy, gid: usize) -> Result<(), ExecError> {
+        let t_done = self.now();
+        let (ctx, ready) = match self.table.finish(gid) {
+            Ok(finished) => finished,
+            Err(e) => return Err(self.fail(e.into())),
+        };
+        let slot = &mut self.slots[gid];
+        let was_cancelled = self.cancelled_q[slot.prof.query];
+        if was_cancelled {
+            // The cancel may have landed after the output was materialized.
+            slot.output = Some(Arc::new(Materialized::default()));
+        }
         let truncated = was_cancelled || slot.prof.recoveries > 0;
         self.exec.observe_completion(slot, &ctx, t_done, truncated);
+        slot.prof.finished_at = t_done;
+        drop(ctx);
         // Release the completed fragment's grant, then hand the freed
         // capacity to the admission queue — the deferred fragments are
         // already Running in the policy's eyes, they only lack workers.
         self.admission.release(gid);
         self.retry_admission();
-        // A cancelled fragment's partial output is never observable: the
-        // query's contract is all rows or none.
-        let (rows, merge) = if was_cancelled {
-            (Materialized::default(), MergeProfile::default())
-        } else {
-            self.exec.materialize(&ctx, self.pool, &self.machine)
-        };
-        let slot = &mut self.slots[gid];
-        slot.prof.merge = merge;
-        slot.output = Some(Arc::new(rows));
-        slot.prof.finished_at = t_done;
+        let finished = self.slots[gid].profile.id;
+        emit(&self.exec.sink, || TraceRecord::Finish { now: t_done, task: finished });
+        policy.on_finish(t_done, finished);
+
+        let running_now = self.table.count(Phase::Running) as u32;
+        for consumer in ready {
+            self.announce(policy, consumer, running_now);
+        }
+        self.settle(policy)
     }
 
     /// Snapshot the machine's cumulative counters plus the set of running

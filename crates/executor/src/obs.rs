@@ -111,8 +111,13 @@ pub struct FragmentProfile {
     pub is_root: bool,
     /// Wall seconds from run start to fragment start / finish.
     pub started_at: f64,
-    /// Wall seconds from run start to fragment finish.
+    /// Wall seconds from run start to fragment finish: never before
+    /// `model_end`.
     pub finished_at: f64,
+    /// Seconds from run start to the modelled instant the fragment's work
+    /// ends: the latest end any backend reserved for its last CPU burst as
+    /// it left (0 when no backend was staffed).
+    pub model_end: f64,
     /// Work units the fragment completed — the units its workers claimed:
     /// pages or keys, or, on a page scan with fewer pages than backends,
     /// page slices (`pages × backends` of them; each page still counts

@@ -1,6 +1,7 @@
 //! The master's patrol — degradation-aware recalibration, the cross-run
 //! admission retry and the cancel-token polls — and the deadline-based
-//! receive the master loop sleeps in between patrol ticks.
+//! receive the master loop sleeps in between patrol ticks and fragments'
+//! modelled ends.
 //!
 //! A run ticks, every [`PATROL_INTERVAL`], only when it can change without
 //! any message reaching its master: a fault plan may slow the disks
@@ -20,10 +21,14 @@ use crate::io::Machine;
 use crate::master::MasterMsg;
 
 /// Receive the next worker message, or `None` once `deadline` has passed;
-/// with no deadline this simply blocks.
+/// with no deadline this simply blocks. The master loop's deadline is the
+/// earlier of its patrol tick and the earliest modelled end a fragment
+/// waits for; this is the one place the master times a wait.
 ///
 /// The master's own sender keeps the channel open for its whole loop, so
-/// the channel never disconnects here: `None` is always the deadline.
+/// the channel never disconnects there: `None` is always the deadline.
+/// Quiesce drops that sender and receives under its cap until the channel
+/// closes, when `None` means either.
 ///
 /// The deadline is an absolute instant, not a quiet-time timeout: it comes
 /// due even while messages keep arriving. (A `recv_timeout(interval)`

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
 use std::sync::mpsc::Sender;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use xprs_optimizer::program::{Driver, PipelineOp};
 use xprs_scheduler::{IoKind, MachineConfig, TaskProfile};
@@ -147,6 +147,7 @@ impl Executor {
             target_parallelism: AtomicU32::new(x),
             backends: AtomicU32::new(n_backends),
             done: AtomicBool::new(false),
+            model_end: Mutex::new(None),
             stop: AtomicBool::new(false),
             pages_read: AtomicU64::new(0),
             done_tx: tx.clone(),

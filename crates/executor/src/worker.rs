@@ -15,12 +15,25 @@
 //! and is stably sorted by key and handed to the sink as **one sorted
 //! run** when the worker exits (or dies, or is retired). The per-worker
 //! sorts run in parallel across the workers, and the master k-way merges
-//! the few worker runs instead of sorting the whole output. Simulated CPU
-//! is accumulated locally and charged through the gate once per
-//! `CPU_BATCH_SECONDS`. The fragment completes when every unit is done
-//! **and** every worker has flushed and exited — completion is announced
-//! by the last worker out, so the master never harvests a partially
-//! flushed sink.
+//! the few worker runs instead of sorting the whole output.
+//!
+//! # Paying for CPU, and leaving
+//!
+//! Simulated CPU is accumulated locally and paid through the gate — a
+//! modelled burst slept on a processor, `Machine::compute` — once the batch
+//! holds `CPU_BATCH_SECONDS` and the worker has claimed its next unit: a key
+//! scan pays before it works the new key, a page scan after it has issued
+//! the new page's read and evaluated the page before it. The burst after
+//! the last unit is not slept: the leaving worker reserves a processor
+//! until the burst ends on its model clock (`Machine::reserve_compute`),
+//! records that end in the fragment's `model_end`, flushes its run and
+//! leaves the pool at once.
+//!
+//! The last worker out announces completion, once every unit is done
+//! **and** every worker has flushed and exited, so the master never
+//! harvests a partially flushed sink. The master materializes the output
+//! at once but marks the fragment done only when the latest reserved end
+//! has passed (DESIGN.md §8).
 
 use std::collections::HashMap;
 use std::mem;
@@ -187,6 +200,10 @@ pub(crate) struct FragCtx {
     /// Completion latch (the done message fires exactly once, see
     /// [`FragCtx::complete`]).
     pub done: AtomicBool,
+    /// The modelled instant the fragment's work ends: the latest end any
+    /// leaving backend reserved for its last CPU burst (`None` until one
+    /// has left). The master marks the fragment done only after it.
+    pub model_end: Mutex<Option<Instant>>,
     /// Workers stop at the next unit or morsel boundary: the run is
     /// aborting (a fault or a control-path failure) or the query was
     /// cancelled. The completion protocol keeps running — the last worker
@@ -238,13 +255,20 @@ impl FragCtx {
             .unwrap_or_else(|| panic!("relation {name} vanished from the catalog"))
     }
 
-    /// Tell the master the fragment is done — once, whoever calls first:
+    /// Tell the master the fragment's work is done (its modelled end may
+    /// still lie ahead) — once, whoever calls first:
     /// the last worker out, the master for a fragment with no units, or a
     /// cancel that found no worker left to do it.
     pub(crate) fn complete(&self) {
         if !self.done.swap(true, Ordering::SeqCst) {
             let _ = self.done_tx.send(MasterMsg::FragmentDone(self.gid));
         }
+    }
+
+    /// A leaving backend's work ends at `end`: keep the latest.
+    fn reserve_end(&self, end: Instant) {
+        let mut model_end = lock(&self.model_end);
+        *model_end = Some(model_end.map_or(end, |e| e.max(end)));
     }
 
     /// One worker job has fully exited (buffers flushed) — called by the
@@ -266,8 +290,8 @@ impl FragCtx {
 /// Initial capacity of a worker's local output buffer, in tuples.
 const OUT_BATCH_TUPLES: usize = 256;
 
-/// Simulated CPU seconds a worker accumulates before one CPU-gate
-/// acquisition.
+/// Simulated CPU seconds a worker accumulates before it pays them in one
+/// CPU-gate acquisition.
 const CPU_BATCH_SECONDS: f64 = 0.01;
 
 /// A worker's private, lock-free tuple buffer plus CPU accumulator; both
@@ -390,39 +414,41 @@ impl<'m> WorkerState<'m> {
         self.spilled.push(chunk);
     }
 
-    /// Charge simulated CPU seconds; acquires the gate only when the local
-    /// accumulator crosses the batch threshold.
+    /// Charge simulated CPU seconds to the local accumulator; they are paid
+    /// once the next unit is claimed ([`WorkerState::pay_cpu`]) or reserved
+    /// as the last burst ([`WorkerState::settle`]).
     fn charge_cpu(&mut self, seconds: f64) {
         self.cpu_pending += seconds;
+    }
+
+    /// Sleep the accumulated CPU as one burst on a processor once it holds
+    /// a batch. Called only with the next unit claimed, so whatever is left
+    /// when there is nothing more to claim is the worker's last burst.
+    fn pay_cpu(&mut self) {
         if self.cpu_pending >= CPU_BATCH_SECONDS {
-            self.settle_cpu();
+            self.machine.compute(mem::take(&mut self.cpu_pending));
         }
     }
 
-    fn settle_cpu(&mut self) {
-        if self.cpu_pending > 0.0 {
-            self.machine.compute(self.cpu_pending);
-            self.cpu_pending = 0.0;
-        }
-    }
-
-    /// Flush everything outstanding (end of the worker's run): the local
-    /// output becomes one sorted run in the sink — or, when the worker
-    /// spilled, its spill runs are read back (charged as sequential spill
-    /// I/O) and handed over together with the final in-memory chunk, in
-    /// cut order, as one contiguous block of runs.
+    /// Flush everything outstanding (end of the worker's run). When the
+    /// worker spilled, its spill runs are read back first (charged as
+    /// sequential spill I/O). Then the last CPU burst is reserved on a
+    /// processor rather than slept, and its end recorded as the fragment's
+    /// `model_end` if it is the latest. Last, the local output becomes one
+    /// sorted run in the sink — or the spill runs and the final in-memory
+    /// chunk, in cut order, as one contiguous block of runs.
     fn settle(&mut self, ctx: &FragCtx) {
-        self.settle_cpu();
-        if self.spilled.is_empty() {
-            ctx.out.push_run(&mut self.buf);
-            return;
-        }
         // Read-back for the merge: the k-way merge consumes each run in
         // key order — a sequential sweep over the run's striped blocks.
         if let Some(file) = &self.spill_file {
             for run in file.runs() {
                 self.machine.spill_io(file.rel(), run.start, run.blocks, self.wid);
             }
+        }
+        ctx.reserve_end(self.machine.reserve_compute(mem::take(&mut self.cpu_pending)));
+        if self.spilled.is_empty() {
+            ctx.out.push_run(&mut self.buf);
+            return;
         }
         let mut runs = mem::take(&mut self.spilled);
         let last = sort_run(&mut self.buf);
@@ -454,7 +480,8 @@ pub(crate) enum WorkerExit {
 }
 
 /// Worker main loop for slot `slot` of the fragment: claim a morsel (own
-/// deque, else steal) and claim its units one CAS at a time. The claims are
+/// deque, else steal) and claim its units one CAS at a time, paying the
+/// CPU batch due once the next unit is claimed. The claims are
 /// the fragment's progress and completion, so nothing shared is touched per
 /// finished unit or morsel; the worker's one report is how it left, its
 /// return value. A page scan keeps one page of read-ahead across
@@ -530,12 +557,18 @@ pub(crate) fn run_worker(
             };
             let unit = next.morsel.start + offset;
             claimed += 1;
+            // A batch is paid only with the next unit in hand — on a page
+            // scan after the page before it is evaluated, while the new
+            // page is read — so what is pending when the claims run out is
+            // the last burst, reserved in `settle`.
             match ctx.program.driver {
                 Driver::PageScan { .. } => {
                     let page = issue_page(ctx, catalog, unit, ws);
                     read_ahead(ctx, catalog, Some(page), ws);
+                    ws.pay_cpu();
                 }
                 Driver::KeyScan { .. } | Driver::KeyDomain => {
+                    ws.pay_cpu();
                     scan_key(ctx, catalog, ctx.key_base + unit as i64, ws);
                 }
             }
@@ -549,7 +582,8 @@ pub(crate) fn run_worker(
     read_ahead(ctx, catalog, None, ws);
     metrics.steals.add(loc_steals);
     metrics.steal_fails.add(loc_fails);
-    // Flush the local run: completed units survive a death too.
+    // Reserve the last burst and flush the local run: completed units
+    // survive a death too.
     ws.settle(ctx);
     ws.fault.take().map_or(exit, WorkerExit::Failed)
 }

@@ -311,3 +311,59 @@ fn late_token_never_marks_a_completed_query_cancelled() {
         assert_eq!(report.pool_pinned_at_exit, 0);
     }
 }
+
+/// A cancel that lands after the last backend left a fragment but before
+/// the fragment's modelled end — the master has materialized the output
+/// and waits for that end — still cancels the query: no rows, the probe's
+/// grant released exactly once, no pin left. The window opens when the
+/// last backend reserves its last CPU burst, which is when the machine's
+/// charged CPU reaches the uncancelled run's total; at real time (scale 1)
+/// it is at least one slice's CPU, ≈ 8 ms, against the master's 2 ms patrol
+/// tick. A host stall that lets the end pass first leaves an uncancelled,
+/// complete run, so the case is retried until the cancel lands.
+#[test]
+fn a_cancel_while_a_fragment_waits_for_its_modelled_end_returns_no_rows() {
+    let cat = sliced_catalog();
+    let runs = vec![sliced_runs(&cat).swap_remove(1)];
+    let want = oracle::eval(&cat, &runs[0].optimized.plan, &runs[0].bindings);
+    let exec = Executor::new(ExecConfig::scaled(1.0), cat.clone());
+    let session = exec.session();
+    let machine = session.machine().clone();
+    let intra = || IntraOnly::new(MachineConfig::paper_default(), true);
+    let before = machine.cpu_busy_secs();
+    let reference = exec.run_shared(&session, &runs, &mut intra(), &[]).expect("reference run");
+    let total = machine.cpu_busy_secs() - before;
+    assert_eq!(reference.results[0].rows.rows, want, "the uncancelled join diverged");
+    let mut landed = false;
+    for _ in 0..5 {
+        let token = CancelToken::new();
+        let target = machine.cpu_busy_secs() + total * (1.0 - 1e-9);
+        let firer = {
+            let (machine, token) = (machine.clone(), token.clone());
+            std::thread::spawn(move || {
+                while machine.cpu_busy_secs() < target {
+                    std::thread::sleep(Duration::from_micros(20));
+                }
+                token.cancel();
+            })
+        };
+        let report = exec
+            .run_shared(&session, &runs, &mut intra(), std::slice::from_ref(&token))
+            .expect("a cancelled run still reports");
+        firer.join().expect("cancel firer panicked");
+        assert!(report.mem_granted_pages > 0, "the probe holds no grant");
+        assert_eq!(report.mem_granted_pages, report.mem_released_pages, "grant ledger out of balance");
+        assert_eq!(report.pool_pinned_at_exit, 0);
+        assert_eq!((session.reserved_pages(), session.pinned_pages()), (0, 0));
+        let frags = &report.profiles[0].fragments;
+        assert!(frags.iter().all(|f| f.finished_at >= f.model_end), "{frags:?}");
+        if report.profiles[0].cancelled {
+            assert!(report.results[0].rows.rows.is_empty(), "a cancelled query returned rows");
+            landed = true;
+            break;
+        }
+        assert_eq!(report.results[0].rows.rows, want, "an uncancelled run diverged");
+    }
+    assert!(landed, "no cancel landed before the fragment's modelled end");
+    session.shutdown();
+}

@@ -213,3 +213,73 @@ fn a_cancel_mid_fragment_returns_no_rows_and_leaves_the_ledgers_at_zero() {
     assert_eq!(session.pinned_pages(), 0);
     session.shutdown();
 }
+
+/// Every fragment of `report` ends no earlier than its modelled end, the
+/// latest end a leaving backend reserved for its last CPU burst, and each
+/// one that staffed a backend has such an end after its start.
+fn assert_done_at_the_modelled_end(label: &str, report: &ExecReport) {
+    for frag in report.profiles.iter().flat_map(|q| &q.fragments) {
+        assert!(frag.staffed > 0, "{label}: a fragment ran no backend: {frag:?}");
+        assert!(frag.model_end > frag.started_at, "{label}: no modelled end reserved: {frag:?}");
+        assert!(
+            frag.finished_at >= frag.model_end,
+            "{label}: finished at {} s, before its modelled end at {} s",
+            frag.finished_at,
+            frag.model_end
+        );
+    }
+}
+
+#[test]
+fn no_fragment_finishes_before_its_modelled_end() {
+    // A backend leaves as soon as its last unit is evaluated and holds a
+    // processor for its last burst; the master marks the fragment done
+    // only once that burst has ended. Structural, with no wall bound: the
+    // sliced lookup and the two-fragment join at 40× on a shared session,
+    // and a disk-resident scan of `wide` at 20× on a fresh machine.
+    let cat = catalog();
+    let exec = Executor::new(ExecConfig::scaled(40.0), cat.clone());
+    let session = exec.session();
+    for (label, runs) in [("lookup", vec![scan_thin(&cat)]), ("join", vec![join(&cat)])] {
+        for _ in 0..2 {
+            let report = exec.run_shared(&session, &runs, &mut policy(), &[]).expect("run failed");
+            assert_matches_oracle(label, &cat, &runs[0], &report, 0);
+            assert_eq!(report.profiles[0].fragments.len(), runs[0].optimized.fragments.fragments.len());
+            assert_done_at_the_modelled_end(label, &report);
+        }
+    }
+    assert_eq!((session.reserved_pages(), session.pinned_pages()), (0, 0));
+    session.shutdown();
+
+    let runs = vec![plan(&cat, &Query::selection("wide", 1.0), &["wide"])];
+    let report = Executor::new(ExecConfig::scaled(20.0), cat.clone())
+        .run(&runs, &mut policy())
+        .expect("run failed");
+    assert!(report.stats.disk.total() > 0, "the scan read no disk");
+    assert_matches_oracle("disk-resident scan", &cat, &runs[0], &report, 0);
+    assert_done_at_the_modelled_end("disk-resident scan", &report);
+}
+
+#[test]
+fn a_death_after_the_other_backends_left_still_finishes_every_slice_once() {
+    // Slot 3 stalls for 40 ms after its first claim, far longer than the
+    // other seven backends take to finish and leave at 20× (≈ 3 ms), then
+    // dies at its next claim boundary. Its unclaimed slices go to a
+    // replacement (or were stolen before); the fragment still ends once,
+    // at the latest reserved end, with every slice finished exactly once.
+    let cat = catalog();
+    let runs = vec![scan_thin(&cat)];
+    let plan = Arc::new(
+        FaultPlan::new().with_worker_stall(0, 3, 1, 40).with_worker_death(0, 3, 2),
+    );
+    let exec = Executor::new(ExecConfig::scaled(20.0).with_faults(plan.clone()), cat.clone());
+    let session = exec.session();
+    let report = exec.run_shared(&session, &runs, &mut policy(), &[]).expect("run failed");
+    assert_eq!((plan.stats().stalls_fired(), plan.stats().deaths_fired()), (1, 1));
+    assert_eq!(sliced(&report, 0).units, PAGES * 8, "every slice finished exactly once");
+    assert_matches_oracle("after a late death", &cat, &runs[0], &report, 0);
+    assert_done_at_the_modelled_end("after a late death", &report);
+    assert_eq!(report.pool_pinned_at_exit, 0);
+    assert_eq!((session.reserved_pages(), session.pinned_pages()), (0, 0));
+    session.shutdown();
+}

@@ -357,8 +357,12 @@ impl Drop for QueryService {
 }
 
 /// Runner thread: pop → run (or retire) → settle, until the service stops
-/// and the queue is drained.
+/// and the queue is drained. A runner is the master of every run it
+/// executes, and a master waits on modelled deadlines (a fragment's end),
+/// so it drops the default timer slack once, as it starts, as the
+/// executor's pool threads do.
 fn runner_loop(shared: &Shared) {
+    xprs_executor::io::tighten_timer_slack();
     loop {
         let job = {
             let mut q = lock(&shared.queue);

@@ -122,9 +122,14 @@ awk '
 # modelled machine's. The pool threads that sleep those waits drop Linux's
 # 50 µs timer slack in io.rs's `tighten_timer_slack`, and that is the only
 # place in any crate's sources where `unsafe`, `extern "C"` or `prctl` may
-# appear. Function-granular, like the leg above; a `fn` line ending in `;`
+# appear. A wait with a timeout is a wait for a deadline, so outside test
+# modules no crate's sources time a wait (`wait_timeout`, `recv_timeout`)
+# except the CPU gate's park in io.rs's `acquire`, bounded by the earliest
+# timed hold's end, and the master's receive in patrol.rs's `next_msg`,
+# bounded by its patrol tick or a fragment's modelled end.
+# Function-granular, like the leg above; a `fn` line ending in `;`
 # (a foreign declaration) does not start a function.
-echo "==> one pacing rule (raw sleeps, host CPU reads and unsafe code)"
+echo "==> one pacing rule (raw sleeps, timed waits, host CPU reads and unsafe code)"
 awk '
     function hit(what, allowed, once,   key) {
         key = FILENAME ":" name
@@ -144,6 +149,9 @@ awk '
     }
     executor && /(^|[^A-Za-z0-9_])sleep\(/ {
         hit("sleep", "crates/executor/src/io.rs:pace_until crates/executor/src/worker.rs:run_worker", 1)
+    }
+    /(^|[^A-Za-z0-9_])(wait_timeout|recv_timeout)\(/ {
+        hit("timed wait", "crates/executor/src/io.rs:acquire crates/executor/src/patrol.rs:next_msg", 0)
     }
     executor && /available_parallelism/ { hit("available_parallelism", "", 1) }
     /(^|[^A-Za-z0-9_])(unsafe|prctl)([^A-Za-z0-9_]|$)|extern "C"/ {
