@@ -153,10 +153,10 @@ fn main() {
     }
     println!();
     println!(
-        "Reading: k = 2 — whether split by the balance point or re-split eagerly on \
-         every completion — is the sweet spot; k ≥ 3 adds head seeks and memory \
-         pressure without adding deliverable bandwidth and loses ground. This is the \
-         paper's \"one IO-bound plus one CPU-bound task suffices\" simplification, \
-         measured."
+        "Reading: two tasks split at the balance point beat every k-way even split \
+         on both mixes. The split matters as much as the count: on the extreme mix \
+         an even k = 2 split is no faster than INTRA-ONLY. k ≥ 3 adds head seeks \
+         and memory pressure without adding deliverable bandwidth. This is the paper's \"one IO-bound plus one \
+         CPU-bound task suffices\" simplification, measured."
     );
 }

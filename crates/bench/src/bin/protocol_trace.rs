@@ -1,111 +1,126 @@
-//! Figures 5 and 6: traces of the dynamic parallelism-adjustment protocols.
+//! Figures 5 and 6: the dynamic parallelism adjustment, traced on the deal
+//! every engine runs.
 //!
-//! Replays a page-partitioned scan and a range-partitioned scan through
-//! grow and shrink adjustments, printing the master/slave exchanges the
-//! figures diagram (`curpage_i` collection, `maxpage` broadcast, interval
-//! collection and re-partitioning), and verifies coverage at the end.
+//! Replays the Figure 5 scenario (a 64-page scan grown 2 → 4) and the
+//! Figure 6 scenario (keys 0–99 grown 2 → 3) on [`StealPartition`]. For
+//! each it prints the initial deal, every slot's claims before the resize,
+//! the pending morsels the master gathers and re-deals, every slot's claims
+//! over the whole run, and the exactly-once check.
 
-use std::collections::HashSet;
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 
-use xprs_storage::partition::{KeyRange, PagePartition, RangePartition};
+use xprs_storage::partition::{Morsel, StealPartition, DEFAULT_MORSEL_UNITS};
 
 fn main() {
-    page_protocol();
-    range_protocol();
+    println!("# Figure 5 — a page scan grown 2 → 4 (the max-page contract)");
+    println!();
+    println!("64 pages striped over 4 disks, dealt disk-mapped to 2 backends.");
+    let pages = StealPartition::new(64, DEFAULT_MORSEL_UNITS, 2, 0).with_disks(4);
+    trace(&pages, 64, &[5, 3], 4);
+
+    println!("# Figure 6 — an index scan over keys 0–99 grown 2 → 3 (interval re-partitioning)");
+    println!();
+    println!("Key offsets 0–99, dealt as a plain key space to 2 backends.");
+    let keys = StealPartition::new(100, DEFAULT_MORSEL_UNITS, 2, 0);
+    trace(&keys, 100, &[20, 10], 3);
 }
 
-/// Figure 5: the max-page protocol.
-fn page_protocol() {
-    println!("# Figure 5 — page-partitioning adjustment (max-page protocol)");
-    println!();
-    let n_pages = 64;
-    let mut p = PagePartition::new(n_pages, 2);
-    let mut scanned: Vec<(usize, u64)> = Vec::new();
+/// A slot's backend, run as a worker runs it: claim on the slot's word and
+/// take the slot's next morsel when the armed one runs dry.
+struct Backend {
+    claim: Arc<AtomicU64>,
+    base: u64,
+    claims: Vec<u64>,
+}
 
-    // Let the two workers make uneven progress.
-    for _ in 0..5 {
-        if let Some(page) = p.next_page(0) {
-            scanned.push((0, page));
-        }
-    }
-    for _ in 0..3 {
-        if let Some(page) = p.next_page(1) {
-            scanned.push((1, page));
-        }
-    }
-    println!("initial assignment: 2 workers, worker i scans pages ≡ i (mod 2)");
-    for (w, pg) in &scanned {
-        println!("  worker {w} scanned page {pg}");
-    }
-    println!();
-    println!("master: signal all slaves — adjust parallelism 2 → 4");
-    println!("  slave 0 reports curpage = 8, slave 1 reports curpage = 5");
-    println!("  master computes maxpage = max(curpage_i) = 8, broadcasts (maxpage=8, n'=4)");
-    let info = p.adjust(4);
-    println!(
-        "  new slaves staffed for slots {:?}; retiring slots {:?}",
-        info.new_slots, info.retiring_slots
-    );
-    println!("  pages ≤ maxpage stay with the old assignment; pages > maxpage follow p ≡ i (mod 4)");
-    println!();
-
-    // Drain and verify exactly-once coverage.
-    let mut progressed = true;
-    while progressed {
-        progressed = false;
-        for slot in 0..p.n_slots() {
-            if let Some(page) = p.next_page(slot) {
-                scanned.push((slot, page));
-                progressed = true;
+impl Backend {
+    /// Claim one unit; `false` once the slot finds no work.
+    fn step(&mut self, part: &StealPartition, slot: usize) -> bool {
+        loop {
+            if let Some(offset) = StealPartition::claim_unit(&self.claim) {
+                self.claims.push(self.base + offset);
+                return true;
+            }
+            match part.next_morsel(slot) {
+                Some(next) => self.base = next.morsel.start,
+                None => return false,
             }
         }
     }
-    let pages: HashSet<u64> = scanned.iter().map(|(_, p)| *p).collect();
-    assert_eq!(pages.len(), scanned.len(), "a page was scanned twice");
-    assert_eq!(pages.len() as u64, n_pages, "a page was skipped");
-    println!(
-        "drained: {} pages scanned exactly once by {} worker slots ✓",
-        n_pages,
-        p.n_slots()
-    );
+}
+
+/// Run `progress[s]` claims on slot `s`, resize to `grow_to`, drain
+/// round-robin, and check that `0..units` was claimed exactly once.
+fn trace(part: &StealPartition, units: u64, progress: &[usize], grow_to: u32) {
+    let mut backends: Vec<Backend> = Vec::new();
+    let staff = |backends: &mut Vec<Backend>| {
+        while backends.len() < part.n_slots() {
+            let claim = part.claim_of(backends.len());
+            backends.push(Backend { claim, base: 0, claims: Vec::new() });
+        }
+    };
+    staff(&mut backends);
+    print_deal("initial deal", part);
+    for (slot, &n) in progress.iter().enumerate() {
+        for _ in 0..n {
+            backends[slot].step(part, slot);
+        }
+    }
+    println!("before the resize:");
+    for (slot, b) in backends.iter().enumerate() {
+        println!("  slot {slot} claimed {}", runs(&b.claims));
+    }
+    let mut gathered: Vec<Morsel> = (0..part.n_slots()).flat_map(|s| part.pending(s)).collect();
+    gathered.sort_unstable_by_key(|m| m.start);
+    println!("master: adjust parallelism {} → {grow_to}", part.parallelism());
+    println!("  gathers the pending morsels {}", morsels(&gathered));
+    println!("  (armed morsels stay with their claimants, claimed units with theirs)");
+    let info = part.adjust(grow_to);
+    print_deal("  re-deals them in unit order", part);
+    println!("  staffs slots {:?}, retires slots {:?}", info.new_slots, info.retiring_slots);
+    staff(&mut backends);
+    let mut progressed = true;
+    while progressed {
+        progressed = false;
+        for (slot, b) in backends.iter_mut().enumerate() {
+            progressed |= b.step(part, slot);
+        }
+    }
+    println!("whole run:");
+    for (slot, b) in backends.iter().enumerate() {
+        println!("  slot {slot} claimed {}", runs(&b.claims));
+    }
+    let mut all: Vec<u64> = backends.iter().flat_map(|b| b.claims.iter().copied()).collect();
+    all.sort_unstable();
+    assert_eq!(all, (0..units).collect::<Vec<_>>(), "a unit was lost or claimed twice");
+    println!("exactly once: {units} units, each claimed by one of {} slots ✓", backends.len());
     println!();
 }
 
-/// Figure 6: the interval re-partitioning protocol.
-fn range_protocol() {
-    println!("# Figure 6 — range-partitioning adjustment (interval re-partitioning)");
-    println!();
-    let mut p = RangePartition::new(0, 99, 2);
-    println!("initial assignment: worker 0 ← [0,49], worker 1 ← [50,99]");
-    let mut seen = HashSet::new();
-    for _ in 0..30 {
-        seen.insert(p.next_key(0).unwrap());
+fn print_deal(title: &str, part: &StealPartition) {
+    println!("{title}:");
+    for slot in part.active_slots() {
+        println!("    slot {slot} ← {}", morsels(&part.pending(slot)));
     }
-    for _ in 0..10 {
-        seen.insert(p.next_key(1).unwrap());
-    }
-    println!("progress: worker 0 at key 30 (remaining [30,49]), worker 1 at 60 (remaining [60,99])");
-    println!();
-    println!("master: signal all slaves — adjust parallelism 2 → 3");
-    println!("  slaves report remaining intervals: [30,49], [60,99]");
-    let info = p.adjust(3);
-    println!("  master re-partitions 60 remaining keys into 3 balanced chunks:");
-    for slot in p.active_slots() {
-        let ivs: Vec<String> = p
-            .remaining(slot)
-            .iter()
-            .map(|KeyRange { lo, hi }| format!("[{lo},{hi}]"))
-            .collect();
-        println!("    worker {slot} ← {}", ivs.join(" ∪ "));
-    }
-    println!("  new slaves staffed for slots {:?}", info.new_slots);
-    println!();
+}
 
-    for slot in 0..p.n_slots() {
-        while let Some(k) = p.next_key(slot) {
-            assert!(seen.insert(k), "key {k} scanned twice");
+fn morsels(ms: &[Morsel]) -> String {
+    let parts: Vec<String> = ms.iter().map(|m| format!("[{},{})", m.start, m.end)).collect();
+    if parts.is_empty() { "nothing".into() } else { parts.join(" ") }
+}
+
+/// Claims in order, consecutive units folded into `a–b` runs.
+fn runs(claims: &[u64]) -> String {
+    let mut out: Vec<String> = Vec::new();
+    let mut i = 0;
+    while i < claims.len() {
+        let mut j = i;
+        while j + 1 < claims.len() && claims[j + 1] == claims[j] + 1 {
+            j += 1;
         }
+        out.push(if i == j { claims[i].to_string() } else { format!("{}–{}", claims[i], claims[j]) });
+        i = j + 1;
     }
-    assert_eq!(seen.len(), 100, "keys lost in re-partitioning");
-    println!("drained: 100 keys scanned exactly once across the adjustment ✓");
+    if out.is_empty() { "nothing".into() } else { out.join(", ") }
 }

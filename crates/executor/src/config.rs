@@ -9,17 +9,9 @@ use xprs_scheduler::MachineConfig;
 use crate::error::ExecError;
 // Named only by the intra-doc links below.
 #[cfg(doc)]
-use {crate::ExecSession, crate::StealPartition};
+use crate::ExecSession;
 #[cfg(doc)]
 use {xprs_scheduler::trace::TraceRecord, xprs_scheduler::TaskProfile};
-
-/// Work units (pages, page slices or keys) per morsel of the stealing deal:
-/// big enough to amortize the deque latch and the completion report, small
-/// enough that an 8-worker fragment over a few hundred pages still has
-/// morsels worth stealing. Fragments too small for a whole morsel per
-/// backend, or too large for a bounded deal, are cut at a derived grain
-/// (see [`StealPartition::new`]).
-pub const DEFAULT_MORSEL_UNITS: u64 = 16;
 
 /// Executor configuration.
 #[derive(Debug, Clone)]

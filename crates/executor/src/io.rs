@@ -33,24 +33,16 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use xprs_disk::{ArrayStats, ClassStats, DiskParams, DiskState, FaultPlan, IoRequest, RelId, ServiceClass, StripedLayout, WorkerId};
 use xprs_obs::TimeSum;
 use xprs_scheduler::MachineConfig;
 use xprs_storage::bufpool::{FetchOutcome, UnpinError};
-use xprs_storage::{PoolStats, ShardedBufferPool};
+use xprs_storage::{lock, PoolStats, ShardedBufferPool};
 
 use crate::obs::ExecMetrics;
-
-/// Lock acquisition that shrugs off poisoning: the guarded state is
-/// bookkeeping (disk head positions, counters), and a worker panic is
-/// reported through the master channel — the remaining workers must still
-/// be able to drain.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Most a thread's model clock may lag its wall clock. Wake-up latency
 /// (a few µs on a pool thread, whose timer slack is 1 µs) and the host time

@@ -63,12 +63,11 @@ pub mod program;
 mod report;
 mod session;
 mod staffing;
-pub mod steal;
 pub mod worker;
 
 pub use cancel::CancelToken;
 pub use io::{CpuGate, IoFault, Machine, MachineStats, ReadTicket, READ_ATTEMPTS, RETRY_BACKOFF};
-pub use config::{ExecConfig, DEFAULT_MORSEL_UNITS};
+pub use config::ExecConfig;
 pub use error::ExecError;
 pub use master::{ExecReport, ExecSession, Executor, QueryResult, QueryRun};
 pub use obs::{
@@ -76,5 +75,7 @@ pub use obs::{
 };
 pub use pool::WorkerPool;
 pub use program::Materialized;
-pub use steal::{NextMorsel, StealPartition, MAX_DEAL_MORSELS};
+pub use xprs_storage::partition::{
+    NextMorsel, StealPartition, DEFAULT_MORSEL_UNITS, MAX_DEAL_MORSELS,
+};
 pub use worker::RelBinding;

@@ -32,13 +32,13 @@ use xprs_scheduler::policy::{
 };
 use xprs_scheduler::trace::{emit, SharedSink, TraceRecord};
 use xprs_scheduler::{FragTable, Phase, TaskId, TaskProfile};
-use xprs_storage::{Catalog, PAGE_SIZE};
+use xprs_storage::{lock, Catalog, PAGE_SIZE};
 
 use crate::admission::Admission;
 use crate::cancel::CancelToken;
 use crate::config::ExecConfig;
 use crate::error::ExecError;
-use crate::io::{lock, Machine};
+use crate::io::Machine;
 use crate::obs::{FragmentProfile, MergeProfile, QueryProfile, RunningInfo, UtilSample};
 use crate::patrol::{next_msg, Patrol};
 use crate::pool::WorkerPool;

@@ -16,15 +16,13 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
+
+use xprs_storage::lock;
 
 /// One unit of staffing: run a worker slot to completion.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 #[derive(Default)]
 struct Queue {

@@ -9,13 +9,12 @@ use std::sync::{Arc, Mutex};
 
 use xprs_optimizer::program::{Driver, PipelineOp};
 use xprs_scheduler::{IoKind, MachineConfig, TaskProfile};
+use xprs_storage::partition::{StealPartition, DEFAULT_MORSEL_UNITS};
 use xprs_storage::PAGE_SIZE;
 
-use crate::config::DEFAULT_MORSEL_UNITS;
 use crate::io::Machine;
 use crate::master::{ControlFail, Executor, FragSlot, MasterMsg};
 use crate::program::Materialized;
-use crate::steal::StealPartition;
 use crate::worker::{FragCtx, OutputSink, RelBinding, SpillSpec};
 
 impl Executor {

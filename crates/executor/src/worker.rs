@@ -46,13 +46,13 @@ use xprs_disk::{RelId, SpillFile, WorkerFaultKind};
 use xprs_optimizer::cost::CPU_TUPLE;
 use xprs_optimizer::program::{Driver, FragmentProgram, PipelineOp};
 use xprs_storage::runs::is_sorted_run;
-use xprs_storage::{Catalog, Relation, Tuple};
+use xprs_storage::partition::StealPartition;
+use xprs_storage::{lock, Catalog, Relation, Tuple};
 
-use crate::io::{lock, Machine, ReadTicket};
+use crate::io::{Machine, ReadTicket};
 use crate::error::ExecError;
 use crate::master::MasterMsg;
 use crate::program::Materialized;
-use crate::steal::StealPartition;
 
 /// Per-query-relation execution binding: catalog name plus the concrete
 /// selection range on `a` the query applies.

@@ -23,13 +23,13 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use xprs_executor::{CancelToken, ExecConfig, ExecSession, Executor, QueryRun};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
-use xprs_storage::Catalog;
+use xprs_storage::{lock, Catalog};
 use xprs_workload::QueryClass;
 
 use crate::stats::ServiceStats;
@@ -230,13 +230,6 @@ impl Shared {
         let nanos = per_query.saturating_mul(queue_len as u64 + 1) / runners;
         Duration::from_nanos(nanos).clamp(Duration::from_millis(1), Duration::from_secs(5))
     }
-}
-
-/// Lock acquisition that shrugs off poisoning: the queue is a plain
-/// `VecDeque` that no panic can leave half-updated, so a runner or client
-/// that panicked while holding it must not take the service down with it.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The long-running query service. See the module docs for the pipeline.

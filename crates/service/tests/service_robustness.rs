@@ -200,17 +200,19 @@ fn deadlines_cancel_queued_and_running_without_leaking() {
     // 2 300 tuples × CPU_TUPLE (0.25 sim-ms) of CPU. Its build over `fat`
     // (300 tuples, 3 backends) leaves its fullest backend ≥ 25 sim-ms, and
     // the probe over `thin` that follows (2 000 tuples, ≤ 8 backends) ≥ 62.5
-    // sim-ms: ≥ 87.5 sim-ms in all, 3.5 ms of wall at 25×. A 2 ms deadline
-    // fires mid-run on the two head-of-line jobs. A queued job is popped
-    // only after a run ahead of it is cancelled and ends; the eight submits
-    // land together, so by then its own deadline has passed too.
-    let deadline = Duration::from_millis(2);
+    // sim-ms: ≥ 87.5 sim-ms in all, 17.5 ms of wall at 5×. A 10 ms deadline
+    // fires mid-run on the two head-of-line jobs, which a runner has 10 ms
+    // to pop — room for a host busy with other work. A queued job is popped
+    // only after a run ahead of it is cancelled and ends, ≥ 10 ms after the
+    // eight submits, which land together, so by then its own deadline has
+    // passed too.
+    let deadline = Duration::from_millis(10);
     let cfg = ServiceConfig {
         queue_cap: 16,
         max_concurrent: 2,
         interactive_deadline: deadline,
         batch_deadline: Duration::from_secs(30),
-        exec: ExecConfig::scaled(25.0),
+        exec: ExecConfig::scaled(5.0),
     };
     let svc = QueryService::start(cfg, cat.clone());
 
@@ -227,7 +229,7 @@ fn deadlines_cancel_queued_and_running_without_leaking() {
     let (mut mid_run, mut in_queue) = (0, 0);
     for t in tickets {
         let out = t.wait();
-        assert_eq!(out.status, QueryStatus::DeadlineCancelled, "a join beat a 2 ms deadline");
+        assert_eq!(out.status, QueryStatus::DeadlineCancelled, "a join beat a 10 ms deadline");
         if out.queue_wait < deadline {
             mid_run += 1;
         } else {

@@ -2,18 +2,25 @@
 //!
 //! Entities: one FIFO queue per disk (a disk serves one request at a time at
 //! the service rate `xprs-disk` dictates), one processor pool of `N` CPUs
-//! with a FIFO ready queue, and per-task worker sets whose page/key
-//! assignments come from the Section 2.4 partitioning structures. A worker
-//! is a synchronous slave backend: it requests a block, waits for the disk,
-//! burns CPU evaluating the qualifications of the tuples on the block, and
-//! loops.
+//! with a FIFO ready queue, and per-task worker sets that draw their pages or
+//! keys from the executor's own Section 2.4 deal, a [`StealPartition`] per
+//! task: disk-mapped for a sequential scan, a plain key space for an index
+//! scan. A worker is a synchronous slave backend: it claims a unit on its
+//! slot's claim word (taking the slot's next morsel when the armed one runs
+//! out), requests the unit's block, waits for the disk, burns CPU
+//! evaluating the qualifications of the tuples on the block, and loops.
 //!
 //! The engine is the *driver* for a scheduling policy in the sense of
 //! [`xprs_scheduler::policy`]: arrivals and completions flow to the policy,
 //! its `Start`/`Adjust` actions flow back. `Adjust` runs the real
-//! adjustment protocols — the master's round trip is modelled by
-//! [`SimConfig::adjust_latency`] and the gradual hand-over (old workers
-//! finishing their pages below `maxpage`) happens by construction.
+//! adjustment — the master's round trip is modelled by
+//! [`SimConfig::adjust_latency`], then [`StealPartition::adjust`] re-deals
+//! every pending morsel over the new slot count. The hand-over is gradual
+//! by construction: a backend finishes the morsel it has armed before it
+//! takes a re-dealt one, and a retiring backend leaves at its next claim.
+
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 
 use xprs_disk::{ArrayStats, DiskState, IoRequest, ServiceClass, StripedLayout, WorkerId};
 use xprs_scheduler::error::SchedError;
@@ -22,7 +29,7 @@ use xprs_scheduler::policy::{
 };
 use xprs_scheduler::trace::{emit, SharedSink, TraceRecord};
 use xprs_scheduler::{FragTable, MachineConfig, Phase};
-use xprs_storage::partition::{PagePartition, RangePartition};
+use xprs_storage::partition::{StealPartition, DEFAULT_MORSEL_UNITS};
 
 use crate::event::{EventKind, EventQueue};
 use crate::metrics::SimReport;
@@ -84,11 +91,6 @@ impl Default for SimConfig {
     }
 }
 
-enum Partition {
-    Page(PagePartition),
-    Range(RangePartition),
-}
-
 struct TaskRt {
     spec: SimTask,
     target_parallelism: u32,
@@ -100,8 +102,14 @@ struct TaskRt {
 struct WorkerRt {
     task: usize,
     slot: usize,
+    /// The slot's claim word, fetched once at spawn, as a worker thread
+    /// does: the per-unit claim touches nothing else.
+    claim: Arc<AtomicU64>,
+    /// Start of the morsel armed on `claim`: claimed offsets are relative
+    /// to it.
+    base: u64,
     /// True when the worker found no work at its last fetch. An adjustment
-    /// can hand an idle slot new pages, so `apply_adjust` re-kicks idlers.
+    /// can deal an idle slot new morsels, so `apply_adjust` re-kicks idlers.
     idle: bool,
     /// A prefetch request is queued or in service at a disk.
     io_inflight: bool,
@@ -130,7 +138,7 @@ struct Run {
     tasks: Vec<TaskRt>,
     /// The tasks' lifecycle, index for index with `tasks`: `Blocked` until
     /// the `Arrival` event, holding the partition while `Running`.
-    table: FragTable<Partition>,
+    table: FragTable<StealPartition>,
     workers: Vec<WorkerRt>,
     disks: Vec<DiskRt>,
     cpu_free: u32,
@@ -140,6 +148,9 @@ struct Run {
     n_events: u64,
     need_decide: bool,
     sink: Option<SharedSink>,
+    /// Every block requested, in order, for the tests' exactly-once check.
+    #[cfg(test)]
+    blocks_read: Vec<u64>,
 }
 
 impl Simulator {
@@ -166,6 +177,11 @@ impl Simulator {
         policy: &mut dyn SchedulePolicy,
         arrivals: &[(SimTask, f64)],
     ) -> Result<SimReport, SimError> {
+        self.prepare(policy.name(), arrivals).complete(policy)
+    }
+
+    /// A run with every arrival queued and nothing simulated yet.
+    fn prepare(&self, policy: &str, arrivals: &[(SimTask, f64)]) -> Run {
         let machine = self.cfg.machine.clone();
         let disk_params = xprs_disk::DiskParams::from_rates(
             machine.seq_bw,
@@ -206,29 +222,34 @@ impl Simulator {
             n_events: 0,
             need_decide: false,
             sink: self.sink.clone(),
+            #[cfg(test)]
+            blocks_read: Vec::new(),
         };
         emit(&run.sink, || TraceRecord::RunStart {
             driver: "des".to_string(),
-            policy: policy.name().to_string(),
+            policy: policy.to_string(),
             machine: machine.clone(),
         });
         for (i, (_, at)) in arrivals.iter().enumerate() {
             run.queue.push(*at, EventKind::Arrival(i));
         }
-        match run.main_loop(policy) {
-            Ok(()) => Ok(run.report()),
-            Err(e) => {
-                emit(&run.sink, || TraceRecord::Error {
-                    now: run.now,
-                    message: e.to_string(),
-                });
-                Err(SimError { source: e, partial: Box::new(run.report()) })
-            }
-        }
+        run
     }
 }
 
 impl Run {
+    /// Simulate to the end: the report, or the failure with the partial
+    /// report as of its instant.
+    fn complete(&mut self, policy: &mut dyn SchedulePolicy) -> Result<SimReport, SimError> {
+        match self.main_loop(policy) {
+            Ok(()) => Ok(self.report()),
+            Err(e) => {
+                emit(&self.sink, || TraceRecord::Error { now: self.now, message: e.to_string() });
+                Err(SimError { source: e, partial: Box::new(self.report()) })
+            }
+        }
+    }
+
     fn main_loop(&mut self, policy: &mut dyn SchedulePolicy) -> Result<(), SchedError> {
         while let Some((t, ev)) = self.queue.pop() {
             self.now = t;
@@ -290,6 +311,8 @@ impl Run {
             worker: WorkerId(w as u64),
             solo: task.target_parallelism == 1,
         };
+        #[cfg(test)]
+        self.blocks_read.push(global_block);
         self.disks[d].queue.push_back((w, req));
         if self.disks[d].in_service.is_none() {
             self.start_disk(d);
@@ -387,15 +410,21 @@ impl Run {
     // -- worker loop ---------------------------------------------------------
 
     fn worker_fetch_next(&mut self, w: usize) {
-        let ti = self.workers[w].task;
-        let slot = self.workers[w].slot;
-        let spec = &self.tasks[ti].spec;
-        let next_block = match self.table.running_mut(ti) {
-            Ok(Partition::Page(p)) => p.next_page(slot),
-            Ok(Partition::Range(r)) => r.next_key(slot).map(|k| spec.block_of_key(k as u64)),
+        let wk = &mut self.workers[w];
+        let unit = match self.table.running(wk.task) {
+            Ok(part) => loop {
+                if let Some(offset) = StealPartition::claim_unit(&wk.claim) {
+                    break Some(wk.base + offset);
+                }
+                // The armed morsel is exhausted (or the slot retired).
+                match part.next_morsel(wk.slot) {
+                    Some(next) => wk.base = next.morsel.start,
+                    None => break None,
+                }
+            },
             Err(_) => None, // task already completed
         };
-        match next_block {
+        match unit.map(|u| self.tasks[self.workers[w].task].spec.block_of_key(u)) {
             Some(b) => {
                 self.workers[w].idle = false;
                 self.workers[w].io_inflight = true;
@@ -403,7 +432,7 @@ impl Run {
             }
             None => {
                 // Worker retired or drained for now. A later adjustment may
-                // assign this slot more pages, so remember it is idle;
+                // deal this slot more morsels, so remember it is idle;
                 // completion is detected by the ios_done counter.
                 self.workers[w].idle = true;
             }
@@ -455,14 +484,16 @@ impl Run {
 
     fn start_task(&mut self, ti: usize, parallelism: f64) -> Result<(), SchedError> {
         let x = round_parallelism(parallelism, self.cfg.machine.n_procs) as u32;
-        let n_ios = self.tasks[ti].spec.n_ios;
-        let partition = match self.tasks[ti].spec.access {
-            AccessPattern::SeqScan => Partition::Page(PagePartition::new(n_ios, x)),
-            AccessPattern::IndexScan { .. } => {
-                Partition::Range(RangePartition::new(0, n_ios as i64 - 1, x))
-            }
+        let spec = &self.tasks[ti].spec;
+        // Seeded by task index, as the executor seeds by fragment id. Page
+        // units are striped blocks; index keys scatter over the heap
+        // through `block_of_key`, so their key space maps to no disk.
+        let part = StealPartition::new(spec.n_ios, DEFAULT_MORSEL_UNITS, x, ti as u64);
+        let part = match spec.access {
+            AccessPattern::SeqScan => part.with_disks(self.cfg.machine.n_disks),
+            AccessPattern::IndexScan { .. } => part,
         };
-        self.table.start(ti, || Ok::<_, SchedError>(partition))?;
+        self.table.start(ti, || Ok::<_, SchedError>(part))?;
         self.tasks[ti].target_parallelism = x;
         self.tasks[ti].started_at = self.now;
         for slot in 0..x as usize {
@@ -472,17 +503,16 @@ impl Run {
     }
 
     fn apply_adjust(&mut self, ti: usize, x: u32) {
-        let info = match self.table.running_mut(ti) {
-            Ok(Partition::Page(p)) => p.adjust(x),
-            Ok(Partition::Range(r)) => r.adjust(x),
+        let info = match self.table.running(ti) {
+            Ok(part) => part.adjust(x),
             Err(_) => return, // the task beat the protocol to the finish line
         };
         for slot in info.new_slots {
             self.spawn_worker(ti, slot);
         }
-        // Retiring slots stop by themselves once they pass the boundary; but
-        // slots whose worker already drained may have been handed fresh
-        // pages in the new assignment — wake the ones with an empty pipeline.
+        // Retiring slots stop by themselves at their next claim; but slots
+        // whose worker already drained may have been dealt fresh morsels —
+        // wake the ones with an empty pipeline.
         let idlers: Vec<usize> = self
             .workers
             .iter()
@@ -498,10 +528,14 @@ impl Run {
     }
 
     fn spawn_worker(&mut self, ti: usize, slot: usize) {
+        let Ok(part) = self.table.running(ti) else { return };
+        let claim = part.claim_of(slot);
         let w = self.workers.len();
         self.workers.push(WorkerRt {
             task: ti,
             slot,
+            claim,
+            base: 0,
             idle: true,
             io_inflight: false,
             processing: false,
@@ -827,5 +861,75 @@ mod tests {
         let mut fresh = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(cfg().machine));
         let checked = replay_decisions(&records, &mut fresh).expect("replay");
         assert!(checked > 0);
+    }
+
+    /// Starts every task at `x`, then asks once for `grow_to`, which lands
+    /// after the config's `adjust_latency`.
+    struct FixedX {
+        machine: MachineConfig,
+        x: f64,
+        grow_to: Option<f64>,
+        started: bool,
+    }
+
+    impl SchedulePolicy for FixedX {
+        fn name(&self) -> &'static str {
+            "FIXED-X"
+        }
+        fn machine(&self) -> &MachineConfig {
+            &self.machine
+        }
+        fn on_arrival(&mut self, _now: f64, _task: TaskProfile) {}
+        fn on_finish(&mut self, _now: f64, _id: TaskId) {}
+        fn decide(&mut self, _now: f64, running: &[RunningTask]) -> Vec<Action> {
+            if !std::mem::replace(&mut self.started, true) {
+                return vec![Action::Start { id: TaskId(0), parallelism: self.x }];
+            }
+            match (running.first(), self.grow_to.take()) {
+                (Some(r), Some(x)) => vec![Action::Adjust { id: r.profile.id, parallelism: x }],
+                _ => vec![],
+            }
+        }
+    }
+
+    /// Random reads of an 800-page IO-bound scan run under `policy`, after
+    /// checking that it read every page exactly once.
+    fn scan_random_reads(c: SimConfig, mut policy: FixedX) -> (u64, f64) {
+        let task = seq_task(0, 10.0, 80.0);
+        assert_eq!(task.n_ios, 800);
+        let mut run = Simulator::new(c).prepare(policy.name(), &[(task, 0.0)]);
+        let report = run.complete(&mut policy).expect("sim");
+        run.blocks_read.sort_unstable();
+        assert_eq!(run.blocks_read, (0..800).collect::<Vec<_>>(), "a page read twice or never");
+        (report.disk.random, report.elapsed)
+    }
+
+    /// The DES's read front, held to `stream_front_exec`'s bounds: a widely
+    /// staffed scan pays only the cold seeks (one per disk) plus a
+    /// tolerance, and a scan grown mid-run adds at most two morsels' worth
+    /// while the running backend drains the morsel it had armed.
+    #[test]
+    fn a_scan_keeps_one_read_front_staffed_wide_or_grown() {
+        const TOLERANCE: u64 = 4;
+        let disks = u64::from(cfg().machine.n_disks);
+        for x in [4.0, 8.0] {
+            let (random, _) =
+                scan_random_reads(cfg(), FixedX { machine: cfg().machine, x, grow_to: None, started: false });
+            assert!(random <= disks + TOLERANCE, "x = {x}: {random} random reads");
+        }
+        // Grow from 1 to 4 after a third of the pages. The grow is decided
+        // at the start and lands `adjust_latency` later; the task's target
+        // is 4 from the decision on, so its lone backend is not solo and
+        // reads at the almost-sequential rate until then.
+        let mut c = cfg();
+        c.adjust_latency = 800.0 / c.machine.almost_seq_bw / 3.0;
+        let policy =
+            FixedX { machine: c.machine.clone(), x: 1.0, grow_to: Some(4.0), started: false };
+        let latency = c.adjust_latency;
+        let (random, elapsed) = scan_random_reads(c, policy);
+        let share = latency / elapsed;
+        assert!((0.3..0.75).contains(&share), "grown at {share:.2} of the scan's time");
+        let bound = disks + TOLERANCE + 2 * DEFAULT_MORSEL_UNITS;
+        assert!(random <= bound, "{random} random reads across the grow");
     }
 }

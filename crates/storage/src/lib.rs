@@ -3,11 +3,10 @@
 //! The storage substrate underneath the XPRS reproduction: slotted 8 KB heap
 //! pages striped round-robin over the disk array, an in-memory B-tree index
 //! (clustered or unclustered), a pinning LRU buffer pool, a catalog with
-//! optimizer statistics, and — because they are really statements about how
-//! a relation's pages and key ranges are divided among parallel backends —
-//! the page-partitioning and range-partitioning schemes of the paper's
-//! Section 2.4, including the *max-page* and *interval re-partitioning*
-//! dynamic-adjustment protocols (Figures 5 and 6).
+//! optimizer statistics, and — because it is really a statement about how a
+//! relation's pages and key ranges are divided among parallel backends —
+//! the Section 2.4 partitioning with its dynamic adjustment (Figures 5 and
+//! 6), as the morsel deal every engine runs ([`StealPartition`]).
 //!
 //! The experiments' schema is `r(a int4, b text)`: attribute `b` is a
 //! variable-length string used purely to dial the tuple size, which in turn
@@ -25,6 +24,7 @@ pub mod partition;
 pub mod runs;
 pub mod schema;
 pub mod shardpool;
+mod steal;
 pub mod tuple;
 
 pub use btree::BTreeIndex;
@@ -33,8 +33,8 @@ pub use catalog::{Catalog, RelStats, Relation};
 pub use datum::Datum;
 pub use heap::HeapFile;
 pub use page::{Page, PAGE_HEADER, PAGE_SIZE};
-pub use partition::{PagePartition, RangePartition};
+pub use partition::StealPartition;
 pub use runs::{merge_runs, split_runs_stats, CsrIndex, RunGroup, SplitStats};
 pub use schema::{ColumnType, Schema};
-pub use shardpool::{ShardReservation, ShardedBufferPool};
+pub use shardpool::{lock, ShardReservation, ShardedBufferPool};
 pub use tuple::{Tuple, TupleId};

@@ -52,10 +52,12 @@ impl ShardReservation {
     }
 }
 
-/// Recover the guard even if a panicking thread poisoned a shard latch: the
-/// pool holds bookkeeping only (no torn page images), so the state is usable
-/// and the panic is propagating elsewhere regardless.
-fn latch<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock acquisition that shrugs off poisoning — the workspace's one copy.
+/// Every latch it guards holds bookkeeping a panic cannot leave torn (a
+/// shard's frames and counters, a partition's deques, the executor's disk
+/// lanes, the service's queue), and the panic is reported elsewhere, so the
+/// survivors must still be able to drain.
+pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -92,7 +94,7 @@ impl ShardedBufferPool {
     pub fn try_reserve(&self, pages: u64) -> Option<ShardReservation> {
         let n = self.shards.len();
         let cap = self.shard_capacity() as u64;
-        let mut st = latch(&self.reserve);
+        let mut st = lock(&self.reserve);
         let base = pages / n as u64;
         let rem = (pages % n as u64) as usize;
         let mut shares = vec![base; n];
@@ -119,7 +121,7 @@ impl ShardedBufferPool {
         if r.shares.is_empty() {
             return;
         }
-        let mut st = latch(&self.reserve);
+        let mut st = lock(&self.reserve);
         assert_eq!(r.shares.len(), st.per_shard.len(), "reservation from another pool");
         for (held, &s) in st.per_shard.iter_mut().zip(&r.shares) {
             *held = held.checked_sub(s).expect("reservation released twice");
@@ -128,7 +130,7 @@ impl ShardedBufferPool {
 
     /// Frames currently reserved by outstanding grants, summed over shards.
     pub fn reserved(&self) -> u64 {
-        latch(&self.reserve).per_shard.iter().sum()
+        lock(&self.reserve).per_shard.iter().sum()
     }
 
     /// Which shard `(rel, block)` lives on. Deterministic, uniform mix of
@@ -148,7 +150,7 @@ impl ShardedBufferPool {
     /// pinned for the caller's disk read — release it with
     /// [`ShardedBufferPool::finish_read`].
     pub fn access(&self, rel: RelId, block: u64) -> Result<FetchOutcome, PoolExhausted> {
-        let mut shard = latch(&self.shards[self.shard_of(rel, block)]);
+        let mut shard = lock(&self.shards[self.shard_of(rel, block)]);
         let outcome = shard.fetch(rel, block)?;
         if outcome == FetchOutcome::Hit {
             // Cannot fail: the fetch above pinned the page and the shard
@@ -164,7 +166,7 @@ impl ShardedBufferPool {
     /// under a retry race — surfaces as a typed [`UnpinError`] instead of a
     /// panic on release builds.
     pub fn finish_read(&self, rel: RelId, block: u64) -> Result<(), UnpinError> {
-        let mut shard = latch(&self.shards[self.shard_of(rel, block)]);
+        let mut shard = lock(&self.shards[self.shard_of(rel, block)]);
         if shard.contains(rel, block) {
             shard.unpin(rel, block)
         } else {
@@ -174,7 +176,7 @@ impl ShardedBufferPool {
 
     /// Is the page resident (in its one home shard)?
     pub fn contains(&self, rel: RelId, block: u64) -> bool {
-        latch(&self.shards[self.shard_of(rel, block)]).contains(rel, block)
+        lock(&self.shards[self.shard_of(rel, block)]).contains(rel, block)
     }
 
     /// Number of shards.
@@ -184,7 +186,7 @@ impl ShardedBufferPool {
 
     /// Frames per shard.
     pub fn shard_capacity(&self) -> usize {
-        latch(&self.shards[0]).capacity()
+        lock(&self.shards[0]).capacity()
     }
 
     /// Total frames across shards.
@@ -196,7 +198,7 @@ impl ShardedBufferPool {
     pub fn stats(&self) -> PoolStats {
         let mut total = PoolStats::default();
         for s in &self.shards {
-            let st = latch(s).stats();
+            let st = lock(s).stats();
             total.hits += st.hits;
             total.misses += st.misses;
             total.evictions += st.evictions;
@@ -207,19 +209,19 @@ impl ShardedBufferPool {
 
     /// Per-shard counters, indexed by shard.
     pub fn shard_stats(&self) -> Vec<PoolStats> {
-        self.shards.iter().map(|s| latch(s).stats()).collect()
+        self.shards.iter().map(|s| lock(s).stats()).collect()
     }
 
     /// Outstanding pins summed over all shards (zero when no read is
     /// between `access` and `finish_read`).
     pub fn pinned(&self) -> u64 {
-        self.shards.iter().map(|s| latch(s).pinned()).sum()
+        self.shards.iter().map(|s| lock(s).pinned()).sum()
     }
 
     /// Resident page keys per shard, indexed by shard. For invariant checks
     /// (residency uniqueness across shards), not the hot path.
     pub fn shard_resident_keys(&self) -> Vec<Vec<(RelId, u64)>> {
-        self.shards.iter().map(|s| latch(s).resident_keys()).collect()
+        self.shards.iter().map(|s| lock(s).resident_keys()).collect()
     }
 }
 

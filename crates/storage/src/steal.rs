@@ -1,5 +1,6 @@
 //! Morsel-driven work stealing: the one way a fragment's work units reach
-//! its workers.
+//! its backends, the executor's threads and the simulator's alike
+//! (re-exported as [`crate::partition::StealPartition`]).
 //!
 //! The fragment's unit space `[0, total_units)` is cut into [`Morsel`]s
 //! which are dealt round-robin, in unit order, into per-worker deques — the
@@ -87,9 +88,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use xprs_disk::DiskParams;
-use xprs_storage::partition::{morselize, AdjustInfo, Morsel};
 
-use crate::io::lock;
+use crate::lock;
+use crate::partition::{morselize, AdjustInfo, Morsel};
 
 /// Claim-word revocation bit. The low 32 bits hold the offset of the next
 /// unclaimed unit within the armed morsel, the next 31 the morsel's length.
@@ -522,6 +523,12 @@ impl StealPartition {
         lock(&self.inner).len()
     }
 
+    /// The morsels dealt or stolen to `slot` and not yet begun, in deque
+    /// order; for traces and tests.
+    pub fn pending(&self, slot: usize) -> Vec<Morsel> {
+        lock(&self.inner)[slot].pending.iter().copied().collect()
+    }
+
     /// Units sitting in pending morsels (excludes in-flight remainders);
     /// for tests and diagnostics.
     pub fn pending_units(&self) -> u64 {
@@ -540,6 +547,7 @@ impl StealPartition {
     /// `None` means the morsel is exhausted *or* the slot was revoked —
     /// either way the worker goes back to `next_morsel`, which settles the
     /// question under the latch.
+    #[inline]
     pub fn claim_unit(claim: &AtomicU64) -> Option<u64> {
         claim
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |word| {
@@ -839,10 +847,6 @@ mod tests {
         }
     }
 
-    fn pending_of(p: &StealPartition, slot: usize) -> Vec<Morsel> {
-        lock(&p.inner)[slot].pending.iter().copied().collect()
-    }
-
     #[test]
     fn a_grown_scan_deals_its_lowest_pending_morsels_to_the_deque_heads() {
         // One slot has armed three of sixteen 16-unit morsels; growing to
@@ -854,10 +858,10 @@ mod tests {
         walk.run(&p, 40);
         let info = p.adjust(6);
         assert_eq!(info.new_slots, vec![1, 2, 3, 4, 5]);
-        let heads: Vec<u64> = (0..6).map(|s| pending_of(&p, s)[0].start).collect();
+        let heads: Vec<u64> = (0..6).map(|s| p.pending(s)[0].start).collect();
         assert_eq!(heads, vec![48, 64, 80, 96, 112, 128]);
         for slot in 0..6 {
-            let starts: Vec<u64> = pending_of(&p, slot).iter().map(|m| m.start).collect();
+            let starts: Vec<u64> = p.pending(slot).iter().map(|m| m.start).collect();
             assert!(starts.windows(2).all(|w| w[0] < w[1]), "slot {slot}: {starts:?}");
         }
         for slot in 1..6 {
@@ -905,7 +909,7 @@ mod tests {
         let info = p.adjust(2);
         assert_eq!(info.retiring_slots, vec![2, 3]);
         for slot in 0..2 {
-            let starts: Vec<u64> = pending_of(&p, slot).iter().map(|m| m.start).collect();
+            let starts: Vec<u64> = p.pending(slot).iter().map(|m| m.start).collect();
             assert!(starts.windows(2).all(|w| w[0] < w[1]), "slot {slot}: {starts:?}");
         }
         walk.run(&p, usize::MAX);
@@ -917,7 +921,7 @@ mod tests {
     fn a_disk_mapped_deal_and_its_recut_keep_one_read_front() {
         let window = DiskParams::paper_default().reorder_window;
         let widest = |p: &StealPartition, slots: usize| {
-            (0..slots).flat_map(|s| pending_of(p, s)).map(|m| m.len()).max().unwrap_or(0)
+            (0..slots).flat_map(|s| p.pending(s)).map(|m| m.len()).max().unwrap_or(0)
         };
         for disks in [1u32, 2, 4, 8] {
             for backends in 1u32..=16 {

@@ -12,8 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use xprs_executor::{StealPartition, MAX_DEAL_MORSELS};
-use xprs_storage::partition::Morsel;
+use xprs_storage::partition::{Morsel, StealPartition, MAX_DEAL_MORSELS};
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);

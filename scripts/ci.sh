@@ -59,13 +59,16 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # sender rules out, the token and patrol deadline checks that one wake rule
 # replaced, the public functions only their own unit tests called, the second
 # trace sink, the metrics registry attach, the frozen-claim reaper that
-# guessed at worker deaths the pool job now reports, and any call of
+# guessed at worker deaths the pool job now reports, the paper-literal stride
+# protocols and their cursors that the simulator ran beside the morsel deal
+# every engine now shares (a second §2.4 implementation lets the simulated and
+# the executed deal drift apart), and any call of
 # `with_obs`, an identity kept for `benchmark/`, which this grep does not
 # scan) must not
 # creep back into code, examples, tests or the verify skill. `scripts/` is left out so the pattern does not match itself;
 # docs keep the names as history.
 echo "==> retired-name grep"
-if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel|\bfragment_times\b|footprint_warnings|mem_overruns|merge_fanout|prediction_fallbacks|exited_slots|\bsplit_runs\b|parallel_merge_min_rows|parallel_merge_ways|recal_band|with_recalibration\b|host_parallelism|PlanMismatch|ProgramSet|RunGuard|active_runs|run_started|run_finished|interference_factor|jobs_submitted|jobs_completed|delivered_rate|heartbeat_of|watched_heartbeats|recoveries_at_start|observed_service|report_units|units_done|integral_split|io_utilization|critical_path|\btn_estimate\b|Backends<|Backends::|ChannelClosed|deadline_instant|tick_due|sql_cmp|blocks_on_disk|finish_of|\bn_keys\b|total_seq_time|JsonlSink|TraceSink|with_metrics|PATROL_GRACE|StealPartition::reap|patrol::reap|\.reap\(|\.with_obs\(' \
+if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel|\bfragment_times\b|footprint_warnings|mem_overruns|merge_fanout|prediction_fallbacks|exited_slots|\bsplit_runs\b|parallel_merge_min_rows|parallel_merge_ways|recal_band|with_recalibration\b|host_parallelism|PlanMismatch|ProgramSet|RunGuard|active_runs|run_started|run_finished|interference_factor|jobs_submitted|jobs_completed|delivered_rate|heartbeat_of|watched_heartbeats|recoveries_at_start|observed_service|report_units|units_done|integral_split|io_utilization|critical_path|\btn_estimate\b|Backends<|Backends::|ChannelClosed|deadline_instant|tick_due|sql_cmp|blocks_on_disk|finish_of|\bn_keys\b|total_seq_time|JsonlSink|TraceSink|with_metrics|PATROL_GRACE|StealPartition::reap|patrol::reap|\.reap\(|PagePartition|RangePartition|KeyRange|\bnext_page\b|\bnext_key\b|\.with_obs\(' \
     crates examples src tests .claude; then
     echo "retired data-path names found (matches above)" >&2
     exit 1
