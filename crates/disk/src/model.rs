@@ -207,7 +207,7 @@ impl DiskState {
     /// [`DiskState::serve`] on a degraded disk: the modeled service time is
     /// stretched by `multiplier` (≥ 1), and the stretched time is what the
     /// busy accounting records — so observed per-class rates derived from
-    /// `busy_time_of` / `count_of` reflect the slowdown, which is exactly
+    /// [`DiskState::class_stats`] reflect the slowdown, which is exactly
     /// what degradation-aware recalibration needs to see.
     pub fn serve_degraded(&mut self, req: &IoRequest, multiplier: f64) -> (ServiceClass, f64) {
         let class = self.classify(req);
@@ -234,11 +234,6 @@ impl DiskState {
     /// Total seconds spent serving requests.
     pub fn busy_time(&self) -> f64 {
         self.busy.iter().sum()
-    }
-
-    /// Seconds spent serving requests of `class`.
-    pub fn busy_time_of(&self, class: ServiceClass) -> f64 {
-        self.busy[class_index(class)]
     }
 
     /// Number of requests served in `class`.

@@ -42,6 +42,7 @@ use xprs_scheduler::MachineConfig;
 use xprs_storage::bufpool::{FetchOutcome, UnpinError};
 use xprs_storage::{lock, PoolStats, ShardedBufferPool};
 
+use crate::clock::{Clock, WallClock};
 use crate::obs::ExecMetrics;
 
 /// Most a thread's model clock may lag its wall clock. Wake-up latency
@@ -58,11 +59,11 @@ thread_local! {
     static MODEL_CLOCK: Cell<Option<Instant>> = const { Cell::new(None) };
 }
 
-/// The thread's model clock at wall instant `now`, clamped to
-/// `[now − MAX_CLOCK_LAG, now]`. A thread acting on the wall clock would
-/// stretch every modelled second: `thread::sleep` returns late (≈ 55 µs at
-/// Linux's default 50 µs timer slack, 17–21 % of the 0.4–0.8 ms sleeps of a
-/// 20–40× run; ≈ 5 µs on a pool thread, see [`tighten_timer_slack`]), and
+/// The thread's model clock at `now`, clamped to `[now − MAX_CLOCK_LAG,
+/// now]`. A thread acting on the machine's clock would stretch every
+/// modelled second: a sleep returns late (≈ 55 µs at Linux's default 50 µs
+/// timer slack, 17–21 % of the 0.4–0.8 ms sleeps of a 20–40× run; ≈ 5 µs on
+/// a pool thread, see [`crate::clock::tighten_timer_slack`]), and
 /// evaluating tuples or claiming units takes host time the model does not
 /// price. So every modelled wait is a deadline on this clock — a disk
 /// request *arrives* at `model_clock(now)`, a modelled duration ends at
@@ -80,47 +81,6 @@ pub(crate) fn start_model_clock(at: Instant) {
     MODEL_CLOCK.set(Some(at));
 }
 
-/// The one pacing rule: block until `target`, then advance the model clock
-/// to it. A target already behind the model clock (a disk that finished
-/// while the thread computed) is not slept for and leaves the clock where
-/// it is; the clock only moves forward, and a sleep never returns early,
-/// so a thread never finishes ahead of its model.
-fn pace_until(now: Instant, target: Instant) {
-    if let Some(due) = target.checked_duration_since(now).filter(|d| !d.is_zero()) {
-        std::thread::sleep(due);
-    }
-    MODEL_CLOCK.set(Some(model_clock(now).max(target)));
-}
-
-/// Let this thread's sleeps end within 1 µs of their deadline instead of
-/// Linux's default 50 µs timer slack, which a pacing sleep or a wait for a
-/// modelled deadline would otherwise pay on every wake. Called once, as it
-/// starts, by each executor pool thread and by each thread a service runs
-/// its masters on; a caller's own thread keeps its slack. A refused call
-/// keeps the default.
-#[cfg(target_os = "linux")]
-pub fn tighten_timer_slack() {
-    use std::os::raw::{c_int, c_ulong};
-    extern "C" {
-        fn prctl(option: c_int, ...) -> c_int;
-    }
-    const PR_SET_TIMERSLACK: c_int = 29;
-    // SAFETY: PR_SET_TIMERSLACK reads one integer argument and changes only
-    // the calling thread's timer slack; no memory is passed or touched.
-    unsafe { prctl(PR_SET_TIMERSLACK, 1_000 as c_ulong) };
-}
-
-/// Not Linux: every thread keeps its platform's timer behaviour.
-#[cfg(not(target_os = "linux"))]
-pub fn tighten_timer_slack() {}
-
-/// Sleep until a reserved service completes (no-op when unthrottled).
-fn await_deadline(deadline: Option<Instant>) {
-    if let Some(deadline) = deadline {
-        pace_until(Instant::now(), deadline);
-    }
-}
-
 /// A counting semaphore: at most `permits` holders at a time. A holder is
 /// a thread with a [`CpuPermit`] or a *timed hold*
 /// ([`CpuPermit::hold_until`]): a permit kept until a modelled instant with
@@ -130,6 +90,8 @@ pub struct CpuGate {
     inner: Mutex<GateState>,
     cv: Condvar,
     capacity: u32,
+    /// The clock timed holds end on.
+    clock: Arc<dyn Clock>,
 }
 
 #[derive(Debug)]
@@ -152,25 +114,26 @@ impl GateState {
         self.min_free = self.min_free.min(self.free);
     }
 
-    /// Return the permit of every timed hold whose end has passed.
-    fn expire_holds(&mut self) {
+    /// Return the permit of every timed hold whose end has passed on `clock`.
+    fn expire_holds(&mut self, clock: &dyn Clock) {
         if self.holds.is_empty() {
             return;
         }
-        let (now, held) = (Instant::now(), self.holds.len());
+        let (now, held) = (clock.now(), self.holds.len());
         self.holds.retain(|&end| end > now);
         self.free += (held - self.holds.len()) as u32;
     }
 }
 
 impl CpuGate {
-    /// Gate admitting `permits` concurrent holders.
-    pub fn new(permits: u32) -> Self {
+    /// Gate admitting `permits` concurrent holders; timed holds end on `clock`.
+    pub fn new(permits: u32, clock: Arc<dyn Clock>) -> Self {
         assert!(permits >= 1, "need at least one processor");
         CpuGate {
             inner: Mutex::new(GateState { free: permits, min_free: permits, holds: Vec::new() }),
             cv: Condvar::new(),
             capacity: permits,
+            clock,
         }
     }
 
@@ -180,13 +143,13 @@ impl CpuGate {
     pub fn acquire(&self) -> CpuPermit<'_> {
         let mut st = lock(&self.inner);
         loop {
-            st.expire_holds();
+            st.expire_holds(&*self.clock);
             if st.free > 0 {
                 break;
             }
             st = match st.holds.iter().min() {
                 Some(&end) => {
-                    let due = end.saturating_duration_since(Instant::now());
+                    let due = end.saturating_duration_since(self.clock.now());
                     self.cv.wait_timeout(st, due).unwrap_or_else(PoisonError::into_inner).0
                 }
                 None => self.cv.wait(st).unwrap_or_else(PoisonError::into_inner),
@@ -199,7 +162,7 @@ impl CpuGate {
     /// Acquire one processor only if one is free right now.
     pub fn try_acquire(&self) -> Option<CpuPermit<'_>> {
         let mut st = lock(&self.inner);
-        st.expire_holds();
+        st.expire_holds(&*self.clock);
         if st.free == 0 {
             return None;
         }
@@ -234,7 +197,7 @@ impl CpuPermit<'_> {
     /// An `end` already past releases it now. Every parked waiter wakes to
     /// bound its park by the new hold's end.
     pub fn hold_until(self, end: Instant) {
-        if end <= Instant::now() {
+        if end <= self.gate.clock.now() {
             return; // dropping the permit releases it
         }
         let gate = self.gate;
@@ -298,8 +261,8 @@ pub struct MachineStats {
 #[derive(Debug)]
 struct DiskLane {
     disk: DiskState,
-    /// Wall instant the last reserved service ends; the disk idles from
-    /// then until the next arrival.
+    /// Instant the last reserved service ends; the disk idles from then
+    /// until the next arrival.
     free_at: Instant,
     /// Simulated seconds requests waited between arriving and starting
     /// service (`start − arrival`, measured where the wait is decided).
@@ -353,6 +316,8 @@ pub struct Machine {
     layout: StripedLayout,
     lanes: Vec<Mutex<DiskLane>>,
     cpu: CpuGate,
+    /// What time it is, and how a thread waits for a modelled instant.
+    clock: Arc<dyn Clock>,
     /// Sharded buffer pool; a hit skips the disk entirely. Not wrapped in a
     /// machine-level mutex — each shard carries its own latch.
     pool: Option<ShardedBufferPool>,
@@ -393,18 +358,20 @@ impl Machine {
         let params = DiskParams::from_rates(cfg.seq_bw, cfg.almost_seq_bw, cfg.random_bw);
         let pool = (pool_pages > 0).then(|| ShardedBufferPool::new(pool_pages, shards));
         let in_flight_shards = pool.as_ref().filter(|_| scale > 0.0).map_or(0, |p| p.n_shards());
+        let clock: Arc<dyn Clock> = Arc::new(WallClock);
         Machine {
             layout: StripedLayout::new(cfg.n_disks),
             lanes: (0..cfg.n_disks)
                 .map(|_| {
                     Mutex::new(DiskLane {
                         disk: DiskState::new(params.clone()),
-                        free_at: Instant::now(),
+                        free_at: clock.now(),
                         queue_wait: 0.0,
                     })
                 })
                 .collect(),
-            cpu: CpuGate::new(cfg.n_procs),
+            cpu: CpuGate::new(cfg.n_procs, clock.clone()),
+            clock,
             pool,
             in_flight: (0..in_flight_shards).map(|_| Mutex::default()).collect(),
             scale,
@@ -463,6 +430,11 @@ impl Machine {
         &self.cpu
     }
 
+    /// The clock every time read and modelled wait on this machine asks.
+    pub fn clock(&self) -> &Arc<dyn Clock> {
+        &self.clock
+    }
+
     /// The time scale (wall seconds per simulated second).
     pub fn scale(&self) -> f64 {
         self.scale
@@ -513,7 +485,7 @@ impl Machine {
             Some(Ok(FetchOutcome::Hit)) => {
                 let arrives = in_flight
                     .and_then(|table| table.get(&(rel, global_block)).copied())
-                    .filter(|&deadline| deadline > Instant::now());
+                    .filter(|&deadline| deadline > self.clock.now());
                 return ReadTicket(Pending::Hit(arrives));
             }
             Some(Ok(FetchOutcome::Miss)) => true,
@@ -547,14 +519,18 @@ impl Machine {
     pub fn finish_read(&self, ticket: ReadTicket) -> Result<Option<ServiceClass>, IoFault> {
         let DiskRead { block, req, pinned, mut service } = match ticket.0 {
             Pending::Hit(arrives) => {
-                await_deadline(arrives);
+                if let Some(arrives) = arrives {
+                    self.pace_until(|_| arrives);
+                }
                 return Ok(None);
             }
             Pending::Disk(read) => read,
         };
         let mut outcome = Err(IoFault { rel: req.rel, block, attempts: READ_ATTEMPTS });
         for attempt in 0..READ_ATTEMPTS {
-            await_deadline(service.deadline);
+            if let Some(deadline) = service.deadline {
+                self.pace_until(|_| deadline);
+            }
             let faulted = self.faults.as_ref().is_some_and(|f| f.take_read_error(req.rel, block));
             if !faulted {
                 outcome = Ok(Some(service.class));
@@ -595,7 +571,7 @@ impl Machine {
     /// request ordinal so it fires identically across interleavings.
     fn reserve(&self, req: &IoRequest, global_block: u64, degradable: bool) -> Service {
         let disk = self.layout.disk_of(global_block) as usize;
-        let arrival = (self.scale > 0.0).then(|| model_clock(Instant::now()));
+        let arrival = (self.scale > 0.0).then(|| model_clock(self.clock.now()));
         let mut lane = lock(&self.lanes[disk]);
         let mult = match &self.faults {
             Some(f) if degradable => f.slowdown_multiplier(disk, lane.disk.total_count()),
@@ -649,7 +625,9 @@ impl Machine {
                 worker,
                 solo: false,
             };
-            await_deadline(self.reserve(&req, b, false).deadline);
+            if let Some(deadline) = self.reserve(&req, b, false).deadline {
+                self.pace_until(|_| deadline);
+            }
         }
     }
 
@@ -681,11 +659,11 @@ impl Machine {
     /// processor and ends at the model clock.
     pub(crate) fn reserve_compute(&self, seconds: f64) -> Instant {
         if seconds <= 0.0 {
-            return model_clock(Instant::now());
+            return model_clock(self.clock.now());
         }
         let permit = self.acquire_cpu();
         self.cpu_busy.add_secs(seconds);
-        let end = model_clock(Instant::now()) + Duration::from_secs_f64(seconds * self.scale);
+        let end = model_clock(self.clock.now()) + Duration::from_secs_f64(seconds * self.scale);
         permit.hold_until(end);
         end
     }
@@ -694,9 +672,9 @@ impl Machine {
     /// else a recorded, clock-restarting `acquire`.
     fn acquire_cpu(&self) -> CpuPermit<'_> {
         self.cpu.try_acquire().unwrap_or_else(|| {
-            let waited = Instant::now();
+            let waited = self.clock.now();
             let permit = self.cpu.acquire();
-            let granted = Instant::now();
+            let granted = self.clock.now();
             self.metrics.gate_wait_ns.observe(granted.duration_since(waited).as_nanos() as u64);
             if self.scale > 0.0 {
                 start_model_clock(granted);
@@ -707,12 +685,26 @@ impl Machine {
 
     /// Occupy the calling thread for `seconds` of simulated time on its
     /// model clock (retry backoff and CPU bursts; disk service waits on its
-    /// reservation's deadline instead, see [`await_deadline`]).
+    /// reservation's deadline instead).
     fn sleep_sim(&self, seconds: f64) {
         if self.scale > 0.0 && seconds > 0.0 {
-            let now = Instant::now();
-            pace_until(now, model_clock(now) + Duration::from_secs_f64(seconds * self.scale));
+            self.pace_until(|now| model_clock(now) + Duration::from_secs_f64(seconds * self.scale));
         }
+    }
+
+    /// The one pacing rule: read the machine's clock, wait on it until the
+    /// target that reading gives, then advance this thread's model clock to
+    /// the target. A target already behind the model clock (a disk that
+    /// finished while the thread computed) is not waited for and leaves the
+    /// clock where it is; the clock only moves forward, and a wait never
+    /// ends early, so a thread never finishes ahead of its model.
+    fn pace_until(&self, target: impl FnOnce(Instant) -> Instant) {
+        let now = self.clock.now();
+        let target = target(now);
+        if target > now {
+            self.clock.sleep_until(target);
+        }
+        MODEL_CLOCK.set(Some(model_clock(now).max(target)));
     }
 
     /// Total page reads issued so far (cheaper than a full [`Self::stats`]
@@ -752,10 +744,33 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::clock::tests::ManualClock;
 
     fn machine(scale: f64) -> Machine {
         Machine::with_sharded_pool(&MachineConfig::paper_default(), scale, 0, 1)
+    }
+
+    impl Machine {
+        /// This machine on `clock`: every disk free from its reading, and
+        /// the processors' timed holds ending on it.
+        fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
+            let now = clock.now();
+            for lane in &self.lanes {
+                lock(lane).free_at = now;
+            }
+            self.cpu = CpuGate::new(self.cpu.capacity, clock.clone());
+            self.clock = clock;
+            self
+        }
+    }
+
+    /// A machine of `n_procs` processors and no buffer pool at `scale` on a
+    /// manual clock, with this thread's model clock started at its reading.
+    fn manual(n_procs: u32, scale: f64) -> (Machine, Arc<ManualClock>) {
+        let cfg = MachineConfig { n_procs, ..MachineConfig::paper_default() };
+        let clock = ManualClock::new();
+        start_model_clock(clock.now());
+        (Machine::with_sharded_pool(&cfg, scale, 0, 1).with_clock(clock.clone()), clock)
     }
 
     /// A read no injected fault may fail.
@@ -765,7 +780,7 @@ mod tests {
 
     #[test]
     fn cpu_gate_bounds_concurrency() {
-        let gate = Arc::new(CpuGate::new(2));
+        let gate = Arc::new(CpuGate::new(2, Arc::new(WallClock)));
         let active = Arc::new(AtomicU64::new(0));
         let peak = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
@@ -789,24 +804,25 @@ mod tests {
 
     #[test]
     fn a_timed_hold_keeps_its_permit_until_its_end_with_no_thread_holding_it() {
-        let gate = CpuGate::new(1);
-        let end = Instant::now() + Duration::from_millis(2);
+        let clock = ManualClock::new();
+        let gate = CpuGate::new(1, clock.clone());
+        let end = clock.now() + Duration::from_millis(2);
         gate.acquire().hold_until(end);
-        // A grant is wrong only if it came before the end.
-        let refused = gate.try_acquire().is_none();
-        assert!(refused || Instant::now() >= end, "granted a processor held until {end:?}");
-        std::thread::sleep(end.saturating_duration_since(Instant::now()));
+        assert!(gate.try_acquire().is_none(), "granted a processor held until its end");
+        clock.sleep_until(end - Duration::from_nanos(1));
+        assert!(gate.try_acquire().is_none(), "the hold ended a nanosecond early");
+        clock.sleep_until(end);
         assert!(gate.try_acquire().is_some(), "the hold outlived its end");
         // A hold whose end has already passed is a release.
-        gate.acquire().hold_until(Instant::now() - Duration::from_millis(1));
+        gate.acquire().hold_until(end - Duration::from_millis(1));
         assert!(gate.try_acquire().is_some(), "a past hold kept its permit");
     }
 
     #[test]
     fn a_blocked_acquire_returns_no_earlier_than_the_hold_ends() {
         // Nothing releases the only permit: the parked acquire must notice
-        // the hold's end by itself.
-        let gate = CpuGate::new(1);
+        // the hold's end by itself, so this parks on the wall clock.
+        let gate = CpuGate::new(1, Arc::new(WallClock));
         let end = Instant::now() + Duration::from_millis(5);
         gate.acquire().hold_until(end);
         let _permit = gate.acquire();
@@ -815,7 +831,7 @@ mod tests {
 
     #[test]
     fn peak_holders_counts_timed_holds() {
-        let gate = CpuGate::new(2);
+        let gate = CpuGate::new(2, Arc::new(WallClock));
         gate.acquire().hold_until(Instant::now() + Duration::from_secs(5));
         assert_eq!(gate.peak_holders(), 1);
         let held = gate.acquire();
@@ -828,21 +844,23 @@ mod tests {
     #[test]
     fn a_reserved_burst_holds_its_processor_until_it_ends() {
         // One processor at real time: the reserved 2 ms burst returns at
-        // once, charged, and the next compute waits for its end, then runs
-        // its own burst from the grant.
-        let cfg = MachineConfig { n_procs: 1, ..MachineConfig::paper_default() };
-        let m = Machine::with_sharded_pool(&cfg, 1.0, 0, 1);
-        let t0 = Instant::now();
-        start_model_clock(t0);
+        // once, charged, and holds the processor until exactly its end; a
+        // compute from then runs its own burst from there. (A compute that
+        // parks on the hold is `a_blocked_acquire_returns_no_earlier_than_the_hold_ends`.)
+        let (m, clock) = manual(1, 1.0);
+        let t0 = clock.now();
         let end = m.reserve_compute(0.002);
-        assert!(end >= t0 + Duration::from_millis(2), "the burst ended early");
+        assert_eq!(end, t0 + Duration::from_millis(2));
+        assert_eq!(clock.now(), t0, "the reserving thread waited");
         assert!((m.cpu_busy_secs() - 0.002).abs() < 1e-12, "the reserved burst was not charged");
+        m.pace_until(|_| end - Duration::from_nanos(1));
+        assert!(m.cpu().try_acquire().is_none(), "a processor reserved until {end:?} was free");
+        m.pace_until(|_| end);
         m.compute(0.001);
-        assert!(Instant::now() >= end + Duration::from_millis(1), "ran on a reserved processor");
-        assert_eq!(m.metrics().gate_wait_ns.snapshot().count, 1, "the compute never waited");
+        assert_eq!(clock.now(), end + Duration::from_millis(1));
         assert_eq!(m.cpu().peak_holders(), 1);
         // Nothing to charge reserves nothing and ends at the model clock.
-        assert!(m.reserve_compute(0.0) <= Instant::now());
+        assert_eq!(m.reserve_compute(0.0), end + Duration::from_millis(1));
         assert!((m.cpu_busy_secs() - 0.003).abs() < 1e-12);
     }
 
@@ -916,29 +934,23 @@ mod tests {
 
     #[test]
     fn paced_sleeps_average_to_the_modelled_time() {
-        // 200 paced 0.5 ms waits from a clock started at t0: the model clock
-        // ends no earlier than t0 + 100 ms, and neither does the wall clock.
-        // Lower bounds only — how late the host wakes the thread is not the
-        // model's to assert.
-        let step = Duration::from_micros(500);
-        let t0 = Instant::now();
-        start_model_clock(t0);
+        // 200 paced 0.5 ms waits from a clock started at t0 end at exactly
+        // t0 + 100 ms, on the model clock and on the machine's.
+        let (m, clock) = manual(1, 1.0);
+        let (step, t0) = (Duration::from_micros(500), clock.now());
         for _ in 0..200 {
-            let now = Instant::now();
-            pace_until(now, model_clock(now) + step);
+            m.pace_until(|now| model_clock(now) + step);
         }
-        let modelled = t0 + 200 * step;
-        assert!(model_clock(Instant::now()) >= modelled, "the model clock lost a wait");
-        assert!(t0.elapsed() >= 200 * step, "ran ahead of the model: {:?}", t0.elapsed());
+        assert_eq!(clock.now(), t0 + 200 * step);
+        assert_eq!(model_clock(clock.now()), t0 + 200 * step, "the model clock lost a wait");
     }
 
     #[test]
     fn a_target_ahead_of_the_clock_moves_the_clock_to_it() {
-        let t0 = Instant::now();
-        start_model_clock(t0);
-        let target = t0 + Duration::from_micros(300);
-        pace_until(t0, target);
-        assert!(Instant::now() >= target, "a sleep returned early");
+        let (m, clock) = manual(1, 1.0);
+        let target = clock.now() + Duration::from_micros(300);
+        m.pace_until(|_| target);
+        assert_eq!(clock.now(), target);
         assert_eq!(MODEL_CLOCK.get(), Some(target));
     }
 
@@ -946,21 +958,24 @@ mod tests {
     fn a_deadline_behind_the_clock_leaves_it_unchanged() {
         // A disk that finished while the thread computed: nothing to wait
         // for, and nothing to move.
-        let now = Instant::now();
-        let clock = now - Duration::from_micros(500);
-        start_model_clock(clock);
-        pace_until(now, clock - Duration::from_millis(1));
-        assert_eq!(MODEL_CLOCK.get(), Some(clock));
+        let (m, clock) = manual(1, 1.0);
+        let now = clock.now();
+        let model = now - Duration::from_micros(500);
+        start_model_clock(model);
+        m.pace_until(|_| model - Duration::from_millis(1));
+        assert_eq!(MODEL_CLOCK.get(), Some(model));
+        assert_eq!(clock.now(), now, "waited for a deadline already past");
     }
 
     #[test]
     fn an_unpaced_stall_drags_the_clock_to_the_lag_bound() {
         // 10 ms of host time with no modelled wait is a stall: the clock
         // keeps at most MAX_CLOCK_LAG of it.
-        let now = Instant::now();
+        let (m, clock) = manual(1, 1.0);
+        let now = clock.now();
         start_model_clock(now - Duration::from_millis(10));
         assert_eq!(model_clock(now), now - MAX_CLOCK_LAG);
-        pace_until(now, now - Duration::from_millis(10));
+        m.pace_until(|now| now - Duration::from_millis(10));
         assert_eq!(MODEL_CLOCK.get(), Some(now - MAX_CLOCK_LAG));
     }
 
@@ -998,24 +1013,25 @@ mod tests {
     #[test]
     fn no_pacing_state_crosses_a_job_boundary() {
         // A thread left at the full lag by its previous job, then staffed
-        // anew at t1: its first 1 ms wait must end no earlier than t1 + 1 ms.
-        let m = machine(1.0);
-        let now = Instant::now();
+        // anew at t1: its first 1 ms wait ends at exactly t1 + 1 ms.
+        let (m, clock) = manual(1, 1.0);
+        let now = clock.now();
         start_model_clock(now - Duration::from_millis(5));
         assert_eq!(model_clock(now), now - MAX_CLOCK_LAG, "the thread carries the full lag");
-        let t1 = Instant::now();
+        let t1 = now + Duration::from_millis(1);
+        clock.sleep_until(t1);
         start_model_clock(t1);
         m.sleep_sim(0.001);
-        assert!(Instant::now() >= t1 + Duration::from_millis(1), "the lag leaked into the job");
+        assert_eq!(clock.now(), t1 + Duration::from_millis(1), "the lag leaked into the job");
     }
 
-    /// Wall seconds from `t0` until each ticket, collected in order, is done.
-    fn collect(m: &Machine, t0: Instant, tickets: Vec<ReadTicket>) -> Vec<f64> {
+    /// Time from `t0` until each ticket, collected in order, is done.
+    fn collect(m: &Machine, t0: Instant, tickets: Vec<ReadTicket>) -> Vec<Duration> {
         tickets
             .into_iter()
             .map(|t| {
                 m.finish_read(t).expect("fault-free read");
-                t0.elapsed().as_secs_f64()
+                m.clock().now() - t0
             })
             .collect()
     }
@@ -1023,31 +1039,43 @@ mod tests {
     #[test]
     fn reads_to_one_disk_queue_and_reads_to_two_disks_overlap() {
         // Scale 1.0, cold random reads: s = 1/35 s ≈ 28.6 ms each. Blocks 0
-        // and 4 share disk 0, so issued back to back they finish ≈ s and
-        // ≈ 2s after the first issue; blocks 1 and 2 sit on disks 1 and 2
-        // and both finish ≈ s after it. The lower bounds are exact (a sleep
-        // never returns early, and a fresh thread's clock has no lag), the
-        // upper bounds leave a loaded host most of a service time of slack,
-        // and the queue-wait ledger is the timeline's own arithmetic.
-        let s = 1.0 / 35.0;
-        let m = machine(1.0);
+        // and 4 share disk 0, so issued back to back they finish at s and 2s
+        // after the first issue, the second having queued for s; blocks 1
+        // and 2 sit on disks 1 and 2 and both finish s after their issue.
+        let (m, clock) = manual(4, 1.0);
+        let s = Duration::from_secs_f64(1.0 / 35.0);
         let w = m.new_worker_id();
-        let t0 = Instant::now();
+        let t0 = clock.now();
         let same = vec![m.begin_read(RelId(1), 0, w, false), m.begin_read(RelId(2), 4, w, false)];
-        let done = collect(&m, t0, same);
-        assert!(done[0] >= s && done[0] < 1.8 * s, "first read took {} s", done[0]);
-        assert!(done[1] >= 2.0 * s && done[1] < 2.8 * s, "queued read took {} s", done[1]);
+        assert_eq!(collect(&m, t0, same), [s, 2 * s]);
         let queued = m.stats().queue_wait;
-        assert!(queued > 0.5 * s && queued <= s, "second read queued {queued} s, not ≈ {s}");
+        assert_eq!(queued, s.as_secs_f64(), "the second read queued behind the first");
 
-        let t0 = Instant::now();
+        let t0 = clock.now();
         let apart = vec![m.begin_read(RelId(1), 1, w, false), m.begin_read(RelId(1), 2, w, false)];
-        let done = collect(&m, t0, apart);
-        // By now the thread's model clock may lag from the waits above, and
-        // its requests arrive on that clock.
-        let floor = s - MAX_CLOCK_LAG.as_secs_f64();
-        assert!(done[1] >= floor && done[1] < 1.8 * s, "different disks must overlap: {done:?}");
+        assert_eq!(collect(&m, t0, apart), [s, s], "different disks must overlap");
         assert_eq!(m.stats().queue_wait, queued, "an idle disk queues nothing");
+    }
+
+    #[test]
+    fn a_solo_scan_ends_at_exactly_its_modelled_time() {
+        // A 100-page solo scan, one blocking read and one 1 ms burst per
+        // page at scale 1.0: it ends at the sum of its reads' classified
+        // service times and the CPU it charged, to the nanosecond.
+        let (m, clock) = manual(1, 1.0);
+        let c = MachineConfig::paper_default();
+        let params = DiskParams::from_rates(c.seq_bw, c.almost_seq_bw, c.random_bw);
+        let (w, t0, burst) = (m.new_worker_id(), clock.now(), Duration::from_millis(1));
+        let mut modelled = Duration::ZERO;
+        for b in 0..100u64 {
+            let class = read(&m, RelId(1), b, w, true).expect("no pool: every read is a disk's");
+            modelled += Duration::from_secs_f64(params.service_time(class)) + burst;
+            m.compute(burst.as_secs_f64());
+        }
+        assert_eq!(m.stats().disk.sequential, 96, "4 cold reads, one per disk");
+        assert_eq!(clock.now(), t0 + modelled);
+        assert_eq!(model_clock(clock.now()), t0 + modelled);
+        assert!((m.cpu_busy_secs() - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -1133,12 +1161,17 @@ mod tests {
 
     #[test]
     fn a_hit_on_a_settled_frame_is_an_empty_ticket() {
-        let m = Machine::with_sharded_pool(&MachineConfig::paper_default(), 1.0, 8, 1);
+        let clock = ManualClock::new();
+        let m = Machine::with_sharded_pool(&MachineConfig::paper_default(), 1.0, 8, 1)
+            .with_clock(clock.clone());
         let w = m.new_worker_id();
         // Past its deadline but not yet collected (a read-ahead seat), and
         // then collected: neither leaves anything to wait for.
         let miss = m.begin_read(RelId(1), 0, w, false);
-        std::thread::sleep(deadline_of(&miss).saturating_duration_since(Instant::now()));
+        clock.sleep_until(deadline_of(&miss) - Duration::from_nanos(1));
+        let early = m.begin_read(RelId(1), 0, w, false);
+        assert!(matches!(early.0, Pending::Hit(Some(d)) if d == deadline_of(&miss)));
+        clock.sleep_until(deadline_of(&miss));
         assert!(matches!(m.begin_read(RelId(1), 0, w, false).0, Pending::Hit(None)));
         assert!(m.finish_read(miss).expect("fault-free read").is_some());
         assert!(matches!(m.begin_read(RelId(1), 0, w, false).0, Pending::Hit(None)));

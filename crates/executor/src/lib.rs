@@ -8,10 +8,11 @@
 //! * [`io`] — the machine throttle: every heap-page read is *issued*
 //!   against its disk's reservation timeline — classified under the
 //!   `xprs-disk` service model and given the disk's next free interval —
-//!   and *awaited* by sleeping to that interval's (scaled-down) end, so
-//!   wall-clock behaviour mirrors the simulated machine and a backend can
-//!   compute while its next page is read; a counting semaphore limits
-//!   concurrently-computing workers to the machine's `N` processors.
+//!   and *awaited* on the machine's one [`clock`] until that interval's
+//!   (scaled-down) end, so wall-clock behaviour mirrors the simulated
+//!   machine and a backend can compute while its next page is read; a
+//!   counting semaphore limits concurrently-computing workers to the
+//!   machine's `N` processors.
 //! * [`program`] — materialized fragment outputs (sorted rows plus a CSR
 //!   key index) that later fragments probe and merge. The pipeline programs
 //!   themselves — a partitioned *driver* (page-partitioned heap scan,
@@ -24,11 +25,9 @@
 //!   claim-first read-ahead), emit result tuples; workers discover
 //!   retirement and new assignments through the shared partition, so
 //!   dynamic parallelism adjustment needs no thread cancellation.
-//! * [`steal`] — the morsel-driven work-stealing partition every fragment
-//!   runs on: the unit space decomposes into morsels dealt into per-worker
-//!   deques; idle workers steal pending morsels from seeded victims, and
-//!   a dead worker's replacement inherits only its *unclaimed* units. A
-//!   slot's claim word is its whole account: progress and completion.
+//! * [`clock`] — the machine's one [`Clock`]: every time read and every
+//!   modelled wait. The §2.4 deal every fragment runs on is `xprs_storage`'s
+//!   `StealPartition`, re-exported here.
 //! * [`config`] / [`error`] — [`ExecConfig`] with its builders, and the
 //!   typed [`ExecError`] taxonomy every run failure maps into.
 //! * [`master`] — the driver: executes one or many optimized queries under
@@ -50,6 +49,7 @@
 
 mod admission;
 pub mod cancel;
+pub mod clock;
 pub mod config;
 pub mod error;
 pub mod io;
@@ -66,6 +66,7 @@ mod staffing;
 pub mod worker;
 
 pub use cancel::CancelToken;
+pub use clock::{Clock, WallClock};
 pub use io::{CpuGate, IoFault, Machine, MachineStats, ReadTicket, READ_ATTEMPTS, RETRY_BACKOFF};
 pub use config::ExecConfig;
 pub use error::ExecError;

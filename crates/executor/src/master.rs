@@ -284,6 +284,7 @@ impl Executor {
         }
         let mut run = MasterRun::new(self, session, shared, tokens, queries.len());
         run.build(queries)?;
+        policy.set_trace_sink(self.sink.clone());
         emit(&self.sink, || TraceRecord::RunStart {
             driver: "executor".to_string(),
             policy: policy.name().to_string(),
@@ -302,7 +303,7 @@ impl Executor {
             }
             // The master wakes for one of two reasons: a worker message,
             // or a deadline — its patrol tick or a fragment's modelled end.
-            match next_msg(&run.rx, run.deadline()) {
+            match next_msg(&run.rx, run.deadline(), &**run.machine.clock()) {
                 Some(MasterMsg::FragmentDone(gid)) => run.on_done(policy, gid)?,
                 Some(MasterMsg::WorkerLost { gid, slot }) => run.on_lost(gid, slot)?,
                 Some(MasterMsg::Fatal(e)) => {
@@ -369,20 +370,21 @@ impl<'a> MasterRun<'a> {
         // the disks (recalibration), another run may free the shared pool (a
         // session), or a client may fire a token.
         let ticking = exec.cfg.faults.is_some() || shared || !tokens.is_empty();
+        let start = ticking.then(|| machine.clock().now());
         MasterRun {
             exec,
             tokens,
             pool: &session.pool,
             tx,
             rx,
-            t0: Instant::now(),
+            t0: machine.clock().now(),
             slots: Vec::new(),
             table: FragTable::new(),
             admission: Admission::new(session.machine.pool()),
             cancelled_q: vec![false; n_queries],
             token_spent: vec![false; tokens.len()],
             samples: Vec::new(),
-            patrol: Patrol::new(&exec.cfg.machine, ticking, machine.disk_class_total()),
+            patrol: Patrol::new(&exec.cfg.machine, start, machine.disk_class_total()),
             ending: Vec::new(),
             machine,
         }
@@ -395,7 +397,7 @@ impl<'a> MasterRun<'a> {
     }
 
     fn now(&self) -> f64 {
-        self.t0.elapsed().as_secs_f64()
+        self.machine.clock().now().saturating_duration_since(self.t0).as_secs_f64()
     }
 
     /// Build the global fragment table: every query's fragment programs as
@@ -484,8 +486,8 @@ impl<'a> MasterRun<'a> {
         // Swapping in a sender whose receiver is already gone drops ours.
         self.tx = channel().0;
         self.table = FragTable::new();
-        let cap = Some(Instant::now() + QUIESCE_CAP);
-        while next_msg(&self.rx, cap).is_some() {}
+        let cap = Some(self.machine.clock().now() + QUIESCE_CAP);
+        while next_msg(&self.rx, cap, &**self.machine.clock()).is_some() {}
     }
 
     /// Let the policy decide to a fixpoint, make sure something still runs,
@@ -546,7 +548,7 @@ impl<'a> MasterRun<'a> {
     /// Staff every backend of a fragment that was just admitted, all from
     /// one instant.
     fn staff_all(&self, ctx: &Arc<FragCtx>) {
-        let at = Instant::now();
+        let at = self.machine.clock().now();
         for slot in 0..ctx.backends.load(Ordering::Relaxed) as usize {
             self.staff(ctx, slot, at);
         }
@@ -611,7 +613,7 @@ impl<'a> MasterRun<'a> {
             let rows = spill_threshold(spec.grant_bytes, n, spec.row_bytes);
             spec.threshold_rows.store(rows, Ordering::Relaxed);
         }
-        let at = Instant::now();
+        let at = self.machine.clock().now();
         for slot in ctx.part.adjust(n).new_slots {
             self.staff(&ctx, slot, at);
         }
@@ -623,8 +625,9 @@ impl<'a> MasterRun<'a> {
     /// cancelled entry may have been blocking its head).
     fn poll_cancels(&mut self, policy: &mut dyn SchedulePolicy) {
         let mut any_fired = false;
+        let now = self.machine.clock().now();
         for qi in 0..self.tokens.len() {
-            if !self.token_spent[qi] && self.tokens[qi].is_cancelled() {
+            if !self.token_spent[qi] && self.tokens[qi].is_cancelled(now) {
                 self.token_spent[qi] = true;
                 // A token that fires after its query already finished
                 // changes nothing: the results stand and the query is not
@@ -691,7 +694,7 @@ impl<'a> MasterRun<'a> {
     /// A deadline passed: finish every fragment whose modelled end is
     /// behind us, then run the patrol if its tick is due.
     fn on_deadline(&mut self, policy: &mut dyn SchedulePolicy) -> Result<(), ExecError> {
-        let now = Instant::now();
+        let now = self.machine.clock().now();
         while let Some(i) = self.ending.iter().position(|&(end, _)| end <= now) {
             let (_, gid) = self.ending.swap_remove(i);
             self.finish(policy, gid)?;
@@ -706,7 +709,7 @@ impl<'a> MasterRun<'a> {
     /// the observed I/O rate has drifted out of the model's band. Fired
     /// tokens are picked up by `poll_cancels` on the loop's next turn.
     fn on_tick(&mut self, policy: &mut dyn SchedulePolicy) -> Result<(), ExecError> {
-        self.patrol.tick();
+        self.patrol.tick(self.machine.clock().now());
         // With a shared session, capacity freed by *other* runs sends this
         // run no completion message: retry the admission FIFO on every tick
         // so a parked fragment is never stranded.
@@ -740,7 +743,7 @@ impl<'a> MasterRun<'a> {
         };
         if !ctx.stop.load(Ordering::SeqCst) {
             if let Some(replacement) = ctx.part.fail_slot(slot) {
-                self.staff(&ctx, replacement, Instant::now());
+                self.staff(&ctx, replacement, self.machine.clock().now());
             }
         }
         ctx.worker_exit();
@@ -758,7 +761,7 @@ impl<'a> MasterRun<'a> {
         let end = self.harvest(gid, &ctx);
         // The clone holds a sender on the run's channel; `finish` re-decides.
         drop(ctx);
-        match end.filter(|&end| end > Instant::now()) {
+        match end.filter(|&end| end > self.machine.clock().now()) {
             Some(end) => {
                 self.ending.push((end, gid));
                 Ok(())

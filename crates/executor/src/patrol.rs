@@ -17,13 +17,14 @@ use std::time::{Duration, Instant};
 use xprs_disk::ClassStats;
 use xprs_scheduler::MachineConfig;
 
+use crate::clock::Clock;
 use crate::io::Machine;
 use crate::master::MasterMsg;
 
-/// Receive the next worker message, or `None` once `deadline` has passed;
-/// with no deadline this simply blocks. The master loop's deadline is the
-/// earlier of its patrol tick and the earliest modelled end a fragment
-/// waits for; this is the one place the master times a wait.
+/// Receive the next worker message, or `None` once `deadline` has passed on
+/// `clock`; with no deadline this simply blocks. The master loop's deadline
+/// is the earlier of its patrol tick and the earliest modelled end a
+/// fragment waits for; this is the one place the master times a wait.
 ///
 /// The master's own sender keeps the channel open for its whole loop, so
 /// the channel never disconnects there: `None` is always the deadline.
@@ -36,11 +37,15 @@ use crate::master::MasterMsg;
 /// channel would starve the patrol and a slowed disk would never be
 /// recalibrated.) It is checked before receiving, because a zero-length
 /// `recv_timeout` still hands back a queued message.
-pub(crate) fn next_msg(rx: &Receiver<MasterMsg>, deadline: Option<Instant>) -> Option<MasterMsg> {
+pub(crate) fn next_msg(
+    rx: &Receiver<MasterMsg>,
+    deadline: Option<Instant>,
+    clock: &dyn Clock,
+) -> Option<MasterMsg> {
     let Some(deadline) = deadline else {
         return rx.recv().ok();
     };
-    let now = Instant::now();
+    let now = clock.now();
     if now >= deadline {
         return None;
     }
@@ -96,9 +101,9 @@ pub(crate) struct Patrol {
 }
 
 impl Patrol {
-    pub fn new(machine: &MachineConfig, ticking: bool, io_baseline: ClassStats) -> Self {
+    pub fn new(machine: &MachineConfig, start: Option<Instant>, io_baseline: ClassStats) -> Self {
         Patrol {
-            deadline: ticking.then(|| Instant::now() + PATROL_INTERVAL),
+            deadline: start.map(|start| start + PATROL_INTERVAL),
             ticks: 0,
             model: machine.clone(),
             io_baseline,
@@ -111,9 +116,9 @@ impl Patrol {
         self.deadline
     }
 
-    /// The deadline passed: count the sweep and schedule the next one.
-    pub fn tick(&mut self) {
-        self.deadline = Some(Instant::now() + PATROL_INTERVAL);
+    /// The deadline passed at `now`: count the sweep, schedule the next.
+    pub fn tick(&mut self, now: Instant) {
+        self.deadline = Some(now + PATROL_INTERVAL);
         self.ticks += 1;
     }
 
@@ -151,6 +156,7 @@ impl Patrol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::WallClock;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
     use std::sync::mpsc::channel;
@@ -181,7 +187,7 @@ mod tests {
         // Far more iterations than messages can arrive in 20ms; the loop
         // exits via the deadline, not by draining the flood.
         for _ in 0..200_000 {
-            match next_msg(&rx, deadline) {
+            match next_msg(&rx, deadline, &WallClock) {
                 Some(_) => messages += 1,
                 None => {
                     patrolled = true;
@@ -212,7 +218,7 @@ mod tests {
         let slowed = Machine::with_sharded_pool(&m, 0.0, 0, 1)
             .with_faults(Arc::new(FaultPlan::new().with_slowdown(0, 0, 8.0)));
         read_interleaved(&slowed, 2);
-        let corrected = Patrol::new(&m, true, ClassStats::default())
+        let corrected = Patrol::new(&m, Some(WallClock.now()), ClassStats::default())
             .recalibrate(&slowed)
             .expect("an 8x slowdown is drift");
         let step = 1.0 - MAX_RECAL_STEP;
@@ -223,6 +229,6 @@ mod tests {
 
         let contended = Machine::with_sharded_pool(&m, 0.0, 0, 1);
         read_interleaved(&contended, 4);
-        assert_eq!(Patrol::new(&m, true, ClassStats::default()).recalibrate(&contended), None);
+        assert_eq!(Patrol::new(&m, Some(WallClock.now()), ClassStats::default()).recalibrate(&contended), None);
     }
 }

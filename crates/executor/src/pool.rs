@@ -146,7 +146,7 @@ impl Drop for WorkerPool {
 
 fn worker_loop(shared: &Shared) {
     // Every modelled wait of a run is slept on a pool thread.
-    crate::io::tighten_timer_slack();
+    crate::clock::tighten_timer_slack();
     loop {
         let job = {
             let mut q = lock(&shared.q);

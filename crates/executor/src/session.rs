@@ -39,6 +39,11 @@ impl ExecSession {
         &self.machine
     }
 
+    /// The shared machine's clock, which cancel deadlines are read from.
+    pub fn clock(&self) -> &Arc<dyn crate::clock::Clock> {
+        self.machine.clock()
+    }
+
     /// The shared machine's hot-path metric registry, cumulative over
     /// every run on the session.
     pub fn metrics(&self) -> &Arc<ExecMetrics> {

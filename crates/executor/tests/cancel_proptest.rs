@@ -10,7 +10,9 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use xprs_disk::StripedLayout;
-use xprs_executor::{CancelToken, ExecConfig, ExecReport, Executor, QueryRun, RelBinding};
+use xprs_executor::{
+    CancelToken, Clock, ExecConfig, ExecReport, Executor, QueryRun, RelBinding, WallClock,
+};
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::intra::IntraOnly;
@@ -154,8 +156,10 @@ fn deadline_tokens_cancel_like_manual_tokens() {
     let wl = generate_oversized_build(&spec(0xDEAD11, 2));
     let cat = catalog_for(&wl);
     let runs = runs_for(&cat, &wl);
+    // A private run reads the wall clock.
+    let now = WallClock.now();
     let tokens: Vec<CancelToken> =
-        runs.iter().map(|_| CancelToken::with_deadline(Duration::from_micros(200))).collect();
+        runs.iter().map(|_| CancelToken::with_deadline(now, Duration::from_micros(200))).collect();
     let report = Executor::new(granted_cfg(), cat.clone())
         .run_with_cancel(&runs, &mut policy(), &tokens)
         .expect("run must survive deadline cancellation");

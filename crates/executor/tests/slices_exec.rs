@@ -200,7 +200,8 @@ fn a_cancel_mid_fragment_returns_no_rows_and_leaves_the_ledgers_at_zero() {
     let runs = vec![scan_thin(&cat), join(&cat)];
     let exec = Executor::new(ExecConfig::scaled(2.0), cat.clone());
     let session = exec.session();
-    let tokens = vec![CancelToken::with_deadline(Duration::from_millis(5)), CancelToken::new()];
+    let deadline = CancelToken::with_deadline(session.clock().now(), Duration::from_millis(5));
+    let tokens = vec![deadline, CancelToken::new()];
     let report = exec
         .run_shared(&session, &runs, &mut policy(), &tokens)
         .expect("a cancelled run still reports");

@@ -96,6 +96,15 @@ fn executor_trace_replays_through_the_fluid_model() {
     );
 }
 
+/// The policy records into the executor's sink: pairing the IO-bound
+/// `wide` scan with the CPU-bound `slim` one evaluates a candidate.
+#[test]
+fn an_executor_trace_holds_the_policys_candidates() {
+    let cat = catalog_of(&[("wide", 2_000, 100, 800), ("slim", 20_000, 150, 0)]);
+    let (_, records) = traced_run(&cat, ExecConfig::unthrottled());
+    assert!(records.iter().any(|r| matches!(r, TraceRecord::Candidate { .. })));
+}
+
 /// The executor staffs more backends than the policy assigns processors,
 /// but everything the policy and the trace see stays in processors: the
 /// recorded action signature of this pinned workload is the parent

@@ -114,13 +114,6 @@ impl AdaptiveScheduler {
         }
     }
 
-    /// Record queue snapshots and candidate evaluations into `sink`. Share
-    /// the same sink with the driver so policy and driver records interleave
-    /// in event order.
-    pub fn set_trace_sink(&mut self, sink: SharedSink) {
-        self.sink = Some(sink);
-    }
-
     /// Arrivals rejected at the policy boundary as `(time, task, why)` —
     /// profiles that failed [`TaskProfile::validate`] and were never queued.
     pub fn rejected(&self) -> &[(f64, TaskId, SchedError)] {
@@ -387,6 +380,10 @@ impl AdaptiveScheduler {
 }
 
 impl SchedulePolicy for AdaptiveScheduler {
+    fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
+        self.sink = sink;
+    }
+
     fn name(&self) -> &'static str {
         if self.cfg.adjust {
             "INTER-WITH-ADJ"
@@ -689,7 +686,7 @@ mod tests {
         use std::sync::{Arc, Mutex};
         let ring = Arc::new(Mutex::new(RingSink::unbounded()));
         let mut s = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(m()));
-        s.set_trace_sink(ring.clone());
+        s.set_trace_sink(Some(ring.clone()));
         s.on_arrival(0.0, seq(0, 20.0, 65.0));
         s.on_arrival(0.0, seq(1, 20.0, 8.0));
         let acts = s.decide(0.0, &[]);

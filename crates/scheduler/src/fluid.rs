@@ -220,6 +220,7 @@ impl FluidSim {
         let mut recal_idx = 0usize;
         let eps = 1e-9;
 
+        policy.set_trace_sink(self.sink.clone());
         emit(&self.sink, || TraceRecord::RunStart {
             driver: "fluid".to_string(),
             policy: policy.name().to_string(),
@@ -690,6 +691,19 @@ mod tests {
             TraceRecord::Error { message, .. } => assert_eq!(message, &err.to_string()),
             other => panic!("expected a trailing Error record, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_traced_fluid_run_holds_the_policys_candidates() {
+        use crate::trace::{RingSink, TraceRecord};
+        use std::sync::{Arc, Mutex};
+
+        let ring = Arc::new(Mutex::new(RingSink::unbounded()));
+        let mut p = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(m()));
+        let (io_bound, cpu_bound) = (seq(0, 30.0, 65.0), seq(1, 30.0, 8.0));
+        FluidSim::new(m()).with_sink(ring.clone()).run(&mut p, &[io_bound, cpu_bound]).expect("run");
+        let records = ring.lock().unwrap().records();
+        assert!(records.iter().any(|r| matches!(r, TraceRecord::Candidate { .. })));
     }
 
     #[test]

@@ -28,11 +28,6 @@ impl IntraOnly {
         IntraOnly { machine: m, integral, queue: VecDeque::new() }
     }
 
-    /// Number of tasks waiting to run.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     fn effective_maxp(&self, t: &TaskProfile) -> f64 {
         let maxp = t.maxp(&self.machine);
         if self.integral {

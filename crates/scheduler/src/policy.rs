@@ -106,6 +106,13 @@ pub trait SchedulePolicy {
     fn recalibrate(&mut self, now: f64, machine: MachineConfig) {
         let _ = (now, machine);
     }
+
+    /// Record the policy's own reasoning (queues, candidates, rejections)
+    /// into `sink`. Every driver calls this at run start with its own sink,
+    /// so the two interleave in event order; the default records nothing.
+    fn set_trace_sink(&mut self, sink: Option<SharedSink>) {
+        let _ = sink;
+    }
 }
 
 /// Rounds of `decide()` a driver allows at one instant before declaring

@@ -27,7 +27,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use xprs_executor::{CancelToken, ExecConfig, ExecSession, Executor, QueryRun};
+use xprs_executor::{CancelToken, Clock, ExecConfig, ExecSession, Executor, QueryRun};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_storage::{lock, Catalog};
 use xprs_workload::QueryClass;
@@ -163,6 +163,7 @@ pub struct Ticket {
     tenant: u32,
     class: QueryClass,
     submitted_at: Instant,
+    clock: Arc<dyn Clock>,
 }
 
 impl Ticket {
@@ -173,7 +174,7 @@ impl Ticket {
         self.rx.recv().unwrap_or_else(|_| QueryOutcome {
             tenant: self.tenant,
             class: self.class,
-            latency: self.submitted_at.elapsed(),
+            latency: self.clock.now().saturating_duration_since(self.submitted_at),
             queue_wait: Duration::ZERO,
             status: QueryStatus::Failed {
                 error: "the runner exited without settling the request".to_string(),
@@ -278,9 +279,10 @@ impl QueryService {
             return Err(ServiceError::ShuttingDown);
         }
         let (tenant, class) = (req.tenant, req.class);
-        let token = CancelToken::with_deadline(self.shared.cfg.deadline_for(class));
+        let clock = self.shared.session.clock().clone();
+        let submitted_at = clock.now();
+        let token = CancelToken::with_deadline(submitted_at, self.shared.cfg.deadline_for(class));
         let (tx, rx) = mpsc::channel();
-        let submitted_at = Instant::now();
         {
             let mut q = lock(&self.shared.queue);
             if q.len() >= self.shared.cfg.queue_cap {
@@ -297,7 +299,7 @@ impl QueryService {
             q.push_back(Job { req, token: token.clone(), submitted_at, resp: tx });
         }
         self.shared.work.notify_one();
-        Ok(Ticket { rx, token, tenant, class, submitted_at })
+        Ok(Ticket { rx, token, tenant, class, submitted_at, clock })
     }
 
     /// Requests currently waiting in the admission queue.
@@ -355,7 +357,7 @@ impl Drop for QueryService {
 /// so it drops the default timer slack once, as it starts, as the
 /// executor's pool threads do.
 fn runner_loop(shared: &Shared) {
-    xprs_executor::io::tighten_timer_slack();
+    xprs_executor::clock::tighten_timer_slack();
     loop {
         let job = {
             let mut q = lock(&shared.queue);
@@ -381,25 +383,27 @@ fn runner_loop(shared: &Shared) {
 fn settle(shared: &Shared, job: Job) {
     let Job { req, token, submitted_at, resp } = job;
     let QueryRequest { tenant, class, run } = req;
-    let queue_wait = submitted_at.elapsed();
+    let clock = shared.session.clock();
+    let popped = clock.now();
+    let queue_wait = popped.saturating_duration_since(submitted_at);
     let class_stats = shared.stats.class(class);
     class_stats.queue_wait_us.observe(queue_wait.as_micros().min(u64::MAX as u128) as u64);
 
     // Deadline (or client cancel) fired while the job sat in the queue:
     // retire it without staffing anything.
-    let (status, spent) = if token.is_cancelled() {
+    let (status, spent) = if token.is_cancelled(popped) {
         (QueryStatus::DeadlineCancelled, None)
     } else {
         let exec = Executor::new(shared.cfg.exec.clone(), shared.catalog.clone());
         let mut policy =
             AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(shared.cfg.exec.machine.clone()));
         let runs = [run];
-        let run_start = Instant::now();
+        let run_start = clock.now();
         let tokens = std::slice::from_ref(&token);
         let result = exec.run_shared(&shared.session, &runs, &mut policy, tokens);
         let status = match &result {
             Ok(report) => {
-                shared.note_service_time(run_start.elapsed());
+                shared.note_service_time(clock.now().saturating_duration_since(run_start));
                 if report.profiles.first().is_some_and(|q| q.cancelled) {
                     QueryStatus::DeadlineCancelled
                 } else {
@@ -413,7 +417,7 @@ fn settle(shared: &Shared, job: Job) {
         (status, Some((runs, exec, policy, result)))
     };
 
-    let latency = submitted_at.elapsed();
+    let latency = clock.now().saturating_duration_since(submitted_at);
     class_stats.latency_us.observe(latency.as_micros().min(u64::MAX as u128) as u64);
     match &status {
         QueryStatus::Completed { .. } => class_stats.completed.inc(),
@@ -430,7 +434,7 @@ fn settle(shared: &Shared, job: Job) {
 mod tests {
     use super::*;
     use xprs_disk::StripedLayout;
-    use xprs_executor::RelBinding;
+    use xprs_executor::{RelBinding, WallClock};
     use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
     use xprs_storage::{Datum, Schema, Tuple};
 
@@ -490,8 +494,9 @@ mod tests {
     fn a_ticket_whose_runner_vanished_settles_as_failed() {
         let (tx, rx) = mpsc::channel();
         drop(tx); // the runner unwound with the job's sender
-        let (tenant, class, submitted_at) = (3, QueryClass::Batch, Instant::now());
-        let ticket = Ticket { rx, token: CancelToken::new(), tenant, class, submitted_at };
+        let clock: Arc<dyn Clock> = Arc::new(WallClock);
+        let (tenant, class, submitted_at) = (3, QueryClass::Batch, clock.now());
+        let ticket = Ticket { rx, token: CancelToken::new(), tenant, class, submitted_at, clock };
         let out = ticket.wait();
         assert_eq!((out.tenant, out.class), (3, QueryClass::Batch));
         assert!(matches!(out.status, QueryStatus::Failed { .. }), "{:?}", out.status);

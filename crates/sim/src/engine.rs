@@ -94,6 +94,8 @@ impl Default for SimConfig {
 struct TaskRt {
     spec: SimTask,
     target_parallelism: u32,
+    /// The slots dealt, `adjust_latency` behind an `Adjust`: solo at 1.
+    backends: u32,
     ios_done: u64,
     started_at: f64,
     finished_at: f64,
@@ -148,9 +150,9 @@ struct Run {
     n_events: u64,
     need_decide: bool,
     sink: Option<SharedSink>,
-    /// Every block requested, in order, for the tests' exactly-once check.
+    /// Every read served, in order: its start, block and class.
     #[cfg(test)]
-    blocks_read: Vec<u64>,
+    reads: Vec<(f64, u64, ServiceClass)>,
 }
 
 impl Simulator {
@@ -177,11 +179,12 @@ impl Simulator {
         policy: &mut dyn SchedulePolicy,
         arrivals: &[(SimTask, f64)],
     ) -> Result<SimReport, SimError> {
-        self.prepare(policy.name(), arrivals).complete(policy)
+        self.prepare(policy, arrivals).complete(policy)
     }
 
-    /// A run with every arrival queued and nothing simulated yet.
-    fn prepare(&self, policy: &str, arrivals: &[(SimTask, f64)]) -> Run {
+    /// A run with every arrival queued and `policy` tracing into its sink.
+    fn prepare(&self, policy: &mut dyn SchedulePolicy, arrivals: &[(SimTask, f64)]) -> Run {
+        policy.set_trace_sink(self.sink.clone());
         let machine = self.cfg.machine.clone();
         let disk_params = xprs_disk::DiskParams::from_rates(
             machine.seq_bw,
@@ -202,6 +205,7 @@ impl Simulator {
                 .map(|(spec, _)| TaskRt {
                     spec: spec.clone(),
                     target_parallelism: 0,
+                    backends: 0,
                     ios_done: 0,
                     started_at: 0.0,
                     finished_at: 0.0,
@@ -223,11 +227,11 @@ impl Simulator {
             need_decide: false,
             sink: self.sink.clone(),
             #[cfg(test)]
-            blocks_read: Vec::new(),
+            reads: Vec::new(),
         };
         emit(&run.sink, || TraceRecord::RunStart {
             driver: "des".to_string(),
-            policy: policy.to_string(),
+            policy: policy.name().to_string(),
             machine: machine.clone(),
         });
         for (i, (_, at)) in arrivals.iter().enumerate() {
@@ -309,10 +313,8 @@ impl Run {
             rel: task.spec.rel,
             local_block: self.layout.local_block(global_block),
             worker: WorkerId(w as u64),
-            solo: task.target_parallelism == 1,
+            solo: task.backends == 1,
         };
-        #[cfg(test)]
-        self.blocks_read.push(global_block);
         self.disks[d].queue.push_back((w, req));
         if self.disks[d].in_service.is_none() {
             self.start_disk(d);
@@ -321,7 +323,9 @@ impl Run {
 
     fn start_disk(&mut self, d: usize) {
         if let Some((w, req)) = self.disks[d].queue.pop_front() {
-            let (_, dur) = self.disks[d].state.serve(&req);
+            let (_class, dur) = self.disks[d].state.serve(&req);
+            #[cfg(test)]
+            self.reads.push((self.now, self.layout.global_block(d as u32, req.local_block), _class));
             self.disks[d].in_service = Some(w);
             self.queue.push(self.now + dur, EventKind::DiskDone(d as u32));
         }
@@ -495,6 +499,7 @@ impl Run {
         };
         self.table.start(ti, || Ok::<_, SchedError>(part))?;
         self.tasks[ti].target_parallelism = x;
+        self.tasks[ti].backends = x;
         self.tasks[ti].started_at = self.now;
         for slot in 0..x as usize {
             self.spawn_worker(ti, slot);
@@ -507,6 +512,7 @@ impl Run {
             Ok(part) => part.adjust(x),
             Err(_) => return, // the task beat the protocol to the finish line
         };
+        self.tasks[ti].backends = x;
         for slot in info.new_slots {
             self.spawn_worker(ti, slot);
         }
@@ -863,6 +869,22 @@ mod tests {
         assert!(checked > 0);
     }
 
+    #[test]
+    fn a_traced_des_run_holds_the_policys_candidates() {
+        use std::sync::{Arc, Mutex};
+        use xprs_scheduler::trace::{RingSink, TraceRecord};
+
+        let ring = Arc::new(Mutex::new(RingSink::unbounded()));
+        let mut adj = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(cfg().machine));
+        let (io_bound, cpu_bound) = (seq_task(0, 20.0, 65.0), seq_task(1, 20.0, 6.0));
+        Simulator::new(cfg())
+            .with_trace(ring.clone())
+            .run(&mut adj, &[(io_bound, 0.0), (cpu_bound, 0.0)])
+            .expect("sim");
+        let records = ring.lock().unwrap().records();
+        assert!(records.iter().any(|r| matches!(r, TraceRecord::Candidate { .. })));
+    }
+
     /// Starts every task at `x`, then asks once for `grow_to`, which lands
     /// after the config's `adjust_latency`.
     struct FixedX {
@@ -892,16 +914,18 @@ mod tests {
         }
     }
 
-    /// Random reads of an 800-page IO-bound scan run under `policy`, after
-    /// checking that it read every page exactly once.
-    fn scan_random_reads(c: SimConfig, mut policy: FixedX) -> (u64, f64) {
+    /// Random reads of an 800-page IO-bound scan run under `policy`, its
+    /// elapsed time and every read it served, after checking that it read
+    /// every page exactly once.
+    fn scan_random_reads(c: SimConfig, mut policy: FixedX) -> (u64, f64, Vec<(f64, u64, ServiceClass)>) {
         let task = seq_task(0, 10.0, 80.0);
         assert_eq!(task.n_ios, 800);
-        let mut run = Simulator::new(c).prepare(policy.name(), &[(task, 0.0)]);
+        let mut run = Simulator::new(c).prepare(&mut policy, &[(task, 0.0)]);
         let report = run.complete(&mut policy).expect("sim");
-        run.blocks_read.sort_unstable();
-        assert_eq!(run.blocks_read, (0..800).collect::<Vec<_>>(), "a page read twice or never");
-        (report.disk.random, report.elapsed)
+        let mut blocks: Vec<u64> = run.reads.iter().map(|&(_, b, _)| b).collect();
+        blocks.sort_unstable();
+        assert_eq!(blocks, (0..800).collect::<Vec<_>>(), "a page read twice or never");
+        (report.disk.random, report.elapsed, run.reads)
     }
 
     /// The DES's read front, held to `stream_front_exec`'s bounds: a widely
@@ -913,22 +937,30 @@ mod tests {
         const TOLERANCE: u64 = 4;
         let disks = u64::from(cfg().machine.n_disks);
         for x in [4.0, 8.0] {
-            let (random, _) =
+            let (random, _, _) =
                 scan_random_reads(cfg(), FixedX { machine: cfg().machine, x, grow_to: None, started: false });
             assert!(random <= disks + TOLERANCE, "x = {x}: {random} random reads");
         }
         // Grow from 1 to 4 after a third of the pages. The grow is decided
-        // at the start and lands `adjust_latency` later; the task's target
-        // is 4 from the decision on, so its lone backend is not solo and
-        // reads at the almost-sequential rate until then.
+        // at the start and lands `adjust_latency` later; until then the lone
+        // backend is solo, so its reads are sequential and it runs at the
+        // task's own 80 io/s (a page's 12.5 ms of CPU outlasts its 10.3 ms
+        // sequential read): 262 pages in 3.33 s. Then four backends share
+        // the disks at the almost-sequential 4 × 60 io/s: 538 pages in
+        // 2.3 s, so the grow lands at 3.33 / 5.65 ≈ 0.59 of the scan's time.
         let mut c = cfg();
-        c.adjust_latency = 800.0 / c.machine.almost_seq_bw / 3.0;
+        c.adjust_latency = 800.0 / 80.0 / 3.0;
         let policy =
             FixedX { machine: c.machine.clone(), x: 1.0, grow_to: Some(4.0), started: false };
         let latency = c.adjust_latency;
-        let (random, elapsed) = scan_random_reads(c, policy);
+        let (random, elapsed, reads) = scan_random_reads(c, policy);
         let share = latency / elapsed;
         assert!((0.3..0.75).contains(&share), "grown at {share:.2} of the scan's time");
+        let before: Vec<ServiceClass> =
+            reads.iter().filter(|&&(t, _, _)| t < latency).map(|&(_, _, class)| class).collect();
+        let unsequential = before.iter().filter(|&&class| class != ServiceClass::Sequential).count();
+        assert!(unsequential as u64 <= disks, "{unsequential} of the lone backend's reads not sequential");
+        assert!(before.len() >= 250, "{} reads before the grow landed", before.len());
         let bound = disks + TOLERANCE + 2 * DEFAULT_MORSEL_UNITS;
         assert!(random <= bound, "{random} random reads across the grow");
     }

@@ -116,23 +116,29 @@ awk '
 ' crates/executor/src/io.rs
 
 # One pacing rule: every modelled wait is a deadline on the thread's model
-# clock, slept for in io.rs's `pace_until` (DESIGN.md §19.4); a raw sleep
-# anywhere else would bypass that clock. Outside test modules the executor
-# may sleep only there and in one named exception holding one sleep: the
+# clock, waited for in io.rs's `pace_until` through the machine's `Clock`
+# (DESIGN.md §19.4); a raw sleep anywhere else would bypass that clock.
+# Outside test modules the executor may sleep only in clock.rs's
+# `WallClock::sleep_until` and in one named exception holding one sleep: the
 # injected `Stall` fault in worker.rs's `run_worker` (a wall-clock fault by
-# design). A run quiesces by waiting for its channel to close, not by polling.
+# design). One clock: outside test modules no executor or service source
+# reads the host clock (`Instant::now()`, `.elapsed()`) or sleeps
+# (`thread::sleep`) except clock.rs's `WallClock` and `run_worker`, whose
+# sampled morsel and steal-idle nanoseconds are host time by definition;
+# every other read asks the machine's clock, so a test can substitute one.
+# A run quiesces by waiting for its channel to close, not by polling.
 # No executor source reads the host's CPU count: every fan-out is the
 # modelled machine's. The pool threads that sleep those waits drop Linux's
-# 50 µs timer slack in io.rs's `tighten_timer_slack`, and that is the only
-# place in any crate's sources where `unsafe`, `extern "C"` or `prctl` may
-# appear. A wait with a timeout is a wait for a deadline, so outside test
+# 50 µs timer slack in clock.rs's `tighten_timer_slack`, and that is the
+# only place in any crate's sources where `unsafe`, `extern "C"` or `prctl`
+# may appear. A wait with a timeout is a wait for a deadline, so outside test
 # modules no crate's sources time a wait (`wait_timeout`, `recv_timeout`)
 # except the CPU gate's park in io.rs's `acquire`, bounded by the earliest
 # timed hold's end, and the master's receive in patrol.rs's `next_msg`,
 # bounded by its patrol tick or a fragment's modelled end.
 # Function-granular, like the leg above; a `fn` line ending in `;`
 # (a foreign declaration) does not start a function.
-echo "==> one pacing rule (raw sleeps, timed waits, host CPU reads and unsafe code)"
+echo "==> one pacing rule (raw sleeps, host clock reads, timed waits, host CPU reads and unsafe code)"
 awk '
     function hit(what, allowed, once,   key) {
         key = FILENAME ":" name
@@ -141,7 +147,11 @@ awk '
             bad = 1
         }
     }
-    FNR == 1 { executor = FILENAME ~ /^crates\/executor\/src\//; name = ""; in_tests = 0 }
+    FNR == 1 {
+        executor = FILENAME ~ /^crates\/executor\/src\//
+        clocked = executor || FILENAME ~ /^crates\/service\/src\//
+        name = ""; in_tests = 0
+    }
     in_tests { next }
     /^#\[cfg\(test\)\]/ { in_tests = 1; next }
     /^ *\/\// { next }
@@ -151,14 +161,17 @@ awk '
         sub(/[(<].*/, "", name)
     }
     executor && /(^|[^A-Za-z0-9_])sleep\(/ {
-        hit("sleep", "crates/executor/src/io.rs:pace_until crates/executor/src/worker.rs:run_worker", 1)
+        hit("sleep", "crates/executor/src/clock.rs:sleep_until crates/executor/src/worker.rs:run_worker", 1)
+    }
+    clocked && /Instant::now\(\)|\.elapsed\(\)|thread::sleep/ {
+        hit("host clock", "crates/executor/src/clock.rs:now crates/executor/src/clock.rs:sleep_until crates/executor/src/worker.rs:run_worker", 0)
     }
     /(^|[^A-Za-z0-9_])(wait_timeout|recv_timeout)\(/ {
         hit("timed wait", "crates/executor/src/io.rs:acquire crates/executor/src/patrol.rs:next_msg", 0)
     }
     executor && /available_parallelism/ { hit("available_parallelism", "", 1) }
     /(^|[^A-Za-z0-9_])(unsafe|prctl)([^A-Za-z0-9_]|$)|extern "C"/ {
-        hit("unsafe code", "crates/executor/src/io.rs:tighten_timer_slack", 0)
+        hit("unsafe code", "crates/executor/src/clock.rs:tighten_timer_slack", 0)
     }
     END { exit bad }
 ' $(find crates -path '*/src/*' -name '*.rs' | sort)
