@@ -110,8 +110,8 @@ impl XprsSystem {
     /// Optimize a query against the catalog.
     ///
     /// # Errors
-    /// Propagates the typed [`OptError`] when no plan exists — previously
-    /// an optimizer-internal panic.
+    /// Propagates the typed [`OptError`] when the query names a relation
+    /// the catalog lacks or no plan exists.
     pub fn optimize(&self, q: &Query, costing: Costing) -> Result<OptimizedQuery, OptError> {
         self.optimizer.optimize_catalog(&self.catalog, q, costing)
     }
@@ -122,13 +122,13 @@ impl XprsSystem {
     /// the per-query plans and the joint estimate.
     ///
     /// # Errors
-    /// Propagates the typed [`OptError`] for an empty batch or a query
-    /// with no plan.
+    /// Propagates the typed [`OptError`] for an empty batch, a query naming
+    /// a relation the catalog lacks, or a query with no plan.
     pub fn optimize_joint(&self, queries: &[&Query]) -> Result<(Vec<OptimizedQuery>, f64), OptError> {
-        let with_rels: Vec<(&Query, Vec<xprs_optimizer::cost::RelInfo>)> = queries
+        let with_rels = queries
             .iter()
-            .map(|q| (*q, self.optimizer.rel_infos(&self.catalog, q)))
-            .collect();
+            .map(|q| Ok((*q, self.optimizer.try_rel_infos(&self.catalog, q)?)))
+            .collect::<Result<Vec<_>, OptError>>()?;
         self.optimizer.optimize_joint(&with_rels)
     }
 
@@ -275,6 +275,15 @@ mod tests {
             "{err}"
         );
         assert!(err.partial.task_times.is_empty(), "nothing ran");
+    }
+
+    #[test]
+    fn optimizing_a_relation_the_catalog_lacks_is_a_typed_error() {
+        let sys = XprsSystem::paper_default();
+        let ghost = Query::selection("ghost", 1.0);
+        let want = OptError::InvalidQuery("relation ghost not in catalog".into());
+        assert_eq!(sys.optimize(&ghost, Costing::SeqCost).err(), Some(want.clone()));
+        assert_eq!(sys.optimize_joint(&[&ghost]).err(), Some(want));
     }
 
     #[test]

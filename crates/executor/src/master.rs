@@ -5,9 +5,9 @@
 //! fragments to the policy as they become ready (roots first, consumers as
 //! their producers finish), applies `Start` actions by staffing slave-backend
 //! worker slots on the persistent [`WorkerPool`], and applies `Adjust`
-//! actions by adjusting the fragment's shared [`StealPartition`] (the
-//! Section 2.4 protocols' contract) and staffing any newly created worker
-//! slots. Staffing is a queue
+//! actions by adjusting the fragment's shared
+//! [`StealPartition`](crate::StealPartition) (the Section 2.4 protocols'
+//! contract) and staffing any newly created worker slots. Staffing is a queue
 //! push that unparks a long-lived pool thread — no OS thread is spawned or
 //! joined per slot.
 //!

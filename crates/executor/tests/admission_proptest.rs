@@ -119,6 +119,7 @@ fn oversized_builds_complete_with_grants_and_spill() {
     let reference = run_with(ExecConfig::unthrottled(), &cat, &runs).expect("reference run failed");
 
     check_invariants(&granted, &reference).unwrap();
+    assert!(reference.results.iter().any(|r| !r.rows.rows.is_empty()), "vacuous joins");
     // Builds several times the grant must actually have cut spill runs.
     assert!(granted.spill_chunks > 0, "oversized builds never spilled");
     assert!(granted.spill_rows > 0);
@@ -127,6 +128,7 @@ fn oversized_builds_complete_with_grants_and_spill() {
     assert_eq!(reference.mem_grant_waits, 0);
     assert_eq!(reference.spill_chunks, 0);
     assert_eq!(reference.mem_granted_pages, reference.mem_released_pages);
+    assert_eq!(reference.pool_pinned_at_exit, 0);
 }
 
 /// Memory is scheduled on every run, not behind an option: the stock

@@ -29,6 +29,10 @@ use xprs_scheduler::{
 };
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
 
+#[path = "common/policies.rs"]
+mod policies;
+use policies::StartAll;
+
 fn lcg(seed: &mut u64) -> u64 {
     *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
     *seed >> 33
@@ -393,40 +397,17 @@ fn a_default_run_counts_its_read_retries() {
     assert_eq!(field("faults"), 0.0);
 }
 
-/// Starts every arrived task at once on two processors and never adjusts,
-/// so two single-fragment queries share one §2.2 pairing window.
-struct StartAll {
-    machine: MachineConfig,
-    pending: Vec<TaskId>,
-}
-
-impl SchedulePolicy for StartAll {
-    fn name(&self) -> &'static str {
-        "start-all"
-    }
-    fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
-    fn on_arrival(&mut self, _now: f64, task: TaskProfile) {
-        self.pending.push(task.id);
-    }
-    fn on_finish(&mut self, _now: f64, _id: TaskId) {}
-    fn decide(&mut self, _now: f64, _running: &[RunningTask]) -> Vec<Action> {
-        self.pending.drain(..).map(|id| Action::Start { id, parallelism: 2.0 }).collect()
-    }
-}
-
 /// The parts of `metrics.json` only a scaled-time run fills: two co-running
 /// scans leave audit windows, each carrying the planned bandwidth, the disk
 /// queue and `[task, x, backends]` per running fragment; every disk reports
 /// its queue wait, and the per-shard pool ledgers sum to the read count. The
-/// band itself is a timing figure and is gated by `bench_executor`'s
-/// disk-resident leg, not here.
+/// band itself is a timing figure, asserted by the release-mode
+/// `perf_gates::paired_scans_at_8_workers_run_in_the_disk_band`, not here.
 #[test]
 fn scaled_co_run_dump_carries_the_audit_windows() {
     let cat = catalog();
     let exec = Executor::new(ExecConfig::scaled(50.0), cat.clone());
-    let mut policy = StartAll { machine: m(), pending: Vec::new() };
+    let mut policy = StartAll::new(m(), 2);
     let runs = [
         selection_run(&cat, "fat", (i32::MIN, i32::MAX)),
         selection_run(&cat, "thin", (i32::MIN, i32::MAX)),

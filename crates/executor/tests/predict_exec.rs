@@ -1,10 +1,11 @@
 //! The online prediction layer, end to end: declared profiles seeded wrong
 //! by 4x converge onto the realized rates after a few repetitions of the
-//! same plan shape, traces containing `predict` records still replay
-//! through the fluid model, and prediction stays a pure function of the
-//! observation stream under randomized (seeded) streams.
+//! same plan shape, concurrent joins declared wrong by 2–8x are learned
+//! without changing an answer, traces containing `predict` records still
+//! replay through the fluid model, and prediction stays a pure function of
+//! the observation stream under randomized (seeded) streams.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use proptest::prelude::*;
 use xprs_disk::{FaultPlan, StripedLayout};
@@ -20,6 +21,9 @@ use xprs_scheduler::trace::{
 use xprs_scheduler::{IoKind, MachineConfig, TaskId, TaskProfile};
 use xprs_storage::{Catalog, Datum, Schema, Tuple, PAGE_SIZE};
 
+#[path = "common/wrong_joins.rs"]
+mod wrong_joins;
+
 /// Wall-clock speedup of the throttled runs; observations only train the
 /// model when the executor runs on a (scaled) clock. Kept low enough that
 /// each rep's wall time dwarfs host-scheduler noise.
@@ -31,6 +35,11 @@ const REPS: usize = 5;
 /// Measured repetitions averaged into the realized ground truth, so one
 /// noisy rep cannot fail the convergence bound.
 const MEASURED: usize = 3;
+
+/// Held by every test that runs the executor: the convergence test
+/// measures realized times off the wall clock at 20×, so a sibling's paced
+/// run on the same cores is host lateness it would learn as the model.
+static PACED: Mutex<()> = Mutex::new(());
 
 fn lcg(seed: &mut u64) -> u64 {
     *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -98,6 +107,7 @@ fn run_once(cfg: ExecConfig, cat: &Arc<Catalog>, run: &QueryRun, sink: Option<Sh
 
 #[test]
 fn wrong_by_4x_declarations_converge_onto_realized_rates() {
+    let _paced = PACED.lock().unwrap_or_else(PoisonError::into_inner);
     let cat = catalog();
     let run = wrong_by_4x_run(&cat);
     let predictor = Arc::new(Predictor::new(PAGE_SIZE as u64));
@@ -162,8 +172,54 @@ fn wrong_by_4x_declarations_converge_onto_realized_rates() {
     assert!(rel(p_c, realized_c) < rel(d_c, realized_c));
 }
 
+/// Repetitions per mode of the declared-vs-predicted A/B.
+const AB_REPS: usize = 4;
+
+/// Four concurrent joins declared wrong by 2–8x, run `AB_REPS` times
+/// trusting the declarations and `AB_REPS` times with one shared predictor.
+/// Every repetition of either mode returns the declared first run's rows
+/// and closes both ledgers; by the last one the warm model substitutes
+/// profiles, the planted footprint overruns are fewer than at first (or
+/// gone), and the two modes' whole-worker schedules differ — prediction
+/// changed a decision.
+#[test]
+fn concurrent_joins_declared_wrong_are_learned_without_changing_an_answer() {
+    const SEED: u64 = 0x9D1C;
+    let _paced = PACED.lock().unwrap_or_else(PoisonError::into_inner);
+    let cat = wrong_joins::catalog(SEED);
+    let runs = wrong_joins::wrong_runs(&cat, SEED);
+    let predictor = Arc::new(Predictor::new(PAGE_SIZE as u64));
+    let declared: Vec<_> = (0..AB_REPS).map(|_| wrong_joins::run(&cat, &runs, None)).collect();
+    let predicted: Vec<_> =
+        (0..AB_REPS).map(|_| wrong_joins::run(&cat, &runs, Some(&predictor))).collect();
+
+    let rows = |r: &ExecReport| r.results.iter().map(|q| q.rows.rows.len()).sum::<usize>();
+    let want = rows(&declared[0].0);
+    assert!(want > 0, "vacuous joins");
+    for (mode, reps) in [("declared", &declared), ("predicted", &predicted)] {
+        for (i, (r, _)) in reps.iter().enumerate() {
+            assert_eq!(rows(r), want, "{mode} rep {i}: prediction changed an answer");
+            assert_eq!(r.mem_granted_pages, r.mem_released_pages, "{mode} rep {i}: grant ledger");
+            assert_eq!(r.pool_pinned_at_exit, 0, "{mode} rep {i}: pages pinned at exit");
+        }
+    }
+    let (first, last) = (&predicted[0].0, &predicted[AB_REPS - 1]);
+    let predicts = last.1.iter().filter(|r| matches!(r, TraceRecord::Predict { .. })).count();
+    assert!(predicts > 0, "the warm predictor never substituted a profile");
+    let (before, after) = (first.footprint_overruns(), last.0.footprint_overruns());
+    assert!(before > after || after == 0, "footprint overruns did not fall: {before} -> {after}");
+    let n_procs = MachineConfig::paper_default().n_procs;
+    let signature = |records: &[TraceRecord]| action_signature(&action_stream(records), n_procs);
+    assert_ne!(
+        signature(&declared[AB_REPS - 1].1),
+        signature(&last.1),
+        "declared and predicted modes made identical decisions"
+    );
+}
+
 #[test]
 fn traces_with_predict_records_replay_through_the_fluid_model() {
+    let _paced = PACED.lock().unwrap_or_else(PoisonError::into_inner);
     let cat = catalog();
     let run = wrong_by_4x_run(&cat);
     let predictor = Arc::new(Predictor::new(PAGE_SIZE as u64));
@@ -198,6 +254,7 @@ fn traces_with_predict_records_replay_through_the_fluid_model() {
 /// trace record.
 #[test]
 fn substitutions_are_counted_once_per_predict_record() {
+    let _paced = PACED.lock().unwrap_or_else(PoisonError::into_inner);
     let cat = catalog();
     let run = wrong_by_4x_run(&cat);
     let predictor = Arc::new(Predictor::new(PAGE_SIZE as u64));
@@ -225,6 +282,7 @@ fn substitutions_are_counted_once_per_predict_record() {
 /// two are clean, so B run alone is announced with a warm model.
 #[test]
 fn a_worker_death_truncates_only_its_own_fragments_observation() {
+    let _paced = PACED.lock().unwrap_or_else(PoisonError::into_inner);
     let mut cat = Catalog::new(StripedLayout::new(4));
     let mut seed = 0xD1E5_u64;
     for (name, n) in [("short", 200u64), ("long", 4_000)] {

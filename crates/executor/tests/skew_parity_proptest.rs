@@ -1,9 +1,10 @@
 //! Skew parity: the heavy-hitter machinery must never change results.
 //!
 //! Two layers of evidence. The property layer drives seeded Zipfian inputs
-//! (the `xprs_workload::zipf_keys` stream the skew bench uses) through a
-//! test-local reference (stable full sort + `HashMap<i32, Vec<usize>>`
-//! position index) and the two `Materialized` construction paths —
+//! (the `xprs_workload::zipf_keys` stream the skew performance gate draws
+//! from) through a test-local reference (stable full sort +
+//! `HashMap<i32, Vec<usize>>` position index) and the two `Materialized`
+//! construction paths —
 //! sorted-runs CSR build, and the hot-key-splitting `split_runs_stats` →
 //! per-group merge → concatenation path — and demands identical row
 //! vectors, key extrema, digests, and probe multisets. The e2e layer runs
@@ -22,8 +23,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use xprs_disk::{FaultPlan, StripedLayout};
 use xprs_executor::{ExecConfig, ExecError, Executor, Materialized, QueryRun, RelBinding};
-use xprs_optimizer::cost::{CostModel, RelInfo};
-use xprs_optimizer::{decompose, OptimizedQuery, Plan};
+use xprs_optimizer::{OptimizedQuery, Plan};
 use xprs_scheduler::intra::IntraOnly;
 use xprs_storage::{merge_runs, split_runs_stats, Catalog, Datum, Schema, Tuple};
 use xprs_workload::zipf_keys;
@@ -32,6 +32,8 @@ use xprs_workload::zipf_keys;
 mod hash_reference;
 #[path = "common/oracle.rs"]
 mod oracle;
+#[path = "common/pinned.rs"]
+mod pinned;
 use hash_reference::HashReference;
 
 /// Order-sensitive digest over the whole row vector, payloads included.
@@ -81,7 +83,7 @@ proptest! {
 
     /// The hash reference, the CSR build, and the hot-key-splitting merge
     /// agree on rows, extrema, digests, and every probe multiset for
-    /// seeded Zipfian key streams across the θ band the bench sweeps.
+    /// seeded Zipfian key streams across the θ band the skew gate compares.
     #[test]
     fn zipf_inputs_agree_across_all_three_builds(
         seed in 0u64..1u64 << 48,
@@ -137,16 +139,16 @@ proptest! {
 // E2e: a skewed merge join through the executor, all merge paths.
 // ---------------------------------------------------------------------------
 
-/// Two relations drawing keys from Zipf(1) over a 50-key domain: the rank-0
-/// key holds ~22% of each side, so its join output (~5% of pairs² mass)
-/// towers over every other key. Payloads are a pure function of
-/// `(relation, key)` so key-sorted outputs compare row-for-row against the
-/// oracle however the workers ordered equal-keyed rows.
-fn skewed_catalog() -> Arc<Catalog> {
+/// Two relations drawing keys from Zipf(θ) over a 50-key domain: at θ = 1
+/// the rank-0 key holds ~22% of each side, so its join output (~5% of
+/// pairs² mass) towers over every other key. Payloads are a pure function
+/// of `(relation, key)` so key-sorted outputs compare row-for-row against
+/// the oracle however the workers ordered equal-keyed rows.
+fn skewed_catalog(theta: f64) -> Arc<Catalog> {
     let mut cat = Catalog::new(StripedLayout::new(4));
     for (name, seed, n) in [("zb", 0xB01D_u64, 400u64), ("zp", 0x50B3, 2000)] {
         cat.create(name, Schema::paper_rel());
-        let rows: Vec<Tuple> = zipf_keys(seed, 1.0, 50, n)
+        let rows: Vec<Tuple> = zipf_keys(seed, theta, 50, n)
             .into_iter()
             .map(|a| Tuple::from_values(vec![Datum::Int(a), Datum::Text(format!("{name}:{a}"))]))
             .collect();
@@ -156,28 +158,11 @@ fn skewed_catalog() -> Arc<Catalog> {
 }
 
 fn optimized_merge_join(cat: &Catalog, names: &[&str]) -> OptimizedQuery {
-    let rels: Vec<RelInfo> = names
-        .iter()
-        .map(|n| {
-            let rel = cat.get(n).expect("test relation");
-            let s = rel.stats();
-            RelInfo {
-                n_tuples: s.n_tuples as f64,
-                n_blocks: s.n_blocks as f64,
-                n_distinct: s.n_distinct_a as f64,
-                selectivity: 1.0,
-                has_index: rel.index_on_a.is_some(),
-                clustered: false,
-            }
-        })
-        .collect();
     let plan = Plan::MergeJoin {
         left: Box::new(Plan::SeqScan { rel: 0 }),
         right: Box::new(Plan::SeqScan { rel: 1 }),
     };
-    let costed = CostModel::paper_default().cost_plan(&plan, &rels);
-    let fragments = decompose(&plan, &costed, 0);
-    OptimizedQuery { seqcost: costed.cost.total_cost, parcost: 0.0, plan, fragments }
+    pinned::pinned_plan(cat, plan, names)
 }
 
 struct SkewRun {
@@ -185,6 +170,10 @@ struct SkewRun {
     hot_keys_total: u64,
     root_hot_keys: u64,
     root_way_rows_max: u64,
+    root_way_rows_mean: u64,
+    granted_pages: u64,
+    released_pages: u64,
+    pinned_at_exit: u64,
 }
 
 const NAMES: [&str; 2] = ["zb", "zp"];
@@ -217,6 +206,10 @@ fn run_skewed(cat: &Arc<Catalog>, cfg: ExecConfig) -> Result<SkewRun, ExecError>
         hot_keys_total: report.fragments().map(|f| f.merge.hot_keys).sum(),
         root_hot_keys: root.merge.hot_keys,
         root_way_rows_max: root.merge.way_rows_max,
+        root_way_rows_mean: root.merge.way_rows_mean,
+        granted_pages: report.mem_granted_pages,
+        released_pages: report.mem_released_pages,
+        pinned_at_exit: report.pool_pinned_at_exit,
     })
 }
 
@@ -235,7 +228,7 @@ fn serial_cfg() -> ExecConfig {
 
 #[test]
 fn skewed_merge_join_matches_the_oracle_and_the_hot_path_engages() {
-    let cat = skewed_catalog();
+    let cat = skewed_catalog(1.0);
     let want = oracle_rows(&cat);
     let serial = run_skewed(&cat, serial_cfg()).expect("serial");
     let pooled = run_skewed(&cat, pooled_cfg()).expect("pooled");
@@ -253,7 +246,10 @@ fn skewed_merge_join_matches_the_oracle_and_the_hot_path_engages() {
         "hot-key counter stayed zero on a Zipf(1) join"
     );
     assert!(pooled.root_hot_keys > 0, "root merge profile saw no hot keys");
-    assert!(pooled.root_way_rows_max > 0, "parallel merge recorded no way sizes");
+    assert!(
+        pooled.root_way_rows_max > 0 && pooled.root_way_rows_mean > 0,
+        "parallel merge recorded no way sizes"
+    );
     // The hottest way must hold less than the whole output: the hot key
     // was actually split, not parked on one way.
     assert!(
@@ -262,9 +258,26 @@ fn skewed_merge_join_matches_the_oracle_and_the_hot_path_engages() {
     );
 }
 
+/// Uniform, moderate and heavy skew alike: the pool-farmed merge join
+/// returns the oracle's rows and closes both ledgers — every granted page
+/// released, none pinned at exit.
+#[test]
+fn skewed_merge_join_closes_its_ledgers_at_every_theta() {
+    for theta in [0.0, 0.5, 1.0] {
+        let cat = skewed_catalog(theta);
+        let want = oracle_rows(&cat);
+        assert!(!want.is_empty(), "theta {theta}: vacuous comparison");
+        let got = run_skewed(&cat, pooled_cfg()).expect("pooled");
+        oracle::assert_matches(&format!("theta {theta}"), &got.rows, &want);
+        assert_eq!(got.granted_pages, got.released_pages, "theta {theta}: grant ledger");
+        assert!(got.granted_pages > 0, "theta {theta}: grants never engaged");
+        assert_eq!(got.pinned_at_exit, 0, "theta {theta}: pages pinned at exit");
+    }
+}
+
 #[test]
 fn worker_death_mid_run_preserves_skewed_results() {
-    let cat = skewed_catalog();
+    let cat = skewed_catalog(1.0);
     let want = oracle_rows(&cat);
     let optimized = optimized_merge_join(&cat, &NAMES);
     let root_task = optimized.fragments.fragments.len() - 1;

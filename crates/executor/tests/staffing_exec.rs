@@ -17,12 +17,14 @@ use xprs_executor::{
     CancelToken, ExecConfig, ExecReport, Executor, QueryRun, RelBinding,
 };
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
-use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy};
-use xprs_scheduler::{MachineConfig, TaskId, TaskProfile};
+use xprs_scheduler::MachineConfig;
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
 
 #[path = "common/oracle.rs"]
 mod oracle;
+#[path = "common/policies.rs"]
+mod policies;
+use policies::StartAll;
 
 fn lcg(seed: &mut u64) -> u64 {
     *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -84,32 +86,8 @@ fn join_run(cat: &Arc<Catalog>) -> QueryRun {
 
 /// Starts every fragment the moment it arrives with all `N` processors and
 /// never adjusts: the policy that makes backends exceed `N`.
-struct AllProcessors {
-    machine: MachineConfig,
-    pending: Vec<TaskId>,
-}
-
-impl AllProcessors {
-    fn new() -> Self {
-        AllProcessors { machine: m(), pending: Vec::new() }
-    }
-}
-
-impl SchedulePolicy for AllProcessors {
-    fn name(&self) -> &'static str {
-        "ALL-PROCESSORS"
-    }
-    fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
-    fn on_arrival(&mut self, _now: f64, task: TaskProfile) {
-        self.pending.push(task.id);
-    }
-    fn on_finish(&mut self, _now: f64, _id: TaskId) {}
-    fn decide(&mut self, _now: f64, _running: &[RunningTask]) -> Vec<Action> {
-        let x = f64::from(self.machine.n_procs);
-        self.pending.drain(..).map(|id| Action::Start { id, parallelism: x }).collect()
-    }
+fn all_processors() -> StartAll {
+    StartAll::new(m(), m().n_procs)
 }
 
 /// Scaled time, so compute bursts really hold their permit and the gate is
@@ -142,7 +120,7 @@ fn more_backends_than_processors_keep_answers_gate_and_ledgers() {
     let exec = Executor::new(cfg(), cat.clone());
     let session = exec.session();
     let report = exec
-        .run_shared(&session, &runs, &mut AllProcessors::new(), &[])
+        .run_shared(&session, &runs, &mut all_processors(), &[])
         .expect("run failed");
 
     // The premise: the policy spoke processors (8), the executor staffed
@@ -179,7 +157,7 @@ fn a_backend_beyond_slot_n_dies_and_the_answer_stands() {
     // with its first claimed page in flight.
     let plan = Arc::new(FaultPlan::new().with_worker_death(0, 10, 1));
     let report = Executor::new(cfg().with_faults(plan.clone()), cat.clone())
-        .run(&runs, &mut AllProcessors::new())
+        .run(&runs, &mut all_processors())
         .expect("run failed");
     assert_eq!(plan.stats().deaths_fired(), 1, "the death must fire on a surplus backend");
     assert_eq!(report.worker_recoveries, plan.stats().deaths_fired(), "one replacement per death");
@@ -199,7 +177,7 @@ fn a_backend_dying_with_a_read_in_flight_finishes_that_page_and_returns_its_pin(
     let exec = Executor::new(cfg().with_faults(plan.clone()), cat.clone());
     let session = exec.session();
     let report = exec
-        .run_shared(&session, &runs, &mut AllProcessors::new(), &[])
+        .run_shared(&session, &runs, &mut all_processors(), &[])
         .expect("run failed");
     assert_eq!(plan.stats().deaths_fired(), 1, "the death must fire");
     assert_eq!(report.worker_recoveries, plan.stats().deaths_fired(), "one replacement per death");
@@ -227,7 +205,7 @@ fn a_query_cancelled_mid_fragment_releases_everything() {
         })
     };
     let report = Executor::new(cfg(), cat.clone())
-        .run_with_cancel(&runs, &mut AllProcessors::new(), &tokens)
+        .run_with_cancel(&runs, &mut all_processors(), &tokens)
         .expect("a cancelled run still reports");
     firer.join().expect("cancel firer panicked");
     assert!(report.profiles[0].cancelled, "the cancel landed after the scan finished");

@@ -44,7 +44,7 @@ pub fn jstr(s: &str) -> String {
 /// A JSON value; object fields keep their order.
 ///
 /// `Display` is the writer: `{}` renders compactly (JSONL trace lines,
-/// `metrics.json`), `{:#}` indents two spaces per level (`BENCH_*.json`).
+/// `metrics.json`), `{:#}` indents two spaces per level.
 /// Floats follow [`fnum`], strings and keys [`jstr`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {

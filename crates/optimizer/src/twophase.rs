@@ -99,24 +99,33 @@ impl TwoPhaseOptimizer {
     /// Extract per-relation statistics for `q` from the catalog.
     ///
     /// # Panics
-    /// Panics if a referenced relation does not exist — optimizing against
-    /// a missing relation is a caller bug.
+    /// Panics if a referenced relation does not exist; [`Self::try_rel_infos`]
+    /// returns that as an error instead.
     pub fn rel_infos(&self, cat: &Catalog, q: &Query) -> Vec<RelInfo> {
+        self.try_rel_infos(cat, q).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Extract per-relation statistics for `q` from the catalog.
+    ///
+    /// # Errors
+    /// [`OptError::InvalidQuery`] when `q` names a relation the catalog
+    /// lacks.
+    pub fn try_rel_infos(&self, cat: &Catalog, q: &Query) -> Result<Vec<RelInfo>, OptError> {
         q.rels
             .iter()
             .map(|r| {
-                let rel = cat
-                    .get(&r.name)
-                    .unwrap_or_else(|| panic!("relation {} not in catalog", r.name));
+                let rel = cat.get(&r.name).ok_or_else(|| {
+                    OptError::InvalidQuery(format!("relation {} not in catalog", r.name))
+                })?;
                 let s = rel.stats();
-                RelInfo {
+                Ok(RelInfo {
                     n_tuples: s.n_tuples as f64,
                     n_blocks: s.n_blocks as f64,
                     n_distinct: s.n_distinct_a as f64,
                     selectivity: r.selectivity,
                     has_index: rel.index_on_a.is_some(),
                     clustered: rel.index_on_a.as_ref().is_some_and(|i| i.is_clustered()),
-                }
+                })
             })
             .collect()
     }
@@ -169,14 +178,16 @@ impl TwoPhaseOptimizer {
     /// Convenience: optimize against the catalog directly.
     ///
     /// # Errors
-    /// [`OptError::NoPlan`] when enumeration produces no complete plan.
+    /// [`OptError::InvalidQuery`] when `q` names a relation the catalog
+    /// lacks, [`OptError::NoPlan`] when enumeration produces no complete
+    /// plan.
     pub fn optimize_catalog(
         &self,
         cat: &Catalog,
         q: &Query,
         costing: Costing,
     ) -> Result<OptimizedQuery, OptError> {
-        let rels = self.rel_infos(cat, q);
+        let rels = self.try_rel_infos(cat, q)?;
         self.optimize(q, &rels, costing)
     }
 
@@ -436,6 +447,15 @@ mod tests {
         assert_eq!(opt().optimize_joint(&[]).err(), Some(OptError::EmptyBatch));
         assert_eq!(OptError::EmptyBatch.to_string(), "nothing to optimize: empty query batch");
         assert_eq!(OptError::NoPlan.to_string(), "enumeration produced no plan");
+    }
+
+    #[test]
+    fn a_relation_missing_from_the_catalog_is_a_typed_error_not_a_panic() {
+        let cat = Catalog::new(xprs_disk::StripedLayout::new(4));
+        let err = opt()
+            .optimize_catalog(&cat, &Query::selection("ghost", 1.0), Costing::SeqCost)
+            .expect_err("must not plan");
+        assert_eq!(err, OptError::InvalidQuery("relation ghost not in catalog".into()));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 /// What kind of query a tenant submits. This is the *service-level* class
 /// (latency expectation, deadline, queue priority) — not to be confused
-/// with [`xprs_disk::ServiceClass`], which classifies individual disk
+/// with `xprs_disk::ServiceClass`, which classifies individual disk
 /// requests by access pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryClass {

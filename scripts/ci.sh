@@ -1,24 +1,22 @@
 #!/usr/bin/env bash
-# Full local CI: build, tests, lints, the gated bench legs and the declared
-# benchmark.
+# Full local CI: build, tests (the release leg includes the performance
+# gates), lints, rustdoc and the declared benchmark.
 #
 # The workspace builds offline (rand/proptest are std-only shims under
 # shims/), so this needs no network. Run from the repo root:
 #
 #   ./scripts/ci.sh
 #
-# Three bench bins each own their gates: the bin that computes a value
-# checks it, writes its JSON under target/ci/ and exits non-zero on a failed
-# gate (1) or an unwritable output path (2), so each leg below is one
-# command whose exit status is the verdict.
-#   bench_executor  BENCH_executor.json  disk-resident scaling, memory
-#                                        admission, predictive A/B
-#   bench_join      BENCH_join.json      disk-resident join, Zipf skew
-#   bench_service   BENCH_service.json   query-service soak under faults
-# A CI run leaves the committed BENCH_*.json at the repo root untouched;
-# refresh one by running its bin with no argument. The recorded numbers live
-# in docs/results/. The last leg builds the declared benchmark into
-# benchmark/target and writes benchmark/out/ (both git-ignored).
+# The paper's performance claims are release-mode tests, compiled only
+# without debug assertions, so the release test leg is the one that runs
+# them: crates/executor/tests/perf_gates.rs (disk-resident scan and join
+# scaling, the §2.3 disk band, solo disk utilization, skewed-join
+# throughput, warm predictor vs wrong declarations) and
+# crates/service/tests/perf_service.rs (the interactive tail under the
+# open-loop soak). Each binary runs its timed tests one at a time. The
+# recorded numbers live in docs/results/. The last leg builds the declared
+# benchmark into benchmark/target and writes benchmark/out/ (both
+# git-ignored).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,7 +28,8 @@ cargo test -q --workspace --offline
 
 echo "==> cargo test --release (workspace)"
 # Release mode strips debug_asserts; this leg catches control-path failures
-# that only debug assertions used to mask (e.g. inverted clamps).
+# that only debug assertions used to mask (e.g. inverted clamps), and it is
+# the leg that runs the release-only performance gates.
 cargo test -q --release --workspace --offline
 
 echo "==> cargo test --doc"
@@ -38,6 +37,11 @@ cargo test -q --doc --workspace --offline
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+# Every intra-doc link resolves: a renamed or deleted item must not leave a
+# dead link in a doc comment.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 
 # One data path, one fragment lifecycle: the retired paths' names (the
 # seed's global-lock path, the static-share partition mode, the no-spill
@@ -62,13 +66,15 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # guessed at worker deaths the pool job now reports, the paper-literal stride
 # protocols and their cursors that the simulator ran beside the morsel deal
 # every engine now shares (a second §2.4 implementation lets the simulated and
-# the executed deal drift apart), and any call of
+# the executed deal drift apart), the three gated bench bins, their JSON files
+# and their scenario modules, which release-mode tests replaced (two systems
+# checking one claim drift apart), and any call of
 # `with_obs`, an identity kept for `benchmark/`, which this grep does not
 # scan) must not
 # creep back into code, examples, tests or the verify skill. `scripts/` is left out so the pattern does not match itself;
 # docs keep the names as history.
 echo "==> retired-name grep"
-if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel|\bfragment_times\b|footprint_warnings|mem_overruns|merge_fanout|prediction_fallbacks|exited_slots|\bsplit_runs\b|parallel_merge_min_rows|parallel_merge_ways|recal_band|with_recalibration\b|host_parallelism|PlanMismatch|ProgramSet|RunGuard|active_runs|run_started|run_finished|interference_factor|jobs_submitted|jobs_completed|delivered_rate|heartbeat_of|watched_heartbeats|recoveries_at_start|observed_service|report_units|units_done|integral_split|io_utilization|critical_path|\btn_estimate\b|Backends<|Backends::|ChannelClosed|deadline_instant|tick_due|sql_cmp|blocks_on_disk|finish_of|\bn_keys\b|total_seq_time|JsonlSink|TraceSink|with_metrics|PATROL_GRACE|StealPartition::reap|patrol::reap|\.reap\(|PagePartition|RangePartition|KeyRange|\bnext_page\b|\bnext_key\b|\.with_obs\(' \
+if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel|\bfragment_times\b|footprint_warnings|mem_overruns|merge_fanout|prediction_fallbacks|exited_slots|\bsplit_runs\b|parallel_merge_min_rows|parallel_merge_ways|recal_band|with_recalibration\b|host_parallelism|PlanMismatch|ProgramSet|RunGuard|active_runs|run_started|run_finished|interference_factor|jobs_submitted|jobs_completed|delivered_rate|heartbeat_of|watched_heartbeats|recoveries_at_start|observed_service|report_units|units_done|integral_split|io_utilization|critical_path|\btn_estimate\b|Backends<|Backends::|ChannelClosed|deadline_instant|tick_due|sql_cmp|blocks_on_disk|finish_of|\bn_keys\b|total_seq_time|JsonlSink|TraceSink|with_metrics|PATROL_GRACE|StealPartition::reap|patrol::reap|\.reap\(|PagePartition|RangePartition|KeyRange|\bnext_page\b|\bnext_key\b|bench_executor|bench_join|bench_service|BENCH_(executor|join|service)|exec_disk|exec_memory|exec_skew|exec_predict|bench_doc|\.with_obs\(' \
     crates examples src tests .claude; then
     echo "retired data-path names found (matches above)" >&2
     exit 1
@@ -176,7 +182,7 @@ awk '
     END { exit bad }
 ' $(find crates -path '*/src/*' -name '*.rs' | sort)
 
-# One JSON writer: every trace record, `metrics.json` and `BENCH_*.json` is
+# One JSON writer: every trace record and `metrics.json` is
 # a `JsonValue` rendered by `xprs_obs::json`, so outside test modules no
 # crate source spells JSON syntax as a `{{\"` format string, and only that
 # module calls its token encoders `fnum(` / `jstr(`.
@@ -192,16 +198,6 @@ awk '
     }
     END { exit bad }
 ' $(find crates -path '*/src/*' -name '*.rs' | sort)
-
-mkdir -p target/ci
-echo "==> bench_executor (gates: scaling, memory, predict)"
-./target/release/bench_executor target/ci/BENCH_executor.json
-
-echo "==> bench_join (gates: disk-resident join scaling, skew)"
-./target/release/bench_join target/ci/BENCH_join.json
-
-echo "==> bench_service (gates: shedding, ledgers, tails, faults)"
-./target/release/bench_service target/ci/BENCH_service.json
 
 echo "==> cancel (cancellation suite, fixed seeds, debug + release)"
 PROPTEST_SEED=7 cargo test -q -p xprs-executor --offline --test cancel_proptest

@@ -1,8 +1,9 @@
 //! Offline shim for the `proptest` crate.
 //!
 //! CI has no route to crates.io, so this crate reimplements the slice of
-//! proptest the workspace's property tests use: the [`Strategy`] trait with
-//! `prop_map`, range/tuple/collection/bool strategies, `prop_oneof!`, the
+//! proptest the workspace's property tests use: the
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`,
+//! range/tuple/collection/bool strategies, `prop_oneof!`, the
 //! `proptest!` test macro, and `prop_assert!`/`prop_assert_eq!`. Cases are
 //! generated from a deterministic per-test seed (overridable with the
 //! `PROPTEST_SEED` environment variable); there is **no shrinking** — a
