@@ -135,14 +135,17 @@ impl XprsSystem {
     /// Derive concrete selection ranges realizing each relation's
     /// selectivity: the query keeps the lowest `selectivity` fraction of the
     /// key domain.
-    pub fn bindings(&self, q: &Query) -> Vec<RelBinding> {
+    ///
+    /// # Errors
+    /// [`OptError::InvalidQuery`] when `q` names a relation the catalog
+    /// lacks.
+    pub fn bindings(&self, q: &Query) -> Result<Vec<RelBinding>, OptError> {
         q.rels
             .iter()
             .map(|r| {
-                let rel = self
-                    .catalog
-                    .get(&r.name)
-                    .unwrap_or_else(|| panic!("relation {} not in catalog", r.name));
+                let rel = self.catalog.get(&r.name).ok_or_else(|| {
+                    OptError::InvalidQuery(format!("relation {} not in catalog", r.name))
+                })?;
                 let s = rel.stats();
                 let span = (s.max_a - s.min_a) as f64;
                 let hi = if r.selectivity >= 1.0 {
@@ -150,7 +153,7 @@ impl XprsSystem {
                 } else {
                     s.min_a + (span * r.selectivity).round() as i32
                 };
-                RelBinding { name: r.name.clone(), pred: (s.min_a, hi) }
+                Ok(RelBinding { name: r.name.clone(), pred: (s.min_a, hi) })
             })
             .collect()
     }
@@ -197,7 +200,7 @@ impl XprsSystem {
             .collect::<Result<Vec<_>, SchedError>>()
             .map_err(|source| SimError { source, partial: Box::default() })?;
         let mut p = policy.build(&self.machine, true);
-        Simulator::new(SimConfig { machine: self.machine.clone(), adjust_latency: 0.005 })
+        Simulator::new(SimConfig { machine: self.machine.clone(), ..SimConfig::paper_default() })
             .run(p.as_mut(), &sim_tasks)
     }
 
@@ -287,6 +290,18 @@ mod tests {
     }
 
     #[test]
+    fn binding_a_relation_the_catalog_lacks_is_a_typed_error() {
+        let mut sys = XprsSystem::paper_default();
+        sys.catalog_mut().create("r", xprs_storage::Schema::paper_rel());
+        let ghost = Query::selection("ghost", 1.0);
+        let want = OptError::InvalidQuery("relation ghost not in catalog".into());
+        assert_eq!(sys.bindings(&ghost).err(), Some(want));
+        let known = sys.bindings(&Query::selection("r", 1.0)).expect("bindings");
+        assert_eq!(known.len(), 1);
+        assert_eq!(known[0].name, "r");
+    }
+
+    #[test]
     fn end_to_end_workload_on_the_threaded_engine() {
         let w = WorkloadGenerator::new().generate(&WorkloadConfig {
             kind: WorkloadKind::Extreme,
@@ -302,7 +317,7 @@ mod tests {
             .map(|t| {
                 let q = Query::selection(&t.relation, 1.0);
                 let o = sys.optimize(&q, Costing::SeqCost).expect("plan");
-                let b = sys.bindings(&q);
+                let b = sys.bindings(&q).expect("bindings");
                 (o, b)
             })
             .collect();
@@ -330,8 +345,8 @@ mod tests {
         sys.load_workload(&w);
         let full = Query::selection(&w.tasks[0].relation, 1.0);
         let half = Query::selection(&w.tasks[0].relation, 0.5);
-        let bf = sys.bindings(&full)[0].pred;
-        let bh = sys.bindings(&half)[0].pred;
+        let bf = sys.bindings(&full).expect("bindings")[0].pred;
+        let bh = sys.bindings(&half).expect("bindings")[0].pred;
         assert!(bh.1 < bf.1);
         assert_eq!(bh.0, bf.0);
     }

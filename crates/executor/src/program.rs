@@ -6,18 +6,20 @@
 //! [`decompose`](xprs_optimizer::fragment::decompose), and carried on each
 //! [`Fragment`](xprs_optimizer::Fragment); the executor runs them as given.
 
+use std::ops::Range;
+
 use xprs_storage::runs::{merge_runs, CsrIndex};
 use xprs_storage::Tuple;
 
 /// A materialized fragment output: rows sorted by key plus a CSR key index
-/// (sorted unique keys + offsets + positions, built by one counting pass
-/// over the already-sorted rows). A probe is a binary search (or cursor
-/// seek) plus a slice borrow, with zero heap allocation.
+/// (sorted unique keys + offsets, built by one counting pass over the
+/// already-sorted rows). A probe is a binary search (or cursor seek) plus a
+/// slice borrow, with zero heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct Materialized {
     /// `(key, tuple)` rows in ascending key order.
     pub rows: Vec<(i32, Tuple)>,
-    /// key → positions into `rows`.
+    /// key → its range of `rows`.
     index: CsrIndex,
 }
 
@@ -47,8 +49,8 @@ impl Materialized {
         self.rows.last().map(|(k, _)| *k)
     }
 
-    fn tuples_at<'a>(&'a self, positions: &'a [u32]) -> impl Iterator<Item = &'a Tuple> + 'a {
-        positions.iter().map(move |&p| &self.rows[p as usize].1)
+    fn tuples_at(&self, rows: Range<usize>) -> impl Iterator<Item = &Tuple> + '_ {
+        self.rows[rows].iter().map(|(_, t)| t)
     }
 
     /// Rows bearing `key`: a binary search + slice borrow (zero

@@ -22,7 +22,7 @@ pub struct RelInfo {
     pub n_distinct: f64,
     /// Selection selectivity applied by the query (1.0 = none).
     pub selectivity: f64,
-    /// Is there a B-tree index on `a`?
+    /// Is there an index on `a`?
     pub has_index: bool,
     /// Is the heap clustered on `a` (index order = heap order)?
     pub clustered: bool,

@@ -15,7 +15,7 @@ pub enum Plan {
         /// Relation index.
         rel: usize,
     },
-    /// B-tree index scan of relation `rel` (selection pushed into the index).
+    /// Index scan of relation `rel` (selection pushed into the index).
     IndexScan {
         /// Relation index.
         rel: usize,

@@ -73,12 +73,6 @@ pub enum SchedError {
         /// The offending value.
         value: f64,
     },
-    /// A balance point cannot be split into whole workers on this machine
-    /// (fewer than two processors).
-    InvalidSplit {
-        /// Processors available.
-        n_procs: u32,
-    },
     /// The policy wedged: tasks remain but nothing is running and no future
     /// event can unblock it.
     Wedged {
@@ -141,9 +135,6 @@ impl std::fmt::Display for SchedError {
             }
             SchedError::InvalidProfile { task, field, value } => {
                 write!(f, "task {task} has invalid profile: {field} = {value}")
-            }
-            SchedError::InvalidSplit { n_procs } => {
-                write!(f, "cannot split a balance point across {n_procs} processor(s)")
             }
             SchedError::Wedged { policy, unfinished } => {
                 write!(f, "policy {policy} wedged with {unfinished} task(s) unfinished")

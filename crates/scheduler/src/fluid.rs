@@ -86,12 +86,7 @@ impl FluidResult {
     /// Mean response time (finish − release) over all tasks; releases are
     /// the arrival (or readiness) times passed to the simulator.
     pub fn mean_response_time(&self, releases: &[(TaskId, f64)]) -> f64 {
-        if self.task_times.is_empty() {
-            return 0.0;
-        }
-        let rel = |id: TaskId| releases.iter().find(|(t, _)| *t == id).map(|(_, r)| *r).unwrap_or(0.0);
-        let sum: f64 = self.task_times.iter().map(|(id, _, fin)| fin - rel(*id)).sum();
-        sum / self.task_times.len() as f64
+        crate::task::mean_response_time(&self.task_times, releases)
     }
 }
 

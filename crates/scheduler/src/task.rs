@@ -18,6 +18,18 @@ impl std::fmt::Display for TaskId {
     }
 }
 
+/// Mean response time (finish − release) over `(task, start, finish)` times;
+/// a task absent from `releases` was released at 0. The fluid model's and
+/// the simulator's results both report it through this one body.
+pub fn mean_response_time(task_times: &[(TaskId, f64, f64)], releases: &[(TaskId, f64)]) -> f64 {
+    if task_times.is_empty() {
+        return 0.0;
+    }
+    let rel = |id: TaskId| releases.iter().find(|(t, _)| *t == id).map_or(0.0, |(_, r)| *r);
+    let sum: f64 = task_times.iter().map(|(id, _, fin)| fin - rel(*id)).sum();
+    sum / task_times.len() as f64
+}
+
 /// The I/O access pattern a task generates against the striped disk array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoKind {

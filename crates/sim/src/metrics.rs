@@ -36,18 +36,7 @@ impl SimReport {
 
     /// Mean task response time given each task's release time.
     pub fn mean_response_time(&self, releases: &[(TaskId, f64)]) -> f64 {
-        if self.task_times.is_empty() {
-            return 0.0;
-        }
-        let rel = |id: TaskId| {
-            releases
-                .iter()
-                .find(|(t, _)| *t == id)
-                .map(|(_, r)| *r)
-                .unwrap_or(0.0)
-        };
-        let sum: f64 = self.task_times.iter().map(|(id, _, fin)| fin - rel(*id)).sum();
-        sum / self.task_times.len() as f64
+        xprs_scheduler::task::mean_response_time(&self.task_times, releases)
     }
 }
 

@@ -4,11 +4,10 @@ use std::collections::BTreeMap;
 
 use xprs_disk::{RelId, StripedLayout};
 
-use crate::btree::BTreeIndex;
-use crate::datum::Datum;
 use crate::heap::HeapFile;
+use crate::runs::CsrIndex;
 use crate::schema::Schema;
-use crate::tuple::Tuple;
+use crate::tuple::{Tuple, TupleId};
 
 /// Statistics the optimizer's selectivity and cost estimation consume.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,6 +24,40 @@ pub struct RelStats {
     pub max_a: i32,
 }
 
+/// An index on column `a`: every tuple's `TupleId` grouped by key, a key's
+/// postings in TID order. A relation is loaded before it is probed, so the
+/// index is built once, from a heap scan, and a later load rebuilds it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RelIndex {
+    keys: CsrIndex,
+    tids: Vec<TupleId>,
+    clustered: bool,
+}
+
+impl RelIndex {
+    /// Index `heap`'s `int4` keys: the `(a, TupleId)` pairs in TID order,
+    /// stable-sorted by key. `clustered` records whether the heap is stored
+    /// in key order (which the optimizer's cost model and the scheduler's
+    /// I/O-kind classification both consult).
+    fn build(heap: &HeapFile, clustered: bool) -> Self {
+        let mut pairs: Vec<(i32, TupleId)> =
+            heap.scan().filter_map(|(tid, t)| Some((t.get(0).as_int()?, tid))).collect();
+        pairs.sort_by_key(|&(k, _)| k);
+        let keys = CsrIndex::from_sorted(&pairs);
+        RelIndex { keys, tids: pairs.into_iter().map(|(_, tid)| tid).collect(), clustered }
+    }
+
+    /// Whether the underlying heap is clustered on this key.
+    pub fn is_clustered(&self) -> bool {
+        self.clustered
+    }
+
+    /// All tuples with exactly `key`, in TID order.
+    pub fn lookup(&self, key: i32) -> &[TupleId] {
+        &self.tids[self.keys.lookup(key)]
+    }
+}
+
 /// One catalogued relation: heap, optional index on `a`, cached statistics.
 #[derive(Debug, Clone)]
 pub struct Relation {
@@ -32,8 +65,8 @@ pub struct Relation {
     pub name: String,
     /// The heap file.
     pub heap: HeapFile,
-    /// Optional B-tree index on column `a`.
-    pub index_on_a: Option<BTreeIndex>,
+    /// Optional index on column `a`.
+    pub index_on_a: Option<RelIndex>,
     stats: RelStats,
 }
 
@@ -104,31 +137,23 @@ impl Catalog {
         rel
     }
 
-    /// Bulk-load rows into `name` and refresh statistics.
+    /// Bulk-load rows into `name` and refresh statistics; an existing index
+    /// on `a` is rebuilt.
     pub fn load(&mut self, name: &str, rows: impl IntoIterator<Item = Tuple>) {
         let rel = self.rels.get_mut(name).unwrap_or_else(|| panic!("no relation {name}"));
         for row in rows {
-            let tid = rel.heap.insert(row);
-            // Maintain any existing index incrementally.
-            if let Some(idx) = &mut rel.index_on_a {
-                if let Some(key) = rel.heap.fetch(tid).and_then(|t| t.get(0).as_int()) {
-                    idx.insert(key, tid);
-                }
-            }
+            rel.heap.insert(row);
+        }
+        if let Some(clustered) = rel.index_on_a.as_ref().map(RelIndex::is_clustered) {
+            rel.index_on_a = Some(RelIndex::build(&rel.heap, clustered));
         }
         rel.recompute_stats();
     }
 
-    /// Build a B-tree index on column `a` of `name`.
+    /// Build an index on column `a` of `name`.
     pub fn build_index(&mut self, name: &str, clustered: bool) {
         let rel = self.rels.get_mut(name).unwrap_or_else(|| panic!("no relation {name}"));
-        let mut idx = BTreeIndex::new(clustered);
-        for (tid, t) in rel.heap.scan() {
-            if let Datum::Int(k) = t.get(0) {
-                idx.insert(*k, tid);
-            }
-        }
-        rel.index_on_a = Some(idx);
+        rel.index_on_a = Some(RelIndex::build(&rel.heap, clustered));
     }
 
     /// Look up a relation by name.
@@ -155,10 +180,16 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datum::Datum;
     use crate::schema::Schema;
 
     fn row(a: i32, blen: usize) -> Tuple {
         Tuple::from_values(vec![Datum::Int(a), Datum::Text("b".repeat(blen))])
+    }
+
+    /// Postings over every key the test rows use (`0..100`).
+    fn entries(idx: &RelIndex) -> usize {
+        (0..100).map(|k| idx.lookup(k).len()).sum()
     }
 
     fn catalog_with_rows(n: i32) -> Catalog {
@@ -186,8 +217,7 @@ mod tests {
         c.build_index("r1", false);
         let r = c.get("r1").unwrap();
         let idx = r.index_on_a.as_ref().unwrap();
-        assert_eq!(idx.n_entries(), 1000);
-        idx.check_invariants();
+        assert_eq!(entries(idx), 1000);
         // Key 7 appears 10 times (i % 100).
         assert_eq!(idx.lookup(7).len(), 10);
         // Postings point back at real tuples with the right key.
@@ -202,7 +232,7 @@ mod tests {
         c.build_index("r1", false);
         c.load("r1", vec![row(7, 10)]);
         let r = c.get("r1").unwrap();
-        assert_eq!(r.index_on_a.as_ref().unwrap().n_entries(), 11);
+        assert_eq!(entries(r.index_on_a.as_ref().unwrap()), 11);
         assert_eq!(r.stats().n_tuples, 11);
     }
 

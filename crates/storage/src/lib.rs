@@ -1,8 +1,9 @@
 //! # xprs-storage
 //!
 //! The storage substrate underneath the XPRS reproduction: slotted 8 KB heap
-//! pages striped round-robin over the disk array, an in-memory B-tree index
-//! (clustered or unclustered), a pinning LRU buffer pool, a catalog with
+//! pages striped round-robin over the disk array, an index on the key
+//! (clustered or unclustered) built on the same CSR layout that materialized
+//! join inputs use, a pinning LRU buffer pool, a catalog with
 //! optimizer statistics, and — because it is really a statement about how a
 //! relation's pages and key ranges are divided among parallel backends —
 //! the Section 2.4 partitioning with its dynamic adjustment (Figures 5 and
@@ -14,7 +15,6 @@
 //! 70 I/Os per second) or hundreds of minimal ones (`r_min`, 5 I/Os per
 //! second).
 
-pub mod btree;
 pub mod bufpool;
 pub mod catalog;
 pub mod datum;
@@ -27,9 +27,8 @@ pub mod shardpool;
 mod steal;
 pub mod tuple;
 
-pub use btree::BTreeIndex;
 pub use bufpool::{BufferPool, PoolStats, UnpinError};
-pub use catalog::{Catalog, RelStats, Relation};
+pub use catalog::{Catalog, RelIndex, RelStats, Relation};
 pub use datum::Datum;
 pub use heap::HeapFile;
 pub use page::{Page, PAGE_HEADER, PAGE_SIZE};

@@ -9,13 +9,15 @@
 //! mergeable key sub-ranges.
 //!
 //! On top of the merged (key-sorted) rows sits a [`CsrIndex`]: sorted unique
-//! keys, a CSR-style offsets array, and a positions array, built by one
-//! counting pass. A probe is a binary search (or a cursor-advancing seek for
-//! merge joins) plus a slice borrow — **zero heap allocation per probe**,
-//! unlike the `HashMap<key, Vec<pos>>` it replaces.
+//! keys and a CSR-style offsets array, built by one counting pass. A probe
+//! is a binary search (or a cursor-advancing seek for merge joins) returning
+//! a row range — **zero heap allocation per probe**, unlike the
+//! `HashMap<key, Vec<pos>>` it replaces.
 //!
 //! Everything here is generic over the row payload: a row is `(i32, T)`
 //! where the `i32` is the join key.
+
+use std::ops::Range;
 
 /// Is `run` sorted by key (ascending, duplicates allowed)?
 pub fn is_sorted_run<T>(run: &[(i32, T)]) -> bool {
@@ -236,19 +238,17 @@ pub fn split_runs_stats<T>(
 }
 
 /// A CSR-style (compressed sparse row) index over key-sorted rows: sorted
-/// unique `keys`, an `offsets` array one longer than `keys`, and a
-/// `positions` array of row indices grouped by key — the rows bearing
-/// `keys[i]` are `positions[offsets[i]..offsets[i+1]]`.
+/// unique `keys` and an `offsets` array one longer than `keys` — the rows
+/// bearing `keys[i]` are the contiguous range `offsets[i]..offsets[i+1]`.
 ///
 /// Built by a single counting pass over already-sorted rows; probing is a
 /// binary search ([`CsrIndex::lookup`]) or a monotone cursor seek
-/// ([`CsrIndex::seek`]) returning a borrowed slice — no heap allocation
-/// per probe, in contrast to the hash-map-of-vectors it replaces.
+/// ([`CsrIndex::seek`]) returning a row range — no heap allocation per
+/// probe, in contrast to the hash-map-of-vectors it replaces.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CsrIndex {
     keys: Vec<i32>,
     offsets: Vec<u32>,
-    positions: Vec<u32>,
 }
 
 impl CsrIndex {
@@ -262,16 +262,14 @@ impl CsrIndex {
         assert!(rows.len() <= u32::MAX as usize, "CSR index limited to u32 positions");
         let mut keys = Vec::new();
         let mut offsets = Vec::new();
-        let mut positions = Vec::with_capacity(rows.len());
         for (i, &(k, _)) in rows.iter().enumerate() {
             if keys.last() != Some(&k) {
                 keys.push(k);
                 offsets.push(i as u32); // start of this key's group
             }
-            positions.push(i as u32);
         }
         offsets.push(rows.len() as u32); // end sentinel
-        CsrIndex { keys, offsets, positions }
+        CsrIndex { keys, offsets }
     }
 
     /// The sorted unique keys.
@@ -279,9 +277,9 @@ impl CsrIndex {
         &self.keys
     }
 
-    /// Row positions bearing `key` (empty if absent): binary search plus a
-    /// slice borrow, zero allocation.
-    pub fn lookup(&self, key: i32) -> &[u32] {
+    /// The rows bearing `key` (empty if absent): a binary search, zero
+    /// allocation.
+    pub fn lookup(&self, key: i32) -> Range<usize> {
         let i = self.keys.partition_point(|&k| k < key);
         self.group(i, key)
     }
@@ -292,7 +290,7 @@ impl CsrIndex {
     /// *below* the cursor — possible when a worker's key range is
     /// re-partitioned mid-run — falls back to a binary re-seek, so the
     /// result is always exactly [`CsrIndex::lookup`]'s.
-    pub fn seek(&self, key: i32, cursor: &mut usize) -> &[u32] {
+    pub fn seek(&self, key: i32, cursor: &mut usize) -> Range<usize> {
         let n = self.keys.len();
         let mut i = (*cursor).min(n);
         if i > 0 && self.keys[i - 1] >= key {
@@ -307,11 +305,11 @@ impl CsrIndex {
         self.group(i, key)
     }
 
-    fn group(&self, i: usize, key: i32) -> &[u32] {
+    fn group(&self, i: usize, key: i32) -> Range<usize> {
         if i < self.keys.len() && self.keys[i] == key {
-            &self.positions[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+            self.offsets[i] as usize..self.offsets[i + 1] as usize
         } else {
-            &[]
+            0..0
         }
     }
 }
@@ -484,10 +482,10 @@ mod tests {
         let idx = CsrIndex::from_sorted(&rows);
         assert_eq!(idx.keys().len(), 4);
         assert_eq!(idx.keys(), &[-4, 0, 3, 9]);
-        assert_eq!(idx.lookup(-4), &[0, 1]);
-        assert_eq!(idx.lookup(0), &[2]);
-        assert_eq!(idx.lookup(3), &[3, 4, 5]);
-        assert_eq!(idx.lookup(9), &[6]);
+        assert_eq!(idx.lookup(-4), 0..2);
+        assert_eq!(idx.lookup(0), 2..3);
+        assert_eq!(idx.lookup(3), 3..6);
+        assert_eq!(idx.lookup(9), 6..7);
         assert!(idx.lookup(1).is_empty());
         assert!(idx.lookup(-100).is_empty());
         assert!(idx.lookup(100).is_empty());

@@ -30,7 +30,7 @@ fn main() {
         .map(|t| {
             let q = Query::selection(&t.relation, 1.0);
             let o = sys.optimize(&q, Costing::SeqCost).expect("plan");
-            let b = sys.bindings(&q);
+            let b = sys.bindings(&q).expect("bindings");
             (o, b)
         })
         .collect();

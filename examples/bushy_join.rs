@@ -69,7 +69,7 @@ fn main() {
     );
 
     // Execute the baseline and the parcost plan for real; answers must match.
-    let bindings = sys.bindings(&query);
+    let bindings = sys.bindings(&query).expect("bindings");
     let r_base = sys
         .execute(&[(plans[0].clone(), bindings.clone())], PolicyKind::InterWithAdj, None)
         .expect("exec");

@@ -50,7 +50,7 @@ fn main() {
     }
 
     // Execute with the paper's scheduler on real worker threads.
-    let bindings = sys.bindings(&query);
+    let bindings = sys.bindings(&query).expect("bindings");
     let report = sys.execute(&[(optimized, bindings)], PolicyKind::InterWithAdj, None).expect("exec");
     let rows = &report.results[0].rows;
     println!(

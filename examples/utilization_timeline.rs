@@ -47,7 +47,8 @@ fn main() {
         .iter()
         .map(|t| {
             let q = Query::selection(&t.relation, 1.0);
-            (sys.optimize(&q, Costing::SeqCost).expect("plan"), sys.bindings(&q))
+            let o = sys.optimize(&q, Costing::SeqCost).expect("plan");
+            (o, sys.bindings(&q).expect("bindings"))
         })
         .collect();
     let report = sys.execute(&runs, PolicyKind::InterWithAdj, Some(speedup)).expect("exec");

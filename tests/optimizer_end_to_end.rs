@@ -62,7 +62,7 @@ fn parcost_ranking_never_regresses_the_estimate() {
 fn every_strategy_computes_the_same_answer() {
     let mut sys = build_system();
     let q = chain_query();
-    let bindings = sys.bindings(&q);
+    let bindings = sys.bindings(&q).expect("bindings");
     let mut reference: Option<Vec<i32>> = None;
     for (shape, costing) in [
         (PlanShape::LeftDeep, Costing::SeqCost),
@@ -117,7 +117,9 @@ fn multi_query_mixed_workload_executes_under_all_policies() {
     let q3 = Query::join().rel("io_c", 1.0).rel("cpu_d", 1.0).on(0, 1).build();
     let runs: Vec<_> = [&q1, &q2, &q3]
         .iter()
-        .map(|q| (sys.optimize(q, Costing::SeqCost).expect("plan"), sys.bindings(q)))
+        .map(|q| {
+            (sys.optimize(q, Costing::SeqCost).expect("plan"), sys.bindings(q).expect("bindings"))
+        })
         .collect();
     let mut counts: Option<Vec<usize>> = None;
     for policy in PolicyKind::all() {
