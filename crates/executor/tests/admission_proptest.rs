@@ -15,6 +15,7 @@ use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::MachineConfig;
 use xprs_storage::Catalog;
+use xprs_testkit::oracle;
 use xprs_workload::{generate_oversized_build, OversizedBuildSpec, OversizedBuildWorkload};
 
 const N_DISKS: u32 = 4;
@@ -73,6 +74,15 @@ fn granted_cfg() -> ExecConfig {
     cfg
 }
 
+/// Hold every query of `report` to the single-threaded oracle's answer.
+fn check_oracle(cat: &Catalog, runs: &[QueryRun], report: &ExecReport) -> Result<(), String> {
+    for (i, run) in runs.iter().enumerate() {
+        let want = oracle::eval(cat, &run.optimized.plan, &run.bindings);
+        oracle::check(&report.results[i].rows.rows, &want).map_err(|e| format!("query {i}: {e}"))?;
+    }
+    Ok(())
+}
+
 /// Check every admission invariant of a contended report against the
 /// uncontended reference (the same workload over a pool it fits in),
 /// returning an error description on the first violation
@@ -119,6 +129,7 @@ fn oversized_builds_complete_with_grants_and_spill() {
     let reference = run_with(ExecConfig::unthrottled(), &cat, &runs).expect("reference run failed");
 
     check_invariants(&granted, &reference).unwrap();
+    check_oracle(&cat, &runs, &granted).unwrap();
     assert!(reference.results.iter().any(|r| !r.rows.rows.is_empty()), "vacuous joins");
     // Builds several times the grant must actually have cut spill runs.
     assert!(granted.spill_chunks > 0, "oversized builds never spilled");
@@ -207,6 +218,8 @@ proptest! {
         prop_assert!(reference.is_ok(), "reference run died: {}", reference.unwrap_err());
         let reference = reference.unwrap();
         let verdict = check_invariants(&granted, &reference);
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
+        let verdict = check_oracle(&cat, &runs, &granted);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 }

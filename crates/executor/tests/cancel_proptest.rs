@@ -20,9 +20,7 @@ use xprs_scheduler::policy::SchedulePolicy;
 use xprs_scheduler::MachineConfig;
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
 use xprs_workload::{generate_oversized_build, OversizedBuildSpec, OversizedBuildWorkload};
-
-#[path = "common/oracle.rs"]
-mod oracle;
+use xprs_testkit::oracle;
 
 /// Tiny pool so the oversized builds must spill under grants — a cancel
 /// landing mid-run has a good chance of landing mid-spill.

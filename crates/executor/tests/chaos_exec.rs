@@ -23,6 +23,7 @@ use xprs_scheduler::trace::{
 };
 use xprs_scheduler::MachineConfig;
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
+use xprs_testkit::oracle;
 
 fn lcg(seed: &mut u64) -> u64 {
     *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -78,6 +79,13 @@ fn scan_run(cat: &Arc<Catalog>, name: &str) -> QueryRun {
             .expect("plan"),
         bindings: vec![RelBinding { name: name.into(), pred: (i32::MIN, i32::MAX) }],
     }
+}
+
+/// Hold query 0 of `report` to the single-threaded oracle's answer to `run`.
+fn assert_oracle(label: &str, cat: &Catalog, run: &QueryRun, report: &ExecReport) {
+    let want = oracle::eval(cat, &run.optimized.plan, &run.bindings);
+    assert!(!want.is_empty(), "{label}: vacuous query");
+    oracle::assert_matches(label, &report.results[0].rows.rows, &want);
 }
 
 fn run_with(cat: &Arc<Catalog>, cfg: ExecConfig, sink: Option<SharedSink>) -> ExecReport {
@@ -148,6 +156,7 @@ fn chaos_run_matches_fault_free_run_and_records_recalibration() {
         "chaos run must return the fault-free result"
     );
     assert!(!report.results[0].rows.rows.is_empty(), "vacuous comparison");
+    assert_oracle("chaos run", &cat, &join_run(&cat), &report);
 
     // The captured trace carries the recalibration and replays.
     let text = to_jsonl(&ring.lock().unwrap().records());
@@ -293,4 +302,5 @@ fn worker_death_mid_slice_matches_fault_free_run() {
     assert_eq!(report.pool_pinned_at_exit, 0);
     assert_eq!(baseline.results[0].rows.rows, report.results[0].rows.rows);
     assert!(!report.results[0].rows.rows.is_empty(), "vacuous comparison");
+    assert_oracle("death mid-slice", &cat, &scan_run(&cat, "tiny"), &report);
 }

@@ -14,6 +14,7 @@ use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::MachineConfig;
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
+use xprs_testkit::oracle;
 
 const N_DISKS: u32 = 4;
 
@@ -73,9 +74,17 @@ fn run_under(plan: Option<Arc<FaultPlan>>) -> Result<Vec<(i32, Tuple)>, String> 
     }
 }
 
+/// The fault-free run's rows, held to the single-threaded oracle's.
 fn baseline() -> &'static Vec<(i32, Tuple)> {
     static BASE: OnceLock<Vec<(i32, Tuple)>> = OnceLock::new();
-    BASE.get_or_init(|| run_under(None).expect("fault-free run must complete"))
+    BASE.get_or_init(|| {
+        let rows = run_under(None).expect("fault-free run must complete");
+        let run = join_run(catalog());
+        let want = oracle::eval(catalog(), &run.optimized.plan, &run.bindings);
+        assert!(!want.is_empty(), "vacuous join");
+        oracle::assert_matches("fault-free run", &rows, &want);
+        rows
+    })
 }
 
 fn domain() -> FaultDomain {

@@ -1,6 +1,6 @@
 //! Property-based parity between the `Materialized` builder and a
-//! test-local reference: for any input multiset — duplicate keys, negative
-//! keys, empty input — the hash reference (`common/hash_reference.rs`:
+//! reference: for any input multiset — duplicate keys, negative
+//! keys, empty input — the hash reference (`xprs_testkit::hash_reference`:
 //! stable full sort + `HashMap<i32, Vec<usize>>` index) and the
 //! sorted-runs/CSR build (`Materialized::from_runs`: stably sorted chunks →
 //! stable k-way merge → counting-pass CSR) must agree on the row vector
@@ -15,10 +15,7 @@
 use proptest::prelude::*;
 use xprs_executor::Materialized;
 use xprs_storage::{Datum, Tuple};
-
-#[path = "common/hash_reference.rs"]
-mod hash_reference;
-use hash_reference::HashReference;
+use xprs_testkit::hash_reference::HashReference;
 
 /// Rows whose payload records the original input position, so two rows with
 /// equal keys are still distinguishable and stability violations surface.

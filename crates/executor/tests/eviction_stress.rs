@@ -4,7 +4,7 @@
 //! rate, the pool's accounting ledger (`hits + misses + bypasses`) must
 //! equal the machine's independently-counted page reads — per shard and in
 //! total — no pin may survive the run, and the rows must match both a
-//! fully cached baseline and the naive oracle (`common/oracle.rs`) under
+//! fully cached baseline and the naive oracle (`xprs_testkit::oracle`) under
 //! both morsel modes.
 
 use std::sync::Arc;
@@ -16,9 +16,7 @@ use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::MachineConfig;
 use xprs_storage::Catalog;
 use xprs_workload::{generate_disk_resident, DiskResidentSpec, DiskResidentWorkload};
-
-#[path = "common/oracle.rs"]
-mod oracle;
+use xprs_testkit::oracle;
 
 /// Frames in the stressed pool; the workload spills it 8× per relation.
 const TINY_POOL_PAGES: usize = 8;
@@ -68,13 +66,6 @@ fn run_with_pool(
         MachineConfig::paper_default(),
     ));
     exec.run(&scan_runs(cat, workload), &mut policy).expect("eviction stress run failed")
-}
-
-/// Rows in a canonical total order: key, then rendered tuple.
-fn canonical(rows: &[(i32, xprs_storage::Tuple)]) -> Vec<(i32, String)> {
-    let mut v: Vec<(i32, String)> = rows.iter().map(|(k, t)| (*k, format!("{t:?}"))).collect();
-    v.sort();
-    v
 }
 
 #[test]
@@ -137,8 +128,8 @@ fn tiny_shard_pool_thrashes_with_an_exact_ledger_and_no_pin_leaks() {
     assert_eq!(report.results.len(), baseline.results.len());
     for (got, want) in report.results.iter().zip(&baseline.results) {
         assert_eq!(
-            canonical(&got.rows.rows),
-            canonical(&want.rows.rows),
+            oracle::canonical(got.rows.rows.clone()),
+            oracle::canonical(want.rows.rows.clone()),
             "rows diverged under eviction"
         );
     }

@@ -2,7 +2,6 @@
 //! against the naive single-threaded oracle (every row) and the per-key
 //! cardinality reference (`oracle::ref_join`).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -13,10 +12,7 @@ use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::intra::IntraOnly;
 use xprs_scheduler::{MachineConfig, SchedulePolicy};
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
-
-#[path = "common/oracle.rs"]
-mod oracle;
-use oracle::{ref_join, ref_selection};
+use xprs_testkit::oracle::{self, ref_join, ref_selection};
 
 /// Deterministic pseudo-random stream.
 fn lcg(seed: &mut u64) -> u64 {
@@ -44,10 +40,6 @@ fn catalog() -> Arc<Catalog> {
         cat.build_index(name, false);
     }
     Arc::new(cat)
-}
-
-fn result_multiset(rows: &xprs_executor::Materialized) -> HashMap<i32, usize> {
-    oracle::key_counts(&rows.rows)
 }
 
 fn optimizer() -> TwoPhaseOptimizer {
@@ -90,7 +82,7 @@ fn parallel_selection_matches_reference() {
     let bindings = vec![RelBinding { name: "thin".into(), pred: (0, 59) }];
     let mut policy = IntraOnly::new(m(), true);
     let report = run_one(&cat, &q, bindings, Costing::SeqCost, &mut policy);
-    let got = result_multiset(&report.results[0].rows);
+    let got = oracle::key_counts(&report.results[0].rows.rows);
     let want = ref_selection(&cat, "thin", (0, 59));
     assert_eq!(got, want);
     assert!(report.stats.reads > 0);
@@ -106,7 +98,7 @@ fn two_way_join_matches_reference() {
     ];
     let mut policy = IntraOnly::new(m(), true);
     let report = run_one(&cat, &q, bindings, Costing::SeqCost, &mut policy);
-    let got = result_multiset(&report.results[0].rows);
+    let got = oracle::key_counts(&report.results[0].rows.rows);
     let want = ref_join(&cat, &[("fat", (i32::MIN, i32::MAX)), ("thin", (i32::MIN, i32::MAX))]);
     assert_eq!(got, want);
 }
@@ -144,7 +136,7 @@ fn three_way_join_under_every_policy_agrees() {
         for policy in policies {
             let run = QueryRun { optimized: optimized.clone(), bindings: bindings.clone() };
             let report = run_planned(&cat, run, policy, &oracle_rows);
-            let got = result_multiset(&report.results[0].rows);
+            let got = oracle::key_counts(&report.results[0].rows.rows);
             assert_eq!(got, want, "policy result mismatch under {costing:?}");
         }
     }
@@ -160,7 +152,7 @@ fn selective_join_with_predicates() {
     ];
     let mut policy = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(m()));
     let report = run_one(&cat, &q, bindings, Costing::ParCost, &mut policy);
-    let got = result_multiset(&report.results[0].rows);
+    let got = oracle::key_counts(&report.results[0].rows.rows);
     let want = ref_join(&cat, &[("mid", (0, 59)), ("thin", (20, 80))]);
     assert_eq!(got, want);
     // Keys outside the intersection of predicates cannot appear.
@@ -180,9 +172,9 @@ fn multi_query_run_returns_each_querys_rows() {
     let exec = Executor::new(ExecConfig::unthrottled(), cat.clone());
     let report = exec.run(&runs, &mut policy).expect("run failed");
     assert_eq!(report.results.len(), 3);
-    assert_eq!(result_multiset(&report.results[0].rows), ref_selection(&cat, "fat", (0, 49)));
-    assert_eq!(result_multiset(&report.results[1].rows), ref_selection(&cat, "thin", (0, 9)));
-    assert_eq!(result_multiset(&report.results[2].rows), ref_selection(&cat, "mid", (100, 119)));
+    assert_eq!(oracle::key_counts(&report.results[0].rows.rows), ref_selection(&cat, "fat", (0, 49)));
+    assert_eq!(oracle::key_counts(&report.results[1].rows.rows), ref_selection(&cat, "thin", (0, 9)));
+    assert_eq!(oracle::key_counts(&report.results[2].rows.rows), ref_selection(&cat, "mid", (100, 119)));
 }
 
 /// A worker panic must come back as [`ExecError::WorkerPanicked`] with the
@@ -257,7 +249,7 @@ fn a_failing_shared_run_returns_after_its_jobs_leave_the_pool() {
     let mut policy = IntraOnly::new(m(), true);
     let report = exec.run_shared(&session, &[run], &mut policy, &[]).expect("a clean rerun");
     let want = ref_join(&cat, &[("fat", all), ("thin", all)]);
-    assert_eq!(result_multiset(&report.results[0].rows), want);
+    assert_eq!(oracle::key_counts(&report.results[0].rows.rows), want);
     assert_eq!((session.pinned_pages(), session.reserved_pages()), (0, 0));
 }
 
@@ -330,7 +322,7 @@ fn throttled_run_still_produces_correct_results() {
     let exec = Executor::new(ExecConfig::scaled(2000.0), cat.clone());
     let mut policy = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(m()));
     let report = exec.run(&[QueryRun { optimized, bindings }], &mut policy).expect("run failed");
-    let got = result_multiset(&report.results[0].rows);
+    let got = oracle::key_counts(&report.results[0].rows.rows);
     let want = ref_join(&cat, &[("fat", (i32::MIN, i32::MAX)), ("thin", (i32::MIN, i32::MAX))]);
     assert_eq!(got, want);
     assert!(report.wall > 0.0);

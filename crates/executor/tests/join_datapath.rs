@@ -1,7 +1,7 @@
 //! E2e regression for join materialization: every plan shape the compiler
 //! knows (hash join, deep probe chain, nestloop, key-domain merge, bushy)
 //! must return exactly the rows the naive single-threaded oracle computes
-//! (`common/oracle.rs`) — with the serial k-way merge a one-processor
+//! (`xprs_testkit::oracle`) — with the serial k-way merge a one-processor
 //! machine takes, with the pool-farmed merge the paper machine takes, and
 //! under a fault plan that kills a worker mid-build.
 //!
@@ -19,9 +19,7 @@ use xprs_optimizer::{decompose, OptimizedQuery, Plan};
 use xprs_scheduler::intra::IntraOnly;
 use xprs_scheduler::MachineConfig;
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
-
-#[path = "common/oracle.rs"]
-mod oracle;
+use xprs_testkit::oracle;
 
 fn lcg(seed: &mut u64) -> u64 {
     *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);

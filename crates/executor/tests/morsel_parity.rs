@@ -3,7 +3,7 @@
 //! dealt over eight backends or two — fault-free, and with a worker killed
 //! mid-scan so the dead worker's reclamation path is on the
 //! byte-identity critical path too. Every run is additionally held against
-//! the naive oracle (`common/oracle.rs`), so a bug the deals share cannot
+//! the naive oracle (`xprs_testkit::oracle`), so a bug the deals share cannot
 //! hide behind their agreement. (The §2.4 static shares these tests once
 //! compared against are retired; see `docs/results/scaling.md`. One-unit
 //! morsels, the maximum steal traffic, are `steal_proptest`'s.)
@@ -20,9 +20,7 @@ use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::intra::IntraOnly;
 use xprs_scheduler::MachineConfig;
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
-
-#[path = "common/oracle.rs"]
-mod oracle;
+use xprs_testkit::oracle;
 
 fn lcg(seed: &mut u64) -> u64 {
     *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);

@@ -17,6 +17,7 @@ use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::MachineConfig;
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
+use xprs_testkit::oracle;
 
 /// Tuples of `big`, ten to a page: an 800-page IO-bound scan.
 const BIG_TUPLES: u64 = 8_000;
@@ -107,6 +108,9 @@ fn a_fault_plan_set_through_the_field_still_replaces_a_dead_worker() {
     assert_eq!(report.worker_recoveries, plan.stats().deaths_fired(), "one replacement per death");
     assert_eq!(report.results[0].rows.rows, baseline.results[0].rows.rows);
     assert!(!report.results[0].rows.rows.is_empty(), "vacuous comparison");
+    let run = scan(&cat, "big");
+    let want = oracle::eval(&cat, &run.optimized.plan, &run.bindings);
+    oracle::assert_matches("recovered scan", &report.results[0].rows.rows, &want);
 }
 
 /// Two joins share a session whose pool holds one build but not two. The

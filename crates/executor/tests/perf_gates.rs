@@ -30,15 +30,9 @@ use xprs_workload::{
     generate_disk_resident, generate_zipf_join, DiskResidentSpec, DiskResidentWorkload,
     ZipfJoinSpec,
 };
-
-#[path = "common/pinned.rs"]
-mod pinned;
-#[path = "common/policies.rs"]
-mod policies;
-#[path = "common/wrong_joins.rs"]
-mod wrong_joins;
-use pinned::pinned_plan;
-use policies::{FixedParallelism, StartAll};
+use xprs_testkit::pinned::pinned_plan;
+use xprs_testkit::policies::{FixedParallelism, StartAll};
+use xprs_testkit::wrong_joins;
 
 /// Buffer-pool frames of every disk-resident run.
 const POOL_PAGES: usize = 64;

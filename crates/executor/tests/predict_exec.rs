@@ -20,9 +20,7 @@ use xprs_scheduler::trace::{
 };
 use xprs_scheduler::{IoKind, MachineConfig, TaskId, TaskProfile};
 use xprs_storage::{Catalog, Datum, Schema, Tuple, PAGE_SIZE};
-
-#[path = "common/wrong_joins.rs"]
-mod wrong_joins;
+use xprs_testkit::{oracle, wrong_joins};
 
 /// Wall-clock speedup of the throttled runs; observations only train the
 /// model when the executor runs on a (scaled) clock. Kept low enough that
@@ -196,9 +194,15 @@ fn concurrent_joins_declared_wrong_are_learned_without_changing_an_answer() {
     let rows = |r: &ExecReport| r.results.iter().map(|q| q.rows.rows.len()).sum::<usize>();
     let want = rows(&declared[0].0);
     assert!(want > 0, "vacuous joins");
+    let answers: Vec<_> =
+        runs.iter().map(|q| oracle::eval(&cat, &q.optimized.plan, &q.bindings)).collect();
     for (mode, reps) in [("declared", &declared), ("predicted", &predicted)] {
         for (i, (r, _)) in reps.iter().enumerate() {
             assert_eq!(rows(r), want, "{mode} rep {i}: prediction changed an answer");
+            for (q, answer) in answers.iter().enumerate() {
+                let label = format!("{mode} rep {i} query {q}");
+                oracle::assert_matches(&label, &r.results[q].rows.rows, answer);
+            }
             assert_eq!(r.mem_granted_pages, r.mem_released_pages, "{mode} rep {i}: grant ledger");
             assert_eq!(r.pool_pinned_at_exit, 0, "{mode} rep {i}: pages pinned at exit");
         }

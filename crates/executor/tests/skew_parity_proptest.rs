@@ -12,7 +12,7 @@
 //! (serial merge on a one-processor machine, the paper machine's
 //! pool-farmed merge with hot-key fan-out, work-stealing with a worker
 //! death mid-run) and demands the naive
-//! oracle's rows (`common/oracle.rs`), with the observability counters
+//! oracle's rows (`xprs_testkit::oracle`), with the observability counters
 //! proving the heavy-hitter fan-out actually engaged rather than
 //! vacuously passing.
 
@@ -27,14 +27,8 @@ use xprs_optimizer::{OptimizedQuery, Plan};
 use xprs_scheduler::intra::IntraOnly;
 use xprs_storage::{merge_runs, split_runs_stats, Catalog, Datum, Schema, Tuple};
 use xprs_workload::zipf_keys;
-
-#[path = "common/hash_reference.rs"]
-mod hash_reference;
-#[path = "common/oracle.rs"]
-mod oracle;
-#[path = "common/pinned.rs"]
-mod pinned;
-use hash_reference::HashReference;
+use xprs_testkit::hash_reference::HashReference;
+use xprs_testkit::{oracle, pinned};
 
 /// Order-sensitive digest over the whole row vector, payloads included.
 fn digest(rows: &[(i32, Tuple)]) -> u64 {

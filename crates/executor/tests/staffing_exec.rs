@@ -19,12 +19,8 @@ use xprs_executor::{
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::MachineConfig;
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
-
-#[path = "common/oracle.rs"]
-mod oracle;
-#[path = "common/policies.rs"]
-mod policies;
-use policies::StartAll;
+use xprs_testkit::oracle;
+use xprs_testkit::policies::StartAll;
 
 fn lcg(seed: &mut u64) -> u64 {
     *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);

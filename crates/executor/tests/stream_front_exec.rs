@@ -18,12 +18,10 @@ use xprs_executor::{
     ExecConfig, ExecReport, Executor, QueryRun, RelBinding, DEFAULT_MORSEL_UNITS,
 };
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
-use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy};
-use xprs_scheduler::{MachineConfig, TaskId, TaskProfile};
+use xprs_scheduler::MachineConfig;
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
-
-#[path = "common/oracle.rs"]
-mod oracle;
+use xprs_testkit::oracle;
+use xprs_testkit::policies::GrowOnce;
 
 /// Seeks beyond the cold ones a fixed-x scan may pay: a backend woken late
 /// reads the rest of its morsel behind the front. Measured at 0 over 30
@@ -83,55 +81,6 @@ fn scan_run(cat: &Arc<Catalog>, name: &str) -> QueryRun {
     }
 }
 
-/// Starts query 0 at `x` and any other query at 1. Once a query other than
-/// 0 finishes, query 0 is adjusted to `grow_to`, if given — the one
-/// adjustment of the run.
-struct FixedX {
-    machine: MachineConfig,
-    x: u32,
-    grow_to: Option<u32>,
-    pending: Vec<TaskId>,
-    grow_now: bool,
-}
-
-impl FixedX {
-    fn new(x: u32, grow_to: Option<u32>) -> Self {
-        FixedX { machine: m(), x, grow_to, pending: Vec::new(), grow_now: false }
-    }
-}
-
-impl SchedulePolicy for FixedX {
-    fn name(&self) -> &'static str {
-        "FIXED-X"
-    }
-    fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
-    fn on_arrival(&mut self, _now: f64, task: TaskProfile) {
-        self.pending.push(task.id);
-    }
-    fn on_finish(&mut self, _now: f64, id: TaskId) {
-        self.grow_now |= id.0 >> 32 != 0;
-    }
-    fn decide(&mut self, _now: f64, running: &[RunningTask]) -> Vec<Action> {
-        let mut actions: Vec<Action> = self
-            .pending
-            .drain(..)
-            .map(|id| {
-                let x = if id.0 >> 32 == 0 { self.x } else { 1 };
-                Action::Start { id, parallelism: f64::from(x) }
-            })
-            .collect();
-        if std::mem::take(&mut self.grow_now) {
-            let scan = running.iter().find(|r| r.profile.id.0 >> 32 == 0);
-            if let (Some(r), Some(to)) = (scan, self.grow_to) {
-                actions.push(Action::Adjust { id: r.profile.id, parallelism: f64::from(to) });
-            }
-        }
-        actions
-    }
-}
-
 fn cfg() -> ExecConfig {
     // Room for both relations: the tick scan's pages stay cached.
     ExecConfig { bufpool_pages: 2_048, ..ExecConfig::scaled(20.0) }
@@ -156,7 +105,7 @@ fn a_widely_staffed_scan_pays_only_the_cold_seeks() {
     assert_eq!(cat.get("big").expect("big").heap.n_blocks(), 800);
     for x in [4, 8] {
         let report = Executor::new(cfg(), cat.clone())
-            .run(std::slice::from_ref(&run), &mut FixedX::new(x, None))
+            .run(std::slice::from_ref(&run), &mut GrowOnce::new(m(), f64::from(x)))
             .expect("run");
         let scan = &report.profiles[0].fragments[0];
         assert!(scan.backends > x, "x = {x} must be staffed past x: {}", scan.backends);
@@ -176,12 +125,13 @@ fn a_scan_grown_mid_run_keeps_one_front() {
     let session = exec.session();
     // Warm the pool with `tick`: in the measured run it reads nothing from
     // disk, and its finish is the clock that grows the scan.
-    exec.run_shared(&session, &runs[1..], &mut FixedX::new(1, None), &[]).expect("warm-up");
+    exec.run_shared(&session, &runs[1..], &mut GrowOnce::new(m(), 1.0), &[]).expect("warm-up");
     let disk = session.machine().disk_class_total();
     let before = disk.count_of(ServiceClass::Random);
     let cold = disk.total_count();
-    let report =
-        exec.run_shared(&session, &runs, &mut FixedX::new(1, Some(4)), &[]).expect("run");
+    // The scan arrives first and starts at 1; `tick`'s finish grows it to 4.
+    let mut grow = GrowOnce::new(m(), 1.0).growing_to(4.0, 1);
+    let report = exec.run_shared(&session, &runs, &mut grow, &[]).expect("run");
 
     let scan = &report.profiles[0].fragments[0];
     assert_eq!((scan.adjusts, scan.parallelism), (1, 4), "the scan was grown once, to x = 4");

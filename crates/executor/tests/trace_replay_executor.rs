@@ -1,8 +1,10 @@
 //! Capture a structured decision trace from the *threaded* executor and
 //! re-execute it against the analytic fluid model: the replay must derive
 //! the identical whole-worker action sequence. Also exercises the typed
-//! error path for misbehaving policies — the run returns `ExecError::Sched`
-//! with every worker drained instead of panicking or hanging.
+//! error path for misbehaving policies (the kit's scripted `Flipper` and
+//! `Rogue`) — the run returns `ExecError::Sched` with every worker drained
+//! instead of panicking or hanging. The root `tests/fixpoint_drivers.rs`
+//! holds the same misdeeds to one answer on all three drivers.
 
 use std::sync::{Arc, Mutex};
 
@@ -10,13 +12,14 @@ use xprs_disk::StripedLayout;
 use xprs_executor::{ExecConfig, ExecError, ExecReport, Executor, QueryRun, RelBinding};
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
-use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy, FIXPOINT_ROUNDS};
+use xprs_scheduler::policy::FIXPOINT_ROUNDS;
 use xprs_scheduler::trace::{
     action_signature, action_stream, parse_jsonl, replay_through_fluid, to_jsonl, RingSink,
     TraceRecord,
 };
-use xprs_scheduler::{MachineConfig, SchedError, TaskId, TaskProfile};
+use xprs_scheduler::{MachineConfig, SchedError, TaskId};
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
+use xprs_testkit::policies::{Flipper, Misdeed, Rogue};
 
 fn lcg(seed: &mut u64) -> u64 {
     *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -160,41 +163,11 @@ fn trace_speaks_policy_parallelism_not_backends() {
 /// recorded for `wide` + `slim` under INTER-WITH-ADJ.
 const PARENT_SIGNATURE: [(u64, bool, u32); 3] = [(0, true, 2), (1, true, 6), (1, false, 8)];
 
-/// A policy that flip-flops an Adjust forever: the executor must detect the
-/// divergence, drain its workers, and return a typed error.
-struct NeverSettles {
-    machine: MachineConfig,
-    started: Vec<TaskId>,
-    flip: bool,
-}
-
-impl SchedulePolicy for NeverSettles {
-    fn name(&self) -> &'static str {
-        "NEVER-SETTLES"
-    }
-    fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
-    fn on_arrival(&mut self, _now: f64, task: TaskProfile) {
-        self.started.push(task.id);
-    }
-    fn on_finish(&mut self, _now: f64, _id: TaskId) {}
-    fn decide(&mut self, _now: f64, running: &[RunningTask]) -> Vec<Action> {
-        if let Some(id) = self.started.pop() {
-            return vec![Action::Start { id, parallelism: 1.0 }];
-        }
-        let Some(r) = running.first() else { return vec![] };
-        self.flip = !self.flip;
-        let x = if self.flip { 2.0 } else { 3.0 };
-        vec![Action::Adjust { id: r.profile.id, parallelism: x }]
-    }
-}
-
 #[test]
 fn diverging_policy_surfaces_as_sched_error_with_drained_backends() {
     let cat = catalog();
     let runs = vec![full_scan_run(&cat, "slim")];
-    let mut policy = NeverSettles { machine: m(), started: Vec::new(), flip: false };
+    let mut policy = Flipper::new(FIXPOINT_ROUNDS + 1);
     // Returning at all proves the drain: a leaked worker set would leave the
     // run blocked on the completion channel.
     let err = Executor::new(ExecConfig::unthrottled(), cat.clone())
@@ -204,7 +177,7 @@ fn diverging_policy_surfaces_as_sched_error_with_drained_backends() {
         ExecError::Sched { source, completed, total } => {
             assert_eq!(
                 source,
-                SchedError::FixpointDiverged { policy: "NEVER-SETTLES", rounds: FIXPOINT_ROUNDS }
+                SchedError::FixpointDiverged { policy: "FLIPPER", rounds: FIXPOINT_ROUNDS }
             );
             assert_eq!((completed, total), (0, 1));
         }
@@ -212,35 +185,11 @@ fn diverging_policy_surfaces_as_sched_error_with_drained_backends() {
     }
 }
 
-/// A policy that starts a task the executor never announced.
-struct RogueStart {
-    machine: MachineConfig,
-    fired: bool,
-}
-
-impl SchedulePolicy for RogueStart {
-    fn name(&self) -> &'static str {
-        "ROGUE-START"
-    }
-    fn machine(&self) -> &MachineConfig {
-        &self.machine
-    }
-    fn on_arrival(&mut self, _now: f64, _task: TaskProfile) {}
-    fn on_finish(&mut self, _now: f64, _id: TaskId) {}
-    fn decide(&mut self, _now: f64, _running: &[RunningTask]) -> Vec<Action> {
-        if self.fired {
-            return vec![];
-        }
-        self.fired = true;
-        vec![Action::Start { id: TaskId(0xDEAD), parallelism: 1.0 }]
-    }
-}
-
 #[test]
 fn unknown_task_reference_surfaces_as_sched_error() {
     let cat = catalog();
     let runs = vec![full_scan_run(&cat, "slim")];
-    let mut policy = RogueStart { machine: m(), fired: false };
+    let mut policy = Rogue::new(Misdeed::StartUnannounced(TaskId(0xDEAD)));
     let err = Executor::new(ExecConfig::unthrottled(), cat.clone())
         .run(&runs, &mut policy)
         .expect_err("unknown task must surface");
@@ -253,39 +202,20 @@ fn unknown_task_reference_surfaces_as_sched_error() {
     );
 }
 
-/// A policy that never starts anything: the executor must detect the wedge
-/// instead of blocking on the completion channel forever.
-struct DoNothing(MachineConfig);
-
-impl SchedulePolicy for DoNothing {
-    fn name(&self) -> &'static str {
-        "DO-NOTHING"
-    }
-    fn machine(&self) -> &MachineConfig {
-        &self.0
-    }
-    fn on_arrival(&mut self, _now: f64, _task: TaskProfile) {}
-    fn on_finish(&mut self, _now: f64, _id: TaskId) {}
-    fn decide(&mut self, _now: f64, _running: &[RunningTask]) -> Vec<Action> {
-        vec![]
-    }
-}
-
 #[test]
 fn wedged_policy_surfaces_instead_of_hanging() {
+    // A policy that never starts anything: the executor must detect the
+    // wedge instead of blocking on the completion channel forever.
     let cat = catalog();
     let runs = vec![full_scan_run(&cat, "wide")];
-    let mut policy = DoNothing(m());
+    let mut policy = Rogue::new(Misdeed::Idle);
     let err = Executor::new(ExecConfig::unthrottled(), cat.clone())
         .run(&runs, &mut policy)
         .expect_err("wedge must surface");
     assert!(
         matches!(
             err,
-            ExecError::Sched {
-                source: SchedError::Wedged { policy: "DO-NOTHING", unfinished: 1 },
-                ..
-            }
+            ExecError::Sched { source: SchedError::Wedged { policy: "ROGUE", unfinished: 1 }, .. }
         ),
         "got {err}"
     );

@@ -423,7 +423,6 @@ mod tests {
     use crate::adaptive::{AdaptiveConfig, AdaptiveScheduler};
     use crate::estimate::t_intra;
     use crate::intra::IntraOnly;
-    use crate::policy::FIXPOINT_ROUNDS;
     use crate::task::IoKind;
 
     fn m() -> MachineConfig {
@@ -579,48 +578,39 @@ mod tests {
         assert!((res.mean_response_time(&releases) - 1.5).abs() < 1e-6);
     }
 
-    /// A policy that starts a task the driver was never told about.
-    struct RogueStart(MachineConfig);
-    impl SchedulePolicy for RogueStart {
-        fn name(&self) -> &'static str {
-            "ROGUE-START"
-        }
-        fn machine(&self) -> &MachineConfig {
-            &self.0
-        }
-        fn on_arrival(&mut self, _now: f64, _task: TaskProfile) {}
-        fn on_finish(&mut self, _now: f64, _task: TaskId) {}
-        fn decide(&mut self, _now: f64, running: &[RunningTask]) -> Vec<Action> {
-            if running.is_empty() {
-                vec![Action::Start { id: TaskId(999), parallelism: 1.0 }]
-            } else {
-                vec![]
-            }
-        }
+    /// INTRA-ONLY told of task 999 before the run: its first decide starts a
+    /// task the driver never announced. (This crate's unit tests cannot link
+    /// the shared kit's `Rogue`, which the root `tests/fixpoint_drivers.rs`
+    /// holds to the same answer on all three drivers.)
+    fn out_of_sync_intra() -> IntraOnly {
+        let mut p = IntraOnly::new(m(), false);
+        p.on_arrival(0.0, seq(999, 10.0, 10.0));
+        p
     }
 
-    /// A policy that re-adjusts forever: never reaches a fixpoint.
-    struct NeverSettles {
-        m: MachineConfig,
-        started: bool,
-        flip: f64,
+    #[test]
+    fn unknown_task_is_a_typed_error_not_a_panic() {
+        let mut p = out_of_sync_intra();
+        let err = FluidSim::new(m()).run(&mut p, &[seq(0, 10.0, 10.0)]).unwrap_err();
+        assert_eq!(err, SchedError::UnknownTask { task: TaskId(999) });
     }
-    impl SchedulePolicy for NeverSettles {
-        fn name(&self) -> &'static str {
-            "NEVER-SETTLES"
-        }
-        fn machine(&self) -> &MachineConfig {
-            &self.m
-        }
-        fn on_arrival(&mut self, _now: f64, _task: TaskProfile) {}
-        fn on_finish(&mut self, _now: f64, _task: TaskId) {}
-        fn decide(&mut self, _now: f64, _running: &[RunningTask]) -> Vec<Action> {
-            if !self.started {
-                self.started = true;
-                return vec![Action::Start { id: TaskId(0), parallelism: 1.0 }];
-            }
-            self.flip = if self.flip == 1.0 { 2.0 } else { 1.0 };
-            vec![Action::Adjust { id: TaskId(0), parallelism: self.flip }]
+
+    #[test]
+    fn error_paths_record_a_trace_error_record() {
+        use crate::trace::RingSink;
+        use std::sync::{Arc, Mutex};
+        let ring = Arc::new(Mutex::new(RingSink::unbounded()));
+        let sink: crate::trace::SharedSink = ring.clone();
+        let mut p = out_of_sync_intra();
+        let err = FluidSim::new(m())
+            .with_sink(sink)
+            .run(&mut p, &[seq(0, 10.0, 10.0)])
+            .unwrap_err();
+        let records = ring.lock().unwrap().records();
+        let last = records.last().expect("trace is non-empty");
+        match last {
+            TraceRecord::Error { message, .. } => assert_eq!(message, &err.to_string()),
+            other => panic!("expected a trailing Error record, got {other:?}"),
         }
     }
 
@@ -650,42 +640,6 @@ mod tests {
             .map(|(_, a)| a.parallelism())
             .collect();
         assert_eq!(starts, vec![4.0, 2.0], "second start must plan against the degraded machine");
-    }
-
-    #[test]
-    fn unknown_task_is_a_typed_error_not_a_panic() {
-        let mut p = RogueStart(m());
-        let err = FluidSim::new(m()).run(&mut p, &[seq(0, 10.0, 10.0)]).unwrap_err();
-        assert_eq!(err, SchedError::UnknownTask { task: TaskId(999) });
-    }
-
-    #[test]
-    fn diverging_policy_is_a_typed_error_not_a_hang() {
-        let mut p = NeverSettles { m: m(), started: false, flip: 1.0 };
-        let err = FluidSim::new(m()).run(&mut p, &[seq(0, 10.0, 10.0)]).unwrap_err();
-        assert_eq!(
-            err,
-            SchedError::FixpointDiverged { policy: "NEVER-SETTLES", rounds: FIXPOINT_ROUNDS }
-        );
-    }
-
-    #[test]
-    fn error_paths_record_a_trace_error_record() {
-        use crate::trace::RingSink;
-        use std::sync::{Arc, Mutex};
-        let ring = Arc::new(Mutex::new(RingSink::unbounded()));
-        let sink: crate::trace::SharedSink = ring.clone();
-        let mut p = RogueStart(m());
-        let err = FluidSim::new(m())
-            .with_sink(sink)
-            .run(&mut p, &[seq(0, 10.0, 10.0)])
-            .unwrap_err();
-        let records = ring.lock().unwrap().records();
-        let last = records.last().expect("trace is non-empty");
-        match last {
-            TraceRecord::Error { message, .. } => assert_eq!(message, &err.to_string()),
-            other => panic!("expected a trailing Error record, got {other:?}"),
-        }
     }
 
     #[test]

@@ -11,10 +11,7 @@ use xprs_scheduler::fluid::FluidSim;
 use xprs_scheduler::policy::{decide_fixpoint, Action, RunningTask, SchedulePolicy, FIXPOINT_ROUNDS};
 use xprs_scheduler::trace::{RingSink, SharedSink, TraceRecord};
 use xprs_scheduler::{IoKind, MachineConfig, SchedError, TaskId, TaskProfile};
-
-#[path = "common/flipper.rs"]
-mod flipper;
-use flipper::Flipper;
+use xprs_testkit::policies::Flipper;
 
 fn task() -> TaskProfile {
     TaskProfile::new(TaskId(0), 10.0, 10.0, IoKind::Sequential)

@@ -582,6 +582,7 @@ mod tests {
     use xprs_scheduler::intra::IntraOnly;
     use xprs_scheduler::policy::FIXPOINT_ROUNDS;
     use xprs_scheduler::{IoKind, TaskId, TaskProfile};
+    use xprs_testkit::policies::{Flipper, GrowOnce, Misdeed, Rogue};
 
     fn cfg() -> SimConfig {
         SimConfig::paper_default()
@@ -703,93 +704,18 @@ mod tests {
         assert!(dsk > 0.0 && dsk <= 1.0, "disk utilization {dsk}");
     }
 
-    /// A policy that always emits an Adjust — it can never reach a fixpoint.
-    struct NeverSettles {
-        machine: MachineConfig,
-        started: bool,
-        flip: bool,
-    }
-
-    impl SchedulePolicy for NeverSettles {
-        fn name(&self) -> &'static str {
-            "NEVER-SETTLES"
-        }
-        fn machine(&self) -> &MachineConfig {
-            &self.machine
-        }
-        fn on_arrival(&mut self, _now: f64, _task: TaskProfile) {}
-        fn on_finish(&mut self, _now: f64, _id: TaskId) {}
-        fn decide(&mut self, _now: f64, _running: &[RunningTask]) -> Vec<Action> {
-            if !self.started {
-                self.started = true;
-                return vec![Action::Start { id: TaskId(0), parallelism: 1.0 }];
-            }
-            self.flip = !self.flip;
-            let x = if self.flip { 2.0 } else { 3.0 };
-            vec![Action::Adjust { id: TaskId(0), parallelism: x }]
-        }
-    }
-
-    /// A policy that starts a task the driver never heard of.
-    struct RogueStart {
-        machine: MachineConfig,
-        done: bool,
-    }
-
-    impl SchedulePolicy for RogueStart {
-        fn name(&self) -> &'static str {
-            "ROGUE-START"
-        }
-        fn machine(&self) -> &MachineConfig {
-            &self.machine
-        }
-        fn on_arrival(&mut self, _now: f64, _task: TaskProfile) {}
-        fn on_finish(&mut self, _now: f64, _id: TaskId) {}
-        fn decide(&mut self, _now: f64, _running: &[RunningTask]) -> Vec<Action> {
-            if self.done {
-                return vec![];
-            }
-            self.done = true;
-            vec![Action::Start { id: TaskId(999), parallelism: 1.0 }]
-        }
-    }
-
-    /// A policy that starts the same task twice in one decision batch.
-    struct DoubleStart {
-        machine: MachineConfig,
-        done: bool,
-    }
-
-    impl SchedulePolicy for DoubleStart {
-        fn name(&self) -> &'static str {
-            "DOUBLE-START"
-        }
-        fn machine(&self) -> &MachineConfig {
-            &self.machine
-        }
-        fn on_arrival(&mut self, _now: f64, _task: TaskProfile) {}
-        fn on_finish(&mut self, _now: f64, _id: TaskId) {}
-        fn decide(&mut self, _now: f64, _running: &[RunningTask]) -> Vec<Action> {
-            if self.done {
-                return vec![];
-            }
-            self.done = true;
-            vec![
-                Action::Start { id: TaskId(0), parallelism: 1.0 },
-                Action::Start { id: TaskId(0), parallelism: 2.0 },
-            ]
-        }
-    }
+    // The DES's own misbehaviour answers. The root `tests/fixpoint_drivers.rs`
+    // holds the same misdeeds to one answer on all three drivers.
 
     #[test]
     fn diverging_policy_is_a_typed_error_with_partial_stats() {
-        let mut policy = NeverSettles { machine: cfg().machine, started: false, flip: false };
+        let mut policy = Flipper::new(FIXPOINT_ROUNDS + 1);
         let err = Simulator::new(cfg())
             .run(&mut policy, &[(seq_task(0, 5.0, 40.0), 0.0)])
             .expect_err("divergence must surface");
         assert_eq!(
             err.source,
-            SchedError::FixpointDiverged { policy: "NEVER-SETTLES", rounds: FIXPOINT_ROUNDS }
+            SchedError::FixpointDiverged { policy: "FLIPPER", rounds: FIXPOINT_ROUNDS }
         );
         // Partial stats are still usable: the failure instant and task table.
         assert_eq!(err.partial.task_times.len(), 1);
@@ -798,7 +724,7 @@ mod tests {
 
     #[test]
     fn unknown_task_reference_is_a_typed_error() {
-        let mut policy = RogueStart { machine: cfg().machine, done: false };
+        let mut policy = Rogue::new(Misdeed::StartUnannounced(TaskId(999)));
         let err = Simulator::new(cfg())
             .run(&mut policy, &[(seq_task(0, 5.0, 40.0), 0.0)])
             .expect_err("unknown task must surface");
@@ -807,7 +733,7 @@ mod tests {
 
     #[test]
     fn double_start_is_a_typed_error() {
-        let mut policy = DoubleStart { machine: cfg().machine, done: false };
+        let mut policy = Rogue::new(Misdeed::StartTwice);
         let err = Simulator::new(cfg())
             .run(&mut policy, &[(seq_task(0, 5.0, 40.0), 0.0)])
             .expect_err("double start must surface");
@@ -816,26 +742,11 @@ mod tests {
 
     #[test]
     fn wedged_policy_is_a_typed_error() {
-        /// Never starts anything at all.
-        struct DoNothing(MachineConfig);
-        impl SchedulePolicy for DoNothing {
-            fn name(&self) -> &'static str {
-                "DO-NOTHING"
-            }
-            fn machine(&self) -> &MachineConfig {
-                &self.0
-            }
-            fn on_arrival(&mut self, _now: f64, _task: TaskProfile) {}
-            fn on_finish(&mut self, _now: f64, _id: TaskId) {}
-            fn decide(&mut self, _now: f64, _running: &[RunningTask]) -> Vec<Action> {
-                vec![]
-            }
-        }
-        let mut policy = DoNothing(cfg().machine);
+        let mut policy = Rogue::new(Misdeed::Idle);
         let err = Simulator::new(cfg())
             .run(&mut policy, &[(seq_task(0, 5.0, 40.0), 0.0)])
             .expect_err("wedge must surface");
-        assert_eq!(err.source, SchedError::Wedged { policy: "DO-NOTHING", unfinished: 1 });
+        assert_eq!(err.source, SchedError::Wedged { policy: "ROGUE", unfinished: 1 });
     }
 
     #[test]
@@ -885,39 +796,10 @@ mod tests {
         assert!(records.iter().any(|r| matches!(r, TraceRecord::Candidate { .. })));
     }
 
-    /// Starts every task at `x`, then asks once for `grow_to`, which lands
-    /// after the config's `adjust_latency`.
-    struct FixedX {
-        machine: MachineConfig,
-        x: f64,
-        grow_to: Option<f64>,
-        started: bool,
-    }
-
-    impl SchedulePolicy for FixedX {
-        fn name(&self) -> &'static str {
-            "FIXED-X"
-        }
-        fn machine(&self) -> &MachineConfig {
-            &self.machine
-        }
-        fn on_arrival(&mut self, _now: f64, _task: TaskProfile) {}
-        fn on_finish(&mut self, _now: f64, _id: TaskId) {}
-        fn decide(&mut self, _now: f64, running: &[RunningTask]) -> Vec<Action> {
-            if !std::mem::replace(&mut self.started, true) {
-                return vec![Action::Start { id: TaskId(0), parallelism: self.x }];
-            }
-            match (running.first(), self.grow_to.take()) {
-                (Some(r), Some(x)) => vec![Action::Adjust { id: r.profile.id, parallelism: x }],
-                _ => vec![],
-            }
-        }
-    }
-
     /// Random reads of an 800-page IO-bound scan run under `policy`, its
     /// elapsed time and every read it served, after checking that it read
     /// every page exactly once.
-    fn scan_random_reads(c: SimConfig, mut policy: FixedX) -> (u64, f64, Vec<(f64, u64, ServiceClass)>) {
+    fn scan_random_reads(c: SimConfig, mut policy: GrowOnce) -> (u64, f64, Vec<(f64, u64, ServiceClass)>) {
         let task = seq_task(0, 10.0, 80.0);
         assert_eq!(task.n_ios, 800);
         let mut run = Simulator::new(c).prepare(&mut policy, &[(task, 0.0)]);
@@ -937,8 +819,7 @@ mod tests {
         const TOLERANCE: u64 = 4;
         let disks = u64::from(cfg().machine.n_disks);
         for x in [4.0, 8.0] {
-            let (random, _, _) =
-                scan_random_reads(cfg(), FixedX { machine: cfg().machine, x, grow_to: None, started: false });
+            let (random, _, _) = scan_random_reads(cfg(), GrowOnce::new(cfg().machine, x));
             assert!(random <= disks + TOLERANCE, "x = {x}: {random} random reads");
         }
         // Grow from 1 to 4 after a third of the pages. The grow is decided
@@ -950,8 +831,7 @@ mod tests {
         // 2.3 s, so the grow lands at 3.33 / 5.65 ≈ 0.59 of the scan's time.
         let mut c = cfg();
         c.adjust_latency = 800.0 / 80.0 / 3.0;
-        let policy =
-            FixedX { machine: c.machine.clone(), x: 1.0, grow_to: Some(4.0), started: false };
+        let policy = GrowOnce::new(c.machine.clone(), 1.0).growing_to(4.0, 0);
         let latency = c.adjust_latency;
         let (random, elapsed, reads) = scan_random_reads(c, policy);
         let share = latency / elapsed;

@@ -1,8 +1,6 @@
 //! Test-only reference for the `Materialized` builders: one stable sort of
 //! the whole input plus a key → row-positions hash map. It shares no code
 //! with the sorted-runs merge or the CSR index it is held against.
-//!
-//! Included via `#[path = "common/hash_reference.rs"] mod hash_reference;`.
 
 use std::collections::HashMap;
 

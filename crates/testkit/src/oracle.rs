@@ -12,10 +12,6 @@
 //! only the per-key *cardinalities* of a natural join as a product of
 //! per-relation selection counts. The oracle's self-check holds the two
 //! against each other so neither can drift unnoticed.
-//!
-//! Included per test binary via `#[path = "common/oracle.rs"] mod oracle;`
-//! — each binary uses a different subset, hence the `dead_code` allowance.
-#![allow(dead_code)]
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -99,7 +95,7 @@ fn cmp_rows(a: &Row, b: &Row) -> Ordering {
     a.0.cmp(&b.0).then_with(|| a.1.values().iter().map(rank).cmp(b.1.values().iter().map(rank)))
 }
 
-/// `rows` in canonical order (see [`cmp_rows`]).
+/// `rows` in canonical order (by key, then field by field: `cmp_rows`).
 pub fn canonical(mut rows: Vec<Row>) -> Vec<Row> {
     rows.sort_by(cmp_rows);
     rows

@@ -1,7 +1,5 @@
 //! Test-only plan pinning: cost and decompose a hand-written plan as given,
 //! so the optimizer cannot reshape the join a test measures.
-//!
-//! Included per test binary via `#[path = "common/pinned.rs"] mod pinned;`.
 
 use xprs_optimizer::cost::{CostModel, RelInfo};
 use xprs_optimizer::{decompose, OptimizedQuery, Plan};

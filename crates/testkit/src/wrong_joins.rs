@@ -5,10 +5,8 @@
 //! CPU-bound and vice versa); footprints are over-declared on the first
 //! three queries, which stalls declared-mode admission, and under-declared
 //! on the last, which plants footprint overruns a predictor must learn
-//! away. Each build is ~16 heap pages, a quarter of the [`POOL_PAGES`]
+//! away. Each build is ~16 heap pages, a quarter of the `POOL_PAGES`
 //! pool, so four right-sized builds admit together.
-//!
-//! Included per test binary via `#[path = "common/wrong_joins.rs"] mod wrong_joins;`.
 
 use std::sync::{Arc, Mutex};
 
@@ -37,7 +35,7 @@ fn lcg(seed: &mut u64) -> u64 {
     *seed >> 33
 }
 
-/// [`N_QUERIES`] indexed `build_i` / `probe_i` pairs of IO-heavy rows.
+/// `N_QUERIES` indexed `build_i` / `probe_i` pairs of IO-heavy rows.
 pub fn catalog(seed: u64) -> Arc<Catalog> {
     let mut cat = Catalog::new(StripedLayout::new(4));
     let mut s = seed;

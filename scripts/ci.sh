@@ -84,6 +84,16 @@ if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|mors
     exit 1
 fi
 
+# One test kit: support code more than one test binary uses (the answer
+# oracle, pinned plans, the scripted policies) lives in the dev-only
+# `crates/testkit`. A `#[path]` include compiles a private copy into each
+# binary, and copies drift apart, so none may come back.
+echo "==> no #[path] includes in tests or examples"
+if grep -rn '#\[path' crates/*/tests tests examples; then
+    echo "share test support through xprs-testkit, not a #[path] include" >&2
+    exit 1
+fi
+
 # One plan cut: `xprs_optimizer::fragment::decompose` is the only walk that
 # cuts a plan into fragments, and each fragment carries its pipeline program.
 # The executor runs those programs as given, so outside test modules no
@@ -221,6 +231,11 @@ PROPTEST_SEED=7 cargo test -q -p xprs-executor --offline \
     --test chaos_exec --test chaos_proptest
 PROPTEST_SEED=7 cargo test -q -p xprs-executor --release --offline \
     --test chaos_exec --test chaos_proptest
+
+# Timing-sensitive tests, twenty runs each in release beside one busy loop per
+# CPU (the list and N live in the script).
+echo "==> stress (scripts/stress.sh)"
+bash scripts/stress.sh
 
 # The declared benchmark is a package of its own outside the workspace, so
 # nothing above compiles it: build it offline against the crates as they are

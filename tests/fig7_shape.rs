@@ -2,41 +2,27 @@
 //! Figure 7 must hold on both measurement engines, averaged over seeds.
 
 use xprs::{PolicyKind, XprsSystem};
-use xprs_workload::{WorkloadConfig, WorkloadGenerator, WorkloadKind};
+use xprs_bench::{des_elapsed, fluid_elapsed, mean};
+use xprs_workload::WorkloadKind;
 
 const SEEDS: [u64; 6] = [1, 2, 3, 5, 8, 13];
 
-fn mean_elapsed(
-    sys: &XprsSystem,
-    kind: WorkloadKind,
-    policy: PolicyKind,
-    des: bool,
-) -> f64 {
-    let sum: f64 = SEEDS
-        .iter()
-        .map(|&s| {
-            let tasks = WorkloadGenerator::new()
-                .generate(&WorkloadConfig::paper(kind, s))
-                .profiles();
-            if des {
-                sys.simulate(&tasks, policy).expect("sim").elapsed
-            } else {
-                sys.estimate(&tasks, policy).expect("fluid").elapsed
-            }
-        })
-        .sum();
-    sum / SEEDS.len() as f64
+/// One measurement engine: elapsed times of a workload × policy over seeds.
+type Engine = fn(&XprsSystem, WorkloadKind, PolicyKind, &[u64]) -> Vec<f64>;
+
+/// Mean elapsed time of `kind` × `policy` over [`SEEDS`] on `engine`.
+fn mean_elapsed(sys: &XprsSystem, kind: WorkloadKind, policy: PolicyKind, engine: Engine) -> f64 {
+    mean(&engine(sys, kind, policy, &SEEDS))
 }
 
-fn shapes(des: bool) {
+fn shapes(elapsed: Engine, engine: &str) {
     let sys = XprsSystem::paper_default();
-    let engine = if des { "DES" } else { "fluid" };
 
     // Uniform workloads: the three algorithms are essentially equal
     // (INTER-W/O-ADJ may pay a modest penalty for naive stacking).
     for kind in [WorkloadKind::AllCpu, WorkloadKind::AllIo] {
-        let intra = mean_elapsed(&sys, kind, PolicyKind::IntraOnly, des);
-        let adj = mean_elapsed(&sys, kind, PolicyKind::InterWithAdj, des);
+        let intra = mean_elapsed(&sys, kind, PolicyKind::IntraOnly, elapsed);
+        let adj = mean_elapsed(&sys, kind, PolicyKind::InterWithAdj, elapsed);
         assert!(
             (adj - intra).abs() / intra < 0.02,
             "{engine}/{}: WITH-ADJ must match INTRA-ONLY on a uniform workload ({adj} vs {intra})",
@@ -46,14 +32,14 @@ fn shapes(des: bool) {
 
     // Mixed workloads: WITH-ADJ clearly beats INTRA-ONLY on Extreme and is
     // at least as good on Random.
-    let intra_x = mean_elapsed(&sys, WorkloadKind::Extreme, PolicyKind::IntraOnly, des);
-    let adj_x = mean_elapsed(&sys, WorkloadKind::Extreme, PolicyKind::InterWithAdj, des);
+    let intra_x = mean_elapsed(&sys, WorkloadKind::Extreme, PolicyKind::IntraOnly, elapsed);
+    let adj_x = mean_elapsed(&sys, WorkloadKind::Extreme, PolicyKind::InterWithAdj, elapsed);
     assert!(
         adj_x < intra_x * 0.97,
         "{engine}/Extreme: WITH-ADJ must win clearly ({adj_x} vs {intra_x})"
     );
-    let intra_r = mean_elapsed(&sys, WorkloadKind::RandomMix, PolicyKind::IntraOnly, des);
-    let adj_r = mean_elapsed(&sys, WorkloadKind::RandomMix, PolicyKind::InterWithAdj, des);
+    let intra_r = mean_elapsed(&sys, WorkloadKind::RandomMix, PolicyKind::IntraOnly, elapsed);
+    let adj_r = mean_elapsed(&sys, WorkloadKind::RandomMix, PolicyKind::InterWithAdj, elapsed);
     assert!(
         adj_r <= intra_r * 1.01,
         "{engine}/Random: WITH-ADJ must not lose ({adj_r} vs {intra_r})"
@@ -63,15 +49,15 @@ fn shapes(des: bool) {
     // not competitive — it loses to WITH-ADJ everywhere and even to
     // INTRA-ONLY on the random mix.
     for kind in WorkloadKind::all() {
-        let noadj = mean_elapsed(&sys, kind, PolicyKind::InterWithoutAdj, des);
-        let adj = mean_elapsed(&sys, kind, PolicyKind::InterWithAdj, des);
+        let noadj = mean_elapsed(&sys, kind, PolicyKind::InterWithoutAdj, elapsed);
+        let adj = mean_elapsed(&sys, kind, PolicyKind::InterWithAdj, elapsed);
         assert!(
             adj <= noadj * 1.02,
             "{engine}/{}: WITHOUT-ADJ must not beat WITH-ADJ ({noadj} vs {adj})",
             kind.label()
         );
     }
-    let noadj_r = mean_elapsed(&sys, WorkloadKind::RandomMix, PolicyKind::InterWithoutAdj, des);
+    let noadj_r = mean_elapsed(&sys, WorkloadKind::RandomMix, PolicyKind::InterWithoutAdj, elapsed);
     assert!(
         noadj_r > intra_r * 1.05,
         "{engine}/Random: WITHOUT-ADJ should lose to INTRA-ONLY ({noadj_r} vs {intra_r})"
@@ -80,12 +66,12 @@ fn shapes(des: bool) {
 
 #[test]
 fn figure7_shape_holds_on_the_fluid_engine() {
-    shapes(false);
+    shapes(fluid_elapsed, "fluid");
 }
 
 #[test]
 fn figure7_shape_holds_on_the_des_engine() {
-    shapes(true);
+    shapes(des_elapsed, "DES");
 }
 
 #[test]
@@ -95,13 +81,15 @@ fn des_and_fluid_agree_on_the_winner_per_workload() {
         let fluid_best = PolicyKind::all()
             .into_iter()
             .min_by(|a, b| {
-                mean_elapsed(&sys, kind, *a, false).total_cmp(&mean_elapsed(&sys, kind, *b, false))
+                mean_elapsed(&sys, kind, *a, fluid_elapsed)
+                    .total_cmp(&mean_elapsed(&sys, kind, *b, fluid_elapsed))
             })
             .unwrap();
         let des_best = PolicyKind::all()
             .into_iter()
             .min_by(|a, b| {
-                mean_elapsed(&sys, kind, *a, true).total_cmp(&mean_elapsed(&sys, kind, *b, true))
+                mean_elapsed(&sys, kind, *a, des_elapsed)
+                    .total_cmp(&mean_elapsed(&sys, kind, *b, des_elapsed))
             })
             .unwrap();
         assert_eq!(
