@@ -62,7 +62,7 @@ pub(crate) const RECAL_MIN_REQUESTS: u64 = 64;
 /// Relative drift between a window's observed and modelled I/O rate that
 /// is still read as noise rather than degradation: only a drift of more
 /// than half the modelled bandwidth rebases the policy; deadlines and
-/// shedding absorb ordinary load (DESIGN.md §15.4).
+/// shedding absorb ordinary load (DESIGN.md §7.8).
 pub(crate) const RECAL_BAND: f64 = 0.5;
 
 /// Largest fractional change one recalibration window may apply to the

@@ -94,10 +94,10 @@ impl Executor {
             StealPartition::new(total_units, DEFAULT_MORSEL_UNITS, n_backends, gid as u64);
         // Whole-page units are striped blocks (`unit % n_disks` = home
         // disk): deal them at the grain that keeps every backend inside the
-        // disks' reorder window, and steal disk-affine so a rescue steal
-        // doesn't degrade two disks' service class. Key-space and sliced
-        // fragments have no unit→disk mapping: they keep the default grain
-        // and steal blind.
+        // disks' reorder window, and take morsels from the lowest head of
+        // the started slots, so the backends read one front. Key-space and
+        // sliced fragments have no unit→disk mapping: they keep the default
+        // grain and take from their own deque first.
         if matches!(frags[gid].program.driver, Driver::PageScan { .. }) && page_slices == 1 {
             part = part.with_disks(self.cfg.machine.n_disks);
         }

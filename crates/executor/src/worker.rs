@@ -33,7 +33,7 @@
 //! **and** every worker has flushed and exited, so the master never
 //! harvests a partially flushed sink. The master materializes the output
 //! at once but marks the fragment done only when the latest reserved end
-//! has passed (DESIGN.md §8).
+//! has passed (DESIGN.md §7.1).
 
 use std::collections::HashMap;
 use std::mem;

@@ -132,8 +132,7 @@ impl CostModel {
                     // situation as that of sequential scans").
                     let ios = 3.0 + (r.n_blocks * r.selectivity).ceil();
                     let cost = 3.0 * self.t_rand_io()
-                        + (ios - 3.0) / self.machine.almost_seq_bw * self.machine.n_disks as f64
-                            / self.machine.n_disks as f64
+                        + (ios - 3.0) / self.machine.almost_seq_bw
                         + matching * self.cpu_tuple;
                     (ios, cost, false)
                 } else {

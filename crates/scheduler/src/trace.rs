@@ -22,7 +22,7 @@
 //!   fluid model, returning the re-derived action stream for comparison
 //!   against the capture (e.g. one taken from the threaded executor).
 //!
-//! See `DESIGN.md` §9 for the record schema and a capture/replay walkthrough.
+//! See `DESIGN.md` §6.5 for the record kinds and how replays compare runs.
 
 use std::sync::{Arc, Mutex};
 

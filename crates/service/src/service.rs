@@ -1,7 +1,7 @@
 //! The continuous query service: a bounded admission queue in front of a
 //! pool of runner threads sharing one [`ExecSession`].
 //!
-//! Flow of a request (DESIGN.md §15):
+//! Flow of a request (DESIGN.md §8):
 //!
 //! 1. **Door** — [`QueryService::submit`] either enqueues the request or
 //!    refuses it with a typed [`ServiceError::Overloaded`] carrying a

@@ -131,8 +131,8 @@ struct SlotState {
     /// leave the slot its last pending morsel (the first-morsel guarantee).
     started: bool,
     /// Start unit of the last morsel this slot armed: the base the claim
-    /// word's offsets are relative to, and what the disk-affinity steal
-    /// pass matches victims against (`unit % n_disks`).
+    /// word's offsets are relative to, and the base a revocation makes its
+    /// remainder absolute with.
     last_unit: Option<u64>,
     /// Units claimed from the morsels armed before the current one; the
     /// claim word's offset counts the current one's.
@@ -213,8 +213,7 @@ pub struct StealPartition {
     /// The grain a deal cuts at when nothing forces it coarser or finer.
     morsel_units: u64,
     /// Disks under the unit space (`unit % n_disks` = home disk, matching
-    /// [`xprs_disk::StripedLayout::disk_of`]). `0` means no disk mapping;
-    /// `0` or `1` disables the affinity steal pass.
+    /// [`xprs_disk::StripedLayout::disk_of`]). `0` means no disk mapping.
     n_disks: u32,
 }
 
@@ -245,9 +244,9 @@ impl StealPartition {
 
     /// Map the unit space onto a striped array of `n_disks` disks — a
     /// page-scan fragment, one unit per block — and re-deal the fresh
-    /// partition for it. Two things follow.
+    /// partition for it, keeping one read front.
     ///
-    /// **One read front.** The grain shrinks until `2 × backends × grain ≤
+    /// The grain shrinks until `2 × backends × grain ≤
     /// n_disks × reorder_window`, the window being the disk model's
     /// ([`DiskParams`]; every machine's disks are built on
     /// [`DiskParams::paper_default`]), so the round-robin deal keeps every
@@ -256,18 +255,6 @@ impl StealPartition {
     /// [`StealPartition::adjust`] re-cuts to the grain for the new slot
     /// count, and [`StealPartition::next_morsel`] hands morsels out in unit
     /// order across the started slots' deques.
-    ///
-    /// **Disk-affine stealing.** Instead of taking the first victim in the
-    /// seeded rotation, an idle worker scores every victim's would-be
-    /// morsel by *(lands off the thief's current disk?, block distance from
-    /// the thief's last unit)* and steals the minimum — a same-disk
-    /// continuation when one exists, the shortest seek jump otherwise. A
-    /// blind steal teleports the thief to an arbitrary victim's tail: the
-    /// jump degrades the stripe's sequential service class on both the
-    /// abandoned and the invaded disk — a measured ~13% loss on uniform
-    /// scans. Affine selection keeps the steal's rescue property (work
-    /// still moves to idle workers) while paying the smallest available
-    /// seek penalty for it.
     pub fn with_disks(mut self, n_disks: u32) -> Self {
         self.n_disks = n_disks;
         let slots = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
@@ -381,28 +368,12 @@ impl StealPartition {
             slots[slot].arm(m);
             return Some(NextMorsel { morsel: m, stolen_from: None });
         }
-        let n = slots.len();
-        // Disk-affine selection: score every victim's would-be morsel by
-        // (off-thief's-disk?, block distance from the thief's last unit)
-        // and take the minimum — stay on the disk the thief was streaming
-        // when possible, and jump as short a seek as possible otherwise.
-        // Ties resolve to the seeded rotation's first, keeping replay
-        // determinism. Without a disk mapping, or for a thief that never
-        // armed a morsel, every candidate ties and the first victim in the
-        // rotation with stealable work is taken.
-        let affinity = (self.n_disks > 1).then_some(slots[slot].last_unit).flatten();
-        let mut best: Option<((u64, u64), usize)> = None;
-        for victim in victim_order(self.seed, slot, n) {
-            let Some(c) = steal_candidate(&slots, victim) else { continue };
-            let key = affinity.map_or((0, 0), |last| {
-                let n_disks = u64::from(self.n_disks);
-                (u64::from(c.start % n_disks != last % n_disks), c.start.abs_diff(last))
-            });
-            if best.is_none_or(|(k, _)| key < k) {
-                best = Some((key, victim));
-            }
-        }
-        let (_, victim) = best?;
+        // Nothing at the front: steal from the first victim in the seeded
+        // rotation with stealable work. On a disk-mapped scan every started
+        // slot's head was a front candidate above, so the victim is a slot
+        // that has not begun and the steal takes its surplus.
+        let victim =
+            victim_order(self.seed, slot, slots.len()).find(|&v| stealable(&slots, v) > 0)?;
         let m = steal_from(&mut slots, slot, victim);
         slots[slot].arm(m);
         Some(NextMorsel { morsel: m, stolen_from: Some(victim) })
@@ -457,7 +428,7 @@ impl StealPartition {
     /// slots are untouched.
     ///
     /// Keeps the §2.4 protocols' contract: the returned `new_slots` need
-    /// staffing, `retiring_slots` drain at their next claim. `new_slots`
+    /// backends, `retiring_slots` drain at their next claim. `new_slots`
     /// also lists every exited slot that stays active: the new deal may
     /// hand it work, so it is re-staffed. Once every unit is claimed
     /// nothing changes: a slot staffed then would find no work, and its job
@@ -587,23 +558,14 @@ fn stealable(slots: &[SlotState], victim: usize) -> usize {
     if slots[victim].started { len } else { len.saturating_sub(1) }
 }
 
-/// The morsel a thief *would* receive from `victim` — the front of the
-/// stolen back half — without committing the steal. `None` when nothing is
-/// stealable.
-fn steal_candidate(slots: &[SlotState], victim: usize) -> Option<Morsel> {
-    let n = stealable(slots, victim);
-    (n > 0).then(|| slots[victim].pending[slots[victim].pending.len() - n.div_ceil(2)])
-}
-
 /// Steal the back half of `victim`'s stealable morsels (round up, so a lone
-/// one moves) into `thief`'s deque and hand back the first of them — the
-/// morsel [`steal_candidate`] announced, which the caller has checked
-/// exists.
+/// one moves) into `thief`'s deque and hand back the first of them. The
+/// caller has checked that `victim` has stealable work.
 fn steal_from(slots: &mut [SlotState], thief: usize, victim: usize) -> Morsel {
     let n = stealable(slots, victim);
     let len = slots[victim].pending.len();
     slots[thief].pending = slots[victim].pending.split_off(len - n.div_ceil(2));
-    slots[thief].pending.pop_front().expect("candidate verified")
+    slots[thief].pending.pop_front().expect("victim verified stealable")
 }
 
 /// The victim visit order for `slot` among `n` slots: every other slot
@@ -971,54 +933,34 @@ mod tests {
     }
 
     #[test]
-    fn affine_steal_prefers_the_thiefs_disk() {
-        // 4 slots, grain 1, 2 disks: the round-robin deal gives slot s the
-        // units ≡ s (mod 4), so slots 0 and 2 hold even (disk-0) units and
-        // slots 1 and 3 odd ones. Slot 0 drains its own deque (last unit
-        // 28, disk 0), then steals. Every victim has stealable work, but
-        // only slot 2 can offer a disk-0 unit — the affine score must pick
-        // it over nearer off-disk candidates.
-        let p = StealPartition::new(32, 1, 4, 123).with_disks(2);
+    fn a_thief_steals_from_the_first_victim_in_the_seeded_rotation() {
+        // 4 slots, grain 1, 4 disks: the round-robin deal gives slot s the
+        // units ≡ s (mod 4). Slot 0 drains its own deque (no other slot has
+        // started, so no other head is at the front), then steals. Every
+        // victim is unstarted and holds stealable work, so the thief takes
+        // the first victim of its seeded rotation, whatever disk it is on.
+        let p = StealPartition::new(32, 1, 4, 123).with_disks(4);
         let claim = p.claim_of(0);
         for _ in 0..8 {
             let nm = p.next_morsel(0).expect("own deque first");
             assert_eq!(nm.stolen_from, None);
             while StealPartition::claim_unit(&claim).is_some() {}
         }
-        let stolen = p.next_morsel(0).expect("plenty pending elsewhere");
-        assert_eq!(stolen.stolen_from, Some(2), "only slot 2 holds disk-0 units");
-        assert_eq!(
-            stolen.morsel.start % 2,
-            0,
-            "thief last read disk 0; affine steal must stay there, got unit {}",
-            stolen.morsel.start
-        );
-    }
-
-    #[test]
-    fn affine_steal_takes_the_shortest_seek_when_no_disk_matches() {
-        // Same deal, but with 4 disks every victim's units live on its own
-        // disk — no candidate can match the thief's disk 0, so the score
-        // falls to block distance. Thief's last unit is 28; candidates are
-        // slot 1 → 17, slot 2 → 18, slot 3 → 19 (each victim's 5th of 8
-        // pending morsels after the back-half split). 19 is nearest.
-        let p = StealPartition::new(32, 1, 4, 123).with_disks(4);
-        let claim = p.claim_of(0);
-        for _ in 0..8 {
-            p.next_morsel(0).expect("own deque first");
-            while StealPartition::claim_unit(&claim).is_some() {}
-        }
+        let first = victim_order(123, 0, 4).next().expect("three victims");
+        assert_eq!(first, 1);
         let stolen = p.next_morsel(0).expect("steal must still rescue work");
-        assert_eq!(stolen.stolen_from, Some(3));
-        assert_eq!(stolen.morsel.start, 19, "nearest stealable unit to 28");
+        assert_eq!(stolen.stolen_from, Some(first));
+        // Slot 1 holds 1, 5, …, 29 and keeps its last one (it has not
+        // started), so 7 are stealable and the back 4 move: 17 comes first.
+        assert_eq!(stolen.morsel.start, 17);
         // And exactly-once still holds: the armed steal, everything still
         // pending, and slot 0's own residue class claimed above.
         assert_eq!(StealPartition::claim_unit(&claim), Some(0));
         let mut seen = drain(&p);
-        seen.push(19);
+        seen.push(17);
         seen.extend((0..32).step_by(4));
         seen.sort_unstable();
-        assert_eq!(seen, (0..32).collect::<Vec<_>>(), "no unit lost under affine stealing");
+        assert_eq!(seen, (0..32).collect::<Vec<_>>(), "no unit lost or repeated by a steal");
     }
 
     #[test]

@@ -45,44 +45,14 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 
-# One data path, one fragment lifecycle: the retired paths' names (the
-# seed's global-lock path, the static-share partition mode, the no-spill
-# switch, the per-driver rounding copies, the drivers' private status enums
-# and id scans that `xprs_scheduler::FragTable` replaced, the switch that
-# left memory unscheduled by default, the bench legs `benchmark/` already
-# measures, the trace sinks and the metrics dump option nobody used, the
-# lenient JSON prefix parser, the hand-written bench header, the patrol and
-# recalibration knobs that a run's own shape now decides, the array model no
-# engine used, the report and registry copies of what a fragment profile or a
-# partition slot already holds, the statistics-free run splitter, the merge
-# and band knobs and the host CPU read that the modelled machine and two
-# constants replaced, the executor's second plan cut and the check that
-# compared it with the optimizer's, the run counting that discounted
-# recalibration drift, the counters only their own unit tests read, and the
-# heartbeat, per-morsel report, recovery counter and I/O window copies of what
-# a slot's claim word and the disks' class counters already hold, the pool
-# wrapper and the second way to end a run, the channel error the master's own
-# sender rules out, the token and patrol deadline checks that one wake rule
-# replaced, the public functions only their own unit tests called, the second
-# trace sink, the metrics registry attach, the frozen-claim reaper that
-# guessed at worker deaths the pool job now reports, the paper-literal stride
-# protocols and their cursors that the simulator ran beside the morsel deal
-# every engine now shares (a second §2.4 implementation lets the simulated and
-# the executed deal drift apart), the three gated bench bins, their JSON files
-# and their scenario modules, which release-mode tests replaced (two systems
-# checking one claim drift apart), the dynamic B+-tree on `r.a` that the CSR
-# layout of materialized join inputs replaced (a relation is built once and
-# only ever probed by key, so two key indexes held one job), and any call of
-# `with_obs`, an identity kept for `benchmark/`, which this grep does not
-# scan) must not
-# creep back into code, examples, tests or the verify skill. `scripts/` is left out so the pattern does not match itself;
-# docs keep the names as history.
-echo "==> retired-name grep"
-if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel|\bfragment_times\b|footprint_warnings|mem_overruns|merge_fanout|prediction_fallbacks|exited_slots|\bsplit_runs\b|parallel_merge_min_rows|parallel_merge_ways|recal_band|with_recalibration\b|host_parallelism|PlanMismatch|ProgramSet|RunGuard|active_runs|run_started|run_finished|interference_factor|jobs_submitted|jobs_completed|delivered_rate|heartbeat_of|watched_heartbeats|recoveries_at_start|observed_service|report_units|units_done|integral_split|io_utilization|critical_path|\btn_estimate\b|Backends<|Backends::|ChannelClosed|deadline_instant|tick_due|sql_cmp|blocks_on_disk|finish_of|\bn_keys\b|total_seq_time|JsonlSink|TraceSink|with_metrics|PATROL_GRACE|StealPartition::reap|patrol::reap|\.reap\(|PagePartition|RangePartition|KeyRange|\bnext_page\b|\bnext_key\b|bench_executor|bench_join|bench_service|BENCH_(executor|join|service)|exec_disk|exec_memory|exec_skew|exec_predict|bench_doc|BTreeIndex|\.with_obs\(' \
-    crates examples src tests .claude; then
-    echo "retired data-path names found (matches above)" >&2
-    exit 1
-fi
+# The documents describe the tree: every name DESIGN.md and README.md cite
+# in backticks resolves in the sources, every DESIGN.md section reference
+# names a heading it has, every docs/results file is linked from it, it
+# stays at most 45 KB, and no retired name is back in code, tests, the verify
+# skill, DESIGN.md or README.md (the pattern and its reasons live in the
+# script).
+echo "==> docs (scripts/docs.sh)"
+bash scripts/docs.sh
 
 # One test kit: support code more than one test binary uses (the answer
 # oracle, pinned plans, the scripted policies) lives in the dev-only
@@ -137,7 +107,7 @@ awk '
 
 # One pacing rule: every modelled wait is a deadline on the thread's model
 # clock, waited for in io.rs's `pace_until` through the machine's `Clock`
-# (DESIGN.md §19.4); a raw sleep anywhere else would bypass that clock.
+# (DESIGN.md §7.5); a raw sleep anywhere else would bypass that clock.
 # Outside test modules the executor may sleep only in clock.rs's
 # `WallClock::sleep_until` and in one named exception holding one sleep: the
 # injected `Stall` fault in worker.rs's `run_worker` (a wall-clock fault by
