@@ -26,7 +26,8 @@ pub struct ExecConfig {
     /// scheduled resource on every run: a fragment reserves the pages it
     /// declared it holds ([`TaskProfile::memory`]) before it is staffed,
     /// waits FIFO while the pool is over-committed, releases them at
-    /// completion, and cuts sorted spill runs past its grant.
+    /// completion, and cuts sorted spill runs past its grant. A pool with
+    /// fewer frames than shards is refused ([`ExecError::InvalidConfig`]).
     pub bufpool_pages: usize,
     /// Buffer-pool shards (page-hashed, independently latched); clamped
     /// to ≥ 1.
@@ -94,6 +95,8 @@ impl ExecConfig {
     /// configuration is checked once, where a run or a session consumes it.
     pub(crate) fn validate(&self) -> Result<(), ExecError> {
         let m = &self.machine;
+        let pool_fills_its_shards =
+            self.bufpool_pages == 0 || self.bufpool_pages >= self.bufpool_shards.max(1);
         let refused = [
             ("scale", self.scale, self.scale.is_finite() && self.scale >= 0.0),
             ("machine.n_procs", f64::from(self.machine.n_procs), self.machine.n_procs > 0),
@@ -102,6 +105,8 @@ impl ExecConfig {
             ("machine.random_bw", m.random_bw, m.random_bw > 0.0),
             ("machine.almost_seq_bw", m.almost_seq_bw, m.almost_seq_bw >= m.random_bw),
             ("machine.seq_bw", m.seq_bw, m.seq_bw >= m.almost_seq_bw),
+            // Every shard needs a frame (`ShardedBufferPool::new`).
+            ("bufpool_pages", self.bufpool_pages as f64, pool_fills_its_shards),
         ]
         .into_iter()
         .find(|&(_, _, ok)| !ok);
@@ -169,6 +174,24 @@ mod tests {
         let mut cfg = ExecConfig::unthrottled();
         cfg.machine.n_disks = 0;
         assert_eq!(refusal(&cfg), Some("machine.n_disks"));
+    }
+
+    /// A pool with fewer frames than shards is refused before the pool is
+    /// built, not asserted on inside it; no pool at all is accepted.
+    #[test]
+    fn a_pool_smaller_than_its_shard_count_is_refused() {
+        let cat = Arc::new(xprs_storage::Catalog::new(xprs_disk::StripedLayout::new(4)));
+        for pages in [1, 4, 7] {
+            let cfg = ExecConfig { bufpool_pages: pages, ..ExecConfig::unthrottled() };
+            assert_eq!(refusal(&cfg), Some("bufpool_pages"), "{pages} frames, 8 shards");
+            assert!(crate::Executor::new(cfg, cat.clone()).session().invalid.is_some());
+        }
+        for pages in [0, 8] {
+            let cfg = ExecConfig { bufpool_pages: pages, ..ExecConfig::unthrottled() };
+            assert_eq!(refusal(&cfg), None, "{pages} frames, 8 shards");
+        }
+        let unsharded = ExecConfig { bufpool_shards: 0, ..ExecConfig::unthrottled() };
+        assert_eq!(refusal(&ExecConfig { bufpool_pages: 1, ..unsharded }), None, "0 shards is 1");
     }
 
     /// Rates out of the disk model's order are refused before a machine is

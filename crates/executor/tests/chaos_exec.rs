@@ -9,7 +9,7 @@
 //! backend a page. A stalled worker is never replaced, and a dying worker
 //! whose last page cannot be read fails the run.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use xprs_disk::{FaultPlan, StripedLayout};
 use xprs_executor::{
@@ -18,9 +18,7 @@ use xprs_executor::{
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::intra::IntraOnly;
-use xprs_scheduler::trace::{
-    action_stream, parse_jsonl, replay_through_fluid, to_jsonl, RingSink, SharedSink, TraceRecord,
-};
+use xprs_scheduler::trace::{action_stream, replay_through_fluid, SharedSink, TraceRecord};
 use xprs_scheduler::MachineConfig;
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
 use xprs_testkit::oracle;
@@ -128,9 +126,9 @@ fn chaos_run_matches_fault_free_run_and_records_recalibration() {
             // Slot 0 of the build fragment dies after two pages.
             .with_worker_death(0, 0, 2),
     );
-    let ring = Arc::new(Mutex::new(RingSink::unbounded()));
+    let trace = SharedSink::default();
     let cfg = ExecConfig::unthrottled().with_faults(plan.clone());
-    let report = run_with(&cat, cfg, Some(ring.clone()));
+    let report = run_with(&cat, cfg, Some(trace.clone()));
 
     // Every scheduled fault actually fired.
     assert_eq!(plan.stats().read_errors_fired(), 2, "both transient errors must fire");
@@ -159,8 +157,7 @@ fn chaos_run_matches_fault_free_run_and_records_recalibration() {
     assert_oracle("chaos run", &cat, &join_run(&cat), &report);
 
     // The captured trace carries the recalibration and replays.
-    let text = to_jsonl(&ring.lock().unwrap().records());
-    let records = parse_jsonl(&text).expect("well-formed chaos trace");
+    let records = trace.lock().unwrap().clone();
     let recals = records
         .iter()
         .filter(|r| matches!(r, TraceRecord::Recalibrate { .. }))

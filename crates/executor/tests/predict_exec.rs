@@ -15,8 +15,7 @@ use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::predict::{Observation, PredictKey, Predictor};
 use xprs_scheduler::trace::{
-    action_signature, action_stream, parse_jsonl, replay_through_fluid, to_jsonl, RingSink,
-    SharedSink, TraceRecord,
+    action_signature, action_stream, replay_through_fluid, SharedSink, TraceRecord,
 };
 use xprs_scheduler::{IoKind, MachineConfig, TaskId, TaskProfile};
 use xprs_storage::{Catalog, Datum, Schema, Tuple, PAGE_SIZE};
@@ -119,20 +118,19 @@ fn wrong_by_4x_declarations_converge_onto_realized_rates() {
     // substitution the last rep's trace records.
     let mut realized_t_sum = 0.0;
     let mut pages = 0.0;
-    let mut last_trace = String::new();
+    let mut records = Vec::new();
     for _ in 0..MEASURED {
-        let ring = Arc::new(Mutex::new(RingSink::unbounded()));
-        let report = run_once(scaled_cfg(&predictor), &cat, &run, Some(ring.clone()));
+        let trace = SharedSink::default();
+        let report = run_once(scaled_cfg(&predictor), &cat, &run, Some(trace.clone()));
         let frag = &report.profiles[0].fragments[0];
         realized_t_sum += (frag.finished_at - frag.started_at) / report.scale;
         pages = frag.observed_pages as f64;
-        last_trace = to_jsonl(&ring.lock().unwrap().records());
+        records = trace.lock().unwrap().clone();
     }
     let realized_t = realized_t_sum / MEASURED as f64;
     let realized_c = pages / realized_t;
     assert!(realized_t > 0.0 && realized_c.is_finite());
 
-    let records = parse_jsonl(&last_trace).expect("well-formed trace");
     let predict = records
         .iter()
         .find_map(|r| match r {
@@ -230,11 +228,10 @@ fn traces_with_predict_records_replay_through_the_fluid_model() {
     for _ in 0..3 {
         run_once(scaled_cfg(&predictor), &cat, &run, None);
     }
-    let ring = Arc::new(Mutex::new(RingSink::unbounded()));
-    run_once(scaled_cfg(&predictor), &cat, &run, Some(ring.clone()));
+    let trace = SharedSink::default();
+    run_once(scaled_cfg(&predictor), &cat, &run, Some(trace.clone()));
 
-    let text = to_jsonl(&ring.lock().unwrap().records());
-    let records = parse_jsonl(&text).expect("well-formed trace");
+    let records = trace.lock().unwrap().clone();
     assert!(
         records.iter().any(|r| matches!(r, TraceRecord::Predict { .. })),
         "a warm predictor must leave predict records in the trace"
@@ -265,10 +262,10 @@ fn substitutions_are_counted_once_per_predict_record() {
     for _ in 0..3 {
         run_once(scaled_cfg(&predictor), &cat, &run, None);
     }
-    let ring = Arc::new(Mutex::new(RingSink::unbounded()));
-    let report = run_once(scaled_cfg(&predictor), &cat, &run, Some(ring.clone()));
+    let trace = SharedSink::default();
+    let report = run_once(scaled_cfg(&predictor), &cat, &run, Some(trace.clone()));
 
-    let records = ring.lock().unwrap().records();
+    let records = trace.lock().unwrap().clone();
     let predicts = records.iter().filter(|r| matches!(r, TraceRecord::Predict { .. })).count();
     let doc = parse(&report.metrics_json()).expect("metrics.json must parse");
     let substitutions = doc

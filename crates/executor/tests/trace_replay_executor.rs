@@ -6,7 +6,7 @@
 //! instead of panicking or hanging. The root `tests/fixpoint_drivers.rs`
 //! holds the same misdeeds to one answer on all three drivers.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use xprs_disk::StripedLayout;
 use xprs_executor::{ExecConfig, ExecError, ExecReport, Executor, QueryRun, RelBinding};
@@ -14,8 +14,7 @@ use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::policy::FIXPOINT_ROUNDS;
 use xprs_scheduler::trace::{
-    action_signature, action_stream, parse_jsonl, replay_through_fluid, to_jsonl, RingSink,
-    TraceRecord,
+    action_signature, action_stream, replay_through_fluid, SharedSink, TraceRecord,
 };
 use xprs_scheduler::{MachineConfig, SchedError, TaskId};
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
@@ -68,17 +67,17 @@ fn full_scan_run(cat: &Arc<Catalog>, name: &str) -> QueryRun {
 }
 
 /// Full scans of `wide` and `slim` under INTER-WITH-ADJ with `cfg`,
-/// traced: the report and the parsed decision trace.
+/// traced: the report and the captured decision trace.
 fn traced_run(cat: &Arc<Catalog>, cfg: ExecConfig) -> (ExecReport, Vec<TraceRecord>) {
     let runs = vec![full_scan_run(cat, "wide"), full_scan_run(cat, "slim")];
-    let ring = Arc::new(Mutex::new(RingSink::unbounded()));
+    let trace = SharedSink::default();
     let mut policy = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(m()));
     let report = Executor::new(cfg, cat.clone())
-        .with_trace(ring.clone())
+        .with_trace(trace.clone())
         .run(&runs, &mut policy)
         .expect("traced run");
-    let text = to_jsonl(&ring.lock().unwrap().records());
-    (report, parse_jsonl(&text).expect("well-formed executor trace"))
+    let records = trace.lock().unwrap().clone();
+    (report, records)
 }
 
 #[test]

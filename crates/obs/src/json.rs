@@ -1,11 +1,12 @@
 //! The workspace's JSON, in one module: producers build a [`JsonValue`]
-//! from their fields and render it with `Display` (the one writer),
-//! [`parse`] reads text back (the one parser), and [`JsonValue::field`]
-//! reads a typed field out of a parsed value (the one reader). The scheduler's
-//! trace, the executor's `metrics.json` and the bench artefacts all go
-//! through here; the build is offline (no serde), so this is what makes
-//! every producer and consumer agree on the corner cases (exact integers,
-//! float round-trips, infinities, NaN). No other file writes JSON syntax.
+//! from their fields and render it with `Display` (the one writer), and
+//! [`parse`] reads text into a [`JsonValue`] whose accessors (`get`, `num`,
+//! `str`, `arr`, `boolean`) consumers walk. The scheduler's trace, the
+//! executor's `metrics.json` and the bench artefacts are all written here;
+//! `metrics.json` and the bench artefacts are read back here. The build is
+//! offline (no serde), so this is what makes every producer and consumer
+//! agree on the corner cases (exact integers, float round-trips,
+//! infinities, NaN). No other file writes JSON syntax.
 
 use std::fmt;
 
@@ -86,16 +87,6 @@ impl JsonValue {
             JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
-    }
-
-    /// Field `key` of an object, read as a `T`.
-    ///
-    /// # Errors
-    /// Names the key, and the type expected when the field is there but is
-    /// not a `T`.
-    pub fn field<T: FromJson>(&self, key: &str) -> Result<T, String> {
-        let v = self.get(key).ok_or_else(|| format!("missing field {key:?}"))?;
-        T::from_json(v).map_err(|e| format!("field {key:?}: {e}"))
     }
 
     /// Numeric value; `null` reads as NaN (the encoder writes NaN as null).
@@ -211,57 +202,6 @@ impl From<&str> for JsonValue {
 impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
     fn from(items: Vec<T>) -> Self {
         JsonValue::Arr(items.into_iter().map(Into::into).collect())
-    }
-}
-
-/// A type [`JsonValue::field`] reads.
-pub trait FromJson: Sized {
-    /// `v` as a `Self`, or what was expected instead.
-    fn from_json(v: &JsonValue) -> Result<Self, String>;
-}
-
-impl FromJson for f64 {
-    /// `null` reads as NaN, the way [`fnum`] writes it.
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        v.num().ok_or_else(|| "expected a number".to_string())
-    }
-}
-
-impl FromJson for u64 {
-    /// Exact from [`JsonValue::UInt`]; a parsed number saturates (negative
-    /// and NaN read as 0), it never wraps.
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        match v {
-            JsonValue::UInt(n) => Ok(*n),
-            _ => f64::from_json(v).map(|x| x as u64),
-        }
-    }
-}
-
-impl FromJson for u32 {
-    /// Saturating, like `u64`.
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        u64::from_json(v).map(|n| u32::try_from(n).unwrap_or(u32::MAX))
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        v.boolean().ok_or_else(|| "expected a bool".to_string())
-    }
-}
-
-impl FromJson for String {
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        v.str().map(str::to_string).ok_or_else(|| "expected a string".to_string())
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        let items = v.arr().ok_or_else(|| "expected an array".to_string())?;
-        let item = |(i, x): (usize, &JsonValue)| T::from_json(x).map_err(|e| format!("[{i}]: {e}"));
-        items.iter().enumerate().map(item).collect()
     }
 }
 
@@ -538,6 +478,7 @@ mod tests {
         // An embedded NUL is data inside a string and garbage outside one.
         assert_eq!(parse("\"a\u{0}b\""), Ok(JsonValue::Str("a\u{0}b".into())));
         assert!(parse("{\"a\":\u{0}1}").is_err());
+        assert!(parse("{\"a\":1,\u{0}\"b\":2}").is_err());
         assert!(parse("\u{0}{}").is_err());
         // Length is linear work: a megabyte of string parses promptly.
         let big = format!("\"{}\"", "\u{e9}".repeat(500_000));
@@ -586,22 +527,5 @@ mod tests {
         assert!(pretty.contains(arrays), "{pretty}");
         assert!(pretty.ends_with("\n  \"o\": {\n    \"t\": true\n  }\n}"), "{pretty}");
         assert_eq!(parse(&pretty), parse(&sample().to_string()));
-    }
-
-    #[test]
-    fn field_reads_typed_values_and_names_what_is_wrong() {
-        let v = parse(&sample().to_string()).unwrap();
-        assert_eq!(v.field::<u64>("n"), Ok(u64::MAX), "saturates to the exact maximum");
-        assert_eq!(sample().field::<u64>("n"), Ok(u64::MAX));
-        assert_eq!(v.field::<f64>("x"), Ok(0.1));
-        assert_eq!(v.field::<String>("s"), Ok("a\"b".to_string()));
-        assert_eq!(v.field::<Vec<u32>>("arr"), Ok(vec![1, 2]));
-        assert!(v.field::<f64>("none").unwrap().is_nan(), "null reads as NaN");
-        assert_eq!(v.field::<u32>("n"), Ok(u32::MAX));
-        assert_eq!(v.field::<bool>("gone"), Err("missing field \"gone\"".to_string()));
-        assert_eq!(v.field::<bool>("s"), Err("field \"s\": expected a bool".to_string()));
-        let bad = parse("{\"a\":[1,\"x\"]}").unwrap();
-        let want = "field \"a\": [1]: expected a number";
-        assert_eq!(bad.field::<Vec<u64>>("a"), Err(want.to_string()));
     }
 }

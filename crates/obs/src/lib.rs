@@ -15,9 +15,9 @@
 //! * **JSON** — the workspace builds offline with no serde, and JSON syntax
 //!   is owned by one module, [`json`]: every producer (scheduler traces,
 //!   executor `metrics.json`, bench artefacts) builds a [`json::JsonValue`]
-//!   from its fields and renders it with `Display`; every consumer parses
-//!   with [`json::parse`] and reads typed fields with
-//!   [`json::JsonValue::field`].
+//!   from its fields and renders it with `Display`; every consumer
+//!   (`metrics.json` tests, `benchmark/`) parses with [`json::parse`] and
+//!   walks the [`json::JsonValue`] it returns.
 //!
 //! Collection is always on, so it must be cheap: this crate uses relaxed
 //! atomics only, and instrumented hot paths sample or count locally.

@@ -682,16 +682,15 @@ mod tests {
 
     #[test]
     fn trace_sink_records_queues_and_candidates() {
-        use crate::trace::{RingSink, TraceRecord};
-        use std::sync::{Arc, Mutex};
-        let ring = Arc::new(Mutex::new(RingSink::unbounded()));
+        use crate::trace::{SharedSink, TraceRecord};
+        let trace = SharedSink::default();
         let mut s = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(m()));
-        s.set_trace_sink(Some(ring.clone()));
+        s.set_trace_sink(Some(trace.clone()));
         s.on_arrival(0.0, seq(0, 20.0, 65.0));
         s.on_arrival(0.0, seq(1, 20.0, 8.0));
         let acts = s.decide(0.0, &[]);
         assert_eq!(acts.len(), 2);
-        let records = ring.lock().unwrap().records();
+        let records = trace.lock().unwrap().clone();
         assert!(records.iter().any(|r| matches!(
             r,
             TraceRecord::Queues { io, cpu, .. } if io == &[TaskId(0)] && cpu == &[TaskId(1)]

@@ -103,11 +103,10 @@ pub enum SchedError {
         /// The unrecognised policy name.
         name: String,
     },
-    /// A trace could not be parsed (malformed JSONL or missing fields).
+    /// A trace cannot be replayed: it has no `run_start` header or no
+    /// arrival.
     MalformedTrace {
-        /// Line number (1-based) of the offending record, 0 if structural.
-        line: usize,
-        /// What was wrong.
+        /// What was missing.
         detail: String,
     },
 }
@@ -148,9 +147,7 @@ impl std::fmt::Display for SchedError {
             SchedError::UnknownPolicy { name } => {
                 write!(f, "trace names unknown policy {name:?}")
             }
-            SchedError::MalformedTrace { line, detail } => {
-                write!(f, "malformed trace at line {line}: {detail}")
-            }
+            SchedError::MalformedTrace { detail } => write!(f, "malformed trace: {detail}"),
         }
     }
 }

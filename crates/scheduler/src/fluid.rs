@@ -22,7 +22,7 @@
 //! Control-path anomalies — a policy that never reaches a fixpoint, an
 //! action naming an unknown or non-running task, a wedged schedule — are
 //! returned as [`SchedError`]s, not panics, and every decision is optionally
-//! recorded into a [`crate::trace::RingSink`] attached with
+//! recorded into a [`crate::trace::SharedSink`] attached with
 //! [`FluidSim::with_sink`].
 
 use crate::balance::effective_bandwidth;
@@ -597,16 +597,14 @@ mod tests {
 
     #[test]
     fn error_paths_record_a_trace_error_record() {
-        use crate::trace::RingSink;
-        use std::sync::{Arc, Mutex};
-        let ring = Arc::new(Mutex::new(RingSink::unbounded()));
-        let sink: crate::trace::SharedSink = ring.clone();
+        use crate::trace::SharedSink;
+        let trace = SharedSink::default();
         let mut p = out_of_sync_intra();
         let err = FluidSim::new(m())
-            .with_sink(sink)
+            .with_sink(trace.clone())
             .run(&mut p, &[seq(0, 10.0, 10.0)])
             .unwrap_err();
-        let records = ring.lock().unwrap().records();
+        let records = trace.lock().unwrap().clone();
         let last = records.last().expect("trace is non-empty");
         match last {
             TraceRecord::Error { message, .. } => assert_eq!(message, &err.to_string()),
@@ -616,23 +614,21 @@ mod tests {
 
     #[test]
     fn scheduled_recalibration_rebases_the_policy() {
-        use crate::trace::{action_stream, RingSink};
-        use std::sync::{Arc, Mutex};
+        use crate::trace::{action_stream, SharedSink};
         // Two IO-bound tasks run one at a time; after the first finishes the
         // machine is recalibrated to half its bandwidth, so the second must
         // start at half the intra-operation parallelism.
         let tasks = vec![seq(0, 10.0, 60.0), seq(1, 10.0, 60.0)];
         let mut degraded = m();
         degraded.almost_seq_bw = 30.0; // B: 240 → 120
-        let ring = Arc::new(Mutex::new(RingSink::unbounded()));
-        let sink: crate::trace::SharedSink = ring.clone();
+        let trace = SharedSink::default();
         let mut p = IntraOnly::new(m(), true);
         FluidSim::new(m())
             .with_recalibrations(vec![(1, degraded)])
-            .with_sink(sink)
+            .with_sink(trace.clone())
             .run(&mut p, &tasks)
             .expect("replay");
-        let records = ring.lock().unwrap().records();
+        let records = trace.lock().unwrap().clone();
         assert!(records.iter().any(|r| matches!(r, TraceRecord::Recalibrate { .. })));
         let starts: Vec<f64> = action_stream(&records)
             .into_iter()
@@ -644,32 +640,29 @@ mod tests {
 
     #[test]
     fn a_traced_fluid_run_holds_the_policys_candidates() {
-        use crate::trace::{RingSink, TraceRecord};
-        use std::sync::{Arc, Mutex};
+        use crate::trace::{SharedSink, TraceRecord};
 
-        let ring = Arc::new(Mutex::new(RingSink::unbounded()));
+        let trace = SharedSink::default();
         let mut p = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(m()));
         let (io_bound, cpu_bound) = (seq(0, 30.0, 65.0), seq(1, 30.0, 8.0));
-        FluidSim::new(m()).with_sink(ring.clone()).run(&mut p, &[io_bound, cpu_bound]).expect("run");
-        let records = ring.lock().unwrap().records();
+        let sim = FluidSim::new(m()).with_sink(trace.clone());
+        sim.run(&mut p, &[io_bound, cpu_bound]).expect("run");
+        let records = trace.lock().unwrap().clone();
         assert!(records.iter().any(|r| matches!(r, TraceRecord::Candidate { .. })));
     }
 
     #[test]
     fn sinked_run_replays_identically() {
-        use crate::trace::{action_stream, parse_jsonl, to_jsonl, RingSink};
-        use std::sync::{Arc, Mutex};
+        use crate::trace::{action_stream, SharedSink};
 
         let tasks = vec![seq(0, 30.0, 65.0), seq(1, 30.0, 8.0), seq(2, 10.0, 40.0)];
-        let ring = Arc::new(Mutex::new(RingSink::unbounded()));
+        let trace = SharedSink::default();
         let mut cfg = AdaptiveConfig::with_adjustment(m());
         cfg.integral = false;
         let mut p = AdaptiveScheduler::new(cfg);
-        FluidSim::new(m()).with_sink(ring.clone()).run(&mut p, &tasks).expect("replay");
+        FluidSim::new(m()).with_sink(trace.clone()).run(&mut p, &tasks).expect("replay");
 
-        // Replay reads the capture back from its JSONL rendering.
-        let text = to_jsonl(&ring.lock().unwrap().records());
-        let records = parse_jsonl(&text).expect("well-formed trace");
+        let records = trace.lock().unwrap().clone();
         let recorded = action_stream(&records);
         assert!(!recorded.is_empty());
 

@@ -5,11 +5,9 @@
 //! `tests/fixpoint_drivers.rs` holds the DES and the executor to the same
 //! two outcomes.
 
-use std::sync::{Arc, Mutex};
-
 use xprs_scheduler::fluid::FluidSim;
 use xprs_scheduler::policy::{decide_fixpoint, Action, RunningTask, SchedulePolicy, FIXPOINT_ROUNDS};
-use xprs_scheduler::trace::{RingSink, SharedSink, TraceRecord};
+use xprs_scheduler::trace::{SharedSink, TraceRecord};
 use xprs_scheduler::{IoKind, MachineConfig, SchedError, TaskId, TaskProfile};
 use xprs_testkit::policies::Flipper;
 
@@ -26,8 +24,8 @@ fn diverged() -> SchedError {
 fn drive(rounds: u32) -> (Result<(), SchedError>, usize, usize) {
     let mut policy = Flipper::new(rounds);
     policy.on_arrival(0.0, task());
-    let ring = Arc::new(Mutex::new(RingSink::unbounded()));
-    let sink: Option<SharedSink> = Some(ring.clone());
+    let trace = SharedSink::default();
+    let sink: Option<SharedSink> = Some(trace.clone());
     let mut running: Vec<RunningTask> = Vec::new();
     let outcome = decide_fixpoint(
         &mut policy,
@@ -47,7 +45,7 @@ fn drive(rounds: u32) -> (Result<(), SchedError>, usize, usize) {
             Ok::<bool, SchedError>(true)
         },
     );
-    let records = ring.lock().unwrap().records();
+    let records = trace.lock().unwrap().clone();
     let count = |f: fn(&TraceRecord) -> bool| records.iter().filter(|r| f(r)).count();
     (
         outcome,
@@ -69,13 +67,13 @@ fn the_last_allowed_round_settles_and_one_more_diverges() {
 fn an_action_the_driver_drops_is_decided_but_not_recorded_as_applied() {
     let mut policy = Flipper::new(2);
     policy.on_arrival(0.0, task());
-    let ring = Arc::new(Mutex::new(RingSink::unbounded()));
-    let sink: Option<SharedSink> = Some(ring.clone());
+    let trace = SharedSink::default();
+    let sink: Option<SharedSink> = Some(trace.clone());
     decide_fixpoint(&mut policy, &sink, 0.0, &mut (), |_| Vec::new(), |_, _| {
         Ok::<bool, SchedError>(false)
     })
     .expect("settles");
-    let records = ring.lock().unwrap().records();
+    let records = trace.lock().unwrap().clone();
     assert_eq!(records.len(), 2, "two Decide records, no Applied: {records:?}");
     assert!(records.iter().all(|r| matches!(r, TraceRecord::Decide { .. })));
 }

@@ -751,25 +751,20 @@ mod tests {
 
     #[test]
     fn traced_des_run_replays_through_the_recorded_policy() {
-        use std::sync::{Arc, Mutex};
-        use xprs_scheduler::trace::{
-            action_stream, parse_jsonl, replay_decisions, to_jsonl, RingSink,
-        };
+        use xprs_scheduler::trace::{action_stream, replay_decisions, SharedSink};
 
         let tasks = vec![
             (seq_task(0, 20.0, 65.0), 0.0),
             (seq_task(1, 20.0, 6.0), 0.0),
         ];
-        let ring = Arc::new(Mutex::new(RingSink::unbounded()));
+        let trace = SharedSink::default();
         let mut adj = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(cfg().machine));
         Simulator::new(cfg())
-            .with_trace(ring.clone())
+            .with_trace(trace.clone())
             .run(&mut adj, &tasks)
             .expect("sim");
 
-        // Replay reads the capture back from its JSONL rendering.
-        let text = to_jsonl(&ring.lock().unwrap().records());
-        let records = parse_jsonl(&text).expect("well-formed trace");
+        let records = trace.lock().unwrap().clone();
         let recorded = action_stream(&records);
         assert!(!recorded.is_empty(), "DES trace should record applied actions");
 
@@ -782,17 +777,16 @@ mod tests {
 
     #[test]
     fn a_traced_des_run_holds_the_policys_candidates() {
-        use std::sync::{Arc, Mutex};
-        use xprs_scheduler::trace::{RingSink, TraceRecord};
+        use xprs_scheduler::trace::{SharedSink, TraceRecord};
 
-        let ring = Arc::new(Mutex::new(RingSink::unbounded()));
+        let trace = SharedSink::default();
         let mut adj = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(cfg().machine));
         let (io_bound, cpu_bound) = (seq_task(0, 20.0, 65.0), seq_task(1, 20.0, 6.0));
         Simulator::new(cfg())
-            .with_trace(ring.clone())
+            .with_trace(trace.clone())
             .run(&mut adj, &[(io_bound, 0.0), (cpu_bound, 0.0)])
             .expect("sim");
-        let records = ring.lock().unwrap().records();
+        let records = trace.lock().unwrap().clone();
         assert!(records.iter().any(|r| matches!(r, TraceRecord::Candidate { .. })));
     }
 

@@ -67,7 +67,9 @@ impl ShardedBufferPool {
     ///
     /// # Panics
     /// Panics if `total_pages` or `n_shards` is zero, or if there are fewer
-    /// frames than shards.
+    /// frames than shards. These are internal invariants: the executor
+    /// refuses such a configuration (`ExecConfig`'s `bufpool_pages`) with a
+    /// typed error before it builds a pool.
     pub fn new(total_pages: usize, n_shards: usize) -> Self {
         assert!(n_shards > 0, "need at least one shard");
         assert!(

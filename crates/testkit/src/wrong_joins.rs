@@ -8,14 +8,14 @@
 //! away. Each build is ~16 heap pages, a quarter of the `POOL_PAGES`
 //! pool, so four right-sized builds admit together.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use xprs_disk::StripedLayout;
 use xprs_executor::{ExecConfig, ExecReport, Executor, QueryRun, RelBinding};
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
 use xprs_scheduler::predict::Predictor;
-use xprs_scheduler::trace::{RingSink, TraceRecord};
+use xprs_scheduler::trace::{SharedSink, TraceRecord};
 use xprs_scheduler::MachineConfig;
 use xprs_storage::{Catalog, Schema, Tuple};
 
@@ -105,13 +105,13 @@ pub fn run(
     if let Some(p) = predictor {
         cfg = cfg.with_predictor(p.clone());
     }
-    let ring = Arc::new(Mutex::new(RingSink::unbounded()));
+    let trace = SharedSink::default();
     let mut policy =
         AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(MachineConfig::paper_default()));
     let report = Executor::new(cfg, cat.clone())
-        .with_trace(ring.clone())
+        .with_trace(trace.clone())
         .run(runs, &mut policy)
         .expect("wrong-declaration run");
-    let records = ring.lock().expect("trace sink").records();
+    let records = trace.lock().expect("trace sink").clone();
     (report, records)
 }

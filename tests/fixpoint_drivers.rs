@@ -16,14 +16,14 @@
 //! Each case runs a fresh policy through every driver that can express its
 //! input ([`assert_everywhere`]) and compares the answers in one table.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use xprs_disk::{DiskParams, RelId, StripedLayout};
 use xprs_executor::{ExecConfig, ExecError, Executor, QueryRun, RelBinding};
 use xprs_optimizer::{Costing, Query, TwoPhaseOptimizer};
 use xprs_scheduler::fluid::FluidSim;
 use xprs_scheduler::policy::{SchedulePolicy, FIXPOINT_ROUNDS};
-use xprs_scheduler::trace::{RingSink, TraceRecord};
+use xprs_scheduler::trace::{SharedSink, TraceRecord};
 use xprs_scheduler::{IoKind, MachineConfig, SchedError, TaskId, TaskProfile};
 use xprs_sim::{SimConfig, SimTask, Simulator};
 use xprs_storage::{Catalog, Datum, Schema, Tuple};
@@ -48,14 +48,9 @@ fn task(id: u64) -> TaskProfile {
     TaskProfile::new(TaskId(id), 2.0, 10.0, IoKind::Sequential)
 }
 
-/// A fresh, unbounded trace ring.
-fn ring() -> Arc<Mutex<RingSink>> {
-    Arc::new(Mutex::new(RingSink::unbounded()))
-}
-
-/// The records `ring` holds.
-fn records(ring: &Arc<Mutex<RingSink>>) -> Vec<TraceRecord> {
-    ring.lock().expect("trace sink").records()
+/// The records `sink` holds.
+fn records(sink: &SharedSink) -> Vec<TraceRecord> {
+    sink.lock().expect("trace sink").clone()
 }
 
 /// A failed run's trace ends with the `Error` record of `message`.
@@ -67,7 +62,7 @@ fn assert_trailing_error(driver: &str, trace: &[TraceRecord], message: &str) {
 }
 
 fn fluid(policy: &mut dyn SchedulePolicy, shape: Shape) -> Result<(), SchedError> {
-    let sink = ring();
+    let sink = SharedSink::default();
     let sim = FluidSim::new(MachineConfig::paper_default()).with_sink(sink.clone());
     let outcome = match shape {
         Shape::One => sim.run(policy, &[task(0)]),
@@ -91,7 +86,7 @@ fn des(policy: &mut dyn SchedulePolicy, shape: Shape) -> Result<(), SchedError> 
         Shape::Late => vec![(sim_task(0), 0.0), (sim_task(1), 5.0)],
         Shape::Chain => unreachable!("the DES takes no dependencies"),
     };
-    let sink = ring();
+    let sink = SharedSink::default();
     let err = match Simulator::new(SimConfig::paper_default())
         .with_trace(sink.clone())
         .run(policy, &arrivals)
@@ -146,7 +141,7 @@ fn blocked_consumer() -> TaskId {
 fn executor(policy: &mut dyn SchedulePolicy, shape: Shape) -> Result<(), SchedError> {
     let cat = catalog();
     let run = query(&cat, shape);
-    let sink = ring();
+    let sink = SharedSink::default();
     // Returning at all proves the drain: a leaked worker set would leave the
     // run blocked on its completion channel.
     let err = match Executor::new(ExecConfig::unthrottled(), cat.clone())
