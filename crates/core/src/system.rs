@@ -147,11 +147,12 @@ impl XprsSystem {
                     OptError::InvalidQuery(format!("relation {} not in catalog", r.name))
                 })?;
                 let s = rel.stats();
-                let span = (s.max_a - s.min_a) as f64;
+                let (lo, top) = (i64::from(s.min_a), i64::from(s.max_a));
                 let hi = if r.selectivity >= 1.0 {
                     s.max_a
                 } else {
-                    s.min_a + (span * r.selectivity).round() as i32
+                    let hi = lo + ((top - lo) as f64 * r.selectivity).round() as i64;
+                    hi.clamp(lo, top) as i32
                 };
                 Ok(RelBinding { name: r.name.clone(), pred: (s.min_a, hi) })
             })
@@ -299,6 +300,25 @@ mod tests {
         let known = sys.bindings(&Query::selection("r", 1.0)).expect("bindings");
         assert_eq!(known.len(), 1);
         assert_eq!(known[0].name, "r");
+    }
+
+    #[test]
+    fn bindings_span_the_whole_key_domain_without_overflow() {
+        use xprs_storage::{Datum, Schema, Tuple};
+        let mut sys = XprsSystem::paper_default();
+        let cat = sys.catalog_mut();
+        cat.create("wide", Schema::paper_rel());
+        cat.load("wide", [Tuple::paper(i32::MIN, 0), Tuple::paper(i32::MAX, 0)]);
+        // A relation whose only row has a NULL key binds (0, 0), as an empty one does.
+        cat.create("nulls", Schema::paper_rel());
+        cat.load("nulls", [Tuple::from_values(vec![Datum::Null, Datum::Null])]);
+        let pred = |rel: &str, sel: f64| sys.bindings(&Query::selection(rel, sel)).expect("bindings")[0].pred;
+        assert_eq!(pred("wide", 0.5), (i32::MIN, 0));
+        assert_eq!(pred("wide", 0.0), (i32::MIN, i32::MIN));
+        assert_eq!(pred("wide", 1.0), (i32::MIN, i32::MAX));
+        for sel in [0.0, 0.5, 1.0] {
+            assert_eq!(pred("nulls", sel), (0, 0), "selectivity {sel}");
+        }
     }
 
     #[test]

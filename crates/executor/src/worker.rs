@@ -760,9 +760,8 @@ fn pipeline(
                 let row = relation
                     .heap
                     .fetch(tid)
-                    .unwrap_or_else(|| panic!("dangling tid {tid} in {}", relation.name))
-                    .clone();
-                pipeline(ctx, catalog, key, tuple.join(&row), depth + 1, ws);
+                    .unwrap_or_else(|| panic!("dangling tid {tid} in {}", relation.name));
+                pipeline(ctx, catalog, key, tuple.join(row), depth + 1, ws);
             }
         }
     }

@@ -622,12 +622,6 @@ mod tests {
 {"type":"predict","now":5,"task":3,"declared_seq_time":10,"declared_io_rate":20,"declared_memory":524288,"predicted_seq_time":41.5,"predicted_io_rate":9.75,"predicted_memory":3276800,"co_runners":3,"observations":6}
 "#;
 
-    #[test]
-    fn the_rendering_is_pinned_byte_for_byte() {
-        let text: String = sample_records().iter().map(|r| r.to_json() + "\n").collect();
-        assert_eq!(text, SAMPLE_JSONL);
-    }
-
     /// The artifact stays valid JSON: every record kind renders as one line
     /// that the workspace's parser reads as an object tagged with its kind.
     #[test]

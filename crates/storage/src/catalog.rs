@@ -18,9 +18,9 @@ pub struct RelStats {
     pub n_blocks: u64,
     /// Distinct values of the key attribute `a`.
     pub n_distinct_a: u64,
-    /// Minimum of `a` (0 if empty).
+    /// Minimum of `a` (0 if no row has an integer `a`).
     pub min_a: i32,
-    /// Maximum of `a` (0 if empty).
+    /// Maximum of `a` (0 if no row has an integer `a`).
     pub max_a: i32,
 }
 
@@ -87,13 +87,13 @@ impl Relation {
                 max_a = max_a.max(v);
             }
         }
-        let n_tuples = self.heap.n_tuples();
+        let keyless = distinct.is_empty();
         self.stats = RelStats {
-            n_tuples,
+            n_tuples: self.heap.n_tuples(),
             n_blocks: self.heap.n_blocks(),
             n_distinct_a: distinct.len() as u64,
-            min_a: if n_tuples == 0 { 0 } else { min_a },
-            max_a: if n_tuples == 0 { 0 } else { max_a },
+            min_a: if keyless { 0 } else { min_a },
+            max_a: if keyless { 0 } else { max_a },
         };
     }
 }
@@ -244,6 +244,15 @@ mod tests {
         let s = c.get("empty").unwrap().stats();
         assert_eq!(s.n_tuples, 0);
         assert_eq!(s.min_a, 0);
+    }
+
+    #[test]
+    fn a_relation_with_no_integer_key_reports_a_zero_key_range() {
+        let mut c = Catalog::new(StripedLayout::new(4));
+        c.create("nulls", Schema::paper_rel());
+        c.load("nulls", vec![Tuple::from_values(vec![Datum::Null, Datum::Null])]);
+        let s = c.get("nulls").unwrap().stats();
+        assert_eq!((s.n_tuples, s.n_distinct_a, s.min_a, s.max_a), (1, 0, 0, 0));
     }
 
     #[test]

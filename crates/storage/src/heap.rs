@@ -51,15 +51,17 @@ impl HeapFile {
 
     /// Append a tuple (validated against the schema where it is, since
     /// tuples can also arrive via `from_values`), extending the heap by a
-    /// page when the last page cannot hold it. The tuple is moved into its
-    /// page once; nothing is copied. Returns the tuple's address.
+    /// page, its slot array sized from this tuple, when the last page cannot
+    /// hold it. The tuple is sized once and moved into its page once;
+    /// nothing is copied. Returns the tuple's address.
     pub fn insert(&mut self, t: Tuple) -> TupleId {
         t.validate(&self.schema);
-        if !self.pages.last().is_some_and(|p| p.fits(&t)) {
-            self.pages.push(Page::new());
+        let size = t.stored_size();
+        if self.pages.last().is_none_or(|p| size > p.free_space()) {
+            self.pages.push(Page::for_rows_of(size));
         }
         let block = self.pages.len() - 1;
-        let slot = self.pages[block].insert(t).expect("tuple must fit in an empty page");
+        let slot = self.pages[block].insert_sized(t, size).expect("tuple must fit in an empty page");
         self.n_tuples += 1;
         TupleId { block: block as u64, slot }
     }

@@ -5,6 +5,10 @@
 //! growing from the front, tuple payloads from the back) without serializing
 //! to raw bytes — the *capacity* behaviour is what the experiments depend on
 //! (one `r_max` tuple per page, hundreds of `r_min` tuples per page).
+//!
+//! A page the heap opens reserves its slot array once, for as many rows as
+//! fit of the size of the row that opens it, so a relation of equal-sized
+//! rows fills each page without the slot array ever growing.
 
 use crate::tuple::Tuple;
 
@@ -27,6 +31,12 @@ impl Page {
         Page { tuples: Vec::new(), used: PAGE_HEADER }
     }
 
+    /// A fresh page whose slot array holds as many rows of `size` bytes as
+    /// the page does.
+    pub(crate) fn for_rows_of(size: usize) -> Self {
+        Page { tuples: Vec::with_capacity((PAGE_SIZE - PAGE_HEADER) / size.max(1)), used: PAGE_HEADER }
+    }
+
     /// Bytes available for further tuples.
     pub fn free_space(&self) -> usize {
         PAGE_SIZE - self.used
@@ -43,6 +53,11 @@ impl Page {
     /// dropping it would corrupt scans.
     pub fn insert(&mut self, t: Tuple) -> Option<u16> {
         let size = t.stored_size();
+        self.insert_sized(t, size)
+    }
+
+    /// [`Page::insert`] for a caller that has sized `t` already.
+    pub(crate) fn insert_sized(&mut self, t: Tuple, size: usize) -> Option<u16> {
         assert!(size <= PAGE_SIZE - PAGE_HEADER, "tuple of {size} bytes exceeds page capacity");
         if size > self.free_space() {
             return None;

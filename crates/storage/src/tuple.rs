@@ -1,12 +1,23 @@
 //! Tuples and tuple identifiers.
+//!
+//! A row costs one allocation: a pair — the paper's `r(a int4, b text)` —
+//! holds its two fields inline, so only the `b` text reaches the heap, and
+//! any other arity holds one `Vec` sized to it. `Tuple::paper`, `join` and
+//! `clone` build at the final width; `from_values` and `new` keep the `Vec`
+//! they are handed rather than trade it for an inline pair.
 
 use crate::datum::Datum;
 use crate::schema::Schema;
 
 /// A row: one [`Datum`] per schema column.
-#[derive(Debug, Clone, PartialEq)]
 pub struct Tuple {
-    values: Vec<Datum>,
+    values: Fields,
+}
+
+/// A row's fields: inline for a pair, one `Vec` for any other width.
+enum Fields {
+    Pair([Datum; 2]),
+    Row(Vec<Datum>),
 }
 
 impl Tuple {
@@ -15,7 +26,7 @@ impl Tuple {
     /// # Panics
     /// Panics on arity or type mismatch.
     pub fn new(schema: &Schema, values: Vec<Datum>) -> Self {
-        let t = Tuple { values };
+        let t = Tuple::from_values(values);
         t.validate(schema);
         t
     }
@@ -25,51 +36,81 @@ impl Tuple {
     /// # Panics
     /// Panics on arity or type mismatch.
     pub fn validate(&self, schema: &Schema) {
-        assert_eq!(self.values.len(), schema.arity(), "tuple arity mismatch");
-        for (i, v) in self.values.iter().enumerate() {
+        assert_eq!(self.arity(), schema.arity(), "tuple arity mismatch");
+        for (i, v) in self.values().iter().enumerate() {
             let (name, ty) = schema.column(i);
             assert!(ty.admits(v), "value {v} does not fit column {name}");
         }
     }
 
     /// Build without validation (join outputs whose combined schema is known
-    /// correct by construction).
+    /// correct by construction). The tuple keeps `values` as it is.
     pub fn from_values(values: Vec<Datum>) -> Self {
-        Tuple { values }
+        Tuple { values: Fields::Row(values) }
     }
 
     /// A row of the paper's `r(a int4, b text)`: key `a` and a `b` of
     /// `blen` bytes, the length that dials tuples per page.
     pub fn paper(a: i32, blen: usize) -> Self {
-        Tuple { values: vec![Datum::Int(a), Datum::Text("x".repeat(blen))] }
+        Tuple { values: Fields::Pair([Datum::Int(a), Datum::Text("x".repeat(blen))]) }
+    }
+
+    /// The `n` fields `fields` yields, cloned into a tuple at that width.
+    fn cloned<'a>(n: usize, mut fields: impl Iterator<Item = &'a Datum>) -> Tuple {
+        let mut next = || fields.next().expect("n fields").clone();
+        let values = match n {
+            2 => Fields::Pair([next(), next()]),
+            _ => Fields::Row((0..n).map(|_| next()).collect()),
+        };
+        Tuple { values }
     }
 
     /// Field `i`.
     pub fn get(&self, i: usize) -> &Datum {
-        &self.values[i]
+        &self.values()[i]
     }
 
     /// All fields.
     pub fn values(&self) -> &[Datum] {
-        &self.values
+        match &self.values {
+            Fields::Pair(pair) => pair,
+            Fields::Row(row) => row,
+        }
     }
 
     /// Number of fields.
     pub fn arity(&self) -> usize {
-        self.values.len()
+        self.values().len()
     }
 
     /// Concatenate two tuples (join output).
     pub fn join(&self, other: &Tuple) -> Tuple {
-        let mut values = self.values.clone();
-        values.extend(other.values.iter().cloned());
-        Tuple { values }
+        let (l, r) = (self.values(), other.values());
+        Tuple::cloned(l.len() + r.len(), l.iter().chain(r))
     }
 
     /// On-page size: per-field payload plus a 4-byte tuple header and a
     /// 2-byte line-pointer share, mirroring a slotted-page layout.
     pub fn stored_size(&self) -> usize {
-        4 + 2 + self.values.iter().map(Datum::stored_size).sum::<usize>()
+        4 + 2 + self.values().iter().map(Datum::stored_size).sum::<usize>()
+    }
+}
+
+impl Clone for Tuple {
+    fn clone(&self) -> Self {
+        Tuple::cloned(self.arity(), self.values().iter())
+    }
+}
+
+impl PartialEq for Tuple {
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl std::fmt::Debug for Tuple {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tuple").field("values", &self.values()).finish()
     }
 }
 
@@ -92,7 +133,6 @@ impl std::fmt::Display for TupleId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    
 
     #[test]
     fn construction_validates_against_schema() {
@@ -132,6 +172,38 @@ mod tests {
         let j = a.join(&b);
         assert_eq!(j.arity(), 3);
         assert_eq!(j.get(1), &Datum::Int(2));
+    }
+
+    /// Every way to build a row — inline pair, schema-checked `Vec`, bare
+    /// `Vec`, clone, join — reads the same fields and sizes at every arity.
+    #[test]
+    fn every_construction_agrees_at_every_arity() {
+        use crate::schema::ColumnType;
+        let field = |i: usize| if i.is_multiple_of(2) { Datum::Int(i as i32) } else { Datum::Text("x".repeat(i)) };
+        for n in [0usize, 1, 2, 4] {
+            let values: Vec<Datum> = (0..n).map(field).collect();
+            let ty = |i: usize| if i.is_multiple_of(2) { ColumnType::Int4 } else { ColumnType::Text };
+            let schema = Schema::new(["a", "b", "c", "d"].into_iter().zip((0..n).map(ty)).collect());
+            let bare = Tuple::from_values(values.clone());
+            let checked = Tuple::new(&schema, values.clone());
+            let joined = Tuple::from_values(vec![]).join(&bare);
+            for t in [&checked, &bare.clone(), &joined] {
+                assert_eq!(t, &bare, "arity {n}");
+                assert_eq!(t.values(), values.as_slice());
+                assert_eq!(t.arity(), n);
+                assert_eq!(t.stored_size(), bare.stored_size());
+            }
+        }
+        let paper = Tuple::paper(0, 1);
+        assert_eq!(paper, Tuple::from_values(vec![field(0), field(1)]));
+        assert_eq!(paper.stored_size(), 4 + 2 + 4 + 4 + 1);
+        assert_ne!(paper, Tuple::paper(0, 2));
+        assert_eq!(format!("{paper:?}"), r#"Tuple { values: [Int(0), Text("x")] }"#);
+    }
+
+    #[test]
+    fn a_tuple_is_at_most_48_bytes() {
+        assert!(std::mem::size_of::<Tuple>() <= 48);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Acceptance check: bulk-loading a relation allocates per *page*, not per
 //! tuple. `Catalog::load` validates each tuple where it is and moves it into
-//! its page once, so what it allocates is page growth (each page's slot
-//! array, the heap's page array) and the statistics pass — `blocks × c + k`
-//! for small constants, whatever the tuple count.
+//! its page once, so what it allocates is each page's slot array, reserved
+//! once when the page opens, the heap's page array and the statistics pass —
+//! `blocks + k` for a small constant, whatever the tuple count.
 //!
 //! Proven with a counting `#[global_allocator]` wrapping the system
 //! allocator. This file holds exactly one `#[test]` so no sibling test
@@ -44,9 +44,9 @@ use xprs_storage::{Catalog, Schema, Tuple};
 
 /// Tuples loaded; each is 74 bytes on the page, 110 to a page.
 const N: usize = 20_000;
-/// Allocations a page may cost: its slot array grows by doubling to 110
-/// entries (4 → 128, six allocations), with headroom.
-const PER_PAGE: u64 = 8;
+/// Allocations a page may cost: its slot array, reserved for 110 entries
+/// from the row that opens the page.
+const PER_PAGE: u64 = 1;
 /// Allocations independent of both counts: the heap's page array doubling
 /// and the statistics pass's distinct-key set.
 const FIXED: u64 = 64;

@@ -8,7 +8,7 @@
 //! ```
 
 use xprs::optimizer::PlanShape;
-use xprs::storage::{Datum, Schema, Tuple};
+use xprs::storage::{Schema, Tuple};
 use xprs::{Costing, PolicyKind, Query, XprsSystem};
 use xprs_workload::Calibration;
 
@@ -26,10 +26,7 @@ fn main() {
         let blen = cal.blen_for_rate(rate);
         let cat = sys.catalog_mut();
         cat.create(name, Schema::paper_rel());
-        cat.load(
-            name,
-            (0..n).map(|i| Tuple::from_values(vec![Datum::Int(i as i32), Datum::Text("x".repeat(blen))])),
-        );
+        cat.load(name, (0..n).map(|i| Tuple::paper(i as i32, blen)));
         cat.build_index(name, false);
     }
 

@@ -209,11 +209,15 @@ bash scripts/stress.sh
 
 # The declared benchmark is a package of its own outside the workspace, so
 # nothing above compiles it: build it offline against the crates as they are
-# now and run its two driven workloads briefly. A compile error (an API
-# change that breaks benchmark/src/sut.rs), a wrong answer or a failed
-# operation fails the leg: the benchmark exits 1 on either.
-echo "==> benchmark (benchmark/run.sh: disk_mix, service_open)"
-for workload in disk_mix service_open; do
+# now and run its two driven workloads briefly, then the two cached ones,
+# which put every row through the scan, join, merge and materialize path and
+# check it against oracles that share no code with that path (scan row
+# counts by direct heap iteration, a join digest against a bench-local hash
+# join). A compile error (an API change that breaks benchmark/src/sut.rs), a
+# wrong answer or a failed operation fails the leg: the benchmark exits 1 on
+# either.
+echo "==> benchmark (benchmark/run.sh: disk_mix, service_open, cached_scan, cached_join)"
+for workload in disk_mix service_open cached_scan cached_join; do
     bash benchmark/run.sh --workload "$workload" --seconds 12 --trace 0 | tail -n 1
 done
 
