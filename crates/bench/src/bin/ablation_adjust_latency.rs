@@ -69,8 +69,11 @@ fn main() {
     }
     println!();
     println!(
-        "Shared-memory rounds (≤ 5 ms) leave the win intact; at shared-nothing network \
-         costs (hundreds of ms to seconds) the dynamic adjustment stops paying — the \
-         paper's argument for why this design needs a shared-memory machine."
+        "Shared-memory rounds (≤ 5 ms) leave the win intact. Rounds of seconds erode \
+         it, though not monotonically: at 5 s the elapsed time is close to that of \
+         pairing without adjustment (INTER-W/O-ADJ in fig7_schedulers), which is \
+         nearly as fast on this mix. The adjustment pays only while its rounds are \
+         short against a task — the paper's argument for why this design needs a \
+         shared-memory machine."
     );
 }

@@ -153,10 +153,11 @@ fn main() {
     }
     println!();
     println!(
-        "Reading: two tasks split at the balance point beat every k-way even split \
-         on both mixes. The split matters as much as the count: on the extreme mix \
-         an even k = 2 split is no faster than INTRA-ONLY. k ≥ 3 adds head seeks \
-         and memory pressure without adding deliverable bandwidth. This is the paper's \"one IO-bound plus one \
-         CPU-bound task suffices\" simplification, measured."
+        "Reading: k = 2 is the sweet spot. On the random mix the balance-point pair \
+         beats every even split; on the extreme mix an even k = 2 split, re-divided on \
+         every completion, beats the pair. k ≥ 3 adds head seeks and memory pressure \
+         without adding deliverable bandwidth and loses ground on both mixes. This is \
+         the paper's \"one IO-bound plus one CPU-bound task suffices\" simplification, \
+         measured."
     );
 }

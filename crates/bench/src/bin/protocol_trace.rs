@@ -105,8 +105,12 @@ fn print_deal(title: &str, part: &StealPartition) {
     }
 }
 
+/// Morsels as `[start,end)`; a one-page morsel as its page.
 fn morsels(ms: &[Morsel]) -> String {
-    let parts: Vec<String> = ms.iter().map(|m| format!("[{},{})", m.start, m.end)).collect();
+    let parts: Vec<String> = ms
+        .iter()
+        .map(|m| if m.len() == 1 { m.start.to_string() } else { format!("[{},{})", m.start, m.end) })
+        .collect();
     if parts.is_empty() { "nothing".into() } else { parts.join(" ") }
 }
 

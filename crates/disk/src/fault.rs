@@ -186,6 +186,14 @@ impl FaultPlan {
         self
     }
 
+    /// The `(slot, after_units)` of every worker fault aimed at `fragment`.
+    pub fn worker_fault_points(&self, fragment: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.worker_faults
+            .iter()
+            .filter(move |f| f.fragment == fragment)
+            .map(|f| (f.slot, f.after_units))
+    }
+
     /// Does this plan inject anything at all? An empty plan lets callers
     /// skip fault bookkeeping entirely.
     pub fn is_empty(&self) -> bool {

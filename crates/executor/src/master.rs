@@ -90,10 +90,10 @@ pub(crate) enum MasterMsg {
     /// A worker hit something no run survives: it panicked, a read failed
     /// after every bounded retry, or a merge-indexed probe found no index.
     Fatal(ExecError),
-    /// The worker staffed on slot `slot` of fragment `gid` died. Its job
-    /// left the fragment's completion count to the master (see
-    /// `MasterRun::on_lost`).
-    WorkerLost { gid: usize, slot: usize },
+    /// A worker of fragment `gid` died; its job moved the unclaimed work to
+    /// the `replacement` slot, if any. The job left the fragment's
+    /// completion count to the master (see `MasterRun::on_lost`).
+    WorkerLost { gid: usize, replacement: Option<usize> },
 }
 
 /// What the master keeps per fragment beside its lifecycle state (which is
@@ -305,7 +305,7 @@ impl Executor {
             // or a deadline — its patrol tick or a fragment's modelled end.
             match next_msg(&run.rx, run.deadline(), &**run.machine.clock()) {
                 Some(MasterMsg::FragmentDone(gid)) => run.on_done(policy, gid)?,
-                Some(MasterMsg::WorkerLost { gid, slot }) => run.on_lost(gid, slot)?,
+                Some(MasterMsg::WorkerLost { gid, replacement }) => run.on_lost(gid, replacement)?,
                 Some(MasterMsg::Fatal(e)) => {
                     // A failure the policy had no part in.
                     run.drain();
@@ -731,20 +731,17 @@ impl<'a> MasterRun<'a> {
         self.settle(policy)
     }
 
-    /// The worker on slot `slot` of fragment `gid` died. Unless the fragment
-    /// is stopping, its unclaimed work moves to a replacement, staffed now;
-    /// then the lost job's exit is counted. In that order, a fragment with
-    /// unclaimed units never sees its last worker out while a loss is
-    /// unhandled.
-    fn on_lost(&mut self, gid: usize, slot: usize) -> Result<(), ExecError> {
+    /// A worker of fragment `gid` died, and its job moved the unclaimed
+    /// work to `replacement`: staff it now, then count the lost job's exit.
+    /// In that order, a fragment with unclaimed units never sees its last
+    /// worker out while a loss is unhandled.
+    fn on_lost(&mut self, gid: usize, replacement: Option<usize>) -> Result<(), ExecError> {
         let ctx = match self.table.running(gid) {
             Ok(ctx) => ctx.clone(),
             Err(e) => return Err(self.fail(e.into())),
         };
-        if !ctx.stop.load(Ordering::SeqCst) {
-            if let Some(replacement) = ctx.part.fail_slot(slot) {
-                self.staff(&ctx, replacement, self.machine.clock().now());
-            }
+        if let Some(replacement) = replacement {
+            self.staff(&ctx, replacement, self.machine.clock().now());
         }
         ctx.worker_exit();
         Ok(())

@@ -80,11 +80,14 @@ impl ExecSession {
 /// concurrent* slot count and no further. Accounts the worker in the
 /// fragment's completion protocol **before** it can run. The job is the one
 /// place a worker's exit becomes a report: a worker that is done marks its
-/// slot exited and balances with [`FragCtx::worker_exit`]; a panic or a
+/// slot exited (or runs again, if an adjustment dealt the slot work
+/// meanwhile) and balances with [`FragCtx::worker_exit`]; a panic or a
 /// failure is [`MasterMsg::Fatal`], which ends the run, so its fragment
-/// never completes; a worker that died is [`MasterMsg::WorkerLost`], and the
-/// master balances it once it has staffed the replacement, so the fragment
-/// cannot complete in between. The job
+/// never completes; a worker that died moves its unclaimed work to a
+/// replacement slot (`StealPartition::fail_slot`) unless the fragment is
+/// stopping, and reports [`MasterMsg::WorkerLost`]; the master balances the
+/// exit once it has staffed the replacement, so the fragment cannot
+/// complete in between. The job
 /// holds `ctx`, and with it a sender on the run's channel, until it leaves
 /// the pool: that is what lets the master's quiesce wait for the channel to
 /// close.
@@ -108,20 +111,31 @@ pub(crate) fn staff(
     let catalog = catalog.clone();
     let job = move || {
         start_model_clock(at);
-        let exit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_worker(&ctx, slot, &machine, &catalog)
-        }))
-        .unwrap_or_else(|payload| {
-            let message = panic_message(payload.as_ref());
-            WorkerExit::Failed(ExecError::WorkerPanicked { fragment: ctx.gid, message })
-        });
-        match exit {
-            WorkerExit::Done => {
-                ctx.part.exit(slot);
-                ctx.worker_exit();
+        let exit = loop {
+            let exit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_worker(&ctx, slot, &machine, &catalog)
+            }))
+            .unwrap_or_else(|payload| {
+                let message = panic_message(payload.as_ref());
+                WorkerExit::Failed(ExecError::WorkerPanicked { fragment: ctx.gid, message })
+            });
+            // An adjustment may deal the slot work after its worker found
+            // none and before the slot is marked exited; nobody else would
+            // run it, so the worker runs again.
+            let dealt = matches!(exit, WorkerExit::Done) && !ctx.part.exit(slot);
+            if !dealt || ctx.stop.load(Ordering::SeqCst) {
+                break exit;
             }
+        };
+        match exit {
+            WorkerExit::Done => ctx.worker_exit(),
             WorkerExit::Died => {
-                let _ = ctx.done_tx.send(MasterMsg::WorkerLost { gid: ctx.gid, slot });
+                // Reclaim here, where the worker died, before a survivor can
+                // drain its queue: the replacement is unstarted, so the
+                // first-morsel guarantee keeps its last morsel for it.
+                let replacement =
+                    if ctx.stop.load(Ordering::SeqCst) { None } else { ctx.part.fail_slot(slot) };
+                let _ = ctx.done_tx.send(MasterMsg::WorkerLost { gid: ctx.gid, replacement });
             }
             WorkerExit::Failed(fatal) => {
                 let _ = ctx.done_tx.send(MasterMsg::Fatal(fatal));

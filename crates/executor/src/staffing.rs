@@ -93,13 +93,20 @@ impl Executor {
         let mut part =
             StealPartition::new(total_units, DEFAULT_MORSEL_UNITS, n_backends, gid as u64);
         // Whole-page units are striped blocks (`unit % n_disks` = home
-        // disk): deal them at the grain that keeps every backend inside the
-        // disks' reorder window, and take morsels from the lowest head of
-        // the started slots, so the backends read one front. Key-space and
-        // sliced fragments have no unit→disk mapping: they keep the default
-        // grain and take from their own deque first.
+        // disk): deal them one page per morsel and take from the lowest
+        // head of the started slots, so the backends read one front.
+        // Key-space and sliced fragments have no unit→disk mapping: they
+        // keep the default grain and take from their own deque first.
         if matches!(frags[gid].program.driver, Driver::PageScan { .. }) && page_slices == 1 {
             part = part.with_disks(self.cfg.machine.n_disks);
+        }
+        // A worker fault at "slot s after k units" fires on every
+        // interleaving only if the slot keeps its deal until then, and a
+        // death leaves its replacement work only if it keeps one unit more.
+        for (slot, units) in machine.fault_plan().iter().flat_map(|p| p.worker_fault_points(gid)) {
+            if slot < n_backends as usize {
+                part.reserve(slot, units + 1);
+            }
         }
 
         // Memory admission: what the fragment declared it holds, clamped to

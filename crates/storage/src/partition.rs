@@ -28,8 +28,8 @@ pub use crate::steal::{NextMorsel, StealPartition, MAX_DEAL_MORSELS};
 /// enough that an 8-worker fragment over a few hundred pages still has
 /// morsels worth stealing. Fragments too small for a whole morsel per
 /// backend, or too large for a bounded deal, are cut at a derived grain
-/// (see [`StealPartition::new`]), and a page scan over striped disks at the
-/// grain that keeps one read front ([`StealPartition::with_disks`]).
+/// (see [`StealPartition::new`]), and a page scan over striped disks one
+/// page per morsel ([`StealPartition::with_disks`]).
 pub const DEFAULT_MORSEL_UNITS: u64 = 16;
 
 /// Result of a dynamic adjustment: what the master must do next.

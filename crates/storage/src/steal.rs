@@ -18,47 +18,45 @@
 //!
 //! # One read front
 //!
-//! A page scan over striped disks ([`StealPartition::with_disks`]) keeps
-//! its front narrower than the disks' reorder window: the grain is cut so
-//! that `backends × grain` fills half of `n_disks × reorder_window` (the
-//! window is the disk model's [`DiskParams`]), capped at the configured
-//! `morsel_units`; the other half is slack for a backend running late.
-//! Wider, the round-robin deal spreads the backends over more blocks than
-//! a disk serves almost-sequentially, and every request past the window
-//! pays a full seek. A disk-mapped slot takes the lowest morsel at the
-//! head of its own or any started slot's deque, so morsels leave the deal
-//! in unit order and a backend that ran late rejoins the front instead of
-//! trailing it ([`StealPartition::next_morsel`]). A plain partition takes
-//! from its own deque first. [`StealPartition::adjust`] keeps the front
-//! across a resize — the morsel analogue of the §2.4 max-page protocol,
-//! which re-partitions a resized scan's remaining pages from one frontier: on
+//! A page scan over striped disks ([`StealPartition::with_disks`]) deals
+//! one page per morsel, so the backends together hold one page each at the
+//! front and an armed remainder is never longer than a page: every backend
+//! keeps reading until no page is left, as in the §2.4 page protocols. A
+//! disk-mapped slot takes the lowest morsel at the head of its own or any
+//! started slot's deque, so pages leave the deal in unit order and a
+//! backend that ran late rejoins the front instead of trailing it
+//! ([`StealPartition::next_morsel`]). A plain partition takes from its own
+//! deque first. [`StealPartition::adjust`] keeps the front across a resize
+//! — the morsel analogue of the §2.4 max-page protocol, which
+//! re-partitions a resized scan's remaining pages from one frontier: on
 //! grow and on shrink it gathers every active slot's pending morsels (and a
-//! retiring slot's remainder), re-cuts them to the grain for the new slot
-//! count, and deals them again in unit order, round-robin over the active
-//! slots. Armed morsels and claim words are untouched. Key-space and
-//! sliced fragments have no unit→disk mapping: they keep `morsel_units`
-//! and are re-dealt, not re-cut.
+//! retiring slot's remainder) and deals them again in unit order,
+//! round-robin over the active slots. Armed morsels and claim words are
+//! untouched. Key-space and sliced fragments have no unit→disk mapping:
+//! they keep `morsel_units`, which amortizes the latch over a morsel.
 //!
 //! Two rules keep the initial deal meaningful: a fragment with at least
 //! `parallelism` units deals at least one morsel to every slot (one
 //! near-equal morsel each when it is too small for whole ones), and a thief
 //! never takes the *last* pending morsel of a slot that has not begun
 //! working. Together they guarantee every staffed slot
-//! processes at least one unit of a large-enough fragment — first-touch
-//! stays local, and per-slot fault-injection points (`kill slot s after
-//! k units`) remain deterministic under stealing. Stealing itself is the
+//! processes at least one unit of a large-enough fragment, so first-touch
+//! stays local. A per-slot fault-injection point (`kill slot s after k
+//! units`) needs more than one page of a one-page deal, so the slot keeps
+//! its deal until it is past the point ([`StealPartition::reserve`]) and
+//! the fault stays deterministic under stealing. Stealing itself is the
 //! rescue path: it moves work to a backend whose own deque ran dry, at the
 //! end of a scan or after a death, not the way a resized scan is staffed.
 //!
 //! # Any unit count
 //!
 //! The deal is bounded: at most [`MAX_DEAL_MORSELS`] morsels are ever
-//! materialized, the grain growing past `morsel_units` for fragments too
-//! large to be cut that finely, and an adjustment's re-cut never exceeds
-//! the bound either. The claim word addresses the *armed
-//! morsel*, not the fragment — it packs `(revoked, len, offset)` relative to
-//! the morsel's start — so a key domain spanning the whole `i32` space (2³²
-//! units) is served like any other fragment.
+//! materialized, the grain growing past `morsel_units` (or past one page)
+//! for fragments too large to be cut that finely; an adjustment re-deals
+//! the morsels it gathers without cutting them. The claim word addresses
+//! the *armed morsel*, not the fragment — it packs `(revoked, len,
+//! offset)` relative to the morsel's start — so a key domain spanning the
+//! whole `i32` space (2³² units) is served like any other fragment.
 //!
 //! # Exactly-once under revocation
 //!
@@ -87,8 +85,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use xprs_disk::DiskParams;
-
 use crate::lock;
 use crate::partition::{morselize, AdjustInfo, Morsel};
 
@@ -102,7 +98,8 @@ const MAX_MORSEL_UNITS: u64 = (1 << 31) - 1;
 /// Most morsels a deal materializes (16 MB of [`Morsel`]s). A fragment of
 /// more than `MAX_DEAL_MORSELS · morsel_units` units is cut at the coarser
 /// grain `ceil(total / MAX_DEAL_MORSELS)` instead: at the default grain of
-/// 16 that is every fragment past 2²⁴ units, so no deal below it changes.
+/// 16 that is every fragment past 2²⁴ units, and a disk-mapped scan's
+/// single pages past 2²⁰, so no deal below those changes.
 /// Past 2⁵¹ units the 31-bit morsel length binds first and the deal grows
 /// beyond this bound rather than overflow the claim word.
 pub const MAX_DEAL_MORSELS: u64 = 1 << 20;
@@ -130,6 +127,11 @@ struct SlotState {
     /// Set once the slot's owner takes its first morsel. Until then thieves
     /// leave the slot its last pending morsel (the first-morsel guarantee).
     started: bool,
+    /// The owner's last take found no work.
+    idle: bool,
+    /// Units of the slot's deal nobody else may take until the slot has
+    /// claimed that many ([`StealPartition::reserve`]).
+    keep: u64,
     /// Start unit of the last morsel this slot armed: the base the claim
     /// word's offsets are relative to, and the base a revocation makes its
     /// remainder absolute with.
@@ -150,6 +152,8 @@ impl SlotState {
             claim: Arc::new(AtomicU64::new(0)),
             revoked: false,
             started: false,
+            idle: false,
+            keep: 0,
             last_unit: None,
             claimed: 0,
             exited: false,
@@ -160,6 +164,12 @@ impl SlotState {
     /// Units this slot has claimed over its life.
     fn progress(&self) -> u64 {
         self.claimed + unpack(self.claim.load(Ordering::SeqCst)).0
+    }
+
+    /// Whether the slot's deque is still its own alone
+    /// ([`StealPartition::reserve`]).
+    fn reserved(&self) -> bool {
+        self.keep > 0 && self.progress() < self.keep
     }
 
     /// Whether the slot still holds unclaimed work: a pending morsel, or an
@@ -176,6 +186,7 @@ impl SlotState {
     /// same latch, so the swap cannot clobber a REVOKED bit.
     fn arm(&mut self, m: Morsel) {
         self.started = true;
+        self.idle = false;
         self.last_unit = Some(m.start);
         let prev = self.claim.swap(pack(0, m.len()), Ordering::SeqCst);
         self.claimed += unpack(prev).0;
@@ -212,9 +223,8 @@ pub struct StealPartition {
     seed: u64,
     /// The grain a deal cuts at when nothing forces it coarser or finer.
     morsel_units: u64,
-    /// Disks under the unit space (`unit % n_disks` = home disk, matching
-    /// [`xprs_disk::StripedLayout::disk_of`]). `0` means no disk mapping.
-    n_disks: u32,
+    /// The units are pages striped over disks ([`StealPartition::with_disks`]).
+    disk_mapped: bool,
 }
 
 impl StealPartition {
@@ -236,7 +246,7 @@ impl StealPartition {
             inner: Mutex::new(Vec::new()),
             seed,
             morsel_units,
-            n_disks: 0,
+            disk_mapped: false,
         };
         part.deal(total_units, n);
         part
@@ -244,19 +254,11 @@ impl StealPartition {
 
     /// Map the unit space onto a striped array of `n_disks` disks — a
     /// page-scan fragment, one unit per block — and re-deal the fresh
-    /// partition for it, keeping one read front.
-    ///
-    /// The grain shrinks until `2 × backends × grain ≤
-    /// n_disks × reorder_window`, the window being the disk model's
-    /// ([`DiskParams`]; every machine's disks are built on
-    /// [`DiskParams::paper_default`]), so the round-robin deal keeps every
-    /// backend's next request within the window of the disk it lands on,
-    /// with half the window to spare for a backend running late.
-    /// [`StealPartition::adjust`] re-cuts to the grain for the new slot
-    /// count, and [`StealPartition::next_morsel`] hands morsels out in unit
-    /// order across the started slots' deques.
+    /// partition one page per morsel, so the backends read one front.
+    /// [`StealPartition::next_morsel`] hands the pages out in unit order
+    /// across the started slots' deques.
     pub fn with_disks(mut self, n_disks: u32) -> Self {
-        self.n_disks = n_disks;
+        self.disk_mapped = n_disks > 0;
         let slots = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
         let total = slots.iter().flat_map(|s| &s.pending).map(Morsel::len).sum();
         let n = slots.len();
@@ -264,29 +266,13 @@ impl StealPartition {
         self
     }
 
-    /// The grain a deal of `units` over `slots` slots cuts at:
-    /// `morsel_units`, narrowed on a disk-mapped unit space until the slots'
-    /// morsels fill half the read front, and coarsened past both when
-    /// `units` would otherwise take more than [`MAX_DEAL_MORSELS`] morsels.
-    ///
-    /// The other half of the front is slack: a backend woken late — a
-    /// paced thread on a busy host — reads the rest of its morsel behind
-    /// the others before it rejoins the front, and with the whole window
-    /// dealt each of those reads would be a seek.
-    fn grain(&self, units: u64, slots: usize) -> u64 {
-        let mut grain = self.morsel_units;
-        if self.n_disks > 0 {
-            // The read front: the widest span of units every disk still
-            // serves inside its reorder window.
-            let front = u64::from(self.n_disks) * DiskParams::paper_default().reorder_window;
-            grain = grain.min(front / (2 * slots.max(1) as u64));
-        }
-        grain.max(units.div_ceil(MAX_DEAL_MORSELS)).clamp(1, MAX_MORSEL_UNITS)
-    }
-
-    /// Replace the slots with `n` fresh ones dealt `[0, total_units)`.
+    /// Replace the slots with `n` fresh ones dealt `[0, total_units)`: one
+    /// page per morsel on a disk-mapped unit space, `morsel_units` per
+    /// morsel otherwise, and coarser when that would take more than
+    /// [`MAX_DEAL_MORSELS`] morsels.
     fn deal(&mut self, total_units: u64, n: usize) {
-        let grain = self.grain(total_units, n);
+        let grain = if self.disk_mapped { 1 } else { self.morsel_units };
+        let grain = grain.max(total_units.div_ceil(MAX_DEAL_MORSELS)).clamp(1, MAX_MORSEL_UNITS);
         let share = total_units / n as u64;
         let morsels = if share >= grain {
             morselize(total_units, grain)
@@ -312,14 +298,29 @@ impl StealPartition {
         *self.inner.get_mut().unwrap_or_else(PoisonError::into_inner) = slots;
     }
 
+    /// Keep `slot`'s deque from other slots until the slot has claimed
+    /// `units` units: a fault aimed at "slot s after k units" then fires on
+    /// every interleaving, however late the slot's owner runs, where a
+    /// one-page deal would otherwise let faster slots take all but a page of
+    /// its share.
+    pub fn reserve(&self, slot: usize, units: u64) {
+        lock(&self.inner)[slot].keep = units;
+    }
+
     /// The claim word `slot`'s owner uses for its per-unit fast path.
     pub fn claim_of(&self, slot: usize) -> Arc<AtomicU64> {
         lock(&self.inner)[slot].claim.clone()
     }
 
-    /// `slot`'s owner exited voluntarily.
-    pub fn exit(&self, slot: usize) {
-        lock(&self.inner)[slot].exited = true;
+    /// `slot`'s owner leaves: mark the slot exited, so the next adjustment
+    /// that deals it work hands it back to be staffed. `false`, marking
+    /// nothing, when an adjustment has dealt the slot work since its owner's
+    /// last take found none: no hand-back comes for a slot that has not
+    /// exited, so its owner must run on.
+    pub fn exit(&self, slot: usize) -> bool {
+        let s = &mut lock(&self.inner)[slot];
+        s.exited = !s.idle || s.pending.is_empty();
+        s.exited
     }
 
     /// Units claimed across every slot, revoked ones included. Every
@@ -360,7 +361,9 @@ impl StealPartition {
             return None;
         }
         let front = (0..slots.len())
-            .filter(|&s| s == slot || (self.n_disks > 0 && slots[s].started))
+            .filter(|&s| {
+                s == slot || (self.disk_mapped && slots[s].started && !slots[s].reserved())
+            })
             .filter_map(|s| Some((slots[s].pending.front()?.start, s)))
             .min();
         if let Some((_, owner)) = front {
@@ -372,8 +375,12 @@ impl StealPartition {
         // rotation with stealable work. On a disk-mapped scan every started
         // slot's head was a front candidate above, so the victim is a slot
         // that has not begun and the steal takes its surplus.
-        let victim =
-            victim_order(self.seed, slot, slots.len()).find(|&v| stealable(&slots, v) > 0)?;
+        let Some(victim) =
+            victim_order(self.seed, slot, slots.len()).find(|&v| stealable(&slots, v) > 0)
+        else {
+            slots[slot].idle = true;
+            return None;
+        };
         let m = steal_from(&mut slots, slot, victim);
         slots[slot].arm(m);
         Some(NextMorsel { morsel: m, stolen_from: Some(victim) })
@@ -420,12 +427,10 @@ impl StealPartition {
     /// slots, shrink by revoking the highest-numbered active ones. Either
     /// way the read front is re-dealt: every pending morsel — the active
     /// slots' and the retiring slots', with their armed remainders — is
-    /// gathered, re-cut to the grain for the new slot count when the unit
-    /// space is disk-mapped, and dealt in unit order, round-robin over the
-    /// active slots. A grown scan's new slots so start on the lowest
-    /// pending units beside the running ones instead of stealing the tail
-    /// of a victim's deque. Armed morsels and claim words of the surviving
-    /// slots are untouched.
+    /// gathered and dealt in unit order, round-robin over the active slots.
+    /// A grown scan's new slots so start on the lowest pending units beside
+    /// the running ones instead of stealing the tail of a victim's deque.
+    /// Armed morsels and claim words of the surviving slots are untouched.
     ///
     /// Keeps the §2.4 protocols' contract: the returned `new_slots` need
     /// backends, `retiring_slots` drain at their next claim. `new_slots`
@@ -456,13 +461,6 @@ impl StealPartition {
                 pending.extend(s.pending.drain(..));
             }
             pending.sort_unstable_by_key(|m| m.start);
-            if self.n_disks > 0 {
-                let units = pending.iter().map(Morsel::len).sum();
-                let cut = recut(&pending, self.grain(units, want));
-                if cut.len() as u64 <= MAX_DEAL_MORSELS {
-                    pending = cut;
-                }
-            }
             let survivors: Vec<usize> =
                 (0..slots.len()).filter(|&s| !slots[s].revoked).collect();
             for (i, m) in pending.into_iter().enumerate() {
@@ -530,32 +528,18 @@ impl StealPartition {
     }
 }
 
-/// `sorted` (ascending, disjoint) re-cut at `grain`: each run of adjacent
-/// morsels is merged and cut again from its start, so the pieces tile the
-/// same units.
-fn recut(sorted: &[Morsel], grain: u64) -> Vec<Morsel> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < sorted.len() {
-        let (start, mut end) = (sorted[i].start, sorted[i].end);
-        i += 1;
-        while i < sorted.len() && sorted[i].start == end {
-            end = sorted[i].end;
-            i += 1;
-        }
-        out.extend(morselize(end - start, grain).into_iter().map(|m| Morsel {
-            start: start + m.start,
-            end: start + m.end,
-        }));
-    }
-    out
-}
-
-/// Pending morsels of `victim` a thief may take: everything once the owner
-/// has begun, all but the last before that (the first-morsel guarantee).
+/// Pending morsels of `victim` a thief may take: none while its deque is
+/// reserved, everything once the owner has begun, all but the last before
+/// that (the first-morsel guarantee).
 fn stealable(slots: &[SlotState], victim: usize) -> usize {
     let len = slots[victim].pending.len();
-    if slots[victim].started { len } else { len.saturating_sub(1) }
+    if slots[victim].reserved() {
+        0
+    } else if slots[victim].started {
+        len
+    } else {
+        len.saturating_sub(1)
+    }
 }
 
 /// Steal the back half of `victim`'s stealable morsels (round up, so a lone
@@ -773,6 +757,52 @@ mod tests {
         assert_eq!((p.n_slots(), p.claimed()), (2, 64));
     }
 
+    /// A slot whose owner found no work is dealt some by a resize before it
+    /// is marked exited: the resize hands back only exited slots, so `exit`
+    /// refuses and the owner runs on, or the work would be stranded.
+    #[test]
+    fn a_slot_dealt_work_after_its_last_empty_take_does_not_exit() {
+        let p = StealPartition::new(48, 4, 3, 0);
+        // Slots 0 and 1 drain all they may; unstarted slot 2 keeps one morsel.
+        for slot in [0, 1] {
+            let claim = p.claim_of(slot);
+            while p.next_morsel(slot).is_some() {
+                while StealPartition::claim_unit(&claim).is_some() {}
+            }
+        }
+        assert_eq!(p.pending(2).len(), 1);
+        // Shrinking retires slot 2 and re-deals its morsel to slot 0, which
+        // has not exited, so nothing is handed back.
+        let info = p.adjust(2);
+        assert_eq!((info.new_slots, info.retiring_slots), (vec![], vec![2]));
+        assert!(!p.exit(0), "slot 0 holds work");
+        assert!(p.exit(1));
+        assert!(p.next_morsel(0).is_some());
+    }
+
+    /// A slot a fault is aimed at keeps its deal from faster slots until it
+    /// has claimed the reserved units; then its queue is the front again.
+    #[test]
+    fn a_reserved_slot_keeps_its_deal_until_it_has_claimed_it() {
+        let p = StealPartition::new(32, 16, 4, 1).with_disks(4);
+        p.reserve(0, 3);
+        let c0 = p.claim_of(0);
+        p.next_morsel(0).expect("first page");
+        assert_eq!(StealPartition::claim_unit(&c0), Some(0));
+        for slot in 1..4 {
+            let claim = p.claim_of(slot);
+            while p.next_morsel(slot).is_some() {
+                while StealPartition::claim_unit(&claim).is_some() {}
+            }
+        }
+        assert_eq!(p.pending(0).len(), 7, "slot 0's pages wait for it");
+        for _ in 0..2 {
+            p.next_morsel(0).expect("own page");
+            assert_eq!(StealPartition::claim_unit(&c0), Some(0));
+        }
+        assert!(p.next_morsel(1).is_some(), "past its reserve, slot 0's queue is the front");
+    }
+
     /// Every slot's claim word and the base of the morsel it last armed,
     /// walked the way workers run them — across adjustments, which add
     /// slots and hand exited ones back.
@@ -781,6 +811,8 @@ mod tests {
         owners: Vec<(Arc<AtomicU64>, u64)>,
         seen: Vec<u64>,
         steals: u64,
+        /// The longest morsel any slot was handed.
+        longest: u64,
     }
 
     impl Walk {
@@ -798,6 +830,7 @@ mod tests {
                         progressed = true;
                     } else if let Some(next) = p.next_morsel(slot) {
                         *base = next.morsel.start;
+                        self.longest = self.longest.max(next.morsel.len());
                         self.steals += u64::from(next.stolen_from.is_some());
                         progressed = true;
                     }
@@ -833,15 +866,15 @@ mod tests {
 
     #[test]
     fn a_late_slot_on_a_disk_mapped_scan_rejoins_the_front() {
-        // Four disks, four slots: grain 8, slot s dealt every fourth
-        // morsel. Slot 0 stalls in its first morsel while the others go
-        // on; its queued morsels go to whoever asks when they are the
-        // lowest, so every morsel is handed out in unit order, and slot 0
-        // comes back to the front, not to its own queue's stale head.
+        // Four disks, four slots: one page per morsel, slot s dealt every
+        // fourth page. Slot 0 stalls in its first page while the others go
+        // on; its queued pages go to whoever asks when they are the lowest,
+        // so every page is handed out in unit order, and slot 0 comes back
+        // to the front, not to its own queue's stale head.
         let p = StealPartition::new(256, 16, 4, 1).with_disks(4);
         let mut handed: Vec<u64> =
             (0..4).map(|s| p.next_morsel(s).expect("first").morsel.start).collect();
-        assert_eq!(handed, vec![0, 8, 16, 24]);
+        assert_eq!(handed, vec![0, 1, 2, 3]);
         for slot in [1, 2, 3].into_iter().cycle().take(12) {
             let next = p.next_morsel(slot).expect("work left");
             assert_eq!(next.stolen_from, None, "a front take is not a rescue steal");
@@ -850,7 +883,7 @@ mod tests {
         let back = p.next_morsel(0).expect("work left").morsel.start;
         handed.push(back);
         assert!(handed.windows(2).all(|w| w[0] < w[1]), "{handed:?}");
-        assert_eq!(back, 128, "the late slot takes the front's next morsel");
+        assert_eq!(back, 16, "the late slot takes the front's next page");
         // A plain partition keeps its own queue order: slot 2 takes its own
         // 48, not slot 0's lower 32.
         let p = StealPartition::new(256, 8, 4, 1);
@@ -879,40 +912,137 @@ mod tests {
         assert_eq!(walk.seen, (0..256).collect::<Vec<_>>());
     }
 
+    /// The widest morsel pending on any of the first `slots` slots.
+    fn widest(p: &StealPartition, slots: usize) -> u64 {
+        (0..slots).flat_map(|s| p.pending(s)).map(|m| m.len()).max().unwrap_or(0)
+    }
+
     #[test]
-    fn a_disk_mapped_deal_and_its_recut_keep_one_read_front() {
-        let window = DiskParams::paper_default().reorder_window;
-        let widest = |p: &StealPartition, slots: usize| {
-            (0..slots).flat_map(|s| p.pending(s)).map(|m| m.len()).max().unwrap_or(0)
-        };
+    fn a_disk_mapped_deal_keeps_one_read_front_at_every_width_and_resize() {
+        let window = xprs_disk::DiskParams::paper_default().reorder_window;
         for disks in [1u32, 2, 4, 8] {
             for backends in 1u32..=16 {
                 let p = StealPartition::new(2_000, 16, backends, 3).with_disks(disks);
                 let grain = widest(&p, backends as usize);
-                assert!((1..=16).contains(&grain), "grain {grain}");
+                assert_eq!(grain, 1, "{backends} backends over {disks}");
                 let front = u64::from(disks) * window;
                 assert!(u64::from(backends) * grain <= front, "{backends} × {grain} over {disks}");
-                // Mid-scan resizes re-cut to the new slot count's grain.
+                // Mid-scan resizes re-deal the same pages.
                 Walk::default().run(&p, 30);
                 for resize in [backends + 5, 1, backends.max(2) * 2] {
                     p.adjust(resize);
                     let grain = widest(&p, p.n_slots());
-                    assert!(grain <= 16);
-                    // More slots than the window has blocks: one unit each.
+                    assert_eq!(grain, 1, "after a resize to {resize}");
+                    // More slots than the window has blocks: one page each.
                     let bound = front.max(u64::from(resize));
                     assert!(u64::from(resize) * grain <= bound, "{resize} × {grain} over {disks}");
                 }
             }
         }
-        // Four disks at six backends: a fixed grain of 16 spreads the
-        // backends over 96 pages, past the 64 the window covers; the deal
-        // fills half of it.
-        let p = StealPartition::new(800, 16, 6, 0).with_disks(4);
-        assert_eq!(widest(&p, 6), 5);
+    }
+
+    /// Every morsel a disk-mapped scan hands out is one page, whatever the
+    /// staffing, across a grow, a shrink and a death, so no backend's armed
+    /// remainder outlasts the page it is reading.
+    #[test]
+    fn a_disk_mapped_deal_is_one_page_per_morsel_through_resizes_and_a_death() {
+        for slots in 1u32..=16 {
+            let p = StealPartition::new(500, 16, slots, u64::from(slots)).with_disks(4);
+            let mut walk = Walk::default();
+            walk.run(&p, 20);
+            p.adjust(slots + 3);
+            walk.run(&p, 20);
+            p.adjust(slots.div_ceil(2));
+            walk.run(&p, 20);
+            assert!(p.fail_slot(p.active_slots()[0]).is_some(), "{slots}: work left to hand on");
+            assert_eq!(widest(&p, p.n_slots()), 1, "{slots}: pending after the death");
+            walk.run(&p, usize::MAX);
+            assert_eq!(walk.longest, 1, "{slots} slots");
+            walk.seen.sort_unstable();
+            assert_eq!(walk.seen, (0..500).collect::<Vec<_>>(), "{slots} slots");
+        }
+    }
+
+    /// Sliced page scans and key spaces have no unit→disk mapping: they
+    /// keep the configured grain, which amortizes the latch over a morsel
+    /// and keeps a lookup's slices together, at every width and resize.
+    #[test]
+    fn a_partition_without_disks_deals_whole_morsels_at_every_width() {
+        for slots in 1u32..=16 {
+            let p = StealPartition::new(2_000, 16, slots, 3);
+            assert_eq!(widest(&p, slots as usize), 16, "{slots} slots");
+            let mut walk = Walk::default();
+            walk.run(&p, 10);
+            p.adjust(slots + 5);
+            assert_eq!(widest(&p, p.n_slots()), 16, "{slots} slots grown");
+            walk.run(&p, usize::MAX);
+            assert_eq!(walk.longest, 16, "{slots} slots");
+        }
+    }
+
+    /// A latch round per page: draining a disk-mapped scan of `P` pages
+    /// over `x` slots takes exactly `P + x` calls of `next_morsel` — one per
+    /// page, and the empty one each slot retires on.
+    #[test]
+    fn draining_a_disk_mapped_scan_takes_one_next_morsel_call_per_page_plus_one_per_slot() {
+        for (pages, x) in [(0u64, 3u32), (5, 8), (64, 1), (64, 4), (777, 6), (2_000, 16)] {
+            let p = StealPartition::new(pages, 16, x, 7).with_disks(4);
+            let claims: Vec<_> = (0..x as usize).map(|s| p.claim_of(s)).collect();
+            let mut retired = vec![false; x as usize];
+            let (mut calls, mut claimed) = (0, 0);
+            while retired.contains(&false) {
+                for slot in 0..x as usize {
+                    if retired[slot] || StealPartition::claim_unit(&claims[slot]).is_some() {
+                        claimed += u64::from(!retired[slot]);
+                        continue;
+                    }
+                    calls += 1;
+                    retired[slot] = p.next_morsel(slot).is_none();
+                }
+            }
+            assert_eq!(claimed, pages);
+            assert_eq!(calls, pages + u64::from(x), "{pages} pages over {x} slots");
+        }
+    }
+
+    /// A death hands its work on: after `fail_slot`, survivors draining the
+    /// partition steal the replacement's surplus but never its last pending
+    /// morsel, so the replacement, staffed late, still claims a unit.
+    #[test]
+    fn survivors_leave_a_replacement_its_last_pending_morsel() {
+        for with_disks in [true, false] {
+            let p = StealPartition::new(64, 4, 4, 5);
+            let p = if with_disks { p.with_disks(4) } else { p };
+            let mut walk = Walk::default();
+            walk.run(&p, 2);
+            let replacement = p.fail_slot(0).expect("slot 0 held work");
+            // Slots 1–3 drain everything they may take.
+            let mut seen = Vec::new();
+            for slot in 1..4 {
+                let claim = p.claim_of(slot);
+                let mut base = walk.owners[slot].1;
+                loop {
+                    match StealPartition::claim_unit(&claim) {
+                        Some(offset) => seen.push(base + offset),
+                        None => match p.next_morsel(slot) {
+                            Some(next) => base = next.morsel.start,
+                            None => break,
+                        },
+                    }
+                }
+            }
+            assert_eq!(p.pending(replacement).len(), 1, "disk-mapped {with_disks}");
+            let left = drain(&p);
+            assert!(!left.is_empty(), "the replacement claims its morsel");
+            seen.extend(walk.seen);
+            seen.extend(left);
+            seen.sort_unstable();
+            assert_eq!(seen, (0..64).collect::<Vec<_>>(), "disk-mapped {with_disks}");
+        }
     }
 
     /// Resizes re-deal instead of leaving new slots to steal, and the
-    /// re-deals, re-cuts and a death together still claim every unit once.
+    /// re-deals and a death together still claim every unit once.
     #[test]
     fn draining_across_resizes_and_a_death_claims_every_unit_once() {
         let p = StealPartition::new(777, 16, 3, 5).with_disks(4);

@@ -219,9 +219,9 @@ proptest! {
     }
 
     /// Mid-run grow and shrink adjustments — each re-dealing every pending
-    /// morsel in unit order, re-cut to the new read front on a disk-mapped
-    /// scan — interleaved with a slot failure: exactly-once survives any
-    /// resize points, in any order with the death.
+    /// morsel in unit order, one page per morsel on a disk-mapped scan —
+    /// interleaved with a slot failure: exactly-once survives any resize
+    /// points, in any order with the death.
     #[test]
     fn mid_run_resizes_and_fail_slot_preserve_exactly_once(
         total in 1u64..500,

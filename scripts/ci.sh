@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full local CI: build, tests (the release leg includes the performance
-# gates), lints, rustdoc and the declared benchmark.
+# gates), lints, rustdoc, the generated results and the declared benchmark.
 #
 # The workspace builds offline (rand/proptest are std-only shims under
 # shims/), so this needs no network. Run from the repo root:
@@ -53,6 +53,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 # script).
 echo "==> docs (scripts/docs.sh)"
 bash scripts/docs.sh
+
+# Generated results: each block between `<!-- generated: <bin> -->` and
+# `<!-- /generated -->` in docs/results/ is what its deterministic bin prints
+# now. A change that moves a figure commits the new block, and the block's
+# diff is its before → after record; prose outside the markers is kept.
+echo "==> generated results (scripts/figures.sh)"
+bash scripts/figures.sh
+git diff --exit-code docs/results
 
 # One test kit: support code more than one test binary uses (the answer
 # oracle, pinned plans, the scripted policies) lives in the dev-only

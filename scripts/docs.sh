@@ -143,14 +143,17 @@ size=$(wc -c < DESIGN.md)
 # only ever probed by key, so two key indexes held one job), the decision
 # trace's JSONL reader, the typed-JSON layer under it and the sink wrapper
 # around a plain `Vec` (the trace is write-only: replays take the records a
-# run captured, so a reader only tests itself), and any call of
+# run captured, so a reader only tests itself), the re-cut that sized a
+# disk-mapped scan's morsels to half the disks' reorder window (one page per
+# morsel replaced it, and a second grain rule would bring the armed tail
+# back), and any call of
 # `with_obs`, an identity kept for `benchmark/`, which this grep does not
 # scan) must not creep back into code, examples, tests, the verify skill,
 # DESIGN.md or README.md: those two describe the present. `scripts/` is left
 # out so the pattern does not match itself; CHANGES.md and docs/results keep
 # the names as history.
 echo "==> docs: retired-name grep"
-if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel|\bfragment_times\b|footprint_warnings|mem_overruns|merge_fanout|prediction_fallbacks|exited_slots|\bsplit_runs\b|parallel_merge_min_rows|parallel_merge_ways|recal_band|with_recalibration\b|host_parallelism|PlanMismatch|ProgramSet|RunGuard|active_runs|run_started|run_finished|interference_factor|jobs_submitted|jobs_completed|delivered_rate|heartbeat_of|watched_heartbeats|recoveries_at_start|observed_service|report_units|units_done|integral_split|io_utilization|critical_path|\btn_estimate\b|Backends<|Backends::|ChannelClosed|deadline_instant|tick_due|sql_cmp|blocks_on_disk|finish_of|\bn_keys\b|total_seq_time|JsonlSink|TraceSink|with_metrics|PATROL_GRACE|StealPartition::reap|patrol::reap|\.reap\(|PagePartition|RangePartition|KeyRange|\bnext_page\b|\bnext_key\b|bench_executor|bench_join|bench_service|BENCH_(executor|join|service)|exec_disk|exec_memory|exec_skew|exec_predict|bench_doc|BTreeIndex|parse_jsonl|FromJson|RingSink|\bfrom_json\b|\.with_obs\(' \
+if grep -rnE 'GlobalLock|DataPath|KeyIndex|push_contended|effective_(shards|morsel_mode|out_batch|cpu_batch)|StaticShares|MorselMode|with_morsel_mode|PartitionState|without_spill|MemoryGrantExceeded|to_workers|to_processors|FragStatus|TaskState|take_running|fn task_index|memory_grants|with_memory_grants|bench_obs|BENCH_obs|exec_scan|exec_join|run_with_obs|NullSink|parse_prefix|metrics_out|MetricsDump|host_header_json|patrol_ms|patrol_grace|recal_min_requests|with_patrol|DiskArrayModel|\bfragment_times\b|footprint_warnings|mem_overruns|merge_fanout|prediction_fallbacks|exited_slots|\bsplit_runs\b|parallel_merge_min_rows|parallel_merge_ways|recal_band|with_recalibration\b|host_parallelism|PlanMismatch|ProgramSet|RunGuard|active_runs|run_started|run_finished|interference_factor|jobs_submitted|jobs_completed|delivered_rate|heartbeat_of|watched_heartbeats|recoveries_at_start|observed_service|report_units|units_done|integral_split|io_utilization|critical_path|\btn_estimate\b|Backends<|Backends::|ChannelClosed|deadline_instant|tick_due|sql_cmp|blocks_on_disk|finish_of|\bn_keys\b|total_seq_time|JsonlSink|TraceSink|with_metrics|PATROL_GRACE|StealPartition::reap|patrol::reap|\.reap\(|PagePartition|RangePartition|KeyRange|\bnext_page\b|\bnext_key\b|bench_executor|bench_join|bench_service|BENCH_(executor|join|service)|exec_disk|exec_memory|exec_skew|exec_predict|bench_doc|BTreeIndex|parse_jsonl|FromJson|RingSink|\bfrom_json\b|\brecut\b|\.with_obs\(' \
     crates examples src tests .claude DESIGN.md README.md; then
     complain "retired names found (matches above)"
 fi

@@ -27,6 +27,7 @@ GATED=(
     "xprs-service service_robustness deadlines_cancel_queued_and_running_without_leaking"
     "xprs-service service_robustness client_cancel_rides_the_same_path_as_deadlines"
     "xprs-executor chaos_exec a_stalled_worker_is_never_replaced"
+    "xprs-executor chaos_exec chaos_run_matches_fault_free_run_and_records_recalibration"
     "xprs-executor patrol_triggers a_fault_plan_set_through_the_field_still_replaces_a_dead_worker"
     "xprs-executor patrol_triggers a_build_parked_behind_another_run_is_staffed_when_that_run_frees_the_pool"
     "xprs-executor patrol_triggers a_manual_cancel_stops_a_single_fragment_run_mid_scan"
