@@ -8,62 +8,47 @@
 //! INTER-W/-ADJ advantage decays to INTRA-ONLY exactly as pairing becomes
 //! impossible.
 
-use xprs_bench::{header, mean, paper_workload, row};
-use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
-use xprs_scheduler::fluid::FluidSim;
-use xprs_scheduler::intra::IntraOnly;
+use xprs::{PolicyKind, XprsSystem};
 use xprs_scheduler::{MachineConfig, TaskProfile};
 use xprs_workload::WorkloadKind;
 
+use crate::{header, mean, paper_workload, row, Engine, SEEDS};
+
 const MB: f64 = 1024.0 * 1024.0;
 
-/// Give each task a footprint proportional to its sequential time — the
-/// longer the scan, the bigger the hash table it would feed.
-fn with_footprints(tasks: Vec<TaskProfile>) -> Vec<TaskProfile> {
-    tasks.into_iter().map(|t| { let m = t.seq_time * 1.5 * MB; t.with_memory(m) }).collect()
+/// The Extreme workload for `seed`, each task given a footprint
+/// proportional to its sequential time — the longer the scan, the bigger
+/// the hash table it would feed.
+fn with_footprints(seed: u64) -> Vec<(TaskProfile, f64)> {
+    let tasks = paper_workload(WorkloadKind::Extreme, seed);
+    tasks.into_iter().map(|t| { let m = t.seq_time * 1.5 * MB; (t.with_memory(m), 0.0) }).collect()
 }
 
-fn main() {
-    let seeds: Vec<u64> = (1..=10).collect();
+/// Mean elapsed time of `policy`, in whole workers, on the fluid model on
+/// a machine of `memory` bytes.
+fn measure(policy: PolicyKind, memory: f64) -> f64 {
+    let sys = XprsSystem::new(MachineConfig { memory, ..MachineConfig::paper_default() });
+    let whole = |m: &MachineConfig, _: bool| policy.build(m, true);
+    mean(&SEEDS.map(|s| Engine::Fluid.run(&sys, &whole, &with_footprints(s)).elapsed))
+}
+
+/// Print the figure.
+pub fn print() {
     println!("# Ablation — memory-constrained pairing (Section 5 future work)");
     println!();
     println!(
         "Extreme workload, fluid engine, {} seeds; task footprints 3–30 MB \
          (1.5 MB per second of sequential work).",
-        seeds.len()
+        SEEDS.len()
     );
     println!();
 
-    let mut base = MachineConfig::paper_default();
-    base.memory = f64::INFINITY;
-    let intra_mean = {
-        let sim = FluidSim::new(base.clone());
-        let xs: Vec<f64> = seeds
-            .iter()
-            .map(|&s| {
-                let tasks = with_footprints(paper_workload(WorkloadKind::Extreme, s));
-                let mut p = IntraOnly::new(base.clone(), true);
-                sim.run(&mut p, &tasks).expect("fluid").elapsed
-            })
-            .collect();
-        mean(&xs)
-    };
+    let intra_mean = measure(PolicyKind::IntraOnly, f64::INFINITY);
     println!("INTRA-ONLY baseline (memory-independent: one task at a time): {intra_mean:6.2} s");
     println!();
     header(&["machine memory", "INTER-W/-ADJ elapsed (s)", "win vs INTRA-ONLY"]);
     for budget in [f64::INFINITY, 64.0 * MB, 40.0 * MB, 24.0 * MB, 12.0 * MB, 4.0 * MB] {
-        let mut m = base.clone();
-        m.memory = budget;
-        let sim = FluidSim::new(m.clone());
-        let xs: Vec<f64> = seeds
-            .iter()
-            .map(|&s| {
-                let tasks = with_footprints(paper_workload(WorkloadKind::Extreme, s));
-                let mut p = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(m.clone()));
-                sim.run(&mut p, &tasks).expect("fluid").elapsed
-            })
-            .collect();
-        let t = mean(&xs);
+        let t = measure(PolicyKind::InterWithAdj, budget);
         let label = if budget.is_infinite() {
             "unconstrained".to_string()
         } else {

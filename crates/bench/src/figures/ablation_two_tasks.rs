@@ -8,14 +8,12 @@
 //! (capped at each task's `maxp`), for k = 2..5, on the DES — where each
 //! extra concurrent sequential scan really does cost seeks.
 
-use xprs_bench::{header, mean, row};
-use xprs_disk::{DiskParams, RelId};
-use xprs_scheduler::adaptive::{AdaptiveConfig, AdaptiveScheduler};
-use xprs_scheduler::intra::IntraOnly;
+use xprs::{PolicyKind, XprsSystem};
 use xprs_scheduler::policy::{Action, RunningTask, SchedulePolicy};
 use xprs_scheduler::{Boundedness, MachineConfig, TaskId, TaskProfile};
-use xprs_sim::{SimConfig, SimTask, Simulator};
-use xprs_workload::{WorkloadConfig, WorkloadGenerator, WorkloadKind};
+use xprs_workload::WorkloadKind;
+
+use crate::{header, mean, row, Engine, SEEDS};
 
 /// Greedy k-way co-scheduler: keep up to `k` tasks running, processors
 /// split evenly (capped by `maxp`), re-split on every completion.
@@ -99,55 +97,25 @@ impl SchedulePolicy for KGreedy {
     }
 }
 
-fn tasks_for(kind: WorkloadKind, seed: u64) -> Vec<(SimTask, f64)> {
-    let params = DiskParams::paper_default();
-    WorkloadGenerator::new()
-        .generate(&WorkloadConfig::paper(kind, seed))
-        .profiles()
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let task = SimTask::from_profile(p, RelId(i as u64 + 1), &params);
-            (task.expect("paper profiles are realizable"), 0.0)
-        })
-        .collect()
-}
+/// Print the figure.
+pub fn print() {
+    let sys = XprsSystem::paper_default();
+    let des = |kind, policy| mean(&Engine::des().elapsed(&sys, kind, policy, &SEEDS));
 
-fn main() {
-    let m = MachineConfig::paper_default();
-    let seeds: Vec<u64> = (1..=10).collect();
-    let sim = Simulator::new(SimConfig::paper_default());
-
-    println!("# Ablation — two-task co-scheduling vs k-way greedy (DES, {} seeds)", seeds.len());
+    println!("# Ablation — two-task co-scheduling vs k-way greedy (DES, {} seeds)", SEEDS.len());
     for kind in [WorkloadKind::Extreme, WorkloadKind::RandomMix] {
         println!();
         println!("## Workload: {}", kind.label());
         println!();
         header(&["scheduler", "elapsed (s)"]);
-        let intra: Vec<f64> = seeds
-            .iter()
-            .map(|&s| {
-                let mut p = IntraOnly::new(m.clone(), true);
-                sim.run(&mut p, &tasks_for(kind, s)).expect("sim").elapsed
-            })
-            .collect();
-        row(&["INTRA-ONLY (k=1)".into(), format!("{:6.2}", mean(&intra))]);
-        let pair: Vec<f64> = seeds
-            .iter()
-            .map(|&s| {
-                let mut p = AdaptiveScheduler::new(AdaptiveConfig::with_adjustment(m.clone()));
-                sim.run(&mut p, &tasks_for(kind, s)).expect("sim").elapsed
-            })
-            .collect();
-        row(&["INTER-W/-ADJ (balance-point pair)".into(), format!("{:6.2}", mean(&pair))]);
+        row(&["INTRA-ONLY (k=1)".into(), format!("{:6.2}", des(kind, PolicyKind::IntraOnly))]);
+        let pair = des(kind, PolicyKind::InterWithAdj);
+        row(&["INTER-W/-ADJ (balance-point pair)".into(), format!("{pair:6.2}")]);
         for k in [2usize, 3, 4, 5] {
-            let xs: Vec<f64> = seeds
-                .iter()
-                .map(|&s| {
-                    let mut p = KGreedy::new(m.clone(), k);
-                    sim.run(&mut p, &tasks_for(kind, s)).expect("sim").elapsed
-                })
-                .collect();
+            let greedy = |m: &MachineConfig, _: bool| -> Box<dyn SchedulePolicy> {
+                Box::new(KGreedy::new(m.clone(), k))
+            };
+            let xs = Engine::des().elapsed(&sys, kind, greedy, &SEEDS);
             row(&[format!("K-GREEDY even split, k={k}"), format!("{:6.2}", mean(&xs))]);
         }
     }

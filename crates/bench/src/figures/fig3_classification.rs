@@ -3,10 +3,11 @@
 //! `IO_i(x) = C_i · x`, the classification against `B/N`, and the maximum
 //! useful parallelism `maxp` (where the line exits the rectangle).
 
-use xprs_bench::{header, row};
+use crate::{header, row};
 use xprs_scheduler::{Boundedness, IoKind, MachineConfig, TaskId, TaskProfile};
 
-fn main() {
+/// Print the figure.
+pub fn print() {
     let m = MachineConfig::paper_default();
     println!("# Figure 3 — task classification in the N × B rectangle");
     println!();
@@ -20,15 +21,11 @@ fn main() {
     header(&["C_i (io/s)", "class", "maxp(f_i)", "IO_i(maxp) (io/s)", "binding limit"]);
     for c in [5.0, 10.0, 20.0, 30.0, 30.5, 40.0, 50.0, 60.0, 70.0] {
         let t = TaskProfile::new(TaskId(0), 10.0, c, IoKind::Sequential);
-        let class = match t.classify(&m) {
-            Boundedness::IoBound => "IO-bound",
-            Boundedness::CpuBound => "CPU-bound",
+        let (class, limit) = match t.classify(&m) {
+            Boundedness::IoBound => ("IO-bound", "disk bandwidth"),
+            Boundedness::CpuBound => ("CPU-bound", "processors"),
         };
         let maxp = t.maxp(&m);
-        let limit = match t.classify(&m) {
-            Boundedness::IoBound => "disk bandwidth",
-            Boundedness::CpuBound => "processors",
-        };
         row(&[
             format!("{c:5.1}"),
             class.to_string(),

@@ -3,12 +3,13 @@
 //! corrected solution (the three-equation system of Section 2.3), and the
 //! step-4 `T_inter` vs `T_intra` comparison.
 
-use xprs_bench::{header, row};
+use crate::{header, row};
 use xprs_scheduler::balance::{balance_point, balance_point_constant_b};
 use xprs_scheduler::estimate::{inter_is_worthwhile, t_inter, t_intra};
 use xprs_scheduler::{IoKind, MachineConfig, TaskId, TaskProfile};
 
-fn main() {
+/// Print the figure.
+pub fn print() {
     let m = MachineConfig::paper_default();
     let n = m.n_procs as f64;
     let b = m.total_bandwidth();
@@ -64,25 +65,15 @@ fn main() {
         let io = TaskProfile::new(TaskId(0), 20.0, c_io, IoKind::Sequential);
         let cpu = TaskProfile::new(TaskId(1), 20.0, c_cpu, IoKind::Sequential);
         let serial = t_intra(&io, &m) + t_intra(&cpu, &m);
-        match balance_point(&io, &cpu, &m) {
+        let (inter, decision) = match balance_point(&io, &cpu, &m) {
             Some(bp) => {
-                let est = t_inter(&io, &cpu, &bp, &m);
                 let keep = inter_is_worthwhile(&io, &cpu, &bp, &m);
-                row(&[
-                    format!("{c_io:4.1}"),
-                    format!("{c_cpu:4.1}"),
-                    format!("{:5.2} s", est.elapsed),
-                    format!("{serial:5.2} s"),
-                    if keep { "pair" } else { "run one at a time" }.into(),
-                ]);
+                let decision = if keep { "pair" } else { "run one at a time" };
+                (format!("{:5.2} s", t_inter(&io, &cpu, &bp, &m).elapsed), decision)
             }
-            None => row(&[
-                format!("{c_io:4.1}"),
-                format!("{c_cpu:4.1}"),
-                "-".into(),
-                format!("{serial:5.2} s"),
-                "no balance point".into(),
-            ]),
-        }
+            None => ("-".into(), "no balance point"),
+        };
+        let serial = format!("{serial:5.2} s");
+        row(&[format!("{c_io:4.1}"), format!("{c_cpu:4.1}"), inter, serial, decision.into()]);
     }
 }

@@ -1,25 +1,23 @@
 //! Figure 7: turnaround time of the three scheduling algorithms over the
 //! four Section 3 workloads (ten selection tasks each, 8 processors, 4
 //! disks), averaged over several seeds, on both measurement engines.
-//!
-//! Usage: `fig7_schedulers [n_seeds]` (default 10).
 
 use xprs::{PolicyKind, XprsSystem};
-use xprs_bench::{des_elapsed, fluid_elapsed, header, mean, row, stddev};
 use xprs_workload::WorkloadKind;
 
-fn main() {
-    let n_seeds: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(10);
-    let seeds: Vec<u64> = (1..=n_seeds).collect();
+use crate::{header, mean, row, stddev, Engine, SEEDS};
+
+/// Print the figure.
+pub fn print() {
     let sys = XprsSystem::paper_default();
 
     println!("# Figure 7 — elapsed time (s) of scheduling algorithms by workload");
     println!();
-    println!("Machine: 8 processors, 4 disks at 97/60/35 io/s (B = 240 io/s); {n_seeds} seeds.");
+    println!("Machine: 8 processors, 4 disks at 97/60/35 io/s (B = 240 io/s); {} seeds.", SEEDS.len());
 
-    for (engine_name, runner) in [
-        ("discrete-event simulator (measured)", des_elapsed as fn(&XprsSystem, WorkloadKind, PolicyKind, &[u64]) -> Vec<f64>),
-        ("fluid model (the paper's cost arithmetic)", fluid_elapsed),
+    for (engine_name, engine) in [
+        ("discrete-event simulator (measured)", Engine::des()),
+        ("fluid model (the paper's cost arithmetic)", Engine::Fluid),
     ] {
         println!();
         println!("## Engine: {engine_name}");
@@ -33,9 +31,9 @@ fn main() {
             "W/O-ADJ vs INTRA",
         ]);
         for kind in WorkloadKind::all() {
-            let intra = runner(&sys, kind, PolicyKind::IntraOnly, &seeds);
-            let noadj = runner(&sys, kind, PolicyKind::InterWithoutAdj, &seeds);
-            let adj = runner(&sys, kind, PolicyKind::InterWithAdj, &seeds);
+            let intra = engine.elapsed(&sys, kind, PolicyKind::IntraOnly, &SEEDS);
+            let noadj = engine.elapsed(&sys, kind, PolicyKind::InterWithoutAdj, &SEEDS);
+            let adj = engine.elapsed(&sys, kind, PolicyKind::InterWithAdj, &SEEDS);
             let (mi, mn, ma) = (mean(&intra), mean(&noadj), mean(&adj));
             row(&[
                 kind.label().to_string(),

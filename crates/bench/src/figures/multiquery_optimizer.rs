@@ -6,29 +6,22 @@
 //! (b) jointly, choosing each plan to minimize the elapsed time of both
 //! queries' fragments scheduled together by the Section 2.5 algorithm.
 
-use xprs::{Costing, Query, XprsSystem};
+use xprs::optimizer::fragment::decompose;
 use xprs::scheduler::fluid::tn_estimate_dags;
-use xprs_bench::{header, row};
-use xprs_storage::{Schema, Tuple};
-use xprs_workload::Calibration;
+use xprs::{Costing, Query, TwoPhaseOptimizer};
 
-fn main() {
-    let mut sys = XprsSystem::paper_default();
-    let cal = Calibration::paper_default();
-    for (name, rate, n) in [
-        ("fat_x", 63.0, 1600u64),
+use crate::{header, rate_catalog, row};
+
+/// Print the figure.
+pub fn print() {
+    let sys = rate_catalog(&[
+        ("fat_x", 63.0, 1600),
         ("fat_y", 58.0, 1400),
         ("fat_z", 66.0, 1800),
         ("thin_u", 7.0, 36_000),
         ("thin_v", 10.0, 30_000),
         ("thin_w", 8.0, 28_000),
-    ] {
-        let blen = cal.blen_for_rate(rate);
-        let cat = sys.catalog_mut();
-        cat.create(name, Schema::paper_rel());
-        cat.load(name, (0..n).map(|i| Tuple::paper(i as i32, blen)));
-        cat.build_index(name, false);
-    }
+    ]);
 
     // Each query mixes IO-heavy and CPU-heavy relations, so its choice of
     // join order decides which of its fragments end up IO- vs CPU-bound.
@@ -55,29 +48,9 @@ fn main() {
     let solo2 = {
         // Re-decompose with non-colliding ids for joint scheduling.
         let mut o = sys.optimize(&q2, Costing::ParCost).expect("plan");
-        let rels = Vec::new();
-        let _ = rels as Vec<u8>;
-        o.fragments = {
-            let model = xprs_optimizer::CostModel::paper_default();
-            let infos: Vec<xprs_optimizer::cost::RelInfo> = q2
-                .rels
-                .iter()
-                .map(|r| {
-                    let rel = sys.catalog().get(&r.name).unwrap();
-                    let s = rel.stats();
-                    xprs_optimizer::cost::RelInfo {
-                        n_tuples: s.n_tuples as f64,
-                        n_blocks: s.n_blocks as f64,
-                        n_distinct: s.n_distinct_a as f64,
-                        selectivity: r.selectivity,
-                        has_index: rel.index_on_a.is_some(),
-                        clustered: false,
-                    }
-                })
-                .collect();
-            let costed = model.cost_plan(&o.plan, &infos);
-            xprs_optimizer::fragment::decompose(&o.plan, &costed, 10_000)
-        };
+        let opt = TwoPhaseOptimizer::paper_default();
+        let infos = opt.try_rel_infos(sys.catalog(), &q2).expect("q2's relations are in the catalog");
+        o.fragments = decompose(&o.plan, &opt.model.cost_plan(&o.plan, &infos), 10_000);
         o
     };
     let independent = tn_estimate_dags(

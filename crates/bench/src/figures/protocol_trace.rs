@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use xprs_storage::partition::{Morsel, StealPartition, DEFAULT_MORSEL_UNITS};
 
-fn main() {
+/// Print the figure.
+pub fn print() {
     println!("# Figure 5 — a page scan grown 2 → 4 (the max-page contract)");
     println!();
     println!("64 pages striped over 4 disks, dealt disk-mapped to 2 backends.");

@@ -11,31 +11,21 @@
 //! For each choice it reports `seqcost`, `parcost` (estimated parallel
 //! response time) and the fragment structure.
 
-use xprs::{Costing, PlanShape, Query, XprsSystem};
-use xprs_bench::{header, row};
-use xprs_storage::{Schema, Tuple};
-use xprs_workload::Calibration;
+use xprs::{Costing, PlanShape, Query};
 
-fn main() {
-    let mut sys = XprsSystem::paper_default();
-    let cal = Calibration::paper_default();
+use crate::{header, rate_catalog, row};
 
+/// Print the figure.
+pub fn print() {
     // Four relations: two IO-heavy (fat tuples) and two CPU-heavy (thin).
     // Keys are distinct within each relation (a foreign-key-like equi-join),
     // so joins filter rather than multiply.
-    let specs: [(&str, f64, u64); 4] = [
+    let mut sys = rate_catalog(&[
         ("fat_a", 65.0, 2200),
         ("thin_b", 7.0, 42_000),
         ("fat_c", 60.0, 1800),
         ("thin_d", 9.0, 35_000),
-    ];
-    for (name, rate, n_tuples) in specs {
-        let blen = cal.blen_for_rate(rate);
-        let cat = sys.catalog_mut();
-        cat.create(name, Schema::paper_rel());
-        cat.load(name, (0..n_tuples).map(|i| Tuple::paper(i as i32, blen)));
-        cat.build_index(name, false);
-    }
+    ]);
 
     println!("# Section 4 — two-phase optimization with parcost");
     println!();

@@ -8,11 +8,13 @@
 //!    realizes and the rates measured by a solo DES run of each task.
 
 use xprs::{PolicyKind, XprsSystem};
-use xprs_bench::{header, mean, row};
 use xprs_scheduler::MachineConfig;
-use xprs_workload::{Calibration, WorkloadConfig, WorkloadGenerator, WorkloadKind};
+use xprs_workload::{Calibration, WorkloadKind};
 
-fn main() {
+use crate::{header, mean, paper_workload, row};
+
+/// Print the figure.
+pub fn print() {
     println!("# Section 3 calibration tables");
 
     disk_bandwidths();
@@ -26,39 +28,28 @@ fn disk_bandwidths() {
     println!();
     println!("## Disk service regimes (per disk, measured)");
     println!();
-    let mut d = DiskState::new(DiskParams::paper_default());
+    let mut disk = DiskState::new(DiskParams::paper_default());
+    // I/Os per second of busy time serving 1000 `(block, worker, solo)`
+    // requests in order.
+    let mut rate = |requests: &mut dyn Iterator<Item = (u64, u64, bool)>| {
+        disk.reset();
+        let busy: f64 = requests
+            .map(|(local_block, w, solo)| {
+                disk.serve(&IoRequest { rel: RelId(1), local_block, worker: WorkerId(w), solo }).1
+            })
+            .sum();
+        1000.0 / busy
+    };
     // Solo sequential stream.
-    let mut busy = 0.0;
-    for b in 0..1000u64 {
-        let (_, dur) = d.serve(&IoRequest { rel: RelId(1), local_block: b, worker: WorkerId(0), solo: true });
-        busy += dur;
-    }
-    let seq_rate = 1000.0 / busy;
+    let seq_rate = rate(&mut (0..1000).map(|b| (b, 0, true)));
     // One parallel scan (two workers, slightly unordered).
-    d.reset();
-    busy = 0.0;
-    for b in 0..500u64 {
-        for w in 0..2u64 {
-            let (_, dur) = d.serve(&IoRequest {
-                rel: RelId(1),
-                local_block: 2 * b + w,
-                worker: WorkerId(w),
-                solo: false,
-            });
-            busy += dur;
-        }
-    }
-    let par_rate = 1000.0 / busy;
+    let par_rate = rate(&mut (0..1000).map(|b| (b, b % 2, false)));
     // Random pointer chasing.
-    d.reset();
-    busy = 0.0;
     let mut block = 7u64;
-    for _ in 0..1000 {
+    let rand_rate = rate(&mut (0..1000).map(|_| {
         block = block.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 100_000;
-        let (_, dur) = d.serve(&IoRequest { rel: RelId(1), local_block: block, worker: WorkerId(0), solo: true });
-        busy += dur;
-    }
-    let rand_rate = 1000.0 / busy;
+        (block, 0, true)
+    }));
     header(&["pattern", "paper (io/s)", "measured (io/s)"]);
     row(&["sequential read".into(), "97".into(), format!("{seq_rate:5.1}")]);
     row(&["almost sequential read".into(), "60".into(), format!("{par_rate:5.1}")]);
@@ -106,7 +97,6 @@ fn calibration_anchors() {
 
 /// The task-class table, cross-checked against solo DES measurements.
 fn class_table() {
-    let sys = XprsSystem::paper_default();
     let mut solo_machine = MachineConfig::paper_default();
     solo_machine.n_procs = 1; // measure each task sequentially
     let solo_sys = XprsSystem::new(solo_machine);
@@ -129,13 +119,11 @@ fn class_table() {
         let mut gen_rates = Vec::new();
         let mut measured = Vec::new();
         for seed in 1..=3u64 {
-            let w = WorkloadGenerator::new().generate(&WorkloadConfig::paper(kind, seed));
-            for t in &w.tasks {
-                gen_rates.push(t.profile.io_rate);
+            for t in paper_workload(kind, seed) {
+                gen_rates.push(t.io_rate);
                 // Sequential (parallelism-1) run of just this task.
-                let report =
-                    solo_sys.simulate(std::slice::from_ref(&t.profile), PolicyKind::IntraOnly).expect("sim");
-                measured.push(t.profile.total_ios() / report.elapsed);
+                let report = solo_sys.simulate(std::slice::from_ref(&t), PolicyKind::IntraOnly).expect("sim");
+                measured.push(t.total_ios() / report.elapsed);
             }
         }
         let span = |xs: &[f64]| {
@@ -150,5 +138,4 @@ fn class_table() {
             span(&measured),
         ]);
     }
-    let _ = sys;
 }

@@ -186,23 +186,34 @@ impl XprsSystem {
         tasks: &[TaskProfile],
         policy: PolicyKind,
     ) -> Result<SimReport, SimError> {
-        let params = xprs_disk::DiskParams::from_rates(
-            self.machine.seq_bw,
-            self.machine.almost_seq_bw,
-            self.machine.random_bw,
-        );
-        let sim_tasks = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let rel = xprs_disk::RelId(i as u64 + 1);
-                Ok((SimTask::from_profile(t.clone(), rel, &params)?, 0.0))
-            })
-            .collect::<Result<Vec<_>, SchedError>>()
+        let sim_tasks = self
+            .sim_tasks(tasks.iter().map(|t| (t.clone(), 0.0)))
             .map_err(|source| SimError { source, partial: Box::default() })?;
         let mut p = policy.build(&self.machine, true);
         Simulator::new(SimConfig { machine: self.machine.clone(), ..SimConfig::paper_default() })
             .run(p.as_mut(), &sim_tasks)
+    }
+
+    /// The DES tasks of timed `arrivals`, `(profile, release time)` pairs:
+    /// profile `i` becomes a physical scan of relation `i + 1` on this
+    /// machine's disks.
+    ///
+    /// # Errors
+    /// [`SchedError::InvalidProfile`] for a profile no disk stream can
+    /// realize.
+    pub fn sim_tasks(
+        &self,
+        arrivals: impl IntoIterator<Item = (TaskProfile, f64)>,
+    ) -> Result<Vec<(SimTask, f64)>, SchedError> {
+        let m = &self.machine;
+        let params = xprs_disk::DiskParams::from_rates(m.seq_bw, m.almost_seq_bw, m.random_bw);
+        arrivals
+            .into_iter()
+            .enumerate()
+            .map(|(i, (t, at))| {
+                Ok((SimTask::from_profile(t, xprs_disk::RelId(i as u64 + 1), &params)?, at))
+            })
+            .collect()
     }
 
     /// Execute optimized queries on the threaded engine.

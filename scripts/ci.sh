@@ -54,10 +54,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 echo "==> docs (scripts/docs.sh)"
 bash scripts/docs.sh
 
-# Generated results: each block between `<!-- generated: <bin> -->` and
-# `<!-- /generated -->` in docs/results/ is what its deterministic bin prints
-# now. A change that moves a figure commits the new block, and the block's
-# diff is its before → after record; prose outside the markers is kept.
+# Generated results: each block between `<!-- generated: <name> -->` and
+# `<!-- /generated -->` in docs/results/ is what the deterministic
+# `figures <name>` prints now, and a marker naming no figure fails the leg.
+# A change that moves a figure commits the new block, and the block's diff
+# is its before → after record; prose outside the markers is kept.
 echo "==> generated results (scripts/figures.sh)"
 bash scripts/figures.sh
 git diff --exit-code docs/results
